@@ -69,14 +69,27 @@ docs-check:
 	if [ $$fail -ne 0 ]; then exit 1; fi
 	@echo docs-check: all internal packages carry a paper-section mapping
 
+# The determinism smokes share one shape: build a CLI once, run one flag set
+# several times, and require byte-identical stdout every time.
+# $(call same-output,<cmd>,<flags>,<variants>[,<filter>]) runs cmd/<cmd> with
+# <flags> once per variant — a variant is a quoted word of extra flags such as
+# "-workers 4", and "" repeats the run unchanged — pipes stdout through
+# <filter> when one is given, and cmp's every run against the first. Timing
+# and progress go to stderr, so only stdout is compared.
+define same-output
+	$(GO) build -o /tmp/$(1) ./cmd/$(1)
+	@i=0; for v in $(3); do \
+		/tmp/$(1) $(2) $$v $(if $(4),| $(4)) > /tmp/$@-$$i.txt || exit 1; \
+		cmp /tmp/$@-0.txt /tmp/$@-$$i.txt || exit 1; \
+		i=$$((i+1)); \
+	done
+endef
+
 # Chaos determinism smoke (part of check): the same fault-injected drive run
 # twice must print byte-identical summaries — the CLI face of the DESIGN.md
 # §11 determinism contract (per-seed reproducible faults and recovery).
 chaos-smoke:
-	$(GO) build -o /tmp/wgttsim ./cmd/wgttsim
-	/tmp/wgttsim -chaos -speed 25 -seed 11 > /tmp/chaos-run1.txt
-	/tmp/wgttsim -chaos -speed 25 -seed 11 > /tmp/chaos-run2.txt
-	cmp /tmp/chaos-run1.txt /tmp/chaos-run2.txt
+	$(call same-output,wgttsim,-chaos -speed 25 -seed 11,"" "")
 	@echo chaos-smoke: fault-injected runs byte-identical
 
 # Live-mode smoke (part of check): one controller and two AP processes over
@@ -97,10 +110,7 @@ federation-smoke:
 	/tmp/wgtt-live -federation -timeout 10s > /tmp/fed-run1.txt
 	/tmp/wgtt-live -federation -timeout 10s > /tmp/fed-run2.txt
 	cmp /tmp/fed-run1.txt /tmp/fed-run2.txt
-	$(GO) build -o /tmp/wgtt-fleet ./cmd/wgtt-fleet
-	/tmp/wgtt-fleet -cells 2 -domains 2 -seed 7 -workers 1 2>/dev/null > /tmp/fed-fleet-w1.txt
-	/tmp/wgtt-fleet -cells 2 -domains 2 -seed 7 -workers 4 2>/dev/null > /tmp/fed-fleet-w4.txt
-	cmp /tmp/fed-fleet-w1.txt /tmp/fed-fleet-w4.txt
+	$(call same-output,wgtt-fleet,-cells 2 -domains 2 -seed 7,"-workers 1" "-workers 4")
 	@echo federation-smoke: inter-controller handoff deterministic live and in sim
 
 # Fan-out determinism smoke (part of check, DESIGN.md §14): the same drive
@@ -108,10 +118,7 @@ federation-smoke:
 # fan-out counters (downlink_encodes, downlink_copies) and the batched-write
 # depth histogram pin the data plane's replication decisions per seed.
 fanout-smoke:
-	$(GO) build -o /tmp/wgttsim ./cmd/wgttsim
-	/tmp/wgttsim -speed 25 -seed 7 -metrics /tmp/fanout-m1.json | grep -v '^metrics:' > /tmp/fanout-run1.txt
-	/tmp/wgttsim -speed 25 -seed 7 -metrics /tmp/fanout-m2.json | grep -v '^metrics:' > /tmp/fanout-run2.txt
-	cmp /tmp/fanout-run1.txt /tmp/fanout-run2.txt
+	$(call same-output,wgttsim,-speed 25 -seed 7,"-metrics /tmp/fanout-m1.json" "-metrics /tmp/fanout-m2.json",grep -v '^metrics:')
 	cmp /tmp/fanout-m1.json /tmp/fanout-m2.json
 	@echo fanout-smoke: fan-out data plane deterministic, metrics byte-identical
 
@@ -120,16 +127,10 @@ fanout-smoke:
 # are pure functions of the CSI sequence, so policy choice must never break
 # the per-seed determinism contract.
 selector-smoke:
-	$(GO) build -o /tmp/wgtt-experiments ./cmd/wgtt-experiments
-	/tmp/wgtt-experiments -quick ext-selector | grep -v '(.*s)$$' > /tmp/sel-abl-1.txt
-	/tmp/wgtt-experiments -quick ext-selector | grep -v '(.*s)$$' > /tmp/sel-abl-2.txt
-	cmp /tmp/sel-abl-1.txt /tmp/sel-abl-2.txt
-	$(GO) build -o /tmp/wgttsim ./cmd/wgttsim
-	@for pol in windowed-median predictive global-assign; do \
-		/tmp/wgttsim -selector $$pol -speed 25 -seed 7 > /tmp/sel-$$pol-1.txt || exit 1; \
-		/tmp/wgttsim -selector $$pol -speed 25 -seed 7 > /tmp/sel-$$pol-2.txt || exit 1; \
-		cmp /tmp/sel-$$pol-1.txt /tmp/sel-$$pol-2.txt || exit 1; \
-	done
+	$(call same-output,wgtt-experiments,-quick ext-selector,"" "",grep -v '(.*s)$$')
+	$(call same-output,wgttsim,-selector windowed-median -speed 25 -seed 7,"" "")
+	$(call same-output,wgttsim,-selector predictive -speed 25 -seed 7,"" "")
+	$(call same-output,wgttsim,-selector global-assign -speed 25 -seed 7,"" "")
 	@echo selector-smoke: selection policies deterministic in ablation and CLI
 
 # Urban determinism smoke (part of check, DESIGN.md §16): the same city
@@ -137,10 +138,7 @@ selector-smoke:
 # seats, the geographic federation binding, and the street-canyon radio
 # are all pure functions of (config, seed).
 urban-smoke:
-	$(GO) build -o /tmp/wgttsim ./cmd/wgttsim
-	/tmp/wgttsim -urban -urban-rows 2 -urban-cols 2 -urban-riders 2 -rate 0.5 -seed 11 > /tmp/urban-run1.txt
-	/tmp/wgttsim -urban -urban-rows 2 -urban-cols 2 -urban-riders 2 -rate 0.5 -seed 11 > /tmp/urban-run2.txt
-	cmp /tmp/urban-run1.txt /tmp/urban-run2.txt
+	$(call same-output,wgttsim,-urban -urban-rows 2 -urban-cols 2 -urban-riders 2 -rate 0.5 -seed 11,"" "")
 	@echo urban-smoke: city runs byte-identical
 
 # Metro determinism smoke (part of check, DESIGN.md §17): one small connected
@@ -152,14 +150,7 @@ urban-smoke:
 METRO_SMOKE_FLAGS = -metro -rate 1 -seed 7 -urban-rows 4 -urban-cols 4 \
 	-urban-riders 3 -urban-cars 1 -urban-peds 1 -urban-duration 20
 metro-smoke:
-	$(GO) build -o /tmp/wgtt-fleet ./cmd/wgtt-fleet
-	/tmp/wgtt-fleet $(METRO_SMOKE_FLAGS) -workers 1 2>/dev/null > /tmp/metro-w1.txt
-	/tmp/wgtt-fleet $(METRO_SMOKE_FLAGS) -workers 4 2>/dev/null > /tmp/metro-w4.txt
-	/tmp/wgtt-fleet $(METRO_SMOKE_FLAGS) -workers 8 2>/dev/null > /tmp/metro-w8.txt
-	cmp /tmp/metro-w1.txt /tmp/metro-w4.txt
-	cmp /tmp/metro-w1.txt /tmp/metro-w8.txt
-	/tmp/wgtt-fleet $(METRO_SMOKE_FLAGS) -workers 8 2>/dev/null > /tmp/metro-w8b.txt
-	cmp /tmp/metro-w8.txt /tmp/metro-w8b.txt
+	$(call same-output,wgtt-fleet,$(METRO_SMOKE_FLAGS),"-workers 1" "-workers 4" "-workers 8" "-workers 8")
 	@echo metro-smoke: metro reports byte-identical across worker counts
 
 # Slow (minutes, opt-in): the 1,000+-tile metro from the §17 acceptance
@@ -199,8 +190,5 @@ bench:
 # acceptance criteria — 32 cells, 1 worker vs 8 workers, byte-identical
 # stdout. The in-repo unit test covers the same invariant on a small fleet.
 fleet-determinism:
-	$(GO) build -o /tmp/wgtt-fleet ./cmd/wgtt-fleet
-	/tmp/wgtt-fleet -cells 32 -seed 7 -workers 1 2>/dev/null > /tmp/fleet-w1.txt
-	/tmp/wgtt-fleet -cells 32 -seed 7 -workers 8 2>/dev/null > /tmp/fleet-w8.txt
-	cmp /tmp/fleet-w1.txt /tmp/fleet-w8.txt
+	$(call same-output,wgtt-fleet,-cells 32 -seed 7,"-workers 1" "-workers 8")
 	@echo fleet reports byte-identical

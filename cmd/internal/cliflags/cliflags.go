@@ -1,0 +1,148 @@
+// Package cliflags is the one definition of the flags the CLIs share — the
+// -urban-* city shape and -chaos* (wgttsim, wgtt-fleet), -metrics (those
+// and wgtt-experiments) and -selector (those and wgtt-live) — so a flag has
+// the same name, meaning and default on every CLI that takes it. Each
+// function registers its flags on the default flag set (call before
+// flag.Parse) and returns the accessor to use after parsing.
+package cliflags
+
+import (
+	"flag"
+	"fmt"
+	"io"
+
+	"wgtt/internal/chaos"
+	"wgtt/internal/metrics"
+	"wgtt/internal/selector"
+	"wgtt/internal/sim"
+	"wgtt/internal/urban"
+)
+
+// City registers the -urban-* flags that shape a street-grid city
+// (DESIGN.md §16). The returned function overrides the fields of a city
+// config whose flags were set.
+func City() func(*urban.Config) {
+	var (
+		rows     = flag.Int("urban-rows", 0, "city grid rows (0 = default)")
+		cols     = flag.Int("urban-cols", 0, "city grid columns (0 = default)")
+		block    = flag.Float64("urban-block", 0, "city block edge length, meters (0 = default)")
+		spacing  = flag.Float64("urban-spacing", 0, "street AP spacing, meters (0 = default)")
+		buses    = flag.Int("urban-buses", -1, "buses per city (-1 = default)")
+		riders   = flag.Int("urban-riders", -1, "riders per bus (-1 = default)")
+		cars     = flag.Int("urban-cars", -1, "routed cars per city (-1 = default)")
+		peds     = flag.Int("urban-peds", -1, "pedestrians per city (-1 = default)")
+		duration = flag.Float64("urban-duration", 0, "city horizon cap, seconds (0 = default)")
+		domains  = flag.Int("urban-domains", 0, "city federation domains (0 = default)")
+	)
+	return func(c *urban.Config) {
+		if *rows > 0 {
+			c.Rows = *rows
+		}
+		if *cols > 0 {
+			c.Cols = *cols
+		}
+		if *block > 0 {
+			c.BlockM = *block
+		}
+		if *spacing > 0 {
+			c.APSpacingM = *spacing
+		}
+		if *buses >= 0 {
+			c.Buses = *buses
+		}
+		if *riders >= 0 {
+			c.RidersPerBus = *riders
+		}
+		if *cars >= 0 {
+			c.Cars = *cars
+		}
+		if *peds >= 0 {
+			c.Pedestrians = *peds
+		}
+		if *duration > 0 {
+			c.MaxDurationS = *duration
+		}
+		if *domains > 0 {
+			c.Domains = *domains
+		}
+	}
+}
+
+// SelectorFlag is the -selector value.
+type SelectorFlag struct{ name *string }
+
+// Selector registers -selector.
+func Selector() SelectorFlag {
+	return SelectorFlag{flag.String("selector", "",
+		"AP-selection policy (DESIGN.md §15): windowed-median | predictive | global-assign")}
+}
+
+// Policy is the named policy; unset resolves to the default one.
+func (f SelectorFlag) Policy() (selector.Policy, error) {
+	pol, err := selector.ParsePolicy(*f.name)
+	if err != nil {
+		return "", fmt.Errorf("selector: %w", err)
+	}
+	return pol, nil
+}
+
+// Config is the selector config for a scenario — nil when the flag is
+// unset, which keeps each controller's default policy.
+func (f SelectorFlag) Config() (*selector.Config, error) {
+	if *f.name == "" {
+		return nil, nil
+	}
+	pol, err := f.Policy()
+	if err != nil {
+		return nil, err
+	}
+	return &selector.Config{Policy: pol}, nil
+}
+
+// Chaos registers -chaos and its tuning flags. The returned function gives
+// the fault-injection config, nil unless -chaos was set.
+func Chaos() func() *chaos.Config {
+	var (
+		on       = flag.Bool("chaos", false, "enable deterministic fault injection (DESIGN.md §11)")
+		mtbf     = flag.Float64("chaos-ap-mtbf", 60, "AP-crash mean time between failures, seconds")
+		downtime = flag.Float64("chaos-downtime", 2, "AP downtime before restart, seconds")
+	)
+	return func() *chaos.Config {
+		if !*on {
+			return nil
+		}
+		c := chaos.DefaultConfig()
+		c.APCrashMTBF = sim.FromSeconds(*mtbf)
+		c.APDowntime = sim.FromSeconds(*downtime)
+		return &c
+	}
+}
+
+// MetricsOut is the -metrics destination.
+type MetricsOut struct{ path *string }
+
+// Metrics registers -metrics.
+func Metrics() MetricsOut {
+	return MetricsOut{flag.String("metrics", "",
+		"write a metrics snapshot (JSON) to this file; '-' prints a table to stdout")}
+}
+
+// On reports whether a snapshot was asked for, i.e. whether the run should
+// record metrics at all.
+func (m MetricsOut) On() bool { return *m.path != "" }
+
+// Write writes the snapshot to the -metrics destination and, for a file,
+// announces it on w as "metrics: <what> -> <file>". It does nothing when
+// the flag is unset or the run produced no snapshot.
+func (m MetricsOut) Write(w io.Writer, snap *metrics.Snapshot, what string) error {
+	if !m.On() || snap == nil {
+		return nil
+	}
+	if err := snap.WriteFile(*m.path); err != nil {
+		return fmt.Errorf("metrics: %w", err)
+	}
+	if *m.path != "-" {
+		fmt.Fprintf(w, "metrics: %s -> %s\n", what, *m.path)
+	}
+	return nil
+}

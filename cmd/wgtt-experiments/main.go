@@ -21,24 +21,22 @@ import (
 	"os"
 	"runtime"
 
+	"wgtt/cmd/internal/cliflags"
 	"wgtt/internal/eval"
 	"wgtt/internal/metrics"
 	"wgtt/internal/profiling"
-	"wgtt/internal/selector"
 )
 
 func main() {
 	var (
-		quick      = flag.Bool("quick", false, "trimmed sweeps")
-		list       = flag.Bool("list", false, "list experiment IDs")
-		chaosOnly  = flag.Bool("chaos", false, "run only the fault-injection experiment (ext-resilience)")
-		seed       = flag.Uint64("seed", 2017, "base seed")
-		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent experiments")
-		metricsOut = flag.String("metrics", "",
-			"write a merged metrics snapshot (JSON) to this file; '-' prints a table to stdout")
-		selectorFlag = flag.String("selector", "",
-			"AP-selection policy override for every experiment (DESIGN.md §15): windowed-median | predictive | global-assign")
-		prof = profiling.AddFlags()
+		quick        = flag.Bool("quick", false, "trimmed sweeps")
+		list         = flag.Bool("list", false, "list experiment IDs")
+		chaosOnly    = flag.Bool("chaos", false, "run only the fault-injection experiment (ext-resilience)")
+		seed         = flag.Uint64("seed", 2017, "base seed")
+		workers      = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent experiments")
+		metricsOut   = cliflags.Metrics()
+		selectorFlag = cliflags.Selector() // overrides the policy of every experiment
+		prof         = profiling.AddFlags()
 	)
 	flag.Parse()
 
@@ -54,15 +52,11 @@ func main() {
 		os.Exit(1)
 	}
 	defer stopProf()
-	opt := eval.Options{Seed: *seed, Quick: *quick, CollectMetrics: *metricsOut != ""}
-	if *selectorFlag != "" {
-		pol, err := selector.ParsePolicy(*selectorFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "selector:", err)
-			stopProf()
-			os.Exit(1)
-		}
-		opt.Selector = &selector.Config{Policy: pol}
+	opt := eval.Options{Seed: *seed, Quick: *quick, CollectMetrics: metricsOut.On()}
+	if opt.Selector, err = selectorFlag.Config(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		stopProf()
+		os.Exit(1)
 	}
 	ids := flag.Args()
 	if *chaosOnly {
@@ -90,23 +84,19 @@ func main() {
 		stopProf()
 		os.Exit(1)
 	}
-	if *metricsOut != "" {
-		// Merge per-experiment snapshots in registry order so the combined
-		// snapshot is independent of worker count.
-		var snaps []metrics.Snapshot
-		for _, o := range outs {
-			if o.Metrics != nil {
-				snaps = append(snaps, *o.Metrics)
-			}
+	// Merge per-experiment snapshots in registry order so the combined
+	// snapshot is independent of worker count.
+	var snaps []metrics.Snapshot
+	for _, o := range outs {
+		if o.Metrics != nil {
+			snaps = append(snaps, *o.Metrics)
 		}
-		merged := metrics.Merge(snaps...)
-		if err := merged.WriteFile(*metricsOut); err != nil {
-			fmt.Fprintln(os.Stderr, "metrics:", err)
-			stopProf()
-			os.Exit(1)
-		}
-		if *metricsOut != "-" {
-			fmt.Printf("metrics: merged snapshot of %d experiments -> %s\n", len(snaps), *metricsOut)
-		}
+	}
+	merged := metrics.Merge(snaps...)
+	what := fmt.Sprintf("merged snapshot of %d experiments", len(snaps))
+	if err := metricsOut.Write(os.Stdout, &merged, what); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		stopProf()
+		os.Exit(1)
 	}
 }

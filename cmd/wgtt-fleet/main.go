@@ -29,49 +29,37 @@ import (
 	"strings"
 	"time"
 
-	"wgtt/internal/chaos"
+	"wgtt/cmd/internal/cliflags"
 	"wgtt/internal/fleet"
+	"wgtt/internal/metrics"
 	"wgtt/internal/profiling"
-	"wgtt/internal/selector"
 	"wgtt/internal/sim"
 	"wgtt/internal/urban"
 )
 
 func main() {
 	var (
-		cells      = flag.Int("cells", 8, "number of corridor cells")
-		seed       = flag.Uint64("seed", 1, "fleet master seed")
-		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent cell simulations")
-		aps        = flag.Int("aps", 8, "APs per cell")
-		spacing    = flag.Float64("spacing", 7.5, "AP spacing, meters")
-		arrivals   = flag.Float64("arrivals", 6, "vehicle arrivals per minute per cell")
-		window     = flag.Float64("window", 20, "arrival window, seconds")
-		maxVeh     = flag.Int("max-vehicles", 4, "vehicle cap per cell")
-		speeds     = flag.String("speeds", "15,25,35", "speed mix, mph (comma-separated)")
-		tcpFrac    = flag.Float64("tcp-frac", 0.5, "fraction of vehicles with TCP workload")
-		udpRate    = flag.Float64("rate", 20, "UDP offered load per vehicle, Mb/s")
-		domains    = flag.Int("domains", 1, "controller domains per cell (DESIGN.md §13; 1 = single controller)")
-		traceDir   = flag.String("trace-dir", "", "write per-cell JSONL event traces here")
-		metricsOut = flag.String("metrics", "",
-			"write a merged metrics snapshot (JSON) to this file; '-' prints a table to stdout")
-		chaosOn      = flag.Bool("chaos", false, "inject deterministic faults into every cell (DESIGN.md §11)")
-		chaosMTBF    = flag.Float64("chaos-ap-mtbf", 60, "AP-crash mean time between failures per cell, seconds")
-		selectorFlag = flag.String("selector", "",
-			"AP-selection policy per cell (DESIGN.md §15): windowed-median | predictive | global-assign")
-		urbanOn = flag.Bool("urban", false,
+		cells    = flag.Int("cells", 8, "number of corridor cells")
+		seed     = flag.Uint64("seed", 1, "fleet master seed")
+		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent cell simulations")
+		aps      = flag.Int("aps", 8, "APs per cell")
+		spacing  = flag.Float64("spacing", 7.5, "AP spacing, meters")
+		arrivals = flag.Float64("arrivals", 6, "vehicle arrivals per minute per cell")
+		window   = flag.Float64("window", 20, "arrival window, seconds")
+		maxVeh   = flag.Int("max-vehicles", 4, "vehicle cap per cell")
+		speeds   = flag.String("speeds", "15,25,35", "speed mix, mph (comma-separated)")
+		tcpFrac  = flag.Float64("tcp-frac", 0.5, "fraction of vehicles with TCP workload (0 = all UDP)")
+		udpRate  = flag.Float64("rate", 20, "UDP offered load per vehicle, Mb/s")
+		domains  = flag.Int("domains", 1, "controller domains per cell (DESIGN.md §13; 1 = single controller)")
+		traceDir = flag.String("trace-dir", "", "write per-cell (or per-metro-tile) JSONL event traces here; a metro keeps one file open per built tile")
+		urbanOn  = flag.Bool("urban", false,
 			"make every cell a street-grid city (DESIGN.md §16) instead of a corridor; "+
 				"-aps/-spacing/-arrivals/-max-vehicles/-tcp-frac are ignored and -rate is per client (try 0.5)")
-		urbanRows     = flag.Int("urban-rows", 0, "city grid rows (0 = default)")
-		urbanCols     = flag.Int("urban-cols", 0, "city grid columns (0 = default)")
-		urbanBlock    = flag.Float64("urban-block", 0, "city block edge length, meters (0 = default)")
-		urbanSpacing  = flag.Float64("urban-spacing", 0, "street AP spacing, meters (0 = default)")
-		urbanBuses    = flag.Int("urban-buses", -1, "buses per city (-1 = default)")
-		urbanRiders   = flag.Int("urban-riders", -1, "riders per bus (-1 = default)")
-		urbanCars     = flag.Int("urban-cars", -1, "routed cars per city (-1 = default)")
-		urbanPeds     = flag.Int("urban-peds", -1, "pedestrians per city (-1 = default)")
-		urbanDuration = flag.Float64("urban-duration", 0, "city horizon cap, seconds (0 = default)")
-		urbanDomains  = flag.Int("urban-domains", 0, "city federation domains (0 = default)")
-		metroOn       = flag.Bool("metro", false,
+		applyCityFlags = cliflags.City()
+		selectorFlag   = cliflags.Selector()
+		chaosFlags     = cliflags.Chaos()
+		metricsOut     = cliflags.Metrics()
+		metroOn        = flag.Bool("metro", false,
 			"run one connected city tiled into metro cells with cross-cell client migration "+
 				"(DESIGN.md §17) instead of N independent cells; -cells is ignored, the urban-* "+
 				"flags shape the city, and -rate is per client (try 1)")
@@ -96,18 +84,20 @@ func main() {
 		os.Exit(1)
 	}
 	defer stopProf()
-
-	mix, err := parseSpeeds(*speeds)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "speeds:", err)
+	// fatal is the error exit: os.Exit skips the deferred stopProf.
+	fatal := func(msg ...any) {
+		fmt.Fprintln(os.Stderr, msg...)
 		stopProf()
 		os.Exit(1)
 	}
+
+	mix, err := parseSpeeds(*speeds)
+	if err != nil {
+		fatal("speeds:", err)
+	}
 	if *traceDir != "" {
 		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "trace-dir:", err)
-			stopProf()
-			os.Exit(1)
+			fatal("trace-dir:", err)
 		}
 	}
 
@@ -121,63 +111,21 @@ func main() {
 		ArrivalWindow:  sim.FromSeconds(*window),
 		MaxVehicles:    *maxVeh,
 		SpeedsMPH:      mix,
-		TCPFraction:    *tcpFrac,
+		TCPFraction:    tcpFraction(*tcpFrac),
 		UDPRateMbps:    *udpRate,
 		Domains:        *domains,
 		TraceDir:       *traceDir,
 		RunID:          *runID,
-		Metrics:        *metricsOut != "",
+		Metrics:        metricsOut.On(),
+		Chaos:          chaosFlags(),
 	}
 	if *progressOn {
 		cfg.Progress = func(done, total int) {
 			fmt.Fprintf(os.Stderr, "progress: %d/%d\n", done, total)
 		}
 	}
-	if *chaosOn {
-		ccfg := chaos.DefaultConfig()
-		ccfg.APCrashMTBF = sim.FromSeconds(*chaosMTBF)
-		cfg.Chaos = &ccfg
-	}
-	if *selectorFlag != "" {
-		pol, err := selector.ParsePolicy(*selectorFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "selector:", err)
-			stopProf()
-			os.Exit(1)
-		}
-		cfg.Selector = &selector.Config{Policy: pol}
-	}
-	applyCityFlags := func(ucfg *urban.Config) {
-		if *urbanRows > 0 {
-			ucfg.Rows = *urbanRows
-		}
-		if *urbanCols > 0 {
-			ucfg.Cols = *urbanCols
-		}
-		if *urbanBlock > 0 {
-			ucfg.BlockM = *urbanBlock
-		}
-		if *urbanSpacing > 0 {
-			ucfg.APSpacingM = *urbanSpacing
-		}
-		if *urbanBuses >= 0 {
-			ucfg.Buses = *urbanBuses
-		}
-		if *urbanRiders >= 0 {
-			ucfg.RidersPerBus = *urbanRiders
-		}
-		if *urbanCars >= 0 {
-			ucfg.Cars = *urbanCars
-		}
-		if *urbanPeds >= 0 {
-			ucfg.Pedestrians = *urbanPeds
-		}
-		if *urbanDuration > 0 {
-			ucfg.MaxDurationS = *urbanDuration
-		}
-		if *urbanDomains > 0 {
-			ucfg.Domains = *urbanDomains
-		}
+	if cfg.Selector, err = selectorFlag.Config(); err != nil {
+		fatal(err)
 	}
 	if *urbanOn {
 		ucfg := urban.DefaultConfig()
@@ -187,9 +135,7 @@ func main() {
 	if *metroOn {
 		tiles, err := urban.ParseTiling(*metroTiles)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "metro-tiles:", err)
-			stopProf()
-			os.Exit(1)
+			fatal("metro-tiles:", err)
 		}
 		mcfg := urban.DefaultMetroConfig()
 		mcfg.Tiles = tiles
@@ -199,73 +145,64 @@ func main() {
 		cfg.MetroEpoch = sim.FromSeconds(*metroEpoch / 1000)
 		cfg.MetroIsolated = *metroIsolated
 	}
+	// finish reports the run's side outputs on stderr: the trace tally and
+	// the metrics snapshot.
+	finish := func(events, files int, snap *metrics.Snapshot, what string) {
+		if *traceDir != "" {
+			fmt.Fprintf(os.Stderr, "traces: %d events across %d files in %s\n", events, files, *traceDir)
+		}
+		if err := metricsOut.Write(os.Stderr, snap, what); err != nil {
+			fatal(err)
+		}
+	}
 	start := time.Now()
 	if *metroOn {
 		res, err := fleet.RunMetro(cfg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fleet:", err)
-			stopProf()
-			os.Exit(1)
+			fatal("fleet:", err)
 		}
 		fmt.Print(res.Render())
-		if *metricsOut != "" && res.Metrics != nil {
-			if err := res.Metrics.WriteFile(*metricsOut); err != nil {
-				fmt.Fprintln(os.Stderr, "metrics:", err)
-				stopProf()
-				os.Exit(1)
-			}
-			if *metricsOut != "-" {
-				fmt.Fprintf(os.Stderr, "metrics: metro snapshot -> %s\n", *metricsOut)
-			}
+		traced := 0
+		for _, t := range res.Tiles {
+			traced += t.TraceEvents
 		}
+		finish(traced, len(res.Tiles), res.Metrics, "metro snapshot")
 		fmt.Fprintf(os.Stderr, "metro %s: %d tiles (%d built) in %.1fs with %d workers\n",
 			res.Tiling, res.Tiling.N(), res.BuiltTiles, time.Since(start).Seconds(), *workers)
-		stopProf()
 		return
 	}
 	if *comparePol {
 		pc, err := fleet.ComparePolicies(cfg, nil)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fleet:", err)
-			stopProf()
-			os.Exit(1)
+			fatal("fleet:", err)
 		}
 		fmt.Print(pc.Render())
 		fmt.Fprintf(os.Stderr, "%d cells x %d policies in %.1fs with %d workers\n",
 			*cells, len(pc.Outcomes), time.Since(start).Seconds(), *workers)
-		stopProf()
 		return
 	}
 	res, err := fleet.Run(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fleet:", err)
-		stopProf()
-		os.Exit(1)
+		fatal("fleet:", err)
 	}
 	fmt.Print(res.Render())
-	if *traceDir != "" {
-		events := 0
-		for _, c := range res.Cells {
-			events += c.TraceEvents
-		}
-		fmt.Fprintf(os.Stderr, "traces: %d events across %d files in %s\n",
-			events, len(res.Cells), *traceDir)
+	traced := 0
+	for _, c := range res.Cells {
+		traced += c.TraceEvents
 	}
-	if *metricsOut != "" {
-		if snap := res.MergedMetrics(); snap != nil {
-			if err := snap.WriteFile(*metricsOut); err != nil {
-				fmt.Fprintln(os.Stderr, "metrics:", err)
-				stopProf()
-				os.Exit(1)
-			}
-			if *metricsOut != "-" {
-				fmt.Fprintf(os.Stderr, "metrics: merged snapshot of %d cells -> %s\n",
-					len(res.Cells), *metricsOut)
-			}
-		}
-	}
+	finish(traced, len(res.Cells), res.MergedMetrics(), fmt.Sprintf("merged snapshot of %d cells", len(res.Cells)))
 	fmt.Fprintf(os.Stderr, "%d cells in %.1fs with %d workers\n",
 		*cells, time.Since(start).Seconds(), *workers)
+}
+
+// tcpFraction maps -tcp-frac onto Config.TCPFraction, whose zero value means
+// "unset: the default 50 % mix". An explicit 0 is passed as a negative,
+// which the library reads as an all-UDP fleet.
+func tcpFraction(flagValue float64) float64 {
+	if flagValue == 0 {
+		return -1
+	}
+	return flagValue
 }
 
 // parseSpeeds parses the comma-separated speed mix.

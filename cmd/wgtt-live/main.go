@@ -29,6 +29,7 @@ import (
 	"strings"
 	"time"
 
+	"wgtt/cmd/internal/cliflags"
 	"wgtt/internal/live"
 	"wgtt/internal/packet"
 	"wgtt/internal/selector"
@@ -47,12 +48,11 @@ func main() {
 		fanout     = flag.Bool("fanout", false, "measure downlink fan-out pkts/s over loopback instead of orchestrating")
 		packets    = flag.Int("packets", 50000, "downlink messages to push per fan-out measurement (-fanout)")
 		timeout    = flag.Duration("timeout", 10*time.Second, "give up if no switch completes in this long")
-		selectorF  = flag.String("selector", "",
-			"AP-selection policy for the controller process (DESIGN.md §15): windowed-median | predictive | global-assign")
+		selectorF  = cliflags.Selector() // the controller process's policy
 	)
 	flag.Parse()
 
-	pol, err := selector.ParsePolicy(*selectorF)
+	pol, err := selectorF.Policy()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "wgtt-live:", err)
 		os.Exit(1)

@@ -10,13 +10,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
-	"wgtt/internal/chaos"
+	"wgtt/cmd/internal/cliflags"
 	"wgtt/internal/core"
-	"wgtt/internal/fleet"
 	"wgtt/internal/mobility"
-	"wgtt/internal/selector"
 	"wgtt/internal/sim"
 	"wgtt/internal/trace"
 	"wgtt/internal/urban"
@@ -24,72 +21,25 @@ import (
 
 func main() {
 	var (
-		modeFlag   = flag.String("mode", "wgtt", "wgtt | baseline")
-		speed      = flag.Float64("speed", 15, "client speed, mph")
-		proto      = flag.String("proto", "udp", "udp | tcp")
-		rate       = flag.Float64("rate", 50, "UDP offered load, Mb/s")
-		clients    = flag.Int("clients", 1, "number of clients (1-3)")
-		pattern    = flag.String("pattern", "following", "following | parallel | opposing")
-		seed       = flag.Uint64("seed", 42, "scenario seed")
-		domains    = flag.Int("domains", 1, "controller domains (DESIGN.md §13; 1 = single controller)")
-		verbose    = flag.Bool("v", false, "per-second progress")
-		traceOut   = flag.String("trace", "", "write a JSONL event trace to this file")
-		metricsOut = flag.String("metrics", "",
-			"write a metrics snapshot (JSON) to this file; '-' prints a table to stdout")
-		chaosOn       = flag.Bool("chaos", false, "enable deterministic fault injection (DESIGN.md §11)")
-		chaosMTBF     = flag.Float64("chaos-ap-mtbf", 60, "AP-crash mean time between failures, seconds")
-		chaosDowntime = flag.Float64("chaos-downtime", 2, "AP downtime before restart, seconds")
-		selectorFlag  = flag.String("selector", "",
-			"AP-selection policy (DESIGN.md §15): windowed-median | predictive | global-assign")
-		urbanOn = flag.Bool("urban", false,
+		modeFlag = flag.String("mode", "wgtt", "wgtt | baseline")
+		speed    = flag.Float64("speed", 15, "client speed, mph")
+		proto    = flag.String("proto", "udp", "udp | tcp")
+		rate     = flag.Float64("rate", 50, "UDP offered load, Mb/s")
+		clients  = flag.Int("clients", 1, "number of clients (1-3)")
+		pattern  = flag.String("pattern", "following", "following | parallel | opposing")
+		seed     = flag.Uint64("seed", 42, "scenario seed")
+		domains  = flag.Int("domains", 1, "controller domains (DESIGN.md §13; 1 = single controller)")
+		verbose  = flag.Bool("v", false, "per-second progress")
+		traceOut = flag.String("trace", "", "write a JSONL event trace to this file")
+		urbanOn  = flag.Bool("urban", false,
 			"run the street-grid city workload (DESIGN.md §16) instead of the corridor; "+
 				"-speed/-clients/-pattern are ignored, and -rate is per client (try 0.5)")
-		urbanRows    = flag.Int("urban-rows", 0, "city grid rows (0 = default)")
-		urbanCols    = flag.Int("urban-cols", 0, "city grid columns (0 = default)")
-		urbanBlock   = flag.Float64("urban-block", 0, "city block edge, meters (0 = default)")
-		urbanBuses   = flag.Int("urban-buses", -1, "bus count (-1 = default)")
-		urbanRiders  = flag.Int("urban-riders", -1, "riders per bus (-1 = default)")
-		urbanCars    = flag.Int("urban-cars", -1, "car count (-1 = default)")
-		urbanPeds    = flag.Int("urban-peds", -1, "pedestrian count (-1 = default)")
-		urbanDomains = flag.Int("urban-domains", 0, "city federation domains (0 = default)")
-		metroOn      = flag.Bool("metro", false,
-			"run the connected-metro workload (DESIGN.md §17): one city tiled into metro cells "+
-				"with cross-cell client migration; the urban-* flags shape the city, "+
-				"-rate is per client (try 1), and all corridor flags are ignored")
-		metroTiles = flag.String("metro-tiles", "2x2", "metro cell grid, RxC")
+		applyCityFlags = cliflags.City()
+		selectorFlag   = cliflags.Selector()
+		chaosFlags     = cliflags.Chaos()
+		metricsOut     = cliflags.Metrics()
 	)
 	flag.Parse()
-
-	applyCityFlags := func(ucfg *urban.Config) {
-		if *urbanRows > 0 {
-			ucfg.Rows = *urbanRows
-		}
-		if *urbanCols > 0 {
-			ucfg.Cols = *urbanCols
-		}
-		if *urbanBlock > 0 {
-			ucfg.BlockM = *urbanBlock
-		}
-		if *urbanBuses >= 0 {
-			ucfg.Buses = *urbanBuses
-		}
-		if *urbanRiders >= 0 {
-			ucfg.RidersPerBus = *urbanRiders
-		}
-		if *urbanCars >= 0 {
-			ucfg.Cars = *urbanCars
-		}
-		if *urbanPeds >= 0 {
-			ucfg.Pedestrians = *urbanPeds
-		}
-		if *urbanDomains > 0 {
-			ucfg.Domains = *urbanDomains
-		}
-	}
-	if *metroOn {
-		runMetro(*metroTiles, *seed, *rate, *selectorFlag, *metricsOut, applyCityFlags)
-		return
-	}
 
 	mode := core.ModeWGTT
 	if *modeFlag == "baseline" {
@@ -116,19 +66,11 @@ func main() {
 	if !*urbanOn {
 		s.Domains = *domains
 	}
-	if *chaosOn {
-		ccfg := chaos.DefaultConfig()
-		ccfg.APCrashMTBF = sim.FromSeconds(*chaosMTBF)
-		ccfg.APDowntime = sim.FromSeconds(*chaosDowntime)
-		s.Chaos = &ccfg
-	}
-	if *selectorFlag != "" {
-		pol, err := selector.ParsePolicy(*selectorFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "selector:", err)
-			os.Exit(1)
-		}
-		s.Selector = &selector.Config{Policy: pol}
+	s.Chaos = chaosFlags()
+	var err error
+	if s.Selector, err = selectorFlag.Config(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 	n, err := core.Build(s)
 	if err != nil {
@@ -138,7 +80,7 @@ func main() {
 	// Urban scenarios expand their AP/client sets inside Build; adopt the
 	// expanded form for the flow setup and the summary below.
 	s = n.Scenario
-	if *metricsOut != "" {
+	if metricsOut.On() {
 		n.EnableMetrics()
 	}
 
@@ -226,61 +168,11 @@ func main() {
 				st.APsMarkedDead, st.APsReadmitted, st.ForcedSwitches, st.HealthProbes)
 		}
 	}
-	if *metricsOut != "" {
+	if metricsOut.On() {
 		snap := n.Metrics.Snapshot()
-		if err := snap.WriteFile(*metricsOut); err != nil {
-			fmt.Fprintln(os.Stderr, "metrics:", err)
+		if err := metricsOut.Write(os.Stdout, &snap, "snapshot"); err != nil {
+			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
-		}
-		if *metricsOut != "-" {
-			fmt.Printf("metrics: snapshot -> %s\n", *metricsOut)
-		}
-	}
-}
-
-// runMetro runs the §17 connected-metro workload: a single city tiled into
-// metro cells, each its own simulation, advancing in lockstep epochs with
-// clients migrating across tile seams. The report is fleet.MetroResult's —
-// the same one `wgtt-fleet -metro` prints.
-func runMetro(tilesSpec string, seed uint64, rate float64, selectorFlag, metricsOut string,
-	applyCityFlags func(*urban.Config)) {
-	tiles, err := urban.ParseTiling(tilesSpec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "metro-tiles:", err)
-		os.Exit(1)
-	}
-	mcfg := urban.DefaultMetroConfig()
-	mcfg.Tiles = tiles
-	applyCityFlags(&mcfg.City)
-	mcfg.City.Domains = 1 // tiles are the metro's sharding story
-	cfg := fleet.Config{
-		Seed:        seed,
-		Workers:     runtime.GOMAXPROCS(0),
-		UDPRateMbps: rate,
-		Metro:       &mcfg,
-		Metrics:     metricsOut != "",
-	}
-	if selectorFlag != "" {
-		pol, err := selector.ParsePolicy(selectorFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "selector:", err)
-			os.Exit(1)
-		}
-		cfg.Selector = &selector.Config{Policy: pol}
-	}
-	res, err := fleet.RunMetro(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "metro:", err)
-		os.Exit(1)
-	}
-	fmt.Print(res.Render())
-	if metricsOut != "" && res.Metrics != nil {
-		if err := res.Metrics.WriteFile(metricsOut); err != nil {
-			fmt.Fprintln(os.Stderr, "metrics:", err)
-			os.Exit(1)
-		}
-		if metricsOut != "-" {
-			fmt.Printf("metrics: snapshot -> %s\n", metricsOut)
 		}
 	}
 }

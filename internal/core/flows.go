@@ -29,7 +29,7 @@ func (n *Network) AddDownlinkUDP(clientID int, rateMbps float64, bytes int) *Dow
 		ClientMAC: cl.Config().MAC,
 	}, func(p *packet.Packet) { _ = n.SendDownlink(clientID, p) })
 	rx := &transport.UDPReceiver{FlowID: flow}
-	n.onClientDownlink(clientID, rx.OnPacket)
+	n.OnClientDownlink(clientID, rx.OnPacket)
 	return &DownUDP{Sender: tx, Receiver: rx}
 }
 
@@ -91,7 +91,7 @@ func (n *Network) AddDownlinkTCP(clientID int, totalSegments uint32, onComplete 
 			Uplink:    true,
 		},
 	}
-	n.onClientDownlink(clientID, rx.OnPacket)
+	n.OnClientDownlink(clientID, rx.OnPacket)
 	n.onServerUplink(func(p *packet.Packet, at sim.Time) {
 		if p.FlowID == flow && p.Kind == packet.KindAck {
 			tx.OnAck(p.Seq, at)
@@ -137,17 +137,12 @@ func (n *Network) AddUplinkTCP(clientID int, totalSegments uint32, onComplete fu
 			rx.OnPacket(p, at)
 		}
 	})
-	n.onClientDownlink(clientID, func(p *packet.Packet, at sim.Time) {
+	n.OnClientDownlink(clientID, func(p *packet.Packet, at sim.Time) {
 		if p.FlowID == flow && p.Kind == packet.KindAck {
 			tx.OnAck(p.Seq, at)
 		}
 	})
 	return &UpTCP{Sender: tx, Receiver: rx}
-}
-
-// onClientDownlink registers a tap on a client's delivered downlink packets.
-func (n *Network) onClientDownlink(clientID int, fn func(p *packet.Packet, at sim.Time)) {
-	n.downRx[clientID] = append(n.downRx[clientID], fn)
 }
 
 // onServerUplink registers a tap on de-duplicated uplink packets.

@@ -55,9 +55,7 @@ func (n *Network) ExportCellHandoff(clientID int, handoffID uint32) (*packet.Dom
 	}
 	cl.StopKeepalive()
 	n.Ctl.ReleaseClient(mac)
-	for _, a := range n.APs {
-		a.Associate(mac, ip, false)
-	}
+	n.associate(cl, -1)
 	return commit, nil
 }
 
@@ -76,24 +74,49 @@ func (n *Network) AdmitCellHandoff(clientID, entryAP int, commit *packet.DomainH
 		return fmt.Errorf("core: entry AP %d out of range", entryAP)
 	}
 	cl := n.Clients[clientID]
-	mac, ip := cl.Config().MAC, cl.Config().IP
-	if n.Ctl.ServingAP(mac) >= 0 {
+	if n.Ctl.ServingAP(cl.Config().MAC) >= 0 {
 		return fmt.Errorf("core: client %d is already admitted here", clientID)
 	}
-	n.Ctl.AdoptClient(mac, ip, entryAP, commit.NextIndex, commit.DedupKeys)
-	for _, ev := range commit.Evidence {
-		n.Ctl.SeedESNR(mac, entryAP, federation.DequantizeEvidenceDB(ev.MedianQ))
-	}
-	n.Ctl.SetFrozen(mac, false)
+	return n.admitClient(cl, entryAP, commit)
+}
+
+// associate replicates the client's §4.3 association onto every AP, with
+// the serving flag on AP serving alone (-1: on none — a client that is
+// built but not, or no longer, in this cell).
+func (n *Network) associate(cl *client.Client, serving int) {
 	for apID, a := range n.APs {
-		a.Associate(mac, ip, apID == entryAP)
+		a.Associate(cl.Config().MAC, cl.Config().IP, apID == serving)
 	}
-	// The entry AP serves from the adopted index cursor, not from whatever
-	// ring state a previous stint of this client left behind: without the
-	// alignment, a former fan-out member re-appointed as serving would drain
-	// its stale backlog — packets the client already received, long past its
-	// TTL-bounded duplicate window.
-	n.APs[entryAP].AlignQueue(mac, commit.NextIndex)
+}
+
+// admitClient is the one WGTT admission sequence — AP association,
+// controller registration, keepalive start — run by Build for every client
+// present at time zero (commit nil: a fresh registration) and by
+// AdmitCellHandoff for a client migrating in (the controller adopts the
+// commit's state instead).
+func (n *Network) admitClient(cl *client.Client, serving int, commit *packet.DomainHandoffCommit) error {
+	mac, ip := cl.Config().MAC, cl.Config().IP
+	n.associate(cl, serving)
+	switch {
+	case commit != nil:
+		n.Ctl.AdoptClient(mac, ip, serving, commit.NextIndex, commit.DedupKeys)
+		for _, ev := range commit.Evidence {
+			n.Ctl.SeedESNR(mac, serving, federation.DequantizeEvidenceDB(ev.MedianQ))
+		}
+		n.Ctl.SetFrozen(mac, false)
+		// The entry AP serves from the adopted index cursor, not from
+		// whatever ring state a previous stint of this client left behind:
+		// without the alignment, a former fan-out member re-appointed as
+		// serving would drain its stale backlog — packets the client already
+		// received, long past its TTL-bounded duplicate window.
+		n.APs[serving].AlignQueue(mac, commit.NextIndex)
+	case n.Fed != nil:
+		if err := n.Fed.RegisterClient(mac, ip, serving); err != nil {
+			return err
+		}
+	default:
+		n.Ctl.RegisterClient(mac, ip, serving)
+	}
 	n.startClientKeepalive(cl)
 	return nil
 }
@@ -103,7 +126,7 @@ func (n *Network) AdmitCellHandoff(clientID, entryAP int, commit *packet.DomainH
 func (n *Network) NearestAPTo(p mobility.Point) int { return nearestAP(n.APPosition, p) }
 
 // startClientKeepalive applies the scenario's keepalive policy to one
-// client (the same switch Build runs for non-deferred clients).
+// client.
 func (n *Network) startClientKeepalive(cl *client.Client) {
 	switch {
 	case n.Scenario.KeepaliveInterval < 0:

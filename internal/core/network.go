@@ -64,7 +64,10 @@ type Network struct {
 	upRx   []func(p *packet.Packet, at sim.Time)
 
 	clientByMAC map[packet.MACAddr]int
-	nextFlow    uint32
+	// clientEP is each client's radio endpoint, in client order (the ESNR
+	// oracle and the probe plane evaluate links against it on every sample).
+	clientEP []*radio.Endpoint
+	nextFlow uint32
 
 	// snrScratch is the reusable per-subcarrier sample buffer for the probe
 	// plane and the ESNR evaluation hooks (single simulation goroutine).
@@ -99,19 +102,7 @@ func Build(s Scenario) (*Network, error) {
 			return nil, err
 		}
 		s.APPositions = uplan.APPositions()
-		s.OmniAPs = true // curbside small cells, not roadside parabolics
-		if s.KeepaliveInterval == 0 {
-			// A city cell carries an order of magnitude more stations than
-			// the corridor testbed; at the paper's 5 ms null-data pace the
-			// probes alone would eat the shared medium. 20 ms keeps several
-			// samples inside the city-scale selection window below while
-			// freeing the airtime for traffic — applied to both systems.
-			s.KeepaliveInterval = 20 * sim.Millisecond
-		}
-		if s.Controller == nil && s.Mode == ModeWGTT {
-			cc := CityControllerConfig()
-			s.Controller = &cc
-		}
+		s.applyCityDefaults(uplan.Graph)
 		if s.Mode == ModeWGTT && s.Urban.Domains > 1 {
 			s.Domains = s.Urban.Domains
 			s.APDomains = uplan.APDomains
@@ -168,13 +159,6 @@ func Build(s Scenario) (*Network, error) {
 	if s.Radio != nil {
 		params = *s.Radio
 	}
-	if uplan != nil && params.Obstruction == nil {
-		// Street-canyon blockage: the city's buildings make radio
-		// visibility follow the streets, so an AP around a corner is tens
-		// of dB down on a same-street one (DESIGN.md §16). Both systems
-		// see the identical map.
-		params.Obstruction = uplan.Graph.BlockageDB
-	}
 	ch := radio.NewChannel(params, rng)
 	var media []*mac.Medium
 	for c := 0; c < nCh; c++ {
@@ -206,14 +190,10 @@ func Build(s Scenario) (*Network, error) {
 	if all == nil {
 		all = mobility.DefaultAPPositions()
 	}
-	subset := s.APSubset
-	if subset == nil {
-		subset = make([]int, len(all))
-		for i := range subset {
-			subset[i] = i
-		}
+	if s.APSubset == nil {
+		n.APPosition = append(n.APPosition, all...)
 	}
-	for _, idx := range subset {
+	for _, idx := range s.APSubset {
 		if idx < 0 || idx >= len(all) {
 			return nil, fmt.Errorf("core: AP subset index %d out of range", idx)
 		}
@@ -280,12 +260,9 @@ func Build(s Scenario) (*Network, error) {
 			// direction instead of the parabolic main lobe.
 			antenna = radio.Omni{PeakDBi: 5}
 		}
-		lossDB := float64(apFixedLossDB)
-		if s.Urban != nil {
-			lossDB = urbanAPLossDB
-		}
-		if s.APLossDB > 0 {
-			lossDB = s.APLossDB
+		lossDB := s.apLossDB
+		if lossDB == 0 {
+			lossDB = apFixedLossDB
 		}
 		ep := &radio.Endpoint{
 			Name:         cfg.Name,
@@ -412,33 +389,24 @@ func Build(s Scenario) (*Network, error) {
 			}
 		}
 		n.Clients = append(n.Clients, cl)
+		n.clientEP = append(n.clientEP, ep)
 		n.clientByMAC[ccfg.MAC] = i
-		if spec.Deferred && !wgtt {
-			return nil, fmt.Errorf("core: deferred clients are only modeled for WGTT")
-		}
-		if !spec.Deferred {
-			n.startClientKeepalive(cl)
-		}
 
 		// Association bootstrap: the §4.3 replication, performed directly.
 		// A deferred client gets its AP-side association (no serving AP)
 		// but no controller registration — AdmitCellHandoff completes the
 		// bootstrap when the client actually enters this cell.
-		if wgtt {
-			for apID, a := range n.APs {
-				a.Associate(ccfg.MAC, ccfg.IP, !spec.Deferred && apID == start)
+		switch {
+		case spec.Deferred && !wgtt:
+			return nil, fmt.Errorf("core: deferred clients are only modeled for WGTT")
+		case spec.Deferred:
+			n.associate(cl, -1)
+		case wgtt:
+			if err := n.admitClient(cl, start, nil); err != nil {
+				return nil, err
 			}
-			if spec.Deferred {
-				continue
-			}
-			if n.Fed != nil {
-				if err := n.Fed.RegisterClient(ccfg.MAC, ccfg.IP, start); err != nil {
-					return nil, err
-				}
-			} else {
-				n.Ctl.RegisterClient(ccfg.MAC, ccfg.IP, start)
-			}
-		} else {
+		default:
+			n.startClientKeepalive(cl)
 			n.Base.Associate(ccfg.MAC, ccfg.IP, start)
 			n.Roamers = append(n.Roamers,
 				baseline.NewRoamer(baseline.DefaultRoamerConfig(), eng, cl, n.Base, roamAddrs, start))
@@ -551,7 +519,7 @@ func (n *Network) EnableMetricsInto(r *metrics.Registry) *metrics.Registry {
 // packets (chained after any flow receivers). The resilience evaluation
 // uses it to measure delivery gaps around injected faults.
 func (n *Network) OnClientDownlink(clientID int, fn func(p *packet.Packet, at sim.Time)) {
-	n.onClientDownlink(clientID, fn)
+	n.downRx[clientID] = append(n.downRx[clientID], fn)
 }
 
 // retuneClient moves a client's radio to its new serving AP's channel.
@@ -573,7 +541,7 @@ func (n *Network) retuneClient(rec controller.SwitchRecord) {
 func (n *Network) startProbePlane() {
 	n.Every(5*sim.Millisecond, func(at sim.Time) {
 		for ci, cl := range n.Clients {
-			cep := n.Channel.Endpoint(fmt.Sprintf("car%d", ci+1))
+			cep := n.clientEP[ci]
 			for _, a := range n.APs {
 				link, err := n.Channel.Link(a.Config().Name, cep.Name)
 				if err != nil {
@@ -597,7 +565,7 @@ func (n *Network) startProbePlane() {
 // and every de-duplicated uplink arrival. Existing evaluation hooks are
 // chained, not replaced. Call rec.Flush() after Run.
 func (n *Network) AttachRecorder(rec *trace.Recorder) {
-	for apID, a := range n.APs {
+	for _, a := range n.APs {
 		a := a
 		name := a.Config().Name
 		prevDeliver := a.OnDeliver
@@ -621,7 +589,6 @@ func (n *Network) AttachRecorder(rec *trace.Recorder) {
 				prevTx(rate, mpdus, at)
 			}
 		}
-		_ = apID
 	}
 	if n.Ctl != nil || n.Fed != nil {
 		prev := n.OnSwitch
@@ -710,8 +677,7 @@ func domainOfAP(i, nAPs, nDom int) int {
 // BestESNRAP returns the ground-truth optimal AP — the one with the highest
 // instantaneous uplink ESNR to the client — and that ESNR (Table 2's oracle).
 func (n *Network) BestESNRAP(clientID int, at sim.Time) (int, float64) {
-	cl := n.Clients[clientID]
-	cep := n.Channel.Endpoint(fmt.Sprintf("car%d", clientID+1))
+	cep := n.clientEP[clientID]
 	best, bestESNR := -1, 0.0
 	for i := range n.APs {
 		link, err := n.Channel.Link(n.APs[i].Config().Name, cep.Name)
@@ -724,13 +690,12 @@ func (n *Network) BestESNRAP(clientID int, at sim.Time) (int, float64) {
 			best, bestESNR = i, e
 		}
 	}
-	_ = cl
 	return best, bestESNR
 }
 
 // ClientESNR returns the instantaneous uplink ESNR from the client to one AP.
 func (n *Network) ClientESNR(clientID, apID int, at sim.Time) float64 {
-	cep := n.Channel.Endpoint(fmt.Sprintf("car%d", clientID+1))
+	cep := n.clientEP[clientID]
 	link, err := n.Channel.Link(n.APs[apID].Config().Name, cep.Name)
 	if err != nil {
 		return 0

@@ -96,11 +96,6 @@ type Scenario struct {
 	// omnidirectional ones (the §4.2 variant the paper says the
 	// hardware-agnostic design supports).
 	OmniAPs bool
-	// APLossDB overrides the per-AP fixed RF loss chain when > 0. The
-	// urban expansion sets the curbside small-cell figure itself; metro
-	// cells (which hand-build their AP lists from the city plan) use this
-	// to get the same install without going through Scenario.Urban.
-	APLossDB float64
 	// ControlLossRate drops WGTT control messages (stop/start/ack) on the
 	// backhaul with this probability — failure injection for the §3.1.2
 	// 30 ms retransmission path.
@@ -143,6 +138,10 @@ type Scenario struct {
 	// active AP with every domain in [0, Domains) owning at least one AP.
 	// The urban expansion fills this from the city partition.
 	APDomains []int
+
+	// apLossDB is the per-AP fixed RF loss chain; zero keeps the testbed's.
+	// Only applyCityDefaults sets it.
+	apLossDB float64
 }
 
 // UrbanScenario builds a street-grid city scenario (DESIGN.md §16) under
@@ -153,22 +152,58 @@ func UrbanScenario(mode Mode, cfg urban.Config, seed uint64) Scenario {
 	return Scenario{Mode: mode, Seed: seed, Urban: &cfg}
 }
 
-// CityControllerConfig returns the switching gates Build applies to urban
-// scenarios: omni micro-cells have much flatter ESNR gradients than the
-// corridor's parabolics, so the §3.1.1 zero-margin/40 ms defaults flap
-// between near-equal neighbors. A longer median window, a real challenger
-// margin, and a street-scale dwell keep switches meaningful (DESIGN.md
-// §16); the CollapseDB escape lets corner-turn collapses through the dwell
-// immediately. Exported so metro cells — which hand-build their scenarios
-// from a city plan instead of going through Scenario.Urban — run the same
-// gates.
-func CityControllerConfig() controller.Config {
-	cc := controller.DefaultConfig()
-	cc.Window = 100 * sim.Millisecond
-	cc.MedianMarginDB = 6
-	cc.Hysteresis = 500 * sim.Millisecond
-	cc.CollapseDB = 18
-	return cc
+// CityCellScenario builds a WGTT scenario for a hand-assembled piece of a
+// city — the metro tile (DESIGN.md §17), whose APs and clients are a cut of
+// one shared city plan rather than a city of its own. The caller supplies
+// the sites and the clients; the city defaults supply everything
+// Scenario.Urban would.
+func CityCellScenario(g *urban.Graph, seed uint64, dur sim.Time, aps []mobility.Point, clients []ClientSpec) Scenario {
+	s := Scenario{Mode: ModeWGTT, Seed: seed, Duration: dur, APPositions: aps, Clients: clients}
+	s.applyCityDefaults(g)
+	return s
+}
+
+// applyCityDefaults is the one statement of what makes a cell a city cell
+// (DESIGN.md §16). Build's Scenario.Urban expansion and CityCellScenario
+// both go through it; explicit Radio, Controller and KeepaliveInterval
+// settings win over the defaults.
+func (s *Scenario) applyCityDefaults(g *urban.Graph) {
+	params := radio.DefaultParams()
+	if s.Radio != nil {
+		params = *s.Radio
+	}
+	if params.Obstruction == nil {
+		// Street-canyon blockage: the city's buildings make radio
+		// visibility follow the streets, so an AP around a corner is tens
+		// of dB down on a same-street one. Both systems see the identical
+		// map.
+		params.Obstruction = g.BlockageDB
+	}
+	s.Radio = &params
+	s.OmniAPs = true // curbside small cells, not roadside parabolics
+	s.apLossDB = curbsideLossDB
+	if s.KeepaliveInterval == 0 {
+		// A city cell carries an order of magnitude more stations than
+		// the corridor testbed; at the paper's 5 ms null-data pace the
+		// probes alone would eat the shared medium. 20 ms keeps several
+		// samples inside the city-scale selection window below while
+		// freeing the airtime for traffic — applied to both systems.
+		s.KeepaliveInterval = 20 * sim.Millisecond
+	}
+	if s.Controller == nil && s.Mode == ModeWGTT {
+		// Omni micro-cells have much flatter ESNR gradients than the
+		// corridor's parabolics, so the §3.1.1 zero-margin/40 ms defaults
+		// flap between near-equal neighbors. A longer median window, a real
+		// challenger margin, and a street-scale dwell keep switches
+		// meaningful; the CollapseDB escape lets corner-turn collapses
+		// through the dwell immediately.
+		cc := controller.DefaultConfig()
+		cc.Window = 100 * sim.Millisecond
+		cc.MedianMarginDB = 6
+		cc.Hysteresis = 500 * sim.Millisecond
+		cc.CollapseDB = 18
+		s.Controller = &cc
+	}
 }
 
 // DriveScenario is a convenience builder: one client driving the full
@@ -220,13 +255,8 @@ const (
 	apFixedLossDB    = 24 // splitter + cabling + window penetration
 	// Urban curbside small cells skip the testbed's splitter/window chain —
 	// a pole-mount install keeps only a short cable run (DESIGN.md §16).
-	urbanAPLossDB = 6
+	curbsideLossDB = 6
 )
-
-// CityAPLossDB is the curbside small-cell fixed RF loss, exported for
-// Scenario.APLossDB users that assemble city-style cells by hand (the metro
-// tile builder, DESIGN.md §17).
-const CityAPLossDB = urbanAPLossDB
 
 // nearestAP returns the index (within the active set) of the AP closest to
 // the client's position at time zero.

@@ -73,7 +73,7 @@ func summarizePolicy(pol selector.Policy, res *Result) PolicyOutcome {
 	for i := range res.Cells {
 		c := &res.Cells[i]
 		out.FleetMbps += c.AggMbps
-		out.Switches += c.Switches
+		out.Switches += c.Ctl.SwitchesDone
 		horizonS += c.DurationS
 		acc.Add(c.AccuracyPct)
 		cdf := &stats.CDF{}

@@ -57,7 +57,8 @@ type Config struct {
 	// (default {15, 25, 35}).
 	SpeedsMPH []float64
 	// TCPFraction of vehicles carry a bulk downlink TCP workload; the rest
-	// carry a CBR downlink UDP flow (default 0.5).
+	// carry a CBR downlink UDP flow. 0 means the default 0.5; any negative
+	// value means an all-UDP fleet.
 	TCPFraction float64
 	// UDPRateMbps is the offered CBR load of UDP vehicles (default 20).
 	UDPRateMbps float64
@@ -191,9 +192,10 @@ func (c Config) withDefaults() Config {
 	if len(c.SpeedsMPH) == 0 {
 		c.SpeedsMPH = []float64{15, 25, 35}
 	}
-	if c.TCPFraction < 0 {
-		c.TCPFraction = 0
-	} else if c.TCPFraction == 0 {
+	if c.TCPFraction == 0 {
+		// A negative fraction stays as it is — no draw falls below it — so
+		// that applying the defaults twice (Run, then RunCell and PlanCell)
+		// cannot turn an explicit "no TCP" back into the default mix.
 		c.TCPFraction = 0.5
 	}
 	if c.UDPRateMbps <= 0 {

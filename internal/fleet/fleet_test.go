@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"flag"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -25,6 +27,32 @@ func testConfig(workers int) Config {
 		MaxVehicles:    2,
 		SpeedsMPH:      []float64{35},
 		UDPRateMbps:    15,
+	}
+}
+
+var update = flag.Bool("update", false, "regenerate the testdata report goldens")
+
+// checkGolden compares a rendered report against testdata/<name>.golden —
+// the pin that lets the runners behind the reports be restructured: the
+// goldens were recorded before the three cell runners became one harness.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name+".golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("report differs from %s (run with -update if intended):\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
 	}
 }
 
@@ -77,6 +105,22 @@ func TestPlanCellSeedChangesEverything(t *testing.T) {
 	}
 }
 
+// TestNegativeTCPFractionMeansAllUDP pins the explicit "no TCP" setting:
+// it must survive the defaults being applied at every layer (Run, RunCell
+// and PlanCell each apply them) instead of decaying into the 50 % mix.
+func TestNegativeTCPFractionMeansAllUDP(t *testing.T) {
+	cfg := testConfig(1)
+	cfg.TCPFraction = -1
+	cfg = cfg.withDefaults().withDefaults()
+	for cell := 0; cell < cfg.Cells; cell++ {
+		for _, v := range PlanCell(cfg, cell).Vehicles {
+			if v.TCP {
+				t.Fatalf("cell %d planned a TCP vehicle under TCPFraction %v", cell, cfg.TCPFraction)
+			}
+		}
+	}
+}
+
 // TestFleetDeterministicAcrossWorkers is the acceptance check: a fleet run
 // with 1 worker and with 4 workers must render byte-identical reports.
 func TestFleetDeterministicAcrossWorkers(t *testing.T) {
@@ -89,6 +133,7 @@ func TestFleetDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b := serial.Render(), parallel.Render()
+	checkGolden(t, "corridor", a)
 	if a != b {
 		t.Fatalf("reports differ across worker counts:\n--- workers=1 ---\n%s\n--- workers=4 ---\n%s", a, b)
 	}
@@ -97,7 +142,7 @@ func TestFleetDeterministicAcrossWorkers(t *testing.T) {
 	var switches uint64
 	for _, c := range serial.Cells {
 		vehicles += c.Vehicles
-		switches += c.Switches
+		switches += c.Ctl.SwitchesDone
 		if c.AggMbps <= 0 {
 			t.Errorf("cell %d delivered nothing", c.Cell)
 		}
@@ -136,13 +181,14 @@ func TestFleetChaosDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := base.Render()
+	checkGolden(t, "chaos", want)
 	if !strings.Contains(want, "Resilience (fault injection") {
 		t.Fatal("chaos-enabled report lacks the resilience section")
 	}
 	var crashes, forced uint64
 	for _, c := range base.Cells {
-		crashes += c.APCrashes
-		forced += c.ForcedSwitches
+		crashes += c.Chaos.APCrashes
+		forced += c.Ctl.ForcedSwitches
 	}
 	if crashes == 0 {
 		t.Error("compressed-MTBF fleet applied no AP crashes; the test exercised nothing")
@@ -187,13 +233,14 @@ func TestFleetFederationDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := base.Render()
+	checkGolden(t, "federation", want)
 	if !strings.Contains(want, "Federation (2 domains") {
 		t.Fatal("federated report lacks the federation section")
 	}
 	var offers, cross uint64
 	for _, c := range base.Cells {
-		offers += c.HandoffOffers
-		cross += c.CrossSwitches
+		offers += c.Fed.OffersSent
+		cross += c.Fed.CrossSwitches
 	}
 	if offers == 0 {
 		t.Error("no inter-controller handoff offers anywhere in the federated fleet")
@@ -230,8 +277,47 @@ func TestCellTraceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	kinds := readCellTrace(t, res)
+	for _, want := range []trace.Kind{trace.KindDeliver, trace.KindFrameTx, trace.KindSwitch} {
+		if kinds[want] == 0 {
+			t.Errorf("trace has no %q events", want)
+		}
+	}
+
+	// Metro tiles go through the same harness: every built tile writes its
+	// own trace, unbuilt tiles write nothing, and tracing leaves the report
+	// (the untraced run's golden) untouched.
+	mcfg := metroTestConfig(1)
+	mcfg.TraceDir = t.TempDir()
+	mcfg.RunID = "m"
+	traced, err := RunMetro(mcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "metro", traced.Render())
+	for _, tile := range traced.Tiles {
+		if want := tracePath(mcfg, tile.Cell); tile.TraceFile != want {
+			t.Errorf("tile %d traced to %q, want %q", tile.Cell, tile.TraceFile, want)
+		}
+		if kinds := readCellTrace(t, tile.CellResult); tile.Bytes > 0 && kinds[trace.KindDeliver] == 0 {
+			t.Errorf("tile %d delivered %d bytes but traced no deliveries", tile.Cell, tile.Bytes)
+		}
+	}
+	files, err := os.ReadDir(mcfg.TraceDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != traced.BuiltTiles {
+		t.Errorf("%d trace files for %d built tiles", len(files), traced.BuiltTiles)
+	}
+}
+
+// readCellTrace reads a cell's trace file back, checks it against the
+// recorder's count, and returns the events tallied by kind.
+func readCellTrace(t *testing.T, res CellResult) map[trace.Kind]int {
+	t.Helper()
 	if res.TraceEvents == 0 || res.TraceFile == "" {
-		t.Fatalf("no trace emitted: %+v", res)
+		t.Fatalf("cell %d: no trace emitted", res.Cell)
 	}
 	f, err := os.Open(res.TraceFile)
 	if err != nil {
@@ -243,17 +329,13 @@ func TestCellTraceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(evs) != res.TraceEvents {
-		t.Fatalf("file has %d events, recorder counted %d", len(evs), res.TraceEvents)
+		t.Fatalf("cell %d: file has %d events, recorder counted %d", res.Cell, len(evs), res.TraceEvents)
 	}
 	kinds := map[trace.Kind]int{}
 	for _, ev := range evs {
 		kinds[ev.Kind]++
 	}
-	for _, want := range []trace.Kind{trace.KindDeliver, trace.KindFrameTx, trace.KindSwitch} {
-		if kinds[want] == 0 {
-			t.Errorf("trace has no %q events", want)
-		}
-	}
+	return kinds
 }
 
 func TestRunPropagatesCellError(t *testing.T) {

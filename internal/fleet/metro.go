@@ -9,7 +9,6 @@ import (
 	"wgtt/internal/metrics"
 	"wgtt/internal/mobility"
 	"wgtt/internal/packet"
-	"wgtt/internal/radio"
 	"wgtt/internal/sim"
 	"wgtt/internal/stats"
 	"wgtt/internal/urban"
@@ -43,19 +42,12 @@ type migration struct {
 	From, To int
 }
 
-// tileClient is one client's presence in one tile simulation.
-type tileClient struct {
-	MetroID int
-	Local   int // index into the tile scenario's client list
-	Flow    *core.DownUDP
-}
-
-// metroTile is one running metro cell.
+// metroTile is one running metro cell: a cell under the fleet harness plus
+// the mapping between the tile's local client indices and metro client IDs.
 type metroTile struct {
-	Tile    int
-	Net     *core.Network
-	Clients []*tileClient
-	byMetro map[int]*tileClient
+	*cell
+	metroIDs []int       // local client index → metro client ID
+	local    map[int]int // metro client ID → local client index
 	// MigrationsIn/Out count the seam crossings this tile admitted/exported.
 	MigrationsIn, MigrationsOut uint64
 }
@@ -70,6 +62,7 @@ type metroRun struct {
 	Epoch sim.Time
 
 	Tiles []*metroTile // index = tile id; nil for tiles no route visits
+	built []*metroTile // the non-nil tiles, in tile order
 
 	// byEpoch[k] holds the migrations applied at barrier (k+1)·Epoch,
 	// sorted by (time, client id).
@@ -137,15 +130,13 @@ type MetroResult struct {
 	Metrics *metrics.Snapshot
 }
 
-// MetroTileResult is one tile's slice of the metro outcome.
+// MetroTileResult is one tile's slice of the metro outcome: the tile's cell
+// result (Cell is the tile index, Vehicles the clients whose routes ever
+// visit the tile) plus its place in the metro.
 type MetroTileResult struct {
-	Tile                        int
+	CellResult
 	APs                         int
-	Clients                     int // clients whose routes ever visit the tile
 	Resident                    int // clients whose routes start in the tile
-	Bytes                       uint64
-	Switches                    uint64
-	AirtimePct                  float64
 	MigrationsIn, MigrationsOut uint64
 }
 
@@ -160,7 +151,7 @@ func RunMetro(cfg Config) (*MetroResult, error) {
 		progress()
 	}
 	progress()
-	return m.finish(), nil
+	return m.finish()
 }
 
 // newMetroRun plans the city, builds every visited tile's network, and
@@ -254,9 +245,13 @@ func newMetroRun(cfg Config) (*metroRun, error) {
 		})
 		tile, err := m.buildTile(t, visitors[t], frng)
 		if err != nil {
+			for _, b := range m.built {
+				b.closeTrace()
+			}
 			return nil, err
 		}
 		m.Tiles[t] = tile
+		m.built = append(m.built, tile)
 	}
 	return m, nil
 }
@@ -269,30 +264,22 @@ type presence struct {
 	deferred bool
 }
 
-// buildTile assembles one metro cell: the tile's AP sites, every visiting
-// client clipped to its presence window, and one downlink UDP flow per
-// client. Clients whose first visit starts mid-run are built deferred —
-// AdmitCellHandoff completes their bootstrap when they migrate in.
+// buildTile assembles one metro cell: the tile's AP sites as a city cell,
+// every visiting client clipped to its presence window, and — through the
+// cell harness — one downlink UDP flow per client. Clients whose first visit
+// starts mid-run are built deferred: AdmitCellHandoff completes their
+// bootstrap, and migrate starts their flow, when they migrate in. Tiles do
+// not sample the oracle: no metro report reads it.
 func (m *metroRun) buildTile(t int, visitors []presence, frng *sim.RNG) (*metroTile, error) {
 	plan := m.Plan
-	params := radio.DefaultParams()
-	params.Obstruction = plan.City.Graph.BlockageDB
-	cc := core.CityControllerConfig()
-	s := core.Scenario{
-		Mode:              core.ModeWGTT,
-		Seed:              frng.Stream(fmt.Sprintf("fleet/metro/tile/%d/seed", t)).Uint64(),
-		Duration:          plan.Duration(),
-		Radio:             &params,
-		Controller:        &cc,
-		Selector:          m.Cfg.Selector,
-		OmniAPs:           true,
-		APLossDB:          core.CityAPLossDB,
-		KeepaliveInterval: 20 * sim.Millisecond,
-	}
+	tile := &metroTile{local: make(map[int]int)}
+	var aps []mobility.Point
 	for _, site := range plan.TileAPs[t] {
-		s.APPositions = append(s.APPositions, plan.City.APs[site].Pos)
+		aps = append(aps, plan.City.APs[site].Pos)
 	}
-	for _, v := range visitors {
+	var clients []core.ClientSpec
+	work := udpWorkloads(len(visitors), plan.Duration())
+	for local, v := range visitors {
 		cp := plan.Clients[v.metroID].Plan
 		var tr mobility.Trace = cp.Trace
 		if !m.Cfg.MetroIsolated {
@@ -303,42 +290,38 @@ func (m *metroRun) buildTile(t int, visitors []presence, frng *sim.RNG) (*metroT
 			// coverage, which is exactly the behavior being ablated.
 			tr = mobility.Clip{Inner: cp.Trace, From: v.from, To: v.to}
 		}
-		s.Clients = append(s.Clients, core.ClientSpec{
+		clients = append(clients, core.ClientSpec{
 			Trace:    tr,
 			SpeedMPH: cp.SpeedMPH,
 			Deferred: v.deferred,
 		})
+		work[local].Deferred = v.deferred
+		tile.metroIDs = append(tile.metroIDs, v.metroID)
+		tile.local[v.metroID] = local
 	}
+	s := core.CityCellScenario(plan.City.Graph,
+		frng.Stream(fmt.Sprintf("fleet/metro/tile/%d/seed", t)).Uint64(),
+		plan.Duration(), aps, clients)
+	s.Selector = m.Cfg.Selector
 	n, err := core.Build(s)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: metro tile %d: %w", t, err)
 	}
-	if m.Cfg.Metrics {
-		n.EnableMetrics()
+	if tile.cell, err = attachCell(m.Cfg, t, n, work, false); err != nil {
+		return nil, err
 	}
-	tile := &metroTile{Tile: t, Net: n, byMetro: make(map[int]*tileClient)}
-	for local, v := range visitors {
-		tc := &tileClient{
-			MetroID: v.metroID,
-			Local:   local,
-			Flow:    n.AddDownlinkUDP(local, m.Cfg.UDPRateMbps, 1400),
-		}
-		tile.Clients = append(tile.Clients, tc)
-		tile.byMetro[v.metroID] = tc
-		if !v.deferred {
-			tc.Flow.Sender.Start()
-		}
-		if m.Cfg.MetroIsolated {
-			continue
-		}
-		// Exits are in-simulation events: the flow and the keepalive stream
-		// stop at the instant the route leaves the tile, not at the next
-		// barrier, so a departed client stops consuming the tile's airtime
-		// immediately. (The controller keeps its state until the barrier's
-		// export — harmless, it just serves a silent client.)
+	if m.Cfg.MetroIsolated {
+		return tile, nil
+	}
+	// Exits are in-simulation events: the flow and the keepalive stream
+	// stop at the instant the route leaves the tile, not at the next
+	// barrier, so a departed client stops consuming the tile's airtime
+	// immediately. (The controller keeps its state until the barrier's
+	// export — harmless, it just serves a silent client.)
+	for local, id := range tile.metroIDs {
 		cl := n.Clients[local]
-		sender := tc.Flow.Sender
-		for _, vis := range plan.Clients[v.metroID].Visits {
+		sender := tile.udp[local].Sender
+		for _, vis := range plan.Clients[id].Visits {
 			if vis.Tile != t || vis.Exit >= plan.Duration() {
 				continue
 			}
@@ -363,14 +346,8 @@ func (m *metroRun) Step() bool {
 	if end > m.Plan.Duration() {
 		end = m.Plan.Duration()
 	}
-	var built []*metroTile
-	for _, tile := range m.Tiles {
-		if tile != nil {
-			built = append(built, tile)
-		}
-	}
-	ForEach(len(built), m.Cfg.Workers, func(i int) {
-		built[i].Net.RunUntil(end)
+	ForEach(len(m.built), m.Cfg.Workers, func(i int) {
+		m.built[i].net.RunUntil(end)
 	})
 	for _, mig := range m.byEpoch[m.epochsRun] {
 		m.migrate(mig, end)
@@ -386,21 +363,22 @@ func (m *metroRun) Step() bool {
 // in its own local MAC/IP namespace.
 func (m *metroRun) migrate(mig migration, barrier sim.Time) {
 	src, dst := m.Tiles[mig.From], m.Tiles[mig.To]
-	from, to := src.byMetro[mig.ClientID], dst.byMetro[mig.ClientID]
+	from, to := src.local[mig.ClientID], dst.local[mig.ClientID]
+	fromFlow, toFlow := src.udp[from].Sender, dst.udp[to].Sender
 
 	m.nextHandoffID++
-	commit, err := src.Net.ExportCellHandoff(from.Local, m.nextHandoffID)
+	commit, err := src.net.ExportCellHandoff(from, m.nextHandoffID)
 	if err != nil {
 		// An unadmitted source (e.g. a boundary-flicker double-cross inside
 		// one epoch resolved the client elsewhere) cannot export; the
 		// client keeps its current cell until its next crossing.
 		return
 	}
-	seq, ipid := from.Flow.Sender.Cursor()
-	from.Flow.Sender.Stop()
+	seq, ipid := fromFlow.Cursor()
+	fromFlow.Stop()
 
-	entryAP := dst.Net.NearestAPTo(m.Plan.Clients[mig.ClientID].Plan.Trace.Position(mig.At))
-	commit.TargetAP = dst.Net.APs[entryAP].Config().IP
+	entryAP := dst.net.NearestAPTo(m.Plan.Clients[mig.ClientID].Plan.Trace.Position(mig.At))
+	commit.TargetAP = dst.net.APs[entryAP].Config().IP
 
 	// Wire round-trip (cell-to-cell evidence transfer over the §13 format).
 	wire := packet.Encode(commit)
@@ -410,11 +388,11 @@ func (m *metroRun) migrate(mig migration, barrier sim.Time) {
 	}
 	commit = decoded.(*packet.DomainHandoffCommit)
 
-	if err := dst.Net.AdmitCellHandoff(to.Local, entryAP, commit); err != nil {
+	if err := dst.net.AdmitCellHandoff(to, entryAP, commit); err != nil {
 		panic(fmt.Sprintf("fleet: metro admission: %v", err))
 	}
-	to.Flow.Sender.Resume(seq, ipid)
-	to.Flow.Sender.Start()
+	toFlow.Resume(seq, ipid)
+	toFlow.Start()
 
 	src.MigrationsOut++
 	dst.MigrationsIn++
@@ -426,60 +404,59 @@ func (m *metroRun) migrate(mig migration, barrier sim.Time) {
 	m.met.wireBytes.Add(uint64(len(wire)))
 }
 
-// finish collects the per-tile and per-client outcomes into the result.
-func (m *metroRun) finish() *MetroResult {
+// finish harvests every tile and sums the tiles' cell results into the
+// per-tile, per-client and metro-wide outcomes.
+func (m *metroRun) finish() (*MetroResult, error) {
 	plan := m.Plan
 	dur := plan.Duration()
 	res := &MetroResult{
-		Cfg:       m.Cfg,
-		Tiling:    m.Cfg.Metro.Tiles,
-		Seed:      m.Cfg.Seed,
-		DurationS: dur.Seconds(),
-		EpochMS:   float64(m.Epoch) / float64(sim.Millisecond),
-		Epochs:    m.epochs,
-		Clients:   len(plan.Clients),
-		Crossings: plan.Crossings,
-		Stats:     m.stats,
+		Cfg:        m.Cfg,
+		Tiling:     m.Cfg.Metro.Tiles,
+		Seed:       m.Cfg.Seed,
+		DurationS:  dur.Seconds(),
+		EpochMS:    float64(m.Epoch) / float64(sim.Millisecond),
+		Epochs:     m.epochs,
+		Clients:    len(plan.Clients),
+		BuiltTiles: len(m.built),
+		Crossings:  plan.Crossings,
+		Stats:      m.stats,
 	}
 
 	sent := make([]uint64, len(plan.Clients))
 	recv := make([]uint64, len(plan.Clients))
 	bytes := make([]uint64, len(plan.Clients))
-	for t, tile := range m.Tiles {
-		if tile == nil {
-			continue
+	var snaps []metrics.Snapshot
+	if m.reg != nil {
+		snaps = append(snaps, m.reg.Snapshot())
+	}
+	for i, tile := range m.built {
+		cr, err := tile.harvest()
+		if err != nil {
+			for _, rest := range m.built[i+1:] {
+				rest.closeTrace()
+			}
+			return nil, err
 		}
-		res.BuiltTiles++
-		var tileBytes uint64
-		for _, tc := range tile.Clients {
-			sent[tc.MetroID] += tc.Flow.Sender.Sent
-			recv[tc.MetroID] += tc.Flow.Receiver.Received
-			bytes[tc.MetroID] += tc.Flow.Receiver.Bytes
-			tileBytes += tc.Flow.Receiver.Bytes
+		for local, id := range tile.metroIDs {
+			sent[id] += cr.UDPSent[local]
+			recv[id] += cr.UDPReceived[local]
+			bytes[id] += cr.PerVehicleBytes[local]
 		}
-		st := tile.Net.CtlStats()
-		res.Stats.Switches += st.SwitchesDone
-		res.Stats.CSIReports += st.CSIReports
+		res.Stats.Switches += cr.Ctl.SwitchesDone
+		res.Stats.CSIReports += cr.Ctl.CSIReports
+		if cr.Metrics != nil {
+			snaps = append(snaps, *cr.Metrics)
+		}
 		res.Tiles = append(res.Tiles, MetroTileResult{
-			Tile:          t,
-			APs:           len(plan.TileAPs[t]),
-			Clients:       len(tile.Clients),
-			Resident:      residentCount(plan, t),
-			Bytes:         tileBytes,
-			Switches:      st.SwitchesDone,
-			AirtimePct:    100 * tile.Net.Medium.Utilization(),
+			CellResult:    cr,
+			APs:           len(plan.TileAPs[cr.Cell]),
+			Resident:      residentCount(plan, cr.Cell),
 			MigrationsIn:  tile.MigrationsIn,
 			MigrationsOut: tile.MigrationsOut,
 		})
 	}
-	var total uint64
 	for ci := range plan.Clients {
-		total += bytes[ci]
-		mbps := 0.0
-		if dur > 0 {
-			mbps = float64(bytes[ci]) * 8 / 1e6 / dur.Seconds()
-		}
-		res.PerClientMbps = append(res.PerClientMbps, mbps)
+		res.PerClientMbps = append(res.PerClientMbps, mbps(bytes[ci], dur))
 		loss := 0.0
 		if sent[ci] > 0 && recv[ci] < sent[ci] {
 			loss = float64(sent[ci]-recv[ci]) / float64(sent[ci])
@@ -489,21 +466,12 @@ func (m *metroRun) finish() *MetroResult {
 		res.Stats.Received += recv[ci]
 		res.Stats.Bytes += bytes[ci]
 	}
-	if dur > 0 {
-		res.AggMbps = float64(total) * 8 / 1e6 / dur.Seconds()
-	}
-	res.Seed = m.Cfg.Seed
-	if m.reg != nil {
-		snaps := []metrics.Snapshot{m.reg.Snapshot()}
-		for _, tile := range m.Tiles {
-			if tile != nil && tile.Net.Metrics != nil {
-				snaps = append(snaps, tile.Net.Metrics.Snapshot())
-			}
-		}
+	res.AggMbps = mbps(res.Stats.Bytes, dur)
+	if len(snaps) > 0 {
 		merged := metrics.Merge(snaps...)
 		res.Metrics = &merged
 	}
-	return res
+	return res, nil
 }
 
 // residentCount counts clients whose routes start in tile t.
@@ -549,17 +517,9 @@ func (r *MetroResult) Render() string {
 	g.AddAll(r.PerClientMbps)
 	l := &stats.CDF{}
 	l.AddAll(r.PerClientLoss)
-	d := &stats.Table{Header: []string{"metric", "n", "p5", "p25", "p50", "p75", "p95", "max"}}
-	row := func(name string, c *stats.CDF) {
-		qs := stats.Quantiles(c, 0.05, 0.25, 0.50, 0.75, 0.95, 1)
-		cells := []string{name, fmt.Sprintf("%d", c.N())}
-		for _, q := range qs {
-			cells = append(cells, stats.F(q))
-		}
-		d.AddRow(cells...)
-	}
-	row("client goodput (Mb/s)", g)
-	row("client loss fraction", l)
+	d := &stats.Table{Header: quantileHeader}
+	quantileRow(d, "client goodput (Mb/s)", g)
+	quantileRow(d, "client loss fraction", l)
 	b.WriteString(d.String())
 
 	// The per-tile table is the debugging view; at metro scale (1,000+
@@ -571,9 +531,9 @@ func (r *MetroResult) Render() string {
 			"tile", "aps", "clients", "resident", "MB", "switches", "mig-in", "mig-out", "airtime%"}}
 		for i := range r.Tiles {
 			c := &r.Tiles[i]
-			t.AddRow(fmt.Sprintf("%d", c.Tile), fmt.Sprintf("%d", c.APs),
-				fmt.Sprintf("%d", c.Clients), fmt.Sprintf("%d", c.Resident),
-				stats.F(float64(c.Bytes)/1e6), fmt.Sprintf("%d", c.Switches),
+			t.AddRow(fmt.Sprintf("%d", c.Cell), fmt.Sprintf("%d", c.APs),
+				fmt.Sprintf("%d", c.Vehicles), fmt.Sprintf("%d", c.Resident),
+				stats.F(float64(c.Bytes)/1e6), fmt.Sprintf("%d", c.Ctl.SwitchesDone),
 				fmt.Sprintf("%d", c.MigrationsIn), fmt.Sprintf("%d", c.MigrationsOut),
 				stats.F(c.AirtimePct))
 		}

@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"errors"
+	"os"
 	"strings"
 	"testing"
 
@@ -39,6 +41,7 @@ func TestMetroDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := ref.Render()
+	checkGolden(t, "metro", want)
 	for _, workers := range []int{4, 8} {
 		got, err := RunMetro(metroTestConfig(workers))
 		if err != nil {
@@ -96,6 +99,7 @@ func TestMetroIsolatedCutsSeams(t *testing.T) {
 		t.Fatalf("isolated metro has seam costs: outage %v wire %d",
 			res.Stats.SeamOutage, res.Stats.HandoffWireBytes)
 	}
+	checkGolden(t, "metro-isolated", res.Render())
 	if !strings.Contains(res.Render(), "isolated (seams cut)") {
 		t.Fatalf("isolated report does not say so:\n%s", res.Render())
 	}
@@ -173,6 +177,29 @@ func BenchmarkMetroEpoch(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.StartTimer()
+		}
+	}
+}
+
+// TestMetroFinishClosesTracesOnError: a tile whose trace cannot be completed
+// fails the run, and the tiles not yet harvested still release their files.
+func TestMetroFinishClosesTracesOnError(t *testing.T) {
+	cfg := metroTestConfig(1)
+	cfg.TraceDir = t.TempDir()
+	m, err := newMetroRun(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.built) < 2 {
+		t.Fatalf("need at least 2 built tiles, got %d", len(m.built))
+	}
+	m.built[0].traceFile.Close()
+	if _, err := m.finish(); err == nil {
+		t.Fatal("finish succeeded with a closed trace file")
+	}
+	for _, tile := range m.built[1:] {
+		if err := tile.traceFile.Close(); !errors.Is(err, os.ErrClosed) {
+			t.Errorf("tile %d trace left open after a failed finish (Close: %v)", tile.res.Cell, err)
 		}
 	}
 }

@@ -55,6 +55,18 @@ func (r *Result) MergedMetrics() *metrics.Snapshot {
 	return &merged
 }
 
+// quantileHeader and quantileRow make the distribution table both
+// deployment reports print: one row of sample count and quantiles per metric.
+var quantileHeader = []string{"metric", "n", "p5", "p25", "p50", "p75", "p95", "max"}
+
+func quantileRow(t *stats.Table, name string, c *stats.CDF) {
+	cells := []string{name, fmt.Sprintf("%d", c.N())}
+	for _, q := range stats.Quantiles(c, 0.05, 0.25, 0.50, 0.75, 0.95, 1) {
+		cells = append(cells, stats.F(q))
+	}
+	t.AddRow(cells...)
+}
+
 // Render produces the deployment report. It must stay a pure function of
 // the cell results (no wall-clock, no worker count) to preserve the
 // byte-identical-report determinism contract.
@@ -83,10 +95,10 @@ func (r *Result) Render() string {
 		tcp += c.TCPFlows
 		udp += c.UDPFlows
 		capacity += c.AggMbps
-		switches += c.Switches
-		stopRtx += c.StopRetransmits
-		upUnique += c.UplinkUnique
-		upDup += c.UplinkDuplicate
+		switches += c.Ctl.SwitchesDone
+		stopRtx += c.Ctl.StopRetransmits
+		upUnique += c.Ctl.UplinkUnique
+		upDup += c.Ctl.UplinkDuplicate
 	}
 
 	fmt.Fprintf(&b, "WGTT fleet deployment report\n")
@@ -114,26 +126,18 @@ func (r *Result) Render() string {
 		c := &r.Cells[i]
 		t.AddRow(fmt.Sprintf("%d", c.Cell), fmt.Sprintf("%016x", c.Seed),
 			fmt.Sprintf("%d", c.Vehicles), stats.F(c.AggMbps), stats.F(c.AccuracyPct),
-			fmt.Sprintf("%d", c.Switches), fmt.Sprintf("%d", c.StopRetransmits),
+			fmt.Sprintf("%d", c.Ctl.SwitchesDone), fmt.Sprintf("%d", c.Ctl.StopRetransmits),
 			stats.F(c.AirtimePct))
 	}
 	b.WriteString(t.String())
 	b.WriteString("\n")
 
 	b.WriteString("Merged distributions\n")
-	d := &stats.Table{Header: []string{"metric", "n", "p5", "p25", "p50", "p75", "p95", "max"}}
-	row := func(name string, c *stats.CDF) {
-		qs := stats.Quantiles(c, 0.05, 0.25, 0.50, 0.75, 0.95, 1)
-		cells := []string{name, fmt.Sprintf("%d", c.N())}
-		for _, q := range qs {
-			cells = append(cells, stats.F(q))
-		}
-		d.AddRow(cells...)
-	}
-	row("vehicle goodput (Mb/s)", vehicleMbps)
-	row("cell capacity (Mb/s)", cellMbps)
-	row("switch accuracy (%)", accuracy)
-	row("udp loss fraction", udpLoss)
+	d := &stats.Table{Header: quantileHeader}
+	quantileRow(d, "vehicle goodput (Mb/s)", vehicleMbps)
+	quantileRow(d, "cell capacity (Mb/s)", cellMbps)
+	quantileRow(d, "switch accuracy (%)", accuracy)
+	quantileRow(d, "udp loss fraction", udpLoss)
 	b.WriteString(d.String())
 
 	// Federation section, present only for sharded controller tiers so
@@ -143,10 +147,10 @@ func (r *Result) Render() string {
 		var offers, handoffs, aborts, cross uint64
 		for i := range r.Cells {
 			c := &r.Cells[i]
-			offers += c.HandoffOffers
-			handoffs += c.DomainHandoffs
-			aborts += c.HandoffAborts
-			cross += c.CrossSwitches
+			offers += c.Fed.OffersSent
+			handoffs += c.Fed.Adoptions
+			aborts += c.Fed.Aborts
+			cross += c.Fed.CrossSwitches
 		}
 		fmt.Fprintf(&b, "\nFederation (%d domains per cell, DESIGN.md §13)\n", nDom)
 		fmt.Fprintf(&b, "handoff offers %d  adoptions %d  aborts %d  cross-domain switches %d\n",
@@ -155,9 +159,9 @@ func (r *Result) Render() string {
 			"cell", "offers", "adoptions", "aborts", "cross-switch"}}
 		for i := range r.Cells {
 			c := &r.Cells[i]
-			ft.AddRow(fmt.Sprintf("%d", c.Cell), fmt.Sprintf("%d", c.HandoffOffers),
-				fmt.Sprintf("%d", c.DomainHandoffs), fmt.Sprintf("%d", c.HandoffAborts),
-				fmt.Sprintf("%d", c.CrossSwitches))
+			ft.AddRow(fmt.Sprintf("%d", c.Cell), fmt.Sprintf("%d", c.Fed.OffersSent),
+				fmt.Sprintf("%d", c.Fed.Adoptions), fmt.Sprintf("%d", c.Fed.Aborts),
+				fmt.Sprintf("%d", c.Fed.CrossSwitches))
 		}
 		b.WriteString(ft.String())
 	}
@@ -168,12 +172,12 @@ func (r *Result) Render() string {
 		var crashes, burstDrops, blackoutDrops, dead, readmitted, forced uint64
 		for i := range r.Cells {
 			c := &r.Cells[i]
-			crashes += c.APCrashes
-			burstDrops += c.BurstDrops
-			blackoutDrops += c.BlackoutDrops
-			dead += c.APsMarkedDead
-			readmitted += c.APsReadmitted
-			forced += c.ForcedSwitches
+			crashes += c.Chaos.APCrashes
+			burstDrops += c.Chaos.BurstDrops
+			blackoutDrops += c.Chaos.BlackoutDrops
+			dead += c.Ctl.APsMarkedDead
+			readmitted += c.Ctl.APsReadmitted
+			forced += c.Ctl.ForcedSwitches
 		}
 		b.WriteString("\nResilience (fault injection, DESIGN.md §11)\n")
 		fmt.Fprintf(&b, "ap crashes %d  marked dead %d  readmitted %d  forced switches %d\n",
@@ -183,10 +187,10 @@ func (r *Result) Render() string {
 			"cell", "crashes", "dead", "readmit", "forced", "burst-drop", "csi-drop"}}
 		for i := range r.Cells {
 			c := &r.Cells[i]
-			rt.AddRow(fmt.Sprintf("%d", c.Cell), fmt.Sprintf("%d", c.APCrashes),
-				fmt.Sprintf("%d", c.APsMarkedDead), fmt.Sprintf("%d", c.APsReadmitted),
-				fmt.Sprintf("%d", c.ForcedSwitches), fmt.Sprintf("%d", c.BurstDrops),
-				fmt.Sprintf("%d", c.BlackoutDrops))
+			rt.AddRow(fmt.Sprintf("%d", c.Cell), fmt.Sprintf("%d", c.Chaos.APCrashes),
+				fmt.Sprintf("%d", c.Ctl.APsMarkedDead), fmt.Sprintf("%d", c.Ctl.APsReadmitted),
+				fmt.Sprintf("%d", c.Ctl.ForcedSwitches), fmt.Sprintf("%d", c.Chaos.BurstDrops),
+				fmt.Sprintf("%d", c.Chaos.BlackoutDrops))
 		}
 		b.WriteString(rt.String())
 	}
@@ -194,17 +198,17 @@ func (r *Result) Render() string {
 	// Urban section, present only for street-grid city cells so corridor
 	// reports stay byte-identical to their pre-urban form.
 	if r.Cfg.Urban != nil {
-		var turns, lights, crossings uint64
+		var turns, lights, crossings int
 		var buses, riders, cars, peds int
 		for i := range r.Cells {
 			c := &r.Cells[i]
-			turns += c.Turns
-			lights += c.LightStops
-			crossings += c.RouteCrossings
-			buses += c.UrbanBuses
-			riders += c.UrbanRiders
-			cars += c.UrbanCars
-			peds += c.UrbanPedestrians
+			turns += c.Urban.Turns
+			lights += c.Urban.LightStops
+			crossings += c.Urban.RouteCrossings
+			buses += c.Urban.Buses
+			riders += c.Urban.Riders
+			cars += c.Urban.Cars
+			peds += c.Urban.Pedestrians
 		}
 		fmt.Fprintf(&b, "\nUrban workload (%dx%d grid per cell, DESIGN.md §16)\n",
 			r.Cfg.Urban.Rows, r.Cfg.Urban.Cols)
@@ -216,10 +220,10 @@ func (r *Result) Render() string {
 			"cell", "buses", "riders", "cars", "peds", "turns", "lights", "crossings"}}
 		for i := range r.Cells {
 			c := &r.Cells[i]
-			ut.AddRow(fmt.Sprintf("%d", c.Cell), fmt.Sprintf("%d", c.UrbanBuses),
-				fmt.Sprintf("%d", c.UrbanRiders), fmt.Sprintf("%d", c.UrbanCars),
-				fmt.Sprintf("%d", c.UrbanPedestrians), fmt.Sprintf("%d", c.Turns),
-				fmt.Sprintf("%d", c.LightStops), fmt.Sprintf("%d", c.RouteCrossings))
+			ut.AddRow(fmt.Sprintf("%d", c.Cell), fmt.Sprintf("%d", c.Urban.Buses),
+				fmt.Sprintf("%d", c.Urban.Riders), fmt.Sprintf("%d", c.Urban.Cars),
+				fmt.Sprintf("%d", c.Urban.Pedestrians), fmt.Sprintf("%d", c.Urban.Turns),
+				fmt.Sprintf("%d", c.Urban.LightStops), fmt.Sprintf("%d", c.Urban.RouteCrossings))
 		}
 		b.WriteString(ut.String())
 	}

@@ -36,6 +36,7 @@ func TestUrbanFleetDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := ref.Render()
+	checkGolden(t, "urban", want)
 	for _, workers := range []int{4, 8} {
 		got, err := Run(urbanTestConfig(workers))
 		if err != nil {
@@ -56,10 +57,10 @@ func TestUrbanFleetDeterministicAcrossWorkers(t *testing.T) {
 		if c.AggMbps <= 0 {
 			t.Errorf("urban cell %d delivered nothing", c.Cell)
 		}
-		if c.UrbanBuses != 1 || c.UrbanRiders != 2 {
-			t.Errorf("urban cell %d mix: buses %d riders %d", c.Cell, c.UrbanBuses, c.UrbanRiders)
+		if c.Urban.Buses != 1 || c.Urban.Riders != 2 {
+			t.Errorf("urban cell %d mix: buses %d riders %d", c.Cell, c.Urban.Buses, c.Urban.Riders)
 		}
-		if c.RouteCrossings == 0 {
+		if c.Urban.RouteCrossings == 0 {
 			t.Errorf("urban cell %d never crossed a domain boundary", c.Cell)
 		}
 	}
@@ -99,6 +100,7 @@ func TestComparePolicies(t *testing.T) {
 		}
 	}
 	out := pc.Render()
+	checkGolden(t, "compare-policies", out)
 	for _, p := range policies {
 		if !strings.Contains(out, string(p)) {
 			t.Fatalf("comparison table missing %s:\n%s", p, out)
