@@ -9,9 +9,9 @@ RACE_PKGS = ./internal/fleet ./internal/eval ./internal/trace ./internal/stats \
 	./internal/runtime ./internal/backhaul/udp ./internal/live ./internal/federation \
 	./internal/urban ./internal/core
 
-.PHONY: check vet build test race bench bench-smoke fleet-determinism docs-check lint chaos-smoke live-smoke federation-smoke fanout-smoke selector-smoke urban-smoke metro-smoke metro-scale fuzz-smoke
+.PHONY: check vet build test golden-quick golden race bench bench-smoke fleet-determinism docs-check lint chaos-smoke live-smoke federation-smoke fanout-smoke selector-smoke urban-smoke metro-smoke metro-scale fuzz-smoke
 
-check: vet lint build test race bench-smoke chaos-smoke live-smoke federation-smoke fanout-smoke selector-smoke urban-smoke metro-smoke fuzz-smoke docs-check
+check: vet lint build test golden-quick race bench-smoke chaos-smoke live-smoke federation-smoke fanout-smoke selector-smoke urban-smoke metro-smoke fuzz-smoke docs-check
 
 # Static analysis beyond vet. The tools are optional — not every build
 # environment ships them — so each is gated on availability rather than
@@ -84,6 +84,23 @@ define same-output
 		i=$$((i+1)); \
 	done
 endef
+
+# Golden gate (golden-quick is part of check, ~45 s on 2 vCPU): the trimmed
+# experiment run must reproduce the recorded tables byte for byte, elapsed-
+# time lines aside — what turns "byte-identical output" from a claim into a
+# check. Only an intended change of a reported number regenerates the file:
+#   go run ./cmd/wgtt-experiments -quick | grep -v '(.*s)$' > internal/eval/testdata/quick.golden
+golden-quick:
+	$(call same-output,wgtt-experiments,-quick,"",grep -v '(.*s)$$')
+	cmp /tmp/$@-0.txt internal/eval/testdata/quick.golden
+	@echo golden-quick: trimmed experiment output matches the golden
+
+# Slow (minutes, opt-in): the same for the full run against the checked-in
+# experiments_output.txt.
+golden:
+	$(call same-output,wgtt-experiments,,"",grep -v '(.*s)$$')
+	grep -v '(.*s)$$' experiments_output.txt | cmp /tmp/$@-0.txt -
+	@echo golden: full experiment output matches experiments_output.txt
 
 # Chaos determinism smoke (part of check): the same fault-injected drive run
 # twice must print byte-identical summaries — the CLI face of the DESIGN.md

@@ -15,7 +15,6 @@ import (
 	"wgtt/internal/core"
 	"wgtt/internal/mobility"
 	"wgtt/internal/sim"
-	"wgtt/internal/trace"
 	"wgtt/internal/urban"
 )
 
@@ -41,9 +40,10 @@ func main() {
 	)
 	flag.Parse()
 
-	mode := core.ModeWGTT
-	if *modeFlag == "baseline" {
-		mode = core.ModeBaseline
+	mode, tcp, pat, err := parseRun(*modeFlag, *proto, *pattern, *clients, *rate, *speed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "wgttsim:", err)
+		os.Exit(2)
 	}
 	var s core.Scenario
 	switch {
@@ -51,23 +51,15 @@ func main() {
 		ucfg := urban.DefaultConfig()
 		applyCityFlags(&ucfg)
 		s = core.UrbanScenario(mode, ucfg, *seed)
-	case *clients <= 1:
+	case *clients == 1:
 		s = core.DriveScenario(mode, *speed, *seed)
 	default:
-		pat := mobility.Following
-		switch *pattern {
-		case "parallel":
-			pat = mobility.Parallel
-		case "opposing":
-			pat = mobility.Opposing
-		}
 		s = core.MultiClientScenario(mode, pat, *clients, *speed, *seed)
 	}
 	if !*urbanOn {
 		s.Domains = *domains
 	}
 	s.Chaos = chaosFlags()
-	var err error
 	if s.Selector, err = selectorFlag.Config(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -84,42 +76,23 @@ func main() {
 		n.EnableMetrics()
 	}
 
-	var tcps []*core.DownTCP
-	var udps []*core.DownUDP
-	for c := 0; c < len(s.Clients); c++ {
-		if *proto == "tcp" {
-			f := n.AddDownlinkTCP(c, 0, nil)
-			f.Sender.Start()
-			tcps = append(tcps, f)
-		} else {
-			f := n.AddDownlinkUDP(c, *rate, 1400)
-			f.Sender.Start()
-			udps = append(udps, f)
-		}
-	}
+	d := n.Attach(core.Loads(len(s.Clients), core.Load{TCP: tcp, RateMbps: *rate}))
 	if *verbose {
 		n.Every(sim.Second, func(at sim.Time) {
 			fmt.Printf("t=%5.1fs serving=%d\n", at.Seconds(), n.ServingAP(0))
 		})
 	}
-	var rec *trace.Recorder
 	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
+		if err := d.TraceTo(*traceOut); err != nil {
 			fmt.Fprintln(os.Stderr, "trace:", err)
 			os.Exit(1)
 		}
-		defer f.Close()
-		rec = trace.NewRecorder(f)
-		n.AttachRecorder(rec)
 	}
 	n.Run()
-	if rec != nil {
-		if err := rec.Flush(); err != nil {
-			fmt.Fprintln(os.Stderr, "trace:", err)
-		} else {
-			fmt.Printf("trace: %d events -> %s\n", rec.N, *traceOut)
-		}
+	if events, err := d.Close(); err != nil {
+		fmt.Fprintln(os.Stderr, "trace:", err)
+	} else if *traceOut != "" {
+		fmt.Printf("trace: %d events -> %s\n", events, *traceOut)
 	}
 
 	if n.Urban != nil {
@@ -132,16 +105,13 @@ func main() {
 		fmt.Printf("scenario: %v, %.0f mph, %d client(s), %v, seed %d\n",
 			mode, *speed, len(s.Clients), s.Duration, *seed)
 	}
-	for c := range s.Clients {
-		var mbps float64
-		if *proto == "tcp" {
-			mbps = float64(tcps[c].Receiver.DeliveredBytes) * 8 / 1e6 / s.Duration.Seconds()
+	for c, o := range d.Outcomes() {
+		if tcp {
+			tx := d.TCP[c].Sender
 			fmt.Printf("client %d: TCP %6.2f Mb/s (%d rtx, %d timeouts)\n",
-				c+1, mbps, tcps[c].Sender.Retransmits, tcps[c].Sender.Timeouts)
+				c+1, o.Mbps, tx.Retransmits, tx.Timeouts)
 		} else {
-			mbps = float64(udps[c].Receiver.Bytes) * 8 / 1e6 / s.Duration.Seconds()
-			fmt.Printf("client %d: UDP %6.2f Mb/s (loss %.3f)\n",
-				c+1, mbps, udps[c].Receiver.LossRate())
+			fmt.Printf("client %d: UDP %6.2f Mb/s (loss %.3f)\n", c+1, o.Mbps, o.Loss)
 		}
 	}
 	if mode == core.ModeWGTT {
@@ -159,14 +129,13 @@ func main() {
 	fmt.Printf("medium: %.0f%% airtime, %d tx collisions, %d/%d response collisions\n",
 		100*n.Medium.Utilization(), n.Medium.TxCollisions, n.Medium.RespCollisions, n.Medium.RespTotal)
 	if n.Chaos != nil {
+		// Build arms chaos on WGTT networks only, so there is a controller.
 		cs := n.Chaos.Stats
+		st := n.CtlStats()
 		fmt.Printf("chaos: %d AP crashes (%d restarts, %d skipped), %d burst drops, %d CSI-blackout drops\n",
 			cs.APCrashes, cs.APRestarts, cs.CrashesSkipped, cs.BurstDrops, cs.BlackoutDrops)
-		if mode == core.ModeWGTT {
-			st := n.CtlStats()
-			fmt.Printf("recovery: %d APs marked dead, %d readmitted, %d forced switches, %d health probes\n",
-				st.APsMarkedDead, st.APsReadmitted, st.ForcedSwitches, st.HealthProbes)
-		}
+		fmt.Printf("recovery: %d APs marked dead, %d readmitted, %d forced switches, %d health probes\n",
+			st.APsMarkedDead, st.APsReadmitted, st.ForcedSwitches, st.HealthProbes)
 	}
 	if metricsOut.On() {
 		snap := n.Metrics.Snapshot()
@@ -175,4 +144,35 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// parseRun checks the flags that choose the run and turns the named ones
+// into their values; an unknown name or an out-of-range number is an error
+// rather than a silent default.
+func parseRun(mode, proto, pattern string, clients int, rate, speed float64) (m core.Mode, tcp bool, pat mobility.Pattern, err error) {
+	m, okMode := map[string]core.Mode{
+		"wgtt":     core.ModeWGTT,
+		"baseline": core.ModeBaseline,
+	}[mode]
+	pat, okPattern := map[string]mobility.Pattern{
+		"following": mobility.Following,
+		"parallel":  mobility.Parallel,
+		"opposing":  mobility.Opposing,
+	}[pattern]
+	tcp = proto == "tcp"
+	switch {
+	case !okMode:
+		err = fmt.Errorf("unknown -mode %q (want wgtt or baseline)", mode)
+	case !tcp && proto != "udp":
+		err = fmt.Errorf("unknown -proto %q (want udp or tcp)", proto)
+	case !okPattern:
+		err = fmt.Errorf("unknown -pattern %q (want following, parallel or opposing)", pattern)
+	case clients < 1 || clients > 3:
+		err = fmt.Errorf("-clients %d out of range (want 1-3)", clients)
+	case !tcp && !(rate > 0):
+		err = fmt.Errorf("-rate %v: a UDP load needs a positive rate", rate)
+	case clients > 1 && !(speed > 0):
+		err = fmt.Errorf("-speed %v: a multi-client drive needs a positive speed", speed)
+	}
+	return m, tcp, pat, err
 }

@@ -39,14 +39,13 @@ func main() {
 			n.APs[rec.From].QueueDepth(clientMAC))
 	}
 
-	flow := n.AddDownlinkUDP(0, 30, 1400)
-	flow.Sender.Start()
+	rx := n.Attach([]core.Load{{RateMbps: 30}}).UDP[0].Receiver
 
 	n.Every(sim.Second, func(at sim.Time) {
 		best, esnr := n.BestESNRAP(0, at)
 		fmt.Printf("t=%8.3fs  position x=%.1fm  serving=AP%d  oracle=AP%d (%.1f dB)  rx=%d pkts\n",
 			at.Seconds(), n.Clients[0].Station().Endpoint.Position(at).X,
-			n.ServingAP(0)+1, best+1, esnr, flow.Receiver.Received)
+			n.ServingAP(0)+1, best+1, esnr, rx.Received)
 	})
 
 	n.Run()

@@ -25,17 +25,11 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			flows := []*core.DownUDP{
-				n.AddDownlinkUDP(0, 15, 1400),
-				n.AddDownlinkUDP(1, 15, 1400),
-			}
-			for _, f := range flows {
-				f.Sender.Start()
-			}
+			d := n.Attach(core.Loads(2, core.Load{RateMbps: 15}))
 			n.Run()
 			var total float64
-			for _, f := range flows {
-				total += float64(f.Receiver.Bytes) * 8 / 1e6 / s.Duration.Seconds()
+			for _, o := range d.Outcomes() {
+				total += o.Mbps
 			}
 			cells[mi] = fmt.Sprintf("%.2f Mb/s", total/2)
 		}

@@ -24,21 +24,19 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Attach a bulk TCP download from the content server to the client.
-	flow := n.AddDownlinkTCP(0, 0, nil)
-	flow.Sender.Start()
+	// Put a bulk TCP download from the content server on client 0.
+	drive := n.Attach([]core.Load{{TCP: true}})
 
 	// Watch the controller's millisecond-level switching while driving.
 	n.Every(sim.Second, func(at sim.Time) {
 		fmt.Printf("t=%4.1fs  serving AP%d  delivered %.1f MB\n",
 			at.Seconds(), n.ServingAP(0)+1,
-			float64(flow.Receiver.DeliveredBytes)/1e6)
+			float64(drive.TCP[0].Receiver.DeliveredBytes)/1e6)
 	})
 
 	n.Run()
 
-	goodput := float64(flow.Receiver.DeliveredBytes) * 8 / 1e6 / scenario.Duration.Seconds()
-	fmt.Printf("\ndrive complete: %.2f Mb/s TCP goodput over %v\n", goodput, scenario.Duration)
+	fmt.Printf("\ndrive complete: %.2f Mb/s TCP goodput over %v\n", drive.Outcome(0).Mbps, scenario.Duration)
 	fmt.Printf("switches: %d (the controller moved the client between APs %0.1f times/s)\n",
 		len(n.Ctl.History), float64(len(n.Ctl.History))/scenario.Duration.Seconds())
 	uniq, dup := n.Ctl.ClientUplinkCounts(n.Clients[0].Config().MAC)

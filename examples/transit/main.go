@@ -57,11 +57,9 @@ func video(mode core.Mode) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	flow := n.AddDownlinkTCP(0, 0, nil)
-	flow.Receiver.Record = true
-	flow.Sender.Start()
+	d := n.Attach([]core.Load{{TCP: true, Record: true}})
 	n.Run()
-	res := apps.PlayVideo(apps.DefaultVideoConfig(), flow.Receiver.Progress, transport.DefaultMSS, s.Duration)
+	res := apps.PlayVideo(apps.DefaultVideoConfig(), d.TCP[0].Receiver.Progress, transport.DefaultMSS, s.Duration)
 	fmt.Printf("  video: rebuffer ratio %.2f (%d stalls, started=%v)\n",
 		res.RebufferRatio, res.Stalls, res.Started)
 }

@@ -124,9 +124,6 @@ func NewSwitch(eng *sim.Engine, latency sim.Time) *Switch {
 	}
 }
 
-// Latency returns the one-way delivery latency.
-func (s *Switch) Latency() sim.Time { return s.latency }
-
 // Attach registers a node at an address. Attaching twice replaces the
 // previous node (useful in tests) but keeps the address's original
 // position in the broadcast order.

@@ -307,9 +307,6 @@ func NewInjector(cfg Config, clk runtime.Clock, rng *sim.RNG, aps []APTarget, ct
 	}
 }
 
-// Plan exposes the timeline the injector will replay.
-func (in *Injector) Plan() Plan { return in.plan }
-
 // Arm installs the backhaul hooks and schedules every plan event. The drop
 // hook composes with whatever hook the network already installed (e.g. the
 // ControlLossRate injector) via backhaul.Chain; the delay hook likewise

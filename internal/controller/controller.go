@@ -409,9 +409,6 @@ func New(cfg Config, clk runtime.Clock, bh backhaul.Fabric, aps []APInfo) *Contr
 // Config returns the controller configuration.
 func (c *Controller) Config() Config { return c.cfg }
 
-// Addr returns the controller's backhaul address.
-func (c *Controller) Addr() packet.IPv4Addr { return c.addr }
-
 // RegisterClient installs a client with its initial serving AP (the AP it
 // completed 802.11 association with; §4.3 replicates that state everywhere).
 func (c *Controller) RegisterClient(mac packet.MACAddr, ip packet.IPv4Addr, servingAP int) {

@@ -100,51 +100,6 @@ func (n *Network) AddDownlinkTCP(clientID int, totalSegments uint32, onComplete 
 	return &DownTCP{Sender: tx, Receiver: rx}
 }
 
-// UpTCP is an attached uplink TCP flow (client sends, server receives,
-// ACKs ride the downlink).
-type UpTCP struct {
-	Sender   *transport.TCPSender
-	Receiver *transport.TCPReceiver
-}
-
-// AddUplinkTCP attaches a client→server TCP flow; call Sender.Start().
-func (n *Network) AddUplinkTCP(clientID int, totalSegments uint32, onComplete func(at sim.Time)) *UpTCP {
-	flow := n.allocFlow()
-	cl := n.Clients[clientID]
-	tx := transport.NewTCPSender(n.Eng, transport.TCPConfig{
-		FlowID:        flow,
-		SrcIP:         cl.Config().IP,
-		DstIP:         ServerIP,
-		ClientMAC:     cl.Config().MAC,
-		Uplink:        true,
-		TotalSegments: totalSegments,
-		OnComplete:    onComplete,
-	}, cl.SendUplink)
-	rx := &transport.TCPReceiver{
-		FlowID: flow,
-		SendAck: func(p *packet.Packet) {
-			p.Uplink = false
-			_ = n.SendDownlink(clientID, p)
-		},
-		AckTemplate: packet.Packet{
-			SrcIP:     ServerIP,
-			DstIP:     cl.Config().IP,
-			ClientMAC: cl.Config().MAC,
-		},
-	}
-	n.onServerUplink(func(p *packet.Packet, at sim.Time) {
-		if p.FlowID == flow && p.Kind == packet.KindData {
-			rx.OnPacket(p, at)
-		}
-	})
-	n.OnClientDownlink(clientID, func(p *packet.Packet, at sim.Time) {
-		if p.FlowID == flow && p.Kind == packet.KindAck {
-			tx.OnAck(p.Seq, at)
-		}
-	})
-	return &UpTCP{Sender: tx, Receiver: rx}
-}
-
 // onServerUplink registers a tap on de-duplicated uplink packets.
 func (n *Network) onServerUplink(fn func(p *packet.Packet, at sim.Time)) {
 	n.upRx = append(n.upRx, fn)

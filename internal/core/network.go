@@ -516,8 +516,7 @@ func (n *Network) EnableMetricsInto(r *metrics.Registry) *metrics.Registry {
 }
 
 // OnClientDownlink registers a tap on a client's delivered downlink
-// packets (chained after any flow receivers). The resilience evaluation
-// uses it to measure delivery gaps around injected faults.
+// packets (chained after any flow receivers).
 func (n *Network) OnClientDownlink(clientID int, fn func(p *packet.Packet, at sim.Time)) {
 	n.downRx[clientID] = append(n.downRx[clientID], fn)
 }
@@ -677,15 +676,9 @@ func domainOfAP(i, nAPs, nDom int) int {
 // BestESNRAP returns the ground-truth optimal AP — the one with the highest
 // instantaneous uplink ESNR to the client — and that ESNR (Table 2's oracle).
 func (n *Network) BestESNRAP(clientID int, at sim.Time) (int, float64) {
-	cep := n.clientEP[clientID]
 	best, bestESNR := -1, 0.0
 	for i := range n.APs {
-		link, err := n.Channel.Link(n.APs[i].Config().Name, cep.Name)
-		if err != nil {
-			continue
-		}
-		n.snrScratch = link.SNRInto(at, cep, n.snrScratch)
-		e := csi.ESNRdB(n.snrScratch, csi.DefaultESNRModulation)
+		e := n.ClientESNR(clientID, i, at)
 		if best == -1 || e > bestESNR {
 			best, bestESNR = i, e
 		}

@@ -29,15 +29,12 @@ func AblationBAForwarding(opt Options) (*AblationResult, error) {
 	run := func(enabled bool) (float64, float64, error) {
 		s := core.DriveScenario(core.ModeWGTT, 15, opt.Seed)
 		s.BAForwarding = &enabled
-		n, err := opt.build(s)
+		d, err := opt.drive(s, core.Load{TCP: true})
 		if err != nil {
 			return 0, 0, err
 		}
-		flow := n.AddDownlinkTCP(0, 0, nil)
-		flow.Sender.Start()
-		n.Run()
 		var sent, delivered uint64
-		for _, a := range n.APs {
+		for _, a := range d.Net.APs {
 			sent += a.Station().MPDUsSent
 			delivered += a.Stats.MPDUsDelivered
 		}
@@ -45,7 +42,7 @@ func AblationBAForwarding(opt Options) (*AblationResult, error) {
 		if delivered > 0 {
 			rtxRatio = float64(sent-delivered) / float64(delivered)
 		}
-		return throughput(flow.Receiver.DeliveredBytes, s.Duration), rtxRatio, nil
+		return d.Outcome(0).Mbps, rtxRatio, nil
 	}
 	onTp, onRtx, err := run(true)
 	if err != nil {
@@ -78,29 +75,7 @@ func AblationUplinkDiversity(opt Options) (*AblationResult, error) {
 		f.Receiver.Record = true
 		f.Sender.Start()
 		n.Run()
-		// In-coverage loss only (trim the entry/exit margins).
-		bins := int(s.Duration/sim.Second) + 1
-		perBin := make([]float64, bins)
-		for _, a := range f.Receiver.Arrivals {
-			if b := int(a.At / sim.Second); b < bins {
-				perBin[b]++
-			}
-		}
-		offered := 5.0 * 1e6 / 8 / 1000
-		var mean float64
-		cnt := 0
-		for b := 2; b < bins-3; b++ {
-			l := 1 - perBin[b]/offered
-			if l < 0 {
-				l = 0
-			}
-			mean += l
-			cnt++
-		}
-		if cnt > 0 {
-			mean /= float64(cnt)
-		}
-		return mean, nil
+		return inCoverageLoss(perSecondLoss(f, 5, 1000, s.Duration)), nil
 	}
 	onLoss, err := run(true)
 	if err != nil {
@@ -128,16 +103,13 @@ func AblationFanout(opt Options) (*AblationResult, error) {
 		cfg := controllerConfigWith(40 * sim.Millisecond)
 		cfg.FanoutWindow = fanout
 		s.Controller = &cfg
-		n, err := opt.build(s)
+		// TCP, not UDP: the cost of a stranded backlog is a stalled flow,
+		// which congestion control turns into lasting throughput loss.
+		d, err := opt.drive(s, core.Load{TCP: true})
 		if err != nil {
 			return 0, err
 		}
-		// TCP, not UDP: the cost of a stranded backlog is a stalled flow,
-		// which congestion control turns into lasting throughput loss.
-		flow := n.AddDownlinkTCP(0, 0, nil)
-		flow.Sender.Start()
-		n.Run()
-		return throughput(flow.Receiver.DeliveredBytes, s.Duration), nil
+		return d.Outcome(0).Mbps, nil
 	}
 	onTp, err := run(100 * sim.Millisecond)
 	if err != nil {

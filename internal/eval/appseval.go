@@ -35,11 +35,9 @@ func Table4VideoRebuffer(opt Options) (*Table4Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			flow := n.AddDownlinkTCP(0, 0, nil)
-			flow.Receiver.Record = true
-			flow.Sender.Start()
+			d := n.Attach([]core.Load{{TCP: true, Record: true}})
 			n.Run()
-			r := apps.PlayVideo(vcfg, flow.Receiver.Progress, transport.DefaultMSS, s.Duration)
+			r := apps.PlayVideo(vcfg, d.TCP[0].Receiver.Progress, transport.DefaultMSS, s.Duration)
 			if mode == core.ModeWGTT {
 				res.WGTT = append(res.WGTT, r.RebufferRatio)
 			} else {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"wgtt/internal/core"
-	"wgtt/internal/sim"
 )
 
 // The eval tests exercise each experiment in Quick mode and sanity-check
@@ -169,12 +168,6 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestHelpers(t *testing.T) {
-	if throughput(1e6, sim.Second) != 8 {
-		t.Error("throughput math wrong")
-	}
-	if throughput(1, 0) != 0 {
-		t.Error("zero duration not guarded")
-	}
 	if fmtMode(core.ModeWGTT) != "WGTT" || fmtMode(core.ModeBaseline) != "Enh-802.11r" {
 		t.Error("mode names wrong")
 	}

@@ -41,12 +41,7 @@ func ExtSelector(opt Options) (*ExtSelectorResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		var flows []*core.DownUDP
-		for ci := 0; ci < nClients; ci++ {
-			f := n.AddDownlinkUDP(ci, 20, 1400)
-			f.Sender.Start()
-			flows = append(flows, f)
-		}
+		d := n.Attach(core.Loads(nClients, core.Load{RateMbps: 20}))
 
 		// Oracle sampling: accuracy, starvation on a collapsed serving
 		// link (a better AP existed but the client had not moved yet —
@@ -66,13 +61,13 @@ func ExtSelector(opt Options) (*ExtSelectorResult, error) {
 			epStart[ci] = -1
 			epServ[ci] = -1
 		}
-		n.Every(10*sim.Millisecond, func(at sim.Time) {
+		d.SampleOracle(10*sim.Millisecond, func(at sim.Time, tick []core.OracleSample) {
 			for i := range load {
 				load[i] = 0
 			}
-			for ci := 0; ci < nClients; ci++ {
-				best, bestESNR := n.BestESNRAP(ci, at)
-				serv := n.ServingAP(ci)
+			for ci, o := range tick {
+				best, bestESNR := o.Best, o.BestESNR
+				serv := o.Serving
 				samples++
 				if serv == best {
 					hits++
@@ -111,13 +106,9 @@ func ExtSelector(opt Options) (*ExtSelectorResult, error) {
 		})
 		n.Run()
 
-		var mbps float64
-		for _, f := range flows {
-			mbps += throughput(f.Receiver.Bytes, s.Duration)
-		}
 		cs := n.CtlStats()
 		res.Policies = append(res.Policies, pol)
-		res.PerClientMbps = append(res.PerClientMbps, mbps/nClients)
+		res.PerClientMbps = append(res.PerClientMbps, meanMbps(d))
 		res.Accuracy = append(res.Accuracy, float64(hits)/float64(samples))
 		res.SwitchesPerS = append(res.SwitchesPerS,
 			float64(cs.SwitchesDone)/s.Duration.Seconds())

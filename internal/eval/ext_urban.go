@@ -6,10 +6,10 @@ import (
 
 	"wgtt/internal/core"
 	"wgtt/internal/fleet"
-	"wgtt/internal/packet"
 	"wgtt/internal/selector"
 	"wgtt/internal/sim"
 	"wgtt/internal/stats"
+	"wgtt/internal/transport"
 	"wgtt/internal/urban"
 )
 
@@ -97,30 +97,19 @@ func ExtUrban(opt Options) (*ExtUrbanResult, error) {
 			res.DurationS = dur.Seconds()
 		}
 
-		type tap struct {
-			flow       *core.DownUDP
-			deliveries []sim.Time
-		}
-		taps := make([]*tap, len(n.Clients))
-		for i := range n.Clients {
-			tp := &tap{flow: n.AddDownlinkUDP(i, rate, 1400)}
-			taps[i] = tp
-			n.OnClientDownlink(i, func(p *packet.Packet, at sim.Time) {
-				tp.deliveries = append(tp.deliveries, at)
-			})
-			tp.flow.Sender.Start()
-		}
+		d := n.Attach(core.Loads(len(n.Clients), core.Load{RateMbps: rate, Record: true}))
 		n.Run()
 
 		var bytes uint64
 		var loss, outage float64
-		for _, tp := range taps {
-			bytes += tp.flow.Receiver.Bytes
-			loss += tp.flow.Receiver.LossRate()
-			outage += outagePct(tp.deliveries, dur, urbanOutageBin)
+		outs := d.Outcomes()
+		for _, o := range outs {
+			bytes += o.Bytes
+			loss += o.Loss
+			outage += outagePct(o.Arrivals, dur, urbanOutageBin)
 		}
-		nc := float64(len(taps))
-		agg := throughput(bytes, dur)
+		nc := float64(len(outs))
+		agg := core.Mbps(bytes, dur)
 		res.Modes = append(res.Modes, fmtMode(mode))
 		res.AggMbps = append(res.AggMbps, agg)
 		res.ClientMbps = append(res.ClientMbps, agg/nc)
@@ -163,14 +152,14 @@ func ExtUrban(opt Options) (*ExtUrbanResult, error) {
 
 // outagePct returns the percentage of whole bins in [0, dur) during which
 // no packet was delivered.
-func outagePct(deliveries []sim.Time, dur, bin sim.Time) float64 {
+func outagePct(deliveries []transport.Arrival, dur, bin sim.Time) float64 {
 	bins := int(dur / bin)
 	if bins == 0 {
 		return 0
 	}
 	seen := make([]bool, bins)
-	for _, at := range deliveries {
-		if i := int(at / bin); i >= 0 && i < bins {
+	for _, a := range deliveries {
+		if i := int(a.At / bin); i >= 0 && i < bins {
 			seen[i] = true
 		}
 	}

@@ -35,28 +35,21 @@ func ExtMultiChannel(opt Options) (*ExtMultiChannelResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		var downs []*core.DownUDP
+		d := n.Attach(core.Loads(3, core.Load{RateMbps: 20}))
 		var ups []*core.UpUDP
 		for ci := 0; ci < 3; ci++ {
-			d := n.AddDownlinkUDP(ci, 20, 1400)
-			d.Sender.Start()
-			downs = append(downs, d)
 			u := n.AddUplinkUDP(ci, 2, 1000)
 			u.Receiver.Record = true
 			u.Sender.Start()
 			ups = append(ups, u)
 		}
 		n.Run()
-		var mbps float64
-		for _, d := range downs {
-			mbps += throughput(d.Receiver.Bytes, s.Duration)
-		}
 		var loss float64
 		for _, u := range ups {
-			loss += inCoverageLoss(u, 2, 1000, s.Duration)
+			loss += inCoverageLoss(perSecondLoss(u, 2, 1000, s.Duration))
 		}
 		res.Channels = append(res.Channels, c)
-		res.PerClientMbps = append(res.PerClientMbps, mbps/3)
+		res.PerClientMbps = append(res.PerClientMbps, meanMbps(d))
 		res.UplinkLoss = append(res.UplinkLoss, loss/3)
 		res.SwitchesPerSec = append(res.SwitchesPerSec,
 			float64(len(n.Ctl.History))/s.Duration.Seconds())
@@ -96,22 +89,20 @@ func ExtControlLoss(opt Options) (*ExtControlLossResult, error) {
 	for _, lr := range rates {
 		s := core.DriveScenario(core.ModeWGTT, 15, opt.Seed)
 		s.ControlLossRate = lr
-		n, err := opt.build(s)
+		d, err := opt.drive(s, core.Load{RateMbps: offeredUDPMbps})
 		if err != nil {
 			return nil, err
 		}
-		flow := n.AddDownlinkUDP(0, offeredUDPMbps, 1400)
-		flow.Sender.Start()
-		n.Run()
+		ctl := d.Net.Ctl
 		c := &stats.CDF{}
-		for _, rec := range n.Ctl.History {
+		for _, rec := range ctl.History {
 			c.Add(rec.Duration.Milliseconds())
 		}
 		res.LossRate = append(res.LossRate, lr)
-		res.SwitchesDone = append(res.SwitchesDone, n.Ctl.Stats.SwitchesDone)
-		res.StopRetransmits = append(res.StopRetransmits, n.Ctl.Stats.StopRetransmits)
+		res.SwitchesDone = append(res.SwitchesDone, ctl.Stats.SwitchesDone)
+		res.StopRetransmits = append(res.StopRetransmits, ctl.Stats.StopRetransmits)
 		res.MeanSwitchMS = append(res.MeanSwitchMS, c.Mean())
-		res.GoodputMbps = append(res.GoodputMbps, throughput(flow.Receiver.Bytes, s.Duration))
+		res.GoodputMbps = append(res.GoodputMbps, d.Outcome(0).Mbps)
 	}
 	return res, nil
 }
@@ -142,20 +133,17 @@ func ExtOmni(opt Options) (*ExtOmniResult, error) {
 	for _, omni := range []bool{false, true} {
 		s := core.DriveScenario(core.ModeWGTT, 15, opt.Seed)
 		s.OmniAPs = omni
-		n, err := opt.build(s)
+		d, err := opt.drive(s, core.Load{TCP: true})
 		if err != nil {
 			return nil, err
 		}
-		flow := n.AddDownlinkTCP(0, 0, nil)
-		flow.Sender.Start()
-		n.Run()
 		name := "parabolic-21deg"
 		if omni {
 			name = "omni-5dBi"
 		}
 		res.Antennas = append(res.Antennas, name)
-		res.TCPMbps = append(res.TCPMbps, throughput(flow.Receiver.DeliveredBytes, s.Duration))
-		res.Switches = append(res.Switches, len(n.Ctl.History))
+		res.TCPMbps = append(res.TCPMbps, d.Outcome(0).Mbps)
+		res.Switches = append(res.Switches, len(d.Net.Ctl.History))
 	}
 	return res, nil
 }
@@ -167,33 +155,6 @@ func (r *ExtOmniResult) Render() string {
 		t.AddRow(r.Antennas[i], stats.F(r.TCPMbps[i]), fmt.Sprintf("%d", r.Switches[i]))
 	}
 	return "Extension (§4.2): AP antenna variants, 15 mph TCP\n" + t.String()
-}
-
-// inCoverageLoss computes a flow's mean per-second loss over the in-coverage
-// middle of the drive.
-func inCoverageLoss(u *core.UpUDP, rateMbps float64, pktBytes int, duration sim.Time) float64 {
-	bins := int(duration/sim.Second) + 1
-	perBin := make([]float64, bins)
-	for _, a := range u.Receiver.Arrivals {
-		if b := int(a.At / sim.Second); b < bins {
-			perBin[b]++
-		}
-	}
-	offered := rateMbps * 1e6 / 8 / float64(pktBytes)
-	var mean float64
-	cnt := 0
-	for b := 2; b < bins-3; b++ {
-		l := 1 - perBin[b]/offered
-		if l < 0 {
-			l = 0
-		}
-		mean += l
-		cnt++
-	}
-	if cnt == 0 {
-		return 0
-	}
-	return mean / float64(cnt)
 }
 
 // ExtScaleResult compares the 8-AP testbed with a 16-AP corridor.
@@ -231,22 +192,20 @@ func ExtScale(opt Options) (*ExtScaleResult, error) {
 			}},
 			Duration: mobility.TransitDuration(l.pos, 25, 10) + 2*sim.Second,
 		}
-		n, err := opt.build(s)
+		d, err := opt.drive(s, core.Load{TCP: true})
 		if err != nil {
 			return nil, err
 		}
-		flow := n.AddDownlinkTCP(0, 0, nil)
-		flow.Sender.Start()
-		n.Run()
+		ctl := d.Net.Ctl
 		secs := s.Duration.Seconds()
 		res.Labels = append(res.Labels, l.label)
 		res.APs = append(res.APs, len(l.pos))
-		res.TCPMbps = append(res.TCPMbps, throughput(flow.Receiver.DeliveredBytes, s.Duration))
-		res.SwitchesPerS = append(res.SwitchesPerS, float64(len(n.Ctl.History))/secs)
-		res.CSIPerSecond = append(res.CSIPerSecond, float64(n.Ctl.Stats.CSIReports)/secs)
+		res.TCPMbps = append(res.TCPMbps, d.Outcome(0).Mbps)
+		res.SwitchesPerS = append(res.SwitchesPerS, float64(len(ctl.History))/secs)
+		res.CSIPerSecond = append(res.CSIPerSecond, float64(ctl.Stats.CSIReports)/secs)
 		copies := 0.0
-		if n.Ctl.Stats.DownlinkSent > 0 {
-			copies = float64(n.Ctl.Stats.DownlinkCopies) / float64(n.Ctl.Stats.DownlinkSent)
+		if ctl.Stats.DownlinkSent > 0 {
+			copies = float64(ctl.Stats.DownlinkCopies) / float64(ctl.Stats.DownlinkSent)
 		}
 		res.CopiesPerPkt = append(res.CopiesPerPkt, copies)
 	}

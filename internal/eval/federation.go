@@ -7,7 +7,6 @@ import (
 	"wgtt/internal/core"
 	"wgtt/internal/federation"
 	"wgtt/internal/mobility"
-	"wgtt/internal/packet"
 	"wgtt/internal/sim"
 	"wgtt/internal/stats"
 )
@@ -66,19 +65,15 @@ func ExtFederation(opt Options) (*ExtFederationResult, error) {
 				}
 			}
 		}
-		flow := n.AddDownlinkUDP(0, 20, 1400)
-		flow.Sender.Start()
-		var deliveries []sim.Time
-		n.OnClientDownlink(0, func(p *packet.Packet, at sim.Time) {
-			deliveries = append(deliveries, at)
-		})
+		d := n.Attach([]core.Load{{RateMbps: 20, Record: true}})
 		n.Run()
 
+		out := d.Outcome(0)
 		res.Domains = append(res.Domains, nDom)
-		res.UDPMbps = append(res.UDPMbps, throughput(flow.Receiver.Bytes, s.Duration))
-		res.UDPLossPct = append(res.UDPLossPct, 100*flow.Receiver.LossRate())
+		res.UDPMbps = append(res.UDPMbps, out.Mbps)
+		res.UDPLossPct = append(res.UDPLossPct, 100*out.Loss)
 		res.WorstHandoffMS = append(res.WorstHandoffMS,
-			float64(worstCrashOutage(deliveries, handoffAts))/float64(sim.Millisecond))
+			float64(worstCrashOutage(out.Arrivals, handoffAts))/float64(sim.Millisecond))
 
 		fs := n.FedStats()
 		res.Handoffs = append(res.Handoffs, fs.Adoptions)

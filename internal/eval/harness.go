@@ -38,9 +38,6 @@ type Options struct {
 	Selector *selector.Config
 }
 
-// DefaultOptions runs the full experiment.
-func DefaultOptions() Options { return Options{Seed: 2017} }
-
 // QuickOptions runs the trimmed variant.
 func QuickOptions() Options { return Options{Seed: 2017, Quick: true} }
 
@@ -48,14 +45,6 @@ func QuickOptions() Options { return Options{Seed: 2017, Quick: true} }
 type Result interface {
 	// Render returns the human-readable table/series.
 	Render() string
-}
-
-// throughput computes mean goodput in Mb/s over a duration.
-func throughput(bytes uint64, dur sim.Time) float64 {
-	if dur <= 0 {
-		return 0
-	}
-	return float64(bytes) * 8 / 1e6 / dur.Seconds()
 }
 
 // build constructs the scenario's network, wiring it into opt.Metrics when
@@ -74,30 +63,27 @@ func (opt Options) build(s core.Scenario) (*core.Network, error) {
 	return n, nil
 }
 
-// driveUDP runs one drive with a downlink CBR flow and returns goodput.
-func driveUDP(mode core.Mode, speedMPH, rateMbps float64, opt Options) (float64, *core.Network, error) {
-	s := core.DriveScenario(mode, speedMPH, opt.Seed)
+// drive is the paper's measurement in one call: build the scenario, put
+// loads[i] on client i (core.Drive), run to the horizon. Experiments that
+// hook the network between build and run call build and Attach themselves.
+func (opt Options) drive(s core.Scenario, loads ...core.Load) (*core.Drive, error) {
 	n, err := opt.build(s)
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
-	flow := n.AddDownlinkUDP(0, rateMbps, 1400)
-	flow.Sender.Start()
+	d := n.Attach(loads)
 	n.Run()
-	return throughput(flow.Receiver.Bytes, s.Duration), n, nil
+	return d, nil
 }
 
-// driveTCP runs one drive with a bulk downlink TCP flow and returns goodput.
-func driveTCP(mode core.Mode, speedMPH float64, opt Options) (float64, *core.Network, error) {
-	s := core.DriveScenario(mode, speedMPH, opt.Seed)
-	n, err := opt.build(s)
-	if err != nil {
-		return 0, nil, err
+// meanMbps is the drive's mean per-client goodput.
+func meanMbps(d *core.Drive) float64 {
+	outs := d.Outcomes()
+	var total float64
+	for _, o := range outs {
+		total += o.Mbps
 	}
-	flow := n.AddDownlinkTCP(0, 0, nil)
-	flow.Sender.Start()
-	n.Run()
-	return throughput(flow.Receiver.DeliveredBytes, s.Duration), n, nil
+	return total / float64(len(outs))
 }
 
 // fmtMode renders a mode for table headers.

@@ -6,9 +6,9 @@ import (
 	"wgtt/internal/chaos"
 	"wgtt/internal/core"
 	"wgtt/internal/mobility"
-	"wgtt/internal/packet"
 	"wgtt/internal/sim"
 	"wgtt/internal/stats"
+	"wgtt/internal/transport"
 )
 
 // ExtResilienceResult characterizes the failure model of DESIGN.md §11: how
@@ -71,18 +71,14 @@ func ExtResilience(opt Options) (*ExtResilienceResult, error) {
 				}
 			}
 		}
-		flow := n.AddDownlinkUDP(0, 20, 1400)
-		flow.Sender.Start()
-		var deliveries []sim.Time
-		n.OnClientDownlink(0, func(p *packet.Packet, at sim.Time) {
-			deliveries = append(deliveries, at)
-		})
+		d := n.Attach([]core.Load{{RateMbps: 20, Record: true}})
 		n.Run()
 
+		out := d.Outcome(0)
 		res.MTBFS = append(res.MTBFS, mtbf.Seconds())
-		res.UDPMbps = append(res.UDPMbps, throughput(flow.Receiver.Bytes, s.Duration))
+		res.UDPMbps = append(res.UDPMbps, out.Mbps)
 		res.WorstOutageMS = append(res.WorstOutageMS,
-			float64(worstCrashOutage(deliveries, crashAts))/float64(sim.Millisecond))
+			float64(worstCrashOutage(out.Arrivals, crashAts))/float64(sim.Millisecond))
 		if n.Chaos != nil {
 			res.APCrashes = append(res.APCrashes, n.Chaos.Stats.APCrashes)
 		} else {
@@ -100,17 +96,17 @@ func ExtResilience(opt Options) (*ExtResilienceResult, error) {
 // crash instant — the client-visible cost of that failure. Gaps away from
 // every crash (e.g. entering/leaving coverage) are not chargeable to chaos
 // and are ignored.
-func worstCrashOutage(deliveries, crashAts []sim.Time) sim.Time {
+func worstCrashOutage(deliveries []transport.Arrival, crashAts []sim.Time) sim.Time {
 	var worst sim.Time
 	for _, crash := range crashAts {
 		prev := crash
 		// Walk deliveries around this crash; both slices are time-ordered.
-		for _, at := range deliveries {
-			if at <= crash {
-				prev = at
+		for _, a := range deliveries {
+			if a.At <= crash {
+				prev = a.At
 				continue
 			}
-			if gap := at - prev; gap > worst {
+			if gap := a.At - prev; gap > worst {
 				worst = gap
 			}
 			break

@@ -101,15 +101,13 @@ func Fig04RoamingFailure(opt Options) (*Fig04Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		flow := n.AddDownlinkUDP(0, offeredUDPMbps, 1400)
-		flow.Receiver.Record = true
-		flow.Sender.Start()
+		d := n.Attach([]core.Load{{RateMbps: offeredUDPMbps, Record: true}})
 		n.Run()
 
-		delivered := throughput(flow.Receiver.Bytes, s.Duration)
+		out := d.Outcome(0)
 		var longest sim.Time
 		lastAt := sim.Time(0)
-		for _, a := range flow.Receiver.Arrivals {
+		for _, a := range out.Arrivals {
 			if gap := a.At - lastAt; gap > longest {
 				longest = gap
 			}
@@ -120,7 +118,7 @@ func Fig04RoamingFailure(opt Options) (*Fig04Result, error) {
 		}
 		res.SpeedsMPH = append(res.SpeedsMPH, v)
 		res.Handovers = append(res.Handovers, len(n.Base.Handovers))
-		res.CapacityLossMbps = append(res.CapacityLossMbps, offeredUDPMbps-delivered)
+		res.CapacityLossMbps = append(res.CapacityLossMbps, offeredUDPMbps-out.Mbps)
 		res.OutageSeconds = append(res.OutageSeconds, longest.Seconds())
 	}
 	return res, nil
@@ -154,15 +152,12 @@ func Table1SwitchTime(opt Options) (*Table1Result, error) {
 	res := &Table1Result{}
 	for _, rate := range rates {
 		s := core.DriveScenario(core.ModeWGTT, 15, opt.Seed+uint64(rate))
-		n, err := opt.build(s)
+		d, err := opt.drive(s, core.Load{RateMbps: rate})
 		if err != nil {
 			return nil, err
 		}
-		flow := n.AddDownlinkUDP(0, rate, 1400)
-		flow.Sender.Start()
-		n.Run()
 		c := &stats.CDF{}
-		for _, rec := range n.Ctl.History {
+		for _, rec := range d.Net.Ctl.History {
 			c.Add(rec.Duration.Milliseconds())
 		}
 		res.RatesMbps = append(res.RatesMbps, rate)
@@ -207,29 +202,10 @@ func Table2SwitchingAccuracy(opt Options) (*Table2Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			if tcp {
-				f := n.AddDownlinkTCP(0, 0, nil)
-				f.Sender.Start()
-			} else {
-				f := n.AddDownlinkUDP(0, offeredUDPMbps, 1400)
-				f.Sender.Start()
-			}
-			match, total := 0, 0
-			n.Every(10*sim.Millisecond, func(at sim.Time) {
-				best, bestE := n.BestESNRAP(0, at)
-				if bestE < 0 {
-					return // out of everyone's range: no meaningful optimum
-				}
-				total++
-				if n.ServingAP(0) == best {
-					match++
-				}
-			})
+			d := n.Attach([]core.Load{{TCP: tcp, RateMbps: offeredUDPMbps}})
+			d.SampleOracle(10*sim.Millisecond, nil)
 			n.Run()
-			acc := 0.0
-			if total > 0 {
-				acc = 100 * float64(match) / float64(total)
-			}
+			acc := d.Accuracy()
 			if mode == core.ModeWGTT {
 				row.WGTT = acc
 			} else {

@@ -42,37 +42,9 @@ func Fig18UplinkLoss(opt Options) (*Fig18Result, error) {
 			flows = append(flows, f)
 		}
 		n.Run()
-		bins := int(s.Duration/sim.Second) + 1
-		pktPerBin := rate * 1e6 / 8 / 1000 // offered packets per second
-		for c, f := range flows {
-			recvPerBin := make([]float64, bins)
-			for _, a := range f.Receiver.Arrivals {
-				b := int(a.At / sim.Second)
-				if b < bins {
-					recvPerBin[b]++
-				}
-			}
-			loss := make([]float64, bins)
-			for b := range loss {
-				l := 1 - recvPerBin[b]/pktPerBin
-				if l < 0 {
-					l = 0
-				}
-				loss[b] = l
-			}
-			// The whole-run mean is computed over in-coverage seconds only
-			// (the paper plots the transition through the array; the entry
-			// and exit margins would otherwise dominate).
-			lo, hi := 2, bins-3
-			var mean float64
-			cnt := 0
-			for b := lo; b < hi; b++ {
-				mean += loss[b]
-				cnt++
-			}
-			if cnt > 0 {
-				mean /= float64(cnt)
-			}
+		for _, f := range flows {
+			loss := perSecondLoss(f, rate, 1000, s.Duration)
+			mean := inCoverageLoss(loss)
 			if mode == core.ModeWGTT {
 				res.LossWGTT = append(res.LossWGTT, loss)
 				res.MeanWGTT = append(res.MeanWGTT, mean)
@@ -80,10 +52,44 @@ func Fig18UplinkLoss(opt Options) (*Fig18Result, error) {
 				res.LossBase = append(res.LossBase, loss)
 				res.MeanBase = append(res.MeanBase, mean)
 			}
-			_ = c
 		}
 	}
 	return res, nil
+}
+
+// perSecondLoss bins an uplink flow's arrivals by second and returns each
+// bin's loss fraction against the offered packet rate.
+func perSecondLoss(u *core.UpUDP, rateMbps float64, pktBytes int, duration sim.Time) []float64 {
+	loss := make([]float64, int(duration/sim.Second)+1)
+	for _, a := range u.Receiver.Arrivals {
+		if b := int(a.At / sim.Second); b < len(loss) {
+			loss[b]++
+		}
+	}
+	offered := rateMbps * 1e6 / 8 / float64(pktBytes)
+	for b, recv := range loss {
+		loss[b] = 1 - recv/offered
+		if loss[b] < 0 {
+			loss[b] = 0
+		}
+	}
+	return loss
+}
+
+// inCoverageLoss averages per-second loss over the in-coverage middle of
+// the drive (the paper plots the transition through the array; the entry
+// and exit margins would otherwise dominate).
+func inCoverageLoss(loss []float64) float64 {
+	var mean float64
+	cnt := 0
+	for b := 2; b < len(loss)-3; b++ {
+		mean += loss[b]
+		cnt++
+	}
+	if cnt == 0 {
+		return 0
+	}
+	return mean / float64(cnt)
 }
 
 // Render implements Result.

@@ -373,9 +373,6 @@ func handoffIDBase(id int) uint32 { return uint32(id)<<24 | 1<<23 }
 // ID returns the domain id.
 func (d *Domain) ID() int { return d.id }
 
-// Addr returns the domain controller's backhaul address.
-func (d *Domain) Addr() packet.IPv4Addr { return d.addr }
-
 // Controller exposes the inner controller (stats, evaluation hooks).
 func (d *Domain) Controller() *controller.Controller { return d.ctl }
 
@@ -458,7 +455,7 @@ func (d *Domain) HandleBackhaul(from packet.IPv4Addr, msg packet.Message) {
 		d.handleUplink(from, m)
 	case *packet.DownData:
 		// Downlink forwarded controller→controller for a client that moved.
-		d.routeForwardedDown(m)
+		_ = d.SendDownlink(m.Pkt)
 	case *packet.AssocSync:
 		if own, known := d.owner[m.Client]; known && own != d.id {
 			return // replicated association of a foreign-owned client
@@ -482,11 +479,6 @@ func (d *Domain) HandleBackhaul(from packet.IPv4Addr, msg packet.Message) {
 	default:
 		d.ctl.HandleBackhaul(from, msg)
 	}
-}
-
-// routeForwardedDown re-routes a controller-forwarded downlink packet.
-func (d *Domain) routeForwardedDown(m *packet.DownData) {
-	_ = d.SendDownlink(m.Pkt)
 }
 
 // handleCSI routes one CSI report: own client + own AP → inner controller;

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"fmt"
-	"os"
 
 	"wgtt/internal/chaos"
 	"wgtt/internal/controller"
@@ -10,8 +9,6 @@ import (
 	"wgtt/internal/federation"
 	"wgtt/internal/metrics"
 	"wgtt/internal/mobility"
-	"wgtt/internal/sim"
-	"wgtt/internal/trace"
 	"wgtt/internal/urban"
 )
 
@@ -21,8 +18,6 @@ type CellResult struct {
 	Cell     int
 	Seed     uint64
 	Vehicles int
-	TCPFlows int
-	UDPFlows int
 	// DurationS is the cell horizon in seconds.
 	DurationS float64
 
@@ -31,14 +26,10 @@ type CellResult struct {
 	// al. kernel-AP measurements, aggregated fleet-wide in the report).
 	AggMbps float64
 	Bytes   uint64
-	// PerVehicleBytes is each vehicle's goodput; PerVehicleMbps is the same
-	// over the vehicle's own transit window.
-	PerVehicleBytes []uint64
-	PerVehicleMbps  []float64
-	// UDPLoss, UDPSent and UDPReceived are the loss fraction and datagram
-	// counts of each UDP vehicle's flow, in vehicle order.
-	UDPLoss              []float64
-	UDPSent, UDPReceived []uint64
+	// Flows is each vehicle's flow as the drive harness read it, in vehicle
+	// order: goodput over the vehicle's own transit window and, for UDP, the
+	// datagram counts and loss fraction.
+	Flows []core.Outcome
 	// AccuracyPct is the fraction of oracle samples where the serving AP
 	// was the ESNR-optimal one (Table 2's metric, per cell).
 	AccuracyPct float64
@@ -65,139 +56,51 @@ type CellResult struct {
 	Metrics *metrics.Snapshot
 }
 
-// workload is one client's traffic through a cell.
-type workload struct {
-	// TCP selects bulk downlink TCP; CBR downlink UDP otherwise.
-	TCP bool
-	// Start is when the flow begins sending.
-	Start sim.Time
-	// Window is the span the client's goodput is taken over.
-	Window sim.Time
-	// Deferred attaches the flow but leaves it stopped: the client is
-	// admitted, and its flow resumed, mid-run (metro migration).
-	Deferred bool
-}
-
-// udpWorkloads gives n clients a CBR downlink flow for the whole horizon.
-func udpWorkloads(n int, horizon sim.Time) []workload {
-	work := make([]workload, n)
-	for i := range work {
-		work[i].Window = horizon
-	}
-	return work
-}
-
-// cell is one built network under the fleet's harness — the single
-// attach → run → harvest path every kind of cell goes through. attachCell
-// wires the workloads, the oracle and the trace recorder; the caller
+// cell is one built network under the drive harness (core.Drive) — the
+// single attach → run → harvest path every kind of cell goes through.
+// attachCell puts the loads on the network, plus the trace; the caller
 // advances the network (Run for a standalone cell, lockstep RunUntil epochs
-// for a metro tile); harvest reads the outcome.
+// for a metro tile); harvest maps the drive's outcome onto the fleet's
+// CellResult.
 type cell struct {
-	net  *core.Network
-	work []workload
-	// udp and tcp hold each client's flow (one of the two is nil).
-	udp []*core.DownUDP
-	tcp []*core.DownTCP
-
-	match, total int // oracle samples
-	rec          *trace.Recorder
-	traceFile    *os.File
-	res          CellResult
+	drive *core.Drive
+	res   CellResult
 }
 
 // attachCell puts a built network under the harness: one downlink flow per
-// client (work[i] is client i's), the Table-2 oracle when asked for, and
-// the per-cell trace when cfg.TraceDir is set.
-func attachCell(cfg Config, id int, n *core.Network, work []workload, oracle bool) (*cell, error) {
+// client (loads[i] is client i's) and the per-cell trace when cfg.TraceDir
+// is set.
+func attachCell(cfg Config, id int, n *core.Network, loads []core.Load) (*cell, error) {
 	if cfg.Metrics {
 		n.EnableMetrics()
 	}
 	c := &cell{
-		net:  n,
-		work: work,
-		udp:  make([]*core.DownUDP, len(work)),
-		tcp:  make([]*core.DownTCP, len(work)),
+		drive: n.Attach(loads),
 		res: CellResult{
 			Cell:      id,
 			Seed:      n.Scenario.Seed,
-			Vehicles:  len(work),
+			Vehicles:  len(loads),
 			DurationS: n.Scenario.Duration.Seconds(),
 		},
 	}
-	for i, w := range work {
-		var start func()
-		if w.TCP {
-			c.tcp[i] = n.AddDownlinkTCP(i, 0, nil)
-			c.res.TCPFlows++
-			start = c.tcp[i].Sender.Start
-		} else {
-			c.udp[i] = n.AddDownlinkUDP(i, cfg.UDPRateMbps, 1400)
-			c.res.UDPFlows++
-			start = c.udp[i].Sender.Start
-		}
-		if !w.Deferred {
-			n.Eng.At(w.Start, start)
-		}
-	}
-
-	if oracle {
-		// Switching-accuracy oracle: sample every client against the
-		// ground-truth best-ESNR AP (Table 2's methodology, fleet-wide).
-		n.Every(cfg.SamplePeriod, func(at sim.Time) {
-			for ci := range n.Clients {
-				best, bestE := n.BestESNRAP(ci, at)
-				if bestE < 0 {
-					continue // out of everyone's range: no meaningful optimum
-				}
-				c.total++
-				if n.ServingAP(ci) == best {
-					c.match++
-				}
-			}
-		})
-	}
-
 	if cfg.TraceDir != "" {
-		f, err := os.Create(tracePath(cfg, id))
-		if err != nil {
+		c.res.TraceFile = tracePath(cfg, id)
+		if err := c.drive.TraceTo(c.res.TraceFile); err != nil {
 			return nil, fmt.Errorf("fleet: cell %d trace: %w", id, err)
 		}
-		c.traceFile = f
-		c.rec = trace.NewRecorder(f)
-		n.AttachRecorder(c.rec)
-		c.res.TraceFile = f.Name()
 	}
 	return c, nil
 }
 
-// closeTrace releases the trace file of a cell that will not be harvested.
-func (c *cell) closeTrace() {
-	if c.traceFile != nil {
-		c.traceFile.Close()
-	}
-}
-
 // harvest reads the finished cell's outcome and completes its trace.
 func (c *cell) harvest() (CellResult, error) {
-	n, res := c.net, &c.res
-	for i, w := range c.work {
-		var b uint64
-		if f := c.udp[i]; f != nil {
-			b = f.Receiver.Bytes
-			res.UDPLoss = append(res.UDPLoss, f.Receiver.LossRate())
-			res.UDPSent = append(res.UDPSent, f.Sender.Sent)
-			res.UDPReceived = append(res.UDPReceived, f.Receiver.Received)
-		} else {
-			b = c.tcp[i].Receiver.DeliveredBytes
-		}
-		res.Bytes += b
-		res.PerVehicleBytes = append(res.PerVehicleBytes, b)
-		res.PerVehicleMbps = append(res.PerVehicleMbps, mbps(b, w.Window))
+	n, res := c.drive.Net, &c.res
+	res.Flows = c.drive.Outcomes()
+	for _, f := range res.Flows {
+		res.Bytes += f.Bytes
 	}
-	res.AggMbps = mbps(res.Bytes, n.Scenario.Duration)
-	if c.total > 0 {
-		res.AccuracyPct = 100 * float64(c.match) / float64(c.total)
-	}
+	res.AggMbps = core.Mbps(res.Bytes, n.Scenario.Duration)
+	res.AccuracyPct = c.drive.Accuracy()
 	res.AirtimePct = 100 * n.Medium.Utilization()
 	res.Ctl = n.CtlStats()
 	res.Fed = n.FedStats()
@@ -207,29 +110,15 @@ func (c *cell) harvest() (CellResult, error) {
 	if n.Urban != nil {
 		res.Urban = n.Urban.Stats
 	}
-	if c.rec != nil {
-		err := c.rec.Flush()
-		if cerr := c.traceFile.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return CellResult{}, fmt.Errorf("fleet: cell %d trace: %w", res.Cell, err)
-		}
-		res.TraceEvents = c.rec.N
+	var err error
+	if res.TraceEvents, err = c.drive.Close(); err != nil {
+		return CellResult{}, fmt.Errorf("fleet: cell %d trace: %w", res.Cell, err)
 	}
 	if n.Metrics != nil {
 		snap := n.Metrics.Snapshot()
 		res.Metrics = &snap
 	}
 	return *res, nil
-}
-
-// mbps is bytes of goodput over a time span, in Mb/s (0 for an empty span).
-func mbps(bytes uint64, over sim.Time) float64 {
-	if over <= 0 {
-		return 0
-	}
-	return float64(bytes) * 8 / 1e6 / over.Seconds()
 }
 
 // RunCell plans, builds, and runs one cell — a corridor, or a street-grid
@@ -240,14 +129,14 @@ func RunCell(cfg Config, cell int) (CellResult, error) {
 	cfg = cfg.withDefaults()
 	plan := PlanCell(cfg, cell)
 	var s core.Scenario
-	var work []workload
+	var loads []core.Load
 	if cfg.Urban != nil {
 		// The cell's whole city — graph, AP deployment, bus lines, cars,
 		// pedestrians — derives from the cell's scenario seed, so urban
 		// fleets keep the byte-identical-report determinism contract.
 		s = core.UrbanScenario(core.ModeWGTT, *cfg.Urban, plan.Seed)
 	} else {
-		s, work = corridorScenario(cfg, plan)
+		s, loads = corridorScenario(cfg, plan)
 	}
 	s.Chaos = cfg.Chaos
 	s.Selector = cfg.Selector
@@ -259,19 +148,21 @@ func RunCell(cfg Config, cell int) (CellResult, error) {
 		// Build expanded the city into clients: every one carries a CBR
 		// downlink UDP flow for the full horizon (riders and pedestrians are
 		// receivers too; there is no TCP mix on the city workload).
-		work = udpWorkloads(len(n.Clients), n.Scenario.Duration)
+		loads = core.Loads(len(n.Clients), core.Load{RateMbps: cfg.UDPRateMbps})
 	}
-	c, err := attachCell(cfg, cell, n, work, true)
+	c, err := attachCell(cfg, cell, n, loads)
 	if err != nil {
 		return CellResult{}, err
 	}
+	// Switching accuracy against the ESNR oracle, Table 2's metric per cell.
+	c.drive.SampleOracle(cfg.SamplePeriod, nil)
 	n.Run()
 	return c.harvest()
 }
 
 // corridorScenario turns a corridor cell plan into its scenario and the
-// vehicles' workloads, each starting when its vehicle enters.
-func corridorScenario(cfg Config, plan CellPlan) (core.Scenario, []workload) {
+// vehicles' loads, each starting when its vehicle enters.
+func corridorScenario(cfg Config, plan CellPlan) (core.Scenario, []core.Load) {
 	positions := mobility.DenseArray(cfg.APsPerCell, 5, cfg.SpacingM)
 	minX, _ := mobility.ArraySpan(positions)
 	s := core.Scenario{
@@ -281,7 +172,7 @@ func corridorScenario(cfg Config, plan CellPlan) (core.Scenario, []workload) {
 		APPositions: positions,
 		Domains:     cfg.Domains,
 	}
-	work := make([]workload, len(plan.Vehicles))
+	loads := make([]core.Load, len(plan.Vehicles))
 	for i, v := range plan.Vehicles {
 		// Arrivals are approaching traffic: each vehicle starts far enough
 		// up the road to cross the corridor entry point exactly at its
@@ -297,7 +188,7 @@ func corridorScenario(cfg Config, plan CellPlan) (core.Scenario, []workload) {
 			Vel: mobility.Point{X: speedMS},
 		}
 		s.Clients = append(s.Clients, core.ClientSpec{Trace: drive, SpeedMPH: v.SpeedMPH})
-		work[i] = workload{TCP: v.TCP, Start: v.Arrival, Window: plan.Duration - v.Arrival}
+		loads[i] = core.Load{TCP: v.TCP, RateMbps: cfg.UDPRateMbps, Start: v.Arrival}
 	}
-	return s, work
+	return s, loads
 }

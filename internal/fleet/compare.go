@@ -76,9 +76,9 @@ func summarizePolicy(pol selector.Policy, res *Result) PolicyOutcome {
 		out.Switches += c.Ctl.SwitchesDone
 		horizonS += c.DurationS
 		acc.Add(c.AccuracyPct)
-		cdf := &stats.CDF{}
-		cdf.AddAll(c.PerVehicleMbps)
-		perVehicle.Merge(cdf)
+		for _, f := range c.Flows {
+			perVehicle.Add(f.Mbps)
+		}
 	}
 	out.AccuracyPct = acc.Mean()
 	if perVehicle.N() > 0 {

@@ -208,7 +208,7 @@ func newMetroRun(cfg Config) (*metroRun, error) {
 		}
 		for t, from := range first {
 			visitors[t] = append(visitors[t], presence{
-				metroID: ci, from: from, to: last[t], deferred: from > 0,
+				metroID: ci, from: from, to: last[t],
 			})
 		}
 		for k := 1; k < len(mc.Visits); k++ {
@@ -246,7 +246,7 @@ func newMetroRun(cfg Config) (*metroRun, error) {
 		tile, err := m.buildTile(t, visitors[t], frng)
 		if err != nil {
 			for _, b := range m.built {
-				b.closeTrace()
+				b.drive.Close()
 			}
 			return nil, err
 		}
@@ -257,11 +257,11 @@ func newMetroRun(cfg Config) (*metroRun, error) {
 }
 
 // presence is one client's residence window in one tile: from first entry
-// to last exit, deferred when the window does not open at time zero.
+// to last exit. A window that does not open at time zero builds the client
+// deferred.
 type presence struct {
 	metroID  int
 	from, to sim.Time
-	deferred bool
 }
 
 // buildTile assembles one metro cell: the tile's AP sites as a city cell,
@@ -278,7 +278,6 @@ func (m *metroRun) buildTile(t int, visitors []presence, frng *sim.RNG) (*metroT
 		aps = append(aps, plan.City.APs[site].Pos)
 	}
 	var clients []core.ClientSpec
-	work := udpWorkloads(len(visitors), plan.Duration())
 	for local, v := range visitors {
 		cp := plan.Clients[v.metroID].Plan
 		var tr mobility.Trace = cp.Trace
@@ -293,9 +292,8 @@ func (m *metroRun) buildTile(t int, visitors []presence, frng *sim.RNG) (*metroT
 		clients = append(clients, core.ClientSpec{
 			Trace:    tr,
 			SpeedMPH: cp.SpeedMPH,
-			Deferred: v.deferred,
+			Deferred: v.from > 0,
 		})
-		work[local].Deferred = v.deferred
 		tile.metroIDs = append(tile.metroIDs, v.metroID)
 		tile.local[v.metroID] = local
 	}
@@ -307,7 +305,8 @@ func (m *metroRun) buildTile(t int, visitors []presence, frng *sim.RNG) (*metroT
 	if err != nil {
 		return nil, fmt.Errorf("fleet: metro tile %d: %w", t, err)
 	}
-	if tile.cell, err = attachCell(m.Cfg, t, n, work, false); err != nil {
+	loads := core.Loads(len(visitors), core.Load{RateMbps: m.Cfg.UDPRateMbps})
+	if tile.cell, err = attachCell(m.Cfg, t, n, loads); err != nil {
 		return nil, err
 	}
 	if m.Cfg.MetroIsolated {
@@ -320,7 +319,7 @@ func (m *metroRun) buildTile(t int, visitors []presence, frng *sim.RNG) (*metroT
 	// export — harmless, it just serves a silent client.)
 	for local, id := range tile.metroIDs {
 		cl := n.Clients[local]
-		sender := tile.udp[local].Sender
+		sender := tile.drive.UDP[local].Sender
 		for _, vis := range plan.Clients[id].Visits {
 			if vis.Tile != t || vis.Exit >= plan.Duration() {
 				continue
@@ -347,7 +346,7 @@ func (m *metroRun) Step() bool {
 		end = m.Plan.Duration()
 	}
 	ForEach(len(m.built), m.Cfg.Workers, func(i int) {
-		m.built[i].net.RunUntil(end)
+		m.built[i].drive.Net.RunUntil(end)
 	})
 	for _, mig := range m.byEpoch[m.epochsRun] {
 		m.migrate(mig, end)
@@ -364,10 +363,10 @@ func (m *metroRun) Step() bool {
 func (m *metroRun) migrate(mig migration, barrier sim.Time) {
 	src, dst := m.Tiles[mig.From], m.Tiles[mig.To]
 	from, to := src.local[mig.ClientID], dst.local[mig.ClientID]
-	fromFlow, toFlow := src.udp[from].Sender, dst.udp[to].Sender
+	fromFlow := src.drive.UDP[from].Sender
 
 	m.nextHandoffID++
-	commit, err := src.net.ExportCellHandoff(from, m.nextHandoffID)
+	commit, err := src.drive.Net.ExportCellHandoff(from, m.nextHandoffID)
 	if err != nil {
 		// An unadmitted source (e.g. a boundary-flicker double-cross inside
 		// one epoch resolved the client elsewhere) cannot export; the
@@ -377,8 +376,8 @@ func (m *metroRun) migrate(mig migration, barrier sim.Time) {
 	seq, ipid := fromFlow.Cursor()
 	fromFlow.Stop()
 
-	entryAP := dst.net.NearestAPTo(m.Plan.Clients[mig.ClientID].Plan.Trace.Position(mig.At))
-	commit.TargetAP = dst.net.APs[entryAP].Config().IP
+	entryAP := dst.drive.Net.NearestAPTo(m.Plan.Clients[mig.ClientID].Plan.Trace.Position(mig.At))
+	commit.TargetAP = dst.drive.Net.APs[entryAP].Config().IP
 
 	// Wire round-trip (cell-to-cell evidence transfer over the §13 format).
 	wire := packet.Encode(commit)
@@ -388,11 +387,10 @@ func (m *metroRun) migrate(mig migration, barrier sim.Time) {
 	}
 	commit = decoded.(*packet.DomainHandoffCommit)
 
-	if err := dst.net.AdmitCellHandoff(to, entryAP, commit); err != nil {
+	if err := dst.drive.Net.AdmitCellHandoff(to, entryAP, commit); err != nil {
 		panic(fmt.Sprintf("fleet: metro admission: %v", err))
 	}
-	toFlow.Resume(seq, ipid)
-	toFlow.Start()
+	dst.drive.Resume(to, seq, ipid)
 
 	src.MigrationsOut++
 	dst.MigrationsIn++
@@ -422,9 +420,8 @@ func (m *metroRun) finish() (*MetroResult, error) {
 		Stats:      m.stats,
 	}
 
-	sent := make([]uint64, len(plan.Clients))
-	recv := make([]uint64, len(plan.Clients))
-	bytes := make([]uint64, len(plan.Clients))
+	// perClient sums each client's flow over the tiles that carried it.
+	perClient := make([]core.Outcome, len(plan.Clients))
 	var snaps []metrics.Snapshot
 	if m.reg != nil {
 		snaps = append(snaps, m.reg.Snapshot())
@@ -433,14 +430,14 @@ func (m *metroRun) finish() (*MetroResult, error) {
 		cr, err := tile.harvest()
 		if err != nil {
 			for _, rest := range m.built[i+1:] {
-				rest.closeTrace()
+				rest.drive.Close()
 			}
 			return nil, err
 		}
 		for local, id := range tile.metroIDs {
-			sent[id] += cr.UDPSent[local]
-			recv[id] += cr.UDPReceived[local]
-			bytes[id] += cr.PerVehicleBytes[local]
+			perClient[id].Sent += cr.Flows[local].Sent
+			perClient[id].Received += cr.Flows[local].Received
+			perClient[id].Bytes += cr.Flows[local].Bytes
 		}
 		res.Stats.Switches += cr.Ctl.SwitchesDone
 		res.Stats.CSIReports += cr.Ctl.CSIReports
@@ -455,18 +452,18 @@ func (m *metroRun) finish() (*MetroResult, error) {
 			MigrationsOut: tile.MigrationsOut,
 		})
 	}
-	for ci := range plan.Clients {
-		res.PerClientMbps = append(res.PerClientMbps, mbps(bytes[ci], dur))
+	for _, c := range perClient {
+		res.PerClientMbps = append(res.PerClientMbps, core.Mbps(c.Bytes, dur))
 		loss := 0.0
-		if sent[ci] > 0 && recv[ci] < sent[ci] {
-			loss = float64(sent[ci]-recv[ci]) / float64(sent[ci])
+		if c.Sent > 0 && c.Received < c.Sent {
+			loss = float64(c.Sent-c.Received) / float64(c.Sent)
 		}
 		res.PerClientLoss = append(res.PerClientLoss, loss)
-		res.Stats.Sent += sent[ci]
-		res.Stats.Received += recv[ci]
-		res.Stats.Bytes += bytes[ci]
+		res.Stats.Sent += c.Sent
+		res.Stats.Received += c.Received
+		res.Stats.Bytes += c.Bytes
 	}
-	res.AggMbps = mbps(res.Stats.Bytes, dur)
+	res.AggMbps = core.Mbps(res.Stats.Bytes, dur)
 	if len(snaps) > 0 {
 		merged := metrics.Merge(snaps...)
 		res.Metrics = &merged

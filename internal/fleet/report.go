@@ -73,7 +73,7 @@ func quantileRow(t *stats.Table, name string, c *stats.CDF) {
 func (r *Result) Render() string {
 	var b strings.Builder
 
-	// Fleet-wide distributions, merged from per-cell CDFs in cell order.
+	// Fleet-wide distributions, filled in cell order.
 	vehicleMbps := &stats.CDF{}
 	cellMbps := &stats.CDF{}
 	accuracy := &stats.CDF{}
@@ -83,17 +83,18 @@ func (r *Result) Render() string {
 	var switches, stopRtx, upUnique, upDup uint64
 	for i := range r.Cells {
 		c := &r.Cells[i]
-		per := &stats.CDF{}
-		per.AddAll(c.PerVehicleMbps)
-		vehicleMbps.Merge(per)
-		loss := &stats.CDF{}
-		loss.AddAll(c.UDPLoss)
-		udpLoss.Merge(loss)
+		for _, f := range c.Flows {
+			vehicleMbps.Add(f.Mbps)
+			if f.TCP {
+				tcp++
+			} else {
+				udp++
+				udpLoss.Add(f.Loss)
+			}
+		}
 		cellMbps.Add(c.AggMbps)
 		accuracy.Add(c.AccuracyPct)
 		vehicles += c.Vehicles
-		tcp += c.TCPFlows
-		udp += c.UDPFlows
 		capacity += c.AggMbps
 		switches += c.Ctl.SwitchesDone
 		stopRtx += c.Ctl.StopRetransmits

@@ -104,9 +104,6 @@ func NewChannel(params Params, rng *sim.RNG) *Channel {
 	}
 }
 
-// Params returns the channel parameters.
-func (c *Channel) Params() Params { return c.params }
-
 // AddEndpoint registers a radio node. Name must be unique.
 func (c *Channel) AddEndpoint(e *Endpoint) error {
 	if e.Name == "" {

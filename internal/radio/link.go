@@ -48,11 +48,6 @@ type Link struct {
 	mobile *Endpoint
 }
 
-// Distance returns the A↔B separation in meters at time t.
-func (l *Link) Distance(t sim.Time) float64 {
-	return l.A.Position(t).Distance(l.B.Position(t))
-}
-
 // PathGainDB is the deterministic (no-fading) gain of the link at time t:
 // both antenna gains minus path loss and fixed losses. Typically negative.
 func (l *Link) PathGainDB(t sim.Time) float64 {
@@ -112,9 +107,6 @@ func (l *Link) SNRInto(t sim.Time, from *Endpoint, dst []float64) []float64 {
 	return dst
 }
 
-// Subcarriers returns the per-snapshot subcarrier count of this link.
-func (l *Link) Subcarriers() int { return l.params.Subcarriers }
-
 // MeanSNRDB returns the wideband mean SNR (dB) at time t for a transmission
 // at txPowerDBm — path gain plus flat fading. This is what an RSSI-based
 // scheme (the Enhanced 802.11r baseline) effectively measures.
@@ -134,6 +126,3 @@ func (l *Link) flatFadeDB(t sim.Time) float64 {
 func (l *Link) RSSIdBm(t sim.Time, txPowerDBm float64) float64 {
 	return txPowerDBm + l.PathGainDB(t) + l.flatFadeDB(t)
 }
-
-// NoiseFloorDBm exposes the link's receiver noise floor.
-func (l *Link) NoiseFloorDBm() float64 { return l.params.noiseFloorDBm() }

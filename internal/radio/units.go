@@ -29,12 +29,6 @@ func LinearToDB(lin float64) float64 {
 	return 10 * math.Log10(lin)
 }
 
-// DBmToMilliwatts converts dBm to milliwatts.
-func DBmToMilliwatts(dbm float64) float64 { return DBToLinear(dbm) }
-
-// MilliwattsToDBm converts milliwatts to dBm.
-func MilliwattsToDBm(mw float64) float64 { return LinearToDB(mw) }
-
 // SpeedOfLight in meters per second.
 const SpeedOfLight = 299792458.0
 

@@ -17,9 +17,6 @@ type RNG struct {
 // NewRNG returns a stream factory for the given scenario seed.
 func NewRNG(seed uint64) *RNG { return &RNG{seed: seed} }
 
-// Seed returns the scenario seed this factory was built from.
-func (r *RNG) Seed() uint64 { return r.seed }
-
 // Stream returns the deterministic substream for name, e.g.
 // "fading/ap3/client1" or "mac/backoff/ap0".
 func (r *RNG) Stream(name string) *rand.Rand {

@@ -48,23 +48,6 @@ func (s *ThroughputSeries) Mbps() []float64 {
 	return out
 }
 
-// TotalBytes returns the sum over all bins.
-func (s *ThroughputSeries) TotalBytes() uint64 {
-	var t uint64
-	for _, b := range s.bytes {
-		t += b
-	}
-	return t
-}
-
-// MeanMbps returns the average throughput over [0, horizon].
-func (s *ThroughputSeries) MeanMbps(horizon sim.Time) float64 {
-	if horizon <= 0 {
-		return 0
-	}
-	return float64(s.TotalBytes()) * 8 / 1e6 / horizon.Seconds()
-}
-
 // CDF is an empirical distribution built from samples.
 type CDF struct {
 	samples []float64

@@ -24,12 +24,6 @@ func TestThroughputSeries(t *testing.T) {
 	if m[1] != 0 || math.Abs(m[2]-20) > 1e-9 {
 		t.Errorf("bins = %v", m)
 	}
-	if s.TotalBytes() != 375000 {
-		t.Errorf("total = %d", s.TotalBytes())
-	}
-	if got := s.MeanMbps(sim.Second); math.Abs(got-3) > 1e-9 {
-		t.Errorf("mean = %v", got)
-	}
 	if NewThroughputSeries(0).Bin <= 0 {
 		t.Error("zero bin not defaulted")
 	}

@@ -237,6 +237,32 @@ func TestUDPReceiverLoss(t *testing.T) {
 	}
 }
 
+// TestUDPReceiverSkip: a sender that resumes at another flow's cursor tells
+// the receiver, and the skipped range is not counted as loss — but only once
+// an arrival shows the flow got past it.
+func TestUDPReceiverSkip(t *testing.T) {
+	r := &UDPReceiver{FlowID: 2}
+	recv := func(seqs ...uint32) {
+		for _, seq := range seqs {
+			r.OnPacket(&packet.Packet{FlowID: 2, Seq: seq, Bytes: 1400}, 0)
+		}
+	}
+	r.Skip(0, 100) // first visit starts at cursor 100
+	recv(100, 101, 103)
+	if lr, want := r.LossRate(), 1.0/4; lr != want {
+		t.Errorf("loss after resuming at 100 = %v, want %v", lr, want)
+	}
+	r.Skip(104, 500) // left and came back; nothing heard yet
+	if lr, want := r.LossRate(), 1.0/4; lr != want {
+		t.Errorf("loss with an unpassed skip = %v, want %v", lr, want)
+	}
+	recv(501)
+	// Own datagrams: 100–103 and 500–501; 102 and 500 were lost.
+	if lr, want := r.LossRate(), 2.0/6; lr != want {
+		t.Errorf("loss after the second visit = %v, want %v", lr, want)
+	}
+}
+
 func TestTCPProgressRecording(t *testing.T) {
 	eng := sim.NewEngine()
 	tx, rx, _ := tcpPair(eng, 50, sim.Millisecond)

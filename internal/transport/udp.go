@@ -82,8 +82,8 @@ func (u *UDPSender) Stop() {
 // Cursor returns the sender's next sequence number and IP ID. Together with
 // Resume it lets a flow continue across simulations: when a metro client
 // migrates between cells, the destination cell's sender resumes exactly
-// where the source cell's stopped, so receiver-side loss accounting (which
-// infers the horizon from the highest sequence seen) stays truthful.
+// where the source cell's stopped, so the client sees one sequence space
+// (the destination's receiver is told of the jump with UDPReceiver.Skip).
 func (u *UDPSender) Cursor() (seq uint32, ipid uint16) { return u.seq, u.ipid }
 
 // Resume positions the sender at the given sequence/IP-ID cursor. Call
@@ -124,6 +124,11 @@ type UDPReceiver struct {
 	maxSeq   uint32
 	sawAny   bool
 	Reorders uint64
+
+	// skipped counts sequence numbers below maxSeq that the sender never
+	// sent here; pending and pendingTo hold a jump no arrival has passed yet.
+	skipped, pending uint64
+	pendingTo        uint32
 }
 
 // Arrival is one recorded datagram arrival.
@@ -149,14 +154,29 @@ func (r *UDPReceiver) OnPacket(p *packet.Packet, at sim.Time) {
 		r.maxSeq = p.Seq
 	}
 	r.sawAny = true
+	if r.pending > 0 && p.Seq >= r.pendingTo {
+		r.skipped += r.pending
+		r.pending = 0
+	}
 }
 
-// LossRate estimates the flow loss fraction from the highest sequence seen.
+// Skip tells the receiver that its sender's cursor jumped from → to
+// (UDPSender.Resume): another simulation's flow carried the datagrams in
+// between, so they are not this receiver's to lose.
+func (r *UDPReceiver) Skip(from, to uint32) {
+	if to > from {
+		r.pending += uint64(to - from)
+		r.pendingTo = to
+	}
+}
+
+// LossRate estimates the flow loss fraction from the highest sequence seen,
+// net of the ranges Skip was told about.
 func (r *UDPReceiver) LossRate() float64 {
 	if !r.sawAny || r.maxSeq == 0 {
 		return 0
 	}
-	expect := uint64(r.maxSeq) + 1
+	expect := uint64(r.maxSeq) + 1 - r.skipped
 	if r.Received >= expect {
 		return 0
 	}
