@@ -9,7 +9,7 @@ RACE_PKGS = ./internal/fleet ./internal/eval ./internal/trace ./internal/stats \
 	./internal/runtime ./internal/backhaul/udp ./internal/live ./internal/federation \
 	./internal/urban ./internal/core
 
-.PHONY: check vet build test golden-quick golden race bench bench-smoke fleet-determinism docs-check lint chaos-smoke live-smoke federation-smoke fanout-smoke selector-smoke urban-smoke metro-smoke metro-scale fuzz-smoke
+.PHONY: check vet build test golden-quick golden race bench bench-smoke fleet-determinism docs-check lint chaos-smoke live-smoke federation-smoke fanout-smoke selector-smoke urban-smoke metro-smoke metro-scale fuzz-smoke unreached
 
 check: vet lint build test golden-quick race bench-smoke chaos-smoke live-smoke federation-smoke fanout-smoke selector-smoke urban-smoke metro-smoke fuzz-smoke docs-check
 
@@ -185,6 +185,34 @@ metro-scale:
 	grep '^migrations ' /tmp/metro-scale.txt | awk '{ exit ($$2 > 0) ? 0 : 1 }'
 	@grep '^migrations ' /tmp/metro-scale.txt
 	@echo metro-scale: 1024-tile metro completed with cross-cell migrations
+
+# Dead-code audit (minutes, opt-in): build the four CLIs instrumented for
+# coverage, drive them through the trimmed experiment run and the flag sets
+# the smokes above define, all into one GOCOVERDIR, and list every function
+# outside _test.go that nothing reached. Each main package must sit inside
+# its own -coverpkg or its binary flushes no counters. A listed function is a
+# candidate, not a verdict: failure-recovery paths, String methods, the live
+# AP role (those processes are killed, so they flush nothing), and anything
+# only examples/, bench/ or a test calls show up here too — grep before
+# deleting.
+unreached:
+	rm -rf /tmp/wgtt-unreached && mkdir -p /tmp/wgtt-unreached/cov
+	for c in wgttsim wgtt-fleet wgtt-experiments wgtt-live; do \
+		$(GO) build -cover -coverpkg=./internal/...,./cmd/... -o /tmp/wgtt-unreached/$$c ./cmd/$$c || exit 1; \
+	done
+	cd /tmp/wgtt-unreached && export GOCOVERDIR=/tmp/wgtt-unreached/cov && { \
+		./wgtt-experiments -quick && \
+		./wgttsim -chaos -speed 25 -seed 11 && \
+		./wgttsim -speed 25 -seed 7 -metrics /tmp/wgtt-unreached/metrics.json && \
+		./wgttsim -selector predictive -speed 25 -seed 7 && \
+		./wgttsim -selector global-assign -speed 25 -seed 7 && \
+		./wgttsim -urban -urban-rows 2 -urban-cols 2 -urban-riders 2 -rate 0.5 -seed 11 && \
+		./wgtt-fleet -cells 2 -domains 2 -seed 7 && \
+		./wgtt-fleet $(METRO_SMOKE_FLAGS) && \
+		./wgtt-live -aps 2 -timeout 10s && \
+		./wgtt-live -federation -timeout 10s; \
+	} > /dev/null
+	@$(GO) tool covdata func -i=/tmp/wgtt-unreached/cov | grep -v '_test\.go' | awk '$$NF == "0.0%"'
 
 # Wire-codec fuzz smoke (part of check): a short coverage-guided run of
 # FuzzDecode on top of its seed corpus — malformed backhaul bytes must never

@@ -11,10 +11,18 @@ import (
 
 	"wgtt/internal/core"
 	"wgtt/internal/eval"
-	"wgtt/internal/stats"
 )
 
 func opts() eval.Options { return eval.QuickOptions() }
+
+// mean averages one reported series into a single headline metric.
+func mean(vs []float64) float64 {
+	var s float64
+	for _, v := range vs {
+		s += v
+	}
+	return s / float64(len(vs))
+}
 
 func BenchmarkFig02BestAPChurn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -52,7 +60,7 @@ func BenchmarkTable1SwitchTime(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(stats.Mean(r.MeanMS), "switch-ms")
+		b.ReportMetric(mean(r.MeanMS), "switch-ms")
 	}
 }
 
@@ -70,7 +78,7 @@ func BenchmarkFig13ThroughputVsSpeed(b *testing.B) {
 
 func BenchmarkFig14TCPTimeline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := eval.Fig14TCPTimeline(core.ModeWGTT, opts())
+		r, err := eval.Timeline(core.ModeWGTT, opts(), true)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -80,11 +88,11 @@ func BenchmarkFig14TCPTimeline(b *testing.B) {
 
 func BenchmarkFig15UDPTimeline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := eval.Fig15UDPTimeline(core.ModeWGTT, opts())
+		r, err := eval.Timeline(core.ModeWGTT, opts(), false)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(stats.Mean(r.Mbps), "mean-Mb/s")
+		b.ReportMetric(mean(r.Mbps), "mean-Mb/s")
 	}
 }
 
@@ -126,8 +134,8 @@ func BenchmarkFig18UplinkLoss(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(stats.Mean(r.MeanWGTT), "wgtt-loss")
-		b.ReportMetric(stats.Mean(r.MeanBase), "base-loss")
+		b.ReportMetric(mean(r.MeanWGTT), "wgtt-loss")
+		b.ReportMetric(mean(r.MeanBase), "base-loss")
 	}
 }
 
@@ -137,7 +145,7 @@ func BenchmarkFig20DrivingPatterns(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(stats.Mean(r.Rows["UDP-WGTT"]), "udp-wgtt-Mb/s")
+		b.ReportMetric(mean(r.Rows["UDP-WGTT"]), "udp-wgtt-Mb/s")
 	}
 }
 
@@ -177,8 +185,8 @@ func BenchmarkFig23APDensity(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(stats.Mean(r.Rows["dense-WGTT"]), "dense-wgtt-Mb/s")
-		b.ReportMetric(stats.Mean(r.Rows["sparse-WGTT"]), "sparse-wgtt-Mb/s")
+		b.ReportMetric(mean(r.Rows["dense-WGTT"]), "dense-wgtt-Mb/s")
+		b.ReportMetric(mean(r.Rows["sparse-WGTT"]), "sparse-wgtt-Mb/s")
 	}
 }
 
@@ -188,8 +196,8 @@ func BenchmarkTable4VideoRebuffer(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(stats.Mean(r.WGTT), "wgtt-rebuffer")
-		b.ReportMetric(stats.Mean(r.Baseline), "base-rebuffer")
+		b.ReportMetric(mean(r.WGTT), "wgtt-rebuffer")
+		b.ReportMetric(mean(r.Baseline), "base-rebuffer")
 	}
 }
 

@@ -78,6 +78,10 @@ func main() {
 	)
 	flag.Parse()
 
+	if err := checkRun(*cells, *workers, *udpRate, *metroOn, *comparePol); err != nil {
+		fmt.Fprintln(os.Stderr, "wgtt-fleet:", err)
+		os.Exit(2)
+	}
 	stopProf, err := prof.Start()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -159,7 +163,7 @@ func main() {
 	if *metroOn {
 		res, err := fleet.RunMetro(cfg)
 		if err != nil {
-			fatal("fleet:", err)
+			fatal(err)
 		}
 		fmt.Print(res.Render())
 		traced := 0
@@ -174,7 +178,7 @@ func main() {
 	if *comparePol {
 		pc, err := fleet.ComparePolicies(cfg, nil)
 		if err != nil {
-			fatal("fleet:", err)
+			fatal(err)
 		}
 		fmt.Print(pc.Render())
 		fmt.Fprintf(os.Stderr, "%d cells x %d policies in %.1fs with %d workers\n",
@@ -183,7 +187,7 @@ func main() {
 	}
 	res, err := fleet.Run(cfg)
 	if err != nil {
-		fatal("fleet:", err)
+		fatal(err)
 	}
 	fmt.Print(res.Render())
 	traced := 0
@@ -193,6 +197,22 @@ func main() {
 	finish(traced, len(res.Cells), res.MergedMetrics(), fmt.Sprintf("merged snapshot of %d cells", len(res.Cells)))
 	fmt.Fprintf(os.Stderr, "%d cells in %.1fs with %d workers\n",
 		*cells, time.Since(start).Seconds(), *workers)
+}
+
+// checkRun rejects the flag values and combinations that used to run
+// something other than what was asked for, or to print a nonsense tally.
+func checkRun(cells, workers int, rate float64, metro, compare bool) error {
+	switch {
+	case cells < 1:
+		return fmt.Errorf("-cells %d: a fleet needs at least one cell", cells)
+	case workers < 0:
+		return fmt.Errorf("-workers %d: the worker count cannot be negative", workers)
+	case !(rate > 0):
+		return fmt.Errorf("-rate %v: the UDP load needs a positive rate", rate)
+	case metro && compare:
+		return fmt.Errorf("-compare-selectors compares independent cells; it cannot be combined with -metro")
+	}
+	return nil
 }
 
 // tcpFraction maps -tcp-frac onto Config.TCPFraction, whose zero value means

@@ -13,7 +13,6 @@ import (
 	"wgtt/internal/apps"
 	"wgtt/internal/core"
 	"wgtt/internal/sim"
-	"wgtt/internal/transport"
 )
 
 const speedMPH = 15
@@ -35,10 +34,9 @@ func web(mode core.Mode) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := apps.DefaultWebConfig()
 	var done sim.Time
 	completed := false
-	flow := n.AddDownlinkTCP(0, cfg.Segments(), func(at sim.Time) { done, completed = at, true })
+	flow := n.AddDownlinkTCP(0, apps.PageSegments, func(at sim.Time) { done, completed = at, true })
 	start := sim.Second
 	n.Eng.At(start, flow.Sender.Start)
 	n.Run()
@@ -59,7 +57,7 @@ func video(mode core.Mode) {
 	}
 	d := n.Attach([]core.Load{{TCP: true, Record: true}})
 	n.Run()
-	res := apps.PlayVideo(apps.DefaultVideoConfig(), d.TCP[0].Receiver.Progress, transport.DefaultMSS, s.Duration)
+	res := apps.PlayVideo(d.TCP[0].Receiver.Progress, s.Duration)
 	fmt.Printf("  video: rebuffer ratio %.2f (%d stalls, started=%v)\n",
 		res.RebufferRatio, res.Stalls, res.Started)
 }

@@ -2,7 +2,8 @@
 // cyclic downlink queue indexed by the controller's 12-bit packet index, the
 // stop/start switching hooks that let the controller quench this AP and hand
 // its backlog position to a neighbour, monitor-mode Block ACK forwarding,
-// uplink tunneling with per-frame CSI reports, and association-state sync.
+// uplink tunneling with per-frame CSI reports, and the replicated per-client
+// association state of §4.3.
 //
 // The queueing pipeline mirrors the paper's Fig. 7: tunneled packets land in
 // the client's cyclic queue; MPDUs are pulled into an A-MPDU only at the
@@ -32,16 +33,6 @@ type Config struct {
 	MAC   packet.MACAddr
 	BSSID packet.MACAddr
 
-	// CyclicQueueSlots is the per-client ring size; with 12-bit indices the
-	// paper's design point is 4096.
-	CyclicQueueSlots int
-	// MaxAggregate bounds MPDUs per A-MPDU.
-	MaxAggregate int
-	// MaxAggregateBytes bounds an A-MPDU's payload bytes.
-	MaxAggregateBytes int
-	// RetryLimit is the per-MPDU transmission attempt budget.
-	RetryLimit int
-
 	// StopProcessing and StartProcessing model the user-space Click +
 	// ioctl handling latency of control packets on the TP-Link APs; they
 	// dominate the paper's ~17–21 ms switch execution time (Table 1).
@@ -63,22 +54,22 @@ type Config struct {
 // DefaultConfig returns the testbed AP configuration.
 func DefaultConfig(id int, bssid packet.MACAddr) Config {
 	return Config{
-		ID:                id,
-		Name:              fmt.Sprintf("ap%d", id+1),
-		IP:                packet.APIP(id),
-		MAC:               packet.APMAC(id),
-		BSSID:             bssid,
-		CyclicQueueSlots:  1 << packet.IndexBits,
-		MaxAggregate:      24,
-		MaxAggregateBytes: 48 * 1024,
-		RetryLimit:        7,
-		StopProcessing:    7 * sim.Millisecond,
-		StartProcessing:   9 * sim.Millisecond,
-		ProcessingJitter:  4 * sim.Millisecond,
-		BAForwarding:      true,
-		UplinkForwarding:  true,
+		ID:               id,
+		Name:             fmt.Sprintf("ap%d", id+1),
+		IP:               packet.APIP(id),
+		MAC:              packet.APMAC(id),
+		BSSID:            bssid,
+		StopProcessing:   7 * sim.Millisecond,
+		StartProcessing:  9 * sim.Millisecond,
+		ProcessingJitter: 4 * sim.Millisecond,
+		BAForwarding:     true,
+		UplinkForwarding: true,
 	}
 }
+
+// cyclicQueueSlots is the per-client ring size: one slot per 12-bit packet
+// index, the paper's 4096-entry design point (§3.1.3).
+const cyclicQueueSlots = 1 << packet.IndexBits
 
 // Stats counts AP-side events for the evaluation harness.
 type Stats struct {
@@ -257,12 +248,6 @@ func (a *AP) Station() *mac.Station { return a.st }
 // SetPeers installs the backhaul addresses of the other APs.
 func (a *AP) SetPeers(peers []packet.IPv4Addr) { a.peers = peers }
 
-// Serving reports whether this AP currently transmits to the client.
-func (a *AP) Serving(client packet.MACAddr) bool {
-	cs := a.clients[client]
-	return cs != nil && cs.serving
-}
-
 // QueueDepth returns the number of buffered-but-unsent packets for a client
 // (cyclic queue occupancy from nextSend to the write head) plus pending
 // retries — the backlog a switch must deal with.
@@ -283,7 +268,7 @@ func (a *AP) client(m packet.MACAddr) *clientState {
 	if !ok {
 		cs = &clientState{
 			mac:    m,
-			ring:   make([]*packet.Packet, a.cfg.CyclicQueueSlots),
+			ring:   make([]*packet.Packet, cyclicQueueSlots),
 			seenBA: make(map[uint64]bool),
 		}
 		a.clients[m] = cs
@@ -292,8 +277,8 @@ func (a *AP) client(m packet.MACAddr) *clientState {
 	return cs
 }
 
-// Associate installs (or updates) client association state, either from a
-// local association or a replicated AssocSync.
+// Associate installs (or updates) client association state — the §4.3
+// replication that scenario assembly performs on every AP.
 func (a *AP) Associate(client packet.MACAddr, ip packet.IPv4Addr, serving bool) {
 	cs := a.client(client)
 	cs.ip = ip
@@ -351,7 +336,7 @@ func (a *AP) Restart() {
 	a.down = false
 	a.Stats.Restarts++
 	for _, cs := range a.clients {
-		cs.ring = make([]*packet.Packet, a.cfg.CyclicQueueSlots)
+		cs.ring = make([]*packet.Packet, cyclicQueueSlots)
 		cs.nextSend, cs.head = 0, 0
 		cs.haveAny = false
 		cs.serving = false
@@ -387,8 +372,6 @@ func (a *AP) HandleBackhaul(from packet.IPv4Addr, msg packet.Message) {
 		a.clk.After(max(0, a.cfg.StartProcessing+a.jitter()), func() { a.handleStart(m) })
 	case *packet.BlockAckFwd:
 		a.handleForwardedBA(m)
-	case *packet.AssocSync:
-		a.Associate(m.Client, m.ClientIP, false)
 	case *packet.HealthProbe:
 		// Answered from the fast path, not the user-space control queue:
 		// liveness detection must not inherit the stop/start processing
@@ -401,7 +384,7 @@ func (a *AP) HandleBackhaul(from packet.IPv4Addr, msg packet.Message) {
 // enqueueDownlink stores a tunneled packet in the client's cyclic queue.
 func (a *AP) enqueueDownlink(p *packet.Packet) {
 	cs := a.client(p.ClientMAC)
-	slot := int(p.Index) % a.cfg.CyclicQueueSlots
+	slot := int(p.Index) % cyclicQueueSlots
 	if old := cs.ring[slot]; old != nil && !cs.sent(old.Index) {
 		a.Stats.DownOverwritten++
 		a.met.overwrites.Inc()
@@ -422,14 +405,14 @@ func (a *AP) enqueueDownlink(p *packet.Packet) {
 	cs.lastEnqueue = now
 	// Advance the write head for in-order (or re-entrant after a fanout
 	// gap) arrivals; stale re-deliveries behind the head are just stored.
-	if packet.IndexDist(cs.head, p.Index) < uint16(a.cfg.CyclicQueueSlots/2) || cs.head == p.Index {
+	if packet.IndexDist(cs.head, p.Index) < uint16(cyclicQueueSlots/2) || cs.head == p.Index {
 		cs.head = packet.NextIndex(p.Index)
 	}
 	// Cyclic overwrite: when the writer laps the reader, the oldest unsent
 	// packets are gone — exactly what a ring buffer does under overload.
 	// Keep the backlog within half the index space so forward-distance
 	// arithmetic stays unambiguous.
-	maxBacklog := uint16(a.cfg.CyclicQueueSlots/2 - 64)
+	maxBacklog := uint16(cyclicQueueSlots/2 - 64)
 	if cs.backlog() {
 		if d := packet.IndexDist(cs.nextSend, cs.head); d > maxBacklog {
 			dropped := d - maxBacklog
@@ -438,7 +421,7 @@ func (a *AP) enqueueDownlink(p *packet.Packet) {
 			a.met.overwrites.Add(uint64(dropped))
 		}
 	} else if cs.haveAny && cs.nextSend != cs.head &&
-		packet.IndexDist(cs.nextSend, cs.head) > uint16(a.cfg.CyclicQueueSlots/2) {
+		packet.IndexDist(cs.nextSend, cs.head) > uint16(cyclicQueueSlots/2) {
 		// The reader fell more than half the space behind (or a stale
 		// start pointed far ahead): resynchronize to a bounded backlog.
 		cs.nextSend = (cs.head - maxBacklog) & packet.IndexMask

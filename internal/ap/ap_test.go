@@ -184,10 +184,10 @@ func TestQueueDepthAndStopStart(t *testing.T) {
 	_ = h.bh.Send(packet.ControllerIP, h.aps[0].Config().IP, stop)
 	h.eng.RunUntil(5 * sim.Second)
 
-	if !h.aps[1].Serving(client) {
+	if !h.aps[1].client(client).serving {
 		t.Fatal("AP1 not serving after start")
 	}
-	if h.aps[0].Serving(client) {
+	if h.aps[0].client(client).serving {
 		t.Fatal("AP0 still serving after stop")
 	}
 	if len(h.ctl.acks) != 1 {
@@ -239,7 +239,7 @@ func TestDuplicateStopStillAnswers(t *testing.T) {
 	if h.aps[1].Stats.StartsHandled != 2 {
 		t.Errorf("starts handled = %d", h.aps[1].Stats.StartsHandled)
 	}
-	if !h.aps[1].Serving(client) {
+	if !h.aps[1].client(client).serving {
 		t.Error("takeover failed")
 	}
 }
@@ -346,7 +346,7 @@ func TestCyclicOverwriteDropsOldest(t *testing.T) {
 	h := newAPHarness(t, 1, 200) // client far away: nothing transmits
 	client := packet.ClientMAC(1)
 	h.aps[0].Associate(client, packet.ClientIP(1), false) // never serving
-	slots := h.aps[0].Config().CyclicQueueSlots
+	slots := cyclicQueueSlots
 	maxBacklog := slots/2 - 64
 
 	// A modest backlog is kept in full.
@@ -368,19 +368,6 @@ func TestCyclicOverwriteDropsOldest(t *testing.T) {
 	}
 	if h.aps[0].Stats.DownOverwritten == 0 {
 		t.Error("overload did not count overwrites")
-	}
-}
-
-func TestAssocSyncCreatesClient(t *testing.T) {
-	h := newAPHarness(t, 1, 20)
-	client := packet.ClientMAC(5)
-	msg := &packet.AssocSync{Client: client, ClientIP: packet.ClientIP(5), AID: 2, Authorized: true}
-	h.aps[0].HandleBackhaul(packet.APIP(9), msg)
-	if h.aps[0].Serving(client) {
-		t.Error("assoc-synced client should not be serving here")
-	}
-	if h.aps[0].QueueDepth(client) != 0 {
-		t.Error("fresh client has queue depth")
 	}
 }
 
@@ -411,7 +398,7 @@ func TestStopDrainsRetriesOnce(t *testing.T) {
 	if got := len(h.csink.got); got < 4 {
 		t.Errorf("only %d/5 drained MPDUs reached the client", got)
 	}
-	if h.aps[0].Serving(client) {
+	if h.aps[0].client(client).serving {
 		t.Error("AP0 still serving after stop")
 	}
 }
@@ -466,7 +453,7 @@ func TestCrashSilencesAPAndRestartColdStarts(t *testing.T) {
 	if h.aps[0].Stats.Crashes != 1 || h.aps[0].Stats.Restarts != 1 {
 		t.Errorf("crash/restart counters = %d/%d", h.aps[0].Stats.Crashes, h.aps[0].Stats.Restarts)
 	}
-	if h.aps[0].Serving(client) {
+	if h.aps[0].client(client).serving {
 		t.Error("restarted AP still serving")
 	}
 	if d := h.aps[0].QueueDepth(client); d != 0 {

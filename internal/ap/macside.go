@@ -26,7 +26,7 @@ func (a *AP) BuildFrame() *mac.Frame {
 	// Pick the rate first: the TXOP limit caps the aggregate's airtime, so
 	// the byte budget depends on the MCS (ath9k caps A-MPDUs the same way).
 	mcs := a.st.PickMCS(cs.mac)
-	budget := min(a.cfg.MaxAggregateBytes, phy.TXOPByteBudget(mcs))
+	budget := min(mac.MaxAggregateBytes, phy.TXOPByteBudget(mcs))
 
 	var mpdus []*mac.MPDU
 	bytes := 0
@@ -34,7 +34,7 @@ func (a *AP) BuildFrame() *mac.Frame {
 	// Hardware-queue drain after a stop: send what was committed, once.
 	if len(cs.drainQ) > 0 {
 		n := 0
-		for n < len(cs.drainQ) && n < a.cfg.MaxAggregate && bytes < budget {
+		for n < len(cs.drainQ) && n < mac.MaxAggregate && bytes < budget {
 			mpdus = append(mpdus, cs.drainQ[n])
 			bytes += cs.drainQ[n].Bytes
 			n++
@@ -55,7 +55,7 @@ func (a *AP) BuildFrame() *mac.Frame {
 
 	// Retries go first (802.11 retransmits in sequence order where it can).
 	n := 0
-	for n < len(cs.retryQ) && n < a.cfg.MaxAggregate && bytes < budget {
+	for n < len(cs.retryQ) && n < mac.MaxAggregate && bytes < budget {
 		mpdus = append(mpdus, cs.retryQ[n])
 		bytes += cs.retryQ[n].Bytes
 		n++
@@ -63,8 +63,8 @@ func (a *AP) BuildFrame() *mac.Frame {
 	cs.retryQ = cs.retryQ[n:]
 
 	// Fresh packets from the cyclic queue, up to the write head.
-	for len(mpdus) < a.cfg.MaxAggregate && bytes < budget && cs.backlog() {
-		slot := int(cs.nextSend) % a.cfg.CyclicQueueSlots
+	for len(mpdus) < mac.MaxAggregate && bytes < budget && cs.backlog() {
+		slot := int(cs.nextSend) % cyclicQueueSlots
 		p := cs.ring[slot]
 		if p == nil || p.Index != cs.nextSend {
 			// Fanout gap: this AP never got the packet; skip the slot.
@@ -169,7 +169,7 @@ func (a *AP) OnTxDone(res *mac.TxResult) {
 			// Stopped while in flight: the paper drains the NIC queue but
 			// filters everything still in the driver — the retry is gone.
 			a.Stats.MPDUsFlushed++
-		case mp.Retries > a.cfg.RetryLimit:
+		case mp.Retries > mac.RetryLimit:
 			a.Stats.MPDUsDropped++
 		default:
 			cs.retryQ = append(cs.retryQ, mp)

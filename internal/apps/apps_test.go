@@ -24,11 +24,10 @@ func steadyProgress(rateMbps float64, segBytes int, duration sim.Time) []transpo
 }
 
 func TestVideoSmoothPlayback(t *testing.T) {
-	cfg := DefaultVideoConfig() // 2.5 Mb/s
 	dur := 20 * sim.Second
 	// Delivery at 2× media rate: zero rebuffering.
 	progress := steadyProgress(5.0, 1400, dur)
-	res := PlayVideo(cfg, progress, 1400, dur)
+	res := PlayVideo(progress, dur)
 	if !res.Started {
 		t.Fatal("playback never started")
 	}
@@ -38,11 +37,10 @@ func TestVideoSmoothPlayback(t *testing.T) {
 }
 
 func TestVideoUnderprovisionedStalls(t *testing.T) {
-	cfg := DefaultVideoConfig()
 	dur := 30 * sim.Second
 	// Delivery at 60% of the media rate: the player must stall often.
 	progress := steadyProgress(1.5, 1400, dur)
-	res := PlayVideo(cfg, progress, 1400, dur)
+	res := PlayVideo(progress, dur)
 	if !res.Started {
 		t.Fatal("playback never started")
 	}
@@ -55,7 +53,6 @@ func TestVideoUnderprovisionedStalls(t *testing.T) {
 }
 
 func TestVideoOutageCausesRebuffer(t *testing.T) {
-	cfg := DefaultVideoConfig()
 	dur := 24 * sim.Second
 	// Delivery barely above the media rate, with an 8-second hole in the
 	// middle (a failed handover): the thin buffer lead cannot cover it.
@@ -71,7 +68,7 @@ func TestVideoOutageCausesRebuffer(t *testing.T) {
 		}
 		progress = append(progress, transport.ProgressSample{At: t, Segs: uint32(segsPerSec * eff.Seconds())})
 	}
-	res := PlayVideo(cfg, progress, 1400, dur)
+	res := PlayVideo(progress, dur)
 	if res.Stalls == 0 {
 		t.Fatal("outage did not stall playback")
 	}
@@ -82,12 +79,11 @@ func TestVideoOutageCausesRebuffer(t *testing.T) {
 }
 
 func TestVideoNeverStarts(t *testing.T) {
-	cfg := DefaultVideoConfig()
-	res := PlayVideo(cfg, nil, 1400, 10*sim.Second)
+	res := PlayVideo(nil, 10*sim.Second)
 	if res.Started || res.RebufferRatio != 0 {
 		t.Errorf("empty stream: %+v", res)
 	}
-	if r := PlayVideo(cfg, nil, 1400, 0); r.Started {
+	if r := PlayVideo(nil, 0); r.Started {
 		t.Error("zero duration should be inert")
 	}
 }
@@ -189,9 +185,8 @@ func TestConferenceLateFramesDontCount(t *testing.T) {
 }
 
 func TestWebConfig(t *testing.T) {
-	w := DefaultWebConfig()
-	if w.Segments() != 1500 {
-		t.Errorf("2.1 MB at 1400 B = %d segments, want 1500", w.Segments())
+	if PageSegments != 1500 {
+		t.Errorf("2.1 MB at 1400 B = %d segments, want 1500", PageSegments)
 	}
 	if got := PageLoadSeconds(sim.Second, 5*sim.Second, true); got != 4 {
 		t.Errorf("load time = %v", got)

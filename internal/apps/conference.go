@@ -17,20 +17,21 @@ type ConferenceConfig struct {
 	FrameBytes int
 	// PacketBytes is the datagram size frames are fragmented into.
 	PacketBytes int
-	// Deadline is how late a frame's last packet may arrive and still
-	// count for its playback second.
-	Deadline sim.Time
 }
+
+// frameDeadline is how late a frame's last packet may arrive and still
+// count for its playback second.
+const frameDeadline = 150 * sim.Millisecond
 
 // SkypeLike returns a 30 fps HD-frame configuration.
 func SkypeLike() ConferenceConfig {
-	return ConferenceConfig{FPS: 30, FrameBytes: 12000, PacketBytes: 1200, Deadline: 150 * sim.Millisecond}
+	return ConferenceConfig{FPS: 30, FrameBytes: 12000, PacketBytes: 1200}
 }
 
 // HangoutsLike returns a 60 fps reduced-resolution configuration (the
 // paper notes Hangouts "automatically reduces image resolution").
 func HangoutsLike() ConferenceConfig {
-	return ConferenceConfig{FPS: 60, FrameBytes: 3000, PacketBytes: 1200, Deadline: 150 * sim.Millisecond}
+	return ConferenceConfig{FPS: 60, FrameBytes: 3000, PacketBytes: 1200}
 }
 
 // PacketsPerFrame returns the fragment count of one frame.
@@ -89,7 +90,7 @@ func AnalyzeConference(cfg ConferenceConfig, arrivals []transport.Arrival, durat
 		if sec >= seconds {
 			break
 		}
-		if gotPkts[uint32(f)] >= k && lastArrival[uint32(f)] <= sent+cfg.Deadline+frameInterval {
+		if gotPkts[uint32(f)] >= k && lastArrival[uint32(f)] <= sent+frameDeadline+frameInterval {
 			perSec[sec]++
 		}
 	}

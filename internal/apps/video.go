@@ -10,21 +10,16 @@ import (
 	"wgtt/internal/transport"
 )
 
-// VideoConfig describes a streamed video.
-type VideoConfig struct {
-	// BitrateMbps is the media bitrate (an HD 1280×720 stream ≈ 2.5 Mb/s).
-	BitrateMbps float64
-	// PreBuffer is the player's startup/rebuffer threshold (the paper sets
-	// 1,500 ms).
-	PreBuffer sim.Time
-	// Tick is the playback simulation step.
-	Tick sim.Time
-}
-
-// DefaultVideoConfig returns the §5.4 player settings.
-func DefaultVideoConfig() VideoConfig {
-	return VideoConfig{BitrateMbps: 2.5, PreBuffer: 1500 * sim.Millisecond, Tick: 10 * sim.Millisecond}
-}
+// The §5.4 player settings.
+const (
+	// videoBitrateMbps is the media bitrate (an HD 1280×720 stream).
+	videoBitrateMbps float64 = 2.5
+	// videoPreBuffer is the player's startup/rebuffer threshold (the paper
+	// sets 1,500 ms).
+	videoPreBuffer = 1500 * sim.Millisecond
+	// videoTick is the playback simulation step.
+	videoTick = 10 * sim.Millisecond
+)
 
 // VideoResult summarizes a playback session.
 type VideoResult struct {
@@ -40,29 +35,26 @@ type VideoResult struct {
 }
 
 // PlayVideo replays a player against a receiver's delivery timeline:
-// playback begins once PreBuffer worth of media has arrived, then consumes
-// BitrateMbps; when the buffer runs dry the player stalls (one rebuffer)
-// and waits for PreBuffer to refill, like the paper's VLC setup.
+// playback begins once the pre-buffer's worth of media has arrived, then
+// consumes the media bitrate; when the buffer runs dry the player stalls
+// (one rebuffer) and waits for the pre-buffer to refill, like the paper's
+// VLC setup.
 //
 // progress is the TCP receiver's in-order delivery trace (Record must have
-// been enabled), segBytes the segment payload size, and duration the
-// session length the ratio is normalized by.
-func PlayVideo(cfg VideoConfig, progress []transport.ProgressSample, segBytes int, duration sim.Time) VideoResult {
-	if cfg.Tick <= 0 {
-		cfg.Tick = 10 * sim.Millisecond
-	}
+// been enabled) and duration the session length the ratio is normalized by.
+func PlayVideo(progress []transport.ProgressSample, duration sim.Time) VideoResult {
 	var res VideoResult
 	if duration <= 0 {
 		return res
 	}
-	bytesPerSec := cfg.BitrateMbps * 1e6 / 8
-	preBytes := bytesPerSec * cfg.PreBuffer.Seconds()
+	bytesPerSec := videoBitrateMbps * 1e6 / 8
+	preBytes := bytesPerSec * videoPreBuffer.Seconds()
 
 	pi := 0
 	delivered := 0.0
 	deliveredAt := func(t sim.Time) float64 {
 		for pi < len(progress) && progress[pi].At <= t {
-			delivered = float64(progress[pi].Segs) * float64(segBytes)
+			delivered = float64(progress[pi].Segs) * transport.DefaultMSS
 			pi++
 		}
 		return delivered
@@ -70,10 +62,10 @@ func PlayVideo(cfg VideoConfig, progress []transport.ProgressSample, segBytes in
 
 	var played float64
 	playing := false
-	for t := sim.Time(0); t < duration; t += cfg.Tick {
+	for t := sim.Time(0); t < duration; t += videoTick {
 		avail := deliveredAt(t) - played
 		if playing {
-			need := bytesPerSec * cfg.Tick.Seconds()
+			need := bytesPerSec * videoTick.Seconds()
 			if avail >= need {
 				played += need
 				continue
@@ -81,7 +73,7 @@ func PlayVideo(cfg VideoConfig, progress []transport.ProgressSample, segBytes in
 			// Buffer dry: a rebuffer event begins.
 			playing = false
 			res.Stalls++
-			res.StallTime += cfg.Tick
+			res.StallTime += videoTick
 			continue
 		}
 		// Buffering (initial or rebuffer).
@@ -91,7 +83,7 @@ func PlayVideo(cfg VideoConfig, progress []transport.ProgressSample, segBytes in
 			continue
 		}
 		if res.Started {
-			res.StallTime += cfg.Tick
+			res.StallTime += videoTick
 		}
 	}
 	res.RebufferRatio = res.StallTime.Seconds() / duration.Seconds()

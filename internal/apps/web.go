@@ -7,24 +7,12 @@ import (
 	"wgtt/internal/transport"
 )
 
-// WebConfig describes a page-load workload.
-type WebConfig struct {
-	// PageBytes is the page weight; the paper loads the eBay home page,
-	// 2.1 MB, from a local cache server.
-	PageBytes int
-	// MSS is the TCP segment payload size.
-	MSS int
-}
+// pageBytes is the §5.4 page weight: the paper loads the eBay home page,
+// 2.1 MB, from a local cache server.
+const pageBytes = 2_100_000
 
-// DefaultWebConfig returns the §5.4 web-browsing workload.
-func DefaultWebConfig() WebConfig {
-	return WebConfig{PageBytes: 2_100_000, MSS: transport.DefaultMSS}
-}
-
-// Segments returns the transfer length in TCP segments.
-func (w WebConfig) Segments() uint32 {
-	return uint32((w.PageBytes + w.MSS - 1) / w.MSS)
-}
+// PageSegments is the page-load transfer length in TCP segments.
+const PageSegments uint32 = (pageBytes + transport.DefaultMSS - 1) / transport.DefaultMSS
 
 // PageLoadSeconds converts a completion timestamp into the paper's Table 5
 // metric: seconds from start, or +Inf when the page never finished within

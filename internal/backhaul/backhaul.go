@@ -39,57 +39,27 @@ type Fabric interface {
 	// the fabric cannot resolve returns an error — an assembly bug, not a
 	// transient loss (losses are silent, as on a real network).
 	Send(from, to packet.IPv4Addr, msg packet.Message) error
-	// Broadcast sends msg to every other node the fabric knows, in a
-	// deterministic address order.
-	Broadcast(from packet.IPv4Addr, msg packet.Message)
-}
-
-// ManySender is the optional fan-out fast path a Fabric may implement: one
-// message encoded once and replicated to every target, instead of a
-// per-target Send that re-encodes each copy. Implementations must never
-// retain msg past the call — they materialize the delivered copy (or the
-// wire bytes) synchronously, so callers may reuse a scratch message
-// immediately. Per-destination delivery order matches the equivalent Send
-// loop: each target sees messages from one sender in the order they were
-// sent.
-type ManySender interface {
-	// SendMany delivers msg from one address to each target, in slice
-	// order. Targets the fabric cannot resolve are skipped — the same
-	// outcome as the per-target Send loop, whose per-target errors the
-	// fan-out path ignores.
+	// SendMany is the fan-out path: msg is encoded once and delivered from
+	// one address to each target, in slice order, instead of a per-target
+	// Send that re-encodes each copy. Targets the fabric cannot resolve are
+	// skipped — the outcome of the per-target Send loop whose errors the
+	// fan-out ignores. Implementations must never retain msg past the call
+	// — they materialize the delivered copy (or the wire bytes)
+	// synchronously, so callers may reuse a scratch message immediately.
+	// Each target sees messages from one sender in the order they were
+	// sent, exactly as with the equivalent Send loop.
 	SendMany(from packet.IPv4Addr, tos []packet.IPv4Addr, msg packet.Message)
-}
-
-// SendToAll replicates msg to every target through f's fan-out fast path
-// when it implements ManySender, else through a per-target Send loop. It is
-// the one call site pattern the controller's downlink fan-out uses, so a
-// fabric only has to implement SendMany to accelerate it.
-func SendToAll(f Fabric, from packet.IPv4Addr, tos []packet.IPv4Addr, msg packet.Message) {
-	if ms, ok := f.(ManySender); ok {
-		ms.SendMany(from, tos, msg)
-		return
-	}
-	for _, to := range tos {
-		_ = f.Send(from, to, msg)
-	}
 }
 
 // Switch is the Ethernet fabric. It is store-and-forward with a fixed
 // one-way latency; bandwidth is assumed ample (the paper's gigabit LAN
-// never saturates at roadside AP loads).
+// never saturates at roadside AP loads). Every message runs through its
+// wire encoding and the decoded copy is what gets delivered, so the binary
+// formats are exercised on every simulated send.
 type Switch struct {
 	eng     *sim.Engine
 	latency sim.Time
 	nodes   map[packet.IPv4Addr]Node
-	// order lists attached addresses in first-attach order: Broadcast
-	// iterates it instead of the map, whose per-process iteration order
-	// would otherwise leak into delivery order and break determinism.
-	order []packet.IPv4Addr
-
-	// Verify, when true, runs every message through its wire encoding and
-	// delivers the decoded copy, so the binary formats are exercised on
-	// every simulated send.
-	Verify bool
 
 	// Drop, if non-nil, is consulted per message; returning true discards
 	// it (control-loss failure injection). Compose multiple hooks with
@@ -120,19 +90,14 @@ func NewSwitch(eng *sim.Engine, latency sim.Time) *Switch {
 		eng:     eng,
 		latency: latency,
 		nodes:   make(map[packet.IPv4Addr]Node),
-		Verify:  true,
 	}
 }
 
 // Attach registers a node at an address. Attaching twice replaces the
-// previous node (useful in tests) but keeps the address's original
-// position in the broadcast order.
+// previous node (useful in tests).
 func (s *Switch) Attach(addr packet.IPv4Addr, n Node) {
 	if n == nil {
 		panic("backhaul: nil node")
-	}
-	if _, seen := s.nodes[addr]; !seen {
-		s.order = append(s.order, addr)
 	}
 	s.nodes[addr] = n
 }
@@ -148,18 +113,12 @@ func (s *Switch) Send(from, to packet.IPv4Addr, msg packet.Message) error {
 		s.dropped++
 		return nil
 	}
-	// Byte accounting is unconditional: the envelope is 3 bytes plus the
-	// payload's WireSize, which packet's codec tests pin to the encoder's
-	// actual output, so the count matches what Verify would have measured.
+	// The envelope is 3 bytes plus the payload's WireSize, which packet's
+	// codec tests pin to the encoder's actual output.
 	s.bytes += uint64(3 + msg.WireSize())
-	deliver := msg
-	if s.Verify {
-		raw := packet.Encode(msg)
-		decoded, err := packet.Decode(raw)
-		if err != nil {
-			return fmt.Errorf("backhaul: wire round-trip of %v failed: %w", msg.Type(), err)
-		}
-		deliver = decoded
+	deliver, err := packet.Decode(packet.Encode(msg))
+	if err != nil {
+		return fmt.Errorf("backhaul: wire round-trip of %v failed: %w", msg.Type(), err)
 	}
 	s.sent++
 	lat := s.latency
@@ -170,19 +129,6 @@ func (s *Switch) Send(from, to packet.IPv4Addr, msg packet.Message) error {
 	}
 	s.eng.After(lat, func() { node.HandleBackhaul(from, deliver) })
 	return nil
-}
-
-// Broadcast sends msg to every attached node except the sender, in attach
-// order — a deterministic sequence, where map iteration would randomize the
-// delivery (and with it every downstream tiebreak) per process.
-func (s *Switch) Broadcast(from packet.IPv4Addr, msg packet.Message) {
-	for _, addr := range s.order {
-		if addr == from {
-			continue
-		}
-		// Errors are impossible here: every address is attached.
-		_ = s.Send(from, addr, msg)
-	}
 }
 
 // manyDelivery is one pooled fan-out delivery batch: the N same-instant
@@ -224,13 +170,11 @@ func (s *Switch) getDelivery() *manyDelivery {
 	return d
 }
 
-// SendMany implements ManySender: encode msg once, deliver the decoded copy
-// to every attached target in slice order. Per-target accounting matches
-// the equivalent Send loop — unattached targets are skipped, bytes and sent
-// count per attached copy — and the codec round-trip happens regardless of
-// Verify, which is what lets callers reuse msg immediately (the
-// non-retention contract; plain Send retains msg in its delivery closure
-// when Verify is off).
+// SendMany implements Fabric: encode msg once, deliver the decoded copy to
+// every attached target in slice order. Per-target accounting matches the
+// equivalent Send loop — unattached targets are skipped, bytes and sent
+// count per attached copy — and delivering the decoded copy is what lets
+// callers reuse msg immediately (the non-retention contract).
 //
 // With a Drop or Delay hook installed SendMany falls back to the per-target
 // Send loop: the hooks consult their RNG once per (target, message) in
@@ -271,14 +215,8 @@ func (s *Switch) SendMany(from packet.IPv4Addr, tos []packet.IPv4Addr, msg packe
 }
 
 // Stats reports the number of delivered and dropped messages and the total
-// encoded bytes of everything sent (counted whether or not Verify is on).
+// encoded bytes of everything sent.
 func (s *Switch) Stats() (sent, dropped, bytes uint64) { return s.sent, s.dropped, s.bytes }
-
-// RandomDrop returns a Drop hook that discards each message independently
-// with probability p, using the given stream.
-func RandomDrop(p float64, rnd *rand.Rand) func(packet.IPv4Addr, packet.Message) bool {
-	return func(packet.IPv4Addr, packet.Message) bool { return rnd.Float64() < p }
-}
 
 // Chain composes drop hooks: a message is dropped if any hook drops it.
 // Nil hooks are skipped, so Chain(sw.Drop, extra) composes with whatever is

@@ -64,7 +64,7 @@ func TestVerifyRoundTripsWire(t *testing.T) {
 	}
 	eng.Run()
 	if rec.msgs[0] == packet.Message(orig) {
-		t.Error("Verify mode should deliver a decoded copy, not the original pointer")
+		t.Error("the switch should deliver a decoded copy, not the original pointer")
 	}
 	got := rec.msgs[0].(*packet.Start)
 	if *got != *orig {
@@ -73,38 +73,6 @@ func TestVerifyRoundTripsWire(t *testing.T) {
 	_, _, bytes := sw.Stats()
 	if bytes == 0 {
 		t.Error("byte accounting missing")
-	}
-}
-
-func TestVerifyOff(t *testing.T) {
-	eng := sim.NewEngine()
-	sw := NewSwitch(eng, sim.Microsecond)
-	sw.Verify = false
-	rec := &recorder{eng: eng}
-	sw.Attach(packet.APIP(1), rec)
-	orig := &packet.Start{Index: 1}
-	_ = sw.Send(packet.APIP(0), packet.APIP(1), orig)
-	eng.Run()
-	if rec.msgs[0] != packet.Message(orig) {
-		t.Error("Verify off should deliver the original")
-	}
-}
-
-func TestBroadcast(t *testing.T) {
-	eng := sim.NewEngine()
-	sw := NewSwitch(eng, sim.Microsecond)
-	recs := make([]*recorder, 3)
-	for i := range recs {
-		recs[i] = &recorder{eng: eng}
-		sw.Attach(packet.APIP(i), recs[i])
-	}
-	sw.Broadcast(packet.APIP(0), &packet.AssocSync{Client: packet.ClientMAC(1), AID: 1})
-	eng.Run()
-	if len(recs[0].msgs) != 0 {
-		t.Error("broadcast echoed to sender")
-	}
-	if len(recs[1].msgs) != 1 || len(recs[2].msgs) != 1 {
-		t.Error("broadcast missed a node")
 	}
 }
 
@@ -122,21 +90,6 @@ func TestDropHook(t *testing.T) {
 	sent, dropped, _ := sw.Stats()
 	if sent != 0 || dropped != 1 {
 		t.Errorf("stats = %d sent, %d dropped", sent, dropped)
-	}
-}
-
-func TestRandomDropRate(t *testing.T) {
-	rnd := sim.NewRNG(1).Stream("drop")
-	drop := RandomDrop(0.3, rnd)
-	n, dropped := 10000, 0
-	for i := 0; i < n; i++ {
-		if drop(packet.APIP(1), &packet.Stop{}) {
-			dropped++
-		}
-	}
-	rate := float64(dropped) / float64(n)
-	if rate < 0.27 || rate > 0.33 {
-		t.Errorf("drop rate = %v, want ≈ 0.3", rate)
 	}
 }
 
@@ -212,7 +165,7 @@ func TestDelayHookAddsLatency(t *testing.T) {
 	}
 }
 
-// The health probe/ack pair must survive the Verify wire round trip like
+// The health probe/ack pair must survive the wire round trip like
 // every other backhaul message.
 func TestVerifyHealthMessages(t *testing.T) {
 	eng := sim.NewEngine()
@@ -260,50 +213,7 @@ func TestNodeFunc(t *testing.T) {
 	}
 }
 
-// Broadcast must deliver in attach order, not map order: attach many
-// addresses in a known sequence and require the delivery sequence (same
-// latency, so delivery order == scheduling order) to match it exactly,
-// every time. With map iteration this fails almost surely across 32 nodes.
-func TestBroadcastDeterministicAttachOrder(t *testing.T) {
-	eng := sim.NewEngine()
-	sw := NewSwitch(eng, sim.Microsecond)
-	const n = 32
-	shared := &orderRecorder{eng: eng}
-	for i := 0; i < n; i++ {
-		addr := packet.APIP(i)
-		sw.Attach(addr, NodeFunc(func(from packet.IPv4Addr, msg packet.Message) {
-			shared.got = append(shared.got, addr)
-		}))
-	}
-	sw.Broadcast(packet.ControllerIP, &packet.AssocSync{Client: packet.ClientMAC(1)})
-	eng.Run()
-	if len(shared.got) != n {
-		t.Fatalf("delivered to %d nodes, want %d", len(shared.got), n)
-	}
-	for i, addr := range shared.got {
-		if addr != packet.APIP(i) {
-			t.Fatalf("delivery %d went to %v, want %v (attach order violated)", i, addr, packet.APIP(i))
-		}
-	}
-	// Re-attaching must keep the original position.
-	sw.Attach(packet.APIP(0), NodeFunc(func(from packet.IPv4Addr, msg packet.Message) {
-		shared.got = append(shared.got, packet.APIP(0))
-	}))
-	shared.got = nil
-	sw.Broadcast(packet.APIP(n-1), &packet.AssocSync{Client: packet.ClientMAC(1)})
-	eng.Run()
-	if len(shared.got) != n-1 || shared.got[0] != packet.APIP(0) {
-		t.Fatalf("after re-attach: got %d deliveries, first %v", len(shared.got), shared.got[0])
-	}
-}
-
-type orderRecorder struct {
-	eng *sim.Engine
-	got []packet.IPv4Addr
-}
-
-// Byte accounting must not depend on Verify: the same traffic yields the
-// same byte count either way, and it equals the messages' envelope sizes.
+// Byte accounting equals the messages' envelope sizes.
 func TestByteAccountingUnconditional(t *testing.T) {
 	msgs := []packet.Message{
 		&packet.Stop{Client: packet.ClientMAC(1), NextAP: packet.APIP(1), SwitchID: 1},
@@ -314,21 +224,18 @@ func TestByteAccountingUnconditional(t *testing.T) {
 	for _, m := range msgs {
 		want += uint64(3 + m.WireSize())
 	}
-	for _, verify := range []bool{true, false} {
-		eng := sim.NewEngine()
-		sw := NewSwitch(eng, sim.Microsecond)
-		sw.Verify = verify
-		sw.Attach(packet.APIP(1), &recorder{eng: eng})
-		for _, m := range msgs {
-			if err := sw.Send(packet.ControllerIP, packet.APIP(1), m); err != nil {
-				t.Fatal(err)
-			}
+	eng := sim.NewEngine()
+	sw := NewSwitch(eng, sim.Microsecond)
+	sw.Attach(packet.APIP(1), &recorder{eng: eng})
+	for _, m := range msgs {
+		if err := sw.Send(packet.ControllerIP, packet.APIP(1), m); err != nil {
+			t.Fatal(err)
 		}
-		eng.Run()
-		_, _, bytes := sw.Stats()
-		if bytes != want {
-			t.Errorf("Verify=%v: bytes = %d, want %d", verify, bytes, want)
-		}
+	}
+	eng.Run()
+	_, _, bytes := sw.Stats()
+	if bytes != want {
+		t.Errorf("bytes = %d, want %d", bytes, want)
 	}
 }
 
@@ -336,7 +243,6 @@ func TestByteAccountingUnconditional(t *testing.T) {
 func TestByteAccountingSkipsDropped(t *testing.T) {
 	eng := sim.NewEngine()
 	sw := NewSwitch(eng, sim.Microsecond)
-	sw.Verify = false
 	sw.Attach(packet.APIP(1), &recorder{eng: eng})
 	sw.Drop = func(packet.IPv4Addr, packet.Message) bool { return true }
 	_ = sw.Send(packet.ControllerIP, packet.APIP(1), &packet.Stop{})

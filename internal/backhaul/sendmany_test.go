@@ -80,7 +80,6 @@ func TestSendManyMatchesSendLoop(t *testing.T) {
 func TestSendManyNonRetention(t *testing.T) {
 	eng := sim.NewEngine()
 	sw := NewSwitch(eng, 200*sim.Microsecond)
-	sw.Verify = false // retention is most tempting with the codec off
 	n := &recNode{}
 	sw.Attach(packet.APIP(0), n)
 
@@ -107,7 +106,7 @@ func TestSendManyDropHookDeterminism(t *testing.T) {
 		eng := sim.NewEngine()
 		sw := NewSwitch(eng, 200*sim.Microsecond)
 		rnd := rand.New(rand.NewPCG(42, 1))
-		sw.Drop = RandomDrop(0.5, rnd)
+		sw.Drop = DropTypes(0.5, rnd, packet.MsgDownData)
 		nodes := make([]*recNode, 3)
 		var tos []packet.IPv4Addr
 		for i := range nodes {
@@ -138,29 +137,6 @@ func TestSendManyDropHookDeterminism(t *testing.T) {
 	}
 	if dLoop == 60 || dLoop == 0 {
 		t.Fatalf("drop hook inert: delivered %d of 60", dLoop)
-	}
-}
-
-// plainFabric implements Fabric but not ManySender.
-type plainFabric struct {
-	sends []packet.IPv4Addr
-}
-
-func (p *plainFabric) Attach(packet.IPv4Addr, Node) {}
-func (p *plainFabric) Send(_, to packet.IPv4Addr, _ packet.Message) error {
-	p.sends = append(p.sends, to)
-	return nil
-}
-func (p *plainFabric) Broadcast(packet.IPv4Addr, packet.Message) {}
-
-// SendToAll falls back to a per-target Send loop for fabrics without the
-// fan-out fast path.
-func TestSendToAllFallback(t *testing.T) {
-	p := &plainFabric{}
-	tos := []packet.IPv4Addr{packet.APIP(2), packet.APIP(0)}
-	SendToAll(p, packet.ControllerIP, tos, downMsg(1))
-	if len(p.sends) != 2 || p.sends[0] != tos[0] || p.sends[1] != tos[1] {
-		t.Fatalf("fallback sends = %v, want %v", p.sends, tos)
 	}
 }
 

@@ -43,7 +43,6 @@ import (
 	"sync"
 
 	"wgtt/internal/backhaul"
-	"wgtt/internal/metrics"
 	"wgtt/internal/packet"
 	"wgtt/internal/runtime"
 )
@@ -82,14 +81,6 @@ type Stats struct {
 	BatchedCopies uint64 // copies that rode a batch datagram
 }
 
-// fabMetrics holds the fabric's observability handles (DESIGN.md §10).
-// Nil until UseMetrics wires a registry; every instrument is nil-safe.
-type fabMetrics struct {
-	// batchDepth samples the copy count of every outbound fan-out
-	// datagram — how much replication each kernel write amortizes.
-	batchDepth *metrics.Histogram
-}
-
 // epGroup accumulates one endpoint's targets during a SendMany call.
 type epGroup struct {
 	tos []packet.IPv4Addr
@@ -103,9 +94,6 @@ type Fabric struct {
 	mu    sync.Mutex
 	nodes map[packet.IPv4Addr]backhaul.Node
 	peers map[packet.IPv4Addr]*net.UDPAddr
-	// order lists every address this fabric can reach (peers and local
-	// nodes) in ascending byte order — Broadcast's deterministic sequence.
-	order []packet.IPv4Addr
 
 	// Endpoint table, immutable after New: eps lists the distinct UDP
 	// endpoints the peer table names, epIndex maps each remote virtual
@@ -116,18 +104,17 @@ type Fabric struct {
 	// smu serializes the send path and guards its scratch state below;
 	// holding it across the socket write also keeps concurrent senders'
 	// datagrams whole.
-	smu      sync.Mutex
-	enc      []byte             // reusable message encode buffer
-	wbuf     []byte             // reusable unicast datagram buffer
-	bscratch []packet.IPv4Addr  // Broadcast's reusable targets snapshot
-	local    []packet.IPv4Addr  // SendMany's local-target scratch
-	groups   []epGroup          // SendMany's per-endpoint accumulators
-	touched  []int              // endpoints used by the current SendMany
-	bufs     [][]byte           // reusable per-datagram build buffers
-	dgrams   [][]byte           // datagrams for the current batch write
-	dsts     []*net.UDPAddr     // their destinations
-	dcnt     []int              // their copy counts
-	bw       batchWriter        // platform batch-write vectors (sendmmsg)
+	smu     sync.Mutex
+	enc     []byte            // reusable message encode buffer
+	wbuf    []byte            // reusable unicast datagram buffer
+	local   []packet.IPv4Addr // SendMany's local-target scratch
+	groups  []epGroup         // SendMany's per-endpoint accumulators
+	touched []int             // endpoints used by the current SendMany
+	bufs    [][]byte          // reusable per-datagram build buffers
+	dgrams  [][]byte          // datagrams for the current batch write
+	dsts    []*net.UDPAddr    // their destinations
+	dcnt    []int             // their copy counts
+	bw      batchWriter       // platform batch-write vectors (sendmmsg)
 
 	// rscratch is the reader goroutine's batch-target scratch.
 	rscratch []packet.IPv4Addr
@@ -136,7 +123,6 @@ type Fabric struct {
 	// goroutines allocate them, the clock goroutine returns them.
 	dpool sync.Pool
 
-	met   fabMetrics
 	stats Stats
 
 	started bool
@@ -169,12 +155,17 @@ func New(clk runtime.Clock, conn *net.UDPConn, table map[packet.IPv4Addr]string)
 			return nil, fmt.Errorf("udp: resolving %v -> %q: %w", addr, ep, err)
 		}
 		f.peers[addr] = ua
-		f.insert(addr)
 	}
-	// Endpoint table: walk the sorted order so endpoint IDs are
-	// deterministic for a given peer table, whatever the map order was.
+	// Endpoint table: walk the peers in ascending address order so endpoint
+	// IDs are deterministic for a given peer table, whatever the map order
+	// was.
+	order := make([]packet.IPv4Addr, 0, len(f.peers))
+	for addr := range f.peers {
+		order = append(order, addr)
+	}
+	sort.Slice(order, func(i, j int) bool { return bytes.Compare(order[i][:], order[j][:]) < 0 })
 	byEndpoint := make(map[string]int, len(table))
-	for _, addr := range f.order {
+	for _, addr := range order {
 		ua := f.peers[addr]
 		key := ua.String()
 		id, ok := byEndpoint[key]
@@ -189,29 +180,6 @@ func New(clk runtime.Clock, conn *net.UDPConn, table map[packet.IPv4Addr]string)
 	return f, nil
 }
 
-// UseMetrics wires the fabric's instruments into r (call before Start). A
-// nil registry leaves recording disabled.
-func (f *Fabric) UseMetrics(r *metrics.Registry) {
-	f.met = fabMetrics{
-		batchDepth: r.Histogram("backhaul_udp", "batch_depth",
-			[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256}),
-	}
-}
-
-// insert adds addr to the sorted broadcast order (idempotent). Callers hold
-// no lock during construction; Attach takes f.mu.
-func (f *Fabric) insert(addr packet.IPv4Addr) {
-	i := sort.Search(len(f.order), func(i int) bool {
-		return bytes.Compare(f.order[i][:], addr[:]) >= 0
-	})
-	if i < len(f.order) && f.order[i] == addr {
-		return
-	}
-	f.order = append(f.order, packet.IPv4Addr{})
-	copy(f.order[i+1:], f.order[i:])
-	f.order[i] = addr
-}
-
 // Attach implements backhaul.Fabric: registers a node hosted by this
 // process. Attach before Start; attaching twice replaces the node.
 func (f *Fabric) Attach(addr packet.IPv4Addr, n backhaul.Node) {
@@ -224,7 +192,6 @@ func (f *Fabric) Attach(addr packet.IPv4Addr, n backhaul.Node) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.nodes[addr] = n
-	f.insert(addr)
 }
 
 // Start launches the reader goroutine. The fabric stops when the socket is
@@ -260,12 +227,6 @@ func (f *Fabric) Close() error {
 func (f *Fabric) Send(from, to packet.IPv4Addr, msg packet.Message) error {
 	f.smu.Lock()
 	defer f.smu.Unlock()
-	return f.sendLocked(from, to, msg)
-}
-
-// sendLocked is Send with f.smu held, so Broadcast can replicate through
-// the same scratch buffers without re-locking per target.
-func (f *Fabric) sendLocked(from, to packet.IPv4Addr, msg packet.Message) error {
 	f.mu.Lock()
 	peer := f.peers[to]
 	local := f.nodes[to]
@@ -303,26 +264,7 @@ func (f *Fabric) countSent(n int, size uint64) {
 	f.mu.Unlock()
 }
 
-// Broadcast implements backhaul.Fabric: Send to every known address except
-// the sender, in ascending address order. Delivery errors are dropped —
-// broadcast loss is silent, as on the real LAN. The targets snapshot and
-// every buffer it sends through are reused scratch, so a steady-state
-// broadcast to remote peers allocates nothing.
-func (f *Fabric) Broadcast(from packet.IPv4Addr, msg packet.Message) {
-	f.smu.Lock()
-	defer f.smu.Unlock()
-	f.mu.Lock()
-	f.bscratch = append(f.bscratch[:0], f.order...)
-	f.mu.Unlock()
-	for _, addr := range f.bscratch {
-		if addr == from {
-			continue
-		}
-		_ = f.sendLocked(from, addr, msg)
-	}
-}
-
-// SendMany implements backhaul.ManySender (DESIGN.md §14): encode msg once,
+// SendMany implements backhaul.Fabric (DESIGN.md §14): encode msg once,
 // group the targets by hosting endpoint, and write one batch datagram per
 // endpoint — a sendmmsg batch on Linux — instead of one datagram per copy.
 // Local targets are decoded once and delivered in listed order. Targets
@@ -355,7 +297,6 @@ func (f *Fabric) SendMany(from packet.IPv4Addr, tos []packet.IPv4Addr, msg packe
 	if len(f.local) > 0 {
 		f.dispatchMany(from, f.local, raw)
 		f.countSent(len(f.local), size)
-		f.met.batchDepth.Observe(float64(len(f.local)))
 	}
 	if len(f.touched) == 0 {
 		return
@@ -413,9 +354,6 @@ func (f *Fabric) SendMany(from packet.IPv4Addr, tos []packet.IPv4Addr, msg packe
 		}
 	}
 	f.mu.Unlock()
-	for i := 0; i < written; i++ {
-		f.met.batchDepth.Observe(float64(f.dcnt[i]))
-	}
 }
 
 // writeLoop is the portable batch write: one WriteToUDP per datagram.
@@ -438,9 +376,6 @@ func (f *Fabric) Stats() Stats {
 	defer f.mu.Unlock()
 	return f.stats
 }
-
-// LocalAddr returns the socket's bound address.
-func (f *Fabric) LocalAddr() *net.UDPAddr { return f.conn.LocalAddr().(*net.UDPAddr) }
 
 // manyDispatch is one pooled combined-delivery event: the decoded message
 // and the local nodes a batch (or local fan-out) delivers it to, in listed

@@ -133,52 +133,6 @@ func TestSendUnroutable(t *testing.T) {
 	}
 }
 
-// Broadcast order must be ascending virtual-address order regardless of
-// table insertion order.
-func TestBroadcastOrderSorted(t *testing.T) {
-	conn := listen(t)
-	sink := listen(t) // every peer routes here; order is what matters
-	defer sink.Close()
-	table := map[packet.IPv4Addr]string{}
-	for _, id := range []int{7, 2, 9, 0, 4} {
-		table[packet.APIP(id)] = sink.LocalAddr().String()
-	}
-	clk := runtime.NewWall()
-	f, err := New(clk, conn, table)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	got := make(chan packet.IPv4Addr, 8)
-	go func() {
-		buf := make([]byte, maxDatagram)
-		for {
-			n, _, err := sink.ReadFromUDP(buf)
-			if err != nil {
-				return
-			}
-			if n >= header {
-				var to packet.IPv4Addr
-				copy(to[:], buf[4:8])
-				got <- to
-			}
-		}
-	}()
-	f.Broadcast(packet.ControllerIP, &packet.HealthProbe{Seq: 1})
-	want := []int{0, 2, 4, 7, 9}
-	for _, id := range want {
-		select {
-		case to := <-got:
-			if to != packet.APIP(id) {
-				t.Fatalf("broadcast delivered to %v, want %v", to, packet.APIP(id))
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("broadcast datagram missing")
-		}
-	}
-}
-
 // Malformed datagrams must be counted and dropped, never crash the reader,
 // and the fabric must keep delivering afterwards.
 func TestMalformedDatagramsSurvived(t *testing.T) {

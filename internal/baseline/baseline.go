@@ -22,29 +22,20 @@ import (
 	"wgtt/internal/sim"
 )
 
-// NetworkConfig parameterizes the baseline wired side.
-type NetworkConfig struct {
-	// BeaconInterval is the per-AP beacon period (100 ms in §5.1).
-	BeaconInterval sim.Time
-	// OldAPLinger is how long the previous AP keeps transmitting after the
+// The §5.1 wired-side operating point.
+const (
+	// beaconInterval is the per-AP beacon period.
+	beaconInterval = 100 * sim.Millisecond
+	// oldAPLinger is how long the previous AP keeps transmitting after the
 	// client re-associates elsewhere — the association-state propagation
 	// delay of a vendor controller.
-	OldAPLinger sim.Time
-}
-
-// DefaultNetworkConfig returns the §5.1 operating point.
-func DefaultNetworkConfig() NetworkConfig {
-	return NetworkConfig{
-		BeaconInterval: 100 * sim.Millisecond,
-		OldAPLinger:    100 * sim.Millisecond,
-	}
-}
+	oldAPLinger = 100 * sim.Millisecond
+)
 
 // Network is the baseline distribution system: it routes each client's
 // downlink through its single associated AP and relays uplink packets the
 // (single) AP tunnels up.
 type Network struct {
-	cfg NetworkConfig
 	eng *sim.Engine
 	bh  *backhaul.Switch
 	aps []*ap.AP
@@ -68,9 +59,8 @@ type Handover struct {
 
 // NewNetwork creates the baseline wired side and attaches it at the
 // controller address.
-func NewNetwork(cfg NetworkConfig, eng *sim.Engine, bh *backhaul.Switch, aps []*ap.AP) *Network {
+func NewNetwork(eng *sim.Engine, bh *backhaul.Switch, aps []*ap.AP) *Network {
 	n := &Network{
-		cfg:     cfg,
 		eng:     eng,
 		bh:      bh,
 		aps:     aps,
@@ -120,7 +110,7 @@ func (n *Network) ClientAssociated(clientMAC packet.MACAddr, apID int) {
 	n.aps[apID].Station().Kick()
 	if ok {
 		oldAP := n.aps[old]
-		n.eng.After(n.cfg.OldAPLinger, func() {
+		n.eng.After(oldAPLinger, func() {
 			if n.current[clientMAC] != old {
 				oldAP.Associate(clientMAC, ip, false)
 			}
@@ -152,7 +142,7 @@ func (e errorString) Error() string { return string(e) }
 func (n *Network) StartBeacons() {
 	for i, a := range n.aps {
 		a := a
-		offset := sim.Time(i) * n.cfg.BeaconInterval / sim.Time(len(n.aps))
+		offset := sim.Time(i) * beaconInterval / sim.Time(len(n.aps))
 		var beacon func()
 		beacon = func() {
 			st := a.Station()
@@ -165,7 +155,7 @@ func (n *Network) StartBeacons() {
 					MPDUs: []*mac.MPDU{{Bytes: 100}},
 				}
 			}, nil)
-			n.eng.After(n.cfg.BeaconInterval, beacon)
+			n.eng.After(beaconInterval, beacon)
 		}
 		n.eng.After(offset, beacon)
 	}
@@ -173,39 +163,35 @@ func (n *Network) StartBeacons() {
 
 // RoamerConfig parameterizes the client-side roamer.
 type RoamerConfig struct {
-	// ThresholdDBm: roam when the serving AP's smoothed RSSI is below this.
-	ThresholdDBm float64
 	// Hysteresis is the §5.1 one-second time hysteresis between roams.
 	Hysteresis sim.Time
-	// EWMA is the RSSI smoothing weight on the previous estimate.
-	EWMA float64
-	// ReassocProcessing models authentication/association completion after
-	// the management exchange (fast thanks to pre-shared 802.11r state).
-	ReassocProcessing sim.Time
-	// ReassocAttempts bounds management-frame tries per roam.
-	ReassocAttempts int
-	// RetryGap spaces successive reassociation attempts.
-	RetryGap sim.Time
-	// StaleAfter treats an AP unheard for this long as gone (its RSSI no
-	// longer counts, and a silent serving AP counts as below threshold).
-	StaleAfter sim.Time
 }
 
 // DefaultRoamerConfig returns the §5.1 client policy.
 func DefaultRoamerConfig() RoamerConfig {
-	return RoamerConfig{
-		// The threshold sits near the bottom of the usable range: like the
-		// commercial clients the paper measures (§2), the baseline hangs on
-		// to its AP until the link is nearly dead before roaming.
-		ThresholdDBm:      -82,
-		Hysteresis:        sim.Second,
-		EWMA:              0.92,
-		ReassocProcessing: 50 * sim.Millisecond,
-		ReassocAttempts:   5,
-		RetryGap:          20 * sim.Millisecond,
-		StaleAfter:        sim.Second,
-	}
+	return RoamerConfig{Hysteresis: sim.Second}
 }
+
+// The fixed part of the §5.1 client policy.
+const (
+	// roamThresholdDBm: roam when the serving AP's smoothed RSSI is below
+	// this. It sits near the bottom of the usable range: like the
+	// commercial clients the paper measures (§2), the baseline hangs on to
+	// its AP until the link is nearly dead before roaming.
+	roamThresholdDBm float64 = -82
+	// rssiEWMA is the RSSI smoothing weight on the previous estimate.
+	rssiEWMA float64 = 0.92
+	// reassocProcessing models authentication/association completion after
+	// the management exchange (fast thanks to pre-shared 802.11r state).
+	reassocProcessing = 50 * sim.Millisecond
+	// reassocAttempts bounds management-frame tries per roam; retryGap
+	// spaces them.
+	reassocAttempts = 5
+	retryGap        = 20 * sim.Millisecond
+	// staleAfter treats an AP unheard for this long as gone (its RSSI no
+	// longer counts, and a silent serving AP counts as below threshold).
+	staleAfter = sim.Second
+)
 
 // APAddr identifies one AP to the roamer.
 type APAddr struct {
@@ -251,9 +237,6 @@ func NewRoamer(cfg RoamerConfig, eng *sim.Engine, cl *client.Client, net *Networ
 	return r
 }
 
-// Current returns the AP the roamer believes it is associated with.
-func (r *Roamer) Current() int { return r.current }
-
 func (r *Roamer) apIndex(mac packet.MACAddr) int {
 	for _, a := range r.aps {
 		if a.MAC == mac {
@@ -272,7 +255,7 @@ func (r *Roamer) onBeacon(from packet.MACAddr, rssiDBm float64, at sim.Time) {
 		r.rssi[i] = rssiDBm
 		r.heard[i] = true
 	} else {
-		r.rssi[i] = r.cfg.EWMA*r.rssi[i] + (1-r.cfg.EWMA)*rssiDBm
+		r.rssi[i] = rssiEWMA*r.rssi[i] + (1-rssiEWMA)*rssiDBm
 	}
 	r.lastSeen[i] = at
 	r.evaluate(at)
@@ -285,15 +268,15 @@ func (r *Roamer) evaluate(now sim.Time) {
 		return
 	}
 	servingRSSI := math.Inf(-1)
-	if r.heard[r.current] && now-r.lastSeen[r.current] <= r.cfg.StaleAfter {
+	if r.heard[r.current] && now-r.lastSeen[r.current] <= staleAfter {
 		servingRSSI = r.rssi[r.current]
 	}
-	if servingRSSI >= r.cfg.ThresholdDBm {
+	if servingRSSI >= roamThresholdDBm {
 		return
 	}
 	best, bestRSSI := -1, math.Inf(-1)
 	for i := range r.aps {
-		if !r.heard[i] || now-r.lastSeen[i] > r.cfg.StaleAfter {
+		if !r.heard[i] || now-r.lastSeen[i] > staleAfter {
 			continue
 		}
 		if r.rssi[i] > bestRSSI {
@@ -324,11 +307,11 @@ func (r *Roamer) reassociate(target, attempt int) {
 		}
 	}, func(res *mac.TxResult) {
 		if res != nil && res.BAReceived {
-			r.eng.After(r.cfg.ReassocProcessing, func() { r.finishRoam(target) })
+			r.eng.After(reassocProcessing, func() { r.finishRoam(target) })
 			return
 		}
-		if attempt+1 < r.cfg.ReassocAttempts {
-			r.eng.After(r.cfg.RetryGap, func() { r.reassociate(target, attempt+1) })
+		if attempt+1 < reassocAttempts {
+			r.eng.After(retryGap, func() { r.reassociate(target, attempt+1) })
 			return
 		}
 		r.RoamFailures++

@@ -55,7 +55,7 @@ func newHarness(t *testing.T, clientTrace mobility.Trace, speedHint float64) *ha
 		st := mac.NewStation(medium, mac.StationConfig{Addr: cfg.MAC, Endpoint: ep})
 		h.aps = append(h.aps, ap.New(cfg, wrt.Virtual(eng), bh, st, packet.ControllerIP, rng.Stream(cfg.Name)))
 	}
-	h.net = NewNetwork(DefaultNetworkConfig(), eng, bh, h.aps)
+	h.net = NewNetwork(eng, bh, h.aps)
 	h.net.StartBeacons()
 
 	clEP := &radio.Endpoint{Name: "car1", Trace: clientTrace, TxPowerDBm: 15, SpeedHintMS: speedHint}
@@ -107,13 +107,14 @@ func TestDriveTriggersRoam(t *testing.T) {
 	if h.roamer.Roams == 0 {
 		t.Fatal("client never roamed while leaving its cell")
 	}
-	if h.roamer.Current() != 1 {
-		t.Errorf("roamer current = %d, want 1", h.roamer.Current())
+	if h.roamer.current != 1 {
+		t.Errorf("roamer current = %d, want 1", h.roamer.current)
 	}
 	if h.net.CurrentAP(h.cl.Config().MAC) != 1 {
 		t.Error("network routing did not follow the roam")
 	}
-	if h.cl.Dest() != packet.APMAC(1) {
+	h.cl.SendUplink(&packet.Packet{Bytes: 100})
+	if fr := h.cl.BuildFrame(); fr == nil || fr.To != packet.APMAC(1) {
 		t.Error("client uplink not retargeted")
 	}
 	if len(h.net.Handovers) == 0 {
@@ -167,15 +168,28 @@ func TestClientAssociatedIdempotent(t *testing.T) {
 	if len(h.net.Handovers) != 1 || h.net.CurrentAP(h.cl.Config().MAC) != 1 {
 		t.Error("handover not applied")
 	}
-	// The old AP lingers, then stops serving.
-	if !h.aps[0].Serving(h.cl.Config().MAC) {
+	// The old AP lingers, then stops serving: a serving AP puts the packets
+	// it is handed on the air, a quenched one sits on them.
+	feed := func(apID int) {
+		p := &packet.Packet{ClientMAC: h.cl.Config().MAC, Index: h.idx, Bytes: 1400}
+		h.idx = packet.NextIndex(h.idx)
+		_ = h.bh.Send(packet.ControllerIP, packet.APIP(apID), &packet.DownData{Pkt: p})
+	}
+	sentBy := func(apID int) uint64 { return h.aps[apID].Station().FramesSent }
+	feed(0)
+	h.eng.RunUntil(h.eng.Now() + 50*sim.Millisecond)
+	if sentBy(0) == 0 {
 		t.Error("old AP quenched before the linger window")
 	}
 	h.eng.RunUntil(h.eng.Now() + 200*sim.Millisecond)
-	if h.aps[0].Serving(h.cl.Config().MAC) {
+	before := sentBy(0)
+	feed(0)
+	feed(1)
+	h.eng.RunUntil(h.eng.Now() + 50*sim.Millisecond)
+	if sentBy(0) != before {
 		t.Error("old AP still serving after linger")
 	}
-	if !h.aps[1].Serving(h.cl.Config().MAC) {
+	if sentBy(1) == 0 {
 		t.Error("new AP not serving")
 	}
 }

@@ -108,7 +108,7 @@ type Event struct {
 // Config parameterizes fault generation. Every MTBF is the mean of an
 // exponential inter-arrival distribution; 0 disables that fault class, and
 // the zero Config generates nothing (Script-only plans are how single
-// targeted faults are injected — see SingleAPCrash).
+// targeted faults are injected).
 type Config struct {
 	// APCrashMTBF is the per-AP mean time between crashes; each crashed AP
 	// comes back after APDowntime with cold queues.
@@ -118,22 +118,19 @@ type Config struct {
 	// never crashes the last alive AP). 0 means the default of 1.
 	MaxConcurrentAPDown int
 
-	// Backhaul loss bursts: windows of BackhaulBurstLen during which every
-	// backhaul message is dropped with probability BackhaulBurstLoss.
+	// Backhaul loss bursts: windows of burstLen during which every backhaul
+	// message is dropped with probability BackhaulBurstLoss.
 	BackhaulBurstMTBF sim.Time
-	BackhaulBurstLen  sim.Time
 	BackhaulBurstLoss float64
 
-	// Backhaul latency spikes: windows of LatencySpikeLen during which
-	// every delivery takes LatencySpikeExtra additional one-way latency.
+	// Backhaul latency spikes: windows of spikeLen during which every
+	// delivery takes LatencySpikeExtra additional one-way latency.
 	LatencySpikeMTBF  sim.Time
-	LatencySpikeLen   sim.Time
 	LatencySpikeExtra sim.Time
 
-	// CSI blackouts: windows of CSIBlackoutLen during which CSI reports are
+	// CSI blackouts: windows of blackoutLen during which CSI reports are
 	// dropped on the backhaul.
 	CSIBlackoutMTBF sim.Time
-	CSIBlackoutLen  sim.Time
 
 	// ControllerCrashAt, when > 0, crashes the controller once at that
 	// time and restarts it ControllerDowntime later.
@@ -153,26 +150,21 @@ func DefaultConfig() Config {
 		APDowntime:          2 * sim.Second,
 		MaxConcurrentAPDown: 1,
 		BackhaulBurstMTBF:   30 * sim.Second,
-		BackhaulBurstLen:    200 * sim.Millisecond,
 		BackhaulBurstLoss:   0.5,
 		LatencySpikeMTBF:    45 * sim.Second,
-		LatencySpikeLen:     500 * sim.Millisecond,
 		LatencySpikeExtra:   5 * sim.Millisecond,
 		CSIBlackoutMTBF:     45 * sim.Second,
-		CSIBlackoutLen:      300 * sim.Millisecond,
 	}
 }
 
-// SingleAPCrash is a script-only config that crashes exactly one AP at the
-// given time, restarting it downtime later (0 downtime: never restarts
-// within any finite run). The acceptance scenario of DESIGN.md §11.
-func SingleAPCrash(apID int, at, downtime sim.Time) Config {
-	script := []Event{{At: at, Kind: APCrash, AP: apID}}
-	if downtime > 0 {
-		script = append(script, Event{At: at + downtime, Kind: APRestart, AP: apID})
-	}
-	return Config{Script: script}
-}
+// Window lengths of the generated backhaul weather (DESIGN.md §11): long
+// enough to span several §3.1.2 30 ms control retransmissions, short
+// against a cell dwell.
+const (
+	burstLen    = 200 * sim.Millisecond
+	spikeLen    = 500 * sim.Millisecond
+	blackoutLen = 300 * sim.Millisecond
+)
 
 // Plan is a complete fault timeline, sorted by (At, Kind, AP).
 type Plan struct {
@@ -200,7 +192,7 @@ func BuildPlan(cfg Config, rng *sim.RNG, numAPs int, horizon sim.Time) Plan {
 		}
 	}
 	addWindows := func(stream string, kind EventKind, mtbf, length sim.Time) {
-		if mtbf <= 0 || length <= 0 {
+		if mtbf <= 0 {
 			return
 		}
 		rnd := rng.Stream(stream)
@@ -208,9 +200,9 @@ func BuildPlan(cfg Config, rng *sim.RNG, numAPs int, horizon sim.Time) Plan {
 			p.Events = append(p.Events, Event{At: t, Kind: kind, Dur: length})
 		}
 	}
-	addWindows("chaos/backhaul/burst", BackhaulBurst, cfg.BackhaulBurstMTBF, cfg.BackhaulBurstLen)
-	addWindows("chaos/backhaul/spike", LatencySpike, cfg.LatencySpikeMTBF, cfg.LatencySpikeLen)
-	addWindows("chaos/csi/blackout", CSIBlackout, cfg.CSIBlackoutMTBF, cfg.CSIBlackoutLen)
+	addWindows("chaos/backhaul/burst", BackhaulBurst, cfg.BackhaulBurstMTBF, burstLen)
+	addWindows("chaos/backhaul/spike", LatencySpike, cfg.LatencySpikeMTBF, spikeLen)
+	addWindows("chaos/csi/blackout", CSIBlackout, cfg.CSIBlackoutMTBF, blackoutLen)
 	if cfg.ControllerCrashAt > 0 {
 		p.Events = append(p.Events, Event{At: cfg.ControllerCrashAt, Kind: ControllerCrash})
 		if cfg.ControllerDowntime > 0 {

@@ -24,33 +24,24 @@ type Config struct {
 	// Dest is the initial uplink destination (the shared BSSID for WGTT;
 	// the first AP's own address for the baseline).
 	Dest packet.MACAddr
-	// MaxAggregate bounds uplink A-MPDU size.
-	MaxAggregate int
-	// MaxAggregateBytes bounds uplink A-MPDU payload bytes.
-	MaxAggregateBytes int
-	// RetryLimit is the per-MPDU retry budget.
-	RetryLimit int
-	// DedupTTL is how recently a 12-bit downlink index must have been seen
-	// to count as a duplicate. Time-based suppression matters: the index
-	// space wraps every 4096 packets, so an occupancy-based window would
-	// false-positive on fresh packets whenever handover replays keep old
-	// indices warm.
-	DedupTTL sim.Time
 }
 
 // DefaultConfig returns a standard client.
 func DefaultConfig(id int, dest packet.MACAddr) Config {
 	return Config{
-		ID:                id,
-		MAC:               packet.ClientMAC(id),
-		IP:                packet.ClientIP(id),
-		Dest:              dest,
-		MaxAggregate:      24,
-		MaxAggregateBytes: 48 * 1024,
-		RetryLimit:        7,
-		DedupTTL:          200 * sim.Millisecond,
+		ID:   id,
+		MAC:  packet.ClientMAC(id),
+		IP:   packet.ClientIP(id),
+		Dest: dest,
 	}
 }
+
+// dedupTTL is how recently a 12-bit downlink index must have been seen to
+// count as a duplicate. Time-based suppression matters: the index space
+// wraps every 4096 packets, so an occupancy-based window would
+// false-positive on fresh packets whenever handover replays keep old
+// indices warm.
+const dedupTTL = 200 * sim.Millisecond
 
 // Stats counts client-side events.
 type Stats struct {
@@ -115,9 +106,6 @@ func (c *Client) UseMetrics(r *metrics.Registry, component string) {
 // New creates a client bound to an existing MAC station; the client
 // installs itself as the station's Sink and Source.
 func New(cfg Config, eng *sim.Engine, st *mac.Station) *Client {
-	if cfg.DedupTTL <= 0 {
-		cfg.DedupTTL = 200 * sim.Millisecond
-	}
 	c := &Client{cfg: cfg, eng: eng, st: st, dest: cfg.Dest, seen: make(map[uint16]sim.Time)}
 	st.SetSink(c)
 	st.SetSource(c)
@@ -129,9 +117,6 @@ func (c *Client) Config() Config { return c.cfg }
 
 // Station returns the underlying MAC station.
 func (c *Client) Station() *mac.Station { return c.st }
-
-// Dest returns the current uplink destination address.
-func (c *Client) Dest() packet.MACAddr { return c.dest }
 
 // SetDest retargets uplink traffic (baseline roam). Pending retries keep
 // their MPDUs but will be rebuilt toward the new destination.
@@ -190,17 +175,17 @@ func (c *Client) SendUplink(p *packet.Packet) {
 // BuildFrame implements mac.Source (uplink aggregates).
 func (c *Client) BuildFrame() *mac.Frame {
 	mcs := c.st.PickMCS(c.dest)
-	budget := min(c.cfg.MaxAggregateBytes, phy.TXOPByteBudget(mcs))
+	budget := min(mac.MaxAggregateBytes, phy.TXOPByteBudget(mcs))
 	var mpdus []*mac.MPDU
 	bytes := 0
 	n := 0
-	for n < len(c.retryQ) && n < c.cfg.MaxAggregate && bytes < budget {
+	for n < len(c.retryQ) && n < mac.MaxAggregate && bytes < budget {
 		mpdus = append(mpdus, c.retryQ[n])
 		bytes += c.retryQ[n].Bytes
 		n++
 	}
 	c.retryQ = c.retryQ[n:]
-	for len(mpdus) < c.cfg.MaxAggregate && bytes < budget && len(c.uplinkQ) > 0 {
+	for len(mpdus) < mac.MaxAggregate && bytes < budget && len(c.uplinkQ) > 0 {
 		p := c.uplinkQ[0]
 		c.uplinkQ = c.uplinkQ[1:]
 		mpdus = append(mpdus, &mac.MPDU{Seq: c.st.NextSeq(c.dest), Pkt: p, Bytes: p.Bytes})
@@ -234,7 +219,7 @@ func (c *Client) OnTxDone(res *mac.TxResult) {
 			continue
 		}
 		mp.Retries++
-		if mp.Retries > c.cfg.RetryLimit {
+		if mp.Retries > mac.RetryLimit {
 			c.Stats.UplinkDropped++
 			continue
 		}
@@ -247,9 +232,6 @@ func (c *Client) OnTxDone(res *mac.TxResult) {
 }
 
 func (c *Client) hasWork() bool { return len(c.uplinkQ) > 0 || len(c.retryQ) > 0 }
-
-// QueueDepth returns pending uplink packets (fresh + retries).
-func (c *Client) QueueDepth() int { return len(c.uplinkQ) + len(c.retryQ) }
 
 // OnFrame implements mac.Sink: downlink reception with duplicate
 // suppression keyed on the controller-assigned 12-bit index.
@@ -293,14 +275,14 @@ func (c *Client) OnBlockAck(*mac.BAEvent) {}
 func (c *Client) isDup(idx uint16, at sim.Time) bool {
 	last, ok := c.seen[idx]
 	c.seen[idx] = at
-	if ok && at-last < c.cfg.DedupTTL {
+	if ok && at-last < dedupTTL {
 		return true
 	}
 	// Amortized sweep keeps the map from accumulating stale entries.
-	if at-c.seenSweep > 10*c.cfg.DedupTTL {
+	if at-c.seenSweep > 10*dedupTTL {
 		c.seenSweep = at
 		for k, v := range c.seen {
-			if at-v >= c.cfg.DedupTTL {
+			if at-v >= dedupTTL {
 				delete(c.seen, k)
 			}
 		}

@@ -81,8 +81,8 @@ func TestUplinkDelivery(t *testing.T) {
 	if h.cl.Stats.UplinkDelivered < 19 {
 		t.Errorf("client counted %d delivered", h.cl.Stats.UplinkDelivered)
 	}
-	if h.cl.QueueDepth() != 0 {
-		t.Errorf("queue depth = %d after delivery", h.cl.QueueDepth())
+	if h.cl.hasWork() {
+		t.Errorf("%d fresh + %d retry packets still queued after delivery", len(h.cl.uplinkQ), len(h.cl.retryQ))
 	}
 }
 
@@ -185,11 +185,11 @@ func TestBeaconAndMgmtHooks(t *testing.T) {
 
 func TestSetDest(t *testing.T) {
 	h := newHarness(t)
-	if h.cl.Dest() != bssid {
+	if h.cl.dest != bssid {
 		t.Fatal("initial dest wrong")
 	}
 	h.cl.SetDest(packet.APMAC(3))
-	if h.cl.Dest() != packet.APMAC(3) {
+	if h.cl.dest != packet.APMAC(3) {
 		t.Error("SetDest failed")
 	}
 }

@@ -28,8 +28,6 @@ type Config struct {
 	// Hysteresis is the minimum dwell time between switches of one client
 	// (Fig. 22 sweeps 40–120 ms).
 	Hysteresis sim.Time
-	// SwitchTimeout is the stop-packet retransmission timeout (§3.1.2).
-	SwitchTimeout sim.Time
 	// FanoutWindow bounds how recently an AP must have heard the client to
 	// receive copies of its downlink packets (the paper fans out to APs
 	// heard within the selection window; a slightly longer horizon is used
@@ -112,7 +110,6 @@ func DefaultConfig() Config {
 	return Config{
 		Window:          10 * sim.Millisecond,
 		Hysteresis:      40 * sim.Millisecond,
-		SwitchTimeout:   30 * sim.Millisecond,
 		FanoutWindow:    100 * sim.Millisecond,
 		MedianMarginDB:  0,
 		MinSamples:      2,
@@ -120,6 +117,9 @@ func DefaultConfig() Config {
 		DedupCapacity:   4096,
 	}
 }
+
+// switchTimeout is the §3.1.2 stop-packet retransmission timeout.
+const switchTimeout = 30 * sim.Millisecond
 
 // APInfo describes one AP the controller commands.
 type APInfo struct {
@@ -406,9 +406,6 @@ func New(cfg Config, clk runtime.Clock, bh backhaul.Fabric, aps []APInfo) *Contr
 	return c
 }
 
-// Config returns the controller configuration.
-func (c *Controller) Config() Config { return c.cfg }
-
 // RegisterClient installs a client with its initial serving AP (the AP it
 // completed 802.11 association with; §4.3 replicates that state everywhere).
 func (c *Controller) RegisterClient(mac packet.MACAddr, ip packet.IPv4Addr, servingAP int) {
@@ -442,9 +439,6 @@ func (c *Controller) MedianESNR(mac packet.MACAddr, apID int) (float64, bool) {
 	return c.sel.Median(mac, apID, c.clk.Now())
 }
 
-// SelectionPolicy reports the active AP-selection policy.
-func (c *Controller) SelectionPolicy() selector.Policy { return c.sel.Policy() }
-
 // HandleBackhaul implements backhaul.Node.
 func (c *Controller) HandleBackhaul(from packet.IPv4Addr, msg packet.Message) {
 	if c.down {
@@ -460,10 +454,6 @@ func (c *Controller) HandleBackhaul(from packet.IPv4Addr, msg packet.Message) {
 		c.handleUplink(m)
 	case *packet.SwitchAck:
 		c.handleSwitchAck(m)
-	case *packet.AssocSync:
-		if _, ok := c.clients[m.Client]; !ok {
-			c.RegisterClient(m.Client, m.ClientIP, c.apIndexByIP(from))
-		}
 	case *packet.HealthAck:
 		// noteAPAlive above did the work; nothing else to record.
 	}
@@ -576,7 +566,7 @@ func (c *Controller) sendStop(cl *clientCtl, op *switchOp) {
 	op.attempts++
 	stop := &packet.Stop{Client: cl.mac, NextAP: c.aps[op.to].IP, SwitchID: op.id}
 	_ = c.bh.Send(c.addr, c.aps[op.from].IP, stop)
-	op.timer = c.clk.After(c.cfg.SwitchTimeout, func() {
+	op.timer = c.clk.After(switchTimeout, func() {
 		if cl.op == op {
 			c.Stats.StopRetransmits++
 			c.met.stopRetransmits.Inc()

@@ -300,17 +300,6 @@ func TestUplinkDedupEviction(t *testing.T) {
 	}
 }
 
-func TestAssocRegistersClient(t *testing.T) {
-	h := newCtlHarness(t, 2, DefaultConfig())
-	client := packet.ClientMAC(3)
-	_ = h.bh.Send(packet.APIP(1), packet.ControllerIP,
-		&packet.AssocSync{Client: client, ClientIP: packet.ClientIP(3), AID: 1, Authorized: true})
-	h.eng.Run()
-	if h.ctl.ServingAP(client) != 1 {
-		t.Errorf("assoc-registered serving AP = %d, want 1", h.ctl.ServingAP(client))
-	}
-}
-
 func TestMedianESNRAccessor(t *testing.T) {
 	h := newCtlHarness(t, 2, DefaultConfig())
 	client := packet.ClientMAC(1)
@@ -482,9 +471,9 @@ func TestDeadAPExcludedFromFanoutAndReadmitted(t *testing.T) {
 	h.runFeeding(client, 25, map[int]float64{0: 20, 1: 15, 2: 14})
 	h.aps[2].dead = true
 	h.runFeeding(client, 100, map[int]float64{0: 20, 1: 15})
-	if !h.ctl.APAlive(0) || !h.ctl.APAlive(1) || h.ctl.APAlive(2) {
+	if !h.ctl.apAlive(0) || !h.ctl.apAlive(1) || h.ctl.apAlive(2) {
 		t.Fatalf("alive = %v %v %v, want true true false",
-			h.ctl.APAlive(0), h.ctl.APAlive(1), h.ctl.APAlive(2))
+			h.ctl.apAlive(0), h.ctl.apAlive(1), h.ctl.apAlive(2))
 	}
 
 	for i := range h.aps {
@@ -508,7 +497,7 @@ func TestDeadAPExcludedFromFanoutAndReadmitted(t *testing.T) {
 	if h.ctl.Stats.APsReadmitted != 1 {
 		t.Fatalf("APsReadmitted = %d, want 1", h.ctl.Stats.APsReadmitted)
 	}
-	if !h.ctl.APAlive(2) {
+	if !h.ctl.apAlive(2) {
 		t.Fatal("AP2 still dead after speaking")
 	}
 	for i := range h.aps {
@@ -552,7 +541,7 @@ func TestControllerFailRecover(t *testing.T) {
 	if h.ctl.Down() {
 		t.Fatal("controller still down after Recover")
 	}
-	if !h.ctl.APAlive(0) || !h.ctl.APAlive(1) {
+	if !h.ctl.apAlive(0) || !h.ctl.apAlive(1) {
 		t.Fatal("recovery grace did not re-admit the APs")
 	}
 	// State is cold but functional: registrations survived, traffic flows.

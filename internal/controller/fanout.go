@@ -3,7 +3,6 @@ package controller
 import (
 	"fmt"
 
-	"wgtt/internal/backhaul"
 	"wgtt/internal/packet"
 	"wgtt/internal/sim"
 )
@@ -145,7 +144,7 @@ func (c *Controller) SendDownlink(p *packet.Packet) error {
 	}
 	c.downScratch.APDst = packet.IPv4Addr{}
 	c.downScratch.Pkt = p
-	backhaul.SendToAll(c.bh, c.addr, targets, &c.downScratch)
+	c.bh.SendMany(c.addr, targets, &c.downScratch)
 	c.downScratch.Pkt = nil
 	return nil
 }

@@ -131,7 +131,7 @@ func TestFanoutZeroAlloc(t *testing.T) {
 	}
 }
 
-// countingFanFabric is a null ManySender: it counts what the controller
+// countingFanFabric is a null fabric: it counts what the controller
 // hands it and delivers nothing.
 type countingFanFabric struct {
 	packets int
@@ -144,7 +144,6 @@ func (f *countingFanFabric) Send(_, _ packet.IPv4Addr, _ packet.Message) error {
 	f.copies++
 	return nil
 }
-func (f *countingFanFabric) Broadcast(packet.IPv4Addr, packet.Message) {}
 func (f *countingFanFabric) SendMany(_ packet.IPv4Addr, tos []packet.IPv4Addr, _ packet.Message) {
 	f.packets++
 	f.copies += len(tos)

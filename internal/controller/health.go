@@ -45,10 +45,6 @@ func (c *Controller) apAlive(id int) bool {
 	return c.health[id].alive
 }
 
-// APAlive reports the health monitor's verdict on one AP (always true when
-// the monitor is disabled). Evaluation hook.
-func (c *Controller) APAlive(id int) bool { return c.apAlive(id) }
-
 // noteAPAlive refreshes the sender's last-heard time and re-admits it if
 // it had been marked dead.
 func (c *Controller) noteAPAlive(from packet.IPv4Addr) {
@@ -217,7 +213,7 @@ func (c *Controller) sendForcedStart(cl *clientCtl, op *switchOp) {
 	op.attempts++
 	start := &packet.Start{Client: cl.mac, Index: cl.nextIndex, SwitchID: op.id}
 	_ = c.bh.Send(c.addr, c.aps[op.to].IP, start)
-	op.timer = c.clk.After(c.cfg.SwitchTimeout, func() {
+	op.timer = c.clk.After(switchTimeout, func() {
 		if cl.op != op {
 			return
 		}

@@ -32,7 +32,9 @@ func TestChaosOffLeavesNetworkUntouched(t *testing.T) {
 	if n.Bh.Drop != nil || n.Bh.Delay != nil {
 		t.Error("backhaul hooks installed on a chaos-free network")
 	}
-	if cfg := n.Ctl.Config(); cfg.HealthInterval != 0 || cfg.DetectTimeout != 0 {
+	// A running health monitor probes the APs out of the client's earshot.
+	n.RunUntil(sim.Second)
+	if n.Ctl.Stats.HealthProbes != 0 {
 		t.Error("health monitor enabled on a chaos-free network")
 	}
 }
@@ -73,7 +75,8 @@ func TestChaosSingleAPCrashOutageBounded(t *testing.T) {
 	}()
 
 	s := base
-	ccfg := chaos.SingleAPCrash(victim, crashAt, 0) // never restarts
+	// Script-only: the one crash, never restarted.
+	ccfg := chaos.Config{Script: []chaos.Event{{At: crashAt, Kind: chaos.APCrash, AP: victim}}}
 	s.Chaos = &ccfg
 	n, err := Build(s)
 	if err != nil {

@@ -33,7 +33,7 @@ func TestDriveScenarioShapes(t *testing.T) {
 		t.Fatal("drive scenario malformed")
 	}
 	static := DriveScenario(ModeWGTT, 0, 1)
-	if mobility.Speed(static.Clients[0].Trace, sim.Second) != 0 {
+	if tr := static.Clients[0].Trace; tr.Position(sim.Second) != tr.Position(0) {
 		t.Error("0 mph scenario moves")
 	}
 	m := MultiClientScenario(ModeBaseline, mobility.Parallel, 3, 15, 2)
@@ -225,7 +225,7 @@ func TestMultiChannelBuild(t *testing.T) {
 	}
 	// APs round-robin over channels.
 	for i := range n.APs {
-		if n.APs[i].Station().Medium() != n.Media[i%3] {
+		if n.apChannel[i] != i%3 {
 			t.Errorf("AP%d on wrong channel", i)
 		}
 	}

@@ -53,8 +53,8 @@ func TestFederatedDriveHandsOff(t *testing.T) {
 		t.Errorf("adoptions (%d) != cross switches (%d)", fs.Adoptions, fs.CrossSwitches)
 	}
 	mac := n.Clients[0].Config().MAC
-	if own := n.Fed.Owner(mac); own != s.Domains-1 {
-		t.Errorf("drive ended owned by domain %d, want %d", own, s.Domains-1)
+	if !n.Fed.Domains[s.Domains-1].Owns(mac) {
+		t.Errorf("drive did not end owned by domain %d", s.Domains-1)
 	}
 	if cs.SwitchesDone < 5 {
 		t.Errorf("only %d intra-domain switches across the array", cs.SwitchesDone)

@@ -7,7 +7,6 @@ import (
 	"wgtt/internal/federation"
 	"wgtt/internal/mobility"
 	"wgtt/internal/packet"
-	"wgtt/internal/sim"
 )
 
 // This file is the cell side of the metro's cross-cell client migration
@@ -125,15 +124,12 @@ func (n *Network) admitClient(cl *client.Client, serving int, commit *packet.Dom
 // cell picks a migrating client's entry AP from its seam-crossing position.
 func (n *Network) NearestAPTo(p mobility.Point) int { return nearestAP(n.APPosition, p) }
 
-// startClientKeepalive applies the scenario's keepalive policy to one
-// client.
+// startClientKeepalive starts one client's null-data CSI probes at the
+// scenario's pace.
 func (n *Network) startClientKeepalive(cl *client.Client) {
-	switch {
-	case n.Scenario.KeepaliveInterval < 0:
-		// keepalives disabled
-	case n.Scenario.KeepaliveInterval == 0:
-		cl.StartKeepalive(5 * sim.Millisecond)
-	default:
-		cl.StartKeepalive(n.Scenario.KeepaliveInterval)
+	interval := n.Scenario.keepalive
+	if interval == 0 {
+		interval = corridorKeepalive
 	}
+	cl.StartKeepalive(interval)
 }

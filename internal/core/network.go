@@ -89,6 +89,7 @@ type Network struct {
 // Build assembles a scenario into a Network.
 func Build(s Scenario) (*Network, error) {
 	var uplan *urban.Plan
+	fedCfg := federation.DefaultConfig()
 	if s.Urban != nil {
 		// Urban expansion (DESIGN.md §16): the city plan supplies what a
 		// corridor scenario states by hand. Everything below this block is
@@ -106,17 +107,13 @@ func Build(s Scenario) (*Network, error) {
 		if s.Mode == ModeWGTT && s.Urban.Domains > 1 {
 			s.Domains = s.Urban.Domains
 			s.APDomains = uplan.APDomains
-			if s.Federation == nil {
-				// Same story as the controller gates: a slab boundary cuts
-				// straight across city avenues, so riders hover near it for
-				// whole blocks. Wider evidence windows, a real cross-domain
-				// margin, and a block-scale dwell stop ownership ping-pong.
-				fc := federation.DefaultConfig()
-				fc.Window = 100 * sim.Millisecond
-				fc.MarginDB = 6
-				fc.Hysteresis = sim.Second
-				s.Federation = &fc
-			}
+			// Same story as the controller gates: a slab boundary cuts
+			// straight across city avenues, so riders hover near it for
+			// whole blocks. Wider evidence windows, a real cross-domain
+			// margin, and a block-scale dwell stop ownership ping-pong.
+			fedCfg.Window = 100 * sim.Millisecond
+			fedCfg.MarginDB = 6
+			fedCfg.Hysteresis = sim.Second
 		}
 		for _, c := range uplan.Clients {
 			s.Clients = append(s.Clients, ClientSpec{Trace: c.Trace, SpeedMPH: c.SpeedMPH})
@@ -156,9 +153,7 @@ func Build(s Scenario) (*Network, error) {
 	rng := sim.NewRNG(s.Seed)
 
 	params := radio.DefaultParams()
-	if s.Radio != nil {
-		params = *s.Radio
-	}
+	params.Obstruction = s.obstruction
 	ch := radio.NewChannel(params, rng)
 	var media []*mac.Medium
 	for c := 0; c < nCh; c++ {
@@ -166,7 +161,7 @@ func Build(s Scenario) (*Network, error) {
 	}
 	medium := media[0]
 	clk := runtime.Virtual(eng)
-	bh := backhaul.NewSwitch(eng, s.backhaulLatency())
+	bh := backhaul.NewSwitch(eng, backhaulLatency)
 	if s.ControlLossRate > 0 {
 		bh.Drop = backhaul.DropTypes(s.ControlLossRate, rng.Stream("backhaul/controlloss"),
 			packet.MsgStop, packet.MsgStart, packet.MsgSwitchAck)
@@ -227,8 +222,8 @@ func Build(s Scenario) (*Network, error) {
 	}
 
 	// Disturbers: with multiple clients, every client scatters the others'
-	// links (§5.2.2's dynamic multipath), unless disabled.
-	if defaultBool(s.Disturbers, true) && len(s.Clients) > 1 {
+	// links (§5.2.2's dynamic multipath).
+	if len(s.Clients) > 1 {
 		for _, cs := range s.Clients {
 			ch.AddDisturber(cs.Trace, mobility.MPH(cs.SpeedMPH))
 		}
@@ -248,12 +243,6 @@ func Build(s Scenario) (*Network, error) {
 		cfg.BAForwarding = wgtt && defaultBool(s.BAForwarding, true)
 		cfg.UplinkForwarding = true
 		cfg.ForwardOnlyWhenServing = wgtt && !defaultBool(s.UplinkDiversity, true)
-		if s.StopProcessing > 0 {
-			cfg.StopProcessing = s.StopProcessing
-		}
-		if s.StartProcessing > 0 {
-			cfg.StartProcessing = s.StartProcessing
-		}
 		var antenna radio.Antenna = radio.NewLairdGD24BP()
 		if s.OmniAPs {
 			// Small-cell omni variant (§4.2): modest gain in every
@@ -326,10 +315,6 @@ func Build(s Scenario) (*Network, error) {
 			if nDom > len(infos) {
 				return nil, fmt.Errorf("core: %d domains for %d APs", nDom, len(infos))
 			}
-			fedCfg := federation.DefaultConfig()
-			if s.Federation != nil {
-				fedCfg = *s.Federation
-			}
 			fedCfg.Controller = ctlCfg
 			city := make([]federation.APAssignment, len(infos))
 			for i, info := range infos {
@@ -349,7 +334,7 @@ func Build(s Scenario) (*Network, error) {
 			n.Ctl.DeliverUplink = n.dispatchUplink
 		}
 	} else {
-		n.Base = baseline.NewNetwork(baseline.DefaultNetworkConfig(), eng, bh, n.APs)
+		n.Base = baseline.NewNetwork(eng, bh, n.APs)
 		n.Base.DeliverUplink = n.dispatchUplink
 		n.Base.StartBeacons()
 	}
@@ -547,10 +532,6 @@ func (n *Network) startProbePlane() {
 					continue
 				}
 				n.snrScratch = link.SNRInto(at, cep, n.snrScratch)
-				// The report itself is freshly allocated per send: with wire
-				// verification off, plain Send retains the pointer in its
-				// delivery closure (only the SendMany fan-out path carries
-				// the non-retention contract, DESIGN.md §14).
 				rep := &packet.CSIReport{Client: cl.Config().MAC, AP: a.Config().IP, At: int64(at)}
 				rep.QuantizeSNR(n.snrScratch)
 				_ = n.Bh.Send(a.Config().IP, packet.ControllerIP, rep)

@@ -9,9 +9,7 @@ import (
 
 	"wgtt/internal/chaos"
 	"wgtt/internal/controller"
-	"wgtt/internal/federation"
 	"wgtt/internal/mobility"
-	"wgtt/internal/radio"
 	"wgtt/internal/selector"
 	"wgtt/internal/sim"
 	"wgtt/internal/urban"
@@ -65,32 +63,18 @@ type Scenario struct {
 
 	Clients []ClientSpec
 
-	// Radio overrides the default channel model when non-nil.
-	Radio *radio.Params
 	// Controller overrides the WGTT controller config when non-nil.
 	Controller *controller.Config
 	// Selector overrides the AP-selection policy (DESIGN.md §15) when
 	// non-nil. The zero policy is §3.1.1 windowed-median; setting this on
 	// top of Controller replaces only the Selector sub-config.
 	Selector *selector.Config
-	// BackhaulLatency is the one-way Ethernet latency (default 200 µs).
-	BackhaulLatency sim.Time
 
 	// BAForwarding disables §3.2.1 when explicitly set false (ablation).
 	BAForwarding *bool
 	// UplinkDiversity, when explicitly false, makes only the serving WGTT
 	// AP forward uplink packets (ablation of the §3.2.2 multi-AP path).
 	UplinkDiversity *bool
-	// Disturbers, when explicitly false, disables inter-vehicle scattering
-	// even with multiple clients.
-	Disturbers *bool
-	// StopProcessing / StartProcessing override the AP control-plane
-	// processing model when > 0 (Table 1 calibration).
-	StopProcessing  sim.Time
-	StartProcessing sim.Time
-	// KeepaliveInterval paces the clients' null-data CSI probes
-	// (default 5 ms, matching DESIGN.md §6; < 0 disables them).
-	KeepaliveInterval sim.Time
 
 	// OmniAPs replaces the parabolic antennas with small-cell
 	// omnidirectional ones (the §4.2 variant the paper says the
@@ -114,9 +98,6 @@ type Scenario struct {
 	// WGTT mode only; incompatible with Channels > 1 (the probe plane
 	// assumes one controller).
 	Domains int
-	// Federation overrides the federation config when non-nil (the inner
-	// Controller field is still taken from Scenario.Controller).
-	Federation *federation.Config
 	// Chaos enables deterministic fault injection (DESIGN.md §11): a fault
 	// plan is derived from the scenario seed, the AP health monitor is
 	// switched on (WithHealth, unless the Controller override already set
@@ -139,9 +120,14 @@ type Scenario struct {
 	// The urban expansion fills this from the city partition.
 	APDomains []int
 
-	// apLossDB is the per-AP fixed RF loss chain; zero keeps the testbed's.
-	// Only applyCityDefaults sets it.
-	apLossDB float64
+	// The rest of what makes a cell a city cell; only applyCityDefaults sets
+	// these, and their zero values keep the corridor testbed's: the radio
+	// obstruction model (none), the per-AP fixed RF loss chain
+	// (apFixedLossDB) and the clients' null-data CSI probe pace
+	// (corridorKeepalive).
+	obstruction func(a, b mobility.Point) float64
+	apLossDB    float64
+	keepalive   sim.Time
 }
 
 // UrbanScenario builds a street-grid city scenario (DESIGN.md §16) under
@@ -165,31 +151,20 @@ func CityCellScenario(g *urban.Graph, seed uint64, dur sim.Time, aps []mobility.
 
 // applyCityDefaults is the one statement of what makes a cell a city cell
 // (DESIGN.md §16). Build's Scenario.Urban expansion and CityCellScenario
-// both go through it; explicit Radio, Controller and KeepaliveInterval
-// settings win over the defaults.
+// both go through it; an explicit Controller setting wins over the default.
 func (s *Scenario) applyCityDefaults(g *urban.Graph) {
-	params := radio.DefaultParams()
-	if s.Radio != nil {
-		params = *s.Radio
-	}
-	if params.Obstruction == nil {
-		// Street-canyon blockage: the city's buildings make radio
-		// visibility follow the streets, so an AP around a corner is tens
-		// of dB down on a same-street one. Both systems see the identical
-		// map.
-		params.Obstruction = g.BlockageDB
-	}
-	s.Radio = &params
+	// Street-canyon blockage: the city's buildings make radio visibility
+	// follow the streets, so an AP around a corner is tens of dB down on a
+	// same-street one. Both systems see the identical map.
+	s.obstruction = g.BlockageDB
 	s.OmniAPs = true // curbside small cells, not roadside parabolics
 	s.apLossDB = curbsideLossDB
-	if s.KeepaliveInterval == 0 {
-		// A city cell carries an order of magnitude more stations than
-		// the corridor testbed; at the paper's 5 ms null-data pace the
-		// probes alone would eat the shared medium. 20 ms keeps several
-		// samples inside the city-scale selection window below while
-		// freeing the airtime for traffic — applied to both systems.
-		s.KeepaliveInterval = 20 * sim.Millisecond
-	}
+	// A city cell carries an order of magnitude more stations than the
+	// corridor testbed; at the paper's 5 ms null-data pace the probes alone
+	// would eat the shared medium. 20 ms keeps several samples inside the
+	// city-scale selection window below while freeing the airtime for
+	// traffic — applied to both systems.
+	s.keepalive = 20 * sim.Millisecond
 	if s.Controller == nil && s.Mode == ModeWGTT {
 		// Omni micro-cells have much flatter ESNR gradients than the
 		// corridor's parabolics, so the §3.1.1 zero-margin/40 ms defaults
@@ -270,18 +245,17 @@ func nearestAP(positions []mobility.Point, p mobility.Point) int {
 	return best
 }
 
+// corridorKeepalive paces the clients' null-data CSI probes on the corridor
+// testbed (DESIGN.md §6).
+const corridorKeepalive = 5 * sim.Millisecond
+
+// backhaulLatency is the one-way latency of the switched Ethernet LAN (§4).
+const backhaulLatency = 200 * sim.Microsecond
+
 // defaultBool returns *v or def when v is nil.
 func defaultBool(v *bool, def bool) bool {
 	if v == nil {
 		return def
 	}
 	return *v
-}
-
-// backhaulOrDefault applies the default Ethernet latency.
-func (s *Scenario) backhaulLatency() sim.Time {
-	if s.BackhaulLatency > 0 {
-		return s.BackhaulLatency
-	}
-	return 200 * sim.Microsecond
 }

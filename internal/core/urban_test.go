@@ -61,16 +61,22 @@ func TestUrbanScenarioRuns(t *testing.T) {
 	if flow.Receiver.Received == 0 {
 		t.Fatal("no downlink delivered to the bus across the whole run")
 	}
-	if got := reg.Counter("urban", "riders").Value(); got != 3 {
+	urbanCounter := map[string]uint64{}
+	for _, c := range reg.Snapshot().Counters {
+		if c.Component == "urban" {
+			urbanCounter[c.Name] = c.Value
+		}
+	}
+	if got := urbanCounter["riders"]; got != 3 {
 		t.Fatalf("urban/riders = %d, want 3", got)
 	}
-	if got := reg.Counter("urban", "buses").Value(); got != 1 {
+	if got := urbanCounter["buses"]; got != 1 {
 		t.Fatalf("urban/buses = %d, want 1", got)
 	}
-	if got := reg.Counter("urban", "turns").Value(); got < 2 {
+	if got := urbanCounter["turns"]; got < 2 {
 		t.Fatalf("urban/turns = %d, want ≥ 2", got)
 	}
-	if got := reg.Counter("urban", "route_crossings").Value(); got < 1 {
+	if got := urbanCounter["route_crossings"]; got < 1 {
 		t.Fatalf("urban/route_crossings = %d, want ≥ 1", got)
 	}
 	// The serving AP must end up somewhere real for every client.

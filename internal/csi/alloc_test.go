@@ -37,48 +37,28 @@ func allocTestLink(t *testing.T, seed uint64) (*radio.Link, *radio.Endpoint) {
 }
 
 // The steady-state measurement pipeline — link sample into a recycled
-// Report, ESNR over it, and the wire-report unpack on the controller side —
+// buffer, ESNR over it, and the wire-report unpack on the controller side —
 // must not allocate.
 func TestCSIPipelineZeroAlloc(t *testing.T) {
 	link, car := allocTestLink(t, 11)
 
-	var rep Report
+	snr := make([]float64, 0, Subcarriers)
 	i := 0
 	if avg := testing.AllocsPerRun(200, func() {
 		i++
-		rep.Fill(link, car, "ap1", sim.Time(i)*sim.Millisecond)
-		_ = rep.ESNRdB()
+		snr = link.SNRInto(sim.Time(i)*sim.Millisecond, car, snr)
+		_ = ESNRdB(snr, DefaultESNRModulation)
 	}); avg != 0 {
-		t.Errorf("Fill+ESNRdB allocates %.1f times per sample, want 0", avg)
+		t.Errorf("SNRInto+ESNRdB allocates %.1f times per sample, want 0", avg)
 	}
 
 	wire := &packet.CSIReport{}
-	wire.QuantizeSNR(rep.SNRdB)
+	wire.QuantizeSNR(snr)
 	var scratch []float64
 	if avg := testing.AllocsPerRun(200, func() {
 		scratch = wire.SNRdBInto(scratch)
 		_ = ESNRdB(scratch, DefaultESNRModulation)
 	}); avg != 0 {
 		t.Errorf("SNRdBInto+ESNRdB allocates %.1f times per report, want 0", avg)
-	}
-}
-
-// Fill must produce exactly what Measure produces.
-func TestFillMatchesMeasure(t *testing.T) {
-	link, car := allocTestLink(t, 13)
-	at := 42 * sim.Millisecond
-	want := Measure(link, car, "ap1", at)
-	var got Report
-	got.Fill(link, car, "ap1", at)
-	if got.Client != want.Client || got.AP != want.AP || got.At != want.At {
-		t.Fatalf("Fill header mismatch: %+v vs %+v", got, *want)
-	}
-	if len(got.SNRdB) != len(want.SNRdB) {
-		t.Fatalf("Fill length %d, Measure %d", len(got.SNRdB), len(want.SNRdB))
-	}
-	for i := range got.SNRdB {
-		if got.SNRdB[i] != want.SNRdB[i] {
-			t.Fatalf("subcarrier %d: Fill %v != Measure %v", i, got.SNRdB[i], want.SNRdB[i])
-		}
 	}
 }

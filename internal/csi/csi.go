@@ -7,65 +7,13 @@
 package csi
 
 import (
-	"fmt"
 	"math"
 
 	"wgtt/internal/phy"
-	"wgtt/internal/radio"
-	"wgtt/internal/sim"
 )
 
 // Subcarriers is the number of CSI-visible subcarriers (HT20).
 const Subcarriers = 56
-
-// Report is one CSI measurement: the per-subcarrier SNR an AP observed on
-// one uplink frame from a client. The AP forwards each Report to the
-// controller over the Ethernet backhaul.
-type Report struct {
-	Client string   // transmitting client
-	AP     string   // measuring AP
-	At     sim.Time // reception time
-	// SNRdB holds the per-subcarrier SNR in dB, Subcarriers entries.
-	SNRdB []float64
-
-	// snrStore inlines the standard 56-entry snapshot so that one Report
-	// allocation covers its SNR storage; Fill aliases SNRdB onto it.
-	snrStore [Subcarriers]float64
-}
-
-// Validate checks structural sanity of a report.
-func (r *Report) Validate() error {
-	if r.Client == "" || r.AP == "" {
-		return fmt.Errorf("csi: report missing endpoint names")
-	}
-	if len(r.SNRdB) != Subcarriers {
-		return fmt.Errorf("csi: report has %d subcarriers, want %d", len(r.SNRdB), Subcarriers)
-	}
-	for i, v := range r.SNRdB {
-		if math.IsNaN(v) {
-			return fmt.Errorf("csi: subcarrier %d is NaN", i)
-		}
-	}
-	return nil
-}
-
-// Measure samples the link at time t for a transmission from the client
-// endpoint and wraps it in a Report, as the AP NIC would on frame reception.
-func Measure(l *radio.Link, client *radio.Endpoint, ap string, t sim.Time) *Report {
-	r := &Report{}
-	r.Fill(l, client, ap, t)
-	return r
-}
-
-// Fill refills r in place from a fresh link sample, reusing r's inline SNR
-// storage — the allocation-free counterpart of Measure for callers that
-// recycle reports.
-func (r *Report) Fill(l *radio.Link, client *radio.Endpoint, ap string, t sim.Time) {
-	r.Client = client.Name
-	r.AP = ap
-	r.At = t
-	r.SNRdB = l.SNRInto(t, client, r.snrStore[:0])
-}
 
 // DefaultESNRModulation is the constellation the default ESNR metric is
 // computed against. 64-QAM's BER curve stays informative across the whole
@@ -91,35 +39,4 @@ func ESNRdB(snrDB []float64, m phy.Modulation) float64 {
 	}
 	mean := sum / float64(len(snrDB))
 	return m.InvBERdB(mean)
-}
-
-// ESNRdB returns the report's Effective SNR under the default modulation.
-func (r *Report) ESNRdB() float64 { return ESNRdB(r.SNRdB, DefaultESNRModulation) }
-
-// ESNRdBFor returns the report's Effective SNR under modulation m.
-func (r *Report) ESNRdBFor(m phy.Modulation) float64 { return ESNRdB(r.SNRdB, m) }
-
-// MeanSNRdB returns the arithmetic mean of the per-subcarrier SNRs in dB —
-// the naive metric ESNR improves upon.
-func (r *Report) MeanSNRdB() float64 {
-	if len(r.SNRdB) == 0 {
-		return math.Inf(-1)
-	}
-	var sum float64
-	for _, s := range r.SNRdB {
-		sum += s
-	}
-	return sum / float64(len(r.SNRdB))
-}
-
-// PredictPER predicts the loss probability of a frameBytes-long downlink
-// MPDU sent at MCS mcs, given this (reciprocal) channel measurement.
-func (r *Report) PredictPER(mcs phy.MCS, frameBytes int) float64 {
-	return phy.PER(mcs, r.ESNRdBFor(phy.Lookup(mcs).Modulation), frameBytes)
-}
-
-// PredictBestMCS returns the ESNR-directed best MCS for the measured
-// channel.
-func (r *Report) PredictBestMCS(frameBytes int, maxPER float64) phy.MCS {
-	return phy.BestMCS(r.ESNRdB(), frameBytes, maxPER)
 }

@@ -68,60 +68,6 @@ func TestESNRMonotoneInSNR(t *testing.T) {
 	}
 }
 
-func TestReportValidate(t *testing.T) {
-	good := &Report{Client: "c", AP: "a", SNRdB: flatSNR(10)}
-	if err := good.Validate(); err != nil {
-		t.Errorf("good report rejected: %v", err)
-	}
-	bad := []*Report{
-		{AP: "a", SNRdB: flatSNR(10)},
-		{Client: "c", SNRdB: flatSNR(10)},
-		{Client: "c", AP: "a", SNRdB: flatSNR(10)[:10]},
-		{Client: "c", AP: "a", SNRdB: append(flatSNR(10)[:Subcarriers-1], math.NaN())},
-	}
-	for i, r := range bad {
-		if err := r.Validate(); err == nil {
-			t.Errorf("bad report %d accepted", i)
-		}
-	}
-}
-
-func TestReportMetrics(t *testing.T) {
-	r := &Report{Client: "c", AP: "a", SNRdB: flatSNR(20)}
-	if m := r.MeanSNRdB(); math.Abs(m-20) > 1e-9 {
-		t.Errorf("MeanSNRdB = %v", m)
-	}
-	if e := r.ESNRdB(); math.Abs(e-20) > 0.05 {
-		t.Errorf("ESNRdB = %v", e)
-	}
-	// QPSK's BER underflows above ~18 dB, so probe it in its valid range.
-	r12 := &Report{SNRdB: flatSNR(12)}
-	if e := r12.ESNRdBFor(phy.QPSK); math.Abs(e-12) > 0.3 {
-		t.Errorf("ESNRdBFor(QPSK) = %v", e)
-	}
-	empty := &Report{}
-	if !math.IsInf(empty.MeanSNRdB(), -1) {
-		t.Error("empty MeanSNRdB should be -inf")
-	}
-}
-
-func TestReportPredictions(t *testing.T) {
-	strong := &Report{SNRdB: flatSNR(30)}
-	weak := &Report{SNRdB: flatSNR(4)}
-	if m := strong.PredictBestMCS(1500, 0.1); m != 7 {
-		t.Errorf("strong channel best MCS = %v", m)
-	}
-	if m := weak.PredictBestMCS(1500, 0.1); m > 1 {
-		t.Errorf("weak channel best MCS = %v", m)
-	}
-	if p := strong.PredictPER(7, 1500); p > 0.01 {
-		t.Errorf("strong channel MCS7 PER = %v", p)
-	}
-	if p := weak.PredictPER(7, 1500); p < 0.99 {
-		t.Errorf("weak channel MCS7 PER = %v", p)
-	}
-}
-
 func TestMeasureFromLink(t *testing.T) {
 	ch := radio.NewChannel(radio.DefaultParams(), sim.NewRNG(11))
 	ap := &radio.Endpoint{
@@ -143,17 +89,17 @@ func TestMeasureFromLink(t *testing.T) {
 	if err := ch.AddEndpoint(car); err != nil {
 		t.Fatal(err)
 	}
-	link := ch.MustLink("ap1", "car1")
-	at := sim.FromSeconds(2.98) // boresight
-	r := Measure(link, car, "ap1", at)
-	if err := r.Validate(); err != nil {
+	link, err := ch.Link("ap1", "car1")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Client != "car1" || r.AP != "ap1" || r.At != at {
-		t.Error("report metadata wrong")
+	at := sim.FromSeconds(2.98) // boresight
+	snr := link.SNRInto(at, car, nil)
+	if len(snr) != Subcarriers {
+		t.Fatalf("link sample has %d subcarriers, want %d", len(snr), Subcarriers)
 	}
 	// ESNR near boresight should be solidly positive.
-	if e := r.ESNRdB(); e < 5 {
+	if e := ESNRdB(snr, DefaultESNRModulation); e < 5 {
 		t.Errorf("boresight ESNR = %v dB", e)
 	}
 }

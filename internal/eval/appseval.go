@@ -9,7 +9,6 @@ import (
 	"wgtt/internal/mobility"
 	"wgtt/internal/sim"
 	"wgtt/internal/stats"
-	"wgtt/internal/transport"
 )
 
 // Table4Result holds video rebuffer ratios per speed.
@@ -27,7 +26,6 @@ func Table4VideoRebuffer(opt Options) (*Table4Result, error) {
 		speeds = []float64{10, 20}
 	}
 	res := &Table4Result{SpeedsMPH: speeds}
-	vcfg := apps.DefaultVideoConfig()
 	for _, v := range speeds {
 		for _, mode := range []core.Mode{core.ModeWGTT, core.ModeBaseline} {
 			s := core.DriveScenario(mode, v, opt.Seed)
@@ -37,7 +35,7 @@ func Table4VideoRebuffer(opt Options) (*Table4Result, error) {
 			}
 			d := n.Attach([]core.Load{{TCP: true, Record: true}})
 			n.Run()
-			r := apps.PlayVideo(vcfg, d.TCP[0].Receiver.Progress, transport.DefaultMSS, s.Duration)
+			r := apps.PlayVideo(d.TCP[0].Receiver.Progress, s.Duration)
 			if mode == core.ModeWGTT {
 				res.WGTT = append(res.WGTT, r.RebufferRatio)
 			} else {
@@ -142,7 +140,6 @@ func Table5PageLoad(opt Options) (*Table5Result, error) {
 		speeds = []float64{10, 20}
 		runs = 2
 	}
-	web := apps.DefaultWebConfig()
 	res := &Table5Result{SpeedsMPH: speeds}
 	for _, v := range speeds {
 		for _, mode := range []core.Mode{core.ModeWGTT, core.ModeBaseline} {
@@ -156,7 +153,7 @@ func Table5PageLoad(opt Options) (*Table5Result, error) {
 				}
 				var done sim.Time
 				completed := false
-				flow := n.AddDownlinkTCP(0, web.Segments(), func(at sim.Time) {
+				flow := n.AddDownlinkTCP(0, apps.PageSegments, func(at sim.Time) {
 					done, completed = at, true
 				})
 				// Launch as the client crosses out of the first cell: the

@@ -128,7 +128,7 @@ func TestAblationSelectionMetricRuns(t *testing.T) {
 }
 
 func TestTimelineShapes(t *testing.T) {
-	r, err := Fig15UDPTimeline(core.ModeWGTT, QuickOptions())
+	r, err := Timeline(core.ModeWGTT, QuickOptions(), false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,11 +22,6 @@ type Options struct {
 	// Quick trims sweeps (fewer points, shorter runs) for benchmarks and
 	// smoke tests; the full settings reproduce the paper's axes.
 	Quick bool
-	// Metrics, when non-nil, receives every built network's instrument
-	// recordings (DESIGN.md §10). Experiments run single-goroutine, so one
-	// registry per experiment; an experiment that builds several networks
-	// accumulates them all into the same registry.
-	Metrics *metrics.Registry
 	// CollectMetrics makes RunAll attach a fresh registry to each
 	// experiment (registries are not safe to share across workers) and
 	// return the per-experiment snapshots on RunOutput.Metrics.
@@ -36,6 +31,12 @@ type Options struct {
 	// the §3.1.1 windowed-median default, preserving the byte-identical
 	// reference output.
 	Selector *selector.Config
+
+	// registry, set by RunAll under CollectMetrics, receives every built
+	// network's instrument recordings (DESIGN.md §10). Experiments run
+	// single-goroutine, so one registry per experiment; an experiment that
+	// builds several networks accumulates them all into the same registry.
+	registry *metrics.Registry
 }
 
 // QuickOptions runs the trimmed variant.
@@ -47,8 +48,8 @@ type Result interface {
 	Render() string
 }
 
-// build constructs the scenario's network, wiring it into opt.Metrics when
-// metrics collection is enabled.
+// build constructs the scenario's network, wiring it into the experiment's
+// registry when metrics collection is enabled.
 func (opt Options) build(s core.Scenario) (*core.Network, error) {
 	if opt.Selector != nil && s.Selector == nil {
 		s.Selector = opt.Selector
@@ -57,8 +58,8 @@ func (opt Options) build(s core.Scenario) (*core.Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opt.Metrics != nil {
-		n.EnableMetricsInto(opt.Metrics)
+	if opt.registry != nil {
+		n.EnableMetricsInto(opt.registry)
 	}
 	return n, nil
 }

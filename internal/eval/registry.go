@@ -97,11 +97,11 @@ func (m multiResult) Render() string {
 
 func bothTimelines(o Options, tcp bool) (Result, error) {
 	var out multiResult
-	w, err := timeline(core.ModeWGTT, o, tcp)
+	w, err := Timeline(core.ModeWGTT, o, tcp)
 	if err != nil {
 		return nil, err
 	}
-	b, err := timeline(core.ModeBaseline, o, tcp)
+	b, err := Timeline(core.ModeBaseline, o, tcp)
 	if err != nil {
 		return nil, err
 	}

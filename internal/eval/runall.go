@@ -53,8 +53,8 @@ func RunAll(opt Options, workers int, ids []string) ([]RunOutput, error) {
 		eopt := opt
 		if eopt.CollectMetrics {
 			// One registry per experiment: registries are single-goroutine,
-			// so sharing opt.Metrics across the pool would race.
-			eopt.Metrics = metrics.NewRegistry()
+			// so sharing one across the pool would race.
+			eopt.registry = metrics.NewRegistry()
 		}
 		start := time.Now()
 		res, err := e.Run(eopt)
@@ -63,7 +63,7 @@ func RunAll(opt Options, workers int, ids []string) ([]RunOutput, error) {
 			out.Text = res.Render()
 		}
 		if eopt.CollectMetrics {
-			snap := eopt.Metrics.Snapshot()
+			snap := eopt.registry.Snapshot()
 			out.Metrics = &snap
 		}
 		outs[i] = out

@@ -87,18 +87,10 @@ type TimelineResult struct {
 	Timeouts uint64
 }
 
-// Fig14TCPTimeline reproduces Fig. 14: TCP throughput and AP association
-// over time during a 15 mph drive, for the given mode.
-func Fig14TCPTimeline(mode core.Mode, opt Options) (*TimelineResult, error) {
-	return timeline(mode, opt, true)
-}
-
-// Fig15UDPTimeline reproduces Fig. 15 (UDP variant).
-func Fig15UDPTimeline(mode core.Mode, opt Options) (*TimelineResult, error) {
-	return timeline(mode, opt, false)
-}
-
-func timeline(mode core.Mode, opt Options, tcp bool) (*TimelineResult, error) {
+// Timeline reproduces one curve of Fig. 14 (tcp) or Fig. 15 (UDP):
+// throughput and AP association over time during a 15 mph drive, for the
+// given mode.
+func Timeline(mode core.Mode, opt Options, tcp bool) (*TimelineResult, error) {
 	s := core.DriveScenario(mode, 15, opt.Seed)
 	n, err := opt.build(s)
 	if err != nil {

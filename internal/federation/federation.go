@@ -45,89 +45,53 @@ type Config struct {
 	// Window is the foreign-evidence median window (the federation-layer
 	// counterpart of the controller's §3.1.1 window).
 	Window sim.Time
-	// MinSamples is the minimum in-window foreign readings before an AP's
-	// median counts as handoff evidence.
-	MinSamples int
 	// MarginDB requires the best foreign median to beat the best local
 	// median by this much before a handoff is offered.
 	MarginDB float64
-	// MinESNRdB floors the foreign evidence: a neighbor domain whose best AP
-	// cannot even carry MCS0 is not worth a handoff.
-	MinESNRdB float64
 	// Hysteresis is the minimum dwell between handoffs of one client —
 	// applied on both sides of the boundary, so a freshly adopted client is
 	// not immediately bounced back.
 	Hysteresis sim.Time
 
-	// OfferTimeout bounds the offer→accept wait; expiry aborts the handoff
-	// and the client stays with its owner.
-	OfferTimeout sim.Time
-	// CommitTimeout paces commit retransmission until the adopter's
-	// ownership announcement echoes back.
-	CommitTimeout sim.Time
-	// MaxCommitRetries bounds commit retransmission.
-	MaxCommitRetries int
 	// SwitchTimeout paces the adopter's cross-domain stop retransmission.
 	SwitchTimeout sim.Time
 	// MaxStopRetries bounds stops toward the old domain's AP before the
 	// adopter escalates to a direct start (the old AP is unreachable — the
 	// same no-cooperation fallback as DESIGN.md §11 failover).
 	MaxStopRetries int
-	// MaxDedupKeys bounds the dedup window exported in a commit (clamped to
-	// packet.MaxHandoffDedupKeys).
-	MaxDedupKeys int
 }
 
-// DefaultConfig returns the standard federation operating point.
+// DefaultConfig returns the standard federation operating point. Callers
+// start from it and override fields; a zero Config is not usable.
 func DefaultConfig() Config {
 	return Config{
-		Controller:       controller.DefaultConfig(),
-		Window:           10 * sim.Millisecond,
-		MinSamples:       2,
-		MarginDB:         3,
-		MinESNRdB:        -5,
-		Hysteresis:       250 * sim.Millisecond,
-		OfferTimeout:     30 * sim.Millisecond,
-		CommitTimeout:    30 * sim.Millisecond,
-		MaxCommitRetries: 8,
-		SwitchTimeout:    30 * sim.Millisecond,
-		MaxStopRetries:   8,
-		MaxDedupKeys:     packet.MaxHandoffDedupKeys,
+		Controller:     controller.DefaultConfig(),
+		Window:         10 * sim.Millisecond,
+		MarginDB:       3,
+		Hysteresis:     250 * sim.Millisecond,
+		SwitchTimeout:  30 * sim.Millisecond,
+		MaxStopRetries: 8,
 	}
 }
 
-// withDefaults fills unset fields.
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.Window <= 0 {
-		c.Window = d.Window
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = d.MinSamples
-	}
-	if c.Hysteresis <= 0 {
-		c.Hysteresis = d.Hysteresis
-	}
-	if c.OfferTimeout <= 0 {
-		c.OfferTimeout = d.OfferTimeout
-	}
-	if c.CommitTimeout <= 0 {
-		c.CommitTimeout = d.CommitTimeout
-	}
-	if c.MaxCommitRetries <= 0 {
-		c.MaxCommitRetries = d.MaxCommitRetries
-	}
-	if c.SwitchTimeout <= 0 {
-		c.SwitchTimeout = d.SwitchTimeout
-	}
-	if c.MaxStopRetries <= 0 {
-		c.MaxStopRetries = d.MaxStopRetries
-	}
-	if c.MaxDedupKeys <= 0 || c.MaxDedupKeys > packet.MaxHandoffDedupKeys {
-		c.MaxDedupKeys = packet.MaxHandoffDedupKeys
-	}
-	return c
-}
+// The fixed half of the handoff protocol (DESIGN.md §13): evidence gates
+// that mirror the controller's §3.1.1 ones, and the offer/commit
+// retransmission budget, which reuses §3.1.2's 30 ms control timeout.
+const (
+	// minSamples is the minimum in-window foreign readings before an AP's
+	// median counts as handoff evidence.
+	minSamples = 2
+	// minESNRdB floors the foreign evidence: a neighbor domain whose best AP
+	// cannot even carry MCS0 is not worth a handoff.
+	minESNRdB float64 = -5
+	// offerTimeout bounds the offer→accept wait; expiry aborts the handoff
+	// and the client stays with its owner.
+	offerTimeout = 30 * sim.Millisecond
+	// commitTimeout paces commit retransmission until the adopter's
+	// ownership announcement echoes back; maxCommitRetries bounds it.
+	commitTimeout    = 30 * sim.Millisecond
+	maxCommitRetries = 8
+)
 
 // APAssignment places one AP of the city in a domain. The city table —
 // every AP, indexed by global ID — is shared by all domains, so each can
@@ -309,7 +273,6 @@ type Domain struct {
 // and attaches it (wrapping its inner controller) to the backhaul at
 // packet.DomainControllerIP(id).
 func NewDomain(cfg Config, clk runtime.Clock, bh backhaul.Fabric, id int, city []APAssignment) *Domain {
-	cfg = cfg.withDefaults()
 	d := &Domain{
 		cfg:         cfg,
 		id:          id,
@@ -456,15 +419,6 @@ func (d *Domain) HandleBackhaul(from packet.IPv4Addr, msg packet.Message) {
 	case *packet.DownData:
 		// Downlink forwarded controller→controller for a client that moved.
 		_ = d.SendDownlink(m.Pkt)
-	case *packet.AssocSync:
-		if own, known := d.owner[m.Client]; known && own != d.id {
-			return // replicated association of a foreign-owned client
-		}
-		d.ctl.HandleBackhaul(from, msg)
-		if _, known := d.owner[m.Client]; !known {
-			d.owner[m.Client] = d.id
-			d.owned[m.Client] = &fedClient{mac: m.Client, ip: m.ClientIP, foreign: make(map[packet.IPv4Addr]*evWindow)}
-		}
 	case *packet.DomainHandoffOffer:
 		d.handleOffer(from, m)
 	case *packet.DomainHandoffAccept:

@@ -58,11 +58,11 @@ func (d *Domain) maybeOffer(fc *fedClient, now sim.Time) {
 	var bestAP packet.IPv4Addr
 	bestMed := math.Inf(-1)
 	for _, apIP := range fc.foreignOrder {
-		if med, n := fc.foreign[apIP].median(now); n >= d.cfg.MinSamples && med > bestMed {
+		if med, n := fc.foreign[apIP].median(now); n >= minSamples && med > bestMed {
 			bestMed, bestAP = med, apIP
 		}
 	}
-	if bestAP.IsZero() || bestMed < d.cfg.MinESNRdB {
+	if bestAP.IsZero() || bestMed < minESNRdB {
 		return
 	}
 	serving := d.ctl.ServingAP(fc.mac)
@@ -95,7 +95,7 @@ func (d *Domain) maybeOffer(fc *fedClient, now sim.Time) {
 		HandoffID: id, Client: fc.mac, ClientIP: fc.ip,
 		ServingAP: d.local[serving].IP, TargetAP: bestAP, EvidenceQ: quantQ(bestMed),
 	})
-	fc.out.timer = d.clk.After(d.cfg.OfferTimeout, func() { d.offerTimeout(fc, id) })
+	fc.out.timer = d.clk.After(offerTimeout, func() { d.offerTimeout(fc, id) })
 }
 
 // offerTimeout abandons an unanswered offer: the client stays owned, thaws,
@@ -148,7 +148,7 @@ func (d *Domain) handleOffer(from packet.IPv4Addr, m *packet.DomainHandoffOffer)
 	d.byClient[ad.client] = ad
 	// Hold the pre-staged state long enough for the full commit-retransmit
 	// schedule; if no commit ever lands (the offerer died), drop it.
-	hold := d.cfg.CommitTimeout * sim.Time(d.cfg.MaxCommitRetries+2)
+	hold := commitTimeout * sim.Time(maxCommitRetries+2)
 	ad.timer = d.clk.After(hold, func() { d.acceptTimeout(ad) })
 	reply(true)
 }
@@ -200,7 +200,7 @@ func (d *Domain) handleAccept(m *packet.DomainHandoffAccept) {
 		if d.apDomain[apIP] != out.peer {
 			continue
 		}
-		if med, n := fc.foreign[apIP].median(now); n >= d.cfg.MinSamples {
+		if med, n := fc.foreign[apIP].median(now); n >= minSamples {
 			ev = append(ev, packet.APESNR{AP: apIP, MedianQ: quantQ(med)})
 			if len(ev) == packet.MaxHandoffEvidence {
 				break
@@ -211,7 +211,7 @@ func (d *Domain) handleAccept(m *packet.DomainHandoffAccept) {
 		HandoffID: out.id, Client: m.Client, ClientIP: fc.ip,
 		ServingAP: servingIP, TargetAP: out.target,
 		NextIndex: d.ctl.NextDownIndex(m.Client),
-		DedupKeys: d.ctl.DedupWindow(m.Client, d.cfg.MaxDedupKeys),
+		DedupKeys: d.ctl.DedupWindow(m.Client, packet.MaxHandoffDedupKeys),
 		Evidence:  ev,
 	}
 	_ = d.bh.Send(d.addr, d.addrOf(out.peer), commit)
@@ -228,7 +228,7 @@ func (d *Domain) handleAccept(m *packet.DomainHandoffAccept) {
 	})
 	rel := &release{id: out.id, mac: m.Client, peer: out.peer, commit: commit}
 	d.released[rel.id] = rel
-	rel.timer = d.clk.After(d.cfg.CommitTimeout, func() { d.retryCommit(rel) })
+	rel.timer = d.clk.After(commitTimeout, func() { d.retryCommit(rel) })
 	if d.OnRelease != nil {
 		d.OnRelease(m.Client, out.peer)
 	}
@@ -241,14 +241,14 @@ func (d *Domain) retryCommit(rel *release) {
 	if d.ctl.Down() || d.released[rel.id] != rel {
 		return
 	}
-	if rel.retries >= d.cfg.MaxCommitRetries {
+	if rel.retries >= maxCommitRetries {
 		delete(d.released, rel.id)
 		return
 	}
 	rel.retries++
 	d.Stats.CommitRetransmits++
 	_ = d.bh.Send(d.addr, d.addrOf(rel.peer), rel.commit)
-	rel.timer = d.clk.After(d.cfg.CommitTimeout, func() { d.retryCommit(rel) })
+	rel.timer = d.clk.After(commitTimeout, func() { d.retryCommit(rel) })
 }
 
 // handleCommit dispatches on whose domain the target AP is in: ours → adopt

@@ -94,14 +94,6 @@ func (t *Tier) ServingAP(mac packet.MACAddr) int {
 	return -1
 }
 
-// Owner returns the client's current owning domain (-1 if unknown).
-func (t *Tier) Owner(mac packet.MACAddr) int {
-	if own, ok := t.owner[mac]; ok {
-		return own
-	}
-	return -1
-}
-
 // TierStats aggregates the whole tier.
 type TierStats struct {
 	Fed Stats

@@ -155,7 +155,7 @@ func RunCell(cfg Config, cell int) (CellResult, error) {
 		return CellResult{}, err
 	}
 	// Switching accuracy against the ESNR oracle, Table 2's metric per cell.
-	c.drive.SampleOracle(cfg.SamplePeriod, nil)
+	c.drive.SampleOracle(samplePeriod, nil)
 	n.Run()
 	return c.harvest()
 }
@@ -182,7 +182,7 @@ func corridorScenario(cfg Config, plan CellPlan) (core.Scenario, []core.Load) {
 		speedMS := mobility.MPH(v.SpeedMPH)
 		drive := &mobility.LinearDrive{
 			Start: mobility.Point{
-				X: minX - cfg.MarginM - speedMS*v.Arrival.Seconds(),
+				X: minX - marginM - speedMS*v.Arrival.Seconds(),
 				Y: mobility.LaneY,
 			},
 			Vel: mobility.Point{X: speedMS},

@@ -41,8 +41,6 @@ type Config struct {
 	APsPerCell int
 	// SpacingM is the AP spacing in meters (default 7.5, Fig. 9's mean).
 	SpacingM float64
-	// MarginM is the entry/exit margin around the array (default 10).
-	MarginM float64
 
 	// ArrivalsPerMin is the Poisson vehicle arrival rate per corridor
 	// (default 6). Vehicles arrive over ArrivalWindow; the first vehicle
@@ -62,10 +60,6 @@ type Config struct {
 	TCPFraction float64
 	// UDPRateMbps is the offered CBR load of UDP vehicles (default 20).
 	UDPRateMbps float64
-
-	// SamplePeriod paces the switching-accuracy oracle sampling
-	// (default 50 ms).
-	SamplePeriod sim.Time
 
 	// TraceDir, when non-empty, writes one JSONL event trace per cell
 	// (cell-0000.jsonl, …) via internal/trace.
@@ -161,6 +155,13 @@ func (c Config) federatedDomains() int {
 	return c.Domains
 }
 
+// marginM is the entry/exit margin around a corridor's AP array in meters,
+// the same 10 m the single-corridor drives use (core.DriveScenario).
+const marginM float64 = 10
+
+// samplePeriod paces the switching-accuracy oracle sampling (Table 2).
+const samplePeriod = 50 * sim.Millisecond
+
 // minHeadwayS is the minimum inter-arrival gap in seconds — the
 // car-following headway that keeps two vehicles from entering the
 // corridor virtually co-located.
@@ -176,9 +177,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SpacingM <= 0 {
 		c.SpacingM = 7.5
-	}
-	if c.MarginM <= 0 {
-		c.MarginM = 10
 	}
 	if c.ArrivalsPerMin <= 0 {
 		c.ArrivalsPerMin = 6
@@ -200,9 +198,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.UDPRateMbps <= 0 {
 		c.UDPRateMbps = 20
-	}
-	if c.SamplePeriod <= 0 {
-		c.SamplePeriod = 50 * sim.Millisecond
 	}
 	return c
 }
@@ -249,7 +244,7 @@ func PlanCell(cfg Config, cell int) CellPlan {
 	lambda := cfg.ArrivalsPerMin / 60 // arrivals per second
 	transit := func(speedMPH float64) sim.Time {
 		span := float64(cfg.APsPerCell-1) * cfg.SpacingM
-		return sim.FromSeconds((span + 2*cfg.MarginM) / mobility.MPH(speedMPH))
+		return sim.FromSeconds((span + 2*marginM) / mobility.MPH(speedMPH))
 	}
 	at := sim.Time(0) // first vehicle enters immediately: no empty cells
 	for at <= cfg.ArrivalWindow && len(plan.Vehicles) < cfg.MaxVehicles {

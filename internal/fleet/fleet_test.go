@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -324,9 +325,13 @@ func readCellTrace(t *testing.T, res CellResult) map[trace.Kind]int {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	evs, err := trace.ReadAll(f)
-	if err != nil {
-		t.Fatal(err)
+	var evs []trace.Event
+	for dec := json.NewDecoder(f); dec.More(); {
+		var ev trace.Event
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatal(err)
+		}
+		evs = append(evs, ev)
 	}
 	if len(evs) != res.TraceEvents {
 		t.Fatalf("cell %d: file has %d events, recorder counted %d", res.Cell, len(evs), res.TraceEvents)

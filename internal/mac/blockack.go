@@ -7,6 +7,15 @@ package mac
 // BAWindow is the compressed Block ACK bitmap width.
 const BAWindow = 64
 
+// Sender-side A-MPDU limits, the same on APs and clients: the ath9k
+// defaults the testbed ran with (§4.2) — at most 24 MPDUs and 48 KiB of
+// payload per aggregate, and 7 retransmissions before an MPDU is dropped.
+const (
+	MaxAggregate      = 24
+	MaxAggregateBytes = 48 * 1024
+	RetryLimit        = 7
+)
+
 // seqOffset returns the position of seq relative to ssn in 12-bit circular
 // space, and whether it falls inside the BA window.
 func seqOffset(ssn, seq uint16) (int, bool) {
@@ -31,19 +40,4 @@ func BuildBitmap(ssn uint16, seqs []uint16) uint64 {
 func BitmapAcks(ssn uint16, bitmap uint64, seq uint16) bool {
 	off, ok := seqOffset(ssn, seq)
 	return ok && bitmap&(1<<off) != 0
-}
-
-// MergeBitmaps combines two scoreboards over the same SSN: an MPDU is
-// acknowledged if either saw it. This is what the serving AP does with a
-// Block ACK forwarded by a neighbour (§3.2.1).
-func MergeBitmaps(a, b uint64) uint64 { return a | b }
-
-// CountAcked returns the number of acknowledged MPDUs in the bitmap.
-func CountAcked(bitmap uint64) int {
-	n := 0
-	for bitmap != 0 {
-		bitmap &= bitmap - 1
-		n++
-	}
-	return n
 }

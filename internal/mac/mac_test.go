@@ -2,6 +2,7 @@ package mac
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 
 	"wgtt/internal/mobility"
@@ -27,8 +28,8 @@ func TestBitmapBuildAndCheck(t *testing.T) {
 	if BitmapAcks(100, bm, 164) {
 		t.Error("seq outside 64-window acknowledged")
 	}
-	if CountAcked(bm) != 4 {
-		t.Errorf("CountAcked = %d", CountAcked(bm))
+	if n := bits.OnesCount64(bm); n != 4 {
+		t.Errorf("bitmap acknowledges %d seqs, want 4", n)
 	}
 }
 
@@ -42,20 +43,6 @@ func TestBitmapWraparound(t *testing.T) {
 	}
 	if BitmapAcks(4090, bm, 60) {
 		t.Error("seq past the window acknowledged")
-	}
-}
-
-func TestMergeBitmaps(t *testing.T) {
-	a := BuildBitmap(0, []uint16{0, 2})
-	b := BuildBitmap(0, []uint16{1, 2})
-	m := MergeBitmaps(a, b)
-	for _, s := range []uint16{0, 1, 2} {
-		if !BitmapAcks(0, m, s) {
-			t.Errorf("merged bitmap missing %d", s)
-		}
-	}
-	if CountAcked(m) != 3 {
-		t.Errorf("merged count = %d", CountAcked(m))
 	}
 }
 
@@ -503,7 +490,7 @@ func TestRetuneMovesStation(t *testing.T) {
 
 	// Client leaves for channel 2: the AP's transmissions no longer reach it.
 	client.Retune(medium2)
-	if client.Medium() != medium2 {
+	if client.medium != medium2 {
 		t.Fatal("Retune did not switch media")
 	}
 	src.queue = mkPackets(16, 1400)

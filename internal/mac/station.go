@@ -37,11 +37,7 @@ type StationConfig struct {
 	Endpoint *radio.Endpoint  // radio identity
 	// Promiscuous stations decode frames addressed to anyone (monitor mode).
 	Promiscuous bool
-	// RespondFilter, if set, gates ACK generation per data sender; nil
-	// responds to everything addressed to an owned address.
-	RespondFilter func(from packet.MACAddr) bool
-	Sink          Sink
-	Source        Source
+	Sink        Sink
 }
 
 // Station is one 802.11 MAC entity: it contends for the medium, assembles
@@ -87,17 +83,15 @@ func NewStation(m *Medium, cfg StationConfig) *Station {
 		panic("mac: station needs a radio endpoint")
 	}
 	s := &Station{
-		Addr:          cfg.Addr,
-		Aliases:       cfg.Aliases,
-		Endpoint:      cfg.Endpoint,
-		Promiscuous:   cfg.Promiscuous,
-		medium:        m,
-		sink:          cfg.Sink,
-		src:           cfg.Source,
-		respondFilter: cfg.RespondFilter,
-		cw:            phy.CWMin,
-		seq:           make(map[packet.MACAddr]uint16),
-		rc:            make(map[packet.MACAddr]*minstrel),
+		Addr:        cfg.Addr,
+		Aliases:     cfg.Aliases,
+		Endpoint:    cfg.Endpoint,
+		Promiscuous: cfg.Promiscuous,
+		medium:      m,
+		sink:        cfg.Sink,
+		cw:          phy.CWMin,
+		seq:         make(map[packet.MACAddr]uint16),
+		rc:          make(map[packet.MACAddr]*minstrel),
 	}
 	m.register(s)
 	return s
@@ -110,7 +104,9 @@ func (s *Station) SetSink(k Sink) { s.sink = k }
 // SetSource installs the transmit source.
 func (s *Station) SetSource(src Source) { s.src = src }
 
-// SetRespondFilter replaces the ACK gating predicate.
+// SetRespondFilter installs a predicate gating ACK generation per data
+// sender; without one the station responds to everything addressed to an
+// owned address.
 func (s *Station) SetRespondFilter(f func(from packet.MACAddr) bool) { s.respondFilter = f }
 
 // Retune moves the station onto a different medium — a wireless channel
@@ -132,9 +128,6 @@ func (s *Station) Retune(m *Medium) {
 		s.Kick()
 	}
 }
-
-// Medium returns the channel the station is currently tuned to.
-func (s *Station) Medium() *Medium { return s.medium }
 
 func (s *Station) ownsAddr(a packet.MACAddr) bool {
 	if a == s.Addr {

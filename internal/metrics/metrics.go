@@ -39,14 +39,6 @@ func (c *Counter) Add(n uint64) {
 	}
 }
 
-// Value returns the current count (0 on a nil counter).
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
-
 // Gauge is a last-value instrument (queue sizes, hashset occupancy). A nil
 // *Gauge is a valid no-op.
 type Gauge struct {
@@ -60,14 +52,6 @@ func (g *Gauge) Set(v float64) {
 		g.v = v
 		g.set = true
 	}
-}
-
-// Value returns the last value set (0 if never set or nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
 }
 
 // Histogram counts observations into fixed buckets: bucket i holds
@@ -101,14 +85,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 	h.count++
 	h.sum += v
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count
 }
 
 // key identifies one instrument within a registry.

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,7 +13,7 @@ func TestCounterGaugeHistogramBasics(t *testing.T) {
 	c := r.Counter("controller", "csi_reports")
 	c.Inc()
 	c.Add(4)
-	if got := c.Value(); got != 5 {
+	if got := c.v; got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
 	}
 	if r.Counter("controller", "csi_reports") != c {
@@ -22,7 +23,7 @@ func TestCounterGaugeHistogramBasics(t *testing.T) {
 	g := r.Gauge("dedup", "size")
 	g.Set(3)
 	g.Set(7)
-	if got := g.Value(); got != 7 {
+	if got := g.v; got != 7 {
 		t.Fatalf("gauge = %v, want 7 (last value)", got)
 	}
 
@@ -30,8 +31,8 @@ func TestCounterGaugeHistogramBasics(t *testing.T) {
 	for _, v := range []float64{1, 3, 3, 5, 9, 100} {
 		h.Observe(v)
 	}
-	if h.Count() != 6 {
-		t.Fatalf("hist count = %d, want 6", h.Count())
+	if h.count != 6 {
+		t.Fatalf("hist count = %d, want 6", h.count)
 	}
 	snap := r.Snapshot()
 	hs := snap.Histograms[0]
@@ -149,8 +150,8 @@ func TestSnapshotDeterministicOrderAndJSONRoundTrip(t *testing.T) {
 	if err := a.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadJSON(&buf)
-	if err != nil {
+	var back Snapshot
+	if err := json.NewDecoder(&buf).Decode(&back); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, back) {

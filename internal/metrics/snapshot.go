@@ -316,13 +316,6 @@ func (s *Snapshot) WriteFile(path string) error {
 	return f.Close()
 }
 
-// ReadJSON decodes a snapshot written by WriteJSON.
-func ReadJSON(r io.Reader) (Snapshot, error) {
-	var s Snapshot
-	err := json.NewDecoder(r).Decode(&s)
-	return s, err
-}
-
 // Fprint renders the snapshot as a human-readable table: counters (with
 // rates when the snapshot covers a known duration), gauges, histogram
 // summaries, and the switch-protocol span digest.

@@ -12,9 +12,6 @@ func almostEqual(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
 func TestPointOps(t *testing.T) {
 	p := Point{3, 4}
-	if p.Norm() != 5 {
-		t.Errorf("Norm = %v, want 5", p.Norm())
-	}
 	if d := p.Distance(Point{0, 0}); d != 5 {
 		t.Errorf("Distance = %v, want 5", d)
 	}
@@ -33,18 +30,12 @@ func TestMPHConversion(t *testing.T) {
 	if !almostEqual(MPH(25), 11.176, 1e-9) {
 		t.Errorf("MPH(25) = %v", MPH(25))
 	}
-	if !almostEqual(ToMPH(MPH(15)), 15, 1e-12) {
-		t.Errorf("round-trip mph failed")
-	}
 }
 
 func TestStationary(t *testing.T) {
 	s := Stationary{At: Point{1, 2}}
 	if s.Position(5*sim.Second) != (Point{1, 2}) {
 		t.Error("stationary moved")
-	}
-	if Speed(s, sim.Second) != 0 {
-		t.Error("stationary has speed")
 	}
 }
 
@@ -54,9 +45,6 @@ func TestLinearDrive(t *testing.T) {
 	if !almostEqual(p.X, 11.176, 1e-9) || p.Y != 0 {
 		t.Errorf("Position(1s) = %v", p)
 	}
-	if !almostEqual(Speed(d, sim.Second), MPH(25), 1e-12) {
-		t.Errorf("Speed = %v", Speed(d, sim.Second))
-	}
 }
 
 func TestLinearDriveDepart(t *testing.T) {
@@ -64,9 +52,6 @@ func TestLinearDriveDepart(t *testing.T) {
 	d.Depart = 2 * sim.Second
 	if d.Position(sim.Second).X != 10 {
 		t.Error("moved before departure")
-	}
-	if Speed(d, sim.Second) != 0 {
-		t.Error("nonzero speed before departure")
 	}
 	want := 10 + MPH(10)*3
 	if got := d.Position(5 * sim.Second).X; !almostEqual(got, want, 1e-9) {
@@ -80,9 +65,6 @@ func TestLinearDriveDuration(t *testing.T) {
 	end := d.Position(2 * sim.Second)
 	if got := d.Position(10 * sim.Second); got != end {
 		t.Errorf("drive kept moving after Duration: %v != %v", got, end)
-	}
-	if Speed(d, 5*sim.Second) != 0 {
-		t.Error("nonzero speed after Duration")
 	}
 }
 
@@ -104,9 +86,8 @@ func TestWaypointTrace(t *testing.T) {
 	if got := w.Position(-sim.Second); got != (Point{0, 0}) {
 		t.Errorf("before first waypoint = %v", got)
 	}
-	v := w.Velocity(3 * sim.Second)
-	if !almostEqual(v.Y, 5, 1e-9) || !almostEqual(v.X, 0, 1e-9) {
-		t.Errorf("Velocity = %v, want (0,5)", v)
+	if got := w.Position(3 * sim.Second); !almostEqual(got.X, 20, 1e-9) || !almostEqual(got.Y, 5, 1e-9) {
+		t.Errorf("second-leg midpoint = %v, want (20,5)", got)
 	}
 }
 
@@ -142,52 +123,14 @@ func TestWaypointZeroDurationSegment(t *testing.T) {
 	}
 	for _, at := range []sim.Time{0, sim.Second, 2 * sim.Second,
 		2*sim.Second + sim.Millisecond, 3 * sim.Second, 4 * sim.Second, 5 * sim.Second} {
-		p, v := w.Position(at), w.Velocity(at)
-		for _, f := range []float64{p.X, p.Y, v.X, v.Y, Speed(w, at)} {
-			if math.IsNaN(f) || math.IsInf(f, 0) {
-				t.Fatalf("t=%v: non-finite kinematics p=%v v=%v", at, p, v)
-			}
+		p := w.Position(at)
+		if math.IsNaN(p.X) || math.IsInf(p.X, 0) || math.IsNaN(p.Y) || math.IsInf(p.Y, 0) {
+			t.Fatalf("t=%v: non-finite position %v", at, p)
 		}
 	}
-	// Straddling the coalesced point, the velocity is the next leg's.
-	if v := w.Velocity(2 * sim.Second); !almostEqual(v.Y, 5, 1e-9) || !almostEqual(v.X, 0, 1e-9) {
-		t.Errorf("Velocity at coalesced waypoint = %v, want (0,5)", v)
-	}
-}
-
-// Velocity at exact waypoint boundaries: the leg beginning there, not a
-// stale heading from the finished leg; parked at and beyond the last.
-func TestWaypointVelocityAtBoundaries(t *testing.T) {
-	w, err := NewWaypointTrace([]Waypoint{
-		{At: sim.Second, Pos: Point{0, 0}},
-		{At: 3 * sim.Second, Pos: Point{20, 0}},
-		{At: 5 * sim.Second, Pos: Point{20, 10}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := w.Velocity(sim.Second); !almostEqual(v.X, 10, 1e-9) || v.Y != 0 {
-		t.Errorf("Velocity at first waypoint = %v, want (10,0)", v)
-	}
-	if v := w.Velocity(3 * sim.Second); !almostEqual(v.Y, 5, 1e-9) || !almostEqual(v.X, 0, 1e-9) {
-		t.Errorf("Velocity at interior waypoint = %v, want (0,5)", v)
-	}
-	if v := w.Velocity(5 * sim.Second); v != (Point{}) {
-		t.Errorf("Velocity at last waypoint = %v, want parked", v)
-	}
-	if v := w.Velocity(sim.Second - sim.Millisecond); v != (Point{}) {
-		t.Errorf("Velocity before departure = %v, want parked", v)
-	}
-	// A single-waypoint trace is stationary everywhere.
-	s, err := NewWaypointTrace([]Waypoint{{At: sim.Second, Pos: Point{3, 4}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := s.Velocity(sim.Second); v != (Point{}) {
-		t.Errorf("single-point Velocity = %v", v)
-	}
-	if Speed(s, 2*sim.Second) != 0 {
-		t.Error("single-point trace has nonzero speed")
+	// Just past the coalesced point the client is on the next leg.
+	if p := w.Position(2*sim.Second + 200*sim.Millisecond); !almostEqual(p.X, 20, 1e-9) || !almostEqual(p.Y, 1, 1e-9) {
+		t.Errorf("position past coalesced waypoint = %v, want (20,1)", p)
 	}
 }
 
@@ -262,11 +205,6 @@ func TestPatternParallel(t *testing.T) {
 
 func TestPatternOpposing(t *testing.T) {
 	traces := PatternTraces(Opposing, 2, DefaultAPPositions(), 15, 10)
-	v0 := traces[0].Velocity(sim.Second)
-	v1 := traces[1].Velocity(sim.Second)
-	if v0.X <= 0 || v1.X >= 0 {
-		t.Errorf("opposing velocities = %v, %v", v0, v1)
-	}
 	// They should pass each other somewhere mid-array.
 	d0 := traces[0].Position(5 * sim.Second)
 	d1 := traces[1].Position(5 * sim.Second)
@@ -321,19 +259,13 @@ func TestClipWindowsTrace(t *testing.T) {
 	if got := c.Position(0); got != inner.Position(sim.FromSeconds(1)) {
 		t.Fatalf("pre-window position = %v, want frozen at From", got)
 	}
-	if c.Velocity(0) != (Point{}) {
-		t.Fatal("pre-window velocity must be zero")
-	}
 	// Inside: passes through.
 	mid := sim.FromSeconds(2)
-	if c.Position(mid) != inner.Position(mid) || c.Velocity(mid) != inner.Velocity(mid) {
+	if c.Position(mid) != inner.Position(mid) {
 		t.Fatal("in-window samples must match the inner trace")
 	}
 	// After: parked at the To-time position.
 	if got := c.Position(sim.FromSeconds(9)); got != inner.Position(sim.FromSeconds(3)) {
 		t.Fatalf("post-window position = %v, want frozen at To", got)
-	}
-	if c.Velocity(sim.FromSeconds(9)) != (Point{}) {
-		t.Fatal("post-window velocity must be zero")
 	}
 }

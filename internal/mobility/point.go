@@ -2,8 +2,8 @@
 // testbed (§2, §4.2): a straight transit corridor with APs deployed
 // alongside it at the §4.2 deployment's ~7.5 m mean spacing and vehicular
 // clients driving past at the 0–35 mph speeds of the §5 drives. Traces
-// report position, heading, and speed as pure functions of virtual time, so
-// the radio layer can sample them at arbitrary (millisecond) granularity.
+// report position as a pure function of virtual time, so the radio layer
+// can sample them at arbitrary (millisecond) granularity.
 package mobility
 
 import (
@@ -29,9 +29,6 @@ func (p Point) Scale(k float64) Point { return Point{p.X * k, p.Y * k} }
 // Distance returns the Euclidean distance between p and q.
 func (p Point) Distance(q Point) float64 { return math.Hypot(p.X-q.X, p.Y-q.Y) }
 
-// Norm returns the Euclidean length of p as a vector.
-func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
-
 // AngleTo returns the bearing, in radians, of the vector from p to q,
 // measured counter-clockwise from the +X axis.
 func (p Point) AngleTo(q Point) float64 { return math.Atan2(q.Y-p.Y, q.X-p.X) }
@@ -46,6 +43,3 @@ const MetersPerSecondPerMPH = 0.44704
 // quotes every experiment speed in mph (5–35 mph); simulation code works in
 // SI units.
 func MPH(v float64) float64 { return v * MetersPerSecondPerMPH }
-
-// ToMPH converts a speed in meters per second to miles per hour.
-func ToMPH(ms float64) float64 { return ms / MetersPerSecondPerMPH }

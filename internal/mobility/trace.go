@@ -2,23 +2,19 @@ package mobility
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"wgtt/internal/sim"
 )
 
-// Trace reports where a client is, and how it is moving, at a point in
-// virtual time. Implementations must be pure: the same t always yields the
-// same answer, so components may sample a trace at any granularity.
+// Trace reports where a client is at a point in virtual time.
+// Implementations must be pure: the same t always yields the same answer,
+// so components may sample a trace at any granularity.
 type Trace interface {
 	// Position returns the client's location at time t.
 	Position(t sim.Time) Point
-	// Velocity returns the client's velocity vector in m/s at time t.
-	Velocity(t sim.Time) Point
 }
-
-// Speed returns the scalar speed (m/s) of tr at time t.
-func Speed(tr Trace, t sim.Time) float64 { return tr.Velocity(t).Norm() }
 
 // Stationary is a Trace that never moves. It models the parked/static client
 // of the paper's 0 mph data point.
@@ -28,9 +24,6 @@ type Stationary struct {
 
 // Position implements Trace.
 func (s Stationary) Position(sim.Time) Point { return s.At }
-
-// Velocity implements Trace.
-func (s Stationary) Velocity(sim.Time) Point { return Point{} }
 
 // LinearDrive is a constant-velocity drive along the road: the client sits
 // at Start until Depart, then moves with the given velocity. It models the
@@ -64,20 +57,9 @@ func (d *LinearDrive) Position(t sim.Time) Point {
 	return d.Start.Add(d.Vel.Scale(elapsed.Seconds()))
 }
 
-// Velocity implements Trace.
-func (d *LinearDrive) Velocity(t sim.Time) Point {
-	if t <= d.Depart {
-		return Point{}
-	}
-	if d.Duration > 0 && t > d.Depart+d.Duration {
-		return Point{}
-	}
-	return d.Vel
-}
-
 // String describes the drive for logs.
 func (d *LinearDrive) String() string {
-	return fmt.Sprintf("drive from %v at %.1f mph", d.Start, ToMPH(d.Vel.Norm()))
+	return fmt.Sprintf("drive from %v at %.1f mph", d.Start, math.Hypot(d.Vel.X, d.Vel.Y)/MetersPerSecondPerMPH)
 }
 
 // Waypoint is one leg endpoint of a WaypointTrace.
@@ -136,24 +118,4 @@ func (w *WaypointTrace) Position(t sim.Time) Point {
 	a, b := pts[i-1], pts[i]
 	frac := float64(t-a.At) / float64(b.At-a.At)
 	return a.Pos.Add(b.Pos.Sub(a.Pos).Scale(frac))
-}
-
-// Velocity implements Trace. At a leg boundary — t exactly on a waypoint,
-// including the very first — it reports the velocity of the leg that begins
-// there, never the stale heading of the leg just finished; at and after the
-// last waypoint the client is parked.
-func (w *WaypointTrace) Velocity(t sim.Time) Point {
-	pts := w.points
-	if len(pts) < 2 || t < pts[0].At || t >= pts[len(pts)-1].At {
-		return Point{}
-	}
-	i := sort.Search(len(pts), func(i int) bool { return pts[i].At > t })
-	a, b := pts[i-1], pts[i]
-	dt := (b.At - a.At).Seconds()
-	if dt <= 0 {
-		// Unreachable after constructor coalescing, but a zero-duration
-		// segment must never divide to ±Inf.
-		return Point{}
-	}
-	return b.Pos.Sub(a.Pos).Scale(1 / dt)
 }

@@ -9,6 +9,10 @@ import (
 	"wgtt/internal/sim"
 )
 
+// retiredAssocFrame is a well-formed frame of the retired type 8 (the §4.3
+// association sync): envelope, client MAC, client IP, AID 2007, authorized.
+var retiredAssocFrame = []byte{8, 0, 13, 0x02, 0xc1, 0x1e, 0, 0, 6, 192, 168, 1, 106, 0x07, 0xd7, 1}
+
 // exemplars returns one fully-populated message per MsgType, keyed by type.
 // The exhaustiveness guard in TestCodecCoversEveryMsgType fails the build of
 // this table the moment a new MsgType is added without an entry here.
@@ -30,7 +34,6 @@ func exemplars() map[MsgType]Message {
 		},
 		MsgCSI:         csi,
 		MsgBAFwd:       &BlockAckFwd{Client: ClientMAC(5), FromAP: APIP(0), SSN: 4095, Bitmap: ^uint64(0)},
-		MsgAssoc:       &AssocSync{Client: ClientMAC(6), ClientIP: ClientIP(6), AID: 2007, Authorized: true},
 		MsgHealthProbe: &HealthProbe{Seq: 0xdeadbeef, At: -1},
 		MsgHealthAck:   &HealthAck{AP: APIP(7), Seq: 0xdeadbeef, At: 1 << 60},
 		MsgDomainHandoffOffer: &DomainHandoffOffer{
@@ -57,6 +60,9 @@ func exemplars() map[MsgType]Message {
 func TestCodecCoversEveryMsgType(t *testing.T) {
 	ex := exemplars()
 	for tt := MsgDownData; tt <= MsgDomainHandoffCommit; tt++ {
+		if tt == MsgType(retiredAssocFrame[0]) {
+			continue // reserved gap, pinned by TestMsgTypeWireNumbers
+		}
 		m, ok := ex[tt]
 		if !ok {
 			t.Fatalf("no exemplar for MsgType %d (%v) — extend exemplars()", tt, tt)
@@ -82,6 +88,28 @@ func TestCodecCoversEveryMsgType(t *testing.T) {
 	// real case and fail here, pointing at the loop bound.
 	if s := (MsgDomainHandoffCommit + 1).String(); !strings.HasPrefix(s, "msg?") {
 		t.Fatalf("MsgType %d has a name (%q) but is outside the exhaustive loop — update TestCodecCoversEveryMsgType", MsgDomainHandoffCommit+1, s)
+	}
+}
+
+// The live tier and the fuzz corpus speak these numbers: a type may be
+// retired, but the survivors are never renumbered, and a frame carrying a
+// retired type byte is an error to Decode, not a panic.
+func TestMsgTypeWireNumbers(t *testing.T) {
+	want := map[MsgType]uint8{
+		MsgDownData: 1, MsgUpData: 2, MsgStop: 3, MsgStart: 4, MsgSwitchAck: 5,
+		MsgCSI: 6, MsgBAFwd: 7, MsgHealthProbe: 9, MsgHealthAck: 10,
+		MsgDomainHandoffOffer: 11, MsgDomainHandoffAccept: 12, MsgDomainHandoffCommit: 13,
+	}
+	if len(want) != len(exemplars()) {
+		t.Fatalf("%d wire numbers pinned, %d message types have exemplars", len(want), len(exemplars()))
+	}
+	for tt, n := range want {
+		if uint8(tt) != n {
+			t.Errorf("%v is wire type %d, want %d", tt, uint8(tt), n)
+		}
+	}
+	if m, err := Decode(retiredAssocFrame); err == nil {
+		t.Errorf("retired type 8 decoded to %+v, want an error", m)
 	}
 }
 
@@ -111,6 +139,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{byte(MsgCSI), 0x00, 0x01, 0x42})
 	f.Add([]byte{0x00, 0x00, 0x00})
 	f.Add([]byte{0xff, 0x00, 0x04, 1, 2, 3, 4})
+	f.Add(retiredAssocFrame)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(data)
 		if err != nil {

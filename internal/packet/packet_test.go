@@ -117,7 +117,6 @@ func TestWireRoundTrips(t *testing.T) {
 		&Start{Client: ClientMAC(1), Index: 4095, SwitchID: 99},
 		&SwitchAck{Client: ClientMAC(1), AP: APIP(2), SwitchID: 99},
 		&BlockAckFwd{Client: ClientMAC(2), FromAP: APIP(7), SSN: 1000, Bitmap: 0xdeadbeefcafef00d},
-		&AssocSync{Client: ClientMAC(3), ClientIP: ClientIP(3), AID: 17, Authorized: true},
 		&HealthProbe{Seq: 41, At: 987654321},
 		&HealthAck{AP: APIP(6), Seq: 41, At: 987654321},
 	}
@@ -149,7 +148,7 @@ func TestCSIReportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back := got.(*CSIReport).SNRdB()
+	back := got.(*CSIReport).SNRdBInto(nil)
 	for i := range snr {
 		if back[i] != snr[i] {
 			t.Fatalf("subcarrier %d: %v != %v", i, back[i], snr[i])
@@ -176,7 +175,7 @@ func TestCSIQuantizationError(t *testing.T) {
 	full := make([]float64, CSISubcarriers)
 	copy(full, in)
 	c.QuantizeSNR(full)
-	out := c.SNRdB()
+	out := c.SNRdBInto(nil)
 	for i := range in {
 		if d := out[i] - in[i]; d > 0.125 || d < -0.125 {
 			t.Errorf("quantization error %v at %d", d, i)
@@ -206,7 +205,7 @@ func TestMsgTypeString(t *testing.T) {
 	names := map[MsgType]string{
 		MsgDownData: "down-data", MsgUpData: "up-data", MsgStop: "stop",
 		MsgStart: "start", MsgSwitchAck: "switch-ack", MsgCSI: "csi",
-		MsgBAFwd: "ba-fwd", MsgAssoc: "assoc", MsgType(0): "msg?0",
+		MsgBAFwd: "ba-fwd", MsgType(8): "msg?8", MsgType(0): "msg?0",
 		MsgHealthProbe: "health-probe", MsgHealthAck: "health-ack",
 	}
 	for ty, want := range names {

@@ -42,8 +42,10 @@ const (
 	MsgCSI
 	// MsgBAFwd is a neighbour-AP→serving-AP forwarded Block ACK (§3.2.1).
 	MsgBAFwd
-	// MsgAssoc replicates client association state AP→AP (§4.3).
-	MsgAssoc
+	// Type 8 is retired: it was the §4.3 AP→AP association sync, which
+	// nothing sent (replication happens at scenario assembly). The gap
+	// stays reserved so the types after it keep their wire numbers.
+	_
 	// MsgHealthProbe is a controller→AP liveness probe. The paper's control
 	// plane assumes APs never fail; the probe/ack pair backs the AP health
 	// monitor that relaxes that assumption (DESIGN.md §11).
@@ -80,8 +82,6 @@ func (t MsgType) String() string {
 		return "csi"
 	case MsgBAFwd:
 		return "ba-fwd"
-	case MsgAssoc:
-		return "assoc"
 	case MsgHealthProbe:
 		return "health-probe"
 	case MsgHealthAck:
@@ -142,8 +142,6 @@ func Decode(src []byte) (Message, error) {
 		m = &CSIReport{}
 	case MsgBAFwd:
 		m = &BlockAckFwd{}
-	case MsgAssoc:
-		m = &AssocSync{}
 	case MsgHealthProbe:
 		m = &HealthProbe{}
 	case MsgHealthAck:
@@ -415,12 +413,8 @@ func (c *CSIReport) QuantizeSNR(snrDB []float64) {
 	}
 }
 
-// SNRdB unpacks the quantized SNRs back to dB.
-func (c *CSIReport) SNRdB() []float64 { return c.SNRdBInto(nil) }
-
-// SNRdBInto unpacks the quantized SNRs into dst, reusing its capacity, and
-// returns the filled slice of length CSISubcarriers — the allocation-free
-// counterpart of SNRdB for per-report hot paths.
+// SNRdBInto unpacks the quantized SNRs back to dB into dst, reusing its
+// capacity, and returns the filled slice of length CSISubcarriers.
 func (c *CSIReport) SNRdBInto(dst []float64) []float64 {
 	if cap(dst) < CSISubcarriers {
 		dst = make([]float64, CSISubcarriers)
@@ -463,43 +457,6 @@ func (b *BlockAckFwd) unmarshal(src []byte) error {
 	copy(b.FromAP[:], src[6:10])
 	b.SSN = binary.BigEndian.Uint16(src[10:12])
 	b.Bitmap = binary.BigEndian.Uint64(src[12:20])
-	return nil
-}
-
-// AssocSync replicates a client's association state from the AP that
-// completed the association to every other AP, mirroring the hostapd
-// sta_info → hostapd_sta_add_params hand-off of §4.3.
-type AssocSync struct {
-	Client     MACAddr
-	ClientIP   IPv4Addr
-	AID        uint16 // association ID
-	Authorized bool
-}
-
-// Type implements Message.
-func (*AssocSync) Type() MsgType { return MsgAssoc }
-
-// WireSize implements Message.
-func (*AssocSync) WireSize() int { return 6 + 4 + 2 + 1 }
-
-func (a *AssocSync) marshal(dst []byte) []byte {
-	dst = append(dst, a.Client[:]...)
-	dst = append(dst, a.ClientIP[:]...)
-	dst = binary.BigEndian.AppendUint16(dst, a.AID)
-	if a.Authorized {
-		return append(dst, 1)
-	}
-	return append(dst, 0)
-}
-
-func (a *AssocSync) unmarshal(src []byte) error {
-	if len(src) < a.WireSize() {
-		return fmt.Errorf("truncated")
-	}
-	copy(a.Client[:], src[0:6])
-	copy(a.ClientIP[:], src[6:10])
-	a.AID = binary.BigEndian.Uint16(src[10:12])
-	a.Authorized = src[12] != 0
 	return nil
 }
 

@@ -96,26 +96,3 @@ func TXOPByteBudget(m MCS) int {
 	usable := (TXOPLimit - HTPreamble).Microseconds()
 	return int(Lookup(m).DataRateMbps * usable / 8)
 }
-
-// TXOPDuration returns the complete exchange time for an aggregate:
-// A-MPDU + SIFS + Block ACK.
-func TXOPDuration(m MCS, payloadBytes []int) sim.Time {
-	return AMPDUDuration(m, payloadBytes) + SIFS + BlockAckDuration()
-}
-
-// EffectiveThroughputMbps returns goodput of a full TXOP exchange carrying
-// the given payloads at MCS m, including DIFS and mean backoff — the number
-// a saturated sender would sustain. Useful for capacity estimates in the
-// evaluation harness.
-func EffectiveThroughputMbps(m MCS, payloadBytes []int) float64 {
-	var payload int
-	for _, b := range payloadBytes {
-		payload += b
-	}
-	if payload == 0 {
-		return 0
-	}
-	meanBackoff := sim.Time(CWMin) / 2 * Slot
-	total := DIFS + meanBackoff + TXOPDuration(m, payloadBytes)
-	return float64(payload*8) / total.Microseconds()
-}

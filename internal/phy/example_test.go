@@ -6,19 +6,6 @@ import (
 	"wgtt/internal/phy"
 )
 
-// Rate selection from a channel-quality estimate: the highest MCS whose
-// predicted loss stays under budget.
-func ExampleBestMCS() {
-	for _, esnr := range []float64{6, 16, 30} {
-		m := phy.BestMCS(esnr, 1500, 0.1)
-		fmt.Printf("%2.0f dB -> %v\n", esnr, m)
-	}
-	// Output:
-	//  6 dB -> MCS0(7.2 Mb/s)
-	// 16 dB -> MCS3(28.9 Mb/s)
-	// 30 dB -> MCS7(72.2 Mb/s)
-}
-
 // Aggregation amortizes the fixed preamble: twenty 1,500-byte MPDUs cost
 // barely more airtime per byte than one.
 func ExampleAMPDUDuration() {

@@ -45,13 +45,6 @@ func Lookup(m MCS) Info {
 	return table[m]
 }
 
-// All returns the full rate table, lowest rate first.
-func All() []Info {
-	out := make([]Info, NumMCS)
-	copy(out[:], table[:])
-	return out
-}
-
 // String implements fmt.Stringer.
 func (m MCS) String() string {
 	if m < 0 || m >= NumMCS {
@@ -128,17 +121,4 @@ func PER(m MCS, esnrDB float64, frameBytes int) float64 {
 		return 1
 	}
 	return loss
-}
-
-// BestMCS returns the highest MCS whose predicted PER for frameBytes at
-// esnrDB does not exceed maxPER, or MCS 0 if none qualifies. This is the
-// ESNR-directed rate pick a Halperin-style rate controller would make.
-func BestMCS(esnrDB float64, frameBytes int, maxPER float64) MCS {
-	best := MCS(0)
-	for i := 0; i < NumMCS; i++ {
-		if PER(MCS(i), esnrDB, frameBytes) <= maxPER {
-			best = MCS(i)
-		}
-	}
-	return best
 }

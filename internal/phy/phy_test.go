@@ -92,7 +92,7 @@ func TestInvBERRoundTrip(t *testing.T) {
 }
 
 func TestMCSTable(t *testing.T) {
-	all := All()
+	all := table
 	if len(all) != NumMCS {
 		t.Fatalf("table has %d entries", len(all))
 	}
@@ -184,29 +184,6 @@ func TestPERMonotoneInESNR(t *testing.T) {
 	}
 }
 
-func TestBestMCS(t *testing.T) {
-	// Very high ESNR picks the top rate; very low picks MCS0.
-	if m := BestMCS(40, 1500, 0.1); m != 7 {
-		t.Errorf("BestMCS(40dB) = %v", m)
-	}
-	if m := BestMCS(-5, 1500, 0.1); m != 0 {
-		t.Errorf("BestMCS(-5dB) = %v", m)
-	}
-	// Mid ESNR picks something in between, monotone in ESNR.
-	prev := MCS(0)
-	for e := 0.0; e <= 40; e += 0.5 {
-		m := BestMCS(e, 1500, 0.1)
-		if m < prev {
-			t.Fatalf("BestMCS not monotone at %v dB", e)
-		}
-		prev = m
-	}
-	mid := BestMCS(16, 1500, 0.1)
-	if mid <= 1 || mid >= 7 {
-		t.Errorf("BestMCS(16dB) = %v, want mid-range", mid)
-	}
-}
-
 func TestDataDuration(t *testing.T) {
 	// 1500 bytes at MCS7 (72.2 Mb/s): 12022 bits / 260 bits-per-symbol
 	// ≈ 46.3 ⇒ 47 symbols ⇒ 169.2 µs.
@@ -242,29 +219,5 @@ func TestControlDurations(t *testing.T) {
 	}
 	if AckDuration() >= ba {
 		t.Error("legacy ACK should be shorter than Block ACK")
-	}
-	txop := TXOPDuration(7, []int{1500})
-	if txop != AMPDUDuration(7, []int{1500})+SIFS+ba {
-		t.Error("TXOP arithmetic wrong")
-	}
-}
-
-func TestEffectiveThroughput(t *testing.T) {
-	// Aggregated MCS7 goodput should approach but not exceed the PHY rate.
-	var payloads []int
-	for i := 0; i < 20; i++ {
-		payloads = append(payloads, 1500)
-	}
-	tp := EffectiveThroughputMbps(7, payloads)
-	if tp < 45 || tp >= 72.2 {
-		t.Errorf("aggregated MCS7 goodput = %v Mb/s", tp)
-	}
-	// A single small frame is dominated by overhead.
-	small := EffectiveThroughputMbps(7, []int{100})
-	if small > 10 {
-		t.Errorf("single 100B frame goodput = %v Mb/s", small)
-	}
-	if EffectiveThroughputMbps(7, nil) != 0 {
-		t.Error("empty payload throughput should be 0")
 	}
 }

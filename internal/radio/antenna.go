@@ -67,9 +67,3 @@ func (p Parabolic) GainDB(offBoresightRad float64) float64 {
 	}
 	return p.PeakDBi - loss
 }
-
-// HalfPowerHalfWidthRad returns the off-boresight angle at which the gain is
-// 3 dB below peak — i.e. half the full beamwidth, in radians.
-func (p Parabolic) HalfPowerHalfWidthRad() float64 {
-	return p.BeamwidthDeg / 2 * math.Pi / 180
-}

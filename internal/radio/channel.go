@@ -3,7 +3,6 @@ package radio
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"wgtt/internal/mobility"
 	"wgtt/internal/sim"
@@ -15,22 +14,11 @@ import (
 // behind an office window.
 type Params struct {
 	FrequencyHz         float64 // carrier frequency (channel 11: 2.462 GHz)
-	BandwidthHz         float64 // channel bandwidth for the noise floor
-	NoiseFigureDB       float64 // receiver noise figure
-	PathLossExponent    float64 // log-distance exponent (urban street canyon)
-	RefDistanceM        float64 // path-loss reference distance
-	RefLossDB           float64 // loss at RefDistanceM (0 ⇒ free-space value)
 	Subcarriers         int     // CSI-visible subcarriers (56 for HT20)
 	SubcarrierSpacingHz float64 // 312.5 kHz in 802.11 OFDM
 	Taps                []Tap   // multipath profile (nil ⇒ DefaultTaps)
 	Oscillators         int     // Jakes sinusoids per tap
 	MinDopplerHz        float64 // residual environmental Doppler when parked
-	// ShadowSigmaDB is the log-normal shadowing standard deviation; the
-	// street-canyon obstructions it models are what makes one AP's link
-	// sag for seconds while a neighbour's stays strong (Fig. 2, top).
-	ShadowSigmaDB float64
-	// ShadowCorrM is the shadowing correlation length in meters.
-	ShadowCorrM float64
 	// NoFading disables both small-scale fading and shadowing, leaving
 	// deterministic links from geometry alone — for controlled tests and
 	// ablations.
@@ -48,29 +36,28 @@ type Params struct {
 func DefaultParams() Params {
 	return Params{
 		FrequencyHz:         2.462e9,
-		BandwidthHz:         20e6,
-		NoiseFigureDB:       6,
-		PathLossExponent:    2.7,
-		RefDistanceM:        1,
 		Subcarriers:         56,
 		SubcarrierSpacingHz: 312.5e3,
 		Oscillators:         8,
 		MinDopplerHz:        1.5,
-		ShadowSigmaDB:       4,
-		ShadowCorrM:         4,
 	}
 }
 
-func (p Params) refLossDB() float64 {
-	if p.RefLossDB != 0 {
-		return p.RefLossDB
-	}
-	return FreeSpacePathLossDB(p.RefDistanceM, p.FrequencyHz)
-}
+// Large-scale propagation of the testbed street (§2, Fig. 2): log-distance
+// path loss calibrated to an urban street canyon, anchored at the free-space
+// loss one meter out, under log-normal shadowing — the obstructions that
+// make one AP's link sag for seconds while a neighbour's stays strong.
+// Typed, so arithmetic on them rounds exactly as it did on struct fields.
+const (
+	pathLossExponent float64 = 2.7
+	refDistanceM     float64 = 1
+	shadowSigmaDB    float64 = 4 // shadowing standard deviation
+	shadowCorrM      float64 = 4 // shadowing correlation length, meters
+)
 
-func (p Params) noiseFloorDBm() float64 {
-	return ThermalNoiseDBm(p.BandwidthHz, p.NoiseFigureDB)
-}
+// noiseFloorDBm is the receiver noise floor: thermal noise over the 20 MHz
+// channel plus a 6 dB noise figure.
+var noiseFloorDBm = ThermalNoiseDBm(20e6, 6)
 
 // Channel owns every radio endpoint and hands out (and caches) pairwise
 // links, each with its own deterministic fading process seeded from the
@@ -122,19 +109,6 @@ func (c *Channel) AddEndpoint(e *Endpoint) error {
 	return nil
 }
 
-// Endpoint returns a registered endpoint, or nil.
-func (c *Channel) Endpoint(name string) *Endpoint { return c.endpoints[name] }
-
-// Endpoints returns all endpoint names in sorted order.
-func (c *Channel) Endpoints() []string {
-	names := make([]string, 0, len(c.endpoints))
-	for n := range c.endpoints {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // AddDisturber registers a moving scatterer (another vehicle) that is not a
 // radio endpoint of interest but perturbs nearby links — the paper's §5.2.2
 // observation that multiple vehicles introduce dynamic multipath and higher
@@ -173,9 +147,8 @@ func (c *Channel) Link(a, b string) (*Link, error) {
 		doppler, c.params.MinDopplerHz, c.rng.Stream("fading/"+key[0]+"/"+key[1]))
 	fader.Prime(c.params.Subcarriers, c.params.SubcarrierSpacingHz)
 	l := &Link{A: ea, B: eb, fader: fader, params: c.params}
-	if c.params.ShadowSigmaDB > 0 && !c.params.NoFading {
-		l.shadow = NewShadower(c.params.ShadowSigmaDB, math.Max(c.params.ShadowCorrM, 0.5),
-			c.rng.Stream("shadow/"+key[0]+"/"+key[1]))
+	if !c.params.NoFading {
+		l.shadow = NewShadower(shadowSigmaDB, shadowCorrM, c.rng.Stream("shadow/"+key[0]+"/"+key[1]))
 		l.mobile = ea
 		if eb.SpeedHintMS > ea.SpeedHintMS {
 			l.mobile = eb
@@ -184,15 +157,6 @@ func (c *Channel) Link(a, b string) (*Link, error) {
 	l.disturb = c.buildDisturb(key, ea, eb)
 	c.links[key] = l
 	return l, nil
-}
-
-// MustLink is Link but panics on error; for assembly code with known names.
-func (c *Channel) MustLink(a, b string) *Link {
-	l, err := c.Link(a, b)
-	if err != nil {
-		panic(err)
-	}
-	return l
 }
 
 // buildDisturb composes the per-disturber obstruction processes for a link.

@@ -118,14 +118,6 @@ func (f *Fader) Prime(subcarriers int, spacingHz float64) {
 	f.tapScratch()
 }
 
-// TapGains returns the instantaneous complex gain of each tap at time
-// tSeconds.
-func (f *Fader) TapGains(tSeconds float64) []complex128 {
-	out := make([]complex128, len(f.taps))
-	f.tapGainsInto(tSeconds, out)
-	return out
-}
-
 // tapScratch returns the reusable per-tap gain buffer.
 func (f *Fader) tapScratch() []complex128 {
 	if cap(f.scratch) < len(f.taps) {
@@ -212,13 +204,4 @@ func (f *Fader) FlatGainDB(tSeconds float64) float64 {
 // carrier frequency freqHz.
 func DopplerHz(speedMS, freqHz float64) float64 {
 	return speedMS / Wavelength(freqHz)
-}
-
-// CoherenceTimeSeconds returns the classic Clarke-model channel coherence
-// time 0.423/f_d for a Doppler spread of dopplerHz.
-func CoherenceTimeSeconds(dopplerHz float64) float64 {
-	if dopplerHz <= 0 {
-		return math.Inf(1)
-	}
-	return 0.423 / dopplerHz
 }

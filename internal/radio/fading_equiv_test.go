@@ -11,7 +11,7 @@ import (
 // fresh tap-gain slice and one cmplx.Exp per (tap × subcarrier) — as the
 // golden reference for the twiddle-table path.
 func gainsDBDirect(f *Fader, tSeconds, spacingHz float64, dst []float64) {
-	tapGains := f.TapGains(tSeconds)
+	tapGains := freshTapGains(f, tSeconds)
 	n := len(dst)
 	mid := float64(n-1) / 2
 	for m := 0; m < n; m++ {
@@ -24,6 +24,14 @@ func gainsDBDirect(f *Fader, tSeconds, spacingHz float64, dst []float64) {
 		p := real(h)*real(h) + imag(h)*imag(h)
 		dst[m] = LinearToDB(p)
 	}
+}
+
+// freshTapGains evaluates the tap gains into a slice of their own, away from
+// the fader's scratch buffer.
+func freshTapGains(f *Fader, tSeconds float64) []complex128 {
+	out := make([]complex128, len(f.taps))
+	f.tapGainsInto(tSeconds, out)
+	return out
 }
 
 // The twiddle-table GainsDB must reproduce the direct cmplx.Exp evaluation
@@ -71,7 +79,7 @@ func TestFlatGainDBScratchExact(t *testing.T) {
 		ts := float64(i) * 211e-6
 		got := f.FlatGainDB(ts)
 		var p float64
-		for _, g := range f.TapGains(ts) {
+		for _, g := range freshTapGains(f, ts) {
 			p += real(g)*real(g) + imag(g)*imag(g)
 		}
 		if want := LinearToDB(p); got != want {

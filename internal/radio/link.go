@@ -53,7 +53,7 @@ type Link struct {
 func (l *Link) PathGainDB(t sim.Time) float64 {
 	pa, pb := l.A.Position(t), l.B.Position(t)
 	d := pa.Distance(pb)
-	pl := l.params.refLossDB() + 10*l.params.PathLossExponent*math.Log10(math.Max(d, l.params.RefDistanceM)/l.params.RefDistanceM)
+	pl := FreeSpacePathLossDB(refDistanceM, l.params.FrequencyHz) + 10*pathLossExponent*math.Log10(math.Max(d, refDistanceM)/refDistanceM)
 	g := l.A.GainTowardDB(t, pb) + l.B.GainTowardDB(t, pa)
 	loss := l.A.ExtraLossDB + l.B.ExtraLossDB
 	if l.params.Obstruction != nil {
@@ -72,7 +72,7 @@ func (l *Link) PathGainDB(t sim.Time) float64 {
 // SNRPerSubcarrierDB fills dst (len = Params.Subcarriers) with the
 // instantaneous per-subcarrier SNR in dB for a transmission at txPowerDBm.
 func (l *Link) SNRPerSubcarrierDB(t sim.Time, txPowerDBm float64, dst []float64) {
-	base := txPowerDBm + l.PathGainDB(t) - l.params.noiseFloorDBm()
+	base := txPowerDBm + l.PathGainDB(t) - noiseFloorDBm
 	if l.params.NoFading {
 		for i := range dst {
 			dst[i] = base
@@ -85,18 +85,9 @@ func (l *Link) SNRPerSubcarrierDB(t sim.Time, txPowerDBm float64, dst []float64)
 	}
 }
 
-// SNRSnapshot returns a freshly allocated per-subcarrier SNR slice for a
-// transmission from endpoint from ("A" side if from == l.A). Steady-state
-// sampling paths should prefer SNRInto with a reused buffer.
-func (l *Link) SNRSnapshot(t sim.Time, from *Endpoint) []float64 {
-	dst := make([]float64, l.params.Subcarriers)
-	l.SNRPerSubcarrierDB(t, from.TxPowerDBm, dst)
-	return dst
-}
-
 // SNRInto fills dst (reusing its capacity) with the per-subcarrier SNR for a
 // transmission from endpoint from, and returns the filled slice of length
-// Params.Subcarriers. The allocation-free counterpart of SNRSnapshot.
+// Params.Subcarriers.
 func (l *Link) SNRInto(t sim.Time, from *Endpoint, dst []float64) []float64 {
 	n := l.params.Subcarriers
 	if cap(dst) < n {
@@ -107,13 +98,6 @@ func (l *Link) SNRInto(t sim.Time, from *Endpoint, dst []float64) []float64 {
 	return dst
 }
 
-// MeanSNRDB returns the wideband mean SNR (dB) at time t for a transmission
-// at txPowerDBm — path gain plus flat fading. This is what an RSSI-based
-// scheme (the Enhanced 802.11r baseline) effectively measures.
-func (l *Link) MeanSNRDB(t sim.Time, txPowerDBm float64) float64 {
-	return txPowerDBm + l.PathGainDB(t) + l.flatFadeDB(t) - l.params.noiseFloorDBm()
-}
-
 func (l *Link) flatFadeDB(t sim.Time) float64 {
 	if l.params.NoFading {
 		return 0
@@ -122,7 +106,8 @@ func (l *Link) flatFadeDB(t sim.Time) float64 {
 }
 
 // RSSIdBm returns the received signal strength at time t for a transmission
-// at txPowerDBm.
+// at txPowerDBm — path gain plus flat fading, which is what an RSSI-based
+// scheme (the Enhanced 802.11r baseline) measures.
 func (l *Link) RSSIdBm(t sim.Time, txPowerDBm float64) float64 {
 	return txPowerDBm + l.PathGainDB(t) + l.flatFadeDB(t)
 }

@@ -66,7 +66,7 @@ func TestParabolicPattern(t *testing.T) {
 		t.Errorf("boresight gain = %v", g)
 	}
 	// −3 dB at half the beamwidth.
-	half := a.HalfPowerHalfWidthRad()
+	half := a.BeamwidthDeg / 2 * math.Pi / 180
 	if g := a.GainDB(half); math.Abs(g-11) > 0.01 {
 		t.Errorf("gain at half-beamwidth = %v, want 11", g)
 	}
@@ -186,18 +186,11 @@ func TestFaderDeterminism(t *testing.T) {
 }
 
 func TestDopplerAndCoherence(t *testing.T) {
-	// 25 mph ≈ 11.18 m/s at 2.462 GHz ⇒ f_d ≈ 91.8 Hz? No: 11.18/0.1218 ≈ 91.8.
+	// 25 mph ≈ 11.18 m/s at 2.462 GHz ⇒ f_d = 11.18/0.1218 ≈ 91.8 Hz, a
+	// Clarke coherence time (0.423/f_d) of a few ms — the paper's ~2–3 ms.
 	fd := DopplerHz(mobility.MPH(25), 2.462e9)
 	if fd < 85 || fd > 95 {
 		t.Errorf("Doppler at 25 mph = %v Hz", fd)
-	}
-	// Coherence time at that Doppler is a few ms — the paper's ~2–3 ms.
-	tc := CoherenceTimeSeconds(fd)
-	if tc < 0.002 || tc > 0.008 {
-		t.Errorf("coherence time = %v s, want a few ms", tc)
-	}
-	if !math.IsInf(CoherenceTimeSeconds(0), 1) {
-		t.Error("zero Doppler should give infinite coherence")
 	}
 }
 
@@ -227,9 +220,18 @@ func testChannel(t *testing.T) *Channel {
 	return ch
 }
 
+func mustLink(t *testing.T, ch *Channel, a, b string) *Link {
+	t.Helper()
+	l, err := ch.Link(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
 func TestChannelLinkBudget(t *testing.T) {
 	ch := testChannel(t)
-	l := ch.MustLink("ap1", "car1")
+	l := mustLink(t, ch, "ap1", "car1")
 	// The car reaches X=20 (boresight) at t = 20 / 6.7056 ≈ 2.98 s.
 	atBoresight := sim.FromSeconds(20 / mobility.MPH(15))
 	g := l.PathGainDB(atBoresight)
@@ -239,12 +241,12 @@ func TestChannelLinkBudget(t *testing.T) {
 		t.Errorf("boresight path gain = %v dB", g)
 	}
 	// Mean downlink SNR at boresight ≈ 17 + g + 95 ≈ 28 dB (±fading).
-	snr := l.MeanSNRDB(atBoresight, 17)
+	snr := l.RSSIdBm(atBoresight, 17) - noiseFloorDBm
 	if snr < 10 || snr > 45 {
 		t.Errorf("boresight SNR = %v dB", snr)
 	}
 	// Far away (car at start, 23.3 m off-boresight), SNR is much worse.
-	far := l.MeanSNRDB(0, 17)
+	far := l.RSSIdBm(0, 17) - noiseFloorDBm
 	if far > snr-8 {
 		t.Errorf("SNR off-cell (%v) not clearly below boresight (%v)", far, snr)
 	}
@@ -252,8 +254,8 @@ func TestChannelLinkBudget(t *testing.T) {
 
 func TestChannelSNRSnapshot(t *testing.T) {
 	ch := testChannel(t)
-	l := ch.MustLink("ap1", "car1")
-	snr := l.SNRSnapshot(sim.FromSeconds(2.98), ch.Endpoint("car1"))
+	l := mustLink(t, ch, "ap1", "car1")
+	snr := l.SNRInto(sim.FromSeconds(2.98), ch.endpoints["car1"], nil)
 	if len(snr) != 56 {
 		t.Fatalf("snapshot has %d subcarriers, want 56", len(snr))
 	}
@@ -269,8 +271,8 @@ func TestChannelSNRSnapshot(t *testing.T) {
 
 func TestChannelLinkCachingAndSymmetry(t *testing.T) {
 	ch := testChannel(t)
-	l1 := ch.MustLink("ap1", "car1")
-	l2 := ch.MustLink("car1", "ap1")
+	l1 := mustLink(t, ch, "ap1", "car1")
+	l2 := mustLink(t, ch, "car1", "ap1")
 	if l1 != l2 {
 		t.Error("links not symmetric/cached")
 	}
@@ -296,20 +298,6 @@ func TestChannelErrors(t *testing.T) {
 	if err := ch.AddEndpoint(&Endpoint{Name: "x"}); err == nil {
 		t.Error("traceless endpoint accepted")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MustLink should panic on error")
-		}
-	}()
-	ch.MustLink("ap1", "nope")
-}
-
-func TestChannelEndpointsSorted(t *testing.T) {
-	ch := testChannel(t)
-	names := ch.Endpoints()
-	if len(names) != 2 || names[0] != "ap1" || names[1] != "car1" {
-		t.Errorf("Endpoints() = %v", names)
-	}
 }
 
 func TestDisturberAddsLoss(t *testing.T) {
@@ -330,7 +318,7 @@ func TestDisturberAddsLoss(t *testing.T) {
 			// A second car shadowing the first at 3 m.
 			ch.AddDisturber(mobility.DriveBy(-3, 0, 15), mobility.MPH(15))
 		}
-		return ch.MustLink("ap1", "car1")
+		return mustLink(t, ch, "ap1", "car1")
 	}
 	clean := mkch(false)
 	dirty := mkch(true)
@@ -352,7 +340,7 @@ func TestDisturberAddsLoss(t *testing.T) {
 // power moves RSSI one-for-one.
 func TestRSSILinearInTxPower(t *testing.T) {
 	ch := testChannel(t)
-	l := ch.MustLink("ap1", "car1")
+	l := mustLink(t, ch, "ap1", "car1")
 	f := func(q uint8) bool {
 		tx := float64(q)/8 - 10
 		at := sim.FromSeconds(1.5)
@@ -415,7 +403,7 @@ func TestNoFadingDisablesEverything(t *testing.T) {
 	ch := NewChannel(params, sim.NewRNG(3))
 	_ = ch.AddEndpoint(&Endpoint{Name: "a", Trace: mobility.Stationary{At: mobility.Point{X: 0, Y: 12}}, TxPowerDBm: 17})
 	_ = ch.AddEndpoint(&Endpoint{Name: "b", Trace: mobility.DriveBy(0, 0, 15), TxPowerDBm: 15, SpeedHintMS: mobility.MPH(15)})
-	l := ch.MustLink("a", "b")
+	l := mustLink(t, ch, "a", "b")
 	// Two samples at the same geometry must be identical: no fading, no
 	// shadowing, no randomness.
 	p1 := l.PathGainDB(sim.FromSeconds(1))

@@ -37,15 +37,11 @@ type Clock interface {
 }
 
 // Timer is a handle to one scheduled callback. Implementations' zero/inert
-// handles report Stop and Active false; a nil Timer must not be used.
+// handles report Stop false; a nil Timer must not be used.
 type Timer interface {
 	// Stop cancels the callback if it has not run yet, reporting whether
 	// the cancellation prevented it from running.
 	Stop() bool
-	// Active reports whether the callback is still scheduled.
-	Active() bool
-	// When returns the time the callback fires (or fired).
-	When() sim.Time
 }
 
 // virtualClock adapts *sim.Engine to Clock. The adaptation is transparent:

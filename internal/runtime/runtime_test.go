@@ -20,12 +20,6 @@ func TestVirtualDelegatesToEngine(t *testing.T) {
 	clk.After(2*sim.Millisecond, func() { order = append(order, 2) })
 	clk.After(sim.Millisecond, func() { order = append(order, 1) })
 	tm := clk.After(3*sim.Millisecond, func() { order = append(order, 3) })
-	if !tm.Active() {
-		t.Error("armed timer reports inactive")
-	}
-	if tm.When() != 3*sim.Millisecond {
-		t.Errorf("When = %v", tm.When())
-	}
 	if !tm.Stop() {
 		t.Error("Stop on armed timer reported false")
 	}
@@ -95,22 +89,16 @@ func TestWallDelaysElapse(t *testing.T) {
 }
 
 // Stop on a pending wall timer must prevent the callback; a second Stop
-// reports false; Active tracks the lifecycle.
+// reports false.
 func TestWallTimerStop(t *testing.T) {
 	w := NewWall()
 	fired := make(chan struct{}, 1)
 	tm := w.After(30*sim.Millisecond, func() { fired <- struct{}{} })
-	if !tm.Active() {
-		t.Error("pending timer inactive")
-	}
 	if !tm.Stop() {
 		t.Error("first Stop reported false")
 	}
 	if tm.Stop() {
 		t.Error("second Stop reported true")
-	}
-	if tm.Active() {
-		t.Error("stopped timer still active")
 	}
 	done := make(chan struct{})
 	w.After(60*sim.Millisecond, func() {
@@ -192,21 +180,6 @@ func TestWallConcurrentAfter(t *testing.T) {
 			t.Fatalf("only %d/%d callbacks ran", got, n)
 		}
 		time.Sleep(time.Millisecond)
-	}
-	w.Stop()
-}
-
-// Pending must count live events only.
-func TestWallPending(t *testing.T) {
-	w := NewWall()
-	a := w.After(sim.Second, func() {})
-	w.After(sim.Second, func() {})
-	if got := w.Pending(); got != 2 {
-		t.Fatalf("Pending = %d, want 2", got)
-	}
-	a.Stop()
-	if got := w.Pending(); got != 1 {
-		t.Fatalf("Pending after cancel = %d, want 1", got)
 	}
 	w.Stop()
 }

@@ -66,16 +66,6 @@ func (e *wallEvent) Stop() bool {
 	return true
 }
 
-// Active implements Timer.
-func (e *wallEvent) Active() bool {
-	e.w.mu.Lock()
-	defer e.w.mu.Unlock()
-	return e.fn != nil
-}
-
-// When implements Timer.
-func (e *wallEvent) When() sim.Time { return e.at }
-
 // After implements Clock. Negative delays are clamped to zero: on a wall
 // clock "in the past" just means "as soon as possible", and external
 // callers racing the clock cannot be expected to win.
@@ -167,19 +157,6 @@ func (w *Wall) next() (fn func(), wait time.Duration, idle bool) {
 // callback on the run loop itself, which is how a live node winds down
 // after its last protocol step).
 func (w *Wall) Stop() { w.quitOnce.Do(func() { close(w.quit) }) }
-
-// Pending returns the number of live (non-cancelled) scheduled callbacks.
-func (w *Wall) Pending() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	n := 0
-	for _, ev := range w.heap {
-		if ev.fn != nil {
-			n++
-		}
-	}
-	return n
-}
 
 // wallHeap is a min-heap of events ordered by (at, seq) — identical
 // tie-breaking to the simulator's event queue, so same-instant callbacks

@@ -39,9 +39,6 @@ type assignPair struct {
 	score float64
 }
 
-// Policy implements Selector.
-func (s *GlobalAssign) Policy() Policy { return GlobalAssignPolicy }
-
 // Decide implements Selector: trigger a reassignment round when due, then
 // steer this client toward its assigned AP.
 func (s *GlobalAssign) Decide(mac packet.MACAddr, serving int, now sim.Time, alive func(int) bool) Decision {

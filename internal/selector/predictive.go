@@ -21,11 +21,27 @@ import (
 // WindowedMedian plus early (possibly premature) moves.
 type Predictive struct {
 	base
-	cfg Config
 }
 
-// Policy implements Selector.
-func (s *Predictive) Policy() Policy { return PredictivePolicy }
+// Predictive's operating point, calibrated on the ext-selector ablation
+// (DESIGN.md §15).
+const (
+	// predictHorizon is how far ahead the trajectory fit extrapolates when
+	// comparing APs — a few hysteresis-free evaluation rounds at vehicular
+	// CSI rates.
+	predictHorizon = 50 * sim.Millisecond
+	// predictHistSpan is the fitting window of the per-AP linear model;
+	// longer than the median window so the slope sees through fast fading.
+	predictHistSpan = 100 * sim.Millisecond
+	// predictMarginDB is how much better the challenger's predicted ESNR
+	// must be than the serving AP's.
+	predictMarginDB float64 = 1
+	// predictCollapseDB arms the early switch: the serving AP must be
+	// predicted to fall below this ESNR at the horizon before Predictive
+	// jumps. Without the floor every transient dip would trigger a
+	// premature move to a challenger that is not yet better.
+	predictCollapseDB float64 = 10
+)
 
 // Decide implements Selector: the §3.1.1 rule first, then the early-switch
 // forecast when the median rule stays put.
@@ -41,12 +57,12 @@ func (s *Predictive) Decide(mac packet.MACAddr, serving int, now sim.Time, alive
 	if !alive(serving) {
 		return d // failover territory, not forecasting
 	}
-	horizon := now + s.cfg.Horizon
+	horizon := now + predictHorizon
 	servSlope, servPred, ok := cl.hist[serving].fit(now, horizon)
 	if !ok || servSlope >= 0 {
 		return d // serving link steady or improving — no collapse to beat
 	}
-	if servPred >= s.cfg.CollapseDB {
+	if servPred >= predictCollapseDB {
 		// Falling but still predicted usable at the horizon: a premature
 		// jump would trade a working link for a forecast. Wait.
 		return d
@@ -74,7 +90,7 @@ func (s *Predictive) Decide(mac packet.MACAddr, serving int, now sim.Time, alive
 			best, bestPred = id, pred
 		}
 	}
-	if best == -1 || bestPred < servPred+s.cfg.PredictMarginDB {
+	if best == -1 || bestPred < servPred+predictMarginDB {
 		return d
 	}
 	d.Target = best

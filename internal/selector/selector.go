@@ -90,26 +90,8 @@ type Config struct {
 	// Policy picks the implementation; "" means WindowedMedianPolicy.
 	Policy Policy
 
-	// Predictive knobs.
-	//
-	// Horizon is how far ahead the trajectory fit extrapolates when
-	// comparing APs (default 50 ms — a few hysteresis-free evaluation
-	// rounds at vehicular CSI rates).
-	Horizon sim.Time
-	// HistSpan is the fitting window for the per-AP linear model
-	// (default 100 ms; longer than the median window so the slope sees
-	// through fast fading).
-	HistSpan sim.Time
-	// PredictMarginDB is how much better the challenger's predicted ESNR
-	// must be than the serving AP's predicted ESNR (default 1 dB).
-	PredictMarginDB float64
-	// CollapseDB arms the early switch: the serving AP must be predicted
-	// to fall below this ESNR at the horizon before Predictive jumps
-	// (default 10 dB). Without the floor every transient dip would trigger
-	// a premature move to a challenger that is not yet better.
-	CollapseDB float64
-
-	// GlobalAssign knobs.
+	// GlobalAssign knobs (Predictive's operating point is fixed; see
+	// predictive.go).
 	//
 	// AssignPeriod is the fleet-wide recomputation period (default 50 ms).
 	AssignPeriod sim.Time
@@ -123,18 +105,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Policy == "" {
 		c.Policy = WindowedMedianPolicy
-	}
-	if c.Horizon <= 0 {
-		c.Horizon = 50 * sim.Millisecond
-	}
-	if c.HistSpan <= 0 {
-		c.HistSpan = 100 * sim.Millisecond
-	}
-	if c.PredictMarginDB == 0 {
-		c.PredictMarginDB = 1.0
-	}
-	if c.CollapseDB == 0 {
-		c.CollapseDB = 10.0
 	}
 	if c.AssignPeriod <= 0 {
 		c.AssignPeriod = 50 * sim.Millisecond
@@ -177,8 +147,6 @@ func stay() Decision { return Decision{Target: -1} }
 // single-goroutine (the controller's), deterministic, and allocation-free
 // on the Observe/Decide hot path once steady state is reached.
 type Selector interface {
-	// Policy identifies the implementation.
-	Policy() Policy
 	// AddClient installs per-client state with its initial serving AP.
 	AddClient(mac packet.MACAddr, serving int)
 	// RemoveClient drops a client (federation release).
@@ -218,8 +186,8 @@ func New(cfg Config, p Params, numAPs int) Selector {
 		return &WindowedMedian{base: newBase(p, numAPs)}
 	case PredictivePolicy:
 		b := newBase(p, numAPs)
-		b.histSpan = cfg.HistSpan
-		return &Predictive{base: b, cfg: cfg}
+		b.histSpan = predictHistSpan
+		return &Predictive{base: b}
 	case GlobalAssignPolicy:
 		return &GlobalAssign{base: newBase(p, numAPs), cfg: cfg}
 	}

@@ -84,14 +84,6 @@ func (w *esnrWindow) median(now sim.Time) (float64, bool) {
 	return w.sorted[n/2], true
 }
 
-// lastHeard returns the time of the most recent reading (0, false if none).
-func (w *esnrWindow) lastHeard() (sim.Time, bool) {
-	if w.head == len(w.at) {
-		return 0, false
-	}
-	return w.at[len(w.at)-1], true
-}
-
 // size returns the number of buffered readings.
 func (w *esnrWindow) size() int { return len(w.at) - w.head }
 

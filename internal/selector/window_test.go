@@ -80,13 +80,6 @@ func TestWindowMatchesReference(t *testing.T) {
 		if gok != rok || gm != rm {
 			t.Fatalf("step %d: median(%v) = (%v,%v), reference (%v,%v)", i, probe, gm, gok, rm, rok)
 		}
-		if gl, gok := w.lastHeard(); gok {
-			if rl := ref.at[len(ref.at)-1]; gl != rl {
-				t.Fatalf("step %d: lastHeard %v, reference %v", i, gl, rl)
-			}
-		} else if len(ref.at) != 0 {
-			t.Fatalf("step %d: lastHeard empty, reference has %d", i, len(ref.at))
-		}
 	}
 }
 
@@ -140,18 +133,6 @@ func TestWindowMedianAndEviction(t *testing.T) {
 	}
 	if w.size() != 0 {
 		t.Errorf("window not evicted, size=%d", w.size())
-	}
-}
-
-func TestWindowLastHeard(t *testing.T) {
-	w := newWindow(10 * sim.Millisecond)
-	if _, ok := w.lastHeard(); ok {
-		t.Error("empty window has lastHeard")
-	}
-	w.push(5*sim.Millisecond, 1)
-	at, ok := w.lastHeard()
-	if !ok || at != 5*sim.Millisecond {
-		t.Errorf("lastHeard = %v, %v", at, ok)
 	}
 }
 

@@ -15,9 +15,6 @@ type WindowedMedian struct {
 	base
 }
 
-// Policy implements Selector.
-func (s *WindowedMedian) Policy() Policy { return WindowedMedianPolicy }
-
 // Decide implements Selector: the pure §3.1.1 median rule.
 func (s *WindowedMedian) Decide(mac packet.MACAddr, serving int, now sim.Time, alive func(int) bool) Decision {
 	cl := s.clients[mac]

@@ -37,7 +37,7 @@ func BenchmarkEngineScheduleCancel(b *testing.B) {
 		t.Stop()
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(e.Pending()), "pending-after")
+	b.ReportMetric(float64(pending(e)), "pending-after")
 }
 
 // BenchmarkEngineMixedLoad interleaves live ticks with cancelled timeouts,

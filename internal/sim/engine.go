@@ -52,19 +52,14 @@ func NewEngine() *Engine { return &Engine{} }
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Pending returns the number of live (non-cancelled) events currently
-// scheduled.
-func (e *Engine) Pending() int { return len(e.heap) - e.ncancelled }
-
 // Fired returns the total number of events that have been dispatched.
 func (e *Engine) Fired() uint64 { return e.nfired }
 
 // Timer is a value handle to a scheduled event. The zero Timer is inert:
-// Stop and Active report false, When reports 0. Timers are created by
-// Engine.At and Engine.After and stay valid (as inert handles) after firing.
+// Stop reports false. Timers are created by Engine.At and Engine.After and
+// stay valid (as inert handles) after firing.
 type Timer struct {
 	eng  *Engine
-	at   Time
 	slot int32
 	gen  uint32
 }
@@ -85,12 +80,6 @@ func (t Timer) Stop() bool {
 	t.eng.maybeCompact()
 	return true
 }
-
-// Active reports whether the timer is still scheduled to fire.
-func (t Timer) Active() bool { return t.valid() && t.eng.arena[t.slot].fn != nil }
-
-// When returns the virtual time at which the timer fires (or fired).
-func (t Timer) When() Time { return t.at }
 
 // At schedules fn to run at absolute virtual time at. Scheduling in the past
 // panics: it always indicates a component bug, and silently reordering time
@@ -115,7 +104,7 @@ func (e *Engine) At(at Time, fn func()) Timer {
 	e.seq++
 	e.heap = append(e.heap, ref)
 	e.siftUp(len(e.heap) - 1)
-	return Timer{eng: e, at: at, slot: slot, gen: e.arena[slot].gen}
+	return Timer{eng: e, slot: slot, gen: e.arena[slot].gen}
 }
 
 // After schedules fn to run d after the current time.

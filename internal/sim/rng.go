@@ -2,7 +2,6 @@ package sim
 
 import (
 	"hash/fnv"
-	"math"
 	"math/rand/v2"
 )
 
@@ -35,12 +34,4 @@ func splitmix64(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
-}
-
-// Rayleigh draws a Rayleigh-distributed magnitude with the given scale σ.
-// If X,Y ~ N(0,σ²) then √(X²+Y²) is Rayleigh(σ).
-func Rayleigh(rnd *rand.Rand, sigma float64) float64 {
-	x := rnd.NormFloat64() * sigma
-	y := rnd.NormFloat64() * sigma
-	return math.Hypot(x, y)
 }

@@ -11,10 +11,7 @@
 // §3.1.1 10 ms selection window).
 package sim
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Time is a point in virtual time, in nanoseconds since scenario start.
 // It doubles as a duration: the zero Time is both "scenario start" and
@@ -37,13 +34,6 @@ func (t Time) Milliseconds() float64 { return float64(t) / float64(Millisecond) 
 
 // Microseconds returns t expressed in microseconds.
 func (t Time) Microseconds() float64 { return float64(t) / float64(Microsecond) }
-
-// Duration converts t to a time.Duration. Virtual nanoseconds map one-to-one
-// onto wall-clock nanoseconds.
-func (t Time) Duration() time.Duration { return time.Duration(t) }
-
-// FromDuration converts a time.Duration into a sim.Time.
-func FromDuration(d time.Duration) Time { return Time(d) }
 
 // FromSeconds converts a floating-point second count into a sim.Time.
 func FromSeconds(s float64) Time { return Time(s * float64(Second)) }

@@ -69,16 +69,6 @@ func (c *CDF) AddAll(vs []float64) {
 // N returns the sample count.
 func (c *CDF) N() int { return len(c.samples) }
 
-// Merge folds another distribution's samples into c — how fleet-level
-// CDFs are built from per-cell ones. The other CDF is not modified.
-func (c *CDF) Merge(o *CDF) {
-	if o == nil || len(o.samples) == 0 {
-		return
-	}
-	c.samples = append(c.samples, o.samples...)
-	c.sorted = false
-}
-
 // Quantiles evaluates several quantiles at once (report rows).
 func Quantiles(c *CDF, qs ...float64) []float64 {
 	out := make([]float64, len(qs))
@@ -141,43 +131,6 @@ func (c *CDF) StdDev() float64 {
 		ss += d * d
 	}
 	return math.Sqrt(ss / float64(n-1))
-}
-
-// At returns the empirical CDF value P(X ≤ x).
-func (c *CDF) At(x float64) float64 {
-	if len(c.samples) == 0 {
-		return 0
-	}
-	c.ensure()
-	i := sort.SearchFloat64s(c.samples, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(c.samples))
-}
-
-// Points returns up to n evenly spaced (value, cumulative-fraction) points
-// for plotting.
-func (c *CDF) Points(n int) [][2]float64 {
-	if len(c.samples) == 0 || n <= 0 {
-		return nil
-	}
-	c.ensure()
-	out := make([][2]float64, 0, n)
-	for i := 0; i < n; i++ {
-		q := float64(i) / float64(n-1)
-		out = append(out, [2]float64{c.Quantile(q), q})
-	}
-	return out
-}
-
-// Mean returns the mean of a slice (NaN when empty).
-func Mean(vs []float64) float64 {
-	if len(vs) == 0 {
-		return math.NaN()
-	}
-	var s float64
-	for _, v := range vs {
-		s += v
-	}
-	return s / float64(len(vs))
 }
 
 // Table is a tiny fixed-width text table builder for experiment output.

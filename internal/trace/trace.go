@@ -15,7 +15,6 @@ package trace
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -105,28 +104,6 @@ func (r *Recorder) Flush() error {
 		return r.Err
 	}
 	return r.bw.Flush()
-}
-
-// ReadAll decodes a JSONL event stream written by a Recorder — the
-// round-trip half for tools (and tests) that post-process traces.
-func ReadAll(rd io.Reader) ([]Event, error) {
-	sc := bufio.NewScanner(rd)
-	var out []Event
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var ev Event
-		if err := json.Unmarshal(line, &ev); err != nil {
-			return out, fmt.Errorf("trace: line %d: %w", len(out)+1, err)
-		}
-		out = append(out, ev)
-	}
-	if err := sc.Err(); err != nil {
-		return out, fmt.Errorf("trace: %w", err)
-	}
-	return out, nil
 }
 
 // At converts a sim time for an Event.

@@ -24,13 +24,9 @@ const (
 // TCPConfig configures one TCP flow (sender side).
 type TCPConfig struct {
 	FlowID    uint32
-	MSS       int
 	SrcIP     packet.IPv4Addr
 	DstIP     packet.IPv4Addr
 	ClientMAC packet.MACAddr
-	// Uplink marks a client→server flow (segments travel uplink, ACKs
-	// downlink).
-	Uplink bool
 	// TotalSegments bounds the transfer (0 = unbounded bulk flow).
 	TotalSegments uint32
 	// OnComplete fires when a bounded transfer is fully acknowledged.
@@ -82,9 +78,6 @@ type CwndSample struct {
 
 // NewTCPSender creates a sender; Start launches the flow.
 func NewTCPSender(eng *sim.Engine, cfg TCPConfig, send SendFunc) *TCPSender {
-	if cfg.MSS <= 0 {
-		cfg.MSS = DefaultMSS
-	}
 	return &TCPSender{
 		eng:      eng,
 		cfg:      cfg,
@@ -104,15 +97,6 @@ func (s *TCPSender) Start() {
 	s.started = true
 	s.pump()
 }
-
-// Acked returns the number of cumulatively acknowledged segments.
-func (s *TCPSender) Acked() uint32 { return s.sndUna }
-
-// Cwnd returns the current congestion window in segments.
-func (s *TCPSender) Cwnd() float64 { return s.cwnd }
-
-// Complete reports whether a bounded transfer has finished.
-func (s *TCPSender) Complete() bool { return s.complete }
 
 // pump sends while the window allows.
 func (s *TCPSender) pump() {
@@ -141,8 +125,7 @@ func (s *TCPSender) emit(seq uint32, rtx bool) {
 		SrcIP:     s.cfg.SrcIP,
 		DstIP:     s.cfg.DstIP,
 		ClientMAC: s.cfg.ClientMAC,
-		Bytes:     s.cfg.MSS,
-		Uplink:    s.cfg.Uplink,
+		Bytes:     DefaultMSS,
 		Created:   s.eng.Now(),
 		Kind:      packet.KindData,
 	}
@@ -364,6 +347,3 @@ func (r *TCPReceiver) ack(at sim.Time) {
 	r.ipid++
 	r.SendAck(&p)
 }
-
-// NextExpected returns the receiver's in-order frontier.
-func (r *TCPReceiver) NextExpected() uint32 { return r.rcvNxt }

@@ -54,8 +54,8 @@ func TestTCPLosslessTransfer(t *testing.T) {
 	tx.cfg.OnComplete = func(at sim.Time) { done = at }
 	tx.Start()
 	eng.RunUntil(30 * sim.Second)
-	if !tx.Complete() {
-		t.Fatalf("transfer incomplete: acked %d/500", tx.Acked())
+	if !tx.complete {
+		t.Fatalf("transfer incomplete: acked %d/500", tx.sndUna)
 	}
 	if rx.Delivered != 500 {
 		t.Errorf("receiver delivered %d", rx.Delivered)
@@ -86,8 +86,8 @@ func TestTCPFastRetransmit(t *testing.T) {
 	}
 	tx.Start()
 	eng.RunUntil(30 * sim.Second)
-	if !tx.Complete() {
-		t.Fatalf("transfer incomplete: acked %d/200", tx.Acked())
+	if !tx.complete {
+		t.Fatalf("transfer incomplete: acked %d/200", tx.sndUna)
 	}
 	if rx.Delivered != 200 {
 		t.Errorf("delivered %d", rx.Delivered)
@@ -108,7 +108,7 @@ func TestTCPTimeoutOnBlackout(t *testing.T) {
 	tx.TraceCwnd = true
 	tx.Start()
 	eng.RunUntil(sim.Second)
-	ackedBefore := tx.Acked()
+	ackedBefore := tx.sndUna
 	if ackedBefore == 0 {
 		t.Fatal("flow never started")
 	}
@@ -118,14 +118,14 @@ func TestTCPTimeoutOnBlackout(t *testing.T) {
 	if tx.Timeouts < 2 {
 		t.Errorf("timeouts = %d during blackout", tx.Timeouts)
 	}
-	if tx.Cwnd() != 1 {
-		t.Errorf("cwnd = %v during blackout, want 1", tx.Cwnd())
+	if tx.cwnd != 1 {
+		t.Errorf("cwnd = %v during blackout, want 1", tx.cwnd)
 	}
 	// Heal the path: the flow recovers (the WGTT case; the baseline in
 	// Fig. 14 never heals within the drive).
 	blackout = false
 	eng.RunUntil(16 * sim.Second)
-	if tx.Acked() <= ackedBefore {
+	if tx.sndUna <= ackedBefore {
 		t.Error("flow did not recover after blackout ended")
 	}
 }
@@ -152,16 +152,16 @@ func TestTCPReceiverReordering(t *testing.T) {
 	rx.OnPacket(mk(0), eng.Now())
 	rx.OnPacket(mk(2), eng.Now()) // gap at 1
 	rx.OnPacket(mk(3), eng.Now())
-	if rx.NextExpected() != 1 {
-		t.Fatalf("frontier = %d, want 1", rx.NextExpected())
+	if rx.rcvNxt != 1 {
+		t.Fatalf("frontier = %d, want 1", rx.rcvNxt)
 	}
 	// Duplicate ACKs for the gap.
 	if acks[1] != 1 || acks[2] != 1 {
 		t.Errorf("acks = %v, want dup acks at 1", acks)
 	}
 	rx.OnPacket(mk(1), eng.Now())
-	if rx.NextExpected() != 4 {
-		t.Errorf("frontier after fill = %d, want 4", rx.NextExpected())
+	if rx.rcvNxt != 4 {
+		t.Errorf("frontier after fill = %d, want 4", rx.rcvNxt)
 	}
 	if rx.Delivered != 4 {
 		t.Errorf("delivered = %d", rx.Delivered)

@@ -6,8 +6,8 @@ import (
 	"wgtt/internal/sim"
 )
 
-// BenchmarkUrbanStep is the per-tick trace evaluation cost: one position +
-// velocity sample for every client of the default city. This is what the
+// BenchmarkUrbanStep is the per-tick trace evaluation cost: one position
+// sample for every client of the default city. This is what the
 // core network pays per oracle/CSI tick, so it must stay allocation-free.
 func BenchmarkUrbanStep(b *testing.B) {
 	p, err := BuildPlan(DefaultConfig(), 7)
@@ -25,9 +25,8 @@ func BenchmarkUrbanStep(b *testing.B) {
 		}
 		for _, c := range p.Clients {
 			pos := c.Trace.Position(t)
-			vel := c.Trace.Velocity(t)
-			sinkX += pos.X + vel.X
-			sinkY += pos.Y + vel.Y
+			sinkX += pos.X
+			sinkY += pos.Y
 		}
 	}
 }
@@ -44,9 +43,8 @@ func TestUrbanStepZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		for _, c := range p.Clients {
 			pos := c.Trace.Position(at)
-			vel := c.Trace.Velocity(at)
-			sinkX += pos.X + vel.X
-			sinkY += pos.Y + vel.Y
+			sinkX += pos.X
+			sinkY += pos.Y
 		}
 	})
 	if allocs != 0 {

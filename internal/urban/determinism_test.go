@@ -21,8 +21,8 @@ func fingerprint(p *Plan) []byte {
 	for i, c := range p.Clients {
 		fmt.Fprintf(&b, "client%d kind=%v bus=%d speed=%g route=%v\n", i, c.Kind, c.Bus, c.SpeedMPH, c.Route)
 		for t := sim.Time(0); t <= p.Duration; t += 100 * sim.Millisecond {
-			pos, vel := c.Trace.Position(t), c.Trace.Velocity(t)
-			fmt.Fprintf(&b, " %d %.9f %.9f %.9f %.9f\n", t, pos.X, pos.Y, vel.X, vel.Y)
+			pos := c.Trace.Position(t)
+			fmt.Fprintf(&b, " %d %.9f %.9f\n", t, pos.X, pos.Y)
 		}
 	}
 	return b.Bytes()

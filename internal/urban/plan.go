@@ -98,7 +98,7 @@ func BuildPlan(cfg Config, seed uint64) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Plan{Cfg: cfg, Graph: g, APs: g.PlaceAPs(cfg.APSpacingM, cfg.APSetbackM)}
+	p := &Plan{Cfg: cfg, Graph: g, APs: g.PlaceAPs(cfg.APSpacingM, apSetbackM)}
 	for _, s := range p.APs {
 		p.APDomains = append(p.APDomains, g.Partition(s.Pos, cfg.Domains))
 	}
@@ -216,7 +216,7 @@ func BuildPlan(cfg Config, seed uint64) (*Plan, error) {
 		route := randomWalk(g, st.IntN(len(g.Nodes)), 2+st.IntN(2), st)
 		depart := sim.Time(st.IntN(2000)) * sim.Millisecond
 		jit := mobility.Point{X: (st.Float64()*2 - 1) * 1.5, Y: (st.Float64()*2 - 1) * 1.5}
-		if _, err := addVehicle(route, KindPedestrian, -1, cfg.PedSpeedMPH, depart, jit, false); err != nil {
+		if _, err := addVehicle(route, KindPedestrian, -1, pedSpeedMPH, depart, jit, false); err != nil {
 			return nil, err
 		}
 		p.Stats.Pedestrians++

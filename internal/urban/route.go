@@ -160,8 +160,3 @@ type RiderTrace struct {
 func (r RiderTrace) Position(t sim.Time) mobility.Point {
 	return r.Lead.Position(t).Add(r.Offset)
 }
-
-// Velocity implements mobility.Trace: riders share the vehicle's velocity.
-func (r RiderTrace) Velocity(t sim.Time) mobility.Point {
-	return r.Lead.Velocity(t)
-}

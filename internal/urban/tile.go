@@ -73,13 +73,3 @@ func tileAxis(v, span float64, n int) int {
 	}
 	return i
 }
-
-// TileBounds returns tile's rectangle under t: the half-open box
-// [x0, x1) × [y0, y1), except that border tiles also own everything beyond
-// the city span on their outer side (Tile clamps into them).
-func (g *Graph) TileBounds(tile int, t Tiling) (x0, y0, x1, y1 float64) {
-	w, h := g.Span()
-	r, c := tile/t.Cols, tile%t.Cols
-	tw, th := w/float64(t.Cols), h/float64(t.Rows)
-	return float64(c) * tw, float64(r) * th, float64(c+1) * tw, float64(r+1) * th
-}

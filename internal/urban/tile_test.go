@@ -63,9 +63,12 @@ func TestTileNonDivisibleWidths(t *testing.T) {
 			if tile < 0 || tile >= til.N() {
 				t.Fatalf("Tile(%v) = %d out of [0,%d)", pos, tile, til.N())
 			}
-			x0, y0, x1, y1 := g.TileBounds(tile, til)
-			// Bounds are half-open with outer-border clamping: interior
-			// positions must sit inside [lo, hi); border tiles own beyond.
+			// The tile's rectangle is the half-open box [x0, x1) × [y0, y1),
+			// with outer-border clamping: interior positions must sit inside
+			// [lo, hi); border tiles own everything beyond the span.
+			tw, th := w/float64(til.Cols), h/float64(til.Rows)
+			r, c := tile/til.Cols, tile%til.Cols
+			x0, y0, x1, y1 := float64(c)*tw, float64(r)*th, float64(c+1)*tw, float64(r+1)*th
 			if pos.X < x0 && tile%til.Cols != 0 {
 				t.Fatalf("Tile(%v) = %d but x < x0=%g", pos, tile, x0)
 			}

@@ -20,10 +20,8 @@ type Config struct {
 	Rows, Cols int
 	// BlockM is the street-block edge length in meters.
 	BlockM float64
-	// APSpacingM spaces the curbside APs along every street segment;
-	// APSetbackM offsets them off the lane centerline.
+	// APSpacingM spaces the curbside APs along every street segment.
 	APSpacingM float64
-	APSetbackM float64
 	// Cars, Buses, Pedestrians size the traffic mix; each bus carries
 	// RidersPerBus rider clients plus the bus gateway client itself.
 	Cars         int
@@ -33,11 +31,10 @@ type Config struct {
 	// Domains partitions the city into that many federation domains
 	// (vertical slabs). 1 = single controller.
 	Domains int
-	// CarSpeedsMPH is the design-speed mix cars draw from; BusSpeedMPH and
-	// PedSpeedMPH are fixed per mode. Segments cap these at their limit.
+	// CarSpeedsMPH is the design-speed mix cars draw from; BusSpeedMPH is
+	// fixed per bus line. Segments cap these at their limit.
 	CarSpeedsMPH []float64
 	BusSpeedMPH  float64
-	PedSpeedMPH  float64
 	// MaxDurationS caps the scenario length in seconds; the plan otherwise
 	// runs until the last route finishes plus a short tail.
 	MaxDurationS float64
@@ -48,15 +45,23 @@ type Config struct {
 // paper's 25 m AP spacing corridor density along every block.
 func DefaultConfig() Config {
 	return Config{
-		Rows: 2, Cols: 3, BlockM: 60,
-		APSpacingM: 25, APSetbackM: 6,
+		Rows: 2, Cols: 3,
+		BlockM: 60, APSpacingM: 25,
 		Cars: 1, Buses: 1, RidersPerBus: 10, Pedestrians: 2,
 		Domains:      2,
 		CarSpeedsMPH: []float64{15, 25, 35},
-		BusSpeedMPH:  15, PedSpeedMPH: 3,
+		BusSpeedMPH:  15,
 		MaxDurationS: 60,
 	}
 }
+
+// Fixed city geometry and pace: curbside APs sit 6 m off the lane
+// centerline (a sidewalk pole, half the §4.2 testbed's 12 m building
+// setback), and pedestrians walk at 3 mph.
+const (
+	apSetbackM  = 6.0
+	pedSpeedMPH = 3.0
+)
 
 // Validate rejects configs the planner cannot turn into a scenario.
 func (c Config) Validate() error {
@@ -66,8 +71,8 @@ func (c Config) Validate() error {
 	if c.BlockM <= 0 {
 		return fmt.Errorf("urban: block length must be positive, got %g", c.BlockM)
 	}
-	if c.APSpacingM <= 0 || c.APSetbackM < 0 {
-		return fmt.Errorf("urban: AP spacing must be positive and setback non-negative")
+	if c.APSpacingM <= 0 {
+		return fmt.Errorf("urban: AP spacing must be positive, got %g", c.APSpacingM)
 	}
 	if c.Cars < 0 || c.Buses < 0 || c.RidersPerBus < 0 || c.Pedestrians < 0 {
 		return fmt.Errorf("urban: traffic counts must be non-negative")
@@ -88,9 +93,6 @@ func (c Config) Validate() error {
 	}
 	if c.Buses > 0 && c.BusSpeedMPH <= 0 {
 		return fmt.Errorf("urban: bus speed must be positive, got %g mph", c.BusSpeedMPH)
-	}
-	if c.Pedestrians > 0 && c.PedSpeedMPH <= 0 {
-		return fmt.Errorf("urban: pedestrian speed must be positive, got %g mph", c.PedSpeedMPH)
 	}
 	if c.MaxDurationS <= 0 {
 		return fmt.Errorf("urban: max duration must be positive, got %g s", c.MaxDurationS)
