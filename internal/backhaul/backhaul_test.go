@@ -93,6 +93,21 @@ func TestDropHook(t *testing.T) {
 	}
 }
 
+func TestDropTypesRate(t *testing.T) {
+	rnd := sim.NewRNG(1).Stream("drop")
+	drop := DropTypes(0.3, rnd, packet.MsgStop)
+	n, dropped := 10000, 0
+	for i := 0; i < n; i++ {
+		if drop(packet.APIP(1), &packet.Stop{}) {
+			dropped++
+		}
+	}
+	rate := float64(dropped) / float64(n)
+	if rate < 0.27 || rate > 0.33 {
+		t.Errorf("drop rate = %v, want ≈ 0.3", rate)
+	}
+}
+
 func TestDropTypesSelective(t *testing.T) {
 	rnd := sim.NewRNG(2).Stream("drop")
 	drop := DropTypes(1.0, rnd, packet.MsgStop)

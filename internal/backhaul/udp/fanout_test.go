@@ -71,6 +71,30 @@ func TestSendStatsCountAfterSuccessfulWrite(t *testing.T) {
 	}
 }
 
+// Steady-state Send to a remote peer allocates nothing: the encode buffer
+// and the datagram buffer are reused scratch.
+func TestSendZeroAlloc(t *testing.T) {
+	conn := listen(t)
+	sink := listen(t)
+	defer sink.Close()
+	defer conn.Close()
+	f, err := New(runtime.NewWall(), conn,
+		map[packet.IPv4Addr]string{packet.APIP(0): sink.LocalAddr().String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No drain: once the sink's receive buffer fills, the kernel drops the
+	// overflow silently and the measured writes still succeed — a reader
+	// here would allocate (ReadFromUDP returns a fresh *UDPAddr) inside
+	// AllocsPerRun's process-wide window.
+	msg := &packet.HealthProbe{Seq: 2, At: 3}
+	send := func() { _ = f.Send(packet.ControllerIP, packet.APIP(0), msg) }
+	send()
+	if allocs := testing.AllocsPerRun(100, send); allocs != 0 {
+		t.Fatalf("Send steady state allocates %.1f/op, want 0", allocs)
+	}
+}
+
 // Fan-out across sockets: targets grouped by endpoint, one batch datagram
 // per multi-target endpoint, a plain unicast for single-target ones, every
 // copy delivered in listed order.

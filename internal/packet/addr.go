@@ -17,9 +17,6 @@ func (m MACAddr) String() string {
 	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
 }
 
-// IsZero reports whether the address is all-zero (unset).
-func (m MACAddr) IsZero() bool { return m == MACAddr{} }
-
 // IPv4Addr is a 32-bit layer-3 address.
 type IPv4Addr [4]byte
 

@@ -18,9 +18,6 @@ func TestAddrStrings(t *testing.T) {
 	if ip.String() != "10.0.0.12" {
 		t.Errorf("IP string = %q", ip.String())
 	}
-	if (MACAddr{}).IsZero() != true || m.IsZero() {
-		t.Error("MAC IsZero wrong")
-	}
 	if (IPv4Addr{}).IsZero() != true || ip.IsZero() {
 		t.Error("IP IsZero wrong")
 	}
