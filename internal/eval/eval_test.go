@@ -144,6 +144,18 @@ func TestTimelineShapes(t *testing.T) {
 	}
 }
 
+// A 15 mph TCP drive loses segments at every cell edge: the timeline must
+// report the sender's RTOs, not the zero it was initialised with.
+func TestTimelineReportsTCPTimeouts(t *testing.T) {
+	r, err := Timeline(core.ModeWGTT, QuickOptions(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Timeouts == 0 {
+		t.Error("TCP timeline reports 0 timeouts")
+	}
+}
+
 func TestRegistryComplete(t *testing.T) {
 	ids := map[string]bool{}
 	for _, e := range Experiments() {

@@ -142,9 +142,9 @@ func Timeline(mode core.Mode, opt Options, tcp bool) (*TimelineResult, error) {
 			res.BitrateTS = append(res.BitrateTS, 0)
 		}
 	}
-	// res.Timeouts stays zero, as the golden output records it: the sender's
-	// RTO count was never read back in time. Reporting it changes fig14's
-	// two header lines, so it belongs to a change that regenerates the golden.
+	if tcp {
+		res.Timeouts = d.TCP[0].Sender.Timeouts
+	}
 	return res, nil
 }
 
