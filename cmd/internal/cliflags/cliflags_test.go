@@ -1,0 +1,76 @@
+package cliflags
+
+import (
+	"bytes"
+	"flag"
+	"reflect"
+	"testing"
+
+	"wgtt/internal/metrics"
+	"wgtt/internal/urban"
+)
+
+// parse registers flags with register on a fresh default flag set, as a CLI
+// does before flag.Parse, and parses args into it.
+func parse[T any](t *testing.T, register func() T, args ...string) T {
+	t.Helper()
+	saved := flag.CommandLine
+	t.Cleanup(func() { flag.CommandLine = saved })
+	flag.CommandLine = flag.NewFlagSet("test", flag.ContinueOnError)
+	got := register()
+	if err := flag.CommandLine.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// TestCityFlagsOverrideOnlyWhatWasSet: an unset flag leaves the city
+// default, and 0 means "default" for a dimension but "none" for a
+// population.
+func TestCityFlagsOverrideOnlyWhatWasSet(t *testing.T) {
+	def := urban.DefaultConfig()
+
+	c := def
+	parse(t, City)(&c)
+	if !reflect.DeepEqual(c, def) {
+		t.Errorf("no flags set: city %+v, want the default %+v", c, def)
+	}
+
+	c = def
+	parse(t, City, "-urban-buses", "0", "-urban-rows", "0", "-urban-cols", "7")(&c)
+	want := def
+	want.Buses, want.Cols = 0, 7
+	if def.Buses == 0 || !reflect.DeepEqual(c, want) {
+		t.Errorf("-urban-buses 0 -urban-rows 0 -urban-cols 7: city %+v, want %+v", c, want)
+	}
+}
+
+func TestChaosIsNilUnlessAsked(t *testing.T) {
+	if c := parse(t, Chaos, "-chaos-ap-mtbf", "5")(); c != nil {
+		t.Errorf("without -chaos: config %+v, want nil", c)
+	}
+	c := parse(t, Chaos, "-chaos", "-chaos-ap-mtbf", "5")()
+	if c == nil || c.APCrashMTBF.Seconds() != 5 {
+		t.Errorf("-chaos -chaos-ap-mtbf 5: config %+v, want a 5 s MTBF", c)
+	}
+}
+
+// TestMetricsWriteNeedsFlagAndSnapshot: Write touches nothing when -metrics
+// is unset or the run produced no snapshot.
+func TestMetricsWriteNeedsFlagAndSnapshot(t *testing.T) {
+	var out bytes.Buffer
+	snap := metrics.NewRegistry().Snapshot()
+
+	unset := parse(t, Metrics)
+	if err := unset.Write(&out, &snap, "snapshot"); err != nil || unset.On() || out.Len() != 0 {
+		t.Errorf("unset -metrics: On %v, wrote %q, err %v", unset.On(), out.String(), err)
+	}
+	// A path that cannot be created proves the file is never opened.
+	set := parse(t, Metrics, "-metrics", t.TempDir()+"/missing/m.json")
+	if err := set.Write(&out, nil, "snapshot"); err != nil || !set.On() || out.Len() != 0 {
+		t.Errorf("nil snapshot: On %v, wrote %q, err %v", set.On(), out.String(), err)
+	}
+	if err := set.Write(&out, &snap, "snapshot"); err == nil {
+		t.Error("a snapshot for an uncreatable path reported no error")
+	}
+}

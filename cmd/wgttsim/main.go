@@ -90,7 +90,8 @@ func main() {
 	}
 	n.Run()
 	if events, err := d.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "trace:", err)
+		fmt.Fprintln(os.Stderr, err) // the recorder prefixes its errors "trace:"
+		os.Exit(1)
 	} else if *traceOut != "" {
 		fmt.Printf("trace: %d events -> %s\n", events, *traceOut)
 	}

@@ -1,17 +1,13 @@
-// End-to-end fan-out accounting pins: the incremental relevance set
-// (internal/controller/fanout.go) must reproduce the retired per-packet
-// O(#APs) scan's fan-out decisions exactly. These constants were captured
-// by running the identical scenarios on the scan implementation; any drift
-// in DownlinkCopies or delivered datagrams means the fast path changed
-// which APs replicate a client's downlink.
-package wgtt_test
+package core
 
-import (
-	"testing"
+import "testing"
 
-	"wgtt/internal/core"
-)
-
+// TestFanoutCopiesPinned is the end-to-end fan-out accounting pin: the
+// incremental relevance set (internal/controller/fanout.go) must reproduce
+// the retired per-packet O(#APs) scan's fan-out decisions exactly. These
+// constants were captured by running the identical scenarios on the scan
+// implementation; any drift in DownlinkCopies or delivered datagrams means
+// the fast path changed which APs replicate a client's downlink.
 func TestFanoutCopiesPinned(t *testing.T) {
 	cases := []struct {
 		seed         uint64
@@ -22,8 +18,7 @@ func TestFanoutCopiesPinned(t *testing.T) {
 		{seed: 11, sent: 6004, copies: 14314, received: 4578},
 	}
 	for _, tc := range cases {
-		sc := core.DriveScenario(core.ModeWGTT, 25, tc.seed)
-		n, err := core.Build(sc)
+		n, err := Build(DriveScenario(ModeWGTT, 25, tc.seed))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -53,9 +53,7 @@ type metroTile struct {
 }
 
 // metroRun is a metro deployment in flight: built tiles, the epoch
-// schedule, and the migration queue. Step advances every tile one epoch and
-// applies the barrier's migrations; the split (rather than one closed loop)
-// is what BenchmarkMetroEpoch meters.
+// schedule, and the migration queue.
 type metroRun struct {
 	Cfg   Config
 	Plan  *urban.MetroPlan
@@ -66,9 +64,8 @@ type metroRun struct {
 
 	// byEpoch[k] holds the migrations applied at barrier (k+1)·Epoch,
 	// sorted by (time, client id).
-	byEpoch   map[int][]migration
-	epochsRun int
-	epochs    int
+	byEpoch map[int][]migration
+	epochs  int
 
 	nextHandoffID uint32
 	stats         MetroStats
@@ -147,10 +144,10 @@ func RunMetro(cfg Config) (*MetroResult, error) {
 		return nil, err
 	}
 	progress := progressFunc(m.Cfg, m.epochs)
-	for m.Step() {
+	for k := 0; k < m.epochs; k++ {
+		m.runEpoch(k)
 		progress()
 	}
-	progress()
 	return m.finish()
 }
 
@@ -333,26 +330,18 @@ func (m *metroRun) buildTile(t int, visitors []presence, frng *sim.RNG) (*metroT
 	return tile, nil
 }
 
-// Step advances every tile one epoch and applies the barrier's migrations.
-// Returns false once the horizon is reached. Tiles run concurrently on the
-// worker pool; migrations apply on the calling goroutine in (time, client)
-// order while every clock sits at the barrier.
-func (m *metroRun) Step() bool {
-	if m.epochsRun >= m.epochs {
-		return false
-	}
-	end := sim.Time(m.epochsRun+1) * m.Epoch
-	if end > m.Plan.Duration() {
-		end = m.Plan.Duration()
-	}
+// runEpoch advances every tile through epoch k and applies the migrations of
+// the barrier that ends it. Tiles run concurrently on the worker pool;
+// migrations apply on the calling goroutine in (time, client) order while
+// every clock sits at the barrier.
+func (m *metroRun) runEpoch(k int) {
+	end := min(sim.Time(k+1)*m.Epoch, m.Plan.Duration())
 	ForEach(len(m.built), m.Cfg.Workers, func(i int) {
 		m.built[i].drive.Net.RunUntil(end)
 	})
-	for _, mig := range m.byEpoch[m.epochsRun] {
+	for _, mig := range m.byEpoch[k] {
 		m.migrate(mig, end)
 	}
-	m.epochsRun++
-	return m.epochsRun < m.epochs
 }
 
 // migrate moves one client between tile simulations at a barrier. The §13

@@ -109,8 +109,8 @@ func TestMetroIsolatedCutsSeams(t *testing.T) {
 	}
 }
 
-// TestMetroTileLossIsTheTilesOwn runs the metro-smoke city (`make
-// metro-smoke`: seed 7, 4x4 blocks, 20 s, 1 Mb/s) and checks every tile's
+// TestMetroTileLossIsTheTilesOwn runs the `fleet-metro` city of
+// cmd/testdata/cases.txt (seed 7, 4x4 blocks, 20 s, 1 Mb/s) and checks every tile's
 // per-client loss against the tile's own datagram counts. A migrated-in
 // flow resumes at the source tile's sequence cursor; charging the tile every
 // datagram below that cursor reported 0.72 loss for a client that lost one
@@ -191,28 +191,6 @@ func TestMetroProgressReportsEpochs(t *testing.T) {
 	for i, d := range dones {
 		if d != i+1 {
 			t.Fatalf("progress sequence %v not monotone", dones)
-		}
-	}
-}
-
-// BenchmarkMetroEpoch meters one epoch of metro time: every tile advancing
-// one barrier interval plus the barrier's migrations. Build cost is excluded;
-// the run is rebuilt whenever the horizon is exhausted.
-func BenchmarkMetroEpoch(b *testing.B) {
-	cfg := metroTestConfig(4)
-	m, err := newMetroRun(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !m.Step() {
-			b.StopTimer()
-			m, err = newMetroRun(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
 		}
 	}
 }

@@ -1,0 +1,30 @@
+package live
+
+import "testing"
+
+// The real-socket half of the DESIGN.md §14 fan-out measurement, which
+// bench/ (it opens no socket) cannot see: sustained copies per second over
+// UDP loopback at 8/32/128-AP widths. FanoutUDP is the batched path —
+// encode once, one batch datagram per endpoint, sendmmsg on Linux;
+// FanoutUDPPerCopy is the per-copy Send loop it replaced, and the pkts/s
+// ratio of the pair is the batching speedup.
+//
+//	go test -run '^$' -bench Fanout ./internal/live
+
+func benchFanout(b *testing.B, batched bool) {
+	for _, w := range []struct {
+		name string
+		aps  int
+	}{{"8aps", 8}, {"32aps", 32}, {"128aps", 128}} {
+		b.Run(w.name, func(b *testing.B) {
+			r, err := MeasureFanout(w.aps, b.N, batched)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(r.PktsPerSec, "pkts/s")
+		})
+	}
+}
+
+func BenchmarkFanoutUDP(b *testing.B)        { benchFanout(b, true) }
+func BenchmarkFanoutUDPPerCopy(b *testing.B) { benchFanout(b, false) }

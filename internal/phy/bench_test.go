@@ -2,19 +2,6 @@ package phy
 
 import "testing"
 
-// BenchmarkBER measures one per-subcarrier BER evaluation (56 of these per
-// ESNR computation).
-func BenchmarkBER(b *testing.B) {
-	snrs := [8]float64{0.5, 2, 8, 30, 100, 400, 1500, 6000}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		sink += QAM64.BER(snrs[i&7])
-	}
-	_ = sink
-}
-
 // BenchmarkInvBER measures the BER-curve inversion that closes every ESNR
 // computation.
 func BenchmarkInvBER(b *testing.B) {

@@ -10,18 +10,6 @@ func benchFader() *Fader {
 	return NewFader(nil, 8, 22, 1.5, rnd)
 }
 
-// BenchmarkFaderGainsDB is the per-CSI-sample hot path: one frequency-
-// selective 56-subcarrier snapshot per overhearing AP per uplink frame.
-func BenchmarkFaderGainsDB(b *testing.B) {
-	f := benchFader()
-	dst := make([]float64, 56)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.GainsDB(float64(i)*1e-4, 312.5e3, dst)
-	}
-}
-
 // BenchmarkFaderFlatGainDB is the wideband RSSI sample (baseline roaming,
 // capture arbitration).
 func BenchmarkFaderFlatGainDB(b *testing.B) {

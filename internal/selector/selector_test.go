@@ -348,30 +348,3 @@ func TestSelectorZeroAllocSteadyState(t *testing.T) {
 		})
 	}
 }
-
-// BenchmarkSelectorDecide measures one Observe+Decide round trip per
-// policy against an 8-AP deployment at vehicular CSI rates.
-func BenchmarkSelectorDecide(b *testing.B) {
-	for _, pol := range Policies() {
-		b.Run(string(pol), func(b *testing.B) {
-			p := testParams()
-			sel := New(Config{Policy: pol}, p, 8)
-			mac := packet.ClientMAC(1)
-			sel.AddClient(mac, 0)
-			now := sim.Time(0)
-			vals := [4]float64{21, 18, 24, 19}
-			for i := 0; i < 512; i++ {
-				now += 100 * sim.Microsecond
-				sel.Observe(mac, i%8, vals[i&3], now)
-				_ = sel.Decide(mac, 0, now, allAlive)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				now += 100 * sim.Microsecond
-				sel.Observe(mac, i%8, vals[i&3], now)
-				_ = sel.Decide(mac, 0, now, allAlive)
-			}
-		})
-	}
-}
