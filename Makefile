@@ -17,16 +17,10 @@ check: vet lint build test golden-quick race cli-smoke live-smoke federation-smo
 # environment ships them — so each is gated on availability rather than
 # failing the tier-1 gate on a missing binary.
 lint:
-	@if command -v staticcheck >/dev/null 2>&1; then \
-		staticcheck ./... || exit 1; \
-	else \
-		echo "lint: staticcheck not installed, skipping"; \
-	fi
-	@if command -v govulncheck >/dev/null 2>&1; then \
-		govulncheck ./... || exit 1; \
-	else \
-		echo "lint: govulncheck not installed, skipping"; \
-	fi
+	@for t in staticcheck govulncheck; do \
+		if command -v $$t >/dev/null 2>&1; then $$t ./... || exit 1; \
+		else echo "lint: $$t not installed, skipping"; fi; \
+	done
 
 vet:
 	$(GO) vet ./...
@@ -55,15 +49,13 @@ docs-check:
 	if [ $$fail -ne 0 ]; then exit 1; fi
 	@echo docs-check: all internal packages carry a paper-section mapping
 
-# The targets that run a CLI share one shape.
+# The targets that run a CLI share one shape:
 # $(call in-scratch,<cmds>,<script>[,<build flags>]) builds each cmd/<cmd>
-# into a fresh `mktemp -d` directory, runs <script> — one shell, stopping at
-# the first failing command, with the binaries at $$d/<cmd> and $$d free for
-# captured output — and removes the directory once everything passed. Two
-# concurrent `make check` runs therefore never share a file, and a failing
+# into a fresh `mktemp -d` directory $$d, runs <script> in one shell that
+# stops at the first failing command, and removes $$d once everything
+# passed. Concurrent `make check` runs therefore share no file, and a failing
 # gate leaves its outputs behind (cmp names them). Timing and progress go to
 # stderr, so only stdout is ever compared.
-comma := ,
 define in-scratch
 	@set -e; d=$$(mktemp -d); \
 	for c in $(1); do $(GO) build $(3) -o $$d/$$c ./cmd/$$c; done; \
@@ -75,38 +67,31 @@ endef
 # $$name, $$cmd and $$flags set.
 each-cli-case = grep -v '^\#' cmd/testdata/cases.txt | while read -r name cmd flags; do $(1); done
 
-# The one line of a wgtt-experiments run that is not a function of (flags,
-# seed): the elapsed time it prints after each artifact, "(1.2s)".
-ELAPSED = ^([0-9.]*s)$$
-
-# Golden gate (golden-quick is part of check, ~45 s on 2 vCPU): the trimmed
-# experiment run must reproduce the recorded tables byte for byte, elapsed-
-# time lines aside — what turns "byte-identical output" from a claim into a
-# check. Only an intended change of a reported number regenerates the file:
+# Golden gates: the experiment run must reproduce the recorded tables byte
+# for byte — what turns "byte-identical output" from a claim into a check.
+# golden-quick (part of check, ~45 s on 2 vCPU) holds the trimmed run against
+# internal/eval/testdata/quick.golden; golden (minutes, opt-in) the full run
+# against experiments_output.txt. Only the elapsed time wgtt-experiments
+# prints after each artifact, "(1.2s)", is not a function of (flags, seed),
+# and only that line is stripped. Only an intended change of a reported
+# number regenerates a file:
 #   go run ./cmd/wgtt-experiments -quick | grep -v '^([0-9.]*s)$' > internal/eval/testdata/quick.golden
-golden-quick:
+ELAPSED = ^([0-9.]*s)$$
+golden-quick: RUN = -quick
+golden-quick: GOLDEN = internal/eval/testdata/quick.golden
+golden: GOLDEN = experiments_output.txt
+golden-quick golden:
 	$(call in-scratch,wgtt-experiments, \
-		$$d/wgtt-experiments -quick > $$d/run.txt; \
-		grep -v '$(ELAPSED)' $$d/run.txt > $$d/quick.txt; \
-		cmp $$d/quick.txt internal/eval/testdata/quick.golden)
-	@echo golden-quick: trimmed experiment output matches the golden
-
-# Slow (minutes, opt-in): the same for the full run against the checked-in
-# experiments_output.txt.
-golden:
-	$(call in-scratch,wgtt-experiments, \
-		$$d/wgtt-experiments > $$d/run.txt; \
-		grep -v '$(ELAPSED)' $$d/run.txt > $$d/full.txt; \
-		grep -v '$(ELAPSED)' experiments_output.txt | cmp $$d/full.txt -)
-	@echo golden: full experiment output matches experiments_output.txt
+		$$d/wgtt-experiments $(RUN) > $$d/run.txt; \
+		grep -v '$(ELAPSED)' $$d/run.txt > $$d/got.txt; \
+		grep -v '$(ELAPSED)' $(GOLDEN) | cmp $$d/got.txt -)
+	@echo $@: experiment output matches $(GOLDEN)
 
 # CLI smoke (part of check): what no unit test reaches is each `main` turning
-# its flags into a run, so every flag set in cmd/testdata/cases.txt — chaos,
-# the selection policies, the city, a federated fleet, the metro, and one
-# summary followed by its `-metrics -` table — runs once and must print its
-# recorded golden byte for byte. That a run repeats itself, for any worker
-# count, is held by the determinism tests in internal/core and
-# internal/fleet, not here.
+# its flags into a run, so every flag set in cmd/testdata/cases.txt runs once
+# and must print its recorded golden byte for byte. That a run repeats
+# itself, for any worker count, is held by the determinism tests in
+# internal/core and internal/fleet, not here.
 cli-smoke:
 	$(call in-scratch,wgttsim wgtt-fleet, \
 		$(call each-cli-case, \
@@ -157,6 +142,8 @@ metro-scale:
 # methods, the live AP role (those processes are killed, so they flush
 # nothing), and anything only examples/, bench/ or a test calls show up here
 # too — grep before deleting.
+# ($(comma): a literal comma inside a $$(call …) argument.)
+comma := ,
 unreached:
 	$(call in-scratch,wgttsim wgtt-fleet wgtt-experiments wgtt-live, \
 		mkdir $$d/cov; export GOCOVERDIR=$$d/cov; \

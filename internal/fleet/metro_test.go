@@ -110,8 +110,8 @@ func TestMetroIsolatedCutsSeams(t *testing.T) {
 }
 
 // TestMetroTileLossIsTheTilesOwn runs the `fleet-metro` city of
-// cmd/testdata/cases.txt (seed 7, 4x4 blocks, 20 s, 1 Mb/s) and checks every tile's
-// per-client loss against the tile's own datagram counts. A migrated-in
+// cmd/testdata/cases.txt (seed 7, 4x4 blocks, 20 s, 1 Mb/s) and checks every
+// tile's per-client loss against the tile's own datagram counts. A migrated-in
 // flow resumes at the source tile's sequence cursor; charging the tile every
 // datagram below that cursor reported 0.72 loss for a client that lost one
 // datagram of 492. Loss counts up to the last datagram received, so it

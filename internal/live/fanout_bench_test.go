@@ -1,6 +1,9 @@
 package live
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // The real-socket half of the DESIGN.md §14 fan-out measurement, which
 // bench/ (it opens no socket) cannot see: sustained copies per second over
@@ -12,12 +15,9 @@ import "testing"
 //	go test -run '^$' -bench Fanout ./internal/live
 
 func benchFanout(b *testing.B, batched bool) {
-	for _, w := range []struct {
-		name string
-		aps  int
-	}{{"8aps", 8}, {"32aps", 32}, {"128aps", 128}} {
-		b.Run(w.name, func(b *testing.B) {
-			r, err := MeasureFanout(w.aps, b.N, batched)
+	for _, aps := range []int{8, 32, 128} {
+		b.Run(fmt.Sprintf("%daps", aps), func(b *testing.B) {
+			r, err := MeasureFanout(aps, b.N, batched)
 			if err != nil {
 				b.Fatal(err)
 			}
