@@ -115,6 +115,9 @@ func (c *cell) harvest() (CellResult, error) {
 		return CellResult{}, fmt.Errorf("fleet: cell %d trace: %w", res.Cell, err)
 	}
 	if n.Metrics != nil {
+		// Recorded here, not by Network.Run: a metro tile reaches its
+		// horizon through lockstep RunUntil epochs and never calls Run.
+		n.Metrics.AddDuration(int64(n.Scenario.Duration))
 		snap := n.Metrics.Snapshot()
 		res.Metrics = &snap
 	}
@@ -156,7 +159,7 @@ func RunCell(cfg Config, cell int) (CellResult, error) {
 	}
 	// Switching accuracy against the ESNR oracle, Table 2's metric per cell.
 	c.drive.SampleOracle(samplePeriod, nil)
-	n.Run()
+	n.RunUntil(n.Scenario.Duration)
 	return c.harvest()
 }
 

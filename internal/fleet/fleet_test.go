@@ -3,6 +3,7 @@ package fleet
 import (
 	"encoding/json"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -274,9 +275,13 @@ func TestCellTraceRoundTrip(t *testing.T) {
 	cfg := testConfig(1)
 	cfg.Cells = 1
 	cfg.TraceDir = t.TempDir()
+	cfg.Metrics = true
 	res, err := RunCell(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if want := int64(math.Round(res.DurationS * 1e9)); res.Metrics.DurationNS != want {
+		t.Errorf("cell snapshot covers %d ns, want the horizon once (%d)", res.Metrics.DurationNS, want)
 	}
 	kinds := readCellTrace(t, res)
 	for _, want := range []trace.Kind{trace.KindDeliver, trace.KindFrameTx, trace.KindSwitch} {
@@ -286,16 +291,23 @@ func TestCellTraceRoundTrip(t *testing.T) {
 	}
 
 	// Metro tiles go through the same harness: every built tile writes its
-	// own trace, unbuilt tiles write nothing, and tracing leaves the report
-	// (the untraced run's golden) untouched.
+	// own trace, unbuilt tiles write nothing, and tracing and metrics leave
+	// the report (the untraced run's golden) untouched.
 	mcfg := metroTestConfig(1)
 	mcfg.TraceDir = t.TempDir()
 	mcfg.RunID = "m"
+	mcfg.Metrics = true
 	traced, err := RunMetro(mcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "metro", traced.Render())
+	// Tiles advance by RunUntil epochs, never Network.Run: the snapshot must
+	// still cover built tiles × horizon, what Merge gives a fleet of cells.
+	if want := int64(traced.BuiltTiles) * int64(math.Round(traced.DurationS*1e9)); traced.Metrics.DurationNS != want {
+		t.Errorf("metro snapshot covers %d ns, want %d tiles x horizon = %d",
+			traced.Metrics.DurationNS, traced.BuiltTiles, want)
+	}
 	for _, tile := range traced.Tiles {
 		if want := tracePath(mcfg, tile.Cell); tile.TraceFile != want {
 			t.Errorf("tile %d traced to %q, want %q", tile.Cell, tile.TraceFile, want)
