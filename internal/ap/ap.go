@@ -86,6 +86,7 @@ type Stats struct {
 	BAMerged        uint64 // forwarded Block ACKs merged into retry state
 	BADuplicates    uint64 // forwarded Block ACKs discarded as already seen
 	UplinkForwarded uint64 // uplink packets tunneled to the controller
+	KeepalivesHeard uint64 // null-data CSI keepalives heard (§3.1.1)
 	CSIReports      uint64
 	Crashes         uint64 // chaos-injected failures (DESIGN.md §11)
 	Restarts        uint64
@@ -171,40 +172,31 @@ type AP struct {
 	met apMetrics
 }
 
-// apMetrics holds this AP's observability handles (DESIGN.md §10),
-// component-keyed by the AP's name. Nil until UseMetrics wires a registry;
-// nil instruments record nothing.
+// apMetrics holds this AP's live instruments (DESIGN.md §10) — what a
+// Stats field cannot express. Nil until UseMetrics wires a registry; nil
+// instruments record nothing.
 type apMetrics struct {
-	enqueued   *metrics.Counter
-	overwrites *metrics.Counter
 	// queueDepth samples the cyclic-queue backlog (unsent indices between
 	// the read cursor and the write head) after each enqueue.
 	queueDepth *metrics.Histogram
-	baFwd      *metrics.Counter
-	baMerged   *metrics.Counter
-	// keepalives counts 802.11 null-data frames heard from clients — the
-	// §3.1.1 CSI keepalive activity under downlink-only workloads.
-	keepalives *metrics.Counter
-	csiReports *metrics.Counter
-	stops      *metrics.Counter
-	starts     *metrics.Counter
 	spans      *metrics.SpanTracker
 }
 
-// UseMetrics wires the AP's instruments into r under the AP's name (call
-// before the run starts). A nil registry leaves recording disabled.
+// UseMetrics names the AP's counters — the Stats fields — in r under the
+// AP's name and wires its live instruments (call before the run starts). A
+// nil registry leaves recording disabled.
 func (a *AP) UseMetrics(r *metrics.Registry) {
-	comp := a.cfg.Name
+	comp, st := a.cfg.Name, &a.Stats
+	r.CounterAt(comp, "down_enqueued", &st.DownEnqueued)
+	r.CounterAt(comp, "ring_overwrites", &st.DownOverwritten)
+	r.CounterAt(comp, "ba_forwarded", &st.BAForwarded)
+	r.CounterAt(comp, "ba_merged", &st.BAMerged)
+	r.CounterAt(comp, "keepalives_heard", &st.KeepalivesHeard)
+	r.CounterAt(comp, "csi_reports", &st.CSIReports)
+	r.CounterAt(comp, "stops_handled", &st.StopsHandled)
+	r.CounterAt(comp, "starts_handled", &st.StartsHandled)
 	a.met = apMetrics{
-		enqueued:   r.Counter(comp, "down_enqueued"),
-		overwrites: r.Counter(comp, "ring_overwrites"),
 		queueDepth: r.Histogram(comp, "queue_depth", []float64{0, 4, 16, 64, 256, 1024, 4096}),
-		baFwd:      r.Counter(comp, "ba_forwarded"),
-		baMerged:   r.Counter(comp, "ba_merged"),
-		keepalives: r.Counter(comp, "keepalives_heard"),
-		csiReports: r.Counter(comp, "csi_reports"),
-		stops:      r.Counter(comp, "stops_handled"),
-		starts:     r.Counter(comp, "starts_handled"),
 		spans:      r.SwitchSpans(),
 	}
 }
@@ -387,7 +379,6 @@ func (a *AP) enqueueDownlink(p *packet.Packet) {
 	slot := int(p.Index) % cyclicQueueSlots
 	if old := cs.ring[slot]; old != nil && !cs.sent(old.Index) {
 		a.Stats.DownOverwritten++
-		a.met.overwrites.Inc()
 	}
 	cs.ring[slot] = p
 	now := a.clk.Now()
@@ -418,7 +409,6 @@ func (a *AP) enqueueDownlink(p *packet.Packet) {
 			dropped := d - maxBacklog
 			cs.nextSend = (cs.nextSend + dropped) & packet.IndexMask
 			a.Stats.DownOverwritten += uint64(dropped)
-			a.met.overwrites.Add(uint64(dropped))
 		}
 	} else if cs.haveAny && cs.nextSend != cs.head &&
 		packet.IndexDist(cs.nextSend, cs.head) > uint16(cyclicQueueSlots/2) {
@@ -426,10 +416,8 @@ func (a *AP) enqueueDownlink(p *packet.Packet) {
 		// start pointed far ahead): resynchronize to a bounded backlog.
 		cs.nextSend = (cs.head - maxBacklog) & packet.IndexMask
 		a.Stats.DownOverwritten++
-		a.met.overwrites.Inc()
 	}
 	a.Stats.DownEnqueued++
-	a.met.enqueued.Inc()
 	if a.met.queueDepth != nil {
 		depth := 0
 		if cs.backlog() {
@@ -472,7 +460,6 @@ func (a *AP) handleStop(m *packet.Stop) {
 		return
 	}
 	a.Stats.StopsHandled++
-	a.met.stops.Inc()
 	a.met.spans.MarkStopHandled(m.SwitchID, int64(a.clk.Now()))
 	cs := a.client(m.Client)
 	k := cs.nextSend
@@ -522,7 +509,6 @@ func (a *AP) handleStart(m *packet.Start) {
 		return
 	}
 	a.Stats.StartsHandled++
-	a.met.starts.Inc()
 	a.met.spans.MarkStartHandled(m.SwitchID, int64(a.clk.Now()))
 	cs := a.client(m.Client)
 	if !cs.haveAny {
@@ -564,7 +550,6 @@ func (a *AP) handleForwardedBA(m *packet.BlockAckFwd) {
 	merged := a.completeFromBitmap(cs, m.SSN, m.Bitmap)
 	if merged > 0 {
 		a.Stats.BAMerged += uint64(merged)
-		a.met.baMerged.Add(uint64(merged))
 	}
 }
 

@@ -214,7 +214,7 @@ func (a *AP) OnFrame(ev *mac.RxEvent) {
 		if mp.Pkt.Kind == packet.KindNull {
 			// Nulls are CSI probes, not traffic — the keepalive activity
 			// that keeps the §3.1.1 window fed under downlink-only load.
-			a.met.keepalives.Inc()
+			a.Stats.KeepalivesHeard++
 			continue
 		}
 		a.Stats.UplinkForwarded++
@@ -244,7 +244,6 @@ func (a *AP) OnBlockAck(ev *mac.BAEvent) {
 		return
 	}
 	a.Stats.BAForwarded++
-	a.met.baFwd.Inc()
 	fwd := &packet.BlockAckFwd{
 		Client: ev.Responder,
 		FromAP: a.cfg.IP,
@@ -264,7 +263,6 @@ func (a *AP) reportCSI(client packet.MACAddr, snrDB []float64, at sim.Time) {
 	rep := &packet.CSIReport{Client: client, AP: a.cfg.IP, At: int64(at)}
 	rep.QuantizeSNR(snrDB)
 	a.Stats.CSIReports++
-	a.met.csiReports.Inc()
 	_ = a.bh.Send(a.cfg.IP, a.controller, rep)
 }
 

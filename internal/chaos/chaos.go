@@ -244,15 +244,6 @@ type Stats struct {
 	CtlRestarts    uint64
 }
 
-// chaosMetrics are the injector's observability handles (all nil-safe).
-type chaosMetrics struct {
-	apCrashes     *metrics.Counter
-	apRestarts    *metrics.Counter
-	burstDrops    *metrics.Counter
-	blackoutDrops *metrics.Counter
-	ctlCrashes    *metrics.Counter
-}
-
 // Injector replays a Plan against a live network. Build it with NewInjector
 // and wire it with Arm before the run starts.
 type Injector struct {
@@ -279,7 +270,6 @@ type Injector struct {
 	OnFault func(Event)
 
 	Stats Stats
-	met   chaosMetrics
 }
 
 // NewInjector builds the plan for the given horizon and binds it to the
@@ -332,16 +322,14 @@ func (in *Injector) Arm(bh *backhaul.Switch) {
 	}
 }
 
-// UseMetrics wires the injector's counters into r (nil disables, as
-// everywhere in DESIGN.md §10).
+// UseMetrics names the injector's counters — Stats fields — in r
+// (DESIGN.md §10). A nil registry is a no-op.
 func (in *Injector) UseMetrics(r *metrics.Registry) {
-	in.met = chaosMetrics{
-		apCrashes:     r.Counter("chaos", "ap_crashes"),
-		apRestarts:    r.Counter("chaos", "ap_restarts"),
-		burstDrops:    r.Counter("chaos", "burst_drops"),
-		blackoutDrops: r.Counter("chaos", "blackout_drops"),
-		ctlCrashes:    r.Counter("chaos", "controller_crashes"),
-	}
+	r.CounterAt("chaos", "ap_crashes", &in.Stats.APCrashes)
+	r.CounterAt("chaos", "ap_restarts", &in.Stats.APRestarts)
+	r.CounterAt("chaos", "burst_drops", &in.Stats.BurstDrops)
+	r.CounterAt("chaos", "blackout_drops", &in.Stats.BlackoutDrops)
+	r.CounterAt("chaos", "controller_crashes", &in.Stats.CtlCrashes)
 }
 
 // drop is the backhaul loss hook: burst windows drop anything, blackout
@@ -350,13 +338,11 @@ func (in *Injector) drop(to packet.IPv4Addr, msg packet.Message) bool {
 	now := in.clk.Now()
 	if now < in.burstUntil && in.burstRnd.Float64() < in.cfg.BackhaulBurstLoss {
 		in.Stats.BurstDrops++
-		in.met.burstDrops.Inc()
 		return true
 	}
 	if now < in.blackoutUntil {
 		if _, csi := msg.(*packet.CSIReport); csi {
 			in.Stats.BlackoutDrops++
-			in.met.blackoutDrops.Inc()
 			return true
 		}
 	}
@@ -374,7 +360,6 @@ func (in *Injector) apply(ev Event) {
 		in.aps[ev.AP].Crash()
 		in.downCount++
 		in.Stats.APCrashes++
-		in.met.apCrashes.Inc()
 	case APRestart:
 		if !in.aps[ev.AP].Down() {
 			return // its crash was skipped by the guard
@@ -382,7 +367,6 @@ func (in *Injector) apply(ev Event) {
 		in.aps[ev.AP].Restart()
 		in.downCount--
 		in.Stats.APRestarts++
-		in.met.apRestarts.Inc()
 	case BackhaulBurst:
 		in.Stats.Bursts++
 		in.extend(&in.burstUntil, ev.Dur)
@@ -398,7 +382,6 @@ func (in *Injector) apply(ev Event) {
 		}
 		in.ctl.Fail()
 		in.Stats.CtlCrashes++
-		in.met.ctlCrashes.Inc()
 	case ControllerRestart:
 		if in.ctl == nil || !in.ctl.Down() {
 			return

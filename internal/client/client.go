@@ -51,6 +51,7 @@ type Stats struct {
 	UplinkDropped   uint64 // retry budget exhausted
 	UplinkDelivered uint64
 	Beacons         uint64
+	KeepalivesSent  uint64 // null-data CSI probes queued while idle (§3.1.1)
 }
 
 // Client is one mobile station.
@@ -81,26 +82,14 @@ type Client struct {
 	// OnMgmt observes received management frames.
 	OnMgmt func(ev *mac.RxEvent)
 
-	// met holds the observability handles (nil-safe; see DESIGN.md §10).
-	met clientMetrics
-
 	Stats Stats
 }
 
-// clientMetrics holds the client's observability handles.
-type clientMetrics struct {
-	keepalives *metrics.Counter
-	downDupes  *metrics.Counter
-}
-
-// UseMetrics wires the client's instruments into r under the given
-// component name (call before the run starts). A nil registry leaves
-// recording disabled.
+// UseMetrics names the client's counters — Stats fields — in r under the
+// given component name (DESIGN.md §10). A nil registry is a no-op.
 func (c *Client) UseMetrics(r *metrics.Registry, component string) {
-	c.met = clientMetrics{
-		keepalives: r.Counter(component, "keepalives_sent"),
-		downDupes:  r.Counter(component, "downlink_dupes"),
-	}
+	r.CounterAt(component, "keepalives_sent", &c.Stats.KeepalivesSent)
+	r.CounterAt(component, "downlink_dupes", &c.Stats.DownlinkDupes)
 }
 
 // New creates a client bound to an existing MAC station; the client
@@ -139,7 +128,7 @@ func (c *Client) StartKeepalive(interval sim.Time) {
 			return
 		}
 		if !c.hasWork() {
-			c.met.keepalives.Inc()
+			c.Stats.KeepalivesSent++
 			c.uplinkQ = append(c.uplinkQ, &packet.Packet{
 				ClientMAC: c.cfg.MAC,
 				SrcIP:     c.cfg.IP,
@@ -258,7 +247,6 @@ func (c *Client) OnFrame(ev *mac.RxEvent) {
 		}
 		if c.isDup(mp.Pkt.Index, ev.At) {
 			c.Stats.DownlinkDupes++
-			c.met.downDupes.Inc()
 			continue
 		}
 		c.Stats.DownlinkMPDUs++

@@ -150,6 +150,11 @@ type Stats struct {
 	UplinkDuplicate uint64
 	DownlinkSent    uint64
 	DownlinkCopies  uint64
+	// DedupMisses counts first-seen uplink packets of registered clients —
+	// the §3.2.2 hashset's misses (its hits are UplinkDuplicate).
+	// UplinkUnique also counts packets from senders the controller does not
+	// know, which bypass the hashset.
+	DedupMisses uint64
 
 	// Selection-policy counters (DESIGN.md §15). SelectionDecisions
 	// counts policy evaluations that reached the selector (past the
@@ -159,6 +164,11 @@ type Stats struct {
 	SelectionDecisions      uint64
 	PredictiveEarlySwitches uint64
 	AssignmentRounds        uint64
+	// SelectionFlips counts evaluations whose argmax AP differed from the
+	// previous evaluation's — raw selection churn, before hysteresis;
+	// HysteresisSuppressions counts re-evaluations skipped inside the dwell.
+	SelectionFlips         uint64
+	HysteresisSuppressions uint64
 	// CollapseSwitches counts switches that bypassed the hysteresis dwell
 	// through the CollapseDB escape (serving link collapsed mid-dwell).
 	CollapseSwitches uint64
@@ -172,86 +182,90 @@ type Stats struct {
 	CtlDownlinkDropped     uint64 // downlink lost while the controller was down
 }
 
-// ctlMetrics holds the controller's observability handles (DESIGN.md §10).
-// All fields are nil until UseMetrics wires a registry; every instrument
-// is nil-safe, so the unwired state is the disabled state.
+// Add accumulates o into s, field by field — how a federated tier sums its
+// domains' controllers. A new counter is added here, beside its field.
+func (s *Stats) Add(o Stats) {
+	s.CSIReports += o.CSIReports
+	s.SwitchesStarted += o.SwitchesStarted
+	s.SwitchesDone += o.SwitchesDone
+	s.StopRetransmits += o.StopRetransmits
+	s.UplinkUnique += o.UplinkUnique
+	s.UplinkDuplicate += o.UplinkDuplicate
+	s.DedupMisses += o.DedupMisses
+	s.DownlinkSent += o.DownlinkSent
+	s.DownlinkCopies += o.DownlinkCopies
+	s.SelectionDecisions += o.SelectionDecisions
+	s.PredictiveEarlySwitches += o.PredictiveEarlySwitches
+	s.AssignmentRounds += o.AssignmentRounds
+	s.SelectionFlips += o.SelectionFlips
+	s.HysteresisSuppressions += o.HysteresisSuppressions
+	s.CollapseSwitches += o.CollapseSwitches
+	s.HealthProbes += o.HealthProbes
+	s.APsMarkedDead += o.APsMarkedDead
+	s.APsReadmitted += o.APsReadmitted
+	s.ForcedSwitches += o.ForcedSwitches
+	s.ForcedStartRetransmits += o.ForcedStartRetransmits
+	s.CtlDownlinkDropped += o.CtlDownlinkDropped
+}
+
+// ctlMetrics holds the controller's live instruments (DESIGN.md §10) —
+// what a Stats field cannot express. All fields are nil until UseMetrics
+// wires a registry; every instrument is nil-safe, so the unwired state is
+// the disabled state.
 type ctlMetrics struct {
-	csiReports *metrics.Counter
 	// windowOcc samples the (client, AP) window size at each ingest — the
 	// occupancy behind every §3.1.1 median the selection rule compares.
 	windowOcc *metrics.Histogram
-	// selectionFlips counts evaluations whose argmax AP differed from the
-	// previous evaluation's — raw selection churn, before hysteresis.
-	selectionFlips *metrics.Counter
-	// hystSuppressed counts re-evaluations skipped inside the dwell time.
-	hystSuppressed *metrics.Counter
-	// collapseSwitches counts dwell bypasses via the CollapseDB escape.
-	collapseSwitches *metrics.Counter
-	// Selection-policy instruments (DESIGN.md §15): decisions that reached
-	// the selector, Predictive's early switches, GlobalAssign's rounds.
-	selDecisions    *metrics.Counter
-	predictiveEarly *metrics.Counter
-	assignRounds    *metrics.Counter
-	switchesStarted *metrics.Counter
-	switchesDone    *metrics.Counter
-	stopRetransmits *metrics.Counter
-	// dedup{Hits,Misses,Size}: the §3.2.2 uplink de-duplication hashset —
-	// a hit is a suppressed duplicate, a miss a first-seen packet.
-	dedupHits   *metrics.Counter
-	dedupMisses *metrics.Counter
-	dedupSize   *metrics.Gauge
-	spans       *metrics.SpanTracker
+	// dedupSize is the §3.2.2 uplink de-duplication hashset's occupancy.
+	dedupSize *metrics.Gauge
+	spans     *metrics.SpanTracker
 
-	// Downlink fan-out data plane (DESIGN.md §14). downlinkEncodes counts
-	// packets entering the fan-out (one encode each on the fast path);
-	// downlinkCopies counts the per-AP replicas — their ratio is the
-	// replication factor the encode-once path amortizes. fanoutSetSize
-	// samples the relevance-set occupancy after each emission, fanoutDepth
-	// the batched-write depth handed to the fabric per packet.
-	downlinkEncodes *metrics.Counter
-	downlinkCopies  *metrics.Counter
-	fanoutSetSize   *metrics.Gauge
-	fanoutDepth     *metrics.Histogram
+	// Downlink fan-out data plane (DESIGN.md §14). fanoutSetSize samples
+	// the relevance-set occupancy after each emission, fanoutDepth the
+	// batched-write depth handed to the fabric per packet.
+	fanoutSetSize *metrics.Gauge
+	fanoutDepth   *metrics.Histogram
 
-	// Health monitor & failure recovery (DESIGN.md §11). recoverySpans
-	// traces detect → reselect → first ack per AP-death incident.
-	healthProbes   *metrics.Counter
-	apsMarkedDead  *metrics.Counter
-	apsReadmitted  *metrics.Counter
-	forcedSwitches *metrics.Counter
-	forcedStartRtx *metrics.Counter
-	recoverySpans  *metrics.SpanTracker
+	// recoverySpans traces detect → reselect → first ack per AP-death
+	// incident (DESIGN.md §11).
+	recoverySpans *metrics.SpanTracker
 }
 
-// UseMetrics wires the controller's instruments into r (call before the
-// run starts). A nil registry leaves recording disabled.
+// UseMetrics names the controller's counters — the Stats fields — in r and
+// wires its live instruments (call before the run starts). A nil registry
+// leaves recording disabled.
 func (c *Controller) UseMetrics(r *metrics.Registry) {
+	st := &c.Stats
+	r.CounterAt("controller", "csi_reports", &st.CSIReports)
+	r.CounterAt("controller", "selection_flips", &st.SelectionFlips)
+	r.CounterAt("controller", "hysteresis_suppressions", &st.HysteresisSuppressions)
+	r.CounterAt("controller", "collapse_switches", &st.CollapseSwitches)
+	r.CounterAt("controller", "selection_decisions", &st.SelectionDecisions)
+	r.CounterAt("controller", "predictive_early_switches", &st.PredictiveEarlySwitches)
+	r.CounterAt("controller", "assignment_rounds", &st.AssignmentRounds)
+	r.CounterAt("controller", "switches_started", &st.SwitchesStarted)
+	r.CounterAt("controller", "switches_done", &st.SwitchesDone)
+	r.CounterAt("controller", "stop_retransmits", &st.StopRetransmits)
+	r.CounterAt("controller", "health_probes", &st.HealthProbes)
+	r.CounterAt("controller", "aps_marked_dead", &st.APsMarkedDead)
+	r.CounterAt("controller", "aps_readmitted", &st.APsReadmitted)
+	r.CounterAt("controller", "forced_switches", &st.ForcedSwitches)
+	r.CounterAt("controller", "forced_start_retransmits", &st.ForcedStartRetransmits)
+	// The §3.2.2 hashset: a hit is a suppressed duplicate, a miss a
+	// first-seen packet.
+	r.CounterAt("dedup", "hits", &st.UplinkDuplicate)
+	r.CounterAt("dedup", "misses", &st.DedupMisses)
+	// One encode per packet entering the fan-out, one copy per AP replica:
+	// their ratio is the replication factor the encode-once path amortizes.
+	r.CounterAt("fanout", "downlink_encodes", &st.DownlinkSent)
+	r.CounterAt("fanout", "downlink_copies", &st.DownlinkCopies)
 	c.met = ctlMetrics{
-		csiReports:       r.Counter("controller", "csi_reports"),
-		windowOcc:        r.Histogram("controller", "window_occupancy", []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}),
-		selectionFlips:   r.Counter("controller", "selection_flips"),
-		hystSuppressed:   r.Counter("controller", "hysteresis_suppressions"),
-		collapseSwitches: r.Counter("controller", "collapse_switches"),
-		selDecisions:     r.Counter("controller", "selection_decisions"),
-		predictiveEarly:  r.Counter("controller", "predictive_early_switches"),
-		assignRounds:     r.Counter("controller", "assignment_rounds"),
-		switchesStarted:  r.Counter("controller", "switches_started"),
-		switchesDone:     r.Counter("controller", "switches_done"),
-		stopRetransmits:  r.Counter("controller", "stop_retransmits"),
-		dedupHits:        r.Counter("dedup", "hits"),
-		dedupMisses:      r.Counter("dedup", "misses"),
-		dedupSize:        r.Gauge("dedup", "size"),
-		spans:            r.SwitchSpans(),
-		downlinkEncodes:  r.Counter("fanout", "downlink_encodes"),
-		downlinkCopies:   r.Counter("fanout", "downlink_copies"),
-		fanoutSetSize:    r.Gauge("fanout", "fanout_set_size"),
-		fanoutDepth:      r.Histogram("fanout", "batch_depth", []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}),
-		healthProbes:     r.Counter("controller", "health_probes"),
-		apsMarkedDead:    r.Counter("controller", "aps_marked_dead"),
-		apsReadmitted:    r.Counter("controller", "aps_readmitted"),
-		forcedSwitches:   r.Counter("controller", "forced_switches"),
-		forcedStartRtx:   r.Counter("controller", "forced_start_retransmits"),
-		recoverySpans:    r.RecoverySpans(),
+		windowOcc:     r.Histogram("controller", "window_occupancy", []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}),
+		dedupSize:     r.Gauge("dedup", "size"),
+		spans:         r.SwitchSpans(),
+		fanoutSetSize: r.Gauge("fanout", "fanout_set_size"),
+		fanoutDepth:   r.Histogram("fanout", "batch_depth", []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}),
+		recoverySpans: r.RecoverySpans(),
 	}
 }
 
@@ -478,7 +492,6 @@ func (c *Controller) handleCSI(m *packet.CSIReport) {
 		return
 	}
 	c.Stats.CSIReports++
-	c.met.csiReports.Inc()
 	c.snrScratch = m.SNRdBInto(c.snrScratch)
 	esnr := csi.ESNRdB(c.snrScratch, csi.DefaultESNRModulation)
 	at := sim.Time(m.At)
@@ -507,18 +520,16 @@ func (c *Controller) evaluate(cl *clientCtl) {
 	if dwell && c.cfg.CollapseDB <= 0 {
 		// Dwell-time suppression: the selection rule would have re-run
 		// here but the Fig. 22 hysteresis holds the serving AP.
-		c.met.hystSuppressed.Inc()
+		c.Stats.HysteresisSuppressions++
 		return
 	}
 	c.Stats.SelectionDecisions++
-	c.met.selDecisions.Inc()
 	d := c.sel.Decide(cl.mac, cl.serving, now, c.aliveFn)
 	if d.Flip {
-		c.met.selectionFlips.Inc()
+		c.Stats.SelectionFlips++
 	}
 	if d.NewRound {
 		c.Stats.AssignmentRounds++
-		c.met.assignRounds.Inc()
 	}
 	if d.Target < 0 || d.Target == cl.serving {
 		return
@@ -527,15 +538,13 @@ func (c *Controller) evaluate(cl *clientCtl) {
 		// Inside the dwell, only the CollapseDB escape may switch: the
 		// challenger must beat the incumbent by a collapse-scale gap.
 		if d.ToMetric-d.FromMetric < c.cfg.CollapseDB {
-			c.met.hystSuppressed.Inc()
+			c.Stats.HysteresisSuppressions++
 			return
 		}
 		c.Stats.CollapseSwitches++
-		c.met.collapseSwitches.Inc()
 	}
 	if d.Early {
 		c.Stats.PredictiveEarlySwitches++
-		c.met.predictiveEarly.Inc()
 	}
 	c.initiateSwitch(cl, d)
 }
@@ -554,7 +563,6 @@ func (c *Controller) initiateSwitch(cl *clientCtl, d selector.Decision) {
 	op := &switchOp{id: c.switchSeq, from: cl.serving, to: d.Target, sentAt: c.clk.Now()}
 	cl.op = op
 	c.Stats.SwitchesStarted++
-	c.met.switchesStarted.Inc()
 	if c.met.spans != nil {
 		c.met.spans.Begin(op.id, int64(op.sentAt), cl.mac.String(),
 			op.from, op.to, d.Cause, d.FromMetric, d.ToMetric)
@@ -569,7 +577,6 @@ func (c *Controller) sendStop(cl *clientCtl, op *switchOp) {
 	op.timer = c.clk.After(switchTimeout, func() {
 		if cl.op == op {
 			c.Stats.StopRetransmits++
-			c.met.stopRetransmits.Inc()
 			c.met.spans.AddRetransmit(op.id)
 			c.sendStop(cl, op)
 		}
@@ -598,7 +605,6 @@ func (c *Controller) handleSwitchAck(m *packet.SwitchAck) {
 		Forced:   op.forced,
 	}
 	c.Stats.SwitchesDone++
-	c.met.switchesDone.Inc()
 	c.met.spans.End(op.id, int64(rec.At))
 	if op.recoveryID != 0 {
 		// First rescued client's ack closes the incident's recovery span.
@@ -619,7 +625,6 @@ func (c *Controller) handleUplink(m *packet.UpData) {
 		if _, dup := cl.dedup[key]; dup {
 			cl.UplinkDuplicate++
 			c.Stats.UplinkDuplicate++
-			c.met.dedupHits.Inc()
 			return
 		}
 		cl.dedup[key] = struct{}{}
@@ -632,7 +637,7 @@ func (c *Controller) handleUplink(m *packet.UpData) {
 			c.dedupEntries--
 		}
 		cl.UplinkUnique++
-		c.met.dedupMisses.Inc()
+		c.Stats.DedupMisses++
 		c.met.dedupSize.Set(float64(c.dedupEntries))
 	}
 	c.Stats.UplinkUnique++

@@ -135,8 +135,6 @@ func (c *Controller) SendDownlink(p *packet.Packet) error {
 	// Copies count per target attempted, send outcome regardless — the
 	// accounting the per-target Send loop kept (its errors were ignored).
 	c.Stats.DownlinkCopies += uint64(len(targets))
-	c.met.downlinkEncodes.Inc()
-	c.met.downlinkCopies.Add(uint64(len(targets)))
 	c.met.fanoutSetSize.Set(float64(len(cl.fanSet)))
 	c.met.fanoutDepth.Observe(float64(len(targets)))
 	if len(targets) == 0 {

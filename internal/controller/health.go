@@ -60,7 +60,6 @@ func (c *Controller) noteAPAlive(from packet.IPv4Addr) {
 	if !h.alive {
 		h.alive = true
 		c.Stats.APsReadmitted++
-		c.met.apsReadmitted.Inc()
 	}
 }
 
@@ -80,7 +79,6 @@ func (c *Controller) healthTick() {
 				// doubles as the re-admission ping): ask explicitly.
 				c.probeSeq++
 				c.Stats.HealthProbes++
-				c.met.healthProbes.Inc()
 				probe := &packet.HealthProbe{Seq: c.probeSeq, At: int64(now)}
 				_ = c.bh.Send(c.addr, c.aps[id].IP, probe)
 			}
@@ -95,7 +93,6 @@ func (c *Controller) markAPDead(id int) {
 	h.alive = false
 	h.deadSince = c.clk.Now()
 	c.Stats.APsMarkedDead++
-	c.met.apsMarkedDead.Inc()
 
 	// Collect the stranded clients first (in registration order — the map
 	// would be nondeterministic): those served by the dead AP, and those
@@ -174,7 +171,6 @@ func (c *Controller) forceSwitch(cl *clientCtl, recoveryID uint32) {
 				op.recoveryID = recoveryID
 				op.timer.Stop()
 				c.Stats.ForcedSwitches++
-				c.met.forcedSwitches.Inc()
 				c.met.recoverySpans.MarkStartHandled(recoveryID, int64(c.clk.Now()))
 				c.sendForcedStart(cl, op)
 			}
@@ -194,8 +190,6 @@ func (c *Controller) forceSwitch(cl *clientCtl, recoveryID uint32) {
 	cl.op = op
 	c.Stats.SwitchesStarted++
 	c.Stats.ForcedSwitches++
-	c.met.switchesStarted.Inc()
-	c.met.forcedSwitches.Inc()
 	if c.met.spans != nil {
 		toMed, _ := c.sel.Median(cl.mac, to, now)
 		c.met.spans.Begin(op.id, int64(now), cl.mac.String(),
@@ -218,7 +212,6 @@ func (c *Controller) sendForcedStart(cl *clientCtl, op *switchOp) {
 			return
 		}
 		c.Stats.ForcedStartRetransmits++
-		c.met.forcedStartRtx.Inc()
 		c.met.spans.AddRetransmit(op.id)
 		if !c.apAlive(op.to) {
 			// The failover target died too: retarget from scratch.

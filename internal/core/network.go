@@ -678,11 +678,12 @@ func (n *Network) ClientESNR(clientID, apID int, at sim.Time) float64 {
 	return csi.ESNRdB(n.snrScratch, csi.DefaultESNRModulation)
 }
 
-// Run advances the simulation to the scenario duration.
+// Run advances the simulation to the scenario duration and closes the
+// registry's run (metrics.Registry.EndRun): snapshot after it, and count
+// nothing more on this network.
 func (n *Network) Run() {
 	n.Eng.RunUntil(n.Scenario.Duration)
-	// The covered duration turns counters into rates in metrics.Fprint.
-	n.Metrics.AddDuration(int64(n.Scenario.Duration))
+	n.Metrics.EndRun(int64(n.Scenario.Duration))
 }
 
 // RunUntil advances to an arbitrary time.

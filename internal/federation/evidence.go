@@ -1,54 +1,13 @@
 package federation
 
-import (
-	"math"
-	"sort"
+import "math"
 
-	"wgtt/internal/sim"
-)
-
-// evWindow is the federation-layer sliding ESNR window: the same windowed
-// median the controller runs per (client, AP) for §3.1.1 selection, kept at
-// the federation layer for APs outside the inner controller's domain —
-// foreign evidence the inner controller must never see (its AP table is
-// local-only). Pushes arrive in time order, so expiry trims from the front.
-type evWindow struct {
-	span sim.Time
-	at   []sim.Time
-	val  []float64
-}
-
-func (w *evWindow) push(t sim.Time, v float64) {
-	w.at = append(w.at, t)
-	w.val = append(w.val, v)
-	w.trim(t)
-}
-
-func (w *evWindow) trim(now sim.Time) {
-	cut := 0
-	for cut < len(w.at) && w.at[cut] < now-w.span {
-		cut++
-	}
-	if cut > 0 {
-		w.at = append(w.at[:0], w.at[cut:]...)
-		w.val = append(w.val[:0], w.val[cut:]...)
-	}
-}
-
-// median returns the upper median of the in-window samples and their count.
-func (w *evWindow) median(now sim.Time) (float64, int) {
-	w.trim(now)
-	n := len(w.val)
-	if n == 0 {
-		return 0, 0
-	}
-	s := append([]float64(nil), w.val...)
-	sort.Float64s(s)
-	return s[n/2], n
-}
-
-// quantQ quantizes a dB figure to the wire's 0.25 dB steps.
-func quantQ(db float64) int16 {
+// QuantizeEvidenceDB converts a dB figure to the 0.25 dB wire quantization
+// used by the handoff evidence fields (packet.APESNR.QuantizedDB and
+// DomainHandoffOffer.EvidenceQ). Exported for the metro's cell-to-cell
+// evidence transfer, which marshals real handoff packets between cell
+// simulations (DESIGN.md §17).
+func QuantizeEvidenceDB(db float64) int16 {
 	q := math.Round(db * 4)
 	if q > math.MaxInt16 {
 		q = math.MaxInt16
@@ -59,15 +18,5 @@ func quantQ(db float64) int16 {
 	return int16(q)
 }
 
-// dequantQ is the inverse.
-func dequantQ(q int16) float64 { return float64(q) / 4 }
-
-// QuantizeEvidenceDB converts a dB figure to the 0.25 dB wire quantization
-// used by the handoff evidence fields (packet.APESNR.QuantizedDB and
-// DomainHandoffOffer.EvidenceQ). Exported for the metro's cell-to-cell
-// evidence transfer, which marshals real handoff packets between cell
-// simulations (DESIGN.md §17).
-func QuantizeEvidenceDB(db float64) int16 { return quantQ(db) }
-
 // DequantizeEvidenceDB is the inverse of QuantizeEvidenceDB.
-func DequantizeEvidenceDB(q int16) float64 { return dequantQ(q) }
+func DequantizeEvidenceDB(q int16) float64 { return float64(q) / 4 }

@@ -29,6 +29,7 @@ import (
 	"wgtt/internal/metrics"
 	"wgtt/internal/packet"
 	"wgtt/internal/runtime"
+	"wgtt/internal/selector"
 	"wgtt/internal/sim"
 )
 
@@ -138,25 +139,38 @@ type HandoffRecord struct {
 	Forced bool
 }
 
-// fedMetrics holds the domain's observability handles (all nil-safe).
+// Add accumulates o into s, field by field — how a tier sums its domains.
+// A new counter is added here, beside its field.
+func (s *Stats) Add(o Stats) {
+	s.OffersSent += o.OffersSent
+	s.OffersRecv += o.OffersRecv
+	s.OffersRejected += o.OffersRejected
+	s.Commits += o.Commits
+	s.Adoptions += o.Adoptions
+	s.Aborts += o.Aborts
+	s.CrossSwitches += o.CrossSwitches
+	s.ForcedStarts += o.ForcedStarts
+	s.StopRetransmits += o.StopRetransmits
+	s.CommitRetransmits += o.CommitRetransmits
+	s.CSIRelays += o.CSIRelays
+	s.UplinkRelays += o.UplinkRelays
+}
+
+// fedMetrics holds the domain's span trackers (all nil-safe).
 type fedMetrics struct {
-	offers       *metrics.Counter
-	commits      *metrics.Counter
-	aborts       *metrics.Counter
-	csiRelays    *metrics.Counter
-	uplinkRelays *metrics.Counter
 	handoffSpans *metrics.SpanTracker
 	switchSpans  *metrics.SpanTracker
 }
 
-// UseMetrics wires the domain's instruments into r (nil disables).
+// UseMetrics names the domain's counters — Stats fields — in r and wires
+// its span trackers (nil disables).
 func (d *Domain) UseMetrics(r *metrics.Registry) {
+	r.CounterAt("federation", "handoff_offers", &d.Stats.OffersSent)
+	r.CounterAt("federation", "handoff_commits", &d.Stats.Commits)
+	r.CounterAt("federation", "handoff_aborts", &d.Stats.Aborts)
+	r.CounterAt("federation", "csi_relays", &d.Stats.CSIRelays)
+	r.CounterAt("federation", "uplink_relays", &d.Stats.UplinkRelays)
 	d.met = fedMetrics{
-		offers:       r.Counter("federation", "handoff_offers"),
-		commits:      r.Counter("federation", "handoff_commits"),
-		aborts:       r.Counter("federation", "handoff_aborts"),
-		csiRelays:    r.Counter("federation", "csi_relays"),
-		uplinkRelays: r.Counter("federation", "uplink_relays"),
 		handoffSpans: r.HandoffSpans(),
 		switchSpans:  r.SwitchSpans(),
 	}
@@ -166,9 +180,12 @@ func (d *Domain) UseMetrics(r *metrics.Registry) {
 type fedClient struct {
 	mac packet.MACAddr
 	ip  packet.IPv4Addr
-	// foreign holds per-foreign-AP evidence windows; foreignOrder lists
-	// their keys in first-heard order (deterministic iteration).
-	foreign      map[packet.IPv4Addr]*evWindow
+	// foreign holds per-foreign-AP evidence windows — the §3.1.1 windowed
+	// median the selector runs per (client, AP), kept at the federation
+	// layer for APs the inner controller must never see (its AP table is
+	// local-only); foreignOrder lists their keys in first-heard order
+	// (deterministic iteration).
+	foreign      map[packet.IPv4Addr]*selector.Window
 	foreignOrder []packet.IPv4Addr
 	lastHandoff  sim.Time
 	out          *outHandoff // in-flight outgoing offer, nil when idle
@@ -352,7 +369,7 @@ func (d *Domain) RegisterClient(mac packet.MACAddr, ip packet.IPv4Addr, servingG
 	}
 	d.ctl.RegisterClient(mac, ip, li)
 	d.owner[mac] = d.id
-	d.owned[mac] = &fedClient{mac: mac, ip: ip, foreign: make(map[packet.IPv4Addr]*evWindow)}
+	d.owned[mac] = &fedClient{mac: mac, ip: ip, foreign: make(map[packet.IPv4Addr]*selector.Window)}
 	return nil
 }
 
@@ -463,7 +480,6 @@ func (d *Domain) handleCSI(from packet.IPv4Addr, m *packet.CSIReport) {
 		return // stale-directory loop guard: never bounce back to the sender
 	}
 	d.Stats.CSIRelays++
-	d.met.csiRelays.Inc()
 	_ = d.bh.Send(d.addr, d.addrOf(own), m)
 }
 
@@ -479,7 +495,6 @@ func (d *Domain) handleUplink(from packet.IPv4Addr, m *packet.UpData) {
 		return
 	}
 	d.Stats.UplinkRelays++
-	d.met.uplinkRelays.Inc()
 	_ = d.bh.Send(d.addr, d.addrOf(own), m)
 }
 

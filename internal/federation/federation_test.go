@@ -1,14 +1,16 @@
 package federation_test
 
 import (
+	"reflect"
 	"testing"
 
 	"wgtt/internal/backhaul"
+	"wgtt/internal/chaos"
 	"wgtt/internal/federation"
 	"wgtt/internal/metrics"
 	"wgtt/internal/packet"
-	"wgtt/internal/selector"
 	wrt "wgtt/internal/runtime"
+	"wgtt/internal/selector"
 	"wgtt/internal/sim"
 )
 
@@ -90,6 +92,32 @@ func (h *fedHarness) feedCSI(client packet.MACAddr, g int, esnrDB float64) {
 }
 
 func (h *fedHarness) run(d sim.Time) { h.eng.RunUntil(h.eng.Now() + d) }
+
+// offerToDeadPeer registers a client with domain 0, crashes domain 1 so no
+// offer is ever answered, and feeds evidence until domain 0 has offered the
+// client away. With controller 1 dead the AP2 relay path is dead too, so the
+// foreign reports go straight to the owner (exactly what the relay does).
+func (h *fedHarness) offerToDeadPeer(client packet.MACAddr) {
+	h.t.Helper()
+	if err := h.tier.RegisterClient(client, packet.ClientIP(1), 0); err != nil {
+		h.t.Fatal(err)
+	}
+	h.doms[1].Fail()
+	for i := 0; i < 12 && h.doms[0].Stats.OffersSent == 0; i++ {
+		h.feedCSI(client, 0, 6)
+		rep := &packet.CSIReport{Client: client, AP: packet.APIP(2), At: int64(h.eng.Now())}
+		snr := make([]float64, packet.CSISubcarriers)
+		for j := range snr {
+			snr[j] = 22
+		}
+		rep.QuantizeSNR(snr)
+		_ = h.bh.Send(packet.DomainControllerIP(1), packet.DomainControllerIP(0), rep)
+		h.run(2 * sim.Millisecond)
+	}
+	if h.doms[0].Stats.OffersSent == 0 {
+		h.t.Fatal("setup: no offer was ever sent")
+	}
+}
 
 // quickConfig shrinks the dwell times so tests converge in simulated
 // milliseconds.
@@ -252,29 +280,9 @@ func TestHandoffDeferredMidSwitch(t *testing.T) {
 func TestOfferTimeoutAborts(t *testing.T) {
 	h := newFedHarness(t, 2, 2, quickConfig())
 	client := packet.ClientMAC(1)
-	if err := h.tier.RegisterClient(client, packet.ClientIP(1), 0); err != nil {
-		t.Fatal(err)
-	}
-	h.doms[1].Fail() // peer controller down: offers go unanswered
-
-	// With controller 1 dead the AP2 relay path is dead too, so deliver the
-	// foreign reports straight to the owner (exactly what the relay does).
-	for i := 0; i < 12; i++ {
-		h.feedCSI(client, 0, 6)
-		rep := &packet.CSIReport{Client: client, AP: packet.APIP(2), At: int64(h.eng.Now())}
-		snr := make([]float64, packet.CSISubcarriers)
-		for j := range snr {
-			snr[j] = 22
-		}
-		rep.QuantizeSNR(snr)
-		_ = h.bh.Send(packet.DomainControllerIP(1), packet.DomainControllerIP(0), rep)
-		h.run(2 * sim.Millisecond)
-	}
+	h.offerToDeadPeer(client)
 	h.run(60 * sim.Millisecond) // past OfferTimeout
 
-	if h.doms[0].Stats.OffersSent == 0 {
-		t.Fatal("setup: no offer was ever sent")
-	}
 	if h.doms[0].Stats.Aborts == 0 {
 		t.Error("unanswered offer never aborted")
 	}
@@ -290,6 +298,65 @@ func TestOfferTimeoutAborts(t *testing.T) {
 	}
 	if h.doms[0].Controller().Stats.SwitchesDone == 0 {
 		t.Error("client left frozen after abort: home controller cannot switch it")
+	}
+}
+
+// A scripted ControllerCrash landing while an offer is in flight aborts the
+// offer in Domain.Fail, not on the timeout path. The -metrics row and the
+// report line read the same storage, so they agree there too (the registry's
+// own abort counter used to miss this path).
+func TestCrashMidOfferAbortIsInSnapshot(t *testing.T) {
+	h := newFedHarness(t, 2, 2, quickConfig())
+	reg := metrics.NewRegistry()
+	for _, d := range h.doms {
+		d.UseMetrics(reg)
+	}
+	h.offerToDeadPeer(packet.ClientMAC(1))
+
+	crash := chaos.Config{ControllerCrashAt: h.eng.Now() + sim.Millisecond}
+	chaos.NewInjector(crash, wrt.Virtual(h.eng), sim.NewRNG(1), nil, h.tier, sim.Second).Arm(h.bh)
+	h.run(2 * sim.Millisecond) // well inside OfferTimeout
+	if !h.doms[0].Down() {
+		t.Fatal("setup: the scripted crash did not land on the offering domain")
+	}
+
+	aborts := h.tier.Stats().Fed.Aborts
+	if aborts != 1 {
+		t.Errorf("summed Stats.Aborts = %d, want the one in-flight offer", aborts)
+	}
+	for _, c := range reg.Snapshot().Counters {
+		if c.Component == "federation" && c.Name == "handoff_aborts" && c.Value != aborts {
+			t.Errorf("snapshot federation/handoff_aborts = %d, Stats.Aborts sum to %d", c.Value, aborts)
+		}
+	}
+}
+
+// Tier.Stats must carry every counter of both Stats structs: each uint64
+// field is given a distinct value per domain, and the tier must report the
+// sum (a hand-written sum once dropped CollapseSwitches).
+func TestTierStatsCarriesEveryCounter(t *testing.T) {
+	h := newFedHarness(t, 2, 2, quickConfig())
+	fill := func(stats any, scale uint64) {
+		v := reflect.ValueOf(stats).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			if v.Field(i).Kind() == reflect.Uint64 {
+				v.Field(i).SetUint(scale * uint64(i+1))
+			}
+		}
+	}
+	for i, d := range h.doms {
+		fill(&d.Stats, uint64(i+1))
+		fill(&d.Controller().Stats, uint64(i+1))
+	}
+	ts := h.tier.Stats()
+	for _, sum := range []any{ts.Fed, ts.Ctl} {
+		v := reflect.ValueOf(sum)
+		for i := 0; i < v.NumField(); i++ {
+			if want := 3 * uint64(i+1); v.Field(i).Kind() == reflect.Uint64 && v.Field(i).Uint() != want {
+				t.Errorf("%s.%s = %d, want %d: Stats.Add does not carry it",
+					v.Type(), v.Type().Field(i).Name, v.Field(i).Uint(), want)
+			}
+		}
 	}
 }
 

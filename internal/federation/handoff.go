@@ -7,6 +7,7 @@ import (
 	"wgtt/internal/csi"
 	"wgtt/internal/metrics"
 	"wgtt/internal/packet"
+	"wgtt/internal/selector"
 	"wgtt/internal/sim"
 )
 
@@ -30,13 +31,13 @@ import (
 func (d *Domain) ingestForeign(fc *fedClient, m *packet.CSIReport) {
 	w := fc.foreign[m.AP]
 	if w == nil {
-		w = &evWindow{span: d.cfg.Window}
+		w = selector.NewWindow(d.cfg.Window)
 		fc.foreign[m.AP] = w
 		fc.foreignOrder = append(fc.foreignOrder, m.AP)
 	}
 	d.csiScratch = m.SNRdBInto(d.csiScratch)
 	now := d.clk.Now()
-	w.push(now, csi.ESNRdB(d.csiScratch, csi.DefaultESNRModulation))
+	w.Push(now, csi.ESNRdB(d.csiScratch, csi.DefaultESNRModulation))
 	d.maybeOffer(fc, now)
 }
 
@@ -58,7 +59,8 @@ func (d *Domain) maybeOffer(fc *fedClient, now sim.Time) {
 	var bestAP packet.IPv4Addr
 	bestMed := math.Inf(-1)
 	for _, apIP := range fc.foreignOrder {
-		if med, n := fc.foreign[apIP].median(now); n >= minSamples && med > bestMed {
+		w := fc.foreign[apIP]
+		if med, _ := w.Median(now); w.Size() >= minSamples && med > bestMed {
 			bestMed, bestAP = med, apIP
 		}
 	}
@@ -88,12 +90,11 @@ func (d *Domain) maybeOffer(fc *fedClient, now sim.Time) {
 	fc.out = &outHandoff{id: id, peer: peer, target: bestAP, offeredAt: now}
 	d.ctl.SetFrozen(fc.mac, true)
 	d.Stats.OffersSent++
-	d.met.offers.Inc()
 	d.met.handoffSpans.Begin(id, int64(now), fc.mac.String(),
 		d.globalOf[serving], d.apGlobal[bestAP], metrics.CauseDomainHandoff, bestLocal, bestMed)
 	_ = d.bh.Send(d.addr, d.addrOf(peer), &packet.DomainHandoffOffer{
 		HandoffID: id, Client: fc.mac, ClientIP: fc.ip,
-		ServingAP: d.local[serving].IP, TargetAP: bestAP, EvidenceQ: quantQ(bestMed),
+		ServingAP: d.local[serving].IP, TargetAP: bestAP, EvidenceQ: QuantizeEvidenceDB(bestMed),
 	})
 	fc.out.timer = d.clk.After(offerTimeout, func() { d.offerTimeout(fc, id) })
 }
@@ -108,7 +109,6 @@ func (d *Domain) offerTimeout(fc *fedClient, id uint32) {
 	fc.lastHandoff = d.clk.Now()
 	d.ctl.SetFrozen(fc.mac, false)
 	d.Stats.Aborts++
-	d.met.aborts.Inc()
 }
 
 // handleOffer is the adopter's half of the offer: validate that the target
@@ -164,7 +164,6 @@ func (d *Domain) acceptTimeout(ad *adoption) {
 	}
 	delete(d.pendingDown, ad.client)
 	d.Stats.Aborts++
-	d.met.aborts.Inc()
 }
 
 // handleAccept is the owner's half of the accept: on rejection, thaw and
@@ -182,7 +181,6 @@ func (d *Domain) handleAccept(m *packet.DomainHandoffAccept) {
 	if !m.Accept {
 		d.ctl.SetFrozen(m.Client, false)
 		d.Stats.Aborts++
-		d.met.aborts.Inc()
 		return
 	}
 	// The state bundle: downlink index cursor, dedup window, association,
@@ -200,8 +198,9 @@ func (d *Domain) handleAccept(m *packet.DomainHandoffAccept) {
 		if d.apDomain[apIP] != out.peer {
 			continue
 		}
-		if med, n := fc.foreign[apIP].median(now); n >= minSamples {
-			ev = append(ev, packet.APESNR{AP: apIP, MedianQ: quantQ(med)})
+		w := fc.foreign[apIP]
+		if med, _ := w.Median(now); w.Size() >= minSamples {
+			ev = append(ev, packet.APESNR{AP: apIP, MedianQ: QuantizeEvidenceDB(med)})
 			if len(ev) == packet.MaxHandoffEvidence {
 				break
 			}
@@ -219,7 +218,6 @@ func (d *Domain) handleAccept(m *packet.DomainHandoffAccept) {
 	delete(d.owned, m.Client)
 	d.owner[m.Client] = out.peer
 	d.Stats.Commits++
-	d.met.commits.Inc()
 	d.met.handoffSpans.End(out.id, int64(now))
 	d.Offered = append(d.Offered, HandoffRecord{
 		At: now, Client: m.Client, From: d.id, To: out.peer,
@@ -313,13 +311,13 @@ func (d *Domain) adopt(m *packet.DomainHandoffCommit) {
 	d.ctl.AdoptClient(mac, m.ClientIP, tl, m.NextIndex, m.DedupKeys)
 	for _, ev := range m.Evidence {
 		if li, ok := d.localOf[ev.AP]; ok {
-			d.ctl.SeedESNR(mac, li, dequantQ(ev.MedianQ))
+			d.ctl.SeedESNR(mac, li, DequantizeEvidenceDB(ev.MedianQ))
 		}
 	}
 	d.owner[mac] = d.id
 	d.owned[mac] = &fedClient{
 		mac: mac, ip: m.ClientIP,
-		foreign: make(map[packet.IPv4Addr]*evWindow), lastHandoff: now,
+		foreign: make(map[packet.IPv4Addr]*selector.Window), lastHandoff: now,
 	}
 	d.Stats.Adoptions++
 	if q := d.pendingDown[mac]; len(q) > 0 {
@@ -336,7 +334,7 @@ func (d *Domain) adopt(m *packet.DomainHandoffCommit) {
 	}
 	toMed := 0.0
 	if len(m.Evidence) > 0 {
-		toMed = dequantQ(m.Evidence[0].MedianQ)
+		toMed = DequantizeEvidenceDB(m.Evidence[0].MedianQ)
 	}
 	d.met.switchSpans.Begin(ad.id, int64(now), mac.String(),
 		fromG, d.apGlobal[ad.target], metrics.CauseDomainHandoff, 0, toMed)

@@ -104,38 +104,8 @@ type TierStats struct {
 func (t *Tier) Stats() TierStats {
 	var ts TierStats
 	for _, d := range t.Domains {
-		f := d.Stats
-		ts.Fed.OffersSent += f.OffersSent
-		ts.Fed.OffersRecv += f.OffersRecv
-		ts.Fed.OffersRejected += f.OffersRejected
-		ts.Fed.Commits += f.Commits
-		ts.Fed.Adoptions += f.Adoptions
-		ts.Fed.Aborts += f.Aborts
-		ts.Fed.CrossSwitches += f.CrossSwitches
-		ts.Fed.ForcedStarts += f.ForcedStarts
-		ts.Fed.StopRetransmits += f.StopRetransmits
-		ts.Fed.CommitRetransmits += f.CommitRetransmits
-		ts.Fed.CSIRelays += f.CSIRelays
-		ts.Fed.UplinkRelays += f.UplinkRelays
-
-		c := d.Controller().Stats
-		ts.Ctl.CSIReports += c.CSIReports
-		ts.Ctl.SwitchesStarted += c.SwitchesStarted
-		ts.Ctl.SwitchesDone += c.SwitchesDone
-		ts.Ctl.StopRetransmits += c.StopRetransmits
-		ts.Ctl.UplinkUnique += c.UplinkUnique
-		ts.Ctl.UplinkDuplicate += c.UplinkDuplicate
-		ts.Ctl.DownlinkSent += c.DownlinkSent
-		ts.Ctl.DownlinkCopies += c.DownlinkCopies
-		ts.Ctl.HealthProbes += c.HealthProbes
-		ts.Ctl.APsMarkedDead += c.APsMarkedDead
-		ts.Ctl.APsReadmitted += c.APsReadmitted
-		ts.Ctl.ForcedSwitches += c.ForcedSwitches
-		ts.Ctl.ForcedStartRetransmits += c.ForcedStartRetransmits
-		ts.Ctl.CtlDownlinkDropped += c.CtlDownlinkDropped
-		ts.Ctl.SelectionDecisions += c.SelectionDecisions
-		ts.Ctl.PredictiveEarlySwitches += c.PredictiveEarlySwitches
-		ts.Ctl.AssignmentRounds += c.AssignmentRounds
+		ts.Fed.Add(d.Stats)
+		ts.Ctl.Add(d.Controller().Stats)
 	}
 	return ts
 }

@@ -117,7 +117,7 @@ func (c *cell) harvest() (CellResult, error) {
 	if n.Metrics != nil {
 		// Recorded here, not by Network.Run: a metro tile reaches its
 		// horizon through lockstep RunUntil epochs and never calls Run.
-		n.Metrics.AddDuration(int64(n.Scenario.Duration))
+		n.Metrics.EndRun(int64(n.Scenario.Duration))
 		snap := n.Metrics.Snapshot()
 		res.Metrics = &snap
 	}
@@ -159,7 +159,7 @@ func RunCell(cfg Config, cell int) (CellResult, error) {
 	}
 	// Switching accuracy against the ESNR oracle, Table 2's metric per cell.
 	c.drive.SampleOracle(samplePeriod, nil)
-	n.RunUntil(n.Scenario.Duration)
+	n.RunUntil(n.Scenario.Duration) // not Run: harvest ends the metrics run
 	return c.harvest()
 }
 

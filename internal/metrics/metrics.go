@@ -5,10 +5,12 @@
 // proposition is timing — millisecond AP selection over a 10 ms median
 // window (§3.1.1) and a switch that completes in ~17 ms (§3.1, Table 1) —
 // so the instruments are built to observe those paths without perturbing
-// them: recording is disabled by default, every handle is nil-safe (a nil
-// *Counter, *Gauge, *Histogram, or *SpanTracker is an inert no-op), and
-// the enabled paths are allocation-free at steady state, so the PR 2
-// zero-alloc invariants of DESIGN.md §9 hold with metrics on or off.
+// them. A counter is a field of its component's Stats struct, counted there
+// once; the registry only names it (CounterAt) and reads it at Snapshot.
+// Gauges, histograms and span trackers are the live instruments: disabled
+// by default, nil-safe (a nil handle is an inert no-op), and allocation-free
+// at steady state when enabled, so the PR 2 zero-alloc invariants of
+// DESIGN.md §9 hold with metrics on or off.
 //
 // Ownership model: a Registry is single-goroutine, like the simulation
 // cell it instruments. Fleet deployments and the parallel experiment
@@ -18,9 +20,10 @@ package metrics
 
 import "sort"
 
-// Counter is a monotonically increasing event count. The zero value is
-// ready to use; a nil *Counter is a valid no-op, which is how
-// disabled-by-default recording costs one predictable branch on hot paths.
+// Counter is a monotonically increasing count the registry itself stores —
+// for a value no component keeps in a uint64 of its own (those are named
+// with CounterAt instead). The zero value is ready to use; a nil *Counter
+// is a valid no-op.
 type Counter struct {
 	v uint64
 }
@@ -103,8 +106,12 @@ type Registry struct {
 	hists    map[key]*Histogram
 	spans    map[string]*SpanTracker
 
+	// views are the counters the registry does not store: each names a
+	// uint64 its component owns (a Stats field) and is read at Snapshot.
+	views map[key][]*uint64
+
 	// durNS accumulates the simulated duration covered by the registry
-	// (AddDuration), which turns counters into rates in Fprint.
+	// (EndRun), which turns counters into rates in Fprint.
 	durNS int64
 }
 
@@ -112,14 +119,16 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[key]*Counter),
+		views:    make(map[key][]*uint64),
 		gauges:   make(map[key]*Gauge),
 		hists:    make(map[key]*Histogram),
 		spans:    make(map[string]*SpanTracker),
 	}
 }
 
-// Counter returns the named counter, creating it on first use. Returns nil
-// on a nil registry.
+// Counter returns the named counter, creating it on first use — for a
+// value with no uint64 of its own to view through CounterAt. Returns nil on
+// a nil registry.
 func (r *Registry) Counter(component, name string) *Counter {
 	if r == nil {
 		return nil
@@ -131,6 +140,20 @@ func (r *Registry) Counter(component, name string) *Counter {
 		r.counters[k] = c
 	}
 	return c
+}
+
+// CounterAt names a counter the caller owns: v — a field of the
+// component's Stats struct — stays the only storage and the only thing the
+// component increments, and Snapshot reads it. Several views under one
+// (component, name) sum, which is how the domains of a federation and the
+// networks an experiment builds one after another share a registry. Until
+// EndRun the registry keeps v, and so the struct holding it, reachable.
+// No-op on a nil registry.
+func (r *Registry) CounterAt(component, name string, v *uint64) {
+	if r != nil {
+		k := key{component, name}
+		r.views[k] = append(r.views[k], v)
+	}
 }
 
 // Gauge returns the named gauge, creating it on first use. Returns nil on
@@ -215,10 +238,19 @@ func (r *Registry) HandoffSpans() *SpanTracker {
 	return r.Spans(HandoffSpanTracker)
 }
 
-// AddDuration accumulates simulated run time covered by this registry.
-// Fprint uses the total to report counter rates (e.g. ESNR reports/s).
-func (r *Registry) AddDuration(ns int64) {
-	if r != nil {
-		r.durNS += ns
+// EndRun closes one finished run of ns simulated nanoseconds. The duration
+// accumulates — Fprint turns counters into rates with it (ESNR reports/s) —
+// and every CounterAt view is folded into a stored counter and dropped, so a
+// registry shared by sequentially built networks (an experiment's) holds
+// none of them once it has run. Whatever a component counts after EndRun is
+// no longer seen.
+func (r *Registry) EndRun(ns int64) {
+	if r == nil {
+		return
 	}
+	r.durNS += ns
+	for k, v := range r.counts() {
+		r.Counter(k.component, k.name).v = v
+	}
+	clear(r.views)
 }

@@ -51,6 +51,38 @@ func TestCounterGaugeHistogramBasics(t *testing.T) {
 	}
 }
 
+// A CounterAt view stores nothing: the component's own uint64 is read when
+// the snapshot is taken, views under one (component, name) sum (federation
+// domains), EndRun folds them into stored values (sequentially built
+// networks), and a nil registry ignores them.
+func TestCounterAtReadsTheOwnersField(t *testing.T) {
+	var a, b struct{ Switches uint64 }
+	r := NewRegistry()
+	r.CounterAt("controller", "switches_done", &a.Switches)
+	r.CounterAt("controller", "switches_done", &b.Switches)
+	r.Counter("urban", "turns").Add(9)
+	a.Switches, b.Switches = 3, 4
+	want := []CounterSnap{{"controller", "switches_done", 7}, {"urban", "turns", 9}}
+	if got := r.Snapshot().Counters; !reflect.DeepEqual(got, want) {
+		t.Fatalf("counters = %+v, want %+v", got, want)
+	}
+	a.Switches++
+	if got := r.Snapshot().Counters[0].Value; got != 8 {
+		t.Fatalf("second snapshot = %d, want 8 (the view is live)", got)
+	}
+	// EndRun keeps the value and lets go of the owner; the next network's
+	// view of the same name adds to it.
+	r.EndRun(1e9)
+	a.Switches = 100
+	var c struct{ Switches uint64 }
+	r.CounterAt("controller", "switches_done", &c.Switches)
+	c.Switches = 2
+	if got := r.Snapshot().Counters[0].Value; got != 10 {
+		t.Fatalf("after EndRun = %d, want 8 folded + 2 viewed", got)
+	}
+	(*Registry)(nil).CounterAt("controller", "switches_done", &a.Switches)
+}
+
 // Disabled metrics are a nil registry: every handle is nil and every
 // operation a no-op — this is the contract instrumented components rely on.
 func TestNilRegistryAndHandlesAreInert(t *testing.T) {
@@ -72,7 +104,7 @@ func TestNilRegistryAndHandlesAreInert(t *testing.T) {
 	sp.AddRetransmit(1)
 	sp.ObserveDrain(1, 3, 4)
 	sp.End(1, 5)
-	r.AddDuration(100)
+	r.EndRun(100)
 	if s := r.Snapshot(); len(s.Counters)+len(s.Gauges)+len(s.Histograms)+len(s.Spans) != 0 {
 		t.Fatalf("nil registry snapshot not empty: %+v", s)
 	}
@@ -132,7 +164,7 @@ func TestSnapshotDeterministicOrderAndJSONRoundTrip(t *testing.T) {
 			r.Gauge(name, "g").Set(1)
 			r.Histogram(name, "h", []float64{1, 2}).Observe(1.5)
 		}
-		r.AddDuration(5e9)
+		r.EndRun(5e9)
 		return r.Snapshot()
 	}
 	a := build([]string{"ap1", "ap2", "controller"})
@@ -168,7 +200,7 @@ func TestMerge(t *testing.T) {
 		tr := r.SwitchSpans()
 		tr.Begin(spanID, 0, "c", 0, 1, "median-argmax", 0, 0)
 		tr.End(spanID, 17e6)
-		r.AddDuration(1e9)
+		r.EndRun(1e9)
 		return r.Snapshot()
 	}
 	m := Merge(mk(2, 1), mk(5, 2))
@@ -209,7 +241,7 @@ func TestFprint(t *testing.T) {
 	tr.MarkStopHandled(1, 7e6)
 	tr.MarkStartHandled(1, 16e6)
 	tr.End(1, 17e6)
-	r.AddDuration(10e9)
+	r.EndRun(10e9)
 
 	var buf bytes.Buffer
 	Fprint(&buf, r.Snapshot())

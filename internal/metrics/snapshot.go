@@ -95,8 +95,8 @@ func (r *Registry) Snapshot() Snapshot {
 		return Snapshot{}
 	}
 	s := Snapshot{DurationNS: r.durNS}
-	for k, c := range r.counters {
-		s.Counters = append(s.Counters, CounterSnap{k.component, k.name, c.v})
+	for k, v := range r.counts() {
+		s.Counters = append(s.Counters, CounterSnap{k.component, k.name, v})
 	}
 	for k, g := range r.gauges {
 		s.Gauges = append(s.Gauges, GaugeSnap{k.component, k.name, g.v})
@@ -130,6 +130,21 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Spans = append(s.Spans, snaps...)
 	}
 	return s
+}
+
+// counts returns every counter's current value: what the registry stores
+// plus what its CounterAt views read right now.
+func (r *Registry) counts() map[key]uint64 {
+	counts := make(map[key]uint64, len(r.counters)+len(r.views))
+	for k, c := range r.counters {
+		counts[k] = c.v
+	}
+	for k, views := range r.views {
+		for _, v := range views {
+			counts[k] += *v
+		}
+	}
+	return counts
 }
 
 func sortSnap(s *Snapshot) {

@@ -60,11 +60,11 @@ func (s *GlobalAssign) Decide(mac packet.MACAddr, serving int, now sim.Time, ali
 	if tgt < 0 || tgt == serving || !alive(tgt) {
 		return d
 	}
-	med, ok := cl.windows[tgt].median(now)
+	med, ok := cl.windows[tgt].Median(now)
 	if !ok || med < s.p.MinSwitchESNRdB {
 		return d // assignment evidence went stale; wait for the next round
 	}
-	servMed, servOK := cl.windows[serving].median(now)
+	servMed, servOK := cl.windows[serving].Median(now)
 	if !alive(serving) {
 		servOK = false
 	}
@@ -90,8 +90,8 @@ func (s *GlobalAssign) recompute(now sim.Time, alive func(int) bool) {
 			if !alive(ap) {
 				continue
 			}
-			med, ok := w.median(now)
-			if !ok || (ap != cl.serving && w.size() < s.p.MinSamples) {
+			med, ok := w.Median(now)
+			if !ok || (ap != cl.serving && w.Size() < s.p.MinSamples) {
 				continue
 			}
 			if ap != cl.serving && med < s.p.MinSwitchESNRdB {

@@ -26,8 +26,8 @@ type base struct {
 
 // clientState is one client's selection evidence.
 type clientState struct {
-	windows []*esnrWindow // indexed by AP id
-	hist    []*esnrWindow // trajectory-fit windows (nil unless histSpan > 0)
+	windows []*Window // indexed by AP id
+	hist    []*Window // trajectory-fit windows (nil unless histSpan > 0)
 	serving int
 	// lastBest is the previous decision's preferred AP (-1 before any),
 	// the reference point for Decision.Flip.
@@ -47,18 +47,18 @@ func newBase(p Params, numAPs int) base {
 
 func (b *base) AddClient(mac packet.MACAddr, serving int) {
 	cl := &clientState{
-		windows:  make([]*esnrWindow, b.numAPs),
+		windows:  make([]*Window, b.numAPs),
 		serving:  serving,
 		lastBest: -1,
 		assigned: -1,
 	}
 	for i := range cl.windows {
-		cl.windows[i] = newWindow(b.p.Window)
+		cl.windows[i] = NewWindow(b.p.Window)
 	}
 	if b.histSpan > 0 {
-		cl.hist = make([]*esnrWindow, b.numAPs)
+		cl.hist = make([]*Window, b.numAPs)
 		for i := range cl.hist {
-			cl.hist[i] = newWindow(b.histSpan)
+			cl.hist[i] = NewWindow(b.histSpan)
 		}
 	}
 	if _, ok := b.clients[mac]; !ok {
@@ -92,10 +92,10 @@ func (b *base) ResetClient(mac packet.MACAddr) {
 		return
 	}
 	for i := range cl.windows {
-		cl.windows[i] = newWindow(b.p.Window)
+		cl.windows[i] = NewWindow(b.p.Window)
 	}
 	for i := range cl.hist {
-		cl.hist[i] = newWindow(b.histSpan)
+		cl.hist[i] = NewWindow(b.histSpan)
 	}
 	cl.lastBest = -1
 	cl.assigned = -1
@@ -106,11 +106,11 @@ func (b *base) Observe(mac packet.MACAddr, ap int, esnrDB float64, at sim.Time) 
 	if cl == nil || ap < 0 || ap >= len(cl.windows) {
 		return 0
 	}
-	cl.windows[ap].push(at, esnrDB)
+	cl.windows[ap].Push(at, esnrDB)
 	if cl.hist != nil {
-		cl.hist[ap].push(at, esnrDB)
+		cl.hist[ap].Push(at, esnrDB)
 	}
-	return cl.windows[ap].size()
+	return cl.windows[ap].Size()
 }
 
 func (b *base) Median(mac packet.MACAddr, ap int, now sim.Time) (float64, bool) {
@@ -118,7 +118,7 @@ func (b *base) Median(mac packet.MACAddr, ap int, now sim.Time) (float64, bool) 
 	if cl == nil || ap < 0 || ap >= len(cl.windows) {
 		return 0, false
 	}
-	return cl.windows[ap].median(now)
+	return cl.windows[ap].Median(now)
 }
 
 func (b *base) BestAlive(mac packet.MACAddr, now sim.Time, alive func(int) bool) int {
@@ -131,7 +131,7 @@ func (b *base) BestAlive(mac packet.MACAddr, now sim.Time, alive func(int) bool)
 		if !alive(id) {
 			continue
 		}
-		med, ok := w.median(now)
+		med, ok := w.Median(now)
 		if !ok {
 			continue
 		}
@@ -154,8 +154,8 @@ func (b *base) decideMedian(cl *clientState, serving int, now sim.Time, alive fu
 		if !alive(id) {
 			continue // dead APs are not selection candidates
 		}
-		med, ok := w.median(now)
-		if !ok || (id != serving && w.size() < b.p.MinSamples) {
+		med, ok := w.Median(now)
+		if !ok || (id != serving && w.Size() < b.p.MinSamples) {
 			continue
 		}
 		if best == -1 || med > bestMed {
@@ -174,7 +174,7 @@ func (b *base) decideMedian(cl *clientState, serving int, now sim.Time, alive fu
 	if bestMed < b.p.MinSwitchESNRdB {
 		return d // nobody usable; switching would just churn
 	}
-	servMed, servOK := cl.windows[serving].median(now)
+	servMed, servOK := cl.windows[serving].Median(now)
 	if !alive(serving) {
 		servOK = false
 	}

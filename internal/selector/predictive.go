@@ -75,8 +75,8 @@ func (s *Predictive) Decide(mac packet.MACAddr, serving int, now sim.Time, alive
 		if id == serving || !alive(id) {
 			continue
 		}
-		med, ok := cl.windows[id].median(now)
-		if !ok || cl.windows[id].size() < s.p.MinSamples {
+		med, ok := cl.windows[id].Median(now)
+		if !ok || cl.windows[id].Size() < s.p.MinSamples {
 			continue
 		}
 		if med < s.p.MinSwitchESNRdB {

@@ -6,10 +6,11 @@ import (
 	"wgtt/internal/sim"
 )
 
-// esnrWindow is a time-bounded deque of ESNR readings for one client-AP
+// Window is a time-bounded deque of ESNR readings for one client-AP
 // link: the short-term history E(a) of §3.1.1. It lives here, with the
 // selection policies, because the window *is* the evidence every policy
-// decides on — the controller only routes CSI into it (selector.go).
+// decides on — the controller only routes CSI into it (selector.go), and
+// the federation layer keeps the same window for foreign-AP evidence.
 //
 // Every CSI report triggers a median query (the selection rule re-evaluates
 // on each report), so the window keeps an incrementally maintained sorted
@@ -17,7 +18,7 @@ import (
 // insert/remove (an O(n) memmove over ~100 float64s — a few cache lines),
 // and median is an O(1) index. The historical copy+sort.Float64s per query
 // did the same work at O(n log n) with an allocation per call.
-type esnrWindow struct {
+type Window struct {
 	// at/val hold the readings in arrival order starting at index head
 	// (entries before head are evicted; compaction keeps the dead prefix
 	// bounded, amortized O(1) per eviction).
@@ -31,31 +32,32 @@ type esnrWindow struct {
 	span sim.Time
 }
 
-func newWindow(span sim.Time) *esnrWindow { return &esnrWindow{span: span} }
+// NewWindow returns an empty window holding readings no older than span.
+func NewWindow(span sim.Time) *Window { return &Window{span: span} }
 
-// push appends a reading and evicts everything older than the span.
-func (w *esnrWindow) push(at sim.Time, esnr float64) {
+// Push appends a reading and evicts everything older than the span.
+func (w *Window) Push(at sim.Time, esnr float64) {
 	w.at = append(w.at, at)
 	w.val = append(w.val, esnr)
 	w.insertSorted(esnr)
 	w.evict(at)
 }
 
-func (w *esnrWindow) insertSorted(v float64) {
+func (w *Window) insertSorted(v float64) {
 	i := sort.SearchFloat64s(w.sorted, v)
 	w.sorted = append(w.sorted, 0)
 	copy(w.sorted[i+1:], w.sorted[i:])
 	w.sorted[i] = v
 }
 
-func (w *esnrWindow) removeSorted(v float64) {
+func (w *Window) removeSorted(v float64) {
 	// v was previously inserted, so the leftmost position with sorted[i] ≥ v
 	// holds exactly v.
 	i := sort.SearchFloat64s(w.sorted, v)
 	w.sorted = append(w.sorted[:i], w.sorted[i+1:]...)
 }
 
-func (w *esnrWindow) evict(now sim.Time) {
+func (w *Window) evict(now sim.Time) {
 	for w.head < len(w.at) && w.at[w.head] < now-w.span {
 		w.removeSorted(w.val[w.head])
 		w.head++
@@ -71,9 +73,9 @@ func (w *esnrWindow) evict(now sim.Time) {
 	}
 }
 
-// median returns the median ESNR of the in-window readings and whether the
+// Median returns the median ESNR of the in-window readings and whether the
 // window holds any samples as of now.
-func (w *esnrWindow) median(now sim.Time) (float64, bool) {
+func (w *Window) Median(now sim.Time) (float64, bool) {
 	w.evict(now)
 	n := len(w.sorted)
 	if n == 0 {
@@ -84,16 +86,16 @@ func (w *esnrWindow) median(now sim.Time) (float64, bool) {
 	return w.sorted[n/2], true
 }
 
-// size returns the number of buffered readings.
-func (w *esnrWindow) size() int { return len(w.at) - w.head }
+// Size returns the number of buffered readings.
+func (w *Window) Size() int { return len(w.at) - w.head }
 
 // fit computes the least-squares line through the in-window readings
 // (Predictive's trajectory model): slope in dB/s and the predicted ESNR at
 // the reference time ref. ok is false with fewer than two samples or a
 // degenerate time spread. Evicts first, like median.
-func (w *esnrWindow) fit(now sim.Time, ref sim.Time) (slope, predicted float64, ok bool) {
+func (w *Window) fit(now sim.Time, ref sim.Time) (slope, predicted float64, ok bool) {
 	w.evict(now)
-	n := w.size()
+	n := w.Size()
 	if n < 2 {
 		return 0, 0, false
 	}

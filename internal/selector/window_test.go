@@ -52,7 +52,7 @@ func (w *refWindow) median(now sim.Time) (float64, bool) {
 func TestWindowMatchesReference(t *testing.T) {
 	rnd := rand.New(rand.NewPCG(41, 43))
 	span := 10 * sim.Millisecond
-	w := newWindow(span)
+	w := NewWindow(span)
 	ref := &refWindow{span: span}
 
 	now := sim.Time(0)
@@ -67,15 +67,15 @@ func TestWindowMatchesReference(t *testing.T) {
 		}
 		// Quantized values force duplicates into the multiset.
 		v := float64(rnd.IntN(64)) / 4
-		w.push(now, v)
+		w.Push(now, v)
 		ref.push(now, v)
 
-		if w.size() != len(ref.val) {
-			t.Fatalf("step %d: size %d, reference %d", i, w.size(), len(ref.val))
+		if w.Size() != len(ref.val) {
+			t.Fatalf("step %d: size %d, reference %d", i, w.Size(), len(ref.val))
 		}
 		// Query at a probe time at or after the last push.
 		probe := now + sim.Time(rnd.Int64N(int64(span/4)))
-		gm, gok := w.median(probe)
+		gm, gok := w.Median(probe)
 		rm, rok := ref.median(probe)
 		if gok != rok || gm != rm {
 			t.Fatalf("step %d: median(%v) = (%v,%v), reference (%v,%v)", i, probe, gm, gok, rm, rok)
@@ -87,21 +87,21 @@ func TestWindowMatchesReference(t *testing.T) {
 // buffers have reached their high-water capacity.
 func TestWindowZeroAllocSteadyState(t *testing.T) {
 	span := 10 * sim.Millisecond
-	w := newWindow(span)
+	w := NewWindow(span)
 	now := sim.Time(0)
 	step := 100 * sim.Microsecond
 	val := func(i int) float64 { return float64(i%37) / 4 }
 	for i := 0; i < 1024; i++ { // warm to steady size (~100 entries)
 		now += step
-		w.push(now, val(i))
-		w.median(now)
+		w.Push(now, val(i))
+		w.Median(now)
 	}
 	i := 0
 	if avg := testing.AllocsPerRun(500, func() {
 		i++
 		now += step
-		w.push(now, val(i))
-		if _, ok := w.median(now); !ok {
+		w.Push(now, val(i))
+		if _, ok := w.Median(now); !ok {
 			t.Fatal("window drained unexpectedly")
 		}
 	}); avg != 0 {
@@ -110,29 +110,29 @@ func TestWindowZeroAllocSteadyState(t *testing.T) {
 }
 
 func TestWindowMedianAndEviction(t *testing.T) {
-	w := newWindow(10 * sim.Millisecond)
-	if _, ok := w.median(0); ok {
+	w := NewWindow(10 * sim.Millisecond)
+	if _, ok := w.Median(0); ok {
 		t.Error("empty window reported a median")
 	}
-	w.push(1*sim.Millisecond, 10)
-	w.push(2*sim.Millisecond, 30)
-	w.push(3*sim.Millisecond, 20)
-	med, ok := w.median(3 * sim.Millisecond)
+	w.Push(1*sim.Millisecond, 10)
+	w.Push(2*sim.Millisecond, 30)
+	w.Push(3*sim.Millisecond, 20)
+	med, ok := w.Median(3 * sim.Millisecond)
 	if !ok || med != 20 {
 		t.Errorf("median = %v, %v", med, ok)
 	}
 	// Paper's upper median for even counts: sorted[n/2].
-	w.push(4*sim.Millisecond, 40)
-	med, _ = w.median(4 * sim.Millisecond)
+	w.Push(4*sim.Millisecond, 40)
+	med, _ = w.Median(4 * sim.Millisecond)
 	if med != 30 {
 		t.Errorf("even-count median = %v, want 30 (upper)", med)
 	}
 	// Everything slides out after 10 ms.
-	if _, ok := w.median(20 * sim.Millisecond); ok {
+	if _, ok := w.Median(20 * sim.Millisecond); ok {
 		t.Error("stale window still reported a median")
 	}
-	if w.size() != 0 {
-		t.Errorf("window not evicted, size=%d", w.size())
+	if w.Size() != 0 {
+		t.Errorf("window not evicted, size=%d", w.Size())
 	}
 }
 
@@ -141,14 +141,14 @@ func TestWindowMedianAndEviction(t *testing.T) {
 func TestWindowMedianMatchesReference(t *testing.T) {
 	rnd := sim.NewRNG(77).Stream("median")
 	for trial := 0; trial < 200; trial++ {
-		w := newWindow(sim.Second)
+		w := NewWindow(sim.Second)
 		n := 1 + rnd.IntN(40)
 		vals := make([]float64, n)
 		for i := range vals {
 			vals[i] = rnd.Float64()*40 - 10
-			w.push(sim.Time(i)*sim.Millisecond, vals[i])
+			w.Push(sim.Time(i)*sim.Millisecond, vals[i])
 		}
-		got, ok := w.median(sim.Time(n) * sim.Millisecond)
+		got, ok := w.Median(sim.Time(n) * sim.Millisecond)
 		if !ok {
 			t.Fatal("median missing")
 		}
@@ -163,11 +163,11 @@ func TestWindowMedianMatchesReference(t *testing.T) {
 // The least-squares fit must recover an exact linear ramp's slope and
 // extrapolate it to the horizon.
 func TestWindowFitLinearRamp(t *testing.T) {
-	w := newWindow(100 * sim.Millisecond)
+	w := NewWindow(100 * sim.Millisecond)
 	// ESNR falling 20 dB/s: y = 30 - 20 t.
 	for i := 0; i <= 10; i++ {
 		at := sim.Time(i) * 5 * sim.Millisecond
-		w.push(at, 30-20*at.Seconds())
+		w.Push(at, 30-20*at.Seconds())
 	}
 	now := 50 * sim.Millisecond
 	ref := now + 50*sim.Millisecond
@@ -183,12 +183,12 @@ func TestWindowFitLinearRamp(t *testing.T) {
 		t.Errorf("predicted = %v at %v, want %v", pred, ref, want)
 	}
 	// Degenerate cases: one sample, and all samples at one instant.
-	w2 := newWindow(100 * sim.Millisecond)
-	w2.push(sim.Millisecond, 5)
+	w2 := NewWindow(100 * sim.Millisecond)
+	w2.Push(sim.Millisecond, 5)
 	if _, _, ok := w2.fit(sim.Millisecond, 2*sim.Millisecond); ok {
 		t.Error("fit succeeded with one sample")
 	}
-	w2.push(sim.Millisecond, 7)
+	w2.Push(sim.Millisecond, 7)
 	if _, _, ok := w2.fit(sim.Millisecond, 2*sim.Millisecond); ok {
 		t.Error("fit succeeded with zero time spread")
 	}
