@@ -102,9 +102,12 @@ cli-smoke:
 # Live-mode smoke (part of check): one controller and two AP processes over
 # UDP loopback, each on its own wall-clock run loop, must complete a full
 # §3.1.2 stop→start→ack switch with every backhaul message passing through
-# its wire encoding (DESIGN.md §12).
+# its wire encoding (DESIGN.md §12) — and again with a third AP, which
+# reports the flat ramp every AP past the two crossing ones replays.
 live-smoke:
-	$(call in-scratch,wgtt-live,$$d/wgtt-live -aps 2 -timeout 10s)
+	$(call in-scratch,wgtt-live, \
+		$$d/wgtt-live -aps 2 -timeout 10s; \
+		$$d/wgtt-live -aps 3 -timeout 10s)
 	@echo live-smoke: multi-process switch over UDP loopback complete
 
 # Federation smoke (part of check, DESIGN.md §13): two controller OS

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	wgtt-live                   # orchestrate: spawn controller + 2 APs, wait for the switch
-//	wgtt-live -aps 3 -timeout 5s
+//	wgtt-live -aps 3 -timeout 5s # APs past the two crossing ramps report a flat, weaker link
 //	wgtt-live -federation       # two controller processes hand the client across domains
 //	wgtt-live -fanout -aps 32   # measure downlink fan-out pkts/s, batched vs per-copy
 //
@@ -17,7 +17,8 @@
 // the stop→start→ack on its own domain.
 //
 // The orchestrator re-execs itself for the node roles (-role controller,
-// -role fedcontroller, -role ap); those are plumbing, not user entry points.
+// -role ap, with -federation passed on); those are plumbing, not user entry
+// points.
 package main
 
 import (
@@ -38,13 +39,13 @@ import (
 
 func main() {
 	var (
-		role       = flag.String("role", "run", "run | controller | fedcontroller | ap (node roles are spawned internally)")
+		role       = flag.String("role", "run", "run | controller | ap (node roles are spawned internally)")
 		apID       = flag.Int("id", 0, "AP id (role=ap)")
-		domain     = flag.Int("domain", 0, "controller domain id (role=fedcontroller)")
+		domain     = flag.Int("domain", 0, "controller domain id (role=controller)")
 		listen     = flag.String("listen", "", "UDP address to bind (node roles)")
-		table      = flag.String("table", "", "comma-separated endpoints: controller,ap0,ap1,... (node roles)")
+		table      = flag.String("table", "", "comma-separated endpoints: controller(s),ap0,ap1,... (node roles)")
 		aps        = flag.Int("aps", 2, "number of AP processes (role=run), or fan-out width (-fanout)")
-		federation = flag.Bool("federation", false, "run the two-controller inter-domain handoff scenario (role=run)")
+		federation = flag.Bool("federation", false, "run the two-controller inter-domain handoff scenario")
 		fanout     = flag.Bool("fanout", false, "measure downlink fan-out pkts/s over loopback instead of orchestrating")
 		packets    = flag.Int("packets", 50000, "downlink messages to push per fan-out measurement (-fanout)")
 		timeout    = flag.Duration("timeout", 10*time.Second, "give up if no switch completes in this long")
@@ -57,21 +58,25 @@ func main() {
 		fmt.Fprintln(os.Stderr, "wgtt-live:", err)
 		os.Exit(1)
 	}
+	// -federation is the topology: one controller process per single-AP
+	// domain instead of one controller over every AP.
+	controllers := 1
+	if *federation {
+		controllers = live.FedDomains
+	}
 	switch *role {
 	case "run":
 		if *fanout {
 			err = measureFanout(*aps, *packets)
 		} else if *federation {
-			err = orchestrateFed(*timeout)
+			err = orchestrate(controllers, controllers, *timeout, pol) // live.FedCity: one AP per domain
 		} else {
-			err = orchestrate(*aps, *timeout, pol)
+			err = orchestrate(1, *aps, *timeout, pol)
 		}
 	case "controller":
-		err = runController(*listen, strings.Split(*table, ","), *timeout, pol)
-	case "fedcontroller":
-		err = runFedController(*domain, *listen, strings.Split(*table, ","), *timeout)
+		err = runController(*domain, *listen, strings.Split(*table, ","), controllers, *timeout, pol)
 	case "ap":
-		err = runAP(*apID, *listen, strings.Split(*table, ","), *federation, *timeout)
+		err = runAP(*apID, *listen, strings.Split(*table, ","), controllers, *timeout)
 	default:
 		err = fmt.Errorf("unknown role %q", *role)
 	}
@@ -101,82 +106,30 @@ func freeAddrs(n int) ([]string, error) {
 	return addrs, nil
 }
 
-// orchestrate spawns one controller and numAPs AP processes over loopback
-// and waits for the controller to report a completed switch.
-func orchestrate(numAPs int, timeout time.Duration, pol selector.Policy) error {
-	if numAPs < 2 {
-		return fmt.Errorf("need at least 2 APs for a switch, got %d", numAPs)
-	}
-	if len(live.DefaultScripts()) < numAPs {
-		return fmt.Errorf("the scripted scenario defines %d CSI ramps, cannot drive %d APs",
-			len(live.DefaultScripts()), numAPs)
+// orchestrate spawns the AP processes, then one controller process per
+// domain, over loopback, and waits for the last controller: the one that
+// reports the completed switch, or — with two — the domain that adopts the
+// client in an inter-controller handoff. Every other process is killed once
+// it has. Only stable facts reach stdout, so back-to-back federation runs
+// are byte-identical (the smoke check compares them).
+func orchestrate(controllers, aps int, timeout time.Duration, pol selector.Policy) error {
+	if aps < 2 {
+		return fmt.Errorf("need at least 2 APs for a switch, got %d", aps)
 	}
 	self, err := os.Executable()
 	if err != nil {
 		return err
 	}
-	addrs, err := freeAddrs(numAPs + 1)
+	// Endpoint layout (live.Table): the controllers, then the APs.
+	addrs, err := freeAddrs(controllers + aps)
 	if err != nil {
 		return err
 	}
-	tableArg := strings.Join(addrs, ",")
-
-	spawn := func(args ...string) (*exec.Cmd, error) {
-		cmd := exec.Command(self, args...)
-		cmd.Stdout = os.Stdout
-		cmd.Stderr = os.Stderr
-		return cmd, cmd.Start()
-	}
-
-	apProcs := make([]*exec.Cmd, 0, numAPs)
-	defer func() {
-		for _, p := range apProcs {
-			_ = p.Process.Kill()
-			_ = p.Wait()
-		}
-	}()
-	for i := 0; i < numAPs; i++ {
-		p, err := spawn("-role", "ap", "-id", fmt.Sprint(i),
-			"-listen", addrs[i+1], "-table", tableArg, "-timeout", timeout.String())
-		if err != nil {
-			return fmt.Errorf("spawning AP %d: %w", i, err)
-		}
-		apProcs = append(apProcs, p)
-	}
-	ctl, err := spawn("-role", "controller", "-selector", string(pol),
-		"-listen", addrs[0], "-table", tableArg, "-timeout", timeout.String())
-	if err != nil {
-		return fmt.Errorf("spawning controller: %w", err)
-	}
-	if err := ctl.Wait(); err != nil {
-		return fmt.Errorf("controller: %w", err)
-	}
-	fmt.Printf("wgtt-live: OK — %d processes over UDP loopback\n", numAPs+1)
-	return nil
-}
-
-// orchestrateFed spawns the federated topology — two controller processes
-// (one per single-AP domain) plus two APs — and waits for the adopting
-// domain to report a completed inter-controller handoff. Only stable facts
-// reach stdout, so back-to-back runs are byte-identical (the smoke check
-// compares them).
-func orchestrateFed(timeout time.Duration) error {
-	self, err := os.Executable()
-	if err != nil {
-		return err
-	}
-	// Endpoint layout (live.FedTable): controller0, controller1, ap0, ap1.
-	addrs, err := freeAddrs(live.FedDomains + 2)
-	if err != nil {
-		return err
-	}
-	tableArg := strings.Join(addrs, ",")
-
-	spawn := func(args ...string) (*exec.Cmd, error) {
-		cmd := exec.Command(self, args...)
-		cmd.Stdout = os.Stdout
-		cmd.Stderr = os.Stderr
-		return cmd, cmd.Start()
+	common := []string{"-table", strings.Join(addrs, ","), "-timeout", timeout.String()}
+	ok := "OK"
+	if controllers > 1 {
+		common = append(common, "-federation")
+		ok = "federation OK"
 	}
 
 	var procs []*exec.Cmd
@@ -186,29 +139,32 @@ func orchestrateFed(timeout time.Duration) error {
 			_ = p.Wait()
 		}
 	}()
-	for i := 0; i < 2; i++ {
-		p, err := spawn("-role", "ap", "-id", fmt.Sprint(i), "-federation",
-			"-listen", addrs[live.FedDomains+i], "-table", tableArg, "-timeout", timeout.String())
-		if err != nil {
-			return fmt.Errorf("spawning AP %d: %w", i, err)
+	spawn := func(listen string, args ...string) error {
+		cmd := exec.Command(self, append(append(args, "-listen", listen), common...)...)
+		cmd.Stdout = os.Stdout
+		cmd.Stderr = os.Stderr
+		if err := cmd.Start(); err != nil {
+			return fmt.Errorf("spawning %v: %w", args, err)
 		}
-		procs = append(procs, p)
+		procs = append(procs, cmd)
+		return nil
 	}
-	ctl0, err := spawn("-role", "fedcontroller", "-domain", "0",
-		"-listen", addrs[0], "-table", tableArg, "-timeout", timeout.String())
-	if err != nil {
-		return fmt.Errorf("spawning controller 0: %w", err)
+	for i := 0; i < aps; i++ {
+		if err := spawn(addrs[controllers+i], "-role", "ap", "-id", fmt.Sprint(i)); err != nil {
+			return err
+		}
 	}
-	procs = append(procs, ctl0)
-	ctl1, err := spawn("-role", "fedcontroller", "-domain", "1",
-		"-listen", addrs[1], "-table", tableArg, "-timeout", timeout.String())
-	if err != nil {
-		return fmt.Errorf("spawning controller 1: %w", err)
+	for d := 0; d < controllers; d++ {
+		if err := spawn(addrs[d], "-role", "controller", "-domain", fmt.Sprint(d), "-selector", string(pol)); err != nil {
+			return err
+		}
 	}
-	if err := ctl1.Wait(); err != nil {
-		return fmt.Errorf("controller 1: %w", err)
+	last := procs[len(procs)-1]
+	procs = procs[:len(procs)-1]
+	if err := last.Wait(); err != nil {
+		return fmt.Errorf("controller %d: %w", controllers-1, err)
 	}
-	fmt.Printf("wgtt-live: federation OK — %d processes over UDP loopback\n", live.FedDomains+2)
+	fmt.Printf("wgtt-live: %s — %d processes over UDP loopback\n", ok, controllers+aps)
 	return nil
 }
 
@@ -237,8 +193,8 @@ func measureFanout(numAPs, packets int) error {
 }
 
 // bindAndTable is the node-role common setup: bind the assigned address and
-// strip self from a full endpoint table.
-func bindAndTable(listen string, full map[packet.IPv4Addr]string, self packet.IPv4Addr) (*net.UDPConn, map[packet.IPv4Addr]string, error) {
+// strip self from the full endpoint table.
+func bindAndTable(listen string, endpoints []string, controllers int, self packet.IPv4Addr) (*net.UDPConn, map[packet.IPv4Addr]string, error) {
 	ua, err := net.ResolveUDPAddr("udp", listen)
 	if err != nil {
 		return nil, nil, err
@@ -247,62 +203,50 @@ func bindAndTable(listen string, full map[packet.IPv4Addr]string, self packet.IP
 	if err != nil {
 		return nil, nil, err
 	}
-	delete(full, self)
-	return conn, full, nil
+	table := live.Table(endpoints, controllers)
+	delete(table, self)
+	return conn, table, nil
 }
 
-func runController(listen string, endpoints []string, timeout time.Duration, pol selector.Policy) error {
-	conn, table, err := bindAndTable(listen, live.Table(endpoints), packet.ControllerIP)
+// runController is domain's controller process: the one controller over
+// every AP, or one of the federated pair.
+func runController(domain int, listen string, endpoints []string, controllers int, timeout time.Duration, pol selector.Policy) error {
+	conn, table, err := bindAndTable(listen, endpoints, controllers, packet.DomainControllerIP(domain))
 	if err != nil {
 		return err
 	}
-	numAPs := len(endpoints) - 1
-	rec, err := live.RunController(conn, table, numAPs, sim.Time(timeout), pol)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("wgtt-live: switch complete client=%v ap%d->ap%d duration=%.1fms attempts=%d\n",
-		rec.Client, rec.From+1, rec.To+1, float64(rec.Duration)/float64(sim.Millisecond), rec.Attempts)
-	return nil
-}
-
-func runFedController(domain int, listen string, endpoints []string, timeout time.Duration) error {
-	conn, table, err := bindAndTable(listen, live.FedTable(endpoints), packet.DomainControllerIP(domain))
-	if err != nil {
-		return err
+	if controllers == 1 {
+		rec, err := live.RunController(conn, table, len(endpoints)-1, sim.Time(timeout), pol)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("wgtt-live: switch complete client=%v ap%d->ap%d duration=%.1fms attempts=%d\n",
+			rec.Client, rec.From+1, rec.To+1, float64(rec.Duration)/float64(sim.Millisecond), rec.Attempts)
+		return nil
 	}
 	rec, got, err := live.RunFedController(domain, conn, table, sim.Time(timeout))
-	if err != nil {
-		return err
-	}
 	if got {
 		// Stable facts only: the federation smoke compares two runs' stdout
 		// byte for byte, so no durations or attempt counts here.
 		fmt.Printf("wgtt-live: federation handoff complete client=%v domain%d->domain%d ap%d->ap%d forced=%v\n",
 			rec.Client, rec.From, rec.To, rec.FromAP, rec.ToAP, rec.Forced)
 	}
-	return nil
+	return err
 }
 
-func runAP(id int, listen string, endpoints []string, fed bool, timeout time.Duration) error {
-	full := live.Table(endpoints)
-	ctlAddr := packet.ControllerIP
-	if fed {
-		// Federated topology: AP i belongs to domain i and reports to its
-		// own domain controller (live.FedCity).
-		full = live.FedTable(endpoints)
-		ctlAddr = packet.DomainControllerIP(id)
-	}
-	conn, table, err := bindAndTable(listen, full, packet.APIP(id))
+func runAP(id int, listen string, endpoints []string, controllers int, timeout time.Duration) error {
+	conn, table, err := bindAndTable(listen, endpoints, controllers, packet.APIP(id))
 	if err != nil {
 		return err
 	}
-	scripts := live.DefaultScripts()
-	if id >= len(scripts) {
-		return fmt.Errorf("no CSI script for AP %d", id)
+	// One controller serves every AP; federated, AP i belongs to domain i
+	// and reports to its own domain controller (live.FedCity).
+	ctlAddr := packet.ControllerIP
+	if controllers > 1 {
+		ctlAddr = packet.DomainControllerIP(id)
 	}
 	// APs outlive the switch by running to the full timeout; the
 	// orchestrator kills them once the controller reports success.
-	_, err = live.RunAP(id, conn, table, ctlAddr, scripts[id], id == 0, sim.Time(timeout))
+	_, err = live.RunAP(id, conn, table, ctlAddr, live.Script(id), id == 0, sim.Time(timeout))
 	return err
 }

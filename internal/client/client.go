@@ -77,7 +77,8 @@ type Client struct {
 
 	// OnDownlink receives each unique downlink packet (transport hookup).
 	OnDownlink func(p *packet.Packet, at sim.Time)
-	// OnBeacon observes beacons (RSSI source for the baseline roamer).
+	// OnBeacon observes beacons — the only frames the medium measures RSSI
+	// on — for the baseline roamer.
 	OnBeacon func(from packet.MACAddr, rssiDBm float64, at sim.Time)
 	// OnMgmt observes received management frames.
 	OnMgmt func(ev *mac.RxEvent)

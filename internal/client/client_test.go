@@ -134,7 +134,6 @@ func mkRx(idx uint16, at sim.Time) *mac.RxEvent {
 		At:      at,
 		Kind:    mac.KindData,
 		Decoded: []*mac.MPDU{{Pkt: &packet.Packet{Index: idx, Bytes: 1400, FlowID: 1}}},
-		Total:   1,
 	}
 }
 

@@ -473,13 +473,6 @@ func (c *Controller) HandleBackhaul(from packet.IPv4Addr, msg packet.Message) {
 	}
 }
 
-func (c *Controller) apIndexByIP(ip packet.IPv4Addr) int {
-	if id, ok := c.ipToAP[ip]; ok {
-		return id
-	}
-	return 0
-}
-
 // handleCSI folds a report into the client's per-AP window and re-evaluates
 // AP selection.
 func (c *Controller) handleCSI(m *packet.CSIReport) {
@@ -487,8 +480,10 @@ func (c *Controller) handleCSI(m *packet.CSIReport) {
 	if cl == nil {
 		return
 	}
-	apID := c.apIndexByIP(m.AP)
-	if apID < 0 || apID >= len(c.aps) {
+	apID, known := c.ipToAP[m.AP]
+	if !known {
+		// A foreign or mistyped AP address (the UDP fabric can deliver
+		// one): dropped, not booked as evidence for some AP of ours.
 		return
 	}
 	c.Stats.CSIReports++

@@ -318,6 +318,22 @@ func TestMedianESNRAccessor(t *testing.T) {
 	}
 }
 
+// A CSI report naming an AP this controller does not command is dropped: it
+// is evidence for none of ours, least of all AP 0.
+func TestCSIFromUnknownAPDropped(t *testing.T) {
+	h := newCtlHarness(t, 2, DefaultConfig())
+	client := packet.ClientMAC(1)
+	h.ctl.RegisterClient(client, packet.ClientIP(1), 0)
+	_ = h.bh.Send(packet.APIP(1), packet.ControllerIP, csiReport(client, 7, h.eng.Now(), 17))
+	h.eng.Run()
+	if h.ctl.Stats.CSIReports != 0 {
+		t.Errorf("counted %d CSI reports from an unknown AP", h.ctl.Stats.CSIReports)
+	}
+	if med, ok := h.ctl.MedianESNR(client, 0); ok {
+		t.Errorf("unknown AP's report booked on AP 0: median %v dB", med)
+	}
+}
+
 // --- AP health monitor & forced failover (DESIGN.md §11) ---
 
 // run advances the engine in 2 ms steps for steps iterations, feeding CSI

@@ -183,3 +183,33 @@ func TestMbps(t *testing.T) {
 		t.Error("empty span not guarded")
 	}
 }
+
+// TestAirPathSamplingBudget pins how often the air path asks the radio for a
+// path gain: once per CSI snapshot, plus a received power per beacon and per
+// contender of a real overlap — nothing for the RSSI of a data frame nobody
+// reads, nothing to "capture" a lone Block ACK. The hook runs once per
+// Link.PathGainDB; grants and response opportunities pin that the run under
+// the budget is the same run.
+func TestAirPathSamplingBudget(t *testing.T) {
+	s := DriveScenario(ModeWGTT, 15, 2017) // the Fig. 15 drive, first 3 s
+	s.Duration = 3 * sim.Second
+	evals := 0
+	s.obstruction = func(a, b mobility.Point) float64 { evals++; return 0 }
+	n, err := Build(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := n.Attach(Loads(1, Load{RateMbps: 50}))
+	n.Run()
+	if got := d.Outcomes()[0]; got.Bytes == 0 {
+		t.Fatalf("nothing delivered: %+v", got)
+	}
+	if n.Medium.Grants != 1016 || n.Medium.RespTotal != 791 {
+		t.Fatalf("grants %d, response opportunities %d: not the run the budget was taken on (1016, 791)",
+			n.Medium.Grants, n.Medium.RespTotal)
+	}
+	if evals > 15555 {
+		t.Errorf("%d path-gain evaluations, budget 15555", evals)
+	}
+	t.Logf("%d path-gain evaluations", evals)
+}

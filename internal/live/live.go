@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net"
-	"sync"
 
 	"wgtt/internal/ap"
 	"wgtt/internal/backhaul/udp"
@@ -44,15 +43,20 @@ type CSIScript struct {
 	Period        sim.Time
 }
 
-// DefaultScripts returns the two-AP crossing-ramp scenario: AP 1 starts
-// strong and fades, AP 2 starts weak and strengthens, with the crossover
-// near t ≈ 240 ms — comfortably past the controller's 10 ms window and
-// 40 ms hysteresis, so exactly one switch fires.
-func DefaultScripts() []CSIScript {
-	return []CSIScript{
-		{StartdB: 14, SlopedBPerSec: -20, Period: 2 * sim.Millisecond},
-		{StartdB: 2, SlopedBPerSec: 30, Period: 2 * sim.Millisecond},
+// Script returns AP id's report stream. APs 0 and 1 carry the crossing
+// ramps: AP 0 starts strong and fades, AP 1 starts weak and strengthens,
+// with the crossover near t ≈ 240 ms — comfortably past the controller's
+// 10 ms window and 40 ms hysteresis, so exactly one switch fires. Every
+// further AP replays a flat ramp below both, heard but never chosen.
+func Script(id int) CSIScript {
+	s := CSIScript{StartdB: -10, Period: 2 * sim.Millisecond}
+	switch id {
+	case 0:
+		s.StartdB, s.SlopedBPerSec = 14, -20
+	case 1:
+		s.StartdB, s.SlopedBPerSec = 2, 30
 	}
+	return s
 }
 
 // ControllerConfig is the live controller operating point: the paper's
@@ -75,63 +79,72 @@ func APConfig(id int) ap.Config {
 	return cfg
 }
 
-// Table maps the live topology's virtual addresses onto UDP endpoints:
-// entry 0 is the controller, entry i+1 is AP i.
-func Table(endpoints []string) map[packet.IPv4Addr]string {
+// Table maps a live topology's virtual addresses onto UDP endpoints: entry
+// d < controllers is domain d's controller (packet.DomainControllerIP(0) is
+// packet.ControllerIP, so one controller is the single-domain topology) and
+// entry controllers+i is AP i.
+func Table(endpoints []string, controllers int) map[packet.IPv4Addr]string {
 	t := make(map[packet.IPv4Addr]string, len(endpoints))
 	for i, ep := range endpoints {
-		if i == 0 {
-			t[packet.ControllerIP] = ep
+		if i < controllers {
+			t[packet.DomainControllerIP(i)] = ep
 		} else {
-			t[packet.APIP(i-1)] = ep
+			t[packet.APIP(i-controllers)] = ep
 		}
 	}
 	return t
 }
 
-// RunController drives the controller node until one switch completes or
-// timeout elapses, and returns the completed switch record. conn is the
-// node's pre-bound socket; table maps every OTHER node's virtual address to
-// its endpoint. numAPs is the fleet size; the client starts on AP 0. pol
-// selects the AP-selection policy (DESIGN.md §15); "" runs the default
-// §3.1.1 windowed-median rule.
-func RunController(conn *net.UDPConn, table map[packet.IPv4Addr]string, numAPs int, timeout sim.Time, pol selector.Policy) (controller.SwitchRecord, error) {
+// runNode is the body every live node shares: a wall clock and a UDP fabric
+// over conn, the protocol core wire builds on them, and the run loop until
+// the core stops the clock or timeout elapses. conn is the node's pre-bound
+// socket; table maps every OTHER node's virtual address to its endpoint.
+// The loop runs wire's callbacks on this goroutine, so what they record is
+// the caller's to read once runNode returns.
+func runNode(conn *net.UDPConn, table map[packet.IPv4Addr]string, timeout sim.Time, wire func(clk *runtime.Wall, fab *udp.Fabric) error) error {
 	clk := runtime.NewWall()
 	fab, err := udp.New(clk, conn, table)
 	if err != nil {
-		return controller.SwitchRecord{}, err
+		return err
 	}
-	infos := make([]controller.APInfo, numAPs)
-	for i := range infos {
-		infos[i] = controller.APInfo{ID: i, IP: packet.APIP(i), MAC: packet.APMAC(i)}
-	}
-	cfg := ControllerConfig()
-	cfg.Selector.Policy = pol
-	ctl := controller.New(cfg, clk, fab, infos)
-	ctl.RegisterClient(Client, ClientIP, 0)
-
-	var (
-		mu  sync.Mutex
-		rec controller.SwitchRecord
-		got bool
-	)
-	ctl.OnSwitch = func(r controller.SwitchRecord) {
-		mu.Lock()
-		rec, got = r, true
-		mu.Unlock()
-		clk.Stop()
+	if err := wire(clk, fab); err != nil {
+		return err
 	}
 	clk.After(timeout, clk.Stop)
 	fab.Start()
 	clk.Run()
 	_ = fab.Close()
+	return nil
+}
 
-	mu.Lock()
-	defer mu.Unlock()
-	if !got {
-		return controller.SwitchRecord{}, fmt.Errorf("live: no switch completed within %v", timeout)
+// RunController drives the controller node until one switch completes or
+// timeout elapses, and returns the completed switch record. numAPs is the
+// fleet size; the client starts on AP 0. pol selects the AP-selection
+// policy (DESIGN.md §15); "" runs the default §3.1.1 windowed-median rule.
+func RunController(conn *net.UDPConn, table map[packet.IPv4Addr]string, numAPs int, timeout sim.Time, pol selector.Policy) (controller.SwitchRecord, error) {
+	var (
+		rec controller.SwitchRecord
+		got bool
+	)
+	err := runNode(conn, table, timeout, func(clk *runtime.Wall, fab *udp.Fabric) error {
+		infos := make([]controller.APInfo, numAPs)
+		for i := range infos {
+			infos[i] = controller.APInfo{ID: i, IP: packet.APIP(i), MAC: packet.APMAC(i)}
+		}
+		cfg := ControllerConfig()
+		cfg.Selector.Policy = pol
+		ctl := controller.New(cfg, clk, fab, infos)
+		ctl.RegisterClient(Client, ClientIP, 0)
+		ctl.OnSwitch = func(r controller.SwitchRecord) {
+			rec, got = r, true
+			clk.Stop()
+		}
+		return nil
+	})
+	if err == nil && !got {
+		err = fmt.Errorf("live: no switch completed within %v", timeout)
 	}
-	return rec, nil
+	return rec, err
 }
 
 // RunAP drives AP node id: the AP protocol core (stop/start handling, ack
@@ -140,37 +153,35 @@ func RunController(conn *net.UDPConn, table map[packet.IPv4Addr]string, numAPs i
 // controller — packet.ControllerIP in the single-controller topology, the
 // AP's own domain controller in the federated one.
 func RunAP(id int, conn *net.UDPConn, table map[packet.IPv4Addr]string, ctlAddr packet.IPv4Addr, script CSIScript, serving bool, duration sim.Time) (ap.Stats, error) {
-	clk := runtime.NewWall()
-	fab, err := udp.New(clk, conn, table)
+	var node *ap.AP
+	err := runNode(conn, table, duration, func(clk *runtime.Wall, fab *udp.Fabric) error {
+		cfg := APConfig(id)
+		node = ap.New(cfg, clk, fab, nil, ctlAddr, rand.New(rand.NewPCG(uint64(id), 0)))
+		node.Associate(Client, ClientIP, serving)
+
+		period := script.Period
+		if period <= 0 {
+			period = 2 * sim.Millisecond
+		}
+		var tick func()
+		tick = func() {
+			now := clk.Now()
+			db := script.StartdB + script.SlopedBPerSec*float64(now)/float64(sim.Second)
+			rep := &packet.CSIReport{Client: Client, AP: cfg.IP, At: int64(now)}
+			snr := make([]float64, packet.CSISubcarriers)
+			for i := range snr {
+				snr[i] = db
+			}
+			rep.QuantizeSNR(snr)
+			_ = fab.Send(cfg.IP, ctlAddr, rep)
+			clk.After(period, tick)
+		}
+		clk.After(period, tick)
+		return nil
+	})
 	if err != nil {
 		return ap.Stats{}, err
 	}
-	cfg := APConfig(id)
-	node := ap.New(cfg, clk, fab, nil, ctlAddr, rand.New(rand.NewPCG(uint64(id), 0)))
-	node.Associate(Client, ClientIP, serving)
-
-	period := script.Period
-	if period <= 0 {
-		period = 2 * sim.Millisecond
-	}
-	var tick func()
-	tick = func() {
-		now := clk.Now()
-		db := script.StartdB + script.SlopedBPerSec*float64(now)/float64(sim.Second)
-		rep := &packet.CSIReport{Client: Client, AP: cfg.IP, At: int64(now)}
-		snr := make([]float64, packet.CSISubcarriers)
-		for i := range snr {
-			snr[i] = db
-		}
-		rep.QuantizeSNR(snr)
-		_ = fab.Send(cfg.IP, ctlAddr, rep)
-		clk.After(period, tick)
-	}
-	clk.After(period, tick)
-	clk.After(duration, clk.Stop)
-	fab.Start()
-	clk.Run()
-	_ = fab.Close()
 	return node.Stats, nil
 }
 
@@ -178,20 +189,6 @@ func RunAP(id int, conn *net.UDPConn, table map[packet.IPv4Addr]string, ctlAddr 
 // each with its own controller process — the smallest city that exercises
 // an inter-controller handoff (DESIGN.md §13).
 const FedDomains = 2
-
-// FedTable maps the federated topology onto UDP endpoints: entry d
-// (d < FedDomains) is domain d's controller, entry FedDomains+i is AP i.
-func FedTable(endpoints []string) map[packet.IPv4Addr]string {
-	t := make(map[packet.IPv4Addr]string, len(endpoints))
-	for i, ep := range endpoints {
-		if i < FedDomains {
-			t[packet.DomainControllerIP(i)] = ep
-		} else {
-			t[packet.APIP(i-FedDomains)] = ep
-		}
-	}
-	return t
-}
 
 // FedCity is the federated live city: AP i belongs to domain i.
 func FedCity() []federation.APAssignment {
@@ -221,40 +218,24 @@ func FedConfig() federation.Config {
 // switch completes; the offering domain runs to timeout and returns
 // (zero, false) — the orchestrator kills it once the adopter reports.
 func RunFedController(domainID int, conn *net.UDPConn, table map[packet.IPv4Addr]string, timeout sim.Time) (federation.HandoffRecord, bool, error) {
-	clk := runtime.NewWall()
-	fab, err := udp.New(clk, conn, table)
-	if err != nil {
-		return federation.HandoffRecord{}, false, err
-	}
-	dom := federation.NewDomain(FedConfig(), clk, fab, domainID, FedCity())
-	if domainID == 0 {
-		if err := dom.RegisterClient(Client, ClientIP, 0); err != nil {
-			return federation.HandoffRecord{}, false, err
-		}
-	} else {
-		dom.RegisterRemoteClient(Client, 0)
-	}
-
 	var (
-		mu  sync.Mutex
 		rec federation.HandoffRecord
 		got bool
 	)
-	dom.OnHandoffComplete = func(r federation.HandoffRecord) {
-		mu.Lock()
-		rec, got = r, true
-		mu.Unlock()
-		clk.Stop()
+	err := runNode(conn, table, timeout, func(clk *runtime.Wall, fab *udp.Fabric) error {
+		dom := federation.NewDomain(FedConfig(), clk, fab, domainID, FedCity())
+		dom.OnHandoffComplete = func(r federation.HandoffRecord) {
+			rec, got = r, true
+			clk.Stop()
+		}
+		if domainID != 0 {
+			dom.RegisterRemoteClient(Client, 0)
+			return nil
+		}
+		return dom.RegisterClient(Client, ClientIP, 0)
+	})
+	if err == nil && domainID != 0 && !got {
+		err = fmt.Errorf("live: no inter-controller handoff completed within %v", timeout)
 	}
-	clk.After(timeout, clk.Stop)
-	fab.Start()
-	clk.Run()
-	_ = fab.Close()
-
-	mu.Lock()
-	defer mu.Unlock()
-	if domainID != 0 && !got {
-		return federation.HandoffRecord{}, false, fmt.Errorf("live: no inter-controller handoff completed within %v", timeout)
-	}
-	return rec, got, nil
+	return rec, got, err
 }

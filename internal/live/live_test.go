@@ -31,7 +31,7 @@ func TestThreeNodeSwitchOverLoopback(t *testing.T) {
 	for i, c := range conns {
 		eps[i] = c.LocalAddr().String()
 	}
-	full := Table(eps)
+	full := Table(eps, 1)
 	// Each node's table lists the other nodes only.
 	tableFor := func(self packet.IPv4Addr) map[packet.IPv4Addr]string {
 		m := make(map[packet.IPv4Addr]string, len(full)-1)
@@ -43,7 +43,6 @@ func TestThreeNodeSwitchOverLoopback(t *testing.T) {
 		return m
 	}
 
-	scripts := DefaultScripts()
 	type apResult struct {
 		stats ap.Stats
 		err   error
@@ -52,7 +51,7 @@ func TestThreeNodeSwitchOverLoopback(t *testing.T) {
 	for i := range apDone {
 		apDone[i] = make(chan apResult, 1)
 		go func(id int) {
-			st, err := RunAP(id, conns[id+1], tableFor(packet.APIP(id)), packet.ControllerIP, scripts[id], id == 0, 2*sim.Second)
+			st, err := RunAP(id, conns[id+1], tableFor(packet.APIP(id)), packet.ControllerIP, Script(id), id == 0, 2*sim.Second)
 			apDone[id] <- apResult{st, err}
 		}(i)
 	}
@@ -111,7 +110,7 @@ func TestFourNodeFederatedHandoffOverLoopback(t *testing.T) {
 	for i, c := range conns {
 		eps[i] = c.LocalAddr().String()
 	}
-	full := FedTable(eps)
+	full := Table(eps, FedDomains)
 	tableFor := func(self packet.IPv4Addr) map[packet.IPv4Addr]string {
 		m := make(map[packet.IPv4Addr]string, len(full)-1)
 		for a, ep := range full {
@@ -123,7 +122,6 @@ func TestFourNodeFederatedHandoffOverLoopback(t *testing.T) {
 	}
 
 	const timeout = 3 * sim.Second
-	scripts := DefaultScripts()
 	type apResult struct {
 		stats ap.Stats
 		err   error
@@ -133,7 +131,7 @@ func TestFourNodeFederatedHandoffOverLoopback(t *testing.T) {
 		apDone[i] = make(chan apResult, 1)
 		go func(id int) {
 			st, err := RunAP(id, conns[FedDomains+id], tableFor(packet.APIP(id)),
-				packet.DomainControllerIP(id), scripts[id], id == 0, timeout)
+				packet.DomainControllerIP(id), Script(id), id == 0, timeout)
 			apDone[id] <- apResult{st, err}
 		}(i)
 	}
@@ -200,10 +198,30 @@ func TestControllerConfig(t *testing.T) {
 	}
 }
 
-// Table must place the controller at entry 0 and AP i at entry i+1.
+// Table must place domain d's controller at entry d and AP i after the
+// controllers; one controller is the single-domain layout.
 func TestTableLayout(t *testing.T) {
-	tb := Table([]string{"a:1", "b:2", "c:3"})
-	if tb[packet.ControllerIP] != "a:1" || tb[packet.APIP(0)] != "b:2" || tb[packet.APIP(1)] != "c:3" {
+	eps := []string{"a:1", "b:2", "c:3"}
+	tb := Table(eps, 1)
+	if len(tb) != 3 || tb[packet.ControllerIP] != "a:1" || tb[packet.APIP(0)] != "b:2" || tb[packet.APIP(1)] != "c:3" {
 		t.Fatalf("table = %v", tb)
+	}
+	tb = Table(eps, 2)
+	if len(tb) != 3 || tb[packet.DomainControllerIP(0)] != "a:1" || tb[packet.DomainControllerIP(1)] != "b:2" || tb[packet.APIP(0)] != "c:3" {
+		t.Fatalf("two-controller table = %v", tb)
+	}
+}
+
+// An AP beyond the two crossing ramps must never be the argmax: its flat
+// ramp stays below both until well past the scripted switch.
+func TestExtraAPsStayBelowTheRamps(t *testing.T) {
+	at := func(s CSIScript, sec float64) float64 { return s.StartdB + s.SlopedBPerSec*sec }
+	for _, sec := range []float64{0, 0.24, 0.5} {
+		if extra := at(Script(2), sec); extra >= at(Script(0), sec) || extra >= at(Script(1), sec) {
+			t.Errorf("t=%vs: AP 2 reports %v dB, ramps %v and %v", sec, extra, at(Script(0), sec), at(Script(1), sec))
+		}
+	}
+	if Script(2) != Script(7) {
+		t.Error("APs beyond the ramps do not share one script")
 	}
 }

@@ -128,26 +128,22 @@ func seqBefore(a, b uint16) bool {
 type RxEvent struct {
 	At   sim.Time
 	From packet.MACAddr
-	To   packet.MACAddr
 	Kind FrameKind
-	// MCS the frame was sent at.
-	MCS phy.MCS
 	// Synced reports whether the receiver's PHY locked onto the PPDU's
 	// preamble/PLCP. CSI is measurable exactly when Synced, even if every
 	// MPDU payload then failed its CRC (how the Atheros tool behaves).
 	Synced bool
 	// Decoded holds the MPDUs this receiver successfully decoded.
 	Decoded []*MPDU
-	// Total is the number of MPDUs in the frame.
-	Total int
 	// SNRdB is the receiver's per-subcarrier CSI snapshot for this frame —
 	// exactly what the Atheros CSI tool hands to the WGTT AP.
 	SNRdB []float64
 	// Overheard is true when the frame was not addressed to this station
 	// (monitor-mode capture).
 	Overheard bool
-	// RSSIdBm is the wideband received power — the only channel statistic
-	// an unmodified client (the 802.11r baseline) keys its roaming on.
+	// RSSIdBm is the wideband received power of a beacon — the only channel
+	// statistic an unmodified client (the 802.11r baseline) keys its roaming
+	// on. Nothing reads it off other frames, so only beacons are measured.
 	RSSIdBm float64
 
 	// snrStore inlines the standard 56-entry snapshot so one RxEvent
@@ -162,8 +158,6 @@ type BAEvent struct {
 	At sim.Time
 	// Responder is the station that sent the Block ACK.
 	Responder packet.MACAddr
-	// Client is the data sender being acknowledged (the BA's destination).
-	Client packet.MACAddr
 	// SSN and Bitmap form the compressed Block ACK scoreboard snapshot.
 	SSN    uint16
 	Bitmap uint64

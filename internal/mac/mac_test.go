@@ -3,6 +3,7 @@ package mac
 import (
 	"math"
 	"math/bits"
+	"math/rand/v2"
 	"testing"
 
 	"wgtt/internal/mobility"
@@ -197,16 +198,21 @@ type harness struct {
 	eng    *sim.Engine
 	ch     *radio.Channel
 	medium *Medium
+	// pathGains counts Link.PathGainDB calls: one per CSI snapshot, one per
+	// received-power sample.
+	pathGains int
 }
 
 func newHarness(t *testing.T, seed uint64) *harness {
 	t.Helper()
-	eng := sim.NewEngine()
+	h := &harness{eng: sim.NewEngine()}
 	rng := sim.NewRNG(seed)
 	params := radio.DefaultParams()
 	params.NoFading = true // deterministic links: these tests probe the MAC
-	ch := radio.NewChannel(params, rng)
-	return &harness{eng: eng, ch: ch, medium: NewMedium(eng, ch, rng.Stream("mac"))}
+	params.Obstruction = func(a, b mobility.Point) float64 { h.pathGains++; return 0 }
+	h.ch = radio.NewChannel(params, rng)
+	h.medium = NewMedium(h.eng, h.ch, rng.Stream("mac"))
+	return h
 }
 
 func (h *harness) addAP(t *testing.T, name string, x float64, aliases ...packet.MACAddr) (*Station, *recSink) {
@@ -274,6 +280,9 @@ func TestStrongLinkDelivery(t *testing.T) {
 	for _, ev := range csink.frames {
 		if ev.Kind == KindData {
 			got += len(ev.Decoded)
+		}
+		if ev.RSSIdBm != 0 {
+			t.Errorf("data frame carries RSSI %v dBm; only beacons are measured", ev.RSSIdBm)
 		}
 	}
 	if got < 30 {
@@ -527,5 +536,107 @@ func TestRetuneAbandonsPendingAttempt(t *testing.T) {
 	// re-issued on the new medium, or completed; either way the queue drains.
 	if len(src.queue) != 0 {
 		t.Errorf("station deadlocked after retune: %d packets still queued", len(src.queue))
+	}
+}
+
+// --- Capture ---
+
+func TestCaptureRule(t *testing.T) {
+	h := newHarness(t, 13)
+	near, _ := h.addAP(t, "near", 20)
+	left, _ := h.addAP(t, "left", 10)
+	right, _ := h.addAP(t, "right", 30)
+	far, _ := h.addAP(t, "far", 60)
+	rx, _ := h.addClient(t, "car1", mobility.Stationary{At: mobility.Point{X: 20}}, 0)
+
+	for _, tc := range []struct {
+		name      string
+		onAir     []*Station
+		strongest int  // index into onAir; checked when captured or -1
+		captured  bool // margin clears captureDB
+		samples   int  // received powers asked of the radio
+	}{
+		{"a lone transmission captures unsampled", []*Station{near}, 0, true, 0},
+		{"equal powers collide", []*Station{left, right}, 0, false, 2},
+		{"the stronger captures beyond the margin", []*Station{far, near}, 1, true, 2},
+		{"the receiver's own transmission is no candidate", []*Station{rx, far}, 1, true, 0},
+		{"nothing but the receiver on the air", []*Station{rx}, -1, false, 0},
+	} {
+		h.medium.onAir = tc.onAir
+		h.pathGains = 0
+		strongest, link, margin := h.medium.capture(rx, sim.Millisecond)
+		if got := strongest >= 0 && margin >= captureDB; got != tc.captured {
+			t.Errorf("%s: captured = %v (strongest %d, margin %.1f dB)", tc.name, got, strongest, margin)
+		}
+		if (tc.captured || tc.strongest < 0) && strongest != tc.strongest {
+			t.Errorf("%s: strongest = %d, want %d", tc.name, strongest, tc.strongest)
+		}
+		var want *radio.Link
+		if strongest >= 0 {
+			want, _ = h.ch.Link(tc.onAir[strongest].Endpoint.Name, rx.Endpoint.Name)
+		}
+		if link != want {
+			t.Errorf("%s: link %p is not the strongest transmitter's (%p)", tc.name, link, want)
+		}
+		if h.pathGains != tc.samples {
+			t.Errorf("%s: %d received-power samples, want %d", tc.name, h.pathGains, tc.samples)
+		}
+	}
+}
+
+// constSource makes every medium draw the same: all responders pick one
+// jitter slot, and every PER draw is 0.5.
+type constSource struct{}
+
+func (constSource) Uint64() uint64 { return 1 << 52 }
+
+func TestResponderHearsNoOtherResponse(t *testing.T) {
+	h := newHarness(t, 14)
+	h.medium.rnd = rand.New(constSource{})
+	// Omni stations within earshot of one another (the harness APs, behind
+	// their window losses, are not).
+	omni := func(id int, x float64) (*Station, *recSink) {
+		ep := &radio.Endpoint{
+			Name:       packet.ClientMAC(id).String(),
+			Trace:      mobility.Stationary{At: mobility.Point{X: x}},
+			TxPowerDBm: 15,
+		}
+		if err := h.ch.AddEndpoint(ep); err != nil {
+			t.Fatal(err)
+		}
+		sink := &recSink{}
+		return NewStation(h.medium, StationConfig{Addr: packet.ClientMAC(id), Endpoint: ep, Sink: sink}), sink
+	}
+	asker, askerSink := omni(1, 20)
+	near, nearSink := omni(2, 22)
+	far, farSink := omni(3, 60)
+
+	// Both answer the asker in the same slot. The asker captures the near
+	// one; the far one, alone with the near response, would capture it too —
+	// but it is transmitting, not listening.
+	h.medium.deliverResponses([]respPlan{
+		{responder: far, toward: asker, ssn: 7},
+		{responder: near, toward: asker, ssn: 7},
+	}, sim.Millisecond, 2*sim.Millisecond)
+	h.eng.RunUntil(3 * sim.Millisecond)
+
+	if len(askerSink.bas) != 1 || askerSink.bas[0].Responder != near.Addr || askerSink.bas[0].Overheard {
+		t.Fatalf("asker heard %+v, want the near station's response", askerSink.bas)
+	}
+	if len(askerSink.bas[0].SNRdB) != 56 {
+		t.Error("BAEvent missing the CSI of the link capture resolved")
+	}
+	if len(nearSink.bas)+len(farSink.bas) != 0 {
+		t.Errorf("responders heard %d + %d responses", len(nearSink.bas), len(farSink.bas))
+	}
+	if h.medium.RespCollisions != 0 || h.medium.RespTotal != 1 {
+		t.Errorf("medium counted %d/%d response collisions", h.medium.RespCollisions, h.medium.RespTotal)
+	}
+
+	// The same far station, when it is not answering, does hear the near one.
+	h.medium.deliverResponses([]respPlan{{responder: near, toward: asker, ssn: 8}}, 4*sim.Millisecond, 5*sim.Millisecond)
+	h.eng.RunUntil(6 * sim.Millisecond)
+	if len(farSink.bas) != 1 || !farSink.bas[0].Overheard {
+		t.Errorf("idle far station heard %+v, want the near response overheard", farSink.bas)
 	}
 }

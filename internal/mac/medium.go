@@ -2,7 +2,9 @@ package mac
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
+	"slices"
 
 	"wgtt/internal/csi"
 	"wgtt/internal/packet"
@@ -29,13 +31,11 @@ type Medium struct {
 	waiters    []*txAttempt
 	grantTimer sim.Timer
 
-	// CaptureDB is the power margin at which a receiver captures the
-	// strongest of overlapping transmissions instead of losing both.
-	CaptureDB float64
-	// RespCaptureDB is the (lower) capture margin for short legacy-rate
-	// control responses — a 32-byte Block ACK at 24 Mb/s is far easier to
-	// capture than a long HT aggregate.
-	RespCaptureDB float64
+	// onAir and heard are capture's inputs and scratch, reused across
+	// grants: the stations transmitting in the current phase (data frames,
+	// then responses), and the subset one receiver has a link to.
+	onAir []*Station
+	heard []contender
 
 	// Stats, exported for the evaluation harness.
 	Grants         uint64   // medium acquisitions
@@ -71,8 +71,6 @@ type respPlan struct {
 // TxResult reports the outcome of one transmission attempt to its sender.
 type TxResult struct {
 	Frame *Frame
-	// Collision is true when the frame overlapped another DCF winner.
-	Collision bool
 	// BAReceived is true when the sender decoded the (Block) ACK response.
 	BAReceived bool
 	// SSN and Bitmap are the response scoreboard when BAReceived.
@@ -81,8 +79,6 @@ type TxResult struct {
 	// RespCollision is true when responses from multiple stations collided
 	// at the sender (uplink multi-AP ACK case, Table 3).
 	RespCollision bool
-	// End is when the exchange finished.
-	End sim.Time
 }
 
 // basicRateMCS is the HT-equivalent robustness of the 24 Mb/s legacy rate
@@ -92,12 +88,10 @@ const basicRateMCS = phy.MCS(3)
 // NewMedium creates the shared channel arbiter.
 func NewMedium(eng *sim.Engine, ch *radio.Channel, rnd *rand.Rand) *Medium {
 	return &Medium{
-		eng:           eng,
-		ch:            ch,
-		rnd:           rnd,
-		byAddr:        make(map[packet.MACAddr][]*Station),
-		CaptureDB:     10,
-		RespCaptureDB: 4,
+		eng:    eng,
+		ch:     ch,
+		rnd:    rnd,
+		byAddr: make(map[packet.MACAddr][]*Station),
 	}
 }
 
@@ -223,6 +217,10 @@ func (m *Medium) grant() {
 	if collision {
 		m.TxCollisions++
 	}
+	m.onAir = m.onAir[:0]
+	for _, lt := range live {
+		m.onAir = append(m.onAir, lt.att.st)
+	}
 
 	t0 := m.eng.Now()
 	var dur sim.Time
@@ -238,7 +236,7 @@ func (m *Medium) grant() {
 	// function of time, so sampling "in the future" at mid is sound).
 	var responses []respPlan
 
-	for _, lt := range live {
+	for li, lt := range live {
 		fr := lt.frame
 		sender := lt.att.st
 		for _, rx := range m.stations {
@@ -259,23 +257,18 @@ func (m *Medium) grant() {
 			ev := &RxEvent{
 				At:        frameEnd,
 				From:      fr.From,
-				To:        fr.To,
 				Kind:      fr.Kind,
-				MCS:       fr.MCS,
-				Total:     len(fr.MPDUs),
 				Overheard: !owned && fr.To != BroadcastAddr,
 			}
 			ev.SNRdB = link.SNRInto(mid, sender.Endpoint, ev.snrStore[:0])
-			ev.RSSIdBm = link.RSSIdBm(mid, sender.Endpoint.TxPowerDBm)
+			if fr.Kind == KindBeacon {
+				ev.RSSIdBm = link.RSSIdBm(mid, sender.Endpoint.TxPowerDBm)
+			}
 
 			lost := false
 			if collision {
-				// Capture: decode the strongest overlapping frame if it
-				// clears the margin over the runner-up; lose otherwise.
-				best, second, bestIdx := m.collisionPowers(live, rx, mid)
-				if bestIdx < 0 || live[bestIdx].frame != fr || best-second < m.CaptureDB {
-					lost = true
-				}
+				strongest, _, margin := m.capture(rx, mid)
+				lost = strongest != li || margin < captureDB
 			}
 
 			// PHY sync is a per-frame event: the preamble either locks or
@@ -329,7 +322,7 @@ func (m *Medium) grant() {
 	// for each sender is derived from the response addressed to it.
 	for _, lt := range live {
 		lt := lt
-		res := &TxResult{Frame: lt.frame, Collision: collision, End: end}
+		res := &TxResult{Frame: lt.frame}
 		for _, rp := range responses {
 			if rp.toward == lt.att.st {
 				// Whether the sender actually decodes the response is
@@ -348,29 +341,60 @@ func (m *Medium) grant() {
 	m.eng.At(end, m.arm)
 }
 
-// collisionPowers returns the strongest and second-strongest received power
-// among overlapping transmissions at rx, plus the index of the strongest.
-func (m *Medium) collisionPowers(live []liveTx, rx *Station, at sim.Time) (best, second float64, bestIdx int) {
-	best, second = -1e9, -1e9
-	bestIdx = -1
-	for i, lt := range live {
-		if lt.att.st == rx {
+// Capture margins: a receiver decodes the strongest of the transmissions
+// that overlap at it only when that one clears the runner-up by the margin,
+// and loses all of them otherwise. A 32-byte Block ACK at the 24 Mb/s legacy
+// rate is far easier to capture than a long HT aggregate, hence the lower
+// margin for responses (DESIGN.md §6).
+const (
+	captureDB     = 10.0
+	respCaptureDB = 4.0
+)
+
+// contender is one transmission a receiver could lock onto: its index in
+// Medium.onAir and the link it arrives over.
+type contender struct {
+	idx  int
+	link *radio.Link
+}
+
+// capture is the one capture rule: of the m.onAir transmissions overlapping
+// at rx at instant at, it returns the index of the strongest, the link it
+// arrives over, and its power margin in dB over the runner-up — the caller
+// holds that against captureDB or respCaptureDB. rx's own transmission is
+// never a candidate, nor is one from a station the channel has no link to;
+// with no candidate strongest is -1. Received power is sampled only when
+// there is something to rank: a lone transmission wins with an infinite
+// margin and costs no channel evaluation.
+func (m *Medium) capture(rx *Station, at sim.Time) (strongest int, link *radio.Link, marginDB float64) {
+	m.heard = m.heard[:0]
+	for i, tx := range m.onAir {
+		if tx == rx {
 			continue
 		}
-		link, err := m.ch.Link(lt.att.st.Endpoint.Name, rx.Endpoint.Name)
-		if err != nil {
-			continue
+		if l, err := m.ch.Link(tx.Endpoint.Name, rx.Endpoint.Name); err == nil {
+			m.heard = append(m.heard, contender{idx: i, link: l})
 		}
-		p := link.RSSIdBm(at, lt.att.st.Endpoint.TxPowerDBm)
+	}
+	switch len(m.heard) {
+	case 0:
+		return -1, nil, 0
+	case 1:
+		return m.heard[0].idx, m.heard[0].link, math.Inf(1)
+	}
+	strongest = -1
+	best, second := math.Inf(-1), math.Inf(-1)
+	for _, c := range m.heard {
+		p := c.link.RSSIdBm(at, m.onAir[c.idx].Endpoint.TxPowerDBm)
 		if p > best {
 			second = best
 			best = p
-			bestIdx = i
+			strongest, link = c.idx, c.link
 		} else if p > second {
 			second = p
 		}
 	}
-	return best, second, bestIdx
+	return strongest, link, best - second
 }
 
 // decodeMPDUs applies the per-MPDU payload loss model for one synced frame.
@@ -413,38 +437,21 @@ func (m *Medium) deliverResponses(responses []respPlan, respMid, respEnd sim.Tim
 		}
 		responses = winners
 	}
-	multi := len(responses) > 1
+	m.onAir = m.onAir[:0]
+	for _, rp := range responses {
+		m.onAir = append(m.onAir, rp.responder)
+	}
 
 	for _, rx := range m.stations {
-		isResponder := false
-		for _, rp := range responses {
-			if rp.responder == rx {
-				isResponder = true
-			}
-		}
-		if isResponder {
-			continue
+		if slices.Contains(m.onAir, rx) {
+			continue // a responder is transmitting, not listening
 		}
 		// Which response, if any, does rx decode?
-		bestIdx, best, second := -1, -1e9, -1e9
-		for i, rp := range responses {
-			link, err := m.ch.Link(rp.responder.Endpoint.Name, rx.Endpoint.Name)
-			if err != nil {
-				continue
-			}
-			p := link.RSSIdBm(respMid, rp.responder.Endpoint.TxPowerDBm)
-			if p > best {
-				second = best
-				best = p
-				bestIdx = i
-			} else if p > second {
-				second = p
-			}
-		}
-		if bestIdx < 0 {
+		strongest, link, margin := m.capture(rx, respMid)
+		if strongest < 0 {
 			continue
 		}
-		if multi && best-second < m.RespCaptureDB {
+		if margin < respCaptureDB {
 			// Collision at this observer. Count it only at a station the
 			// response was addressed to (the retransmission cost is theirs).
 			for _, rp := range responses {
@@ -455,12 +462,10 @@ func (m *Medium) deliverResponses(responses []respPlan, respMid, respEnd sim.Tim
 			}
 			continue
 		}
-		rp := responses[bestIdx]
-		link, _ := m.ch.Link(rp.responder.Endpoint.Name, rx.Endpoint.Name)
+		rp := responses[strongest]
 		ev := &BAEvent{
 			At:        respEnd,
 			Responder: rp.responder.Addr,
-			Client:    rp.toward.Addr,
 			SSN:       rp.ssn,
 			Bitmap:    rp.bitmap,
 			Overheard: rp.toward != rx,
