@@ -1,13 +1,15 @@
 # Tier-1 gate: everything `make check` runs must pass before a change
 # lands. `race` covers the concurrency-bearing packages (the fleet worker
 # pool, the parallel experiment registry, shared trace recorders, and the
-# stats merging they feed).
+# stats merging they feed) and the protocol cores the live tier runs on
+# wall-clock goroutines (controller, AP, switch, codec, selector, metrics).
 
 GO ?= go
 
 RACE_PKGS = ./internal/fleet ./internal/eval ./internal/trace ./internal/stats \
 	./internal/runtime ./internal/backhaul/udp ./internal/live ./internal/federation \
-	./internal/urban ./internal/core
+	./internal/urban ./internal/core ./internal/controller ./internal/ap \
+	./internal/backhaul ./internal/packet ./internal/selector ./internal/metrics
 
 .PHONY: check vet lint build test golden-quick golden race cli-smoke live-smoke federation-smoke fuzz-smoke docs-check metro-scale unreached loc bench
 

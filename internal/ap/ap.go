@@ -496,10 +496,8 @@ func (a *AP) handleStop(m *packet.Stop) {
 
 func (a *AP) sendStart(m *packet.Stop, k uint16) {
 	start := &packet.Start{Client: m.Client, Index: k, SwitchID: m.SwitchID}
-	if err := a.bh.Send(a.cfg.IP, m.NextAP, start); err != nil {
-		// Unknown next AP: nothing to do; the controller's timeout fires.
-		return
-	}
+	// An unknown next AP is nothing to act on: the controller's timeout fires.
+	_ = a.bh.Send(a.cfg.IP, m.NextAP, start)
 }
 
 // handleStart is step (3) at the new AP: jump the cyclic-queue cursor to k,

@@ -250,9 +250,7 @@ func (a *AP) OnBlockAck(ev *mac.BAEvent) {
 		SSN:    ev.SSN,
 		Bitmap: ev.Bitmap,
 	}
-	for _, peer := range a.peers {
-		_ = a.bh.Send(a.cfg.IP, peer, fwd)
-	}
+	a.bh.SendMany(a.cfg.IP, a.peers, fwd)
 }
 
 // reportCSI quantizes and ships a CSI measurement to the controller.

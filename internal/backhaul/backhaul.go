@@ -76,12 +76,14 @@ type Switch struct {
 	dropped uint64
 	bytes   uint64
 
-	// encScratch is SendMany's reusable encode buffer; the switch runs on
-	// the single simulation goroutine, so one buffer serves every send.
+	// encScratch is the reusable encode buffer and unicast the reusable
+	// one-target list of a Send; the switch runs on the single simulation
+	// goroutine, so one of each serves every send.
 	encScratch []byte
-	// dfree pools manyDelivery batches so a steady-state fan-out schedules
-	// its combined delivery event without allocating.
-	dfree []*manyDelivery
+	unicast    [1]packet.IPv4Addr
+	// dfree pools delivery events so a steady-state send schedules its
+	// delivery without allocating.
+	dfree []*delivery
 }
 
 // NewSwitch creates a switch with the given one-way delivery latency.
@@ -105,113 +107,111 @@ func (s *Switch) Attach(addr packet.IPv4Addr, n Node) {
 // Send delivers msg to the node at to after the switch latency. Sending to
 // an unattached address returns an error — it is always an assembly bug.
 func (s *Switch) Send(from, to packet.IPv4Addr, msg packet.Message) error {
-	node, ok := s.nodes[to]
-	if !ok {
+	if _, ok := s.nodes[to]; !ok {
 		return fmt.Errorf("backhaul: no node at %v", to)
 	}
-	if s.Drop != nil && s.Drop(to, msg) {
-		s.dropped++
-		return nil
-	}
-	// The envelope is 3 bytes plus the payload's WireSize, which packet's
-	// codec tests pin to the encoder's actual output.
-	s.bytes += uint64(3 + msg.WireSize())
-	deliver, err := packet.Decode(packet.Encode(msg))
-	if err != nil {
-		return fmt.Errorf("backhaul: wire round-trip of %v failed: %w", msg.Type(), err)
-	}
-	s.sent++
-	lat := s.latency
-	if s.Delay != nil {
-		if d := s.Delay(to, msg); d > 0 {
-			lat += d
-		}
-	}
-	s.eng.After(lat, func() { node.HandleBackhaul(from, deliver) })
-	return nil
+	s.unicast[0] = to
+	return s.send(from, s.unicast[:], msg)
 }
 
-// manyDelivery is one pooled fan-out delivery batch: the N same-instant
-// per-target delivery events a Send loop would have scheduled, collapsed
-// into a single engine event that walks the targets in the same order. The
-// engine delivers same-time events FIFO and SendMany schedules nothing in
-// between, so the per-node delivery sequence is identical to the loop's.
-type manyDelivery struct {
+// SendMany implements Fabric: Send to every attached target, in slice
+// order, off one encoding of msg. A message the codec rejects reaches
+// nobody, as the Send loop whose errors a fan-out ignores would have it.
+func (s *Switch) SendMany(from packet.IPv4Addr, tos []packet.IPv4Addr, msg packet.Message) {
+	_ = s.send(from, tos, msg)
+}
+
+// delivery is one pooled delivery event: the decoded copy of a message and
+// the nodes it reaches at one instant, walked in target order. The engine
+// delivers same-time events FIFO and send schedules nothing in between, so
+// the per-node delivery sequence is that of one event per target.
+type delivery struct {
 	sw    *Switch
 	from  packet.IPv4Addr
 	msg   packet.Message
 	nodes []Node
 	// run is the pre-bound method value handed to the engine, allocated
-	// once per pooled batch instead of once per send.
+	// once per pooled delivery instead of once per send.
 	run func()
 }
 
-func (d *manyDelivery) fire() {
+func (d *delivery) fire() {
 	for _, n := range d.nodes {
 		n.HandleBackhaul(d.from, d.msg)
 	}
 	d.recycle()
 }
 
-func (d *manyDelivery) recycle() {
+func (d *delivery) recycle() {
 	d.msg = nil
 	d.nodes = d.nodes[:0]
 	d.sw.dfree = append(d.sw.dfree, d)
 }
 
-func (s *Switch) getDelivery() *manyDelivery {
+func (s *Switch) getDelivery(from packet.IPv4Addr, msg packet.Message) *delivery {
+	var d *delivery
 	if n := len(s.dfree); n > 0 {
-		d := s.dfree[n-1]
+		d = s.dfree[n-1]
 		s.dfree = s.dfree[:n-1]
-		return d
+	} else {
+		d = &delivery{sw: s}
+		d.run = d.fire
 	}
-	d := &manyDelivery{sw: s}
-	d.run = d.fire
+	d.from, d.msg = from, msg
 	return d
 }
 
-// SendMany implements Fabric: encode msg once, deliver the decoded copy to
-// every attached target in slice order. Per-target accounting matches the
-// equivalent Send loop — unattached targets are skipped, bytes and sent
-// count per attached copy — and delivering the decoded copy is what lets
-// callers reuse msg immediately (the non-retention contract).
-//
-// With a Drop or Delay hook installed SendMany falls back to the per-target
-// Send loop: the hooks consult their RNG once per (target, message) in
-// target order, and a fault-injected run's draw sequence — and with it its
-// byte-identical replay — must not depend on which send path the caller
-// picked.
-func (s *Switch) SendMany(from packet.IPv4Addr, tos []packet.IPv4Addr, msg packet.Message) {
+// send is the one delivery path: encode msg once into the scratch buffer,
+// decode it once, and hand the decoded copy to every attached target —
+// which is what lets callers reuse msg immediately (the non-retention
+// contract). Unattached targets are skipped; bytes and sent count per
+// delivered copy. The Drop and Delay hooks are consulted once per (target,
+// message) in target order, so a fault-injected run's RNG draw sequence does
+// not depend on how the caller grouped its sends. Undelayed copies share one
+// engine event; a delayed copy gets its own, scheduled in target order.
+func (s *Switch) send(from packet.IPv4Addr, tos []packet.IPv4Addr, msg packet.Message) error {
 	s.encScratch = packet.EncodeInto(s.encScratch[:0], msg)
 	decoded, err := packet.Decode(s.encScratch)
 	if err != nil {
-		// Unencodable message: nothing deliverable (the codec tests make
-		// this unreachable for every real message type).
-		return
+		// The codec tests make this unreachable for every real message type.
+		return fmt.Errorf("backhaul: wire round-trip of %v failed: %w", msg.Type(), err)
 	}
-	if s.Drop != nil || s.Delay != nil {
-		for _, to := range tos {
-			_ = s.Send(from, to, decoded)
-		}
-		return
-	}
-	d := s.getDelivery()
+	// The envelope is 3 bytes plus the payload's WireSize, which packet's
+	// codec tests pin to the encoder's actual output.
 	size := uint64(3 + msg.WireSize())
+	hooked := s.Drop != nil || s.Delay != nil
+	d := s.getDelivery(from, decoded)
 	for _, to := range tos {
 		node, ok := s.nodes[to]
 		if !ok {
 			continue
 		}
+		var extra sim.Time
+		if hooked {
+			if s.Drop != nil && s.Drop(to, msg) {
+				s.dropped++
+				continue
+			}
+			if s.Delay != nil {
+				extra = s.Delay(to, msg)
+			}
+		}
 		s.bytes += size
 		s.sent++
+		if extra > 0 {
+			late := s.getDelivery(from, decoded)
+			late.nodes = append(late.nodes, node)
+			s.eng.After(s.latency+extra, late.run)
+			continue
+		}
 		d.nodes = append(d.nodes, node)
 	}
 	if len(d.nodes) == 0 {
 		d.recycle()
-		return
+		return nil
 	}
-	d.from, d.msg = from, decoded
 	s.eng.After(s.latency, d.run)
+	return nil
 }
 
 // Stats reports the number of delivered and dropped messages and the total

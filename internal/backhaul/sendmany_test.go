@@ -2,6 +2,7 @@ package backhaul
 
 import (
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"wgtt/internal/packet"
@@ -98,22 +99,46 @@ func TestSendManyNonRetention(t *testing.T) {
 	}
 }
 
-// With a Drop hook installed, SendMany must consume exactly the same RNG
-// draw sequence as the Send loop, so chaos runs replay byte-identically
-// whichever path the caller used.
+// Send and SendMany are one path: under a Drop hook that draws from an RNG
+// and a Delay hook that slows some targets, N Sends and one SendMany of the
+// same N targets consult the hooks for the same (hook, target) sequence and
+// deliver the same (time, node, message) sequence — so a chaos run replays
+// byte-identically however its senders group their sends.
 func TestSendManyDropHookDeterminism(t *testing.T) {
-	run := func(useMany bool) (delivered int, next float64) {
+	type call struct {
+		hook string
+		to   packet.IPv4Addr
+	}
+	type arrival struct {
+		at    sim.Time
+		node  int
+		index uint16
+	}
+	run := func(useMany bool) (calls []call, got []arrival, dropped uint64) {
 		eng := sim.NewEngine()
 		sw := NewSwitch(eng, 200*sim.Microsecond)
 		rnd := rand.New(rand.NewPCG(42, 1))
-		sw.Drop = DropTypes(0.5, rnd, packet.MsgDownData)
-		nodes := make([]*recNode, 3)
+		sw.Drop = func(to packet.IPv4Addr, _ packet.Message) bool {
+			calls = append(calls, call{"drop", to})
+			return rnd.Float64() < 0.3
+		}
+		sw.Delay = func(to packet.IPv4Addr, _ packet.Message) sim.Time {
+			calls = append(calls, call{"delay", to})
+			// Targets 1 and 3 sit behind a slow link; 3's extra lands its
+			// copy on the instant the next round's undelayed copies arrive.
+			return map[packet.IPv4Addr]sim.Time{
+				packet.APIP(1): 70 * sim.Microsecond, packet.APIP(3): 100 * sim.Microsecond,
+			}[to]
+		}
 		var tos []packet.IPv4Addr
-		for i := range nodes {
-			nodes[i] = &recNode{}
-			sw.Attach(packet.APIP(i), nodes[i])
+		for i := 0; i < 4; i++ {
+			i := i
+			sw.Attach(packet.APIP(i), NodeFunc(func(_ packet.IPv4Addr, m packet.Message) {
+				got = append(got, arrival{eng.Now(), i, m.(*packet.DownData).Pkt.Index})
+			}))
 			tos = append(tos, packet.APIP(i))
 		}
+		tos = append(tos, packet.APIP(9)) // unattached: skipped, no hook call
 		for round := uint16(0); round < 20; round++ {
 			if useMany {
 				sw.SendMany(packet.ControllerIP, tos, downMsg(round))
@@ -122,21 +147,41 @@ func TestSendManyDropHookDeterminism(t *testing.T) {
 					_ = sw.Send(packet.ControllerIP, to, downMsg(round))
 				}
 			}
+			eng.RunUntil(eng.Now() + 100*sim.Microsecond)
 		}
 		eng.Run()
-		for _, n := range nodes {
-			delivered += len(n.msgs)
-		}
-		return delivered, rnd.Float64()
+		_, dropped, _ = sw.Stats()
+		return calls, got, dropped
 	}
-	dLoop, rLoop := run(false)
-	dMany, rMany := run(true)
-	if dLoop != dMany || rLoop != rMany {
-		t.Fatalf("drop-hook divergence: loop delivered %d (next draw %v), many delivered %d (next draw %v)",
-			dLoop, rLoop, dMany, rMany)
+	cLoop, gLoop, dLoop := run(false)
+	cMany, gMany, dMany := run(true)
+	if !reflect.DeepEqual(cLoop, cMany) {
+		t.Errorf("hook calls diverge:\nloop %v\nmany %v", cLoop, cMany)
 	}
-	if dLoop == 60 || dLoop == 0 {
-		t.Fatalf("drop hook inert: delivered %d of 60", dLoop)
+	if !reflect.DeepEqual(gLoop, gMany) {
+		t.Errorf("deliveries diverge:\nloop %v\nmany %v", gLoop, gMany)
+	}
+	if dLoop != dMany || dLoop == 0 || len(gLoop) == 0 || len(gLoop)+int(dLoop) != 80 {
+		t.Errorf("drops: loop %d, many %d; %d delivered of 80", dLoop, dMany, len(gLoop))
+	}
+}
+
+// A steady-state Send allocates what a one-target SendMany does — the
+// decoded copy alone: no encode buffer, no closure, no event.
+func TestSendAllocatesOnlyTheDecodedCopy(t *testing.T) {
+	eng := sim.NewEngine()
+	sw := NewSwitch(eng, 200*sim.Microsecond)
+	sw.Attach(packet.APIP(0), NodeFunc(func(packet.IPv4Addr, packet.Message) {}))
+	msg := downMsg(1)
+	send := func() {
+		_ = sw.Send(packet.ControllerIP, packet.APIP(0), msg)
+		eng.Run() // drain so the delivery recycles
+	}
+	for i := 0; i < 4; i++ {
+		send()
+	}
+	if got := testing.AllocsPerRun(100, send); got > 2 {
+		t.Fatalf("Send steady state allocates %.1f/op, want <= 2 (the decoded DownData and its Packet)", got)
 	}
 }
 

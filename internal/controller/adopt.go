@@ -8,19 +8,19 @@ import (
 // hooks a federation domain uses to move a client between controller
 // instances with its volatile state intact. The controller itself stays
 // unaware of the handoff protocol — it only knows how to export a client's
-// state bundle, install one, and hold its selection rule off a client while
-// someone else drives the switch.
+// state bundle, install one, pull an installed client off the peer's AP
+// (PullFrom, controller.go), and hold its selection rule off a client the
+// owner has offered away.
 
 // AdoptClient installs a client handed over from a peer controller. Unlike
 // RegisterClient it resumes the peer's 12-bit downlink index cursor and
 // uplink de-duplication window instead of starting cold — downlink indices
 // stay continuous across the domain boundary, and packets heard by both
-// domains around the handoff are still suppressed exactly once. The client
-// enters frozen (selection held off) until SetFrozen lifts it; the adopting
-// domain unfreezes when its cross-domain stop→start→ack completes.
-// Adoption also starts a hysteresis dwell, so the new domain does not
-// immediately bounce the client back. A client already present is left
-// untouched (duplicate commit).
+// domains around the handoff are still suppressed exactly once. Adoption
+// starts a hysteresis dwell, so the new domain does not immediately bounce
+// the client back; a federation adopter follows it with PullFrom, whose op
+// holds the selection rule off until the client has physically moved. A
+// client already present is left untouched (duplicate commit).
 func (c *Controller) AdoptClient(mac packet.MACAddr, ip packet.IPv4Addr, servingAP int,
 	nextIndex uint16, dedup []packet.DedupKey) {
 	if _, ok := c.clients[mac]; ok {
@@ -38,17 +38,18 @@ func (c *Controller) AdoptClient(mac packet.MACAddr, ip packet.IPv4Addr, serving
 		c.dedupEntries++
 	}
 	c.met.dedupSize.Set(float64(c.dedupEntries))
-	cl.frozen = true
 	cl.lastSwitch = c.clk.Now()
 }
 
 // ReleaseClient removes a client handed off to a peer controller, dropping
-// its soft state and cancelling any in-flight switch. Reports whether the
-// client was present.
-func (c *Controller) ReleaseClient(mac packet.MACAddr) bool {
+// its soft state and cancelling any in-flight switch. It returns what the
+// peer's AdoptClient resumes from — the next downlink index and the last
+// maxDedup uplink dedup keys, oldest first — and whether the client was
+// present.
+func (c *Controller) ReleaseClient(mac packet.MACAddr, maxDedup int) (nextIndex uint16, dedup []packet.DedupKey, ok bool) {
 	cl := c.clients[mac]
 	if cl == nil {
-		return false
+		return 0, nil, false
 	}
 	if cl.op != nil {
 		cl.op.timer.Stop()
@@ -64,12 +65,17 @@ func (c *Controller) ReleaseClient(mac packet.MACAddr) bool {
 			break
 		}
 	}
-	return true
+	dedup = cl.dedupFIFO
+	if len(dedup) > maxDedup {
+		dedup = dedup[len(dedup)-maxDedup:]
+	}
+	return cl.nextIndex, dedup, true
 }
 
 // SetFrozen holds the selection rule off a client (true) or lifts the hold
-// (false). While frozen the controller still ingests CSI, serves downlink,
-// and de-duplicates uplink — it just never initiates a switch.
+// (false) — the owner's side of an outstanding handoff offer. While frozen
+// the controller still ingests CSI, serves downlink, and de-duplicates
+// uplink — it just never initiates a switch.
 func (c *Controller) SetFrozen(mac packet.MACAddr, frozen bool) {
 	if cl := c.clients[mac]; cl != nil {
 		cl.frozen = frozen
@@ -82,31 +88,6 @@ func (c *Controller) SetFrozen(mac packet.MACAddr, frozen bool) {
 func (c *Controller) InFlightSwitch(mac packet.MACAddr) bool {
 	cl := c.clients[mac]
 	return cl != nil && cl.op != nil
-}
-
-// NextDownIndex returns the client's next downlink index — the cursor a
-// handoff commit carries so the adopter continues the sequence.
-func (c *Controller) NextDownIndex(mac packet.MACAddr) uint16 {
-	if cl := c.clients[mac]; cl != nil {
-		return cl.nextIndex
-	}
-	return 0
-}
-
-// DedupWindow returns up to max of the client's most recent uplink dedup
-// keys, oldest first — the bounded window a handoff commit carries.
-func (c *Controller) DedupWindow(mac packet.MACAddr, max int) []packet.DedupKey {
-	cl := c.clients[mac]
-	if cl == nil || max <= 0 {
-		return nil
-	}
-	fifo := cl.dedupFIFO
-	if len(fifo) > max {
-		fifo = fifo[len(fifo)-max:]
-	}
-	out := make([]packet.DedupKey, len(fifo))
-	copy(out, fifo)
-	return out
 }
 
 // SeedESNR pushes one synthetic reading into the selector's (client, AP)

@@ -5,7 +5,7 @@
 // timeout and single-outstanding-switch constraint, downlink fan-out into
 // every nearby AP's cyclic queue, and uplink de-duplication keyed by
 // (source IP, IP ID). The controller keeps the scheduling gates — one
-// switch in flight per client, frozen during federation handoffs, the
+// switch in flight per client, frozen while offered to a peer domain, the
 // Fig. 22 hysteresis dwell — and delegates the what-AP question to the
 // configured selector.Selector.
 package controller
@@ -120,6 +120,12 @@ func DefaultConfig() Config {
 
 // switchTimeout is the §3.1.2 stop-packet retransmission timeout.
 const switchTimeout = 30 * sim.Millisecond
+
+// pullStopBudget bounds the stops a pull (PullFrom) sends toward the peer
+// controller's AP before the switch is forced: that AP's health is the
+// peer's to monitor, so silence through the budget is all this controller
+// will ever learn of its death (DESIGN.md §13).
+const pullStopBudget = 8
 
 // APInfo describes one AP the controller commands.
 type APInfo struct {
@@ -271,14 +277,21 @@ func (c *Controller) UseMetrics(r *metrics.Registry) {
 
 // switchOp is the single in-flight handover of one client.
 type switchOp struct {
-	id       uint32
+	id uint32
+	// from is -1 when the client is being pulled off an AP of the peer
+	// controller it was just adopted from; stopAddr is where stop(c) goes —
+	// the from-AP's address, or that foreign AP's (zero: nobody can name it).
 	from, to int
+	stopAddr packet.IPv4Addr
 	sentAt   sim.Time
 	attempts int
 	timer    runtime.Timer
-	// forced marks a failover op driven by direct starts instead of the
-	// stop→start handshake (the from-AP is dead and would never answer).
+	// forced marks an op driven by direct starts instead of the stop→start
+	// handshake (the old AP is dead, or silent, and would never answer).
 	forced bool
+	// done, when set, receives the completed switch in place of this
+	// controller's own ledger (Stats, History, OnSwitch, the dwell clock).
+	done func(SwitchRecord)
 	// recoveryID links the op to the recovery span of the AP-death
 	// incident that forced it (0 when not a failover).
 	recoveryID uint32
@@ -306,9 +319,9 @@ type clientCtl struct {
 	lastSwitch sim.Time
 	op         *switchOp
 
-	// frozen holds the selection rule off this client while a cross-domain
-	// handoff is in flight: the federation layer drives the stop→start→ack
-	// itself and must not race a locally-initiated switch (DESIGN.md §13).
+	// frozen holds the selection rule off this client while the federation
+	// layer has a handoff offer for it outstanding: a client about to be
+	// released must not start a switch (DESIGN.md §13).
 	frozen bool
 
 	nextIndex uint16
@@ -500,15 +513,15 @@ func (c *Controller) handleCSI(m *packet.CSIReport) {
 }
 
 // evaluate runs the selection policy and §3.1.2 switching protocol. The
-// scheduling gates — one outstanding switch, frozen during federation
-// handoffs, the Fig. 22 hysteresis dwell — stay here; what the ESNR
+// scheduling gates — one outstanding switch, frozen while offered to a peer
+// domain, the Fig. 22 hysteresis dwell — stay here; what the ESNR
 // evidence says is the selector's question (DESIGN.md §15).
 func (c *Controller) evaluate(cl *clientCtl) {
 	if cl.op != nil {
 		return // one outstanding switch at a time
 	}
 	if cl.frozen {
-		return // a cross-domain handoff owns this client's switching
+		return // offered to a peer domain: no switch until that resolves
 	}
 	now := c.clk.Now()
 	dwell := now-cl.lastSwitch < c.cfg.Hysteresis
@@ -555,33 +568,77 @@ func (c *Controller) initiateSwitch(cl *clientCtl, d selector.Decision) {
 		return
 	}
 	c.switchSeq++
-	op := &switchOp{id: c.switchSeq, from: cl.serving, to: d.Target, sentAt: c.clk.Now()}
+	op := &switchOp{
+		id: c.switchSeq, from: cl.serving, to: d.Target,
+		stopAddr: c.aps[cl.serving].IP, sentAt: c.clk.Now(),
+	}
 	cl.op = op
 	c.Stats.SwitchesStarted++
 	if c.met.spans != nil {
 		c.met.spans.Begin(op.id, int64(op.sentAt), cl.mac.String(),
 			op.from, op.to, d.Cause, d.FromMetric, d.ToMetric)
 	}
-	c.sendStop(cl, op)
+	c.transmit(cl, op)
 }
 
-func (c *Controller) sendStop(cl *clientCtl, op *switchOp) {
+// PullFrom drives the §3.1.2 handshake that physically moves a just-adopted
+// client (AdoptClient) onto its serving AP here: stop(c) goes to oldAP, an
+// AP of the peer controller the client came from, whose start(c, k) hands
+// the cursor to our AP. An old AP that stays silent through pullStopBudget
+// stops, or a zero oldAP, is forced like a dead one. id is the switch ID
+// (the handoff's, so spans and APs correlate); done receives the completed
+// switch, which stays off this controller's own ledger.
+func (c *Controller) PullFrom(mac packet.MACAddr, oldAP packet.IPv4Addr, id uint32, done func(SwitchRecord)) {
+	cl := c.clients[mac]
+	if cl == nil || cl.op != nil {
+		return
+	}
+	cl.op = &switchOp{id: id, from: -1, to: cl.serving, stopAddr: oldAP, sentAt: c.clk.Now(), done: done}
+	c.transmit(cl, cl.op)
+}
+
+// transmit is the one §3.1.2 driver: it sends the op's next message —
+// stop(c) to the old AP while the op is cooperative, start(c, k) straight to
+// the target once forced — and re-arms the 30 ms timeout that sends it again.
+// A forced start carries k = the controller's own next index: the old AP's
+// cursor is unknowable (that is the no-ack case), so the stream resumes at
+// its head and cedes the old AP's unsent backlog to transport retransmission.
+func (c *Controller) transmit(cl *clientCtl, op *switchOp) {
+	if op.from < 0 && (op.stopAddr.IsZero() || op.attempts >= pullStopBudget) {
+		op.forced = true
+	}
 	op.attempts++
-	stop := &packet.Stop{Client: cl.mac, NextAP: c.aps[op.to].IP, SwitchID: op.id}
-	_ = c.bh.Send(c.addr, c.aps[op.from].IP, stop)
+	if op.forced {
+		start := &packet.Start{Client: cl.mac, Index: cl.nextIndex, SwitchID: op.id}
+		_ = c.bh.Send(c.addr, c.aps[op.to].IP, start)
+	} else {
+		stop := &packet.Stop{Client: cl.mac, NextAP: c.aps[op.to].IP, SwitchID: op.id}
+		_ = c.bh.Send(c.addr, op.stopAddr, stop)
+	}
 	op.timer = c.clk.After(switchTimeout, func() {
-		if cl.op == op {
-			c.Stats.StopRetransmits++
-			c.met.spans.AddRetransmit(op.id)
-			c.sendStop(cl, op)
+		if cl.op != op {
+			return
 		}
+		c.met.spans.AddRetransmit(op.id)
+		if !op.forced {
+			c.Stats.StopRetransmits++
+		} else {
+			c.Stats.ForcedStartRetransmits++
+			if !c.apAlive(op.to) {
+				// The target died too: retarget from scratch.
+				c.forceSwitch(cl, op.recoveryID)
+				return
+			}
+		}
+		c.transmit(cl, op)
 	})
 }
 
-// handleSwitchAck completes the in-flight switch.
+// handleSwitchAck completes the in-flight switch. The ack must come from the
+// op's target AP, the one AP whose start handling it can report.
 func (c *Controller) handleSwitchAck(m *packet.SwitchAck) {
 	cl := c.clients[m.Client]
-	if cl == nil || cl.op == nil || cl.op.id != m.SwitchID {
+	if cl == nil || cl.op == nil || cl.op.id != m.SwitchID || m.AP != c.aps[cl.op.to].IP {
 		return
 	}
 	op := cl.op
@@ -589,22 +646,29 @@ func (c *Controller) handleSwitchAck(m *packet.SwitchAck) {
 	cl.op = nil
 	cl.serving = op.to
 	c.sel.SetServing(cl.mac, op.to)
-	cl.lastSwitch = c.clk.Now()
+	now := c.clk.Now()
 	rec := SwitchRecord{
-		At:       c.clk.Now(),
+		At:       now,
 		Client:   cl.mac,
 		From:     op.from,
 		To:       op.to,
-		Duration: c.clk.Now() - op.sentAt,
+		Duration: now - op.sentAt,
 		Attempts: op.attempts,
 		Forced:   op.forced,
 	}
-	c.Stats.SwitchesDone++
-	c.met.spans.End(op.id, int64(rec.At))
+	c.met.spans.End(op.id, int64(now))
 	if op.recoveryID != 0 {
 		// First rescued client's ack closes the incident's recovery span.
-		c.met.recoverySpans.End(op.recoveryID, int64(rec.At))
+		c.met.recoverySpans.End(op.recoveryID, int64(now))
 	}
+	if op.done != nil {
+		// A pulled client is already booked on its target AP and its dwell
+		// started at adoption; the switch is the puller's to record.
+		op.done(rec)
+		return
+	}
+	cl.lastSwitch = now
+	c.Stats.SwitchesDone++
 	c.History = append(c.History, rec)
 	if c.OnSwitch != nil {
 		c.OnSwitch(rec)

@@ -576,3 +576,101 @@ func TestControllerFailRecover(t *testing.T) {
 		t.Fatalf("recovery grace failed: %d deaths declared right after restart", h.ctl.Stats.APsMarkedDead-dead)
 	}
 }
+
+// --- PullFrom: the adopter's end of a cross-controller move (DESIGN.md §13) ---
+
+// pullHarness adopts one client at AP 1 after 50 ms and attaches a peer
+// controller's AP that hears stops and never answers them.
+func pullHarness(t *testing.T, cfg Config) (h *ctlHarness, client packet.MACAddr, foreign *fakeAP) {
+	h = newCtlHarness(t, 2, cfg)
+	foreign = &fakeAP{bh: h.bh, ip: packet.APIP(9)}
+	h.bh.Attach(foreign.ip, foreign)
+	h.eng.RunUntil(50 * sim.Millisecond)
+	client = packet.ClientMAC(1)
+	h.ctl.AdoptClient(client, packet.ClientIP(1), 1, 7, nil)
+	return h, client, foreign
+}
+
+// A pull whose old AP stays silent sends exactly pullStopBudget stops, then
+// starts the target directly at the adopted cursor and completes forced. An
+// ack from any AP but the target completes nothing, and the completed pull
+// is the caller's to book: one done call, nothing on the controller's ledger,
+// the dwell clock still at the adoption.
+func TestPullEscalatesAfterStopBudget(t *testing.T) {
+	h, client, foreign := pullHarness(t, DefaultConfig())
+	adoptedAt := h.eng.Now()
+	const id = 0x800001
+	var recs []SwitchRecord
+	h.ctl.PullFrom(client, foreign.ip, id, func(r SwitchRecord) { recs = append(recs, r) })
+
+	_ = h.bh.Send(packet.APIP(0), packet.ControllerIP, &packet.SwitchAck{Client: client, AP: packet.APIP(0), SwitchID: id})
+	h.eng.RunUntil(adoptedAt + pullStopBudget*switchTimeout - sim.Millisecond)
+	if !h.ctl.InFlightSwitch(client) || len(recs) != 0 {
+		t.Fatalf("an ack naming AP 0 completed a pull onto AP 1: %+v", recs)
+	}
+	if len(foreign.stops) != pullStopBudget || len(h.aps[1].starts) != 0 {
+		t.Fatalf("before the escalation: %d stops, %d starts, want %d and 0",
+			len(foreign.stops), len(h.aps[1].starts), pullStopBudget)
+	}
+	if s := foreign.stops[0]; s.NextAP != packet.APIP(1) || s.SwitchID != id {
+		t.Errorf("stop = %+v, want NextAP %v and the caller's switch id", s, packet.APIP(1))
+	}
+
+	h.eng.RunUntil(h.eng.Now() + 2*sim.Millisecond)
+	if len(foreign.stops) != pullStopBudget || len(h.aps[1].starts) != 1 || h.aps[1].starts[0].Index != 7 {
+		t.Fatalf("after the budget: %d stops, starts %+v, want one start at index 7", len(foreign.stops), h.aps[1].starts)
+	}
+	if len(recs) != 1 {
+		t.Fatalf("done called %d times, want 1", len(recs))
+	}
+	if r := recs[0]; !r.Forced || r.From != -1 || r.To != 1 || r.Attempts != pullStopBudget+1 || r.Duration <= 0 {
+		t.Errorf("record = %+v, want forced, -1 -> 1, %d attempts", r, pullStopBudget+1)
+	}
+	st := h.ctl.Stats
+	if st.SwitchesStarted != 0 || st.SwitchesDone != 0 || len(h.ctl.History) != 0 {
+		t.Errorf("the pull reached the controller's ledger: %+v, history %+v", st, h.ctl.History)
+	}
+	if got := h.ctl.clients[client].lastSwitch; got != adoptedAt {
+		t.Errorf("lastSwitch = %v, want the adoption instant %v", got, adoptedAt)
+	}
+	if h.ctl.InFlightSwitch(client) || h.ctl.ServingAP(client) != 1 {
+		t.Errorf("after the pull: in flight %v, serving %d", h.ctl.InFlightSwitch(client), h.ctl.ServingAP(client))
+	}
+	h.eng.RunUntil(h.eng.Now() + 100*sim.Millisecond)
+	if len(h.aps[1].starts) != 1 || len(recs) != 1 {
+		t.Errorf("the completed pull kept transmitting: %d starts, %d done calls", len(h.aps[1].starts), len(recs))
+	}
+}
+
+// An old AP nobody can name gets no stop: the pull opens with the start.
+func TestPullWithoutOldAPStartsDirectly(t *testing.T) {
+	h, client, foreign := pullHarness(t, DefaultConfig())
+	var recs []SwitchRecord
+	h.ctl.PullFrom(client, packet.IPv4Addr{}, 0x800001, func(r SwitchRecord) { recs = append(recs, r) })
+	h.eng.RunUntil(h.eng.Now() + sim.Millisecond)
+	if len(foreign.stops)+len(h.aps[0].stops)+len(h.aps[1].stops) != 0 {
+		t.Error("a stop was sent with no old AP to stop")
+	}
+	if len(h.aps[1].starts) != 1 || len(recs) != 1 || !recs[0].Forced || recs[0].Attempts != 1 {
+		t.Errorf("starts %+v, records %+v, want one direct start and one forced record", h.aps[1].starts, recs)
+	}
+}
+
+// A pull whose target AP dies is completed by the failover op that replaces
+// it: the client lands on an alive AP and the caller still hears done, once.
+func TestPullSurvivesTargetDeath(t *testing.T) {
+	h, client, foreign := pullHarness(t, DefaultConfig().WithHealth())
+	h.aps[1].dead = true
+	var recs []SwitchRecord
+	h.ctl.PullFrom(client, foreign.ip, 0x800001, func(r SwitchRecord) { recs = append(recs, r) })
+	h.eng.RunUntil(h.eng.Now() + 200*sim.Millisecond)
+	if h.ctl.Stats.APsMarkedDead != 1 || h.ctl.Stats.ForcedSwitches != 1 {
+		t.Fatalf("setup: stats = %+v, want AP 1 marked dead and one failover", h.ctl.Stats)
+	}
+	if len(recs) != 1 || recs[0].To != 0 || !recs[0].Forced {
+		t.Fatalf("records = %+v, want one forced completion on AP 0", recs)
+	}
+	if h.ctl.ServingAP(client) != 0 || h.ctl.InFlightSwitch(client) || len(h.ctl.History) != 0 {
+		t.Errorf("serving %d, in flight %v, history %+v", h.ctl.ServingAP(client), h.ctl.InFlightSwitch(client), h.ctl.History)
+	}
+}

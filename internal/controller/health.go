@@ -161,6 +161,7 @@ func (c *Controller) forceSwitch(cl *clientCtl, recoveryID uint32) {
 		}
 		return
 	}
+	var done func(SwitchRecord)
 	if op := cl.op; op != nil {
 		if op.to == to {
 			// Overlapping-switch guard: a handshake toward this AP is
@@ -172,20 +173,22 @@ func (c *Controller) forceSwitch(cl *clientCtl, recoveryID uint32) {
 				op.timer.Stop()
 				c.Stats.ForcedSwitches++
 				c.met.recoverySpans.MarkStartHandled(recoveryID, int64(c.clk.Now()))
-				c.sendForcedStart(cl, op)
+				c.transmit(cl, op)
 			}
 			return
 		}
 		// The in-flight op's target is unusable (it died): abandon it and
-		// open a fresh forced op toward the new pick.
+		// open a fresh forced op toward the new pick, which completes a
+		// pull in the abandoned one's place.
 		op.timer.Stop()
 		cl.op = nil
+		done = op.done
 	}
 	c.switchSeq++
 	now := c.clk.Now()
 	op := &switchOp{
 		id: c.switchSeq, from: cl.serving, to: to,
-		sentAt: now, forced: true, recoveryID: recoveryID,
+		sentAt: now, forced: true, recoveryID: recoveryID, done: done,
 	}
 	cl.op = op
 	c.Stats.SwitchesStarted++
@@ -196,31 +199,7 @@ func (c *Controller) forceSwitch(cl *clientCtl, recoveryID uint32) {
 			op.from, op.to, metrics.CauseFailover, 0, toMed)
 	}
 	c.met.recoverySpans.MarkStartHandled(recoveryID, int64(now))
-	c.sendForcedStart(cl, op)
-}
-
-// sendForcedStart sends start(c, k) straight to the failover target, with
-// k = the controller's own next index: the dead AP's cursor is unknowable
-// (that is the no-ack case), so recovery resumes at the head of the stream
-// and cedes the dead AP's unsent backlog to transport retransmission.
-func (c *Controller) sendForcedStart(cl *clientCtl, op *switchOp) {
-	op.attempts++
-	start := &packet.Start{Client: cl.mac, Index: cl.nextIndex, SwitchID: op.id}
-	_ = c.bh.Send(c.addr, c.aps[op.to].IP, start)
-	op.timer = c.clk.After(switchTimeout, func() {
-		if cl.op != op {
-			return
-		}
-		c.Stats.ForcedStartRetransmits++
-		c.met.spans.AddRetransmit(op.id)
-		if !c.apAlive(op.to) {
-			// The failover target died too: retarget from scratch.
-			cl.op = nil
-			c.forceSwitch(cl, op.recoveryID)
-			return
-		}
-		c.sendForcedStart(cl, op)
-	})
+	c.transmit(cl, op)
 }
 
 // Fail models a controller crash (chaos injection): the controller stops

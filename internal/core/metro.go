@@ -43,8 +43,6 @@ func (n *Network) ExportCellHandoff(clientID int, handoffID uint32) (*packet.Dom
 		Client:    mac,
 		ClientIP:  ip,
 		ServingAP: n.APs[serving].Config().IP,
-		NextIndex: n.Ctl.NextDownIndex(mac),
-		DedupKeys: n.Ctl.DedupWindow(mac, packet.MaxHandoffDedupKeys),
 	}
 	if med, ok := n.Ctl.MedianESNR(mac, serving); ok {
 		commit.Evidence = []packet.APESNR{{
@@ -53,7 +51,7 @@ func (n *Network) ExportCellHandoff(clientID int, handoffID uint32) (*packet.Dom
 		}}
 	}
 	cl.StopKeepalive()
-	n.Ctl.ReleaseClient(mac)
+	commit.NextIndex, commit.DedupKeys, _ = n.Ctl.ReleaseClient(mac, packet.MaxHandoffDedupKeys)
 	n.associate(cl, -1)
 	return commit, nil
 }
@@ -62,9 +60,9 @@ func (n *Network) ExportCellHandoff(clientID int, handoffID uint32) (*packet.Dom
 // controller adopts it at entryAP with the carried index cursor and dedup
 // window, the exporter's serving-AP evidence is re-seeded onto entryAP (the
 // best prior the new cell has — its own APs have never heard this client),
-// the AP-side serving flag moves to entryAP, and keepalives start. The
-// client is unfrozen immediately: the admission happens at an epoch barrier,
-// not mid-handshake, so there is no in-flight stop→start to protect.
+// the AP-side serving flag moves to entryAP, and keepalives start. No pull
+// follows: the admission happens at an epoch barrier, not mid-handshake, so
+// there is no old AP to stop.
 func (n *Network) AdmitCellHandoff(clientID, entryAP int, commit *packet.DomainHandoffCommit) error {
 	if n.Ctl == nil {
 		return fmt.Errorf("core: cell handoff admission needs a single-controller WGTT cell")
@@ -102,7 +100,6 @@ func (n *Network) admitClient(cl *client.Client, serving int, commit *packet.Dom
 		for _, ev := range commit.Evidence {
 			n.Ctl.SeedESNR(mac, serving, federation.DequantizeEvidenceDB(ev.MedianQ))
 		}
-		n.Ctl.SetFrozen(mac, false)
 		// The entry AP serves from the adopted index cursor, not from
 		// whatever ring state a previous stint of this client left behind:
 		// without the alignment, a former fan-out member re-appointed as

@@ -412,8 +412,7 @@ func Build(s Scenario) (*Network, error) {
 		}
 		if n.Fed != nil {
 			// Domains already re-address their records to global AP ids —
-			// both inner switches and the cross-domain ones the federation
-			// layer drives itself.
+			// both inner switches and the cross-domain pulls.
 			for _, d := range n.Fed.Domains {
 				d.OnSwitch = emit
 			}

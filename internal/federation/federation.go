@@ -7,15 +7,16 @@
 // evidence crosses into a neighboring domain, the owning controller exports
 // the client's volatile state — 12-bit downlink index cursor, uplink dedup
 // window, current association, ESNR history — over the backhaul via the
-// DomainHandoffOffer/Accept/Commit wire messages, and the adopting
-// controller resumes the stop→start→ack protocol itself, pulling the client
-// onto its own AP without a re-association gap.
+// DomainHandoffOffer/Accept/Commit wire messages, and the adopting domain's
+// controller runs the stop→start→ack protocol against the old domain's AP,
+// pulling the client onto its own AP without a re-association gap.
 //
 // A Domain wraps a controller.Controller: it attaches itself at the
 // domain's backhaul address (packet.DomainControllerIP) in the controller's
 // place, intercepts federation traffic, and forwards everything else to the
 // inner controller. The inner controller is unaware of the tier — it only
-// exposes adopt/release/freeze hooks. Like every protocol core in this
+// exposes adopt/release/pull/freeze hooks, and it alone sends stop and start
+// and hears the ack. Like every protocol core in this
 // repo, a Domain is clock- and transport-agnostic (DESIGN.md §12): the same
 // code runs deterministically on runtime.Virtual over the in-memory switch
 // and on wall clocks over real UDP sockets between OS processes.
@@ -53,25 +54,16 @@ type Config struct {
 	// applied on both sides of the boundary, so a freshly adopted client is
 	// not immediately bounced back.
 	Hysteresis sim.Time
-
-	// SwitchTimeout paces the adopter's cross-domain stop retransmission.
-	SwitchTimeout sim.Time
-	// MaxStopRetries bounds stops toward the old domain's AP before the
-	// adopter escalates to a direct start (the old AP is unreachable — the
-	// same no-cooperation fallback as DESIGN.md §11 failover).
-	MaxStopRetries int
 }
 
 // DefaultConfig returns the standard federation operating point. Callers
 // start from it and override fields; a zero Config is not usable.
 func DefaultConfig() Config {
 	return Config{
-		Controller:     controller.DefaultConfig(),
-		Window:         10 * sim.Millisecond,
-		MarginDB:       3,
-		Hysteresis:     250 * sim.Millisecond,
-		SwitchTimeout:  30 * sim.Millisecond,
-		MaxStopRetries: 8,
+		Controller: controller.DefaultConfig(),
+		Window:     10 * sim.Millisecond,
+		MarginDB:   3,
+		Hysteresis: 250 * sim.Millisecond,
 	}
 }
 
@@ -88,10 +80,12 @@ const (
 	// offerTimeout bounds the offer→accept wait; expiry aborts the handoff
 	// and the client stays with its owner.
 	offerTimeout = 30 * sim.Millisecond
-	// commitTimeout paces commit retransmission until the adopter's
-	// ownership announcement echoes back; maxCommitRetries bounds it.
-	commitTimeout    = 30 * sim.Millisecond
-	maxCommitRetries = 8
+	// commitTimeout paces commit retransmission, which only the adopter's
+	// ownership announcement echoing back (or Fail) ends.
+	commitTimeout = 30 * sim.Millisecond
+	// acceptHold is how long an accepted offer stays pre-staged waiting for
+	// its commit; if none ever lands (the offerer died), it is dropped.
+	acceptHold = 300 * sim.Millisecond
 )
 
 // APAssignment places one AP of the city in a domain. The city table —
@@ -114,7 +108,6 @@ type Stats struct {
 	Aborts            uint64 // handoffs abandoned (timeout, rejection, crash)
 	CrossSwitches     uint64 // completed cross-domain stop→start→acks
 	ForcedStarts      uint64 // cross-domain switches escalated to direct start
-	StopRetransmits   uint64
 	CommitRetransmits uint64
 	CSIRelays         uint64 // foreign-owned CSI reports relayed to their owner
 	UplinkRelays      uint64 // foreign-owned uplink relayed to their owner
@@ -150,7 +143,6 @@ func (s *Stats) Add(o Stats) {
 	s.Aborts += o.Aborts
 	s.CrossSwitches += o.CrossSwitches
 	s.ForcedStarts += o.ForcedStarts
-	s.StopRetransmits += o.StopRetransmits
 	s.CommitRetransmits += o.CommitRetransmits
 	s.CSIRelays += o.CSIRelays
 	s.UplinkRelays += o.UplinkRelays
@@ -202,29 +194,20 @@ type outHandoff struct {
 
 // release is a committed transfer awaiting the adopter's announcement echo.
 type release struct {
-	id      uint32
-	mac     packet.MACAddr
-	peer    int
-	commit  *packet.DomainHandoffCommit
-	retries int
-	timer   runtime.Timer
+	id     uint32
+	mac    packet.MACAddr
+	peer   int
+	commit *packet.DomainHandoffCommit
+	timer  runtime.Timer
 }
 
-// adoption is one incoming handoff: accepted (awaiting commit) or adopted
-// (driving the cross-domain switch).
+// adoption is one incoming handoff, accepted and awaiting its commit.
 type adoption struct {
-	id          uint32
-	client      packet.MACAddr
-	ip          packet.IPv4Addr
-	fromDomain  int
-	oldAP       packet.IPv4Addr // foreign AP to stop
-	target      packet.IPv4Addr // local AP taking over
-	targetLocal int
-	adopted     bool
-	forced      bool
-	stopSentAt  sim.Time
-	attempts    int
-	timer       runtime.Timer
+	id         uint32
+	client     packet.MACAddr
+	fromDomain int
+	oldAP      packet.IPv4Addr // the offerer's serving AP
+	timer      runtime.Timer
 }
 
 // Domain is one federation controller instance: an inner
@@ -267,8 +250,8 @@ type Domain struct {
 	csiScratch []float64
 
 	// OnSwitch observes every completed switch in this domain — inner
-	// switches re-addressed to global AP ids, plus the cross-domain ones the
-	// federation layer drives itself.
+	// switches re-addressed to global AP ids, plus the cross-domain pulls
+	// that land on this domain's ledger instead of the controller's.
 	OnSwitch func(rec controller.SwitchRecord)
 	// OnRelease observes ownership leaving this domain (commit sent); the
 	// Tier uses it to flip sim-side downlink routing.
@@ -392,7 +375,7 @@ func (d *Domain) ServingGlobalAP(mac packet.MACAddr) int {
 		}
 		return -1
 	}
-	if ad := d.byClient[mac]; ad != nil && !ad.adopted {
+	if ad := d.byClient[mac]; ad != nil {
 		if g, ok := d.apGlobal[ad.oldAP]; ok {
 			return g
 		}
@@ -442,11 +425,6 @@ func (d *Domain) HandleBackhaul(from packet.IPv4Addr, msg packet.Message) {
 		d.handleAccept(m)
 	case *packet.DomainHandoffCommit:
 		d.handleCommit(m)
-	case *packet.SwitchAck:
-		if d.completeCrossSwitch(m) {
-			return
-		}
-		d.ctl.HandleBackhaul(from, msg)
 	default:
 		d.ctl.HandleBackhaul(from, msg)
 	}

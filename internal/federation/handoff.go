@@ -18,7 +18,7 @@ import (
 //	  | ── DomainHandoffOffer ──────→ |   A's evidence says B's AP is best
 //	  | ←── DomainHandoffAccept ───── |   B pre-stages the adoption
 //	  | ── DomainHandoffCommit ──────→|   state bundle; A has released
-//	  |                               |   B adopts, then drives §3.1.2
+//	  |                               |   B adopts, its controller pulls (§3.1.2)
 //	  | ←── slim Commit (announce) ── |   echo to A + directory update to all
 //
 // The commit is self-contained and authoritative: once A sends it, A has
@@ -124,8 +124,7 @@ func (d *Domain) handleOffer(from packet.IPv4Addr, m *packet.DomainHandoffOffer)
 			HandoffID: m.HandoffID, Client: m.Client, Accept: accept,
 		})
 	}
-	tl, ok := d.localOf[m.TargetAP]
-	if !ok || d.Owns(m.Client) || d.adoptedIDs[m.HandoffID] {
+	if _, ok := d.localOf[m.TargetAP]; !ok || d.Owns(m.Client) || d.adoptedIDs[m.HandoffID] {
 		reply(false)
 		return
 	}
@@ -140,22 +139,16 @@ func (d *Domain) handleOffer(from packet.IPv4Addr, m *packet.DomainHandoffOffer)
 		reply(prev.id == m.HandoffID)
 		return
 	}
-	ad := &adoption{
-		id: m.HandoffID, client: m.Client, ip: m.ClientIP,
-		fromDomain: fromDom, oldAP: m.ServingAP, target: m.TargetAP, targetLocal: tl,
-	}
+	ad := &adoption{id: m.HandoffID, client: m.Client, fromDomain: fromDom, oldAP: m.ServingAP}
 	d.inbound[ad.id] = ad
 	d.byClient[ad.client] = ad
-	// Hold the pre-staged state long enough for the full commit-retransmit
-	// schedule; if no commit ever lands (the offerer died), drop it.
-	hold := commitTimeout * sim.Time(maxCommitRetries+2)
-	ad.timer = d.clk.After(hold, func() { d.acceptTimeout(ad) })
+	ad.timer = d.clk.After(acceptHold, func() { d.acceptTimeout(ad) })
 	reply(true)
 }
 
 // acceptTimeout drops a pre-staged adoption whose commit never arrived.
 func (d *Domain) acceptTimeout(ad *adoption) {
-	if d.ctl.Down() || ad.adopted || d.inbound[ad.id] != ad {
+	if d.ctl.Down() || d.inbound[ad.id] != ad {
 		return
 	}
 	delete(d.inbound, ad.id)
@@ -206,15 +199,13 @@ func (d *Domain) handleAccept(m *packet.DomainHandoffAccept) {
 			}
 		}
 	}
+	next, dedup, _ := d.ctl.ReleaseClient(m.Client, packet.MaxHandoffDedupKeys)
 	commit := &packet.DomainHandoffCommit{
 		HandoffID: out.id, Client: m.Client, ClientIP: fc.ip,
 		ServingAP: servingIP, TargetAP: out.target,
-		NextIndex: d.ctl.NextDownIndex(m.Client),
-		DedupKeys: d.ctl.DedupWindow(m.Client, packet.MaxHandoffDedupKeys),
-		Evidence:  ev,
+		NextIndex: next, DedupKeys: dedup, Evidence: ev,
 	}
 	_ = d.bh.Send(d.addr, d.addrOf(out.peer), commit)
-	d.ctl.ReleaseClient(m.Client)
 	delete(d.owned, m.Client)
 	d.owner[m.Client] = out.peer
 	d.Stats.Commits++
@@ -234,16 +225,14 @@ func (d *Domain) handleAccept(m *packet.DomainHandoffAccept) {
 
 // retryCommit retransmits an unacknowledged commit. The client is already
 // released — the commit MUST land, so it is the one federation message with
-// its own reliability loop (the offer may die silently; a commit may not).
+// its own reliability loop (the offer may die silently; a commit may not),
+// and the loop has no budget: giving up would leave the client owned by
+// nobody, each domain's directory naming the other. Adoption is idempotent
+// by handoff id, and only the adopter's echo or Fail ends it.
 func (d *Domain) retryCommit(rel *release) {
 	if d.ctl.Down() || d.released[rel.id] != rel {
 		return
 	}
-	if rel.retries >= maxCommitRetries {
-		delete(d.released, rel.id)
-		return
-	}
-	rel.retries++
 	d.Stats.CommitRetransmits++
 	_ = d.bh.Send(d.addr, d.addrOf(rel.peer), rel.commit)
 	rel.timer = d.clk.After(commitTimeout, func() { d.retryCommit(rel) })
@@ -277,11 +266,11 @@ func (d *Domain) handleCommit(m *packet.DomainHandoffCommit) {
 	d.adopt(m)
 }
 
-// adopt applies a commit's state bundle: register the client frozen with
-// the exported index cursor and dedup window, warm its ESNR windows from
-// the evidence, drain any downlink buffered while the commit was in
-// flight, announce ownership, and drive the §3.1.2 switch that physically
-// moves the client onto our AP.
+// adopt applies a commit's state bundle: register the client with the
+// exported index cursor and dedup window, warm its ESNR windows from the
+// evidence, drain any downlink buffered while the commit was in flight,
+// announce ownership, and have the controller pull the client — the §3.1.2
+// switch that physically moves it onto our AP.
 func (d *Domain) adopt(m *packet.DomainHandoffCommit) {
 	tl, ok := d.localOf[m.TargetAP]
 	if !ok {
@@ -289,24 +278,18 @@ func (d *Domain) adopt(m *packet.DomainHandoffCommit) {
 	}
 	now := d.clk.Now()
 	mac := m.Client
-	ad := d.inbound[m.HandoffID]
-	if ad != nil {
+	// Without a staged accept the commit is unsolicited: our accept state is
+	// gone (timeout, crash, or a lost offer exchange), but the offerer has
+	// already released — so the commit is authoritative and refusing it
+	// would strand the client with no owner at all.
+	fromDomain := int(m.HandoffID >> 24)
+	if ad := d.inbound[m.HandoffID]; ad != nil {
 		ad.timer.Stop()
-	} else {
-		// Unsolicited commit: our accept state is gone (timeout, crash, or a
-		// lost offer exchange), but the offerer has already released — so
-		// the commit is authoritative and refusing it would strand the
-		// client with no owner at all.
-		ad = &adoption{id: m.HandoffID, client: mac, fromDomain: int(m.HandoffID >> 24)}
-		d.inbound[ad.id] = ad
-		d.byClient[mac] = ad
+		fromDomain = ad.fromDomain
+		delete(d.inbound, ad.id)
+		delete(d.byClient, mac)
 	}
-	ad.ip = m.ClientIP
-	ad.oldAP = m.ServingAP
-	ad.target = m.TargetAP
-	ad.targetLocal = tl
-	ad.adopted = true
-	d.adoptedIDs[ad.id] = true
+	d.adoptedIDs[m.HandoffID] = true
 
 	d.ctl.AdoptClient(mac, m.ClientIP, tl, m.NextIndex, m.DedupKeys)
 	for _, ev := range m.Evidence {
@@ -328,18 +311,39 @@ func (d *Domain) adopt(m *packet.DomainHandoffCommit) {
 	}
 	d.announce(m)
 
-	fromG := -1
-	if g, ok := d.apGlobal[ad.oldAP]; ok {
-		fromG = g
+	// An old AP outside the city table is one nobody can stop.
+	oldAP := m.ServingAP
+	fromG, known := d.apGlobal[oldAP]
+	if !known {
+		oldAP, fromG = packet.IPv4Addr{}, -1
 	}
 	toMed := 0.0
 	if len(m.Evidence) > 0 {
 		toMed = DequantizeEvidenceDB(m.Evidence[0].MedianQ)
 	}
-	d.met.switchSpans.Begin(ad.id, int64(now), mac.String(),
-		fromG, d.apGlobal[ad.target], metrics.CauseDomainHandoff, 0, toMed)
-	ad.stopSentAt = now
-	d.sendFedStop(ad)
+	d.met.switchSpans.Begin(m.HandoffID, int64(now), mac.String(),
+		fromG, d.apGlobal[m.TargetAP], metrics.CauseDomainHandoff, 0, toMed)
+	// The cross-domain switch stays off the controller's ledger and lands on
+	// ours, with global AP ids.
+	d.ctl.PullFrom(mac, oldAP, m.HandoffID, func(sw controller.SwitchRecord) {
+		sw.From, sw.To = fromG, d.globalOf[sw.To]
+		d.Stats.CrossSwitches++
+		if sw.Forced {
+			d.Stats.ForcedStarts++
+		}
+		rec := HandoffRecord{
+			At: sw.At, Client: mac, From: fromDomain, To: d.id,
+			FromAP: sw.From, ToAP: sw.To,
+			SwitchDuration: sw.Duration, Forced: sw.Forced,
+		}
+		d.Adopted = append(d.Adopted, rec)
+		if d.OnSwitch != nil {
+			d.OnSwitch(sw)
+		}
+		if d.OnHandoffComplete != nil {
+			d.OnHandoffComplete(rec)
+		}
+	})
 }
 
 // announce broadcasts a slim (bundle-free) copy of the commit to every
@@ -358,97 +362,11 @@ func (d *Domain) announce(m *packet.DomainHandoffCommit) {
 	}
 }
 
-// sendFedStop drives the cross-domain stop→start→ack: stop(c) goes to the
-// old domain's AP, which hands its cursor to our target AP with start(c,k);
-// the target acks to us. After MaxStopRetries the old AP is presumed dead
-// (or unreachable across the backhaul) and we fall back to a direct start
-// — the same no-cooperation escalation as intra-domain failover.
-func (d *Domain) sendFedStop(ad *adoption) {
-	if _, known := d.apGlobal[ad.oldAP]; !known || ad.attempts >= d.cfg.MaxStopRetries {
-		d.sendFedStart(ad)
-		return
-	}
-	ad.attempts++
-	if ad.attempts > 1 {
-		d.Stats.StopRetransmits++
-		d.met.switchSpans.AddRetransmit(ad.id)
-	}
-	_ = d.bh.Send(d.addr, ad.oldAP, &packet.Stop{Client: ad.client, NextAP: ad.target, SwitchID: ad.id})
-	ad.timer = d.clk.After(d.cfg.SwitchTimeout, func() { d.fedSwitchTimeout(ad) })
-}
-
-// sendFedStart is the forced completion: install the adopted index cursor
-// at the target AP directly, abandoning the old AP's cooperation.
-func (d *Domain) sendFedStart(ad *adoption) {
-	if !ad.forced {
-		ad.forced = true
-		d.Stats.ForcedStarts++
-	}
-	_ = d.bh.Send(d.addr, ad.target, &packet.Start{
-		Client: ad.client, Index: d.ctl.NextDownIndex(ad.client), SwitchID: ad.id,
-	})
-	ad.timer = d.clk.After(d.cfg.SwitchTimeout, func() { d.fedSwitchTimeout(ad) })
-}
-
-func (d *Domain) fedSwitchTimeout(ad *adoption) {
-	if d.ctl.Down() || d.inbound[ad.id] != ad {
-		return
-	}
-	if ad.forced {
-		d.sendFedStart(ad)
-		return
-	}
-	d.sendFedStop(ad)
-}
-
-// completeCrossSwitch intercepts the SwitchAck of a federation-driven
-// switch, reporting whether it consumed the message.
-func (d *Domain) completeCrossSwitch(m *packet.SwitchAck) bool {
-	ad := d.inbound[m.SwitchID]
-	if ad == nil || !ad.adopted {
-		return false
-	}
-	if m.AP != ad.target {
-		return true // not the installing AP; swallow, keep waiting
-	}
-	ad.timer.Stop()
-	delete(d.inbound, ad.id)
-	if d.byClient[ad.client] == ad {
-		delete(d.byClient, ad.client)
-	}
-	now := d.clk.Now()
-	d.ctl.SetFrozen(ad.client, false)
-	d.Stats.CrossSwitches++
-	d.met.switchSpans.End(ad.id, int64(now))
-	fromG := -1
-	if g, ok := d.apGlobal[ad.oldAP]; ok {
-		fromG = g
-	}
-	toG := d.apGlobal[ad.target]
-	rec := HandoffRecord{
-		At: now, Client: ad.client, From: ad.fromDomain, To: d.id,
-		FromAP: fromG, ToAP: toG,
-		SwitchDuration: now - ad.stopSentAt, Forced: ad.forced,
-	}
-	d.Adopted = append(d.Adopted, rec)
-	if d.OnSwitch != nil {
-		d.OnSwitch(controller.SwitchRecord{
-			At: now, Client: ad.client, From: fromG, To: toG,
-			Duration: now - ad.stopSentAt, Attempts: ad.attempts, Forced: ad.forced,
-		})
-	}
-	if d.OnHandoffComplete != nil {
-		d.OnHandoffComplete(rec)
-	}
-	return true
-}
-
 // Fail implements chaos.ControllerTarget: the inner controller crashes and
 // every federation state machine dies with it. In-flight outgoing offers
 // and pre-staged adoptions abort; commit retransmission stops (the adopter
 // almost certainly has the client — its announcements go unheard until
-// recovery); adopted-but-unswitched clients thaw so the recovered
-// controller can drive its own switches again.
+// recovery); a pull in flight dies with the inner controller's other ops.
 func (d *Domain) Fail() {
 	if d.ctl.Down() {
 		return
@@ -468,11 +386,7 @@ func (d *Domain) Fail() {
 	d.released = make(map[uint32]*release)
 	for _, ad := range d.inbound {
 		ad.timer.Stop()
-		if ad.adopted {
-			d.ctl.SetFrozen(ad.client, false)
-		} else {
-			d.Stats.Aborts++
-		}
+		d.Stats.Aborts++
 	}
 	d.inbound = make(map[uint32]*adoption)
 	d.byClient = make(map[packet.MACAddr]*adoption)
