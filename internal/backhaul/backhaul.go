@@ -183,27 +183,11 @@ func (s *Switch) send(from packet.IPv4Addr, tos []packet.IPv4Addr, msg packet.Me
 	d := s.getDelivery(from, decoded)
 	for _, to := range tos {
 		node, ok := s.nodes[to]
-		if !ok {
+		if !ok || hooked && s.faulted(d, to, node, msg, size) {
 			continue
-		}
-		var extra sim.Time
-		if hooked {
-			if s.Drop != nil && s.Drop(to, msg) {
-				s.dropped++
-				continue
-			}
-			if s.Delay != nil {
-				extra = s.Delay(to, msg)
-			}
 		}
 		s.bytes += size
 		s.sent++
-		if extra > 0 {
-			late := s.getDelivery(from, decoded)
-			late.nodes = append(late.nodes, node)
-			s.eng.After(s.latency+extra, late.run)
-			continue
-		}
 		d.nodes = append(d.nodes, node)
 	}
 	if len(d.nodes) == 0 {
@@ -212,6 +196,29 @@ func (s *Switch) send(from packet.IPv4Addr, tos []packet.IPv4Addr, msg packet.Me
 	}
 	s.eng.After(s.latency, d.run)
 	return nil
+}
+
+// faulted consults the Drop and Delay hooks for one copy of d's message and
+// reports whether the copy stays out of d: dropped, or delayed — delivered by
+// an event of its own.
+func (s *Switch) faulted(d *delivery, to packet.IPv4Addr, node Node, msg packet.Message, size uint64) bool {
+	if s.Drop != nil && s.Drop(to, msg) {
+		s.dropped++
+		return true
+	}
+	if s.Delay == nil {
+		return false
+	}
+	extra := s.Delay(to, msg)
+	if extra <= 0 {
+		return false
+	}
+	s.bytes += size
+	s.sent++
+	late := s.getDelivery(d.from, d.msg)
+	late.nodes = append(late.nodes, node)
+	s.eng.After(s.latency+extra, late.run)
+	return true
 }
 
 // Stats reports the number of delivered and dropped messages and the total
