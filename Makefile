@@ -1,17 +1,20 @@
 # Tier-1 gate: everything `make check` runs must pass before a change
 # lands. `race` covers the concurrency-bearing packages (the fleet worker
 # pool, the parallel experiment registry, shared trace recorders, and the
-# stats merging they feed) and the protocol cores the live tier runs on
-# wall-clock goroutines (controller, AP, switch, codec, selector, metrics).
+# stats merging they feed), the protocol cores the live tier runs on
+# wall-clock goroutines (controller, AP, switch, codec, selector, metrics),
+# and the two packages whose events and envelopes come off per-medium free
+# lists (mac, client): fleet workers must share none of them.
 
 GO ?= go
 
 RACE_PKGS = ./internal/fleet ./internal/eval ./internal/trace ./internal/stats \
 	./internal/runtime ./internal/backhaul/udp ./internal/live ./internal/federation \
 	./internal/urban ./internal/core ./internal/controller ./internal/ap \
-	./internal/backhaul ./internal/packet ./internal/selector ./internal/metrics
+	./internal/backhaul ./internal/packet ./internal/selector ./internal/metrics \
+	./internal/mac ./internal/client
 
-.PHONY: check vet lint build test golden-quick golden race cli-smoke live-smoke federation-smoke fuzz-smoke docs-check metro-scale unreached loc bench
+.PHONY: check vet lint build test golden-quick golden race cli-smoke live-smoke federation-smoke fuzz-smoke docs-check metro-scale unreached loc bench bench-pair
 
 check: vet lint build test golden-quick race cli-smoke live-smoke federation-smoke fuzz-smoke docs-check
 
@@ -189,3 +192,25 @@ bench:
 		printf '{%s,"workload":"%s","trace":%s,%s\n' "$$head" $$w $$t "$${json#\{}" >> BENCH_results.json; \
 		echo "bench: recorded $$w --trace $$t"; \
 	done; done
+
+# Paired comparison (minutes, opt-in): `make bench-pair REF=<commit>
+# W=<workload>` exports REF's tree into a `mktemp -d` directory and runs the
+# driver's command, `bench/run.sh --trace 0`, on that tree and on this one
+# PAIRS times, the same seed on both sides of a pair and the side that goes
+# first alternating — the choosing-metrics protocol for a claimed gain. One
+# line per run: pair, side, the six end-to-end metrics. Records nothing; the
+# directory stays behind if a run fails.
+PAIRS ?= 10
+bench-pair:
+	@test -n "$(REF)" -a -n "$(W)" || { echo "usage: make bench-pair REF=<commit> W=<workload> [PAIRS=$(PAIRS)]" >&2; exit 2; }
+	@set -e; d=$$(mktemp -d); git archive $(REF) | tar -x -C $$d; \
+	for i in $$(seq 1 $(PAIRS)); do \
+		if [ $$((i % 2)) -eq 1 ]; then sides="$$d ."; else sides=". $$d"; fi; \
+		for side in $$sides; do \
+			if [ $$side = . ]; then label=head; else label=$(REF); fi; \
+			json=$$(bash $$side/bench/run.sh --workload $(W) --seed $$((2016 + i)) --seconds 24 --trace 0 | tail -n 1); \
+			case "$$json" in '{"correct":true,'*) ;; *) echo "bench-pair: $$label failed: $$json" >&2; exit 1;; esac; \
+			echo "pair $$i $$label $$(echo "$$json" | grep -o '"[a-z_]*":{"value":[-+.e0-9]*' | sed 's/"\(.*\)":{"value":/\1=/' | tr '\n' ' ')"; \
+		done; \
+	done; \
+	rm -rf $$d

@@ -156,6 +156,10 @@ type AP struct {
 	// and off the backhaul (DESIGN.md §11).
 	down bool
 
+	// out holds the messages the MAC side sends per frame heard. A Fabric
+	// never retains a message, so one of each serves every send.
+	out *sendScratch
+
 	Stats Stats
 
 	// OnDeliver, if set, observes every MPDU acknowledged by a client
@@ -170,6 +174,14 @@ type AP struct {
 	DebugSwitch func(what string, switchID uint32, k uint16)
 
 	met apMetrics
+}
+
+// sendScratch is the envelope of each per-frame send: the CSI report, the
+// uplink tunnel and the forwarded Block ACK.
+type sendScratch struct {
+	csi packet.CSIReport
+	up  packet.UpData
+	ba  packet.BlockAckFwd
 }
 
 // apMetrics holds this AP's live instruments (DESIGN.md §10) — what a

@@ -96,8 +96,11 @@ func (a *AP) BuildFrame() *mac.Frame {
 // hardware-queue drain is pending.
 func (a *AP) pickClient() *clientState {
 	for i := 0; i < len(a.rr); i++ {
+		// Rotated in place: re-slicing and appending would walk the backing
+		// array forward and reallocate it every len(a.rr) picks.
 		m := a.rr[0]
-		a.rr = append(a.rr[1:], m)
+		copy(a.rr, a.rr[1:])
+		a.rr[len(a.rr)-1] = m
 		cs := a.clients[m]
 		if cs == nil {
 			continue
@@ -218,7 +221,9 @@ func (a *AP) OnFrame(ev *mac.RxEvent) {
 			continue
 		}
 		a.Stats.UplinkForwarded++
-		_ = a.bh.Send(a.cfg.IP, a.controller, &packet.UpData{APSrc: a.cfg.IP, Pkt: mp.Pkt})
+		up := &a.envelopes().up
+		up.APSrc, up.Pkt = a.cfg.IP, mp.Pkt
+		_ = a.bh.Send(a.cfg.IP, a.controller, up)
 	}
 }
 
@@ -244,7 +249,8 @@ func (a *AP) OnBlockAck(ev *mac.BAEvent) {
 		return
 	}
 	a.Stats.BAForwarded++
-	fwd := &packet.BlockAckFwd{
+	fwd := &a.envelopes().ba
+	*fwd = packet.BlockAckFwd{
 		Client: ev.Responder,
 		FromAP: a.cfg.IP,
 		SSN:    ev.SSN,
@@ -258,10 +264,20 @@ func (a *AP) reportCSI(client packet.MACAddr, snrDB []float64, at sim.Time) {
 	if len(snrDB) == 0 {
 		return
 	}
-	rep := &packet.CSIReport{Client: client, AP: a.cfg.IP, At: int64(at)}
-	rep.QuantizeSNR(snrDB)
+	rep := &a.envelopes().csi
+	rep.Client, rep.AP, rep.At = client, a.cfg.IP, int64(at)
+	rep.QuantizeSNR(snrDB) // sets every SNRQ entry
 	a.Stats.CSIReports++
 	_ = a.bh.Send(a.cfg.IP, a.controller, rep)
+}
+
+// envelopes returns the AP's reusable per-frame messages, made on the first
+// frame heard: an AP without a radio never needs them.
+func (a *AP) envelopes() *sendScratch {
+	if a.out == nil {
+		a.out = &sendScratch{}
+	}
+	return a.out
 }
 
 // isAPAddr reports whether addr belongs to AP infrastructure (own MAC,

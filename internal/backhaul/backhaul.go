@@ -16,7 +16,11 @@ import (
 
 // Node receives backhaul messages.
 type Node interface {
-	// HandleBackhaul delivers one message sent to this node's address.
+	// HandleBackhaul delivers one message sent to this node's address. A
+	// *packet.DownData, *packet.CSIReport or *packet.BlockAckFwd is valid only
+	// during the call — the Switch decodes those into storage it reuses for a
+	// later message — so a node copies what it keeps of them; the *Packet in
+	// a DownData is the node's to keep. Every other message is the node's own.
 	HandleBackhaul(from packet.IPv4Addr, msg packet.Message)
 }
 
@@ -37,7 +41,8 @@ type Fabric interface {
 	Attach(addr packet.IPv4Addr, n Node)
 	// Send delivers msg from one address to another. Sending to an address
 	// the fabric cannot resolve returns an error — an assembly bug, not a
-	// transient loss (losses are silent, as on a real network).
+	// transient loss (losses are silent, as on a real network). Like
+	// SendMany it never retains msg.
 	Send(from, to packet.IPv4Addr, msg packet.Message) error
 	// SendMany is the fan-out path: msg is encoded once and delivered from
 	// one address to each target, in slice order, instead of a per-target
@@ -130,6 +135,9 @@ type delivery struct {
 	from  packet.IPv4Addr
 	msg   packet.Message
 	nodes []Node
+	// scratch holds msg when it is one of the envelopes packet.Scratch
+	// pools, until the recycled delivery decodes its next message.
+	scratch packet.Scratch
 	// run is the pre-bound method value handed to the engine, allocated
 	// once per pooled delivery instead of once per send.
 	run func()
@@ -148,7 +156,11 @@ func (d *delivery) recycle() {
 	d.sw.dfree = append(d.sw.dfree, d)
 }
 
-func (s *Switch) getDelivery(from packet.IPv4Addr, msg packet.Message) *delivery {
+// getDelivery takes a delivery off the free list and decodes the wire bytes
+// in encScratch into it: every delivery carries a decoded copy of its own.
+// The delivery comes back with the decode error too, for the caller to
+// recycle.
+func (s *Switch) getDelivery(from packet.IPv4Addr) (*delivery, error) {
 	var d *delivery
 	if n := len(s.dfree); n > 0 {
 		d = s.dfree[n-1]
@@ -157,30 +169,33 @@ func (s *Switch) getDelivery(from packet.IPv4Addr, msg packet.Message) *delivery
 		d = &delivery{sw: s}
 		d.run = d.fire
 	}
-	d.from, d.msg = from, msg
-	return d
+	var err error
+	d.from = from
+	d.msg, err = packet.DecodeInto(s.encScratch, &d.scratch)
+	return d, err
 }
 
 // send is the one delivery path: encode msg once into the scratch buffer,
-// decode it once, and hand the decoded copy to every attached target —
+// decode it into a delivery, and hand that copy to every attached target —
 // which is what lets callers reuse msg immediately (the non-retention
 // contract). Unattached targets are skipped; bytes and sent count per
 // delivered copy. The Drop and Delay hooks are consulted once per (target,
 // message) in target order, so a fault-injected run's RNG draw sequence does
 // not depend on how the caller grouped its sends. Undelayed copies share one
-// engine event; a delayed copy gets its own, scheduled in target order.
+// delivery; a delayed copy gets its own — decoded from the same bytes, since
+// the shared one is recycled before the late one fires — in target order.
 func (s *Switch) send(from packet.IPv4Addr, tos []packet.IPv4Addr, msg packet.Message) error {
 	s.encScratch = packet.EncodeInto(s.encScratch[:0], msg)
-	decoded, err := packet.Decode(s.encScratch)
+	d, err := s.getDelivery(from)
 	if err != nil {
 		// The codec tests make this unreachable for every real message type.
+		d.recycle()
 		return fmt.Errorf("backhaul: wire round-trip of %v failed: %w", msg.Type(), err)
 	}
 	// The envelope is 3 bytes plus the payload's WireSize, which packet's
 	// codec tests pin to the encoder's actual output.
 	size := uint64(3 + msg.WireSize())
 	hooked := s.Drop != nil || s.Delay != nil
-	d := s.getDelivery(from, decoded)
 	for _, to := range tos {
 		node, ok := s.nodes[to]
 		if !ok || hooked && s.faulted(d, to, node, msg, size) {
@@ -215,7 +230,7 @@ func (s *Switch) faulted(d *delivery, to packet.IPv4Addr, node Node, msg packet.
 	}
 	s.bytes += size
 	s.sent++
-	late := s.getDelivery(d.from, d.msg)
+	late, _ := s.getDelivery(d.from) // send has decoded these same bytes into d
 	late.nodes = append(late.nodes, node)
 	s.eng.After(s.latency+extra, late.run)
 	return true

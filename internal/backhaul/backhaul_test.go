@@ -14,8 +14,25 @@ type recorder struct {
 	eng  *sim.Engine
 }
 
+// keep returns what a recording node may hold of msg: msg itself, or a copy
+// when it is one of the envelopes a Node must not retain.
+func keep(msg packet.Message) packet.Message {
+	switch m := msg.(type) {
+	case *packet.DownData:
+		cp := *m
+		return &cp
+	case *packet.CSIReport:
+		cp := *m
+		return &cp
+	case *packet.BlockAckFwd:
+		cp := *m
+		return &cp
+	}
+	return msg
+}
+
 func (r *recorder) HandleBackhaul(from packet.IPv4Addr, msg packet.Message) {
-	r.msgs = append(r.msgs, msg)
+	r.msgs = append(r.msgs, keep(msg))
 	r.from = append(r.from, from)
 	r.at = append(r.at, r.eng.Now())
 }

@@ -17,7 +17,7 @@ type recNode struct {
 
 func (r *recNode) HandleBackhaul(from packet.IPv4Addr, msg packet.Message) {
 	r.from = append(r.from, from)
-	r.msgs = append(r.msgs, msg)
+	r.msgs = append(r.msgs, keep(msg))
 }
 
 func downMsg(index uint16) *packet.DownData {
@@ -166,8 +166,46 @@ func TestSendManyDropHookDeterminism(t *testing.T) {
 	}
 }
 
+// A copy the Delay hook holds back is decoded on its own: it still carries
+// its message after the undelayed delivery it was split from has fired, been
+// recycled and been reused for a later message.
+func TestDelayedCopyOutlivesRecycledDelivery(t *testing.T) {
+	eng := sim.NewEngine()
+	sw := NewSwitch(eng, 200*sim.Microsecond)
+	slow := packet.APIP(1)
+	sw.Delay = func(to packet.IPv4Addr, _ packet.Message) sim.Time {
+		if to == slow {
+			return sim.Millisecond
+		}
+		return 0
+	}
+	fast, late := &recNode{}, &recNode{}
+	sw.Attach(packet.APIP(0), fast)
+	sw.Attach(slow, late)
+
+	first := &packet.CSIReport{Client: packet.ClientMAC(1), AP: packet.APIP(5), At: 11}
+	first.SNRQ[3] = 77
+	sw.SendMany(packet.ControllerIP, []packet.IPv4Addr{packet.APIP(0), slow}, first)
+	eng.RunUntil(300 * sim.Microsecond) // the undelayed delivery fired and is free again
+	if len(sw.dfree) != 1 || len(fast.msgs) != 1 || len(late.msgs) != 0 {
+		t.Fatalf("free %d, fast %d, late %d before the second send", len(sw.dfree), len(fast.msgs), len(late.msgs))
+	}
+	second := &packet.CSIReport{Client: packet.ClientMAC(2), AP: packet.APIP(6), At: 22}
+	_ = sw.Send(packet.ControllerIP, packet.APIP(0), second)
+	if len(sw.dfree) != 0 {
+		t.Fatal("the second send did not reuse the recycled delivery")
+	}
+	eng.Run()
+	if !reflect.DeepEqual(fast.msgs, []packet.Message{first, second}) {
+		t.Errorf("undelayed node got %+v", fast.msgs)
+	}
+	if !reflect.DeepEqual(late.msgs, []packet.Message{first}) {
+		t.Errorf("delayed node got %+v, want the first report", late.msgs)
+	}
+}
+
 // A steady-state Send allocates what a one-target SendMany does — the
-// decoded copy alone: no encode buffer, no closure, no event.
+// decoded Packet alone: no encode buffer, no closure, no event, no envelope.
 func TestSendAllocatesOnlyTheDecodedCopy(t *testing.T) {
 	eng := sim.NewEngine()
 	sw := NewSwitch(eng, 200*sim.Microsecond)
@@ -180,14 +218,14 @@ func TestSendAllocatesOnlyTheDecodedCopy(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		send()
 	}
-	if got := testing.AllocsPerRun(100, send); got > 2 {
-		t.Fatalf("Send steady state allocates %.1f/op, want <= 2 (the decoded DownData and its Packet)", got)
+	if got := testing.AllocsPerRun(100, send); got > 1 {
+		t.Fatalf("Send steady state allocates %.1f/op, want <= 1 (the decoded Packet)", got)
 	}
 }
 
-// Steady-state SendMany allocates only the delivered copy — the decoded
-// DownData and its Packet, which receivers retain so they cannot be pooled —
-// and nothing per target: pooled delivery batches, reused encode scratch.
+// Steady-state SendMany allocates only the decoded Packet, which receivers
+// retain so it cannot be pooled, and nothing per target: pooled delivery
+// batches that own the envelope, reused encode scratch.
 // The old per-target Send loop allocated an encode buffer plus a decoded
 // copy for every target.
 func TestSendManyZeroAllocPerTarget(t *testing.T) {
@@ -213,7 +251,7 @@ func TestSendManyZeroAllocPerTarget(t *testing.T) {
 	if narrow != wide {
 		t.Fatalf("allocations scale with fan-out width: %.1f/op at 2 targets, %.1f/op at 64", narrow, wide)
 	}
-	if wide > 2 {
-		t.Fatalf("SendMany steady state allocates %.1f/op, want <= 2 (the delivered copy)", wide)
+	if wide > 1 {
+		t.Fatalf("SendMany steady state allocates %.1f/op, want <= 1 (the decoded Packet)", wide)
 	}
 }

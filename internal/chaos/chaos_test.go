@@ -96,12 +96,12 @@ func (f *fakeTarget) Down() bool { return f.down }
 // sink records backhaul deliveries.
 type sink struct {
 	eng  *sim.Engine
-	msgs []packet.Message
+	msgs []packet.MsgType // a node may not keep a CSIReport itself
 	at   []sim.Time
 }
 
 func (s *sink) HandleBackhaul(from packet.IPv4Addr, msg packet.Message) {
-	s.msgs = append(s.msgs, msg)
+	s.msgs = append(s.msgs, msg.Type())
 	s.at = append(s.at, s.eng.Now())
 }
 

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"slices"
 	"testing"
 
 	"wgtt/internal/mac"
@@ -19,9 +20,15 @@ type harness struct {
 	apSink *recSink
 }
 
-type recSink struct{ frames []*mac.RxEvent }
+// recSink copies what the tests assert on: the event is the medium's again
+// when OnFrame returns.
+type recSink struct{ frames []mac.RxEvent }
 
-func (r *recSink) OnFrame(ev *mac.RxEvent) { r.frames = append(r.frames, ev) }
+func (r *recSink) OnFrame(ev *mac.RxEvent) {
+	cp := *ev
+	cp.Decoded = slices.Clone(ev.Decoded)
+	r.frames = append(r.frames, cp)
+}
 func (r *recSink) OnBlockAck(*mac.BAEvent) {}
 
 func newHarness(t *testing.T) *harness {

@@ -443,7 +443,9 @@ func (c *Controller) RegisterClient(mac packet.MACAddr, ip packet.IPv4Addr, serv
 		heardEver: make([]bool, len(c.aps)),
 		serving:   servingAP,
 		inFan:     make([]bool, len(c.aps)),
-		dedup:     make(map[packet.DedupKey]struct{}, c.cfg.DedupCapacity),
+		// Grown by the uplink that arrives (handleUplink's FIFO holds it to
+		// DedupCapacity): a downlink-only client never touches it.
+		dedup: make(map[packet.DedupKey]struct{}),
 	}
 	c.sel.AddClient(mac, servingAP)
 	c.clients[mac] = cl

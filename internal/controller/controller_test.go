@@ -42,7 +42,8 @@ func (f *fakeAP) HandleBackhaul(from packet.IPv4Addr, msg packet.Message) {
 		f.starts = append(f.starts, m)
 		_ = f.bh.Send(f.ip, packet.ControllerIP, &packet.SwitchAck{Client: m.Client, AP: f.ip, SwitchID: m.SwitchID})
 	case *packet.DownData:
-		f.downs = append(f.downs, m)
+		cp := *m // the envelope is the switch's again after the call
+		f.downs = append(f.downs, &cp)
 	}
 }
 

@@ -240,7 +240,7 @@ func (c *Controller) Recover() {
 		}
 		cl.fanReset()
 		c.dedupEntries -= len(cl.dedup)
-		cl.dedup = make(map[packet.DedupKey]struct{}, c.cfg.DedupCapacity)
+		cl.dedup = make(map[packet.DedupKey]struct{})
 		cl.dedupFIFO = nil
 		cl.lastSwitch = 0
 		cl.nextIndex = 0

@@ -42,7 +42,8 @@ func (f *fedAP) HandleBackhaul(from packet.IPv4Addr, msg packet.Message) {
 		f.cursor = m.Index
 		_ = f.bh.Send(f.ip, f.ctl, &packet.SwitchAck{Client: m.Client, AP: f.ip, SwitchID: m.SwitchID})
 	case *packet.DownData:
-		f.downs = append(f.downs, m)
+		cp := *m // the envelope is the switch's again after the call
+		f.downs = append(f.downs, &cp)
 	}
 }
 

@@ -73,15 +73,22 @@ type Frame struct {
 
 // Airtime returns the frame's on-air duration.
 func (f *Frame) Airtime() sim.Time {
+	var sizes []int
+	return f.airtime(&sizes)
+}
+
+// airtime is Airtime with the A-MPDU's size list built in *sizes, the
+// caller's reusable buffer.
+func (f *Frame) airtime(sizes *[]int) sim.Time {
 	if f.Kind == KindBeacon || f.Kind == KindMgmt {
 		// Management and beacons go out in legacy format at the basic rate.
 		return legacyFrameAirtime(f.totalBytes())
 	}
-	sizes := make([]int, len(f.MPDUs))
-	for i, m := range f.MPDUs {
-		sizes[i] = m.Bytes
+	*sizes = (*sizes)[:0]
+	for _, m := range f.MPDUs {
+		*sizes = append(*sizes, m.Bytes)
 	}
-	return phy.AMPDUDuration(f.MCS, sizes)
+	return phy.AMPDUDuration(f.MCS, *sizes)
 }
 
 func legacyFrameAirtime(bytes int) sim.Time {
@@ -124,7 +131,8 @@ func seqBefore(a, b uint16) bool {
 	return (b-a)&0xfff != 0 && (b-a)&0xfff < 2048
 }
 
-// RxEvent describes one frame arrival at one receiver.
+// RxEvent describes one frame arrival at one receiver. It is valid only
+// during the Sink.OnFrame call it is passed to.
 type RxEvent struct {
 	At   sim.Time
 	From packet.MACAddr
@@ -146,14 +154,23 @@ type RxEvent struct {
 	// on. Nothing reads it off other frames, so only beacons are measured.
 	RSSIdBm float64
 
-	// snrStore inlines the standard 56-entry snapshot so one RxEvent
-	// allocation covers its CSI; SNRdB aliases it on the usual geometry.
+	// snrStore inlines the standard 56-entry snapshot so the event carries
+	// its CSI; SNRdB aliases it on the usual geometry.
 	snrStore [csi.Subcarriers]float64
+
+	// What survives the event's trips through its medium's free list: that
+	// medium, Decoded's backing array, and deliver bound once as the engine
+	// callback. rx is the station this arrival is for.
+	m        *Medium
+	rx       *Station
+	decStore []*MPDU
+	fire     func()
 }
 
 // BAEvent describes a (Block) ACK response observed at a station: by the
 // original sender (completing its TXOP) or by a monitor-mode neighbour AP
-// (feeding §3.2.1 Block ACK forwarding).
+// (feeding §3.2.1 Block ACK forwarding). It is valid only during the
+// Sink.OnBlockAck call it is passed to.
 type BAEvent struct {
 	At sim.Time
 	// Responder is the station that sent the Block ACK.
@@ -170,4 +187,9 @@ type BAEvent struct {
 
 	// snrStore backs SNRdB inline, as in RxEvent.
 	snrStore [csi.Subcarriers]float64
+
+	// Free-list plumbing, as in RxEvent.
+	m    *Medium
+	rx   *Station
+	fire func()
 }

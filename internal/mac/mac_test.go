@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/bits"
 	"math/rand/v2"
+	"reflect"
+	"slices"
 	"testing"
 
 	"wgtt/internal/mobility"
@@ -153,12 +155,24 @@ func TestMinstrelProbes(t *testing.T) {
 // --- End-to-end MAC harness ---
 
 type recSink struct {
-	frames []*RxEvent
-	bas    []*BAEvent
+	frames []RxEvent
+	bas    []BAEvent
 }
 
-func (r *recSink) OnFrame(ev *RxEvent)    { r.frames = append(r.frames, ev) }
-func (r *recSink) OnBlockAck(ev *BAEvent) { r.bas = append(r.bas, ev) }
+// The sink copies what the tests assert on: the event is the medium's again
+// when the call returns.
+func (r *recSink) OnFrame(ev *RxEvent) {
+	cp := *ev
+	cp.Decoded = slices.Clone(ev.Decoded)
+	cp.SNRdB = slices.Clone(ev.SNRdB)
+	r.frames = append(r.frames, cp)
+}
+
+func (r *recSink) OnBlockAck(ev *BAEvent) {
+	cp := *ev
+	cp.SNRdB = slices.Clone(ev.SNRdB)
+	r.bas = append(r.bas, cp)
+}
 
 type queueSource struct {
 	st     *Station
@@ -638,5 +652,67 @@ func TestResponderHearsNoOtherResponse(t *testing.T) {
 	h.eng.RunUntil(6 * sim.Millisecond)
 	if len(farSink.bas) != 1 || !farSink.bas[0].Overheard {
 		t.Errorf("idle far station heard %+v, want the near response overheard", farSink.bas)
+	}
+}
+
+// keepSink breaks the Sink contract on purpose: it retains the events.
+type keepSink struct {
+	frames []*RxEvent
+	bas    []*BAEvent
+}
+
+func (k *keepSink) OnFrame(ev *RxEvent)    { k.frames = append(k.frames, ev) }
+func (k *keepSink) OnBlockAck(ev *BAEvent) { k.bas = append(k.bas, ev) }
+
+// An event belongs to the sink only during the call: afterwards it reads as
+// its zero value — a sink that kept the pointer sees nothing, never a later
+// frame's CSI, until the medium hands the event out again — and the free
+// lists hold every event ever made, so they stop growing once the busiest
+// exchange has been seen.
+func TestSinkEventReleased(t *testing.T) {
+	h := newHarness(t, 21)
+	ap, _ := h.addAP(t, "ap1", 20)
+	_, _ = h.addAP(t, "ap2", 27) // overhears the client's Block ACKs
+	client, _ := h.addClient(t, "car1", mobility.Stationary{At: mobility.Point{X: 20}}, 0)
+	kept := &keepSink{}
+	for _, st := range h.medium.stations {
+		st.SetSink(kept)
+	}
+	src := &queueSource{st: ap, to: client.Addr, mcs: 4}
+	ap.SetSource(src)
+	batch := func() {
+		src.queue = append(src.queue, mkPackets(64, 1400)...)
+		ap.Kick()
+		h.eng.Run()
+	}
+
+	batch() // warm-up
+	rxMade, baMade := len(h.medium.rxFree), len(h.medium.baFree)
+	if len(kept.frames) == 0 || len(kept.bas) == 0 || rxMade == 0 || baMade == 0 {
+		t.Fatalf("warm-up delivered %d frames, %d responses; %d + %d events free",
+			len(kept.frames), len(kept.bas), rxMade, baMade)
+	}
+	batch()
+	if rx, ba := len(h.medium.rxFree), len(h.medium.baFree); rx != rxMade || ba != baMade {
+		t.Errorf("free lists grew after warm-up: %d → %d frame events, %d → %d response events", rxMade, rx, baMade, ba)
+	}
+	for _, ev := range kept.frames {
+		z := *ev
+		z.m, z.decStore, z.fire = nil, nil, nil
+		if !reflect.DeepEqual(z, RxEvent{}) || len(ev.decStore) != 0 {
+			t.Fatalf("retained frame event is not zero: %+v", z)
+		}
+	}
+	for _, ev := range kept.bas {
+		z := *ev
+		z.m, z.fire = nil, nil
+		if !reflect.DeepEqual(z, BAEvent{}) {
+			t.Fatalf("retained response event is not zero: %+v", z)
+		}
+	}
+	for _, ev := range h.medium.rxFree {
+		if slices.ContainsFunc(ev.decStore[:cap(ev.decStore)], func(mp *MPDU) bool { return mp != nil }) {
+			t.Fatal("a free event still pins a decoded MPDU")
+		}
 	}
 }

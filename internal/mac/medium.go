@@ -30,12 +30,30 @@ type Medium struct {
 	busyUntil  sim.Time
 	waiters    []*txAttempt
 	grantTimer sim.Timer
+	// grantFn and armFn are m.grant and m.arm bound once: a method value
+	// written where it is scheduled allocates on every grant.
+	grantFn, armFn func()
 
 	// onAir and heard are capture's inputs and scratch, reused across
 	// grants: the stations transmitting in the current phase (data frames,
 	// then responses), and the subset one receiver has a link to.
 	onAir []*Station
 	heard []contender
+
+	// rxFree and baFree hold the events whose sink call has returned (see
+	// Sink); they start empty and grow to the most events ever in flight.
+	// The rest is grant's and deliverResponses' scratch, reused across
+	// grants. All of it belongs to this medium alone, so concurrent
+	// simulations share nothing.
+	rxFree      []*RxEvent
+	baFree      []*BAEvent
+	winners     []*txAttempt
+	live        []liveTx
+	responses   []respPlan
+	respWinners []respPlan
+	jit         []int
+	seqs        []uint16
+	sizes       []int
 
 	// Stats, exported for the evaluation harness.
 	Grants         uint64   // medium acquisitions
@@ -87,12 +105,14 @@ const basicRateMCS = phy.MCS(3)
 
 // NewMedium creates the shared channel arbiter.
 func NewMedium(eng *sim.Engine, ch *radio.Channel, rnd *rand.Rand) *Medium {
-	return &Medium{
+	m := &Medium{
 		eng:    eng,
 		ch:     ch,
 		rnd:    rnd,
 		byAddr: make(map[packet.MACAddr][]*Station),
 	}
+	m.grantFn, m.armFn = m.grant, m.arm
+	return m
 }
 
 // register wires a station into the medium (called by NewStation).
@@ -168,7 +188,7 @@ func (m *Medium) arm() {
 		}
 	}
 	at := idleAt + phy.DIFS + sim.Time(minb)*phy.Slot
-	m.grantTimer = m.eng.At(at, m.grant)
+	m.grantTimer = m.eng.At(at, m.grantFn)
 }
 
 // grant fires when the earliest backoff expires: winners transmit.
@@ -183,7 +203,7 @@ func (m *Medium) grant() {
 			minb = w.backoff
 		}
 	}
-	var winners []*txAttempt
+	winners := m.winners[:0]
 	rest := m.waiters[:0]
 	for _, w := range m.waiters {
 		w.backoff -= minb
@@ -193,11 +213,11 @@ func (m *Medium) grant() {
 			rest = append(rest, w)
 		}
 	}
-	m.waiters = rest
+	m.waiters, m.winners = rest, winners
 
 	// Build frames now — packets dequeued while waiting (e.g. by a WGTT
 	// stop) are simply no longer part of the aggregate.
-	var live []liveTx
+	live := m.live[:0]
 	for _, w := range winners {
 		fr := w.build()
 		if fr == nil || (fr.Kind == KindData && len(fr.MPDUs) == 0) {
@@ -206,8 +226,9 @@ func (m *Medium) grant() {
 			}
 			continue
 		}
-		live = append(live, liveTx{att: w, frame: fr, air: fr.Airtime()})
+		live = append(live, liveTx{att: w, frame: fr, air: fr.airtime(&m.sizes)})
 	}
+	m.live = live
 	if len(live) == 0 {
 		m.arm()
 		return
@@ -234,7 +255,7 @@ func (m *Medium) grant() {
 
 	// Decide decode outcomes per receiver now (the channel is a pure
 	// function of time, so sampling "in the future" at mid is sound).
-	var responses []respPlan
+	responses := m.responses[:0]
 
 	for li, lt := range live {
 		fr := lt.frame
@@ -251,15 +272,13 @@ func (m *Medium) grant() {
 			if err != nil {
 				continue
 			}
-			// The event is allocated up front so its inline snrStore can
-			// receive the CSI snapshot: one allocation covers the event and
-			// its 56-entry SNR array.
-			ev := &RxEvent{
-				At:        frameEnd,
-				From:      fr.From,
-				Kind:      fr.Kind,
-				Overheard: !owned && fr.To != BroadcastAddr,
-			}
+			// The event comes first so its inline snrStore can receive the
+			// CSI snapshot.
+			ev := m.getRx(rx)
+			ev.At = frameEnd
+			ev.From = fr.From
+			ev.Kind = fr.Kind
+			ev.Overheard = !owned && fr.To != BroadcastAddr
 			ev.SNRdB = link.SNRInto(mid, sender.Endpoint, ev.snrStore[:0])
 			if fr.Kind == KindBeacon {
 				ev.RSSIdBm = link.RSSIdBm(mid, sender.Endpoint.TxPowerDBm)
@@ -273,35 +292,34 @@ func (m *Medium) grant() {
 
 			// PHY sync is a per-frame event: the preamble either locks or
 			// the whole PPDU is invisible. Payload CRCs then fail per MPDU.
-			var decoded []*MPDU
 			if !lost {
 				esnr := csi.ESNRdB(ev.SNRdB, phy.Lookup(fr.MCS).Modulation)
 				ev.Synced = m.rnd.Float64() >= phy.SyncFailureProb(esnr)
 				if ev.Synced {
-					decoded = m.decodeMPDUs(fr, esnr)
+					ev.decStore = m.decodeMPDUs(fr, esnr, ev.decStore[:0])
+					ev.Decoded = ev.decStore
 				}
 			}
-			ev.Decoded = decoded
-			rxStation := rx
-			m.eng.At(frameEnd, func() { rxStation.deliver(ev) })
+			m.eng.At(frameEnd, ev.fire)
 
 			// Response decision: owners that decoded something respond.
-			if fr.ExpectsResponse() && owned && len(decoded) > 0 && rx.responds(fr.From) {
+			if fr.ExpectsResponse() && owned && len(ev.Decoded) > 0 && rx.responds(fr.From) {
 				ssn := fr.StartSeq()
-				seqs := make([]uint16, len(decoded))
-				for i, d := range decoded {
-					seqs[i] = d.Seq
+				m.seqs = m.seqs[:0]
+				for _, d := range ev.Decoded {
+					m.seqs = append(m.seqs, d.Seq)
 				}
 				responses = append(responses, respPlan{
 					responder: rx,
 					toward:    sender,
 					ssn:       ssn,
-					bitmap:    BuildBitmap(ssn, seqs),
+					bitmap:    BuildBitmap(ssn, m.seqs),
 					kindMgmt:  fr.Kind == KindMgmt,
 				})
 			}
 		}
 	}
+	m.responses = responses
 
 	end := frameEnd
 	if len(responses) > 0 {
@@ -338,7 +356,7 @@ func (m *Medium) grant() {
 		})
 	}
 
-	m.eng.At(end, m.arm)
+	m.eng.At(end, m.armFn)
 }
 
 // Capture margins: a receiver decodes the strongest of the transmissions
@@ -397,9 +415,9 @@ func (m *Medium) capture(rx *Station, at sim.Time) (strongest int, link *radio.L
 	return strongest, link, best - second
 }
 
-// decodeMPDUs applies the per-MPDU payload loss model for one synced frame.
-func (m *Medium) decodeMPDUs(fr *Frame, esnr float64) []*MPDU {
-	var out []*MPDU
+// decodeMPDUs applies the per-MPDU payload loss model for one synced frame,
+// appending the survivors to out.
+func (m *Medium) decodeMPDUs(fr *Frame, esnr float64, out []*MPDU) []*MPDU {
 	for _, mp := range fr.MPDUs {
 		per := phy.PayloadPER(fr.MCS, esnr, mp.Bytes+phy.MACHeaderBytes+phy.FCSBytes)
 		if m.rnd.Float64() >= per {
@@ -422,20 +440,19 @@ func (m *Medium) deliverResponses(responses []respPlan, respMid, respEnd sim.Tim
 	if len(responses) > 1 {
 		// Per-responder µs jitter; earliest slot transmits, rest suppress.
 		minJ := 1 << 30
-		jit := make([]int, len(responses))
-		for i := range responses {
-			jit[i] = m.rnd.IntN(64)
-			if jit[i] < minJ {
-				minJ = jit[i]
-			}
+		m.jit = m.jit[:0]
+		for range responses {
+			j := m.rnd.IntN(64)
+			m.jit = append(m.jit, j)
+			minJ = min(minJ, j)
 		}
-		var winners []respPlan
+		m.respWinners = m.respWinners[:0]
 		for i, rp := range responses {
-			if jit[i] == minJ {
-				winners = append(winners, rp)
+			if m.jit[i] == minJ {
+				m.respWinners = append(m.respWinners, rp)
 			}
 		}
-		responses = winners
+		responses = m.respWinners
 	}
 	m.onAir = m.onAir[:0]
 	for _, rp := range responses {
@@ -463,13 +480,12 @@ func (m *Medium) deliverResponses(responses []respPlan, respMid, respEnd sim.Tim
 			continue
 		}
 		rp := responses[strongest]
-		ev := &BAEvent{
-			At:        respEnd,
-			Responder: rp.responder.Addr,
-			SSN:       rp.ssn,
-			Bitmap:    rp.bitmap,
-			Overheard: rp.toward != rx,
-		}
+		ev := m.getBA(rx)
+		ev.At = respEnd
+		ev.Responder = rp.responder.Addr
+		ev.SSN = rp.ssn
+		ev.Bitmap = rp.bitmap
+		ev.Overheard = rp.toward != rx
 		ev.SNRdB = link.SNRInto(respMid, rp.responder.Endpoint, ev.snrStore[:0])
 		// Control responses go out in legacy OFDM at the 24 Mb/s basic rate
 		// — 16-QAM rate ½, i.e. MCS3-grade robustness, not MCS0. This is
@@ -478,11 +494,61 @@ func (m *Medium) deliverResponses(responses []respPlan, respMid, respEnd sim.Tim
 		esnr := csi.ESNRdB(ev.SNRdB, phy.Lookup(basicRateMCS).Modulation)
 		per := phy.PER(basicRateMCS, esnr, phy.BlockAckBytes)
 		if m.rnd.Float64() < per {
+			m.putBA(ev)
 			continue // response lost in the channel
 		}
-		rxStation := rx
-		m.eng.At(respEnd, func() { rxStation.deliverBA(ev) })
+		m.eng.At(respEnd, ev.fire)
 	}
+}
+
+// getRx takes an event for rx off the free list, or makes one with its
+// method value bound, once, to the engine callback it will always be.
+func (m *Medium) getRx(rx *Station) *RxEvent {
+	var ev *RxEvent
+	if n := len(m.rxFree); n > 0 {
+		ev = m.rxFree[n-1]
+		m.rxFree = m.rxFree[:n-1]
+	} else {
+		ev = &RxEvent{m: m}
+		ev.fire = ev.deliver
+	}
+	ev.rx = rx
+	return ev
+}
+
+// deliver is the engine event of one frame arrival: the sink sees the event,
+// then it goes back to the medium that made it.
+func (ev *RxEvent) deliver() {
+	ev.rx.deliver(ev)
+	clear(ev.decStore) // no MPDU outlives its frame through the free list
+	m := ev.m
+	*ev = RxEvent{m: m, decStore: ev.decStore[:0], fire: ev.fire}
+	m.rxFree = append(m.rxFree, ev)
+}
+
+// getBA is getRx for a response arrival.
+func (m *Medium) getBA(rx *Station) *BAEvent {
+	var ev *BAEvent
+	if n := len(m.baFree); n > 0 {
+		ev = m.baFree[n-1]
+		m.baFree = m.baFree[:n-1]
+	} else {
+		ev = &BAEvent{m: m}
+		ev.fire = ev.deliver
+	}
+	ev.rx = rx
+	return ev
+}
+
+func (ev *BAEvent) deliver() {
+	ev.rx.deliverBA(ev)
+	ev.m.putBA(ev)
+}
+
+// putBA zeroes ev and returns it to the free list.
+func (m *Medium) putBA(ev *BAEvent) {
+	*ev = BAEvent{m: ev.m, fire: ev.fire}
+	m.baFree = append(m.baFree, ev)
 }
 
 // Utilization returns the fraction of elapsed time the medium was busy.

@@ -8,6 +8,9 @@ import (
 
 // Sink receives what a station hears: frames addressed to it (or overheard
 // in monitor mode) and (Block) ACK responses. APs and clients implement it.
+// An event is valid only during the call: when the sink returns, the medium
+// zeroes it and reuses it for a later arrival, so a sink copies what it keeps
+// — the MPDUs in Decoded are its to keep, the slice and SNRdB are not.
 type Sink interface {
 	// OnFrame is invoked for every frame the station decodes ≥1 MPDU of,
 	// and for owned-address frames it decoded nothing of (ev.Decoded empty)

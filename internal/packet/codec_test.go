@@ -127,11 +127,15 @@ func TestEnvelopeLengthMatchesWireSize(t *testing.T) {
 
 // FuzzDecode throws arbitrary bytes at the decoder: it must return a value
 // or an error, never panic, and anything it accepts must re-encode and
-// re-decode to the same value (round-trip stability on the accepted set).
+// re-decode to the same value (round-trip stability on the accepted set) —
+// and decode to that value again through a Scratch that last held other
+// messages: no stale SNRQ, Pkt or APDst may leak into a reused envelope.
 func FuzzDecode(f *testing.F) {
-	for _, m := range exemplars() {
+	ex := exemplars()
+	for _, m := range ex {
 		f.Add(Encode(m))
 	}
+	dirt := [][]byte{Encode(ex[MsgDownData]), Encode(ex[MsgCSI]), Encode(ex[MsgBAFwd])}
 	// Adversarial seeds: truncations, length-field lies, unknown types.
 	f.Add([]byte{})
 	f.Add([]byte{byte(MsgStop)})
@@ -155,6 +159,19 @@ func FuzzDecode(f *testing.F) {
 		}
 		if !reflect.DeepEqual(m, again) {
 			t.Fatalf("accepted message unstable:\nfirst  %+v\nsecond %+v", m, again)
+		}
+		var sc Scratch
+		for _, b := range dirt {
+			if _, err := DecodeInto(b, &sc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reused, err := DecodeInto(data, &sc)
+		if err != nil {
+			t.Fatalf("decode into a used scratch failed: %v", err)
+		}
+		if !reflect.DeepEqual(m, reused) {
+			t.Fatalf("a used scratch changes the message:\nfresh  %+v\nreused %+v", m, reused)
 		}
 	})
 }

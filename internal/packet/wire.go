@@ -116,8 +116,43 @@ func EncodeInto(dst []byte, m Message) []byte {
 	return dst
 }
 
-// Decode parses one enveloped message.
-func Decode(src []byte) (Message, error) {
+// Decode parses one enveloped message into a freshly allocated value the
+// caller owns.
+func Decode(src []byte) (Message, error) { return DecodeInto(src, nil) }
+
+// Scratch is reusable storage for the three envelopes that arrive per packet
+// or per frame heard: DownData, CSIReport and BlockAckFwd. Every other type
+// is allocated per decode whatever the scratch.
+type Scratch struct {
+	down DownData
+	csi  CSIReport
+	ba   BlockAckFwd
+}
+
+// envelope returns sc's storage for a message of type t, nil for a nil sc or
+// a type it does not hold.
+func (sc *Scratch) envelope(t MsgType) Message {
+	if sc == nil {
+		return nil
+	}
+	switch t {
+	case MsgDownData:
+		return &sc.down
+	case MsgCSI:
+		return &sc.csi
+	case MsgBAFwd:
+		return &sc.ba
+	}
+	return nil
+}
+
+// DecodeInto parses one enveloped message. With a non-nil sc a DownData,
+// CSIReport or BlockAckFwd is decoded into sc and stays valid only until the
+// next DecodeInto on the same Scratch; its unmarshal overwrites every field,
+// so nothing of the previous message survives. The *Packet inside a DownData
+// is allocated per decode either way: AP rings, retry queues and frames keep
+// it long after the envelope is gone.
+func DecodeInto(src []byte, sc *Scratch) (Message, error) {
 	if len(src) < 3 {
 		return nil, fmt.Errorf("packet: envelope truncated (%d bytes)", len(src))
 	}
@@ -126,34 +161,36 @@ func Decode(src []byte) (Message, error) {
 	if len(src) < 3+n {
 		return nil, fmt.Errorf("packet: %v payload truncated: have %d, want %d", t, len(src)-3, n)
 	}
-	var m Message
-	switch t {
-	case MsgDownData:
-		m = &DownData{}
-	case MsgUpData:
-		m = &UpData{}
-	case MsgStop:
-		m = &Stop{}
-	case MsgStart:
-		m = &Start{}
-	case MsgSwitchAck:
-		m = &SwitchAck{}
-	case MsgCSI:
-		m = &CSIReport{}
-	case MsgBAFwd:
-		m = &BlockAckFwd{}
-	case MsgHealthProbe:
-		m = &HealthProbe{}
-	case MsgHealthAck:
-		m = &HealthAck{}
-	case MsgDomainHandoffOffer:
-		m = &DomainHandoffOffer{}
-	case MsgDomainHandoffAccept:
-		m = &DomainHandoffAccept{}
-	case MsgDomainHandoffCommit:
-		m = &DomainHandoffCommit{}
-	default:
-		return nil, fmt.Errorf("packet: unknown message type %d", src[0])
+	m := sc.envelope(t)
+	if m == nil {
+		switch t {
+		case MsgDownData:
+			m = &DownData{}
+		case MsgUpData:
+			m = &UpData{}
+		case MsgStop:
+			m = &Stop{}
+		case MsgStart:
+			m = &Start{}
+		case MsgSwitchAck:
+			m = &SwitchAck{}
+		case MsgCSI:
+			m = &CSIReport{}
+		case MsgBAFwd:
+			m = &BlockAckFwd{}
+		case MsgHealthProbe:
+			m = &HealthProbe{}
+		case MsgHealthAck:
+			m = &HealthAck{}
+		case MsgDomainHandoffOffer:
+			m = &DomainHandoffOffer{}
+		case MsgDomainHandoffAccept:
+			m = &DomainHandoffAccept{}
+		case MsgDomainHandoffCommit:
+			m = &DomainHandoffCommit{}
+		default:
+			return nil, fmt.Errorf("packet: unknown message type %d", src[0])
+		}
 	}
 	if err := m.unmarshal(src[3 : 3+n]); err != nil {
 		return nil, fmt.Errorf("packet: %v: %w", t, err)
