@@ -1,10 +1,10 @@
 # Tier-1 gate: everything `make check` runs must pass before a change
 # lands. `race` covers the concurrency-bearing packages (the fleet worker
 # pool, the parallel experiment registry, shared trace recorders, and the
-# stats merging they feed), the protocol cores the live tier runs on
-# wall-clock goroutines (controller, AP, switch, codec, selector, metrics),
-# and the two packages whose events and envelopes come off per-medium free
-# lists (mac, client): fleet workers must share none of them.
+# stats merging they feed), the protocol cores the live tier runs on its
+# wall-paced engine (controller, AP, chaos, switch, codec, selector,
+# metrics), and the two packages whose events and envelopes come off
+# per-medium free lists (mac, client): fleet workers must share none of them.
 
 GO ?= go
 
@@ -12,7 +12,7 @@ RACE_PKGS = ./internal/fleet ./internal/eval ./internal/trace ./internal/stats \
 	./internal/runtime ./internal/backhaul/udp ./internal/live ./internal/federation \
 	./internal/urban ./internal/core ./internal/controller ./internal/ap \
 	./internal/backhaul ./internal/packet ./internal/selector ./internal/metrics \
-	./internal/mac ./internal/client
+	./internal/mac ./internal/client ./internal/chaos
 
 .PHONY: check vet lint build test golden-quick golden race cli-smoke live-smoke federation-smoke fuzz-smoke docs-check metro-scale unreached loc bench bench-pair
 
@@ -105,14 +105,16 @@ cli-smoke:
 	@echo cli-smoke: every recorded CLI run reproduced
 
 # Live-mode smoke (part of check): one controller and two AP processes over
-# UDP loopback, each on its own wall-clock run loop, must complete a full
+# UDP loopback, each on its own wall-paced engine, must complete a full
 # §3.1.2 stop→start→ack switch with every backhaul message passing through
 # its wire encoding (DESIGN.md §12) — and again with a third AP, which
-# reports the flat ramp every AP past the two crossing ones replays.
+# reports the flat ramp every AP past the two crossing ones replays. A short
+# fan-out run (§14) must exit 0; its rates are not compared.
 live-smoke:
 	$(call in-scratch,wgtt-live, \
 		$$d/wgtt-live -aps 2 -timeout 10s; \
-		$$d/wgtt-live -aps 3 -timeout 10s)
+		$$d/wgtt-live -aps 3 -timeout 10s; \
+		$$d/wgtt-live -fanout -aps 8 -packets 2000)
 	@echo live-smoke: multi-process switch over UDP loopback complete
 
 # Federation smoke (part of check, DESIGN.md §13): two controller OS
@@ -143,7 +145,8 @@ metro-scale:
 
 # Dead-code audit (minutes, opt-in): build the four CLIs instrumented for
 # coverage, drive them through the trimmed experiment run, the cli-smoke
-# cases and the two live smokes, all into one GOCOVERDIR, and list every
+# cases, the two live smokes and the live-smoke fan-out run, all into one
+# GOCOVERDIR, and list every
 # function outside _test.go that nothing reached. Each main package must sit
 # inside its own -coverpkg or its binary flushes no counters. A listed
 # function is a candidate, not a verdict: failure-recovery paths, String
@@ -158,7 +161,8 @@ unreached:
 		{ $$d/wgtt-experiments -quick; \
 		  $(call each-cli-case,$$d/$$cmd $$flags); \
 		  $$d/wgtt-live -aps 2 -timeout 10s; \
-		  $$d/wgtt-live -federation -timeout 10s; } > /dev/null; \
+		  $$d/wgtt-live -federation -timeout 10s; \
+		  $$d/wgtt-live -fanout -aps 8 -packets 2000; } > /dev/null; \
 		$(GO) tool covdata func -i=$$d/cov | grep -v '_test\.go' | awk '$$NF == "0.0%"', \
 		-cover -coverpkg=./internal/...$(comma)./cmd/...)
 
@@ -170,12 +174,14 @@ loc:
 	@echo "internal/ cmd/ examples/: $$($(call loc-of,internal cmd examples))"
 	@echo "internal/fleet internal/core cmd/: $$($(call loc-of,internal/fleet internal/core cmd))"
 
-# Wire-codec fuzz smoke (part of check): a short coverage-guided run of
-# FuzzDecode on top of its seed corpus — malformed backhaul bytes must never
-# panic the decoder, and accepted inputs must round-trip stably.
+# Wire fuzz smoke (part of check): a short coverage-guided run of each fuzz
+# target on top of its seed corpus — malformed backhaul bytes must never
+# panic the decoder or the UDP fabric's datagram parser, accepted inputs
+# must round-trip stably, and every datagram must be accounted for.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 10s ./internal/packet
-	@echo fuzz-smoke: decoder survived coverage-guided malformed input
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/packet
+	$(GO) test -run '^$$' -fuzz '^FuzzDatagram$$' -fuzztime 10s ./internal/backhaul/udp
+	@echo fuzz-smoke: decoder and datagram parser survived coverage-guided malformed input
 
 # The performance record (minutes, opt-in): both passes of the repository's
 # benchmark (bench/README.md) on every BENCHMARK.json workload, each pass's

@@ -1,6 +1,6 @@
 // Command wgtt-live runs the WGTT protocol cores as separate OS processes
 // over a real UDP backhaul (DESIGN.md §12): one controller and N APs on
-// loopback, each with its own wall-clock run loop and socket, driving the
+// loopback, each with its own wall-paced engine and socket, driving the
 // scripted crossing-ramp CSI scenario through a complete §3.1.2
 // stop→start→ack switch.
 //

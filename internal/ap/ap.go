@@ -21,7 +21,6 @@ import (
 	"wgtt/internal/mac"
 	"wgtt/internal/metrics"
 	"wgtt/internal/packet"
-	"wgtt/internal/runtime"
 	"wgtt/internal/sim"
 )
 
@@ -136,12 +135,13 @@ type clientState struct {
 // cursors are considered stale and resynchronized on the next enqueue.
 const staleRingAfter = sim.Second
 
-// AP is one WGTT access point. Like the controller it is clock- and
-// transport-agnostic (DESIGN.md §12); st is nil in live mode, where no
-// simulated radio exists and CSI arrives from an external source.
+// AP is one WGTT access point. Like the controller it schedules on one
+// sim.Engine, virtual or wall-paced, and is transport-agnostic (DESIGN.md
+// §12); st is nil in live mode, where no simulated radio exists and CSI
+// arrives from an external source.
 type AP struct {
 	cfg Config
-	clk runtime.Clock
+	eng *sim.Engine
 	bh  backhaul.Fabric
 	st  *mac.Station
 	rnd *rand.Rand
@@ -217,10 +217,10 @@ func (a *AP) UseMetrics(r *metrics.Registry) {
 // station must have been created with the AP's radio endpoint; the AP
 // installs itself as the station's Sink and Source. In live mode st may be
 // nil — the AP then runs queue and protocol state only, with no radio.
-func New(cfg Config, clk runtime.Clock, bh backhaul.Fabric, st *mac.Station, controller packet.IPv4Addr, rnd *rand.Rand) *AP {
+func New(cfg Config, eng *sim.Engine, bh backhaul.Fabric, st *mac.Station, controller packet.IPv4Addr, rnd *rand.Rand) *AP {
 	a := &AP{
 		cfg:        cfg,
-		clk:        clk,
+		eng:        eng,
 		bh:         bh,
 		st:         st,
 		rnd:        rnd,
@@ -371,9 +371,9 @@ func (a *AP) HandleBackhaul(from packet.IPv4Addr, msg packet.Message) {
 	case *packet.DownData:
 		a.enqueueDownlink(m.Pkt)
 	case *packet.Stop:
-		a.clk.After(max(0, a.cfg.StopProcessing+a.jitter()), func() { a.handleStop(m) })
+		a.eng.After(max(0, a.cfg.StopProcessing+a.jitter()), func() { a.handleStop(m) })
 	case *packet.Start:
-		a.clk.After(max(0, a.cfg.StartProcessing+a.jitter()), func() { a.handleStart(m) })
+		a.eng.After(max(0, a.cfg.StartProcessing+a.jitter()), func() { a.handleStart(m) })
 	case *packet.BlockAckFwd:
 		a.handleForwardedBA(m)
 	case *packet.HealthProbe:
@@ -393,7 +393,7 @@ func (a *AP) enqueueDownlink(p *packet.Packet) {
 		a.Stats.DownOverwritten++
 	}
 	cs.ring[slot] = p
-	now := a.clk.Now()
+	now := a.eng.Now()
 	if !cs.haveAny {
 		cs.haveAny = true
 		cs.nextSend = p.Index
@@ -472,7 +472,7 @@ func (a *AP) handleStop(m *packet.Stop) {
 		return
 	}
 	a.Stats.StopsHandled++
-	a.met.spans.MarkStopHandled(m.SwitchID, int64(a.clk.Now()))
+	a.met.spans.MarkStopHandled(m.SwitchID, int64(a.eng.Now()))
 	cs := a.client(m.Client)
 	k := cs.nextSend
 	if !cs.serving {
@@ -498,7 +498,7 @@ func (a *AP) handleStop(m *packet.Stop) {
 		} else {
 			cs.drainPending = true
 			cs.drainSwitchID = m.SwitchID
-			cs.drainStart = a.clk.Now()
+			cs.drainStart = a.eng.Now()
 			cs.drainCount = 0
 		}
 	}
@@ -519,7 +519,7 @@ func (a *AP) handleStart(m *packet.Start) {
 		return
 	}
 	a.Stats.StartsHandled++
-	a.met.spans.MarkStartHandled(m.SwitchID, int64(a.clk.Now()))
+	a.met.spans.MarkStartHandled(m.SwitchID, int64(a.eng.Now()))
 	cs := a.client(m.Client)
 	if !cs.haveAny {
 		// Taking over with an empty ring (this AP joined the fan-out set
@@ -580,7 +580,7 @@ func (a *AP) completeFromBitmap(cs *clientState, ssn uint16, bitmap uint64) int 
 			done++
 			a.Stats.MPDUsDelivered++
 			if a.OnDeliver != nil && mp.Pkt != nil {
-				a.OnDeliver(mp.Pkt, a.clk.Now())
+				a.OnDeliver(mp.Pkt, a.eng.Now())
 			}
 			continue
 		}

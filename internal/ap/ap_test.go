@@ -11,7 +11,6 @@ import (
 	"wgtt/internal/mobility"
 	"wgtt/internal/packet"
 	"wgtt/internal/radio"
-	wrt "wgtt/internal/runtime"
 	"wgtt/internal/sim"
 )
 
@@ -86,7 +85,7 @@ func newAPHarness(t *testing.T, n int, clientX float64) *apHarness {
 			Endpoint:    ep,
 			Promiscuous: true,
 		})
-		a := New(cfg, wrt.Virtual(eng), bh, st, packet.ControllerIP, rng.Stream(cfg.Name))
+		a := New(cfg, eng, bh, st, packet.ControllerIP, rng.Stream(cfg.Name))
 		h.aps = append(h.aps, a)
 		peerIPs = append(peerIPs, cfg.IP)
 	}
@@ -500,7 +499,6 @@ func TestAssemblyAllocBudget(t *testing.T) {
 	const budgetBytes, budgetObjects = 1076824 + 1076824/1000, 232
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(2017)
-	clk := wrt.Virtual(eng)
 	cfgs := make([]Config, 32)
 	rnds := make([]*rand.Rand, len(cfgs))
 	for id := range cfgs {
@@ -514,7 +512,7 @@ func TestAssemblyAllocBudget(t *testing.T) {
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		for id, cfg := range cfgs {
-			a := New(cfg, clk, bh, nil, packet.ControllerIP, rnds[id])
+			a := New(cfg, eng, bh, nil, packet.ControllerIP, rnds[id])
 			a.Associate(packet.ClientMAC(1), packet.ClientIP(1), id == 0)
 		}
 		runtime.ReadMemStats(&after)

@@ -46,7 +46,7 @@ func (a *AP) BuildFrame() *mac.Frame {
 				// The last committed MPDU just left toward the NIC — the
 				// §3.1.2 drain the old AP performs over its inferior link.
 				a.met.spans.ObserveDrain(cs.drainSwitchID, cs.drainCount,
-					int64(a.clk.Now()-cs.drainStart))
+					int64(a.eng.Now()-cs.drainStart))
 				cs.drainPending = false
 			}
 		}
@@ -154,7 +154,7 @@ func (a *AP) OnTxDone(res *mac.TxResult) {
 		return
 	}
 	if a.OnFrameTx != nil {
-		a.OnFrameTx(phy.Lookup(fr.MCS).DataRateMbps, len(fr.MPDUs), a.clk.Now())
+		a.OnFrameTx(phy.Lookup(fr.MCS).DataRateMbps, len(fr.MPDUs), a.eng.Now())
 	}
 	acked := 0
 	for _, mp := range fr.MPDUs {
@@ -162,7 +162,7 @@ func (a *AP) OnTxDone(res *mac.TxResult) {
 			acked++
 			a.Stats.MPDUsDelivered++
 			if a.OnDeliver != nil && mp.Pkt != nil {
-				a.OnDeliver(mp.Pkt, a.clk.Now())
+				a.OnDeliver(mp.Pkt, a.eng.Now())
 			}
 			continue
 		}

@@ -100,10 +100,10 @@ func TestSendZeroAlloc(t *testing.T) {
 // copy delivered in listed order.
 func TestSendManyBatchRoundTrip(t *testing.T) {
 	connA, connB, connC := listen(t), listen(t), listen(t)
-	clkA, clkB, clkC := runtime.NewWall(), runtime.NewWall(), runtime.NewWall()
-	for _, clk := range []*runtime.Wall{clkA, clkB, clkC} {
-		go clk.Run()
-		defer clk.Stop()
+	wA, wB, wC := runtime.NewWall(), runtime.NewWall(), runtime.NewWall()
+	for _, w := range []*runtime.Wall{wA, wB, wC} {
+		go w.Run()
+		defer w.Stop()
 	}
 
 	// B hosts APs 0–2 (one batch datagram), C hosts AP 3 (plain unicast).
@@ -113,15 +113,15 @@ func TestSendManyBatchRoundTrip(t *testing.T) {
 		packet.APIP(2): connB.LocalAddr().String(),
 		packet.APIP(3): connC.LocalAddr().String(),
 	}
-	fa, err := New(clkA, connA, table)
+	fa, err := New(wA, connA, table)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb, err := New(clkB, connB, nil)
+	fb, err := New(wB, connB, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc, err := New(clkC, connC, nil)
+	fc, err := New(wC, connC, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,10 +172,10 @@ func TestSendManyBatchRoundTrip(t *testing.T) {
 // copy delivered in listed order, no-route targets skipped silently.
 func TestSendManyLocalTargets(t *testing.T) {
 	conn := listen(t)
-	clk := runtime.NewWall()
-	go clk.Run()
-	defer clk.Stop()
-	f, err := New(clk, conn, nil)
+	w := runtime.NewWall()
+	go w.Run()
+	defer w.Stop()
+	f, err := New(w, conn, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,10 +203,10 @@ func TestSendManyLocalTargets(t *testing.T) {
 // batch copies for unhosted addresses count as unroutable.
 func TestMalformedBatchDatagrams(t *testing.T) {
 	conn := listen(t)
-	clk := runtime.NewWall()
-	go clk.Run()
-	defer clk.Stop()
-	f, err := New(clk, conn, nil)
+	w := runtime.NewWall()
+	go w.Run()
+	defer w.Stop()
+	f, err := New(w, conn, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,11 +264,11 @@ func TestBatchAddressReserved(t *testing.T) {
 // datagrams, all copies delivered.
 func TestSendManyChunksLargeGroups(t *testing.T) {
 	connA, connB := listen(t), listen(t)
-	clkA, clkB := runtime.NewWall(), runtime.NewWall()
-	go clkA.Run()
-	go clkB.Run()
-	defer clkA.Stop()
-	defer clkB.Stop()
+	wA, wB := runtime.NewWall(), runtime.NewWall()
+	go wA.Run()
+	go wB.Run()
+	defer wA.Stop()
+	defer wB.Stop()
 
 	const nTargets = maxBatch + 5
 	table := map[packet.IPv4Addr]string{}
@@ -279,11 +279,11 @@ func TestSendManyChunksLargeGroups(t *testing.T) {
 		table[addr] = connB.LocalAddr().String()
 		tos[i] = addr
 	}
-	fa, err := New(clkA, connA, table)
+	fa, err := New(wA, connA, table)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb, err := New(clkB, connB, nil)
+	fb, err := New(wB, connB, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,9 +30,10 @@
 // loses every copy it carried — acceptable because the copies are redundant
 // by design (any AP that heard the client can deliver).
 //
-// Inbound datagrams are decoded on the reader goroutine but dispatched with
-// Clock.After(0, ...), which serializes them onto the clock's run loop —
-// protocol cores see the same one-event-at-a-time world as in simulation.
+// Inbound datagrams are decoded on the reader goroutine and handed to the
+// node's runtime.Wall with Post, which serializes them onto the one engine
+// the protocol cores run on — the same one-event-at-a-time world as in
+// simulation.
 package udp
 
 import (
@@ -88,7 +89,7 @@ type epGroup struct {
 
 // Fabric implements backhaul.Fabric over one UDP socket.
 type Fabric struct {
-	clk  runtime.Clock
+	w    *runtime.Wall
 	conn *net.UDPConn
 
 	mu    sync.Mutex
@@ -120,7 +121,7 @@ type Fabric struct {
 	rscratch []packet.IPv4Addr
 
 	// dpool recycles combined-delivery events: the reader and send
-	// goroutines allocate them, the clock goroutine returns them.
+	// goroutines allocate them, the run loop returns them.
 	dpool sync.Pool
 
 	stats Stats
@@ -131,10 +132,10 @@ type Fabric struct {
 
 // New builds a fabric on a pre-bound socket. table maps every REMOTE virtual
 // address to its "host:port"; local nodes are added with Attach. Call Start
-// once the local nodes are attached.
-func New(clk runtime.Clock, conn *net.UDPConn, table map[packet.IPv4Addr]string) (*Fabric, error) {
+// once the local nodes are attached. Inbound messages are posted to w.
+func New(w *runtime.Wall, conn *net.UDPConn, table map[packet.IPv4Addr]string) (*Fabric, error) {
 	f := &Fabric{
-		clk:     clk,
+		w:       w,
 		conn:    conn,
 		nodes:   make(map[packet.IPv4Addr]backhaul.Node),
 		peers:   make(map[packet.IPv4Addr]*net.UDPAddr, len(table)),
@@ -398,10 +399,10 @@ func (d *manyDispatch) fire() {
 	d.f.dpool.Put(d)
 }
 
-// dispatch decodes one encoded message and posts it onto the clock's run
-// loop for the node hosted at to. Malformed or unroutable datagrams are
-// counted and dropped — a fabric must survive any bytes the network hands
-// it (the codec's FuzzDecode pins the "no panics" half of that). raw is not
+// dispatch decodes one encoded message and posts it onto the run loop for
+// the node hosted at to. Malformed or unroutable datagrams are counted and
+// dropped — a fabric must survive any bytes the network hands it (FuzzDecode
+// and FuzzDatagram pin the "no panics" half of that). raw is not
 // retained: Decode copies everything it keeps, so callers may reuse the
 // buffer immediately.
 func (f *Fabric) dispatch(from, to packet.IPv4Addr, raw []byte) {
@@ -428,7 +429,7 @@ func (f *Fabric) dispatch(from, to packet.IPv4Addr, raw []byte) {
 	}
 	f.stats.Received++
 	f.mu.Unlock()
-	f.clk.After(0, func() { node.HandleBackhaul(from, msg) })
+	f.w.Post(func() { node.HandleBackhaul(from, msg) })
 }
 
 // dispatchMany decodes raw once and posts a single combined delivery event
@@ -458,7 +459,7 @@ func (f *Fabric) dispatchMany(from packet.IPv4Addr, tos []packet.IPv4Addr, raw [
 		return
 	}
 	d.from, d.msg = from, msg
-	f.clk.After(0, d.run)
+	f.w.Post(d.run)
 }
 
 // handleBatch parses one inbound batch datagram: count, target list,
@@ -489,9 +490,9 @@ func (f *Fabric) countDecodeErr() {
 }
 
 // readLoop receives datagrams until the socket closes. One buffer serves
-// every read: dispatch and handleBatch decode synchronously and never
-// retain it, so the inbound path allocates nothing per datagram beyond the
-// decoded message itself.
+// every read: receive decodes synchronously and never retains it, so the
+// inbound path allocates nothing per datagram beyond the decoded message
+// itself.
 func (f *Fabric) readLoop() {
 	defer close(f.done)
 	buf := make([]byte, maxDatagram)
@@ -500,17 +501,23 @@ func (f *Fabric) readLoop() {
 		if err != nil {
 			return // closed socket (or unrecoverable error): reader exits
 		}
-		if n < header+3 {
-			f.countDecodeErr()
-			continue
-		}
-		var from, to packet.IPv4Addr
-		copy(from[:], buf[:4])
-		copy(to[:], buf[4:8])
-		if to == batchAddr {
-			f.handleBatch(from, buf[header:n])
-			continue
-		}
-		f.dispatch(from, to, buf[header:n])
+		f.receive(buf[:n])
 	}
+}
+
+// receive parses one inbound datagram: the addressing header, then a batch
+// (handleBatch) or a single message (dispatch).
+func (f *Fabric) receive(dg []byte) {
+	if len(dg) < header+3 {
+		f.countDecodeErr()
+		return
+	}
+	var from, to packet.IPv4Addr
+	copy(from[:], dg[:4])
+	copy(to[:], dg[4:8])
+	if to == batchAddr {
+		f.handleBatch(from, dg[header:])
+		return
+	}
+	f.dispatch(from, to, dg[header:])
 }

@@ -9,7 +9,6 @@ import (
 	"wgtt/internal/backhaul"
 	"wgtt/internal/packet"
 	"wgtt/internal/runtime"
-	"wgtt/internal/sim"
 )
 
 // listen binds a loopback UDP socket on an ephemeral port.
@@ -55,19 +54,19 @@ func (c *collector) wait(t *testing.T, n int) {
 // attached to the other, decoded to the same typed struct.
 func TestSendAcrossSockets(t *testing.T) {
 	connA, connB := listen(t), listen(t)
-	clkA, clkB := runtime.NewWall(), runtime.NewWall()
-	go clkA.Run()
-	go clkB.Run()
-	defer clkA.Stop()
-	defer clkB.Stop()
+	wA, wB := runtime.NewWall(), runtime.NewWall()
+	go wA.Run()
+	go wB.Run()
+	defer wA.Stop()
+	defer wB.Stop()
 
 	ctl := packet.ControllerIP
 	ap0 := packet.APIP(0)
-	fa, err := New(clkA, connA, map[packet.IPv4Addr]string{ap0: connB.LocalAddr().String()})
+	fa, err := New(wA, connA, map[packet.IPv4Addr]string{ap0: connB.LocalAddr().String()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb, err := New(clkB, connB, map[packet.IPv4Addr]string{ctl: connA.LocalAddr().String()})
+	fb, err := New(wB, connB, map[packet.IPv4Addr]string{ctl: connA.LocalAddr().String()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,10 +100,10 @@ func TestSendAcrossSockets(t *testing.T) {
 // Loopback to a node on the same fabric must still round-trip the codec.
 func TestLocalDeliveryPassesCodec(t *testing.T) {
 	conn := listen(t)
-	clk := runtime.NewWall()
-	go clk.Run()
-	defer clk.Stop()
-	f, err := New(clk, conn, nil)
+	w := runtime.NewWall()
+	go w.Run()
+	defer w.Stop()
+	f, err := New(w, conn, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,10 +136,10 @@ func TestSendUnroutable(t *testing.T) {
 // and the fabric must keep delivering afterwards.
 func TestMalformedDatagramsSurvived(t *testing.T) {
 	conn := listen(t)
-	clk := runtime.NewWall()
-	go clk.Run()
-	defer clk.Stop()
-	f, err := New(clk, conn, nil)
+	w := runtime.NewWall()
+	go w.Run()
+	defer w.Stop()
+	f, err := New(w, conn, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,10 +192,10 @@ func TestMalformedDatagramsSurvived(t *testing.T) {
 // well-formed message (a datagram is exactly one message).
 func TestDecodeErrorAccountingPerClass(t *testing.T) {
 	conn := listen(t)
-	clk := runtime.NewWall()
-	go clk.Run()
-	defer clk.Stop()
-	f, err := New(clk, conn, nil)
+	w := runtime.NewWall()
+	go w.Run()
+	defer w.Stop()
+	f, err := New(w, conn, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,10 +238,10 @@ func TestDecodeErrorAccountingPerClass(t *testing.T) {
 // counted as unroutable.
 func TestUnroutableInbound(t *testing.T) {
 	conn := listen(t)
-	clk := runtime.NewWall()
-	go clk.Run()
-	defer clk.Stop()
-	f, err := New(clk, conn, nil)
+	w := runtime.NewWall()
+	go w.Run()
+	defer w.Stop()
+	f, err := New(w, conn, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +265,3 @@ func TestUnroutableInbound(t *testing.T) {
 // The fabric must satisfy backhaul.Fabric alongside the simulator Switch.
 var _ backhaul.Fabric = (*Fabric)(nil)
 var _ backhaul.Fabric = (*backhaul.Switch)(nil)
-
-// Compile-time check that the virtual clock still works with sim (import
-// anchor for the shared interface contract).
-var _ = sim.Millisecond

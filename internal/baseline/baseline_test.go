@@ -11,7 +11,6 @@ import (
 	"wgtt/internal/mobility"
 	"wgtt/internal/packet"
 	"wgtt/internal/radio"
-	wrt "wgtt/internal/runtime"
 	"wgtt/internal/sim"
 )
 
@@ -53,7 +52,7 @@ func newHarness(t *testing.T, clientTrace mobility.Trace, speedHint float64) *ha
 			t.Fatal(err)
 		}
 		st := mac.NewStation(medium, mac.StationConfig{Addr: cfg.MAC, Endpoint: ep})
-		h.aps = append(h.aps, ap.New(cfg, wrt.Virtual(eng), bh, st, packet.ControllerIP, rng.Stream(cfg.Name)))
+		h.aps = append(h.aps, ap.New(cfg, eng, bh, st, packet.ControllerIP, rng.Stream(cfg.Name)))
 	}
 	h.net = NewNetwork(eng, bh, h.aps)
 	h.net.StartBeacons()

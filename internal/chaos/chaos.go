@@ -27,7 +27,6 @@ import (
 	"wgtt/internal/backhaul"
 	"wgtt/internal/metrics"
 	"wgtt/internal/packet"
-	"wgtt/internal/runtime"
 	"wgtt/internal/sim"
 )
 
@@ -247,7 +246,7 @@ type Stats struct {
 // Injector replays a Plan against a live network. Build it with NewInjector
 // and wire it with Arm before the run starts.
 type Injector struct {
-	clk  runtime.Clock
+	eng  *sim.Engine
 	cfg  Config
 	plan Plan
 
@@ -275,12 +274,12 @@ type Injector struct {
 // NewInjector builds the plan for the given horizon and binds it to the
 // network's components. ctl may be nil (baseline networks have none, and
 // controller events are then skipped).
-func NewInjector(cfg Config, clk runtime.Clock, rng *sim.RNG, aps []APTarget, ctl ControllerTarget, horizon sim.Time) *Injector {
+func NewInjector(cfg Config, eng *sim.Engine, rng *sim.RNG, aps []APTarget, ctl ControllerTarget, horizon sim.Time) *Injector {
 	if cfg.MaxConcurrentAPDown <= 0 {
 		cfg.MaxConcurrentAPDown = 1
 	}
 	return &Injector{
-		clk:      clk,
+		eng:      eng,
 		cfg:      cfg,
 		plan:     BuildPlan(cfg, rng, len(aps), horizon),
 		aps:      aps,
@@ -305,20 +304,16 @@ func (in *Injector) Arm(bh *backhaul.Switch) {
 		if prevDelay != nil {
 			d = prevDelay(to, msg)
 		}
-		if in.clk.Now() < in.spikeUntil {
+		if in.eng.Now() < in.spikeUntil {
 			d += in.cfg.LatencySpikeExtra
 		}
 		return d
 	}
 	for _, ev := range in.plan.Events {
 		ev := ev
-		// Arm runs at time 0 in practice, but compute the remaining delay so
-		// a late Arm still lands each event at its planned absolute time.
-		d := ev.At - in.clk.Now()
-		if d < 0 {
-			d = 0
-		}
-		in.clk.After(d, func() { in.apply(ev) })
+		// Arm runs at time 0 in practice; a late Arm still lands each event
+		// at its planned absolute time, or at once if that has passed.
+		in.eng.At(max(ev.At, in.eng.Now()), func() { in.apply(ev) })
 	}
 }
 
@@ -335,7 +330,7 @@ func (in *Injector) UseMetrics(r *metrics.Registry) {
 // drop is the backhaul loss hook: burst windows drop anything, blackout
 // windows drop CSI reports.
 func (in *Injector) drop(to packet.IPv4Addr, msg packet.Message) bool {
-	now := in.clk.Now()
+	now := in.eng.Now()
 	if now < in.burstUntil && in.burstRnd.Float64() < in.cfg.BackhaulBurstLoss {
 		in.Stats.BurstDrops++
 		return true
@@ -415,7 +410,7 @@ func (in *Injector) canCrash(apID int) bool {
 
 // extend opens or lengthens a fault window ending at now+d.
 func (in *Injector) extend(until *sim.Time, d sim.Time) {
-	if end := in.clk.Now() + d; end > *until {
+	if end := in.eng.Now() + d; end > *until {
 		*until = end
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"wgtt/internal/backhaul"
 	"wgtt/internal/packet"
-	wrt "wgtt/internal/runtime"
 	"wgtt/internal/sim"
 )
 
@@ -119,7 +118,7 @@ func TestInjectorCrashGuards(t *testing.T) {
 			{At: 5 * sim.Second, Kind: APCrash, AP: 1}, // allowed again
 		},
 	}
-	inj := NewInjector(cfg, wrt.Virtual(eng), sim.NewRNG(9), targets, nil, 10*sim.Second)
+	inj := NewInjector(cfg, eng, sim.NewRNG(9), targets, nil, 10*sim.Second)
 	bh := backhaul.NewSwitch(eng, 200*sim.Microsecond)
 	var faults []Event
 	inj.OnFault = func(ev Event) { faults = append(faults, ev) }
@@ -148,7 +147,7 @@ func TestInjectorNeverCrashesLastAliveAP(t *testing.T) {
 	eng := sim.NewEngine()
 	only := &fakeTarget{}
 	cfg := Config{Script: []Event{{At: sim.Second, Kind: APCrash, AP: 0}}}
-	inj := NewInjector(cfg, wrt.Virtual(eng), sim.NewRNG(9), []APTarget{only}, nil, 5*sim.Second)
+	inj := NewInjector(cfg, eng, sim.NewRNG(9), []APTarget{only}, nil, 5*sim.Second)
 	inj.Arm(backhaul.NewSwitch(eng, 200*sim.Microsecond))
 	eng.RunUntil(5 * sim.Second)
 	if only.crashes != 0 || inj.Stats.CrashesSkipped != 1 {
@@ -168,7 +167,7 @@ func TestInjectorBurstDropsAndBlackout(t *testing.T) {
 			{At: 2 * sim.Second, Kind: CSIBlackout, Dur: 100 * sim.Millisecond},
 		},
 	}
-	inj := NewInjector(cfg, wrt.Virtual(eng), sim.NewRNG(3), nil, nil, 5*sim.Second)
+	inj := NewInjector(cfg, eng, sim.NewRNG(3), nil, nil, 5*sim.Second)
 	inj.Arm(bh)
 
 	send := func(at sim.Time, msg packet.Message) {
@@ -201,7 +200,7 @@ func TestInjectorLatencySpikeDelays(t *testing.T) {
 		LatencySpikeExtra: 5 * sim.Millisecond,
 		Script:            []Event{{At: sim.Second, Kind: LatencySpike, Dur: 100 * sim.Millisecond}},
 	}
-	inj := NewInjector(cfg, wrt.Virtual(eng), sim.NewRNG(3), nil, nil, 5*sim.Second)
+	inj := NewInjector(cfg, eng, sim.NewRNG(3), nil, nil, 5*sim.Second)
 	inj.Arm(bh)
 
 	eng.At(1*sim.Second+sim.Millisecond, func() {
@@ -230,7 +229,7 @@ func TestInjectorControllerCrashRecover(t *testing.T) {
 	eng := sim.NewEngine()
 	ctl := &fakeTarget{}
 	cfg := Config{ControllerCrashAt: sim.Second, ControllerDowntime: 500 * sim.Millisecond}
-	inj := NewInjector(cfg, wrt.Virtual(eng), sim.NewRNG(5), nil, ctl, 5*sim.Second)
+	inj := NewInjector(cfg, eng, sim.NewRNG(5), nil, ctl, 5*sim.Second)
 	inj.Arm(backhaul.NewSwitch(eng, 200*sim.Microsecond))
 	eng.RunUntil(5 * sim.Second)
 	if ctl.crashes != 1 || ctl.restarts != 1 {
@@ -244,7 +243,7 @@ func TestInjectorControllerCrashRecover(t *testing.T) {
 func TestArmEmptyPlanInstallsNothing(t *testing.T) {
 	eng := sim.NewEngine()
 	bh := backhaul.NewSwitch(eng, 200*sim.Microsecond)
-	inj := NewInjector(Config{}, wrt.Virtual(eng), sim.NewRNG(1), nil, nil, 5*sim.Second)
+	inj := NewInjector(Config{}, eng, sim.NewRNG(1), nil, nil, 5*sim.Second)
 	inj.Arm(bh)
 	if bh.Drop != nil || bh.Delay != nil {
 		t.Fatal("empty plan installed backhaul hooks")

@@ -38,7 +38,7 @@ func (c *Controller) AdoptClient(mac packet.MACAddr, ip packet.IPv4Addr, serving
 		c.dedupEntries++
 	}
 	c.met.dedupSize.Set(float64(c.dedupEntries))
-	cl.lastSwitch = c.clk.Now()
+	cl.lastSwitch = c.eng.Now()
 }
 
 // ReleaseClient removes a client handed off to a peer controller, dropping
@@ -104,7 +104,7 @@ func (c *Controller) SeedESNR(mac packet.MACAddr, apID int, esnrDB float64) {
 	if cl == nil || apID < 0 || apID >= len(c.aps) {
 		return
 	}
-	now := c.clk.Now()
+	now := c.eng.Now()
 	c.sel.Observe(mac, apID, esnrDB, now)
 	cl.fanHeard(apID, now)
 }

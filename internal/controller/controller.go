@@ -15,7 +15,6 @@ import (
 	"wgtt/internal/csi"
 	"wgtt/internal/metrics"
 	"wgtt/internal/packet"
-	"wgtt/internal/runtime"
 	"wgtt/internal/selector"
 	"wgtt/internal/sim"
 )
@@ -285,7 +284,7 @@ type switchOp struct {
 	stopAddr packet.IPv4Addr
 	sentAt   sim.Time
 	attempts int
-	timer    runtime.Timer
+	timer    sim.Timer
 	// forced marks an op driven by direct starts instead of the stop→start
 	// handshake (the old AP is dead, or silent, and would never answer).
 	forced bool
@@ -333,12 +332,12 @@ type clientCtl struct {
 	UplinkUnique, UplinkDuplicate uint64
 }
 
-// Controller is the WGTT controller. It is clock- and transport-agnostic:
-// all timing goes through a runtime.Clock (virtual in simulation, wall in
-// live mode) and all messaging through a backhaul.Fabric (DESIGN.md §12).
+// Controller is the WGTT controller. All timing goes through one
+// sim.Engine (virtual in simulation, paced by runtime.Wall in live mode)
+// and all messaging through a backhaul.Fabric (DESIGN.md §12).
 type Controller struct {
 	cfg  Config
-	clk  runtime.Clock
+	eng  *sim.Engine
 	bh   backhaul.Fabric
 	aps  []APInfo
 	addr packet.IPv4Addr
@@ -397,13 +396,13 @@ type Controller struct {
 
 // New creates a controller commanding the given APs and attaches it to the
 // backhaul at cfg.Addr (packet.ControllerIP when unset).
-func New(cfg Config, clk runtime.Clock, bh backhaul.Fabric, aps []APInfo) *Controller {
+func New(cfg Config, eng *sim.Engine, bh backhaul.Fabric, aps []APInfo) *Controller {
 	if cfg.Addr.IsZero() {
 		cfg.Addr = packet.ControllerIP
 	}
 	c := &Controller{
 		cfg:         cfg,
-		clk:         clk,
+		eng:         eng,
 		bh:          bh,
 		aps:         aps,
 		addr:        cfg.Addr,
@@ -427,7 +426,7 @@ func New(cfg Config, clk runtime.Clock, bh backhaul.Fabric, aps []APInfo) *Contr
 		for i := range c.health {
 			c.health[i].alive = true
 		}
-		clk.After(cfg.HealthInterval, c.healthTick)
+		eng.After(cfg.HealthInterval, c.healthTick)
 	}
 	bh.Attach(c.addr, c)
 	return c
@@ -465,7 +464,7 @@ func (c *Controller) ServingAP(mac packet.MACAddr) int {
 // quantity the selection rule compares (evaluation hook, and the
 // federation tier's evidence export; every policy maintains it).
 func (c *Controller) MedianESNR(mac packet.MACAddr, apID int) (float64, bool) {
-	return c.sel.Median(mac, apID, c.clk.Now())
+	return c.sel.Median(mac, apID, c.eng.Now())
 }
 
 // HandleBackhaul implements backhaul.Node.
@@ -505,12 +504,12 @@ func (c *Controller) handleCSI(m *packet.CSIReport) {
 	c.snrScratch = m.SNRdBInto(c.snrScratch)
 	esnr := csi.ESNRdB(c.snrScratch, csi.DefaultESNRModulation)
 	at := sim.Time(m.At)
-	if now := c.clk.Now(); at > now || at < now-c.cfg.Window {
+	if now := c.eng.Now(); at > now || at < now-c.cfg.Window {
 		at = now
 	}
 	occ := c.sel.Observe(cl.mac, apID, esnr, at)
 	c.met.windowOcc.Observe(float64(occ))
-	cl.fanHeard(apID, c.clk.Now())
+	cl.fanHeard(apID, c.eng.Now())
 	c.evaluate(cl)
 }
 
@@ -525,7 +524,7 @@ func (c *Controller) evaluate(cl *clientCtl) {
 	if cl.frozen {
 		return // offered to a peer domain: no switch until that resolves
 	}
-	now := c.clk.Now()
+	now := c.eng.Now()
 	dwell := now-cl.lastSwitch < c.cfg.Hysteresis
 	if dwell && c.cfg.CollapseDB <= 0 {
 		// Dwell-time suppression: the selection rule would have re-run
@@ -572,7 +571,7 @@ func (c *Controller) initiateSwitch(cl *clientCtl, d selector.Decision) {
 	c.switchSeq++
 	op := &switchOp{
 		id: c.switchSeq, from: cl.serving, to: d.Target,
-		stopAddr: c.aps[cl.serving].IP, sentAt: c.clk.Now(),
+		stopAddr: c.aps[cl.serving].IP, sentAt: c.eng.Now(),
 	}
 	cl.op = op
 	c.Stats.SwitchesStarted++
@@ -595,7 +594,7 @@ func (c *Controller) PullFrom(mac packet.MACAddr, oldAP packet.IPv4Addr, id uint
 	if cl == nil || cl.op != nil {
 		return
 	}
-	cl.op = &switchOp{id: id, from: -1, to: cl.serving, stopAddr: oldAP, sentAt: c.clk.Now(), done: done}
+	cl.op = &switchOp{id: id, from: -1, to: cl.serving, stopAddr: oldAP, sentAt: c.eng.Now(), done: done}
 	c.transmit(cl, cl.op)
 }
 
@@ -617,7 +616,7 @@ func (c *Controller) transmit(cl *clientCtl, op *switchOp) {
 		stop := &packet.Stop{Client: cl.mac, NextAP: c.aps[op.to].IP, SwitchID: op.id}
 		_ = c.bh.Send(c.addr, op.stopAddr, stop)
 	}
-	op.timer = c.clk.After(switchTimeout, func() {
+	op.timer = c.eng.After(switchTimeout, func() {
 		if cl.op != op {
 			return
 		}
@@ -648,7 +647,7 @@ func (c *Controller) handleSwitchAck(m *packet.SwitchAck) {
 	cl.op = nil
 	cl.serving = op.to
 	c.sel.SetServing(cl.mac, op.to)
-	now := c.clk.Now()
+	now := c.eng.Now()
 	rec := SwitchRecord{
 		At:       now,
 		Client:   cl.mac,
@@ -703,7 +702,7 @@ func (c *Controller) handleUplink(m *packet.UpData) {
 	}
 	c.Stats.UplinkUnique++
 	if c.DeliverUplink != nil {
-		c.DeliverUplink(p, c.clk.Now())
+		c.DeliverUplink(p, c.eng.Now())
 	}
 }
 

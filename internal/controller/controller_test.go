@@ -6,7 +6,6 @@ import (
 	"wgtt/internal/backhaul"
 	"wgtt/internal/metrics"
 	"wgtt/internal/packet"
-	wrt "wgtt/internal/runtime"
 	"wgtt/internal/sim"
 )
 
@@ -66,7 +65,7 @@ func newCtlHarness(t *testing.T, nAPs int, cfg Config) *ctlHarness {
 		aps[i] = &fakeAP{id: i, eng: eng, bh: bh, ip: packet.APIP(i), ackStop: true}
 		bh.Attach(packet.APIP(i), aps[i])
 	}
-	ctl := New(cfg, wrt.Virtual(eng), bh, infos)
+	ctl := New(cfg, eng, bh, infos)
 	return &ctlHarness{eng: eng, bh: bh, ctl: ctl, aps: aps}
 }
 

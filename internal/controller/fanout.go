@@ -131,7 +131,7 @@ func (c *Controller) SendDownlink(p *packet.Packet) error {
 	cl.nextIndex = packet.NextIndex(cl.nextIndex)
 	c.Stats.DownlinkSent++
 
-	targets := c.fanTargets(cl, c.clk.Now())
+	targets := c.fanTargets(cl, c.eng.Now())
 	// Copies count per target attempted, send outcome regardless — the
 	// accounting the per-target Send loop kept (its errors were ignored).
 	c.Stats.DownlinkCopies += uint64(len(targets))

@@ -6,7 +6,6 @@ import (
 
 	"wgtt/internal/backhaul"
 	"wgtt/internal/packet"
-	wrt "wgtt/internal/runtime"
 	"wgtt/internal/sim"
 )
 
@@ -108,7 +107,7 @@ func TestFanoutZeroAlloc(t *testing.T) {
 	for i := range infos {
 		infos[i] = APInfo{ID: i, IP: packet.APIP(i), MAC: packet.APMAC(i)}
 	}
-	ctl := New(DefaultConfig(), wrt.Virtual(eng), fab, infos)
+	ctl := New(DefaultConfig(), eng, fab, infos)
 	client := packet.ClientMAC(1)
 	ctl.RegisterClient(client, packet.ClientIP(1), 0)
 	cl := ctl.clients[client]

@@ -56,7 +56,7 @@ func (c *Controller) noteAPAlive(from packet.IPv4Addr) {
 		return
 	}
 	h := &c.health[id]
-	h.lastHeard = c.clk.Now()
+	h.lastHeard = c.eng.Now()
 	if !h.alive {
 		h.alive = true
 		c.Stats.APsReadmitted++
@@ -67,7 +67,7 @@ func (c *Controller) noteAPAlive(from packet.IPv4Addr) {
 // interval, declare dead those quiet through the detection timeout.
 func (c *Controller) healthTick() {
 	if !c.down {
-		now := c.clk.Now()
+		now := c.eng.Now()
 		for id := range c.health {
 			h := &c.health[id]
 			silent := now - h.lastHeard
@@ -84,14 +84,14 @@ func (c *Controller) healthTick() {
 			}
 		}
 	}
-	c.clk.After(c.cfg.HealthInterval, c.healthTick)
+	c.eng.After(c.cfg.HealthInterval, c.healthTick)
 }
 
 // markAPDead declares one AP dead and rescues its clients.
 func (c *Controller) markAPDead(id int) {
 	h := &c.health[id]
 	h.alive = false
-	h.deadSince = c.clk.Now()
+	h.deadSince = c.eng.Now()
 	c.Stats.APsMarkedDead++
 
 	// Collect the stranded clients first (in registration order — the map
@@ -124,7 +124,7 @@ func (c *Controller) markAPDead(id int) {
 // back to the alive AP that heard the client most recently, then to the
 // lowest-numbered alive AP. Returns -1 only when every AP is dead.
 func (c *Controller) pickFailover(cl *clientCtl) int {
-	now := c.clk.Now()
+	now := c.eng.Now()
 	best := c.sel.BestAlive(cl.mac, now, c.aliveFn)
 	if best != -1 {
 		return best
@@ -172,7 +172,7 @@ func (c *Controller) forceSwitch(cl *clientCtl, recoveryID uint32) {
 				op.recoveryID = recoveryID
 				op.timer.Stop()
 				c.Stats.ForcedSwitches++
-				c.met.recoverySpans.MarkStartHandled(recoveryID, int64(c.clk.Now()))
+				c.met.recoverySpans.MarkStartHandled(recoveryID, int64(c.eng.Now()))
 				c.transmit(cl, op)
 			}
 			return
@@ -185,7 +185,7 @@ func (c *Controller) forceSwitch(cl *clientCtl, recoveryID uint32) {
 		done = op.done
 	}
 	c.switchSeq++
-	now := c.clk.Now()
+	now := c.eng.Now()
 	op := &switchOp{
 		id: c.switchSeq, from: cl.serving, to: to,
 		sentAt: now, forced: true, recoveryID: recoveryID, done: done,
@@ -230,7 +230,7 @@ func (c *Controller) Recover() {
 		return
 	}
 	c.down = false
-	now := c.clk.Now()
+	now := c.eng.Now()
 	for _, mac := range c.clientOrder {
 		cl := c.clients[mac]
 		c.sel.ResetClient(mac)

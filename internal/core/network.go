@@ -16,7 +16,6 @@ import (
 	"wgtt/internal/mobility"
 	"wgtt/internal/packet"
 	"wgtt/internal/radio"
-	"wgtt/internal/runtime"
 	"wgtt/internal/sim"
 	"wgtt/internal/trace"
 	"wgtt/internal/urban"
@@ -160,7 +159,6 @@ func Build(s Scenario) (*Network, error) {
 		media = append(media, mac.NewMedium(eng, ch, rng.Stream(fmt.Sprintf("mac/medium/%d", c))))
 	}
 	medium := media[0]
-	clk := runtime.Virtual(eng)
 	bh := backhaul.NewSwitch(eng, backhaulLatency)
 	if s.ControlLossRate > 0 {
 		bh.Drop = backhaul.DropTypes(s.ControlLossRate, rng.Stream("backhaul/controlloss"),
@@ -278,7 +276,7 @@ func Build(s Scenario) (*Network, error) {
 		})
 		// Each AP reports to the controller owning its domain; with one
 		// domain that is packet.ControllerIP, unchanged.
-		a := ap.New(cfg, clk, bh, st, packet.DomainControllerIP(domainOf(i)), rng.Stream("ap/"+cfg.Name))
+		a := ap.New(cfg, eng, bh, st, packet.DomainControllerIP(domainOf(i)), rng.Stream("ap/"+cfg.Name))
 		n.APs = append(n.APs, a)
 		infos = append(infos, controller.APInfo{ID: i, IP: cfg.IP, MAC: cfg.MAC})
 		peerIPs = append(peerIPs, cfg.IP)
@@ -325,12 +323,12 @@ func Build(s Scenario) (*Network, error) {
 			}
 			domains := make([]*federation.Domain, nDom)
 			for d := 0; d < nDom; d++ {
-				domains[d] = federation.NewDomain(fedCfg, clk, bh, d, city)
+				domains[d] = federation.NewDomain(fedCfg, eng, bh, d, city)
 				domains[d].Controller().DeliverUplink = n.dispatchUplink
 			}
 			n.Fed = federation.NewTier(domains)
 		} else {
-			n.Ctl = controller.New(ctlCfg, clk, bh, infos)
+			n.Ctl = controller.New(ctlCfg, eng, bh, infos)
 			n.Ctl.DeliverUplink = n.dispatchUplink
 		}
 	} else {
@@ -438,7 +436,7 @@ func Build(s Scenario) (*Network, error) {
 			// by default); the other domains ride out their peer's outage.
 			ct = n.Fed
 		}
-		n.Chaos = chaos.NewInjector(*s.Chaos, clk, rng, targets, ct, s.Duration)
+		n.Chaos = chaos.NewInjector(*s.Chaos, eng, rng, targets, ct, s.Duration)
 		n.Chaos.Arm(bh)
 	}
 

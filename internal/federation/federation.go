@@ -17,9 +17,10 @@
 // inner controller. The inner controller is unaware of the tier — it only
 // exposes adopt/release/pull/freeze hooks, and it alone sends stop and start
 // and hears the ack. Like every protocol core in this
-// repo, a Domain is clock- and transport-agnostic (DESIGN.md §12): the same
-// code runs deterministically on runtime.Virtual over the in-memory switch
-// and on wall clocks over real UDP sockets between OS processes.
+// repo, a Domain schedules on one sim.Engine and is transport-agnostic
+// (DESIGN.md §12): the same code runs deterministically in virtual time over
+// the in-memory switch, and on an engine paced by runtime.Wall over real UDP
+// sockets between OS processes.
 package federation
 
 import (
@@ -29,7 +30,6 @@ import (
 	"wgtt/internal/controller"
 	"wgtt/internal/metrics"
 	"wgtt/internal/packet"
-	"wgtt/internal/runtime"
 	"wgtt/internal/selector"
 	"wgtt/internal/sim"
 )
@@ -189,7 +189,7 @@ type outHandoff struct {
 	peer      int // target domain
 	target    packet.IPv4Addr
 	offeredAt sim.Time
-	timer     runtime.Timer
+	timer     sim.Timer
 }
 
 // release is a committed transfer awaiting the adopter's announcement echo.
@@ -198,7 +198,7 @@ type release struct {
 	mac    packet.MACAddr
 	peer   int
 	commit *packet.DomainHandoffCommit
-	timer  runtime.Timer
+	timer  sim.Timer
 }
 
 // adoption is one incoming handoff, accepted and awaiting its commit.
@@ -207,7 +207,7 @@ type adoption struct {
 	client     packet.MACAddr
 	fromDomain int
 	oldAP      packet.IPv4Addr // the offerer's serving AP
-	timer      runtime.Timer
+	timer      sim.Timer
 }
 
 // Domain is one federation controller instance: an inner
@@ -217,7 +217,7 @@ type Domain struct {
 	cfg  Config
 	id   int
 	addr packet.IPv4Addr
-	clk  runtime.Clock
+	eng  *sim.Engine
 	bh   backhaul.Fabric
 	ctl  *controller.Controller
 
@@ -272,12 +272,12 @@ type Domain struct {
 // NewDomain builds the controller for domain id over the given city table
 // and attaches it (wrapping its inner controller) to the backhaul at
 // packet.DomainControllerIP(id).
-func NewDomain(cfg Config, clk runtime.Clock, bh backhaul.Fabric, id int, city []APAssignment) *Domain {
+func NewDomain(cfg Config, eng *sim.Engine, bh backhaul.Fabric, id int, city []APAssignment) *Domain {
 	d := &Domain{
 		cfg:         cfg,
 		id:          id,
 		addr:        packet.DomainControllerIP(id),
-		clk:         clk,
+		eng:         eng,
 		bh:          bh,
 		city:        city,
 		localOf:     make(map[packet.IPv4Addr]int),
@@ -313,7 +313,7 @@ func NewDomain(cfg Config, clk runtime.Clock, bh backhaul.Fabric, id int, city [
 	ctlCfg := cfg.Controller
 	ctlCfg.Addr = d.addr
 	ctlCfg.SwitchIDBase = switchIDBase(id)
-	d.ctl = controller.New(ctlCfg, clk, bh, d.local)
+	d.ctl = controller.New(ctlCfg, eng, bh, d.local)
 	d.ctl.OnSwitch = func(rec controller.SwitchRecord) {
 		rec.From = d.globalOf[rec.From]
 		rec.To = d.globalOf[rec.To]

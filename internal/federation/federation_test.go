@@ -9,7 +9,6 @@ import (
 	"wgtt/internal/federation"
 	"wgtt/internal/metrics"
 	"wgtt/internal/packet"
-	wrt "wgtt/internal/runtime"
 	"wgtt/internal/selector"
 	"wgtt/internal/sim"
 )
@@ -74,7 +73,7 @@ func newFedHarness(t *testing.T, nDomains, apsPer int, cfg federation.Config) *f
 		bh.Attach(ap.ip, ap)
 	}
 	for d := 0; d < nDomains; d++ {
-		h.doms = append(h.doms, federation.NewDomain(cfg, wrt.Virtual(eng), bh, d, h.city))
+		h.doms = append(h.doms, federation.NewDomain(cfg, eng, bh, d, h.city))
 	}
 	h.tier = federation.NewTier(h.doms)
 	return h
@@ -312,7 +311,7 @@ func TestCrashMidOfferAbortIsInSnapshot(t *testing.T) {
 	h.offerToDeadPeer(packet.ClientMAC(1))
 
 	crash := chaos.Config{ControllerCrashAt: h.eng.Now() + sim.Millisecond}
-	chaos.NewInjector(crash, wrt.Virtual(h.eng), sim.NewRNG(1), nil, h.tier, sim.Second).Arm(h.bh)
+	chaos.NewInjector(crash, h.eng, sim.NewRNG(1), nil, h.tier, sim.Second).Arm(h.bh)
 	h.run(2 * sim.Millisecond) // well inside OfferTimeout
 	if !h.doms[0].Down() {
 		t.Fatal("setup: the scripted crash did not land on the offering domain")

@@ -36,7 +36,7 @@ func (d *Domain) ingestForeign(fc *fedClient, m *packet.CSIReport) {
 		fc.foreignOrder = append(fc.foreignOrder, m.AP)
 	}
 	d.csiScratch = m.SNRdBInto(d.csiScratch)
-	now := d.clk.Now()
+	now := d.eng.Now()
 	w.Push(now, csi.ESNRdB(d.csiScratch, csi.DefaultESNRModulation))
 	d.maybeOffer(fc, now)
 }
@@ -96,7 +96,7 @@ func (d *Domain) maybeOffer(fc *fedClient, now sim.Time) {
 		HandoffID: id, Client: fc.mac, ClientIP: fc.ip,
 		ServingAP: d.local[serving].IP, TargetAP: bestAP, EvidenceQ: QuantizeEvidenceDB(bestMed),
 	})
-	fc.out.timer = d.clk.After(offerTimeout, func() { d.offerTimeout(fc, id) })
+	fc.out.timer = d.eng.After(offerTimeout, func() { d.offerTimeout(fc, id) })
 }
 
 // offerTimeout abandons an unanswered offer: the client stays owned, thaws,
@@ -106,7 +106,7 @@ func (d *Domain) offerTimeout(fc *fedClient, id uint32) {
 		return
 	}
 	fc.out = nil
-	fc.lastHandoff = d.clk.Now()
+	fc.lastHandoff = d.eng.Now()
 	d.ctl.SetFrozen(fc.mac, false)
 	d.Stats.Aborts++
 }
@@ -142,7 +142,7 @@ func (d *Domain) handleOffer(from packet.IPv4Addr, m *packet.DomainHandoffOffer)
 	ad := &adoption{id: m.HandoffID, client: m.Client, fromDomain: fromDom, oldAP: m.ServingAP}
 	d.inbound[ad.id] = ad
 	d.byClient[ad.client] = ad
-	ad.timer = d.clk.After(acceptHold, func() { d.acceptTimeout(ad) })
+	ad.timer = d.eng.After(acceptHold, func() { d.acceptTimeout(ad) })
 	reply(true)
 }
 
@@ -169,7 +169,7 @@ func (d *Domain) handleAccept(m *packet.DomainHandoffAccept) {
 	out := fc.out
 	out.timer.Stop()
 	fc.out = nil
-	now := d.clk.Now()
+	now := d.eng.Now()
 	fc.lastHandoff = now
 	if !m.Accept {
 		d.ctl.SetFrozen(m.Client, false)
@@ -217,7 +217,7 @@ func (d *Domain) handleAccept(m *packet.DomainHandoffAccept) {
 	})
 	rel := &release{id: out.id, mac: m.Client, peer: out.peer, commit: commit}
 	d.released[rel.id] = rel
-	rel.timer = d.clk.After(commitTimeout, func() { d.retryCommit(rel) })
+	rel.timer = d.eng.After(commitTimeout, func() { d.retryCommit(rel) })
 	if d.OnRelease != nil {
 		d.OnRelease(m.Client, out.peer)
 	}
@@ -235,7 +235,7 @@ func (d *Domain) retryCommit(rel *release) {
 	}
 	d.Stats.CommitRetransmits++
 	_ = d.bh.Send(d.addr, d.addrOf(rel.peer), rel.commit)
-	rel.timer = d.clk.After(commitTimeout, func() { d.retryCommit(rel) })
+	rel.timer = d.eng.After(commitTimeout, func() { d.retryCommit(rel) })
 }
 
 // handleCommit dispatches on whose domain the target AP is in: ours → adopt
@@ -276,7 +276,7 @@ func (d *Domain) adopt(m *packet.DomainHandoffCommit) {
 	if !ok {
 		return
 	}
-	now := d.clk.Now()
+	now := d.eng.Now()
 	mac := m.Client
 	// Without a staged accept the commit is unsolicited: our accept state is
 	// gone (timeout, crash, or a lost offer exchange), but the offerer has

@@ -95,24 +95,24 @@ func Table(endpoints []string, controllers int) map[packet.IPv4Addr]string {
 	return t
 }
 
-// runNode is the body every live node shares: a wall clock and a UDP fabric
-// over conn, the protocol core wire builds on them, and the run loop until
-// the core stops the clock or timeout elapses. conn is the node's pre-bound
+// runNode is the body every live node shares: a wall-paced engine and a UDP
+// fabric over conn, the protocol core wire builds on them, and the run loop
+// until the core stops the pacer or timeout elapses. conn is the node's pre-bound
 // socket; table maps every OTHER node's virtual address to its endpoint.
 // The loop runs wire's callbacks on this goroutine, so what they record is
 // the caller's to read once runNode returns.
-func runNode(conn *net.UDPConn, table map[packet.IPv4Addr]string, timeout sim.Time, wire func(clk *runtime.Wall, fab *udp.Fabric) error) error {
-	clk := runtime.NewWall()
-	fab, err := udp.New(clk, conn, table)
+func runNode(conn *net.UDPConn, table map[packet.IPv4Addr]string, timeout sim.Time, wire func(w *runtime.Wall, fab *udp.Fabric) error) error {
+	w := runtime.NewWall()
+	fab, err := udp.New(w, conn, table)
 	if err != nil {
 		return err
 	}
-	if err := wire(clk, fab); err != nil {
+	if err := wire(w, fab); err != nil {
 		return err
 	}
-	clk.After(timeout, clk.Stop)
+	w.Eng.After(timeout, w.Stop)
 	fab.Start()
-	clk.Run()
+	w.Run()
 	_ = fab.Close()
 	return nil
 }
@@ -126,18 +126,18 @@ func RunController(conn *net.UDPConn, table map[packet.IPv4Addr]string, numAPs i
 		rec controller.SwitchRecord
 		got bool
 	)
-	err := runNode(conn, table, timeout, func(clk *runtime.Wall, fab *udp.Fabric) error {
+	err := runNode(conn, table, timeout, func(w *runtime.Wall, fab *udp.Fabric) error {
 		infos := make([]controller.APInfo, numAPs)
 		for i := range infos {
 			infos[i] = controller.APInfo{ID: i, IP: packet.APIP(i), MAC: packet.APMAC(i)}
 		}
 		cfg := ControllerConfig()
 		cfg.Selector.Policy = pol
-		ctl := controller.New(cfg, clk, fab, infos)
+		ctl := controller.New(cfg, w.Eng, fab, infos)
 		ctl.RegisterClient(Client, ClientIP, 0)
 		ctl.OnSwitch = func(r controller.SwitchRecord) {
 			rec, got = r, true
-			clk.Stop()
+			w.Stop()
 		}
 		return nil
 	})
@@ -154,9 +154,9 @@ func RunController(conn *net.UDPConn, table map[packet.IPv4Addr]string, numAPs i
 // AP's own domain controller in the federated one.
 func RunAP(id int, conn *net.UDPConn, table map[packet.IPv4Addr]string, ctlAddr packet.IPv4Addr, script CSIScript, serving bool, duration sim.Time) (ap.Stats, error) {
 	var node *ap.AP
-	err := runNode(conn, table, duration, func(clk *runtime.Wall, fab *udp.Fabric) error {
+	err := runNode(conn, table, duration, func(w *runtime.Wall, fab *udp.Fabric) error {
 		cfg := APConfig(id)
-		node = ap.New(cfg, clk, fab, nil, ctlAddr, rand.New(rand.NewPCG(uint64(id), 0)))
+		node = ap.New(cfg, w.Eng, fab, nil, ctlAddr, rand.New(rand.NewPCG(uint64(id), 0)))
 		node.Associate(Client, ClientIP, serving)
 
 		period := script.Period
@@ -165,7 +165,7 @@ func RunAP(id int, conn *net.UDPConn, table map[packet.IPv4Addr]string, ctlAddr 
 		}
 		var tick func()
 		tick = func() {
-			now := clk.Now()
+			now := w.Eng.Now()
 			db := script.StartdB + script.SlopedBPerSec*float64(now)/float64(sim.Second)
 			rep := &packet.CSIReport{Client: Client, AP: cfg.IP, At: int64(now)}
 			snr := make([]float64, packet.CSISubcarriers)
@@ -174,9 +174,9 @@ func RunAP(id int, conn *net.UDPConn, table map[packet.IPv4Addr]string, ctlAddr 
 			}
 			rep.QuantizeSNR(snr)
 			_ = fab.Send(cfg.IP, ctlAddr, rep)
-			clk.After(period, tick)
+			w.Eng.After(period, tick)
 		}
-		clk.After(period, tick)
+		w.Eng.After(period, tick)
 		return nil
 	})
 	if err != nil {
@@ -222,11 +222,11 @@ func RunFedController(domainID int, conn *net.UDPConn, table map[packet.IPv4Addr
 		rec federation.HandoffRecord
 		got bool
 	)
-	err := runNode(conn, table, timeout, func(clk *runtime.Wall, fab *udp.Fabric) error {
-		dom := federation.NewDomain(FedConfig(), clk, fab, domainID, FedCity())
+	err := runNode(conn, table, timeout, func(w *runtime.Wall, fab *udp.Fabric) error {
+		dom := federation.NewDomain(FedConfig(), w.Eng, fab, domainID, FedCity())
 		dom.OnHandoffComplete = func(r federation.HandoffRecord) {
 			rec, got = r, true
-			clk.Stop()
+			w.Stop()
 		}
 		if domainID != 0 {
 			dom.RegisterRemoteClient(Client, 0)

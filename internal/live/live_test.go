@@ -69,6 +69,12 @@ func TestThreeNodeSwitchOverLoopback(t *testing.T) {
 	if rec.Duration <= 0 {
 		t.Fatalf("switch duration %v, want > 0 (real elapsed time)", rec.Duration)
 	}
+	// A first-try handshake takes at least the two APs' processing delays
+	// and ends before the controller's 30 ms stop retransmission.
+	floor := APConfig(0).StopProcessing + APConfig(1).StartProcessing
+	if rec.Attempts == 1 && (rec.Duration < floor || rec.Duration >= 30*sim.Millisecond) {
+		t.Fatalf("first-try switch took %v, want in [%v, 30ms)", rec.Duration, floor)
+	}
 	if rec.Forced {
 		t.Fatal("switch reported forced; want a clean stop->start->ack handshake")
 	}

@@ -21,7 +21,7 @@ func TestRecordingZeroAlloc(t *testing.T) {
 		nilH *Histogram
 		nilT *SpanTracker
 	)
-	check("nil Counter.Inc", func() { nilC.Inc(); nilC.Add(3) })
+	check("nil Counter.Add", func() { nilC.Add(1); nilC.Add(3) })
 	check("nil Gauge.Set", func() { nilG.Set(1) })
 	check("nil Histogram.Observe", func() { nilH.Observe(1) })
 	check("nil SpanTracker ops", func() {
@@ -41,7 +41,7 @@ func TestRecordingZeroAlloc(t *testing.T) {
 	tr.Begin(1, 0, "c", 0, 1, "median-argmax", 0, 0)
 
 	i := 0.0
-	check("enabled Counter.Inc", func() { c.Inc() })
+	check("enabled Counter.Add", func() { c.Add(1) })
 	check("enabled Gauge.Set", func() { i++; g.Set(i) })
 	check("enabled Histogram.Observe", func() { i++; h.Observe(i) })
 	check("enabled span marks", func() {

@@ -28,13 +28,6 @@ type Counter struct {
 	v uint64
 }
 
-// Inc adds one.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v++
-	}
-}
-
 // Add adds n.
 func (c *Counter) Add(n uint64) {
 	if c != nil {

@@ -11,7 +11,7 @@ import (
 func TestCounterGaugeHistogramBasics(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("controller", "csi_reports")
-	c.Inc()
+	c.Add(1)
 	c.Add(4)
 	if got := c.v; got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
@@ -94,7 +94,7 @@ func TestNilRegistryAndHandlesAreInert(t *testing.T) {
 	if c != nil || g != nil || h != nil || sp != nil {
 		t.Fatal("nil registry must hand out nil instruments")
 	}
-	c.Inc()
+	c.Add(1)
 	c.Add(2)
 	g.Set(1)
 	h.Observe(1)

@@ -1,64 +1,46 @@
 package runtime
 
 import (
-	"sync"
 	"testing"
 	"time"
 
 	"wgtt/internal/sim"
 )
 
-// The virtual clock must be a transparent view of the engine: same clock,
-// same ordering, pass-through timers.
-func TestVirtualDelegatesToEngine(t *testing.T) {
-	eng := sim.NewEngine()
-	clk := Virtual(eng)
-	if clk.Now() != 0 {
-		t.Fatalf("Now = %v at start", clk.Now())
-	}
-	var order []int
-	clk.After(2*sim.Millisecond, func() { order = append(order, 2) })
-	clk.After(sim.Millisecond, func() { order = append(order, 1) })
-	tm := clk.After(3*sim.Millisecond, func() { order = append(order, 3) })
-	if !tm.Stop() {
-		t.Error("Stop on armed timer reported false")
-	}
-	eng.Run()
-	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
-		t.Errorf("order = %v, want [1 2]", order)
-	}
-	if eng.Now() != 2*sim.Millisecond {
-		t.Errorf("engine advanced to %v", eng.Now())
-	}
+// run starts w's loop and returns a channel closed when Run returns.
+func run(w *Wall) <-chan struct{} {
+	done := make(chan struct{})
+	go func() {
+		w.Run()
+		close(done)
+	}()
+	return done
 }
 
-// Same-instant callbacks on the wall clock must fire in scheduling order —
-// the simulator's FIFO tiebreak, preserved on the live substrate.
-func TestWallFIFOAtSameInstant(t *testing.T) {
-	w := NewWall()
-	var mu sync.Mutex
-	var order []int
-	done := make(chan struct{})
-	for i := 0; i < 8; i++ {
-		i := i
-		w.After(0, func() {
-			mu.Lock()
-			order = append(order, i)
-			mu.Unlock()
-		})
-	}
-	w.After(sim.Millisecond, func() {
-		close(done)
-		w.Stop()
-	})
-	go w.Run()
+// await fails the test unless done closes within five seconds.
+func await(t *testing.T, done <-chan struct{}, what string) {
+	t.Helper()
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("wall clock never dispatched")
+		t.Fatal(what)
 	}
-	mu.Lock()
-	defer mu.Unlock()
+}
+
+// Posts made together run in the order they were made — the simulator's
+// same-instant FIFO tiebreak, preserved on the live substrate.
+func TestWallFIFOAtSameInstant(t *testing.T) {
+	w := NewWall()
+	var order []int
+	for i := 0; i < 8; i++ {
+		i := i
+		w.Post(func() { order = append(order, i) })
+	}
+	w.Post(w.Stop)
+	await(t, run(w), "wall never dispatched")
+	if len(order) != 8 {
+		t.Fatalf("ran %d of 8 posts", len(order))
+	}
 	for i, got := range order {
 		if got != i {
 			t.Fatalf("dispatch order = %v, want ascending", order)
@@ -66,120 +48,78 @@ func TestWallFIFOAtSameInstant(t *testing.T) {
 	}
 }
 
-// Timers must honour real delays (coarsely — CI schedulers jitter) and
-// deliver Now() values consistent with those delays.
+// An engine timer fires no earlier than its real delay, and inside the
+// callback Now is the event's due time.
 func TestWallDelaysElapse(t *testing.T) {
 	w := NewWall()
-	var at sim.Time
-	done := make(chan struct{})
-	w.After(20*sim.Millisecond, func() {
-		at = w.Now()
-		close(done)
+	var now sim.Time
+	var real time.Duration
+	begin := time.Now()
+	w.Eng.After(20*sim.Millisecond, func() {
+		now, real = w.Eng.Now(), time.Since(begin)
 		w.Stop()
 	})
-	go w.Run()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("timer never fired")
+	await(t, run(w), "timer never fired")
+	if real < 20*time.Millisecond {
+		t.Errorf("fired after %v of wall time, before its 20ms deadline", real)
 	}
-	if at < 20*sim.Millisecond {
-		t.Errorf("fired at %v, before its 20ms deadline", at)
+	if now != 20*sim.Millisecond {
+		t.Errorf("Now = %v inside the callback, want its 20ms due time", now)
 	}
 }
 
-// Stop on a pending wall timer must prevent the callback; a second Stop
-// reports false.
-func TestWallTimerStop(t *testing.T) {
-	w := NewWall()
-	fired := make(chan struct{}, 1)
-	tm := w.After(30*sim.Millisecond, func() { fired <- struct{}{} })
-	if !tm.Stop() {
-		t.Error("first Stop reported false")
-	}
-	if tm.Stop() {
-		t.Error("second Stop reported true")
-	}
-	done := make(chan struct{})
-	w.After(60*sim.Millisecond, func() {
-		close(done)
-		w.Stop()
-	})
-	go w.Run()
-	<-done
-	select {
-	case <-fired:
-		t.Error("cancelled timer fired")
-	default:
-	}
-}
-
-// A timer armed earlier than the one the run loop is sleeping toward must
-// preempt that sleep — the wake-on-new-head path.
+// A timer armed by a post, earlier than the one the loop is sleeping
+// toward, must preempt that sleep.
 func TestWallEarlierTimerPreemptsSleep(t *testing.T) {
 	w := NewWall()
-	var mu sync.Mutex
 	var order []string
-	done := make(chan struct{})
-	go w.Run()
-	w.After(200*sim.Millisecond, func() {
-		mu.Lock()
+	w.Eng.After(200*sim.Millisecond, func() {
 		order = append(order, "late")
-		mu.Unlock()
-		close(done)
 		w.Stop()
 	})
+	done := run(w)
 	time.Sleep(5 * time.Millisecond) // let the loop start sleeping toward 200ms
-	w.After(10*sim.Millisecond, func() {
-		mu.Lock()
-		order = append(order, "early")
-		mu.Unlock()
+	w.Post(func() {
+		w.Eng.After(10*sim.Millisecond, func() { order = append(order, "early") })
 	})
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("run loop stalled")
-	}
-	mu.Lock()
-	defer mu.Unlock()
+	await(t, done, "run loop stalled")
 	if len(order) != 2 || order[0] != "early" {
 		t.Errorf("order = %v, want early before late", order)
 	}
 }
 
-// After must be callable concurrently from many goroutines (the UDP receive
-// path does this) without losing callbacks.
+// Post must be callable concurrently from many goroutines (the UDP receive
+// path does this) without losing callbacks or the timers they arm.
 func TestWallConcurrentAfter(t *testing.T) {
 	w := NewWall()
 	const n = 64
-	var mu sync.Mutex
-	seen := 0
-	var wg sync.WaitGroup
-	go w.Run()
+	fired := make(chan struct{}, n)
+	done := run(w)
 	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w.After(sim.Millisecond, func() {
-				mu.Lock()
-				seen++
-				mu.Unlock()
-			})
-		}()
+		go w.Post(func() {
+			w.Eng.After(sim.Millisecond, func() { fired <- struct{}{} })
+		})
 	}
-	wg.Wait()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mu.Lock()
-		got := seen
-		mu.Unlock()
-		if got == n {
-			break
+	for i := 0; i < n; i++ {
+		select {
+		case <-fired:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("only %d/%d callbacks ran", i, n)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d callbacks ran", got, n)
-		}
-		time.Sleep(time.Millisecond)
 	}
 	w.Stop()
+	await(t, done, "Stop did not end Run")
+}
+
+// Stop called from a callback ends Run without waiting for the events
+// still queued.
+func TestWallStopFromCallback(t *testing.T) {
+	w := NewWall()
+	ran := false
+	w.Post(w.Stop)
+	w.Eng.After(3600*sim.Second, func() { ran = true })
+	await(t, run(w), "Stop from a callback did not end Run")
+	if ran {
+		t.Error("an event an hour out ran")
+	}
 }

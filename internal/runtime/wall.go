@@ -1,182 +1,112 @@
 package runtime
 
 import (
-	"container/heap"
+	"math"
 	"sync"
 	"time"
 
 	"wgtt/internal/sim"
 )
 
-// Wall is the wall-clock Clock: the driver that runs the protocol cores in
-// real time for live multi-process deployments (DESIGN.md §12). It mirrors
-// the simulator's execution model — a single run-loop goroutine dispatches
-// callbacks one at a time, same-instant callbacks fire in scheduling order —
-// but the clock it paces them against is the operating system's, so timers
-// like the §3.1.2 30 ms stop-retransmission timeout become real deadlines.
+// Wall paces one sim.Engine against the operating system's clock: the
+// driver that runs the protocol cores in real time for live multi-process
+// deployments (DESIGN.md §12). Engine time is wall time since NewWall, so
+// timers like the §3.1.2 30 ms stop-retransmission timeout become real
+// deadlines. Inside a callback Now is that event's due time, as in
+// simulation.
 //
-// Unlike the virtual clock, After is safe to call from any goroutine: the
-// UDP backhaul's receive path posts inbound messages onto the loop with
-// After(0, ...), which is what serializes transport concurrency into the
-// lock-free protocol cores.
+// Post is the only goroutine-safe entry: the UDP backhaul's receive path
+// posts inbound messages with it, which is what serializes transport
+// concurrency into the lock-free protocol cores.
 type Wall struct {
+	// Eng is the engine the node's protocol cores schedule on. Once Run has
+	// started only its callbacks may touch it; other goroutines Post.
+	Eng *sim.Engine
+
 	start time.Time
 
-	mu   sync.Mutex
-	heap wallHeap
-	seq  uint64
+	mu     sync.Mutex
+	posted []func()
 
-	// wake nudges the run loop when a new event may precede the deadline it
-	// is sleeping toward; quit ends Run.
+	// wake nudges the run loop when a post arrives; quit ends Run.
 	wake     chan struct{}
 	quit     chan struct{}
 	quitOnce sync.Once
 }
 
-// NewWall returns a wall clock whose time zero is now. Call Run (usually on
-// the main goroutine) to start dispatching.
+// NewWall returns a wall pacer whose engine time zero is now. Wire the
+// protocol cores to Eng, then call Run (usually on the main goroutine).
 func NewWall() *Wall {
 	return &Wall{
+		Eng:   sim.NewEngine(),
 		start: time.Now(),
 		wake:  make(chan struct{}, 1),
 		quit:  make(chan struct{}),
 	}
 }
 
-// Now implements Clock: nanoseconds of wall time since NewWall.
-func (w *Wall) Now() sim.Time { return sim.Time(time.Since(w.start)) }
-
-// wallEvent is one scheduled callback. fn == nil marks it cancelled or
-// consumed; the pointer doubles as the Timer handle.
-type wallEvent struct {
-	w   *Wall
-	at  sim.Time
-	seq uint64
-	fn  func()
-}
-
-// Stop implements Timer.
-func (e *wallEvent) Stop() bool {
-	e.w.mu.Lock()
-	defer e.w.mu.Unlock()
-	if e.fn == nil {
-		return false
-	}
-	e.fn = nil // the run loop drops cancelled events lazily
-	return true
-}
-
-// After implements Clock. Negative delays are clamped to zero: on a wall
-// clock "in the past" just means "as soon as possible", and external
-// callers racing the clock cannot be expected to win.
-func (w *Wall) After(d sim.Time, fn func()) Timer {
+// Post hands fn to the run loop, which schedules it on Eng at the engine's
+// time when it next drains the posts; posts run in the order they were made.
+// Safe from any goroutine.
+func (w *Wall) Post(fn func()) {
 	if fn == nil {
-		panic("runtime: After called with nil function")
+		panic("runtime: Post called with nil function")
 	}
-	if d < 0 {
-		d = 0
-	}
-	ev := &wallEvent{w: w, at: w.Now() + d, fn: fn}
 	w.mu.Lock()
-	ev.seq = w.seq
-	w.seq++
-	heap.Push(&w.heap, ev)
-	first := w.heap[0] == ev
+	w.posted = append(w.posted, fn)
 	w.mu.Unlock()
-	if first {
-		// Only a new head can move the run loop's next deadline earlier.
-		select {
-		case w.wake <- struct{}{}:
-		default:
-		}
+	select {
+	case w.wake <- struct{}{}:
+	default:
 	}
-	return ev
 }
 
-// Run dispatches callbacks in (time, scheduling order) until Stop is
-// called. All callbacks execute on the calling goroutine, one at a time —
-// the live-mode counterpart of the simulator's single-threaded event loop.
+// Run loops until Stop: fire every engine event due by the wall clock,
+// schedule the posted callbacks at the engine's current time, then sleep
+// until the next event is due, a post arrives, or Stop is called. All
+// callbacks execute on the calling goroutine, one at a time.
 func (w *Wall) Run() {
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
 	for {
-		fn, wait, idle := w.next()
-		if fn != nil {
-			fn()
-			continue
+		w.Eng.RunUntil(sim.Time(time.Since(w.start)))
+		w.mu.Lock()
+		for _, fn := range w.posted {
+			w.Eng.At(w.Eng.Now(), fn)
 		}
-		if idle {
-			select {
-			case <-w.wake:
-			case <-w.quit:
-				return
-			}
-			continue
+		clear(w.posted)
+		w.posted = w.posted[:0]
+		w.mu.Unlock()
+		wait := time.Duration(math.MaxInt64) // nothing queued: until a post
+		if at, ok := w.Eng.Next(); ok {
+			wait = time.Duration(at) - time.Since(w.start)
 		}
-		timer.Reset(wait)
-		select {
-		case <-w.wake:
-			if !timer.Stop() {
-				<-timer.C
-			}
-		case <-timer.C:
-		case <-w.quit:
-			if !timer.Stop() {
-				<-timer.C
-			}
+		if !w.sleep(wait) {
 			return
 		}
 	}
 }
 
-// next pops one due callback, or reports how long to sleep until the head
-// is due (idle when the queue is empty).
-func (w *Wall) next() (fn func(), wait time.Duration, idle bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for len(w.heap) > 0 {
-		head := w.heap[0]
-		if head.fn == nil { // cancelled: discard and keep looking
-			heap.Pop(&w.heap)
-			continue
+// sleep waits up to d for a post, reporting false once Stop was called.
+func (w *Wall) sleep(d time.Duration) bool {
+	if d <= 0 {
+		select {
+		case <-w.quit:
+			return false
+		default:
+			return true
 		}
-		if d := head.at - w.Now(); d > 0 {
-			return nil, time.Duration(d), false
-		}
-		heap.Pop(&w.heap)
-		fn = head.fn
-		head.fn = nil
-		return fn, 0, false
 	}
-	return nil, 0, true
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+	case <-w.wake:
+	case <-w.quit:
+		return false
+	}
+	return true
 }
 
 // Stop ends Run (idempotent, callable from any goroutine — including a
 // callback on the run loop itself, which is how a live node winds down
 // after its last protocol step).
 func (w *Wall) Stop() { w.quitOnce.Do(func() { close(w.quit) }) }
-
-// wallHeap is a min-heap of events ordered by (at, seq) — identical
-// tie-breaking to the simulator's event queue, so same-instant callbacks
-// fire in the order they were scheduled.
-type wallHeap []*wallEvent
-
-func (h wallHeap) Len() int { return len(h) }
-func (h wallHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h wallHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *wallHeap) Push(x any)   { *h = append(*h, x.(*wallEvent)) }
-func (h *wallHeap) Pop() any {
-	old := *h
-	n := len(old) - 1
-	ev := old[n]
-	old[n] = nil
-	*h = old[:n]
-	return ev
-}

@@ -119,33 +119,48 @@ func (e *Engine) After(d Time, fn func()) Timer {
 // empty.
 func (e *Engine) Step() bool { return e.stepUntil(Time(math.MaxInt64)) }
 
+// Next reports when the next live event is due, false when none is queued.
+// Cancelled events at the head are discarded without firing or moving Now.
+func (e *Engine) Next() (Time, bool) {
+	if !e.head() {
+		return 0, false
+	}
+	return e.heap[0].at, true
+}
+
+// head discards cancelled events from the top of the heap and reports
+// whether a live event remains there.
+func (e *Engine) head() bool {
+	for len(e.heap) > 0 {
+		slot := e.heap[0].slot
+		if e.arena[slot].fn != nil {
+			return true
+		}
+		e.popHead()
+		e.ncancelled--
+		e.recycle(slot)
+	}
+	return false
+}
+
 // stepUntil dispatches the next live event if it is due at or before
 // deadline. Cancelled events encountered at the head are discarded without
 // advancing the clock, so a cancelled head never licenses a post-deadline
 // dispatch.
 func (e *Engine) stepUntil(deadline Time) bool {
-	for len(e.heap) > 0 {
-		ref := e.heap[0]
-		ev := &e.arena[ref.slot]
-		if ev.fn == nil { // cancelled: discard and keep looking
-			e.popHead()
-			e.ncancelled--
-			e.recycle(ref.slot)
-			continue
-		}
-		if ref.at > deadline {
-			return false
-		}
-		e.popHead()
-		e.now = ref.at
-		fn := ev.fn
-		ev.fn = nil
-		e.recycle(ref.slot)
-		e.nfired++
-		fn()
-		return true
+	if !e.head() || e.heap[0].at > deadline {
+		return false
 	}
-	return false
+	ref := e.heap[0]
+	ev := &e.arena[ref.slot]
+	e.popHead()
+	e.now = ref.at
+	fn := ev.fn
+	ev.fn = nil
+	e.recycle(ref.slot)
+	e.nfired++
+	fn()
+	return true
 }
 
 // popHead removes the root of the heap.

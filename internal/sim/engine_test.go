@@ -254,6 +254,32 @@ func TestEngineZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// Next is what the live pacer sleeps toward: it must skip a cancelled head
+// without firing it or moving Now, and name the time Step then fires at.
+func TestEngineNext(t *testing.T) {
+	e := NewEngine()
+	if at, ok := e.Next(); ok {
+		t.Fatalf("Next on an empty queue = %v, true", at)
+	}
+	head := e.At(2*Millisecond, func() { t.Error("cancelled event fired") })
+	var firedAt Time
+	e.At(5*Millisecond, func() { firedAt = e.Now() })
+	head.Stop()
+	at, ok := e.Next()
+	if !ok || at != 5*Millisecond {
+		t.Fatalf("Next = %v, %v; want 5ms, true", at, ok)
+	}
+	if e.Now() != 0 || e.Fired() != 0 {
+		t.Errorf("Next moved Now to %v or fired %d events", e.Now(), e.Fired())
+	}
+	if !e.Step() || firedAt != at {
+		t.Errorf("Step fired at %v, Next reported %v", firedAt, at)
+	}
+	if _, ok := e.Next(); ok {
+		t.Error("Next reports an event after the queue drained")
+	}
+}
+
 func TestEngineStepEmpty(t *testing.T) {
 	e := NewEngine()
 	if e.Step() {

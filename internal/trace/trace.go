@@ -65,8 +65,6 @@ type Recorder struct {
 	mu  sync.Mutex
 	bw  *bufio.Writer
 	enc *json.Encoder
-	// Filter, if set, drops events it returns false for.
-	Filter func(*Event) bool
 	// N counts recorded events.
 	N int
 	// Err holds the first write error; once set, logging stops.
@@ -84,9 +82,6 @@ func (r *Recorder) Log(ev Event) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.Err != nil {
-		return
-	}
-	if r.Filter != nil && !r.Filter(&ev) {
 		return
 	}
 	if err := r.enc.Encode(&ev); err != nil {

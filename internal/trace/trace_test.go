@@ -33,18 +33,6 @@ func TestRecorderWritesJSONL(t *testing.T) {
 	}
 }
 
-func TestRecorderFilter(t *testing.T) {
-	var buf bytes.Buffer
-	r := NewRecorder(&buf)
-	r.Filter = func(ev *Event) bool { return ev.Kind == KindSwitch }
-	r.Log(Event{Kind: KindDeliver})
-	r.Log(Event{Kind: KindSwitch})
-	_ = r.Flush()
-	if r.N != 1 {
-		t.Errorf("N = %d, want 1", r.N)
-	}
-}
-
 // readAll decodes the JSONL stream a Recorder wrote.
 func readAll(t *testing.T, rd io.Reader) []Event {
 	t.Helper()
