@@ -174,14 +174,16 @@ loc:
 	@echo "internal/ cmd/ examples/: $$($(call loc-of,internal cmd examples))"
 	@echo "internal/fleet internal/core cmd/: $$($(call loc-of,internal/fleet internal/core cmd))"
 
-# Wire fuzz smoke (part of check): a short coverage-guided run of each fuzz
+# Fuzz smoke (part of check): a short coverage-guided run of each fuzz
 # target on top of its seed corpus — malformed backhaul bytes must never
 # panic the decoder or the UDP fabric's datagram parser, accepted inputs
-# must round-trip stably, and every datagram must be accounted for.
+# must round-trip stably, and every datagram must be accounted for; no
+# -metro-tiles spec may panic the tiling parser or overflow its tile count.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/packet
 	$(GO) test -run '^$$' -fuzz '^FuzzDatagram$$' -fuzztime 10s ./internal/backhaul/udp
-	@echo fuzz-smoke: decoder and datagram parser survived coverage-guided malformed input
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTiling$$' -fuzztime 10s ./internal/urban
+	@echo fuzz-smoke: decoder, datagram parser and tiling parser survived coverage-guided malformed input
 
 # The performance record (minutes, opt-in): both passes of the repository's
 # benchmark (bench/README.md) on every BENCHMARK.json workload, each pass's

@@ -1,9 +1,8 @@
-// sendmmsg batch writes (DESIGN.md §14): the fan-out's per-endpoint
-// datagrams go to the kernel in one system call instead of one per
-// datagram. Only the syscall plumbing lives here — grouping and datagram
-// layout are in SendMany — so the !linux build swaps in a WriteToUDP loop
-// with identical semantics (§3.1.1 fan-out works everywhere, it is just
-// fastest on Linux).
+// sendmmsg batch writes (DESIGN.md §14): a send's per-endpoint datagrams
+// go to the kernel in one system call instead of one per datagram. Only the
+// syscall plumbing lives here — grouping and datagram layout are in send —
+// so the !linux build swaps in a WriteToUDP loop with identical semantics
+// (§3.1.1 fan-out works everywhere, it is just fastest on Linux).
 
 //go:build linux && (amd64 || arm64)
 
@@ -25,34 +24,59 @@ type mmsghdr struct {
 	pad uint32
 }
 
-// batchWriter holds the reusable sendmmsg vectors; guarded by Fabric.smu
-// like the rest of the send-path scratch.
+// batchWriter holds the reusable sendmmsg vectors, the socket's raw
+// connection and the callback handed to it, each made once; guarded by
+// Fabric.smu like the rest of the send-path scratch.
 type batchWriter struct {
 	hdrs []mmsghdr
 	iovs []syscall.Iovec
 	sas  []syscall.RawSockaddrInet4
+
+	rc   syscall.RawConn
+	call func(fd uintptr) bool // sendmmsg, bound once
+	// off is the first header the next call offers; wrote and errno are
+	// that call's outcome.
+	off   int
+	wrote int
+	errno syscall.Errno
+}
+
+// sendmmsg offers hdrs[off:] to the kernel. It reports false — wait until
+// the socket is writable, then retry — on EAGAIN.
+func (w *batchWriter) sendmmsg(fd uintptr) bool {
+	r, _, e := syscall.Syscall6(sysSendmmsg, fd,
+		uintptr(unsafe.Pointer(&w.hdrs[w.off])), uintptr(len(w.hdrs)-w.off), 0, 0, 0)
+	if e == syscall.EAGAIN {
+		return false
+	}
+	w.wrote, w.errno = int(r), e
+	return true
 }
 
 // writeBatch writes one datagram per (dst, buf) pair using as few sendmmsg
-// calls as the kernel accepts, returning the number written. Non-IPv4
-// destinations and raw-connection failures fall back to the portable
-// WriteToUDP loop.
-func (f *Fabric) writeBatch(dsts []*net.UDPAddr, bufs [][]byte) int {
+// calls as the kernel accepts, returning the number written and the write
+// error, if any. A lone datagram, non-IPv4 destinations and raw-connection
+// failures go through the portable WriteToUDP loop — sendmmsg gains nothing
+// on one datagram.
+func (f *Fabric) writeBatch(dsts []*net.UDPAddr, bufs [][]byte) (int, error) {
 	n := len(bufs)
-	if n == 0 {
-		return 0
+	if n <= 1 {
+		return f.writeLoop(dsts, bufs)
 	}
 	for _, d := range dsts {
 		if d.IP.To4() == nil {
 			return f.writeLoop(dsts, bufs)
 		}
 	}
-	rc, err := f.conn.SyscallConn()
-	if err != nil {
-		return f.writeLoop(dsts, bufs)
+	w := &f.bw
+	if w.rc == nil {
+		rc, err := f.conn.SyscallConn()
+		if err != nil {
+			return f.writeLoop(dsts, bufs)
+		}
+		w.rc, w.call = rc, w.sendmmsg
 	}
 
-	w := &f.bw
 	if cap(w.hdrs) < n {
 		w.hdrs = make([]mmsghdr, n)
 		w.iovs = make([]syscall.Iovec, n)
@@ -80,34 +104,24 @@ func (f *Fabric) writeBatch(dsts []*net.UDPAddr, bufs [][]byte) int {
 		h.cnt = 0
 	}
 
-	sent := 0
-	for sent < n {
-		var wrote int
-		var errno syscall.Errno
-		werr := rc.Write(func(fd uintptr) bool {
-			r, _, e := syscall.Syscall6(sysSendmmsg, fd,
-				uintptr(unsafe.Pointer(&w.hdrs[sent])), uintptr(n-sent), 0, 0, 0)
-			if e == syscall.EAGAIN {
-				return false // wait until the socket is writable, then retry
-			}
-			wrote, errno = int(r), e
-			return true
-		})
-		if werr != nil {
+	var err error
+	for w.off = 0; w.off < n; {
+		if err = w.rc.Write(w.call); err != nil {
 			break
 		}
-		if errno == syscall.EINTR {
+		if w.errno == syscall.EINTR {
 			continue
 		}
-		if errno != 0 || wrote <= 0 {
+		if w.errno != 0 || w.wrote <= 0 {
 			// Kernel refused (sandboxed syscall filter, shrunk buffers…):
 			// finish the remainder through the portable loop.
-			sent += f.writeLoop(dsts[sent:], bufs[sent:])
+			var m int
+			m, err = f.writeLoop(dsts[w.off:], bufs[w.off:])
+			w.off += m
 			break
 		}
-		sent += wrote
+		w.off += w.wrote
 	}
 	runtime.KeepAlive(bufs)
-	runtime.KeepAlive(w)
-	return sent
+	return w.off, err
 }

@@ -10,8 +10,6 @@ import (
 	"wgtt/internal/runtime"
 )
 
-var _ backhaul.Fabric = (*Fabric)(nil)
-
 func downMsg(index uint16) *packet.DownData {
 	return &packet.DownData{Pkt: &packet.Packet{
 		ClientMAC: packet.ClientMAC(1), Index: index, Bytes: 1200,
@@ -50,9 +48,8 @@ func (o *orderRec) wait(t *testing.T, n int) {
 	}
 }
 
-// A failed socket write must leave Sent and Bytes untouched: stats count
-// what was sent, not what was attempted (the pre-batching fabric counted
-// before calling WriteToUDP).
+// A failed socket write must leave Sent and Bytes untouched — stats count
+// what was sent, not what was attempted — and Send reports it.
 func TestSendStatsCountAfterSuccessfulWrite(t *testing.T) {
 	conn := listen(t)
 	peer := listen(t)
@@ -71,8 +68,9 @@ func TestSendStatsCountAfterSuccessfulWrite(t *testing.T) {
 	}
 }
 
-// Steady-state Send to a remote peer allocates nothing: the encode buffer
-// and the datagram buffer are reused scratch.
+// Steady-state Send to a remote peer allocates nothing: the one-target
+// list stays on the stack, the encode and datagram buffers are reused
+// scratch, and a lone datagram goes straight to WriteToUDP.
 func TestSendZeroAlloc(t *testing.T) {
 	conn := listen(t)
 	sink := listen(t)
@@ -84,9 +82,7 @@ func TestSendZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No drain: once the sink's receive buffer fills, the kernel drops the
-	// overflow silently and the measured writes still succeed — a reader
-	// here would allocate (ReadFromUDP returns a fresh *UDPAddr) inside
-	// AllocsPerRun's process-wide window.
+	// overflow silently and the measured writes still succeed.
 	msg := &packet.HealthProbe{Seq: 2, At: 3}
 	send := func() { _ = f.Send(packet.ControllerIP, packet.APIP(0), msg) }
 	send()
@@ -95,9 +91,8 @@ func TestSendZeroAlloc(t *testing.T) {
 	}
 }
 
-// Fan-out across sockets: targets grouped by endpoint, one batch datagram
-// per multi-target endpoint, a plain unicast for single-target ones, every
-// copy delivered in listed order.
+// Fan-out across sockets: targets grouped by endpoint, one datagram per
+// endpoint listing its targets, every copy delivered in listed order.
 func TestSendManyBatchRoundTrip(t *testing.T) {
 	connA, connB, connC := listen(t), listen(t), listen(t)
 	wA, wB, wC := runtime.NewWall(), runtime.NewWall(), runtime.NewWall()
@@ -106,7 +101,7 @@ func TestSendManyBatchRoundTrip(t *testing.T) {
 		defer w.Stop()
 	}
 
-	// B hosts APs 0–2 (one batch datagram), C hosts AP 3 (plain unicast).
+	// B hosts APs 0–2 (one batch datagram), C hosts AP 3 (one-target datagram).
 	table := map[packet.IPv4Addr]string{
 		packet.APIP(0): connB.LocalAddr().String(),
 		packet.APIP(1): connB.LocalAddr().String(),
@@ -145,7 +140,7 @@ func TestSendManyBatchRoundTrip(t *testing.T) {
 
 	st := fa.Stats()
 	if st.Sent != 2 {
-		t.Fatalf("Sent = %d datagrams, want 2 (one batch + one unicast)", st.Sent)
+		t.Fatalf("Sent = %d datagrams, want 2 (one per endpoint)", st.Sent)
 	}
 	if st.BatchedWrites != 1 || st.BatchedCopies != 3 {
 		t.Fatalf("batch stats = %d writes / %d copies, want 1/3", st.BatchedWrites, st.BatchedCopies)
@@ -199,31 +194,29 @@ func TestSendManyLocalTargets(t *testing.T) {
 	}
 }
 
-// Malformed batch datagrams are counted and dropped without panicking, and
-// batch copies for unhosted addresses count as unroutable.
+// Malformed multi-target datagrams are counted and dropped without
+// panicking, and copies for unhosted addresses count as unroutable.
 func TestMalformedBatchDatagrams(t *testing.T) {
-	conn := listen(t)
 	w := runtime.NewWall()
 	go w.Run()
 	defer w.Stop()
-	f, err := New(w, conn, nil)
+	f, err := New(w, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := newOrderRec()
 	f.Attach(packet.APIP(0), rec.node(0))
-	defer conn.Close()
 
+	ctl, ap0, ap9 := packet.ControllerIP, packet.APIP(0), packet.APIP(9)
 	valid := packet.Encode(downMsg(1))
-	target := func(id int) []byte { ip := packet.APIP(id); return ip[:] }
 	bad := [][]byte{
-		{},              // no count byte
-		{0},             // zero copies
-		{3, 1, 2, 3, 4}, // count says 3, list truncated
-		append(append([]byte{1}, target(0)...), 0xee, 0x00, 0x01, 9), // unknown payload type
+		ctl[:],                    // no count byte
+		datagram(ctl, nil, valid), // zero copies
+		datagram(ctl, []packet.IPv4Addr{ap0, ap9, ap0})[:11],                    // count says 3, list truncated
+		datagram(ctl, []packet.IPv4Addr{ap0, ap9}, []byte{0xee, 0x00, 0x01, 9}), // unknown payload type
 	}
 	for i, b := range bad {
-		f.handleBatch(packet.ControllerIP, b)
+		f.receive(b)
 		if st := f.Stats(); st.DecodeErrs != uint64(i+1) {
 			t.Fatalf("case %d: DecodeErrs = %d, want %d", i, st.DecodeErrs, i+1)
 		}
@@ -231,8 +224,7 @@ func TestMalformedBatchDatagrams(t *testing.T) {
 
 	// One hosted target, one unhosted: the hosted copy delivers, the other
 	// counts as unroutable.
-	good := append(append(append([]byte{2}, target(0)...), target(9)...), valid...)
-	f.handleBatch(packet.ControllerIP, good)
+	f.receive(datagram(ctl, []packet.IPv4Addr{ap0, ap9}, valid))
 	rec.wait(t, 1)
 	st := f.Stats()
 	if st.Received != 1 || st.Unroutable != 1 || st.DecodeErrs != uint64(len(bad)) {
@@ -240,24 +232,37 @@ func TestMalformedBatchDatagrams(t *testing.T) {
 	}
 }
 
-// The reserved batch address can be neither attached nor routed to.
-func TestBatchAddressReserved(t *testing.T) {
-	conn := listen(t)
+// Steady-state SendMany of 8 targets on two endpoints — one sendmmsg of two
+// datagrams — allocates nothing: the raw connection and its callback are
+// bound once, the vectors and buffers are reused scratch.
+func TestSendManyZeroAlloc(t *testing.T) {
+	conn, sinkA, sinkB := listen(t), listen(t), listen(t)
 	defer conn.Close()
-	if _, err := New(runtime.NewWall(), conn,
-		map[packet.IPv4Addr]string{batchAddr: "127.0.0.1:1"}); err == nil {
-		t.Fatal("New accepted the reserved batch address in the peer table")
+	defer sinkA.Close()
+	defer sinkB.Close()
+	table := map[packet.IPv4Addr]string{}
+	tos := make([]packet.IPv4Addr, 8)
+	for i := range tos {
+		tos[i] = packet.APIP(i)
+		sink := sinkA
+		if i%2 == 1 {
+			sink = sinkB
+		}
+		table[tos[i]] = sink.LocalAddr().String()
 	}
-	f, err := New(runtime.NewWall(), conn, nil)
+	f, err := New(runtime.NewWall(), conn, table)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Attach accepted the reserved batch address")
-		}
-	}()
-	f.Attach(batchAddr, backhaul.NodeFunc(func(packet.IPv4Addr, packet.Message) {}))
+	msg := downMsg(3)
+	send := func() { f.SendMany(packet.ControllerIP, tos, msg) }
+	send()
+	if allocs := testing.AllocsPerRun(100, send); allocs != 0 {
+		t.Fatalf("SendMany steady state allocates %.1f/op, want 0", allocs)
+	}
+	if st := f.Stats(); st.BatchedWrites == 0 || st.BatchedCopies != 4*st.BatchedWrites {
+		t.Fatalf("stats = %+v, want two 4-copy datagrams per send", st)
+	}
 }
 
 // An endpoint hosting more than maxBatch targets gets several chunked batch

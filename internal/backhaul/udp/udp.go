@@ -8,27 +8,21 @@
 //
 // Addressing stays virtual: nodes keep their simulator identities
 // (packet.ControllerIP, packet.APIP(i)) and a static table maps each virtual
-// address to the UDP endpoint hosting it. A unicast datagram is
+// address to the UDP endpoint hosting it. Every datagram is
 //
-//	[4B from][4B to][packet.Encode(msg)]
+//	[4B from][1B count][4B to]×count[packet.Encode(msg)]
 //
-// so a single socket can host several virtual nodes and the receiver can
-// attribute the message without trusting the kernel-reported source.
-//
-// The §3.1.1 downlink fan-out replicates one message to many virtual APs at
-// once; SendMany is its line-rate path (DESIGN.md §14). The message is
-// encoded once, targets are grouped by hosting endpoint, and every group
-// collapses into a single batch datagram addressed to the reserved
-// 255.255.255.255 virtual address:
-//
-//	[4B from][4B 255.255.255.255][1B count][4B to]×count[packet.Encode(msg)]
-//
-// The receiver decodes the payload once and delivers it to each listed
-// local target in order. The per-endpoint datagrams themselves are written
-// with one sendmmsg system call on Linux, so a 128-AP fan-out costs a
-// handful of syscalls instead of 128. The trade: one lost batch datagram
-// loses every copy it carried — acceptable because the copies are redundant
-// by design (any AP that heard the client can deliver).
+// with count ≥ 1, so a single socket can host several virtual nodes and the
+// receiver can attribute the message without trusting the kernel-reported
+// source. Send is the one-target case of SendMany, the §3.1.1 fan-out's
+// line-rate path (DESIGN.md §14): the message is encoded once, targets are
+// grouped by hosting endpoint, and each group becomes one datagram listing
+// its targets. The receiver decodes the payload once and delivers it to each
+// listed local target in order. Several datagrams go out in one sendmmsg
+// system call on Linux, so a 128-AP fan-out costs a handful of syscalls
+// instead of 128. The trade: one lost datagram loses every copy it carried —
+// acceptable because the copies are redundant by design (any AP that heard
+// the client can deliver).
 //
 // Inbound datagrams are decoded on the reader goroutine and handed to the
 // node's runtime.Wall with Post, which serializes them onto the one engine
@@ -48,23 +42,14 @@ import (
 	"wgtt/internal/runtime"
 )
 
-// header is the datagram prefix: two 4-byte virtual IPv4 addresses.
-const header = 8
-
-// maxBatch bounds how many copies one batch datagram carries (its count
-// field is a single byte). Endpoints hosting more targets get several
-// batch datagrams.
+// maxBatch bounds how many copies one datagram carries (its count field is
+// a single byte). Endpoints hosting more targets get several datagrams.
 const maxBatch = 255
 
-// batchAddr is the reserved virtual destination that marks a batch
-// datagram. The address scheme (packet.ControllerIP, packet.APIP,
-// packet.ClientIP) never mints it, so it cannot collide with a real node.
-var batchAddr = packet.IPv4Addr{255, 255, 255, 255}
-
-// maxDatagram bounds one datagram on the wire: header, the largest batch
-// prefix (count byte plus maxBatch targets), the codec's 3-byte envelope,
-// and a 16-bit payload length.
-const maxDatagram = header + 1 + 4*maxBatch + 3 + 65535
+// maxDatagram bounds one datagram on the wire: the sender, the largest
+// target list (count byte plus maxBatch targets), the codec's 3-byte
+// envelope, and a 16-bit payload length.
+const maxDatagram = 4 + 1 + 4*maxBatch + 3 + 65535
 
 // Stats counts fabric activity. Bytes counts encoded message bytes per
 // copy (envelope + payload, excluding addressing and batch overhead),
@@ -82,11 +67,6 @@ type Stats struct {
 	BatchedCopies uint64 // copies that rode a batch datagram
 }
 
-// epGroup accumulates one endpoint's targets during a SendMany call.
-type epGroup struct {
-	tos []packet.IPv4Addr
-}
-
 // Fabric implements backhaul.Fabric over one UDP socket.
 type Fabric struct {
 	w    *runtime.Wall
@@ -94,11 +74,10 @@ type Fabric struct {
 
 	mu    sync.Mutex
 	nodes map[packet.IPv4Addr]backhaul.Node
-	peers map[packet.IPv4Addr]*net.UDPAddr
 
-	// Endpoint table, immutable after New: eps lists the distinct UDP
+	// Route table, immutable after New: eps lists the distinct UDP
 	// endpoints the peer table names, epIndex maps each remote virtual
-	// address to its endpoint — SendMany's grouping key.
+	// address to its endpoint — send's grouping key.
 	eps     []*net.UDPAddr
 	epIndex map[packet.IPv4Addr]int
 
@@ -106,22 +85,19 @@ type Fabric struct {
 	// holding it across the socket write also keeps concurrent senders'
 	// datagrams whole.
 	smu     sync.Mutex
-	enc     []byte            // reusable message encode buffer
-	wbuf    []byte            // reusable unicast datagram buffer
-	local   []packet.IPv4Addr // SendMany's local-target scratch
-	groups  []epGroup         // SendMany's per-endpoint accumulators
-	touched []int             // endpoints used by the current SendMany
-	bufs    [][]byte          // reusable per-datagram build buffers
-	dgrams  [][]byte          // datagrams for the current batch write
-	dsts    []*net.UDPAddr    // their destinations
-	dcnt    []int             // their copy counts
-	bw      batchWriter       // platform batch-write vectors (sendmmsg)
+	enc     []byte              // reusable message encode buffer
+	local   []packet.IPv4Addr   // local targets of the current send
+	groups  [][]packet.IPv4Addr // remote targets, per endpoint
+	touched []int               // endpoints used by the current send
+	bufs    [][]byte            // reusable datagram buffers
+	dsts    []*net.UDPAddr      // destinations of the current datagrams
+	bw      batchWriter         // platform batch-write state (sendmmsg)
 
-	// rscratch is the reader goroutine's batch-target scratch.
+	// rscratch is the reader goroutine's target-list scratch.
 	rscratch []packet.IPv4Addr
 
-	// dpool recycles combined-delivery events: the reader and send
-	// goroutines allocate them, the run loop returns them.
+	// dpool recycles delivery events: the reader and send goroutines take
+	// them, the run loop returns them.
 	dpool sync.Pool
 
 	stats Stats
@@ -138,36 +114,27 @@ func New(w *runtime.Wall, conn *net.UDPConn, table map[packet.IPv4Addr]string) (
 		w:       w,
 		conn:    conn,
 		nodes:   make(map[packet.IPv4Addr]backhaul.Node),
-		peers:   make(map[packet.IPv4Addr]*net.UDPAddr, len(table)),
 		epIndex: make(map[packet.IPv4Addr]int, len(table)),
 		done:    make(chan struct{}),
 	}
 	f.dpool.New = func() any {
-		d := &manyDispatch{f: f}
+		d := &delivery{f: f}
 		d.run = d.fire
 		return d
 	}
-	for addr, ep := range table {
-		if addr == batchAddr {
-			return nil, fmt.Errorf("udp: %v is reserved for batch datagrams", addr)
-		}
-		ua, err := net.ResolveUDPAddr("udp", ep)
-		if err != nil {
-			return nil, fmt.Errorf("udp: resolving %v -> %q: %w", addr, ep, err)
-		}
-		f.peers[addr] = ua
-	}
-	// Endpoint table: walk the peers in ascending address order so endpoint
-	// IDs are deterministic for a given peer table, whatever the map order
-	// was.
-	order := make([]packet.IPv4Addr, 0, len(f.peers))
-	for addr := range f.peers {
+	// Walk the peers in ascending address order so endpoint IDs are
+	// deterministic for a given peer table, whatever the map order was.
+	order := make([]packet.IPv4Addr, 0, len(table))
+	for addr := range table {
 		order = append(order, addr)
 	}
 	sort.Slice(order, func(i, j int) bool { return bytes.Compare(order[i][:], order[j][:]) < 0 })
 	byEndpoint := make(map[string]int, len(table))
 	for _, addr := range order {
-		ua := f.peers[addr]
+		ua, err := net.ResolveUDPAddr("udp", table[addr])
+		if err != nil {
+			return nil, fmt.Errorf("udp: resolving %v -> %q: %w", addr, table[addr], err)
+		}
 		key := ua.String()
 		id, ok := byEndpoint[key]
 		if !ok {
@@ -177,7 +144,7 @@ func New(w *runtime.Wall, conn *net.UDPConn, table map[packet.IPv4Addr]string) (
 		}
 		f.epIndex[addr] = id
 	}
-	f.groups = make([]epGroup, len(f.eps))
+	f.groups = make([][]packet.IPv4Addr, len(f.eps))
 	return f, nil
 }
 
@@ -186,9 +153,6 @@ func New(w *runtime.Wall, conn *net.UDPConn, table map[packet.IPv4Addr]string) (
 func (f *Fabric) Attach(addr packet.IPv4Addr, n backhaul.Node) {
 	if n == nil {
 		panic("udp: nil node")
-	}
-	if addr == batchAddr {
-		panic("udp: batch address is reserved")
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -220,133 +184,81 @@ func (f *Fabric) Close() error {
 	return err
 }
 
-// Send implements backhaul.Fabric. Every message — remote or loopback to a
-// node on this same fabric — passes through its wire encoding; remote ones
-// additionally pass through a real socket. Sent/Bytes count only after a
-// successful write: a failed WriteToUDP was never sent, matching the
-// in-memory Switch's dropped-sends-uncounted rule.
+// Send implements backhaul.Fabric: SendMany of one target, except that a
+// target with no route or a failed write is reported as an error.
 func (f *Fabric) Send(from, to packet.IPv4Addr, msg packet.Message) error {
-	f.smu.Lock()
-	defer f.smu.Unlock()
-	f.mu.Lock()
-	peer := f.peers[to]
-	local := f.nodes[to]
-	f.mu.Unlock()
-	if peer == nil && local == nil {
-		return fmt.Errorf("udp: no route to %v", to)
-	}
-	if peer == nil {
-		// Local virtual node: skip the socket but not the codec — decode
-		// the encoded bytes exactly as the remote path would.
-		f.enc = packet.EncodeInto(f.enc[:0], msg)
-		size := uint64(len(f.enc))
-		f.dispatch(from, to, f.enc)
-		f.countSent(1, size)
-		return nil
-	}
-	buf := f.wbuf[:0]
-	buf = append(buf, from[:]...)
-	buf = append(buf, to[:]...)
-	buf = packet.EncodeInto(buf, msg)
-	f.wbuf = buf
-	size := uint64(len(buf) - header)
-	if _, err := f.conn.WriteToUDP(buf, peer); err != nil {
-		return err
-	}
-	f.countSent(1, size)
-	return nil
+	return f.send(from, []packet.IPv4Addr{to}, msg)
 }
 
-// countSent records n sent datagrams of size message bytes each.
-func (f *Fabric) countSent(n int, size uint64) {
-	f.mu.Lock()
-	f.stats.Sent += uint64(n)
-	f.stats.Bytes += uint64(n) * size
-	f.mu.Unlock()
-}
-
-// SendMany implements backhaul.Fabric (DESIGN.md §14): encode msg once,
-// group the targets by hosting endpoint, and write one batch datagram per
-// endpoint — a sendmmsg batch on Linux — instead of one datagram per copy.
-// Local targets are decoded once and delivered in listed order. Targets
-// with no route are skipped, the same outcome as the per-target Send loop
-// whose errors the fan-out path ignores. msg is never retained.
+// SendMany implements backhaul.Fabric (DESIGN.md §14). Targets with no
+// route are skipped, the same outcome as the per-target Send loop whose
+// errors the fan-out path ignores.
 func (f *Fabric) SendMany(from packet.IPv4Addr, tos []packet.IPv4Addr, msg packet.Message) {
+	_ = f.send(from, tos, msg)
+}
+
+// send is the one send path. It encodes msg once and delivers the targets
+// hosted here through the codec, in listed order — loopback skips the
+// socket, not the wire encoding. Remote targets are grouped by endpoint and
+// each group is written as one datagram (several past maxBatch targets),
+// all of them in one writeBatch. Sent/Bytes count only after a successful
+// write, matching the in-memory Switch's dropped-sends-uncounted rule. The
+// error names the first target with no route, else the first failed write.
+// msg is never retained.
+func (f *Fabric) send(from packet.IPv4Addr, tos []packet.IPv4Addr, msg packet.Message) error {
 	f.smu.Lock()
 	defer f.smu.Unlock()
 	f.enc = packet.EncodeInto(f.enc[:0], msg)
-	raw := f.enc
-	size := uint64(len(raw))
+	size := uint64(len(f.enc))
 
+	var err error
 	f.local = f.local[:0]
 	f.mu.Lock()
 	for _, to := range tos {
 		if id, ok := f.epIndex[to]; ok {
-			g := &f.groups[id]
-			if len(g.tos) == 0 {
+			if len(f.groups[id]) == 0 {
 				f.touched = append(f.touched, id)
 			}
-			g.tos = append(g.tos, to)
-			continue
-		}
-		if f.nodes[to] != nil {
+			f.groups[id] = append(f.groups[id], to)
+		} else if f.nodes[to] != nil {
 			f.local = append(f.local, to)
+		} else if err == nil {
+			err = fmt.Errorf("udp: no route to %v", to)
 		}
 	}
 	f.mu.Unlock()
-
 	if len(f.local) > 0 {
-		f.dispatchMany(from, f.local, raw)
-		f.countSent(len(f.local), size)
-	}
-	if len(f.touched) == 0 {
-		return
+		f.deliver(from, f.local, f.enc)
 	}
 
-	// One datagram per endpoint (chunked if an endpoint hosts more than
-	// maxBatch targets); single-copy groups use the plain unicast format so
-	// a fabric that never batches stays wire-compatible with old peers.
-	f.dgrams = f.dgrams[:0]
 	f.dsts = f.dsts[:0]
-	f.dcnt = f.dcnt[:0]
-	nd := 0
 	for _, id := range f.touched {
-		g := &f.groups[id]
-		for start := 0; start < len(g.tos); start += maxBatch {
-			end := start + maxBatch
-			if end > len(g.tos) {
-				end = len(g.tos)
-			}
-			chunk := g.tos[start:end]
+		for g := f.groups[id]; len(g) > 0; {
+			chunk := g[:min(len(g), maxBatch)]
+			g = g[len(chunk):]
+			nd := len(f.dsts)
 			if nd == len(f.bufs) {
 				f.bufs = append(f.bufs, nil)
 			}
-			buf := f.bufs[nd][:0]
-			buf = append(buf, from[:]...)
-			if len(chunk) == 1 {
-				buf = append(buf, chunk[0][:]...)
-			} else {
-				buf = append(buf, batchAddr[:]...)
-				buf = append(buf, byte(len(chunk)))
-				for _, to := range chunk {
-					buf = append(buf, to[:]...)
-				}
+			buf := append(f.bufs[nd][:0], from[:]...)
+			buf = append(buf, byte(len(chunk)))
+			for _, to := range chunk {
+				buf = append(buf, to[:]...)
 			}
-			buf = append(buf, raw...)
-			f.bufs[nd] = buf
-			f.dgrams = append(f.dgrams, buf)
+			f.bufs[nd] = append(buf, f.enc...)
 			f.dsts = append(f.dsts, f.eps[id])
-			f.dcnt = append(f.dcnt, len(chunk))
-			nd++
 		}
-		g.tos = g.tos[:0]
+		f.groups[id] = f.groups[id][:0]
 	}
 	f.touched = f.touched[:0]
+	dgrams := f.bufs[:len(f.dsts)]
+	written, werr := f.writeBatch(f.dsts, dgrams)
 
-	written := f.writeBatch(f.dsts, f.dgrams)
 	f.mu.Lock()
-	for i := 0; i < written; i++ {
-		cnt := f.dcnt[i]
+	f.stats.Sent += uint64(len(f.local))
+	f.stats.Bytes += uint64(len(f.local)) * size
+	for _, dg := range dgrams[:written] {
+		cnt := int(dg[4])
 		f.stats.Sent++
 		f.stats.Bytes += uint64(cnt) * size
 		if cnt > 1 {
@@ -355,20 +267,28 @@ func (f *Fabric) SendMany(from packet.IPv4Addr, tos []packet.IPv4Addr, msg packe
 		}
 	}
 	f.mu.Unlock()
+	if err == nil {
+		err = werr
+	}
+	return err
 }
 
 // writeLoop is the portable batch write: one WriteToUDP per datagram.
-// Per-datagram errors are skipped — fan-out loss is silent, like the
-// per-target Send loop it replaces. Returns the datagrams written.
-func (f *Fabric) writeLoop(dsts []*net.UDPAddr, bufs [][]byte) int {
+// Per-datagram errors skip that datagram — fan-out loss is silent — and the
+// first is returned with the number of datagrams written.
+func (f *Fabric) writeLoop(dsts []*net.UDPAddr, bufs [][]byte) (int, error) {
 	n := 0
+	var err error
 	for i := range bufs {
-		if _, err := f.conn.WriteToUDP(bufs[i], dsts[i]); err != nil {
+		if _, werr := f.conn.WriteToUDP(bufs[i], dsts[i]); werr != nil {
+			if err == nil {
+				err = werr
+			}
 			continue
 		}
 		n++
 	}
-	return n
+	return n, err
 }
 
 // Stats returns a snapshot of the fabric counters.
@@ -378,11 +298,11 @@ func (f *Fabric) Stats() Stats {
 	return f.stats
 }
 
-// manyDispatch is one pooled combined-delivery event: the decoded message
-// and the local nodes a batch (or local fan-out) delivers it to, in listed
-// order. Pooling keeps the steady-state fan-out from allocating a closure
-// and slice per datagram.
-type manyDispatch struct {
+// delivery is one pooled delivery event: the decoded message and the local
+// nodes a datagram (or a local send) delivers it to, in listed order.
+// Pooling keeps a steady-state delivery from allocating a closure and slice
+// per datagram.
+type delivery struct {
 	f     *Fabric
 	from  packet.IPv4Addr
 	msg   packet.Message
@@ -390,7 +310,7 @@ type manyDispatch struct {
 	run   func()
 }
 
-func (d *manyDispatch) fire() {
+func (d *delivery) fire() {
 	for _, n := range d.nodes {
 		n.HandleBackhaul(d.from, d.msg)
 	}
@@ -399,43 +319,15 @@ func (d *manyDispatch) fire() {
 	d.f.dpool.Put(d)
 }
 
-// dispatch decodes one encoded message and posts it onto the run loop for
-// the node hosted at to. Malformed or unroutable datagrams are counted and
-// dropped — a fabric must survive any bytes the network hands it (FuzzDecode
-// and FuzzDatagram pin the "no panics" half of that). raw is not
-// retained: Decode copies everything it keeps, so callers may reuse the
-// buffer immediately.
-func (f *Fabric) dispatch(from, to packet.IPv4Addr, raw []byte) {
-	msg, err := packet.Decode(raw)
-	f.mu.Lock()
-	if err != nil {
-		f.stats.DecodeErrs++
-		f.mu.Unlock()
-		return
-	}
-	if len(raw) != 3+msg.WireSize() {
-		// Trailing bytes after a well-formed message: the codec tolerates
-		// them (stream framing), but a datagram is exactly one message —
-		// count the malformation rather than silently accepting it.
-		f.stats.DecodeErrs++
-		f.mu.Unlock()
-		return
-	}
-	node := f.nodes[to]
-	if node == nil {
-		f.stats.Unroutable++
-		f.mu.Unlock()
-		return
-	}
-	f.stats.Received++
-	f.mu.Unlock()
-	f.w.Post(func() { node.HandleBackhaul(from, msg) })
-}
-
-// dispatchMany decodes raw once and posts a single combined delivery event
-// for every listed target hosted here, preserving listed order — the
-// receive half of the batch datagram format. raw is not retained.
-func (f *Fabric) dispatchMany(from packet.IPv4Addr, tos []packet.IPv4Addr, raw []byte) {
+// deliver decodes raw once and posts one delivery event for every listed
+// target hosted here, preserving listed order. A malformed message — one
+// the codec rejects, or trailing bytes after a well-formed one, since a
+// datagram is exactly one message — is one decode error and delivers
+// nothing; a target not hosted here is unroutable. A fabric must survive any
+// bytes the network hands it (FuzzDecode and FuzzDatagram pin the "no
+// panics" half of that). raw is not retained: Decode copies everything it
+// keeps, so callers may reuse the buffer immediately.
+func (f *Fabric) deliver(from packet.IPv4Addr, tos []packet.IPv4Addr, raw []byte) {
 	msg, err := packet.Decode(raw)
 	f.mu.Lock()
 	if err != nil || len(raw) != 3+msg.WireSize() {
@@ -443,7 +335,7 @@ func (f *Fabric) dispatchMany(from packet.IPv4Addr, tos []packet.IPv4Addr, raw [
 		f.mu.Unlock()
 		return
 	}
-	d := f.dpool.Get().(*manyDispatch)
+	d := f.dpool.Get().(*delivery)
 	for _, to := range tos {
 		node := f.nodes[to]
 		if node == nil {
@@ -462,42 +354,15 @@ func (f *Fabric) dispatchMany(from packet.IPv4Addr, tos []packet.IPv4Addr, raw [
 	f.w.Post(d.run)
 }
 
-// handleBatch parses one inbound batch datagram: count, target list,
-// payload. b is the datagram body after the 8-byte addressing header.
-func (f *Fabric) handleBatch(from packet.IPv4Addr, b []byte) {
-	if len(b) < 1 {
-		f.countDecodeErr()
-		return
-	}
-	cnt := int(b[0])
-	if cnt == 0 || len(b) < 1+4*cnt+3 {
-		f.countDecodeErr()
-		return
-	}
-	f.rscratch = f.rscratch[:0]
-	for i := 0; i < cnt; i++ {
-		var to packet.IPv4Addr
-		copy(to[:], b[1+4*i:])
-		f.rscratch = append(f.rscratch, to)
-	}
-	f.dispatchMany(from, f.rscratch, b[1+4*cnt:])
-}
-
-func (f *Fabric) countDecodeErr() {
-	f.mu.Lock()
-	f.stats.DecodeErrs++
-	f.mu.Unlock()
-}
-
 // readLoop receives datagrams until the socket closes. One buffer serves
 // every read: receive decodes synchronously and never retains it, so the
 // inbound path allocates nothing per datagram beyond the decoded message
-// itself.
+// itself (TestReceiveAllocsOnlyTheDecodedMessage).
 func (f *Fabric) readLoop() {
 	defer close(f.done)
 	buf := make([]byte, maxDatagram)
 	for {
-		n, _, err := f.conn.ReadFromUDP(buf)
+		n, err := f.conn.Read(buf)
 		if err != nil {
 			return // closed socket (or unrecoverable error): reader exits
 		}
@@ -505,19 +370,24 @@ func (f *Fabric) readLoop() {
 	}
 }
 
-// receive parses one inbound datagram: the addressing header, then a batch
-// (handleBatch) or a single message (dispatch).
+// receive parses one inbound datagram — sender, count, target list — and
+// hands the payload to deliver. A datagram too short for its target list,
+// or listing none, is one decode error.
 func (f *Fabric) receive(dg []byte) {
-	if len(dg) < header+3 {
-		f.countDecodeErr()
+	if len(dg) < 5 || dg[4] == 0 || len(dg) < 5+4*int(dg[4]) {
+		f.mu.Lock()
+		f.stats.DecodeErrs++
+		f.mu.Unlock()
 		return
 	}
-	var from, to packet.IPv4Addr
-	copy(from[:], dg[:4])
-	copy(to[:], dg[4:8])
-	if to == batchAddr {
-		f.handleBatch(from, dg[header:])
-		return
+	var from packet.IPv4Addr
+	copy(from[:], dg)
+	cnt := int(dg[4])
+	f.rscratch = f.rscratch[:0]
+	for i := 0; i < cnt; i++ {
+		var to packet.IPv4Addr
+		copy(to[:], dg[5+4*i:])
+		f.rscratch = append(f.rscratch, to)
 	}
-	f.dispatch(from, to, dg[header:])
+	f.deliver(from, f.rscratch, dg[5+4*cnt:])
 }

@@ -13,8 +13,7 @@ import (
 // This file is the live fan-out load generator (DESIGN.md §14): it drives
 // the §3.1.1 downlink replication path over a real UDP socket at maximum
 // rate, which is how the packets-per-second benchmarks compare the
-// encode-once batched SendMany path against the per-copy Send loop it
-// replaced.
+// encode-once batched SendMany path against a Send per copy.
 
 // FanoutResult summarizes one fan-out load run.
 type FanoutResult struct {
@@ -28,10 +27,9 @@ type FanoutResult struct {
 
 // MeasureFanout pushes packets downlink messages through a loopback
 // udp.Fabric, each fanned out to numAPs virtual APs hosted behind one sink
-// endpoint, and reports the sustained copy rate. batched selects the
-// SendMany fast path — encode once, one batch datagram per endpoint,
-// sendmmsg on Linux; false replays the per-copy Send loop it replaced, the
-// benchmark's baseline. The sink is never read: once its receive buffer
+// endpoint, and reports the sustained copy rate. batched selects SendMany
+// — encode once, one datagram per endpoint listing its targets; false sends
+// each copy with its own Send, the benchmark's baseline. The sink is never read: once its receive buffer
 // fills the kernel drops the overflow silently, which is exactly UDP's
 // contract and keeps the measurement on the send path.
 func MeasureFanout(numAPs, packets int, batched bool) (FanoutResult, error) {

@@ -8,9 +8,9 @@ import (
 // The real-socket half of the DESIGN.md §14 fan-out measurement, which
 // bench/ (it opens no socket) cannot see: sustained copies per second over
 // UDP loopback at 8/32/128-AP widths. FanoutUDP is the batched path —
-// encode once, one batch datagram per endpoint, sendmmsg on Linux;
-// FanoutUDPPerCopy is the per-copy Send loop it replaced, and the pkts/s
-// ratio of the pair is the batching speedup.
+// encode once, one datagram per endpoint listing its targets;
+// FanoutUDPPerCopy is a Send per copy, and the pkts/s ratio of the pair is
+// the batching speedup.
 //
 //	go test -run '^$' -bench Fanout ./internal/live
 

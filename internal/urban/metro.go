@@ -106,6 +106,8 @@ func (p *MetroPlan) Duration() sim.Time { return p.City.Duration }
 // visitStep to derive the tile visit schedule. Every tile must own at least
 // one AP site (a seam cell with no radio cannot admit the clients that
 // drive through it); the default block-scale AP spacing guarantees that.
+// A tiling with more tiles than AP sites fails that check before anything
+// is sized by the tile count.
 func BuildMetroPlan(cfg MetroConfig, seed uint64) (*MetroPlan, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -115,6 +117,9 @@ func BuildMetroPlan(cfg MetroConfig, seed uint64) (*MetroPlan, error) {
 	cp, err := BuildPlan(city, seed)
 	if err != nil {
 		return nil, err
+	}
+	if cfg.Tiles.N() > len(cp.APs) {
+		return nil, fmt.Errorf("urban: metro tiling %s has more tiles than the city's %d AP sites; use a denser AP spacing or a coarser tiling", cfg.Tiles, len(cp.APs))
 	}
 	p := &MetroPlan{Cfg: cfg, City: cp, TileAPs: make([][]int, cfg.Tiles.N())}
 	for i, s := range cp.APs {

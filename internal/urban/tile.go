@@ -2,6 +2,7 @@ package urban
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -20,8 +21,11 @@ type Tiling struct {
 // N returns the tile count.
 func (t Tiling) N() int { return t.Rows * t.Cols }
 
-// Valid reports whether the tiling has at least one tile in each axis.
-func (t Tiling) Valid() bool { return t.Rows >= 1 && t.Cols >= 1 }
+// Valid reports whether the tiling has at least one tile in each axis and a
+// tile count N can represent.
+func (t Tiling) Valid() bool {
+	return t.Rows >= 1 && t.Cols >= 1 && t.Rows <= math.MaxInt/t.Cols
+}
 
 // String renders the tiling as "RxC".
 func (t Tiling) String() string { return fmt.Sprintf("%dx%d", t.Rows, t.Cols) }
@@ -36,7 +40,7 @@ func ParseTiling(s string) (Tiling, error) {
 	rows, err1 := strconv.Atoi(r)
 	cols, err2 := strconv.Atoi(c)
 	if err1 != nil || err2 != nil || !(Tiling{Rows: rows, Cols: cols}).Valid() {
-		return Tiling{}, fmt.Errorf("urban: tiling %q needs positive RxC dimensions", s)
+		return Tiling{}, fmt.Errorf("urban: tiling %q needs positive RxC dimensions whose product fits in an int", s)
 	}
 	return Tiling{Rows: rows, Cols: cols}, nil
 }

@@ -209,3 +209,46 @@ func TestParseTiling(t *testing.T) {
 		}
 	}
 }
+
+// A tile grid no city can fill must fail with an error, not a panic or an
+// out-of-memory: 2^62×4 overflows the tile count, 100000×100000 would size
+// a 10^10-entry table before the every-tile-owns-an-AP check.
+func TestHugeTilingsRejected(t *testing.T) {
+	if _, err := ParseTiling("4611686018427387904x4"); err == nil {
+		t.Error("ParseTiling accepted a tiling whose tile count overflows")
+	}
+	if (Tiling{Rows: 1 << 62, Cols: 4}).Valid() {
+		t.Error("Valid accepted a tiling whose tile count overflows")
+	}
+	huge, err := ParseTiling("100000x100000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultMetroConfig()
+	cfg.Tiles = huge
+	if _, err := BuildMetroPlan(cfg, 1); err == nil {
+		t.Fatal("metro with more tiles than AP sites accepted")
+	}
+}
+
+// FuzzParseTiling: no spec panics the parser, and an accepted one is a
+// valid tiling whose tile count does not overflow and which round-trips
+// through String.
+func FuzzParseTiling(f *testing.F) {
+	for _, s := range []string{"2x2", " 32x32 ", "+2x2", "0x3", "2x", "x", "2x3x4",
+		"4611686018427387904x4", "100000x100000"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		til, err := ParseTiling(s)
+		if err != nil {
+			return
+		}
+		if !til.Valid() || til.N()/til.Rows != til.Cols {
+			t.Fatalf("ParseTiling(%q) = %v: invalid or overflowing tile count %d", s, til, til.N())
+		}
+		if again, err := ParseTiling(til.String()); err != nil || again != til {
+			t.Fatalf("ParseTiling(%q) = %v, but its String %q parses to %v, %v", s, til, til.String(), again, err)
+		}
+	})
+}
