@@ -178,12 +178,15 @@ loc:
 # target on top of its seed corpus — malformed backhaul bytes must never
 # panic the decoder or the UDP fabric's datagram parser, accepted inputs
 # must round-trip stably, and every datagram must be accounted for; no
-# -metro-tiles spec may panic the tiling parser or overflow its tile count.
+# -metro-tiles spec may panic the tiling parser or overflow its tile count;
+# no reordering or duplication of handoff messages may leave a client with
+# two owners, or with none once the backhaul is clean.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/packet
 	$(GO) test -run '^$$' -fuzz '^FuzzDatagram$$' -fuzztime 10s ./internal/backhaul/udp
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTiling$$' -fuzztime 10s ./internal/urban
-	@echo fuzz-smoke: decoder, datagram parser and tiling parser survived coverage-guided malformed input
+	$(GO) test -run '^$$' -fuzz '^FuzzHandoffReorder$$' -fuzztime 10s ./internal/federation
+	@echo fuzz-smoke: decoder, datagram parser, tiling parser and handoff machine survived coverage-guided input
 
 # The performance record (minutes, opt-in): both passes of the repository's
 # benchmark (bench/README.md) on every BENCHMARK.json workload, each pass's

@@ -58,20 +58,18 @@ func main() {
 		fmt.Fprintln(os.Stderr, "wgtt-live:", err)
 		os.Exit(1)
 	}
-	// -federation is the topology: one controller process per single-AP
-	// domain instead of one controller over every AP.
-	controllers := 1
+	// -federation is the topology (live.City): two single-AP domains, one
+	// controller process each, instead of one controller over every AP.
+	controllers, cityAPs := 1, *aps
 	if *federation {
-		controllers = live.FedDomains
+		controllers, cityAPs = 2, 2
 	}
 	switch *role {
 	case "run":
 		if *fanout {
 			err = measureFanout(*aps, *packets)
-		} else if *federation {
-			err = orchestrate(controllers, controllers, *timeout, pol) // live.FedCity: one AP per domain
 		} else {
-			err = orchestrate(1, *aps, *timeout, pol)
+			err = orchestrate(controllers, cityAPs, *timeout, pol)
 		}
 	case "controller":
 		err = runController(*domain, *listen, strings.Split(*table, ","), controllers, *timeout, pol)
@@ -208,45 +206,40 @@ func bindAndTable(listen string, endpoints []string, controllers int, self packe
 	return conn, table, nil
 }
 
-// runController is domain's controller process: the one controller over
-// every AP, or one of the federated pair.
+// runController is domain's controller process over the city the endpoint
+// table describes, and prints the first switch on its ledger: a cross-domain
+// switch as the federation handoff, any other as the switch.
 func runController(domain int, listen string, endpoints []string, controllers int, timeout time.Duration, pol selector.Policy) error {
 	conn, table, err := bindAndTable(listen, endpoints, controllers, packet.DomainControllerIP(domain))
 	if err != nil {
 		return err
 	}
-	if controllers == 1 {
-		rec, err := live.RunController(conn, table, len(endpoints)-1, sim.Time(timeout), pol)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("wgtt-live: switch complete client=%v ap%d->ap%d duration=%.1fms attempts=%d\n",
-			rec.Client, rec.From+1, rec.To+1, float64(rec.Duration)/float64(sim.Millisecond), rec.Attempts)
-		return nil
+	city := live.City(len(endpoints)-controllers, controllers)
+	rec, err := live.RunController(domain, conn, table, city, sim.Time(timeout), pol)
+	if err != nil {
+		return err
 	}
-	rec, got, err := live.RunFedController(domain, conn, table, sim.Time(timeout))
-	if got {
+	if from, to := city[rec.From].Domain, city[rec.To].Domain; from != to {
 		// Stable facts only: the federation smoke compares two runs' stdout
 		// byte for byte, so no durations or attempt counts here.
 		fmt.Printf("wgtt-live: federation handoff complete client=%v domain%d->domain%d ap%d->ap%d forced=%v\n",
-			rec.Client, rec.From, rec.To, rec.FromAP, rec.ToAP, rec.Forced)
+			rec.Client, from, to, rec.From, rec.To, rec.Forced)
+		return nil
 	}
-	return err
+	fmt.Printf("wgtt-live: switch complete client=%v ap%d->ap%d duration=%.1fms attempts=%d\n",
+		rec.Client, rec.From+1, rec.To+1, float64(rec.Duration)/float64(sim.Millisecond), rec.Attempts)
+	return nil
 }
 
+// runAP is AP id's process, reporting to its domain's controller.
 func runAP(id int, listen string, endpoints []string, controllers int, timeout time.Duration) error {
 	conn, table, err := bindAndTable(listen, endpoints, controllers, packet.APIP(id))
 	if err != nil {
 		return err
 	}
-	// One controller serves every AP; federated, AP i belongs to domain i
-	// and reports to its own domain controller (live.FedCity).
-	ctlAddr := packet.ControllerIP
-	if controllers > 1 {
-		ctlAddr = packet.DomainControllerIP(id)
-	}
+	city := live.City(len(endpoints)-controllers, controllers)
 	// APs outlive the switch by running to the full timeout; the
 	// orchestrator kills them once the controller reports success.
-	_, err = live.RunAP(id, conn, table, ctlAddr, live.Script(id), id == 0, sim.Time(timeout))
+	_, err = live.RunAP(id, conn, table, packet.DomainControllerIP(city[id].Domain), live.Script(id), id == 0, sim.Time(timeout))
 	return err
 }

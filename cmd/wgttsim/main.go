@@ -119,7 +119,7 @@ func main() {
 		st := n.CtlStats()
 		fmt.Printf("controller: %d switches (%d retransmitted stops), %d CSI reports, uplink %d unique / %d dup\n",
 			st.SwitchesDone, st.StopRetransmits, st.CSIReports, st.UplinkUnique, st.UplinkDuplicate)
-		if n.Fed != nil {
+		if len(n.Fed.Domains) > 1 {
 			fs := n.FedStats()
 			fmt.Printf("federation: %d domains, %d handoffs (%d offers, %d aborts), %d cross-domain switches\n",
 				s.Domains, fs.Adoptions, fs.OffersSent, fs.Aborts, fs.CrossSwitches)

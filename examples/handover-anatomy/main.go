@@ -25,7 +25,9 @@ func main() {
 	}
 	clientMAC := n.Clients[0].Config().MAC
 
-	n.Ctl.OnSwitch = func(rec controller.SwitchRecord) {
+	// n.OnSwitch, not n.Ctl.OnSwitch: the controller's own hook is how the
+	// network observes switches (channel retune, the trace, this one).
+	n.OnSwitch = func(rec controller.SwitchRecord) {
 		fmt.Printf("t=%8.3fs  SWITCH AP%d → AP%d  (stop→ack %v, %d stop attempt(s))\n",
 			rec.At.Seconds(), rec.From+1, rec.To+1, rec.Duration, rec.Attempts)
 		fmt.Printf("             medians:")

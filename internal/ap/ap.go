@@ -42,9 +42,6 @@ type Config struct {
 
 	// BAForwarding enables §3.2.1 monitor-mode Block ACK forwarding.
 	BAForwarding bool
-	// UplinkForwarding enables §3.2.2 uplink tunneling to the controller
-	// (disabled for the baseline AP, which uses its own uplink path).
-	UplinkForwarding bool
 	// ForwardOnlyWhenServing restricts uplink tunneling to the serving AP —
 	// the ablation of WGTT's multi-AP uplink diversity (Fig. 18's benefit).
 	ForwardOnlyWhenServing bool
@@ -62,7 +59,6 @@ func DefaultConfig(id int, bssid packet.MACAddr) Config {
 		StartProcessing:  9 * sim.Millisecond,
 		ProcessingJitter: 4 * sim.Millisecond,
 		BAForwarding:     true,
-		UplinkForwarding: true,
 	}
 }
 
@@ -168,10 +164,6 @@ type AP struct {
 	// OnFrameTx, if set, observes every data frame this AP puts on the air
 	// (evaluation hook for link bit-rate distributions, Figs. 15–16).
 	OnFrameTx func(rateMbps float64, mpdus int, at sim.Time)
-	// DebugSwitch, if set, traces switching anomalies (stale stops, cursor
-	// rewinds). Per-AP rather than package-wide so concurrent simulations
-	// (fleet cells, parallel experiments) never share mutable state.
-	DebugSwitch func(what string, switchID uint32, k uint16)
 
 	met apMetrics
 }
@@ -478,9 +470,6 @@ func (a *AP) handleStop(m *packet.Stop) {
 	if !cs.serving {
 		// Duplicate stop (controller timeout retransmission): still answer
 		// with the current position so the protocol converges.
-		if a.DebugSwitch != nil {
-			a.DebugSwitch("stale-stop", m.SwitchID, k)
-		}
 		a.sendStart(m, k)
 		return
 	}
@@ -531,9 +520,6 @@ func (a *AP) handleStart(m *packet.Start) {
 		if back := packet.IndexDist(m.Index, cs.nextSend); back != 0 && back < 2048 {
 			a.Stats.StartRewinds++
 			a.Stats.RewindDepth += uint64(back)
-			if a.DebugSwitch != nil {
-				a.DebugSwitch("rewind", m.SwitchID, m.Index)
-			}
 		}
 	}
 	cs.nextSend = m.Index

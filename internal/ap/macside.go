@@ -202,7 +202,7 @@ func (a *AP) OnFrame(ev *mac.RxEvent) {
 		return
 	}
 	a.reportCSI(ev.From, ev.SNRdB, ev.At)
-	if ev.Kind != mac.KindData || !a.cfg.UplinkForwarding {
+	if ev.Kind != mac.KindData {
 		return
 	}
 	if a.cfg.ForwardOnlyWhenServing {

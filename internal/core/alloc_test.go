@@ -36,9 +36,12 @@ func TestDriveStepAllocs(t *testing.T) {
 // setup_s: building the Fig. 15 scenario may allocate no more than it did
 // before the uplink dedup set stopped being pre-sized (429,584 B in 278
 // objects) less that 141 KiB hint — so nothing a run may never touch, a free
-// list included, is sized at build time.
+// list included, is sized at build time. The object count was re-pinned
+// when the single controller became the one-domain federation tier, whose
+// Domain and Tier wrappers add their own small maps: 277 objects measured
+// (283,752 B), up to 283 under -race.
 func TestBuildAllocBudget(t *testing.T) {
-	const budgetBytes, budgetObjects = 429584 - 141<<10, 278
+	const budgetBytes, budgetObjects = 429584 - 141<<10, 285
 	bytes, objects := ^uint64(0), ^uint64(0)
 	for i := 0; i < 3; i++ { // the least of three: the runtime's own allocations are not Build's
 		var before, after runtime.MemStats

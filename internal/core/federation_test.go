@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 
+	"wgtt/internal/federation"
+	"wgtt/internal/packet"
 	"wgtt/internal/sim"
 )
 
@@ -64,29 +66,6 @@ func TestFederatedDriveHandsOff(t *testing.T) {
 	}
 }
 
-// Domains: 1 is byte-identical to the unfederated build — the federation
-// layer must be a strict no-op until a second domain exists.
-func TestFederatedSingleDomainIdentical(t *testing.T) {
-	run := func(domains int) (uint64, uint64) {
-		s := DriveScenario(ModeWGTT, 15, 77)
-		s.Duration = 4 * sim.Second
-		s.Domains = domains
-		n, err := Build(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		flow := n.AddDownlinkUDP(0, 20, 1400)
-		flow.Sender.Start()
-		n.Run()
-		return flow.Receiver.Bytes, n.Eng.Fired()
-	}
-	b0, e0 := run(0)
-	b1, e1 := run(1)
-	if b0 != b1 || e0 != e1 {
-		t.Errorf("Domains:1 diverged from unfederated: bytes %d/%d events %d/%d", b0, b1, e0, e1)
-	}
-}
-
 // Same seed, same federated scenario, byte-identical runs.
 func TestFederatedDeterminism(t *testing.T) {
 	run := func() (uint64, uint64, uint64) {
@@ -106,5 +85,83 @@ func TestFederatedDeterminism(t *testing.T) {
 	if b1 != b2 || c1 != c2 || e1 != e2 {
 		t.Errorf("federated run diverged: bytes %d/%d cross %d/%d events %d/%d",
 			b1, b2, c1, c2, e1, e2)
+	}
+}
+
+// The metro seam runs through the tier (DESIGN.md §17). Export leaves the
+// client with no owner: no serving AP, no downlink path. Admission takes a
+// commit named in the exporting cell's namespace — its client, its evidence
+// AP — translates both to this cell's client and entry AP, and resumes the
+// carried state there without counting a federation handoff: the entry AP
+// serves, holds the evidence, and the next downlink lands in its ring.
+func TestCellHandoffThroughTier(t *testing.T) {
+	n, err := Build(DriveScenario(ModeWGTT, 15, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.RunUntil(500 * sim.Millisecond)
+	commit, err := n.ExportCellHandoff(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := n.ServingAP(0); s != -1 {
+		t.Fatalf("exported client still served by AP %d", s)
+	}
+	if err := n.SendDownlink(0, &packet.Packet{Bytes: 1400}); err == nil {
+		t.Fatal("downlink to an exported client accepted")
+	}
+	if len(commit.Evidence) == 0 {
+		t.Fatal("export carried no serving-AP evidence")
+	}
+
+	// Another cell's names for the client and its evidence AP.
+	commit.Client, commit.ClientIP = packet.ClientMAC(99), packet.ClientIP(99)
+	commit.Evidence[0].AP = packet.APIP(99)
+	entry := len(n.APs) - 1
+	mac := n.Clients[0].Config().MAC
+	before := n.APs[entry].Stats.DownEnqueued
+	if err := n.AdmitCellHandoff(0, entry, commit); err != nil {
+		t.Fatal(err)
+	}
+	if s := n.ServingAP(0); s != entry {
+		t.Fatalf("admitted client served by AP %d, want entry AP %d", s, entry)
+	}
+	if _, ok := n.Ctl.MedianESNR(mac, entry); !ok {
+		t.Error("the carried evidence did not warm the entry AP's window")
+	}
+	if fs := n.FedStats(); fs != (federation.Stats{}) {
+		t.Errorf("a seam admission counted as a federation handoff: %+v", fs)
+	}
+	if err := n.SendDownlink(0, &packet.Packet{Bytes: 1400}); err != nil {
+		t.Fatal(err)
+	}
+	n.RunUntil(n.Eng.Now() + 5*sim.Millisecond)
+	if n.APs[entry].Stats.DownEnqueued == before {
+		t.Error("the downlink never reached the entry AP's ring")
+	}
+}
+
+// A lone domain hands nothing off, so a one-domain network's metrics carry
+// no federation component; a second domain brings it.
+func TestSingleDomainHasNoFederationMetrics(t *testing.T) {
+	for _, domains := range []int{1, 2} {
+		s := DriveScenario(ModeWGTT, 15, 3)
+		s.Duration = sim.Second
+		s.Domains = domains
+		n, err := Build(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := n.EnableMetrics()
+		n.Run()
+		fed := 0
+		for _, c := range r.Snapshot().Counters {
+			if c.Component == "federation" {
+				fed++
+			}
+		}
+		if got := fed > 0; got != (domains > 1) {
+			t.Errorf("%d domain(s): %d federation counters", domains, fed)
+		}
 	}
 }

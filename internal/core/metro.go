@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"wgtt/internal/client"
-	"wgtt/internal/federation"
 	"wgtt/internal/mobility"
 	"wgtt/internal/packet"
 )
@@ -21,58 +20,48 @@ import (
 // round-trips through packet.Encode/Decode at the fleet layer, keeping the
 // carried state bounded by what the §13 wire format can express.
 
-// ExportCellHandoff captures a departing client's volatile state — the
-// 12-bit downlink index cursor, the bounded uplink dedup window, and the
-// serving AP's windowed-median ESNR evidence — as a §13 commit, then
-// releases the client: keepalives stop, every AP drops its serving flag,
-// and the controller forgets the client. The TargetAP field is left zero;
-// the admitting cell owns the target-AP decision (its AP namespace is not
-// ours). Single-controller WGTT cells only.
+// ExportCellHandoff releases a departing client from the cell's controller
+// tier (federation.Tier.Release) as a §13 commit — the 12-bit downlink index
+// cursor, the bounded uplink dedup window, and the serving AP's
+// windowed-median ESNR evidence — then stops its keepalives and drops every
+// AP's serving flag. The commit names the client and its evidence AP in this
+// cell's namespace, and leaves TargetAP zero: the admitting cell owns the
+// target-AP decision.
 func (n *Network) ExportCellHandoff(clientID int, handoffID uint32) (*packet.DomainHandoffCommit, error) {
-	if n.Ctl == nil {
-		return nil, fmt.Errorf("core: cell handoff export needs a single-controller WGTT cell")
+	if n.Fed == nil {
+		return nil, fmt.Errorf("core: cell handoff export needs a WGTT cell")
 	}
 	cl := n.Clients[clientID]
-	mac, ip := cl.Config().MAC, cl.Config().IP
-	serving := n.Ctl.ServingAP(mac)
-	if serving < 0 {
-		return nil, fmt.Errorf("core: client %d is not admitted here", clientID)
-	}
-	commit := &packet.DomainHandoffCommit{
-		HandoffID: handoffID,
-		Client:    mac,
-		ClientIP:  ip,
-		ServingAP: n.APs[serving].Config().IP,
-	}
-	if med, ok := n.Ctl.MedianESNR(mac, serving); ok {
-		commit.Evidence = []packet.APESNR{{
-			AP:      n.APs[serving].Config().IP,
-			MedianQ: federation.QuantizeEvidenceDB(med),
-		}}
+	commit, err := n.Fed.Release(cl.Config().MAC, handoffID)
+	if err != nil {
+		return nil, fmt.Errorf("core: client %d is not admitted here: %w", clientID, err)
 	}
 	cl.StopKeepalive()
-	commit.NextIndex, commit.DedupKeys, _ = n.Ctl.ReleaseClient(mac, packet.MaxHandoffDedupKeys)
 	n.associate(cl, -1)
 	return commit, nil
 }
 
-// AdmitCellHandoff installs a client migrating in from another cell: the
-// controller adopts it at entryAP with the carried index cursor and dedup
-// window, the exporter's serving-AP evidence is re-seeded onto entryAP (the
-// best prior the new cell has — its own APs have never heard this client),
-// the AP-side serving flag moves to entryAP, and keepalives start. No pull
-// follows: the admission happens at an epoch barrier, not mid-handshake, so
-// there is no old AP to stop.
+// AdmitCellHandoff installs a client migrating in from another cell through
+// the tier (federation.Tier.Admit): the commit's client and evidence AP are
+// translated into this cell's namespace — our client, and entryAP, the best
+// prior the new cell has for evidence its own APs never heard — and the
+// controller resumes the carried index cursor and dedup window at entryAP.
+// No pull follows: the admission happens at an epoch barrier, not
+// mid-handshake, so there is no old AP to stop.
 func (n *Network) AdmitCellHandoff(clientID, entryAP int, commit *packet.DomainHandoffCommit) error {
-	if n.Ctl == nil {
-		return fmt.Errorf("core: cell handoff admission needs a single-controller WGTT cell")
+	if n.Fed == nil {
+		return fmt.Errorf("core: cell handoff admission needs a WGTT cell")
 	}
 	if entryAP < 0 || entryAP >= len(n.APs) {
 		return fmt.Errorf("core: entry AP %d out of range", entryAP)
 	}
-	cl := n.Clients[clientID]
-	if n.Ctl.ServingAP(cl.Config().MAC) >= 0 {
+	if n.ServingAP(clientID) >= 0 {
 		return fmt.Errorf("core: client %d is already admitted here", clientID)
+	}
+	cl, entry := n.Clients[clientID], n.APs[entryAP].Config().IP
+	commit.Client, commit.ClientIP, commit.TargetAP = cl.Config().MAC, cl.Config().IP, entry
+	for i := range commit.Evidence {
+		commit.Evidence[i].AP = entry
 	}
 	return n.admitClient(cl, entryAP, commit)
 }
@@ -86,32 +75,26 @@ func (n *Network) associate(cl *client.Client, serving int) {
 	}
 }
 
-// admitClient is the one WGTT admission sequence — AP association,
-// controller registration, keepalive start — run by Build for every client
-// present at time zero (commit nil: a fresh registration) and by
-// AdmitCellHandoff for a client migrating in (the controller adopts the
-// commit's state instead).
+// admitClient is the one WGTT admission sequence — AP association, tier
+// registration, keepalive start — run by Build for every client present at
+// time zero (commit nil: a fresh registration) and by AdmitCellHandoff for
+// a client migrating in (the tier admits the commit's state instead).
 func (n *Network) admitClient(cl *client.Client, serving int, commit *packet.DomainHandoffCommit) error {
-	mac, ip := cl.Config().MAC, cl.Config().IP
 	n.associate(cl, serving)
-	switch {
-	case commit != nil:
-		n.Ctl.AdoptClient(mac, ip, serving, commit.NextIndex, commit.DedupKeys)
-		for _, ev := range commit.Evidence {
-			n.Ctl.SeedESNR(mac, serving, federation.DequantizeEvidenceDB(ev.MedianQ))
+	if commit == nil {
+		if err := n.Fed.RegisterClient(cl.Config().MAC, cl.Config().IP, serving); err != nil {
+			return err
+		}
+	} else {
+		if err := n.Fed.Admit(commit); err != nil {
+			return err
 		}
 		// The entry AP serves from the adopted index cursor, not from
 		// whatever ring state a previous stint of this client left behind:
 		// without the alignment, a former fan-out member re-appointed as
 		// serving would drain its stale backlog — packets the client already
 		// received, long past its TTL-bounded duplicate window.
-		n.APs[serving].AlignQueue(mac, commit.NextIndex)
-	case n.Fed != nil:
-		if err := n.Fed.RegisterClient(mac, ip, serving); err != nil {
-			return err
-		}
-	default:
-		n.Ctl.RegisterClient(mac, ip, serving)
+		n.APs[serving].AlignQueue(commit.Client, commit.NextIndex)
 	}
 	n.startClientKeepalive(cl)
 	return nil

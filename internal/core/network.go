@@ -48,11 +48,11 @@ type Network struct {
 	APPosition []mobility.Point
 	Clients    []*client.Client
 
-	// WGTT mode.
-	Ctl *controller.Controller
-	// Federated WGTT mode (Scenario.Domains > 1): the sharded controller
-	// tier stands where Ctl would; Ctl stays nil (DESIGN.md §13).
+	// WGTT mode: the controller tier (DESIGN.md §13), one Domain per
+	// Scenario.Domains — a single controller is the tier with one domain.
+	// Ctl is that one domain's controller, nil when federated.
 	Fed *federation.Tier
+	Ctl *controller.Controller
 	// Baseline mode.
 	Base    *baseline.Network
 	Roamers []*baseline.Roamer
@@ -229,9 +229,8 @@ func Build(s Scenario) (*Network, error) {
 
 	wgtt := s.Mode == ModeWGTT
 
-	// Build APs.
-	var infos []controller.APInfo
-	var peerIPs []packet.IPv4Addr
+	// Build APs, and the city table the controller tier shares.
+	city := make([]federation.APAssignment, 0, len(n.APPosition))
 	for i, pos := range n.APPosition {
 		bssid := SharedBSSID
 		if !wgtt {
@@ -239,7 +238,6 @@ func Build(s Scenario) (*Network, error) {
 		}
 		cfg := ap.DefaultConfig(i, bssid)
 		cfg.BAForwarding = wgtt && defaultBool(s.BAForwarding, true)
-		cfg.UplinkForwarding = true
 		cfg.ForwardOnlyWhenServing = wgtt && !defaultBool(s.UplinkDiversity, true)
 		var antenna radio.Antenna = radio.NewLairdGD24BP()
 		if s.OmniAPs {
@@ -278,14 +276,13 @@ func Build(s Scenario) (*Network, error) {
 		// domain that is packet.ControllerIP, unchanged.
 		a := ap.New(cfg, eng, bh, st, packet.DomainControllerIP(domainOf(i)), rng.Stream("ap/"+cfg.Name))
 		n.APs = append(n.APs, a)
-		infos = append(infos, controller.APInfo{ID: i, IP: cfg.IP, MAC: cfg.MAC})
-		peerIPs = append(peerIPs, cfg.IP)
+		city = append(city, federation.APAssignment{ID: i, Domain: domainOf(i), IP: cfg.IP, MAC: cfg.MAC})
 	}
 	for i, a := range n.APs {
-		peers := make([]packet.IPv4Addr, 0, len(peerIPs)-1)
-		for j, ip := range peerIPs {
+		peers := make([]packet.IPv4Addr, 0, len(city)-1)
+		for j, c := range city {
 			if j != i {
-				peers = append(peers, ip)
+				peers = append(peers, c.IP)
 			}
 		}
 		a.SetPeers(peers)
@@ -306,30 +303,31 @@ func Build(s Scenario) (*Network, error) {
 		if s.Selector != nil {
 			ctlCfg.Selector = *s.Selector
 		}
-		if nDom > 1 {
-			// Sharded controller tier (DESIGN.md §13): one Domain per
-			// contiguous AP block, a shared city table, and a Tier routing
-			// wired-side traffic to each client's owner.
-			if nDom > len(infos) {
-				return nil, fmt.Errorf("core: %d domains for %d APs", nDom, len(infos))
-			}
-			fedCfg.Controller = ctlCfg
-			city := make([]federation.APAssignment, len(infos))
-			for i, info := range infos {
-				city[i] = federation.APAssignment{
-					ID: i, Domain: domainOf(i),
-					IP: info.IP, MAC: info.MAC,
+		// The controller tier (DESIGN.md §13): one Domain per AP block over a
+		// shared city table, and a Tier routing wired-side traffic to each
+		// client's owner. Every completed switch — inner, or a cross-domain
+		// pull, both in global AP ids — follows the serving AP's channel
+		// (channel-switch announcement, ~1 ms) and reaches n.OnSwitch.
+		if nDom > len(city) {
+			return nil, fmt.Errorf("core: %d domains for %d APs", nDom, len(city))
+		}
+		fedCfg.Controller = ctlCfg
+		domains := make([]*federation.Domain, nDom)
+		for d := range domains {
+			domains[d] = federation.NewDomain(fedCfg, eng, bh, d, city)
+			domains[d].Controller().DeliverUplink = n.dispatchUplink
+			domains[d].OnSwitch = func(rec controller.SwitchRecord) {
+				if nCh > 1 {
+					n.retuneClient(rec)
+				}
+				if n.OnSwitch != nil {
+					n.OnSwitch(rec)
 				}
 			}
-			domains := make([]*federation.Domain, nDom)
-			for d := 0; d < nDom; d++ {
-				domains[d] = federation.NewDomain(fedCfg, eng, bh, d, city)
-				domains[d].Controller().DeliverUplink = n.dispatchUplink
-			}
-			n.Fed = federation.NewTier(domains)
-		} else {
-			n.Ctl = controller.New(ctlCfg, eng, bh, infos)
-			n.Ctl.DeliverUplink = n.dispatchUplink
+		}
+		n.Fed = federation.NewTier(domains)
+		if nDom == 1 {
+			n.Ctl = domains[0].Controller()
 		}
 	} else {
 		n.Base = baseline.NewNetwork(eng, bh, n.APs)
@@ -396,47 +394,21 @@ func Build(s Scenario) (*Network, error) {
 		}
 	}
 
-	// Multi-channel plumbing: follow the serving AP's channel on every
-	// switch (channel-switch announcement, ~1 ms), and run the off-channel
-	// probe plane that keeps cross-channel CSI flowing (see DESIGN.md §5).
-	if wgtt {
-		emit := func(rec controller.SwitchRecord) {
-			if nCh > 1 {
-				n.retuneClient(rec)
-			}
-			if n.OnSwitch != nil {
-				n.OnSwitch(rec)
-			}
-		}
-		if n.Fed != nil {
-			// Domains already re-address their records to global AP ids —
-			// both inner switches and the cross-domain pulls.
-			for _, d := range n.Fed.Domains {
-				d.OnSwitch = emit
-			}
-		} else {
-			n.Ctl.OnSwitch = emit
-		}
-		if nCh > 1 {
-			n.startProbePlane()
-		}
+	// Multi-channel plumbing: the off-channel probe plane that keeps
+	// cross-channel CSI flowing (see DESIGN.md §5).
+	if nCh > 1 {
+		n.startProbePlane()
 	}
 
 	// Fault injection (DESIGN.md §11): derive the plan from the scenario
-	// seed and arm it. The drop hook chains after any ControlLossRate hook
-	// installed above.
+	// seed and arm it against the APs and the tier (chaos implies WGTT).
+	// The drop hook chains after any ControlLossRate hook installed above.
 	if s.Chaos != nil {
 		targets := make([]chaos.APTarget, len(n.APs))
 		for i, a := range n.APs {
 			targets[i] = a
 		}
-		var ct chaos.ControllerTarget = n.Ctl
-		if n.Fed != nil {
-			// A ControllerCrash hits the tier's crash-target domain (domain 0
-			// by default); the other domains ride out their peer's outage.
-			ct = n.Fed
-		}
-		n.Chaos = chaos.NewInjector(*s.Chaos, eng, rng, targets, ct, s.Duration)
+		n.Chaos = chaos.NewInjector(*s.Chaos, eng, rng, targets, n.Fed, s.Duration)
 		n.Chaos.Arm(bh)
 	}
 
@@ -460,12 +432,8 @@ func (n *Network) EnableMetrics() *metrics.Registry {
 // single-goroutine.
 func (n *Network) EnableMetricsInto(r *metrics.Registry) *metrics.Registry {
 	n.Metrics = r
-	if n.Ctl != nil {
-		n.Ctl.UseMetrics(r)
-	}
 	if n.Fed != nil {
 		for _, d := range n.Fed.Domains {
-			d.Controller().UseMetrics(r)
 			d.UseMetrics(r)
 		}
 	}
@@ -567,17 +535,15 @@ func (n *Network) AttachRecorder(rec *trace.Recorder) {
 			}
 		}
 	}
-	if n.Ctl != nil || n.Fed != nil {
-		prev := n.OnSwitch
-		n.OnSwitch = func(recd controller.SwitchRecord) {
-			rec.Log(trace.Event{
-				AtNS: trace.At(recd.At), Kind: trace.KindSwitch, Node: "controller",
-				Client: recd.Client.String(), FromAP: recd.From, ToAP: recd.To,
-				DurNS: int64(recd.Duration),
-			})
-			if prev != nil {
-				prev(recd)
-			}
+	prev := n.OnSwitch
+	n.OnSwitch = func(recd controller.SwitchRecord) {
+		rec.Log(trace.Event{
+			AtNS: trace.At(recd.At), Kind: trace.KindSwitch, Node: "controller",
+			Client: recd.Client.String(), FromAP: recd.From, ToAP: recd.To,
+			DurNS: int64(recd.Duration),
+		})
+		if prev != nil {
+			prev(recd)
 		}
 	}
 	n.onServerUplink(func(p *packet.Packet, at sim.Time) {
@@ -604,38 +570,29 @@ func (n *Network) SendDownlink(clientID int, p *packet.Packet) error {
 	if n.Fed != nil {
 		return n.Fed.SendDownlink(p)
 	}
-	if n.Ctl != nil {
-		return n.Ctl.SendDownlink(p)
-	}
 	return n.Base.SendDownlink(p, &n.baseIdx[clientID])
 }
 
-// ServingAP returns which AP currently serves the client.
+// ServingAP returns which AP currently serves the client (-1: none).
 func (n *Network) ServingAP(clientID int) int {
 	mac := n.Clients[clientID].Config().MAC
 	if n.Fed != nil {
 		return n.Fed.ServingAP(mac)
 	}
-	if n.Ctl != nil {
-		return n.Ctl.ServingAP(mac)
-	}
 	return n.Base.CurrentAP(mac)
 }
 
-// CtlStats aggregates the controller-plane counters: the single
-// controller's in the unfederated deployment, the sum across domains in a
-// federated one.
+// CtlStats sums the controller counters across the tier's domains (zero in
+// baseline mode).
 func (n *Network) CtlStats() controller.Stats {
-	if n.Fed != nil {
-		return n.Fed.Stats().Ctl
+	if n.Fed == nil {
+		return controller.Stats{}
 	}
-	if n.Ctl != nil {
-		return n.Ctl.Stats
-	}
-	return controller.Stats{}
+	return n.Fed.Stats().Ctl
 }
 
-// FedStats returns the summed federation counters (zero when unfederated).
+// FedStats returns the summed federation counters (zero with one domain or
+// none).
 func (n *Network) FedStats() federation.Stats {
 	if n.Fed == nil {
 		return federation.Stats{}

@@ -58,11 +58,9 @@ func ExtFederation(opt Options) (*ExtFederationResult, error) {
 			return nil, err
 		}
 		var handoffAts []sim.Time
-		if n.Fed != nil {
-			for _, d := range n.Fed.Domains {
-				d.OnHandoffComplete = func(rec federation.HandoffRecord) {
-					handoffAts = append(handoffAts, rec.At)
-				}
+		for _, d := range n.Fed.Domains {
+			d.OnHandoffComplete = func(rec federation.HandoffRecord) {
+				handoffAts = append(handoffAts, rec.At)
 			}
 		}
 		d := n.Attach([]core.Load{{RateMbps: 20, Record: true}})
@@ -81,14 +79,12 @@ func ExtFederation(opt Options) (*ExtFederationResult, error) {
 		res.Aborts = append(res.Aborts, fs.Aborts)
 
 		var transfer, sw []float64
-		if n.Fed != nil {
-			for _, d := range n.Fed.Domains {
-				for _, rec := range d.Offered {
-					transfer = append(transfer, float64(rec.OfferToCommit)/float64(sim.Millisecond))
-				}
-				for _, rec := range d.Adopted {
-					sw = append(sw, float64(rec.SwitchDuration)/float64(sim.Millisecond))
-				}
+		for _, d := range n.Fed.Domains {
+			for _, rec := range d.Offered {
+				transfer = append(transfer, float64(rec.OfferToCommit)/float64(sim.Millisecond))
+			}
+			for _, rec := range d.Adopted {
+				sw = append(sw, float64(rec.SwitchDuration)/float64(sim.Millisecond))
 			}
 		}
 		res.OfferCommitMS = append(res.OfferCommitMS, medianOf(transfer))

@@ -9,7 +9,9 @@
 // window, current association, ESNR history — over the backhaul via the
 // DomainHandoffOffer/Accept/Commit wire messages, and the adopting domain's
 // controller runs the stop→start→ack protocol against the old domain's AP,
-// pulling the client onto its own AP without a re-association gap.
+// pulling the client onto its own AP without a re-association gap. Every
+// WGTT network runs this tier: the paper's single controller is the
+// one-domain case, which hands nothing off.
 //
 // A Domain wraps a controller.Controller: it attaches itself at the
 // domain's backhaul address (packet.DomainControllerIP) in the controller's
@@ -154,9 +156,14 @@ type fedMetrics struct {
 	switchSpans  *metrics.SpanTracker
 }
 
-// UseMetrics names the domain's counters — Stats fields — in r and wires
-// its span trackers (nil disables).
+// UseMetrics wires the inner controller's instruments into r and names the
+// domain's counters — Stats fields — and span trackers (nil disables). A
+// lone domain hands nothing off, so it adds no federation rows.
 func (d *Domain) UseMetrics(r *metrics.Registry) {
+	d.ctl.UseMetrics(r)
+	if len(d.domains) < 2 {
+		return
+	}
 	r.CounterAt("federation", "handoff_offers", &d.Stats.OffersSent)
 	r.CounterAt("federation", "handoff_commits", &d.Stats.Commits)
 	r.CounterAt("federation", "handoff_aborts", &d.Stats.Aborts)
@@ -175,8 +182,8 @@ type fedClient struct {
 	// foreign holds per-foreign-AP evidence windows — the §3.1.1 windowed
 	// median the selector runs per (client, AP), kept at the federation
 	// layer for APs the inner controller must never see (its AP table is
-	// local-only); foreignOrder lists their keys in first-heard order
-	// (deterministic iteration).
+	// local-only), allocated on the first foreign report; foreignOrder lists
+	// their keys in first-heard order (deterministic iteration).
 	foreign      map[packet.IPv4Addr]*selector.Window
 	foreignOrder []packet.IPv4Addr
 	lastHandoff  sim.Time
@@ -214,7 +221,10 @@ type adoption struct {
 // controller.Controller owning a contiguous set of APs, plus the handoff
 // state machines that move clients between domains.
 type Domain struct {
-	cfg  Config
+	// The handoff rule's knobs: Config less the inner controller's.
+	window, hysteresis sim.Time
+	marginDB           float64
+
 	id   int
 	addr packet.IPv4Addr
 	eng  *sim.Engine
@@ -225,16 +235,17 @@ type Domain struct {
 	local    []controller.APInfo     // this domain's APs; local id = index
 	globalOf []int                   // local id → global id
 	localOf  map[packet.IPv4Addr]int // own-domain AP IP → local id
-	apDomain map[packet.IPv4Addr]int // any AP IP → domain
 	apGlobal map[packet.IPv4Addr]int // any AP IP → global id
 	domains  []int                   // sorted domain ids present in the city
-	ctlAddr  map[packet.IPv4Addr]int // controller addr → domain id
 
 	// owner is this domain's view of the client→domain directory; owned
 	// holds federation state for the clients it owns itself.
 	owner map[packet.MACAddr]int
 	owned map[packet.MACAddr]*fedClient
 
+	// The handoff machine's state, allocated only when the city has a peer
+	// domain: a lone domain drops every offer and commit (they can only come
+	// from a peer), so it never writes these.
 	released   map[uint32]*release
 	inbound    map[uint32]*adoption
 	byClient   map[packet.MACAddr]*adoption
@@ -274,33 +285,33 @@ type Domain struct {
 // packet.DomainControllerIP(id).
 func NewDomain(cfg Config, eng *sim.Engine, bh backhaul.Fabric, id int, city []APAssignment) *Domain {
 	d := &Domain{
-		cfg:         cfg,
-		id:          id,
-		addr:        packet.DomainControllerIP(id),
-		eng:         eng,
-		bh:          bh,
-		city:        city,
-		localOf:     make(map[packet.IPv4Addr]int),
-		apDomain:    make(map[packet.IPv4Addr]int, len(city)),
-		apGlobal:    make(map[packet.IPv4Addr]int, len(city)),
-		ctlAddr:     make(map[packet.IPv4Addr]int),
-		owner:       make(map[packet.MACAddr]int),
-		owned:       make(map[packet.MACAddr]*fedClient),
-		released:    make(map[uint32]*release),
-		inbound:     make(map[uint32]*adoption),
-		byClient:    make(map[packet.MACAddr]*adoption),
-		adoptedIDs:  make(map[uint32]bool),
-		pendingDown: make(map[packet.MACAddr][]*packet.Packet),
-		handoffSeq:  handoffIDBase(id),
+		window:     cfg.Window,
+		hysteresis: cfg.Hysteresis,
+		marginDB:   cfg.MarginDB,
+		id:         id,
+		addr:       packet.DomainControllerIP(id),
+		eng:        eng,
+		bh:         bh,
+		city:       city,
+		localOf:    make(map[packet.IPv4Addr]int),
+		apGlobal:   make(map[packet.IPv4Addr]int, len(city)),
+		owner:      make(map[packet.MACAddr]int),
+		owned:      make(map[packet.MACAddr]*fedClient),
+		handoffSeq: handoffIDBase(id),
 	}
+	own := 0
+	for _, a := range city {
+		if a.Domain == id {
+			own++
+		}
+	}
+	d.local, d.globalOf = make([]controller.APInfo, 0, own), make([]int, 0, own)
 	seen := map[int]bool{}
 	for _, a := range city {
-		d.apDomain[a.IP] = a.Domain
 		d.apGlobal[a.IP] = a.ID
 		if !seen[a.Domain] {
 			seen[a.Domain] = true
 			d.domains = append(d.domains, a.Domain)
-			d.ctlAddr[packet.DomainControllerIP(a.Domain)] = a.Domain
 		}
 		if a.Domain == id {
 			li := len(d.local)
@@ -310,6 +321,13 @@ func NewDomain(cfg Config, eng *sim.Engine, bh backhaul.Fabric, id int, city []A
 		}
 	}
 	sortInts(d.domains)
+	if len(d.domains) > 1 {
+		d.released = make(map[uint32]*release)
+		d.inbound = make(map[uint32]*adoption)
+		d.byClient = make(map[packet.MACAddr]*adoption)
+		d.adoptedIDs = make(map[uint32]bool)
+		d.pendingDown = make(map[packet.MACAddr][]*packet.Packet)
+	}
 	ctlCfg := cfg.Controller
 	ctlCfg.Addr = d.addr
 	ctlCfg.SwitchIDBase = switchIDBase(id)
@@ -342,6 +360,25 @@ func (d *Domain) Controller() *controller.Controller { return d.ctl }
 // addrOf returns the controller address of a domain.
 func (d *Domain) addrOf(dom int) packet.IPv4Addr { return packet.DomainControllerIP(dom) }
 
+// domainOfAP returns the domain of the city's AP at ip, if there is one.
+func (d *Domain) domainOfAP(ip packet.IPv4Addr) (int, bool) {
+	g, ok := d.apGlobal[ip]
+	if !ok {
+		return 0, false
+	}
+	return d.city[g].Domain, true
+}
+
+// peerAt returns the peer domain whose controller sits at addr, if any.
+func (d *Domain) peerAt(addr packet.IPv4Addr) (int, bool) {
+	for _, dom := range d.domains {
+		if dom != d.id && d.addrOf(dom) == addr {
+			return dom, true
+		}
+	}
+	return 0, false
+}
+
 // RegisterClient installs a client owned by this domain, serving from the
 // given global AP (which must lie in this domain).
 func (d *Domain) RegisterClient(mac packet.MACAddr, ip packet.IPv4Addr, servingGlobal int) error {
@@ -352,7 +389,7 @@ func (d *Domain) RegisterClient(mac packet.MACAddr, ip packet.IPv4Addr, servingG
 	}
 	d.ctl.RegisterClient(mac, ip, li)
 	d.owner[mac] = d.id
-	d.owned[mac] = &fedClient{mac: mac, ip: ip, foreign: make(map[packet.IPv4Addr]*selector.Window)}
+	d.owned[mac] = &fedClient{mac: mac, ip: ip}
 	return nil
 }
 
@@ -424,34 +461,27 @@ func (d *Domain) HandleBackhaul(from packet.IPv4Addr, msg packet.Message) {
 	case *packet.DomainHandoffAccept:
 		d.handleAccept(m)
 	case *packet.DomainHandoffCommit:
-		d.handleCommit(m)
+		d.handleCommit(from, m)
 	default:
 		d.ctl.HandleBackhaul(from, msg)
 	}
 }
 
-// handleCSI routes one CSI report: own client + own AP → inner controller;
-// own client + foreign AP → handoff evidence; foreign client → relay to its
-// owner.
+// handleCSI routes one CSI report: own client + foreign AP → handoff
+// evidence; foreign client → relay to its owner; everything else — own AP,
+// or a client or AP nobody knows — → the inner controller, which books or
+// drops it exactly as a controller alone on the backhaul would.
 func (d *Domain) handleCSI(from packet.IPv4Addr, m *packet.CSIReport) {
-	apDom, knownAP := d.apDomain[m.AP]
-	if !knownAP {
-		return
-	}
+	apDom, knownAP := d.domainOfAP(m.AP)
 	own, known := d.owner[m.Client]
-	if !known {
+	if !known || !knownAP || own == d.id && apDom == d.id {
+		d.ctl.HandleBackhaul(from, m)
 		return
 	}
 	if own == d.id {
-		fc := d.owned[m.Client]
-		if fc == nil {
-			return
+		if fc := d.owned[m.Client]; fc != nil {
+			d.ingestForeign(fc, m)
 		}
-		if apDom == d.id {
-			d.ctl.HandleBackhaul(from, m)
-			return
-		}
-		d.ingestForeign(fc, m)
 		return
 	}
 	if from == d.addrOf(own) {

@@ -1,6 +1,7 @@
 package federation_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -437,7 +438,6 @@ func TestFederationMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
 	for _, d := range h.doms {
 		d.UseMetrics(reg)
-		d.Controller().UseMetrics(reg)
 	}
 	client := packet.ClientMAC(1)
 	if err := h.tier.RegisterClient(client, packet.ClientIP(1), 0); err != nil {
@@ -541,45 +541,57 @@ func TestHandoffCarriesSelectorStateAllPolicies(t *testing.T) {
 // client, serving from AP 2; and the machine is not wedged — the handoff
 // back to domain 0 completes.
 func TestHandoffMachineUnderLoss(t *testing.T) {
-	client := packet.ClientMAC(1)
 	for seed := uint64(0); seed < 400; seed++ {
 		h := newFedHarness(t, 2, 2, quickConfig())
-		if err := h.tier.RegisterClient(client, packet.ClientIP(1), 0); err != nil {
-			t.Fatal(err)
-		}
-		step := func(weak, strong int) {
-			h.feedCSI(client, weak, 6)
-			h.feedCSI(client, strong, 22)
-			h.run(2 * sim.Millisecond)
-			if h.doms[0].Owns(client) && h.doms[1].Owns(client) {
-				t.Fatalf("seed %d: two owners at %v", seed, h.eng.Now())
-			}
-		}
-		settled := func(own, ap int) bool {
-			return h.doms[own].Owns(client) && !h.doms[1-own].Owns(client) &&
-				h.tier.ServingAP(client) == ap && !h.doms[own].Controller().InFlightSwitch(client)
-		}
 		h.bh.Drop = backhaul.DropTypes(0.6, sim.NewRNG(seed).Stream("loss"),
 			packet.MsgDomainHandoffOffer, packet.MsgDomainHandoffAccept, packet.MsgDomainHandoffCommit,
 			packet.MsgStop, packet.MsgStart, packet.MsgSwitchAck)
-		for i := 0; i < 600; i++ {
-			step(0, 2)
+		h.checkHandoffMachine(fmt.Sprintf("seed %d", seed), func() { h.bh.Drop = nil })
+	}
+}
+
+// checkHandoffMachine registers client 1 with domain 0 and drives it toward
+// domain 1's AP 2 for 600 steps under whatever faults the caller installed,
+// then calls lift to remove them. No step may see two owners; once lifted,
+// exactly domain 1 owns the client, serving from AP 2 with no switch in
+// flight; and the machine is not wedged — the handoff back to domain 0
+// settles the same way.
+func (h *fedHarness) checkHandoffMachine(label string, lift func()) {
+	t := h.t
+	t.Helper()
+	client := packet.ClientMAC(1)
+	if err := h.tier.RegisterClient(client, packet.ClientIP(1), 0); err != nil {
+		t.Fatal(err)
+	}
+	step := func(weak, strong int) {
+		h.feedCSI(client, weak, 6)
+		h.feedCSI(client, strong, 22)
+		h.run(2 * sim.Millisecond)
+		if h.doms[0].Owns(client) && h.doms[1].Owns(client) {
+			t.Fatalf("%s: two owners at %v", label, h.eng.Now())
 		}
-		h.bh.Drop = nil
-		for i := 0; i < 400 && !settled(1, 2); i++ {
-			step(0, 2)
-		}
-		if !settled(1, 2) {
-			t.Fatalf("seed %d: owner0=%v owner1=%v serving=%d dom0=%+v dom1=%+v", seed,
-				h.doms[0].Owns(client), h.doms[1].Owns(client), h.tier.ServingAP(client),
-				h.doms[0].Stats, h.doms[1].Stats)
-		}
-		for i := 0; i < 400 && !settled(0, 0); i++ {
-			step(2, 0)
-		}
-		if !settled(0, 0) {
-			t.Fatalf("seed %d: the handoff back never completed: serving=%d dom0=%+v dom1=%+v", seed,
-				h.tier.ServingAP(client), h.doms[0].Stats, h.doms[1].Stats)
-		}
+	}
+	settled := func(own, ap int) bool {
+		return h.doms[own].Owns(client) && !h.doms[1-own].Owns(client) &&
+			h.tier.ServingAP(client) == ap && !h.doms[own].Controller().InFlightSwitch(client)
+	}
+	for i := 0; i < 600; i++ {
+		step(0, 2)
+	}
+	lift()
+	for i := 0; i < 400 && !settled(1, 2); i++ {
+		step(0, 2)
+	}
+	if !settled(1, 2) {
+		t.Fatalf("%s: owner0=%v owner1=%v serving=%d dom0=%+v dom1=%+v", label,
+			h.doms[0].Owns(client), h.doms[1].Owns(client), h.tier.ServingAP(client),
+			h.doms[0].Stats, h.doms[1].Stats)
+	}
+	for i := 0; i < 400 && !settled(0, 0); i++ {
+		step(2, 0)
+	}
+	if !settled(0, 0) {
+		t.Fatalf("%s: the handoff back never completed: serving=%d dom0=%+v dom1=%+v", label,
+			h.tier.ServingAP(client), h.doms[0].Stats, h.doms[1].Stats)
 	}
 }

@@ -31,7 +31,10 @@ import (
 func (d *Domain) ingestForeign(fc *fedClient, m *packet.CSIReport) {
 	w := fc.foreign[m.AP]
 	if w == nil {
-		w = selector.NewWindow(d.cfg.Window)
+		if fc.foreign == nil {
+			fc.foreign = make(map[packet.IPv4Addr]*selector.Window)
+		}
+		w = selector.NewWindow(d.window)
 		fc.foreign[m.AP] = w
 		fc.foreignOrder = append(fc.foreignOrder, m.AP)
 	}
@@ -53,7 +56,7 @@ func (d *Domain) maybeOffer(fc *fedClient, now sim.Time) {
 	if d.ctl.InFlightSwitch(fc.mac) {
 		return // let the intra-domain stop→start→ack finish first
 	}
-	if now-fc.lastHandoff < d.cfg.Hysteresis {
+	if now-fc.lastHandoff < d.hysteresis {
 		return
 	}
 	var bestAP packet.IPv4Addr
@@ -78,7 +81,7 @@ func (d *Domain) maybeOffer(fc *fedClient, now sim.Time) {
 			bestLocal, haveLocal = med, true
 		}
 	}
-	if haveLocal && bestMed < bestLocal+d.cfg.MarginDB {
+	if haveLocal && bestMed < bestLocal+d.marginDB {
 		return
 	}
 	if !haveLocal {
@@ -86,7 +89,7 @@ func (d *Domain) maybeOffer(fc *fedClient, now sim.Time) {
 	}
 	d.handoffSeq++
 	id := d.handoffSeq
-	peer := d.apDomain[bestAP]
+	peer, _ := d.domainOfAP(bestAP)
 	fc.out = &outHandoff{id: id, peer: peer, target: bestAP, offeredAt: now}
 	d.ctl.SetFrozen(fc.mac, true)
 	d.Stats.OffersSent++
@@ -128,7 +131,7 @@ func (d *Domain) handleOffer(from packet.IPv4Addr, m *packet.DomainHandoffOffer)
 		reply(false)
 		return
 	}
-	fromDom, ok := d.ctlAddr[from]
+	fromDom, ok := d.peerAt(from)
 	if !ok {
 		reply(false)
 		return
@@ -179,16 +182,9 @@ func (d *Domain) handleAccept(m *packet.DomainHandoffAccept) {
 	// The state bundle: downlink index cursor, dedup window, association,
 	// and the per-target-domain ESNR evidence (so the adopter's windows
 	// start warm instead of blind).
-	serving := d.ctl.ServingAP(m.Client)
-	var servingIP packet.IPv4Addr
-	servingGlobal := -1
-	if serving >= 0 {
-		servingIP = d.local[serving].IP
-		servingGlobal = d.globalOf[serving]
-	}
 	var ev []packet.APESNR
 	for _, apIP := range fc.foreignOrder {
-		if d.apDomain[apIP] != out.peer {
+		if dom, _ := d.domainOfAP(apIP); dom != out.peer {
 			continue
 		}
 		w := fc.foreign[apIP]
@@ -199,14 +195,11 @@ func (d *Domain) handleAccept(m *packet.DomainHandoffAccept) {
 			}
 		}
 	}
-	next, dedup, _ := d.ctl.ReleaseClient(m.Client, packet.MaxHandoffDedupKeys)
 	commit := &packet.DomainHandoffCommit{
-		HandoffID: out.id, Client: m.Client, ClientIP: fc.ip,
-		ServingAP: servingIP, TargetAP: out.target,
-		NextIndex: next, DedupKeys: dedup, Evidence: ev,
+		HandoffID: out.id, Client: m.Client, ClientIP: fc.ip, TargetAP: out.target, Evidence: ev,
 	}
+	servingGlobal := d.release(commit)
 	_ = d.bh.Send(d.addr, d.addrOf(out.peer), commit)
-	delete(d.owned, m.Client)
 	d.owner[m.Client] = out.peer
 	d.Stats.Commits++
 	d.met.handoffSpans.End(out.id, int64(now))
@@ -241,10 +234,10 @@ func (d *Domain) retryCommit(rel *release) {
 // handleCommit dispatches on whose domain the target AP is in: ours → adopt
 // the client; someone else's → it is the adopter's announcement (stop
 // retransmitting if it echoes one of our releases, and update the
-// directory either way).
-func (d *Domain) handleCommit(m *packet.DomainHandoffCommit) {
-	tgtDom, ok := d.apDomain[m.TargetAP]
-	if !ok {
+// directory either way). Only a peer controller sends either.
+func (d *Domain) handleCommit(from packet.IPv4Addr, m *packet.DomainHandoffCommit) {
+	tgtDom, ok := d.domainOfAP(m.TargetAP)
+	if _, isPeer := d.peerAt(from); !ok || !isPeer {
 		return
 	}
 	if tgtDom != d.id {
@@ -266,14 +259,12 @@ func (d *Domain) handleCommit(m *packet.DomainHandoffCommit) {
 	d.adopt(m)
 }
 
-// adopt applies a commit's state bundle: register the client with the
-// exported index cursor and dedup window, warm its ESNR windows from the
-// evidence, drain any downlink buffered while the commit was in flight,
-// announce ownership, and have the controller pull the client — the §3.1.2
-// switch that physically moves it onto our AP.
+// adopt applies a commit's state bundle (admit), drains any downlink
+// buffered while the commit was in flight, announces ownership, and has the
+// controller pull the client — the §3.1.2 switch that physically moves it
+// onto our AP.
 func (d *Domain) adopt(m *packet.DomainHandoffCommit) {
-	tl, ok := d.localOf[m.TargetAP]
-	if !ok {
+	if !d.admit(m) {
 		return
 	}
 	now := d.eng.Now()
@@ -290,18 +281,6 @@ func (d *Domain) adopt(m *packet.DomainHandoffCommit) {
 		delete(d.byClient, mac)
 	}
 	d.adoptedIDs[m.HandoffID] = true
-
-	d.ctl.AdoptClient(mac, m.ClientIP, tl, m.NextIndex, m.DedupKeys)
-	for _, ev := range m.Evidence {
-		if li, ok := d.localOf[ev.AP]; ok {
-			d.ctl.SeedESNR(mac, li, DequantizeEvidenceDB(ev.MedianQ))
-		}
-	}
-	d.owner[mac] = d.id
-	d.owned[mac] = &fedClient{
-		mac: mac, ip: m.ClientIP,
-		foreign: make(map[packet.IPv4Addr]*selector.Window), lastHandoff: now,
-	}
 	d.Stats.Adoptions++
 	if q := d.pendingDown[mac]; len(q) > 0 {
 		delete(d.pendingDown, mac)
@@ -346,6 +325,43 @@ func (d *Domain) adopt(m *packet.DomainHandoffCommit) {
 	})
 }
 
+// release is the one way a client leaves this domain, over the wire
+// (handleAccept) or through a metro seam (Tier.Release): the controller
+// exports the client's serving AP, 12-bit index cursor and newest dedup keys
+// into commit and forgets it, and so does this domain. It returns the
+// serving AP's global id, -1 for none.
+func (d *Domain) release(commit *packet.DomainHandoffCommit) int {
+	servingGlobal := -1
+	if s := d.ctl.ServingAP(commit.Client); s >= 0 {
+		commit.ServingAP, servingGlobal = d.local[s].IP, d.globalOf[s]
+	}
+	commit.NextIndex, commit.DedupKeys, _ = d.ctl.ReleaseClient(commit.Client, packet.MaxHandoffDedupKeys)
+	delete(d.owned, commit.Client)
+	return servingGlobal
+}
+
+// admit is the one way a client enters this domain with its state, over the
+// wire (adopt) or through a metro seam (Tier.Admit): the controller resumes
+// the commit's index cursor and dedup window at the target AP, each evidence
+// median naming one of our APs warms that AP's window, and this domain owns
+// the client. It reports false, changing nothing, when the target AP is not
+// ours.
+func (d *Domain) admit(m *packet.DomainHandoffCommit) bool {
+	entry, ok := d.localOf[m.TargetAP]
+	if !ok {
+		return false
+	}
+	d.ctl.AdoptClient(m.Client, m.ClientIP, entry, m.NextIndex, m.DedupKeys)
+	for _, ev := range m.Evidence {
+		if li, ok := d.localOf[ev.AP]; ok {
+			d.ctl.SeedESNR(m.Client, li, DequantizeEvidenceDB(ev.MedianQ))
+		}
+	}
+	d.owner[m.Client] = d.id
+	d.owned[m.Client] = &fedClient{mac: m.Client, ip: m.ClientIP, lastHandoff: d.eng.Now()}
+	return true
+}
+
 // announce broadcasts a slim (bundle-free) copy of the commit to every
 // other domain: the echo that stops the offerer's retransmission, and the
 // directory update for third parties.
@@ -383,14 +399,14 @@ func (d *Domain) Fail() {
 	for _, rel := range d.released {
 		rel.timer.Stop()
 	}
-	d.released = make(map[uint32]*release)
+	clear(d.released)
 	for _, ad := range d.inbound {
 		ad.timer.Stop()
 		d.Stats.Aborts++
 	}
-	d.inbound = make(map[uint32]*adoption)
-	d.byClient = make(map[packet.MACAddr]*adoption)
-	d.pendingDown = make(map[packet.MACAddr][]*packet.Packet)
+	clear(d.inbound)
+	clear(d.byClient)
+	clear(d.pendingDown)
 }
 
 // Recover implements chaos.ControllerTarget.

@@ -7,22 +7,19 @@ import (
 	"wgtt/internal/packet"
 )
 
-// Tier is the wired-side view of a federated city (DESIGN.md §13): it holds
-// every Domain and routes ingress — downlink packets, serving-AP queries —
-// to the client's current owner. In simulation it stands where a single
-// controller stood; in live mode each Domain is its own OS process and the
-// Tier is not used (real ingress routing is the commit-driven DownData
-// forwarding between controllers).
+// Tier is the wired-side view of a WGTT network's controller plane
+// (DESIGN.md §13): it holds every Domain and routes ingress — downlink
+// packets, serving-AP queries, clients crossing a metro seam — to the
+// client's current owner. Every simulated network runs one; a single
+// controller is the tier with one domain. In live mode each Domain is its
+// own OS process and the Tier is not used (real ingress routing is the
+// commit-driven DownData forwarding between controllers).
 type Tier struct {
 	Domains []*Domain
 
 	// owner mirrors the domains' directory for O(1) ingress routing; it
 	// flips at commit time via each Domain's OnRelease hook.
 	owner map[packet.MACAddr]int
-
-	// CrashTarget selects which domain a chaos ControllerCrash event hits
-	// (the fault model crashes one controller instance at a time).
-	CrashTarget int
 }
 
 // NewTier wires the domains together. Domain i must have ID i.
@@ -64,6 +61,50 @@ func (t *Tier) RegisterClient(mac packet.MACAddr, ip packet.IPv4Addr, servingGlo
 		}
 	}
 	t.owner[mac] = own
+	return nil
+}
+
+// Release exports a client leaving the tier through a metro seam (DESIGN.md
+// §17) as a §13 commit — the owner's release, plus the serving AP's
+// windowed median as the commit's one evidence entry — and forgets it in
+// every domain. TargetAP is left zero: the admitting tier names it.
+func (t *Tier) Release(mac packet.MACAddr, handoffID uint32) (*packet.DomainHandoffCommit, error) {
+	own, ok := t.owner[mac]
+	if !ok || !t.Domains[own].Owns(mac) {
+		return nil, fmt.Errorf("federation: client %v is not owned here", mac)
+	}
+	d := t.Domains[own]
+	commit := &packet.DomainHandoffCommit{HandoffID: handoffID, Client: mac, ClientIP: d.owned[mac].ip}
+	if s := d.ctl.ServingAP(mac); s >= 0 {
+		if med, ok := d.ctl.MedianESNR(mac, s); ok {
+			commit.Evidence = []packet.APESNR{{AP: d.local[s].IP, MedianQ: QuantizeEvidenceDB(med)}}
+		}
+	}
+	d.release(commit)
+	for _, o := range t.Domains {
+		delete(o.owner, mac)
+	}
+	delete(t.owner, mac)
+	return commit, nil
+}
+
+// Admit installs a client entering the tier through a metro seam with a
+// commit already in this tier's namespace: the domain holding
+// commit.TargetAP admits it, every other domain records it as remote. No
+// pull follows — there is no old AP in this tier to stop.
+func (t *Tier) Admit(commit *packet.DomainHandoffCommit) error {
+	own, ok := t.Domains[0].domainOfAP(commit.TargetAP)
+	if !ok {
+		return fmt.Errorf("federation: admission at unknown AP %v", commit.TargetAP)
+	}
+	for _, d := range t.Domains {
+		if d.ID() == own {
+			d.admit(commit)
+		} else {
+			d.RegisterRemoteClient(commit.Client, own)
+		}
+	}
+	t.owner[commit.Client] = own
 	return nil
 }
 
@@ -110,11 +151,13 @@ func (t *Tier) Stats() TierStats {
 	return ts
 }
 
-// Fail implements chaos.ControllerTarget against the CrashTarget domain.
-func (t *Tier) Fail() { t.Domains[t.CrashTarget].Fail() }
+// Fail implements chaos.ControllerTarget: a ControllerCrash hits domain 0
+// (the fault model crashes one controller instance at a time); the other
+// domains ride out their peer's outage.
+func (t *Tier) Fail() { t.Domains[0].Fail() }
 
 // Recover implements chaos.ControllerTarget.
-func (t *Tier) Recover() { t.Domains[t.CrashTarget].Recover() }
+func (t *Tier) Recover() { t.Domains[0].Recover() }
 
 // Down implements chaos.ControllerTarget.
-func (t *Tier) Down() bool { return t.Domains[t.CrashTarget].Down() }
+func (t *Tier) Down() bool { return t.Domains[0].Down() }

@@ -1,6 +1,7 @@
 // Package live assembles the transport-agnostic protocol cores into
-// runnable wall-clock nodes: one controller process and N AP processes over
-// a real UDP backhaul (DESIGN.md §12). It exists to prove, end to end, that
+// runnable wall-clock nodes: one controller process per federation domain
+// (one, or two for an inter-domain handoff) and N AP processes over a real
+// UDP backhaul (DESIGN.md §12). It exists to prove, end to end, that
 // the §3.1.1 selection rule and the §3.1.2 stop→start→ack switching
 // protocol — the exact code paths the simulator exercises in virtual time —
 // execute over real sockets with every backhaul message passing through its
@@ -117,32 +118,53 @@ func runNode(conn *net.UDPConn, table map[packet.IPv4Addr]string, timeout sim.Ti
 	return nil
 }
 
-// RunController drives the controller node until one switch completes or
-// timeout elapses, and returns the completed switch record. numAPs is the
-// fleet size; the client starts on AP 0. pol selects the AP-selection
-// policy (DESIGN.md §15); "" runs the default §3.1.1 windowed-median rule.
-func RunController(conn *net.UDPConn, table map[packet.IPv4Addr]string, numAPs int, timeout sim.Time, pol selector.Policy) (controller.SwitchRecord, error) {
+// City is the live city: aps APs over domains controller domains, AP i in
+// domain i·domains/aps — contiguous blocks, as in the simulator. One domain
+// is the single controller over every AP; two domains over two APs is the
+// smallest city with an inter-controller handoff (DESIGN.md §13).
+func City(aps, domains int) []federation.APAssignment {
+	city := make([]federation.APAssignment, aps)
+	for i := range city {
+		city[i] = federation.APAssignment{ID: i, Domain: i * domains / aps, IP: packet.APIP(i), MAC: packet.APMAC(i)}
+	}
+	return city
+}
+
+// RunController drives domain's controller node of city until the first
+// switch lands on its domain's ledger, or timeout elapses, and returns that
+// switch, in global AP ids. The client starts on AP 0, owned by AP 0's
+// domain; every other domain relays its CSI there. With one domain the
+// first switch is the §3.1.2 stop→start→ack the crossing ramps trigger;
+// with AP 1 in another domain it is that domain's cross-domain pull, once
+// the ramps push AP 1 past the offer margin and AP 0's domain has exported
+// the client's state bundle over the wire (the exporting domain runs to
+// timeout — the orchestrator kills it once the adopter reports). pol
+// selects the AP-selection policy (DESIGN.md §15); "" runs the default
+// §3.1.1 windowed-median rule.
+func RunController(domain int, conn *net.UDPConn, table map[packet.IPv4Addr]string, city []federation.APAssignment, timeout sim.Time, pol selector.Policy) (controller.SwitchRecord, error) {
 	var (
 		rec controller.SwitchRecord
 		got bool
 	)
 	err := runNode(conn, table, timeout, func(w *runtime.Wall, fab *udp.Fabric) error {
-		infos := make([]controller.APInfo, numAPs)
-		for i := range infos {
-			infos[i] = controller.APInfo{ID: i, IP: packet.APIP(i), MAC: packet.APMAC(i)}
+		cfg := federation.DefaultConfig()
+		cfg.Controller = ControllerConfig()
+		cfg.Controller.Selector.Policy = pol
+		dom := federation.NewDomain(cfg, w.Eng, fab, domain, city)
+		dom.OnSwitch = func(r controller.SwitchRecord) {
+			if !got {
+				rec, got = r, true
+				w.Stop()
+			}
 		}
-		cfg := ControllerConfig()
-		cfg.Selector.Policy = pol
-		ctl := controller.New(cfg, w.Eng, fab, infos)
-		ctl.RegisterClient(Client, ClientIP, 0)
-		ctl.OnSwitch = func(r controller.SwitchRecord) {
-			rec, got = r, true
-			w.Stop()
+		if owner := city[0].Domain; owner != domain {
+			dom.RegisterRemoteClient(Client, owner)
+			return nil
 		}
-		return nil
+		return dom.RegisterClient(Client, ClientIP, 0)
 	})
 	if err == nil && !got {
-		err = fmt.Errorf("live: no switch completed within %v", timeout)
+		err = fmt.Errorf("live: no switch on domain %d's ledger within %v", domain, timeout)
 	}
 	return rec, err
 }
@@ -150,8 +172,7 @@ func RunController(conn *net.UDPConn, table map[packet.IPv4Addr]string, numAPs i
 // RunAP drives AP node id: the AP protocol core (stop/start handling, ack
 // emission) plus the scripted CSI source, for the given duration. serving
 // marks the AP the client is associated with at t = 0; ctlAddr is the AP's
-// controller — packet.ControllerIP in the single-controller topology, the
-// AP's own domain controller in the federated one.
+// domain controller, packet.DomainControllerIP(City(...)[id].Domain).
 func RunAP(id int, conn *net.UDPConn, table map[packet.IPv4Addr]string, ctlAddr packet.IPv4Addr, script CSIScript, serving bool, duration sim.Time) (ap.Stats, error) {
 	var node *ap.AP
 	err := runNode(conn, table, duration, func(w *runtime.Wall, fab *udp.Fabric) error {
@@ -183,59 +204,4 @@ func RunAP(id int, conn *net.UDPConn, table map[packet.IPv4Addr]string, ctlAddr 
 		return ap.Stats{}, err
 	}
 	return node.Stats, nil
-}
-
-// FedDomains is the federated live topology size: two single-AP domains,
-// each with its own controller process — the smallest city that exercises
-// an inter-controller handoff (DESIGN.md §13).
-const FedDomains = 2
-
-// FedCity is the federated live city: AP i belongs to domain i.
-func FedCity() []federation.APAssignment {
-	city := make([]federation.APAssignment, FedDomains)
-	for i := range city {
-		city[i] = federation.APAssignment{ID: i, Domain: i, IP: packet.APIP(i), MAC: packet.APMAC(i)}
-	}
-	return city
-}
-
-// FedConfig is the live federation operating point: the default handoff
-// parameters over the live controller config. The default 250 ms handoff
-// hysteresis sits past the scripted ramps' ≈300 ms offer-margin crossing,
-// so exactly one handoff fires.
-func FedConfig() federation.Config {
-	cfg := federation.DefaultConfig()
-	cfg.Controller = ControllerConfig()
-	return cfg
-}
-
-// RunFedController drives controller process domainID of the two-domain
-// live city. Domain 0 owns the client on AP 0; domain 1 owns AP 1 and
-// relays its CSI to the owner. When the crossing ramps push AP 1 past the
-// offer margin, domain 0 exports the client's state bundle over the wire
-// and domain 1 resumes the §3.1.2 stop→start→ack on its own domain. The
-// adopting domain returns (record, true) as soon as its cross-domain
-// switch completes; the offering domain runs to timeout and returns
-// (zero, false) — the orchestrator kills it once the adopter reports.
-func RunFedController(domainID int, conn *net.UDPConn, table map[packet.IPv4Addr]string, timeout sim.Time) (federation.HandoffRecord, bool, error) {
-	var (
-		rec federation.HandoffRecord
-		got bool
-	)
-	err := runNode(conn, table, timeout, func(w *runtime.Wall, fab *udp.Fabric) error {
-		dom := federation.NewDomain(FedConfig(), w.Eng, fab, domainID, FedCity())
-		dom.OnHandoffComplete = func(r federation.HandoffRecord) {
-			rec, got = r, true
-			w.Stop()
-		}
-		if domainID != 0 {
-			dom.RegisterRemoteClient(Client, 0)
-			return nil
-		}
-		return dom.RegisterClient(Client, ClientIP, 0)
-	})
-	if err == nil && domainID != 0 && !got {
-		err = fmt.Errorf("live: no inter-controller handoff completed within %v", timeout)
-	}
-	return rec, got, err
 }

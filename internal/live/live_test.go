@@ -56,7 +56,7 @@ func TestThreeNodeSwitchOverLoopback(t *testing.T) {
 		}(i)
 	}
 
-	rec, err := RunController(conns[0], tableFor(packet.ControllerIP), 2, 2*sim.Second, "")
+	rec, err := RunController(0, conns[0], tableFor(packet.ControllerIP), City(2, 1), 2*sim.Second, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,17 +106,20 @@ func TestThreeNodeSwitchOverLoopback(t *testing.T) {
 // controllers plus their APs — must complete one inter-controller handoff
 // (DESIGN.md §13): domain 1's AP relays rising CSI to the owning domain 0,
 // domain 0 exports the client's state bundle over the wire, and domain 1
-// resumes the §3.1.2 stop→start→ack against the old domain's AP.
+// resumes the §3.1.2 stop→start→ack against the old domain's AP. The pull
+// lands on the adopter's ledger, never on the exporter's.
 func TestFourNodeFederatedHandoffOverLoopback(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time multi-node run")
 	}
+	const domains = 2
+	city := City(2, domains)
 	conns := []*net.UDPConn{bind(t), bind(t), bind(t), bind(t)}
 	eps := make([]string, len(conns))
 	for i, c := range conns {
 		eps[i] = c.LocalAddr().String()
 	}
-	full := Table(eps, FedDomains)
+	full := Table(eps, domains)
 	tableFor := func(self packet.IPv4Addr) map[packet.IPv4Addr]string {
 		m := make(map[packet.IPv4Addr]string, len(full)-1)
 		for a, ep := range full {
@@ -136,42 +139,43 @@ func TestFourNodeFederatedHandoffOverLoopback(t *testing.T) {
 	for i := range apDone {
 		apDone[i] = make(chan apResult, 1)
 		go func(id int) {
-			st, err := RunAP(id, conns[FedDomains+id], tableFor(packet.APIP(id)),
-				packet.DomainControllerIP(id), Script(id), id == 0, timeout)
+			st, err := RunAP(id, conns[domains+id], tableFor(packet.APIP(id)),
+				packet.DomainControllerIP(city[id].Domain), Script(id), id == 0, timeout)
 			apDone[id] <- apResult{st, err}
 		}(i)
 	}
-	dom0Done := make(chan error, 1)
+	type ctlResult struct {
+		rec controller.SwitchRecord
+		err error
+	}
+	dom0Done := make(chan ctlResult, 1)
 	go func() {
-		_, _, err := RunFedController(0, conns[0], tableFor(packet.DomainControllerIP(0)), timeout)
-		dom0Done <- err
+		rec, err := RunController(0, conns[0], tableFor(packet.DomainControllerIP(0)), city, timeout, "")
+		dom0Done <- ctlResult{rec, err}
 	}()
 
-	rec, got, err := RunFedController(1, conns[1], tableFor(packet.DomainControllerIP(1)), timeout)
+	rec, err := RunController(1, conns[1], tableFor(packet.DomainControllerIP(1)), city, timeout, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got {
-		t.Fatal("adopting domain returned without a handoff record")
-	}
 	if rec.From != 0 || rec.To != 1 {
-		t.Fatalf("handoff domain%d -> domain%d, want 0 -> 1", rec.From, rec.To)
+		t.Fatalf("handoff ap%d -> ap%d, want 0 -> 1", rec.From, rec.To)
 	}
-	if rec.FromAP != 0 || rec.ToAP != 1 {
-		t.Fatalf("handoff ap%d -> ap%d, want 0 -> 1", rec.FromAP, rec.ToAP)
+	if city[rec.From].Domain != 0 || city[rec.To].Domain != 1 {
+		t.Fatalf("handoff domain%d -> domain%d, want 0 -> 1", city[rec.From].Domain, city[rec.To].Domain)
 	}
 	if rec.Client != Client {
 		t.Fatalf("handed off client %v, want %v", rec.Client, Client)
 	}
-	if rec.SwitchDuration <= 0 {
-		t.Fatalf("cross-domain switch duration %v, want > 0 (real elapsed time)", rec.SwitchDuration)
+	if rec.Duration <= 0 {
+		t.Fatalf("cross-domain switch duration %v, want > 0 (real elapsed time)", rec.Duration)
 	}
 	if rec.Forced {
 		t.Fatal("cross-domain switch reported forced; want a clean stop->start->ack")
 	}
 
-	if err := <-dom0Done; err != nil {
-		t.Fatalf("domain 0: %v", err)
+	if res := <-dom0Done; res.err == nil {
+		t.Fatalf("exporting domain 0 reported switch %+v; the pull belongs on domain 1's ledger", res.rec)
 	}
 	for i, ch := range apDone {
 		res := <-ch

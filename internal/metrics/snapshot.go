@@ -382,43 +382,31 @@ func Fprint(w io.Writer, s Snapshot) {
 			fmt.Fprintf(w, "  hardware-queue drain: %d switches drained MPDUs, median %.1f ms\n",
 				sum.Drained, ms(sum.DrainMedianNS))
 		}
-		var recDurs []int64
-		recTotal, recDone := 0, 0
-		for i := range s.Spans {
-			sp := &s.Spans[i]
-			if sp.Tracker != RecoverySpanTracker {
-				continue
+		// The other trackers' digests: what began, what completed, how long.
+		for _, dg := range []struct{ tracker, title, begun, ended, time string }{
+			{RecoverySpanTracker, "recovery spans (detect → reselect → ack, DESIGN.md §11)",
+				"AP failures detected", "recovered", "recovery time"},
+			{HandoffSpanTracker, "handoff spans (offer → commit, DESIGN.md §13)",
+				"handoffs offered", "committed", "offer→commit time"},
+		} {
+			var durs []int64
+			total, done := 0, 0
+			for i := range s.Spans {
+				sp := &s.Spans[i]
+				if sp.Tracker != dg.tracker {
+					continue
+				}
+				total++
+				if sp.Completed {
+					done++
+					durs = append(durs, sp.DurationNS())
+				}
 			}
-			recTotal++
-			if sp.Completed {
-				recDone++
-				recDurs = append(recDurs, sp.DurationNS())
+			if total > 0 {
+				fmt.Fprintf(w, "\n%s\n  %d %s, %d %s\n", dg.title, total, dg.begun, done, dg.ended)
+				fmt.Fprintf(w, "  %s: median %.1f ms, p95 %.1f ms\n",
+					dg.time, ms(quantileNS(durs, 0.5)), ms(quantileNS(durs, 0.95)))
 			}
-		}
-		if recTotal > 0 {
-			fmt.Fprintf(w, "\nrecovery spans (detect → reselect → ack, DESIGN.md §11)\n")
-			fmt.Fprintf(w, "  %d AP failures detected, %d recovered\n", recTotal, recDone)
-			fmt.Fprintf(w, "  recovery time: median %.1f ms, p95 %.1f ms\n",
-				ms(quantileNS(recDurs, 0.5)), ms(quantileNS(recDurs, 0.95)))
-		}
-		var hoDurs []int64
-		hoTotal, hoDone := 0, 0
-		for i := range s.Spans {
-			sp := &s.Spans[i]
-			if sp.Tracker != HandoffSpanTracker {
-				continue
-			}
-			hoTotal++
-			if sp.Completed {
-				hoDone++
-				hoDurs = append(hoDurs, sp.DurationNS())
-			}
-		}
-		if hoTotal > 0 {
-			fmt.Fprintf(w, "\nhandoff spans (offer → commit, DESIGN.md §13)\n")
-			fmt.Fprintf(w, "  %d handoffs offered, %d committed\n", hoTotal, hoDone)
-			fmt.Fprintf(w, "  offer→commit time: median %.1f ms, p95 %.1f ms\n",
-				ms(quantileNS(hoDurs, 0.5)), ms(quantileNS(hoDurs, 0.95)))
 		}
 	}
 }

@@ -154,15 +154,6 @@ func (g *Graph) PlaceAPs(spacingM, setbackM float64) []APSite {
 	return sites
 }
 
-// Partition maps a position to one of nDom federation domains: vertical
-// slabs of equal width across the city's X extent. Contiguous geography —
-// not contiguous AP indices — decides ownership, so a vehicle crossing an
-// avenue mid-block really does cross a controller boundary. It is the
-// 1×nDom special case of the metro tile grid (tile.go).
-func (g *Graph) Partition(p mobility.Point, nDom int) int {
-	return g.Tile(p, Tiling{Rows: 1, Cols: nDom})
-}
-
 // ShortestPath returns the fastest node path from one intersection to
 // another for a vehicle whose design speed is topMPH (per-edge travel time
 // at min(topMPH, limit)). Dijkstra with lowest-node-index tie-breaking, so

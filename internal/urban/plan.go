@@ -99,8 +99,13 @@ func BuildPlan(cfg Config, seed uint64) (*Plan, error) {
 		return nil, err
 	}
 	p := &Plan{Cfg: cfg, Graph: g, APs: g.PlaceAPs(cfg.APSpacingM, apSetbackM)}
+	// Federation domains are the city's vertical slabs, its 1×Domains tiling:
+	// contiguous geography — not contiguous AP indices — decides ownership,
+	// so a vehicle crossing an avenue mid-block really does cross a
+	// controller boundary.
+	slabs := Tiling{Rows: 1, Cols: cfg.Domains}
 	for _, s := range p.APs {
-		p.APDomains = append(p.APDomains, g.Partition(s.Pos, cfg.Domains))
+		p.APDomains = append(p.APDomains, g.Tile(s.Pos, slabs))
 	}
 
 	rng := sim.NewRNG(seed)
@@ -245,9 +250,10 @@ func crossings(g *Graph, route []int, nDom int) int {
 		return 0
 	}
 	n := 0
-	prev := g.Partition(g.Nodes[route[0]].Pos, nDom)
+	slabs := Tiling{Rows: 1, Cols: nDom}
+	prev := g.Tile(g.Nodes[route[0]].Pos, slabs)
 	for _, v := range route[1:] {
-		d := g.Partition(g.Nodes[v].Pos, nDom)
+		d := g.Tile(g.Nodes[v].Pos, slabs)
 		if d != prev {
 			n++
 			prev = d

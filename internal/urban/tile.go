@@ -10,10 +10,10 @@ import (
 )
 
 // Tiling cuts a city into an R×C grid of rectangular metro cells
-// (DESIGN.md §17). It generalizes the vertical federation slabs of
-// Graph.Partition: a tiling with Rows == 1 is exactly the slab split, and
-// every position in the plane maps to exactly one tile (the partition is
-// total — positions outside the city clamp to the nearest border tile).
+// (DESIGN.md §17). A tiling with Rows == 1 is the vertical slab split that
+// binds APs to federation domains (BuildPlan), and every position in the
+// plane maps to exactly one tile (the partition is total — positions
+// outside the city clamp to the nearest border tile).
 type Tiling struct {
 	Rows, Cols int
 }

@@ -85,26 +85,6 @@ func TestTileNonDivisibleWidths(t *testing.T) {
 	}
 }
 
-func TestTileDeterministicAndMatchesPartition(t *testing.T) {
-	g, err := NewGrid(2, 3, 60, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{-5, 0, 30, 59, 60, 61, 90, 120, 500} {
-		pos := mobility.Point{X: x, Y: 30}
-		for _, n := range []int{1, 2, 3, 5} {
-			slab := g.Partition(pos, n)
-			tile := g.Tile(pos, Tiling{Rows: 1, Cols: n})
-			if slab != tile {
-				t.Fatalf("Partition(x=%g, %d) = %d but 1x%d Tile = %d", x, n, slab, n, tile)
-			}
-			if again := g.Tile(pos, Tiling{Rows: 1, Cols: n}); again != tile {
-				t.Fatalf("Tile(x=%g) changed between calls: %d vs %d", x, tile, again)
-			}
-		}
-	}
-}
-
 func TestBuildMetroPlanDeterministic(t *testing.T) {
 	cfg := DefaultMetroConfig()
 	a, err := BuildMetroPlan(cfg, 11)

@@ -122,24 +122,30 @@ func TestShortestPathPrefersFastStreets(t *testing.T) {
 	}
 }
 
+// A 1×n tiling is the federation slab split: vertical slabs of equal width
+// across the city's 120 m X extent, an interior boundary belonging to the
+// higher slab, positions beyond the border clamped, the same answer on
+// every call.
 func TestPartitionSlabs(t *testing.T) {
 	g, err := NewGrid(2, 3, 60, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {
-		x    float64
-		want int
+		x       float64
+		n, want int
 	}{
-		{0, 0}, {59, 0}, {61, 1}, {120, 1}, {-5, 0}, {500, 1},
+		{0, 2, 0}, {59, 2, 0}, {60, 2, 1}, {61, 2, 1}, {120, 2, 1}, {-5, 2, 0}, {500, 2, 1},
+		{90, 1, 0}, {39, 3, 0}, {41, 3, 1}, {119, 3, 2}, {60, 5, 2}, {500, 5, 4},
 	}
 	for _, c := range cases {
-		if got := g.Partition(mobility.Point{X: c.x, Y: 30}, 2); got != c.want {
-			t.Fatalf("Partition(x=%g) = %d, want %d", c.x, got, c.want)
+		pos, slabs := mobility.Point{X: c.x, Y: 30}, Tiling{Rows: 1, Cols: c.n}
+		if got := g.Tile(pos, slabs); got != c.want {
+			t.Fatalf("1x%d Tile(x=%g) = %d, want %d", c.n, c.x, got, c.want)
 		}
-	}
-	if got := g.Partition(mobility.Point{X: 90}, 1); got != 0 {
-		t.Fatalf("single-domain partition = %d, want 0", got)
+		if again := g.Tile(pos, slabs); again != c.want {
+			t.Fatalf("1x%d Tile(x=%g) changed between calls: %d", c.n, c.x, again)
+		}
 	}
 }
 
