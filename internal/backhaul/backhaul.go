@@ -192,9 +192,7 @@ func (s *Switch) send(from packet.IPv4Addr, tos []packet.IPv4Addr, msg packet.Me
 		d.recycle()
 		return fmt.Errorf("backhaul: wire round-trip of %v failed: %w", msg.Type(), err)
 	}
-	// The envelope is 3 bytes plus the payload's WireSize, which packet's
-	// codec tests pin to the encoder's actual output.
-	size := uint64(3 + msg.WireSize())
+	size := uint64(len(s.encScratch))
 	hooked := s.Drop != nil || s.Delay != nil
 	for _, to := range tos {
 		node, ok := s.nodes[to]

@@ -24,6 +24,11 @@ func FuzzDatagram(f *testing.F) {
 	f.Add(datagram(from, tos(ap0, ap1, ap9))[:11])         // truncated target list
 	f.Add(datagram(from, tos(ap1), msg, []byte{0xab}))     // trailing bytes
 	f.Add(datagram(from, tos(ap0, ap1), msg[:len(msg)-1])) // truncated payload
+	// A message with a byte past its layout, the envelope's length grown to
+	// cover it: one decode error, nothing delivered.
+	long := append(append([]byte{}, msg...), 0)
+	long[2]++
+	f.Add(datagram(from, tos(ap0), long))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		fab, err := New(runtime.NewWall(), nil, nil)
 		if err != nil {

@@ -320,17 +320,16 @@ func (d *delivery) fire() {
 }
 
 // deliver decodes raw once and posts one delivery event for every listed
-// target hosted here, preserving listed order. A malformed message — one
-// the codec rejects, or trailing bytes after a well-formed one, since a
-// datagram is exactly one message — is one decode error and delivers
-// nothing; a target not hosted here is unroutable. A fabric must survive any
-// bytes the network hands it (FuzzDecode and FuzzDatagram pin the "no
-// panics" half of that). raw is not retained: Decode copies everything it
+// target hosted here, preserving listed order. A message the codec rejects —
+// which includes any bytes after a well-formed one, so a datagram is exactly
+// one message — is one decode error and delivers nothing; a target not
+// hosted here is unroutable. A fabric must survive any bytes the network
+// hands it (FuzzDecode and FuzzDatagram pin the "no panics" half of that). raw is not retained: Decode copies everything it
 // keeps, so callers may reuse the buffer immediately.
 func (f *Fabric) deliver(from packet.IPv4Addr, tos []packet.IPv4Addr, raw []byte) {
 	msg, err := packet.Decode(raw)
 	f.mu.Lock()
-	if err != nil || len(raw) != 3+msg.WireSize() {
+	if err != nil {
 		f.stats.DecodeErrs++
 		f.mu.Unlock()
 		return

@@ -203,8 +203,8 @@ func TestMalformedDatagramsSurvived(t *testing.T) {
 
 // Every malformed-message class must increment DecodeErrs exactly once and
 // deliver nothing: truncated envelope, lying length field, unknown type, and
-// — the class the codec alone tolerates — trailing bytes after a
-// well-formed message (a datagram is exactly one message).
+// trailing bytes after a well-formed message (the codec accepts exactly one
+// message, so a datagram carries exactly one).
 func TestDecodeErrorAccountingPerClass(t *testing.T) {
 	w := runtime.NewWall()
 	go w.Run()

@@ -80,8 +80,6 @@ type Client struct {
 	// OnBeacon observes beacons — the only frames the medium measures RSSI
 	// on — for the baseline roamer.
 	OnBeacon func(from packet.MACAddr, rssiDBm float64, at sim.Time)
-	// OnMgmt observes received management frames.
-	OnMgmt func(ev *mac.RxEvent)
 
 	Stats Stats
 }
@@ -234,9 +232,6 @@ func (c *Client) OnFrame(ev *mac.RxEvent) {
 		}
 		return
 	case mac.KindMgmt:
-		if c.OnMgmt != nil {
-			c.OnMgmt(ev)
-		}
 		return
 	}
 	if ev.Overheard {

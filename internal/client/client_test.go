@@ -173,16 +173,16 @@ func TestDownlinkOverheardIgnored(t *testing.T) {
 	}
 }
 
+// A beacon reaches the beacon hook; a management frame reaches no hook.
 func TestBeaconAndMgmtHooks(t *testing.T) {
 	h := newHarness(t)
-	var beacons int
-	var mgmts int
+	var beacons, downlinks int
 	h.cl.OnBeacon = func(packet.MACAddr, float64, sim.Time) { beacons++ }
-	h.cl.OnMgmt = func(*mac.RxEvent) { mgmts++ }
+	h.cl.OnDownlink = func(*packet.Packet, sim.Time) { downlinks++ }
 	h.cl.OnFrame(&mac.RxEvent{Kind: mac.KindBeacon, From: packet.APMAC(0), RSSIdBm: -60})
 	h.cl.OnFrame(&mac.RxEvent{Kind: mac.KindMgmt})
-	if beacons != 1 || mgmts != 1 {
-		t.Errorf("beacons=%d mgmts=%d", beacons, mgmts)
+	if beacons != 1 || downlinks != 0 {
+		t.Errorf("beacons=%d downlinks=%d", beacons, downlinks)
 	}
 	if h.cl.Stats.Beacons != 1 {
 		t.Error("beacon stat missing")

@@ -84,6 +84,19 @@ func (h *ctlHarness) feedCSI(client packet.MACAddr, ap int, esnrDB float64) {
 	_ = h.bh.Send(packet.APIP(ap), packet.ControllerIP, csiReport(client, ap, at, esnrDB))
 }
 
+// The default is the paper's §3.1.1/§3.1.2 operating point with the health
+// monitor off — what live mode runs, where there are no failures to detect
+// and probe traffic would only add noise.
+func TestDefaultConfigHealthOff(t *testing.T) {
+	cfg := DefaultConfig()
+	if cfg.Window != 10*sim.Millisecond || cfg.Hysteresis != 40*sim.Millisecond {
+		t.Fatalf("default diverged from the paper operating point: %+v", cfg)
+	}
+	if cfg.HealthInterval != 0 || cfg.DetectTimeout != 0 {
+		t.Fatal("health monitor must be off by default")
+	}
+}
+
 func TestSelectionSwitchesToBestMedian(t *testing.T) {
 	h := newCtlHarness(t, 3, DefaultConfig())
 	client := packet.ClientMAC(1)

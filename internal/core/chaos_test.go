@@ -56,8 +56,8 @@ func TestChaosSingleAPCrashOutageBounded(t *testing.T) {
 	aps := mobility.DefaultAPPositions()[:4]
 	base := Scenario{
 		Mode: ModeWGTT, Seed: seed,
-		Duration: mobility.TransitDuration(aps, speed, 10) + 2*sim.Second,
-		APSubset: []int{0, 1, 2, 3}, OmniAPs: true,
+		Duration:    mobility.TransitDuration(aps, speed, 10) + 2*sim.Second,
+		APPositions: aps, OmniAPs: true,
 		Clients:    []ClientSpec{{Trace: mobility.TransitDrive(aps, speed, 10), SpeedMPH: speed}},
 		Controller: &ctlCfg,
 	}

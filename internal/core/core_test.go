@@ -14,11 +14,6 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := Build(Scenario{}); err == nil {
 		t.Error("empty scenario accepted")
 	}
-	s := DriveScenario(ModeWGTT, 15, 1)
-	s.APSubset = []int{99}
-	if _, err := Build(s); err == nil {
-		t.Error("bad AP subset accepted")
-	}
 }
 
 func TestModeString(t *testing.T) {

@@ -93,7 +93,7 @@ func Build(s Scenario) (*Network, error) {
 		// Urban expansion (DESIGN.md §16): the city plan supplies what a
 		// corridor scenario states by hand. Everything below this block is
 		// unaware the scenario came from a map.
-		if len(s.Clients) != 0 || s.APPositions != nil || s.APSubset != nil || len(s.APDomains) != 0 {
+		if len(s.Clients) != 0 || s.APPositions != nil || len(s.APDomains) != 0 {
 			return nil, fmt.Errorf("core: urban scenarios generate their own APs and clients")
 		}
 		var err error
@@ -108,9 +108,9 @@ func Build(s Scenario) (*Network, error) {
 			s.APDomains = uplan.APDomains
 			// Same story as the controller gates: a slab boundary cuts
 			// straight across city avenues, so riders hover near it for
-			// whole blocks. Wider evidence windows, a real cross-domain
-			// margin, and a block-scale dwell stop ownership ping-pong.
-			fedCfg.Window = 100 * sim.Millisecond
+			// whole blocks. The controller's wider evidence window, a real
+			// cross-domain margin, and a block-scale dwell stop ownership
+			// ping-pong.
 			fedCfg.MarginDB = 6
 			fedCfg.Hysteresis = sim.Second
 		}
@@ -178,20 +178,12 @@ func Build(s Scenario) (*Network, error) {
 		Urban:       uplan,
 	}
 
-	// AP positions (possibly a subset of the testbed).
-	all := s.APPositions
-	if all == nil {
-		all = mobility.DefaultAPPositions()
+	// AP positions: the scenario's, else the testbed's.
+	aps := s.APPositions
+	if aps == nil {
+		aps = mobility.DefaultAPPositions()
 	}
-	if s.APSubset == nil {
-		n.APPosition = append(n.APPosition, all...)
-	}
-	for _, idx := range s.APSubset {
-		if idx < 0 || idx >= len(all) {
-			return nil, fmt.Errorf("core: AP subset index %d out of range", idx)
-		}
-		n.APPosition = append(n.APPosition, all[idx])
-	}
+	n.APPosition = append(n.APPosition, aps...)
 
 	// Explicit AP→domain binding: validate coverage, then let domainOf
 	// below prefer it over the contiguous-index default.

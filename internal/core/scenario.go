@@ -57,9 +57,6 @@ type Scenario struct {
 
 	// APPositions along the road; nil uses the testbed layout (Fig. 9).
 	APPositions []mobility.Point
-	// APSubset activates only these AP indices (Fig. 23's dense/sparse
-	// segments); nil activates all.
-	APSubset []int
 
 	Clients []ClientSpec
 
@@ -110,7 +107,7 @@ type Scenario struct {
 	// every street (omni small cells), routed vehicle/bus/pedestrian
 	// clients, the scenario duration, and — in WGTT mode with
 	// Urban.Domains > 1 — the geographic federation binding via APDomains.
-	// Mutually exclusive with hand-set APPositions/APSubset/Clients. nil —
+	// Mutually exclusive with hand-set APPositions/Clients. nil —
 	// the default — leaves non-urban scenarios byte-identical to builds
 	// without the urban subsystem.
 	Urban *urban.Config

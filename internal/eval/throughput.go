@@ -367,14 +367,14 @@ func Fig23APDensity(opt Options) (*Fig23Result, error) {
 	for _, v := range speeds {
 		for seg, subset := range segments {
 			for _, mode := range []core.Mode{core.ModeWGTT, core.ModeBaseline} {
-				s := core.DriveScenario(mode, v, opt.Seed)
-				s.APSubset = subset
-				// Re-span the drive over just this segment.
+				// Only this segment's APs, and the drive spans just them.
 				all := mobility.DefaultAPPositions()
 				var pos []mobility.Point
 				for _, i := range subset {
 					pos = append(pos, all[i])
 				}
+				s := core.DriveScenario(mode, v, opt.Seed)
+				s.APPositions = pos
 				s.Clients[0].Trace = mobility.TransitDrive(pos, v, 8)
 				s.Duration = mobility.TransitDuration(pos, v, 8) + sim.Second
 				d, err := opt.drive(s, core.Load{RateMbps: offeredUDPMbps})

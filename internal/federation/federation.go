@@ -43,12 +43,11 @@ import (
 // flicker.
 type Config struct {
 	// Controller is the inner per-domain controller configuration; NewDomain
-	// overrides Addr and SwitchIDBase per domain.
+	// overrides Addr and SwitchIDBase per domain. Its §3.1.1 evidence gates
+	// — Window, MinSamples and MinSwitchESNRdB — gate the foreign evidence
+	// too.
 	Controller controller.Config
 
-	// Window is the foreign-evidence median window (the federation-layer
-	// counterpart of the controller's §3.1.1 window).
-	Window sim.Time
 	// MarginDB requires the best foreign median to beat the best local
 	// median by this much before a handoff is offered.
 	MarginDB float64
@@ -63,22 +62,14 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Controller: controller.DefaultConfig(),
-		Window:     10 * sim.Millisecond,
 		MarginDB:   3,
 		Hysteresis: 250 * sim.Millisecond,
 	}
 }
 
-// The fixed half of the handoff protocol (DESIGN.md §13): evidence gates
-// that mirror the controller's §3.1.1 ones, and the offer/commit
+// The fixed half of the handoff protocol (DESIGN.md §13): the offer/commit
 // retransmission budget, which reuses §3.1.2's 30 ms control timeout.
 const (
-	// minSamples is the minimum in-window foreign readings before an AP's
-	// median counts as handoff evidence.
-	minSamples = 2
-	// minESNRdB floors the foreign evidence: a neighbor domain whose best AP
-	// cannot even carry MCS0 is not worth a handoff.
-	minESNRdB float64 = -5
 	// offerTimeout bounds the offer→accept wait; expiry aborts the handoff
 	// and the client stays with its owner.
 	offerTimeout = 30 * sim.Millisecond
@@ -221,9 +212,11 @@ type adoption struct {
 // controller.Controller owning a contiguous set of APs, plus the handoff
 // state machines that move clients between domains.
 type Domain struct {
-	// The handoff rule's knobs: Config less the inner controller's.
-	window, hysteresis sim.Time
-	marginDB           float64
+	// The handoff rule's knobs: the controller's §3.1.1 evidence gates
+	// (window, minimum in-window samples, usability floor) and Config's own.
+	window, hysteresis  sim.Time
+	minSamples          int
+	minESNRdB, marginDB float64
 
 	id   int
 	addr packet.IPv4Addr
@@ -285,7 +278,9 @@ type Domain struct {
 // packet.DomainControllerIP(id).
 func NewDomain(cfg Config, eng *sim.Engine, bh backhaul.Fabric, id int, city []APAssignment) *Domain {
 	d := &Domain{
-		window:     cfg.Window,
+		window:     cfg.Controller.Window,
+		minSamples: cfg.Controller.MinSamples,
+		minESNRdB:  cfg.Controller.MinSwitchESNRdB,
 		hysteresis: cfg.Hysteresis,
 		marginDB:   cfg.MarginDB,
 		id:         id,

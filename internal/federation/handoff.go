@@ -63,11 +63,11 @@ func (d *Domain) maybeOffer(fc *fedClient, now sim.Time) {
 	bestMed := math.Inf(-1)
 	for _, apIP := range fc.foreignOrder {
 		w := fc.foreign[apIP]
-		if med, _ := w.Median(now); w.Size() >= minSamples && med > bestMed {
+		if med, _ := w.Median(now); w.Size() >= d.minSamples && med > bestMed {
 			bestMed, bestAP = med, apIP
 		}
 	}
-	if bestAP.IsZero() || bestMed < minESNRdB {
+	if bestAP.IsZero() || bestMed < d.minESNRdB {
 		return
 	}
 	serving := d.ctl.ServingAP(fc.mac)
@@ -97,7 +97,7 @@ func (d *Domain) maybeOffer(fc *fedClient, now sim.Time) {
 		d.globalOf[serving], d.apGlobal[bestAP], metrics.CauseDomainHandoff, bestLocal, bestMed)
 	_ = d.bh.Send(d.addr, d.addrOf(peer), &packet.DomainHandoffOffer{
 		HandoffID: id, Client: fc.mac, ClientIP: fc.ip,
-		ServingAP: d.local[serving].IP, TargetAP: bestAP, EvidenceQ: QuantizeEvidenceDB(bestMed),
+		ServingAP: d.local[serving].IP, TargetAP: bestAP, EvidenceQ: packet.QuantizeDB(bestMed),
 	})
 	fc.out.timer = d.eng.After(offerTimeout, func() { d.offerTimeout(fc, id) })
 }
@@ -188,8 +188,8 @@ func (d *Domain) handleAccept(m *packet.DomainHandoffAccept) {
 			continue
 		}
 		w := fc.foreign[apIP]
-		if med, _ := w.Median(now); w.Size() >= minSamples {
-			ev = append(ev, packet.APESNR{AP: apIP, MedianQ: QuantizeEvidenceDB(med)})
+		if med, _ := w.Median(now); w.Size() >= d.minSamples {
+			ev = append(ev, packet.APESNR{AP: apIP, MedianQ: packet.QuantizeDB(med)})
 			if len(ev) == packet.MaxHandoffEvidence {
 				break
 			}
@@ -298,7 +298,7 @@ func (d *Domain) adopt(m *packet.DomainHandoffCommit) {
 	}
 	toMed := 0.0
 	if len(m.Evidence) > 0 {
-		toMed = DequantizeEvidenceDB(m.Evidence[0].MedianQ)
+		toMed = m.Evidence[0].MedianQ.Float()
 	}
 	d.met.switchSpans.Begin(m.HandoffID, int64(now), mac.String(),
 		fromG, d.apGlobal[m.TargetAP], metrics.CauseDomainHandoff, 0, toMed)
@@ -354,7 +354,7 @@ func (d *Domain) admit(m *packet.DomainHandoffCommit) bool {
 	d.ctl.AdoptClient(m.Client, m.ClientIP, entry, m.NextIndex, m.DedupKeys)
 	for _, ev := range m.Evidence {
 		if li, ok := d.localOf[ev.AP]; ok {
-			d.ctl.SeedESNR(m.Client, li, DequantizeEvidenceDB(ev.MedianQ))
+			d.ctl.SeedESNR(m.Client, li, ev.MedianQ.Float())
 		}
 	}
 	d.owner[m.Client] = d.id

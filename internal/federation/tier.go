@@ -77,7 +77,7 @@ func (t *Tier) Release(mac packet.MACAddr, handoffID uint32) (*packet.DomainHand
 	commit := &packet.DomainHandoffCommit{HandoffID: handoffID, Client: mac, ClientIP: d.owned[mac].ip}
 	if s := d.ctl.ServingAP(mac); s >= 0 {
 		if med, ok := d.ctl.MedianESNR(mac, s); ok {
-			commit.Evidence = []packet.APESNR{{AP: d.local[s].IP, MedianQ: QuantizeEvidenceDB(med)}}
+			commit.Evidence = []packet.APESNR{{AP: d.local[s].IP, MedianQ: packet.QuantizeDB(med)}}
 		}
 	}
 	d.release(commit)

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"path/filepath"
 
 	"wgtt/internal/chaos"
 	"wgtt/internal/controller"
@@ -84,7 +85,12 @@ func attachCell(cfg Config, id int, n *core.Network, loads []core.Load) (*cell, 
 		},
 	}
 	if cfg.TraceDir != "" {
-		c.res.TraceFile = tracePath(cfg, id)
+		// cell-0000.jsonl, prefixed with the fleet run ID when one is set.
+		name := fmt.Sprintf("cell-%04d.jsonl", id)
+		if cfg.RunID != "" {
+			name = cfg.RunID + "-" + name
+		}
+		c.res.TraceFile = filepath.Join(cfg.TraceDir, name)
 		if err := c.drive.TraceTo(c.res.TraceFile); err != nil {
 			return nil, fmt.Errorf("fleet: cell %d trace: %w", id, err)
 		}

@@ -17,7 +17,6 @@ package fleet
 import (
 	"fmt"
 	"math"
-	"path/filepath"
 
 	"wgtt/internal/chaos"
 	"wgtt/internal/mobility"
@@ -133,16 +132,6 @@ type Config struct {
 	// keep the hook fast. Purely observational — it must not influence
 	// results.
 	Progress func(done, total int)
-}
-
-// tracePath names one cell's JSONL event trace under cfg.TraceDir,
-// prefixed with the fleet run ID when one is set.
-func tracePath(cfg Config, cell int) string {
-	name := fmt.Sprintf("cell-%04d.jsonl", cell)
-	if cfg.RunID != "" {
-		name = fmt.Sprintf("%s-%s", cfg.RunID, name)
-	}
-	return filepath.Join(cfg.TraceDir, name)
 }
 
 // federatedDomains reports how many controller domains each cell runs: the

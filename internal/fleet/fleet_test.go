@@ -3,6 +3,7 @@ package fleet
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -309,7 +310,7 @@ func TestCellTraceRoundTrip(t *testing.T) {
 			traced.Metrics.DurationNS, traced.BuiltTiles, want)
 	}
 	for _, tile := range traced.Tiles {
-		if want := tracePath(mcfg, tile.Cell); tile.TraceFile != want {
+		if want := filepath.Join(mcfg.TraceDir, fmt.Sprintf("m-cell-%04d.jsonl", tile.Cell)); tile.TraceFile != want {
 			t.Errorf("tile %d traced to %q, want %q", tile.Cell, tile.TraceFile, want)
 		}
 		if kinds := readCellTrace(t, tile.CellResult); tile.Bytes > 0 && kinds[trace.KindDeliver] == 0 {

@@ -60,16 +60,6 @@ func Script(id int) CSIScript {
 	return s
 }
 
-// ControllerConfig is the live controller operating point: the paper's
-// selection parameters with the health monitor off (live smoke has no
-// failures to detect, and probe traffic would only add noise).
-func ControllerConfig() controller.Config {
-	cfg := controller.DefaultConfig()
-	cfg.HealthInterval = 0
-	cfg.DetectTimeout = 0
-	return cfg
-}
-
 // APConfig is the live AP operating point: default queueing, but fast
 // deterministic control processing so a smoke run completes quickly.
 func APConfig(id int) ap.Config {
@@ -148,7 +138,6 @@ func RunController(domain int, conn *net.UDPConn, table map[packet.IPv4Addr]stri
 	)
 	err := runNode(conn, table, timeout, func(w *runtime.Wall, fab *udp.Fabric) error {
 		cfg := federation.DefaultConfig()
-		cfg.Controller = ControllerConfig()
 		cfg.Controller.Selector.Policy = pol
 		dom := federation.NewDomain(cfg, w.Eng, fab, domain, city)
 		dom.OnSwitch = func(r controller.SwitchRecord) {
@@ -187,13 +176,11 @@ func RunAP(id int, conn *net.UDPConn, table map[packet.IPv4Addr]string, ctlAddr 
 		var tick func()
 		tick = func() {
 			now := w.Eng.Now()
-			db := script.StartdB + script.SlopedBPerSec*float64(now)/float64(sim.Second)
+			q := packet.QuantizeDB(script.StartdB + script.SlopedBPerSec*float64(now)/float64(sim.Second))
 			rep := &packet.CSIReport{Client: Client, AP: cfg.IP, At: int64(now)}
-			snr := make([]float64, packet.CSISubcarriers)
-			for i := range snr {
-				snr[i] = db
+			for i := range rep.SNRQ {
+				rep.SNRQ[i] = q
 			}
-			rep.QuantizeSNR(snr)
 			_ = fab.Send(cfg.IP, ctlAddr, rep)
 			w.Eng.After(period, tick)
 		}

@@ -195,19 +195,6 @@ func TestFourNodeFederatedHandoffOverLoopback(t *testing.T) {
 	}
 }
 
-// The live controller config must keep the paper's §3.1.1/§3.1.2 operating
-// point with the health monitor disabled.
-func TestControllerConfig(t *testing.T) {
-	cfg := ControllerConfig()
-	def := controller.DefaultConfig()
-	if cfg.Window != def.Window || cfg.Hysteresis != def.Hysteresis {
-		t.Fatalf("live config diverged from the paper operating point: %+v", cfg)
-	}
-	if cfg.HealthInterval != 0 || cfg.DetectTimeout != 0 {
-		t.Fatal("health monitor must be off in live smoke")
-	}
-}
-
 // Table must place domain d's controller at entry d and AP i after the
 // controllers; one controller is the single-domain layout.
 func TestTableLayout(t *testing.T) {

@@ -2,7 +2,10 @@
 // and the wire formats of everything the paper sends over the Ethernet
 // backhaul: tunneled downlink/uplink data (§3.1.3, §3.2.2), the
 // stop/start/ack switching protocol (§3.1.2), CSI reports (§3.1.1),
-// forwarded Block ACKs (§3.2.1), and association-sync records (§4.3).
+// forwarded Block ACKs (§3.2.1), and the inter-controller handoff exchange
+// (DESIGN.md §13). It is the only code that knows the format: the type
+// table, the framing rule (Decode accepts exactly what Encode produces) and
+// the 0.25 dB fixed point (DB).
 package packet
 
 import (

@@ -1,6 +1,8 @@
 package packet
 
 import (
+	"bytes"
+	"encoding/hex"
 	"math/rand/v2"
 	"reflect"
 	"strings"
@@ -125,18 +127,91 @@ func TestEnvelopeLengthMatchesWireSize(t *testing.T) {
 	}
 }
 
+// wireHex is every exemplar's recorded encoding. Live nodes built from
+// different commits interoperate only while these bytes hold, and a layout
+// change that still round-trips (two fields swapped in both marshal and
+// unmarshal) passes every other test.
+var wireHex = map[MsgType]string{
+	MsgDownData:            "0100290a00000b3b4b1755649ad460395c233a44983737514902c11e00000909c1038e0200000052fc54e343",
+	MsgUpData:              "0200290a00000cedcf7e7b7bc590d86b36697a3dff6ce9185902c11e00003500b80ecc020000007e0fbf297f",
+	MsgStop:                "03000e02c11e0000040a00001040000000",
+	MsgStart:               "04000c02c11e0000040fff00000001",
+	MsgSwitchAck:           "05000e02c11e0000040a000010ffffffff",
+	MsgCSI:                 "06008202c11e0000090a00000d0000000000067932ffdfffe3ffe7ffebffeffff3fff7fffbffff00030007000b000f00130017001b001f00230027002b002f00330037003b003f00430047004b004f00530057005b005f00630067006b006f00730077007bffdfffe3ffe7ffebffeffff3fff7fffbffff00030007000b000f00130017001b",
+	MsgBAFwd:               "07001402c11e0000050a00000a0fffffffffffffffffff",
+	MsgHealthProbe:         "09000cdeadbeefffffffffffffffff",
+	MsgHealthAck:           "0a00100a000011deadbeef1000000000000000",
+	MsgDomainHandoffOffer:  "0b00180100000702c11e000004c0a801680a00000d0a00000effdf",
+	MsgDomainHandoffAccept: "0c000b0100000702c11e00000401",
+	MsgDomainHandoffCommit: "0d003f0100000702c11e000004c0a801680a00000d0a00000e0fff0004000000000000000000000001515012337b0affffffffffff020a00000e00610a00000ffff4",
+}
+
+// TestWireBytesPinned is the wire-compatibility gate: every message type
+// encodes to its recorded bytes, and those bytes decode to the exemplar.
+func TestWireBytesPinned(t *testing.T) {
+	ex := exemplars()
+	if len(wireHex) != len(ex) {
+		t.Fatalf("%d encodings pinned, %d message types have exemplars", len(wireHex), len(ex))
+	}
+	for tt, m := range ex {
+		if got := hex.EncodeToString(Encode(m)); got != wireHex[tt] {
+			t.Errorf("%v encodes to\n%s\nwant\n%s", tt, got, wireHex[tt])
+		}
+		raw, _ := hex.DecodeString(wireHex[tt])
+		if got, err := Decode(raw); err != nil || !reflect.DeepEqual(got, m) {
+			t.Errorf("%v: pinned bytes decode to %+v, %v; want %+v", tt, got, err, m)
+		}
+	}
+}
+
+// grown returns raw with extra appended to the payload and the envelope's
+// length field grown to match: a well-framed envelope around too long a
+// payload.
+func grown(raw []byte, extra ...byte) []byte {
+	out := append(append([]byte{}, raw...), extra...)
+	n := len(out) - 3
+	out[1], out[2] = byte(n>>8), byte(n)
+	return out
+}
+
+// Decode accepts exactly what Encode produces: a payload longer than its
+// type's layout, bytes after the envelope, and a commit with bytes past its
+// evidence section are each an error, as is a non-canonical accept flag.
+func TestDecodeRejectsSlack(t *testing.T) {
+	ex := exemplars()
+	for tt, m := range ex {
+		raw := Encode(m)
+		if _, err := Decode(grown(raw, 0)); err == nil {
+			t.Errorf("%v: payload one byte past its layout accepted", tt)
+		}
+		if _, err := Decode(append(raw, 0)); err == nil {
+			t.Errorf("%v: byte after the envelope accepted", tt)
+		}
+	}
+	commit := Encode(ex[MsgDomainHandoffCommit])
+	if _, err := Decode(grown(commit, 1, 2, 3, 4, 5, 6)); err == nil {
+		t.Error("commit with an evidence-sized tail past its evidence accepted")
+	}
+	accept := Encode(ex[MsgDomainHandoffAccept])
+	accept[len(accept)-1] = 2
+	if _, err := Decode(accept); err == nil {
+		t.Error("accept flag 2 accepted")
+	}
+}
+
 // FuzzDecode throws arbitrary bytes at the decoder: it must return a value
-// or an error, never panic, and anything it accepts must re-encode and
-// re-decode to the same value (round-trip stability on the accepted set) —
-// and decode to that value again through a Scratch that last held other
-// messages: no stale SNRQ, Pkt or APDst may leak into a reused envelope.
+// or an error, never panic, and anything it accepts must re-encode to
+// exactly the input bytes — and decode to the same value again through a
+// Scratch that last held other messages: no stale SNRQ, Pkt or APDst may
+// leak into a reused envelope.
 func FuzzDecode(f *testing.F) {
 	ex := exemplars()
 	for _, m := range ex {
 		f.Add(Encode(m))
 	}
 	dirt := [][]byte{Encode(ex[MsgDownData]), Encode(ex[MsgCSI]), Encode(ex[MsgBAFwd])}
-	// Adversarial seeds: truncations, length-field lies, unknown types.
+	// Adversarial seeds: truncations, length-field lies, unknown types,
+	// slack after a well-formed message.
 	f.Add([]byte{})
 	f.Add([]byte{byte(MsgStop)})
 	f.Add([]byte{byte(MsgStop), 0xff, 0xff})
@@ -144,21 +219,15 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x00})
 	f.Add([]byte{0xff, 0x00, 0x04, 1, 2, 3, 4})
 	f.Add(retiredAssocFrame)
+	f.Add(grown(Encode(ex[MsgStop]), 0))
+	f.Add(grown(Encode(ex[MsgDomainHandoffCommit]), 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(data)
 		if err != nil {
 			return
 		}
-		raw := Encode(m)
-		if len(raw) != 3+m.WireSize() {
-			t.Fatalf("accepted message re-encodes to %d bytes, want %d", len(raw), 3+m.WireSize())
-		}
-		again, err := Decode(raw)
-		if err != nil {
-			t.Fatalf("re-decode of accepted message failed: %v", err)
-		}
-		if !reflect.DeepEqual(m, again) {
-			t.Fatalf("accepted message unstable:\nfirst  %+v\nsecond %+v", m, again)
+		if raw := Encode(m); !bytes.Equal(raw, data) {
+			t.Fatalf("accepted %x, which re-encodes to %x", data, raw)
 		}
 		var sc Scratch
 		for _, b := range dirt {

@@ -9,8 +9,8 @@ import (
 )
 
 // Message is any unit that crosses the Ethernet backhaul. Every message has
-// a stable binary wire format (Marshal) so the formats the paper describes
-// are real, testable encodings rather than in-memory conveniences.
+// a stable binary wire format so the formats the paper describes are real,
+// testable encodings rather than in-memory conveniences.
 type Message interface {
 	// Type returns the wire discriminator.
 	Type() MsgType
@@ -19,7 +19,9 @@ type Message interface {
 	WireSize() int
 	// marshal appends the payload encoding to dst.
 	marshal(dst []byte) []byte
-	// unmarshal parses the payload encoding.
+	// unmarshal parses the payload encoding. DecodeInto has checked that src
+	// holds at least the value's WireSize() (all of a fixed-size message, the
+	// commit's fixed part), and rejects a parse that leaves bytes over.
 	unmarshal(src []byte) error
 }
 
@@ -65,36 +67,32 @@ const (
 	MsgDomainHandoffCommit
 )
 
+// messages is the type table: each wire type's name and a constructor of
+// the value its payload decodes into. A zero entry is no message type.
+var messages = [...]struct {
+	name string
+	new  func() Message
+}{
+	MsgDownData:            {"down-data", func() Message { return &DownData{} }},
+	MsgUpData:              {"up-data", func() Message { return &UpData{} }},
+	MsgStop:                {"stop", func() Message { return &Stop{} }},
+	MsgStart:               {"start", func() Message { return &Start{} }},
+	MsgSwitchAck:           {"switch-ack", func() Message { return &SwitchAck{} }},
+	MsgCSI:                 {"csi", func() Message { return &CSIReport{} }},
+	MsgBAFwd:               {"ba-fwd", func() Message { return &BlockAckFwd{} }},
+	MsgHealthProbe:         {"health-probe", func() Message { return &HealthProbe{} }},
+	MsgHealthAck:           {"health-ack", func() Message { return &HealthAck{} }},
+	MsgDomainHandoffOffer:  {"handoff-offer", func() Message { return &DomainHandoffOffer{} }},
+	MsgDomainHandoffAccept: {"handoff-accept", func() Message { return &DomainHandoffAccept{} }},
+	MsgDomainHandoffCommit: {"handoff-commit", func() Message { return &DomainHandoffCommit{} }},
+}
+
 // String implements fmt.Stringer.
 func (t MsgType) String() string {
-	switch t {
-	case MsgDownData:
-		return "down-data"
-	case MsgUpData:
-		return "up-data"
-	case MsgStop:
-		return "stop"
-	case MsgStart:
-		return "start"
-	case MsgSwitchAck:
-		return "switch-ack"
-	case MsgCSI:
-		return "csi"
-	case MsgBAFwd:
-		return "ba-fwd"
-	case MsgHealthProbe:
-		return "health-probe"
-	case MsgHealthAck:
-		return "health-ack"
-	case MsgDomainHandoffOffer:
-		return "handoff-offer"
-	case MsgDomainHandoffAccept:
-		return "handoff-accept"
-	case MsgDomainHandoffCommit:
-		return "handoff-commit"
-	default:
-		return fmt.Sprintf("msg?%d", uint8(t))
+	if int(t) < len(messages) && messages[t].new != nil {
+		return messages[t].name
 	}
+	return fmt.Sprintf("msg?%d", uint8(t))
 }
 
 // Encode serializes a message with its 3-byte envelope: type (1) and
@@ -146,10 +144,13 @@ func (sc *Scratch) envelope(t MsgType) Message {
 	return nil
 }
 
-// DecodeInto parses one enveloped message. With a non-nil sc a DownData,
-// CSIReport or BlockAckFwd is decoded into sc and stays valid only until the
-// next DecodeInto on the same Scratch; its unmarshal overwrites every field,
-// so nothing of the previous message survives. The *Packet inside a DownData
+// DecodeInto parses one enveloped message. It accepts exactly what
+// EncodeInto produces: src must be the 3-byte envelope plus the payload
+// length it declares, and that payload exactly the declared type's layout —
+// no byte short, none left over. With a non-nil sc a DownData, CSIReport or
+// BlockAckFwd is decoded into sc and stays valid only until the next
+// DecodeInto on the same Scratch; its unmarshal overwrites every field, so
+// nothing of the previous message survives. The *Packet inside a DownData
 // is allocated per decode either way: AP rings, retry queues and frames keep
 // it long after the envelope is gone.
 func DecodeInto(src []byte, sc *Scratch) (Message, error) {
@@ -157,43 +158,25 @@ func DecodeInto(src []byte, sc *Scratch) (Message, error) {
 		return nil, fmt.Errorf("packet: envelope truncated (%d bytes)", len(src))
 	}
 	t := MsgType(src[0])
-	n := int(binary.BigEndian.Uint16(src[1:3]))
-	if len(src) < 3+n {
-		return nil, fmt.Errorf("packet: %v payload truncated: have %d, want %d", t, len(src)-3, n)
+	payload := src[3:]
+	if n := int(binary.BigEndian.Uint16(src[1:3])); len(payload) != n {
+		return nil, fmt.Errorf("packet: %v envelope declares %d payload bytes, has %d", t, n, len(payload))
 	}
 	m := sc.envelope(t)
 	if m == nil {
-		switch t {
-		case MsgDownData:
-			m = &DownData{}
-		case MsgUpData:
-			m = &UpData{}
-		case MsgStop:
-			m = &Stop{}
-		case MsgStart:
-			m = &Start{}
-		case MsgSwitchAck:
-			m = &SwitchAck{}
-		case MsgCSI:
-			m = &CSIReport{}
-		case MsgBAFwd:
-			m = &BlockAckFwd{}
-		case MsgHealthProbe:
-			m = &HealthProbe{}
-		case MsgHealthAck:
-			m = &HealthAck{}
-		case MsgDomainHandoffOffer:
-			m = &DomainHandoffOffer{}
-		case MsgDomainHandoffAccept:
-			m = &DomainHandoffAccept{}
-		case MsgDomainHandoffCommit:
-			m = &DomainHandoffCommit{}
-		default:
+		if int(t) >= len(messages) || messages[t].new == nil {
 			return nil, fmt.Errorf("packet: unknown message type %d", src[0])
 		}
+		m = messages[t].new()
 	}
-	if err := m.unmarshal(src[3 : 3+n]); err != nil {
+	if n := m.WireSize(); len(payload) < n {
+		return nil, fmt.Errorf("packet: %v payload truncated: have %d, want %d", t, len(payload), n)
+	}
+	if err := m.unmarshal(payload); err != nil {
 		return nil, fmt.Errorf("packet: %v: %w", t, err)
+	}
+	if n := m.WireSize(); len(payload) != n {
+		return nil, fmt.Errorf("packet: %v payload has %d bytes past its layout", t, len(payload)-n)
 	}
 	return m, nil
 }
@@ -219,10 +202,8 @@ func marshalPkt(dst []byte, p *Packet) []byte {
 	return dst
 }
 
-func unmarshalPkt(src []byte) (*Packet, error) {
-	if len(src) < pktHeaderSize {
-		return nil, fmt.Errorf("packet descriptor truncated: %d bytes", len(src))
-	}
+func unmarshalPkt(src []byte) *Packet {
+	src = src[:pktHeaderSize] // bounds-check hint
 	p := &Packet{}
 	p.FlowID = binary.BigEndian.Uint32(src[0:4])
 	p.Seq = binary.BigEndian.Uint32(src[4:8])
@@ -236,7 +217,7 @@ func unmarshalPkt(src []byte) (*Packet, error) {
 	p.Uplink = flags&1 != 0
 	p.Kind = Kind(flags >> 1)
 	p.Created = sim.Time(binary.BigEndian.Uint64(src[29:37]))
-	return p, nil
+	return p
 }
 
 // DownData tunnels a downlink packet from the controller to one AP: the
@@ -260,13 +241,9 @@ func (d *DownData) marshal(dst []byte) []byte {
 }
 
 func (d *DownData) unmarshal(src []byte) error {
-	if len(src) < 4+pktHeaderSize {
-		return fmt.Errorf("truncated")
-	}
 	copy(d.APDst[:], src[0:4])
-	p, err := unmarshalPkt(src[4:])
-	d.Pkt = p
-	return err
+	d.Pkt = unmarshalPkt(src[4:])
+	return nil
 }
 
 // UpData tunnels an overheard uplink packet from an AP to the controller,
@@ -289,13 +266,9 @@ func (u *UpData) marshal(dst []byte) []byte {
 }
 
 func (u *UpData) unmarshal(src []byte) error {
-	if len(src) < 4+pktHeaderSize {
-		return fmt.Errorf("truncated")
-	}
 	copy(u.APSrc[:], src[0:4])
-	p, err := unmarshalPkt(src[4:])
-	u.Pkt = p
-	return err
+	u.Pkt = unmarshalPkt(src[4:])
+	return nil
 }
 
 // Stop is step (1) of the switching protocol: the controller tells the
@@ -320,9 +293,7 @@ func (s *Stop) marshal(dst []byte) []byte {
 }
 
 func (s *Stop) unmarshal(src []byte) error {
-	if len(src) < s.WireSize() {
-		return fmt.Errorf("truncated")
-	}
+	src = src[:s.WireSize()] // bounds-check hint
 	copy(s.Client[:], src[0:6])
 	copy(s.NextAP[:], src[6:10])
 	s.SwitchID = binary.BigEndian.Uint32(src[10:14])
@@ -351,9 +322,7 @@ func (s *Start) marshal(dst []byte) []byte {
 }
 
 func (s *Start) unmarshal(src []byte) error {
-	if len(src) < s.WireSize() {
-		return fmt.Errorf("truncated")
-	}
+	src = src[:s.WireSize()] // bounds-check hint
 	copy(s.Client[:], src[0:6])
 	s.Index = binary.BigEndian.Uint16(src[6:8])
 	s.SwitchID = binary.BigEndian.Uint32(src[8:12])
@@ -380,9 +349,7 @@ func (a *SwitchAck) marshal(dst []byte) []byte {
 }
 
 func (a *SwitchAck) unmarshal(src []byte) error {
-	if len(src) < a.WireSize() {
-		return fmt.Errorf("truncated")
-	}
+	src = src[:a.WireSize()] // bounds-check hint
 	copy(a.Client[:], src[0:6])
 	copy(a.AP[:], src[6:10])
 	a.SwitchID = binary.BigEndian.Uint32(src[10:14])
@@ -392,14 +359,26 @@ func (a *SwitchAck) unmarshal(src []byte) error {
 // CSISubcarriers is the per-report subcarrier count on the wire.
 const CSISubcarriers = 56
 
-// CSIReport carries one CSI measurement AP→controller. SNRs are quantized
-// to 0.25 dB steps in int16, mirroring the compact encoding of the Atheros
-// CSI tool's UDP export.
+// DB is a dB figure in the wire's 0.25 dB fixed point, an int16 on the
+// wire: CSI subcarrier SNRs and the handoff's ESNR evidence. It mirrors the
+// compact encoding of the Atheros CSI tool's UDP export.
+type DB int16
+
+// QuantizeDB rounds db to the nearest quarter dB, clamped to the int16 range.
+func QuantizeDB(db float64) DB {
+	return DB(math.Round(min(max(db*4, math.MinInt16), math.MaxInt16)))
+}
+
+// Float returns q in dB.
+func (q DB) Float() float64 { return float64(q) / 4 }
+
+// CSIReport carries one CSI measurement AP→controller, one quantized SNR
+// per subcarrier.
 type CSIReport struct {
 	Client MACAddr
 	AP     IPv4Addr
 	At     int64 // sim.Time in ns
-	SNRQ   [CSISubcarriers]int16
+	SNRQ   [CSISubcarriers]DB
 }
 
 // Type implements Message.
@@ -419,34 +398,25 @@ func (c *CSIReport) marshal(dst []byte) []byte {
 }
 
 func (c *CSIReport) unmarshal(src []byte) error {
-	if len(src) < c.WireSize() {
-		return fmt.Errorf("truncated")
-	}
+	src = src[:c.WireSize()] // bounds-check hint
 	copy(c.Client[:], src[0:6])
 	copy(c.AP[:], src[6:10])
 	c.At = int64(binary.BigEndian.Uint64(src[10:18]))
 	for i := range c.SNRQ {
-		c.SNRQ[i] = int16(binary.BigEndian.Uint16(src[18+2*i : 20+2*i]))
+		c.SNRQ[i] = DB(binary.BigEndian.Uint16(src[18+2*i : 20+2*i]))
 	}
 	return nil
 }
 
-// QuantizeSNR packs per-subcarrier dB values into the report's 0.25 dB
-// fixed-point representation.
+// QuantizeSNR quantizes per-subcarrier dB values into the report; missing
+// trailing subcarriers read as 0 dB.
 func (c *CSIReport) QuantizeSNR(snrDB []float64) {
 	for i := range c.SNRQ {
 		v := 0.0
 		if i < len(snrDB) {
 			v = snrDB[i]
 		}
-		q := math.Round(v * 4)
-		switch {
-		case q > 32767:
-			q = 32767
-		case q < -32768:
-			q = -32768
-		}
-		c.SNRQ[i] = int16(q)
+		c.SNRQ[i] = QuantizeDB(v)
 	}
 }
 
@@ -458,7 +428,7 @@ func (c *CSIReport) SNRdBInto(dst []float64) []float64 {
 	}
 	dst = dst[:CSISubcarriers]
 	for i, q := range c.SNRQ {
-		dst[i] = float64(q) / 4
+		dst[i] = q.Float()
 	}
 	return dst
 }
@@ -487,9 +457,7 @@ func (b *BlockAckFwd) marshal(dst []byte) []byte {
 }
 
 func (b *BlockAckFwd) unmarshal(src []byte) error {
-	if len(src) < b.WireSize() {
-		return fmt.Errorf("truncated")
-	}
+	src = src[:b.WireSize()] // bounds-check hint
 	copy(b.Client[:], src[0:6])
 	copy(b.FromAP[:], src[6:10])
 	b.SSN = binary.BigEndian.Uint16(src[10:12])
@@ -518,9 +486,7 @@ func (h *HealthProbe) marshal(dst []byte) []byte {
 }
 
 func (h *HealthProbe) unmarshal(src []byte) error {
-	if len(src) < h.WireSize() {
-		return fmt.Errorf("truncated")
-	}
+	src = src[:h.WireSize()] // bounds-check hint
 	h.Seq = binary.BigEndian.Uint32(src[0:4])
 	h.At = int64(binary.BigEndian.Uint64(src[4:12]))
 	return nil
@@ -548,9 +514,7 @@ func (h *HealthAck) marshal(dst []byte) []byte {
 }
 
 func (h *HealthAck) unmarshal(src []byte) error {
-	if len(src) < h.WireSize() {
-		return fmt.Errorf("truncated")
-	}
+	src = src[:h.WireSize()] // bounds-check hint
 	copy(h.AP[:], src[0:4])
 	h.Seq = binary.BigEndian.Uint32(src[4:8])
 	h.At = int64(binary.BigEndian.Uint64(src[8:16]))
@@ -578,7 +542,7 @@ type DomainHandoffOffer struct {
 	ClientIP  IPv4Addr
 	ServingAP IPv4Addr // client's current serving AP (owner's domain)
 	TargetAP  IPv4Addr // AP in the peer's domain the evidence points at
-	EvidenceQ int16    // best foreign windowed-median ESNR, 0.25 dB steps
+	EvidenceQ DB       // best foreign windowed-median ESNR
 }
 
 // Type implements Message.
@@ -597,15 +561,13 @@ func (o *DomainHandoffOffer) marshal(dst []byte) []byte {
 }
 
 func (o *DomainHandoffOffer) unmarshal(src []byte) error {
-	if len(src) < o.WireSize() {
-		return fmt.Errorf("truncated")
-	}
+	src = src[:o.WireSize()] // bounds-check hint
 	o.HandoffID = binary.BigEndian.Uint32(src[0:4])
 	copy(o.Client[:], src[4:10])
 	copy(o.ClientIP[:], src[10:14])
 	copy(o.ServingAP[:], src[14:18])
 	copy(o.TargetAP[:], src[18:22])
-	o.EvidenceQ = int16(binary.BigEndian.Uint16(src[22:24]))
+	o.EvidenceQ = DB(binary.BigEndian.Uint16(src[22:24]))
 	return nil
 }
 
@@ -634,12 +596,13 @@ func (a *DomainHandoffAccept) marshal(dst []byte) []byte {
 }
 
 func (a *DomainHandoffAccept) unmarshal(src []byte) error {
-	if len(src) < a.WireSize() {
-		return fmt.Errorf("truncated")
-	}
+	src = src[:a.WireSize()] // bounds-check hint
 	a.HandoffID = binary.BigEndian.Uint32(src[0:4])
 	copy(a.Client[:], src[4:10])
-	a.Accept = src[10] != 0
+	if src[10] > 1 {
+		return fmt.Errorf("accept flag %d", src[10])
+	}
+	a.Accept = src[10] == 1
 	return nil
 }
 
@@ -648,7 +611,7 @@ func (a *DomainHandoffAccept) unmarshal(src []byte) error {
 // seed its selection windows instead of starting cold.
 type APESNR struct {
 	AP      IPv4Addr
-	MedianQ int16 // 0.25 dB steps
+	MedianQ DB
 }
 
 // DomainHandoffCommit is step (3): the owner captures the client's volatile
@@ -699,10 +662,6 @@ func (c *DomainHandoffCommit) marshal(dst []byte) []byte {
 }
 
 func (c *DomainHandoffCommit) unmarshal(src []byte) error {
-	const fixed = 4 + 6 + 4 + 4 + 4 + 2
-	if len(src) < fixed+2 {
-		return fmt.Errorf("truncated")
-	}
 	c.HandoffID = binary.BigEndian.Uint32(src[0:4])
 	copy(c.Client[:], src[4:10])
 	copy(c.ClientIP[:], src[10:14])
@@ -713,7 +672,7 @@ func (c *DomainHandoffCommit) unmarshal(src []byte) error {
 	if nk > MaxHandoffDedupKeys {
 		return fmt.Errorf("dedup window too large: %d keys", nk)
 	}
-	off := fixed + 2
+	off := 26 // past the fixed fields and the key count
 	if len(src) < off+6*nk+1 {
 		return fmt.Errorf("truncated dedup window")
 	}
@@ -741,7 +700,7 @@ func (c *DomainHandoffCommit) unmarshal(src []byte) error {
 		for i := range c.Evidence {
 			b := src[off+6*i:]
 			copy(c.Evidence[i].AP[:], b[0:4])
-			c.Evidence[i].MedianQ = int16(binary.BigEndian.Uint16(b[4:6]))
+			c.Evidence[i].MedianQ = DB(binary.BigEndian.Uint16(b[4:6]))
 		}
 	}
 	return nil
