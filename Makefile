@@ -180,13 +180,15 @@ loc:
 # must round-trip stably, and every datagram must be accounted for; no
 # -metro-tiles spec may panic the tiling parser or overflow its tile count;
 # no reordering or duplication of handoff messages may leave a client with
-# two owners, or with none once the backhaul is clean.
+# two owners, or with none once the backhaul is clean; no argument list may
+# panic the shared CLI flags or make them resolve to contradictory configs.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/packet
 	$(GO) test -run '^$$' -fuzz '^FuzzDatagram$$' -fuzztime 10s ./internal/backhaul/udp
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTiling$$' -fuzztime 10s ./internal/urban
 	$(GO) test -run '^$$' -fuzz '^FuzzHandoffReorder$$' -fuzztime 10s ./internal/federation
-	@echo fuzz-smoke: decoder, datagram parser, tiling parser and handoff machine survived coverage-guided input
+	$(GO) test -run '^$$' -fuzz '^FuzzCLIFlags$$' -fuzztime 10s ./cmd/internal/cliflags
+	@echo fuzz-smoke: decoder, datagram parser, tiling parser, handoff machine and CLI flags survived coverage-guided input
 
 # The performance record (minutes, opt-in): both passes of the repository's
 # benchmark (bench/README.md) on every BENCHMARK.json workload, each pass's
@@ -205,23 +207,24 @@ bench:
 	done; done
 
 # Paired comparison (minutes, opt-in): `make bench-pair REF=<commit>
-# W=<workload>` exports REF's tree into a `mktemp -d` directory and runs the
-# driver's command, `bench/run.sh --trace 0`, on that tree and on this one
-# PAIRS times, the same seed on both sides of a pair and the side that goes
-# first alternating — the choosing-metrics protocol for a claimed gain. One
-# line per run: pair, side, the six end-to-end metrics. Records nothing; the
-# directory stays behind if a run fails.
+# W="<workload> ..."` exports REF's tree into a `mktemp -d` directory and, for
+# each workload of W in turn, runs BENCHMARK.json's command, `bench/run.sh
+# --trace 0`, on that tree and on this one PAIRS times, the same seed on both
+# sides of a pair and the side that goes first alternating — what a
+# claimed gain is read from. One line per run: workload,
+# pair, side, the six end-to-end metrics. Records nothing; the directory
+# stays behind if a run fails.
 PAIRS ?= 10
 bench-pair:
-	@test -n "$(REF)" -a -n "$(W)" || { echo "usage: make bench-pair REF=<commit> W=<workload> [PAIRS=$(PAIRS)]" >&2; exit 2; }
+	@test -n "$(REF)" -a -n "$(W)" || { echo "usage: make bench-pair REF=<commit> W=\"<workload> ...\" [PAIRS=$(PAIRS)]" >&2; exit 2; }
 	@set -e; d=$$(mktemp -d); git archive $(REF) | tar -x -C $$d; \
-	for i in $$(seq 1 $(PAIRS)); do \
+	for w in $(W); do for i in $$(seq 1 $(PAIRS)); do \
 		if [ $$((i % 2)) -eq 1 ]; then sides="$$d ."; else sides=". $$d"; fi; \
 		for side in $$sides; do \
 			if [ $$side = . ]; then label=head; else label=$(REF); fi; \
-			json=$$(bash $$side/bench/run.sh --workload $(W) --seed $$((2016 + i)) --seconds 24 --trace 0 | tail -n 1); \
-			case "$$json" in '{"correct":true,'*) ;; *) echo "bench-pair: $$label failed: $$json" >&2; exit 1;; esac; \
-			echo "pair $$i $$label $$(echo "$$json" | grep -o '"[a-z_]*":{"value":[-+.e0-9]*' | sed 's/"\(.*\)":{"value":/\1=/' | tr '\n' ' ')"; \
+			json=$$(bash $$side/bench/run.sh --workload $$w --seed $$((2016 + i)) --seconds 24 --trace 0 | tail -n 1); \
+			case "$$json" in '{"correct":true,'*) ;; *) echo "bench-pair: $$w $$label failed: $$json" >&2; exit 1;; esac; \
+			echo "$$w pair $$i $$label $$(echo "$$json" | grep -o '"[a-z_]*":{"value":[-+.e0-9]*' | sed 's/"\(.*\)":{"value":/\1=/' | tr '\n' ' ')"; \
 		done; \
-	done; \
+	done; done; \
 	rm -rf $$d

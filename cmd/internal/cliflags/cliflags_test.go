@@ -3,22 +3,32 @@ package cliflags
 import (
 	"bytes"
 	"flag"
+	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	"wgtt/internal/metrics"
 	"wgtt/internal/urban"
 )
 
+// freshCommandLine makes the default flag set a new, quiet one that returns
+// its parse errors, for the length of the test.
+func freshCommandLine(t *testing.T) *flag.FlagSet {
+	saved := flag.CommandLine
+	t.Cleanup(func() { flag.CommandLine = saved })
+	flag.CommandLine = flag.NewFlagSet("test", flag.ContinueOnError)
+	flag.CommandLine.SetOutput(io.Discard)
+	return flag.CommandLine
+}
+
 // parse registers flags with register on a fresh default flag set, as a CLI
 // does before flag.Parse, and parses args into it.
 func parse[T any](t *testing.T, register func() T, args ...string) T {
 	t.Helper()
-	saved := flag.CommandLine
-	t.Cleanup(func() { flag.CommandLine = saved })
-	flag.CommandLine = flag.NewFlagSet("test", flag.ContinueOnError)
+	fs := freshCommandLine(t)
 	got := register()
-	if err := flag.CommandLine.Parse(args); err != nil {
+	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
 	return got
@@ -73,4 +83,53 @@ func TestMetricsWriteNeedsFlagAndSnapshot(t *testing.T) {
 	if err := set.Write(&out, &snap, "snapshot"); err == nil {
 		t.Error("a snapshot for an uncreatable path reported no error")
 	}
+}
+
+// FuzzCLIFlags parses an arbitrary argument list (NUL-separated) against
+// every shared flag, registered as a CLI registers them: nothing panics, an
+// accepted -selector resolves to a policy or to an error but never both, the
+// chaos config exists exactly when -chaos is on, and a snapshot is asked for
+// exactly when -metrics names a destination.
+func FuzzCLIFlags(f *testing.F) {
+	for _, args := range [][]string{
+		{},
+		{"-selector", "predictive"},
+		{"-selector=bogus", "-metrics", "-"},
+		{"-selector", ""},
+		{"-chaos", "-chaos-ap-mtbf", "5"},
+		{"-chaos=false", "-chaos-downtime", "NaN"},
+		{"-urban-rows", "-3", "-urban-spacing", "1e308", "-urban-buses", "0"},
+		{"-urban-cols=x"},
+		{"-metrics"},
+		{"-h"},
+		{"--", "-chaos"},
+	} {
+		f.Add(strings.Join(args, "\x00"))
+	}
+	f.Fuzz(func(t *testing.T, joined string) {
+		fs := freshCommandLine(t)
+		city, sel, chaosCfg, met := City(), Selector(), Chaos(), Metrics()
+		var args []string
+		if joined != "" {
+			args = strings.Split(joined, "\x00")
+		}
+		if fs.Parse(args) != nil {
+			return
+		}
+		c := urban.DefaultConfig()
+		city(&c)
+		if pol, err := sel.Policy(); (pol == "") == (err == nil) {
+			t.Fatalf("-selector %q: policy %q and error %v", *sel.name, pol, err)
+		}
+		if cfg, err := sel.Config(); cfg != nil && err != nil {
+			t.Fatalf("-selector %q: config %+v and error %v", *sel.name, cfg, err)
+		}
+		on := fs.Lookup("chaos").Value.String() == "true"
+		if cfg := chaosCfg(); (cfg != nil) != on {
+			t.Fatalf("-chaos=%v: config %+v", on, cfg)
+		}
+		if met.On() != (*met.path != "") {
+			t.Fatalf("-metrics %q: On %v", *met.path, met.On())
+		}
+	})
 }

@@ -18,8 +18,9 @@ var testBSSID = packet.MACAddr{0x02, 0xbb, 0, 0, 0, 1}
 
 type clientSink struct{ got []*mac.MPDU }
 
-func (c *clientSink) OnFrame(ev *mac.RxEvent) { c.got = append(c.got, ev.Decoded...) }
-func (c *clientSink) OnBlockAck(*mac.BAEvent) {}
+func (c *clientSink) OnFrame(ev *mac.RxEvent)       { c.got = append(c.got, ev.Decoded...) }
+func (c *clientSink) OnBlockAck(*mac.BAEvent)       {}
+func (c *clientSink) Overhears(packet.MACAddr) bool { return true }
 
 type ctlRecorder struct {
 	ups  []*packet.UpData

@@ -193,7 +193,7 @@ func (a *AP) OnFrame(ev *mac.RxEvent) {
 	if a.down {
 		return // a crashed AP hears nothing
 	}
-	if a.isAPAddr(ev.From) {
+	if !a.Overhears(ev.From) {
 		return // another AP's downlink; nothing to do
 	}
 	if !ev.Synced {
@@ -235,7 +235,7 @@ func (a *AP) OnBlockAck(ev *mac.BAEvent) {
 	if a.down {
 		return
 	}
-	if a.isAPAddr(ev.Responder) {
+	if !a.Overhears(ev.Responder) {
 		return // an AP acknowledging uplink data; not client state
 	}
 	a.reportCSI(ev.Responder, ev.SNRdB, ev.At)
@@ -280,12 +280,14 @@ func (a *AP) envelopes() *sendScratch {
 	return a.out
 }
 
-// isAPAddr reports whether addr belongs to AP infrastructure (own MAC,
-// BSSID, or a peer AP's MAC pattern).
-func (a *AP) isAPAddr(addr packet.MACAddr) bool {
-	if addr == a.cfg.MAC || addr == a.cfg.BSSID {
-		return true
+// Overhears implements mac.Sink: an AP uses what it hears from clients —
+// CSI from every frame (§3.1.1), their Block ACKs for forwarding (§3.2.1) —
+// and nothing sent by AP infrastructure (its own MAC, the BSSID, or a peer
+// AP's MAC pattern). OnFrame and OnBlockAck discard by the same rule.
+func (a *AP) Overhears(from packet.MACAddr) bool {
+	if from == a.cfg.MAC || from == a.cfg.BSSID {
+		return false
 	}
 	// AP MACs share the deterministic APMAC prefix.
-	return addr[0] == 0x02 && addr[1] == 0xa9
+	return from[0] != 0x02 || from[1] != 0xa9
 }

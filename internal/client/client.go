@@ -255,6 +255,10 @@ func (c *Client) OnFrame(ev *mac.RxEvent) {
 // OnBlockAck implements mac.Sink (nothing to do at the client).
 func (c *Client) OnBlockAck(*mac.BAEvent) {}
 
+// Overhears implements mac.Sink: a client uses no monitor-mode capture —
+// neither another station's frame nor a Block ACK addressed to someone else.
+func (c *Client) Overhears(packet.MACAddr) bool { return false }
+
 // isDup records and tests the downlink index against the TTL window.
 func (c *Client) isDup(idx uint16, at sim.Time) bool {
 	last, ok := c.seen[idx]

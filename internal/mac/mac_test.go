@@ -174,6 +174,8 @@ func (r *recSink) OnBlockAck(ev *BAEvent) {
 	r.bas = append(r.bas, cp)
 }
 
+func (r *recSink) Overhears(packet.MACAddr) bool { return true }
+
 type queueSource struct {
 	st     *Station
 	to     packet.MACAddr
@@ -213,17 +215,24 @@ type harness struct {
 	ch     *radio.Channel
 	medium *Medium
 	// pathGains counts Link.PathGainDB calls: one per CSI snapshot, one per
-	// received-power sample.
-	pathGains int
+	// received-power sample. pathGainsAt counts them per position, for each
+	// of the link's two ends.
+	pathGains   int
+	pathGainsAt map[mobility.Point]int
 }
 
 func newHarness(t *testing.T, seed uint64) *harness {
 	t.Helper()
-	h := &harness{eng: sim.NewEngine()}
+	h := &harness{eng: sim.NewEngine(), pathGainsAt: make(map[mobility.Point]int)}
 	rng := sim.NewRNG(seed)
 	params := radio.DefaultParams()
 	params.NoFading = true // deterministic links: these tests probe the MAC
-	params.Obstruction = func(a, b mobility.Point) float64 { h.pathGains++; return 0 }
+	params.Obstruction = func(a, b mobility.Point) float64 {
+		h.pathGains++
+		h.pathGainsAt[a]++
+		h.pathGainsAt[b]++
+		return 0
+	}
 	h.ch = radio.NewChannel(params, rng)
 	h.medium = NewMedium(h.eng, h.ch, rng.Stream("mac"))
 	return h
@@ -270,6 +279,22 @@ func (h *harness) addClient(t *testing.T, name string, tr mobility.Trace, speedH
 		Sink:     sink,
 	})
 	return st, sink
+}
+
+// addOmni adds a station with an omni antenna at (x, 0): within earshot of
+// the other omni stations, which the harness APs, behind their window
+// losses, are not.
+func (h *harness) addOmni(t *testing.T, addr packet.MACAddr, x float64, sink Sink, promiscuous bool) *Station {
+	t.Helper()
+	ep := &radio.Endpoint{
+		Name:       addr.String(),
+		Trace:      mobility.Stationary{At: mobility.Point{X: x}},
+		TxPowerDBm: 15,
+	}
+	if err := h.ch.AddEndpoint(ep); err != nil {
+		t.Fatal(err)
+	}
+	return NewStation(h.medium, StationConfig{Addr: addr, Endpoint: ep, Sink: sink, Promiscuous: promiscuous})
 }
 
 func mkPackets(n, bytes int) []*packet.Packet {
@@ -607,19 +632,9 @@ func (constSource) Uint64() uint64 { return 1 << 52 }
 func TestResponderHearsNoOtherResponse(t *testing.T) {
 	h := newHarness(t, 14)
 	h.medium.rnd = rand.New(constSource{})
-	// Omni stations within earshot of one another (the harness APs, behind
-	// their window losses, are not).
 	omni := func(id int, x float64) (*Station, *recSink) {
-		ep := &radio.Endpoint{
-			Name:       packet.ClientMAC(id).String(),
-			Trace:      mobility.Stationary{At: mobility.Point{X: x}},
-			TxPowerDBm: 15,
-		}
-		if err := h.ch.AddEndpoint(ep); err != nil {
-			t.Fatal(err)
-		}
 		sink := &recSink{}
-		return NewStation(h.medium, StationConfig{Addr: packet.ClientMAC(id), Endpoint: ep, Sink: sink}), sink
+		return h.addOmni(t, packet.ClientMAC(id), x, sink, false), sink
 	}
 	asker, askerSink := omni(1, 20)
 	near, nearSink := omni(2, 22)
@@ -661,8 +676,9 @@ type keepSink struct {
 	bas    []*BAEvent
 }
 
-func (k *keepSink) OnFrame(ev *RxEvent)    { k.frames = append(k.frames, ev) }
-func (k *keepSink) OnBlockAck(ev *BAEvent) { k.bas = append(k.bas, ev) }
+func (k *keepSink) OnFrame(ev *RxEvent)           { k.frames = append(k.frames, ev) }
+func (k *keepSink) OnBlockAck(ev *BAEvent)        { k.bas = append(k.bas, ev) }
+func (k *keepSink) Overhears(packet.MACAddr) bool { return true }
 
 // An event belongs to the sink only during the call: afterwards it reads as
 // its zero value — a sink that kept the pointer sees nothing, never a later
@@ -714,5 +730,151 @@ func TestSinkEventReleased(t *testing.T) {
 		if slices.ContainsFunc(ev.decStore[:cap(ev.decStore)], func(mp *MPDU) bool { return mp != nil }) {
 			t.Fatal("a free event still pins a decoded MPDU")
 		}
+	}
+}
+
+// declineSink records like recSink but declines every monitor-mode capture.
+type declineSink struct{ recSink }
+
+func (*declineSink) Overhears(packet.MACAddr) bool { return false }
+
+// What a receiver's sink and a sender's completion saw, without the
+// medium's pointers: two media that made the same draws produce equal views.
+type (
+	rxView struct {
+		At                sim.Time
+		From              packet.MACAddr
+		Kind              FrameKind
+		Synced, Overheard bool
+		Seqs              []uint16
+		SNRdB             []float64
+	}
+	baView struct {
+		At        sim.Time
+		Responder packet.MACAddr
+		SSN       uint16
+		Bitmap    uint64
+		Overheard bool
+		SNRdB     []float64
+	}
+	txView struct {
+		Seqs                      []uint16
+		BAReceived, RespCollision bool
+		SSN                       uint16
+		Bitmap                    uint64
+	}
+)
+
+func seqsOf(mpdus []*MPDU) []uint16 {
+	var out []uint16
+	for _, mp := range mpdus {
+		out = append(out, mp.Seq)
+	}
+	return out
+}
+
+func viewsOf(sinks []*recSink, srcs []*queueSource) (rx []rxView, ba []baView, tx []txView) {
+	for _, s := range sinks {
+		for _, ev := range s.frames {
+			rx = append(rx, rxView{ev.At, ev.From, ev.Kind, ev.Synced, ev.Overheard, seqsOf(ev.Decoded), ev.SNRdB})
+		}
+		for _, ev := range s.bas {
+			ba = append(ba, baView{ev.At, ev.Responder, ev.SSN, ev.Bitmap, ev.Overheard, ev.SNRdB})
+		}
+	}
+	for _, src := range srcs {
+		for _, res := range src.done {
+			if res == nil {
+				tx = append(tx, txView{})
+				continue
+			}
+			tx = append(tx, txView{seqsOf(res.Frame.MPDUs), res.BAReceived, res.RespCollision, res.SSN, res.Bitmap})
+		}
+	}
+	return rx, ba, tx
+}
+
+// TestOverheardSkipKeepsDrawStream: a capture whose sink declines it
+// (Sink.Overhears) is not simulated, yet the medium makes every draw it
+// would have made. Two media from one seed — two APs sharing a BSSID, two
+// clients, downlink A-MPDUs, uplink frames, same-slot collisions — differ
+// only in a promiscuous observer that overhears everything in A and nothing
+// in B: everyone else sees the same events and completions, and the media's
+// next draws agree. B's observer gets no event, and its skipped captures cost
+// no CSI snapshot: its links are sampled only for the sync draws of the data
+// frames that reach it and for the capture rule.
+func TestOverheardSkipKeepsDrawStream(t *testing.T) {
+	observerAt := mobility.Point{X: 25}
+	build := func(observer Sink) (*harness, []*recSink, []*queueSource) {
+		h := newHarness(t, 31)
+		bssid := packet.MACAddr{0x02, 0xbb, 0, 0, 0, 1}
+		ap1, s1 := h.addAP(t, "ap1", 20, bssid)
+		ap2, s2 := h.addAP(t, "ap2", 30, bssid)
+		r1, r2 := &recSink{}, &recSink{}
+		cl1 := h.addOmni(t, packet.ClientMAC(1), 22, r1, false)
+		cl2 := h.addOmni(t, packet.ClientMAC(2), 28, r2, false)
+		h.addOmni(t, packet.ClientMAC(9), observerAt.X, observer, true)
+		var srcs []*queueSource
+		for _, l := range []struct {
+			st  *Station
+			to  packet.MACAddr
+			mcs phy.MCS
+		}{{ap1, cl1.Addr, 4}, {ap2, cl2.Addr, 5}, {cl1, bssid, 2}, {cl2, bssid, 3}} {
+			src := &queueSource{st: l.st, to: l.to, mcs: l.mcs, queue: mkPackets(600, 1200)}
+			l.st.SetSource(src)
+			l.st.Kick()
+			srcs = append(srcs, src)
+		}
+		h.eng.RunUntil(sim.Second)
+		return h, []*recSink{s1, s2, r1, r2}, srcs
+	}
+	hearing, declining := &recSink{}, &declineSink{}
+	hA, sinksA, srcsA := build(hearing)
+	hB, sinksB, srcsB := build(declining)
+
+	mA, mB := hA.medium, hB.medium
+	if mA.Grants != mB.Grants || mA.TxCollisions != mB.TxCollisions ||
+		mA.RespTotal != mB.RespTotal || mA.RespCollisions != mB.RespCollisions {
+		t.Fatalf("media diverged: %v vs %v", mA, mB)
+	}
+	if mA.Grants < 100 || mA.TxCollisions == 0 {
+		t.Fatalf("%v: too few grants or no same-slot collision to test against", mA)
+	}
+	rxA, baA, txA := viewsOf(sinksA, srcsA)
+	rxB, baB, txB := viewsOf(sinksB, srcsB)
+	if !reflect.DeepEqual(rxA, rxB) {
+		t.Error("the owned receivers' frame events differ")
+	}
+	if !reflect.DeepEqual(baA, baB) {
+		t.Error("the owned receivers' response events differ")
+	}
+	if !reflect.DeepEqual(txA, txB) {
+		t.Error("the senders' completions differ")
+	}
+	for i := range 4 {
+		if a, b := mA.rnd.Uint64(), mB.rnd.Uint64(); a != b {
+			t.Fatalf("next draw %d differs: %#x vs %#x", i, a, b)
+		}
+	}
+
+	if len(hearing.frames) == 0 || len(hearing.bas) == 0 {
+		t.Fatalf("the hearing observer got %d frames and %d responses", len(hearing.frames), len(hearing.bas))
+	}
+	if n := len(declining.frames) + len(declining.bas); n != 0 {
+		t.Errorf("the declining observer got %d events", n)
+	}
+	// Each response A's observer got cost a CSI snapshot that B does not
+	// take, and so did each frame it lost to a collision (Synced false: at
+	// this range a sync failure is vanishingly rare), which B declines before
+	// sampling. Everything else — the capture rule's samples, the snapshot a
+	// sync draw reads — is the same in both.
+	skipped := len(hearing.bas)
+	for _, ev := range hearing.frames {
+		if !ev.Synced {
+			skipped++
+		}
+	}
+	if a, b := hA.pathGainsAt[observerAt], hB.pathGainsAt[observerAt]; a-b != skipped {
+		t.Errorf("observer's links cost %d path-gain evaluations in A and %d in B; want %d fewer in B", a, b, skipped)
 	}
 }

@@ -54,6 +54,7 @@ type Medium struct {
 	jit         []int
 	seqs        []uint16
 	sizes       []int
+	snr         []float64 // skipFrame's CSI snapshot
 
 	// Stats, exported for the evaluation harness.
 	Grants         uint64   // medium acquisitions
@@ -265,11 +266,20 @@ func (m *Medium) grant() {
 				continue
 			}
 			owned := rx.ownsAddr(fr.To)
-			if !owned && !rx.Promiscuous && fr.To != BroadcastAddr {
+			overheard := !owned && fr.To != BroadcastAddr
+			if overheard && !rx.Promiscuous {
 				continue
 			}
 			link, err := m.ch.Link(sender.Endpoint.Name, rx.Endpoint.Name)
 			if err != nil {
+				continue
+			}
+			lost := collision && m.collidedAt(rx, li, mid)
+			if overheard && !rx.overhears(fr.From) {
+				// A capture nobody reads still makes its draws (skipFrame).
+				if !lost {
+					m.skipFrame(fr, link, sender.Endpoint, mid)
+				}
 				continue
 			}
 			// The event comes first so its inline snrStore can receive the
@@ -278,23 +288,17 @@ func (m *Medium) grant() {
 			ev.At = frameEnd
 			ev.From = fr.From
 			ev.Kind = fr.Kind
-			ev.Overheard = !owned && fr.To != BroadcastAddr
+			ev.Overheard = overheard
 			ev.SNRdB = link.SNRInto(mid, sender.Endpoint, ev.snrStore[:0])
 			if fr.Kind == KindBeacon {
 				ev.RSSIdBm = link.RSSIdBm(mid, sender.Endpoint.TxPowerDBm)
 			}
 
-			lost := false
-			if collision {
-				strongest, _, margin := m.capture(rx, mid)
-				lost = strongest != li || margin < captureDB
-			}
-
 			// PHY sync is a per-frame event: the preamble either locks or
 			// the whole PPDU is invisible. Payload CRCs then fail per MPDU.
 			if !lost {
-				esnr := csi.ESNRdB(ev.SNRdB, phy.Lookup(fr.MCS).Modulation)
-				ev.Synced = m.rnd.Float64() >= phy.SyncFailureProb(esnr)
+				var esnr float64
+				esnr, ev.Synced = m.syncDraw(fr, ev.SNRdB)
 				if ev.Synced {
 					ev.decStore = m.decodeMPDUs(fr, esnr, ev.decStore[:0])
 					ev.Decoded = ev.decStore
@@ -415,6 +419,38 @@ func (m *Medium) capture(rx *Station, at sim.Time) (strongest int, link *radio.L
 	return strongest, link, best - second
 }
 
+// collidedAt reports whether transmission li of m.onAir is lost at rx to an
+// overlapping one under the capture rule.
+func (m *Medium) collidedAt(rx *Station, li int, at sim.Time) bool {
+	strongest, _, margin := m.capture(rx, at)
+	return strongest != li || margin < captureDB
+}
+
+// syncDraw is the per-frame PHY sync decision at a receiver with CSI snr:
+// one draw against the sync-failure probability at the frame's ESNR.
+func (m *Medium) syncDraw(fr *Frame, snr []float64) (esnr float64, synced bool) {
+	esnr = csi.ESNRdB(snr, phy.Lookup(fr.MCS).Modulation)
+	return esnr, m.rnd.Float64() >= phy.SyncFailureProb(esnr)
+}
+
+// skipFrame stands in for a monitor-mode capture of fr, over link, that the
+// receiver's sink declines (Sink.Overhears) and that survived capture: it
+// builds no event and schedules nothing, but makes exactly the draws the
+// capture would have — one sync draw, then one per MPDU if it synced — so
+// the medium's random stream, and every other receiver's outcome, stay as
+// if it were delivered. Only the sync decision reads the channel, so the CSI
+// snapshot goes into medium scratch; the per-MPDU draws never depend on the
+// PER they would be compared against, so that is not computed.
+func (m *Medium) skipFrame(fr *Frame, link *radio.Link, from *radio.Endpoint, mid sim.Time) {
+	m.snr = link.SNRInto(mid, from, m.snr[:0])
+	if _, synced := m.syncDraw(fr, m.snr); !synced {
+		return
+	}
+	for range fr.MPDUs {
+		m.rnd.Float64()
+	}
+}
+
 // decodeMPDUs applies the per-MPDU payload loss model for one synced frame,
 // appending the survivors to out.
 func (m *Medium) decodeMPDUs(fr *Frame, esnr float64, out []*MPDU) []*MPDU {
@@ -480,6 +516,14 @@ func (m *Medium) deliverResponses(responses []respPlan, respMid, respEnd sim.Tim
 			continue
 		}
 		rp := responses[strongest]
+		if rp.toward != rx && !rx.overhears(rp.responder.Addr) {
+			// A capture nobody reads makes the one draw it would have made
+			// — the PER test below — and nothing else: the draw does not
+			// depend on the PER, so neither the CSI snapshot nor the event
+			// is needed to keep the medium's random stream in step.
+			m.rnd.Float64()
+			continue
+		}
 		ev := m.getBA(rx)
 		ev.At = respEnd
 		ev.Responder = rp.responder.Addr

@@ -17,8 +17,15 @@ type Sink interface {
 	// so receivers can observe PHY activity.
 	OnFrame(ev *RxEvent)
 	// OnBlockAck is invoked for every ACK/Block ACK the station decodes,
-	// both its own (Overheard=false) and monitor-mode captures.
+	// both its own (Overheard=false) and the monitor-mode captures Overhears
+	// accepts.
 	OnBlockAck(ev *BAEvent)
+	// Overhears reports whether the sink does anything with a monitor-mode
+	// capture (Overheard=true) of a frame or response sent by from. The
+	// medium asks before it samples one and never delivers a capture the
+	// sink declines; owned and broadcast frames and the response to the
+	// station's own frame are always delivered.
+	Overhears(from packet.MACAddr) bool
 }
 
 // Source supplies outgoing aggregates for a station. The pull model matters:
@@ -237,6 +244,12 @@ func (s *Station) finishResult(res *TxResult) {
 	if res.RespCollision {
 		s.RespCollided++
 	}
+}
+
+// overhears reports whether a monitor-mode capture from from reaches
+// anything: with no sink it does not.
+func (s *Station) overhears(from packet.MACAddr) bool {
+	return s.sink != nil && s.sink.Overhears(from)
 }
 
 // deliver hands a received frame to the sink.
