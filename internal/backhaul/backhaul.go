@@ -9,6 +9,7 @@ package backhaul
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 
 	"wgtt/internal/packet"
 	"wgtt/internal/sim"
@@ -30,11 +31,9 @@ type NodeFunc func(from packet.IPv4Addr, msg packet.Message)
 // HandleBackhaul implements Node.
 func (f NodeFunc) HandleBackhaul(from packet.IPv4Addr, msg packet.Message) { f(from, msg) }
 
-// Fabric is the transport abstraction the protocol cores send through: the
-// in-memory Switch below (simulation — typed messages, virtual latency) and
-// the real-socket fabric in backhaul/udp (live mode — every message passes
-// its wire encoding) both implement it, which is what lets one controller
-// and AP implementation run on either substrate (DESIGN.md §12).
+// Fabric is the transport abstraction the protocol cores send through. The
+// Switch below implements it in simulation and, with a UDP remote port
+// (backhaul/udp), in live mode; tests substitute fakes (DESIGN.md §12).
 type Fabric interface {
 	// Attach registers a node at an address; attaching twice replaces the
 	// previous node.
@@ -56,6 +55,21 @@ type Fabric interface {
 	SendMany(from packet.IPv4Addr, tos []packet.IPv4Addr, msg packet.Message)
 }
 
+// Port is a Switch's remote port: the way to addresses hosted outside the
+// switch. In live mode it is the node's UDP socket (backhaul/udp); in
+// simulation every node is attached and there is none.
+type Port interface {
+	// Routes is the port's route table: every address it reaches, mapped to
+	// the endpoint hosting it. It lists no address attached to the switch
+	// (a node's peer table lists the other nodes). Endpoints are numbered
+	// from 0 and are fewer than the routes. The switch only reads it.
+	Routes() map[packet.IPv4Addr]int
+	// Write sends raw, one encoded message from `from`, to the targets tos,
+	// all hosted at one endpoint, and reports how many copies it wrote. Loss
+	// is silent; the error is the first failed write. raw is not retained.
+	Write(from packet.IPv4Addr, endpoint int, tos []packet.IPv4Addr, raw []byte) (int, error)
+}
+
 // Switch is the Ethernet fabric. It is store-and-forward with a fixed
 // one-way latency; bandwidth is assumed ample (the paper's gigabit LAN
 // never saturates at roadside AP loads). Every message runs through its
@@ -65,6 +79,10 @@ type Switch struct {
 	eng     *sim.Engine
 	latency sim.Time
 	nodes   map[packet.IPv4Addr]Node
+
+	// Remote, if non-nil, carries copies for targets not attached here.
+	// Only backhaul/udp sets it, on a live node's zero-latency switch.
+	Remote Port
 
 	// Drop, if non-nil, is consulted per message; returning true discards
 	// it (control-loss failure injection). Compose multiple hooks with
@@ -86,6 +104,10 @@ type Switch struct {
 	// goroutine, so one of each serves every send.
 	encScratch []byte
 	unicast    [1]packet.IPv4Addr
+	// groups collects a send's undelayed remote copies per endpoint, and
+	// touched the endpoints in order of first use.
+	groups  [][]packet.IPv4Addr
+	touched []int
 	// dfree pools delivery events so a steady-state send schedules its
 	// delivery without allocating.
 	dfree []*delivery
@@ -109,18 +131,21 @@ func (s *Switch) Attach(addr packet.IPv4Addr, n Node) {
 	s.nodes[addr] = n
 }
 
-// Send delivers msg to the node at to after the switch latency. Sending to
-// an unattached address returns an error — it is always an assembly bug.
+// Send delivers msg to the node at to after the switch latency, or writes
+// it to the remote port. Sending to an address neither knows returns an
+// error — it is always an assembly bug — and so does a failed write.
 func (s *Switch) Send(from, to packet.IPv4Addr, msg packet.Message) error {
-	if _, ok := s.nodes[to]; !ok {
-		return fmt.Errorf("backhaul: no node at %v", to)
+	if _, routed := s.routeTable()[to]; !routed {
+		if _, ok := s.nodes[to]; !ok {
+			return fmt.Errorf("backhaul: no node at %v", to)
+		}
 	}
 	s.unicast[0] = to
 	return s.send(from, s.unicast[:], msg)
 }
 
-// SendMany implements Fabric: Send to every attached target, in slice
-// order, off one encoding of msg. A message the codec rejects reaches
+// SendMany implements Fabric: Send to every known target, in slice order,
+// off one encoding of msg. A message the codec rejects reaches
 // nobody, as the Send loop whose errors a fan-out ignores would have it.
 func (s *Switch) SendMany(from packet.IPv4Addr, tos []packet.IPv4Addr, msg packet.Message) {
 	_ = s.send(from, tos, msg)
@@ -156,11 +181,10 @@ func (d *delivery) recycle() {
 	d.sw.dfree = append(d.sw.dfree, d)
 }
 
-// getDelivery takes a delivery off the free list and decodes the wire bytes
-// in encScratch into it: every delivery carries a decoded copy of its own.
-// The delivery comes back with the decode error too, for the caller to
-// recycle.
-func (s *Switch) getDelivery(from packet.IPv4Addr) (*delivery, error) {
+// getDelivery takes a delivery off the free list and decodes raw into it:
+// every delivery carries a decoded copy of its own. The delivery comes back
+// with the decode error too, for the caller to recycle.
+func (s *Switch) getDelivery(from packet.IPv4Addr, raw []byte) (*delivery, error) {
 	var d *delivery
 	if n := len(s.dfree); n > 0 {
 		d = s.dfree[n-1]
@@ -171,71 +195,163 @@ func (s *Switch) getDelivery(from packet.IPv4Addr) (*delivery, error) {
 	}
 	var err error
 	d.from = from
-	d.msg, err = packet.DecodeInto(s.encScratch, &d.scratch)
+	d.msg, err = packet.DecodeInto(raw, &d.scratch)
 	return d, err
 }
 
-// send is the one delivery path: encode msg once into the scratch buffer,
-// decode it into a delivery, and hand that copy to every attached target —
-// which is what lets callers reuse msg immediately (the non-retention
-// contract). Unattached targets are skipped; bytes and sent count per
-// delivered copy. The Drop and Delay hooks are consulted once per (target,
-// message) in target order, so a fault-injected run's RNG draw sequence does
-// not depend on how the caller grouped its sends. Undelayed copies share one
-// delivery; a delayed copy gets its own — decoded from the same bytes, since
-// the shared one is recycled before the late one fires — in target order.
+// send is the one delivery path: encode msg once into the scratch buffer
+// and hand a copy to every known target — which is what lets callers reuse
+// msg immediately (the non-retention contract). Attached targets share one
+// decoded copy, delivered through one pooled event; targets the remote port
+// routes get the bytes, one Write per endpoint after the loop; other
+// targets are skipped, and a send with no attached target decodes nothing.
+// bytes and sent count per copy delivered or written. The Drop and Delay
+// hooks are consulted once per (target, message) in target order, local or
+// remote, so a fault-injected run's RNG draw sequence does not depend on
+// how the caller grouped its sends.
 func (s *Switch) send(from packet.IPv4Addr, tos []packet.IPv4Addr, msg packet.Message) error {
 	s.encScratch = packet.EncodeInto(s.encScratch[:0], msg)
-	d, err := s.getDelivery(from)
-	if err != nil {
-		// The codec tests make this unreachable for every real message type.
-		d.recycle()
-		return fmt.Errorf("backhaul: wire round-trip of %v failed: %w", msg.Type(), err)
-	}
 	size := uint64(len(s.encScratch))
 	hooked := s.Drop != nil || s.Delay != nil
+	routes := s.routeTable()
+	if len(s.groups) < len(routes) {
+		s.groups = make([][]packet.IPv4Addr, len(routes))
+	}
+	var d *delivery
 	for _, to := range tos {
+		if routes != nil {
+			if ep, routed := routes[to]; routed {
+				if hooked && s.faultedRemote(from, to, ep, msg) {
+					continue
+				}
+				if len(s.groups[ep]) == 0 {
+					s.touched = append(s.touched, ep)
+				}
+				s.groups[ep] = append(s.groups[ep], to)
+				continue
+			}
+		}
 		node, ok := s.nodes[to]
-		if !ok || hooked && s.faulted(d, to, node, msg, size) {
+		if !ok {
+			continue
+		}
+		if d == nil {
+			var err error
+			if d, err = s.getDelivery(from, s.encScratch); err != nil {
+				// The codec tests make this unreachable for every real message type.
+				d.recycle()
+				return fmt.Errorf("backhaul: wire round-trip of %v failed: %w", msg.Type(), err)
+			}
+		}
+		if hooked && s.faulted(d, to, node, msg, size) {
 			continue
 		}
 		s.bytes += size
 		s.sent++
 		d.nodes = append(d.nodes, node)
 	}
-	if len(d.nodes) == 0 {
-		d.recycle()
-		return nil
+	if d != nil {
+		if len(d.nodes) == 0 {
+			d.recycle()
+		} else {
+			s.eng.After(s.latency, d.run)
+		}
 	}
-	s.eng.After(s.latency, d.run)
-	return nil
+	var err error
+	for _, ep := range s.touched {
+		if werr := s.write(from, ep, s.groups[ep], s.encScratch); err == nil {
+			err = werr
+		}
+		s.groups[ep] = s.groups[ep][:0]
+	}
+	s.touched = s.touched[:0]
+	return err
 }
 
-// faulted consults the Drop and Delay hooks for one copy of d's message and
-// reports whether the copy stays out of d: dropped, or delayed — delivered by
-// an event of its own.
-func (s *Switch) faulted(d *delivery, to packet.IPv4Addr, node Node, msg packet.Message, size uint64) bool {
+// fault consults the Drop and Delay hooks for one copy: whether it is
+// dropped, else the extra latency it takes.
+func (s *Switch) fault(to packet.IPv4Addr, msg packet.Message) (extra sim.Time, dropped bool) {
 	if s.Drop != nil && s.Drop(to, msg) {
 		s.dropped++
-		return true
+		return 0, true
 	}
-	if s.Delay == nil {
-		return false
+	if s.Delay != nil {
+		extra = s.Delay(to, msg)
 	}
-	extra := s.Delay(to, msg)
-	if extra <= 0 {
-		return false
+	return extra, false
+}
+
+// faulted reports whether one local copy of d's message stays out of d:
+// dropped, or delayed — delivered by an event of its own, decoded from the
+// same bytes, since d is recycled before the late one fires.
+func (s *Switch) faulted(d *delivery, to packet.IPv4Addr, node Node, msg packet.Message, size uint64) bool {
+	extra, dropped := s.fault(to, msg)
+	if dropped || extra <= 0 {
+		return dropped
 	}
 	s.bytes += size
 	s.sent++
-	late, _ := s.getDelivery(d.from) // send has decoded these same bytes into d
+	late, _ := s.getDelivery(d.from, s.encScratch) // send has decoded these same bytes into d
 	late.nodes = append(late.nodes, node)
 	s.eng.After(s.latency+extra, late.run)
 	return true
 }
 
-// Stats reports the number of delivered and dropped messages and the total
-// encoded bytes of everything sent.
+// faultedRemote is faulted for a copy bound for the remote port's endpoint
+// ep: whether it stays out of the send's writes — dropped, or delayed and
+// written by an event of its own.
+func (s *Switch) faultedRemote(from, to packet.IPv4Addr, ep int, msg packet.Message) bool {
+	extra, dropped := s.fault(to, msg)
+	if dropped || extra <= 0 {
+		return dropped
+	}
+	// A late copy's failed write is a silent loss, as on the wire.
+	raw := slices.Clone(s.encScratch)
+	s.eng.After(s.latency+extra, func() { _ = s.write(from, ep, []packet.IPv4Addr{to}, raw) })
+	return true
+}
+
+// routeTable is the remote port's route table, nil without a port.
+func (s *Switch) routeTable() map[packet.IPv4Addr]int {
+	if s.Remote == nil {
+		return nil
+	}
+	return s.Remote.Routes()
+}
+
+// write hands one endpoint's remote copies to the port and counts the ones
+// it wrote.
+func (s *Switch) write(from packet.IPv4Addr, ep int, tos []packet.IPv4Addr, raw []byte) error {
+	n, err := s.Remote.Write(from, ep, tos, raw)
+	s.sent += uint64(n)
+	s.bytes += uint64(n) * uint64(len(raw))
+	return err
+}
+
+// Receive delivers a message that arrived through the remote port — raw,
+// its encoding, from one address to each listed target — to the listed
+// targets attached here, in listed order, now. It reports how many listed
+// targets are not attached, and the decode error of bytes the codec
+// rejects, which deliver nothing. raw is not retained.
+func (s *Switch) Receive(from packet.IPv4Addr, tos []packet.IPv4Addr, raw []byte) (unroutable int, err error) {
+	d, err := s.getDelivery(from, raw)
+	if err != nil {
+		d.recycle()
+		return 0, err
+	}
+	for _, to := range tos {
+		if node, ok := s.nodes[to]; ok {
+			d.nodes = append(d.nodes, node)
+		} else {
+			unroutable++
+		}
+	}
+	d.fire()
+	return unroutable, nil
+}
+
+// Stats reports the number of delivered or written and of dropped copies,
+// and the total encoded bytes of everything sent.
 func (s *Switch) Stats() (sent, dropped, bytes uint64) { return s.sent, s.dropped, s.bytes }
 
 // Chain composes drop hooks: a message is dropped if any hook drops it.

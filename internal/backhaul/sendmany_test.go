@@ -255,3 +255,98 @@ func TestSendManyZeroAllocPerTarget(t *testing.T) {
 		t.Fatalf("SendMany steady state allocates %.1f/op, want <= 1 (the decoded Packet)", wide)
 	}
 }
+
+// fakePort is a remote port that routes a fixed table and records what it
+// is handed instead of writing it.
+type fakePort struct {
+	routes map[packet.IPv4Addr]int
+	wrote  []packet.IPv4Addr
+}
+
+func (f *fakePort) Routes() map[packet.IPv4Addr]int { return f.routes }
+
+func (f *fakePort) Write(_ packet.IPv4Addr, _ int, tos []packet.IPv4Addr, _ []byte) (int, error) {
+	f.wrote = append(f.wrote, tos...)
+	return len(tos), nil
+}
+
+// The remote half of TestSendManyDropHookDeterminism: over [local, remote,
+// local, remote, unknown] the Drop and Delay hooks are consulted once per
+// known target, in target order, whichever side of the port it is on; a
+// dropped copy is counted dropped and neither delivered nor handed over; an
+// undelayed remote copy is handed over within the send, a delayed one by an
+// event of its own; sent and bytes count each copy delivered or handed
+// over; and a remote-only send decodes nothing.
+func TestSendManyConsultsLocalAndRemoteOnce(t *testing.T) {
+	eng := sim.NewEngine()
+	sw := NewSwitch(eng, 200*sim.Microsecond)
+	l0, r1, l2, r3, unknown := packet.APIP(0), packet.APIP(1), packet.APIP(2), packet.APIP(3), packet.APIP(9)
+	port := &fakePort{routes: map[packet.IPv4Addr]int{r1: 0, r3: 1}}
+	sw.Remote = port
+	n0, n2 := &recNode{}, &recNode{}
+	sw.Attach(l0, n0)
+	sw.Attach(l2, n2)
+	var calls []string
+	drop := map[packet.IPv4Addr]bool{}
+	delay := map[packet.IPv4Addr]sim.Time{}
+	sw.Drop = func(to packet.IPv4Addr, _ packet.Message) bool {
+		calls = append(calls, "drop "+to.String())
+		return drop[to]
+	}
+	sw.Delay = func(to packet.IPv4Addr, _ packet.Message) sim.Time {
+		calls = append(calls, "delay "+to.String())
+		return delay[to]
+	}
+	tos := []packet.IPv4Addr{l0, r1, l2, r3, unknown}
+	size := uint64(3 + downMsg(0).WireSize())
+
+	// Round 1: drop the second local and the second remote copy.
+	drop[l2], drop[r3] = true, true
+	sw.SendMany(packet.ControllerIP, tos, downMsg(1))
+	want := []string{"drop " + l0.String(), "delay " + l0.String(), "drop " + r1.String(), "delay " + r1.String(),
+		"drop " + l2.String(), "drop " + r3.String()}
+	if !reflect.DeepEqual(calls, want) {
+		t.Fatalf("hook calls %v, want %v", calls, want)
+	}
+	if !reflect.DeepEqual(port.wrote, []packet.IPv4Addr{r1}) {
+		t.Fatalf("handed to the port within the send: %v, want [%v]", port.wrote, r1)
+	}
+	eng.Run()
+	if len(n0.msgs) != 1 || len(n2.msgs) != 0 {
+		t.Fatalf("delivered %d to %v, %d to the dropped %v", len(n0.msgs), l0, len(n2.msgs), l2)
+	}
+	if sent, dropped, bytes := sw.Stats(); sent != 2 || dropped != 2 || bytes != 2*size {
+		t.Fatalf("stats %d sent, %d dropped, %d bytes; want 2, 2, %d", sent, dropped, bytes, 2*size)
+	}
+
+	// Round 2: the remote copy is delayed; it is handed over when its own
+	// event fires, a millisecond after the undelayed local delivery.
+	clear(drop)
+	delay[r1] = sim.Millisecond
+	port.wrote = nil
+	sw.SendMany(packet.ControllerIP, []packet.IPv4Addr{l0, r1}, downMsg(2))
+	eng.RunUntil(eng.Now() + 500*sim.Microsecond)
+	if len(port.wrote) != 0 || len(n0.msgs) != 2 {
+		t.Fatalf("before the delay: port got %v, %v got %d", port.wrote, l0, len(n0.msgs))
+	}
+	eng.Run()
+	if !reflect.DeepEqual(port.wrote, []packet.IPv4Addr{r1}) {
+		t.Fatalf("delayed copy handed over as %v", port.wrote)
+	}
+	if sent, _, bytes := sw.Stats(); sent != 4 || bytes != 4*size {
+		t.Fatalf("stats %d sent, %d bytes; want 4, %d", sent, bytes, 4*size)
+	}
+
+	// A remote-only send decodes nothing: a HealthProbe's decode would
+	// allocate its message.
+	sw.Drop, sw.Delay = nil, nil
+	probe := &packet.HealthProbe{Seq: 1}
+	send := func() {
+		port.wrote = port.wrote[:0]
+		_ = sw.Send(packet.ControllerIP, r1, probe)
+	}
+	send()
+	if allocs := testing.AllocsPerRun(100, send); allocs != 0 {
+		t.Fatalf("remote-only Send allocates %.1f/op, want 0", allocs)
+	}
+}

@@ -48,43 +48,34 @@ func (o *orderRec) wait(t *testing.T, n int) {
 	}
 }
 
-// A failed socket write must leave Sent and Bytes untouched — stats count
-// what was sent, not what was attempted — and Send reports it.
+// A failed socket write must leave the switch's sent and bytes and the
+// port's datagram count untouched — stats count what was sent, not what was
+// attempted — and Send reports it.
 func TestSendStatsCountAfterSuccessfulWrite(t *testing.T) {
-	conn := listen(t)
-	peer := listen(t)
-	f, err := New(runtime.NewWall(), conn,
-		map[packet.IPv4Addr]string{packet.APIP(0): peer.LocalAddr().String()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn, peer := listen(t), listen(t)
+	_, sw, p := newNode(t, conn, map[packet.IPv4Addr]string{packet.APIP(0): peer.LocalAddr().String()})
 	peer.Close()
 	conn.Close() // writes on a closed socket fail deterministically
-	if err := f.Send(packet.ControllerIP, packet.APIP(0), &packet.HealthProbe{Seq: 1}); err == nil {
+	if err := sw.Send(packet.ControllerIP, packet.APIP(0), &packet.HealthProbe{Seq: 1}); err == nil {
 		t.Fatal("send on a closed socket succeeded")
 	}
-	if st := f.Stats(); st.Sent != 0 || st.Bytes != 0 {
-		t.Fatalf("failed write was counted: %+v", st)
+	if sent, _, bytes := sw.Stats(); sent != 0 || bytes != 0 || p.Stats().Sent != 0 {
+		t.Fatalf("failed write was counted: switch %d sent / %d bytes, port %+v", sent, bytes, p.Stats())
 	}
 }
 
 // Steady-state Send to a remote peer allocates nothing: the one-target
-// list stays on the stack, the encode and datagram buffers are reused
-// scratch, and a lone datagram goes straight to WriteToUDP.
+// lists and the encode and datagram buffers are reused scratch, and a
+// remote-only send decodes nothing (a HealthProbe's decode allocates).
 func TestSendZeroAlloc(t *testing.T) {
-	conn := listen(t)
-	sink := listen(t)
+	conn, sink := listen(t), listen(t)
 	defer sink.Close()
 	defer conn.Close()
-	f, err := New(runtime.NewWall(), conn,
-		map[packet.IPv4Addr]string{packet.APIP(0): sink.LocalAddr().String()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, sw, _ := newNode(t, conn, map[packet.IPv4Addr]string{packet.APIP(0): sink.LocalAddr().String()})
 	// No drain: once the sink's receive buffer fills, the kernel drops the
 	// overflow silently and the measured writes still succeed.
 	msg := &packet.HealthProbe{Seq: 2, At: 3}
-	send := func() { _ = f.Send(packet.ControllerIP, packet.APIP(0), msg) }
+	send := func() { _ = sw.Send(packet.ControllerIP, packet.APIP(0), msg) }
 	send()
 	if allocs := testing.AllocsPerRun(100, send); allocs != 0 {
 		t.Fatalf("Send steady state allocates %.1f/op, want 0", allocs)
@@ -95,58 +86,44 @@ func TestSendZeroAlloc(t *testing.T) {
 // endpoint listing its targets, every copy delivered in listed order.
 func TestSendManyBatchRoundTrip(t *testing.T) {
 	connA, connB, connC := listen(t), listen(t), listen(t)
-	wA, wB, wC := runtime.NewWall(), runtime.NewWall(), runtime.NewWall()
-	for _, w := range []*runtime.Wall{wA, wB, wC} {
-		go w.Run()
-		defer w.Stop()
-	}
-
-	// B hosts APs 0–2 (one batch datagram), C hosts AP 3 (one-target datagram).
+	// B hosts APs 0–2 (one three-target datagram), C hosts AP 3 (one-target datagram).
 	table := map[packet.IPv4Addr]string{
 		packet.APIP(0): connB.LocalAddr().String(),
 		packet.APIP(1): connB.LocalAddr().String(),
 		packet.APIP(2): connB.LocalAddr().String(),
 		packet.APIP(3): connC.LocalAddr().String(),
 	}
-	fa, err := New(wA, connA, table)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb, err := New(wB, connB, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fc, err := New(wC, connC, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, swA, pa := newNode(t, connA, table)
+	wB, swB, pb := newNode(t, connB, nil)
+	wC, swC, pc := newNode(t, connC, nil)
 	recB, recC := newOrderRec(), newOrderRec()
 	for i := 0; i < 3; i++ {
-		fb.Attach(packet.APIP(i), recB.node(i))
+		swB.Attach(packet.APIP(i), recB.node(i))
 	}
-	fc.Attach(packet.APIP(3), recC.node(3))
-	fb.Start()
-	fc.Start()
-	defer fa.Close()
-	defer fb.Close()
-	defer fc.Close()
+	swC.Attach(packet.APIP(3), recC.node(3))
+	for _, n := range []struct {
+		w *runtime.Wall
+		p *Port
+	}{{wB, pb}, {wC, pc}} {
+		n.p.Start()
+		defer n.p.Close()
+		go n.w.Run()
+		defer n.w.Stop()
+	}
+	defer pa.Close()
 
 	tos := []packet.IPv4Addr{packet.APIP(0), packet.APIP(1), packet.APIP(2), packet.APIP(3)}
 	msg := downMsg(5)
 	size := uint64(3 + msg.WireSize())
-	fa.SendMany(packet.ControllerIP, tos, msg)
+	swA.SendMany(packet.ControllerIP, tos, msg)
 	recB.wait(t, 3)
 	recC.wait(t, 1)
 
-	st := fa.Stats()
-	if st.Sent != 2 {
+	if st := pa.Stats(); st.Sent != 2 {
 		t.Fatalf("Sent = %d datagrams, want 2 (one per endpoint)", st.Sent)
 	}
-	if st.BatchedWrites != 1 || st.BatchedCopies != 3 {
-		t.Fatalf("batch stats = %d writes / %d copies, want 1/3", st.BatchedWrites, st.BatchedCopies)
-	}
-	if st.Bytes != 4*size {
-		t.Fatalf("Bytes = %d, want %d (4 copies x %d)", st.Bytes, 4*size, size)
+	if sent, _, bytes := swA.Stats(); sent != 4 || bytes != 4*size {
+		t.Fatalf("switch counted %d copies / %d bytes, want 4 / %d", sent, bytes, 4*size)
 	}
 	recB.mu.Lock()
 	defer recB.mu.Unlock()
@@ -158,54 +135,40 @@ func TestSendManyBatchRoundTrip(t *testing.T) {
 			t.Fatalf("delivered indexes = %v, want all 5", recB.idxs)
 		}
 	}
-	if bst := fb.Stats(); bst.Received != 3 {
-		t.Fatalf("B received %d copies, want 3", bst.Received)
+	if st := pb.Stats(); st.DecodeErrs != 0 || st.Unroutable != 0 {
+		t.Fatalf("B port stats = %+v", st)
 	}
 }
 
-// SendMany to nodes hosted on the sending fabric: one decode, every local
-// copy delivered in listed order, no-route targets skipped silently.
+// SendMany to nodes attached to the sending switch: every local copy
+// delivered in listed order, no-route targets skipped silently, no datagram.
 func TestSendManyLocalTargets(t *testing.T) {
-	conn := listen(t)
-	w := runtime.NewWall()
-	go w.Run()
-	defer w.Stop()
-	f, err := New(w, conn, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, sw, p := newNode(t, listen(t), nil)
+	defer p.Close()
 	rec := newOrderRec()
-	f.Attach(packet.APIP(0), rec.node(0))
-	f.Attach(packet.APIP(1), rec.node(1))
-	f.Start()
-	defer f.Close()
+	sw.Attach(packet.APIP(0), rec.node(0))
+	sw.Attach(packet.APIP(1), rec.node(1))
 
 	tos := []packet.IPv4Addr{packet.APIP(1), packet.APIP(9), packet.APIP(0)}
-	f.SendMany(packet.ControllerIP, tos, downMsg(8))
+	sw.SendMany(packet.ControllerIP, tos, downMsg(8))
+	drain(w)
 	rec.wait(t, 2)
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
 	if len(rec.ids) != 2 || rec.ids[0] != 1 || rec.ids[1] != 0 {
 		t.Fatalf("local delivery order = %v, want [1 0]", rec.ids)
 	}
-	st := f.Stats()
-	if st.Sent != 2 || st.Received != 2 {
-		t.Fatalf("stats = %+v, want 2 sent / 2 received", st)
+	if sent, _, _ := sw.Stats(); sent != 2 || p.Stats().Sent != 0 {
+		t.Fatalf("switch sent %d, port %+v; want 2 local copies, no datagram", sent, p.Stats())
 	}
 }
 
 // Malformed multi-target datagrams are counted and dropped without
 // panicking, and copies for unhosted addresses count as unroutable.
 func TestMalformedBatchDatagrams(t *testing.T) {
-	w := runtime.NewWall()
-	go w.Run()
-	defer w.Stop()
-	f, err := New(w, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, sw, p := newNode(t, nil, nil)
 	rec := newOrderRec()
-	f.Attach(packet.APIP(0), rec.node(0))
+	sw.Attach(packet.APIP(0), rec.node(0))
 
 	ctl, ap0, ap9 := packet.ControllerIP, packet.APIP(0), packet.APIP(9)
 	valid := packet.Encode(downMsg(1))
@@ -216,25 +179,26 @@ func TestMalformedBatchDatagrams(t *testing.T) {
 		datagram(ctl, []packet.IPv4Addr{ap0, ap9}, []byte{0xee, 0x00, 0x01, 9}), // unknown payload type
 	}
 	for i, b := range bad {
-		f.receive(b)
-		if st := f.Stats(); st.DecodeErrs != uint64(i+1) {
+		p.receive(b)
+		drain(w)
+		if st := p.Stats(); st.DecodeErrs != uint64(i+1) {
 			t.Fatalf("case %d: DecodeErrs = %d, want %d", i, st.DecodeErrs, i+1)
 		}
 	}
 
 	// One hosted target, one unhosted: the hosted copy delivers, the other
 	// counts as unroutable.
-	f.receive(datagram(ctl, []packet.IPv4Addr{ap0, ap9}, valid))
+	p.receive(datagram(ctl, []packet.IPv4Addr{ap0, ap9}, valid))
+	drain(w)
 	rec.wait(t, 1)
-	st := f.Stats()
-	if st.Received != 1 || st.Unroutable != 1 || st.DecodeErrs != uint64(len(bad)) {
-		t.Fatalf("stats = %+v, want 1 received / 1 unroutable / %d decode errors", st, len(bad))
+	if st := p.Stats(); st.Unroutable != 1 || st.DecodeErrs != uint64(len(bad)) {
+		t.Fatalf("stats = %+v, want 1 unroutable / %d decode errors", st, len(bad))
 	}
 }
 
-// Steady-state SendMany of 8 targets on two endpoints — one sendmmsg of two
-// datagrams — allocates nothing: the raw connection and its callback are
-// bound once, the vectors and buffers are reused scratch.
+// Steady-state SendMany of 8 targets on two endpoints — two datagrams —
+// allocates nothing: the remote lists, groups and buffers are reused
+// scratch.
 func TestSendManyZeroAlloc(t *testing.T) {
 	conn, sinkA, sinkB := listen(t), listen(t), listen(t)
 	defer conn.Close()
@@ -250,31 +214,22 @@ func TestSendManyZeroAlloc(t *testing.T) {
 		}
 		table[tos[i]] = sink.LocalAddr().String()
 	}
-	f, err := New(runtime.NewWall(), conn, table)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, sw, p := newNode(t, conn, table)
 	msg := downMsg(3)
-	send := func() { f.SendMany(packet.ControllerIP, tos, msg) }
+	send := func() { sw.SendMany(packet.ControllerIP, tos, msg) }
 	send()
 	if allocs := testing.AllocsPerRun(100, send); allocs != 0 {
 		t.Fatalf("SendMany steady state allocates %.1f/op, want 0", allocs)
 	}
-	if st := f.Stats(); st.BatchedWrites == 0 || st.BatchedCopies != 4*st.BatchedWrites {
-		t.Fatalf("stats = %+v, want two 4-copy datagrams per send", st)
+	if sent, _, _ := sw.Stats(); sent != 4*p.Stats().Sent {
+		t.Fatalf("switch sent %d copies in %d datagrams, want two 4-copy datagrams per send", sent, p.Stats().Sent)
 	}
 }
 
-// An endpoint hosting more than maxBatch targets gets several chunked batch
+// An endpoint hosting more than maxBatch targets gets several chunked
 // datagrams, all copies delivered.
 func TestSendManyChunksLargeGroups(t *testing.T) {
 	connA, connB := listen(t), listen(t)
-	wA, wB := runtime.NewWall(), runtime.NewWall()
-	go wA.Run()
-	go wB.Run()
-	defer wA.Stop()
-	defer wB.Stop()
-
 	const nTargets = maxBatch + 5
 	table := map[packet.IPv4Addr]string{}
 	tos := make([]packet.IPv4Addr, nTargets)
@@ -284,30 +239,26 @@ func TestSendManyChunksLargeGroups(t *testing.T) {
 		table[addr] = connB.LocalAddr().String()
 		tos[i] = addr
 	}
-	fa, err := New(wA, connA, table)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb, err := New(wB, connB, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, swA, pa := newNode(t, connA, table)
+	wB, swB, pb := newNode(t, connB, nil)
 	var mu sync.Mutex
 	got := 0
 	ch := make(chan struct{}, nTargets)
 	for _, addr := range tos {
-		fb.Attach(addr, backhaul.NodeFunc(func(packet.IPv4Addr, packet.Message) {
+		swB.Attach(addr, backhaul.NodeFunc(func(packet.IPv4Addr, packet.Message) {
 			mu.Lock()
 			got++
 			mu.Unlock()
 			ch <- struct{}{}
 		}))
 	}
-	fb.Start()
-	defer fa.Close()
-	defer fb.Close()
+	pb.Start()
+	defer pa.Close()
+	defer pb.Close()
+	go wB.Run()
+	defer wB.Stop()
 
-	fa.SendMany(packet.ControllerIP, tos, downMsg(2))
+	swA.SendMany(packet.ControllerIP, tos, downMsg(2))
 	for i := 0; i < nTargets; i++ {
 		select {
 		case <-ch:
@@ -315,8 +266,10 @@ func TestSendManyChunksLargeGroups(t *testing.T) {
 			t.Fatalf("timed out at copy %d/%d", i+1, nTargets)
 		}
 	}
-	st := fa.Stats()
-	if st.Sent != 2 || st.BatchedWrites != 2 || st.BatchedCopies != nTargets {
-		t.Fatalf("stats = %+v, want 2 chunked batch datagrams carrying %d copies", st, nTargets)
+	if st := pa.Stats(); st.Sent != 2 {
+		t.Fatalf("stats = %+v, want 2 chunked datagrams carrying %d copies", st, nTargets)
+	}
+	if sent, _, _ := swA.Stats(); sent != nTargets {
+		t.Fatalf("switch counted %d copies, want %d", sent, nTargets)
 	}
 }

@@ -5,15 +5,14 @@ import (
 
 	"wgtt/internal/backhaul"
 	"wgtt/internal/packet"
-	"wgtt/internal/runtime"
 )
 
-// FuzzDatagram throws arbitrary datagrams at the reader's parse path,
-// receive → deliver, on a fabric hosting two nodes, with a Wall that never
-// runs (posts only queue). It must never panic, and its counters must
-// account for every input: either the datagram is one decode error and
-// delivers nothing, or it lists at least one target and every target it
-// lists is counted received or unroutable.
+// FuzzDatagram throws arbitrary datagrams at the inbound path — the
+// reader's parse, the Post, the switch's decode and delivery — on a node
+// hosting two nodes, with the posts run on the test goroutine. It must
+// never panic, and the counters must account for every input: either the
+// datagram is one decode error and delivers nothing, or it lists at least
+// one target and every target it lists is received or counted unroutable.
 func FuzzDatagram(f *testing.F) {
 	from, ap0, ap1, ap9 := packet.ControllerIP, packet.APIP(0), packet.APIP(1), packet.APIP(9)
 	msg := packet.Encode(downMsg(7))
@@ -30,20 +29,19 @@ func FuzzDatagram(f *testing.F) {
 	long[2]++
 	f.Add(datagram(from, tos(ap0), long))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		fab, err := New(runtime.NewWall(), nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nop := backhaul.NodeFunc(func(packet.IPv4Addr, packet.Message) {})
-		fab.Attach(ap0, nop)
-		fab.Attach(ap1, nop)
-		fab.receive(b)
+		w, sw, p := newNode(t, nil, nil)
+		received := uint64(0)
+		count := backhaul.NodeFunc(func(packet.IPv4Addr, packet.Message) { received++ })
+		sw.Attach(ap0, count)
+		sw.Attach(ap1, count)
+		p.receive(b)
+		drain(w)
 		listed := uint64(0)
 		if len(b) > 4 {
 			listed = uint64(b[4])
 		}
-		st := fab.Stats()
-		delivered := st.Received + st.Unroutable
+		st := p.Stats()
+		delivered := received + st.Unroutable
 		if !(st.DecodeErrs == 1 && delivered == 0) && !(st.DecodeErrs == 0 && listed > 0 && delivered == listed) {
 			t.Fatalf("%d-byte datagram listing %d targets: %+v", len(b), listed, st)
 		}

@@ -50,36 +50,44 @@ func (c *collector) wait(t *testing.T, n int) {
 	}
 }
 
-// Two fabrics over loopback: a message sent on one must arrive at the node
+// newNode builds one live node's backhaul: a wall, its zero-latency switch
+// and the UDP port over conn (nil where a test only feeds receive).
+func newNode(t *testing.T, conn *net.UDPConn, table map[packet.IPv4Addr]string) (*runtime.Wall, *backhaul.Switch, *Port) {
+	t.Helper()
+	w := runtime.NewWall()
+	sw := backhaul.NewSwitch(w.Eng, 0)
+	p, err := New(w, sw, conn, table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w, sw, p
+}
+
+// drain stops w and runs what was scheduled or posted to it on the calling
+// goroutine: the first pass schedules the posts, the second fires them.
+func drain(w *runtime.Wall) {
+	w.Stop()
+	w.Run()
+	w.Run()
+}
+
+// Two nodes over loopback: a message sent on one must arrive at the node
 // attached to the other, decoded to the same typed struct.
 func TestSendAcrossSockets(t *testing.T) {
 	connA, connB := listen(t), listen(t)
-	wA, wB := runtime.NewWall(), runtime.NewWall()
-	go wA.Run()
+	ctl, ap0 := packet.ControllerIP, packet.APIP(0)
+	_, swA, pa := newNode(t, connA, map[packet.IPv4Addr]string{ap0: connB.LocalAddr().String()})
+	wB, swB, pb := newNode(t, connB, map[packet.IPv4Addr]string{ctl: connA.LocalAddr().String()})
+	rxB := newCollector()
+	swB.Attach(ap0, rxB)
+	pb.Start()
 	go wB.Run()
-	defer wA.Stop()
 	defer wB.Stop()
-
-	ctl := packet.ControllerIP
-	ap0 := packet.APIP(0)
-	fa, err := New(wA, connA, map[packet.IPv4Addr]string{ap0: connB.LocalAddr().String()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb, err := New(wB, connB, map[packet.IPv4Addr]string{ctl: connA.LocalAddr().String()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rxA, rxB := newCollector(), newCollector()
-	fa.Attach(ctl, rxA)
-	fb.Attach(ap0, rxB)
-	fa.Start()
-	fb.Start()
-	defer fa.Close()
-	defer fb.Close()
+	defer pa.Close()
+	defer pb.Close()
 
 	stop := &packet.Stop{Client: packet.ClientMAC(1), NextAP: packet.APIP(1), SwitchID: 7}
-	if err := fa.Send(ctl, ap0, stop); err != nil {
+	if err := swA.Send(ctl, ap0, stop); err != nil {
 		t.Fatal(err)
 	}
 	rxB.wait(t, 1)
@@ -88,51 +96,49 @@ func TestSendAcrossSockets(t *testing.T) {
 	if rxB.from[0] != ctl || rxB.types[0] != packet.MsgStop {
 		t.Fatalf("got %v from %v, want MsgStop from controller", rxB.types[0], rxB.from[0])
 	}
-	st := fa.Stats()
-	if st.Sent != 1 || st.Bytes != uint64(3+stop.WireSize()) {
-		t.Fatalf("sender stats = %+v", st)
+	if sent, _, bytes := swA.Stats(); sent != 1 || bytes != uint64(3+stop.WireSize()) {
+		t.Fatalf("sender switch: %d sent, %d bytes", sent, bytes)
 	}
-	if got := fb.Stats(); got.Received != 1 {
-		t.Fatalf("receiver stats = %+v", got)
+	if st := pa.Stats(); st.Sent != 1 {
+		t.Fatalf("sender port stats = %+v", st)
+	}
+	if st := pb.Stats(); st.DecodeErrs != 0 || st.Unroutable != 0 {
+		t.Fatalf("receiver port stats = %+v", st)
 	}
 }
 
-// Loopback to a node on the same fabric must still round-trip the codec.
+// A target attached to the node's own switch is delivered by the switch,
+// through the codec, and never reaches the socket.
 func TestLocalDeliveryPassesCodec(t *testing.T) {
-	conn := listen(t)
-	w := runtime.NewWall()
-	go w.Run()
-	defer w.Stop()
-	f, err := New(w, conn, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, sw, p := newNode(t, listen(t), nil)
+	defer p.Close()
 	rx := newCollector()
-	f.Attach(packet.APIP(0), rx)
-	f.Start()
-	defer f.Close()
-	if err := f.Send(packet.ControllerIP, packet.APIP(0), &packet.HealthProbe{Seq: 3}); err != nil {
+	sw.Attach(packet.APIP(0), rx)
+	if err := sw.Send(packet.ControllerIP, packet.APIP(0), &packet.HealthProbe{Seq: 3}); err != nil {
 		t.Fatal(err)
 	}
+	drain(w)
 	rx.wait(t, 1)
-	if st := f.Stats(); st.Received != 1 || st.Sent != 1 {
-		t.Fatalf("stats = %+v", st)
+	if sent, _, _ := sw.Stats(); sent != 1 || p.Stats().Sent != 0 {
+		t.Fatalf("switch sent %d, port %+v; want one local copy, no datagram", sent, p.Stats())
 	}
 }
 
+// A target neither attached nor in the peer table is an error for Send and
+// skipped by SendMany; nothing reaches the socket.
 func TestSendUnroutable(t *testing.T) {
-	conn := listen(t)
-	f, err := New(runtime.NewWall(), conn, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := f.Send(packet.ControllerIP, packet.APIP(5), &packet.HealthProbe{}); err == nil {
+	_, sw, p := newNode(t, listen(t), nil)
+	defer p.Close()
+	if err := sw.Send(packet.ControllerIP, packet.APIP(5), &packet.HealthProbe{}); err == nil {
 		t.Fatal("send to unknown address succeeded")
 	}
+	sw.SendMany(packet.ControllerIP, []packet.IPv4Addr{packet.APIP(5)}, &packet.HealthProbe{})
+	if sent, _, _ := sw.Stats(); sent != 0 || p.Stats().Sent != 0 {
+		t.Fatalf("switch sent %d, port %+v", sent, p.Stats())
+	}
 }
 
-// datagram builds one datagram on the fabric's wire format:
+// datagram builds one datagram on the port's wire format:
 // [from][count][to]×count, then the payload parts.
 func datagram(from packet.IPv4Addr, tos []packet.IPv4Addr, parts ...[]byte) []byte {
 	b := append(append([]byte{}, from[:]...), byte(len(tos)))
@@ -146,21 +152,17 @@ func datagram(from packet.IPv4Addr, tos []packet.IPv4Addr, parts ...[]byte) []by
 }
 
 // Malformed datagrams must be counted and dropped, never crash the reader,
-// and the fabric must keep delivering afterwards.
+// and the node must keep delivering afterwards.
 func TestMalformedDatagramsSurvived(t *testing.T) {
 	conn := listen(t)
-	w := runtime.NewWall()
-	go w.Run()
-	defer w.Stop()
-	f, err := New(w, conn, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, sw, p := newNode(t, conn, nil)
 	rx := newCollector()
 	ap0 := packet.APIP(0)
-	f.Attach(ap0, rx)
-	f.Start()
-	defer f.Close()
+	sw.Attach(ap0, rx)
+	p.Start()
+	defer p.Close()
+	go w.Run()
+	defer w.Stop()
 
 	tx := listen(t)
 	defer tx.Close()
@@ -194,9 +196,9 @@ func TestMalformedDatagramsSurvived(t *testing.T) {
 		}
 		break
 	}
-	if st := f.Stats(); st.DecodeErrs < uint64(len(bad)) {
-		// UDP on loopback does not drop, so all four should be counted by
-		// the time the good message made it through.
+	if st := p.Stats(); st.DecodeErrs < uint64(len(bad)) {
+		// UDP on loopback does not drop, and the engine handles posts in
+		// order, so all four are counted by the time the good one arrived.
 		t.Fatalf("DecodeErrs = %d, want >= %d", st.DecodeErrs, len(bad))
 	}
 }
@@ -206,15 +208,9 @@ func TestMalformedDatagramsSurvived(t *testing.T) {
 // trailing bytes after a well-formed message (the codec accepts exactly one
 // message, so a datagram carries exactly one).
 func TestDecodeErrorAccountingPerClass(t *testing.T) {
-	w := runtime.NewWall()
-	go w.Run()
-	defer w.Stop()
-	f, err := New(w, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, sw, p := newNode(t, nil, nil)
 	rx := newCollector()
-	f.Attach(packet.APIP(0), rx)
+	sw.Attach(packet.APIP(0), rx)
 	to := []packet.IPv4Addr{packet.APIP(0)}
 
 	valid := packet.Encode(&packet.HealthProbe{Seq: 4, At: 1})
@@ -228,17 +224,18 @@ func TestDecodeErrorAccountingPerClass(t *testing.T) {
 		{"trailing garbage", append(append([]byte{}, valid...), 0xab)},
 	}
 	for i, tc := range cases {
-		f.deliver(packet.ControllerIP, to, tc.raw)
-		if st := f.Stats(); st.DecodeErrs != uint64(i+1) {
+		p.receive(datagram(packet.ControllerIP, to, tc.raw))
+		drain(w)
+		if st := p.Stats(); st.DecodeErrs != uint64(i+1) {
 			t.Fatalf("%s: DecodeErrs = %d, want %d", tc.name, st.DecodeErrs, i+1)
 		}
 	}
 	// The exact same bytes minus the trailing garbage must deliver.
-	f.deliver(packet.ControllerIP, to, valid)
+	p.receive(datagram(packet.ControllerIP, to, valid))
+	drain(w)
 	rx.wait(t, 1)
-	st := f.Stats()
-	if st.Received != 1 || st.DecodeErrs != uint64(len(cases)) {
-		t.Fatalf("stats = %+v, want Received 1, DecodeErrs %d", st, len(cases))
+	if st := p.Stats(); st.DecodeErrs != uint64(len(cases)) || st.Unroutable != 0 {
+		t.Fatalf("stats = %+v, want DecodeErrs %d", st, len(cases))
 	}
 	rx.mu.Lock()
 	defer rx.mu.Unlock()
@@ -247,47 +244,38 @@ func TestDecodeErrorAccountingPerClass(t *testing.T) {
 	}
 }
 
-// A datagram addressed to a virtual node this fabric does not host is
-// counted as unroutable and posts nothing.
+// A datagram addressed to a virtual node this node does not host is
+// counted as unroutable and delivers nothing.
 func TestUnroutableInbound(t *testing.T) {
-	w := runtime.NewWall()
-	f, err := New(w, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.receive(datagram(packet.ControllerIP, []packet.IPv4Addr{packet.APIP(99)},
+	w, sw, p := newNode(t, nil, nil)
+	delivered := 0
+	sw.Attach(packet.APIP(0), backhaul.NodeFunc(func(packet.IPv4Addr, packet.Message) { delivered++ }))
+	p.receive(datagram(packet.ControllerIP, []packet.IPv4Addr{packet.APIP(99)},
 		packet.Encode(&packet.HealthProbe{Seq: 1})))
-	if st := f.Stats(); st.Unroutable != 1 || st.Received != 0 || st.DecodeErrs != 0 {
-		t.Fatalf("stats = %+v, want exactly one unroutable copy", st)
-	}
-	if _, ok := w.Eng.Next(); ok {
-		t.Fatal("unroutable datagram scheduled a delivery")
+	drain(w)
+	if st := p.Stats(); st.Unroutable != 1 || st.DecodeErrs != 0 || delivered != 0 {
+		t.Fatalf("stats = %+v, %d delivered; want exactly one unroutable copy", st, delivered)
 	}
 }
 
 // Receiving a one-target datagram allocates nothing beyond the message the
-// codec decodes: the delivery event is pooled and the target list is reader
-// scratch. Stop makes each Run one pass, which fires the previous
-// datagram's delivery (returning its event to the pool) and queues this one.
+// codec decodes: the inbound datagram and the switch's delivery are pooled
+// and the target list is reused. Stop makes each Run one pass, which fires
+// the previous datagram's posted delivery (returning both to their pools)
+// and schedules this one.
 func TestReceiveAllocsOnlyTheDecodedMessage(t *testing.T) {
-	w := runtime.NewWall()
+	w, sw, p := newNode(t, nil, nil)
 	w.Stop()
-	f, err := New(w, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	delivered := 0
-	f.Attach(packet.APIP(0), backhaul.NodeFunc(func(packet.IPv4Addr, packet.Message) { delivered++ }))
+	sw.Attach(packet.APIP(0), backhaul.NodeFunc(func(packet.IPv4Addr, packet.Message) { delivered++ }))
 	payload := packet.Encode(&packet.Stop{Client: packet.ClientMAC(1), NextAP: packet.APIP(1), SwitchID: 7})
 	dg := datagram(packet.ControllerIP, []packet.IPv4Addr{packet.APIP(0)}, payload)
 	recv := func() {
-		f.receive(dg)
+		p.receive(dg)
 		w.Run()
 	}
 	recv()
 	recv()
-	// 1,000 runs: under -race, sync.Pool drops a quarter of its Puts, and
-	// the misses must not add up to a whole allocation per run.
 	got := testing.AllocsPerRun(1000, recv)
 	want := testing.AllocsPerRun(1000, func() { _, _ = packet.Decode(payload) })
 	if got > want {
@@ -298,28 +286,24 @@ func TestReceiveAllocsOnlyTheDecodedMessage(t *testing.T) {
 	}
 }
 
-// Sends from several goroutines — local, batched and remote — race each
-// other and the reader goroutine onto one fabric's pooled deliveries; every
-// copy for the local node arrives.
+// The concurrency left in a live node: goroutines post sends — local,
+// fanned out and remote — onto the engines while node A's reader goroutine
+// posts inbound datagrams onto the same engine; every copy for A's local
+// node arrives.
 func TestConcurrentSendAndReceive(t *testing.T) {
 	connA, connB := listen(t), listen(t)
-	w := runtime.NewWall()
-	go w.Run()
-	defer w.Stop()
 	ctl, ap0, ap1 := packet.ControllerIP, packet.APIP(0), packet.APIP(1)
-	fa, err := New(w, connA, map[packet.IPv4Addr]string{ap1: connB.LocalAddr().String()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb, err := New(runtime.NewWall(), connB, map[packet.IPv4Addr]string{ap0: connA.LocalAddr().String()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer connB.Close()
+	wA, swA, pa := newNode(t, connA, map[packet.IPv4Addr]string{ap1: connB.LocalAddr().String()})
+	wB, swB, pb := newNode(t, connB, map[packet.IPv4Addr]string{ap0: connA.LocalAddr().String()})
 	rx := newCollector()
-	fa.Attach(ap0, rx)
-	fa.Start()
-	defer fa.Close()
+	swA.Attach(ap0, rx)
+	pa.Start()
+	defer pa.Close()
+	defer pb.Close()
+	go wA.Run()
+	defer wA.Stop()
+	go wB.Run()
+	defer wB.Stop()
 
 	const senders, per = 4, 25
 	msg := &packet.HealthProbe{Seq: 1}
@@ -329,13 +313,17 @@ func TestConcurrentSendAndReceive(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for k := 0; k < per; k++ {
-				if err := fa.Send(ctl, ap0, msg); err != nil {
-					t.Error(err)
-				}
-				fa.SendMany(ctl, []packet.IPv4Addr{ap0, ap1}, msg)
-				if err := fb.Send(ap1, ap0, msg); err != nil {
-					t.Error(err)
-				}
+				wA.Post(func() {
+					if err := swA.Send(ctl, ap0, msg); err != nil {
+						t.Error(err)
+					}
+					swA.SendMany(ctl, []packet.IPv4Addr{ap0, ap1}, msg)
+				})
+				wB.Post(func() {
+					if err := swB.Send(ap1, ap0, msg); err != nil {
+						t.Error(err)
+					}
+				})
 			}
 		}()
 	}
@@ -343,6 +331,5 @@ func TestConcurrentSendAndReceive(t *testing.T) {
 	wg.Wait()
 }
 
-// The fabric must satisfy backhaul.Fabric alongside the simulator Switch.
-var _ backhaul.Fabric = (*Fabric)(nil)
-var _ backhaul.Fabric = (*backhaul.Switch)(nil)
+// The port is the switch's remote port.
+var _ backhaul.Port = (*Port)(nil)

@@ -5,6 +5,7 @@ import (
 	"net"
 	"time"
 
+	"wgtt/internal/backhaul"
 	"wgtt/internal/backhaul/udp"
 	"wgtt/internal/packet"
 	"wgtt/internal/runtime"
@@ -22,16 +23,17 @@ type FanoutResult struct {
 	Copies     uint64        // per-AP copies those messages produced
 	Elapsed    time.Duration // wall time spent sending
 	PktsPerSec float64       // sustained copies per second
-	Stats      udp.Stats     // the sending fabric's counters
+	Stats      udp.Stats     // the sending port's counters
 }
 
-// MeasureFanout pushes packets downlink messages through a loopback
-// udp.Fabric, each fanned out to numAPs virtual APs hosted behind one sink
-// endpoint, and reports the sustained copy rate. batched selects SendMany
-// — encode once, one datagram per endpoint listing its targets; false sends
-// each copy with its own Send, the benchmark's baseline. The sink is never read: once its receive buffer
-// fills the kernel drops the overflow silently, which is exactly UDP's
-// contract and keeps the measurement on the send path.
+// MeasureFanout pushes packets downlink messages through a live node's
+// switch and its loopback UDP port, each fanned out to numAPs virtual APs
+// hosted behind one sink endpoint, and reports the sustained copy rate.
+// batched selects SendMany — encode once, one datagram per endpoint listing
+// its targets; false sends each copy with its own Send, the benchmark's
+// baseline. The sink is never read: once its receive buffer fills the
+// kernel drops the overflow silently, which is exactly UDP's contract and
+// keeps the measurement on the send path.
 func MeasureFanout(numAPs, packets int, batched bool) (FanoutResult, error) {
 	if numAPs < 1 || packets < 1 {
 		return FanoutResult{}, fmt.Errorf("live: fan-out needs at least 1 AP and 1 packet")
@@ -53,7 +55,9 @@ func MeasureFanout(numAPs, packets int, batched bool) (FanoutResult, error) {
 		table[packet.APIP(i)] = sink.LocalAddr().String()
 		targets[i] = packet.APIP(i)
 	}
-	fab, err := udp.New(runtime.NewWall(), conn, table)
+	w := runtime.NewWall()
+	sw := backhaul.NewSwitch(w.Eng, 0)
+	port, err := udp.New(w, sw, conn, table)
 	if err != nil {
 		return FanoutResult{}, err
 	}
@@ -65,10 +69,10 @@ func MeasureFanout(numAPs, packets int, batched bool) (FanoutResult, error) {
 	for i := 0; i < packets; i++ {
 		msg.Pkt.Index = packet.NextIndex(msg.Pkt.Index)
 		if batched {
-			fab.SendMany(packet.ControllerIP, targets, msg)
+			sw.SendMany(packet.ControllerIP, targets, msg)
 		} else {
 			for _, to := range targets {
-				_ = fab.Send(packet.ControllerIP, to, msg)
+				_ = sw.Send(packet.ControllerIP, to, msg)
 			}
 		}
 	}
@@ -78,7 +82,7 @@ func MeasureFanout(numAPs, packets int, batched bool) (FanoutResult, error) {
 		Packets: packets,
 		Copies:  uint64(packets) * uint64(numAPs),
 		Elapsed: elapsed,
-		Stats:   fab.Stats(),
+		Stats:   port.Stats(),
 	}
 	if s := elapsed.Seconds(); s > 0 {
 		res.PktsPerSec = float64(res.Copies) / s

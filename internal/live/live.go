@@ -20,6 +20,7 @@ import (
 	"net"
 
 	"wgtt/internal/ap"
+	"wgtt/internal/backhaul"
 	"wgtt/internal/backhaul/udp"
 	"wgtt/internal/controller"
 	"wgtt/internal/federation"
@@ -86,25 +87,27 @@ func Table(endpoints []string, controllers int) map[packet.IPv4Addr]string {
 	return t
 }
 
-// runNode is the body every live node shares: a wall-paced engine and a UDP
-// fabric over conn, the protocol core wire builds on them, and the run loop
-// until the core stops the pacer or timeout elapses. conn is the node's pre-bound
-// socket; table maps every OTHER node's virtual address to its endpoint.
-// The loop runs wire's callbacks on this goroutine, so what they record is
-// the caller's to read once runNode returns.
-func runNode(conn *net.UDPConn, table map[packet.IPv4Addr]string, timeout sim.Time, wire func(w *runtime.Wall, fab *udp.Fabric) error) error {
+// runNode is the body every live node shares: a wall-paced engine, the
+// simulator's backhaul.Switch at zero latency with a UDP port over conn,
+// the protocol core wire builds on them, and the run loop until the core
+// stops the pacer or timeout elapses. conn is the node's pre-bound socket;
+// table maps every OTHER node's virtual address to its endpoint. The loop
+// runs wire's callbacks on this goroutine, so what they record is the
+// caller's to read once runNode returns.
+func runNode(conn *net.UDPConn, table map[packet.IPv4Addr]string, timeout sim.Time, wire func(w *runtime.Wall, sw *backhaul.Switch) error) error {
 	w := runtime.NewWall()
-	fab, err := udp.New(w, conn, table)
+	sw := backhaul.NewSwitch(w.Eng, 0)
+	port, err := udp.New(w, sw, conn, table)
 	if err != nil {
 		return err
 	}
-	if err := wire(w, fab); err != nil {
+	if err := wire(w, sw); err != nil {
 		return err
 	}
 	w.Eng.After(timeout, w.Stop)
-	fab.Start()
+	port.Start()
 	w.Run()
-	_ = fab.Close()
+	_ = port.Close()
 	return nil
 }
 
@@ -136,10 +139,10 @@ func RunController(domain int, conn *net.UDPConn, table map[packet.IPv4Addr]stri
 		rec controller.SwitchRecord
 		got bool
 	)
-	err := runNode(conn, table, timeout, func(w *runtime.Wall, fab *udp.Fabric) error {
+	err := runNode(conn, table, timeout, func(w *runtime.Wall, sw *backhaul.Switch) error {
 		cfg := federation.DefaultConfig()
 		cfg.Controller.Selector.Policy = pol
-		dom := federation.NewDomain(cfg, w.Eng, fab, domain, city)
+		dom := federation.NewDomain(cfg, w.Eng, sw, domain, city)
 		dom.OnSwitch = func(r controller.SwitchRecord) {
 			if !got {
 				rec, got = r, true
@@ -164,9 +167,9 @@ func RunController(domain int, conn *net.UDPConn, table map[packet.IPv4Addr]stri
 // domain controller, packet.DomainControllerIP(City(...)[id].Domain).
 func RunAP(id int, conn *net.UDPConn, table map[packet.IPv4Addr]string, ctlAddr packet.IPv4Addr, script CSIScript, serving bool, duration sim.Time) (ap.Stats, error) {
 	var node *ap.AP
-	err := runNode(conn, table, duration, func(w *runtime.Wall, fab *udp.Fabric) error {
+	err := runNode(conn, table, duration, func(w *runtime.Wall, sw *backhaul.Switch) error {
 		cfg := APConfig(id)
-		node = ap.New(cfg, w.Eng, fab, nil, ctlAddr, rand.New(rand.NewPCG(uint64(id), 0)))
+		node = ap.New(cfg, w.Eng, sw, nil, ctlAddr, rand.New(rand.NewPCG(uint64(id), 0)))
 		node.Associate(Client, ClientIP, serving)
 
 		period := script.Period
@@ -181,7 +184,7 @@ func RunAP(id int, conn *net.UDPConn, table map[packet.IPv4Addr]string, ctlAddr 
 			for i := range rep.SNRQ {
 				rep.SNRQ[i] = q
 			}
-			_ = fab.Send(cfg.IP, ctlAddr, rep)
+			_ = sw.Send(cfg.IP, ctlAddr, rep)
 			w.Eng.After(period, tick)
 		}
 		w.Eng.After(period, tick)

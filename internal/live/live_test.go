@@ -5,8 +5,11 @@ import (
 	"testing"
 
 	"wgtt/internal/ap"
+	"wgtt/internal/backhaul"
 	"wgtt/internal/controller"
+	"wgtt/internal/federation"
 	"wgtt/internal/packet"
+	"wgtt/internal/runtime"
 	"wgtt/internal/sim"
 )
 
@@ -19,21 +22,18 @@ func bind(t *testing.T) *net.UDPConn {
 	return conn
 }
 
-// Three wall-clock nodes over UDP loopback — controller plus two APs with
-// crossing CSI ramps — must complete one full §3.1.2 stop→start→ack switch
-// from AP 0 to AP 1, every message crossing a real socket in wire encoding.
-func TestThreeNodeSwitchOverLoopback(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real-time multi-node run")
+// loopback binds n nodes' sockets — controllers first, then APs, as Table
+// lays them out — and returns them with each node's peer table, which
+// lists every other node.
+func loopback(t *testing.T, n, controllers int) ([]*net.UDPConn, func(self packet.IPv4Addr) map[packet.IPv4Addr]string) {
+	conns := make([]*net.UDPConn, n)
+	eps := make([]string, n)
+	for i := range conns {
+		conns[i] = bind(t)
+		eps[i] = conns[i].LocalAddr().String()
 	}
-	conns := []*net.UDPConn{bind(t), bind(t), bind(t)}
-	eps := make([]string, len(conns))
-	for i, c := range conns {
-		eps[i] = c.LocalAddr().String()
-	}
-	full := Table(eps, 1)
-	// Each node's table lists the other nodes only.
-	tableFor := func(self packet.IPv4Addr) map[packet.IPv4Addr]string {
+	full := Table(eps, controllers)
+	return conns, func(self packet.IPv4Addr) map[packet.IPv4Addr]string {
 		m := make(map[packet.IPv4Addr]string, len(full)-1)
 		for a, ep := range full {
 			if a != self {
@@ -42,19 +42,56 @@ func TestThreeNodeSwitchOverLoopback(t *testing.T) {
 		}
 		return m
 	}
+}
 
-	type apResult struct {
-		stats ap.Stats
-		err   error
-	}
-	apDone := make([]chan apResult, 2)
-	for i := range apDone {
-		apDone[i] = make(chan apResult, 1)
+// runAPs starts one AP node per city entry, each reporting to its domain's
+// controller, and returns their results, one channel each.
+func runAPs(conns []*net.UDPConn, tableFor func(packet.IPv4Addr) map[packet.IPv4Addr]string, city []federation.APAssignment, timeout sim.Time) []chan apResult {
+	controllers := len(conns) - len(city)
+	done := make([]chan apResult, len(city))
+	for i := range done {
+		done[i] = make(chan apResult, 1)
 		go func(id int) {
-			st, err := RunAP(id, conns[id+1], tableFor(packet.APIP(id)), packet.ControllerIP, Script(id), id == 0, 2*sim.Second)
-			apDone[id] <- apResult{st, err}
+			st, err := RunAP(id, conns[controllers+id], tableFor(packet.APIP(id)),
+				packet.DomainControllerIP(city[id].Domain), Script(id), id == 0, timeout)
+			done[id] <- apResult{st, err}
 		}(i)
 	}
+	return done
+}
+
+type apResult struct {
+	stats ap.Stats
+	err   error
+}
+
+// checkAPs waits for the AP nodes and asserts AP 0 handled a stop and AP 1
+// a start.
+func checkAPs(t *testing.T, done []chan apResult) {
+	t.Helper()
+	for i, ch := range done {
+		res := <-ch
+		if res.err != nil {
+			t.Fatalf("AP %d: %v", i, res.err)
+		}
+		if i == 0 && res.stats.StopsHandled == 0 {
+			t.Errorf("AP 0 handled no stop")
+		}
+		if i == 1 && res.stats.StartsHandled == 0 {
+			t.Errorf("AP 1 handled no start")
+		}
+	}
+}
+
+// Three wall-clock nodes over UDP loopback — controller plus two APs with
+// crossing CSI ramps — must complete one full §3.1.2 stop→start→ack switch
+// from AP 0 to AP 1, every message crossing a real socket in wire encoding.
+func TestThreeNodeSwitchOverLoopback(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-time multi-node run")
+	}
+	conns, tableFor := loopback(t, 3, 1)
+	apDone := runAPs(conns, tableFor, City(2, 1), 2*sim.Second)
 
 	rec, err := RunController(0, conns[0], tableFor(packet.ControllerIP), City(2, 1), 2*sim.Second, "")
 	if err != nil {
@@ -78,28 +115,57 @@ func TestThreeNodeSwitchOverLoopback(t *testing.T) {
 	if rec.Forced {
 		t.Fatal("switch reported forced; want a clean stop->start->ack handshake")
 	}
+	checkAPs(t, apDone)
+}
 
-	for i, ch := range apDone {
-		res := <-ch
-		if res.err != nil {
-			t.Fatalf("AP %d: %v", i, res.err)
-		}
-		if res.stats.CSIReports == 0 {
-			// The live CSI source bypasses ap.Stats (it sends directly on
-			// the fabric), so assert protocol activity instead.
-			_ = res.stats
-		}
-		switch i {
-		case 0:
-			if res.stats.StopsHandled == 0 {
-				t.Errorf("AP 0 handled no stop")
-			}
-		case 1:
-			if res.stats.StartsHandled == 0 {
-				t.Errorf("AP 1 handled no start")
-			}
-		}
+// A live node's backhaul is the simulator's switch, so its Drop hook — the
+// one chaos.Injector.Arm composes onto — reaches the wire: the controller's
+// first stop is never written, and the real 30 ms retransmission timer
+// still completes the handover unforced.
+func TestLostStopRetransmittedOverLoopback(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-time multi-node run")
 	}
+	conns, tableFor := loopback(t, 3, 1)
+	city := City(2, 1)
+	apDone := runAPs(conns, tableFor, city, 2*sim.Second)
+
+	var (
+		rec  controller.SwitchRecord
+		got  bool
+		lost int
+	)
+	err := runNode(conns[0], tableFor(packet.ControllerIP), 2*sim.Second, func(w *runtime.Wall, sw *backhaul.Switch) error {
+		sw.Drop = func(_ packet.IPv4Addr, msg packet.Message) bool {
+			if lost > 0 || msg.Type() != packet.MsgStop {
+				return false
+			}
+			lost++
+			return true
+		}
+		dom := federation.NewDomain(federation.DefaultConfig(), w.Eng, sw, 0, city)
+		dom.OnSwitch = func(r controller.SwitchRecord) {
+			if !got {
+				rec, got = r, true
+				w.Stop()
+			}
+		}
+		return dom.RegisterClient(Client, ClientIP, 0)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lost != 1 {
+		t.Fatalf("dropped %d stops, want the first", lost)
+	}
+	if !got || rec.From != 0 || rec.To != 1 || rec.Forced {
+		t.Fatalf("switch %+v (completed %v), want an unforced 0 -> 1", rec, got)
+	}
+	if rec.Attempts < 2 || rec.Duration < 30*sim.Millisecond {
+		t.Fatalf("switch took %d attempts in %v, want >= 2 and >= 30ms (the stop retransmission)", rec.Attempts, rec.Duration)
+	}
+	t.Logf("switch after a lost stop: %d attempts, %v", rec.Attempts, rec.Duration)
+	checkAPs(t, apDone)
 }
 
 // Four wall-clock nodes over UDP loopback — two single-AP domain
@@ -114,36 +180,9 @@ func TestFourNodeFederatedHandoffOverLoopback(t *testing.T) {
 	}
 	const domains = 2
 	city := City(2, domains)
-	conns := []*net.UDPConn{bind(t), bind(t), bind(t), bind(t)}
-	eps := make([]string, len(conns))
-	for i, c := range conns {
-		eps[i] = c.LocalAddr().String()
-	}
-	full := Table(eps, domains)
-	tableFor := func(self packet.IPv4Addr) map[packet.IPv4Addr]string {
-		m := make(map[packet.IPv4Addr]string, len(full)-1)
-		for a, ep := range full {
-			if a != self {
-				m[a] = ep
-			}
-		}
-		return m
-	}
-
+	conns, tableFor := loopback(t, 4, domains)
 	const timeout = 3 * sim.Second
-	type apResult struct {
-		stats ap.Stats
-		err   error
-	}
-	apDone := make([]chan apResult, 2)
-	for i := range apDone {
-		apDone[i] = make(chan apResult, 1)
-		go func(id int) {
-			st, err := RunAP(id, conns[domains+id], tableFor(packet.APIP(id)),
-				packet.DomainControllerIP(city[id].Domain), Script(id), id == 0, timeout)
-			apDone[id] <- apResult{st, err}
-		}(i)
-	}
+	apDone := runAPs(conns, tableFor, city, timeout)
 	type ctlResult struct {
 		rec controller.SwitchRecord
 		err error
@@ -177,22 +216,7 @@ func TestFourNodeFederatedHandoffOverLoopback(t *testing.T) {
 	if res := <-dom0Done; res.err == nil {
 		t.Fatalf("exporting domain 0 reported switch %+v; the pull belongs on domain 1's ledger", res.rec)
 	}
-	for i, ch := range apDone {
-		res := <-ch
-		if res.err != nil {
-			t.Fatalf("AP %d: %v", i, res.err)
-		}
-		switch i {
-		case 0:
-			if res.stats.StopsHandled == 0 {
-				t.Errorf("AP 0 handled no stop from the adopting domain")
-			}
-		case 1:
-			if res.stats.StartsHandled == 0 {
-				t.Errorf("AP 1 handled no start")
-			}
-		}
-	}
+	checkAPs(t, apDone)
 }
 
 // Table must place domain d's controller at entry d and AP i after the
