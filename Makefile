@@ -44,6 +44,13 @@ race:
 # reproduces. `go doc <pkg>` prints the package comment plus bare
 # declarations (symbol comments stripped), so grepping it for § tests
 # exactly the package comment.
+# And every Go name DOC_FILES cite in backticks must exist: a `pkg.Name` or
+# `pkg.Type.Member` whose pkg is a directory under internal/ or cmd/ must
+# resolve there with `go doc -u`, a `Type.Member` in a package declaring
+# Type, and any other `x.Name` in the standard library. A dotted name that
+# ends in a file extension is a file, one that ends in snake_case a
+# benchmark metric (BENCHMARK.json's layer.metric).
+DOC_FILES = DESIGN.md README.md
 docs-check:
 	@fail=0; for d in internal/*/; do \
 		pkg=$${d%/}; \
@@ -51,8 +58,20 @@ docs-check:
 			echo "docs-check: $$pkg package godoc has no paper-section (§) marker"; fail=1; \
 		fi; \
 	done; \
+	for n in $$(grep -oh '`[A-Za-z_][A-Za-z0-9_]*\(\.[A-Za-z_][A-Za-z0-9_]*\)\{1,2\}`' $(DOC_FILES) | tr -d '`' | sort -u); do \
+		q=$${n%%.*}; sym=$${n#*.}; \
+		case $${n##*.} in go|md|txt|json|jsonl|golden|*_*) continue;; esac; \
+		case $$q in \
+			[A-Z]*) sym=$$n; dirs=$$(grep -rlE --include='*.go' "^type $$q\b" internal cmd | xargs -r -n1 dirname | sort -u);; \
+			*) dirs=$$(find internal cmd -type d -name $$q);; \
+		esac; \
+		ok=0; \
+		if [ -z "$$dirs" ]; then $(GO) doc -u $$n >/dev/null 2>&1 && ok=1; fi; \
+		for p in $$dirs; do $(GO) doc -u ./$$p $$sym >/dev/null 2>&1 && ok=1; done; \
+		if [ $$ok -eq 0 ]; then echo "docs-check: \`$$n\` names nothing in the code"; fail=1; fi; \
+	done; \
 	if [ $$fail -ne 0 ]; then exit 1; fi
-	@echo docs-check: all internal packages carry a paper-section mapping
+	@echo docs-check: all internal packages carry a paper-section mapping, and every Go name the docs cite resolves
 
 # The targets that run a CLI share one shape:
 # $(call in-scratch,<cmds>,<script>[,<build flags>]) builds each cmd/<cmd>

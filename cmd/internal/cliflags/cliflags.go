@@ -86,19 +86,6 @@ func (f SelectorFlag) Policy() (selector.Policy, error) {
 	return pol, nil
 }
 
-// Config is the selector config for a scenario — nil when the flag is
-// unset, which keeps each controller's default policy.
-func (f SelectorFlag) Config() (*selector.Config, error) {
-	if *f.name == "" {
-		return nil, nil
-	}
-	pol, err := f.Policy()
-	if err != nil {
-		return nil, err
-	}
-	return &selector.Config{Policy: pol}, nil
-}
-
 // Chaos registers -chaos and its tuning flags. The returned function gives
 // the fault-injection config, nil unless -chaos was set.
 func Chaos() func() *chaos.Config {

@@ -121,9 +121,6 @@ func FuzzCLIFlags(f *testing.F) {
 		if pol, err := sel.Policy(); (pol == "") == (err == nil) {
 			t.Fatalf("-selector %q: policy %q and error %v", *sel.name, pol, err)
 		}
-		if cfg, err := sel.Config(); cfg != nil && err != nil {
-			t.Fatalf("-selector %q: config %+v and error %v", *sel.name, cfg, err)
-		}
 		on := fs.Lookup("chaos").Value.String() == "true"
 		if cfg := chaosCfg(); (cfg != nil) != on {
 			t.Fatalf("-chaos=%v: config %+v", on, cfg)

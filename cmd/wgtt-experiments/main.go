@@ -53,7 +53,7 @@ func main() {
 	}
 	defer stopProf()
 	opt := eval.Options{Seed: *seed, Quick: *quick, CollectMetrics: metricsOut.On()}
-	if opt.Selector, err = selectorFlag.Config(); err != nil {
+	if opt.Policy, err = selectorFlag.Policy(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		stopProf()
 		os.Exit(1)

@@ -42,14 +42,7 @@ func main() {
 		cells    = flag.Int("cells", 8, "number of corridor cells")
 		seed     = flag.Uint64("seed", 1, "fleet master seed")
 		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent cell simulations")
-		aps      = flag.Int("aps", 8, "APs per cell")
-		spacing  = flag.Float64("spacing", 7.5, "AP spacing, meters")
-		arrivals = flag.Float64("arrivals", 6, "vehicle arrivals per minute per cell")
-		window   = flag.Float64("window", 20, "arrival window, seconds")
-		maxVeh   = flag.Int("max-vehicles", 4, "vehicle cap per cell")
-		speeds   = flag.String("speeds", "15,25,35", "speed mix, mph (comma-separated)")
-		tcpFrac  = flag.Float64("tcp-frac", 0.5, "fraction of vehicles with TCP workload (0 = all UDP)")
-		udpRate  = flag.Float64("rate", 20, "UDP offered load per vehicle, Mb/s")
+		fleetCfg = configFlags(flag.CommandLine)
 		domains  = flag.Int("domains", 1, "controller domains per cell (DESIGN.md §13; 1 = single controller)")
 		traceDir = flag.String("trace-dir", "", "write per-cell (or per-metro-tile) JSONL event traces here; a metro keeps one file open per built tile")
 		urbanOn  = flag.Bool("urban", false,
@@ -77,8 +70,9 @@ func main() {
 		prof = profiling.AddFlags()
 	)
 	flag.Parse()
+	cfg := fleetCfg()
 
-	if err := checkRun(*cells, *workers, *udpRate, *metroOn, *comparePol); err != nil {
+	if err := checkRun(*cells, *workers, cfg.UDPRateMbps, *metroOn, *comparePol); err != nil {
 		fmt.Fprintln(os.Stderr, "wgtt-fleet:", err)
 		os.Exit(2)
 	}
@@ -95,40 +89,26 @@ func main() {
 		os.Exit(1)
 	}
 
-	mix, err := parseSpeeds(*speeds)
-	if err != nil {
-		fatal("speeds:", err)
-	}
 	if *traceDir != "" {
 		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
 			fatal("trace-dir:", err)
 		}
 	}
 
-	cfg := fleet.Config{
-		Cells:          *cells,
-		Seed:           *seed,
-		Workers:        *workers,
-		APsPerCell:     *aps,
-		SpacingM:       *spacing,
-		ArrivalsPerMin: *arrivals,
-		ArrivalWindow:  sim.FromSeconds(*window),
-		MaxVehicles:    *maxVeh,
-		SpeedsMPH:      mix,
-		TCPFraction:    tcpFraction(*tcpFrac),
-		UDPRateMbps:    *udpRate,
-		Domains:        *domains,
-		TraceDir:       *traceDir,
-		RunID:          *runID,
-		Metrics:        metricsOut.On(),
-		Chaos:          chaosFlags(),
-	}
+	cfg.Cells = *cells
+	cfg.Seed = *seed
+	cfg.Workers = *workers
+	cfg.Domains = *domains
+	cfg.TraceDir = *traceDir
+	cfg.RunID = *runID
+	cfg.Metrics = metricsOut.On()
+	cfg.Chaos = chaosFlags()
 	if *progressOn {
 		cfg.Progress = func(done, total int) {
 			fmt.Fprintf(os.Stderr, "progress: %d/%d\n", done, total)
 		}
 	}
-	if cfg.Selector, err = selectorFlag.Config(); err != nil {
+	if cfg.Policy, err = selectorFlag.Policy(); err != nil {
 		fatal(err)
 	}
 	if *urbanOn {
@@ -215,18 +195,40 @@ func checkRun(cells, workers int, rate float64, metro, compare bool) error {
 	return nil
 }
 
-// tcpFraction maps -tcp-frac onto Config.TCPFraction, whose zero value means
-// "unset: the default 50 % mix". An explicit 0 is passed as a negative,
-// which the library reads as an all-UDP fleet.
-func tcpFraction(flagValue float64) float64 {
-	if flagValue == 0 {
-		return -1
+// configFlags registers on fs one flag per fleet.Config field that shapes
+// a corridor cell and its traffic, each defaulting to that field of
+// fleet.DefaultConfig(). The returned function gives the config the flags
+// describe, once fs is parsed.
+func configFlags(fs *flag.FlagSet) func() fleet.Config {
+	cfg := fleet.DefaultConfig()
+	fs.IntVar(&cfg.APsPerCell, "aps", cfg.APsPerCell, "APs per cell")
+	fs.Float64Var(&cfg.SpacingM, "spacing", cfg.SpacingM, "AP spacing, meters")
+	fs.Float64Var(&cfg.ArrivalsPerMin, "arrivals", cfg.ArrivalsPerMin, "vehicle arrivals per minute per cell")
+	window := fs.Float64("window", cfg.ArrivalWindow.Seconds(), "arrival window, seconds")
+	fs.IntVar(&cfg.MaxVehicles, "max-vehicles", cfg.MaxVehicles, "vehicle cap per cell")
+	fs.Var((*speedMix)(&cfg.SpeedsMPH), "speeds", "speed mix, `mph` (comma-separated)")
+	fs.Float64Var(&cfg.TCPFraction, "tcp-frac", cfg.TCPFraction, "fraction of vehicles with TCP workload (0 = all UDP)")
+	fs.Float64Var(&cfg.UDPRateMbps, "rate", cfg.UDPRateMbps, "UDP offered load per vehicle, Mb/s")
+	return func() fleet.Config {
+		cfg.ArrivalWindow = sim.FromSeconds(*window)
+		return cfg
 	}
-	return flagValue
 }
 
-// parseSpeeds parses the comma-separated speed mix.
-func parseSpeeds(s string) ([]float64, error) {
+// speedMix is the -speeds value: a comma-separated list of positive speeds.
+type speedMix []float64
+
+// String implements flag.Value.
+func (m *speedMix) String() string {
+	var parts []string
+	for _, v := range *m {
+		parts = append(parts, strconv.FormatFloat(v, 'g', -1, 64))
+	}
+	return strings.Join(parts, ",")
+}
+
+// Set implements flag.Value.
+func (m *speedMix) Set(s string) error {
 	var out []float64
 	for _, f := range strings.Split(s, ",") {
 		f = strings.TrimSpace(f)
@@ -235,12 +237,13 @@ func parseSpeeds(s string) ([]float64, error) {
 		}
 		v, err := strconv.ParseFloat(f, 64)
 		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad speed %q", f)
+			return fmt.Errorf("bad speed %q", f)
 		}
 		out = append(out, v)
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("empty speed mix")
+		return fmt.Errorf("empty speed mix")
 	}
-	return out, nil
+	*m = out
+	return nil
 }

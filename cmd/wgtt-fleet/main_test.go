@@ -1,6 +1,8 @@
 package main
 
 import (
+	"flag"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -39,18 +41,27 @@ func TestCheckRun(t *testing.T) {
 	}
 }
 
-// TestTCPFractionFlagMapping pins the -tcp-frac → Config.TCPFraction
-// mapping: an explicit 0 must plan an all-UDP fleet instead of falling back
-// to the library's "unset" default mix, and other values pass through.
-func TestTCPFractionFlagMapping(t *testing.T) {
-	for _, frac := range []float64{0.25, 0.5, 1} {
-		if got := tcpFraction(frac); got != frac {
-			t.Errorf("tcpFraction(%v) = %v, want it unchanged", frac, got)
+// TestConfigFlags pins the corridor flags to the library: parsed with no
+// arguments they give fleet.DefaultConfig() field for field, and an
+// explicit -tcp-frac 0 plans an all-UDP fleet.
+func TestConfigFlags(t *testing.T) {
+	parse := func(args ...string) fleet.Config {
+		fs := flag.NewFlagSet("wgtt-fleet", flag.ContinueOnError)
+		cfg := configFlags(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
 		}
+		return cfg()
 	}
-	cfg := fleet.Config{Cells: 3, Seed: 1, TCPFraction: tcpFraction(0)}
+	if got, want := parse(), fleet.DefaultConfig(); !reflect.DeepEqual(got, want) {
+		t.Errorf("flag defaults give\n%+v\nwant fleet.DefaultConfig()\n%+v", got, want)
+	}
+	cfg := parse("-tcp-frac", "0", "-speeds", "15, 35")
+	if !reflect.DeepEqual(cfg.SpeedsMPH, []float64{15, 35}) {
+		t.Errorf("-speeds \"15, 35\" parsed to %v", cfg.SpeedsMPH)
+	}
 	vehicles := 0
-	for cell := 0; cell < cfg.Cells; cell++ {
+	for cell := 0; cell < 3; cell++ {
 		for _, v := range fleet.PlanCell(cfg, cell).Vehicles {
 			vehicles++
 			if v.TCP {

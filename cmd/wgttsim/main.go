@@ -60,7 +60,7 @@ func main() {
 		s.Domains = *domains
 	}
 	s.Chaos = chaosFlags()
-	if s.Selector, err = selectorFlag.Config(); err != nil {
+	if s.Policy, err = selectorFlag.Policy(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

@@ -112,8 +112,8 @@ func newAPHarness(t *testing.T, n int, clientX float64) *apHarness {
 	h.client = mac.NewStation(medium, mac.StationConfig{
 		Addr:     packet.ClientMAC(1),
 		Endpoint: cep,
-		Sink:     h.csink,
 	})
+	h.client.SetSink(h.csink)
 	return h
 }
 

@@ -161,19 +161,10 @@ func (n *Network) StartBeacons() {
 	}
 }
 
-// RoamerConfig parameterizes the client-side roamer.
-type RoamerConfig struct {
-	// Hysteresis is the §5.1 one-second time hysteresis between roams.
-	Hysteresis sim.Time
-}
-
-// DefaultRoamerConfig returns the §5.1 client policy.
-func DefaultRoamerConfig() RoamerConfig {
-	return RoamerConfig{Hysteresis: sim.Second}
-}
-
-// The fixed part of the §5.1 client policy.
+// The §5.1 client policy.
 const (
+	// hysteresis is the §5.1 one-second time hysteresis between roams.
+	hysteresis = sim.Second
 	// roamThresholdDBm: roam when the serving AP's smoothed RSSI is below
 	// this. It sits near the bottom of the usable range: like the
 	// commercial clients the paper measures (§2), the baseline hangs on to
@@ -201,7 +192,6 @@ type APAddr struct {
 
 // Roamer is the baseline client-side handover policy.
 type Roamer struct {
-	cfg RoamerConfig
 	eng *sim.Engine
 	cl  *client.Client
 	net *Network
@@ -221,9 +211,8 @@ type Roamer struct {
 
 // NewRoamer attaches roaming logic to a client. The client must already be
 // associated to startAP (both locally and in the Network).
-func NewRoamer(cfg RoamerConfig, eng *sim.Engine, cl *client.Client, net *Network, aps []APAddr, startAP int) *Roamer {
+func NewRoamer(eng *sim.Engine, cl *client.Client, net *Network, aps []APAddr, startAP int) *Roamer {
 	r := &Roamer{
-		cfg:      cfg,
 		eng:      eng,
 		cl:       cl,
 		net:      net,
@@ -264,7 +253,7 @@ func (r *Roamer) onBeacon(from packet.MACAddr, rssiDBm float64, at sim.Time) {
 // evaluate applies the §5.1 policy: switch to the highest-RSSI AP once the
 // serving AP drops below the threshold, at most once per hysteresis period.
 func (r *Roamer) evaluate(now sim.Time) {
-	if r.roaming || now-r.lastRoam < r.cfg.Hysteresis {
+	if r.roaming || now-r.lastRoam < hysteresis {
 		return
 	}
 	servingRSSI := math.Inf(-1)

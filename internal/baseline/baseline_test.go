@@ -64,9 +64,7 @@ func newHarness(t *testing.T, clientTrace mobility.Trace, speedHint float64) *ha
 	st := mac.NewStation(medium, mac.StationConfig{Addr: packet.ClientMAC(1), Endpoint: clEP})
 	h.cl = client.New(client.DefaultConfig(1, packet.APMAC(0)), eng, st)
 	h.net.Associate(h.cl.Config().MAC, h.cl.Config().IP, 0)
-	rcfg := DefaultRoamerConfig()
-	rcfg.Hysteresis = 300 * sim.Millisecond // the small testbed is quick
-	h.roamer = NewRoamer(rcfg, eng, h.cl, h.net, []APAddr{{0, packet.APMAC(0)}, {1, packet.APMAC(1)}}, 0)
+	h.roamer = NewRoamer(eng, h.cl, h.net, []APAddr{{0, packet.APMAC(0)}, {1, packet.APMAC(1)}}, 0)
 	return h
 }
 
@@ -197,7 +195,7 @@ func TestRoamerHysteresisBounds(t *testing.T) {
 	h := newHarness(t, mobility.Stationary{At: mobility.Point{X: 50}}, 0) // between/behind cells: weak RSSI
 	h.eng.RunUntil(5 * sim.Second)
 	// Even with a weak link, roams are rate-limited by hysteresis.
-	maxRoams := uint64(5*sim.Second/(300*sim.Millisecond)) + 1
+	maxRoams := uint64(5*sim.Second/hysteresis) + 1
 	if h.roamer.Roams+h.roamer.RoamFailures > maxRoams {
 		t.Errorf("roam attempts = %d, exceeds hysteresis bound %d",
 			h.roamer.Roams+h.roamer.RoamFailures, maxRoams)

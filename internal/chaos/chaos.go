@@ -107,34 +107,25 @@ type Event struct {
 // Config parameterizes fault generation. Every MTBF is the mean of an
 // exponential inter-arrival distribution; 0 disables that fault class, and
 // the zero Config generates nothing (Script-only plans are how single
-// targeted faults are injected).
+// targeted faults, a controller crash among them, are injected).
 type Config struct {
 	// APCrashMTBF is the per-AP mean time between crashes; each crashed AP
-	// comes back after APDowntime with cold queues.
+	// comes back after APDowntime with cold queues. At most maxAPDown APs
+	// are down at once, and the injector never crashes the last alive AP.
 	APCrashMTBF sim.Time
 	APDowntime  sim.Time
-	// MaxConcurrentAPDown caps simultaneous AP outages (the injector also
-	// never crashes the last alive AP). 0 means the default of 1.
-	MaxConcurrentAPDown int
 
 	// Backhaul loss bursts: windows of burstLen during which every backhaul
-	// message is dropped with probability BackhaulBurstLoss.
+	// message is dropped with probability burstLoss.
 	BackhaulBurstMTBF sim.Time
-	BackhaulBurstLoss float64
 
 	// Backhaul latency spikes: windows of spikeLen during which every
-	// delivery takes LatencySpikeExtra additional one-way latency.
-	LatencySpikeMTBF  sim.Time
-	LatencySpikeExtra sim.Time
+	// delivery takes spikeExtra additional one-way latency.
+	LatencySpikeMTBF sim.Time
 
 	// CSI blackouts: windows of blackoutLen during which CSI reports are
 	// dropped on the backhaul.
 	CSIBlackoutMTBF sim.Time
-
-	// ControllerCrashAt, when > 0, crashes the controller once at that
-	// time and restarts it ControllerDowntime later.
-	ControllerCrashAt  sim.Time
-	ControllerDowntime sim.Time
 
 	// Script appends hand-placed events to the generated ones — the
 	// reproducible way to stage one exact failure.
@@ -145,14 +136,11 @@ type Config struct {
 // AP crash per simulated minute per AP, plus periodic backhaul weather.
 func DefaultConfig() Config {
 	return Config{
-		APCrashMTBF:         60 * sim.Second,
-		APDowntime:          2 * sim.Second,
-		MaxConcurrentAPDown: 1,
-		BackhaulBurstMTBF:   30 * sim.Second,
-		BackhaulBurstLoss:   0.5,
-		LatencySpikeMTBF:    45 * sim.Second,
-		LatencySpikeExtra:   5 * sim.Millisecond,
-		CSIBlackoutMTBF:     45 * sim.Second,
+		APCrashMTBF:       60 * sim.Second,
+		APDowntime:        2 * sim.Second,
+		BackhaulBurstMTBF: 30 * sim.Second,
+		LatencySpikeMTBF:  45 * sim.Second,
+		CSIBlackoutMTBF:   45 * sim.Second,
 	}
 }
 
@@ -163,6 +151,15 @@ const (
 	burstLen    = 200 * sim.Millisecond
 	spikeLen    = 500 * sim.Millisecond
 	blackoutLen = 300 * sim.Millisecond
+)
+
+// What a fault does while it lasts: a burst drops each backhaul message
+// with probability burstLoss, a spike adds spikeExtra one-way latency, and
+// at most maxAPDown APs are crashed at once.
+const (
+	burstLoss  = 0.5
+	spikeExtra = 5 * sim.Millisecond
+	maxAPDown  = 1
 )
 
 // Plan is a complete fault timeline, sorted by (At, Kind, AP).
@@ -202,13 +199,6 @@ func BuildPlan(cfg Config, rng *sim.RNG, numAPs int, horizon sim.Time) Plan {
 	addWindows("chaos/backhaul/burst", BackhaulBurst, cfg.BackhaulBurstMTBF, burstLen)
 	addWindows("chaos/backhaul/spike", LatencySpike, cfg.LatencySpikeMTBF, spikeLen)
 	addWindows("chaos/csi/blackout", CSIBlackout, cfg.CSIBlackoutMTBF, blackoutLen)
-	if cfg.ControllerCrashAt > 0 {
-		p.Events = append(p.Events, Event{At: cfg.ControllerCrashAt, Kind: ControllerCrash})
-		if cfg.ControllerDowntime > 0 {
-			p.Events = append(p.Events,
-				Event{At: cfg.ControllerCrashAt + cfg.ControllerDowntime, Kind: ControllerRestart})
-		}
-	}
 	p.Events = append(p.Events, cfg.Script...)
 	sort.SliceStable(p.Events, func(i, j int) bool {
 		a, b := p.Events[i], p.Events[j]
@@ -233,7 +223,7 @@ func expDraw(rnd *rand.Rand, mean sim.Time) sim.Time {
 type Stats struct {
 	APCrashes      uint64
 	APRestarts     uint64
-	CrashesSkipped uint64 // suppressed by MaxConcurrentAPDown / last-AP guard
+	CrashesSkipped uint64 // suppressed by the maxAPDown / last-AP guard
 	Bursts         uint64
 	BurstDrops     uint64
 	Spikes         uint64
@@ -247,7 +237,6 @@ type Stats struct {
 // and wire it with Arm before the run starts.
 type Injector struct {
 	eng  *sim.Engine
-	cfg  Config
 	plan Plan
 
 	aps []APTarget
@@ -275,12 +264,8 @@ type Injector struct {
 // network's components. ctl may be nil (baseline networks have none, and
 // controller events are then skipped).
 func NewInjector(cfg Config, eng *sim.Engine, rng *sim.RNG, aps []APTarget, ctl ControllerTarget, horizon sim.Time) *Injector {
-	if cfg.MaxConcurrentAPDown <= 0 {
-		cfg.MaxConcurrentAPDown = 1
-	}
 	return &Injector{
 		eng:      eng,
-		cfg:      cfg,
 		plan:     BuildPlan(cfg, rng, len(aps), horizon),
 		aps:      aps,
 		ctl:      ctl,
@@ -305,7 +290,7 @@ func (in *Injector) Arm(bh *backhaul.Switch) {
 			d = prevDelay(to, msg)
 		}
 		if in.eng.Now() < in.spikeUntil {
-			d += in.cfg.LatencySpikeExtra
+			d += spikeExtra
 		}
 		return d
 	}
@@ -331,7 +316,7 @@ func (in *Injector) UseMetrics(r *metrics.Registry) {
 // windows drop CSI reports.
 func (in *Injector) drop(to packet.IPv4Addr, msg packet.Message) bool {
 	now := in.eng.Now()
-	if now < in.burstUntil && in.burstRnd.Float64() < in.cfg.BackhaulBurstLoss {
+	if now < in.burstUntil && in.burstRnd.Float64() < burstLoss {
 		in.Stats.BurstDrops++
 		return true
 	}
@@ -389,14 +374,14 @@ func (in *Injector) apply(ev Event) {
 	}
 }
 
-// canCrash enforces the outage guards: never exceed MaxConcurrentAPDown,
+// canCrash enforces the outage guards: never exceed maxAPDown,
 // and never crash the last alive AP (a corridor with zero coverage measures
 // nothing useful).
 func (in *Injector) canCrash(apID int) bool {
 	if in.aps[apID].Down() {
 		return false
 	}
-	if in.downCount >= in.cfg.MaxConcurrentAPDown {
+	if in.downCount >= maxAPDown {
 		return false
 	}
 	alive := 0

@@ -109,7 +109,6 @@ func TestInjectorCrashGuards(t *testing.T) {
 	aps := []*fakeTarget{{}, {}, {}}
 	targets := []APTarget{aps[0], aps[1], aps[2]}
 	cfg := Config{
-		MaxConcurrentAPDown: 1,
 		Script: []Event{
 			{At: 1 * sim.Second, Kind: APCrash, AP: 0},
 			{At: 2 * sim.Second, Kind: APCrash, AP: 1}, // blocked: AP0 still down
@@ -161,7 +160,6 @@ func TestInjectorBurstDropsAndBlackout(t *testing.T) {
 	rx := &sink{eng: eng}
 	bh.Attach(packet.ControllerIP, rx)
 	cfg := Config{
-		BackhaulBurstLoss: 1.0, // every message in the window
 		Script: []Event{
 			{At: 1 * sim.Second, Kind: BackhaulBurst, Dur: 100 * sim.Millisecond},
 			{At: 2 * sim.Second, Kind: CSIBlackout, Dur: 100 * sim.Millisecond},
@@ -173,18 +171,25 @@ func TestInjectorBurstDropsAndBlackout(t *testing.T) {
 	send := func(at sim.Time, msg packet.Message) {
 		eng.At(at, func() { _ = bh.Send(packet.APIP(0), packet.ControllerIP, msg) })
 	}
-	send(1*sim.Second+10*sim.Millisecond, &packet.HealthProbe{Seq: 1}) // burst: dropped
-	send(1*sim.Second+500*sim.Millisecond, &packet.HealthProbe{Seq: 2})
-	send(2*sim.Second+10*sim.Millisecond, &packet.CSIReport{})         // blackout: dropped
-	send(2*sim.Second+20*sim.Millisecond, &packet.HealthProbe{Seq: 3}) // blackout spares non-CSI
+	const inBurst = 40 // each dropped with probability burstLoss
+	for i := 0; i < inBurst; i++ {
+		send(1*sim.Second+sim.Time(i+1)*sim.Millisecond, &packet.HealthProbe{Seq: uint32(i)})
+	}
+	send(1*sim.Second+500*sim.Millisecond, &packet.HealthProbe{Seq: 100})
+	send(2*sim.Second+10*sim.Millisecond, &packet.CSIReport{})           // blackout: dropped
+	send(2*sim.Second+20*sim.Millisecond, &packet.HealthProbe{Seq: 101}) // blackout spares non-CSI
 	send(2*sim.Second+500*sim.Millisecond, &packet.CSIReport{})
 	eng.RunUntil(5 * sim.Second)
 
-	if len(rx.msgs) != 3 {
-		t.Fatalf("delivered %d messages, want 3 (burst and blackout drop the others)", len(rx.msgs))
+	drops := int(inj.Stats.BurstDrops)
+	if drops == 0 || drops == inBurst {
+		t.Fatalf("burst dropped %d of %d messages, want some but not all (loss %v)", drops, inBurst, burstLoss)
 	}
-	if inj.Stats.BurstDrops != 1 || inj.Stats.BlackoutDrops != 1 {
-		t.Fatalf("Stats = %+v, want 1 burst drop and 1 blackout drop", inj.Stats)
+	if want := inBurst - drops + 3; len(rx.msgs) != want {
+		t.Fatalf("delivered %d messages, want %d (burst and blackout drop the others)", len(rx.msgs), want)
+	}
+	if inj.Stats.BlackoutDrops != 1 {
+		t.Fatalf("Stats = %+v, want 1 blackout drop", inj.Stats)
 	}
 	if inj.Stats.Bursts != 1 || inj.Stats.Blackouts != 1 {
 		t.Fatalf("Stats = %+v, want 1 burst and 1 blackout window", inj.Stats)
@@ -196,10 +201,7 @@ func TestInjectorLatencySpikeDelays(t *testing.T) {
 	bh := backhaul.NewSwitch(eng, 200*sim.Microsecond)
 	rx := &sink{eng: eng}
 	bh.Attach(packet.ControllerIP, rx)
-	cfg := Config{
-		LatencySpikeExtra: 5 * sim.Millisecond,
-		Script:            []Event{{At: sim.Second, Kind: LatencySpike, Dur: 100 * sim.Millisecond}},
-	}
+	cfg := Config{Script: []Event{{At: sim.Second, Kind: LatencySpike, Dur: 100 * sim.Millisecond}}}
 	inj := NewInjector(cfg, eng, sim.NewRNG(3), nil, nil, 5*sim.Second)
 	inj.Arm(bh)
 
@@ -214,7 +216,7 @@ func TestInjectorLatencySpikeDelays(t *testing.T) {
 	if len(rx.at) != 2 {
 		t.Fatalf("delivered %d, want 2", len(rx.at))
 	}
-	if got, want := rx.at[0], 1*sim.Second+sim.Millisecond+200*sim.Microsecond+5*sim.Millisecond; got != want {
+	if got, want := rx.at[0], 1*sim.Second+sim.Millisecond+200*sim.Microsecond+spikeExtra; got != want {
 		t.Errorf("spiked delivery at %v, want %v", got, want)
 	}
 	if got, want := rx.at[1], 3*sim.Second+200*sim.Microsecond; got != want {
@@ -228,7 +230,10 @@ func TestInjectorLatencySpikeDelays(t *testing.T) {
 func TestInjectorControllerCrashRecover(t *testing.T) {
 	eng := sim.NewEngine()
 	ctl := &fakeTarget{}
-	cfg := Config{ControllerCrashAt: sim.Second, ControllerDowntime: 500 * sim.Millisecond}
+	cfg := Config{Script: []Event{
+		{At: sim.Second, Kind: ControllerCrash},
+		{At: sim.Second + 500*sim.Millisecond, Kind: ControllerRestart},
+	}}
 	inj := NewInjector(cfg, eng, sim.NewRNG(5), nil, ctl, 5*sim.Second)
 	inj.Arm(backhaul.NewSwitch(eng, 200*sim.Microsecond))
 	eng.RunUntil(5 * sim.Second)

@@ -7,6 +7,7 @@ import (
 	"wgtt/internal/mac"
 	"wgtt/internal/mobility"
 	"wgtt/internal/packet"
+	"wgtt/internal/phy"
 	"wgtt/internal/radio"
 	"wgtt/internal/sim"
 )
@@ -57,8 +58,7 @@ func newHarness(t *testing.T) *harness {
 		Addr:     packet.APMAC(0),
 		Aliases:  []packet.MACAddr{bssid},
 		Endpoint: apEP,
-		Sink:     sink,
-	})
+	}).SetSink(sink)
 
 	clEP := &radio.Endpoint{
 		Name:       "car1",
@@ -210,12 +210,14 @@ func TestBuildFrameRespectsTXOPBudget(t *testing.T) {
 	if fr == nil {
 		t.Fatal("no frame built")
 	}
+	var sizes []int
 	bytes := 0
 	for _, mp := range fr.MPDUs {
+		sizes = append(sizes, mp.Bytes)
 		bytes += mp.Bytes
 	}
 	// The frame must fit the 4 ms TXOP at its chosen MCS.
-	if air := fr.Airtime(); air > 4100*sim.Microsecond {
+	if air := phy.AMPDUDuration(fr.MCS, sizes); air > 4100*sim.Microsecond {
 		t.Errorf("frame airtime %v exceeds the TXOP limit (%d MPDUs, %d B)", air, len(fr.MPDUs), bytes)
 	}
 }

@@ -50,26 +50,17 @@ type Config struct {
 	// and holding the dwell there is pure outage. 0 — the default — keeps
 	// the dwell absolute, byte-identical to the pre-§16 controller.
 	CollapseDB float64
-	// DedupCapacity bounds the uplink de-duplication hashset.
-	DedupCapacity int
+	// Policy picks the AP-selection policy (DESIGN.md §15); "" is the
+	// paper's windowed-median rule. The base §3.1.1 knobs above (Window,
+	// MedianMarginDB, MinSamples, MinSwitchESNRdB) parameterize every policy.
+	Policy selector.Policy
 
-	// Selector picks and parameterizes the AP-selection policy
-	// (DESIGN.md §15). The zero value is the paper's windowed-median
-	// rule, byte-identical to the historical inline implementation; the
-	// base §3.1.1 knobs above (Window, MedianMarginDB, MinSamples,
-	// MinSwitchESNRdB) parameterize every policy.
-	Selector selector.Config
-
-	// HealthInterval paces the AP health monitor: every interval the
-	// controller scans for APs it has not heard from (no CSI, uplink, acks
-	// — the traffic an alive AP emits anyway) and probes the quiet ones.
-	// 0 disables the monitor entirely, which is the paper's original
-	// APs-never-fail operating point (DESIGN.md §11).
-	HealthInterval sim.Time
-	// DetectTimeout is how long an AP may stay silent — ignoring probes
-	// included — before it is marked dead, excluded from selection and
-	// fan-out, and its clients are force-switched away. 0 disables.
-	DetectTimeout sim.Time
+	// health switches on the AP health monitor (WithHealth): every
+	// HealthInterval the controller scans for APs it has not heard from (no
+	// CSI, uplink, acks — the traffic an alive AP emits anyway) and probes
+	// the quiet ones. Off is the paper's original APs-never-fail operating
+	// point (DESIGN.md §11).
+	health bool
 
 	// Addr is the controller's own backhaul address. Zero means
 	// packet.ControllerIP — the single-controller deployment. A federation
@@ -82,25 +73,24 @@ type Config struct {
 	SwitchIDBase uint32
 }
 
-// Health-monitor defaults applied by WithHealth. The detection timeout
-// trades outage length against false positives: it must comfortably exceed
-// the probe round trip (two backhaul hops, sub-millisecond) and ride out
-// CSI gaps, while every extra millisecond is client outage when an AP
-// really dies. 100 ms ≈ 4 probe intervals of slack (DESIGN.md §11).
+// The health monitor's pace. An AP silent for DetectTimeout — ignoring
+// probes included — is marked dead, excluded from selection and fan-out,
+// and its clients are force-switched away. The detection timeout trades
+// outage length against false positives: it must comfortably exceed the
+// probe round trip (two backhaul hops, sub-millisecond) and ride out CSI
+// gaps, while every extra millisecond is client outage when an AP really
+// dies. 100 ms ≈ 4 probe intervals of slack (DESIGN.md §11).
 const (
-	DefaultHealthInterval = 25 * sim.Millisecond
-	DefaultDetectTimeout  = 100 * sim.Millisecond
+	HealthInterval = 25 * sim.Millisecond
+	DetectTimeout  = 100 * sim.Millisecond
 )
 
-// WithHealth returns the config with the AP health monitor enabled,
-// filling only the health fields that are unset so explicit choices win.
+// dedupCapacity bounds each client's uplink de-duplication hashset.
+const dedupCapacity = 4096
+
+// WithHealth returns the config with the AP health monitor enabled.
 func (c Config) WithHealth() Config {
-	if c.HealthInterval <= 0 {
-		c.HealthInterval = DefaultHealthInterval
-	}
-	if c.DetectTimeout <= 0 {
-		c.DetectTimeout = DefaultDetectTimeout
-	}
+	c.health = true
 	return c
 }
 
@@ -113,7 +103,6 @@ func DefaultConfig() Config {
 		MedianMarginDB:  0,
 		MinSamples:      2,
 		MinSwitchESNRdB: -5,
-		DedupCapacity:   4096,
 	}
 }
 
@@ -414,19 +403,19 @@ func New(cfg Config, eng *sim.Engine, bh backhaul.Fabric, aps []APInfo) *Control
 	for _, a := range aps {
 		c.ipToAP[a.IP] = a.ID
 	}
-	c.sel = selector.New(cfg.Selector, selector.Params{
+	c.sel = selector.New(selector.Config{Policy: cfg.Policy}, selector.Params{
 		Window:          cfg.Window,
 		MedianMarginDB:  cfg.MedianMarginDB,
 		MinSamples:      cfg.MinSamples,
 		MinSwitchESNRdB: cfg.MinSwitchESNRdB,
 	}, len(aps))
 	c.aliveFn = c.apAlive
-	if cfg.HealthInterval > 0 && cfg.DetectTimeout > 0 {
+	if cfg.health {
 		c.health = make([]apHealth, len(aps))
 		for i := range c.health {
 			c.health[i].alive = true
 		}
-		eng.After(cfg.HealthInterval, c.healthTick)
+		eng.After(HealthInterval, c.healthTick)
 	}
 	bh.Attach(c.addr, c)
 	return c
@@ -443,7 +432,7 @@ func (c *Controller) RegisterClient(mac packet.MACAddr, ip packet.IPv4Addr, serv
 		serving:   servingAP,
 		inFan:     make([]bool, len(c.aps)),
 		// Grown by the uplink that arrives (handleUplink's FIFO holds it to
-		// DedupCapacity): a downlink-only client never touches it.
+		// dedupCapacity): a downlink-only client never touches it.
 		dedup: make(map[packet.DedupKey]struct{}),
 	}
 	c.sel.AddClient(mac, servingAP)
@@ -690,7 +679,7 @@ func (c *Controller) handleUplink(m *packet.UpData) {
 		cl.dedup[key] = struct{}{}
 		c.dedupEntries++
 		cl.dedupFIFO = append(cl.dedupFIFO, key)
-		if len(cl.dedupFIFO) > c.cfg.DedupCapacity {
+		if len(cl.dedupFIFO) > dedupCapacity {
 			old := cl.dedupFIFO[0]
 			cl.dedupFIFO = cl.dedupFIFO[1:]
 			delete(cl.dedup, old)

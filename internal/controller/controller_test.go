@@ -92,7 +92,7 @@ func TestDefaultConfigHealthOff(t *testing.T) {
 	if cfg.Window != 10*sim.Millisecond || cfg.Hysteresis != 40*sim.Millisecond {
 		t.Fatalf("default diverged from the paper operating point: %+v", cfg)
 	}
-	if cfg.HealthInterval != 0 || cfg.DetectTimeout != 0 {
+	if cfg.health {
 		t.Fatal("health monitor must be off by default")
 	}
 }
@@ -292,24 +292,22 @@ func TestUplinkDedup(t *testing.T) {
 }
 
 func TestUplinkDedupEviction(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.DedupCapacity = 4
-	h := newCtlHarness(t, 1, cfg)
+	h := newCtlHarness(t, 1, DefaultConfig())
 	client := packet.ClientMAC(1)
 	h.ctl.RegisterClient(client, packet.ClientIP(1), 0)
 	n := 0
 	h.ctl.DeliverUplink = func(*packet.Packet, sim.Time) { n++ }
-	for i := 0; i < 10; i++ {
+	for i := 0; i <= dedupCapacity; i++ {
 		p := &packet.Packet{ClientMAC: client, SrcIP: packet.ClientIP(1), IPID: uint16(i)}
 		_ = h.bh.Send(packet.APIP(0), packet.ControllerIP, &packet.UpData{APSrc: packet.APIP(0), Pkt: p})
 	}
 	h.eng.Run()
-	// Key 0 was evicted after 4 more; replaying it is "new" again.
+	// Key 0 was evicted by the one past capacity; replaying it is "new" again.
 	p := &packet.Packet{ClientMAC: client, SrcIP: packet.ClientIP(1), IPID: 0}
 	_ = h.bh.Send(packet.APIP(0), packet.ControllerIP, &packet.UpData{APSrc: packet.APIP(0), Pkt: p})
 	h.eng.Run()
-	if n != 11 {
-		t.Errorf("delivered %d, want 11 (bounded memory re-admits evicted keys)", n)
+	if n != dedupCapacity+2 {
+		t.Errorf("delivered %d, want %d (bounded memory re-admits evicted keys)", n, dedupCapacity+2)
 	}
 }
 
@@ -408,7 +406,7 @@ func TestHealthMonitorDetectsDeadAPAndForcesFailover(t *testing.T) {
 	}
 	// Outage bound: detection fires within DetectTimeout plus one health
 	// tick of scan granularity; the direct start adds two backhaul hops.
-	bound := cfg.DetectTimeout + cfg.HealthInterval + 5*sim.Millisecond
+	bound := DetectTimeout + HealthInterval + 5*sim.Millisecond
 	if gap := rec.At - crashAt; gap > bound {
 		t.Errorf("failover completed %v after the crash, want ≤ %v", gap, bound)
 	}

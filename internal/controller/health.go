@@ -71,10 +71,10 @@ func (c *Controller) healthTick() {
 		for id := range c.health {
 			h := &c.health[id]
 			silent := now - h.lastHeard
-			if h.alive && silent >= c.cfg.DetectTimeout {
+			if h.alive && silent >= DetectTimeout {
 				c.markAPDead(id)
 			}
-			if silent >= c.cfg.HealthInterval {
+			if silent >= HealthInterval {
 				// Quiet for a full tick (dead APs included — the probe
 				// doubles as the re-admission ping): ask explicitly.
 				c.probeSeq++
@@ -84,7 +84,7 @@ func (c *Controller) healthTick() {
 			}
 		}
 	}
-	c.eng.After(c.cfg.HealthInterval, c.healthTick)
+	c.eng.After(HealthInterval, c.healthTick)
 }
 
 // markAPDead declares one AP dead and rescues its clients.

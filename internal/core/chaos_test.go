@@ -117,7 +117,7 @@ func TestChaosSingleAPCrashOutageBounded(t *testing.T) {
 	// Detection timeout + one scan interval of granularity + a generous
 	// switch-execution budget (Table 1 measures ~17 ms; the forced path is
 	// shorter — one backhaul round trip — but the ring refills behind it).
-	bound := ctlCfg.DetectTimeout + ctlCfg.HealthInterval + 50*sim.Millisecond
+	bound := controller.DetectTimeout + controller.HealthInterval + 50*sim.Millisecond
 	t.Logf("victim ap%d, crash at %v: outage %v (bound %v), forced=%d", victim+1, crashAt, maxGap, bound, st.ForcedSwitches)
 	if maxGap > bound {
 		t.Errorf("delivery outage %v exceeds bound %v", maxGap, bound)

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"wgtt/internal/metrics"
 	"wgtt/internal/sim"
 )
 
@@ -65,6 +66,33 @@ func TestSwitchSpanMedianMatchesTable1(t *testing.T) {
 	}
 	if snap.DurationNS != int64(s.Duration) {
 		t.Errorf("snapshot duration %d ns, scenario %d ns", snap.DurationNS, int64(s.Duration))
+	}
+}
+
+// TestSharedRegistryKeepsEverySpan builds two networks one after another
+// into one registry, as an experiment does. Both number their switches
+// from 1, so every switch the second run starts must still open a span of
+// its own instead of landing on the first run's span with the same id.
+func TestSharedRegistryKeepsEverySpan(t *testing.T) {
+	r := metrics.NewRegistry()
+	var started, done uint64
+	for _, seed := range []uint64{42, 43} {
+		n, err := Build(DriveScenario(ModeWGTT, 25, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.EnableMetricsInto(r)
+		flow := n.AddDownlinkUDP(0, 20, 1400)
+		flow.Sender.Start()
+		n.Run()
+		started += n.Ctl.Stats.SwitchesStarted
+		done += n.Ctl.Stats.SwitchesDone
+	}
+	snap := r.Snapshot()
+	sum := snap.SwitchSummary()
+	if uint64(sum.Total) != started || uint64(sum.Completed) != done {
+		t.Errorf("%d spans begun, %d completed; the two controllers started %d switches and finished %d",
+			sum.Total, sum.Completed, started, done)
 	}
 }
 

@@ -288,12 +288,11 @@ func Build(s Scenario) (*Network, error) {
 		}
 		if s.Chaos != nil {
 			// Faults without detection would just be permanent outages: the
-			// chaos engine implies the §11 health monitor (explicit health
-			// settings in s.Controller win over the defaults).
+			// chaos engine implies the §11 health monitor.
 			ctlCfg = ctlCfg.WithHealth()
 		}
-		if s.Selector != nil {
-			ctlCfg.Selector = *s.Selector
+		if s.Policy != "" {
+			ctlCfg.Policy = s.Policy
 		}
 		// The controller tier (DESIGN.md §13): one Domain per AP block over a
 		// shared city table, and a Tier routing wired-side traffic to each
@@ -382,7 +381,7 @@ func Build(s Scenario) (*Network, error) {
 			n.startClientKeepalive(cl)
 			n.Base.Associate(ccfg.MAC, ccfg.IP, start)
 			n.Roamers = append(n.Roamers,
-				baseline.NewRoamer(baseline.DefaultRoamerConfig(), eng, cl, n.Base, roamAddrs, start))
+				baseline.NewRoamer(eng, cl, n.Base, roamAddrs, start))
 		}
 	}
 

@@ -62,10 +62,10 @@ type Scenario struct {
 
 	// Controller overrides the WGTT controller config when non-nil.
 	Controller *controller.Config
-	// Selector overrides the AP-selection policy (DESIGN.md §15) when
-	// non-nil. The zero policy is §3.1.1 windowed-median; setting this on
-	// top of Controller replaces only the Selector sub-config.
-	Selector *selector.Config
+	// Policy overrides the AP-selection policy (DESIGN.md §15); "" keeps
+	// the controller config's, by default §3.1.1 windowed-median. Setting
+	// this on top of Controller replaces only its Policy.
+	Policy selector.Policy
 
 	// BAForwarding disables §3.2.1 when explicitly set false (ablation).
 	BAForwarding *bool
@@ -97,10 +97,9 @@ type Scenario struct {
 	Domains int
 	// Chaos enables deterministic fault injection (DESIGN.md §11): a fault
 	// plan is derived from the scenario seed, the AP health monitor is
-	// switched on (WithHealth, unless the Controller override already set
-	// it), and the injector replays the plan during the run. nil — the
-	// default — leaves the network untouched and byte-identical to a build
-	// without the chaos engine. WGTT mode only.
+	// switched on (WithHealth), and the injector replays the plan during the
+	// run. nil — the default — leaves the network untouched and
+	// byte-identical to a build without the chaos engine. WGTT mode only.
 	Chaos *chaos.Config
 	// Urban switches the scenario to the street-grid city workload
 	// (DESIGN.md §16): Build expands the config into AP positions along

@@ -55,7 +55,7 @@ func extMetroConfig(opt Options, quick bool) fleet.Config {
 		Workers:     4,
 		UDPRateMbps: 1,
 		Metro:       &metro,
-		Selector:    opt.Selector,
+		Policy:      opt.Policy,
 	}
 }
 

@@ -36,7 +36,7 @@ func ExtSelector(opt Options) (*ExtSelectorResult, error) {
 	res := &ExtSelectorResult{}
 	for _, pol := range selector.Policies() {
 		s := core.MultiClientScenario(core.ModeWGTT, mobility.Following, nClients, 25, opt.Seed)
-		s.Selector = &selector.Config{Policy: pol}
+		s.Policy = pol
 		n, err := opt.build(s)
 		if err != nil {
 			return nil, err

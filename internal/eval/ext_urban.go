@@ -134,14 +134,11 @@ func ExtUrban(opt Options) (*ExtUrbanResult, error) {
 	if opt.Quick {
 		policies = []selector.Policy{selector.WindowedMedianPolicy, selector.PredictivePolicy}
 	}
-	fcfg := fleet.Config{
-		Cells:       1,
-		Seed:        opt.Seed,
-		Workers:     1,
-		UDPRateMbps: rate,
-		Urban:       &city,
-		Selector:    opt.Selector,
-	}
+	fcfg := fleet.DefaultConfig()
+	fcfg.Seed = opt.Seed
+	fcfg.Workers = 1
+	fcfg.UDPRateMbps = rate
+	fcfg.Urban = &city
 	pc, err := fleet.ComparePolicies(fcfg, policies)
 	if err != nil {
 		return nil, err

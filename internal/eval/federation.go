@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"wgtt/internal/core"
-	"wgtt/internal/federation"
 	"wgtt/internal/mobility"
 	"wgtt/internal/sim"
 	"wgtt/internal/stats"
@@ -57,14 +56,22 @@ func ExtFederation(opt Options) (*ExtFederationResult, error) {
 		if err != nil {
 			return nil, err
 		}
+		d := n.Attach([]core.Load{{RateMbps: 20, Record: true}})
+		n.Run()
+
+		// Each domain's Adopted ledger holds the cross-domain switches it
+		// completed; the worst gap is a max, so the domains' order is moot.
+		var transfer, sw []float64
 		var handoffAts []sim.Time
 		for _, d := range n.Fed.Domains {
-			d.OnHandoffComplete = func(rec federation.HandoffRecord) {
+			for _, rec := range d.Offered {
+				transfer = append(transfer, float64(rec.OfferToCommit)/float64(sim.Millisecond))
+			}
+			for _, rec := range d.Adopted {
+				sw = append(sw, float64(rec.SwitchDuration)/float64(sim.Millisecond))
 				handoffAts = append(handoffAts, rec.At)
 			}
 		}
-		d := n.Attach([]core.Load{{RateMbps: 20, Record: true}})
-		n.Run()
 
 		out := d.Outcome(0)
 		res.Domains = append(res.Domains, nDom)
@@ -78,15 +85,6 @@ func ExtFederation(opt Options) (*ExtFederationResult, error) {
 		res.Offers = append(res.Offers, fs.OffersSent)
 		res.Aborts = append(res.Aborts, fs.Aborts)
 
-		var transfer, sw []float64
-		for _, d := range n.Fed.Domains {
-			for _, rec := range d.Offered {
-				transfer = append(transfer, float64(rec.OfferToCommit)/float64(sim.Millisecond))
-			}
-			for _, rec := range d.Adopted {
-				sw = append(sw, float64(rec.SwitchDuration)/float64(sim.Millisecond))
-			}
-		}
 		res.OfferCommitMS = append(res.OfferCommitMS, medianOf(transfer))
 		res.CrossSwitchMS = append(res.CrossSwitchMS, medianOf(sw))
 	}

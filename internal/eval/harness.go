@@ -26,11 +26,11 @@ type Options struct {
 	// experiment (registries are not safe to share across workers) and
 	// return the per-experiment snapshots on RunOutput.Metrics.
 	CollectMetrics bool
-	// Selector, when non-nil, overrides the AP-selection policy
-	// (DESIGN.md §15) in every scenario an experiment builds. nil keeps
+	// Policy, when set, is the AP-selection policy (DESIGN.md §15) of every
+	// scenario an experiment builds that does not name its own. "" keeps
 	// the §3.1.1 windowed-median default, preserving the byte-identical
 	// reference output.
-	Selector *selector.Config
+	Policy selector.Policy
 
 	// registry, set by RunAll under CollectMetrics, receives every built
 	// network's instrument recordings (DESIGN.md §10). Experiments run
@@ -51,8 +51,8 @@ type Result interface {
 // build constructs the scenario's network, wiring it into the experiment's
 // registry when metrics collection is enabled.
 func (opt Options) build(s core.Scenario) (*core.Network, error) {
-	if opt.Selector != nil && s.Selector == nil {
-		s.Selector = opt.Selector
+	if s.Policy == "" {
+		s.Policy = opt.Policy
 	}
 	n, err := core.Build(s)
 	if err != nil {

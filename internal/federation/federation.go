@@ -260,9 +260,6 @@ type Domain struct {
 	// OnRelease observes ownership leaving this domain (commit sent); the
 	// Tier uses it to flip sim-side downlink routing.
 	OnRelease func(mac packet.MACAddr, to int)
-	// OnHandoffComplete observes each cross-domain switch completion on the
-	// adopting side.
-	OnHandoffComplete func(rec HandoffRecord)
 
 	Stats Stats
 	// Offered and Adopted are the two halves of the handoff timeline: what

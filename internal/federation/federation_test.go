@@ -311,7 +311,7 @@ func TestCrashMidOfferAbortIsInSnapshot(t *testing.T) {
 	}
 	h.offerToDeadPeer(packet.ClientMAC(1))
 
-	crash := chaos.Config{ControllerCrashAt: h.eng.Now() + sim.Millisecond}
+	crash := chaos.Config{Script: []chaos.Event{{At: h.eng.Now() + sim.Millisecond, Kind: chaos.ControllerCrash}}}
 	chaos.NewInjector(crash, h.eng, sim.NewRNG(1), nil, h.tier, sim.Second).Arm(h.bh)
 	h.run(2 * sim.Millisecond) // well inside OfferTimeout
 	if !h.doms[0].Down() {
@@ -490,7 +490,7 @@ func TestHandoffCarriesSelectorStateAllPolicies(t *testing.T) {
 	for _, pol := range selector.Policies() {
 		t.Run(string(pol), func(t *testing.T) {
 			cfg := quickConfig()
-			cfg.Controller.Selector.Policy = pol
+			cfg.Controller.Policy = pol
 			h := newFedHarness(t, 2, 2, cfg)
 			client := packet.ClientMAC(1)
 			if err := h.tier.RegisterClient(client, packet.ClientIP(1), 0); err != nil {

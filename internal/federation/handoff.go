@@ -310,17 +310,13 @@ func (d *Domain) adopt(m *packet.DomainHandoffCommit) {
 		if sw.Forced {
 			d.Stats.ForcedStarts++
 		}
-		rec := HandoffRecord{
+		d.Adopted = append(d.Adopted, HandoffRecord{
 			At: sw.At, Client: mac, From: fromDomain, To: d.id,
 			FromAP: sw.From, ToAP: sw.To,
 			SwitchDuration: sw.Duration, Forced: sw.Forced,
-		}
-		d.Adopted = append(d.Adopted, rec)
+		})
 		if d.OnSwitch != nil {
 			d.OnSwitch(sw)
-		}
-		if d.OnHandoffComplete != nil {
-			d.OnHandoffComplete(rec)
 		}
 	})
 }

@@ -135,7 +135,6 @@ func (c *cell) harvest() (CellResult, error) {
 // concurrently for different cells: everything it touches is local to the
 // cell.
 func RunCell(cfg Config, cell int) (CellResult, error) {
-	cfg = cfg.withDefaults()
 	plan := PlanCell(cfg, cell)
 	var s core.Scenario
 	var loads []core.Load
@@ -148,7 +147,7 @@ func RunCell(cfg Config, cell int) (CellResult, error) {
 		s, loads = corridorScenario(cfg, plan)
 	}
 	s.Chaos = cfg.Chaos
-	s.Selector = cfg.Selector
+	s.Policy = cfg.Policy
 	n, err := core.Build(s)
 	if err != nil {
 		return CellResult{}, fmt.Errorf("fleet: cell %d: %w", cell, err)

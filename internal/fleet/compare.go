@@ -46,15 +46,10 @@ func ComparePolicies(cfg Config, policies []selector.Policy) (*PolicyComparison,
 	if len(policies) == 0 {
 		policies = selector.Policies()
 	}
-	pc := &PolicyComparison{Cfg: cfg.withDefaults()}
+	pc := &PolicyComparison{Cfg: cfg}
 	for _, pol := range policies {
 		run := cfg
-		sc := selector.Config{Policy: pol}
-		if cfg.Selector != nil {
-			sc = *cfg.Selector
-			sc.Policy = pol
-		}
-		run.Selector = &sc
+		run.Policy = pol
 		res, err := Run(run)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: policy %s: %w", pol, err)

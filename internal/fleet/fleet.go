@@ -25,7 +25,9 @@ import (
 	"wgtt/internal/urban"
 )
 
-// Config describes a fleet deployment.
+// Config describes a fleet deployment. DefaultConfig states its defaults
+// once; Run, RunCell, PlanCell and ComparePolicies fill in none, and
+// RunMetro only MetroEpoch.
 type Config struct {
 	// Cells is the number of corridor cells to deploy.
 	Cells int
@@ -36,28 +38,26 @@ type Config struct {
 	// Worker count never affects results, only wall-clock time.
 	Workers int
 
-	// APsPerCell is the corridor length in APs (default 8, the testbed).
+	// APsPerCell is the corridor length in APs (8 is the testbed).
 	APsPerCell int
-	// SpacingM is the AP spacing in meters (default 7.5, Fig. 9's mean).
+	// SpacingM is the AP spacing in meters (7.5 is Fig. 9's mean).
 	SpacingM float64
 
-	// ArrivalsPerMin is the Poisson vehicle arrival rate per corridor
-	// (default 6). Vehicles arrive over ArrivalWindow; the first vehicle
-	// always arrives at t=0 so no cell is empty.
+	// ArrivalsPerMin is the Poisson vehicle arrival rate per corridor.
+	// Vehicles arrive over ArrivalWindow; the first vehicle always arrives
+	// at t=0 so no cell is empty.
 	ArrivalsPerMin float64
-	// ArrivalWindow is how long each cell admits vehicles (default 20 s).
+	// ArrivalWindow is how long each cell admits vehicles.
 	ArrivalWindow sim.Time
-	// MaxVehicles caps per-cell vehicle count (default 4; simulation cost
-	// grows quadratically with co-channel stations).
+	// MaxVehicles caps per-cell vehicle count (simulation cost grows
+	// quadratically with co-channel stations).
 	MaxVehicles int
-	// SpeedsMPH is the speed mix vehicles draw from, uniformly
-	// (default {15, 25, 35}).
+	// SpeedsMPH is the speed mix vehicles draw from, uniformly.
 	SpeedsMPH []float64
 	// TCPFraction of vehicles carry a bulk downlink TCP workload; the rest
-	// carry a CBR downlink UDP flow. 0 means the default 0.5; any negative
-	// value means an all-UDP fleet.
+	// carry a CBR downlink UDP flow. 0 is an all-UDP fleet.
 	TCPFraction float64
-	// UDPRateMbps is the offered CBR load of UDP vehicles (default 20).
+	// UDPRateMbps is the offered CBR load of UDP vehicles.
 	UDPRateMbps float64
 
 	// TraceDir, when non-empty, writes one JSONL event trace per cell
@@ -85,11 +85,11 @@ type Config struct {
 	// disables injection and leaves the report format untouched.
 	Chaos *chaos.Config
 
-	// Selector picks the AP-selection policy every cell's controller runs
-	// (DESIGN.md §15). nil keeps the §3.1.1 windowed-median default; the
+	// Policy picks the AP-selection policy every cell's controller runs
+	// (DESIGN.md §15). "" keeps the §3.1.1 windowed-median default; the
 	// policy is pure and deterministic, so any choice preserves the
 	// byte-identical determinism contract.
-	Selector *selector.Config
+	Policy selector.Policy
 
 	// Urban switches every cell from a straight corridor to a street-grid
 	// city (DESIGN.md §16): the cell's APs line its streets, and its
@@ -156,39 +156,21 @@ const samplePeriod = 50 * sim.Millisecond
 // corridor virtually co-located.
 const minHeadwayS = 1.5
 
-// withDefaults fills zero fields.
-func (c Config) withDefaults() Config {
-	if c.Cells <= 0 {
-		c.Cells = 1
+// DefaultConfig is one corridor cell of the testbed's shape — 8 APs 7.5 m
+// apart — under 6 vehicles a minute for 20 s, at most 4 at once, drawing
+// 15/25/35 mph, half on TCP and the rest on 20 Mb/s UDP.
+func DefaultConfig() Config {
+	return Config{
+		Cells:          1,
+		APsPerCell:     8,
+		SpacingM:       7.5,
+		ArrivalsPerMin: 6,
+		ArrivalWindow:  20 * sim.Second,
+		MaxVehicles:    4,
+		SpeedsMPH:      []float64{15, 25, 35},
+		TCPFraction:    0.5,
+		UDPRateMbps:    20,
 	}
-	if c.APsPerCell <= 0 {
-		c.APsPerCell = 8
-	}
-	if c.SpacingM <= 0 {
-		c.SpacingM = 7.5
-	}
-	if c.ArrivalsPerMin <= 0 {
-		c.ArrivalsPerMin = 6
-	}
-	if c.ArrivalWindow <= 0 {
-		c.ArrivalWindow = 20 * sim.Second
-	}
-	if c.MaxVehicles <= 0 {
-		c.MaxVehicles = 4
-	}
-	if len(c.SpeedsMPH) == 0 {
-		c.SpeedsMPH = []float64{15, 25, 35}
-	}
-	if c.TCPFraction == 0 {
-		// A negative fraction stays as it is — no draw falls below it — so
-		// that applying the defaults twice (Run, then RunCell and PlanCell)
-		// cannot turn an explicit "no TCP" back into the default mix.
-		c.TCPFraction = 0.5
-	}
-	if c.UDPRateMbps <= 0 {
-		c.UDPRateMbps = 20
-	}
-	return c
 }
 
 // Vehicle is one planned drive through a cell.
@@ -218,7 +200,6 @@ type CellPlan struct {
 // comes from named sim.RNG streams of the fleet seed, so neither worker
 // scheduling nor other cells' draws can perturb it.
 func PlanCell(cfg Config, cell int) CellPlan {
-	cfg = cfg.withDefaults()
 	frng := sim.NewRNG(cfg.Seed)
 	plan := CellPlan{
 		Cell: cell,

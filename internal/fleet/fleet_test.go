@@ -20,17 +20,17 @@ import (
 // testConfig is a deliberately tiny fleet so the determinism test stays
 // fast even under -race: short corridors, fast vehicles, few cells.
 func testConfig(workers int) Config {
-	return Config{
-		Cells:          3,
-		Seed:           7,
-		Workers:        workers,
-		APsPerCell:     4,
-		ArrivalsPerMin: 12,
-		ArrivalWindow:  4 * sim.Second,
-		MaxVehicles:    2,
-		SpeedsMPH:      []float64{35},
-		UDPRateMbps:    15,
-	}
+	c := DefaultConfig()
+	c.Cells = 3
+	c.Seed = 7
+	c.Workers = workers
+	c.APsPerCell = 4
+	c.ArrivalsPerMin = 12
+	c.ArrivalWindow = 4 * sim.Second
+	c.MaxVehicles = 2
+	c.SpeedsMPH = []float64{35}
+	c.UDPRateMbps = 15
+	return c
 }
 
 var update = flag.Bool("update", false, "regenerate the testdata report goldens")
@@ -105,22 +105,6 @@ func TestPlanCellSeedChangesEverything(t *testing.T) {
 	b := PlanCell(cfg, 0)
 	if a.Seed == b.Seed {
 		t.Error("fleet seed does not reach cell seeds")
-	}
-}
-
-// TestNegativeTCPFractionMeansAllUDP pins the explicit "no TCP" setting:
-// it must survive the defaults being applied at every layer (Run, RunCell
-// and PlanCell each apply them) instead of decaying into the 50 % mix.
-func TestNegativeTCPFractionMeansAllUDP(t *testing.T) {
-	cfg := testConfig(1)
-	cfg.TCPFraction = -1
-	cfg = cfg.withDefaults().withDefaults()
-	for cell := 0; cell < cfg.Cells; cell++ {
-		for _, v := range PlanCell(cfg, cell).Vehicles {
-			if v.TCP {
-				t.Fatalf("cell %d planned a TCP vehicle under TCPFraction %v", cell, cfg.TCPFraction)
-			}
-		}
 	}
 }
 

@@ -153,7 +153,6 @@ func RunMetro(cfg Config) (*MetroResult, error) {
 // newMetroRun plans the city, builds every visited tile's network, and
 // precomputes the migration schedule.
 func newMetroRun(cfg Config) (*metroRun, error) {
-	cfg = cfg.withDefaults()
 	if cfg.Metro == nil {
 		return nil, fmt.Errorf("fleet: metro run without Config.Metro")
 	}
@@ -296,7 +295,7 @@ func (m *metroRun) buildTile(t int, visitors []presence, frng *sim.RNG) (*metroT
 	s := core.CityCellScenario(plan.City.Graph,
 		frng.Stream(fmt.Sprintf("fleet/metro/tile/%d/seed", t)).Uint64(),
 		plan.Duration(), aps, clients)
-	s.Selector = m.Cfg.Selector
+	s.Policy = m.Cfg.Policy
 	n, err := core.Build(s)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: metro tile %d: %w", t, err)

@@ -19,7 +19,6 @@ type Result struct {
 // cells are aggregated in index order, so the result — and its rendered
 // report — is identical for every worker count.
 func Run(cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
 	if cfg.Metro != nil {
 		return nil, fmt.Errorf("fleet: metro deployments run via RunMetro")
 	}

@@ -18,13 +18,13 @@ func urbanTestConfig(workers int) Config {
 	city.Cars = 0
 	city.Pedestrians = 1
 	city.MaxDurationS = 10
-	return Config{
-		Cells:       2,
-		Seed:        7,
-		Workers:     workers,
-		UDPRateMbps: 2,
-		Urban:       &city,
-	}
+	c := DefaultConfig()
+	c.Cells = 2
+	c.Seed = 7
+	c.Workers = workers
+	c.UDPRateMbps = 2
+	c.Urban = &city
+	return c
 }
 
 // TestUrbanFleetDeterministicAcrossWorkers is the satellite determinism

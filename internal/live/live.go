@@ -141,7 +141,7 @@ func RunController(domain int, conn *net.UDPConn, table map[packet.IPv4Addr]stri
 	)
 	err := runNode(conn, table, timeout, func(w *runtime.Wall, sw *backhaul.Switch) error {
 		cfg := federation.DefaultConfig()
-		cfg.Controller.Selector.Policy = pol
+		cfg.Controller.Policy = pol
 		dom := federation.NewDomain(cfg, w.Eng, sw, domain, city)
 		dom.OnSwitch = func(r controller.SwitchRecord) {
 			if !got {

@@ -71,30 +71,18 @@ type Frame struct {
 	MPDUs []*MPDU
 }
 
-// Airtime returns the frame's on-air duration.
-func (f *Frame) Airtime() sim.Time {
-	var sizes []int
-	return f.airtime(&sizes)
-}
-
-// airtime is Airtime with the A-MPDU's size list built in *sizes, the
-// caller's reusable buffer.
+// airtime returns the frame's on-air duration, building the A-MPDU's size
+// list in *sizes, the caller's reusable buffer.
 func (f *Frame) airtime(sizes *[]int) sim.Time {
 	if f.Kind == KindBeacon || f.Kind == KindMgmt {
 		// Management and beacons go out in legacy format at the basic rate.
-		return legacyFrameAirtime(f.totalBytes())
+		return phy.LegacyDuration(f.totalBytes())
 	}
 	*sizes = (*sizes)[:0]
 	for _, m := range f.MPDUs {
 		*sizes = append(*sizes, m.Bytes)
 	}
 	return phy.AMPDUDuration(f.MCS, *sizes)
-}
-
-func legacyFrameAirtime(bytes int) sim.Time {
-	bits := float64(bytes*8 + 22)
-	symbols := (bits + phy.BasicRateMbps*4 - 1) / (phy.BasicRateMbps * 4)
-	return phy.LegacyPreamble + sim.Time(int(symbols))*4*sim.Microsecond
 }
 
 func (f *Frame) totalBytes() int {

@@ -72,12 +72,13 @@ func TestFrameStartSeq(t *testing.T) {
 }
 
 func TestFrameAirtime(t *testing.T) {
+	var sizes []int
 	data := &Frame{Kind: KindData, MCS: 7, MPDUs: []*MPDU{{Bytes: 1500}, {Bytes: 1500}}}
-	if a := data.Airtime(); a <= phy.HTPreamble {
+	if a := data.airtime(&sizes); a <= phy.HTPreamble {
 		t.Errorf("data airtime = %v", a)
 	}
 	beacon := &Frame{Kind: KindBeacon, To: BroadcastAddr, MPDUs: []*MPDU{{Bytes: 100}}}
-	if a := beacon.Airtime(); a <= phy.LegacyPreamble {
+	if a := beacon.airtime(&sizes); a <= phy.LegacyPreamble {
 		t.Errorf("beacon airtime = %v", a)
 	}
 	if beacon.ExpectsResponse() {
@@ -256,8 +257,8 @@ func (h *harness) addAP(t *testing.T, name string, x float64, aliases ...packet.
 		Addr:     packet.APMAC(int(x)),
 		Aliases:  aliases,
 		Endpoint: ep,
-		Sink:     sink,
 	})
+	st.SetSink(sink)
 	return st, sink
 }
 
@@ -276,8 +277,8 @@ func (h *harness) addClient(t *testing.T, name string, tr mobility.Trace, speedH
 	st := NewStation(h.medium, StationConfig{
 		Addr:     packet.ClientMAC(1),
 		Endpoint: ep,
-		Sink:     sink,
 	})
+	st.SetSink(sink)
 	return st, sink
 }
 
@@ -294,7 +295,9 @@ func (h *harness) addOmni(t *testing.T, addr packet.MACAddr, x float64, sink Sin
 	if err := h.ch.AddEndpoint(ep); err != nil {
 		t.Fatal(err)
 	}
-	return NewStation(h.medium, StationConfig{Addr: addr, Endpoint: ep, Sink: sink, Promiscuous: promiscuous})
+	st := NewStation(h.medium, StationConfig{Addr: addr, Endpoint: ep, Promiscuous: promiscuous})
+	st.SetSink(sink)
+	return st
 }
 
 func mkPackets(n, bytes int) []*packet.Packet {

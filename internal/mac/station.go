@@ -47,7 +47,6 @@ type StationConfig struct {
 	Endpoint *radio.Endpoint  // radio identity
 	// Promiscuous stations decode frames addressed to anyone (monitor mode).
 	Promiscuous bool
-	Sink        Sink
 }
 
 // Station is one 802.11 MAC entity: it contends for the medium, assembles
@@ -98,7 +97,6 @@ func NewStation(m *Medium, cfg StationConfig) *Station {
 		Endpoint:    cfg.Endpoint,
 		Promiscuous: cfg.Promiscuous,
 		medium:      m,
-		sink:        cfg.Sink,
 		cw:          phy.CWMin,
 		seq:         make(map[packet.MACAddr]uint16),
 		rc:          make(map[packet.MACAddr]*minstrel),
@@ -107,8 +105,8 @@ func NewStation(m *Medium, cfg StationConfig) *Station {
 	return s
 }
 
-// SetSink installs the receive handler (for assembly cycles where the sink
-// needs the station first).
+// SetSink installs the receive handler; the sink usually needs the station
+// first, so it is installed after NewStation.
 func (s *Station) SetSink(k Sink) { s.sink = k }
 
 // SetSource installs the transmit source.

@@ -236,7 +236,8 @@ func (r *Registry) HandoffSpans() *SpanTracker {
 // and every CounterAt view is folded into a stored counter and dropped, so a
 // registry shared by sequentially built networks (an experiment's) holds
 // none of them once it has run. Whatever a component counts after EndRun is
-// no longer seen.
+// no longer seen. The recorded spans stay, in order, but their ids are
+// forgotten: the next network numbers its switches from the start again.
 func (r *Registry) EndRun(ns int64) {
 	if r == nil {
 		return
@@ -246,4 +247,7 @@ func (r *Registry) EndRun(ns int64) {
 		r.Counter(k.component, k.name).v = v
 	}
 	clear(r.views)
+	for _, t := range r.spans {
+		clear(t.byID)
+	}
 }

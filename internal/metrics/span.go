@@ -122,7 +122,7 @@ func newSpanTracker(name string) *SpanTracker {
 
 // Begin opens the span for one switch attempt. Duplicate ids are ignored
 // (the controller allows a single outstanding switch per client, and ids
-// are globally unique).
+// are unique within a run; Registry.EndRun forgets them between runs).
 func (t *SpanTracker) Begin(id uint32, atNS int64, client string, from, to int, cause string, fromMedianDB, toMedianDB float64) {
 	if t == nil {
 		return

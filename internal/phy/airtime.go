@@ -72,18 +72,19 @@ func AMPDUDuration(m MCS, payloadBytes []int) sim.Time {
 	return HTPreamble + DataDuration(m, total)
 }
 
-// legacyDuration returns the on-air time of a legacy-OFDM control frame.
-func legacyDuration(bytes int) sim.Time {
+// LegacyDuration returns the on-air time of a legacy-OFDM frame of the
+// given length at the basic rate: control responses, beacons, management.
+func LegacyDuration(bytes int) sim.Time {
 	bits := float64(bytes*8 + 22)
 	symbols := math.Ceil(bits / (BasicRateMbps * 4)) // legacy symbols are 4 µs
 	return LegacyPreamble + sim.Time(symbols)*4*sim.Microsecond
 }
 
 // BlockAckDuration is the on-air time of a compressed Block ACK response.
-func BlockAckDuration() sim.Time { return legacyDuration(BlockAckBytes) }
+func BlockAckDuration() sim.Time { return LegacyDuration(BlockAckBytes) }
 
 // AckDuration is the on-air time of a legacy ACK.
-func AckDuration() sim.Time { return legacyDuration(AckBytes) }
+func AckDuration() sim.Time { return LegacyDuration(AckBytes) }
 
 // TXOPLimit is the maximum time one A-MPDU may occupy the medium (the
 // best-effort TXOP cap drivers enforce so low-rate senders cannot hog the

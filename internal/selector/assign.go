@@ -12,8 +12,8 @@ import (
 // SDN-style global AP selection of arXiv 2403.18745): instead of each
 // client greedily taking its own argmax AP — which piles co-located
 // clients onto the same picocell — the policy periodically recomputes one
-// AP↔client assignment for the whole fleet, capping each AP at APBudget
-// clients and giving each client's incumbent a StickinessDB scoring bonus
+// AP↔client assignment for the whole fleet, capping each AP at assignBudget
+// clients and giving each client's incumbent a stickinessDB scoring bonus
 // to damp churn. Between rounds clients follow their assigned AP; clients
 // the budget leaves unassigned stay where they are.
 //
@@ -23,7 +23,6 @@ import (
 // ties break by (client order, AP id).
 type GlobalAssign struct {
 	base
-	cfg    Config
 	nextAt sim.Time
 
 	// pairs is the recomputation scratch (reused across rounds; the
@@ -31,6 +30,15 @@ type GlobalAssign struct {
 	pairs []assignPair
 	load  []int
 }
+
+// GlobalAssign's one operating point: a fleet-wide round every
+// assignPeriod, at most assignBudget clients per AP, and a stickinessDB
+// bonus on each client's serving AP.
+const (
+	assignPeriod = 50 * sim.Millisecond
+	assignBudget = 2
+	stickinessDB = 1.0
+)
 
 // assignPair is one (client, AP) candidate in a recomputation round.
 type assignPair struct {
@@ -49,7 +57,7 @@ func (s *GlobalAssign) Decide(mac packet.MACAddr, serving int, now sim.Time, ali
 	d := stay()
 	if now >= s.nextAt {
 		s.recompute(now, alive)
-		s.nextAt = now + s.cfg.AssignPeriod
+		s.nextAt = now + assignPeriod
 		d.NewRound = true
 	}
 	tgt := cl.assigned
@@ -79,7 +87,7 @@ func (s *GlobalAssign) Decide(mac packet.MACAddr, serving int, now sim.Time, ali
 }
 
 // recompute runs one fleet-wide assignment round: score every usable
-// (client, AP) pair by median ESNR (+StickinessDB for the incumbent),
+// (client, AP) pair by median ESNR (+stickinessDB for the incumbent),
 // sort, and greedily assign under the per-AP budget. Clients the budget
 // leaves out keep their serving AP.
 func (s *GlobalAssign) recompute(now sim.Time, alive func(int) bool) {
@@ -99,7 +107,7 @@ func (s *GlobalAssign) recompute(now sim.Time, alive func(int) bool) {
 			}
 			score := med
 			if ap == cl.serving {
-				score += s.cfg.StickinessDB
+				score += stickinessDB
 			}
 			pairs = append(pairs, assignPair{ci: ci, ap: ap, score: score})
 		}
@@ -131,7 +139,7 @@ func (s *GlobalAssign) recompute(now sim.Time, alive func(int) bool) {
 			break
 		}
 		cl := s.clients[s.order[pr.ci]]
-		if cl.assigned != -1 || load[pr.ap] >= s.cfg.APBudget {
+		if cl.assigned != -1 || load[pr.ap] >= assignBudget {
 			continue
 		}
 		cl.assigned = pr.ap

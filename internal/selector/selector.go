@@ -41,7 +41,7 @@ const (
 	// falling and a challenger is predicted to be better at the horizon.
 	PredictivePolicy Policy = "predictive"
 	// GlobalAssignPolicy recomputes a fleet-wide AP↔client assignment
-	// every AssignPeriod under a per-AP client budget, trading a little
+	// every assignPeriod under a per-AP client budget, trading a little
 	// per-client ESNR for bounded per-AP load.
 	GlobalAssignPolicy Policy = "global-assign"
 )
@@ -83,39 +83,12 @@ type Params struct {
 	MinSwitchESNRdB float64
 }
 
-// Config selects and parameterizes a policy. The zero value is the
-// windowed-median rule — the configuration every pre-existing scenario
-// implicitly ran.
+// Config selects a policy. The zero value is the windowed-median rule —
+// the configuration every pre-existing scenario implicitly ran. Each
+// policy runs one fixed operating point (predictive.go, assign.go).
 type Config struct {
 	// Policy picks the implementation; "" means WindowedMedianPolicy.
 	Policy Policy
-
-	// GlobalAssign knobs (Predictive's operating point is fixed; see
-	// predictive.go).
-	//
-	// AssignPeriod is the fleet-wide recomputation period (default 50 ms).
-	AssignPeriod sim.Time
-	// APBudget caps how many clients one AP may be assigned (default 2).
-	APBudget int
-	// StickinessDB is the incumbent bonus added to a client's serving AP
-	// during assignment scoring, damping churn (default 1 dB).
-	StickinessDB float64
-}
-
-func (c Config) withDefaults() Config {
-	if c.Policy == "" {
-		c.Policy = WindowedMedianPolicy
-	}
-	if c.AssignPeriod <= 0 {
-		c.AssignPeriod = 50 * sim.Millisecond
-	}
-	if c.APBudget <= 0 {
-		c.APBudget = 2
-	}
-	if c.StickinessDB == 0 {
-		c.StickinessDB = 1.0
-	}
-	return c
 }
 
 // Decision is one policy verdict for one client.
@@ -177,19 +150,18 @@ type Selector interface {
 // Unknown policy names are a programming error (ParsePolicy validates
 // user input), so New panics rather than guessing.
 func New(cfg Config, p Params, numAPs int) Selector {
-	cfg = cfg.withDefaults()
 	if p.MinSamples < 1 {
 		p.MinSamples = 1
 	}
 	switch cfg.Policy {
-	case WindowedMedianPolicy:
+	case "", WindowedMedianPolicy:
 		return &WindowedMedian{base: newBase(p, numAPs)}
 	case PredictivePolicy:
 		b := newBase(p, numAPs)
 		b.histSpan = predictHistSpan
 		return &Predictive{base: b}
 	case GlobalAssignPolicy:
-		return &GlobalAssign{base: newBase(p, numAPs), cfg: cfg}
+		return &GlobalAssign{base: newBase(p, numAPs)}
 	}
 	panic(fmt.Sprintf("selector: unknown policy %q", cfg.Policy))
 }

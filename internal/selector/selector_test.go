@@ -247,13 +247,17 @@ func TestPredictiveDefersToMedianRule(t *testing.T) {
 // serving AP when the budget squeezes it out entirely.
 func TestGlobalAssignRespectsBudget(t *testing.T) {
 	p := testParams()
-	cfg := Config{Policy: GlobalAssignPolicy, APBudget: 1, StickinessDB: 0.1}
-	sel := New(cfg, p, 3)
-	macs := []packet.MACAddr{packet.ClientMAC(1), packet.ClientMAC(2), packet.ClientMAC(3)}
+	sel := New(Config{Policy: GlobalAssignPolicy}, p, 3)
+	// One client more than AP 0's budget, all served by AP 0.
+	var macs []packet.MACAddr
+	for i := 1; i <= assignBudget+1; i++ {
+		macs = append(macs, packet.ClientMAC(i))
+	}
 	for _, m := range macs {
 		sel.AddClient(m, 0)
 	}
-	// AP 0 is best for everyone; APs 1 and 2 are usable but worse.
+	// AP 0 is best for everyone; APs 1 and 2 are usable but worse by more
+	// than the stickiness bonus.
 	now := sim.Time(0)
 	for i := 0; i < 20; i++ {
 		for _, m := range macs {
@@ -263,15 +267,16 @@ func TestGlobalAssignRespectsBudget(t *testing.T) {
 		}
 		now += 500 * sim.Microsecond
 	}
-	serving := map[packet.MACAddr]int{macs[0]: 0, macs[1]: 0, macs[2]: 0}
+	serving := map[packet.MACAddr]int{}
 	var rounds int
 	targets := make(map[packet.MACAddr]int)
 	for _, m := range macs {
-		d := sel.Decide(m, serving[m], now, allAlive)
+		d := sel.Decide(m, 0, now, allAlive)
 		if d.NewRound {
 			rounds++
 		}
 		targets[m] = d.Target
+		serving[m] = 0
 		if d.Target >= 0 {
 			if d.Cause != metrics.CauseGlobalAssign {
 				t.Fatalf("cause = %q, want %q", d.Cause, metrics.CauseGlobalAssign)
@@ -283,19 +288,14 @@ func TestGlobalAssignRespectsBudget(t *testing.T) {
 	if rounds != 1 {
 		t.Fatalf("assignment rounds = %d, want exactly 1 (lazy trigger)", rounds)
 	}
-	// Budget 1: exactly one client keeps AP 0 (stays, Target -1), the other
-	// two are pushed to APs 1 and 2.
+	// AP 0 keeps exactly its budget (those clients stay, Target -1); the
+	// one left over is pushed to the next-best AP 1.
 	assigned := map[int]int{}
 	for _, m := range macs {
 		assigned[serving[m]]++
 	}
-	for ap, n := range assigned {
-		if n > 1 {
-			t.Fatalf("AP %d assigned %d clients, budget is 1 (targets %v)", ap, n, targets)
-		}
-	}
-	if len(assigned) != 3 {
-		t.Fatalf("clients not spread: serving map %v", serving)
+	if assigned[0] != assignBudget || assigned[1] != 1 {
+		t.Fatalf("per-AP load %v, want %d on AP 0 and 1 on AP 1 (targets %v)", assigned, assignBudget, targets)
 	}
 }
 
@@ -304,13 +304,12 @@ func TestGlobalAssignRespectsBudget(t *testing.T) {
 // without re-sorting.
 func TestGlobalAssignPeriodicRounds(t *testing.T) {
 	p := testParams()
-	cfg := Config{Policy: GlobalAssignPolicy, AssignPeriod: 10 * sim.Millisecond}
-	sel := New(cfg, p, 2)
+	sel := New(Config{Policy: GlobalAssignPolicy}, p, 2)
 	mac := packet.ClientMAC(1)
 	sel.AddClient(mac, 0)
 	rounds := 0
 	now := sim.Time(0)
-	for ; now < 35*sim.Millisecond; now += sim.Millisecond {
+	for ; now < 7*assignPeriod/2; now += sim.Millisecond {
 		sel.Observe(mac, 0, 20, now)
 		sel.Observe(mac, 1, 15, now)
 		if d := sel.Decide(mac, 0, now, allAlive); d.NewRound {
@@ -318,7 +317,7 @@ func TestGlobalAssignPeriodicRounds(t *testing.T) {
 		}
 	}
 	if rounds != 4 {
-		t.Fatalf("rounds in 35 ms at a 10 ms period = %d, want 4", rounds)
+		t.Fatalf("rounds in 3.5 periods = %d, want 4", rounds)
 	}
 }
 

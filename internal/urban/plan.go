@@ -201,7 +201,7 @@ func BuildPlan(cfg Config, seed uint64) (*Plan, error) {
 		if to >= from {
 			to++
 		}
-		speed := cfg.CarSpeedsMPH[st.IntN(len(cfg.CarSpeedsMPH))]
+		speed := carSpeedsMPH[st.IntN(len(carSpeedsMPH))]
 		depart := sim.Time(st.IntN(4000)) * sim.Millisecond
 		route := g.ShortestPath(from, to, speed)
 		if route == nil {
@@ -233,6 +233,9 @@ func BuildPlan(cfg Config, seed uint64) (*Plan, error) {
 	}
 	return p, nil
 }
+
+// carSpeedsMPH is the design-speed mix cars draw from.
+var carSpeedsMPH = [...]float64{15, 25, 35}
 
 // vehicleJitter draws a small fixed lane offset so no two vehicles ever sit
 // at the exact same coordinate.

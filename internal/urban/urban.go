@@ -31,10 +31,9 @@ type Config struct {
 	// Domains partitions the city into that many federation domains
 	// (vertical slabs). 1 = single controller.
 	Domains int
-	// CarSpeedsMPH is the design-speed mix cars draw from; BusSpeedMPH is
-	// fixed per bus line. Segments cap these at their limit.
-	CarSpeedsMPH []float64
-	BusSpeedMPH  float64
+	// BusSpeedMPH is fixed per bus line; cars draw from carSpeedsMPH.
+	// Segments cap these at their limit.
+	BusSpeedMPH float64
 	// MaxDurationS caps the scenario length in seconds; the plan otherwise
 	// runs until the last route finishes plus a short tail.
 	MaxDurationS float64
@@ -49,7 +48,6 @@ func DefaultConfig() Config {
 		BlockM: 60, APSpacingM: 25,
 		Cars: 1, Buses: 1, RidersPerBus: 10, Pedestrians: 2,
 		Domains:      2,
-		CarSpeedsMPH: []float64{15, 25, 35},
 		BusSpeedMPH:  15,
 		MaxDurationS: 60,
 	}
@@ -82,14 +80,6 @@ func (c Config) Validate() error {
 	}
 	if c.Domains < 1 {
 		return fmt.Errorf("urban: need at least one domain, got %d", c.Domains)
-	}
-	if c.Cars > 0 && len(c.CarSpeedsMPH) == 0 {
-		return fmt.Errorf("urban: cars need a non-empty speed mix")
-	}
-	for _, s := range c.CarSpeedsMPH {
-		if s <= 0 {
-			return fmt.Errorf("urban: car speed must be positive, got %g mph", s)
-		}
 	}
 	if c.Buses > 0 && c.BusSpeedMPH <= 0 {
 		return fmt.Errorf("urban: bus speed must be positive, got %g mph", c.BusSpeedMPH)

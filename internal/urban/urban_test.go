@@ -226,7 +226,6 @@ func TestBuildPlanValidates(t *testing.T) {
 		{},
 		func() Config { c := DefaultConfig(); c.Rows = 1; return c }(),
 		func() Config { c := DefaultConfig(); c.Domains = 0; return c }(),
-		func() Config { c := DefaultConfig(); c.CarSpeedsMPH = nil; return c }(),
 		func() Config { c := DefaultConfig(); c.Cars, c.Buses, c.Pedestrians = 0, 0, 0; return c }(),
 		func() Config { c := DefaultConfig(); c.MaxDurationS = 0; return c }(),
 	}
