@@ -49,7 +49,10 @@ race:
 # resolve there with `go doc -u`, a `Type.Member` in a package declaring
 # Type, and any other `x.Name` in the standard library. A dotted name that
 # ends in a file extension is a file, one that ends in snake_case a
-# benchmark metric (BENCHMARK.json's layer.metric).
+# benchmark metric (BENCHMARK.json's layer.metric). A cited `*.go` path must
+# be a file from the repository root, internal/ or cmd/ — a bare file name
+# one some directory under internal/ or cmd/ holds — and a cited `make X`
+# a target this Makefile defines.
 DOC_FILES = DESIGN.md README.md
 docs-check:
 	@fail=0; for d in internal/*/; do \
@@ -70,8 +73,17 @@ docs-check:
 		for p in $$dirs; do $(GO) doc -u ./$$p $$sym >/dev/null 2>&1 && ok=1; done; \
 		if [ $$ok -eq 0 ]; then echo "docs-check: \`$$n\` names nothing in the code"; fail=1; fi; \
 	done; \
+	for f in $$(grep -oh '`[^` ]*\.go`' $(DOC_FILES) | tr -d '`' | sort -u); do \
+		case $$f in \
+			*/*) [ -f $$f ] || [ -f internal/$$f ] || [ -f cmd/$$f ];; \
+			*) [ -n "$$(find internal cmd -name $$f)" ];; \
+		esac || { echo "docs-check: \`$$f\` names no file"; fail=1; }; \
+	done; \
+	for t in $$(grep -oh '`make [A-Za-z0-9_-]*' $(DOC_FILES) | cut -c7- | sort -u); do \
+		grep -q "^$$t:" Makefile || { echo "docs-check: \`make $$t\` names no target"; fail=1; }; \
+	done; \
 	if [ $$fail -ne 0 ]; then exit 1; fi
-	@echo docs-check: all internal packages carry a paper-section mapping, and every Go name the docs cite resolves
+	@echo docs-check: all internal packages carry a paper-section mapping, and every Go name, file and make target the docs cite resolves
 
 # The targets that run a CLI share one shape:
 # $(call in-scratch,<cmds>,<script>[,<build flags>]) builds each cmd/<cmd>

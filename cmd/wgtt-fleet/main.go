@@ -124,7 +124,6 @@ func main() {
 		mcfg := urban.DefaultMetroConfig()
 		mcfg.Tiles = tiles
 		applyCityFlags(&mcfg.City)
-		mcfg.City.Domains = 1 // metro tiles are the sharding story
 		cfg.Metro = &mcfg
 		cfg.MetroEpoch = sim.FromSeconds(*metroEpoch / 1000)
 		cfg.MetroIsolated = *metroIsolated

@@ -9,7 +9,7 @@
 //	wgtt-live                   # orchestrate: spawn controller + 2 APs, wait for the switch
 //	wgtt-live -aps 3 -timeout 5s # APs past the two crossing ramps report a flat, weaker link
 //	wgtt-live -federation       # two controller processes hand the client across domains
-//	wgtt-live -fanout -aps 32   # measure downlink fan-out pkts/s, batched vs per-copy
+//	wgtt-live -fanout -aps 32   # measure downlink fan-out pkts/s
 //
 // With -federation the orchestrator spawns two controller processes — one
 // per single-AP domain (DESIGN.md §13) — plus the two APs; the run succeeds
@@ -167,26 +167,15 @@ func orchestrate(controllers, aps int, timeout time.Duration, pol selector.Polic
 }
 
 // measureFanout runs the in-process fan-out load generator (DESIGN.md §14)
-// on both send paths and prints the sustained copy rates plus the batching
-// speedup. Rates are hardware-dependent, so this mode stays out of the
-// byte-compared smoke paths.
+// and prints the sustained copy rate. Rates are hardware-dependent, so this
+// mode stays out of the byte-compared smoke paths.
 func measureFanout(numAPs, packets int) error {
-	batched, err := live.MeasureFanout(numAPs, packets, true)
-	if err != nil {
-		return err
-	}
-	perCopy, err := live.MeasureFanout(numAPs, packets, false)
+	r, err := live.MeasureFanout(numAPs, packets)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("wgtt-live: fan-out %d APs x %d packets over UDP loopback\n", numAPs, packets)
-	fmt.Printf("  batched:  %12.0f pkts/s  (%d datagrams for %d copies)\n",
-		batched.PktsPerSec, batched.Stats.Sent, batched.Copies)
-	fmt.Printf("  per-copy: %12.0f pkts/s  (%d datagrams for %d copies)\n",
-		perCopy.PktsPerSec, perCopy.Stats.Sent, perCopy.Copies)
-	if perCopy.PktsPerSec > 0 {
-		fmt.Printf("  speedup:  %.1fx\n", batched.PktsPerSec/perCopy.PktsPerSec)
-	}
+	fmt.Printf("  %12.0f pkts/s  (%d copies, one datagram each)\n", r.PktsPerSec, r.Copies)
 	return nil
 }
 

@@ -59,15 +59,13 @@ type Fabric interface {
 // switch. In live mode it is the node's UDP socket (backhaul/udp); in
 // simulation every node is attached and there is none.
 type Port interface {
-	// Routes is the port's route table: every address it reaches, mapped to
-	// the endpoint hosting it. It lists no address attached to the switch
-	// (a node's peer table lists the other nodes). Endpoints are numbered
-	// from 0 and are fewer than the routes. The switch only reads it.
-	Routes() map[packet.IPv4Addr]int
-	// Write sends raw, one encoded message from `from`, to the targets tos,
-	// all hosted at one endpoint, and reports how many copies it wrote. Loss
-	// is silent; the error is the first failed write. raw is not retained.
-	Write(from packet.IPv4Addr, endpoint int, tos []packet.IPv4Addr, raw []byte) (int, error)
+	// Routes reports whether the port reaches to. It reaches no address
+	// attached to the switch (a node's peer table lists the other nodes).
+	Routes(to packet.IPv4Addr) bool
+	// Write sends raw, one encoded message, from one address to one routed
+	// target. Loss is silent; the error is a failed write. raw is not
+	// retained.
+	Write(from, to packet.IPv4Addr, raw []byte) error
 }
 
 // Switch is the Ethernet fabric. It is store-and-forward with a fixed
@@ -104,10 +102,6 @@ type Switch struct {
 	// goroutine, so one of each serves every send.
 	encScratch []byte
 	unicast    [1]packet.IPv4Addr
-	// groups collects a send's undelayed remote copies per endpoint, and
-	// touched the endpoints in order of first use.
-	groups  [][]packet.IPv4Addr
-	touched []int
 	// dfree pools delivery events so a steady-state send schedules its
 	// delivery without allocating.
 	dfree []*delivery
@@ -135,7 +129,7 @@ func (s *Switch) Attach(addr packet.IPv4Addr, n Node) {
 // it to the remote port. Sending to an address neither knows returns an
 // error — it is always an assembly bug — and so does a failed write.
 func (s *Switch) Send(from, to packet.IPv4Addr, msg packet.Message) error {
-	if _, routed := s.routeTable()[to]; !routed {
+	if !s.routes(to) {
 		if _, ok := s.nodes[to]; !ok {
 			return fmt.Errorf("backhaul: no node at %v", to)
 		}
@@ -202,8 +196,8 @@ func (s *Switch) getDelivery(from packet.IPv4Addr, raw []byte) (*delivery, error
 // send is the one delivery path: encode msg once into the scratch buffer
 // and hand a copy to every known target — which is what lets callers reuse
 // msg immediately (the non-retention contract). Attached targets share one
-// decoded copy, delivered through one pooled event; targets the remote port
-// routes get the bytes, one Write per endpoint after the loop; other
+// decoded copy, delivered through one pooled event; each target the remote
+// port routes gets the bytes, one Write where the loop reaches it; other
 // targets are skipped, and a send with no attached target decodes nothing.
 // bytes and sent count per copy delivered or written. The Drop and Delay
 // hooks are consulted once per (target, message) in target order, local or
@@ -213,23 +207,17 @@ func (s *Switch) send(from packet.IPv4Addr, tos []packet.IPv4Addr, msg packet.Me
 	s.encScratch = packet.EncodeInto(s.encScratch[:0], msg)
 	size := uint64(len(s.encScratch))
 	hooked := s.Drop != nil || s.Delay != nil
-	routes := s.routeTable()
-	if len(s.groups) < len(routes) {
-		s.groups = make([][]packet.IPv4Addr, len(routes))
-	}
 	var d *delivery
+	var werr error
 	for _, to := range tos {
-		if routes != nil {
-			if ep, routed := routes[to]; routed {
-				if hooked && s.faultedRemote(from, to, ep, msg) {
-					continue
-				}
-				if len(s.groups[ep]) == 0 {
-					s.touched = append(s.touched, ep)
-				}
-				s.groups[ep] = append(s.groups[ep], to)
+		if s.routes(to) {
+			if hooked && s.faultedRemote(from, to, msg) {
 				continue
 			}
+			if err := s.write(from, to, s.encScratch); werr == nil {
+				werr = err
+			}
+			continue
 		}
 		node, ok := s.nodes[to]
 		if !ok {
@@ -257,15 +245,7 @@ func (s *Switch) send(from packet.IPv4Addr, tos []packet.IPv4Addr, msg packet.Me
 			s.eng.After(s.latency, d.run)
 		}
 	}
-	var err error
-	for _, ep := range s.touched {
-		if werr := s.write(from, ep, s.groups[ep], s.encScratch); err == nil {
-			err = werr
-		}
-		s.groups[ep] = s.groups[ep][:0]
-	}
-	s.touched = s.touched[:0]
-	return err
+	return werr
 }
 
 // fault consults the Drop and Delay hooks for one copy: whether it is
@@ -297,57 +277,47 @@ func (s *Switch) faulted(d *delivery, to packet.IPv4Addr, node Node, msg packet.
 	return true
 }
 
-// faultedRemote is faulted for a copy bound for the remote port's endpoint
-// ep: whether it stays out of the send's writes — dropped, or delayed and
-// written by an event of its own.
-func (s *Switch) faultedRemote(from, to packet.IPv4Addr, ep int, msg packet.Message) bool {
+// faultedRemote is faulted for a copy bound for the remote port: whether it
+// stays out of the send's writes — dropped, or delayed and written by an
+// event of its own.
+func (s *Switch) faultedRemote(from, to packet.IPv4Addr, msg packet.Message) bool {
 	extra, dropped := s.fault(to, msg)
 	if dropped || extra <= 0 {
 		return dropped
 	}
 	// A late copy's failed write is a silent loss, as on the wire.
 	raw := slices.Clone(s.encScratch)
-	s.eng.After(s.latency+extra, func() { _ = s.write(from, ep, []packet.IPv4Addr{to}, raw) })
+	s.eng.After(s.latency+extra, func() { _ = s.write(from, to, raw) })
 	return true
 }
 
-// routeTable is the remote port's route table, nil without a port.
-func (s *Switch) routeTable() map[packet.IPv4Addr]int {
-	if s.Remote == nil {
-		return nil
-	}
-	return s.Remote.Routes()
+// routes reports whether the remote port, if any, reaches to.
+func (s *Switch) routes(to packet.IPv4Addr) bool {
+	return s.Remote != nil && s.Remote.Routes(to)
 }
 
-// write hands one endpoint's remote copies to the port and counts the ones
-// it wrote.
-func (s *Switch) write(from packet.IPv4Addr, ep int, tos []packet.IPv4Addr, raw []byte) error {
-	n, err := s.Remote.Write(from, ep, tos, raw)
-	s.sent += uint64(n)
-	s.bytes += uint64(n) * uint64(len(raw))
-	return err
+// write hands one remote copy to the port and counts it once written.
+func (s *Switch) write(from, to packet.IPv4Addr, raw []byte) error {
+	if err := s.Remote.Write(from, to, raw); err != nil {
+		return err
+	}
+	s.sent++
+	s.bytes += uint64(len(raw))
+	return nil
 }
 
 // Receive delivers a message that arrived through the remote port — raw,
-// its encoding, from one address to each listed target — to the listed
-// targets attached here, in listed order, now. It reports how many listed
-// targets are not attached, and the decode error of bytes the codec
-// rejects, which deliver nothing. raw is not retained.
-func (s *Switch) Receive(from packet.IPv4Addr, tos []packet.IPv4Addr, raw []byte) (unroutable int, err error) {
+// its encoding, from one address to another — to the target attached here,
+// now. It reports a target that is not attached, and the decode error of
+// bytes the codec rejects, which deliver nothing. raw is not retained.
+func (s *Switch) Receive(from, to packet.IPv4Addr, raw []byte) (unroutable bool, err error) {
 	d, err := s.getDelivery(from, raw)
-	if err != nil {
-		d.recycle()
-		return 0, err
-	}
-	for _, to := range tos {
-		if node, ok := s.nodes[to]; ok {
-			d.nodes = append(d.nodes, node)
-		} else {
-			unroutable++
-		}
+	node, ok := s.nodes[to]
+	if err == nil && ok {
+		d.nodes = append(d.nodes, node)
 	}
 	d.fire()
-	return unroutable, nil
+	return err == nil && !ok, err
 }
 
 // Stats reports the number of delivered or written and of dropped copies,

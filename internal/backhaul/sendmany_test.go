@@ -256,37 +256,42 @@ func TestSendManyZeroAllocPerTarget(t *testing.T) {
 	}
 }
 
-// fakePort is a remote port that routes a fixed table and records what it
-// is handed instead of writing it.
+// fakePort is a remote port that routes a fixed set and records what it is
+// handed instead of writing it, in wrote and, if set, in the shared log.
 type fakePort struct {
-	routes map[packet.IPv4Addr]int
+	routes map[packet.IPv4Addr]bool
 	wrote  []packet.IPv4Addr
+	log    *[]string
 }
 
-func (f *fakePort) Routes() map[packet.IPv4Addr]int { return f.routes }
+func (f *fakePort) Routes(to packet.IPv4Addr) bool { return f.routes[to] }
 
-func (f *fakePort) Write(_ packet.IPv4Addr, _ int, tos []packet.IPv4Addr, _ []byte) (int, error) {
-	f.wrote = append(f.wrote, tos...)
-	return len(tos), nil
+func (f *fakePort) Write(_, to packet.IPv4Addr, _ []byte) error {
+	f.wrote = append(f.wrote, to)
+	if f.log != nil {
+		*f.log = append(*f.log, "write "+to.String())
+	}
+	return nil
 }
 
 // The remote half of TestSendManyDropHookDeterminism: over [local, remote,
 // local, remote, unknown] the Drop and Delay hooks are consulted once per
 // known target, in target order, whichever side of the port it is on; a
 // dropped copy is counted dropped and neither delivered nor handed over; an
-// undelayed remote copy is handed over within the send, a delayed one by an
-// event of its own; sent and bytes count each copy delivered or handed
+// undelayed remote copy is handed over where the loop reaches it, a delayed
+// one by an event of its own; sent and bytes count each copy delivered or handed
 // over; and a remote-only send decodes nothing.
 func TestSendManyConsultsLocalAndRemoteOnce(t *testing.T) {
 	eng := sim.NewEngine()
 	sw := NewSwitch(eng, 200*sim.Microsecond)
 	l0, r1, l2, r3, unknown := packet.APIP(0), packet.APIP(1), packet.APIP(2), packet.APIP(3), packet.APIP(9)
-	port := &fakePort{routes: map[packet.IPv4Addr]int{r1: 0, r3: 1}}
+	port := &fakePort{routes: map[packet.IPv4Addr]bool{r1: true, r3: true}}
 	sw.Remote = port
 	n0, n2 := &recNode{}, &recNode{}
 	sw.Attach(l0, n0)
 	sw.Attach(l2, n2)
 	var calls []string
+	port.log = &calls
 	drop := map[packet.IPv4Addr]bool{}
 	delay := map[packet.IPv4Addr]sim.Time{}
 	sw.Drop = func(to packet.IPv4Addr, _ packet.Message) bool {
@@ -304,7 +309,7 @@ func TestSendManyConsultsLocalAndRemoteOnce(t *testing.T) {
 	drop[l2], drop[r3] = true, true
 	sw.SendMany(packet.ControllerIP, tos, downMsg(1))
 	want := []string{"drop " + l0.String(), "delay " + l0.String(), "drop " + r1.String(), "delay " + r1.String(),
-		"drop " + l2.String(), "drop " + r3.String()}
+		"write " + r1.String(), "drop " + l2.String(), "drop " + r3.String()}
 	if !reflect.DeepEqual(calls, want) {
 		t.Fatalf("hook calls %v, want %v", calls, want)
 	}
@@ -339,7 +344,7 @@ func TestSendManyConsultsLocalAndRemoteOnce(t *testing.T) {
 
 	// A remote-only send decodes nothing: a HealthProbe's decode would
 	// allocate its message.
-	sw.Drop, sw.Delay = nil, nil
+	sw.Drop, sw.Delay, port.log = nil, nil, nil
 	probe := &packet.HealthProbe{Seq: 1}
 	send := func() {
 		port.wrote = port.wrote[:0]

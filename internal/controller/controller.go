@@ -216,7 +216,7 @@ type ctlMetrics struct {
 
 	// Downlink fan-out data plane (DESIGN.md §14). fanoutSetSize samples
 	// the relevance-set occupancy after each emission, fanoutDepth the
-	// batched-write depth handed to the fabric per packet.
+	// targets handed to the fabric's SendMany per packet.
 	fanoutSetSize *metrics.Gauge
 	fanoutDepth   *metrics.Histogram
 

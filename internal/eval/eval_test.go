@@ -189,7 +189,7 @@ func TestHelpers(t *testing.T) {
 	if achievableRate(-20) > 1 {
 		t.Error("hopeless ESNR yields rate")
 	}
-	if median([]float64{3, 1, 2}) != 2 {
+	if median([]float64{3, 1, 2}) != 2 || median(nil) != 0 {
 		t.Error("median wrong")
 	}
 	if meanOf([]float64{1, 3}) != 2 || meanOf(nil) != 0 {

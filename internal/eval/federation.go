@@ -2,7 +2,6 @@ package eval
 
 import (
 	"fmt"
-	"sort"
 
 	"wgtt/internal/core"
 	"wgtt/internal/mobility"
@@ -85,20 +84,10 @@ func ExtFederation(opt Options) (*ExtFederationResult, error) {
 		res.Offers = append(res.Offers, fs.OffersSent)
 		res.Aborts = append(res.Aborts, fs.Aborts)
 
-		res.OfferCommitMS = append(res.OfferCommitMS, medianOf(transfer))
-		res.CrossSwitchMS = append(res.CrossSwitchMS, medianOf(sw))
+		res.OfferCommitMS = append(res.OfferCommitMS, median(transfer))
+		res.CrossSwitchMS = append(res.CrossSwitchMS, median(sw))
 	}
 	return res, nil
-}
-
-// medianOf returns the upper median of xs, or 0 when empty.
-func medianOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return s[len(s)/2]
 }
 
 // Render implements Result.

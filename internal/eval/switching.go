@@ -3,6 +3,7 @@ package eval
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"wgtt/internal/core"
@@ -386,16 +387,13 @@ func achievableRate(esnrDB float64) float64 {
 	return best
 }
 
+// median returns the upper median of xs, sorting it in place, or 0 when
+// empty.
 func median(xs []float64) float64 {
 	if len(xs) == 0 {
-		return math.Inf(-1)
+		return 0
 	}
-	// Insertion sort: windows are small.
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
+	slices.Sort(xs)
 	return xs[len(xs)/2]
 }
 

@@ -26,10 +26,10 @@ const visitStep = 25 * sim.Millisecond
 type MetroConfig struct {
 	// Tiles is the metro cell grid laid over the city span.
 	Tiles Tiling
-	// City is the full-city workload. Its Domains field must be 1: in a
-	// metro the tiles are the sharding story, each running its own
-	// controller, and clients cross tile seams via cell-to-cell handoff
-	// instead of the in-cell federation slabs.
+	// City is the full-city workload. The metro ignores its Domains field:
+	// the tiles are the sharding story, each running its own controller,
+	// and clients cross tile seams via cell-to-cell handoff instead of the
+	// in-cell federation slabs.
 	City Config
 }
 
@@ -44,7 +44,6 @@ func DefaultMetroConfig() MetroConfig {
 	city.RidersPerBus = 6
 	city.Cars = 2
 	city.Pedestrians = 2
-	city.Domains = 1
 	city.MaxDurationS = 40
 	return MetroConfig{Tiles: Tiling{Rows: 2, Cols: 2}, City: city}
 }
@@ -54,12 +53,7 @@ func (c MetroConfig) Validate() error {
 	if !c.Tiles.Valid() {
 		return fmt.Errorf("urban: metro tiling needs at least 1x1 tiles, got %s", c.Tiles)
 	}
-	if c.City.Domains > 1 {
-		return fmt.Errorf("urban: metro cities are tiled, not slab-federated; want City.Domains <= 1, got %d", c.City.Domains)
-	}
-	city := c.City
-	city.Domains = 1
-	return city.Validate()
+	return c.City.Validate()
 }
 
 // Visit is one contiguous stay of a client inside one tile: the client
@@ -112,9 +106,7 @@ func BuildMetroPlan(cfg MetroConfig, seed uint64) (*MetroPlan, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	city := cfg.City
-	city.Domains = 1
-	cp, err := BuildPlan(city, seed)
+	cp, err := BuildPlan(cfg.City, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -158,10 +158,23 @@ func TestMetroConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("zero tiling accepted")
 	}
-	bad = DefaultMetroConfig()
-	bad.City.Domains = 2
-	if err := bad.Validate(); err == nil {
-		t.Fatal("multi-domain metro city accepted")
+	// The metro ignores the city's domain count: a 3-domain city plans the
+	// same metro as a 1-domain one, apart from the slab binding and its
+	// crossing count, which no tile reads.
+	one, three := DefaultMetroConfig(), DefaultMetroConfig()
+	one.City.Domains, three.City.Domains = 1, 3
+	p1, err := BuildMetroPlan(one, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p3, err := BuildMetroPlan(three, 1)
+	if err != nil {
+		t.Fatalf("3-domain metro city rejected: %v", err)
+	}
+	p3.Cfg.City.Domains, p3.City.Cfg.Domains = 1, 1
+	p3.City.APDomains, p3.City.Stats.RouteCrossings = p1.City.APDomains, p1.City.Stats.RouteCrossings
+	if !reflect.DeepEqual(p1, p3) {
+		t.Fatal("the city's domain count changed the metro plan")
 	}
 	// A tiling finer than the AP layout must be rejected at build time.
 	sparse := DefaultMetroConfig()
