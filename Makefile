@@ -52,10 +52,30 @@ race:
 # benchmark metric (BENCHMARK.json's layer.metric). A cited `*.go` path must
 # be a file from the repository root, internal/ or cmd/ — a bare file name
 # one some directory under internal/ or cmd/ holds — and a cited `make X`
-# a target this Makefile defines.
+# a target this Makefile defines. A `file.go:N` must be within that file's
+# line count, and every -flag after a DOC_CLIS name (up to a backtick, `#`
+# or `|`) must be one that CLI's -h lists.
 DOC_FILES = DESIGN.md README.md
+DOC_CLIS = wgttsim wgtt-fleet wgtt-experiments wgtt-live
 docs-check:
-	@fail=0; for d in internal/*/; do \
+	@fail=0; d=$$(mktemp -d); for c in $(DOC_CLIS); do \
+		$(GO) build -o $$d/$$c ./cmd/$$c && $$d/$$c -h 2>&1 | grep -o '^  -[a-z0-9-]*' | cut -c3- > $$d/$$c.flags; \
+	done; \
+	grep -oh "\($$(echo $(DOC_CLIS) | sed 's/ /\\|/g')\)\( [^ #\`|]*\)*" $(DOC_FILES) > $$d/cmds; \
+	while read -r c args; do \
+		for f in $$(echo " $$args" | grep -o ' -[a-z][a-z0-9-]*'); do \
+			grep -qx -- "$$f" $$d/$$c.flags || { echo "docs-check: \`$$c $$f\` is no flag of $$c"; fail=1; }; \
+		done; \
+	done < $$d/cmds; \
+	rm -rf $$d; \
+	for r in $$(grep -oh '[A-Za-z0-9_/.-]*\.go:[0-9][0-9]*' $(DOC_FILES) | sort -u); do \
+		f=$${r%%:*}; n=$${r##*:}; ok=0; \
+		for p in $$(ls $$f internal/$$f cmd/$$f 2>/dev/null; case $$f in */*) ;; *) find internal cmd -name $$f;; esac); do \
+			[ $$(wc -l < $$p) -ge $$n ] && ok=1; \
+		done; \
+		[ $$ok -eq 1 ] || { echo "docs-check: \`$$r\` is past the end of the file, or names none"; fail=1; }; \
+	done; \
+	for d in internal/*/; do \
 		pkg=$${d%/}; \
 		if ! $(GO) doc ./$$pkg 2>/dev/null | grep -q '§'; then \
 			echo "docs-check: $$pkg package godoc has no paper-section (§) marker"; fail=1; \
@@ -83,7 +103,7 @@ docs-check:
 		grep -q "^$$t:" Makefile || { echo "docs-check: \`make $$t\` names no target"; fail=1; }; \
 	done; \
 	if [ $$fail -ne 0 ]; then exit 1; fi
-	@echo docs-check: all internal packages carry a paper-section mapping, and every Go name, file and make target the docs cite resolves
+	@echo docs-check: all internal packages carry a paper-section mapping, and every Go name, file, line, CLI flag and make target the docs cite resolves
 
 # The targets that run a CLI share one shape:
 # $(call in-scratch,<cmds>,<script>[,<build flags>]) builds each cmd/<cmd>

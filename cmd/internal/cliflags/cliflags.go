@@ -1,8 +1,8 @@
 // Package cliflags is the one definition of the flags the CLIs share — the
-// -urban-* city shape and -chaos* (wgttsim, wgtt-fleet), -metrics (those
-// and wgtt-experiments) and -selector (those and wgtt-live) — so a flag has
-// the same name, meaning and default on every CLI that takes it. Each
-// function registers its flags on the default flag set (call before
+// -urban-* city shape, -domains and -chaos* (wgttsim, wgtt-fleet), -metrics
+// (those and wgtt-experiments) and -selector (those and wgtt-live) — so a
+// flag has the same name, meaning and default on every CLI that takes it.
+// Each function registers its flags on the default flag set (call before
 // flag.Parse) and returns the accessor to use after parsing.
 package cliflags
 
@@ -32,7 +32,6 @@ func City() func(*urban.Config) {
 		cars     = flag.Int("urban-cars", -1, "routed cars per city (-1 = default)")
 		peds     = flag.Int("urban-peds", -1, "pedestrians per city (-1 = default)")
 		duration = flag.Float64("urban-duration", 0, "city horizon cap, seconds (0 = default)")
-		domains  = flag.Int("urban-domains", 0, "city federation domains (0 = default)")
 	)
 	return func(c *urban.Config) {
 		if *rows > 0 {
@@ -62,10 +61,15 @@ func City() func(*urban.Config) {
 		if *duration > 0 {
 			c.MaxDurationS = *duration
 		}
-		if *domains > 0 {
-			c.Domains = *domains
-		}
 	}
+}
+
+// Domains registers -domains, the controller domain count (DESIGN.md §13)
+// of whichever workload the CLI runs. 0, the default, keeps the workload's
+// own count.
+func Domains() *int {
+	return flag.Int("domains", 0, "controller domains (DESIGN.md §13): a corridor's contiguous AP blocks, "+
+		"or the city's slabs under -urban (0 = the workload's own: 1 on a corridor, the city's 2)")
 }
 
 // SelectorFlag is the -selector value.

@@ -11,7 +11,7 @@
 //	wgtt-experiments -quick         # trimmed sweeps
 //	wgtt-experiments -workers 8     # parallel regeneration
 //	wgtt-experiments fig13 table2   # run selected artifacts
-//	wgtt-experiments -chaos         # just the fault-injection experiment
+//	wgtt-experiments ext-resilience # just the fault-injection experiment
 //	wgtt-experiments -list
 package main
 
@@ -31,7 +31,6 @@ func main() {
 	var (
 		quick        = flag.Bool("quick", false, "trimmed sweeps")
 		list         = flag.Bool("list", false, "list experiment IDs")
-		chaosOnly    = flag.Bool("chaos", false, "run only the fault-injection experiment (ext-resilience)")
 		seed         = flag.Uint64("seed", 2017, "base seed")
 		workers      = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent experiments")
 		metricsOut   = cliflags.Metrics()
@@ -58,11 +57,7 @@ func main() {
 		stopProf()
 		os.Exit(1)
 	}
-	ids := flag.Args()
-	if *chaosOnly {
-		ids = append(ids, "ext-resilience")
-	}
-	outs, err := eval.RunAll(opt, *workers, ids)
+	outs, err := eval.RunAll(opt, *workers, flag.Args())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		stopProf()

@@ -43,7 +43,7 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "fleet master seed")
 		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent cell simulations")
 		fleetCfg = configFlags(flag.CommandLine)
-		domains  = flag.Int("domains", 1, "controller domains per cell (DESIGN.md §13; 1 = single controller)")
+		domains  = cliflags.Domains() // per cell
 		traceDir = flag.String("trace-dir", "", "write per-cell (or per-metro-tile) JSONL event traces here; a metro keeps one file open per built tile")
 		urbanOn  = flag.Bool("urban", false,
 			"make every cell a street-grid city (DESIGN.md §16) instead of a corridor; "+
@@ -61,8 +61,6 @@ func main() {
 			"epoch length between migration barriers, milliseconds (0 = default 500)")
 		metroIsolated = flag.Bool("metro-isolated", false,
 			"cut the tile seams: clients stay in their birth tile for the whole run (the ext-metro ablation)")
-		runID = flag.String("run-id", "",
-			"prefix per-cell trace file names with this ID so concurrent runs can share -trace-dir")
 		progressOn = flag.Bool("progress", false,
 			"report completion progress (cells done, or metro epochs done) on stderr")
 		comparePol = flag.Bool("compare-selectors", false,
@@ -98,9 +96,7 @@ func main() {
 	cfg.Cells = *cells
 	cfg.Seed = *seed
 	cfg.Workers = *workers
-	cfg.Domains = *domains
 	cfg.TraceDir = *traceDir
-	cfg.RunID = *runID
 	cfg.Metrics = metricsOut.On()
 	cfg.Chaos = chaosFlags()
 	if *progressOn {
@@ -114,7 +110,12 @@ func main() {
 	if *urbanOn {
 		ucfg := urban.DefaultConfig()
 		applyCityFlags(&ucfg)
+		if *domains > 0 {
+			ucfg.Domains = *domains
+		}
 		cfg.Urban = &ucfg
+	} else {
+		cfg.Domains = *domains
 	}
 	if *metroOn {
 		tiles, err := urban.ParseTiling(*metroTiles)

@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"wgtt/cmd/internal/cliflags"
+	"wgtt/internal/federation"
 	"wgtt/internal/live"
 	"wgtt/internal/packet"
 	"wgtt/internal/selector"
@@ -58,8 +59,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "wgtt-live:", err)
 		os.Exit(1)
 	}
-	// -federation is the topology (live.City): two single-AP domains, one
-	// controller process each, instead of one controller over every AP.
+	// -federation is the topology (federation.City): two single-AP domains,
+	// one controller process each, instead of one controller over every AP.
 	controllers, cityAPs := 1, *aps
 	if *federation {
 		controllers, cityAPs = 2, 2
@@ -203,7 +204,7 @@ func runController(domain int, listen string, endpoints []string, controllers in
 	if err != nil {
 		return err
 	}
-	city := live.City(len(endpoints)-controllers, controllers)
+	city := federation.City(len(endpoints)-controllers, controllers)
 	rec, err := live.RunController(domain, conn, table, city, sim.Time(timeout), pol)
 	if err != nil {
 		return err
@@ -226,9 +227,9 @@ func runAP(id int, listen string, endpoints []string, controllers int, timeout t
 	if err != nil {
 		return err
 	}
-	city := live.City(len(endpoints)-controllers, controllers)
+	city := federation.City(len(endpoints)-controllers, controllers)
 	// APs outlive the switch by running to the full timeout; the
 	// orchestrator kills them once the controller reports success.
-	_, err = live.RunAP(id, conn, table, packet.DomainControllerIP(city[id].Domain), live.Script(id), id == 0, sim.Time(timeout))
+	_, err = live.RunAP(id, conn, table, packet.DomainControllerIP(city[id].Domain), sim.Time(timeout))
 	return err
 }

@@ -27,7 +27,7 @@ func main() {
 		clients  = flag.Int("clients", 1, "number of clients (1-3)")
 		pattern  = flag.String("pattern", "following", "following | parallel | opposing")
 		seed     = flag.Uint64("seed", 42, "scenario seed")
-		domains  = flag.Int("domains", 1, "controller domains (DESIGN.md §13; 1 = single controller)")
+		domains  = cliflags.Domains()
 		verbose  = flag.Bool("v", false, "per-second progress")
 		traceOut = flag.String("trace", "", "write a JSONL event trace to this file")
 		urbanOn  = flag.Bool("urban", false,
@@ -50,13 +50,15 @@ func main() {
 	case *urbanOn:
 		ucfg := urban.DefaultConfig()
 		applyCityFlags(&ucfg)
+		if *domains > 0 {
+			ucfg.Domains = *domains
+		}
 		s = core.UrbanScenario(mode, ucfg, *seed)
 	case *clients == 1:
 		s = core.DriveScenario(mode, *speed, *seed)
+		s.Domains = *domains
 	default:
 		s = core.MultiClientScenario(mode, pat, *clients, *speed, *seed)
-	}
-	if !*urbanOn {
 		s.Domains = *domains
 	}
 	s.Chaos = chaosFlags()

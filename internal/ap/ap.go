@@ -32,14 +32,6 @@ type Config struct {
 	MAC   packet.MACAddr
 	BSSID packet.MACAddr
 
-	// StopProcessing and StartProcessing model the user-space Click +
-	// ioctl handling latency of control packets on the TP-Link APs; they
-	// dominate the paper's ~17–21 ms switch execution time (Table 1).
-	StopProcessing  sim.Time
-	StartProcessing sim.Time
-	// ProcessingJitter adds ±jitter uniform noise to the above.
-	ProcessingJitter sim.Time
-
 	// BAForwarding enables §3.2.1 monitor-mode Block ACK forwarding.
 	BAForwarding bool
 	// ForwardOnlyWhenServing restricts uplink tunneling to the serving AP —
@@ -50,15 +42,12 @@ type Config struct {
 // DefaultConfig returns the testbed AP configuration.
 func DefaultConfig(id int, bssid packet.MACAddr) Config {
 	return Config{
-		ID:               id,
-		Name:             fmt.Sprintf("ap%d", id+1),
-		IP:               packet.APIP(id),
-		MAC:              packet.APMAC(id),
-		BSSID:            bssid,
-		StopProcessing:   7 * sim.Millisecond,
-		StartProcessing:  9 * sim.Millisecond,
-		ProcessingJitter: 4 * sim.Millisecond,
-		BAForwarding:     true,
+		ID:           id,
+		Name:         fmt.Sprintf("ap%d", id+1),
+		IP:           packet.APIP(id),
+		MAC:          packet.APMAC(id),
+		BSSID:        bssid,
+		BAForwarding: true,
 	}
 }
 
@@ -344,12 +333,19 @@ func (a *AP) Restart() {
 	}
 }
 
+// StopProcessing and StartProcessing model the user-space Click + ioctl
+// handling latency of control packets on the TP-Link APs; they dominate the
+// paper's ~17–21 ms switch execution time (Table 1). ProcessingJitter adds
+// ±jitter uniform noise to each, so neither delay can go negative. The
+// simulator and the live tier run the same model.
+const (
+	StopProcessing   = 7 * sim.Millisecond
+	StartProcessing  = 9 * sim.Millisecond
+	ProcessingJitter = 4 * sim.Millisecond
+)
+
 func (a *AP) jitter() sim.Time {
-	if a.cfg.ProcessingJitter <= 0 {
-		return 0
-	}
-	j := a.cfg.ProcessingJitter
-	return sim.Time(a.rnd.Int64N(int64(2*j))) - j
+	return sim.Time(a.rnd.Int64N(int64(2*ProcessingJitter))) - ProcessingJitter
 }
 
 // HandleBackhaul implements backhaul.Node. Control packets (stop/start) are
@@ -363,9 +359,9 @@ func (a *AP) HandleBackhaul(from packet.IPv4Addr, msg packet.Message) {
 	case *packet.DownData:
 		a.enqueueDownlink(m.Pkt)
 	case *packet.Stop:
-		a.eng.After(max(0, a.cfg.StopProcessing+a.jitter()), func() { a.handleStop(m) })
+		a.eng.After(StopProcessing+a.jitter(), func() { a.handleStop(m) })
 	case *packet.Start:
-		a.eng.After(max(0, a.cfg.StartProcessing+a.jitter()), func() { a.handleStart(m) })
+		a.eng.After(StartProcessing+a.jitter(), func() { a.handleStart(m) })
 	case *packet.BlockAckFwd:
 		a.handleForwardedBA(m)
 	case *packet.HealthProbe:

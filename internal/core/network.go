@@ -185,8 +185,10 @@ func Build(s Scenario) (*Network, error) {
 	}
 	n.APPosition = append(n.APPosition, aps...)
 
-	// Explicit AP→domain binding: validate coverage, then let domainOf
-	// below prefer it over the contiguous-index default.
+	// The city table the controller tier shares: contiguous domain blocks,
+	// unless the scenario binds every AP explicitly (validated for
+	// coverage first).
+	city := federation.City(len(n.APPosition), nDom)
 	if len(s.APDomains) > 0 {
 		if len(s.APDomains) != len(n.APPosition) {
 			return nil, fmt.Errorf("core: %d AP domain bindings for %d active APs", len(s.APDomains), len(n.APPosition))
@@ -197,18 +199,13 @@ func Build(s Scenario) (*Network, error) {
 				return nil, fmt.Errorf("core: AP %d bound to domain %d, want [0, %d)", i, d, nDom)
 			}
 			occupied[d] = true
+			city[i].Domain = d
 		}
 		for d, ok := range occupied {
 			if !ok {
 				return nil, fmt.Errorf("core: domain %d owns no APs", d)
 			}
 		}
-	}
-	domainOf := func(i int) int {
-		if len(s.APDomains) > 0 {
-			return s.APDomains[i]
-		}
-		return domainOfAP(i, len(n.APPosition), nDom)
 	}
 
 	// Disturbers: with multiple clients, every client scatters the others'
@@ -221,16 +218,15 @@ func Build(s Scenario) (*Network, error) {
 
 	wgtt := s.Mode == ModeWGTT
 
-	// Build APs, and the city table the controller tier shares.
-	city := make([]federation.APAssignment, 0, len(n.APPosition))
+	// Build APs.
 	for i, pos := range n.APPosition {
 		bssid := SharedBSSID
 		if !wgtt {
 			bssid = packet.APMAC(i) // baseline: each AP is its own BSS
 		}
 		cfg := ap.DefaultConfig(i, bssid)
-		cfg.BAForwarding = wgtt && defaultBool(s.BAForwarding, true)
-		cfg.ForwardOnlyWhenServing = wgtt && !defaultBool(s.UplinkDiversity, true)
+		cfg.BAForwarding = wgtt && !s.NoBAForwarding
+		cfg.ForwardOnlyWhenServing = wgtt && s.NoUplinkDiversity
 		var antenna radio.Antenna = radio.NewLairdGD24BP()
 		if s.OmniAPs {
 			// Small-cell omni variant (§4.2): modest gain in every
@@ -266,9 +262,8 @@ func Build(s Scenario) (*Network, error) {
 		})
 		// Each AP reports to the controller owning its domain; with one
 		// domain that is packet.ControllerIP, unchanged.
-		a := ap.New(cfg, eng, bh, st, packet.DomainControllerIP(domainOf(i)), rng.Stream("ap/"+cfg.Name))
+		a := ap.New(cfg, eng, bh, st, packet.DomainControllerIP(city[i].Domain), rng.Stream("ap/"+cfg.Name))
 		n.APs = append(n.APs, a)
-		city = append(city, federation.APAssignment{ID: i, Domain: domainOf(i), IP: cfg.IP, MAC: cfg.MAC})
 	}
 	for i, a := range n.APs {
 		peers := make([]packet.IPv4Addr, 0, len(city)-1)
@@ -589,14 +584,6 @@ func (n *Network) FedStats() federation.Stats {
 		return federation.Stats{}
 	}
 	return n.Fed.Stats().Fed
-}
-
-// domainOfAP partitions nAPs into nDom contiguous, near-equal blocks.
-func domainOfAP(i, nAPs, nDom int) int {
-	if nDom <= 1 {
-		return 0
-	}
-	return i * nDom / nAPs
 }
 
 // BestESNRAP returns the ground-truth optimal AP — the one with the highest

@@ -67,11 +67,11 @@ type Scenario struct {
 	// this on top of Controller replaces only its Policy.
 	Policy selector.Policy
 
-	// BAForwarding disables §3.2.1 when explicitly set false (ablation).
-	BAForwarding *bool
-	// UplinkDiversity, when explicitly false, makes only the serving WGTT
-	// AP forward uplink packets (ablation of the §3.2.2 multi-AP path).
-	UplinkDiversity *bool
+	// NoBAForwarding turns §3.2.1 Block ACK forwarding off (ablation).
+	NoBAForwarding bool
+	// NoUplinkDiversity makes only the serving WGTT AP forward uplink
+	// packets (ablation of the §3.2.2 multi-AP path).
+	NoUplinkDiversity bool
 
 	// OmniAPs replaces the parabolic antennas with small-cell
 	// omnidirectional ones (the §4.2 variant the paper says the
@@ -247,11 +247,3 @@ const corridorKeepalive = 5 * sim.Millisecond
 
 // backhaulLatency is the one-way latency of the switched Ethernet LAN (§4).
 const backhaulLatency = 200 * sim.Microsecond
-
-// defaultBool returns *v or def when v is nil.
-func defaultBool(v *bool, def bool) bool {
-	if v == nil {
-		return def
-	}
-	return *v
-}

@@ -28,7 +28,7 @@ func (r *AblationResult) Render() string {
 func AblationBAForwarding(opt Options) (*AblationResult, error) {
 	run := func(enabled bool) (float64, float64, error) {
 		s := core.DriveScenario(core.ModeWGTT, 15, opt.Seed)
-		s.BAForwarding = &enabled
+		s.NoBAForwarding = !enabled
 		d, err := opt.drive(s, core.Load{TCP: true})
 		if err != nil {
 			return 0, 0, err
@@ -66,7 +66,7 @@ func AblationBAForwarding(opt Options) (*AblationResult, error) {
 func AblationUplinkDiversity(opt Options) (*AblationResult, error) {
 	run := func(enabled bool) (float64, error) {
 		s := core.DriveScenario(core.ModeWGTT, 15, opt.Seed)
-		s.UplinkDiversity = &enabled
+		s.NoUplinkDiversity = !enabled
 		n, err := opt.build(s)
 		if err != nil {
 			return 0, err

@@ -27,6 +27,7 @@ package federation
 
 import (
 	"fmt"
+	"slices"
 
 	"wgtt/internal/backhaul"
 	"wgtt/internal/controller"
@@ -89,6 +90,18 @@ type APAssignment struct {
 	Domain int
 	IP     packet.IPv4Addr
 	MAC    packet.MACAddr
+}
+
+// City is the city table of aps APs over domains controller domains: AP i at
+// packet.APIP(i)/APMAC(i), in domain i·domains/aps — contiguous, near-equal
+// blocks. One domain is the single controller over every AP; two domains
+// over two APs is the smallest city with an inter-controller handoff.
+func City(aps, domains int) []APAssignment {
+	city := make([]APAssignment, aps)
+	for i := range city {
+		city[i] = APAssignment{ID: i, Domain: i * domains / aps, IP: packet.APIP(i), MAC: packet.APMAC(i)}
+	}
+	return city
 }
 
 // Stats counts one domain's federation activity.
@@ -212,11 +225,9 @@ type adoption struct {
 // controller.Controller owning a contiguous set of APs, plus the handoff
 // state machines that move clients between domains.
 type Domain struct {
-	// The handoff rule's knobs: the controller's §3.1.1 evidence gates
-	// (window, minimum in-window samples, usability floor) and Config's own.
-	window, hysteresis  sim.Time
-	minSamples          int
-	minESNRdB, marginDB float64
+	// cfg holds the handoff rule's knobs: the controller's §3.1.1 evidence
+	// gates (Window, MinSamples, MinSwitchESNRdB) and Config's own.
+	cfg Config
 
 	id   int
 	addr packet.IPv4Addr
@@ -225,11 +236,11 @@ type Domain struct {
 	ctl  *controller.Controller
 
 	city     []APAssignment
-	local    []controller.APInfo     // this domain's APs; local id = index
-	globalOf []int                   // local id → global id
-	localOf  map[packet.IPv4Addr]int // own-domain AP IP → local id
-	apGlobal map[packet.IPv4Addr]int // any AP IP → global id
-	domains  []int                   // sorted domain ids present in the city
+	local    []controller.APInfo              // this domain's APs; local id = index
+	globalOf []int                            // local id → global id
+	localOf  map[packet.IPv4Addr]int          // own-domain AP IP → local id
+	apAt     map[packet.IPv4Addr]APAssignment // any AP IP → its city entry
+	domains  []int                            // sorted domain ids present in the city
 
 	// owner is this domain's view of the client→domain directory; owned
 	// holds federation state for the clients it owns itself.
@@ -275,18 +286,14 @@ type Domain struct {
 // packet.DomainControllerIP(id).
 func NewDomain(cfg Config, eng *sim.Engine, bh backhaul.Fabric, id int, city []APAssignment) *Domain {
 	d := &Domain{
-		window:     cfg.Controller.Window,
-		minSamples: cfg.Controller.MinSamples,
-		minESNRdB:  cfg.Controller.MinSwitchESNRdB,
-		hysteresis: cfg.Hysteresis,
-		marginDB:   cfg.MarginDB,
+		cfg:        cfg,
 		id:         id,
 		addr:       packet.DomainControllerIP(id),
 		eng:        eng,
 		bh:         bh,
 		city:       city,
 		localOf:    make(map[packet.IPv4Addr]int),
-		apGlobal:   make(map[packet.IPv4Addr]int, len(city)),
+		apAt:       make(map[packet.IPv4Addr]APAssignment, len(city)),
 		owner:      make(map[packet.MACAddr]int),
 		owned:      make(map[packet.MACAddr]*fedClient),
 		handoffSeq: handoffIDBase(id),
@@ -300,7 +307,7 @@ func NewDomain(cfg Config, eng *sim.Engine, bh backhaul.Fabric, id int, city []A
 	d.local, d.globalOf = make([]controller.APInfo, 0, own), make([]int, 0, own)
 	seen := map[int]bool{}
 	for _, a := range city {
-		d.apGlobal[a.IP] = a.ID
+		d.apAt[a.IP] = a
 		if !seen[a.Domain] {
 			seen[a.Domain] = true
 			d.domains = append(d.domains, a.Domain)
@@ -312,7 +319,7 @@ func NewDomain(cfg Config, eng *sim.Engine, bh backhaul.Fabric, id int, city []A
 			d.globalOf = append(d.globalOf, a.ID)
 		}
 	}
-	sortInts(d.domains)
+	slices.Sort(d.domains)
 	if len(d.domains) > 1 {
 		d.released = make(map[uint32]*release)
 		d.inbound = make(map[uint32]*adoption)
@@ -351,15 +358,6 @@ func (d *Domain) Controller() *controller.Controller { return d.ctl }
 
 // addrOf returns the controller address of a domain.
 func (d *Domain) addrOf(dom int) packet.IPv4Addr { return packet.DomainControllerIP(dom) }
-
-// domainOfAP returns the domain of the city's AP at ip, if there is one.
-func (d *Domain) domainOfAP(ip packet.IPv4Addr) (int, bool) {
-	g, ok := d.apGlobal[ip]
-	if !ok {
-		return 0, false
-	}
-	return d.city[g].Domain, true
-}
 
 // peerAt returns the peer domain whose controller sits at addr, if any.
 func (d *Domain) peerAt(addr packet.IPv4Addr) (int, bool) {
@@ -405,8 +403,8 @@ func (d *Domain) ServingGlobalAP(mac packet.MACAddr) int {
 		return -1
 	}
 	if ad := d.byClient[mac]; ad != nil {
-		if g, ok := d.apGlobal[ad.oldAP]; ok {
-			return g
+		if a, ok := d.apAt[ad.oldAP]; ok {
+			return a.ID
 		}
 	}
 	return -1
@@ -464,9 +462,9 @@ func (d *Domain) HandleBackhaul(from packet.IPv4Addr, msg packet.Message) {
 // or a client or AP nobody knows — → the inner controller, which books or
 // drops it exactly as a controller alone on the backhaul would.
 func (d *Domain) handleCSI(from packet.IPv4Addr, m *packet.CSIReport) {
-	apDom, knownAP := d.domainOfAP(m.AP)
+	a, knownAP := d.apAt[m.AP]
 	own, known := d.owner[m.Client]
-	if !known || !knownAP || own == d.id && apDom == d.id {
+	if !known || !knownAP || own == d.id && a.Domain == d.id {
 		d.ctl.HandleBackhaul(from, m)
 		return
 	}
@@ -496,14 +494,4 @@ func (d *Domain) handleUplink(from packet.IPv4Addr, m *packet.UpData) {
 	}
 	d.Stats.UplinkRelays++
 	_ = d.bh.Send(d.addr, d.addrOf(own), m)
-}
-
-// sortInts sorts a small int slice ascending (insertion sort — the domain
-// list is a handful of entries).
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

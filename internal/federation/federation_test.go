@@ -63,13 +63,9 @@ func newFedHarness(t *testing.T, nDomains, apsPer int, cfg federation.Config) *f
 	t.Helper()
 	eng := sim.NewEngine()
 	bh := backhaul.NewSwitch(eng, 200*sim.Microsecond)
-	h := &fedHarness{t: t, eng: eng, bh: bh}
-	for g := 0; g < nDomains*apsPer; g++ {
-		dom := g / apsPer
-		h.city = append(h.city, federation.APAssignment{
-			ID: g, Domain: dom, IP: packet.APIP(g), MAC: packet.APMAC(g),
-		})
-		ap := &fedAP{bh: bh, ip: packet.APIP(g), ctl: packet.DomainControllerIP(dom), ack: true}
+	h := &fedHarness{t: t, eng: eng, bh: bh, city: federation.City(nDomains*apsPer, nDomains)}
+	for _, a := range h.city {
+		ap := &fedAP{bh: bh, ip: a.IP, ctl: packet.DomainControllerIP(a.Domain), ack: true}
 		h.aps = append(h.aps, ap)
 		bh.Attach(ap.ip, ap)
 	}
@@ -117,6 +113,33 @@ func (h *fedHarness) offerToDeadPeer(client packet.MACAddr) {
 	}
 	if h.doms[0].Stats.OffersSent == 0 {
 		h.t.Fatal("setup: no offer was ever sent")
+	}
+}
+
+// City splits its APs into contiguous, near-equal domain blocks, each AP at
+// its canonical address.
+func TestCityContiguousBlocks(t *testing.T) {
+	for _, c := range []struct {
+		aps, domains int
+		want         []int
+	}{
+		{2, 1, []int{0, 0}},
+		{2, 2, []int{0, 1}},
+		{8, 2, []int{0, 0, 0, 0, 1, 1, 1, 1}},
+		{7, 3, []int{0, 0, 0, 1, 1, 2, 2}},
+		{3, 3, []int{0, 1, 2}},
+	} {
+		city := federation.City(c.aps, c.domains)
+		var got []int
+		for i, a := range city {
+			if a.ID != i || a.IP != packet.APIP(i) || a.MAC != packet.APMAC(i) {
+				t.Fatalf("City(%d, %d)[%d] = %+v, want AP %d's id and addresses", c.aps, c.domains, i, a, i)
+			}
+			got = append(got, a.Domain)
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("City(%d, %d) domains = %v, want %v", c.aps, c.domains, got, c.want)
+		}
 	}
 }
 

@@ -34,7 +34,7 @@ func (d *Domain) ingestForeign(fc *fedClient, m *packet.CSIReport) {
 		if fc.foreign == nil {
 			fc.foreign = make(map[packet.IPv4Addr]*selector.Window)
 		}
-		w = selector.NewWindow(d.window)
+		w = selector.NewWindow(d.cfg.Controller.Window)
 		fc.foreign[m.AP] = w
 		fc.foreignOrder = append(fc.foreignOrder, m.AP)
 	}
@@ -56,18 +56,18 @@ func (d *Domain) maybeOffer(fc *fedClient, now sim.Time) {
 	if d.ctl.InFlightSwitch(fc.mac) {
 		return // let the intra-domain stop→start→ack finish first
 	}
-	if now-fc.lastHandoff < d.hysteresis {
+	if now-fc.lastHandoff < d.cfg.Hysteresis {
 		return
 	}
 	var bestAP packet.IPv4Addr
 	bestMed := math.Inf(-1)
 	for _, apIP := range fc.foreignOrder {
 		w := fc.foreign[apIP]
-		if med, _ := w.Median(now); w.Size() >= d.minSamples && med > bestMed {
+		if med, _ := w.Median(now); w.Size() >= d.cfg.Controller.MinSamples && med > bestMed {
 			bestMed, bestAP = med, apIP
 		}
 	}
-	if bestAP.IsZero() || bestMed < d.minESNRdB {
+	if bestAP.IsZero() || bestMed < d.cfg.Controller.MinSwitchESNRdB {
 		return
 	}
 	serving := d.ctl.ServingAP(fc.mac)
@@ -81,7 +81,7 @@ func (d *Domain) maybeOffer(fc *fedClient, now sim.Time) {
 			bestLocal, haveLocal = med, true
 		}
 	}
-	if haveLocal && bestMed < bestLocal+d.marginDB {
+	if haveLocal && bestMed < bestLocal+d.cfg.MarginDB {
 		return
 	}
 	if !haveLocal {
@@ -89,13 +89,13 @@ func (d *Domain) maybeOffer(fc *fedClient, now sim.Time) {
 	}
 	d.handoffSeq++
 	id := d.handoffSeq
-	peer, _ := d.domainOfAP(bestAP)
-	fc.out = &outHandoff{id: id, peer: peer, target: bestAP, offeredAt: now}
+	target := d.apAt[bestAP]
+	fc.out = &outHandoff{id: id, peer: target.Domain, target: bestAP, offeredAt: now}
 	d.ctl.SetFrozen(fc.mac, true)
 	d.Stats.OffersSent++
 	d.met.handoffSpans.Begin(id, int64(now), fc.mac.String(),
-		d.globalOf[serving], d.apGlobal[bestAP], metrics.CauseDomainHandoff, bestLocal, bestMed)
-	_ = d.bh.Send(d.addr, d.addrOf(peer), &packet.DomainHandoffOffer{
+		d.globalOf[serving], target.ID, metrics.CauseDomainHandoff, bestLocal, bestMed)
+	_ = d.bh.Send(d.addr, d.addrOf(target.Domain), &packet.DomainHandoffOffer{
 		HandoffID: id, Client: fc.mac, ClientIP: fc.ip,
 		ServingAP: d.local[serving].IP, TargetAP: bestAP, EvidenceQ: packet.QuantizeDB(bestMed),
 	})
@@ -184,11 +184,11 @@ func (d *Domain) handleAccept(m *packet.DomainHandoffAccept) {
 	// start warm instead of blind).
 	var ev []packet.APESNR
 	for _, apIP := range fc.foreignOrder {
-		if dom, _ := d.domainOfAP(apIP); dom != out.peer {
+		if d.apAt[apIP].Domain != out.peer {
 			continue
 		}
 		w := fc.foreign[apIP]
-		if med, _ := w.Median(now); w.Size() >= d.minSamples {
+		if med, _ := w.Median(now); w.Size() >= d.cfg.Controller.MinSamples {
 			ev = append(ev, packet.APESNR{AP: apIP, MedianQ: packet.QuantizeDB(med)})
 			if len(ev) == packet.MaxHandoffEvidence {
 				break
@@ -205,7 +205,7 @@ func (d *Domain) handleAccept(m *packet.DomainHandoffAccept) {
 	d.met.handoffSpans.End(out.id, int64(now))
 	d.Offered = append(d.Offered, HandoffRecord{
 		At: now, Client: m.Client, From: d.id, To: out.peer,
-		FromAP: servingGlobal, ToAP: d.apGlobal[out.target],
+		FromAP: servingGlobal, ToAP: d.apAt[out.target].ID,
 		OfferToCommit: now - out.offeredAt,
 	})
 	rel := &release{id: out.id, mac: m.Client, peer: out.peer, commit: commit}
@@ -236,17 +236,17 @@ func (d *Domain) retryCommit(rel *release) {
 // retransmitting if it echoes one of our releases, and update the
 // directory either way). Only a peer controller sends either.
 func (d *Domain) handleCommit(from packet.IPv4Addr, m *packet.DomainHandoffCommit) {
-	tgtDom, ok := d.domainOfAP(m.TargetAP)
+	tgt, ok := d.apAt[m.TargetAP]
 	if _, isPeer := d.peerAt(from); !ok || !isPeer {
 		return
 	}
-	if tgtDom != d.id {
+	if tgt.Domain != d.id {
 		if rel := d.released[m.HandoffID]; rel != nil {
 			rel.timer.Stop()
 			delete(d.released, rel.id)
 		}
 		if !d.Owns(m.Client) {
-			d.owner[m.Client] = tgtDom
+			d.owner[m.Client] = tgt.Domain
 		}
 		return
 	}
@@ -292,7 +292,8 @@ func (d *Domain) adopt(m *packet.DomainHandoffCommit) {
 
 	// An old AP outside the city table is one nobody can stop.
 	oldAP := m.ServingAP
-	fromG, known := d.apGlobal[oldAP]
+	old, known := d.apAt[oldAP]
+	fromG := old.ID
 	if !known {
 		oldAP, fromG = packet.IPv4Addr{}, -1
 	}
@@ -301,7 +302,7 @@ func (d *Domain) adopt(m *packet.DomainHandoffCommit) {
 		toMed = m.Evidence[0].MedianQ.Float()
 	}
 	d.met.switchSpans.Begin(m.HandoffID, int64(now), mac.String(),
-		fromG, d.apGlobal[m.TargetAP], metrics.CauseDomainHandoff, 0, toMed)
+		fromG, d.apAt[m.TargetAP].ID, metrics.CauseDomainHandoff, 0, toMed)
 	// The cross-domain switch stays off the controller's ledger and lands on
 	// ours, with global AP ids.
 	d.ctl.PullFrom(mac, oldAP, m.HandoffID, func(sw controller.SwitchRecord) {

@@ -93,10 +93,11 @@ func (t *Tier) Release(mac packet.MACAddr, handoffID uint32) (*packet.DomainHand
 // commit.TargetAP admits it, every other domain records it as remote. No
 // pull follows — there is no old AP in this tier to stop.
 func (t *Tier) Admit(commit *packet.DomainHandoffCommit) error {
-	own, ok := t.Domains[0].domainOfAP(commit.TargetAP)
+	tgt, ok := t.Domains[0].apAt[commit.TargetAP]
 	if !ok {
 		return fmt.Errorf("federation: admission at unknown AP %v", commit.TargetAP)
 	}
+	own := tgt.Domain
 	for _, d := range t.Domains {
 		if d.ID() == own {
 			d.admit(commit)

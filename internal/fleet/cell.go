@@ -39,7 +39,7 @@ type CellResult struct {
 
 	// The cell's subsystem counters, carried as the subsystems keep them.
 	// Ctl sums the controller plane (switches, CSI, uplink dedup, §11
-	// failure recovery); Fed is zero without cfg.Domains > 1 (DESIGN.md
+	// failure recovery); Fed is zero in a one-domain cell (DESIGN.md
 	// §13), Chaos without cfg.Chaos (§11: what the injector did), Urban —
 	// what the city planner generated — outside city cells (§16).
 	Ctl   controller.Stats
@@ -85,12 +85,7 @@ func attachCell(cfg Config, id int, n *core.Network, loads []core.Load) (*cell, 
 		},
 	}
 	if cfg.TraceDir != "" {
-		// cell-0000.jsonl, prefixed with the fleet run ID when one is set.
-		name := fmt.Sprintf("cell-%04d.jsonl", id)
-		if cfg.RunID != "" {
-			name = cfg.RunID + "-" + name
-		}
-		c.res.TraceFile = filepath.Join(cfg.TraceDir, name)
+		c.res.TraceFile = filepath.Join(cfg.TraceDir, fmt.Sprintf("cell-%04d.jsonl", id))
 		if err := c.drive.TraceTo(c.res.TraceFile); err != nil {
 			return nil, fmt.Errorf("fleet: cell %d trace: %w", id, err)
 		}

@@ -121,11 +121,6 @@ type Config struct {
 	// city. No migrations happen.
 	MetroIsolated bool
 
-	// RunID, when non-empty, prefixes per-cell trace file names
-	// (<run-id>-cell-0000.jsonl) so concurrent fleet invocations sharing
-	// one TraceDir cannot clobber each other's JSONL traces.
-	RunID string
-
 	// Progress, when non-nil, is called after each unit of work completes:
 	// (cells done, cells total) for Run, (epochs done, epochs total) for
 	// RunMetro. Calls are serialized but may come from worker goroutines;
@@ -134,11 +129,11 @@ type Config struct {
 	Progress func(done, total int)
 }
 
-// federatedDomains reports how many controller domains each cell runs: the
-// urban city partition wins when set, else the corridor Domains knob.
+// federatedDomains reports how many controller domains each cell runs: a
+// city cell's slabs when Urban is set, else the corridor Domains knob.
 // 0 or 1 means a single controller.
 func (c Config) federatedDomains() int {
-	if c.Urban != nil && c.Urban.Domains > 1 {
+	if c.Urban != nil {
 		return c.Urban.Domains
 	}
 	return c.Domains

@@ -280,7 +280,6 @@ func TestCellTraceRoundTrip(t *testing.T) {
 	// the report (the untraced run's golden) untouched.
 	mcfg := metroTestConfig(1)
 	mcfg.TraceDir = t.TempDir()
-	mcfg.RunID = "m"
 	mcfg.Metrics = true
 	traced, err := RunMetro(mcfg)
 	if err != nil {
@@ -294,7 +293,7 @@ func TestCellTraceRoundTrip(t *testing.T) {
 			traced.Metrics.DurationNS, traced.BuiltTiles, want)
 	}
 	for _, tile := range traced.Tiles {
-		if want := filepath.Join(mcfg.TraceDir, fmt.Sprintf("m-cell-%04d.jsonl", tile.Cell)); tile.TraceFile != want {
+		if want := filepath.Join(mcfg.TraceDir, fmt.Sprintf("cell-%04d.jsonl", tile.Cell)); tile.TraceFile != want {
 			t.Errorf("tile %d traced to %q, want %q", tile.Cell, tile.TraceFile, want)
 		}
 		if kinds := readCellTrace(t, tile.CellResult); tile.Bytes > 0 && kinds[trace.KindDeliver] == 0 {

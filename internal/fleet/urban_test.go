@@ -66,6 +66,22 @@ func TestUrbanFleetDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// A city cell runs its own city's slabs; the corridor Domains knob does not
+// reach it, so a one-domain city reports no federation section.
+func TestUrbanCellRunsItsCitysDomains(t *testing.T) {
+	cfg := urbanTestConfig(1)
+	cfg.Cells = 1
+	cfg.Urban.Domains = 1
+	cfg.Domains = 2
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := res.Render(); strings.Contains(out, "Federation (") {
+		t.Fatalf("one-domain city rendered a federation section:\n%s", out)
+	}
+}
+
 // TestCorridorReportHasNoUrbanSection pins the pre-urban report shape.
 func TestCorridorReportHasNoUrbanSection(t *testing.T) {
 	res, err := Run(testConfig(1))

@@ -61,16 +61,6 @@ func Script(id int) CSIScript {
 	return s
 }
 
-// APConfig is the live AP operating point: default queueing, but fast
-// deterministic control processing so a smoke run completes quickly.
-func APConfig(id int) ap.Config {
-	cfg := ap.DefaultConfig(id, packet.APMAC(99))
-	cfg.StopProcessing = 2 * sim.Millisecond
-	cfg.StartProcessing = 2 * sim.Millisecond
-	cfg.ProcessingJitter = 0
-	return cfg
-}
-
 // Table maps a live topology's virtual addresses onto UDP endpoints: entry
 // d < controllers is domain d's controller (packet.DomainControllerIP(0) is
 // packet.ControllerIP, so one controller is the single-domain topology) and
@@ -109,18 +99,6 @@ func runNode(conn *net.UDPConn, table map[packet.IPv4Addr]string, timeout sim.Ti
 	w.Run()
 	_ = port.Close()
 	return nil
-}
-
-// City is the live city: aps APs over domains controller domains, AP i in
-// domain i·domains/aps — contiguous blocks, as in the simulator. One domain
-// is the single controller over every AP; two domains over two APs is the
-// smallest city with an inter-controller handoff (DESIGN.md §13).
-func City(aps, domains int) []federation.APAssignment {
-	city := make([]federation.APAssignment, aps)
-	for i := range city {
-		city[i] = federation.APAssignment{ID: i, Domain: i * domains / aps, IP: packet.APIP(i), MAC: packet.APMAC(i)}
-	}
-	return city
 }
 
 // RunController drives domain's controller node of city until the first
@@ -162,20 +140,18 @@ func RunController(domain int, conn *net.UDPConn, table map[packet.IPv4Addr]stri
 }
 
 // RunAP drives AP node id: the AP protocol core (stop/start handling, ack
-// emission) plus the scripted CSI source, for the given duration. serving
-// marks the AP the client is associated with at t = 0; ctlAddr is the AP's
-// domain controller, packet.DomainControllerIP(City(...)[id].Domain).
-func RunAP(id int, conn *net.UDPConn, table map[packet.IPv4Addr]string, ctlAddr packet.IPv4Addr, script CSIScript, serving bool, duration sim.Time) (ap.Stats, error) {
+// emission, with the stop/start processing model the simulator runs) plus
+// Script(id)'s CSI source, for the given duration. AP 0 serves the client at
+// t = 0, where RunController registers it; ctlAddr is the AP's domain
+// controller, packet.DomainControllerIP(federation.City(...)[id].Domain).
+func RunAP(id int, conn *net.UDPConn, table map[packet.IPv4Addr]string, ctlAddr packet.IPv4Addr, duration sim.Time) (ap.Stats, error) {
 	var node *ap.AP
 	err := runNode(conn, table, duration, func(w *runtime.Wall, sw *backhaul.Switch) error {
-		cfg := APConfig(id)
+		cfg := ap.DefaultConfig(id, packet.APMAC(99))
 		node = ap.New(cfg, w.Eng, sw, nil, ctlAddr, rand.New(rand.NewPCG(uint64(id), 0)))
-		node.Associate(Client, ClientIP, serving)
+		node.Associate(Client, ClientIP, id == 0)
 
-		period := script.Period
-		if period <= 0 {
-			period = 2 * sim.Millisecond
-		}
+		script := Script(id)
 		var tick func()
 		tick = func() {
 			now := w.Eng.Now()
@@ -185,9 +161,9 @@ func RunAP(id int, conn *net.UDPConn, table map[packet.IPv4Addr]string, ctlAddr 
 				rep.SNRQ[i] = q
 			}
 			_ = sw.Send(cfg.IP, ctlAddr, rep)
-			w.Eng.After(period, tick)
+			w.Eng.After(script.Period, tick)
 		}
-		w.Eng.After(period, tick)
+		w.Eng.After(script.Period, tick)
 		return nil
 	})
 	if err != nil {

@@ -1,6 +1,10 @@
 package urban
 
-import "wgtt/internal/mobility"
+import (
+	"math"
+
+	"wgtt/internal/mobility"
+)
 
 // Street-canyon blockage (DESIGN.md §16). The grid's buildings fill every
 // block, so radio visibility follows the streets: a link down a shared
@@ -25,8 +29,8 @@ const (
 func (g *Graph) streets(p mobility.Point) (row int, onH bool, col int, onV bool) {
 	row = clampGrid(p.Y, g.BlockM, g.Rows)
 	col = clampGrid(p.X, g.BlockM, g.Cols)
-	onH = abs(p.Y-float64(row)*g.BlockM) <= corridorHalfM
-	onV = abs(p.X-float64(col)*g.BlockM) <= corridorHalfM
+	onH = math.Abs(p.Y-float64(row)*g.BlockM) <= corridorHalfM
+	onV = math.Abs(p.X-float64(col)*g.BlockM) <= corridorHalfM
 	return
 }
 
@@ -39,13 +43,6 @@ func clampGrid(v, blockM float64, n int) int {
 		return n - 1
 	}
 	return i
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // BlockageDB returns the street-canyon obstruction between two positions
