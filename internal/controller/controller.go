@@ -6,8 +6,8 @@
 // every nearby AP's cyclic queue, and uplink de-duplication keyed by
 // (source IP, IP ID). The controller keeps the scheduling gates — one
 // switch in flight per client, frozen while offered to a peer domain, the
-// Fig. 22 hysteresis dwell — and delegates the what-AP question to the
-// configured selector.Selector.
+// Fig. 22 hysteresis dwell — and delegates the what-AP question to its
+// selector.Selector.
 package controller
 
 import (
@@ -21,9 +21,10 @@ import (
 
 // Config parameterizes the controller.
 type Config struct {
-	// Window is the ESNR comparison window W of §3.1.1; the paper's
-	// microbenchmark (Fig. 21) selects 10 ms.
-	Window sim.Time
+	// Params is the §3.1.1 rule's Window, MedianMarginDB, MinSamples and
+	// MinSwitchESNRdB, handed to the selector unchanged: they parameterize
+	// every policy.
+	selector.Params
 	// Hysteresis is the minimum dwell time between switches of one client
 	// (Fig. 22 sweeps 40–120 ms).
 	Hysteresis sim.Time
@@ -32,17 +33,6 @@ type Config struct {
 	// heard within the selection window; a slightly longer horizon is used
 	// here so momentary uplink silence does not empty the set).
 	FanoutWindow sim.Time
-	// MedianMarginDB requires the challenger AP's median ESNR to beat the
-	// incumbent's by this much (0 reproduces the paper's plain argmax).
-	MedianMarginDB float64
-	// MinSamples is the minimum number of in-window ESNR readings an AP
-	// needs before it can be selected — one stray reading is not a median.
-	MinSamples int
-	// MinSwitchESNRdB gates handovers: a challenger whose median ESNR is
-	// below this cannot be worth a switch (it could not even carry MCS0),
-	// which stops the controller from thrashing among dead links when the
-	// client leaves coverage entirely.
-	MinSwitchESNRdB float64
 	// CollapseDB, when > 0, lets a switch bypass the hysteresis dwell if
 	// the challenger's figure beats the incumbent's by at least this much.
 	// The Fig. 22 dwell assumes links decay gently; an urban corner turn
@@ -51,8 +41,7 @@ type Config struct {
 	// the dwell absolute, byte-identical to the pre-§16 controller.
 	CollapseDB float64
 	// Policy picks the AP-selection policy (DESIGN.md §15); "" is the
-	// paper's windowed-median rule. The base §3.1.1 knobs above (Window,
-	// MedianMarginDB, MinSamples, MinSwitchESNRdB) parameterize every policy.
+	// paper's windowed-median rule.
 	Policy selector.Policy
 
 	// health switches on the AP health monitor (WithHealth): every
@@ -97,12 +86,14 @@ func (c Config) WithHealth() Config {
 // DefaultConfig returns the paper's operating point.
 func DefaultConfig() Config {
 	return Config{
-		Window:          10 * sim.Millisecond,
-		Hysteresis:      40 * sim.Millisecond,
-		FanoutWindow:    100 * sim.Millisecond,
-		MedianMarginDB:  0,
-		MinSamples:      2,
-		MinSwitchESNRdB: -5,
+		Params: selector.Params{
+			Window:          10 * sim.Millisecond,
+			MedianMarginDB:  0,
+			MinSamples:      2,
+			MinSwitchESNRdB: -5,
+		},
+		Hysteresis:   40 * sim.Millisecond,
+		FanoutWindow: 100 * sim.Millisecond,
 	}
 }
 
@@ -153,8 +144,8 @@ type Stats struct {
 	// Selection-policy counters (DESIGN.md §15). SelectionDecisions
 	// counts policy evaluations that reached the selector (past the
 	// op/frozen/hysteresis gates); PredictiveEarlySwitches counts
-	// switches the Predictive policy fired ahead of the median rule;
-	// AssignmentRounds counts GlobalAssign's fleet-wide recomputations.
+	// switches the predictive policy fired ahead of the median rule;
+	// AssignmentRounds counts GlobalAssignPolicy's fleet-wide recomputations.
 	SelectionDecisions      uint64
 	PredictiveEarlySwitches uint64
 	AssignmentRounds        uint64
@@ -334,7 +325,7 @@ type Controller struct {
 	// sel is the AP-selection policy (DESIGN.md §15); aliveFn is the
 	// health monitor's verdict bound once at construction so the per-CSI
 	// Decide call stays allocation-free.
-	sel     selector.Selector
+	sel     *selector.Selector
 	aliveFn func(int) bool
 
 	clients map[packet.MACAddr]*clientCtl
@@ -403,12 +394,7 @@ func New(cfg Config, eng *sim.Engine, bh backhaul.Fabric, aps []APInfo) *Control
 	for _, a := range aps {
 		c.ipToAP[a.IP] = a.ID
 	}
-	c.sel = selector.New(selector.Config{Policy: cfg.Policy}, selector.Params{
-		Window:          cfg.Window,
-		MedianMarginDB:  cfg.MedianMarginDB,
-		MinSamples:      cfg.MinSamples,
-		MinSwitchESNRdB: cfg.MinSwitchESNRdB,
-	}, len(aps))
+	c.sel = selector.New(selector.Config{Policy: cfg.Policy}, cfg.Params, len(aps))
 	c.aliveFn = c.apAlive
 	if cfg.health {
 		c.health = make([]apHealth, len(aps))

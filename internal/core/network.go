@@ -435,14 +435,14 @@ func (n *Network) EnableMetricsInto(r *metrics.Registry) *metrics.Registry {
 	if n.Urban != nil {
 		// Urban workload shape (DESIGN.md §16): planned quantities, recorded
 		// once so fleet/eval merges report the generated city truthfully.
-		st := n.Urban.Stats
-		r.Counter("urban", "turns").Add(uint64(st.Turns))
-		r.Counter("urban", "light_stops").Add(uint64(st.LightStops))
-		r.Counter("urban", "route_crossings").Add(uint64(st.RouteCrossings))
-		r.Counter("urban", "buses").Add(uint64(st.Buses))
-		r.Counter("urban", "riders").Add(uint64(st.Riders))
-		r.Counter("urban", "cars").Add(uint64(st.Cars))
-		r.Counter("urban", "pedestrians").Add(uint64(st.Pedestrians))
+		st := &n.Urban.Stats
+		r.CounterAt("urban", "turns", &st.Turns)
+		r.CounterAt("urban", "light_stops", &st.LightStops)
+		r.CounterAt("urban", "route_crossings", &st.RouteCrossings)
+		r.CounterAt("urban", "buses", &st.Buses)
+		r.CounterAt("urban", "riders", &st.Riders)
+		r.CounterAt("urban", "cars", &st.Cars)
+		r.CounterAt("urban", "pedestrians", &st.Pedestrians)
 		h := r.Histogram("urban", "riders_per_bus", []float64{0, 5, 10, 20, 40, 80})
 		for _, k := range st.RidersPerBus {
 			h.Observe(float64(k))

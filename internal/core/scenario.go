@@ -181,21 +181,30 @@ func (s *Scenario) applyCityDefaults(g *urban.Graph) {
 // testbed at speedMPH under the given mode.
 func DriveScenario(mode Mode, speedMPH float64, seed uint64) Scenario {
 	aps := mobility.DefaultAPPositions()
-	margin := 10.0
-	dur := mobility.TransitDuration(aps, speedMPH, margin) + 2*sim.Second
-	var tr mobility.Trace
-	if speedMPH <= 0 {
-		// Static client parked in AP2's cell (the paper's 0 mph point).
-		tr = mobility.Stationary{At: mobility.Point{X: aps[1].X, Y: mobility.LaneY}}
-		dur = 10 * sim.Second
-	} else {
-		tr = mobility.TransitDrive(aps, speedMPH, margin)
+	if speedMPH > 0 {
+		return TransitScenario(mode, aps, speedMPH, seed)
 	}
+	// Static client parked in AP2's cell (the paper's 0 mph point).
+	parked := mobility.Stationary{At: mobility.Point{X: aps[1].X, Y: mobility.LaneY}}
 	return Scenario{
 		Mode:     mode,
 		Seed:     seed,
-		Duration: dur,
-		Clients:  []ClientSpec{{Trace: tr, SpeedMPH: speedMPH}},
+		Duration: 10 * sim.Second,
+		Clients:  []ClientSpec{{Trace: parked, SpeedMPH: speedMPH}},
+	}
+}
+
+// TransitScenario is one client driving past the APs at aps at speedMPH,
+// entering 10 m before the first and leaving 10 m past the last, with 2 s
+// of trailing time.
+func TransitScenario(mode Mode, aps []mobility.Point, speedMPH float64, seed uint64) Scenario {
+	const margin = 10.0
+	return Scenario{
+		Mode:        mode,
+		Seed:        seed,
+		Duration:    mobility.TransitDuration(aps, speedMPH, margin) + 2*sim.Second,
+		APPositions: aps,
+		Clients:     []ClientSpec{{Trace: mobility.TransitDrive(aps, speedMPH, margin), SpeedMPH: speedMPH}},
 	}
 }
 

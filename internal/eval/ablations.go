@@ -3,6 +3,7 @@ package eval
 import (
 	"fmt"
 
+	"wgtt/internal/controller"
 	"wgtt/internal/core"
 	"wgtt/internal/sim"
 	"wgtt/internal/stats"
@@ -100,7 +101,7 @@ func AblationUplinkDiversity(opt Options) (*AblationResult, error) {
 func AblationFanout(opt Options) (*AblationResult, error) {
 	run := func(fanout sim.Time) (float64, error) {
 		s := core.DriveScenario(core.ModeWGTT, 15, opt.Seed)
-		cfg := controllerConfigWith(40 * sim.Millisecond)
+		cfg := controller.DefaultConfig()
 		cfg.FanoutWindow = fanout
 		s.Controller = &cfg
 		// TCP, not UDP: the cost of a stranded backlog is a stalled flow,

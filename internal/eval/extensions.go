@@ -5,7 +5,6 @@ import (
 
 	"wgtt/internal/core"
 	"wgtt/internal/mobility"
-	"wgtt/internal/sim"
 	"wgtt/internal/stats"
 )
 
@@ -182,16 +181,7 @@ func ExtScale(opt Options) (*ExtScaleResult, error) {
 		{"corridor-16", mobility.DenseArray(16, 5, 7.5)},
 	}
 	for _, l := range layouts {
-		s := core.Scenario{
-			Mode:        core.ModeWGTT,
-			Seed:        opt.Seed,
-			APPositions: l.pos,
-			Clients: []core.ClientSpec{{
-				Trace:    mobility.TransitDrive(l.pos, 25, 10),
-				SpeedMPH: 25,
-			}},
-			Duration: mobility.TransitDuration(l.pos, 25, 10) + 2*sim.Second,
-		}
+		s := core.TransitScenario(core.ModeWGTT, l.pos, 25, opt.Seed)
 		d, err := opt.drive(s, core.Load{TCP: true})
 		if err != nil {
 			return nil, err

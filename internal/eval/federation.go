@@ -39,18 +39,9 @@ func ExtFederation(opt Options) (*ExtFederationResult, error) {
 	res := &ExtFederationResult{}
 	pos := mobility.DenseArray(16, 5, 7.5)
 	for _, nDom := range domains {
-		s := core.Scenario{
-			Mode:        core.ModeWGTT,
-			Seed:        opt.Seed,
-			APPositions: pos,
-			OmniAPs:     true,
-			Domains:     nDom,
-			Clients: []core.ClientSpec{{
-				Trace:    mobility.TransitDrive(pos, 15, 10),
-				SpeedMPH: 15,
-			}},
-			Duration: mobility.TransitDuration(pos, 15, 10) + 2*sim.Second,
-		}
+		s := core.TransitScenario(core.ModeWGTT, pos, 15, opt.Seed)
+		s.OmniAPs = true
+		s.Domains = nDom
 		n, err := opt.build(s)
 		if err != nil {
 			return nil, err

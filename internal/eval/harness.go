@@ -8,11 +8,9 @@ package eval
 import (
 	"fmt"
 
-	"wgtt/internal/controller"
 	"wgtt/internal/core"
 	"wgtt/internal/metrics"
 	"wgtt/internal/selector"
-	"wgtt/internal/sim"
 )
 
 // Options tunes experiment cost.
@@ -102,12 +100,4 @@ func seriesString(name string, xs []float64, prec int) string {
 		out += fmt.Sprintf(" %.*f", prec, v)
 	}
 	return out + "\n"
-}
-
-// controllerConfigWith returns the default WGTT controller configuration
-// with a different switching hysteresis (Fig. 22's sweep parameter).
-func controllerConfigWith(hysteresis sim.Time) controller.Config {
-	cfg := controller.DefaultConfig()
-	cfg.Hysteresis = hysteresis
-	return cfg
 }

@@ -38,17 +38,8 @@ func ExtResilience(opt Options) (*ExtResilienceResult, error) {
 	res := &ExtResilienceResult{}
 	pos := mobility.DenseArray(16, 5, 7.5)
 	for _, mtbf := range mtbfs {
-		s := core.Scenario{
-			Mode:        core.ModeWGTT,
-			Seed:        opt.Seed,
-			APPositions: pos,
-			OmniAPs:     true,
-			Clients: []core.ClientSpec{{
-				Trace:    mobility.TransitDrive(pos, 15, 10),
-				SpeedMPH: 15,
-			}},
-			Duration: mobility.TransitDuration(pos, 15, 10) + 2*sim.Second,
-		}
+		s := core.TransitScenario(core.ModeWGTT, pos, 15, opt.Seed)
+		s.OmniAPs = true
 		if mtbf > 0 {
 			ccfg := chaos.DefaultConfig()
 			ccfg.APCrashMTBF = mtbf

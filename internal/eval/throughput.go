@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"wgtt/internal/controller"
 	"wgtt/internal/core"
 	"wgtt/internal/mobility"
 	"wgtt/internal/sim"
@@ -323,7 +324,8 @@ func Fig22Hysteresis(opt Options) (*Fig22Result, error) {
 	res := &Fig22Result{}
 	for _, T := range ts {
 		s := core.DriveScenario(core.ModeWGTT, 15, opt.Seed)
-		cfg := controllerConfigWith(T)
+		cfg := controller.DefaultConfig()
+		cfg.Hysteresis = T
 		s.Controller = &cfg
 		d, err := opt.drive(s, core.Load{TCP: true})
 		if err != nil {

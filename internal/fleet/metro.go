@@ -70,10 +70,10 @@ type metroRun struct {
 	nextHandoffID uint32
 	stats         MetroStats
 	reg           *metrics.Registry
-	// seamOutageMS is the one metro counter stats cannot back: its twin,
-	// stats.SeamOutage, is a sim.Time, and the published value truncates
-	// each migration's wait to whole milliseconds before summing.
-	seamOutageMS *metrics.Counter
+	// seamOutageMS is the seam_outage_ms counter. Its twin,
+	// stats.SeamOutage, is a sim.Time; the counter truncates each
+	// migration's wait to whole milliseconds before summing.
+	seamOutageMS uint64
 }
 
 // MetroStats aggregates the metro-wide outcomes of a run.
@@ -180,7 +180,7 @@ func newMetroRun(cfg Config) (*metroRun, error) {
 		m.reg = metrics.NewRegistry()
 		m.reg.CounterAt("metro", "migrations", &m.stats.Migrations)
 		m.reg.CounterAt("metro", "handoff_wire_bytes", &m.stats.HandoffWireBytes)
-		m.seamOutageMS = m.reg.Counter("metro", "seam_outage_ms")
+		m.reg.CounterAt("metro", "seam_outage_ms", &m.seamOutageMS)
 	}
 
 	// Bind each client to the tiles its route visits. Isolated mode pins
@@ -384,7 +384,7 @@ func (m *metroRun) migrate(mig migration, barrier sim.Time) {
 	m.stats.Migrations++
 	m.stats.SeamOutage += barrier - mig.At
 	m.stats.HandoffWireBytes += uint64(len(wire))
-	m.seamOutageMS.Add(uint64((barrier - mig.At) / sim.Millisecond))
+	m.seamOutageMS += uint64((barrier - mig.At) / sim.Millisecond)
 }
 
 // finish harvests every tile and sums the tiles' cell results into the

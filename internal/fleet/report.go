@@ -198,8 +198,7 @@ func (r *Result) Render() string {
 	// Urban section, present only for street-grid city cells so corridor
 	// reports stay byte-identical to their pre-urban form.
 	if r.Cfg.Urban != nil {
-		var turns, lights, crossings int
-		var buses, riders, cars, peds int
+		var turns, lights, crossings, buses, riders, cars, peds uint64
 		for i := range r.Cells {
 			c := &r.Cells[i]
 			turns += c.Urban.Turns

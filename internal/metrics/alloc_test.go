@@ -16,12 +16,10 @@ func TestRecordingZeroAlloc(t *testing.T) {
 	}
 
 	var (
-		nilC *Counter
 		nilG *Gauge
 		nilH *Histogram
 		nilT *SpanTracker
 	)
-	check("nil Counter.Add", func() { nilC.Add(1); nilC.Add(3) })
 	check("nil Gauge.Set", func() { nilG.Set(1) })
 	check("nil Histogram.Observe", func() { nilH.Observe(1) })
 	check("nil SpanTracker ops", func() {
@@ -34,14 +32,12 @@ func TestRecordingZeroAlloc(t *testing.T) {
 	})
 
 	r := NewRegistry()
-	c := r.Counter("controller", "csi_reports")
 	g := r.Gauge("dedup", "size")
 	h := r.Histogram("controller", "window_occupancy", []float64{1, 2, 4, 8, 16, 32, 64, 128, 256})
 	tr := r.SwitchSpans()
 	tr.Begin(1, 0, "c", 0, 1, "median-argmax", 0, 0)
 
 	i := 0.0
-	check("enabled Counter.Add", func() { c.Add(1) })
 	check("enabled Gauge.Set", func() { i++; g.Set(i) })
 	check("enabled Histogram.Observe", func() { i++; h.Observe(i) })
 	check("enabled span marks", func() {

@@ -20,21 +20,6 @@ package metrics
 
 import "sort"
 
-// Counter is a monotonically increasing count the registry itself stores —
-// for a value no component keeps in a uint64 of its own (those are named
-// with CounterAt instead). The zero value is ready to use; a nil *Counter
-// is a valid no-op.
-type Counter struct {
-	v uint64
-}
-
-// Add adds n.
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.v += n
-	}
-}
-
 // Gauge is a last-value instrument (queue sizes, hashset occupancy). A nil
 // *Gauge is a valid no-op.
 type Gauge struct {
@@ -89,19 +74,20 @@ type key struct {
 }
 
 // Registry holds a simulation's instruments. Handles are created (or
-// found) by Counter/Gauge/Histogram/Spans at wiring time — typically once,
+// found) by Gauge/Histogram/Spans at wiring time — typically once,
 // before the run — and written through during it. All methods on a nil
 // *Registry return nil handles, so "metrics disabled" is simply a nil
 // registry threaded through the same wiring calls.
 type Registry struct {
-	counters map[key]*Counter
-	gauges   map[key]*Gauge
-	hists    map[key]*Histogram
-	spans    map[string]*SpanTracker
+	gauges map[key]*Gauge
+	hists  map[key]*Histogram
+	spans  map[string]*SpanTracker
 
-	// views are the counters the registry does not store: each names a
-	// uint64 its component owns (a Stats field) and is read at Snapshot.
-	views map[key][]*uint64
+	// views are the live counters: each names a uint64 its component owns
+	// (a Stats field) and is read at Snapshot. counters holds what EndRun
+	// folded out of the views of finished runs.
+	views    map[key][]*uint64
+	counters map[key]uint64
 
 	// durNS accumulates the simulated duration covered by the registry
 	// (EndRun), which turns counters into rates in Fprint.
@@ -111,28 +97,11 @@ type Registry struct {
 // NewRegistry returns an empty enabled registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: make(map[key]*Counter),
-		views:    make(map[key][]*uint64),
-		gauges:   make(map[key]*Gauge),
-		hists:    make(map[key]*Histogram),
-		spans:    make(map[string]*SpanTracker),
+		views:  make(map[key][]*uint64),
+		gauges: make(map[key]*Gauge),
+		hists:  make(map[key]*Histogram),
+		spans:  make(map[string]*SpanTracker),
 	}
-}
-
-// Counter returns the named counter, creating it on first use — for a
-// value with no uint64 of its own to view through CounterAt. Returns nil on
-// a nil registry.
-func (r *Registry) Counter(component, name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	k := key{component, name}
-	c, ok := r.counters[k]
-	if !ok {
-		c = &Counter{}
-		r.counters[k] = c
-	}
-	return c
 }
 
 // CounterAt names a counter the caller owns: v — a field of the
@@ -233,7 +202,7 @@ func (r *Registry) HandoffSpans() *SpanTracker {
 
 // EndRun closes one finished run of ns simulated nanoseconds. The duration
 // accumulates — Fprint turns counters into rates with it (ESNR reports/s) —
-// and every CounterAt view is folded into a stored counter and dropped, so a
+// and every CounterAt view is folded into a plain total and dropped, so a
 // registry shared by sequentially built networks (an experiment's) holds
 // none of them once it has run. Whatever a component counts after EndRun is
 // no longer seen. The recorded spans stay, in order, but their ids are
@@ -243,9 +212,7 @@ func (r *Registry) EndRun(ns int64) {
 		return
 	}
 	r.durNS += ns
-	for k, v := range r.counts() {
-		r.Counter(k.component, k.name).v = v
-	}
+	r.counters = r.counts()
 	clear(r.views)
 	for _, t := range r.spans {
 		clear(t.byID)

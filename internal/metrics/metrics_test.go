@@ -10,14 +10,11 @@ import (
 
 func TestCounterGaugeHistogramBasics(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("controller", "csi_reports")
-	c.Add(1)
-	c.Add(4)
-	if got := c.v; got != 5 {
-		t.Fatalf("counter = %d, want 5", got)
-	}
-	if r.Counter("controller", "csi_reports") != c {
-		t.Fatal("same (component, name) must return the same counter")
+	var reports uint64
+	r.CounterAt("controller", "csi_reports", &reports)
+	reports += 5
+	if got := r.Snapshot().Counters; len(got) != 1 || got[0].Value != 5 {
+		t.Fatalf("counters = %+v, want csi_reports 5", got)
 	}
 
 	g := r.Gauge("dedup", "size")
@@ -60,7 +57,8 @@ func TestCounterAtReadsTheOwnersField(t *testing.T) {
 	r := NewRegistry()
 	r.CounterAt("controller", "switches_done", &a.Switches)
 	r.CounterAt("controller", "switches_done", &b.Switches)
-	r.Counter("urban", "turns").Add(9)
+	turns := uint64(9)
+	r.CounterAt("urban", "turns", &turns)
 	a.Switches, b.Switches = 3, 4
 	want := []CounterSnap{{"controller", "switches_done", 7}, {"urban", "turns", 9}}
 	if got := r.Snapshot().Counters; !reflect.DeepEqual(got, want) {
@@ -87,15 +85,12 @@ func TestCounterAtReadsTheOwnersField(t *testing.T) {
 // operation a no-op — this is the contract instrumented components rely on.
 func TestNilRegistryAndHandlesAreInert(t *testing.T) {
 	var r *Registry
-	c := r.Counter("x", "y")
 	g := r.Gauge("x", "y")
 	h := r.Histogram("x", "y", []float64{1})
 	sp := r.SwitchSpans()
-	if c != nil || g != nil || h != nil || sp != nil {
+	if g != nil || h != nil || sp != nil {
 		t.Fatal("nil registry must hand out nil instruments")
 	}
-	c.Add(1)
-	c.Add(2)
 	g.Set(1)
 	h.Observe(1)
 	sp.Begin(1, 0, "c", 0, 1, "median-argmax", 0, 0)
@@ -160,7 +155,8 @@ func TestSnapshotDeterministicOrderAndJSONRoundTrip(t *testing.T) {
 	build := func(order []string) Snapshot {
 		r := NewRegistry()
 		for _, name := range order {
-			r.Counter(name, "n").Add(3)
+			n := uint64(3)
+			r.CounterAt(name, "n", &n)
 			r.Gauge(name, "g").Set(1)
 			r.Histogram(name, "h", []float64{1, 2}).Observe(1.5)
 		}
@@ -194,7 +190,7 @@ func TestSnapshotDeterministicOrderAndJSONRoundTrip(t *testing.T) {
 func TestMerge(t *testing.T) {
 	mk := func(n uint64, spanID uint32) Snapshot {
 		r := NewRegistry()
-		r.Counter("controller", "csi_reports").Add(n)
+		r.CounterAt("controller", "csi_reports", &n)
 		r.Gauge("dedup", "size").Set(float64(n))
 		r.Histogram("ap1", "queue_depth", []float64{1, 2}).Observe(float64(n))
 		tr := r.SwitchSpans()
@@ -233,7 +229,8 @@ func TestMerge(t *testing.T) {
 
 func TestFprint(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("controller", "csi_reports").Add(1000)
+	reports := uint64(1000)
+	r.CounterAt("controller", "csi_reports", &reports)
 	r.Gauge("dedup", "size").Set(42)
 	r.Histogram("controller", "window_occupancy", []float64{4, 16, 64}).Observe(12)
 	tr := r.SwitchSpans()

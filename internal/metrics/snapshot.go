@@ -132,12 +132,12 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// counts returns every counter's current value: what the registry stores
-// plus what its CounterAt views read right now.
+// counts returns every counter's current value: what EndRun folded plus
+// what the CounterAt views read right now.
 func (r *Registry) counts() map[key]uint64 {
 	counts := make(map[key]uint64, len(r.counters)+len(r.views))
-	for k, c := range r.counters {
-		counts[k] = c.v
+	for k, v := range r.counters {
+		counts[k] = v
 	}
 	for k, views := range r.views {
 		for _, v := range views {

@@ -23,13 +23,13 @@ const CauseAPFailure = "ap-failure"
 // the client onto its own domain's AP.
 const CauseDomainHandoff = "domain-handoff"
 
-// CausePredictedCollapse marks an early switch fired by the Predictive
+// CausePredictedCollapse marks an early switch fired by the predictive
 // selection policy (DESIGN.md §15): the serving AP's fitted ESNR
 // trajectory was falling and a challenger was predicted to be better at
 // the forecast horizon, before the §3.1.1 median rule would have moved.
 const CausePredictedCollapse = "predicted-collapse"
 
-// CauseGlobalAssign marks a switch commanded by the GlobalAssign selection
+// CauseGlobalAssign marks a switch commanded by the global-assign selection
 // policy's fleet-wide assignment round (DESIGN.md §15): the client moves to
 // the AP the budgeted assignment gave it, not to its own greedy argmax.
 const CauseGlobalAssign = "global-assign"

@@ -4,34 +4,10 @@ import (
 	"sort"
 
 	"wgtt/internal/metrics"
-	"wgtt/internal/packet"
 	"wgtt/internal/sim"
 )
 
-// GlobalAssign is the fleet-wide assignment policy (DESIGN.md §15; the
-// SDN-style global AP selection of arXiv 2403.18745): instead of each
-// client greedily taking its own argmax AP — which piles co-located
-// clients onto the same picocell — the policy periodically recomputes one
-// AP↔client assignment for the whole fleet, capping each AP at assignBudget
-// clients and giving each client's incumbent a stickinessDB scoring bonus
-// to damp churn. Between rounds clients follow their assigned AP; clients
-// the budget leaves unassigned stay where they are.
-//
-// Determinism: rounds are triggered lazily from Decide (no timers), so the
-// recomputation instant is a deterministic function of the CSI arrival
-// sequence; candidate scoring iterates clients in registration order and
-// ties break by (client order, AP id).
-type GlobalAssign struct {
-	base
-	nextAt sim.Time
-
-	// pairs is the recomputation scratch (reused across rounds; the
-	// Observe/Decide hot path between rounds is allocation-free).
-	pairs []assignPair
-	load  []int
-}
-
-// GlobalAssign's one operating point: a fleet-wide round every
+// GlobalAssignPolicy's one operating point: a fleet-wide round every
 // assignPeriod, at most assignBudget clients per AP, and a stickinessDB
 // bonus on each client's serving AP.
 const (
@@ -42,18 +18,27 @@ const (
 
 // assignPair is one (client, AP) candidate in a recomputation round.
 type assignPair struct {
-	ci    int // index into base.order
+	ci    int // index into Selector.order
 	ap    int
 	score float64
 }
 
-// Decide implements Selector: trigger a reassignment round when due, then
-// steer this client toward its assigned AP.
-func (s *GlobalAssign) Decide(mac packet.MACAddr, serving int, now sim.Time, alive func(int) bool) Decision {
-	cl := s.clients[mac]
-	if cl == nil {
-		return stay()
-	}
+// assign is GlobalAssignPolicy's verdict, the fleet-wide assignment of
+// DESIGN.md §15 (the SDN-style global AP selection of arXiv 2403.18745):
+// instead of each client greedily taking its own argmax AP — which piles
+// co-located clients onto the same picocell — the policy periodically
+// recomputes one AP↔client assignment for the whole fleet, capping each AP
+// at assignBudget clients and giving each client's incumbent a
+// stickinessDB scoring bonus to damp churn. Between rounds clients follow
+// their assigned AP; clients the budget leaves unassigned stay where they
+// are. A round is due when assign first runs past the period boundary, and
+// this client is then steered toward its assigned AP.
+//
+// Determinism: rounds are triggered lazily from Decide (no timers), so the
+// recomputation instant is a deterministic function of the CSI arrival
+// sequence; candidate scoring iterates clients in registration order and
+// ties break by (client order, AP id).
+func (s *Selector) assign(cl *clientState, serving int, now sim.Time, alive func(int) bool) Decision {
 	d := stay()
 	if now >= s.nextAt {
 		s.recompute(now, alive)
@@ -90,7 +75,7 @@ func (s *GlobalAssign) Decide(mac packet.MACAddr, serving int, now sim.Time, ali
 // (client, AP) pair by median ESNR (+stickinessDB for the incumbent),
 // sort, and greedily assign under the per-AP budget. Clients the budget
 // leaves out keep their serving AP.
-func (s *GlobalAssign) recompute(now sim.Time, alive func(int) bool) {
+func (s *Selector) recompute(now sim.Time, alive func(int) bool) {
 	pairs := s.pairs[:0]
 	for ci, mac := range s.order {
 		cl := s.clients[mac]

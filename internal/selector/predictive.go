@@ -2,29 +2,11 @@ package selector
 
 import (
 	"wgtt/internal/metrics"
-	"wgtt/internal/packet"
 	"wgtt/internal/sim"
 )
 
-// Predictive is the trajectory-forecasting policy (DESIGN.md §15; the
-// handover-prediction idea of arXiv 2111.13879 reduced to a linear model):
-// alongside each §3.1.1 median window it keeps a longer fitting window per
-// (client, AP) link and extrapolates a least-squares line Horizon into the
-// future. Whenever the median rule would stay put but the serving AP's
-// ESNR is falling, it switches early to the challenger predicted to be
-// best at the horizon — cutting the lag between the ground-truth best AP
-// changing and the client actually moving, at the cost of occasionally
-// jumping before the fade it predicted materializes.
-//
-// The base median rule still runs first and wins when it fires: Predictive
-// only adds switches, never suppresses one, so its worst case degrades to
-// WindowedMedian plus early (possibly premature) moves.
-type Predictive struct {
-	base
-}
-
-// Predictive's operating point, calibrated on the ext-selector ablation
-// (DESIGN.md §15).
+// PredictivePolicy's operating point, calibrated on the ext-selector
+// ablation (DESIGN.md §15).
 const (
 	// predictHorizon is how far ahead the trajectory fit extrapolates when
 	// comparing APs — a few hysteresis-free evaluation rounds at vehicular
@@ -37,19 +19,26 @@ const (
 	// must be than the serving AP's.
 	predictMarginDB float64 = 1
 	// predictCollapseDB arms the early switch: the serving AP must be
-	// predicted to fall below this ESNR at the horizon before Predictive
+	// predicted to fall below this ESNR at the horizon before the policy
 	// jumps. Without the floor every transient dip would trigger a
 	// premature move to a challenger that is not yet better.
 	predictCollapseDB float64 = 10
 )
 
-// Decide implements Selector: the §3.1.1 rule first, then the early-switch
-// forecast when the median rule stays put.
-func (s *Predictive) Decide(mac packet.MACAddr, serving int, now sim.Time, alive func(int) bool) Decision {
-	cl := s.clients[mac]
-	if cl == nil {
-		return stay()
-	}
+// predict is PredictivePolicy's verdict (DESIGN.md §15; the
+// handover-prediction idea of arXiv 2111.13879 reduced to a linear model):
+// alongside each §3.1.1 median window the client keeps a longer fitting
+// window per AP, and a least-squares line extrapolates predictHorizon into
+// the future. Whenever the median rule would stay put but the serving AP's
+// ESNR is falling, it switches early to the challenger predicted to be best
+// at the horizon — cutting the lag between the ground-truth best AP
+// changing and the client actually moving, at the cost of occasionally
+// jumping before the fade it predicted materializes.
+//
+// The median rule still runs first and wins when it fires: the forecast
+// only adds switches, never suppresses one, so its worst case degrades to
+// the windowed-median policy plus early (possibly premature) moves.
+func (s *Selector) predict(cl *clientState, serving int, now sim.Time, alive func(int) bool) Decision {
 	d := s.decideMedian(cl, serving, now, alive)
 	if d.Target != -1 {
 		return d // the base rule already switches; nothing to anticipate

@@ -1,5 +1,5 @@
-// Package selector holds the controller's pluggable AP-selection policies:
-// the paper's windowed-median maximal rule (§3.1.1) plus two extensions —
+// Package selector holds the controller's AP-selection policies: the
+// paper's windowed-median maximal rule (§3.1.1) plus two extensions —
 // predictive handover, which fits per-AP ESNR trajectories and fires the
 // §3.1.2 stop→start→ack switch ahead of signal collapse, and global
 // assignment, which replaces greedy per-client argmax with a periodic
@@ -23,7 +23,9 @@ package selector
 
 import (
 	"fmt"
+	"strings"
 
+	"wgtt/internal/metrics"
 	"wgtt/internal/packet"
 	"wgtt/internal/sim"
 )
@@ -49,16 +51,19 @@ const (
 // ParsePolicy maps a CLI flag value to a Policy; "" selects the default
 // windowed-median rule.
 func ParsePolicy(s string) (Policy, error) {
-	switch Policy(s) {
-	case "", WindowedMedianPolicy:
+	if s == "" {
 		return WindowedMedianPolicy, nil
-	case PredictivePolicy:
-		return PredictivePolicy, nil
-	case GlobalAssignPolicy:
-		return GlobalAssignPolicy, nil
 	}
-	return "", fmt.Errorf("unknown selection policy %q (want %s, %s or %s)",
-		s, WindowedMedianPolicy, PredictivePolicy, GlobalAssignPolicy)
+	var names []string
+	for _, p := range Policies() {
+		if Policy(s) == p {
+			return p, nil
+		}
+		names = append(names, string(p))
+	}
+	last := len(names) - 1
+	return "", fmt.Errorf("unknown selection policy %q (want %s or %s)",
+		s, strings.Join(names[:last], ", "), names[last])
 }
 
 // Policies lists every selectable policy in documentation order.
@@ -66,20 +71,25 @@ func Policies() []Policy {
 	return []Policy{WindowedMedianPolicy, PredictivePolicy, GlobalAssignPolicy}
 }
 
-// Params carries the base §3.1.1 windowed-median parameters. They live in
-// controller.Config (Window, MedianMarginDB, MinSamples, MinSwitchESNRdB
-// are swept by the Fig. 21/22 experiments) and are handed to every policy:
-// the extensions refine the median rule rather than replace its gates.
+// Params carries the base §3.1.1 windowed-median parameters. controller.Config
+// embeds them (the Fig. 21/22 experiments sweep Window and the gates) and
+// they reach every policy: the extensions refine the median rule rather
+// than replace its gates.
 type Params struct {
-	// Window is the ESNR comparison window W of §3.1.1.
+	// Window is the ESNR comparison window W of §3.1.1; the paper's
+	// microbenchmark (Fig. 21) selects 10 ms.
 	Window sim.Time
-	// MedianMarginDB is the challenger-beats-incumbent margin.
+	// MedianMarginDB requires the challenger AP's median ESNR to beat the
+	// incumbent's by this much (0 reproduces the paper's plain argmax).
 	MedianMarginDB float64
-	// MinSamples gates challengers on in-window evidence (the serving AP
-	// is exempt — it defends with whatever it has).
+	// MinSamples is the minimum number of in-window ESNR readings a
+	// challenger needs — one stray reading is not a median. The serving AP
+	// is exempt: it defends with whatever it has.
 	MinSamples int
-	// MinSwitchESNRdB is the usability floor below which no switch is
-	// worth making.
+	// MinSwitchESNRdB gates handovers: a challenger whose median ESNR is
+	// below this cannot be worth a switch (it could not even carry MCS0),
+	// which stops the controller from thrashing among dead links when the
+	// client leaves coverage entirely.
 	MinSwitchESNRdB float64
 }
 
@@ -87,7 +97,7 @@ type Params struct {
 // the configuration every pre-existing scenario implicitly ran. Each
 // policy runs one fixed operating point (predictive.go, assign.go).
 type Config struct {
-	// Policy picks the implementation; "" means WindowedMedianPolicy.
+	// Policy picks Decide's rule; "" means WindowedMedianPolicy.
 	Policy Policy
 }
 
@@ -116,52 +126,231 @@ type Decision struct {
 // stay is the no-switch decision.
 func stay() Decision { return Decision{Target: -1} }
 
-// Selector is a pluggable AP-selection policy. Implementations are
-// single-goroutine (the controller's), deterministic, and allocation-free
-// on the Observe/Decide hot path once steady state is reached.
-type Selector interface {
-	// AddClient installs per-client state with its initial serving AP.
-	AddClient(mac packet.MACAddr, serving int)
-	// RemoveClient drops a client (federation release).
-	RemoveClient(mac packet.MACAddr)
-	// SetServing records a completed switch, keeping the policy's view of
-	// the association current (GlobalAssign scores incumbents with it).
-	SetServing(mac packet.MACAddr, ap int)
-	// ResetClient clears a client's ESNR evidence in place (controller
-	// restart: the windows are soft state).
-	ResetClient(mac packet.MACAddr)
-	// Observe ingests one ESNR reading and returns the (client, AP)
-	// window occupancy after the push — the window_occupancy sample.
-	Observe(mac packet.MACAddr, ap int, esnrDB float64, at sim.Time) int
-	// Decide evaluates the policy for one client. alive filters APs the
-	// health monitor has excluded; the controller's own gates (in-flight
-	// op, frozen, hysteresis) have already passed when Decide runs.
-	Decide(mac packet.MACAddr, serving int, now sim.Time, alive func(int) bool) Decision
-	// Median exposes the (client, AP) windowed median — the federation
-	// tier's evidence export and the evaluation hook.
-	Median(mac packet.MACAddr, ap int, now sim.Time) (float64, bool)
-	// BestAlive picks the best alive AP by median with no sample-count or
-	// usability gates — the failover tier for stranded clients
-	// (DESIGN.md §11). Returns -1 when no alive AP holds any evidence.
-	BestAlive(mac packet.MACAddr, now sim.Time, alive func(int) bool) int
+// Selector is the controller's AP-selection policy. Every policy keeps the
+// same evidence — one §3.1.1 median window per (client, AP) link, the
+// client registration order (whole-fleet sweeps iterate the slice, never
+// the map — map order would break run-to-run determinism), and the
+// per-client argmax memory behind the selection-flips metric — so the
+// federation layer's Median export and SeedESNR→Observe import behave
+// identically under every policy; only Decide's verdict differs. A
+// Selector is single-goroutine (the controller's), deterministic, and
+// allocation-free on the Observe/Decide hot path once steady state is
+// reached.
+type Selector struct {
+	p       Params
+	policy  Policy
+	numAPs  int
+	clients map[packet.MACAddr]*clientState
+	order   []packet.MACAddr
+
+	// GlobalAssignPolicy's round clock and recomputation scratch (reused
+	// across rounds; the Observe/Decide hot path between rounds is
+	// allocation-free).
+	nextAt sim.Time
+	pairs  []assignPair
+	load   []int
+}
+
+// clientState is one client's selection evidence.
+type clientState struct {
+	windows []*Window // indexed by AP id
+	hist    []*Window // trajectory-fit windows (PredictivePolicy only)
+	serving int
+	// lastBest is the previous decision's preferred AP (-1 before any),
+	// the reference point for Decision.Flip.
+	lastBest int
+	// assigned is GlobalAssignPolicy's current target for this client
+	// (-1 before the first round).
+	assigned int
 }
 
 // New builds the configured policy for a deployment of numAPs APs.
 // Unknown policy names are a programming error (ParsePolicy validates
 // user input), so New panics rather than guessing.
-func New(cfg Config, p Params, numAPs int) Selector {
+func New(cfg Config, p Params, numAPs int) *Selector {
+	pol, err := ParsePolicy(string(cfg.Policy))
+	if err != nil {
+		panic("selector: " + err.Error())
+	}
 	if p.MinSamples < 1 {
 		p.MinSamples = 1
 	}
-	switch cfg.Policy {
-	case "", WindowedMedianPolicy:
-		return &WindowedMedian{base: newBase(p, numAPs)}
-	case PredictivePolicy:
-		b := newBase(p, numAPs)
-		b.histSpan = predictHistSpan
-		return &Predictive{base: b}
-	case GlobalAssignPolicy:
-		return &GlobalAssign{base: newBase(p, numAPs)}
+	return &Selector{
+		p:       p,
+		policy:  pol,
+		numAPs:  numAPs,
+		clients: make(map[packet.MACAddr]*clientState),
 	}
-	panic(fmt.Sprintf("selector: unknown policy %q", cfg.Policy))
+}
+
+// AddClient installs per-client state with its initial serving AP.
+func (s *Selector) AddClient(mac packet.MACAddr, serving int) {
+	cl := &clientState{windows: s.newWindows(s.p.Window), serving: serving, lastBest: -1, assigned: -1}
+	if s.policy == PredictivePolicy {
+		cl.hist = s.newWindows(predictHistSpan)
+	}
+	if _, ok := s.clients[mac]; !ok {
+		s.order = append(s.order, mac)
+	}
+	s.clients[mac] = cl
+}
+
+// newWindows returns one empty window of the given span per AP.
+func (s *Selector) newWindows(span sim.Time) []*Window {
+	ws := make([]*Window, s.numAPs)
+	for i := range ws {
+		ws[i] = NewWindow(span)
+	}
+	return ws
+}
+
+// RemoveClient drops a client (federation release).
+func (s *Selector) RemoveClient(mac packet.MACAddr) {
+	if _, ok := s.clients[mac]; !ok {
+		return
+	}
+	delete(s.clients, mac)
+	for i, m := range s.order {
+		if m == mac {
+			s.order = append(s.order[:i], s.order[i+1:]...)
+			break
+		}
+	}
+}
+
+// SetServing records a completed switch, keeping the policy's view of the
+// association current (GlobalAssignPolicy scores incumbents with it).
+func (s *Selector) SetServing(mac packet.MACAddr, ap int) {
+	if cl := s.clients[mac]; cl != nil {
+		cl.serving = ap
+	}
+}
+
+// ResetClient clears a client's ESNR evidence in place (controller
+// restart: the windows are soft state).
+func (s *Selector) ResetClient(mac packet.MACAddr) {
+	cl := s.clients[mac]
+	if cl == nil {
+		return
+	}
+	cl.windows = s.newWindows(s.p.Window)
+	if cl.hist != nil {
+		cl.hist = s.newWindows(predictHistSpan)
+	}
+	cl.lastBest = -1
+	cl.assigned = -1
+}
+
+// Observe ingests one ESNR reading and returns the (client, AP) window
+// occupancy after the push — the window_occupancy sample.
+func (s *Selector) Observe(mac packet.MACAddr, ap int, esnrDB float64, at sim.Time) int {
+	cl := s.clients[mac]
+	if cl == nil || ap < 0 || ap >= len(cl.windows) {
+		return 0
+	}
+	cl.windows[ap].Push(at, esnrDB)
+	if cl.hist != nil {
+		cl.hist[ap].Push(at, esnrDB)
+	}
+	return cl.windows[ap].Size()
+}
+
+// Median exposes the (client, AP) windowed median — the federation tier's
+// evidence export and the evaluation hook.
+func (s *Selector) Median(mac packet.MACAddr, ap int, now sim.Time) (float64, bool) {
+	cl := s.clients[mac]
+	if cl == nil || ap < 0 || ap >= len(cl.windows) {
+		return 0, false
+	}
+	return cl.windows[ap].Median(now)
+}
+
+// BestAlive picks the best alive AP by median with no sample-count or
+// usability gates — the failover tier for stranded clients (DESIGN.md
+// §11). Returns -1 when no alive AP holds any evidence.
+func (s *Selector) BestAlive(mac packet.MACAddr, now sim.Time, alive func(int) bool) int {
+	cl := s.clients[mac]
+	if cl == nil {
+		return -1
+	}
+	best, bestMed := -1, 0.0
+	for id, w := range cl.windows {
+		if !alive(id) {
+			continue
+		}
+		med, ok := w.Median(now)
+		if !ok {
+			continue
+		}
+		if best == -1 || med > bestMed {
+			best, bestMed = id, med
+		}
+	}
+	return best
+}
+
+// Decide evaluates the policy for one client. alive filters APs the
+// health monitor has excluded; the controller's own gates (in-flight op,
+// frozen, hysteresis) have already passed when Decide runs.
+func (s *Selector) Decide(mac packet.MACAddr, serving int, now sim.Time, alive func(int) bool) Decision {
+	cl := s.clients[mac]
+	if cl == nil {
+		return stay()
+	}
+	switch s.policy {
+	case PredictivePolicy:
+		return s.predict(cl, serving, now, alive)
+	case GlobalAssignPolicy:
+		return s.assign(cl, serving, now, alive)
+	}
+	return s.decideMedian(cl, serving, now, alive)
+}
+
+// decideMedian is the paper's §3.1.1 rule — the windowed-median policy's
+// whole decision and the predictive policy's base case: maximal windowed
+// median over alive APs, with the MinSamples gate exempting the serving
+// AP, the MinSwitchESNRdB usability floor, and the incumbent-defense
+// margin. A dead incumbent defends nothing, however fresh its window looks.
+func (s *Selector) decideMedian(cl *clientState, serving int, now sim.Time, alive func(int) bool) Decision {
+	d := stay()
+	best, bestMed := -1, 0.0
+	for id, w := range cl.windows {
+		if !alive(id) {
+			continue // dead APs are not selection candidates
+		}
+		med, ok := w.Median(now)
+		if !ok || (id != serving && w.Size() < s.p.MinSamples) {
+			continue
+		}
+		if best == -1 || med > bestMed {
+			best, bestMed = id, med
+		}
+	}
+	if best != -1 && best != cl.lastBest {
+		// The argmax moved — selection churn, whether or not the gates
+		// below let it become a switch.
+		d.Flip = true
+		cl.lastBest = best
+	}
+	if best == -1 || best == serving {
+		return d
+	}
+	if bestMed < s.p.MinSwitchESNRdB {
+		return d // nobody usable; switching would just churn
+	}
+	servMed, servOK := cl.windows[serving].Median(now)
+	if !alive(serving) {
+		servOK = false
+	}
+	if servOK && bestMed < servMed+s.p.MedianMarginDB {
+		return d
+	}
+	if !servOK {
+		servMed = 0
+	}
+	d.Target = best
+	d.Cause = metrics.CauseMedianArgmax
+	d.FromMetric = servMed
+	d.ToMetric = bestMed
+	return d
 }

@@ -42,11 +42,31 @@ func TestParsePolicy(t *testing.T) {
 	if got := Policies(); len(got) != 3 {
 		t.Fatalf("Policies() = %v, want 3 entries", got)
 	}
+	for _, pol := range Policies() {
+		got, err := ParsePolicy(string(pol))
+		if err != nil || got != pol {
+			t.Fatalf("ParsePolicy(%q) = %q, %v", pol, got, err)
+		}
+		if s := New(Config{Policy: pol}, testParams(), 2); s.policy != pol {
+			t.Fatalf("New(%q) runs policy %q", pol, s.policy)
+		}
+	}
+}
+
+// New panics on a policy name ParsePolicy would reject: a caller that
+// skipped validation is a programming error, not a silent default.
+func TestNewRejectsUnknownPolicy(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted an unknown policy")
+		}
+	}()
+	New(Config{Policy: "oracle"}, testParams(), 2)
 }
 
 // refSelect is an independent coding of the controller's pre-refactor
 // inline §3.1.1 selection block, running on the sort-based reference
-// windows. The extracted WindowedMedian policy must agree with it decision
+// windows. The windowed-median policy must agree with it decision
 // for decision — target, cause, metrics, and flip tracking — under a
 // randomized CSI schedule.
 type refSelect struct {
@@ -108,7 +128,7 @@ func (r *refSelect) decide(serving int, now sim.Time, alive func(int) bool) Deci
 	return d
 }
 
-// Randomized equivalence: the extracted WindowedMedian policy against the
+// Randomized equivalence: the windowed-median policy against the
 // independent reference rule, with CSI arrivals, quiet gaps, serving-AP
 // moves, AP deaths, and evidence resets interleaved.
 func TestWindowedMedianMatchesInlineReference(t *testing.T) {
@@ -159,16 +179,6 @@ func TestWindowedMedianMatchesInlineReference(t *testing.T) {
 	}
 }
 
-// feedRamp pushes a linear ESNR ramp into one (client, AP) link at a fixed
-// reporting period.
-func feedRamp(sel Selector, mac packet.MACAddr, ap int, from, to sim.Time,
-	startDB, slopeDBPerSec float64) {
-	for at := from; at <= to; at += sim.Millisecond {
-		esnr := startDB + slopeDBPerSec*(at-from).Seconds()
-		sel.Observe(mac, ap, esnr, at)
-	}
-}
-
 // Predictive must fire the switch while the serving AP's median still wins
 // — strictly before the §3.1.1 rule would move — when the serving link is
 // collapsing and the challenger is rising.
@@ -177,7 +187,7 @@ func TestPredictiveSwitchesBeforeMedianCrossover(t *testing.T) {
 	mac := packet.ClientMAC(1)
 	med := New(Config{}, p, 2)
 	pred := New(Config{Policy: PredictivePolicy}, p, 2)
-	for _, s := range []Selector{med, pred} {
+	for _, s := range []*Selector{med, pred} {
 		s.AddClient(mac, 0)
 	}
 
@@ -186,7 +196,7 @@ func TestPredictiveSwitchesBeforeMedianCrossover(t *testing.T) {
 	// move as soon as the extrapolated gap exceeds its margin.
 	var medAt, predAt sim.Time = -1, -1
 	for at := sim.Time(0); at <= 60*sim.Millisecond; at += sim.Millisecond {
-		for _, s := range []Selector{med, pred} {
+		for _, s := range []*Selector{med, pred} {
 			s.Observe(mac, 0, 20-200*at.Seconds(), at)
 			s.Observe(mac, 1, 10+200*at.Seconds(), at)
 		}
@@ -224,7 +234,7 @@ func TestPredictiveDefersToMedianRule(t *testing.T) {
 	med := New(Config{}, p, 3)
 	pred := New(Config{Policy: PredictivePolicy}, p, 3)
 	rnd := rand.New(rand.NewPCG(7, 9))
-	for _, s := range []Selector{med, pred} {
+	for _, s := range []*Selector{med, pred} {
 		s.AddClient(mac, 0)
 	}
 	now := sim.Time(0)

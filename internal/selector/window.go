@@ -90,7 +90,7 @@ func (w *Window) Median(now sim.Time) (float64, bool) {
 func (w *Window) Size() int { return len(w.at) - w.head }
 
 // fit computes the least-squares line through the in-window readings
-// (Predictive's trajectory model): slope in dB/s and the predicted ESNR at
+// (the predictive policy's trajectory model): slope in dB/s and the predicted ESNR at
 // the reference time ref. ok is false with fewer than two samples or a
 // degenerate time spread. Evicts first, like median.
 func (w *Window) fit(now sim.Time, ref sim.Time) (slope, predicted float64, ok bool) {

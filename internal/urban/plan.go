@@ -50,16 +50,17 @@ type ClientPlan struct {
 	Route []int
 }
 
-// Stats tallies what the planner generated, feeding the urban metrics.
+// Stats tallies what the planner generated; the counts are the urban
+// component's metrics counters (core names them with CounterAt).
 type Stats struct {
-	Turns          int // sharp corners driven across all vehicles
-	LightStops     int // red-light dwells inserted
+	Turns          uint64 // sharp corners driven across all vehicles
+	LightStops     uint64 // red-light dwells inserted
 	DwellS         float64
-	RouteCrossings int // inter-domain boundary crossings along routes
-	Buses          int
-	Riders         int
-	Cars           int
-	Pedestrians    int
+	RouteCrossings uint64 // inter-domain boundary crossings along routes
+	Buses          uint64
+	Riders         uint64
+	Cars           uint64
+	Pedestrians    uint64
 	RidersPerBus   []int
 }
 
@@ -248,11 +249,11 @@ func vehicleJitter(rng *sim.RNG, stream string) mobility.Point {
 }
 
 // crossings counts how many times a node route changes federation domain.
-func crossings(g *Graph, route []int, nDom int) int {
+func crossings(g *Graph, route []int, nDom int) uint64 {
 	if nDom <= 1 {
 		return 0
 	}
-	n := 0
+	var n uint64
 	slabs := Tiling{Rows: 1, Cols: nDom}
 	prev := g.Tile(g.Nodes[route[0]].Pos, slabs)
 	for _, v := range route[1:] {

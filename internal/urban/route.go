@@ -41,8 +41,8 @@ type routeCfg struct {
 // routeStats tallies what buildRoute actually did, feeding the urban
 // counters.
 type routeStats struct {
-	Turns      int
-	LightStops int
+	Turns      uint64
+	LightStops uint64
 	DwellS     float64
 	EndAt      sim.Time
 }
