@@ -14,9 +14,9 @@ RACE_PKGS = ./internal/fleet ./internal/eval ./internal/trace ./internal/stats \
 	./internal/backhaul ./internal/packet ./internal/selector ./internal/metrics \
 	./internal/mac ./internal/client ./internal/chaos
 
-.PHONY: check vet lint build test golden-quick golden race cli-smoke live-smoke federation-smoke fuzz-smoke docs-check metro-scale unreached loc bench bench-pair
+.PHONY: check vet lint build test golden-quick golden race cli-smoke live-smoke fuzz-smoke docs-check metro-scale unreached loc bench bench-pair
 
-check: vet lint build test golden-quick race cli-smoke live-smoke federation-smoke fuzz-smoke docs-check
+check: vet lint build test golden-quick race cli-smoke live-smoke fuzz-smoke docs-check
 
 # Static analysis beyond vet. The tools are optional — not every build
 # environment ships them — so each is gated on availability rather than
@@ -145,11 +145,13 @@ golden-quick golden:
 
 # CLI smoke (part of check): what no unit test reaches is each `main` turning
 # its flags into a run, so every flag set in cmd/testdata/cases.txt runs once
-# and must print its recorded golden byte for byte. That a run repeats
+# and must print its recorded golden byte for byte — the live federation
+# handoff too (DESIGN.md §13: two controller OS processes over UDP loopback),
+# whose stdout names only what happened, never when. That a run repeats
 # itself, for any worker count, is held by the determinism tests in
 # internal/core and internal/fleet, not here.
 cli-smoke:
-	$(call in-scratch,wgttsim wgtt-fleet, \
+	$(call in-scratch,wgttsim wgtt-fleet wgtt-live, \
 		$(call each-cli-case, \
 			$$d/$$cmd $$flags > $$d/$$name.txt; \
 			cmp $$d/$$name.txt cmd/testdata/$$name.golden))
@@ -168,17 +170,6 @@ live-smoke:
 		$$d/wgtt-live -fanout -aps 8 -packets 2000)
 	@echo live-smoke: multi-process switch over UDP loopback complete
 
-# Federation smoke (part of check, DESIGN.md §13): two controller OS
-# processes hand one client across domains over UDP loopback — run twice
-# and compared byte for byte, because no golden can hold what separate
-# wall-clock processes print.
-federation-smoke:
-	$(call in-scratch,wgtt-live, \
-		$$d/wgtt-live -federation -timeout 10s > $$d/run1.txt; \
-		$$d/wgtt-live -federation -timeout 10s > $$d/run2.txt; \
-		cmp $$d/run1.txt $$d/run2.txt)
-	@echo federation-smoke: inter-controller handoff over UDP loopback deterministic
-
 # Slow (minutes, opt-in): the 1,000+-tile metro from the §17 acceptance
 # criteria — a 32x32 tile grid over a 33x33-intersection city — must complete
 # with cross-cell migrations happening (the report's "migrations" line is
@@ -196,14 +187,13 @@ metro-scale:
 
 # Dead-code audit (minutes, opt-in): build the four CLIs instrumented for
 # coverage, drive them through the trimmed experiment run, the cli-smoke
-# cases, the two live smokes and the live-smoke fan-out run, all into one
-# GOCOVERDIR, and list every
-# function outside _test.go that nothing reached. Each main package must sit
-# inside its own -coverpkg or its binary flushes no counters. A listed
-# function is a candidate, not a verdict: failure-recovery paths, String
-# methods, the live AP role (those processes are killed, so they flush
-# nothing), and anything only examples/, bench/ or a test calls show up here
-# too — grep before deleting.
+# cases, the live-smoke switch and fan-out runs, all into one GOCOVERDIR,
+# and list every function outside _test.go that nothing reached. Each main
+# package must sit inside its own -coverpkg or its binary flushes no
+# counters. A listed function is a candidate, not a verdict: failure-recovery
+# paths, String methods, the live AP role (those processes are killed, so
+# they flush nothing), and anything only examples/, bench/ or a test calls
+# show up here too — grep before deleting.
 # ($(comma): a literal comma inside a $$(call …) argument.)
 comma := ,
 unreached:
@@ -212,7 +202,6 @@ unreached:
 		{ $$d/wgtt-experiments -quick; \
 		  $(call each-cli-case,$$d/$$cmd $$flags); \
 		  $$d/wgtt-live -aps 2 -timeout 10s; \
-		  $$d/wgtt-live -federation -timeout 10s; \
 		  $$d/wgtt-live -fanout -aps 8 -packets 2000; } > /dev/null; \
 		$(GO) tool covdata func -i=$$d/cov | grep -v '_test\.go' | awk '$$NF == "0.0%"', \
 		-cover -coverpkg=./internal/...$(comma)./cmd/...)

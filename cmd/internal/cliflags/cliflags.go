@@ -1,7 +1,8 @@
 // Package cliflags is the one definition of the flags the CLIs share — the
 // -urban-* city shape, -domains and -chaos* (wgttsim, wgtt-fleet), -metrics
-// (those and wgtt-experiments) and -selector (those and wgtt-live) — so a
-// flag has the same name, meaning and default on every CLI that takes it.
+// (those and wgtt-experiments), -selector (those and wgtt-live) and
+// -cpuprofile/-memprofile (wgtt-fleet, wgtt-experiments) — so a flag has the
+// same name, meaning and default on every CLI that takes it.
 // Each function registers its flags on the default flag set (call before
 // flag.Parse) and returns the accessor to use after parsing.
 package cliflags
@@ -10,6 +11,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"os"
+	"runtime"
+	"runtime/pprof"
 
 	"wgtt/internal/chaos"
 	"wgtt/internal/metrics"
@@ -136,4 +140,54 @@ func (m MetricsOut) Write(w io.Writer, snap *metrics.Snapshot, what string) erro
 		fmt.Fprintf(w, "metrics: %s -> %s\n", what, *m.path)
 	}
 	return nil
+}
+
+// Profile registers -cpuprofile and -memprofile, so the hot-path numbers
+// behind DESIGN.md §9 are reproducible with the stock pprof toolchain (`go
+// tool pprof wgtt-fleet cpu.out`). The returned function begins CPU
+// profiling if asked and returns an idempotent stop that finishes the CPU
+// profile and writes the heap profile. Callers invoke stop on every exit
+// path, including before os.Exit, which skips defers.
+func Profile() func() (stop func(), err error) {
+	var (
+		cpu = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		mem = flag.String("memprofile", "", "write an allocation profile to this file on exit")
+	)
+	return func() (func(), error) {
+		var cpuFile *os.File
+		if *cpu != "" {
+			var err error
+			if cpuFile, err = os.Create(*cpu); err != nil {
+				return nil, fmt.Errorf("cpuprofile: %w", err)
+			}
+			if err := pprof.StartCPUProfile(cpuFile); err != nil {
+				cpuFile.Close()
+				return nil, fmt.Errorf("cpuprofile: %w", err)
+			}
+		}
+		done := false
+		return func() {
+			if done {
+				return
+			}
+			done = true
+			if cpuFile != nil {
+				pprof.StopCPUProfile()
+				cpuFile.Close()
+			}
+			if *mem == "" {
+				return
+			}
+			mf, err := os.Create(*mem)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "memprofile:", err)
+				return
+			}
+			defer mf.Close()
+			runtime.GC() // settle live-heap numbers before the snapshot
+			if err := pprof.WriteHeapProfile(mf); err != nil {
+				fmt.Fprintln(os.Stderr, "memprofile:", err)
+			}
+		}, nil
+	}
 }

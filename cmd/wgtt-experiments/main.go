@@ -24,7 +24,6 @@ import (
 	"wgtt/cmd/internal/cliflags"
 	"wgtt/internal/eval"
 	"wgtt/internal/metrics"
-	"wgtt/internal/profiling"
 )
 
 func main() {
@@ -35,7 +34,7 @@ func main() {
 		workers      = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent experiments")
 		metricsOut   = cliflags.Metrics()
 		selectorFlag = cliflags.Selector() // overrides the policy of every experiment
-		prof         = profiling.AddFlags()
+		startProf    = cliflags.Profile()
 	)
 	flag.Parse()
 
@@ -45,7 +44,7 @@ func main() {
 		}
 		return
 	}
-	stopProf, err := prof.Start()
+	stopProf, err := startProf()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -32,7 +32,6 @@ import (
 	"wgtt/cmd/internal/cliflags"
 	"wgtt/internal/fleet"
 	"wgtt/internal/metrics"
-	"wgtt/internal/profiling"
 	"wgtt/internal/sim"
 	"wgtt/internal/urban"
 )
@@ -65,7 +64,7 @@ func main() {
 			"report completion progress (cells done, or metro epochs done) on stderr")
 		comparePol = flag.Bool("compare-selectors", false,
 			"run the whole fleet once per AP-selection policy and print the comparison table")
-		prof = profiling.AddFlags()
+		startProf = cliflags.Profile()
 	)
 	flag.Parse()
 	cfg := fleetCfg()
@@ -74,7 +73,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "wgtt-fleet:", err)
 		os.Exit(2)
 	}
-	stopProf, err := prof.Start()
+	stopProf, err := startProf()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

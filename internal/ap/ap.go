@@ -72,8 +72,6 @@ type Stats struct {
 	UplinkForwarded uint64 // uplink packets tunneled to the controller
 	KeepalivesHeard uint64 // null-data CSI keepalives heard (§3.1.1)
 	CSIReports      uint64
-	Crashes         uint64 // chaos-injected failures (DESIGN.md §11)
-	Restarts        uint64
 	ProbesAnswered  uint64 // controller health probes acknowledged
 }
 
@@ -301,7 +299,6 @@ func (a *AP) Crash() {
 		return
 	}
 	a.down = true
-	a.Stats.Crashes++
 	// Installed lazily on first crash so never-crashed runs keep the
 	// filter-free ACK fast path.
 	if a.st != nil {
@@ -319,7 +316,6 @@ func (a *AP) Restart() {
 		return
 	}
 	a.down = false
-	a.Stats.Restarts++
 	for _, cs := range a.clients {
 		cs.ring = make([]*packet.Packet, cyclicQueueSlots)
 		cs.nextSend, cs.head = 0, 0

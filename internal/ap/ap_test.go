@@ -19,7 +19,6 @@ var testBSSID = packet.MACAddr{0x02, 0xbb, 0, 0, 0, 1}
 type clientSink struct{ got []*mac.MPDU }
 
 func (c *clientSink) OnFrame(ev *mac.RxEvent)       { c.got = append(c.got, ev.Decoded...) }
-func (c *clientSink) OnBlockAck(*mac.BAEvent)       {}
 func (c *clientSink) Overhears(packet.MACAddr) bool { return true }
 
 type ctlRecorder struct {
@@ -449,9 +448,6 @@ func TestCrashSilencesAPAndRestartColdStarts(t *testing.T) {
 	h.aps[0].Restart()
 	if h.aps[0].Down() {
 		t.Fatal("Down() true after Restart")
-	}
-	if h.aps[0].Stats.Crashes != 1 || h.aps[0].Stats.Restarts != 1 {
-		t.Errorf("crash/restart counters = %d/%d", h.aps[0].Stats.Crashes, h.aps[0].Stats.Restarts)
 	}
 	if h.aps[0].client(client).serving {
 		t.Error("restarted AP still serving")

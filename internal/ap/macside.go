@@ -227,7 +227,7 @@ func (a *AP) OnFrame(ev *mac.RxEvent) {
 	}
 }
 
-// OnBlockAck implements mac.Sink. Two duties: CSI from the client's Block
+// OnBlockAck implements mac.BASink. Two duties: CSI from the client's Block
 // ACK transmissions, and §3.2.1 forwarding of overheard Block ACKs to the
 // client's serving AP (we broadcast to all peers; only the serving AP
 // merges).

@@ -2,8 +2,8 @@
 // WGTT APs and the controller (§4). Only two of its properties matter to the
 // protocols built on top: sub-millisecond unicast latency, and the fact that
 // control messages can occasionally be lost (the paper's switching protocol
-// carries a 30 ms retransmission timeout for exactly that case), which the
-// Drop hook lets tests inject.
+// carries a 30 ms retransmission timeout for exactly that case), which fault
+// injection drives through the Drop hook.
 package backhaul
 
 import (
@@ -83,8 +83,8 @@ type Switch struct {
 	Remote Port
 
 	// Drop, if non-nil, is consulted per message; returning true discards
-	// it (control-loss failure injection). Compose multiple hooks with
-	// Chain.
+	// it. Drop and Delay are fault injection's (DESIGN.md §11): outside
+	// tests only chaos.Injector.Arm sets them.
 	Drop func(to packet.IPv4Addr, msg packet.Message) bool
 
 	// Delay, if non-nil, returns extra one-way latency added to this
@@ -323,36 +323,6 @@ func (s *Switch) Receive(from, to packet.IPv4Addr, raw []byte) (unroutable bool,
 // Stats reports the number of delivered or written and of dropped copies,
 // and the total encoded bytes of everything sent.
 func (s *Switch) Stats() (sent, dropped, bytes uint64) { return s.sent, s.dropped, s.bytes }
-
-// Chain composes drop hooks: a message is dropped if any hook drops it.
-// Nil hooks are skipped, so Chain(sw.Drop, extra) composes with whatever is
-// (or isn't) already installed — fault injection no longer clobbers a hook
-// a scenario or test installed first. Hooks run in argument order and
-// evaluation stops at the first hook that drops, so any RNG draws made by
-// later hooks happen only for messages the earlier hooks let through;
-// given a fixed message sequence the composition is still deterministic.
-func Chain(hooks ...func(packet.IPv4Addr, packet.Message) bool) func(packet.IPv4Addr, packet.Message) bool {
-	var active []func(packet.IPv4Addr, packet.Message) bool
-	for _, h := range hooks {
-		if h != nil {
-			active = append(active, h)
-		}
-	}
-	switch len(active) {
-	case 0:
-		return nil
-	case 1:
-		return active[0]
-	}
-	return func(to packet.IPv4Addr, msg packet.Message) bool {
-		for _, h := range active {
-			if h(to, msg) {
-				return true
-			}
-		}
-		return false
-	}
-}
 
 // DropTypes returns a Drop hook that discards messages of the listed types
 // with probability p — e.g. only Stop and SwitchAck, to exercise the

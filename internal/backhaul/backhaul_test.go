@@ -136,41 +136,6 @@ func TestDropTypesSelective(t *testing.T) {
 	}
 }
 
-func TestChainComposesHooks(t *testing.T) {
-	dropStop := func(_ packet.IPv4Addr, m packet.Message) bool { return m.Type() == packet.MsgStop }
-	dropStart := func(_ packet.IPv4Addr, m packet.Message) bool { return m.Type() == packet.MsgStart }
-	chained := Chain(dropStop, nil, dropStart)
-	if !chained(packet.APIP(1), &packet.Stop{}) || !chained(packet.APIP(1), &packet.Start{}) {
-		t.Error("chained hook let a listed type through")
-	}
-	if chained(packet.APIP(1), &packet.SwitchAck{}) {
-		t.Error("chained hook dropped an unlisted type")
-	}
-}
-
-func TestChainShortCircuits(t *testing.T) {
-	calls := 0
-	first := func(packet.IPv4Addr, packet.Message) bool { return true }
-	second := func(packet.IPv4Addr, packet.Message) bool { calls++; return false }
-	if !Chain(first, second)(packet.APIP(1), &packet.Stop{}) {
-		t.Fatal("drop lost in composition")
-	}
-	if calls != 0 {
-		t.Error("later hook consulted after an earlier hook already dropped")
-	}
-}
-
-func TestChainDegenerateCases(t *testing.T) {
-	if Chain() != nil || Chain(nil, nil) != nil {
-		t.Error("all-nil chain should be nil (no hook installed)")
-	}
-	only := func(packet.IPv4Addr, packet.Message) bool { return true }
-	got := Chain(nil, only)
-	if got == nil || !got(packet.APIP(1), &packet.Stop{}) {
-		t.Error("single-hook chain should behave as the hook itself")
-	}
-}
-
 func TestDelayHookAddsLatency(t *testing.T) {
 	eng := sim.NewEngine()
 	sw := NewSwitch(eng, 200*sim.Microsecond)

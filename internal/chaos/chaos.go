@@ -7,7 +7,8 @@
 // Plan of fault events — AP crashes and restarts, backhaul loss bursts and
 // latency spikes, CSI-report blackouts, controller outages — is derived
 // ahead of time from the scenario seed via named sim.RNG streams, then an
-// Injector replays it against the live network off the simulation clock.
+// Injector replays it against the live network off the simulation clock,
+// on top of a steady loss of switching-protocol control messages.
 //
 // Determinism is the design center, mirroring internal/fleet: every draw
 // comes from a stream named after what it decides ("chaos/ap/3",
@@ -37,9 +38,10 @@ type APTarget interface {
 	Down() bool
 }
 
-// ControllerTarget is the crash surface of the controller (implemented by
-// *controller.Controller). Pass nil when the network has no controller —
-// and take care to pass a true nil, not a typed-nil pointer.
+// ControllerTarget is the crash surface of one controller instance
+// (implemented by *controller.Controller, and by *federation.Domain, which
+// core.Build arms). Pass nil when the network has no controller — and take
+// care to pass a true nil, not a typed-nil pointer.
 type ControllerTarget interface {
 	Fail()
 	Recover()
@@ -126,6 +128,11 @@ type Config struct {
 	// CSI blackouts: windows of blackoutLen during which CSI reports are
 	// dropped on the backhaul.
 	CSIBlackoutMTBF sim.Time
+
+	// ControlLoss drops each stop, start and switch ack on the backhaul
+	// with this probability for the whole run — the loss the §3.1.2 30 ms
+	// retransmission exists for. It adds no plan events.
+	ControlLoss float64
 
 	// Script appends hand-placed events to the generated ones — the
 	// reproducible way to stage one exact failure.
@@ -250,6 +257,8 @@ type Injector struct {
 	// messages sent inside a burst window, so the stream's consumption is
 	// itself deterministic.
 	burstRnd *rand.Rand
+	// ctlLoss is the ControlLoss drop hook, nil when ControlLoss is 0.
+	ctlLoss func(packet.IPv4Addr, packet.Message) bool
 
 	downCount int
 
@@ -264,36 +273,30 @@ type Injector struct {
 // network's components. ctl may be nil (baseline networks have none, and
 // controller events are then skipped).
 func NewInjector(cfg Config, eng *sim.Engine, rng *sim.RNG, aps []APTarget, ctl ControllerTarget, horizon sim.Time) *Injector {
-	return &Injector{
+	in := &Injector{
 		eng:      eng,
 		plan:     BuildPlan(cfg, rng, len(aps), horizon),
 		aps:      aps,
 		ctl:      ctl,
 		burstRnd: rng.Stream("chaos/burst/drop"),
 	}
+	if cfg.ControlLoss > 0 {
+		in.ctlLoss = backhaul.DropTypes(cfg.ControlLoss, rng.Stream("backhaul/controlloss"),
+			packet.MsgStop, packet.MsgStart, packet.MsgSwitchAck)
+	}
+	return in
 }
 
-// Arm installs the backhaul hooks and schedules every plan event. The drop
-// hook composes with whatever hook the network already installed (e.g. the
-// ControlLossRate injector) via backhaul.Chain; the delay hook likewise
-// wraps any existing one. Arming an empty plan is a no-op, keeping
-// chaos-free runs bit-for-bit untouched.
+// Arm makes the injector the owner of the switch's Drop and Delay hooks and
+// schedules every plan event. Arming a config that injects nothing — an
+// empty plan and no ControlLoss — is a no-op, keeping chaos-free runs
+// bit-for-bit untouched.
 func (in *Injector) Arm(bh *backhaul.Switch) {
-	if in.plan.Empty() {
+	if in.plan.Empty() && in.ctlLoss == nil {
 		return
 	}
-	bh.Drop = backhaul.Chain(bh.Drop, in.drop)
-	prevDelay := bh.Delay
-	bh.Delay = func(to packet.IPv4Addr, msg packet.Message) sim.Time {
-		var d sim.Time
-		if prevDelay != nil {
-			d = prevDelay(to, msg)
-		}
-		if in.eng.Now() < in.spikeUntil {
-			d += spikeExtra
-		}
-		return d
-	}
+	bh.Drop = in.drop
+	bh.Delay = in.delay
 	for _, ev := range in.plan.Events {
 		ev := ev
 		// Arm runs at time 0 in practice; a late Arm still lands each event
@@ -312,9 +315,13 @@ func (in *Injector) UseMetrics(r *metrics.Registry) {
 	r.CounterAt("chaos", "controller_crashes", &in.Stats.CtlCrashes)
 }
 
-// drop is the backhaul loss hook: burst windows drop anything, blackout
-// windows drop CSI reports.
+// drop is the backhaul loss hook: control loss drops stop/start/ack, burst
+// windows drop anything, blackout windows drop CSI reports — consulted in
+// that order, so a burst draws only for what control loss let through.
 func (in *Injector) drop(to packet.IPv4Addr, msg packet.Message) bool {
+	if in.ctlLoss != nil && in.ctlLoss(to, msg) {
+		return true
+	}
 	now := in.eng.Now()
 	if now < in.burstUntil && in.burstRnd.Float64() < burstLoss {
 		in.Stats.BurstDrops++
@@ -327,6 +334,14 @@ func (in *Injector) drop(to packet.IPv4Addr, msg packet.Message) bool {
 		}
 	}
 	return false
+}
+
+// delay is the backhaul latency hook: spike windows add spikeExtra.
+func (in *Injector) delay(packet.IPv4Addr, packet.Message) sim.Time {
+	if in.eng.Now() < in.spikeUntil {
+		return spikeExtra
+	}
+	return 0
 }
 
 // apply executes one plan event against the live network.

@@ -257,3 +257,81 @@ func TestArmEmptyPlanInstallsNothing(t *testing.T) {
 		t.Fatal("empty plan scheduled a timer")
 	}
 }
+
+func TestControlLossOnlyArmsHooks(t *testing.T) {
+	eng := sim.NewEngine()
+	bh := backhaul.NewSwitch(eng, 200*sim.Microsecond)
+	inj := NewInjector(Config{ControlLoss: 0.3}, eng, sim.NewRNG(1), nil, nil, 5*sim.Second)
+	if !inj.plan.Empty() {
+		t.Fatalf("control loss generated plan events: %+v", inj.plan.Events)
+	}
+	inj.Arm(bh)
+	if bh.Drop == nil || bh.Delay == nil {
+		t.Fatal("a ControlLoss-only config installed no backhaul hooks")
+	}
+	if eng.Step() {
+		t.Fatal("a ControlLoss-only config scheduled a timer")
+	}
+}
+
+func TestControlLossDropsOnlySwitchingMessages(t *testing.T) {
+	const loss, n = 0.3, 2000
+	eng := sim.NewEngine()
+	bh := backhaul.NewSwitch(eng, 200*sim.Microsecond)
+	rx := &sink{eng: eng}
+	bh.Attach(packet.ControllerIP, rx)
+	NewInjector(Config{ControlLoss: loss}, eng, sim.NewRNG(4), nil, nil, 5*sim.Second).Arm(bh)
+
+	msgs := []packet.Message{
+		&packet.Stop{}, &packet.Start{}, &packet.SwitchAck{},
+		&packet.DownData{Pkt: &packet.Packet{ClientMAC: packet.ClientMAC(1), Bytes: 1200}},
+		&packet.CSIReport{},
+	}
+	for i := 0; i < n; i++ {
+		for _, m := range msgs {
+			_ = bh.Send(packet.APIP(0), packet.ControllerIP, m)
+		}
+	}
+	eng.RunUntil(5 * sim.Second)
+
+	got := map[packet.MsgType]int{}
+	for _, typ := range rx.msgs {
+		got[typ]++
+	}
+	for _, typ := range []packet.MsgType{packet.MsgStop, packet.MsgStart, packet.MsgSwitchAck} {
+		if rate := 1 - float64(got[typ])/n; rate < loss-0.05 || rate > loss+0.05 {
+			t.Errorf("%v dropped at %.3f, want about %v", typ, rate, loss)
+		}
+	}
+	for _, typ := range []packet.MsgType{packet.MsgDownData, packet.MsgCSI} {
+		if got[typ] != n {
+			t.Errorf("%v delivered %d of %d: control loss dropped it", typ, got[typ], n)
+		}
+	}
+}
+
+func TestControlLossDecidesBeforeBurst(t *testing.T) {
+	// A stop control loss drops never reaches the burst window, so it
+	// counts no burst drop.
+	eng := sim.NewEngine()
+	bh := backhaul.NewSwitch(eng, 200*sim.Microsecond)
+	bh.Attach(packet.ControllerIP, &sink{eng: eng})
+	cfg := Config{
+		ControlLoss: 1,
+		Script:      []Event{{At: sim.Second, Kind: BackhaulBurst, Dur: 100 * sim.Millisecond}},
+	}
+	inj := NewInjector(cfg, eng, sim.NewRNG(3), nil, nil, 5*sim.Second)
+	inj.Arm(bh)
+	for i := 1; i <= 40; i++ {
+		eng.At(sim.Second+sim.Time(i)*sim.Millisecond, func() {
+			_ = bh.Send(packet.APIP(0), packet.ControllerIP, &packet.Stop{SwitchID: uint32(i)})
+		})
+	}
+	eng.RunUntil(5 * sim.Second)
+	if _, dropped, _ := bh.Stats(); dropped != 40 {
+		t.Fatalf("dropped %d of 40 stops at ControlLoss 1", dropped)
+	}
+	if inj.Stats.Bursts != 1 || inj.Stats.BurstDrops != 0 {
+		t.Fatalf("Stats = %+v, want 1 burst window and no burst drop", inj.Stats)
+	}
+}

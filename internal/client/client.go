@@ -252,9 +252,6 @@ func (c *Client) OnFrame(ev *mac.RxEvent) {
 	}
 }
 
-// OnBlockAck implements mac.Sink (nothing to do at the client).
-func (c *Client) OnBlockAck(*mac.BAEvent) {}
-
 // Overhears implements mac.Sink: a client uses no monitor-mode capture —
 // neither another station's frame nor a Block ACK addressed to someone else.
 func (c *Client) Overhears(packet.MACAddr) bool { return false }

@@ -30,7 +30,6 @@ func (r *recSink) OnFrame(ev *mac.RxEvent) {
 	cp.Decoded = slices.Clone(ev.Decoded)
 	r.frames = append(r.frames, cp)
 }
-func (r *recSink) OnBlockAck(*mac.BAEvent)       {}
 func (r *recSink) Overhears(packet.MACAddr) bool { return true }
 
 func newHarness(t *testing.T) *harness {

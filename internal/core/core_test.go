@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"wgtt/internal/chaos"
 	"wgtt/internal/mobility"
 	"wgtt/internal/sim"
 	"wgtt/internal/trace"
@@ -235,7 +236,7 @@ func TestMultiChannelBuild(t *testing.T) {
 // Control-loss injection keeps the system functional end to end.
 func TestControlLossDrive(t *testing.T) {
 	s := DriveScenario(ModeWGTT, 15, 6)
-	s.ControlLossRate = 0.3
+	s.Chaos = &chaos.Config{ControlLoss: 0.3}
 	n, err := Build(s)
 	if err != nil {
 		t.Fatal(err)

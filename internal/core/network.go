@@ -160,10 +160,6 @@ func Build(s Scenario) (*Network, error) {
 	}
 	medium := media[0]
 	bh := backhaul.NewSwitch(eng, backhaulLatency)
-	if s.ControlLossRate > 0 {
-		bh.Drop = backhaul.DropTypes(s.ControlLossRate, rng.Stream("backhaul/controlloss"),
-			packet.MsgStop, packet.MsgStart, packet.MsgSwitchAck)
-	}
 
 	n := &Network{
 		Scenario:    s,
@@ -387,14 +383,15 @@ func Build(s Scenario) (*Network, error) {
 	}
 
 	// Fault injection (DESIGN.md §11): derive the plan from the scenario
-	// seed and arm it against the APs and the tier (chaos implies WGTT).
-	// The drop hook chains after any ControlLossRate hook installed above.
+	// seed and arm it against the APs and domain 0 (chaos implies WGTT). A
+	// controller crash hits one controller instance at a time; the other
+	// domains ride out their peer's outage.
 	if s.Chaos != nil {
 		targets := make([]chaos.APTarget, len(n.APs))
 		for i, a := range n.APs {
 			targets[i] = a
 		}
-		n.Chaos = chaos.NewInjector(*s.Chaos, eng, rng, targets, n.Fed, s.Duration)
+		n.Chaos = chaos.NewInjector(*s.Chaos, eng, rng, targets, n.Fed.Domains[0], s.Duration)
 		n.Chaos.Arm(bh)
 	}
 

@@ -77,10 +77,6 @@ type Scenario struct {
 	// omnidirectional ones (the §4.2 variant the paper says the
 	// hardware-agnostic design supports).
 	OmniAPs bool
-	// ControlLossRate drops WGTT control messages (stop/start/ack) on the
-	// backhaul with this probability — failure injection for the §3.1.2
-	// 30 ms retransmission path.
-	ControlLossRate float64
 	// Channels spreads the APs across this many non-interfering wireless
 	// channels, round-robin (§7's multi-channel discussion). 0 or 1 keeps
 	// the paper's single-channel deployment. Clients retune to the serving

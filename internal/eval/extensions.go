@@ -3,6 +3,7 @@ package eval
 import (
 	"fmt"
 
+	"wgtt/internal/chaos"
 	"wgtt/internal/core"
 	"wgtt/internal/mobility"
 	"wgtt/internal/stats"
@@ -87,7 +88,9 @@ func ExtControlLoss(opt Options) (*ExtControlLossResult, error) {
 	res := &ExtControlLossResult{}
 	for _, lr := range rates {
 		s := core.DriveScenario(core.ModeWGTT, 15, opt.Seed)
-		s.ControlLossRate = lr
+		if lr > 0 {
+			s.Chaos = &chaos.Config{ControlLoss: lr}
+		}
 		d, err := opt.drive(s, core.Load{RateMbps: offeredUDPMbps})
 		if err != nil {
 			return nil, err

@@ -41,14 +41,8 @@ func ExtResilience(opt Options) (*ExtResilienceResult, error) {
 		s := core.TransitScenario(core.ModeWGTT, pos, 15, opt.Seed)
 		s.OmniAPs = true
 		if mtbf > 0 {
-			ccfg := chaos.DefaultConfig()
-			ccfg.APCrashMTBF = mtbf
-			ccfg.APDowntime = 2 * sim.Second
-			// Isolate the AP-crash axis: no backhaul or CSI weather.
-			ccfg.BackhaulBurstMTBF = 0
-			ccfg.LatencySpikeMTBF = 0
-			ccfg.CSIBlackoutMTBF = 0
-			s.Chaos = &ccfg
+			// Only the AP-crash axis: no backhaul or CSI weather.
+			s.Chaos = &chaos.Config{APCrashMTBF: mtbf, APDowntime: 2 * sim.Second}
 		}
 		n, err := opt.build(s)
 		if err != nil {

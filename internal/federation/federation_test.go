@@ -335,7 +335,7 @@ func TestCrashMidOfferAbortIsInSnapshot(t *testing.T) {
 	h.offerToDeadPeer(packet.ClientMAC(1))
 
 	crash := chaos.Config{Script: []chaos.Event{{At: h.eng.Now() + sim.Millisecond, Kind: chaos.ControllerCrash}}}
-	chaos.NewInjector(crash, h.eng, sim.NewRNG(1), nil, h.tier, sim.Second).Arm(h.bh)
+	chaos.NewInjector(crash, h.eng, sim.NewRNG(1), nil, h.doms[0], sim.Second).Arm(h.bh)
 	h.run(2 * sim.Millisecond) // well inside OfferTimeout
 	if !h.doms[0].Down() {
 		t.Fatal("setup: the scripted crash did not land on the offering domain")

@@ -151,14 +151,3 @@ func (t *Tier) Stats() TierStats {
 	}
 	return ts
 }
-
-// Fail implements chaos.ControllerTarget: a ControllerCrash hits domain 0
-// (the fault model crashes one controller instance at a time); the other
-// domains ride out their peer's outage.
-func (t *Tier) Fail() { t.Domains[0].Fail() }
-
-// Recover implements chaos.ControllerTarget.
-func (t *Tier) Recover() { t.Domains[0].Recover() }
-
-// Down implements chaos.ControllerTarget.
-func (t *Tier) Down() bool { return t.Domains[0].Down() }

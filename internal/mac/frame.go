@@ -158,7 +158,7 @@ type RxEvent struct {
 // BAEvent describes a (Block) ACK response observed at a station: by the
 // original sender (completing its TXOP) or by a monitor-mode neighbour AP
 // (feeding §3.2.1 Block ACK forwarding). It is valid only during the
-// Sink.OnBlockAck call it is passed to.
+// BASink.OnBlockAck call it is passed to.
 type BAEvent struct {
 	At sim.Time
 	// Responder is the station that sent the Block ACK.

@@ -7,25 +7,30 @@ import (
 )
 
 // Sink receives what a station hears: frames addressed to it (or overheard
-// in monitor mode) and (Block) ACK responses. APs and clients implement it.
-// An event is valid only during the call: when the sink returns, the medium
-// zeroes it and reuses it for a later arrival, so a sink copies what it keeps
-// — the MPDUs in Decoded are its to keep, the slice and SNRdB are not.
+// in monitor mode). APs and clients implement it. An event is valid only
+// during the call: when the sink returns, the medium zeroes it and reuses it
+// for a later arrival, so a sink copies what it keeps — the MPDUs in Decoded
+// are its to keep, the slice and SNRdB are not.
 type Sink interface {
 	// OnFrame is invoked for every frame the station decodes ≥1 MPDU of,
 	// and for owned-address frames it decoded nothing of (ev.Decoded empty)
 	// so receivers can observe PHY activity.
 	OnFrame(ev *RxEvent)
-	// OnBlockAck is invoked for every ACK/Block ACK the station decodes,
-	// both its own (Overheard=false) and the monitor-mode captures Overhears
-	// accepts.
-	OnBlockAck(ev *BAEvent)
 	// Overhears reports whether the sink does anything with a monitor-mode
 	// capture (Overheard=true) of a frame or response sent by from. The
 	// medium asks before it samples one and never delivers a capture the
 	// sink declines; owned and broadcast frames and the response to the
 	// station's own frame are always delivered.
 	Overhears(from packet.MACAddr) bool
+}
+
+// BASink is the part of a Sink that (Block) ACK responses reach, under the
+// same lending rule; a sink without it (a client's) hears none.
+type BASink interface {
+	// OnBlockAck is invoked for every ACK/Block ACK the station decodes,
+	// both its own (Overheard=false) and the monitor-mode captures Overhears
+	// accepts.
+	OnBlockAck(ev *BAEvent)
 }
 
 // Source supplies outgoing aggregates for a station. The pull model matters:
@@ -60,6 +65,7 @@ type Station struct {
 
 	medium        *Medium
 	sink          Sink
+	baSink        BASink // sink, if it implements BASink
 	src           Source
 	respondFilter func(from packet.MACAddr) bool
 
@@ -107,7 +113,10 @@ func NewStation(m *Medium, cfg StationConfig) *Station {
 
 // SetSink installs the receive handler; the sink usually needs the station
 // first, so it is installed after NewStation.
-func (s *Station) SetSink(k Sink) { s.sink = k }
+func (s *Station) SetSink(k Sink) {
+	s.sink = k
+	s.baSink, _ = k.(BASink)
+}
 
 // SetSource installs the transmit source.
 func (s *Station) SetSource(src Source) { s.src = src }
@@ -264,8 +273,8 @@ func (s *Station) deliverBA(ev *BAEvent) {
 		s.awaiting.SSN = ev.SSN
 		s.awaiting.Bitmap = ev.Bitmap
 	}
-	if s.sink != nil {
-		s.sink.OnBlockAck(ev)
+	if s.baSink != nil {
+		s.baSink.OnBlockAck(ev)
 	}
 }
 
