@@ -107,20 +107,23 @@ docs-check:
 
 # The targets that run a CLI share one shape:
 # $(call in-scratch,<cmds>,<script>[,<build flags>]) builds each cmd/<cmd>
-# into a fresh `mktemp -d` directory $$d, runs <script> in one shell that
-# stops at the first failing command, and removes $$d once everything
-# passed. Concurrent `make check` runs therefore share no file, and a failing
+# (or, with no such directory, examples/<cmd>) into a fresh `mktemp -d`
+# directory $$d, runs <script> in one shell that stops at the first failing
+# command, and removes $$d once everything passed. Concurrent `make check` runs therefore share no file, and a failing
 # gate leaves its outputs behind (cmp names them). Timing and progress go to
 # stderr, so only stdout is ever compared.
 define in-scratch
 	@set -e; d=$$(mktemp -d); \
-	for c in $(1); do $(GO) build $(3) -o $$d/$$c ./cmd/$$c; done; \
+	for c in $(1); do p=./cmd/$$c; [ -d $$p ] || p=./examples/$$c; $(GO) build $(3) -o $$d/$$c $$p; done; \
 	$(2); \
 	rm -rf $$d
 endef
 
 # cmd/testdata/cases.txt as a shell loop: <body> runs once per case with
-# $$name, $$cmd and $$flags set.
+# $$name, $$cmd and $$flags set. CASE_CMDS is every command the file runs:
+# the CLIs and the examples.
+EXAMPLES = $(notdir $(wildcard examples/*))
+CASE_CMDS = wgttsim wgtt-fleet wgtt-live $(EXAMPLES)
 each-cli-case = grep -v '^\#' cmd/testdata/cases.txt | while read -r name cmd flags; do $(1); done
 
 # Golden gates: the experiment run must reproduce the recorded tables byte
@@ -147,11 +150,11 @@ golden-quick golden:
 # its flags into a run, so every flag set in cmd/testdata/cases.txt runs once
 # and must print its recorded golden byte for byte — the live federation
 # handoff too (DESIGN.md §13: two controller OS processes over UDP loopback),
-# whose stdout names only what happened, never when. That a run repeats
-# itself, for any worker count, is held by the determinism tests in
-# internal/core and internal/fleet, not here.
+# whose stdout names only what happened, never when, and each example under
+# examples/. That a run repeats itself, for any worker count, is held by the
+# determinism tests in internal/core and internal/fleet, not here.
 cli-smoke:
-	$(call in-scratch,wgttsim wgtt-fleet wgtt-live, \
+	$(call in-scratch,$(CASE_CMDS), \
 		$(call each-cli-case, \
 			$$d/$$cmd $$flags > $$d/$$name.txt; \
 			cmp $$d/$$name.txt cmd/testdata/$$name.golden))
@@ -185,26 +188,26 @@ metro-scale:
 		awk '/^migrations / { print; ok = $$2 > 0 } END { exit !ok }' $$d/report.txt)
 	@echo metro-scale: 1024-tile metro completed with cross-cell migrations
 
-# Dead-code audit (minutes, opt-in): build the four CLIs instrumented for
-# coverage, drive them through the trimmed experiment run, the cli-smoke
-# cases, the live-smoke switch and fan-out runs, all into one GOCOVERDIR,
-# and list every function outside _test.go that nothing reached. Each main
-# package must sit inside its own -coverpkg or its binary flushes no
-# counters. A listed function is a candidate, not a verdict: failure-recovery
-# paths, String methods, the live AP role (those processes are killed, so
-# they flush nothing), and anything only examples/, bench/ or a test calls
-# show up here too — grep before deleting.
+# Dead-code audit (minutes, opt-in): build the four CLIs and the examples
+# instrumented for coverage, drive them through the trimmed experiment run,
+# the cli-smoke cases (the examples among them), the live-smoke switch and
+# fan-out runs, all into one GOCOVERDIR, and list every function outside
+# _test.go that nothing reached. Each main package must sit inside its own
+# -coverpkg or its binary flushes no counters. A listed function is a
+# candidate, not a verdict: failure-recovery paths, String methods, the live
+# AP role (those processes are killed, so they flush nothing), and anything
+# only bench/ or a test calls show up here too — grep before deleting.
 # ($(comma): a literal comma inside a $$(call …) argument.)
 comma := ,
 unreached:
-	$(call in-scratch,wgttsim wgtt-fleet wgtt-experiments wgtt-live, \
+	$(call in-scratch,wgtt-experiments $(CASE_CMDS), \
 		mkdir $$d/cov; export GOCOVERDIR=$$d/cov; \
 		{ $$d/wgtt-experiments -quick; \
 		  $(call each-cli-case,$$d/$$cmd $$flags); \
 		  $$d/wgtt-live -aps 2 -timeout 10s; \
 		  $$d/wgtt-live -fanout -aps 8 -packets 2000; } > /dev/null; \
 		$(GO) tool covdata func -i=$$d/cov | grep -v '_test\.go' | awk '$$NF == "0.0%"', \
-		-cover -coverpkg=./internal/...$(comma)./cmd/...)
+		-cover -coverpkg=./internal/...$(comma)./cmd/...$(comma)./examples/...)
 
 # The size ledger ROADMAP and CHANGES cite: Go lines that are neither blank,
 # nor a // comment line, nor in a _test.go file — over the whole program, and

@@ -2,7 +2,8 @@
 // -urban-* city shape, -domains and -chaos* (wgttsim, wgtt-fleet), -metrics
 // (those and wgtt-experiments), -selector (those and wgtt-live) and
 // -cpuprofile/-memprofile (wgtt-fleet, wgtt-experiments) — so a flag has the
-// same name, meaning and default on every CLI that takes it.
+// same name, meaning and default on every CLI that takes it; a number out
+// of a flag's range fails the parse rather than falling back to the default.
 // Each function registers its flags on the default flag set (call before
 // flag.Parse) and returns the accessor to use after parsing.
 package cliflags
@@ -11,9 +12,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 
 	"wgtt/internal/chaos"
 	"wgtt/internal/metrics"
@@ -23,48 +26,31 @@ import (
 )
 
 // City registers the -urban-* flags that shape a street-grid city
-// (DESIGN.md §16). The returned function overrides the fields of a city
-// config whose flags were set.
+// (DESIGN.md §16). Each flag's least value, its default, keeps the city's
+// own; the returned function overrides the fields of a city config whose
+// flags were given anything more.
 func City() func(*urban.Config) {
 	var (
-		rows     = flag.Int("urban-rows", 0, "city grid rows (0 = default)")
-		cols     = flag.Int("urban-cols", 0, "city grid columns (0 = default)")
-		block    = flag.Float64("urban-block", 0, "city block edge length, meters (0 = default)")
-		spacing  = flag.Float64("urban-spacing", 0, "street AP spacing, meters (0 = default)")
-		buses    = flag.Int("urban-buses", -1, "buses per city (-1 = default)")
-		riders   = flag.Int("urban-riders", -1, "riders per bus (-1 = default)")
-		cars     = flag.Int("urban-cars", -1, "routed cars per city (-1 = default)")
-		peds     = flag.Int("urban-peds", -1, "pedestrians per city (-1 = default)")
-		duration = flag.Float64("urban-duration", 0, "city horizon cap, seconds (0 = default)")
+		rows     = number("urban-rows", 0, 0, false, "city grid rows (0 = default)")
+		cols     = number("urban-cols", 0, 0, false, "city grid columns (0 = default)")
+		block    = number("urban-block", 0.0, 0, false, "city block edge length, meters (0 = default)")
+		spacing  = number("urban-spacing", 0.0, 0, false, "street AP spacing, meters (0 = default)")
+		buses    = number("urban-buses", -1, -1, false, "buses per city (-1 = default)")
+		riders   = number("urban-riders", -1, -1, false, "riders per bus (-1 = default)")
+		cars     = number("urban-cars", -1, -1, false, "routed cars per city (-1 = default)")
+		peds     = number("urban-peds", -1, -1, false, "pedestrians per city (-1 = default)")
+		duration = number("urban-duration", 0.0, 0, false, "city horizon cap, seconds (0 = default)")
 	)
 	return func(c *urban.Config) {
-		if *rows > 0 {
-			c.Rows = *rows
-		}
-		if *cols > 0 {
-			c.Cols = *cols
-		}
-		if *block > 0 {
-			c.BlockM = *block
-		}
-		if *spacing > 0 {
-			c.APSpacingM = *spacing
-		}
-		if *buses >= 0 {
-			c.Buses = *buses
-		}
-		if *riders >= 0 {
-			c.RidersPerBus = *riders
-		}
-		if *cars >= 0 {
-			c.Cars = *cars
-		}
-		if *peds >= 0 {
-			c.Pedestrians = *peds
-		}
-		if *duration > 0 {
-			c.MaxDurationS = *duration
-		}
+		rows.override(&c.Rows)
+		cols.override(&c.Cols)
+		block.override(&c.BlockM)
+		spacing.override(&c.APSpacingM)
+		buses.override(&c.Buses)
+		riders.override(&c.RidersPerBus)
+		cars.override(&c.Cars)
+		peds.override(&c.Pedestrians)
+		duration.override(&c.MaxDurationS)
 	}
 }
 
@@ -72,8 +58,48 @@ func City() func(*urban.Config) {
 // of whichever workload the CLI runs. 0, the default, keeps the workload's
 // own count.
 func Domains() *int {
-	return flag.Int("domains", 0, "controller domains (DESIGN.md §13): a corridor's contiguous AP blocks, "+
-		"or the city's slabs under -urban (0 = the workload's own: 1 on a corridor, the city's 2)")
+	return &number("domains", 0, 0, false, "controller domains (DESIGN.md §13): a corridor's contiguous AP blocks, "+
+		"or the city's slabs under -urban (0 = the workload's own: 1 on a corridor, the city's 2)").v
+}
+
+// number registers a numeric flag whose out-of-range value fails the parse
+// (a usage error, exit 2) instead of being read as "use the default": the
+// value must be a finite number of type T, no less than least — above it when
+// above is set.
+func number[T int | float64](name string, value, least T, above bool, usage string) *bounded[T] {
+	b := &bounded[T]{value, least, above}
+	flag.Var(b, name, usage)
+	return b
+}
+
+// bounded is the flag.Value behind number.
+type bounded[T int | float64] struct {
+	v, least T
+	above    bool
+}
+
+// String implements flag.Value.
+func (b *bounded[T]) String() string { return fmt.Sprint(b.v) }
+
+// Set implements flag.Value.
+func (b *bounded[T]) Set(s string) error {
+	f, err := strconv.ParseFloat(s, 64)
+	if v := T(f); err == nil && float64(v) == f && !math.IsInf(f, 0) && (v > b.least || v == b.least && !b.above) {
+		b.v = v
+		return nil
+	}
+	if b.above {
+		return fmt.Errorf("want %T > %v", b.least, b.least)
+	}
+	return fmt.Errorf("want %T >= %v", b.least, b.least)
+}
+
+// override sets *field to the flag's value unless the flag holds its least
+// value.
+func (b *bounded[T]) override(field *T) {
+	if b.v != b.least {
+		*field = b.v
+	}
 }
 
 // SelectorFlag is the -selector value.
@@ -99,16 +125,16 @@ func (f SelectorFlag) Policy() (selector.Policy, error) {
 func Chaos() func() *chaos.Config {
 	var (
 		on       = flag.Bool("chaos", false, "enable deterministic fault injection (DESIGN.md §11)")
-		mtbf     = flag.Float64("chaos-ap-mtbf", 60, "AP-crash mean time between failures, seconds")
-		downtime = flag.Float64("chaos-downtime", 2, "AP downtime before restart, seconds")
+		mtbf     = number("chaos-ap-mtbf", 60.0, 0, true, "AP-crash mean time between failures, seconds")
+		downtime = number("chaos-downtime", 2.0, 0, true, "AP downtime before restart, seconds")
 	)
 	return func() *chaos.Config {
 		if !*on {
 			return nil
 		}
 		c := chaos.DefaultConfig()
-		c.APCrashMTBF = sim.FromSeconds(*mtbf)
-		c.APDowntime = sim.FromSeconds(*downtime)
+		c.APCrashMTBF = sim.FromSeconds(mtbf.v)
+		c.APDowntime = sim.FromSeconds(downtime.v)
 		return &c
 	}
 }

@@ -65,6 +65,32 @@ func TestChaosIsNilUnlessAsked(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeNumbersFailTheParse: a number a flag cannot mean is a parse
+// error, not a silent fall-back to the default — while each flag's own
+// "default" value still parses.
+func TestOutOfRangeNumbersFailTheParse(t *testing.T) {
+	register := func() any { return []any{City(), Domains(), Chaos()} }
+	for _, args := range [][]string{
+		{"-chaos", "-chaos-ap-mtbf", "-5"},
+		{"-chaos", "-chaos-ap-mtbf", "NaN"},
+		{"-chaos", "-chaos-ap-mtbf", "+Inf"},
+		{"-chaos", "-chaos-downtime", "0"},
+		{"-urban-rows", "-3"},
+		{"-urban-cols", "2.5"},
+		{"-urban-riders", "-7"},
+		{"-urban-spacing", "-1"},
+		{"-urban-duration", "-1"},
+		{"-domains", "-2"},
+	} {
+		fs := freshCommandLine(t)
+		register()
+		if err := fs.Parse(args); err == nil || !strings.Contains(err.Error(), "want ") {
+			t.Errorf("%q: parse error %v, want an out-of-range error", args, err)
+		}
+	}
+	parse(t, register, "-chaos-ap-mtbf", "0.5", "-urban-rows", "0", "-urban-riders", "-1", "-urban-duration", "0", "-domains", "0")
+}
+
 // TestMetricsWriteNeedsFlagAndSnapshot: Write touches nothing when -metrics
 // is unset or the run produced no snapshot.
 func TestMetricsWriteNeedsFlagAndSnapshot(t *testing.T) {
@@ -88,8 +114,9 @@ func TestMetricsWriteNeedsFlagAndSnapshot(t *testing.T) {
 // FuzzCLIFlags parses an arbitrary argument list (NUL-separated) against
 // every shared flag, registered as a CLI registers them: nothing panics, an
 // accepted -selector resolves to a policy or to an error but never both, the
-// chaos config exists exactly when -chaos is on, and a snapshot is asked for
-// exactly when -metrics names a destination.
+// chaos config exists exactly when -chaos is on, a snapshot is asked for
+// exactly when -metrics names a destination, and no accepted number leaves
+// the city or the domain count out of range.
 func FuzzCLIFlags(f *testing.F) {
 	for _, args := range [][]string{
 		{},
@@ -103,12 +130,17 @@ func FuzzCLIFlags(f *testing.F) {
 		{"-metrics"},
 		{"-h"},
 		{"--", "-chaos"},
+		{"-chaos", "-chaos-ap-mtbf", "-5"},
+		{"-chaos", "-chaos-downtime", "0"},
+		{"-chaos", "-chaos-ap-mtbf", "NaN"},
+		{"-urban-rows", "-3", "-urban-riders", "-7", "-urban-duration", "-1"},
+		{"-domains", "-2"},
 	} {
 		f.Add(strings.Join(args, "\x00"))
 	}
 	f.Fuzz(func(t *testing.T, joined string) {
 		fs := freshCommandLine(t)
-		city, sel, chaosCfg, met := City(), Selector(), Chaos(), Metrics()
+		city, dom, sel, chaosCfg, met := City(), Domains(), Selector(), Chaos(), Metrics()
 		var args []string
 		if joined != "" {
 			args = strings.Split(joined, "\x00")
@@ -118,6 +150,10 @@ func FuzzCLIFlags(f *testing.F) {
 		}
 		c := urban.DefaultConfig()
 		city(&c)
+		if c.Rows < 1 || c.Cols < 1 || !(c.BlockM > 0 && c.APSpacingM > 0 && c.MaxDurationS > 0) ||
+			c.Buses < 0 || c.RidersPerBus < 0 || c.Cars < 0 || c.Pedestrians < 0 || *dom < 0 {
+			t.Fatalf("accepted flags gave city %+v, -domains %d", c, *dom)
+		}
 		if pol, err := sel.Policy(); (pol == "") == (err == nil) {
 			t.Fatalf("-selector %q: policy %q and error %v", *sel.name, pol, err)
 		}

@@ -55,9 +55,7 @@ func main() {
 			"run one connected city tiled into metro cells with cross-cell client migration "+
 				"(DESIGN.md §17) instead of N independent cells; -cells is ignored, the urban-* "+
 				"flags shape the city, and -rate is per client (try 1)")
-		metroTiles = flag.String("metro-tiles", "2x2", "metro cell grid, RxC")
-		metroEpoch = flag.Float64("metro-epoch-ms", 0,
-			"epoch length between migration barriers, milliseconds (0 = default 500)")
+		metroTiles    = flag.String("metro-tiles", "2x2", "metro cell grid, RxC")
 		metroIsolated = flag.Bool("metro-isolated", false,
 			"cut the tile seams: clients stay in their birth tile for the whole run (the ext-metro ablation)")
 		progressOn = flag.Bool("progress", false,
@@ -125,7 +123,6 @@ func main() {
 		mcfg.Tiles = tiles
 		applyCityFlags(&mcfg.City)
 		cfg.Metro = &mcfg
-		cfg.MetroEpoch = sim.FromSeconds(*metroEpoch / 1000)
 		cfg.MetroIsolated = *metroIsolated
 	}
 	// finish reports the run's side outputs on stderr: the trace tally and

@@ -53,7 +53,10 @@ func main() {
 		if *domains > 0 {
 			ucfg.Domains = *domains
 		}
-		s = core.UrbanScenario(mode, ucfg, *seed)
+		if s, err = core.UrbanScenario(mode, ucfg, *seed); err != nil {
+			fmt.Fprintln(os.Stderr, "build:", err)
+			os.Exit(1)
+		}
 	case *clients == 1:
 		s = core.DriveScenario(mode, *speed, *seed)
 		s.Domains = *domains
@@ -71,9 +74,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "build:", err)
 		os.Exit(1)
 	}
-	// Urban scenarios expand their AP/client sets inside Build; adopt the
-	// expanded form for the flow setup and the summary below.
-	s = n.Scenario
 	if metricsOut.On() {
 		n.EnableMetrics()
 	}
@@ -98,10 +98,10 @@ func main() {
 		fmt.Printf("trace: %d events -> %s\n", events, *traceOut)
 	}
 
-	if n.Urban != nil {
-		st := n.Urban.Stats
+	if city := s.City; city != nil {
+		st := city.Stats
 		fmt.Printf("scenario: %v, %dx%d city (%d street APs), %d client(s), %v, seed %d\n",
-			mode, s.Urban.Rows, s.Urban.Cols, len(n.APPosition), len(s.Clients), s.Duration, *seed)
+			mode, city.Cfg.Rows, city.Cfg.Cols, len(n.APPosition), len(s.Clients), s.Duration, *seed)
 		fmt.Printf("city: %d bus(es) / %d riders / %d cars / %d pedestrians, %d turns, %d light stops, %d route crossings\n",
 			st.Buses, st.Riders, st.Cars, st.Pedestrians, st.Turns, st.LightStops, st.RouteCrossings)
 	} else {

@@ -63,6 +63,12 @@ func (n *Network) AdmitCellHandoff(clientID, entryAP int, commit *packet.DomainH
 	for i := range commit.Evidence {
 		commit.Evidence[i].AP = entry
 	}
+	// The entry AP serves from the adopted index cursor, not from whatever
+	// ring state a previous stint of this client left behind: without the
+	// alignment, a former fan-out member re-appointed as serving would drain
+	// its stale backlog — packets the client already received, long past its
+	// TTL-bounded duplicate window.
+	n.APs[entryAP].AlignQueue(commit.Client, commit.NextIndex)
 	return n.admitClient(cl, entryAP, commit)
 }
 
@@ -76,25 +82,13 @@ func (n *Network) associate(cl *client.Client, serving int) {
 }
 
 // admitClient is the one WGTT admission sequence — AP association, tier
-// registration, keepalive start — run by Build for every client present at
-// time zero (commit nil: a fresh registration) and by AdmitCellHandoff for
-// a client migrating in (the tier admits the commit's state instead).
+// admission, keepalive start — run by Build for every client present at
+// time zero (an empty bundle at its first AP) and by AdmitCellHandoff for a
+// client migrating in (the state it carries).
 func (n *Network) admitClient(cl *client.Client, serving int, commit *packet.DomainHandoffCommit) error {
 	n.associate(cl, serving)
-	if commit == nil {
-		if err := n.Fed.RegisterClient(cl.Config().MAC, cl.Config().IP, serving); err != nil {
-			return err
-		}
-	} else {
-		if err := n.Fed.Admit(commit); err != nil {
-			return err
-		}
-		// The entry AP serves from the adopted index cursor, not from
-		// whatever ring state a previous stint of this client left behind:
-		// without the alignment, a former fan-out member re-appointed as
-		// serving would drain its stale backlog — packets the client already
-		// received, long past its TTL-bounded duplicate window.
-		n.APs[serving].AlignQueue(commit.Client, commit.NextIndex)
+	if err := n.Fed.Admit(commit); err != nil {
+		return err
 	}
 	n.startClientKeepalive(cl)
 	return nil

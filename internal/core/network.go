@@ -18,7 +18,6 @@ import (
 	"wgtt/internal/radio"
 	"wgtt/internal/sim"
 	"wgtt/internal/trace"
-	"wgtt/internal/urban"
 )
 
 // SharedBSSID is the single BSSID every WGTT AP presents (§4.3).
@@ -79,48 +78,10 @@ type Network struct {
 	// Chaos is the fault injector, armed by Build when Scenario.Chaos is
 	// set (nil otherwise; DESIGN.md §11).
 	Chaos *chaos.Injector
-
-	// Urban is the expanded city plan when Scenario.Urban is set (nil
-	// otherwise; DESIGN.md §16).
-	Urban *urban.Plan
 }
 
 // Build assembles a scenario into a Network.
 func Build(s Scenario) (*Network, error) {
-	var uplan *urban.Plan
-	fedCfg := federation.DefaultConfig()
-	if s.Urban != nil {
-		// Urban expansion (DESIGN.md §16): the city plan supplies what a
-		// corridor scenario states by hand. Everything below this block is
-		// unaware the scenario came from a map.
-		if len(s.Clients) != 0 || s.APPositions != nil || len(s.APDomains) != 0 {
-			return nil, fmt.Errorf("core: urban scenarios generate their own APs and clients")
-		}
-		var err error
-		uplan, err = urban.BuildPlan(*s.Urban, s.Seed)
-		if err != nil {
-			return nil, err
-		}
-		s.APPositions = uplan.APPositions()
-		s.applyCityDefaults(uplan.Graph)
-		if s.Mode == ModeWGTT && s.Urban.Domains > 1 {
-			s.Domains = s.Urban.Domains
-			s.APDomains = uplan.APDomains
-			// Same story as the controller gates: a slab boundary cuts
-			// straight across city avenues, so riders hover near it for
-			// whole blocks. The controller's wider evidence window, a real
-			// cross-domain margin, and a block-scale dwell stop ownership
-			// ping-pong.
-			fedCfg.MarginDB = 6
-			fedCfg.Hysteresis = sim.Second
-		}
-		for _, c := range uplan.Clients {
-			s.Clients = append(s.Clients, ClientSpec{Trace: c.Trace, SpeedMPH: c.SpeedMPH})
-		}
-		if s.Duration == 0 {
-			s.Duration = uplan.Duration
-		}
-	}
 	if len(s.Clients) == 0 {
 		return nil, fmt.Errorf("core: scenario has no clients")
 	}
@@ -171,7 +132,6 @@ func Build(s Scenario) (*Network, error) {
 		Bh:          bh,
 		downRx:      make(map[int][]func(*packet.Packet, sim.Time)),
 		clientByMAC: make(map[packet.MACAddr]int),
-		Urban:       uplan,
 	}
 
 	// AP positions: the scenario's, else the testbed's.
@@ -293,7 +253,14 @@ func Build(s Scenario) (*Network, error) {
 		if nDom > len(city) {
 			return nil, fmt.Errorf("core: %d domains for %d APs", nDom, len(city))
 		}
+		fedCfg := federation.DefaultConfig()
 		fedCfg.Controller = ctlCfg
+		if s.handoffMargin != 0 {
+			fedCfg.MarginDB = s.handoffMargin
+		}
+		if s.handoffDwell != 0 {
+			fedCfg.Hysteresis = s.handoffDwell
+		}
 		domains := make([]*federation.Domain, nDom)
 		for d := range domains {
 			domains[d] = federation.NewDomain(fedCfg, eng, bh, d, city)
@@ -355,9 +322,10 @@ func Build(s Scenario) (*Network, error) {
 		n.clientEP = append(n.clientEP, ep)
 		n.clientByMAC[ccfg.MAC] = i
 
-		// Association bootstrap: the §4.3 replication, performed directly.
-		// A deferred client gets its AP-side association (no serving AP)
-		// but no controller registration — AdmitCellHandoff completes the
+		// Association bootstrap: the §4.3 replication, performed directly,
+		// and the tier's admission of an empty state bundle at the client's
+		// first AP. A deferred client gets its AP-side association (no
+		// serving AP) but no admission — AdmitCellHandoff completes the
 		// bootstrap when the client actually enters this cell.
 		switch {
 		case spec.Deferred && !wgtt:
@@ -365,7 +333,8 @@ func Build(s Scenario) (*Network, error) {
 		case spec.Deferred:
 			n.associate(cl, -1)
 		case wgtt:
-			if err := n.admitClient(cl, start, nil); err != nil {
+			fresh := &packet.DomainHandoffCommit{Client: ccfg.MAC, ClientIP: ccfg.IP, TargetAP: city[start].IP}
+			if err := n.admitClient(cl, start, fresh); err != nil {
 				return nil, err
 			}
 		default:
@@ -429,10 +398,10 @@ func (n *Network) EnableMetricsInto(r *metrics.Registry) *metrics.Registry {
 	if n.Chaos != nil {
 		n.Chaos.UseMetrics(r)
 	}
-	if n.Urban != nil {
+	if plan := n.Scenario.City; plan != nil {
 		// Urban workload shape (DESIGN.md §16): planned quantities, recorded
 		// once so fleet/eval merges report the generated city truthfully.
-		st := &n.Urban.Stats
+		st := &plan.Stats
 		r.CounterAt("urban", "turns", &st.Turns)
 		r.CounterAt("urban", "light_stops", &st.LightStops)
 		r.CounterAt("urban", "route_crossings", &st.RouteCrossings)

@@ -41,7 +41,7 @@ type ClientSpec struct {
 	// SpeedMPH is the client's design speed (sets the fading Doppler).
 	SpeedMPH float64
 	// Deferred builds the client's radio and MAC state but admits it to the
-	// network later: no keepalives and no controller registration at build
+	// network later: no keepalives and no controller-tier admission at build
 	// time. The metro uses this for clients whose route only enters this
 	// cell mid-run — AdmitCellHandoff (metro.go) performs the deferred
 	// admission when the client migrates in. WGTT mode only.
@@ -97,53 +97,66 @@ type Scenario struct {
 	// run. nil — the default — leaves the network untouched and
 	// byte-identical to a build without the chaos engine. WGTT mode only.
 	Chaos *chaos.Config
-	// Urban switches the scenario to the street-grid city workload
-	// (DESIGN.md §16): Build expands the config into AP positions along
-	// every street (omni small cells), routed vehicle/bus/pedestrian
-	// clients, the scenario duration, and — in WGTT mode with
-	// Urban.Domains > 1 — the geographic federation binding via APDomains.
-	// Mutually exclusive with hand-set APPositions/Clients. nil —
-	// the default — leaves non-urban scenarios byte-identical to builds
-	// without the urban subsystem.
-	Urban *urban.Config
+	// City is the street-grid city plan UrbanScenario cut this scenario
+	// from (DESIGN.md §16), nil for any other scenario. Build reads only
+	// its planner counts, which EnableMetrics records.
+	City *urban.Plan
 	// APDomains explicitly binds each active AP to a federation domain,
 	// overriding the default contiguous-index split. Must cover every
 	// active AP with every domain in [0, Domains) owning at least one AP.
-	// The urban expansion fills this from the city partition.
+	// UrbanScenario fills this from the city's slabs.
 	APDomains []int
 
 	// The rest of what makes a cell a city cell; only applyCityDefaults sets
 	// these, and their zero values keep the corridor testbed's: the radio
 	// obstruction model (none), the per-AP fixed RF loss chain
-	// (apFixedLossDB) and the clients' null-data CSI probe pace
-	// (corridorKeepalive).
-	obstruction func(a, b mobility.Point) float64
-	apLossDB    float64
-	keepalive   sim.Time
+	// (apFixedLossDB), the clients' null-data CSI probe pace
+	// (corridorKeepalive) and the cross-domain handoff gates
+	// (federation.DefaultConfig's margin and dwell).
+	obstruction   func(a, b mobility.Point) float64
+	apLossDB      float64
+	keepalive     sim.Time
+	handoffMargin float64
+	handoffDwell  sim.Time
 }
 
-// UrbanScenario builds a street-grid city scenario (DESIGN.md §16) under
-// the given mode. Baseline mode runs the identical city — same graph,
-// same APs, same traces — with the federation binding ignored, so the two
-// systems compare on one map.
-func UrbanScenario(mode Mode, cfg urban.Config, seed uint64) Scenario {
-	return Scenario{Mode: mode, Seed: seed, Urban: &cfg}
+// UrbanScenario plans a street-grid city (DESIGN.md §16) and returns it
+// as an explicit scenario under the given mode: AP sites along every
+// street, the planned vehicle/bus/pedestrian clients, the plan's horizon
+// and — in WGTT mode with cfg.Domains > 1 — the city's slabs as the
+// federation binding. Baseline mode runs the identical city — same graph,
+// same APs, same traces — with the binding ignored, so the two systems
+// compare on one map.
+func UrbanScenario(mode Mode, cfg urban.Config, seed uint64) (Scenario, error) {
+	plan, err := urban.BuildPlan(cfg, seed)
+	if err != nil {
+		return Scenario{}, err
+	}
+	clients := make([]ClientSpec, len(plan.Clients))
+	for i, c := range plan.Clients {
+		clients[i] = ClientSpec{Trace: c.Trace, SpeedMPH: c.SpeedMPH}
+	}
+	s := CityCellScenario(mode, plan.Graph, seed, plan.Duration, plan.APPositions(), clients)
+	s.City = plan
+	if mode == ModeWGTT && cfg.Domains > 1 {
+		s.Domains, s.APDomains = cfg.Domains, plan.APDomains
+	}
+	return s, nil
 }
 
-// CityCellScenario builds a WGTT scenario for a hand-assembled piece of a
-// city — the metro tile (DESIGN.md §17), whose APs and clients are a cut of
-// one shared city plan rather than a city of its own. The caller supplies
-// the sites and the clients; the city defaults supply everything
-// Scenario.Urban would.
-func CityCellScenario(g *urban.Graph, seed uint64, dur sim.Time, aps []mobility.Point, clients []ClientSpec) Scenario {
-	s := Scenario{Mode: ModeWGTT, Seed: seed, Duration: dur, APPositions: aps, Clients: clients}
+// CityCellScenario builds a scenario for a piece of a city: the caller
+// supplies the sites and the clients — a whole planned city
+// (UrbanScenario), or a metro tile's cut of one shared city plan (DESIGN.md
+// §17) — and the city defaults supply the rest.
+func CityCellScenario(mode Mode, g *urban.Graph, seed uint64, dur sim.Time, aps []mobility.Point, clients []ClientSpec) Scenario {
+	s := Scenario{Mode: mode, Seed: seed, Duration: dur, APPositions: aps, Clients: clients}
 	s.applyCityDefaults(g)
 	return s
 }
 
 // applyCityDefaults is the one statement of what makes a cell a city cell
-// (DESIGN.md §16). Build's Scenario.Urban expansion and CityCellScenario
-// both go through it; an explicit Controller setting wins over the default.
+// (DESIGN.md §16); CityCellScenario is its one caller, and a Controller
+// set on the result replaces the default one.
 func (s *Scenario) applyCityDefaults(g *urban.Graph) {
 	// Street-canyon blockage: the city's buildings make radio visibility
 	// follow the streets, so an AP around a corner is tens of dB down on a
@@ -157,7 +170,7 @@ func (s *Scenario) applyCityDefaults(g *urban.Graph) {
 	// city-scale selection window below while freeing the airtime for
 	// traffic — applied to both systems.
 	s.keepalive = 20 * sim.Millisecond
-	if s.Controller == nil && s.Mode == ModeWGTT {
+	if s.Mode == ModeWGTT {
 		// Omni micro-cells have much flatter ESNR gradients than the
 		// corridor's parabolics, so the §3.1.1 zero-margin/40 ms defaults
 		// flap between near-equal neighbors. A longer median window, a real
@@ -171,6 +184,12 @@ func (s *Scenario) applyCityDefaults(g *urban.Graph) {
 		cc.CollapseDB = 18
 		s.Controller = &cc
 	}
+	// Same story at the federation layer: a slab boundary cuts straight
+	// across city avenues, so riders hover near it for whole blocks. A real
+	// cross-domain margin and a block-scale dwell stop ownership ping-pong.
+	// A one-domain city never weighs a handoff, so they only bind on slabs.
+	s.handoffMargin = 6
+	s.handoffDwell = sim.Second
 }
 
 // DriveScenario is a convenience builder: one client driving the full

@@ -20,19 +20,30 @@ func tinyCity() urban.Config {
 	return cfg
 }
 
+// urbanScenario is UrbanScenario, failing the test on a planner error.
+func urbanScenario(t *testing.T, mode Mode, cfg urban.Config, seed uint64) Scenario {
+	t.Helper()
+	s, err := UrbanScenario(mode, cfg, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestUrbanScenarioBuilds(t *testing.T) {
 	for _, mode := range []Mode{ModeWGTT, ModeBaseline} {
-		n, err := Build(UrbanScenario(mode, tinyCity(), 7))
+		n, err := Build(urbanScenario(t, mode, tinyCity(), 7))
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
-		if n.Urban == nil {
+		city := n.Scenario.City
+		if city == nil {
 			t.Fatalf("%v: network lost its urban plan", mode)
 		}
-		if len(n.APPosition) != len(n.Urban.APs) {
-			t.Fatalf("%v: %d APs for %d sites", mode, len(n.APPosition), len(n.Urban.APs))
+		if len(n.APPosition) != len(city.APs) {
+			t.Fatalf("%v: %d APs for %d sites", mode, len(n.APPosition), len(city.APs))
 		}
-		want := len(n.Urban.Clients)
+		want := len(city.Clients)
 		if len(n.Clients) != want {
 			t.Fatalf("%v: %d clients, want %d", mode, len(n.Clients), want)
 		}
@@ -49,8 +60,7 @@ func TestUrbanScenarioBuilds(t *testing.T) {
 }
 
 func TestUrbanScenarioRuns(t *testing.T) {
-	s := UrbanScenario(ModeWGTT, tinyCity(), 7)
-	n, err := Build(s)
+	n, err := Build(urbanScenario(t, ModeWGTT, tinyCity(), 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,20 +94,6 @@ func TestUrbanScenarioRuns(t *testing.T) {
 		if ap := n.ServingAP(i); ap < 0 || ap >= len(n.APs) {
 			t.Fatalf("client %d serving AP = %d out of range", i, ap)
 		}
-	}
-}
-
-func TestUrbanRejectsHandSetTopology(t *testing.T) {
-	cfg := tinyCity()
-	s := UrbanScenario(ModeWGTT, cfg, 1)
-	s.Clients = []ClientSpec{{}}
-	if _, err := Build(s); err == nil {
-		t.Fatal("urban scenario with hand-set clients accepted")
-	}
-	s = UrbanScenario(ModeWGTT, cfg, 1)
-	s.APDomains = []int{0}
-	if _, err := Build(s); err == nil {
-		t.Fatal("urban scenario with hand-set AP domains accepted")
 	}
 }
 

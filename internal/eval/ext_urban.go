@@ -84,7 +84,10 @@ func ExtUrban(opt Options) (*ExtUrbanResult, error) {
 
 	res := &ExtUrbanResult{Rows: city.Rows, Cols: city.Cols, Domains: city.Domains}
 	for _, mode := range []core.Mode{core.ModeWGTT, core.ModeBaseline} {
-		s := core.UrbanScenario(mode, city, opt.Seed)
+		s, err := core.UrbanScenario(mode, city, opt.Seed)
+		if err != nil {
+			return nil, err
+		}
 		n, err := opt.build(s)
 		if err != nil {
 			return nil, err
@@ -93,7 +96,7 @@ func ExtUrban(opt Options) (*ExtUrbanResult, error) {
 		if mode == core.ModeWGTT {
 			res.APCount = len(n.APPosition)
 			res.Clients = len(n.Clients)
-			res.Stats = n.Urban.Stats
+			res.Stats = s.City.Stats
 			res.DurationS = dur.Seconds()
 		}
 

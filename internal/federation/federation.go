@@ -369,24 +369,23 @@ func (d *Domain) peerAt(addr packet.IPv4Addr) (int, bool) {
 	return 0, false
 }
 
-// RegisterClient installs a client owned by this domain, serving from the
-// given global AP (which must lie in this domain).
-func (d *Domain) RegisterClient(mac packet.MACAddr, ip packet.IPv4Addr, servingGlobal int) error {
-	a := d.city[servingGlobal]
-	li, ok := d.localOf[a.IP]
+// Admit is the one way a client enters this domain's directory: a commit
+// whose TargetAP is one of ours is admitted here (admit) — a fresh client
+// as an empty bundle, a migrating one with its carried state — and any
+// other commit records the target AP's domain as the client's owner, so
+// this domain relays the client's CSI and uplink there instead of acting
+// on them.
+func (d *Domain) Admit(m *packet.DomainHandoffCommit) error {
+	a, ok := d.apAt[m.TargetAP]
 	if !ok {
-		return fmt.Errorf("federation: AP %d is not in domain %d", servingGlobal, d.id)
+		return fmt.Errorf("federation: admission at unknown AP %v", m.TargetAP)
 	}
-	d.ctl.RegisterClient(mac, ip, li)
-	d.owner[mac] = d.id
-	d.owned[mac] = &fedClient{mac: mac, ip: ip}
+	if a.Domain == d.id {
+		d.admit(m)
+	} else {
+		d.owner[m.Client] = a.Domain
+	}
 	return nil
-}
-
-// RegisterRemoteClient records a client owned by another domain, so this
-// domain relays its CSI and uplink to the owner instead of acting on them.
-func (d *Domain) RegisterRemoteClient(mac packet.MACAddr, owner int) {
-	d.owner[mac] = owner
 }
 
 // Owns reports whether this domain currently owns the client.

@@ -88,17 +88,24 @@ func (h *fedHarness) feedCSI(client packet.MACAddr, g int, esnrDB float64) {
 	_ = h.bh.Send(packet.APIP(g), packet.DomainControllerIP(h.city[g].Domain), rep)
 }
 
+// admit enters a fresh client into the tier at AP 0: an empty bundle.
+func (h *fedHarness) admit(client packet.MACAddr) {
+	h.t.Helper()
+	commit := &packet.DomainHandoffCommit{Client: client, ClientIP: packet.ClientIP(1), TargetAP: packet.APIP(0)}
+	if err := h.tier.Admit(commit); err != nil {
+		h.t.Fatal(err)
+	}
+}
+
 func (h *fedHarness) run(d sim.Time) { h.eng.RunUntil(h.eng.Now() + d) }
 
-// offerToDeadPeer registers a client with domain 0, crashes domain 1 so no
+// offerToDeadPeer admits a client to domain 0, crashes domain 1 so no
 // offer is ever answered, and feeds evidence until domain 0 has offered the
 // client away. With controller 1 dead the AP2 relay path is dead too, so the
 // foreign reports go straight to the owner (exactly what the relay does).
 func (h *fedHarness) offerToDeadPeer(client packet.MACAddr) {
 	h.t.Helper()
-	if err := h.tier.RegisterClient(client, packet.ClientIP(1), 0); err != nil {
-		h.t.Fatal(err)
-	}
+	h.admit(client)
 	h.doms[1].Fail()
 	for i := 0; i < 12 && h.doms[0].Stats.OffersSent == 0; i++ {
 		h.feedCSI(client, 0, 6)
@@ -143,6 +150,38 @@ func TestCityContiguousBlocks(t *testing.T) {
 	}
 }
 
+// Admission is where ownership starts: the domain holding the commit's
+// TargetAP owns the client and every other domain points at it, so exactly
+// one domain owns a client; an admission at an AP the city does not have
+// changes nothing.
+func TestAdmitStartsOwnershipInOneDomain(t *testing.T) {
+	h := newFedHarness(t, 3, 2, federation.DefaultConfig())
+	client := packet.ClientMAC(1)
+	bad := &packet.DomainHandoffCommit{Client: client, ClientIP: packet.ClientIP(1), TargetAP: packet.APIP(99)}
+	if err := h.tier.Admit(bad); err == nil {
+		t.Fatal("admission at an AP outside the city accepted")
+	}
+	if g := h.tier.ServingAP(client); g != -1 {
+		t.Fatalf("a refused admission left the client served by AP %d", g)
+	}
+	commit := &packet.DomainHandoffCommit{Client: client, ClientIP: packet.ClientIP(1), TargetAP: packet.APIP(3)}
+	if err := h.tier.Admit(commit); err != nil {
+		t.Fatal(err)
+	}
+	for d, dom := range h.doms {
+		if dom.Owns(client) != (d == 1) {
+			t.Errorf("domain %d owns the client: %v, want only domain 1 (AP 3's)", d, dom.Owns(client))
+		}
+	}
+	if g := h.tier.ServingAP(client); g != 3 {
+		t.Fatalf("serving AP %d, want the commit's target 3", g)
+	}
+	// A domain that does not own the client forwards its downlink to the owner.
+	if err := h.doms[2].SendDownlink(&packet.Packet{ClientMAC: client, Bytes: 100}); err != nil {
+		t.Fatalf("non-owner has no owner on record: %v", err)
+	}
+}
+
 // quickConfig shrinks the dwell times so tests converge in simulated
 // milliseconds.
 func quickConfig() federation.Config {
@@ -159,9 +198,7 @@ func quickConfig() federation.Config {
 func TestCrossDomainHandoffCompletes(t *testing.T) {
 	h := newFedHarness(t, 2, 2, quickConfig())
 	client := packet.ClientMAC(1)
-	if err := h.tier.RegisterClient(client, packet.ClientIP(1), 0); err != nil {
-		t.Fatal(err)
-	}
+	h.admit(client)
 
 	// Pre-handoff traffic: 5 downlink packets advance domain 0's index
 	// cursor; one uplink packet charges the dedup window.
@@ -248,9 +285,7 @@ func TestHandoffDeferredMidSwitch(t *testing.T) {
 	cfg.Controller.Hysteresis = 0
 	h := newFedHarness(t, 2, 2, cfg)
 	client := packet.ClientMAC(1)
-	if err := h.tier.RegisterClient(client, packet.ClientIP(1), 0); err != nil {
-		t.Fatal(err)
-	}
+	h.admit(client)
 	h.aps[0].ack = false // strand the intra-domain switch AP0→AP1 in flight
 
 	// AP1 (same domain) looks better → controller 0 starts a switch that
@@ -386,9 +421,7 @@ func TestTierStatsCarriesEveryCounter(t *testing.T) {
 func TestCommitRetransmitOnLoss(t *testing.T) {
 	h := newFedHarness(t, 2, 2, quickConfig())
 	client := packet.ClientMAC(1)
-	if err := h.tier.RegisterClient(client, packet.ClientIP(1), 0); err != nil {
-		t.Fatal(err)
-	}
+	h.admit(client)
 	dropped := 0
 	h.bh.Drop = func(to packet.IPv4Addr, msg packet.Message) bool {
 		if c, ok := msg.(*packet.DomainHandoffCommit); ok && len(c.DedupKeys)+len(c.Evidence) > 0 && dropped == 0 {
@@ -428,9 +461,7 @@ func TestCommitRetransmitOnLoss(t *testing.T) {
 func TestCrossSwitchForcedStart(t *testing.T) {
 	h := newFedHarness(t, 2, 2, quickConfig())
 	client := packet.ClientMAC(1)
-	if err := h.tier.RegisterClient(client, packet.ClientIP(1), 0); err != nil {
-		t.Fatal(err)
-	}
+	h.admit(client)
 	h.aps[0].ack = false // the old AP ignores stops forever
 
 	for i := 0; i < 300 && h.doms[1].Stats.CrossSwitches == 0; i++ {
@@ -463,9 +494,7 @@ func TestFederationMetrics(t *testing.T) {
 		d.UseMetrics(reg)
 	}
 	client := packet.ClientMAC(1)
-	if err := h.tier.RegisterClient(client, packet.ClientIP(1), 0); err != nil {
-		t.Fatal(err)
-	}
+	h.admit(client)
 	for i := 0; i < 80 && h.doms[1].Stats.CrossSwitches == 0; i++ {
 		h.feedCSI(client, 0, 6)
 		h.feedCSI(client, 2, 22)
@@ -516,9 +545,7 @@ func TestHandoffCarriesSelectorStateAllPolicies(t *testing.T) {
 			cfg.Controller.Policy = pol
 			h := newFedHarness(t, 2, 2, cfg)
 			client := packet.ClientMAC(1)
-			if err := h.tier.RegisterClient(client, packet.ClientIP(1), 0); err != nil {
-				t.Fatal(err)
-			}
+			h.admit(client)
 			for i := 0; i < 80 && h.doms[1].Stats.CrossSwitches == 0; i++ {
 				h.feedCSI(client, 0, 6)
 				h.feedCSI(client, 2, 22)
@@ -573,7 +600,7 @@ func TestHandoffMachineUnderLoss(t *testing.T) {
 	}
 }
 
-// checkHandoffMachine registers client 1 with domain 0 and drives it toward
+// checkHandoffMachine admits client 1 to domain 0 and drives it toward
 // domain 1's AP 2 for 600 steps under whatever faults the caller installed,
 // then calls lift to remove them. No step may see two owners; once lifted,
 // exactly domain 1 owns the client, serving from AP 2 with no switch in
@@ -583,9 +610,7 @@ func (h *fedHarness) checkHandoffMachine(label string, lift func()) {
 	t := h.t
 	t.Helper()
 	client := packet.ClientMAC(1)
-	if err := h.tier.RegisterClient(client, packet.ClientIP(1), 0); err != nil {
-		t.Fatal(err)
-	}
+	h.admit(client)
 	step := func(weak, strong int) {
 		h.feedCSI(client, weak, 6)
 		h.feedCSI(client, strong, 22)

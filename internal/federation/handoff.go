@@ -337,12 +337,12 @@ func (d *Domain) release(commit *packet.DomainHandoffCommit) int {
 	return servingGlobal
 }
 
-// admit is the one way a client enters this domain with its state, over the
-// wire (adopt) or through a metro seam (Tier.Admit): the controller resumes
-// the commit's index cursor and dedup window at the target AP, each evidence
-// median naming one of our APs warms that AP's window, and this domain owns
-// the client. It reports false, changing nothing, when the target AP is not
-// ours.
+// admit is the one way a client enters this domain's ownership, over the
+// wire (adopt) or through Admit (a fresh client, or a metro seam): the
+// controller resumes the commit's index cursor and dedup window at the
+// target AP, each evidence median naming one of our APs warms that AP's
+// window, and this domain owns the client. It reports false, changing
+// nothing, when the target AP is not ours.
 func (d *Domain) admit(m *packet.DomainHandoffCommit) bool {
 	entry, ok := d.localOf[m.TargetAP]
 	if !ok {

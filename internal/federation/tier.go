@@ -40,30 +40,6 @@ func NewTier(domains []*Domain) *Tier {
 	return t
 }
 
-// RegisterClient registers a client with every domain: owned by the domain
-// holding its serving AP, remote everywhere else.
-func (t *Tier) RegisterClient(mac packet.MACAddr, ip packet.IPv4Addr, servingGlobal int) error {
-	if len(t.Domains) == 0 {
-		return fmt.Errorf("federation: empty tier")
-	}
-	city := t.Domains[0].city
-	if servingGlobal < 0 || servingGlobal >= len(city) {
-		return fmt.Errorf("federation: serving AP %d out of range", servingGlobal)
-	}
-	own := city[servingGlobal].Domain
-	for _, d := range t.Domains {
-		if d.ID() == own {
-			if err := d.RegisterClient(mac, ip, servingGlobal); err != nil {
-				return err
-			}
-		} else {
-			d.RegisterRemoteClient(mac, own)
-		}
-	}
-	t.owner[mac] = own
-	return nil
-}
-
 // Release exports a client leaving the tier through a metro seam (DESIGN.md
 // §17) as a §13 commit — the owner's release, plus the serving AP's
 // windowed median as the commit's one evidence entry — and forgets it in
@@ -88,24 +64,19 @@ func (t *Tier) Release(mac packet.MACAddr, handoffID uint32) (*packet.DomainHand
 	return commit, nil
 }
 
-// Admit installs a client entering the tier through a metro seam with a
-// commit already in this tier's namespace: the domain holding
-// commit.TargetAP admits it, every other domain records it as remote. No
-// pull follows — there is no old AP in this tier to stop.
+// Admit installs a client in every domain (Domain.Admit): the domain
+// holding commit.TargetAP owns it, every other domain records that owner.
+// Build admits each client present at time zero as an empty bundle at its
+// first AP; a client entering through a metro seam carries its state in
+// this tier's namespace. No pull follows — there is no old AP in this tier
+// to stop.
 func (t *Tier) Admit(commit *packet.DomainHandoffCommit) error {
-	tgt, ok := t.Domains[0].apAt[commit.TargetAP]
-	if !ok {
-		return fmt.Errorf("federation: admission at unknown AP %v", commit.TargetAP)
-	}
-	own := tgt.Domain
 	for _, d := range t.Domains {
-		if d.ID() == own {
-			d.admit(commit)
-		} else {
-			d.RegisterRemoteClient(commit.Client, own)
+		if err := d.Admit(commit); err != nil {
+			return err
 		}
 	}
-	t.owner[commit.Client] = own
+	t.owner[commit.Client] = t.Domains[0].owner[commit.Client]
 	return nil
 }
 

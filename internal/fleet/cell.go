@@ -108,8 +108,8 @@ func (c *cell) harvest() (CellResult, error) {
 	if n.Chaos != nil {
 		res.Chaos = n.Chaos.Stats
 	}
-	if n.Urban != nil {
-		res.Urban = n.Urban.Stats
+	if plan := n.Scenario.City; plan != nil {
+		res.Urban = plan.Stats
 	}
 	var err error
 	if res.TraceEvents, err = c.drive.Close(); err != nil {
@@ -131,13 +131,22 @@ func (c *cell) harvest() (CellResult, error) {
 // cell.
 func RunCell(cfg Config, cell int) (CellResult, error) {
 	plan := PlanCell(cfg, cell)
-	var s core.Scenario
-	var loads []core.Load
+	var (
+		s     core.Scenario
+		loads []core.Load
+		err   error
+	)
 	if cfg.Urban != nil {
 		// The cell's whole city — graph, AP deployment, bus lines, cars,
 		// pedestrians — derives from the cell's scenario seed, so urban
-		// fleets keep the byte-identical-report determinism contract.
-		s = core.UrbanScenario(core.ModeWGTT, *cfg.Urban, plan.Seed)
+		// fleets keep the byte-identical-report determinism contract. Every
+		// client carries a CBR downlink UDP flow for the full horizon
+		// (riders and pedestrians are receivers too; there is no TCP mix on
+		// the city workload).
+		if s, err = core.UrbanScenario(core.ModeWGTT, *cfg.Urban, plan.Seed); err != nil {
+			return CellResult{}, fmt.Errorf("fleet: cell %d: %w", cell, err)
+		}
+		loads = core.Loads(len(s.Clients), core.Load{RateMbps: cfg.UDPRateMbps})
 	} else {
 		s, loads = corridorScenario(cfg, plan)
 	}
@@ -146,12 +155,6 @@ func RunCell(cfg Config, cell int) (CellResult, error) {
 	n, err := core.Build(s)
 	if err != nil {
 		return CellResult{}, fmt.Errorf("fleet: cell %d: %w", cell, err)
-	}
-	if cfg.Urban != nil {
-		// Build expanded the city into clients: every one carries a CBR
-		// downlink UDP flow for the full horizon (riders and pedestrians are
-		// receivers too; there is no TCP mix on the city workload).
-		loads = core.Loads(len(n.Clients), core.Load{RateMbps: cfg.UDPRateMbps})
 	}
 	c, err := attachCell(cfg, cell, n, loads)
 	if err != nil {

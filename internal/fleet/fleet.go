@@ -26,8 +26,7 @@ import (
 )
 
 // Config describes a fleet deployment. DefaultConfig states its defaults
-// once; Run, RunCell, PlanCell and ComparePolicies fill in none, and
-// RunMetro only MetroEpoch.
+// once; Run, RunCell, PlanCell, ComparePolicies and RunMetro fill in none.
 type Config struct {
 	// Cells is the number of corridor cells to deploy.
 	Cells int
@@ -107,13 +106,6 @@ type Config struct {
 	// seams. Run via RunMetro, not Run. Mutually exclusive with Urban,
 	// Domains and Chaos (each tile is a single-domain cell).
 	Metro *urban.MetroConfig
-	// MetroEpoch is the metro's epoch length — how long every tile advances
-	// between boundary-exchange barriers (default 500 ms). Shorter epochs
-	// admit migrating clients sooner at the cost of more barriers; the
-	// value changes the results (admission is quantized to epoch edges) but
-	// never the determinism: for a fixed epoch, reports are byte-identical
-	// for any worker count.
-	MetroEpoch sim.Time
 	// MetroIsolated cuts the seams (the ext-metro ablation): every client
 	// lives only in its first tile's simulation for the whole horizon, so a
 	// vehicle that drives out of its birth tile just recedes from that

@@ -31,8 +31,11 @@ import (
 // Tiles share no mutable state between barriers, so the report is
 // byte-identical for any worker count.
 
-// defaultMetroEpoch is the epoch length when Config.MetroEpoch is unset.
-const defaultMetroEpoch = 500 * sim.Millisecond
+// metroEpoch is how long every tile advances between boundary-exchange
+// barriers. Admission is quantized to epoch edges, so the length shapes the
+// results, but never the determinism: reports are byte-identical for any
+// worker count.
+const metroEpoch = 500 * sim.Millisecond
 
 // migration is one planned seam crossing: client leaves tile From for tile
 // To at time At. Applied at the first epoch barrier at or after At.
@@ -55,14 +58,13 @@ type metroTile struct {
 // metroRun is a metro deployment in flight: built tiles, the epoch
 // schedule, and the migration queue.
 type metroRun struct {
-	Cfg   Config
-	Plan  *urban.MetroPlan
-	Epoch sim.Time
+	Cfg  Config
+	Plan *urban.MetroPlan
 
 	Tiles []*metroTile // index = tile id; nil for tiles no route visits
 	built []*metroTile // the non-nil tiles, in tile order
 
-	// byEpoch[k] holds the migrations applied at barrier (k+1)·Epoch,
+	// byEpoch[k] holds the migrations applied at barrier (k+1)·metroEpoch,
 	// sorted by (time, client id).
 	byEpoch map[int][]migration
 	epochs  int
@@ -159,10 +161,6 @@ func newMetroRun(cfg Config) (*metroRun, error) {
 	if cfg.Urban != nil || cfg.Chaos != nil || cfg.Domains > 1 {
 		return nil, fmt.Errorf("fleet: metro is mutually exclusive with Urban, Chaos, and Domains")
 	}
-	epoch := cfg.MetroEpoch
-	if epoch <= 0 {
-		epoch = defaultMetroEpoch
-	}
 	seed := sim.NewRNG(cfg.Seed).Stream("fleet/metro/seed").Uint64()
 	plan, err := urban.BuildMetroPlan(*cfg.Metro, seed)
 	if err != nil {
@@ -171,10 +169,9 @@ func newMetroRun(cfg Config) (*metroRun, error) {
 	m := &metroRun{
 		Cfg:     cfg,
 		Plan:    plan,
-		Epoch:   epoch,
 		Tiles:   make([]*metroTile, cfg.Metro.Tiles.N()),
 		byEpoch: make(map[int][]migration),
-		epochs:  int((plan.Duration() + epoch - 1) / epoch),
+		epochs:  int((plan.Duration() + metroEpoch - 1) / metroEpoch),
 	}
 	if cfg.Metrics {
 		m.reg = metrics.NewRegistry()
@@ -213,7 +210,7 @@ func newMetroRun(cfg Config) (*metroRun, error) {
 				From:     mc.Visits[k-1].Tile,
 				To:       mc.Visits[k].Tile,
 			}
-			e := int(mig.At / epoch)
+			e := int(mig.At / metroEpoch)
 			m.byEpoch[e] = append(m.byEpoch[e], mig)
 		}
 	}
@@ -292,7 +289,7 @@ func (m *metroRun) buildTile(t int, visitors []presence, frng *sim.RNG) (*metroT
 		tile.metroIDs = append(tile.metroIDs, v.metroID)
 		tile.local[v.metroID] = local
 	}
-	s := core.CityCellScenario(plan.City.Graph,
+	s := core.CityCellScenario(core.ModeWGTT, plan.City.Graph,
 		frng.Stream(fmt.Sprintf("fleet/metro/tile/%d/seed", t)).Uint64(),
 		plan.Duration(), aps, clients)
 	s.Policy = m.Cfg.Policy
@@ -333,7 +330,7 @@ func (m *metroRun) buildTile(t int, visitors []presence, frng *sim.RNG) (*metroT
 // migrations apply on the calling goroutine in (time, client) order while
 // every clock sits at the barrier.
 func (m *metroRun) runEpoch(k int) {
-	end := min(sim.Time(k+1)*m.Epoch, m.Plan.Duration())
+	end := min(sim.Time(k+1)*metroEpoch, m.Plan.Duration())
 	ForEach(len(m.built), m.Cfg.Workers, func(i int) {
 		m.built[i].drive.Net.RunUntil(end)
 	})
@@ -364,7 +361,6 @@ func (m *metroRun) migrate(mig migration, barrier sim.Time) {
 	fromFlow.Stop()
 
 	entryAP := dst.drive.Net.NearestAPTo(m.Plan.Clients[mig.ClientID].Plan.Trace.Position(mig.At))
-	commit.TargetAP = dst.drive.Net.APs[entryAP].Config().IP
 
 	// Wire round-trip (cell-to-cell evidence transfer over the §13 format).
 	wire := packet.Encode(commit)
@@ -397,7 +393,7 @@ func (m *metroRun) finish() (*MetroResult, error) {
 		Tiling:     m.Cfg.Metro.Tiles,
 		Seed:       m.Cfg.Seed,
 		DurationS:  dur.Seconds(),
-		EpochMS:    float64(m.Epoch) / float64(sim.Millisecond),
+		EpochMS:    float64(metroEpoch) / float64(sim.Millisecond),
 		Epochs:     m.epochs,
 		Clients:    len(plan.Clients),
 		BuiltTiles: len(m.built),

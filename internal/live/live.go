@@ -127,11 +127,7 @@ func RunController(domain int, conn *net.UDPConn, table map[packet.IPv4Addr]stri
 				w.Stop()
 			}
 		}
-		if owner := city[0].Domain; owner != domain {
-			dom.RegisterRemoteClient(Client, owner)
-			return nil
-		}
-		return dom.RegisterClient(Client, ClientIP, 0)
+		return dom.Admit(&packet.DomainHandoffCommit{Client: Client, ClientIP: ClientIP, TargetAP: city[0].IP})
 	})
 	if err == nil && !got {
 		err = fmt.Errorf("live: no switch on domain %d's ledger within %v", domain, timeout)
@@ -142,7 +138,7 @@ func RunController(domain int, conn *net.UDPConn, table map[packet.IPv4Addr]stri
 // RunAP drives AP node id: the AP protocol core (stop/start handling, ack
 // emission, with the stop/start processing model the simulator runs) plus
 // Script(id)'s CSI source, for the given duration. AP 0 serves the client at
-// t = 0, where RunController registers it; ctlAddr is the AP's domain
+// t = 0, where RunController admits it; ctlAddr is the AP's domain
 // controller, packet.DomainControllerIP(federation.City(...)[id].Domain).
 func RunAP(id int, conn *net.UDPConn, table map[packet.IPv4Addr]string, ctlAddr packet.IPv4Addr, duration sim.Time) (ap.Stats, error) {
 	var node *ap.AP

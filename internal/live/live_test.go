@@ -151,7 +151,7 @@ func TestLostStopRetransmittedOverLoopback(t *testing.T) {
 				w.Stop()
 			}
 		}
-		return dom.RegisterClient(Client, ClientIP, 0)
+		return dom.Admit(&packet.DomainHandoffCommit{Client: Client, ClientIP: ClientIP, TargetAP: city[0].IP})
 	})
 	if err != nil {
 		t.Fatal(err)
