@@ -20,7 +20,8 @@ import (
 // starts a hysteresis dwell, so the new domain does not immediately bounce
 // the client back; a federation adopter follows it with PullFrom, whose op
 // holds the selection rule off until the client has physically moved. A
-// client already present is left untouched (duplicate commit).
+// client already present is left untouched (duplicate commit), and so is
+// one whose serving AP this controller does not command.
 func (c *Controller) AdoptClient(mac packet.MACAddr, ip packet.IPv4Addr, servingAP int,
 	nextIndex uint16, dedup []packet.DedupKey) {
 	if _, ok := c.clients[mac]; ok {
@@ -28,6 +29,9 @@ func (c *Controller) AdoptClient(mac packet.MACAddr, ip packet.IPv4Addr, serving
 	}
 	c.RegisterClient(mac, ip, servingAP)
 	cl := c.clients[mac]
+	if cl == nil {
+		return
+	}
 	cl.nextIndex = nextIndex & packet.IndexMask
 	for _, k := range dedup {
 		if _, dup := cl.dedup[k]; dup {
@@ -98,13 +102,13 @@ func (c *Controller) InFlightSwitch(mac packet.MACAddr) bool {
 // downlink fan-out relevance set (fanout.go): the carried evidence is
 // exactly the recency knowledge the old owner's fan-out ran on, so the
 // adopted client's downlink replicates to the same APs without waiting
-// for fresh CSI.
+// for fresh CSI. An AP this controller does not command is ignored.
 func (c *Controller) SeedESNR(mac packet.MACAddr, apID int, esnrDB float64) {
-	cl := c.clients[mac]
-	if cl == nil || apID < 0 || apID >= len(c.aps) {
+	cl, s := c.clients[mac], c.slot(apID)
+	if cl == nil || s < 0 {
 		return
 	}
 	now := c.eng.Now()
-	c.sel.Observe(mac, apID, esnrDB, now)
-	cl.fanHeard(apID, now)
+	c.sel.Observe(mac, s, esnrDB, now)
+	cl.fanHeard(s, now)
 }

@@ -106,7 +106,12 @@ const switchTimeout = 30 * sim.Millisecond
 // will ever learn of its death (DESIGN.md §13).
 const pullStopBudget = 8
 
-// APInfo describes one AP the controller commands.
+// APInfo describes one AP the controller commands. ID is the AP's
+// network-wide id — its index in the city table (federation.City) and in
+// core.Network.APs — and the only AP id the controller emits (SwitchRecord,
+// History, spans, ServingAP) or accepts (RegisterClient, AdoptClient,
+// SeedESNR, MedianESNR). Internally the controller indexes its own state by
+// the AP's position in the table it was built with.
 type APInfo struct {
 	ID  int
 	IP  packet.IPv4Addr
@@ -257,18 +262,19 @@ func (c *Controller) UseMetrics(r *metrics.Registry) {
 // switchOp is the single in-flight handover of one client.
 type switchOp struct {
 	id uint32
-	// from is -1 when the client is being pulled off an AP of the peer
-	// controller it was just adopted from; stopAddr is where stop(c) goes —
-	// the from-AP's address, or that foreign AP's (zero: nobody can name it).
-	from, to int
-	stopAddr packet.IPv4Addr
+	// old is the AP the client leaves, where stop(c) goes: the serving AP,
+	// or for a pull the peer controller's AP (ID −1 and a zero IP when
+	// nobody can name it). to is the target's position in c.aps.
+	old      APInfo
+	to       int
 	sentAt   sim.Time
 	attempts int
 	timer    sim.Timer
 	// forced marks an op driven by direct starts instead of the stop→start
 	// handshake (the old AP is dead, or silent, and would never answer).
 	forced bool
-	// done, when set, receives the completed switch in place of this
+	// done, set only on a pull (PullFrom) and the failover op that
+	// replaces one, receives the completed switch in place of this
 	// controller's own ledger (Stats, History, OnSwitch, the dwell clock).
 	done func(SwitchRecord)
 	// recoveryID links the op to the recovery span of the AP-death
@@ -287,8 +293,11 @@ type clientCtl struct {
 	lastHeard []sim.Time
 	heardEver []bool
 
+	// The AP state below, serving and the selector's windows are indexed
+	// by position in c.aps.
+	//
 	// Downlink fan-out relevance set (fanout.go): fanSet lists member AP
-	// ids ascending, inFan mirrors membership, heardCount counts true
+	// positions ascending, inFan mirrors membership, heardCount counts true
 	// heardEver entries (0 selects the bootstrap broadcast).
 	fanSet     []int32
 	inFan      []bool
@@ -391,8 +400,8 @@ func New(cfg Config, eng *sim.Engine, bh backhaul.Fabric, aps []APInfo) *Control
 		clients:     make(map[packet.MACAddr]*clientCtl),
 		ipToAP:      make(map[packet.IPv4Addr]int, len(aps)),
 	}
-	for _, a := range aps {
-		c.ipToAP[a.IP] = a.ID
+	for i, a := range aps {
+		c.ipToAP[a.IP] = i
 	}
 	c.sel = selector.New(selector.Config{Policy: cfg.Policy}, cfg.Params, len(aps))
 	c.aliveFn = c.apAlive
@@ -409,21 +418,37 @@ func New(cfg Config, eng *sim.Engine, bh backhaul.Fabric, aps []APInfo) *Control
 
 // RegisterClient installs a client with its initial serving AP (the AP it
 // completed 802.11 association with; §4.3 replicates that state everywhere).
+// A serving AP this controller does not command installs nothing.
 func (c *Controller) RegisterClient(mac packet.MACAddr, ip packet.IPv4Addr, servingAP int) {
+	s := c.slot(servingAP)
+	if s < 0 {
+		return
+	}
 	cl := &clientCtl{
 		mac:       mac,
 		ip:        ip,
 		lastHeard: make([]sim.Time, len(c.aps)),
 		heardEver: make([]bool, len(c.aps)),
-		serving:   servingAP,
+		serving:   s,
 		inFan:     make([]bool, len(c.aps)),
 		// Grown by the uplink that arrives (handleUplink's FIFO holds it to
 		// dedupCapacity): a downlink-only client never touches it.
 		dedup: make(map[packet.DedupKey]struct{}),
 	}
-	c.sel.AddClient(mac, servingAP)
+	c.sel.AddClient(mac, s)
 	c.clients[mac] = cl
 	c.clientOrder = append(c.clientOrder, mac)
+}
+
+// slot returns the position in c.aps of the AP with network-wide id, or
+// -1 for an AP this controller does not command.
+func (c *Controller) slot(id int) int {
+	for i, a := range c.aps {
+		if a.ID == id {
+			return i
+		}
+	}
+	return -1
 }
 
 // ServingAP returns the AP currently serving the client (-1 if unknown).
@@ -432,14 +457,28 @@ func (c *Controller) ServingAP(mac packet.MACAddr) int {
 	if cl == nil {
 		return -1
 	}
-	return cl.serving
+	return c.aps[cl.serving].ID
 }
 
 // MedianESNR exposes the current windowed median for (client, AP) — the
 // quantity the selection rule compares (evaluation hook, and the
 // federation tier's evidence export; every policy maintains it).
 func (c *Controller) MedianESNR(mac packet.MACAddr, apID int) (float64, bool) {
-	return c.sel.Median(mac, apID, c.eng.Now())
+	return c.sel.Median(mac, c.slot(apID), c.eng.Now())
+}
+
+// BestMedianESNR returns the highest windowed median any of this
+// controller's APs holds for the client, and false when none holds one —
+// the local side of the federation tier's handoff rule.
+func (c *Controller) BestMedianESNR(mac packet.MACAddr) (float64, bool) {
+	now := c.eng.Now()
+	best, ok := 0.0, false
+	for s := range c.aps {
+		if med, have := c.sel.Median(mac, s, now); have && (!ok || med > best) {
+			best, ok = med, true
+		}
+	}
+	return best, ok
 }
 
 // HandleBackhaul implements backhaul.Node.
@@ -544,15 +583,12 @@ func (c *Controller) initiateSwitch(cl *clientCtl, d selector.Decision) {
 		return
 	}
 	c.switchSeq++
-	op := &switchOp{
-		id: c.switchSeq, from: cl.serving, to: d.Target,
-		stopAddr: c.aps[cl.serving].IP, sentAt: c.eng.Now(),
-	}
+	op := &switchOp{id: c.switchSeq, old: c.aps[cl.serving], to: d.Target, sentAt: c.eng.Now()}
 	cl.op = op
 	c.Stats.SwitchesStarted++
 	if c.met.spans != nil {
 		c.met.spans.Begin(op.id, int64(op.sentAt), cl.mac.String(),
-			op.from, op.to, d.Cause, d.FromMetric, d.ToMetric)
+			op.old.ID, c.aps[op.to].ID, d.Cause, d.FromMetric, d.ToMetric)
 	}
 	c.transmit(cl, op)
 }
@@ -561,15 +597,16 @@ func (c *Controller) initiateSwitch(cl *clientCtl, d selector.Decision) {
 // client (AdoptClient) onto its serving AP here: stop(c) goes to oldAP, an
 // AP of the peer controller the client came from, whose start(c, k) hands
 // the cursor to our AP. An old AP that stays silent through pullStopBudget
-// stops, or a zero oldAP, is forced like a dead one. id is the switch ID
-// (the handoff's, so spans and APs correlate); done receives the completed
-// switch, which stays off this controller's own ledger.
-func (c *Controller) PullFrom(mac packet.MACAddr, oldAP packet.IPv4Addr, id uint32, done func(SwitchRecord)) {
+// stops, or one with a zero IP, is forced like a dead one. id is the switch
+// ID (the handoff's, so spans and APs correlate); done receives the
+// completed switch, From = oldAP.ID, which stays off this controller's own
+// ledger.
+func (c *Controller) PullFrom(mac packet.MACAddr, oldAP APInfo, id uint32, done func(SwitchRecord)) {
 	cl := c.clients[mac]
 	if cl == nil || cl.op != nil {
 		return
 	}
-	cl.op = &switchOp{id: id, from: -1, to: cl.serving, stopAddr: oldAP, sentAt: c.eng.Now(), done: done}
+	cl.op = &switchOp{id: id, old: oldAP, to: cl.serving, sentAt: c.eng.Now(), done: done}
 	c.transmit(cl, cl.op)
 }
 
@@ -580,7 +617,7 @@ func (c *Controller) PullFrom(mac packet.MACAddr, oldAP packet.IPv4Addr, id uint
 // cursor is unknowable (that is the no-ack case), so the stream resumes at
 // its head and cedes the old AP's unsent backlog to transport retransmission.
 func (c *Controller) transmit(cl *clientCtl, op *switchOp) {
-	if op.from < 0 && (op.stopAddr.IsZero() || op.attempts >= pullStopBudget) {
+	if op.done != nil && (op.old.IP.IsZero() || op.attempts >= pullStopBudget) {
 		op.forced = true
 	}
 	op.attempts++
@@ -589,7 +626,7 @@ func (c *Controller) transmit(cl *clientCtl, op *switchOp) {
 		_ = c.bh.Send(c.addr, c.aps[op.to].IP, start)
 	} else {
 		stop := &packet.Stop{Client: cl.mac, NextAP: c.aps[op.to].IP, SwitchID: op.id}
-		_ = c.bh.Send(c.addr, op.stopAddr, stop)
+		_ = c.bh.Send(c.addr, op.old.IP, stop)
 	}
 	op.timer = c.eng.After(switchTimeout, func() {
 		if cl.op != op {
@@ -626,8 +663,8 @@ func (c *Controller) handleSwitchAck(m *packet.SwitchAck) {
 	rec := SwitchRecord{
 		At:       now,
 		Client:   cl.mac,
-		From:     op.from,
-		To:       op.to,
+		From:     op.old.ID,
+		To:       c.aps[op.to].ID,
 		Duration: now - op.sentAt,
 		Attempts: op.attempts,
 		Forced:   op.forced,

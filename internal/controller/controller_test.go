@@ -612,7 +612,7 @@ func TestPullEscalatesAfterStopBudget(t *testing.T) {
 	adoptedAt := h.eng.Now()
 	const id = 0x800001
 	var recs []SwitchRecord
-	h.ctl.PullFrom(client, foreign.ip, id, func(r SwitchRecord) { recs = append(recs, r) })
+	h.ctl.PullFrom(client, APInfo{ID: 9, IP: foreign.ip}, id, func(r SwitchRecord) { recs = append(recs, r) })
 
 	_ = h.bh.Send(packet.APIP(0), packet.ControllerIP, &packet.SwitchAck{Client: client, AP: packet.APIP(0), SwitchID: id})
 	h.eng.RunUntil(adoptedAt + pullStopBudget*switchTimeout - sim.Millisecond)
@@ -634,8 +634,8 @@ func TestPullEscalatesAfterStopBudget(t *testing.T) {
 	if len(recs) != 1 {
 		t.Fatalf("done called %d times, want 1", len(recs))
 	}
-	if r := recs[0]; !r.Forced || r.From != -1 || r.To != 1 || r.Attempts != pullStopBudget+1 || r.Duration <= 0 {
-		t.Errorf("record = %+v, want forced, -1 -> 1, %d attempts", r, pullStopBudget+1)
+	if r := recs[0]; !r.Forced || r.From != 9 || r.To != 1 || r.Attempts != pullStopBudget+1 || r.Duration <= 0 {
+		t.Errorf("record = %+v, want forced, 9 -> 1, %d attempts", r, pullStopBudget+1)
 	}
 	st := h.ctl.Stats
 	if st.SwitchesStarted != 0 || st.SwitchesDone != 0 || len(h.ctl.History) != 0 {
@@ -657,12 +657,12 @@ func TestPullEscalatesAfterStopBudget(t *testing.T) {
 func TestPullWithoutOldAPStartsDirectly(t *testing.T) {
 	h, client, foreign := pullHarness(t, DefaultConfig())
 	var recs []SwitchRecord
-	h.ctl.PullFrom(client, packet.IPv4Addr{}, 0x800001, func(r SwitchRecord) { recs = append(recs, r) })
+	h.ctl.PullFrom(client, APInfo{ID: -1}, 0x800001, func(r SwitchRecord) { recs = append(recs, r) })
 	h.eng.RunUntil(h.eng.Now() + sim.Millisecond)
 	if len(foreign.stops)+len(h.aps[0].stops)+len(h.aps[1].stops) != 0 {
 		t.Error("a stop was sent with no old AP to stop")
 	}
-	if len(h.aps[1].starts) != 1 || len(recs) != 1 || !recs[0].Forced || recs[0].Attempts != 1 {
+	if len(h.aps[1].starts) != 1 || len(recs) != 1 || !recs[0].Forced || recs[0].Attempts != 1 || recs[0].From != -1 {
 		t.Errorf("starts %+v, records %+v, want one direct start and one forced record", h.aps[1].starts, recs)
 	}
 }
@@ -673,13 +673,13 @@ func TestPullSurvivesTargetDeath(t *testing.T) {
 	h, client, foreign := pullHarness(t, DefaultConfig().WithHealth())
 	h.aps[1].dead = true
 	var recs []SwitchRecord
-	h.ctl.PullFrom(client, foreign.ip, 0x800001, func(r SwitchRecord) { recs = append(recs, r) })
+	h.ctl.PullFrom(client, APInfo{ID: 9, IP: foreign.ip}, 0x800001, func(r SwitchRecord) { recs = append(recs, r) })
 	h.eng.RunUntil(h.eng.Now() + 200*sim.Millisecond)
 	if h.ctl.Stats.APsMarkedDead != 1 || h.ctl.Stats.ForcedSwitches != 1 {
 		t.Fatalf("setup: stats = %+v, want AP 1 marked dead and one failover", h.ctl.Stats)
 	}
-	if len(recs) != 1 || recs[0].To != 0 || !recs[0].Forced {
-		t.Fatalf("records = %+v, want one forced completion on AP 0", recs)
+	if len(recs) != 1 || recs[0].From != 9 || recs[0].To != 0 || !recs[0].Forced {
+		t.Fatalf("records = %+v, want one forced completion 9 -> 0", recs)
 	}
 	if h.ctl.ServingAP(client) != 0 || h.ctl.InFlightSwitch(client) || len(h.ctl.History) != 0 {
 		t.Errorf("serving %d, in flight %v, history %+v", h.ctl.ServingAP(client), h.ctl.InFlightSwitch(client), h.ctl.History)

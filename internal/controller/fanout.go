@@ -16,8 +16,8 @@ import (
 // scan over heardEver/lastHeard. It is now maintained incrementally as a
 // per-client relevance set, with these invariants:
 //
-//   - fanSet holds AP ids in ascending order, each exactly once; inFan[a]
-//     mirrors membership.
+//   - fanSet holds AP positions in c.aps in ascending order, each exactly
+//     once; inFan[a] mirrors membership.
 //   - Membership is a superset property: heardEver[a] && the client was
 //     heard from a within FanoutWindow as of the last fanTargets sweep
 //     ⇒ a ∈ fanSet. Every CSI arrival (and federation ESNR seed) inserts
@@ -30,23 +30,23 @@ import (
 //     broadcast. Only Recover resets it (heardEver is never unset
 //     elsewhere).
 //
-// Emission order is ascending AP id with the serving AP merged at its
-// sorted position — the same order the old c.aps scan produced — because
-// backhaul delivery order is part of the determinism contract.
+// Emission order is ascending AP position with the serving AP merged at
+// its sorted position — the same order the old c.aps scan produced —
+// because backhaul delivery order is part of the determinism contract.
 
-// fanHeard records that apID heard the client now: refreshes the recency
-// stamp and inserts the AP into the relevance set.
-func (cl *clientCtl) fanHeard(apID int, now sim.Time) {
-	cl.lastHeard[apID] = now
-	if !cl.heardEver[apID] {
-		cl.heardEver[apID] = true
+// fanHeard records that the AP at position s heard the client now:
+// refreshes the recency stamp and inserts the AP into the relevance set.
+func (cl *clientCtl) fanHeard(s int, now sim.Time) {
+	cl.lastHeard[s] = now
+	if !cl.heardEver[s] {
+		cl.heardEver[s] = true
 		cl.heardCount++
 	}
-	if cl.inFan[apID] {
+	if cl.inFan[s] {
 		return
 	}
-	cl.inFan[apID] = true
-	id := int32(apID)
+	cl.inFan[s] = true
+	id := int32(s)
 	i := len(cl.fanSet)
 	cl.fanSet = append(cl.fanSet, 0)
 	for i > 0 && cl.fanSet[i-1] > id {
@@ -73,8 +73,8 @@ func (c *Controller) fanTargets(cl *clientCtl, now sim.Time) []packet.IPv4Addr {
 	tgts := c.targetScratch[:0]
 	if cl.heardCount == 0 {
 		// Bootstrap: no AP has heard the client yet — fan out broadly.
-		for _, a := range c.aps {
-			if c.apAlive(a.ID) {
+		for id, a := range c.aps {
+			if c.apAlive(id) {
 				tgts = append(tgts, a.IP)
 			}
 		}
@@ -82,7 +82,7 @@ func (c *Controller) fanTargets(cl *clientCtl, now sim.Time) []packet.IPv4Addr {
 		return tgts
 	}
 	serving := cl.serving
-	servingAlive := serving >= 0 && serving < len(c.aps) && c.apAlive(serving)
+	servingAlive := c.apAlive(serving)
 	servingEmitted := false
 	keep := cl.fanSet[:0]
 	for _, id32 := range cl.fanSet {

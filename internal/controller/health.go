@@ -100,7 +100,7 @@ func (c *Controller) markAPDead(id int) {
 	var stranded []*clientCtl
 	for _, mac := range c.clientOrder {
 		cl := c.clients[mac]
-		if cl.serving == id || (cl.op != nil && (cl.op.from == id || cl.op.to == id)) {
+		if cl.serving == id || (cl.op != nil && cl.op.to == id) {
 			stranded = append(stranded, cl)
 		}
 	}
@@ -109,8 +109,9 @@ func (c *Controller) markAPDead(id int) {
 		c.recoverySeq++
 		h.recoveryID = c.recoverySeq
 		if c.met.recoverySpans != nil {
+			ap := c.aps[id].ID
 			c.met.recoverySpans.Begin(h.recoveryID, int64(h.deadSince),
-				fmt.Sprintf("ap%d", id+1), id, -1, metrics.CauseAPFailure, 0, 0)
+				fmt.Sprintf("ap%d", ap+1), ap, -1, metrics.CauseAPFailure, 0, 0)
 		}
 	}
 	for _, cl := range stranded {
@@ -161,6 +162,7 @@ func (c *Controller) forceSwitch(cl *clientCtl, recoveryID uint32) {
 		}
 		return
 	}
+	old := c.aps[cl.serving]
 	var done func(SwitchRecord)
 	if op := cl.op; op != nil {
 		if op.to == to {
@@ -179,15 +181,18 @@ func (c *Controller) forceSwitch(cl *clientCtl, recoveryID uint32) {
 		}
 		// The in-flight op's target is unusable (it died): abandon it and
 		// open a fresh forced op toward the new pick, which completes a
-		// pull in the abandoned one's place.
+		// pull in the abandoned one's place — from the peer's AP the
+		// client never left.
 		op.timer.Stop()
 		cl.op = nil
-		done = op.done
+		if done = op.done; done != nil {
+			old = op.old
+		}
 	}
 	c.switchSeq++
 	now := c.eng.Now()
 	op := &switchOp{
-		id: c.switchSeq, from: cl.serving, to: to,
+		id: c.switchSeq, old: old, to: to,
 		sentAt: now, forced: true, recoveryID: recoveryID, done: done,
 	}
 	cl.op = op
@@ -196,7 +201,7 @@ func (c *Controller) forceSwitch(cl *clientCtl, recoveryID uint32) {
 	if c.met.spans != nil {
 		toMed, _ := c.sel.Median(cl.mac, to, now)
 		c.met.spans.Begin(op.id, int64(now), cl.mac.String(),
-			op.from, op.to, metrics.CauseFailover, 0, toMed)
+			old.ID, c.aps[to].ID, metrics.CauseFailover, 0, toMed)
 	}
 	c.met.recoverySpans.MarkStartHandled(recoveryID, int64(now))
 	c.transmit(cl, op)

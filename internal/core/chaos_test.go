@@ -3,10 +3,13 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"wgtt/internal/chaos"
 	"wgtt/internal/controller"
+	"wgtt/internal/federation"
+	"wgtt/internal/metrics"
 	"wgtt/internal/mobility"
 	"wgtt/internal/packet"
 	"wgtt/internal/sim"
@@ -50,7 +53,18 @@ func TestChaosOffLeavesNetworkUntouched(t *testing.T) {
 // recovery protocol. (With the full directional testbed an AP death opens
 // a genuine coverage hole — the client is dark until it physically drives
 // into the next beam, however fast detection is.)
+//
+// The same crash runs on one controller and on two domains, where the
+// victim is domain 1's: the recovery span and the forced switch on the
+// victim's controller name it by its index in the network's AP table, the
+// one AP namespace of the tier (DESIGN.md §13).
 func TestChaosSingleAPCrashOutageBounded(t *testing.T) {
+	for _, domains := range []int{1, 2} {
+		t.Run(fmt.Sprintf("domains=%d", domains), func(t *testing.T) { apCrashOutageBounded(t, domains) })
+	}
+}
+
+func apCrashOutageBounded(t *testing.T, domains int) {
 	const seed, speed = 11, 25.0
 	ctlCfg := controller.DefaultConfig().WithHealth()
 	aps := mobility.DefaultAPPositions()[:4]
@@ -60,8 +74,10 @@ func TestChaosSingleAPCrashOutageBounded(t *testing.T) {
 		APPositions: aps, OmniAPs: true,
 		Clients:    []ClientSpec{{Trace: mobility.TransitDrive(aps, speed, 10), SpeedMPH: speed}},
 		Controller: &ctlCfg,
+		Domains:    domains,
 	}
 	crashAt := base.Duration / 2
+	city := federation.City(len(aps), domains)
 
 	victim := func() int {
 		n, err := Build(base)
@@ -73,6 +89,9 @@ func TestChaosSingleAPCrashOutageBounded(t *testing.T) {
 		n.RunUntil(crashAt)
 		return n.ServingAP(0)
 	}()
+	if dom := city[victim].Domain; dom != domains-1 {
+		t.Fatalf("setup: victim ap%d is domain %d's, want the last domain's", victim+1, dom)
+	}
 
 	s := base
 	// Script-only: the one crash, never restarted.
@@ -82,6 +101,7 @@ func TestChaosSingleAPCrashOutageBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := n.EnableMetrics()
 	flow := n.AddDownlinkUDP(0, 20, 1400)
 	flow.Sender.Start()
 	var deliveries []sim.Time
@@ -93,9 +113,27 @@ func TestChaosSingleAPCrashOutageBounded(t *testing.T) {
 	if n.Chaos.Stats.APCrashes != 1 {
 		t.Fatalf("APCrashes = %d, want 1", n.Chaos.Stats.APCrashes)
 	}
-	st := n.Ctl.Stats
+	st := n.CtlStats()
 	if st.APsMarkedDead < 1 || st.ForcedSwitches < 1 {
 		t.Fatalf("APsMarkedDead = %d, ForcedSwitches = %d, want ≥ 1 each", st.APsMarkedDead, st.ForcedSwitches)
+	}
+	var recoveries []metrics.SwitchSpan
+	for _, sp := range reg.Snapshot().Spans {
+		if sp.Tracker == metrics.RecoverySpanTracker {
+			recoveries = append(recoveries, sp)
+		}
+	}
+	if len(recoveries) != 1 || recoveries[0].From != victim || recoveries[0].Client != fmt.Sprintf("ap%d", victim+1) {
+		t.Errorf("recovery spans %+v, want one naming ap%d (id %d)", recoveries, victim+1, victim)
+	}
+	forced := 0
+	for _, rec := range n.Fed.Domains[domains-1].Controller().History {
+		if rec.Forced && rec.From == victim {
+			forced++
+		}
+	}
+	if forced == 0 {
+		t.Errorf("no forced switch off ap%d on its controller's ledger", victim+1)
 	}
 
 	// The outage is the longest delivery gap straddling the crash window.

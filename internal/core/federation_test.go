@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"wgtt/internal/federation"
+	"wgtt/internal/metrics"
 	"wgtt/internal/packet"
 	"wgtt/internal/sim"
 )
@@ -30,7 +31,8 @@ func TestFederatedBuildValidation(t *testing.T) {
 
 // A 15 mph drive across a 2-domain city completes the inter-controller
 // handoff: the owner flips, the drive keeps switching on the new domain,
-// and goodput survives the ownership transfer.
+// and goodput survives the ownership transfer. Every AP the tier names is
+// named by its city id (oneNamespace).
 func TestFederatedDriveHandsOff(t *testing.T) {
 	s := DriveScenario(ModeWGTT, 15, 42)
 	s.Domains = 2
@@ -38,9 +40,11 @@ func TestFederatedDriveHandsOff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := n.EnableMetrics()
 	flow := n.AddDownlinkUDP(0, 20, 1400)
 	flow.Sender.Start()
 	n.Run()
+	oneNamespace(t, n, federation.City(len(n.APs), s.Domains), reg.Snapshot())
 
 	fs := n.FedStats()
 	cs := n.CtlStats()
@@ -63,6 +67,45 @@ func TestFederatedDriveHandsOff(t *testing.T) {
 	}
 	if mbps < 5 {
 		t.Errorf("federated goodput = %.2f Mb/s", mbps)
+	}
+}
+
+// oneNamespace asserts that each record on a domain's inner ledger, and
+// each switch span, names APs the city table gives the domain that recorded
+// it. A span's recorder minted its id (id >> 24) — except a cross-domain
+// pull's, which the adopter records under the offerer's handoff id: its
+// From is the offerer's AP and its To another domain's.
+func oneNamespace(t *testing.T, n *Network, city []federation.APAssignment, snap metrics.Snapshot) {
+	t.Helper()
+	owner := func(ap int) int {
+		if ap < 0 || ap >= len(city) {
+			return -1
+		}
+		return city[ap].Domain
+	}
+	later := 0
+	for dom, d := range n.Fed.Domains {
+		for _, rec := range d.Controller().History {
+			if owner(rec.From) != dom || owner(rec.To) != dom {
+				t.Errorf("domain %d's ledger: switch ap%d -> ap%d names another domain's AP", dom, rec.From+1, rec.To+1)
+			}
+			if dom > 0 {
+				later++
+			}
+		}
+	}
+	if later == 0 {
+		t.Error("no switch on a later domain's ledger: the namespace went unexercised")
+	}
+	for _, sp := range snap.Spans {
+		if sp.Tracker != "" && sp.Tracker != metrics.SwitchSpanTracker {
+			continue
+		}
+		dom := int(sp.ID >> 24)
+		pull := sp.Cause == metrics.CauseDomainHandoff
+		if (sp.From >= 0 && owner(sp.From) != dom) || (owner(sp.To) == dom) == pull {
+			t.Errorf("switch span %#x (%s): ap%d -> ap%d, minted by domain %d", sp.ID, sp.Cause, sp.From+1, sp.To+1, dom)
+		}
 	}
 }
 

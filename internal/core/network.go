@@ -248,8 +248,8 @@ func Build(s Scenario) (*Network, error) {
 		// The controller tier (DESIGN.md §13): one Domain per AP block over a
 		// shared city table, and a Tier routing wired-side traffic to each
 		// client's owner. Every completed switch — inner, or a cross-domain
-		// pull, both in global AP ids — follows the serving AP's channel
-		// (channel-switch announcement, ~1 ms) and reaches n.OnSwitch.
+		// pull — names APs by their index in n.APs, follows the serving AP's
+		// channel (channel-switch announcement, ~1 ms) and reaches n.OnSwitch.
 		if nDom > len(city) {
 			return nil, fmt.Errorf("core: %d domains for %d APs", nDom, len(city))
 		}

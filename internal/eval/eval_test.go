@@ -11,6 +11,9 @@ import (
 // the *shape* each paper artifact claims (who wins, where minima fall); the
 // full axes run via cmd/wgtt-experiments.
 
+// QuickOptions runs the trimmed variant.
+func QuickOptions() Options { return Options{Seed: 2017, Quick: true} }
+
 func TestFig02Churn(t *testing.T) {
 	r, err := Fig02BestAPChurn(QuickOptions())
 	if err != nil {

@@ -37,9 +37,6 @@ type Options struct {
 	registry *metrics.Registry
 }
 
-// QuickOptions runs the trimmed variant.
-func QuickOptions() Options { return Options{Seed: 2017, Quick: true} }
-
 // Result is implemented by every experiment's output.
 type Result interface {
 	// Render returns the human-readable table/series.

@@ -83,13 +83,12 @@ const (
 )
 
 // APAssignment places one AP of the city in a domain. The city table —
-// every AP, indexed by global ID — is shared by all domains, so each can
-// map any backhaul address to (domain, global ID).
+// every AP, indexed by its ID — is shared by all domains, so each can map
+// any backhaul address to (domain, ID). That ID is the AP's one name across
+// the tier: the domain's controller commands its APs by it too.
 type APAssignment struct {
-	ID     int // global AP id (== index in the city table)
+	controller.APInfo
 	Domain int
-	IP     packet.IPv4Addr
-	MAC    packet.MACAddr
 }
 
 // City is the city table of aps APs over domains controller domains: AP i at
@@ -99,7 +98,8 @@ type APAssignment struct {
 func City(aps, domains int) []APAssignment {
 	city := make([]APAssignment, aps)
 	for i := range city {
-		city[i] = APAssignment{ID: i, Domain: i * domains / aps, IP: packet.APIP(i), MAC: packet.APMAC(i)}
+		ap := controller.APInfo{ID: i, IP: packet.APIP(i), MAC: packet.APMAC(i)}
+		city[i] = APAssignment{APInfo: ap, Domain: i * domains / aps}
 	}
 	return city
 }
@@ -126,7 +126,7 @@ type HandoffRecord struct {
 	At       sim.Time
 	Client   packet.MACAddr
 	From, To int // domain ids
-	FromAP   int // global AP ids
+	FromAP   int // AP ids (city table)
 	ToAP     int
 	// OfferToCommit is the transfer time (offering side; zero on adopting
 	// side records).
@@ -235,12 +235,9 @@ type Domain struct {
 	bh   backhaul.Fabric
 	ctl  *controller.Controller
 
-	city     []APAssignment
-	local    []controller.APInfo              // this domain's APs; local id = index
-	globalOf []int                            // local id → global id
-	localOf  map[packet.IPv4Addr]int          // own-domain AP IP → local id
-	apAt     map[packet.IPv4Addr]APAssignment // any AP IP → its city entry
-	domains  []int                            // sorted domain ids present in the city
+	city    []APAssignment                   // indexed by AP id
+	apAt    map[packet.IPv4Addr]APAssignment // any AP IP → its city entry
+	domains []int                            // sorted domain ids present in the city
 
 	// owner is this domain's view of the client→domain directory; owned
 	// holds federation state for the clients it owns itself.
@@ -264,9 +261,9 @@ type Domain struct {
 	// goroutine, same pattern as the inner controller's).
 	csiScratch []float64
 
-	// OnSwitch observes every completed switch in this domain — inner
-	// switches re-addressed to global AP ids, plus the cross-domain pulls
-	// that land on this domain's ledger instead of the controller's.
+	// OnSwitch observes every completed switch in this domain — the inner
+	// controller's, plus the cross-domain pulls that land on this domain's
+	// ledger instead of the controller's.
 	OnSwitch func(rec controller.SwitchRecord)
 	// OnRelease observes ownership leaving this domain (commit sent); the
 	// Tier uses it to flip sim-side downlink routing.
@@ -292,19 +289,12 @@ func NewDomain(cfg Config, eng *sim.Engine, bh backhaul.Fabric, id int, city []A
 		eng:        eng,
 		bh:         bh,
 		city:       city,
-		localOf:    make(map[packet.IPv4Addr]int),
 		apAt:       make(map[packet.IPv4Addr]APAssignment, len(city)),
 		owner:      make(map[packet.MACAddr]int),
 		owned:      make(map[packet.MACAddr]*fedClient),
 		handoffSeq: handoffIDBase(id),
 	}
-	own := 0
-	for _, a := range city {
-		if a.Domain == id {
-			own++
-		}
-	}
-	d.local, d.globalOf = make([]controller.APInfo, 0, own), make([]int, 0, own)
+	var own []controller.APInfo
 	seen := map[int]bool{}
 	for _, a := range city {
 		d.apAt[a.IP] = a
@@ -313,10 +303,7 @@ func NewDomain(cfg Config, eng *sim.Engine, bh backhaul.Fabric, id int, city []A
 			d.domains = append(d.domains, a.Domain)
 		}
 		if a.Domain == id {
-			li := len(d.local)
-			d.local = append(d.local, controller.APInfo{ID: li, IP: a.IP, MAC: a.MAC})
-			d.localOf[a.IP] = li
-			d.globalOf = append(d.globalOf, a.ID)
+			own = append(own, a.APInfo)
 		}
 	}
 	slices.Sort(d.domains)
@@ -330,14 +317,8 @@ func NewDomain(cfg Config, eng *sim.Engine, bh backhaul.Fabric, id int, city []A
 	ctlCfg := cfg.Controller
 	ctlCfg.Addr = d.addr
 	ctlCfg.SwitchIDBase = switchIDBase(id)
-	d.ctl = controller.New(ctlCfg, eng, bh, d.local)
-	d.ctl.OnSwitch = func(rec controller.SwitchRecord) {
-		rec.From = d.globalOf[rec.From]
-		rec.To = d.globalOf[rec.To]
-		if d.OnSwitch != nil {
-			d.OnSwitch(rec)
-		}
-	}
+	d.ctl = controller.New(ctlCfg, eng, bh, own)
+	d.ctl.OnSwitch = d.switched
 	// The inner controller attached itself at d.addr; wrap it.
 	bh.Attach(d.addr, d)
 	return d
@@ -391,15 +372,21 @@ func (d *Domain) Admit(m *packet.DomainHandoffCommit) error {
 // Owns reports whether this domain currently owns the client.
 func (d *Domain) Owns(mac packet.MACAddr) bool { return d.owner[mac] == d.id && d.owned[mac] != nil }
 
-// ServingGlobalAP returns the global id of the AP serving the client, or
-// -1. During an incoming handoff (accepted, commit not yet applied) it
-// reports the old domain's serving AP from the offer.
-func (d *Domain) ServingGlobalAP(mac packet.MACAddr) int {
+// switched hands a completed switch — the inner controller's, or a pull's —
+// to OnSwitch.
+func (d *Domain) switched(rec controller.SwitchRecord) {
+	if d.OnSwitch != nil {
+		d.OnSwitch(rec)
+	}
+}
+
+// ServingAP returns the id of the AP serving the client, or -1: the inner
+// controller's answer for a client this domain owns, and during an
+// incoming handoff (accepted, commit not yet applied) the old domain's
+// serving AP from the offer.
+func (d *Domain) ServingAP(mac packet.MACAddr) int {
 	if d.Owns(mac) {
-		if s := d.ctl.ServingAP(mac); s >= 0 && s < len(d.globalOf) {
-			return d.globalOf[s]
-		}
-		return -1
+		return d.ctl.ServingAP(mac)
 	}
 	if ad := d.byClient[mac]; ad != nil {
 		if a, ok := d.apAt[ad.oldAP]; ok {

@@ -231,7 +231,7 @@ func TestCrossDomainHandoffCompletes(t *testing.T) {
 		t.Errorf("domain 1 stats = %+v, want 1 adoption, 1 cross-switch", d1)
 	}
 	if got := h.tier.ServingAP(client); got != 2 {
-		t.Errorf("serving AP = %d, want global 2", got)
+		t.Errorf("serving AP = %d, want 2", got)
 	}
 	if len(h.aps[0].stops) == 0 {
 		t.Error("old domain's AP never received the cross-domain stop")
@@ -555,15 +555,15 @@ func TestHandoffCarriesSelectorStateAllPolicies(t *testing.T) {
 				t.Fatalf("domain 1 never adopted the client (policy %s)", pol)
 			}
 			adopter := h.doms[1].Controller()
-			// Local AP 0 of domain 1 is global AP 2 — the handoff target.
-			// The adopter's selector must already hold usable evidence for
-			// it (commit seeding plus relayed reports), not start blind.
-			med, ok := adopter.MedianESNR(client, 0)
+			// AP 2, domain 1's first, is the handoff target. The adopter's
+			// selector must already hold usable evidence for it (commit
+			// seeding plus relayed reports), not start blind.
+			med, ok := adopter.MedianESNR(client, 2)
 			if !ok || med < 15 {
 				t.Fatalf("adopter median for target AP = %.1f, ok=%v — selector state did not survive the handoff", med, ok)
 			}
 			if got := h.tier.ServingAP(client); got != 2 {
-				t.Fatalf("serving AP = %d, want global 2", got)
+				t.Fatalf("serving AP = %d, want 2", got)
 			}
 			// Keep traffic flowing past the post-adoption hysteresis dwell:
 			// the adopter's policy must evaluate the client (not just hold
@@ -604,11 +604,16 @@ func TestHandoffMachineUnderLoss(t *testing.T) {
 // domain 1's AP 2 for 600 steps under whatever faults the caller installed,
 // then calls lift to remove them. No step may see two owners; once lifted,
 // exactly domain 1 owns the client, serving from AP 2 with no switch in
-// flight; and the machine is not wedged — the handoff back to domain 0
-// settles the same way.
+// flight; the machine is not wedged — the handoff back to domain 0 settles
+// the same way; and the tier spoke one AP namespace throughout
+// (oneNamespace).
 func (h *fedHarness) checkHandoffMachine(label string, lift func()) {
 	t := h.t
 	t.Helper()
+	reg := metrics.NewRegistry()
+	for _, d := range h.doms {
+		d.UseMetrics(reg)
+	}
 	client := packet.ClientMAC(1)
 	h.admit(client)
 	step := func(weak, strong int) {
@@ -626,6 +631,7 @@ func (h *fedHarness) checkHandoffMachine(label string, lift func()) {
 	for i := 0; i < 600; i++ {
 		step(0, 2)
 	}
+	h.oneNamespace(label, client, reg)
 	lift()
 	for i := 0; i < 400 && !settled(1, 2); i++ {
 		step(0, 2)
@@ -635,11 +641,61 @@ func (h *fedHarness) checkHandoffMachine(label string, lift func()) {
 			h.doms[0].Owns(client), h.doms[1].Owns(client), h.tier.ServingAP(client),
 			h.doms[0].Stats, h.doms[1].Stats)
 	}
+	h.oneNamespace(label, client, reg)
 	for i := 0; i < 400 && !settled(0, 0); i++ {
 		step(2, 0)
 	}
 	if !settled(0, 0) {
 		t.Fatalf("%s: the handoff back never completed: serving=%d dom0=%+v dom1=%+v", label,
 			h.tier.ServingAP(client), h.doms[0].Stats, h.doms[1].Stats)
+	}
+	h.oneNamespace(label, client, reg)
+}
+
+// oneNamespace asserts that every AP the tier names is the city table's id,
+// owned by the domain the record says: the owner's inner controller serves
+// the client from one of its own APs; a domain's inner ledger and a switch
+// span name APs of the domain that recorded them, which minted the span's
+// id (id >> 24) — except a pull's, which the adopter records under the
+// offerer's handoff id: From is the offerer's AP, To another domain's; and
+// a handoff record's APs belong to the domains it moved between.
+func (h *fedHarness) oneNamespace(label string, client packet.MACAddr, reg *metrics.Registry) {
+	t := h.t
+	t.Helper()
+	owner := func(ap int) int {
+		if ap < 0 || ap >= len(h.city) {
+			return -1
+		}
+		return h.city[ap].Domain
+	}
+	for dom, d := range h.doms {
+		if s := d.Controller().ServingAP(client); d.Owns(client) && owner(s) != dom {
+			t.Fatalf("%s: domain %d's controller serves the client from AP %d", label, dom, s)
+		}
+		for _, rec := range d.Controller().History {
+			if owner(rec.From) != dom || owner(rec.To) != dom {
+				t.Fatalf("%s: domain %d's ledger names another domain's AP: %+v", label, dom, rec)
+			}
+		}
+		for _, rec := range d.Offered {
+			if rec.From != dom || owner(rec.FromAP) != dom || owner(rec.ToAP) != rec.To {
+				t.Fatalf("%s: domain %d offered %+v", label, dom, rec)
+			}
+		}
+		for _, rec := range d.Adopted {
+			if rec.To != dom || owner(rec.ToAP) != dom || rec.FromAP >= 0 && owner(rec.FromAP) != rec.From {
+				t.Fatalf("%s: domain %d adopted %+v", label, dom, rec)
+			}
+		}
+	}
+	for _, sp := range reg.Snapshot().Spans {
+		if sp.Tracker != "" && sp.Tracker != metrics.SwitchSpanTracker {
+			continue
+		}
+		dom := int(sp.ID >> 24)
+		pull := sp.Cause == metrics.CauseDomainHandoff
+		if (sp.From >= 0 && owner(sp.From) != dom) || (owner(sp.To) == dom) == pull {
+			t.Fatalf("%s: switch span %#x (%s) names AP %d -> %d, minted by domain %d", label, sp.ID, sp.Cause, sp.From, sp.To, dom)
+		}
 	}
 }

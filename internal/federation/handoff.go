@@ -74,18 +74,9 @@ func (d *Domain) maybeOffer(fc *fedClient, now sim.Time) {
 	if serving < 0 {
 		return
 	}
-	bestLocal := math.Inf(-1)
-	haveLocal := false
-	for li := range d.local {
-		if med, ok := d.ctl.MedianESNR(fc.mac, li); ok && med > bestLocal {
-			bestLocal, haveLocal = med, true
-		}
-	}
+	bestLocal, haveLocal := d.ctl.BestMedianESNR(fc.mac)
 	if haveLocal && bestMed < bestLocal+d.cfg.MarginDB {
 		return
-	}
-	if !haveLocal {
-		bestLocal = 0
 	}
 	d.handoffSeq++
 	id := d.handoffSeq
@@ -94,10 +85,10 @@ func (d *Domain) maybeOffer(fc *fedClient, now sim.Time) {
 	d.ctl.SetFrozen(fc.mac, true)
 	d.Stats.OffersSent++
 	d.met.handoffSpans.Begin(id, int64(now), fc.mac.String(),
-		d.globalOf[serving], target.ID, metrics.CauseDomainHandoff, bestLocal, bestMed)
+		serving, target.ID, metrics.CauseDomainHandoff, bestLocal, bestMed)
 	_ = d.bh.Send(d.addr, d.addrOf(target.Domain), &packet.DomainHandoffOffer{
 		HandoffID: id, Client: fc.mac, ClientIP: fc.ip,
-		ServingAP: d.local[serving].IP, TargetAP: bestAP, EvidenceQ: packet.QuantizeDB(bestMed),
+		ServingAP: d.city[serving].IP, TargetAP: bestAP, EvidenceQ: packet.QuantizeDB(bestMed),
 	})
 	fc.out.timer = d.eng.After(offerTimeout, func() { d.offerTimeout(fc, id) })
 }
@@ -127,7 +118,7 @@ func (d *Domain) handleOffer(from packet.IPv4Addr, m *packet.DomainHandoffOffer)
 			HandoffID: m.HandoffID, Client: m.Client, Accept: accept,
 		})
 	}
-	if _, ok := d.localOf[m.TargetAP]; !ok || d.Owns(m.Client) || d.adoptedIDs[m.HandoffID] {
+	if a, ok := d.apAt[m.TargetAP]; !ok || a.Domain != d.id || d.Owns(m.Client) || d.adoptedIDs[m.HandoffID] {
 		reply(false)
 		return
 	}
@@ -198,14 +189,14 @@ func (d *Domain) handleAccept(m *packet.DomainHandoffAccept) {
 	commit := &packet.DomainHandoffCommit{
 		HandoffID: out.id, Client: m.Client, ClientIP: fc.ip, TargetAP: out.target, Evidence: ev,
 	}
-	servingGlobal := d.release(commit)
+	serving := d.release(commit)
 	_ = d.bh.Send(d.addr, d.addrOf(out.peer), commit)
 	d.owner[m.Client] = out.peer
 	d.Stats.Commits++
 	d.met.handoffSpans.End(out.id, int64(now))
 	d.Offered = append(d.Offered, HandoffRecord{
 		At: now, Client: m.Client, From: d.id, To: out.peer,
-		FromAP: servingGlobal, ToAP: d.apAt[out.target].ID,
+		FromAP: serving, ToAP: d.apAt[out.target].ID,
 		OfferToCommit: now - out.offeredAt,
 	})
 	rel := &release{id: out.id, mac: m.Client, peer: out.peer, commit: commit}
@@ -291,22 +282,19 @@ func (d *Domain) adopt(m *packet.DomainHandoffCommit) {
 	d.announce(m)
 
 	// An old AP outside the city table is one nobody can stop.
-	oldAP := m.ServingAP
-	old, known := d.apAt[oldAP]
-	fromG := old.ID
-	if !known {
-		oldAP, fromG = packet.IPv4Addr{}, -1
+	old := controller.APInfo{ID: -1}
+	if a, known := d.apAt[m.ServingAP]; known {
+		old = a.APInfo
 	}
 	toMed := 0.0
 	if len(m.Evidence) > 0 {
 		toMed = m.Evidence[0].MedianQ.Float()
 	}
 	d.met.switchSpans.Begin(m.HandoffID, int64(now), mac.String(),
-		fromG, d.apAt[m.TargetAP].ID, metrics.CauseDomainHandoff, 0, toMed)
+		old.ID, d.apAt[m.TargetAP].ID, metrics.CauseDomainHandoff, 0, toMed)
 	// The cross-domain switch stays off the controller's ledger and lands on
-	// ours, with global AP ids.
-	d.ctl.PullFrom(mac, oldAP, m.HandoffID, func(sw controller.SwitchRecord) {
-		sw.From, sw.To = fromG, d.globalOf[sw.To]
+	// ours.
+	d.ctl.PullFrom(mac, old, m.HandoffID, func(sw controller.SwitchRecord) {
 		d.Stats.CrossSwitches++
 		if sw.Forced {
 			d.Stats.ForcedStarts++
@@ -316,9 +304,7 @@ func (d *Domain) adopt(m *packet.DomainHandoffCommit) {
 			FromAP: sw.From, ToAP: sw.To,
 			SwitchDuration: sw.Duration, Forced: sw.Forced,
 		})
-		if d.OnSwitch != nil {
-			d.OnSwitch(sw)
-		}
+		d.switched(sw)
 	})
 }
 
@@ -326,32 +312,33 @@ func (d *Domain) adopt(m *packet.DomainHandoffCommit) {
 // (handleAccept) or through a metro seam (Tier.Release): the controller
 // exports the client's serving AP, 12-bit index cursor and newest dedup keys
 // into commit and forgets it, and so does this domain. It returns the
-// serving AP's global id, -1 for none.
+// serving AP's id, -1 for none.
 func (d *Domain) release(commit *packet.DomainHandoffCommit) int {
-	servingGlobal := -1
-	if s := d.ctl.ServingAP(commit.Client); s >= 0 {
-		commit.ServingAP, servingGlobal = d.local[s].IP, d.globalOf[s]
+	s := d.ctl.ServingAP(commit.Client)
+	if s >= 0 {
+		commit.ServingAP = d.city[s].IP
 	}
 	commit.NextIndex, commit.DedupKeys, _ = d.ctl.ReleaseClient(commit.Client, packet.MaxHandoffDedupKeys)
 	delete(d.owned, commit.Client)
-	return servingGlobal
+	return s
 }
 
 // admit is the one way a client enters this domain's ownership, over the
 // wire (adopt) or through Admit (a fresh client, or a metro seam): the
 // controller resumes the commit's index cursor and dedup window at the
 // target AP, each evidence median naming one of our APs warms that AP's
-// window, and this domain owns the client. It reports false, changing
-// nothing, when the target AP is not ours.
+// window (the controller ignores the rest), and this domain owns the
+// client. It reports false, changing nothing, when the target AP is not
+// ours.
 func (d *Domain) admit(m *packet.DomainHandoffCommit) bool {
-	entry, ok := d.localOf[m.TargetAP]
-	if !ok {
+	entry, ok := d.apAt[m.TargetAP]
+	if !ok || entry.Domain != d.id {
 		return false
 	}
-	d.ctl.AdoptClient(m.Client, m.ClientIP, entry, m.NextIndex, m.DedupKeys)
+	d.ctl.AdoptClient(m.Client, m.ClientIP, entry.ID, m.NextIndex, m.DedupKeys)
 	for _, ev := range m.Evidence {
-		if li, ok := d.localOf[ev.AP]; ok {
-			d.ctl.SeedESNR(m.Client, li, ev.MedianQ.Float())
+		if a, ok := d.apAt[ev.AP]; ok {
+			d.ctl.SeedESNR(m.Client, a.ID, ev.MedianQ.Float())
 		}
 	}
 	d.owner[m.Client] = d.id

@@ -53,7 +53,7 @@ func (t *Tier) Release(mac packet.MACAddr, handoffID uint32) (*packet.DomainHand
 	commit := &packet.DomainHandoffCommit{HandoffID: handoffID, Client: mac, ClientIP: d.owned[mac].ip}
 	if s := d.ctl.ServingAP(mac); s >= 0 {
 		if med, ok := d.ctl.MedianESNR(mac, s); ok {
-			commit.Evidence = []packet.APESNR{{AP: d.local[s].IP, MedianQ: packet.QuantizeDB(med)}}
+			commit.Evidence = []packet.APESNR{{AP: d.city[s].IP, MedianQ: packet.QuantizeDB(med)}}
 		}
 	}
 	d.release(commit)
@@ -91,17 +91,17 @@ func (t *Tier) SendDownlink(p *packet.Packet) error {
 	return t.Domains[own].SendDownlink(p)
 }
 
-// ServingAP returns the global id of the AP serving the client, or -1,
-// consulting the owner first and then any domain with a pre-staged view.
+// ServingAP returns the id of the AP serving the client, or -1, consulting
+// the owner first and then any domain with a pre-staged view.
 func (t *Tier) ServingAP(mac packet.MACAddr) int {
 	if own, ok := t.owner[mac]; ok {
-		if g := t.Domains[own].ServingGlobalAP(mac); g >= 0 {
-			return g
+		if s := t.Domains[own].ServingAP(mac); s >= 0 {
+			return s
 		}
 	}
 	for _, d := range t.Domains {
-		if g := d.ServingGlobalAP(mac); g >= 0 {
-			return g
+		if s := d.ServingAP(mac); s >= 0 {
+			return s
 		}
 	}
 	return -1

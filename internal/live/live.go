@@ -103,8 +103,8 @@ func runNode(conn *net.UDPConn, table map[packet.IPv4Addr]string, timeout sim.Ti
 
 // RunController drives domain's controller node of city until the first
 // switch lands on its domain's ledger, or timeout elapses, and returns that
-// switch, in global AP ids. The client starts on AP 0, owned by AP 0's
-// domain; every other domain relays its CSI there. With one domain the
+// switch. The client starts on AP 0, owned by AP 0's domain; every other
+// domain relays its CSI there. With one domain the
 // first switch is the §3.1.2 stop→start→ack the crossing ramps trigger;
 // with AP 1 in another domain it is that domain's cross-domain pull, once
 // the ramps push AP 1 past the offer margin and AP 0's domain has exported
