@@ -67,9 +67,10 @@ func main() {
 	}
 	switch *role {
 	case "run":
-		if *fanout {
+		err = packet.CheckAddressPlan(*aps, 1)
+		if err == nil && *fanout {
 			err = measureFanout(*aps, *packets)
-		} else {
+		} else if err == nil {
 			err = orchestrate(controllers, cityAPs, *timeout, pol)
 		}
 	case "controller":
@@ -212,12 +213,12 @@ func runController(domain int, listen string, endpoints []string, controllers in
 	if from, to := city[rec.From].Domain, city[rec.To].Domain; from != to {
 		// Stable facts only: the federation smoke compares two runs' stdout
 		// byte for byte, so no durations or attempt counts here.
-		fmt.Printf("wgtt-live: federation handoff complete client=%v domain%d->domain%d ap%d->ap%d forced=%v\n",
-			rec.Client, from, to, rec.From, rec.To, rec.Forced)
+		fmt.Printf("wgtt-live: federation handoff complete client=%v domain%d->domain%d %s->%s forced=%v\n",
+			rec.Client, from, to, packet.APName(rec.From), packet.APName(rec.To), rec.Forced)
 		return nil
 	}
-	fmt.Printf("wgtt-live: switch complete client=%v ap%d->ap%d duration=%.1fms attempts=%d\n",
-		rec.Client, rec.From+1, rec.To+1, float64(rec.Duration)/float64(sim.Millisecond), rec.Attempts)
+	fmt.Printf("wgtt-live: switch complete client=%v %s->%s duration=%.1fms attempts=%d\n",
+		rec.Client, packet.APName(rec.From), packet.APName(rec.To), float64(rec.Duration)/float64(sim.Millisecond), rec.Attempts)
 	return nil
 }
 

@@ -14,7 +14,6 @@
 package ap
 
 import (
-	"fmt"
 	"math/rand/v2"
 
 	"wgtt/internal/backhaul"
@@ -43,7 +42,7 @@ type Config struct {
 func DefaultConfig(id int, bssid packet.MACAddr) Config {
 	return Config{
 		ID:           id,
-		Name:         fmt.Sprintf("ap%d", id+1),
+		Name:         packet.APName(id),
 		IP:           packet.APIP(id),
 		MAC:          packet.APMAC(id),
 		BSSID:        bssid,

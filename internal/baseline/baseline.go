@@ -12,11 +12,13 @@
 package baseline
 
 import (
+	"errors"
 	"math"
 
 	"wgtt/internal/ap"
 	"wgtt/internal/backhaul"
 	"wgtt/internal/client"
+	"wgtt/internal/controller"
 	"wgtt/internal/mac"
 	"wgtt/internal/packet"
 	"wgtt/internal/sim"
@@ -46,15 +48,10 @@ type Network struct {
 	// DeliverUplink receives uplink packets (no de-dup needed: one AP).
 	DeliverUplink func(p *packet.Packet, at sim.Time)
 
-	// Handovers records completed association moves.
-	Handovers []Handover
-}
-
-// Handover is one baseline association change.
-type Handover struct {
-	At       sim.Time
-	Client   packet.MACAddr
-	From, To int
+	// Handovers records completed association moves on the ledger WGTT's
+	// switches use: At, Client, From and To. Duration, Attempts and Forced
+	// describe the §3.1.2 handshake a roam does not run, and stay zero.
+	Handovers []controller.SwitchRecord
 }
 
 // NewNetwork creates the baseline wired side and attaches it at the
@@ -116,7 +113,7 @@ func (n *Network) ClientAssociated(clientMAC packet.MACAddr, apID int) {
 			}
 		})
 	}
-	n.Handovers = append(n.Handovers, Handover{At: n.eng.Now(), Client: clientMAC, From: old, To: apID})
+	n.Handovers = append(n.Handovers, controller.SwitchRecord{At: n.eng.Now(), Client: clientMAC, From: old, To: apID})
 }
 
 // SendDownlink forwards one downlink packet to the client's current AP. The
@@ -132,11 +129,7 @@ func (n *Network) SendDownlink(p *packet.Packet, idx *uint16) error {
 	return n.bh.Send(packet.ControllerIP, a.Config().IP, &packet.DownData{APDst: a.Config().IP, Pkt: p})
 }
 
-var errUnknownClient = errorString("baseline: unknown client")
-
-type errorString string
-
-func (e errorString) Error() string { return string(e) }
+var errUnknownClient = errors.New("baseline: unknown client")
 
 // StartBeacons schedules staggered 100 ms beacons on every AP, forever.
 func (n *Network) StartBeacons() {
@@ -184,18 +177,11 @@ const (
 	staleAfter = sim.Second
 )
 
-// APAddr identifies one AP to the roamer.
-type APAddr struct {
-	ID  int
-	MAC packet.MACAddr
-}
-
 // Roamer is the baseline client-side handover policy.
 type Roamer struct {
 	eng *sim.Engine
 	cl  *client.Client
 	net *Network
-	aps []APAddr
 
 	rssi     []float64
 	heard    []bool
@@ -204,22 +190,23 @@ type Roamer struct {
 	lastRoam sim.Time
 	roaming  bool
 
-	// Stats.
-	Roams        uint64
+	// RoamFailures counts roams abandoned after reassocAttempts tries; a
+	// completed roam is one Network.Handovers record.
 	RoamFailures uint64
 }
 
-// NewRoamer attaches roaming logic to a client. The client must already be
-// associated to startAP (both locally and in the Network).
-func NewRoamer(eng *sim.Engine, cl *client.Client, net *Network, aps []APAddr, startAP int) *Roamer {
+// NewRoamer attaches roaming logic to a client, over the Network's APs. The
+// client must already be associated to startAP (both locally and in the
+// Network).
+func NewRoamer(eng *sim.Engine, cl *client.Client, net *Network, startAP int) *Roamer {
+	n := len(net.aps)
 	r := &Roamer{
 		eng:      eng,
 		cl:       cl,
 		net:      net,
-		aps:      aps,
-		rssi:     make([]float64, len(aps)),
-		heard:    make([]bool, len(aps)),
-		lastSeen: make([]sim.Time, len(aps)),
+		rssi:     make([]float64, n),
+		heard:    make([]bool, n),
+		lastSeen: make([]sim.Time, n),
 		current:  startAP,
 	}
 	cl.OnBeacon = r.onBeacon
@@ -227,9 +214,9 @@ func NewRoamer(eng *sim.Engine, cl *client.Client, net *Network, aps []APAddr, s
 }
 
 func (r *Roamer) apIndex(mac packet.MACAddr) int {
-	for _, a := range r.aps {
-		if a.MAC == mac {
-			return a.ID
+	for i, a := range r.net.aps {
+		if a.Config().MAC == mac {
+			return i
 		}
 	}
 	return -1
@@ -264,7 +251,7 @@ func (r *Roamer) evaluate(now sim.Time) {
 		return
 	}
 	best, bestRSSI := -1, math.Inf(-1)
-	for i := range r.aps {
+	for i := range r.rssi {
 		if !r.heard[i] || now-r.lastSeen[i] > staleAfter {
 			continue
 		}
@@ -284,7 +271,7 @@ func (r *Roamer) evaluate(now sim.Time) {
 func (r *Roamer) reassociate(target, attempt int) {
 	r.roaming = true
 	st := r.cl.Station()
-	to := r.aps[target].MAC
+	to := r.net.aps[target].Config().MAC
 	from := r.cl.Config().MAC
 	st.SendOneShot(func() *mac.Frame {
 		return &mac.Frame{
@@ -311,9 +298,8 @@ func (r *Roamer) reassociate(target, attempt int) {
 
 func (r *Roamer) finishRoam(target int) {
 	r.current = target
-	r.cl.SetDest(r.aps[target].MAC)
+	r.cl.SetDest(r.net.aps[target].Config().MAC)
 	r.net.ClientAssociated(r.cl.Config().MAC, target)
 	r.lastRoam = r.eng.Now()
 	r.roaming = false
-	r.Roams++
 }

@@ -64,7 +64,7 @@ func newHarness(t *testing.T, clientTrace mobility.Trace, speedHint float64) *ha
 	st := mac.NewStation(medium, mac.StationConfig{Addr: packet.ClientMAC(1), Endpoint: clEP})
 	h.cl = client.New(client.DefaultConfig(1, packet.APMAC(0)), eng, st)
 	h.net.Associate(h.cl.Config().MAC, h.cl.Config().IP, 0)
-	h.roamer = NewRoamer(eng, h.cl, h.net, []APAddr{{0, packet.APMAC(0)}, {1, packet.APMAC(1)}}, 0)
+	h.roamer = NewRoamer(eng, h.cl, h.net, 0)
 	return h
 }
 
@@ -89,8 +89,8 @@ func TestBeaconsReachClient(t *testing.T) {
 func TestStationaryClientDoesNotRoam(t *testing.T) {
 	h := newHarness(t, mobility.Stationary{At: mobility.Point{X: 20}}, 0)
 	h.eng.RunUntil(3 * sim.Second)
-	if h.roamer.Roams != 0 {
-		t.Errorf("client under its AP roamed %d times", h.roamer.Roams)
+	if len(h.net.Handovers) != 0 {
+		t.Errorf("client under its AP roamed %d times", len(h.net.Handovers))
 	}
 	if h.net.CurrentAP(h.cl.Config().MAC) != 0 {
 		t.Error("association moved without cause")
@@ -101,8 +101,11 @@ func TestDriveTriggersRoam(t *testing.T) {
 	// Drive from AP0's cell into AP1's at 15 mph.
 	h := newHarness(t, mobility.DriveBy(18, 0, 15), mobility.MPH(15))
 	h.eng.RunUntil(4 * sim.Second)
-	if h.roamer.Roams == 0 {
+	if len(h.net.Handovers) == 0 {
 		t.Fatal("client never roamed while leaving its cell")
+	}
+	if rec := h.net.Handovers[0]; rec.Client != h.cl.Config().MAC || rec.From != 0 || rec.To != 1 || rec.At <= 0 {
+		t.Errorf("handover record = %+v, want client's 0 -> 1", rec)
 	}
 	if h.roamer.current != 1 {
 		t.Errorf("roamer current = %d, want 1", h.roamer.current)
@@ -113,9 +116,6 @@ func TestDriveTriggersRoam(t *testing.T) {
 	h.cl.SendUplink(&packet.Packet{Bytes: 100})
 	if fr := h.cl.BuildFrame(); fr == nil || fr.To != packet.APMAC(1) {
 		t.Error("client uplink not retargeted")
-	}
-	if len(h.net.Handovers) == 0 {
-		t.Error("handover not recorded")
 	}
 }
 
@@ -141,7 +141,7 @@ func TestDownlinkFollowsAssociation(t *testing.T) {
 	if got < 220 {
 		t.Errorf("delivered %d/400 packets across a roam", got)
 	}
-	if h.roamer.Roams == 0 {
+	if len(h.net.Handovers) == 0 {
 		t.Error("drive did not roam")
 	}
 }
@@ -196,8 +196,7 @@ func TestRoamerHysteresisBounds(t *testing.T) {
 	h.eng.RunUntil(5 * sim.Second)
 	// Even with a weak link, roams are rate-limited by hysteresis.
 	maxRoams := uint64(5*sim.Second/hysteresis) + 1
-	if h.roamer.Roams+h.roamer.RoamFailures > maxRoams {
-		t.Errorf("roam attempts = %d, exceeds hysteresis bound %d",
-			h.roamer.Roams+h.roamer.RoamFailures, maxRoams)
+	if attempts := uint64(len(h.net.Handovers)) + h.roamer.RoamFailures; attempts > maxRoams {
+		t.Errorf("roam attempts = %d, exceeds hysteresis bound %d", attempts, maxRoams)
 	}
 }

@@ -1,8 +1,6 @@
 package controller
 
 import (
-	"fmt"
-
 	"wgtt/internal/metrics"
 	"wgtt/internal/packet"
 	"wgtt/internal/sim"
@@ -111,7 +109,7 @@ func (c *Controller) markAPDead(id int) {
 		if c.met.recoverySpans != nil {
 			ap := c.aps[id].ID
 			c.met.recoverySpans.Begin(h.recoveryID, int64(h.deadSince),
-				fmt.Sprintf("ap%d", ap+1), ap, -1, metrics.CauseAPFailure, 0, 0)
+				packet.APName(ap), ap, -1, metrics.CauseAPFailure, 0, 0)
 		}
 	}
 	for _, cl := range stranded {

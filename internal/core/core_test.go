@@ -2,11 +2,13 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
 	"wgtt/internal/chaos"
 	"wgtt/internal/mobility"
+	"wgtt/internal/packet"
 	"wgtt/internal/sim"
 	"wgtt/internal/trace"
 )
@@ -14,6 +16,36 @@ import (
 func TestBuildValidation(t *testing.T) {
 	if _, err := Build(Scenario{}); err == nil {
 		t.Error("empty scenario accepted")
+	}
+}
+
+// Past packet.MaxAPs APs or packet.MaxClients clients the address plan
+// aliases nodes — AP 247 would take the controller's address, client 257
+// client 1's — so Build refuses the scenario, naming the limit; at the
+// limit it builds.
+func TestBuildRejectsAliasedAddresses(t *testing.T) {
+	s := TransitScenario(ModeWGTT, mobility.DenseArray(packet.MaxAPs+1, 5, 7.5), 15, 1)
+	if _, err := Build(s); err == nil || !strings.Contains(err.Error(), fmt.Sprint(packet.MaxAPs)) {
+		t.Errorf("%d APs: err = %v, want the %d-AP limit", packet.MaxAPs+1, err, packet.MaxAPs)
+	}
+	s = DriveScenario(ModeWGTT, 15, 1)
+	for len(s.Clients) <= packet.MaxClients {
+		s.Clients = append(s.Clients, s.Clients[0])
+	}
+	if _, err := Build(s); err == nil || !strings.Contains(err.Error(), fmt.Sprint(packet.MaxClients)) {
+		t.Errorf("%d clients: err = %v, want the %d-client limit", packet.MaxClients+1, err, packet.MaxClients)
+	}
+	s = TransitScenario(ModeWGTT, mobility.DenseArray(packet.MaxAPs, 5, 7.5), 15, 1)
+	n, err := Build(s)
+	if err != nil {
+		t.Fatalf("%d APs: %v", packet.MaxAPs, err)
+	}
+	seen := map[packet.IPv4Addr]int{packet.ControllerIP: -1}
+	for i, a := range n.APs {
+		if j, dup := seen[a.Config().IP]; dup {
+			t.Fatalf("AP %d shares %v with node %d", i, a.Config().IP, j)
+		}
+		seen[a.Config().IP] = i
 	}
 }
 

@@ -33,11 +33,8 @@ func (n *Network) AddDownlinkUDP(clientID int, rateMbps float64, bytes int) *Dow
 	return &DownUDP{Sender: tx, Receiver: rx}
 }
 
-// UpUDP is an attached uplink UDP flow.
-type UpUDP struct {
-	Sender   *transport.UDPSender
-	Receiver *transport.UDPReceiver
-}
+// UpUDP is an attached uplink UDP flow: the same sender/receiver pair.
+type UpUDP = DownUDP
 
 // AddUplinkUDP attaches a client→server CBR flow; call Sender.Start().
 func (n *Network) AddUplinkUDP(clientID int, rateMbps float64, bytes int) *UpUDP {

@@ -53,8 +53,7 @@ type Network struct {
 	Fed *federation.Tier
 	Ctl *controller.Controller
 	// Baseline mode.
-	Base    *baseline.Network
-	Roamers []*baseline.Roamer
+	Base *baseline.Network
 
 	baseIdx []uint16 // per-client baseline downlink index counters
 
@@ -84,6 +83,14 @@ type Network struct {
 func Build(s Scenario) (*Network, error) {
 	if len(s.Clients) == 0 {
 		return nil, fmt.Errorf("core: scenario has no clients")
+	}
+	// AP positions: the scenario's, else the testbed's.
+	aps := s.APPositions
+	if aps == nil {
+		aps = mobility.DefaultAPPositions()
+	}
+	if err := packet.CheckAddressPlan(len(aps), len(s.Clients)); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	nCh := s.Channels
 	if nCh < 1 {
@@ -134,11 +141,6 @@ func Build(s Scenario) (*Network, error) {
 		clientByMAC: make(map[packet.MACAddr]int),
 	}
 
-	// AP positions: the scenario's, else the testbed's.
-	aps := s.APPositions
-	if aps == nil {
-		aps = mobility.DefaultAPPositions()
-	}
 	n.APPosition = append(n.APPosition, aps...)
 
 	// The city table the controller tier shares: contiguous domain blocks,
@@ -286,10 +288,6 @@ func Build(s Scenario) (*Network, error) {
 
 	// Clients.
 	n.baseIdx = make([]uint16, len(s.Clients))
-	var roamAddrs []baseline.APAddr
-	for i := range n.APs {
-		roamAddrs = append(roamAddrs, baseline.APAddr{ID: i, MAC: packet.APMAC(i)})
-	}
 	for i, spec := range s.Clients {
 		name := fmt.Sprintf("car%d", i+1)
 		ep := &radio.Endpoint{
@@ -340,8 +338,7 @@ func Build(s Scenario) (*Network, error) {
 		default:
 			n.startClientKeepalive(cl)
 			n.Base.Associate(ccfg.MAC, ccfg.IP, start)
-			n.Roamers = append(n.Roamers,
-				baseline.NewRoamer(eng, cl, n.Base, roamAddrs, start))
+			baseline.NewRoamer(eng, cl, n.Base, start)
 		}
 	}
 
@@ -393,7 +390,7 @@ func (n *Network) EnableMetricsInto(r *metrics.Registry) *metrics.Registry {
 		a.UseMetrics(r)
 	}
 	for i, cl := range n.Clients {
-		cl.UseMetrics(r, fmt.Sprintf("client%d", i+1))
+		cl.UseMetrics(r, packet.ClientName(i+1))
 	}
 	if n.Chaos != nil {
 		n.Chaos.UseMetrics(r)

@@ -122,11 +122,7 @@ func ExtUrban(opt Options) (*ExtUrbanResult, error) {
 			res.Switches = append(res.Switches, n.CtlStats().SwitchesDone)
 			res.Handoffs = append(res.Handoffs, n.FedStats().Adoptions)
 		} else {
-			var roams uint64
-			for _, r := range n.Roamers {
-				roams += r.Roams
-			}
-			res.Switches = append(res.Switches, roams)
+			res.Switches = append(res.Switches, uint64(len(n.Base.Handovers)))
 			res.Handoffs = append(res.Handoffs, 0)
 		}
 	}

@@ -54,11 +54,11 @@ func ExtFederation(opt Options) (*ExtFederationResult, error) {
 		var transfer, sw []float64
 		var handoffAts []sim.Time
 		for _, d := range n.Fed.Domains {
-			for _, rec := range d.Offered {
-				transfer = append(transfer, float64(rec.OfferToCommit)/float64(sim.Millisecond))
+			for _, t := range d.Offered {
+				transfer = append(transfer, float64(t)/float64(sim.Millisecond))
 			}
 			for _, rec := range d.Adopted {
-				sw = append(sw, float64(rec.SwitchDuration)/float64(sim.Millisecond))
+				sw = append(sw, float64(rec.Duration)/float64(sim.Millisecond))
 				handoffAts = append(handoffAts, rec.At)
 			}
 		}

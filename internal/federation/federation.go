@@ -119,25 +119,6 @@ type Stats struct {
 	UplinkRelays      uint64 // foreign-owned uplink relayed to their owner
 }
 
-// HandoffRecord is one cross-domain handoff event for the evaluation
-// timeline. The offering domain records the offer→commit transfer; the
-// adopting domain records the switch it then drove.
-type HandoffRecord struct {
-	At       sim.Time
-	Client   packet.MACAddr
-	From, To int // domain ids
-	FromAP   int // AP ids (city table)
-	ToAP     int
-	// OfferToCommit is the transfer time (offering side; zero on adopting
-	// side records).
-	OfferToCommit sim.Time
-	// SwitchDuration is stop sent → ack received for the cross-domain
-	// switch (adopting side; zero on offering side records).
-	SwitchDuration sim.Time
-	// Forced marks a cross-domain switch completed via direct start.
-	Forced bool
-}
-
 // Add accumulates o into s, field by field — how a tier sums its domains.
 // A new counter is added here, beside its field.
 func (s *Stats) Add(o Stats) {
@@ -214,11 +195,10 @@ type release struct {
 
 // adoption is one incoming handoff, accepted and awaiting its commit.
 type adoption struct {
-	id         uint32
-	client     packet.MACAddr
-	fromDomain int
-	oldAP      packet.IPv4Addr // the offerer's serving AP
-	timer      sim.Timer
+	id     uint32
+	client packet.MACAddr
+	oldAP  packet.IPv4Addr // the offerer's serving AP
+	timer  sim.Timer
 }
 
 // Domain is one federation controller instance: an inner
@@ -248,9 +228,8 @@ type Domain struct {
 	// domain: a lone domain drops every offer and commit (they can only come
 	// from a peer), so it never writes these.
 	released   map[uint32]*release
-	inbound    map[uint32]*adoption
-	byClient   map[packet.MACAddr]*adoption
-	adoptedIDs map[uint32]bool // commits already applied (retransmit dedup)
+	byClient   map[packet.MACAddr]*adoption // staged adoptions, at most one per client
+	adoptedIDs map[uint32]bool              // commits already applied (retransmit dedup)
 
 	// pendingDown buffers downlink routed here between the owner's release
 	// and the commit's arrival; drained in order at adoption.
@@ -270,10 +249,12 @@ type Domain struct {
 	OnRelease func(mac packet.MACAddr, to int)
 
 	Stats Stats
-	// Offered and Adopted are the two halves of the handoff timeline: what
-	// this domain handed away, and what it took over.
-	Offered []HandoffRecord
-	Adopted []HandoffRecord
+	// Offered holds each committed handoff's offer→commit transfer time.
+	// Adopted is the ledger of the cross-domain switches this domain
+	// drove — each pull's record as PullFrom reported it, From an AP of
+	// the offering domain and To one of ours (DESIGN.md §13).
+	Offered []sim.Time
+	Adopted []controller.SwitchRecord
 
 	met fedMetrics
 }
@@ -309,7 +290,6 @@ func NewDomain(cfg Config, eng *sim.Engine, bh backhaul.Fabric, id int, city []A
 	slices.Sort(d.domains)
 	if len(d.domains) > 1 {
 		d.released = make(map[uint32]*release)
-		d.inbound = make(map[uint32]*adoption)
 		d.byClient = make(map[packet.MACAddr]*adoption)
 		d.adoptedIDs = make(map[uint32]bool)
 		d.pendingDown = make(map[packet.MACAddr][]*packet.Packet)

@@ -122,8 +122,7 @@ func (d *Domain) handleOffer(from packet.IPv4Addr, m *packet.DomainHandoffOffer)
 		reply(false)
 		return
 	}
-	fromDom, ok := d.peerAt(from)
-	if !ok {
+	if _, ok := d.peerAt(from); !ok {
 		reply(false)
 		return
 	}
@@ -133,8 +132,7 @@ func (d *Domain) handleOffer(from packet.IPv4Addr, m *packet.DomainHandoffOffer)
 		reply(prev.id == m.HandoffID)
 		return
 	}
-	ad := &adoption{id: m.HandoffID, client: m.Client, fromDomain: fromDom, oldAP: m.ServingAP}
-	d.inbound[ad.id] = ad
+	ad := &adoption{id: m.HandoffID, client: m.Client, oldAP: m.ServingAP}
 	d.byClient[ad.client] = ad
 	ad.timer = d.eng.After(acceptHold, func() { d.acceptTimeout(ad) })
 	reply(true)
@@ -142,13 +140,10 @@ func (d *Domain) handleOffer(from packet.IPv4Addr, m *packet.DomainHandoffOffer)
 
 // acceptTimeout drops a pre-staged adoption whose commit never arrived.
 func (d *Domain) acceptTimeout(ad *adoption) {
-	if d.ctl.Down() || d.inbound[ad.id] != ad {
+	if d.ctl.Down() || d.byClient[ad.client] != ad {
 		return
 	}
-	delete(d.inbound, ad.id)
-	if d.byClient[ad.client] == ad {
-		delete(d.byClient, ad.client)
-	}
+	delete(d.byClient, ad.client)
 	delete(d.pendingDown, ad.client)
 	d.Stats.Aborts++
 }
@@ -189,16 +184,12 @@ func (d *Domain) handleAccept(m *packet.DomainHandoffAccept) {
 	commit := &packet.DomainHandoffCommit{
 		HandoffID: out.id, Client: m.Client, ClientIP: fc.ip, TargetAP: out.target, Evidence: ev,
 	}
-	serving := d.release(commit)
+	d.release(commit)
 	_ = d.bh.Send(d.addr, d.addrOf(out.peer), commit)
 	d.owner[m.Client] = out.peer
 	d.Stats.Commits++
 	d.met.handoffSpans.End(out.id, int64(now))
-	d.Offered = append(d.Offered, HandoffRecord{
-		At: now, Client: m.Client, From: d.id, To: out.peer,
-		FromAP: serving, ToAP: d.apAt[out.target].ID,
-		OfferToCommit: now - out.offeredAt,
-	})
+	d.Offered = append(d.Offered, now-out.offeredAt)
 	rel := &release{id: out.id, mac: m.Client, peer: out.peer, commit: commit}
 	d.released[rel.id] = rel
 	rel.timer = d.eng.After(commitTimeout, func() { d.retryCommit(rel) })
@@ -264,11 +255,8 @@ func (d *Domain) adopt(m *packet.DomainHandoffCommit) {
 	// gone (timeout, crash, or a lost offer exchange), but the offerer has
 	// already released — so the commit is authoritative and refusing it
 	// would strand the client with no owner at all.
-	fromDomain := int(m.HandoffID >> 24)
-	if ad := d.inbound[m.HandoffID]; ad != nil {
+	if ad := d.byClient[mac]; ad != nil && ad.id == m.HandoffID {
 		ad.timer.Stop()
-		fromDomain = ad.fromDomain
-		delete(d.inbound, ad.id)
 		delete(d.byClient, mac)
 	}
 	d.adoptedIDs[m.HandoffID] = true
@@ -299,11 +287,7 @@ func (d *Domain) adopt(m *packet.DomainHandoffCommit) {
 		if sw.Forced {
 			d.Stats.ForcedStarts++
 		}
-		d.Adopted = append(d.Adopted, HandoffRecord{
-			At: sw.At, Client: mac, From: fromDomain, To: d.id,
-			FromAP: sw.From, ToAP: sw.To,
-			SwitchDuration: sw.Duration, Forced: sw.Forced,
-		})
+		d.Adopted = append(d.Adopted, sw)
 		d.switched(sw)
 	})
 }
@@ -311,16 +295,13 @@ func (d *Domain) adopt(m *packet.DomainHandoffCommit) {
 // release is the one way a client leaves this domain, over the wire
 // (handleAccept) or through a metro seam (Tier.Release): the controller
 // exports the client's serving AP, 12-bit index cursor and newest dedup keys
-// into commit and forgets it, and so does this domain. It returns the
-// serving AP's id, -1 for none.
-func (d *Domain) release(commit *packet.DomainHandoffCommit) int {
-	s := d.ctl.ServingAP(commit.Client)
-	if s >= 0 {
+// into commit and forgets it, and so does this domain.
+func (d *Domain) release(commit *packet.DomainHandoffCommit) {
+	if s := d.ctl.ServingAP(commit.Client); s >= 0 {
 		commit.ServingAP = d.city[s].IP
 	}
 	commit.NextIndex, commit.DedupKeys, _ = d.ctl.ReleaseClient(commit.Client, packet.MaxHandoffDedupKeys)
 	delete(d.owned, commit.Client)
-	return s
 }
 
 // admit is the one way a client enters this domain's ownership, over the
@@ -384,11 +365,10 @@ func (d *Domain) Fail() {
 		rel.timer.Stop()
 	}
 	clear(d.released)
-	for _, ad := range d.inbound {
+	for _, ad := range d.byClient {
 		ad.timer.Stop()
 		d.Stats.Aborts++
 	}
-	clear(d.inbound)
 	clear(d.byClient)
 	clear(d.pendingDown)
 }

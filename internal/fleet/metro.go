@@ -51,6 +51,9 @@ type metroTile struct {
 	*cell
 	metroIDs []int       // local client index → metro client ID
 	local    map[int]int // metro client ID → local client index
+	// names maps the tile's metrics components, named by local index, to
+	// the node's city-wide name: AP site, metro client.
+	names map[string]string
 	// MigrationsIn/Out count the seam crossings this tile admitted/exported.
 	MigrationsIn, MigrationsOut uint64
 }
@@ -264,10 +267,11 @@ type presence struct {
 // not sample the oracle: no metro report reads it.
 func (m *metroRun) buildTile(t int, visitors []presence, frng *sim.RNG) (*metroTile, error) {
 	plan := m.Plan
-	tile := &metroTile{local: make(map[int]int)}
+	tile := &metroTile{local: make(map[int]int), names: make(map[string]string)}
 	var aps []mobility.Point
-	for _, site := range plan.TileAPs[t] {
+	for local, site := range plan.TileAPs[t] {
 		aps = append(aps, plan.City.APs[site].Pos)
+		tile.names[packet.APName(local)] = packet.APName(site)
 	}
 	var clients []core.ClientSpec
 	for local, v := range visitors {
@@ -288,6 +292,7 @@ func (m *metroRun) buildTile(t int, visitors []presence, frng *sim.RNG) (*metroT
 		})
 		tile.metroIDs = append(tile.metroIDs, v.metroID)
 		tile.local[v.metroID] = local
+		tile.names[packet.ClientName(local+1)] = packet.ClientName(v.metroID + 1)
 	}
 	s := core.CityCellScenario(core.ModeWGTT, plan.City.Graph,
 		frng.Stream(fmt.Sprintf("fleet/metro/tile/%d/seed", t)).Uint64(),
@@ -423,6 +428,9 @@ func (m *metroRun) finish() (*MetroResult, error) {
 		res.Stats.Switches += cr.Ctl.SwitchesDone
 		res.Stats.CSIReports += cr.Ctl.CSIReports
 		if cr.Metrics != nil {
+			// One row set per node: tiles' local names would sum different
+			// APs and clients into one row.
+			cr.Metrics.Rename(tile.names)
 			snaps = append(snaps, *cr.Metrics)
 		}
 		res.Tiles = append(res.Tiles, MetroTileResult{

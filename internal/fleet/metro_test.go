@@ -2,10 +2,12 @@ package fleet
 
 import (
 	"errors"
+	"maps"
 	"os"
 	"strings"
 	"testing"
 
+	"wgtt/internal/packet"
 	"wgtt/internal/urban"
 )
 
@@ -80,6 +82,50 @@ func TestMetroDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if in != out || in != ref.Stats.Migrations {
 		t.Fatalf("migration ledger unbalanced: in %d out %d total %d", in, out, ref.Stats.Migrations)
+	}
+}
+
+// TestMetroMetricsNameCityNodes checks the merged metro snapshot names each
+// node once, by its city-wide identity: one AP row set per AP site of a
+// built tile, one client row set per metro client. Tiles name their nodes
+// by tile-local index, so without the renaming ap1 sums a different AP from
+// every tile.
+func TestMetroMetricsNameCityNodes(t *testing.T) {
+	cfg := metroTestConfig(2)
+	cfg.Metrics = true
+	m, err := newMetroRun(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < m.epochs; k++ {
+		m.runEpoch(k)
+	}
+	res, err := m.finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{}
+	for _, tile := range res.Tiles {
+		for _, site := range m.Plan.TileAPs[tile.Cell] {
+			want[packet.APName(site)] = true
+		}
+	}
+	for id := range res.Clients {
+		want[packet.ClientName(id+1)] = true
+	}
+	got := map[string]bool{}
+	for _, c := range res.Metrics.Counters {
+		if strings.HasPrefix(c.Component, "ap") || strings.HasPrefix(c.Component, "client") {
+			got[c.Component] = true
+		}
+	}
+	for _, h := range res.Metrics.Histograms {
+		if strings.HasPrefix(h.Component, "ap") && !want[h.Component] {
+			t.Errorf("histogram row %s names no built AP site", h.Component)
+		}
+	}
+	if !maps.Equal(got, want) {
+		t.Fatalf("per-node rows %v, want one per AP site and metro client %v", got, want)
 	}
 }
 

@@ -222,6 +222,27 @@ func Merge(snaps ...Snapshot) Snapshot {
 	return out
 }
 
+// Rename renames the counter, gauge and histogram rows whose component is
+// a key of names — how a caller gives rows that Merge would otherwise sum
+// (the same component name meaning different nodes in different runs)
+// distinct names first. Spans keep their names.
+func (s *Snapshot) Rename(names map[string]string) {
+	rename := func(component *string) {
+		if n, ok := names[*component]; ok {
+			*component = n
+		}
+	}
+	for i := range s.Counters {
+		rename(&s.Counters[i].Component)
+	}
+	for i := range s.Gauges {
+		rename(&s.Gauges[i].Component)
+	}
+	for i := range s.Histograms {
+		rename(&s.Histograms[i].Component)
+	}
+}
+
 func sameBounds(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false

@@ -12,6 +12,29 @@ import (
 	"fmt"
 )
 
+// MaxAPs and MaxClients bound the address plan. APIP's last octet runs
+// from 10 to 255 over AP ids [0, MaxAPs); one id further it wraps onto
+// 10.0.0.0, then onto ControllerIP and the first APs. ClientIP gives any
+// MaxClients consecutive client ids distinct addresses. Past either bound
+// two nodes share an address, and the backhaul keeps only the last one
+// attached there.
+const (
+	MaxAPs     = 246
+	MaxClients = 256
+)
+
+// CheckAddressPlan reports an error naming the limit when a deployment of
+// aps APs (ids 0..aps-1) and clients clients would alias addresses.
+func CheckAddressPlan(aps, clients int) error {
+	if aps > MaxAPs {
+		return fmt.Errorf("%d APs exceed the address plan's %d", aps, MaxAPs)
+	}
+	if clients > MaxClients {
+		return fmt.Errorf("%d clients exceed the address plan's %d", clients, MaxClients)
+	}
+	return nil
+}
+
 // MACAddr is a 48-bit layer-2 address.
 type MACAddr [6]byte
 
@@ -45,6 +68,10 @@ func APMAC(id int) MACAddr {
 // APIP derives the backhaul IP of AP id: 10.0.0.(id+10).
 func APIP(id int) IPv4Addr { return IPv4Addr{10, 0, 0, byte(id + 10)} }
 
+// APName is AP id's display name — its process, radio endpoint and
+// metrics component: ap<id+1>.
+func APName(id int) string { return fmt.Sprintf("ap%d", id+1) }
+
 // ControllerIP is the backhaul address of the WGTT controller.
 var ControllerIP = IPv4Addr{10, 0, 0, 1}
 
@@ -62,3 +89,6 @@ func DomainControllerIP(d int) IPv4Addr {
 
 // ClientIP derives the WLAN IP of client id: 192.168.1.(id+100).
 func ClientIP(id int) IPv4Addr { return IPv4Addr{192, 168, 1, byte(id + 100)} }
+
+// ClientName is client id's metrics component name: client<id>.
+func ClientName(id int) string { return fmt.Sprintf("client%d", id) }
