@@ -57,7 +57,8 @@ const cyclicQueueSlots = 1 << packet.IndexBits
 // Stats counts AP-side events for the evaluation harness.
 type Stats struct {
 	DownEnqueued    uint64 // packets accepted into cyclic queues
-	DownOverwritten uint64 // ring slots overwritten before being sent
+	DownOverwritten uint64 // unsent packets the serving AP lost to overload, once each
+	DownTrimmed     uint64 // unsent packets a non-serving AP trimmed off its backlog
 	MPDUsDelivered  uint64 // MPDUs acknowledged by the client
 	MPDUsDropped    uint64 // MPDUs dropped at the retry limit
 	MPDUsFlushed    uint64 // retry MPDUs flushed by a stop
@@ -179,6 +180,7 @@ func (a *AP) UseMetrics(r *metrics.Registry) {
 	comp, st := a.cfg.Name, &a.Stats
 	r.CounterAt(comp, "down_enqueued", &st.DownEnqueued)
 	r.CounterAt(comp, "ring_overwrites", &st.DownOverwritten)
+	r.CounterAt(comp, "ring_trimmed", &st.DownTrimmed)
 	r.CounterAt(comp, "ba_forwarded", &st.BAForwarded)
 	r.CounterAt(comp, "ba_merged", &st.BAMerged)
 	r.CounterAt(comp, "keepalives_heard", &st.KeepalivesHeard)
@@ -372,8 +374,10 @@ func (a *AP) HandleBackhaul(from packet.IPv4Addr, msg packet.Message) {
 func (a *AP) enqueueDownlink(p *packet.Packet) {
 	cs := a.client(p.ClientMAC)
 	slot := int(p.Index) % cyclicQueueSlots
-	if old := cs.ring[slot]; old != nil && !cs.sent(old.Index) {
-		a.Stats.DownOverwritten++
+	// Only an arrival behind the write head can land on a slot the backlog
+	// still holds; an in-order one reuses a slot already sent or trimmed.
+	if old := cs.ring[slot]; p.Index != cs.head && old != nil && old != p && cs.pending(old.Index) {
+		a.dropUnsent(cs, 1)
 	}
 	cs.ring[slot] = p
 	now := a.eng.Now()
@@ -403,14 +407,14 @@ func (a *AP) enqueueDownlink(p *packet.Packet) {
 		if d := packet.IndexDist(cs.nextSend, cs.head); d > maxBacklog {
 			dropped := d - maxBacklog
 			cs.nextSend = (cs.nextSend + dropped) & packet.IndexMask
-			a.Stats.DownOverwritten += uint64(dropped)
+			a.dropUnsent(cs, uint64(dropped))
 		}
 	} else if cs.haveAny && cs.nextSend != cs.head &&
 		packet.IndexDist(cs.nextSend, cs.head) > uint16(cyclicQueueSlots/2) {
 		// The reader fell more than half the space behind (or a stale
 		// start pointed far ahead): resynchronize to a bounded backlog.
 		cs.nextSend = (cs.head - maxBacklog) & packet.IndexMask
-		a.Stats.DownOverwritten++
+		a.dropUnsent(cs, 1)
 	}
 	a.Stats.DownEnqueued++
 	if a.met.queueDepth != nil {
@@ -425,6 +429,23 @@ func (a *AP) enqueueDownlink(p *packet.Packet) {
 	}
 }
 
+// dropUnsent counts n unsent packets leaving cs's ring unsent: a loss at the
+// serving AP, a routine trim at any other (it would send them only if a
+// start pointed into them).
+func (a *AP) dropUnsent(cs *clientState, n uint64) {
+	if cs.serving {
+		a.Stats.DownOverwritten += n
+	} else {
+		a.Stats.DownTrimmed += n
+	}
+}
+
+// pending reports whether index idx lies in the backlog, between nextSend
+// and the write head: stored and not yet sent.
+func (cs *clientState) pending(idx uint16) bool {
+	return cs.backlog() && packet.IndexDist(cs.nextSend, idx) < packet.IndexDist(cs.nextSend, cs.head)
+}
+
 // backlog reports whether the client has fresh (unsent) packets between
 // nextSend and the write head.
 func (cs *clientState) backlog() bool {
@@ -434,13 +455,6 @@ func (cs *clientState) backlog() bool {
 	// nextSend must be within the forward half-space of head; a start(k)
 	// pointing past everything we have buffered means nothing to send yet.
 	return packet.IndexDist(cs.nextSend, cs.head) <= uint16(len(cs.ring)/2)
-}
-
-// sent reports whether index idx is before the next-send pointer (i.e. the
-// AP considers it already sent).
-func (cs *clientState) sent(idx uint16) bool {
-	return packet.IndexDist(idx, cs.nextSend) != 0 &&
-		packet.IndexDist(idx, cs.nextSend) < uint16(len(cs.ring)/2)
 }
 
 // handleStop is step (1)+(2) of the switching protocol at the old AP: quench

@@ -354,8 +354,8 @@ func TestCyclicOverwriteDropsOldest(t *testing.T) {
 	if d := h.aps[0].QueueDepth(client); d != 100 {
 		t.Fatalf("depth = %d, want 100", d)
 	}
-	if h.aps[0].Stats.DownOverwritten != 0 {
-		t.Fatal("overwrites counted before the ring lapped")
+	if st := h.aps[0].Stats; st.DownOverwritten != 0 || st.DownTrimmed != 0 {
+		t.Fatal("drops counted before the ring lapped")
 	}
 
 	// Overload: the writer laps the reader; the oldest packets are dropped
@@ -365,8 +365,38 @@ func TestCyclicOverwriteDropsOldest(t *testing.T) {
 	if d := h.aps[0].QueueDepth(client); d > maxBacklog {
 		t.Errorf("depth = %d, want ≤ %d", d, maxBacklog)
 	}
-	if h.aps[0].Stats.DownOverwritten == 0 {
-		t.Error("overload did not count overwrites")
+	if st := h.aps[0].Stats; st.DownTrimmed == 0 || st.DownOverwritten != 0 {
+		t.Errorf("overload at a non-serving AP counted %d trims and %d overwrites, want trims only",
+			st.DownTrimmed, st.DownOverwritten)
+	}
+}
+
+// TestRingCountsEachDropOnce: every packet the ring lets go unsent is
+// counted once, as a loss (DownOverwritten) at the serving AP and as a
+// routine trim (DownTrimmed) at any other — never both, and never again
+// when its slot is reused. Fed 12,000 packets in one burst, before any can
+// go on the air, an AP keeps the bounded backlog and has dropped the rest.
+func TestRingCountsEachDropOnce(t *testing.T) {
+	const fed = 12000
+	maxBacklog := cyclicQueueSlots/2 - 64
+	for _, serving := range []bool{false, true} {
+		h := newAPHarness(t, 1, 200)
+		client := packet.ClientMAC(1)
+		h.aps[0].Associate(client, packet.ClientIP(1), serving)
+		h.pushDownlink(fed, 0)
+		h.eng.RunUntil(210 * sim.Microsecond) // delivered, nothing granted yet
+		st := h.aps[0].Stats
+		if d := h.aps[0].QueueDepth(client); st.DownEnqueued != fed || d != maxBacklog {
+			t.Fatalf("serving=%v: %d enqueued, depth %d; want %d and %d", serving, st.DownEnqueued, d, fed, maxBacklog)
+		}
+		wantOver, wantTrim := uint64(0), uint64(fed-maxBacklog)
+		if serving {
+			wantOver, wantTrim = wantTrim, wantOver
+		}
+		if st.DownOverwritten != wantOver || st.DownTrimmed != wantTrim {
+			t.Errorf("serving=%v: %d overwritten and %d trimmed, want %d and %d",
+				serving, st.DownOverwritten, st.DownTrimmed, wantOver, wantTrim)
+		}
 	}
 }
 

@@ -185,12 +185,16 @@ func TestMbps(t *testing.T) {
 }
 
 // TestAirPathSamplingBudget pins how often the air path asks the radio for a
-// path gain: once per CSI snapshot a sink reads or a sync draw needs, plus a
-// received power per beacon and per contender of a real overlap — nothing
-// for the RSSI of a data frame nobody reads, nothing to "capture" a lone
-// Block ACK, nothing for a monitor-mode capture its sink declines unless its
-// sync draw reads it. The hook runs once per Link.PathGainDB; grants and
-// response opportunities pin that the run under the budget is the same run.
+// path gain and for a fading sample. A path gain is evaluated once per loss
+// draw (the capture's budget), plus a received power per beacon and per
+// contender of a real overlap — nothing for the RSSI of a data frame nobody
+// reads, nothing to "capture" a lone Block ACK, nothing for a frame lost to
+// a collision or a Block ACK nobody keeps. A 56-subcarrier fading sample is
+// taken only where the budget and the fading ceiling cannot settle the draw
+// (mac's settle), and by the evaluation's ESNR oracle and the multi-channel
+// probe plane, neither of which runs here. The hook runs once per
+// Link.PathGainDB and Channel.Samples counts the samples; grants and response
+// opportunities pin that the run under the budget is the same run.
 func TestAirPathSamplingBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -200,19 +204,22 @@ func TestAirPathSamplingBudget(t *testing.T) {
 		flows             func(*Network) func() uint64
 		grants, responses uint64
 		budget            int
+		samples           uint64
 	}{{
-		// The Fig. 15 drive: 30,295 when RSSI was sampled for every
-		// reception, 15,555 before declined captures were skipped.
+		// The Fig. 15 drive: 30,295 path gains when RSSI was sampled for
+		// every reception, 15,555 before declined captures were skipped;
+		// 12,321 fading samples when every capture was sampled.
 		name: "fig15", s: DriveScenario(ModeWGTT, 15, 2017),
 		flows: func(n *Network) func() uint64 {
 			d := n.Attach(Loads(1, Load{RateMbps: 50}))
 			return func() uint64 { return d.Outcomes()[0].Bytes }
 		},
-		grants: 1016, responses: 791, budget: 13189,
+		grants: 1016, responses: 791, budget: 13189, samples: 5371,
 	}, {
 		// The benchmark's corridor-mixed load: three following clients,
-		// TCP down, UDP up, UDP down. 22,751 before declined captures were
-		// skipped.
+		// TCP down, UDP up, UDP down. 22,751 path gains before declined
+		// captures were skipped, 15,317 while collided frames were still
+		// sampled; 12,361 fading samples when every capture was sampled.
 		name: "corridor-mixed", s: MultiClientScenario(ModeWGTT, mobility.Following, 3, 25, 2017),
 		flows: func(n *Network) func() uint64 {
 			tcp := n.AddDownlinkTCP(0, 0, nil)
@@ -223,7 +230,7 @@ func TestAirPathSamplingBudget(t *testing.T) {
 			tcp.Sender.Start()
 			return func() uint64 { return tcp.Receiver.DeliveredBytes + up.Receiver.Bytes + down.Receiver.Bytes }
 		},
-		grants: 1309, responses: 861, budget: 15317,
+		grants: 1309, responses: 861, budget: 14530, samples: 5367,
 	}} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := tc.s
@@ -246,7 +253,10 @@ func TestAirPathSamplingBudget(t *testing.T) {
 			if evals > tc.budget {
 				t.Errorf("%d path-gain evaluations, budget %d", evals, tc.budget)
 			}
-			t.Logf("%d path-gain evaluations", evals)
+			if got := n.Channel.Samples; got > tc.samples {
+				t.Errorf("%d fading samples, budget %d", got, tc.samples)
+			}
+			t.Logf("%d path-gain evaluations, %d fading samples", evals, n.Channel.Samples)
 		})
 	}
 }

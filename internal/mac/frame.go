@@ -132,7 +132,10 @@ type RxEvent struct {
 	// Decoded holds the MPDUs this receiver successfully decoded.
 	Decoded []*MPDU
 	// SNRdB is the receiver's per-subcarrier CSI snapshot for this frame —
-	// exactly what the Atheros CSI tool hands to the WGTT AP.
+	// exactly what the Atheros CSI tool hands to the WGTT AP. Only a synced
+	// frame or a beacon is sure to carry one: a frame lost to a collision,
+	// or to a sync failure its link budget already decides, is never
+	// sampled and its SNRdB is empty.
 	SNRdB []float64
 	// Overheard is true when the frame was not addressed to this station
 	// (monitor-mode capture).
@@ -168,7 +171,8 @@ type BAEvent struct {
 	Bitmap uint64
 	// Overheard is true at stations other than the BA's destination.
 	Overheard bool
-	// SNRdB is the observer's per-subcarrier CSI for the Block ACK frame.
+	// SNRdB is the observer's per-subcarrier CSI for the Block ACK frame
+	// (always sampled: a Block ACK lost in the channel is not delivered).
 	// On a downlink-heavy workload the client's Block ACKs are most of its
 	// uplink airtime, so they are the frames WGTT APs measure CSI on.
 	SNRdB []float64

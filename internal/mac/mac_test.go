@@ -1,6 +1,7 @@
 package mac
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand/v2"
@@ -8,6 +9,7 @@ import (
 	"slices"
 	"testing"
 
+	"wgtt/internal/csi"
 	"wgtt/internal/mobility"
 	"wgtt/internal/packet"
 	"wgtt/internal/phy"
@@ -215,8 +217,8 @@ type harness struct {
 	eng    *sim.Engine
 	ch     *radio.Channel
 	medium *Medium
-	// pathGains counts Link.PathGainDB calls: one per CSI snapshot, one per
-	// received-power sample. pathGainsAt counts them per position, for each
+	// pathGains counts Link.PathGainDB calls: one per loss draw (its
+	// budget), one per received-power sample. pathGainsAt counts them per position, for each
 	// of the link's two ends.
 	pathGains   int
 	pathGainsAt map[mobility.Point]int
@@ -804,8 +806,8 @@ func viewsOf(sinks []*recSink, srcs []*queueSource) (rx []rxView, ba []baView, t
 // only in a promiscuous observer that overhears everything in A and nothing
 // in B: everyone else sees the same events and completions, and the media's
 // next draws agree. B's observer gets no event, and its skipped captures cost
-// no CSI snapshot: its links are sampled only for the sync draws of the data
-// frames that reach it and for the capture rule.
+// no CSI snapshot: its links are evaluated only for the sync draws of the
+// data frames that reach it and for the capture rule.
 func TestOverheardSkipKeepsDrawStream(t *testing.T) {
 	observerAt := mobility.Point{X: 25}
 	build := func(observer Sink) (*harness, []*recSink, []*queueSource) {
@@ -866,18 +868,149 @@ func TestOverheardSkipKeepsDrawStream(t *testing.T) {
 	if n := len(declining.frames) + len(declining.bas); n != 0 {
 		t.Errorf("the declining observer got %d events", n)
 	}
-	// Each response A's observer got cost a CSI snapshot that B does not
-	// take, and so did each frame it lost to a collision (Synced false: at
-	// this range a sync failure is vanishingly rare), which B declines before
-	// sampling. Everything else — the capture rule's samples, the snapshot a
-	// sync draw reads — is the same in both.
-	skipped := len(hearing.bas)
+	// A frame lost to a collision costs neither observer a path gain: it is
+	// never sampled, and A's event carries no snapshot (Synced false: at this
+	// range a sync failure is vanishingly rare, so every unsynced frame here
+	// is a collided one). Every other frame costs each observer one path
+	// gain for its sync draw. Each response A's observer got cost the budget
+	// of its loss draw, which B — declining it — makes without: that is the
+	// whole difference (a Block ACK lost in the channel at this range would
+	// add one).
+	collided := 0
 	for _, ev := range hearing.frames {
 		if !ev.Synced {
-			skipped++
+			collided++
+			if len(ev.SNRdB) != 0 {
+				t.Fatalf("a frame lost to a collision carries a %d-subcarrier snapshot", len(ev.SNRdB))
+			}
 		}
 	}
+	if collided == 0 {
+		t.Fatal("the hearing observer lost no frame to a collision")
+	}
+	skipped := len(hearing.bas)
 	if a, b := hA.pathGainsAt[observerAt], hB.pathGainsAt[observerAt]; a-b != skipped {
 		t.Errorf("observer's links cost %d path-gain evaluations in A and %d in B; want %d fewer in B", a, b, skipped)
 	}
+}
+
+// TestSettleDecidesBeforeSampling: a loss draw the link's budget and fading
+// ceiling already decide — an AP hearing a distant AP — takes no fading
+// sample and returns an empty snapshot; one they cannot — a client in its
+// AP's cell — samples once. Both make exactly one draw and allocate nothing.
+func TestSettleDecidesBeforeSampling(t *testing.T) {
+	ch := radio.NewChannel(radio.DefaultParams(), sim.NewRNG(5))
+	ap := func(name string, x float64) *radio.Endpoint {
+		return &radio.Endpoint{Name: name, Trace: mobility.Stationary{At: mobility.Point{X: x, Y: mobility.APSetback}},
+			Antenna: radio.NewLairdGD24BP(), BoresightRad: -math.Pi / 2, TxPowerDBm: 17, ExtraLossDB: 28}
+	}
+	near, far := ap("near", 20), ap("far", 80)
+	car := &radio.Endpoint{Name: "car", Trace: mobility.DriveBy(20, 0, 0), TxPowerDBm: 15, SpeedHintMS: mobility.MPH(15)}
+	for _, e := range []*radio.Endpoint{near, far, car} {
+		if err := ch.AddEndpoint(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mod := phy.Lookup(4).Modulation
+	for _, tc := range []struct {
+		name    string
+		peer    string
+		from    *radio.Endpoint
+		sampled bool
+	}{{"decided", "far", near, false}, {"sampled", "car", car, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			link, err := ch.Link("near", tc.peer)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := NewMedium(sim.NewEngine(), ch, rand.New(rand.NewPCG(1, 2)))
+			ref := rand.New(rand.NewPCG(1, 2))
+			snr := make([]float64, 0, radio.DefaultParams().Subcarriers)
+			ch.Samples = 0
+			i := 0
+			avg := testing.AllocsPerRun(100, func() {
+				i++
+				var ok bool
+				snr, _, ok = m.settle(link, tc.from, sim.Time(i)*sim.Millisecond, mod, phy.SyncFailureProb, snr)
+				if ok != tc.sampled || (len(snr) != 0) != tc.sampled {
+					t.Fatalf("capture %d: synced %v with a %d-subcarrier snapshot", i, ok, len(snr))
+				}
+			})
+			if avg != 0 {
+				t.Errorf("settle allocates %.1f times per capture, want 0", avg)
+			}
+			want := uint64(0)
+			if tc.sampled {
+				want = uint64(i)
+			}
+			if ch.Samples != want {
+				t.Errorf("%d fading samples over %d captures, want %d", ch.Samples, i, want)
+			}
+			for range i {
+				ref.Float64()
+			}
+			if a, b := m.rnd.Uint64(), ref.Uint64(); a != b {
+				t.Error("settle made other than one draw per capture")
+			}
+		})
+	}
+}
+
+// TestSettleMatchesSampleThenDraw: over faded links from the cell's middle
+// to far beyond it, for both loss functions, settle reaches the outcome the
+// sample-then-draw rule reaches from the same draw — it only skips the
+// samples that cannot change it — and the skip is taken often enough, and
+// declined often enough, for both paths to be exercised.
+func TestSettleMatchesSampleThenDraw(t *testing.T) {
+	ch := radio.NewChannel(radio.DefaultParams(), sim.NewRNG(9))
+	ap := &radio.Endpoint{Name: "ap", Trace: mobility.Stationary{At: mobility.Point{X: 0, Y: mobility.APSetback}},
+		Antenna: radio.NewLairdGD24BP(), BoresightRad: -math.Pi / 2, TxPowerDBm: 17, ExtraLossDB: 28}
+	if err := ch.AddEndpoint(ap); err != nil {
+		t.Fatal(err)
+	}
+	var links []*radio.Link
+	var cars []*radio.Endpoint
+	for i, x := range []float64{2, 10, 20, 30, 45, 60, 90} {
+		car := &radio.Endpoint{Name: fmt.Sprint("car", i), Trace: mobility.Stationary{At: mobility.Point{X: x}},
+			TxPowerDBm: 15, SpeedHintMS: mobility.MPH(25)}
+		if err := ch.AddEndpoint(car); err != nil {
+			t.Fatal(err)
+		}
+		l, err := ch.Link("ap", car.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		links, cars = append(links, l), append(cars, car)
+	}
+	m := NewMedium(sim.NewEngine(), ch, rand.New(rand.NewPCG(3, 4)))
+	ref := rand.New(rand.NewPCG(3, 4))
+	var snr, want []float64
+	var decided, sampled int
+	for _, loss := range []func(float64) float64{phy.SyncFailureProb, blockAckLoss} {
+		for i := range 4000 {
+			l, from := links[i%len(links)], cars[i%len(cars)]
+			at := sim.Time(i) * 997 * sim.Microsecond
+			mod := phy.Lookup(phy.MCS(i % 8)).Modulation
+			var ok bool
+			var esnr float64
+			snr, esnr, ok = m.settle(l, from, at, mod, loss, snr)
+			want = l.SNRInto(at, from, want)
+			wantESNR := csi.ESNRdB(want, mod)
+			if wantOK := ref.Float64() >= loss(wantESNR); ok != wantOK {
+				t.Fatalf("capture %d: settle says %v, sample-then-draw %v (ESNR %.2f dB)", i, ok, wantOK, wantESNR)
+			}
+			if len(snr) == 0 {
+				decided++
+				continue
+			}
+			sampled++
+			if esnr != wantESNR {
+				t.Fatalf("capture %d: settle's ESNR %v, the sample's %v", i, esnr, wantESNR)
+			}
+		}
+	}
+	if decided < 1000 || sampled < 1000 {
+		t.Errorf("%d captures decided unsampled and %d sampled: both paths want exercise", decided, sampled)
+	}
+	t.Logf("%d decided, %d sampled", decided, sampled)
 }

@@ -289,19 +289,23 @@ func (m *Medium) grant() {
 			ev.From = fr.From
 			ev.Kind = fr.Kind
 			ev.Overheard = overheard
-			ev.SNRdB = link.SNRInto(mid, sender.Endpoint, ev.snrStore[:0])
-			if fr.Kind == KindBeacon {
-				ev.RSSIdBm = link.RSSIdBm(mid, sender.Endpoint.TxPowerDBm)
-			}
+			ev.SNRdB = ev.snrStore[:0]
 
 			// PHY sync is a per-frame event: the preamble either locks or
 			// the whole PPDU is invisible. Payload CRCs then fail per MPDU.
 			if !lost {
 				var esnr float64
-				esnr, ev.Synced = m.syncDraw(fr, ev.SNRdB)
+				ev.SNRdB, esnr, ev.Synced = m.settle(link, sender.Endpoint, mid,
+					phy.Lookup(fr.MCS).Modulation, phy.SyncFailureProb, ev.SNRdB)
 				if ev.Synced {
 					ev.decStore = m.decodeMPDUs(fr, esnr, ev.decStore[:0])
 					ev.Decoded = ev.decStore
+				}
+			}
+			if fr.Kind == KindBeacon {
+				ev.RSSIdBm = link.RSSIdBm(mid, sender.Endpoint.TxPowerDBm)
+				if len(ev.SNRdB) == 0 {
+					ev.SNRdB = link.SNRInto(mid, sender.Endpoint, ev.SNRdB)
 				}
 			}
 			m.eng.At(frameEnd, ev.fire)
@@ -426,11 +430,38 @@ func (m *Medium) collidedAt(rx *Station, li int, at sim.Time) bool {
 	return strongest != li || margin < captureDB
 }
 
-// syncDraw is the per-frame PHY sync decision at a receiver with CSI snr:
-// one draw against the sync-failure probability at the frame's ESNR.
-func (m *Medium) syncDraw(fr *Frame, snr []float64) (esnr float64, synced bool) {
-	esnr = csi.ESNRdB(snr, phy.Lookup(fr.MCS).Modulation)
-	return esnr, m.rnd.Float64() >= phy.SyncFailureProb(esnr)
+// ceilingSlackDB covers how far an ESNR may sit above the best subcarrier it
+// averages: the BER tables' inverse error, at most 0.01 dB (phy/bertab.go),
+// and the last bits of the dB conversions.
+const ceilingSlackDB = 0.05
+
+// settle is a capture's loss decision: one draw r against loss at the
+// capture's ESNR, where loss is phy.SyncFailureProb or blockAckLoss. It
+// returns the CSI snapshot (into dst), its ESNR under mod, and whether r
+// survives. Both losses fall as ESNR rises, and no ESNR exceeds the link's
+// budget plus its fading ceiling plus ceilingSlackDB, so a draw below the
+// loss at that bound is lost whatever the fading does: settle then returns
+// an empty snapshot and samples nothing. Sampling makes no medium draw, so
+// the random stream is the same either way; only the work differs.
+func (m *Medium) settle(link *radio.Link, from *radio.Endpoint, at sim.Time, mod phy.Modulation,
+	loss func(esnrDB float64) float64, dst []float64) (snr []float64, esnr float64, ok bool) {
+	r := m.rnd.Float64()
+	budget := link.BudgetDB(at, from.TxPowerDBm)
+	if r < loss(budget+link.CeilingDB()+ceilingSlackDB) {
+		return dst[:0], math.Inf(-1), false
+	}
+	snr = link.SampleInto(at, budget, dst)
+	esnr = csi.ESNRdB(snr, mod)
+	return snr, esnr, r >= loss(esnr)
+}
+
+// blockAckLoss is the loss probability of a Block ACK at ESNR esnrDB.
+// Control responses go out in legacy OFDM at the 24 Mb/s basic rate —
+// 16-QAM rate ½, i.e. MCS3-grade robustness, not MCS0. This is why the
+// paper sees Block ACKs "prone to loss" near cell edges while low-MCS data
+// still gets through (§3.2.1).
+func blockAckLoss(esnrDB float64) float64 {
+	return phy.PER(basicRateMCS, esnrDB, phy.BlockAckBytes)
 }
 
 // skipFrame stands in for a monitor-mode capture of fr, over link, that the
@@ -438,12 +469,13 @@ func (m *Medium) syncDraw(fr *Frame, snr []float64) (esnr float64, synced bool) 
 // builds no event and schedules nothing, but makes exactly the draws the
 // capture would have — one sync draw, then one per MPDU if it synced — so
 // the medium's random stream, and every other receiver's outcome, stay as
-// if it were delivered. Only the sync decision reads the channel, so the CSI
-// snapshot goes into medium scratch; the per-MPDU draws never depend on the
-// PER they would be compared against, so that is not computed.
+// if it were delivered. The snapshot goes into medium scratch; the per-MPDU
+// draws never depend on the PER they would be compared against, so that is
+// not computed.
 func (m *Medium) skipFrame(fr *Frame, link *radio.Link, from *radio.Endpoint, mid sim.Time) {
-	m.snr = link.SNRInto(mid, from, m.snr[:0])
-	if _, synced := m.syncDraw(fr, m.snr); !synced {
+	var synced bool
+	m.snr, _, synced = m.settle(link, from, mid, phy.Lookup(fr.MCS).Modulation, phy.SyncFailureProb, m.snr)
+	if !synced {
 		return
 	}
 	for range fr.MPDUs {
@@ -530,14 +562,10 @@ func (m *Medium) deliverResponses(responses []respPlan, respMid, respEnd sim.Tim
 		ev.SSN = rp.ssn
 		ev.Bitmap = rp.bitmap
 		ev.Overheard = rp.toward != rx
-		ev.SNRdB = link.SNRInto(respMid, rp.responder.Endpoint, ev.snrStore[:0])
-		// Control responses go out in legacy OFDM at the 24 Mb/s basic rate
-		// — 16-QAM rate ½, i.e. MCS3-grade robustness, not MCS0. This is
-		// why the paper sees Block ACKs "prone to loss" near cell edges
-		// while low-MCS data still gets through (§3.2.1).
-		esnr := csi.ESNRdB(ev.SNRdB, phy.Lookup(basicRateMCS).Modulation)
-		per := phy.PER(basicRateMCS, esnr, phy.BlockAckBytes)
-		if m.rnd.Float64() < per {
+		var ok bool
+		ev.SNRdB, _, ok = m.settle(link, rp.responder.Endpoint, respMid,
+			phy.Lookup(basicRateMCS).Modulation, blockAckLoss, ev.snrStore[:0])
+		if !ok {
 			m.putBA(ev)
 			continue // response lost in the channel
 		}

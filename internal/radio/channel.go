@@ -68,6 +68,13 @@ type Channel struct {
 	endpoints map[string]*Endpoint
 	links     map[[2]string]*Link
 	disturbs  []disturber
+	// twid is the one subcarrier table every link's fader combines over,
+	// built with the first link.
+	twid *twiddle
+
+	// Samples counts per-subcarrier fading samples taken on this channel's
+	// links (Link.SampleInto with fading on) — the radio's dominant cost.
+	Samples uint64
 }
 
 type disturber struct {
@@ -145,8 +152,10 @@ func (c *Channel) Link(a, b string) (*Link, error) {
 	doppler := DopplerHz(math.Max(ea.SpeedHintMS, eb.SpeedHintMS), c.params.FrequencyHz)
 	fader := NewFader(c.params.Taps, c.params.Oscillators,
 		doppler, c.params.MinDopplerHz, c.rng.Stream("fading/"+key[0]+"/"+key[1]))
+	fader.twid = c.twid // nil for the channel's first link, which builds it
 	fader.Prime(c.params.Subcarriers, c.params.SubcarrierSpacingHz)
-	l := &Link{A: ea, B: eb, fader: fader, params: c.params}
+	c.twid = fader.twid
+	l := &Link{A: ea, B: eb, fader: fader, params: c.params, samples: &c.Samples}
 	if !c.params.NoFading {
 		l.shadow = NewShadower(shadowSigmaDB, shadowCorrM, c.rng.Stream("shadow/"+key[0]+"/"+key[1]))
 		l.mobile = ea

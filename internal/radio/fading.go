@@ -36,33 +36,66 @@ func DefaultTaps() []Tap {
 // happen out of order — and is normalized to unit average power so it
 // composes additively (in dB) with path loss and antenna gain.
 //
-// Sampling reuses internal scratch storage and a cached per-subcarrier
-// twiddle table, so a Fader is NOT safe for concurrent use. Every fader
-// belongs to exactly one simulation cell, and each cell runs on one
-// goroutine (DESIGN.md §5/§8), so this needs no locking.
+// Sampling reuses internal scratch storage, so a Fader is NOT safe for
+// concurrent use. Every fader belongs to exactly one simulation cell, and
+// each cell runs on one goroutine (DESIGN.md §5/§8), so this needs no
+// locking.
 type Fader struct {
 	taps  []fadeTap
 	norm  float64 // 1/sqrt(total linear tap power · oscillators)
 	waveN int
 
+	// ceilingDB bounds every subcarrier's gain at every instant: the power
+	// of all taps' oscillators in phase, (Σ amp·norm·waveN)², since
+	// |H_m| ≤ Σ_i |g_i| and |g_i| ≤ amp_i·norm·waveN.
+	ceilingDB float64
+
 	// scratch holds per-tap gains between tapGainsInto and the subcarrier
 	// combine, avoiding a per-sample allocation.
 	scratch []complex128
-	// twiddle caches exp(−j 2π f_m τ_i) for subcarrier m and tap i, laid
-	// out row-major by subcarrier: twiddle[m*len(taps)+i]. Tap delays and
-	// subcarrier offsets are fixed per link, so this is computed once (per
-	// (count, spacing), which in practice never changes for a fader).
-	twiddle     []complex128
-	twidN       int
-	twidSpacing float64
+	// twid is the subcarrier geometry GainsDB combines over; a Channel's
+	// links share one (see twiddle).
+	twid *twiddle
 }
 
 type fadeTap struct {
 	amp     float64 // sqrt of normalized linear tap power
 	delayNS float64
-	// Oscillator parameters: phase offsets and angular Doppler rates.
+	// Oscillator parameters: phase offsets and angular Doppler rates, both
+	// windows of one backing array per fader.
 	phase []float64
 	omega []float64 // rad/s
+}
+
+// twiddle holds exp(−j 2π f_m τ_i) for subcarrier m and tap i of one
+// geometry — n subcarriers spacing Hz apart — laid out row-major by
+// subcarrier: rows[m*taps+i]. It is read-only once built: every link of a
+// Channel has the same tap delays and subcarriers, so they share one table,
+// and a fader asked for another geometry builds a table of its own rather
+// than rewrite the shared one.
+type twiddle struct {
+	n       int
+	spacing float64
+	rows    []complex128
+}
+
+// newTwiddle builds the table for taps at the given geometry. The entries
+// are bit-identical to what cmplx.Exp produced in the direct evaluation
+// (e^0 · (cos, sin) via math.Sincos), so the table changes no sampled value.
+func newTwiddle(taps []fadeTap, n int, spacingHz float64) *twiddle {
+	nt := len(taps)
+	tw := &twiddle{n: n, spacing: spacingHz, rows: make([]complex128, n*nt)}
+	mid := float64(n-1) / 2
+	for m := 0; m < n; m++ {
+		freq := (float64(m) - mid) * spacingHz
+		for i := 0; i < nt; i++ {
+			// exp(−j 2π f τ) phase rotation per tap.
+			ph := -2 * math.Pi * freq * taps[i].delayNS * 1e-9
+			s, c := math.Sincos(ph)
+			tw.rows[m*nt+i] = complex(c, s)
+		}
+	}
+	return tw
 }
 
 // NewFader builds a fader for one link.
@@ -85,14 +118,21 @@ func NewFader(taps []Tap, oscillators int, dopplerHz, minDopplerHz float64, rnd 
 	for _, tp := range taps {
 		total += DBToLinear(tp.PowerDB)
 	}
-	f := &Fader{waveN: oscillators}
+	f := &Fader{
+		taps:  make([]fadeTap, 0, len(taps)),
+		norm:  1 / math.Sqrt(float64(oscillators)),
+		waveN: oscillators,
+	}
+	osc := make([]float64, 2*len(taps)*oscillators)
+	var reach float64
 	for _, tp := range taps {
 		ft := fadeTap{
 			amp:     math.Sqrt(DBToLinear(tp.PowerDB) / total),
 			delayNS: tp.DelayNS,
-			phase:   make([]float64, oscillators),
-			omega:   make([]float64, oscillators),
+			phase:   osc[:oscillators:oscillators],
+			omega:   osc[oscillators : 2*oscillators : 2*oscillators],
 		}
+		osc = osc[2*oscillators:]
 		for n := 0; n < oscillators; n++ {
 			// Arrival angles uniform on the circle give the classic Jakes
 			// Doppler spectrum; random initial phases decorrelate taps.
@@ -101,21 +141,31 @@ func NewFader(taps []Tap, oscillators int, dopplerHz, minDopplerHz float64, rnd 
 			ft.omega[n] = 2 * math.Pi * dopplerHz * math.Cos(alpha)
 		}
 		f.taps = append(f.taps, ft)
+		reach += ft.amp * f.norm * float64(oscillators)
 	}
-	f.norm = 1 / math.Sqrt(float64(oscillators))
+	f.ceilingDB = LinearToDB(reach * reach)
 	return f
 }
 
-// Prime precomputes the twiddle table and scratch storage for the given
+// Prime readies the twiddle table and scratch storage for the given
 // subcarrier count and spacing, so even the first GainsDB sample is
-// allocation-free. Called at link-assembly time; sampling with a different
-// geometry later just rebuilds the table.
+// allocation-free. A table the fader already holds for that geometry — the
+// one its Channel shares among all its links — is kept; sampling with a
+// different geometry later just builds the fader a table of its own.
 func (f *Fader) Prime(subcarriers int, spacingHz float64) {
 	if subcarriers <= 0 {
 		return
 	}
-	f.buildTwiddle(subcarriers, spacingHz)
+	f.fit(subcarriers, spacingHz)
 	f.tapScratch()
+}
+
+// fit makes the fader's twiddle table match the geometry, building a new
+// one when the current table, perhaps shared, is for another.
+func (f *Fader) fit(n int, spacingHz float64) {
+	if f.twid == nil || f.twid.n != n || f.twid.spacing != spacingHz {
+		f.twid = newTwiddle(f.taps, n, spacingHz)
+	}
 }
 
 // tapScratch returns the reusable per-tap gain buffer.
@@ -146,45 +196,19 @@ func (f *Fader) tapGainsInto(tSeconds float64, out []complex128) {
 // subcarrier is unused in 802.11 so the half-spacing asymmetry is harmless.
 func (f *Fader) GainsDB(tSeconds float64, spacingHz float64, dst []float64) {
 	n := len(dst)
-	if f.twidN != n || f.twidSpacing != spacingHz {
-		f.buildTwiddle(n, spacingHz)
-	}
+	f.fit(n, spacingHz)
 	tapGains := f.tapScratch()
 	f.tapGainsInto(tSeconds, tapGains)
 	nt := len(f.taps)
 	for m := 0; m < n; m++ {
 		var h complex128
-		row := f.twiddle[m*nt : (m+1)*nt]
+		row := f.twid.rows[m*nt : (m+1)*nt]
 		for i, g := range tapGains {
 			h += g * row[i]
 		}
 		p := real(h)*real(h) + imag(h)*imag(h)
 		dst[m] = LinearToDB(p)
 	}
-}
-
-// buildTwiddle precomputes the per-(subcarrier, tap) phase rotations
-// exp(−j 2π f_m τ_i). The entries are bit-identical to what cmplx.Exp
-// produced in the direct evaluation (e^0 · (cos, sin) via math.Sincos), so
-// switching to the table changes no sampled value.
-func (f *Fader) buildTwiddle(n int, spacingHz float64) {
-	nt := len(f.taps)
-	if cap(f.twiddle) < n*nt {
-		f.twiddle = make([]complex128, n*nt)
-	}
-	f.twiddle = f.twiddle[:n*nt]
-	mid := float64(n-1) / 2
-	for m := 0; m < n; m++ {
-		freq := (float64(m) - mid) * spacingHz
-		for i := 0; i < nt; i++ {
-			// exp(−j 2π f τ) phase rotation per tap.
-			ph := -2 * math.Pi * freq * f.taps[i].delayNS * 1e-9
-			s, c := math.Sincos(ph)
-			f.twiddle[m*nt+i] = complex(c, s)
-		}
-	}
-	f.twidN = n
-	f.twidSpacing = spacingHz
 }
 
 // FlatGainDB returns the wideband (frequency-flat) fading power gain in dB

@@ -46,6 +46,8 @@ type Link struct {
 	// evaluated at the mobile endpoint's position.
 	shadow *Shadower
 	mobile *Endpoint
+
+	samples *uint64 // the channel's Samples
 }
 
 // PathGainDB is the deterministic (no-fading) gain of the link at time t:
@@ -69,33 +71,51 @@ func (l *Link) PathGainDB(t sim.Time) float64 {
 	return g - pl - loss
 }
 
-// SNRPerSubcarrierDB fills dst (len = Params.Subcarriers) with the
-// instantaneous per-subcarrier SNR in dB for a transmission at txPowerDBm.
-func (l *Link) SNRPerSubcarrierDB(t sim.Time, txPowerDBm float64, dst []float64) {
-	base := txPowerDBm + l.PathGainDB(t) - noiseFloorDBm
-	if l.params.NoFading {
-		for i := range dst {
-			dst[i] = base
-		}
-		return
-	}
-	l.fader.GainsDB(t.Seconds(), l.params.SubcarrierSpacingHz, dst)
-	for i := range dst {
-		dst[i] += base
-	}
+// BudgetDB is the link's SNR at time t for a transmission at txPowerDBm
+// before small-scale fading: transmit power plus path gain, less the noise
+// floor. Every subcarrier's SNR is this plus its fading gain, so one budget
+// serves both a decision against CeilingDB and the sample that follows it.
+func (l *Link) BudgetDB(t sim.Time, txPowerDBm float64) float64 {
+	return txPowerDBm + l.PathGainDB(t) - noiseFloorDBm
 }
 
-// SNRInto fills dst (reusing its capacity) with the per-subcarrier SNR for a
-// transmission from endpoint from, and returns the filled slice of length
-// Params.Subcarriers.
-func (l *Link) SNRInto(t sim.Time, from *Endpoint, dst []float64) []float64 {
+// CeilingDB bounds the fading gain of every subcarrier at every instant
+// (0 with fading off): no subcarrier of SampleInto exceeds its budget plus
+// the ceiling, so neither does any ESNR over them.
+func (l *Link) CeilingDB() float64 {
+	if l.params.NoFading {
+		return 0
+	}
+	return l.fader.ceilingDB
+}
+
+// SampleInto fills dst (reusing its capacity) with the per-subcarrier SNR
+// at time t over budgetDB, the link's BudgetDB for the transmission, and
+// returns the filled slice of length Params.Subcarriers.
+func (l *Link) SampleInto(t sim.Time, budgetDB float64, dst []float64) []float64 {
 	n := l.params.Subcarriers
 	if cap(dst) < n {
 		dst = make([]float64, n)
 	}
 	dst = dst[:n]
-	l.SNRPerSubcarrierDB(t, from.TxPowerDBm, dst)
+	if l.params.NoFading {
+		for i := range dst {
+			dst[i] = budgetDB
+		}
+		return dst
+	}
+	*l.samples++
+	l.fader.GainsDB(t.Seconds(), l.params.SubcarrierSpacingHz, dst)
+	for i := range dst {
+		dst[i] += budgetDB
+	}
 	return dst
+}
+
+// SNRInto is SampleInto over the link's budget for a transmission from
+// endpoint from.
+func (l *Link) SNRInto(t sim.Time, from *Endpoint, dst []float64) []float64 {
+	return l.SampleInto(t, l.BudgetDB(t, from.TxPowerDBm), dst)
 }
 
 func (l *Link) flatFadeDB(t sim.Time) float64 {

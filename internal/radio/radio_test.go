@@ -260,8 +260,8 @@ func TestChannelSNRSnapshot(t *testing.T) {
 		t.Fatalf("snapshot has %d subcarriers, want 56", len(snr))
 	}
 	// Uplink is 2 dB below downlink on average (15 vs 17 dBm).
-	down := make([]float64, 56)
-	l.SNRPerSubcarrierDB(sim.FromSeconds(2.98), 17, down)
+	at := sim.FromSeconds(2.98)
+	down := l.SampleInto(at, l.BudgetDB(at, 17), nil)
 	for i := range snr {
 		if math.Abs((down[i]-snr[i])-2) > 1e-9 {
 			t.Fatal("uplink/downlink asymmetry should be exactly the power difference")
@@ -407,8 +407,7 @@ func TestNoFadingDisablesEverything(t *testing.T) {
 	// Two samples at the same geometry must be identical: no fading, no
 	// shadowing, no randomness.
 	p1 := l.PathGainDB(sim.FromSeconds(1))
-	snr := make([]float64, params.Subcarriers)
-	l.SNRPerSubcarrierDB(sim.FromSeconds(1), 15, snr)
+	snr := l.SampleInto(sim.FromSeconds(1), l.BudgetDB(sim.FromSeconds(1), 15), nil)
 	for _, v := range snr[1:] {
 		if v != snr[0] {
 			t.Fatal("NoFading link is not frequency-flat")
