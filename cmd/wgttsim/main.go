@@ -135,8 +135,12 @@ func main() {
 		// Build arms chaos on WGTT networks only, so there is a controller.
 		cs := n.Chaos.Stats
 		st := n.CtlStats()
-		fmt.Printf("chaos: %d AP crashes (%d restarts, %d skipped), %d burst drops, %d CSI-blackout drops\n",
-			cs.APCrashes, cs.APRestarts, cs.CrashesSkipped, cs.BurstDrops, cs.BlackoutDrops)
+		ctl := "" // a one-domain plan draws no controller crash
+		if len(n.Fed.Domains) > 1 {
+			ctl = fmt.Sprintf(", %d controller crashes (%d restarts, %d skipped)", cs.CtlCrashes, cs.CtlRestarts, cs.CtlSkipped)
+		}
+		fmt.Printf("chaos: %d AP crashes (%d restarts, %d skipped)%s, %d burst drops, %d CSI-blackout drops\n",
+			cs.APCrashes, cs.APRestarts, cs.CrashesSkipped, ctl, cs.BurstDrops, cs.BlackoutDrops)
 		fmt.Printf("recovery: %d APs marked dead, %d readmitted, %d forced switches, %d health probes\n",
 			st.APsMarkedDead, st.APsReadmitted, st.ForcedSwitches, st.HealthProbes)
 	}

@@ -31,20 +31,12 @@ import (
 	"wgtt/internal/sim"
 )
 
-// APTarget is the crash surface of one AP (implemented by *ap.AP).
-type APTarget interface {
+// Target is the crash surface of one AP (*ap.AP) or one controller domain
+// (*federation.Domain): a crash takes it off the air and the backhaul, a
+// restart brings it back with cold soft state.
+type Target interface {
 	Crash()
 	Restart()
-	Down() bool
-}
-
-// ControllerTarget is the crash surface of one controller instance
-// (implemented by *controller.Controller, and by *federation.Domain, which
-// core.Build arms). Pass nil when the network has no controller — and take
-// care to pass a true nil, not a typed-nil pointer.
-type ControllerTarget interface {
-	Fail()
-	Recover()
 	Down() bool
 }
 
@@ -69,9 +61,9 @@ const (
 	// CSIBlackout opens a window during which CSI reports are dropped on
 	// the backhaul: the controller flies blind while data still flows.
 	CSIBlackout
-	// ControllerCrash takes the controller down (controller.Fail).
+	// ControllerCrash takes one domain's controller down (Domain.Crash).
 	ControllerCrash
-	// ControllerRestart recovers it with cold soft state (controller.Recover).
+	// ControllerRestart brings it back with cold soft state (Domain.Restart).
 	ControllerRestart
 )
 
@@ -100,8 +92,9 @@ func (k EventKind) String() string {
 type Event struct {
 	At   sim.Time
 	Kind EventKind
-	// AP is the target AP id for APCrash/APRestart (ignored otherwise).
-	AP int
+	// Target is the AP id of an AP event, the domain id of a controller
+	// event (ignored otherwise).
+	Target int
 	// Dur is the window length for burst/spike/blackout events.
 	Dur sim.Time
 }
@@ -109,11 +102,11 @@ type Event struct {
 // Config parameterizes fault generation. Every MTBF is the mean of an
 // exponential inter-arrival distribution; 0 disables that fault class, and
 // the zero Config generates nothing (Script-only plans are how single
-// targeted faults, a controller crash among them, are injected).
+// targeted faults are injected).
 type Config struct {
 	// APCrashMTBF is the per-AP mean time between crashes; each crashed AP
-	// comes back after APDowntime with cold queues. At most maxAPDown APs
-	// are down at once, and the injector never crashes the last alive AP.
+	// comes back after APDowntime with cold queues. Set, it also turns on
+	// the controller crashes of a federated network (controllerMTBF).
 	APCrashMTBF sim.Time
 	APDowntime  sim.Time
 
@@ -140,7 +133,8 @@ type Config struct {
 }
 
 // DefaultConfig is the standard chaos mix for resilience runs: roughly one
-// AP crash per simulated minute per AP, plus periodic backhaul weather.
+// AP crash per simulated minute per AP, as many controller crashes per
+// domain of a federated network, plus periodic backhaul weather.
 func DefaultConfig() Config {
 	return Config{
 		APCrashMTBF:       60 * sim.Second,
@@ -160,16 +154,27 @@ const (
 	blackoutLen = 300 * sim.Millisecond
 )
 
+// The controller crash process of each domain of a federated network,
+// drawn whenever AP crashes are (Config.APCrashMTBF > 0): a crash per
+// controllerMTBF on average, each down for controllerDowntime. A restarted
+// controller numbers each client's downlink from index 0 again, and an AP
+// resynchronises a client's ring to that only once it has sat idle for
+// ap.staleRingAfter (1 s), so the downtime must not be shorter;
+// internal/core's TestChaosControllerRestartResumesDelivery checks the
+// restarted stream's first delivery is index 0.
+const (
+	controllerMTBF     = 60 * sim.Second
+	controllerDowntime = 2 * sim.Second
+)
+
 // What a fault does while it lasts: a burst drops each backhaul message
-// with probability burstLoss, a spike adds spikeExtra one-way latency, and
-// at most maxAPDown APs are crashed at once.
+// with probability burstLoss, a spike adds spikeExtra one-way latency.
 const (
 	burstLoss  = 0.5
 	spikeExtra = 5 * sim.Millisecond
-	maxAPDown  = 1
 )
 
-// Plan is a complete fault timeline, sorted by (At, Kind, AP).
+// Plan is a complete fault timeline, sorted by (At, Kind, Target).
 type Plan struct {
 	Events []Event
 }
@@ -177,22 +182,33 @@ type Plan struct {
 // Empty reports whether the plan injects nothing.
 func (p Plan) Empty() bool { return len(p.Events) == 0 }
 
-// BuildPlan derives the fault timeline for one cell from its scenario RNG.
-// Each fault class draws from its own named stream, and per-AP crash
-// processes draw from per-AP streams, so the timeline is a pure function of
-// (seed, numAPs, horizon) — unaffected by anything else in the simulation,
-// and identical however many fleet workers replay it.
-func BuildPlan(cfg Config, rng *sim.RNG, numAPs int, horizon sim.Time) Plan {
+// BuildPlan derives the fault timeline for one cell of numAPs APs and
+// numDomains controller domains from its scenario RNG. Each fault class
+// draws from its own named stream, and each AP's and each domain's crash
+// process from its own ("chaos/ap/3", "chaos/controller/1"), so the
+// timeline is a pure function of (seed, numAPs, numDomains, horizon) —
+// unaffected by anything else in the simulation, and identical however many
+// fleet workers replay it.
+func BuildPlan(cfg Config, rng *sim.RNG, numAPs, numDomains int, horizon sim.Time) Plan {
 	var p Plan
-	if cfg.APCrashMTBF > 0 && cfg.APDowntime > 0 {
-		for id := 0; id < numAPs; id++ {
-			rnd := rng.Stream(fmt.Sprintf("chaos/ap/%d", id))
-			for t := expDraw(rnd, cfg.APCrashMTBF); t < horizon; t += cfg.APDowntime + expDraw(rnd, cfg.APCrashMTBF) {
+	crashes := func(class string, n int, crash, restart EventKind, mtbf, downtime sim.Time) {
+		if mtbf <= 0 || downtime <= 0 {
+			return
+		}
+		for id := 0; id < n; id++ {
+			rnd := rng.Stream(fmt.Sprintf("chaos/%s/%d", class, id))
+			for t := expDraw(rnd, mtbf); t < horizon; t += downtime + expDraw(rnd, mtbf) {
 				p.Events = append(p.Events,
-					Event{At: t, Kind: APCrash, AP: id},
-					Event{At: t + cfg.APDowntime, Kind: APRestart, AP: id})
+					Event{At: t, Kind: crash, Target: id},
+					Event{At: t + downtime, Kind: restart, Target: id})
 			}
 		}
+	}
+	crashes("ap", numAPs, APCrash, APRestart, cfg.APCrashMTBF, cfg.APDowntime)
+	if numDomains > 1 && cfg.APCrashMTBF > 0 {
+		// The guard never crashes the last live target, so a lone
+		// controller's process would be skipped whole: it is not drawn.
+		crashes("controller", numDomains, ControllerCrash, ControllerRestart, controllerMTBF, controllerDowntime)
 	}
 	addWindows := func(stream string, kind EventKind, mtbf, length sim.Time) {
 		if mtbf <= 0 {
@@ -215,7 +231,7 @@ func BuildPlan(cfg Config, rng *sim.RNG, numAPs int, horizon sim.Time) Plan {
 		if a.Kind != b.Kind {
 			return a.Kind < b.Kind
 		}
-		return a.AP < b.AP
+		return a.Target < b.Target
 	})
 	return p
 }
@@ -226,11 +242,14 @@ func expDraw(rnd *rand.Rand, mean sim.Time) sim.Time {
 }
 
 // Stats counts what the injector actually did (the plan is intent; crashes
-// can be skipped by the concurrency guard).
+// can be skipped by the guard). Every crash event is applied or skipped, so
+// a plan's crash events number APCrashes + CrashesSkipped + CtlCrashes +
+// CtlSkipped; a restart applies only to a target its crash took down, so
+// APRestarts ≤ APCrashes and CtlRestarts ≤ CtlCrashes.
 type Stats struct {
 	APCrashes      uint64
 	APRestarts     uint64
-	CrashesSkipped uint64 // suppressed by the maxAPDown / last-AP guard
+	CrashesSkipped uint64 // AP crashes suppressed by the guard (Injector.crash)
 	Bursts         uint64
 	BurstDrops     uint64
 	Spikes         uint64
@@ -238,6 +257,7 @@ type Stats struct {
 	BlackoutDrops  uint64
 	CtlCrashes     uint64
 	CtlRestarts    uint64
+	CtlSkipped     uint64 // controller crashes suppressed by the guard
 }
 
 // Injector replays a Plan against a live network. Build it with NewInjector
@@ -246,8 +266,7 @@ type Injector struct {
 	eng  *sim.Engine
 	plan Plan
 
-	aps []APTarget
-	ctl ControllerTarget
+	aps, ctls []Target
 
 	// Open fault windows, as absolute deadlines on the sim clock.
 	burstUntil    sim.Time
@@ -260,8 +279,6 @@ type Injector struct {
 	// ctlLoss is the ControlLoss drop hook, nil when ControlLoss is 0.
 	ctlLoss func(packet.IPv4Addr, packet.Message) bool
 
-	downCount int
-
 	// OnFault observes every applied event (after its effect), letting the
 	// evaluation layer correlate faults with delivery gaps.
 	OnFault func(Event)
@@ -270,14 +287,13 @@ type Injector struct {
 }
 
 // NewInjector builds the plan for the given horizon and binds it to the
-// network's components. ctl may be nil (baseline networks have none, and
-// controller events are then skipped).
-func NewInjector(cfg Config, eng *sim.Engine, rng *sim.RNG, aps []APTarget, ctl ControllerTarget, horizon sim.Time) *Injector {
+// network's APs and controller domains, each indexed by its id.
+func NewInjector(cfg Config, eng *sim.Engine, rng *sim.RNG, aps, ctls []Target, horizon sim.Time) *Injector {
 	in := &Injector{
 		eng:      eng,
-		plan:     BuildPlan(cfg, rng, len(aps), horizon),
+		plan:     BuildPlan(cfg, rng, len(aps), len(ctls), horizon),
 		aps:      aps,
-		ctl:      ctl,
+		ctls:     ctls,
 		burstRnd: rng.Stream("chaos/burst/drop"),
 	}
 	if cfg.ControlLoss > 0 {
@@ -346,22 +362,16 @@ func (in *Injector) delay(packet.IPv4Addr, packet.Message) sim.Time {
 
 // apply executes one plan event against the live network.
 func (in *Injector) apply(ev Event) {
+	applied := true
 	switch ev.Kind {
 	case APCrash:
-		if !in.canCrash(ev.AP) {
-			in.Stats.CrashesSkipped++
-			return
-		}
-		in.aps[ev.AP].Crash()
-		in.downCount++
-		in.Stats.APCrashes++
+		applied = crash(in.aps, ev.Target, &in.Stats.APCrashes, &in.Stats.CrashesSkipped)
 	case APRestart:
-		if !in.aps[ev.AP].Down() {
-			return // its crash was skipped by the guard
-		}
-		in.aps[ev.AP].Restart()
-		in.downCount--
-		in.Stats.APRestarts++
+		applied = restart(in.aps, ev.Target, &in.Stats.APRestarts)
+	case ControllerCrash:
+		applied = crash(in.ctls, ev.Target, &in.Stats.CtlCrashes, &in.Stats.CtlSkipped)
+	case ControllerRestart:
+		applied = restart(in.ctls, ev.Target, &in.Stats.CtlRestarts)
 	case BackhaulBurst:
 		in.Stats.Bursts++
 		in.extend(&in.burstUntil, ev.Dur)
@@ -371,41 +381,38 @@ func (in *Injector) apply(ev Event) {
 	case CSIBlackout:
 		in.Stats.Blackouts++
 		in.extend(&in.blackoutUntil, ev.Dur)
-	case ControllerCrash:
-		if in.ctl == nil || in.ctl.Down() {
-			return
-		}
-		in.ctl.Fail()
-		in.Stats.CtlCrashes++
-	case ControllerRestart:
-		if in.ctl == nil || !in.ctl.Down() {
-			return
-		}
-		in.ctl.Recover()
-		in.Stats.CtlRestarts++
 	}
-	if in.OnFault != nil {
+	if applied && in.OnFault != nil {
 		in.OnFault(ev)
 	}
 }
 
-// canCrash enforces the outage guards: never exceed maxAPDown,
-// and never crash the last alive AP (a corridor with zero coverage measures
-// nothing useful).
-func (in *Injector) canCrash(apID int) bool {
-	if in.aps[apID].Down() {
+// crash takes ts[id] down and counts it in n, unless the guard holds: at
+// most one target of a list down at a time, and never the last live one (a
+// corridor with no coverage, or no controller, measures nothing useful).
+// A guarded crash counts in skipped.
+func crash(ts []Target, id int, n, skipped *uint64) bool {
+	ok := id >= 0 && id < len(ts) && len(ts) > 1
+	for _, t := range ts {
+		ok = ok && !t.Down()
+	}
+	if !ok {
+		*skipped++
 		return false
 	}
-	if in.downCount >= maxAPDown {
-		return false
+	ts[id].Crash()
+	*n++
+	return true
+}
+
+// restart brings ts[id] back and counts it in n, if its crash took it down.
+func restart(ts []Target, id int, n *uint64) bool {
+	if id < 0 || id >= len(ts) || !ts[id].Down() {
+		return false // its crash was skipped by the guard
 	}
-	alive := 0
-	for _, a := range in.aps {
-		if !a.Down() {
-			alive++
-		}
-	}
-	return alive > 1
+	ts[id].Restart()
+	*n++
+	return true
 }
 
 // extend opens or lengthens a fault window ending at now+d.

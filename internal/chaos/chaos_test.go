@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -13,8 +14,8 @@ import (
 func TestBuildPlanDeterministicAndSorted(t *testing.T) {
 	cfg := DefaultConfig()
 	horizon := 300 * sim.Second
-	a := BuildPlan(cfg, sim.NewRNG(42), 6, horizon)
-	b := BuildPlan(cfg, sim.NewRNG(42), 6, horizon)
+	a := BuildPlan(cfg, sim.NewRNG(42), 6, 2, horizon)
+	b := BuildPlan(cfg, sim.NewRNG(42), 6, 2, horizon)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same seed produced different plans")
 	}
@@ -29,16 +30,16 @@ func TestBuildPlanDeterministicAndSorted(t *testing.T) {
 		if x.Kind != y.Kind {
 			return x.Kind < y.Kind
 		}
-		return x.AP < y.AP
+		return x.Target < y.Target
 	}) {
-		t.Error("plan not sorted by (At, Kind, AP)")
+		t.Error("plan not sorted by (At, Kind, Target)")
 	}
 	for _, ev := range a.Events {
-		if ev.Kind != APRestart && ev.At >= horizon {
+		if ev.Kind != APRestart && ev.Kind != ControllerRestart && ev.At >= horizon {
 			t.Fatalf("event %+v generated beyond the horizon", ev)
 		}
 	}
-	c := BuildPlan(cfg, sim.NewRNG(43), 6, horizon)
+	c := BuildPlan(cfg, sim.NewRNG(43), 6, 2, horizon)
 	if reflect.DeepEqual(a, c) {
 		t.Error("different seeds produced identical plans")
 	}
@@ -49,12 +50,12 @@ func TestBuildPlanPerAPStreamsIndependent(t *testing.T) {
 	// AP draws from its own named stream, like fleet cells.
 	cfg := Config{APCrashMTBF: 30 * sim.Second, APDowntime: sim.Second}
 	horizon := 600 * sim.Second
-	small := BuildPlan(cfg, sim.NewRNG(7), 2, horizon)
-	big := BuildPlan(cfg, sim.NewRNG(7), 8, horizon)
+	small := BuildPlan(cfg, sim.NewRNG(7), 2, 1, horizon)
+	big := BuildPlan(cfg, sim.NewRNG(7), 8, 1, horizon)
 	filt := func(p Plan, id int) []Event {
 		var out []Event
 		for _, ev := range p.Events {
-			if ev.AP == id && (ev.Kind == APCrash || ev.Kind == APRestart) {
+			if ev.Target == id && (ev.Kind == APCrash || ev.Kind == APRestart) {
 				out = append(out, ev)
 			}
 		}
@@ -70,26 +71,24 @@ func TestBuildPlanPerAPStreamsIndependent(t *testing.T) {
 func TestSingleAPCrashScript(t *testing.T) {
 	// A script-only config yields exactly its events, in time order.
 	want := []Event{
-		{At: 2 * sim.Second, Kind: APCrash, AP: 3},
-		{At: 2*sim.Second + 500*sim.Millisecond, Kind: APRestart, AP: 3},
+		{At: 2 * sim.Second, Kind: APCrash, Target: 3},
+		{At: 2*sim.Second + 500*sim.Millisecond, Kind: APRestart, Target: 3},
 	}
 	cfg := Config{Script: []Event{want[1], want[0]}}
-	p := BuildPlan(cfg, sim.NewRNG(1), 5, 10*sim.Second)
+	p := BuildPlan(cfg, sim.NewRNG(1), 5, 1, 10*sim.Second)
 	if !reflect.DeepEqual(p.Events, want) {
 		t.Fatalf("plan = %+v, want %+v", p.Events, want)
 	}
 }
 
-// fakeTarget implements APTarget and ControllerTarget.
+// fakeTarget implements Target.
 type fakeTarget struct {
 	down              bool
 	crashes, restarts int
 }
 
 func (f *fakeTarget) Crash()     { f.down = true; f.crashes++ }
-func (f *fakeTarget) Fail()      { f.down = true; f.crashes++ }
 func (f *fakeTarget) Restart()   { f.down = false; f.restarts++ }
-func (f *fakeTarget) Recover()   { f.down = false; f.restarts++ }
 func (f *fakeTarget) Down() bool { return f.down }
 
 // sink records backhaul deliveries.
@@ -107,14 +106,14 @@ func (s *sink) HandleBackhaul(from packet.IPv4Addr, msg packet.Message) {
 func TestInjectorCrashGuards(t *testing.T) {
 	eng := sim.NewEngine()
 	aps := []*fakeTarget{{}, {}, {}}
-	targets := []APTarget{aps[0], aps[1], aps[2]}
+	targets := []Target{aps[0], aps[1], aps[2]}
 	cfg := Config{
 		Script: []Event{
-			{At: 1 * sim.Second, Kind: APCrash, AP: 0},
-			{At: 2 * sim.Second, Kind: APCrash, AP: 1}, // blocked: AP0 still down
-			{At: 3 * sim.Second, Kind: APRestart, AP: 1},
-			{At: 4 * sim.Second, Kind: APRestart, AP: 0},
-			{At: 5 * sim.Second, Kind: APCrash, AP: 1}, // allowed again
+			{At: 1 * sim.Second, Kind: APCrash, Target: 0},
+			{At: 2 * sim.Second, Kind: APCrash, Target: 1}, // blocked: AP0 still down
+			{At: 3 * sim.Second, Kind: APRestart, Target: 1},
+			{At: 4 * sim.Second, Kind: APRestart, Target: 0},
+			{At: 5 * sim.Second, Kind: APCrash, Target: 1}, // allowed again
 		},
 	}
 	inj := NewInjector(cfg, eng, sim.NewRNG(9), targets, nil, 10*sim.Second)
@@ -145,8 +144,8 @@ func TestInjectorCrashGuards(t *testing.T) {
 func TestInjectorNeverCrashesLastAliveAP(t *testing.T) {
 	eng := sim.NewEngine()
 	only := &fakeTarget{}
-	cfg := Config{Script: []Event{{At: sim.Second, Kind: APCrash, AP: 0}}}
-	inj := NewInjector(cfg, eng, sim.NewRNG(9), []APTarget{only}, nil, 5*sim.Second)
+	cfg := Config{Script: []Event{{At: sim.Second, Kind: APCrash, Target: 0}}}
+	inj := NewInjector(cfg, eng, sim.NewRNG(9), []Target{only}, nil, 5*sim.Second)
 	inj.Arm(backhaul.NewSwitch(eng, 200*sim.Microsecond))
 	eng.RunUntil(5 * sim.Second)
 	if only.crashes != 0 || inj.Stats.CrashesSkipped != 1 {
@@ -227,21 +226,112 @@ func TestInjectorLatencySpikeDelays(t *testing.T) {
 	}
 }
 
-func TestInjectorControllerCrashRecover(t *testing.T) {
+func TestInjectorControllerCrashRestart(t *testing.T) {
 	eng := sim.NewEngine()
-	ctl := &fakeTarget{}
+	ctls := []*fakeTarget{{}, {}}
 	cfg := Config{Script: []Event{
-		{At: sim.Second, Kind: ControllerCrash},
-		{At: sim.Second + 500*sim.Millisecond, Kind: ControllerRestart},
+		{At: sim.Second, Kind: ControllerCrash, Target: 1},
+		{At: sim.Second + 100*sim.Millisecond, Kind: ControllerCrash, Target: 0}, // blocked: domain 1 down
+		{At: sim.Second + 500*sim.Millisecond, Kind: ControllerRestart, Target: 1},
+		{At: 2 * sim.Second, Kind: ControllerRestart, Target: 0}, // its crash was skipped
 	}}
-	inj := NewInjector(cfg, eng, sim.NewRNG(5), nil, ctl, 5*sim.Second)
+	inj := NewInjector(cfg, eng, sim.NewRNG(5), nil, []Target{ctls[0], ctls[1]}, 5*sim.Second)
 	inj.Arm(backhaul.NewSwitch(eng, 200*sim.Microsecond))
 	eng.RunUntil(5 * sim.Second)
-	if ctl.crashes != 1 || ctl.restarts != 1 {
-		t.Fatalf("controller crashes=%d restarts=%d, want 1, 1", ctl.crashes, ctl.restarts)
+	if ctls[1].crashes != 1 || ctls[1].restarts != 1 || ctls[0].crashes != 0 || ctls[0].restarts != 0 {
+		t.Fatalf("domain 0 crashes=%d restarts=%d, domain 1 crashes=%d restarts=%d, want 0 0 1 1",
+			ctls[0].crashes, ctls[0].restarts, ctls[1].crashes, ctls[1].restarts)
 	}
-	if inj.Stats.CtlCrashes != 1 || inj.Stats.CtlRestarts != 1 {
+	if inj.Stats.CtlCrashes != 1 || inj.Stats.CtlRestarts != 1 || inj.Stats.CtlSkipped != 1 || inj.Stats.CrashesSkipped != 0 {
 		t.Fatalf("Stats = %+v", inj.Stats)
+	}
+}
+
+// The controller class draws from its own per-domain streams: a federated
+// plan has exactly the AP and weather events of the one-domain plan, which
+// has no controller event, and domain d's timeline is exactly the crash
+// process of stream chaos/controller/<d> whatever the domain count (so no
+// draw is shared with another domain, an AP or a window class).
+func TestControllerClassKeepsOtherStreams(t *testing.T) {
+	const seed, aps = 17, 6
+	horizon := 600 * sim.Second
+	plan := func(domains int) Plan { return BuildPlan(DefaultConfig(), sim.NewRNG(seed), aps, domains, horizon) }
+	split := func(p Plan) (ctl map[int][]Event, rest []Event) {
+		ctl = map[int][]Event{}
+		for _, ev := range p.Events {
+			if ev.Kind == ControllerCrash || ev.Kind == ControllerRestart {
+				ctl[ev.Target] = append(ctl[ev.Target], ev)
+			} else {
+				rest = append(rest, ev)
+			}
+		}
+		return ctl, rest
+	}
+	own := func(d int) []Event {
+		var evs []Event
+		rnd := sim.NewRNG(seed).Stream(fmt.Sprintf("chaos/controller/%d", d))
+		for at := expDraw(rnd, controllerMTBF); at < horizon; at += controllerDowntime + expDraw(rnd, controllerMTBF) {
+			evs = append(evs, Event{At: at, Kind: ControllerCrash, Target: d},
+				Event{At: at + controllerDowntime, Kind: ControllerRestart, Target: d})
+		}
+		return evs
+	}
+	one, want := split(plan(1))
+	if len(one) != 0 {
+		t.Errorf("a one-domain plan has controller events: %+v", one)
+	}
+	for _, domains := range []int{2, 3} {
+		ctl, rest := split(plan(domains))
+		if !reflect.DeepEqual(rest, want) {
+			t.Fatalf("%d domains: the controller class moved AP or weather events", domains)
+		}
+		for d := 0; d < domains; d++ {
+			if len(ctl[d]) == 0 || !reflect.DeepEqual(ctl[d], own(d)) {
+				t.Errorf("%d domains: domain %d's crash timeline is not its own stream's", domains, d)
+			}
+		}
+	}
+}
+
+// Every crash event of a plan is applied or skipped, and a restart follows
+// only an applied crash (the identities Stats documents), for AP and
+// controller targets alike.
+func TestInjectorConservesCrashEvents(t *testing.T) {
+	const aps = 6
+	horizon := 600 * sim.Second
+	for domains := 1; domains <= 3; domains++ {
+		eng := sim.NewEngine()
+		targets := func(n int) []Target {
+			ts := make([]Target, n)
+			for i := range ts {
+				ts[i] = &fakeTarget{}
+			}
+			return ts
+		}
+		inj := NewInjector(DefaultConfig(), eng, sim.NewRNG(23), targets(aps), targets(domains), horizon)
+		inj.Arm(backhaul.NewSwitch(eng, 200*sim.Microsecond))
+		eng.RunUntil(horizon + controllerDowntime)
+
+		var apPlanned, ctlPlanned uint64
+		for _, ev := range inj.plan.Events {
+			switch ev.Kind {
+			case APCrash:
+				apPlanned++
+			case ControllerCrash:
+				ctlPlanned++
+			}
+		}
+		st := inj.Stats
+		if st.APCrashes+st.CrashesSkipped != apPlanned || st.CtlCrashes+st.CtlSkipped != ctlPlanned {
+			t.Errorf("%d domains: %d AP and %d controller crash events planned, applied or skipped %+v",
+				domains, apPlanned, ctlPlanned, st)
+		}
+		if st.APRestarts > st.APCrashes || st.CtlRestarts > st.CtlCrashes {
+			t.Errorf("%d domains: more restarts than crashes: %+v", domains, st)
+		}
+		if (ctlPlanned > 0) != (domains > 1) || (st.CtlCrashes > 0) != (domains > 1) {
+			t.Errorf("%d domains: %d controller crash events, %d applied", domains, ctlPlanned, st.CtlCrashes)
+		}
 	}
 }
 

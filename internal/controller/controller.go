@@ -424,7 +424,17 @@ func (c *Controller) RegisterClient(mac packet.MACAddr, ip packet.IPv4Addr, serv
 	if s < 0 {
 		return
 	}
-	cl := &clientCtl{
+	c.clients[mac] = c.newClient(mac, ip, s)
+	c.clientOrder = append(c.clientOrder, mac)
+}
+
+// newClient builds a client's state at serving-AP position s with nothing
+// learned yet, and installs (or replaces) the selector's — the one
+// constructor, so a field added to clientCtl is cold after a Restart unless
+// Restart carries it over.
+func (c *Controller) newClient(mac packet.MACAddr, ip packet.IPv4Addr, s int) *clientCtl {
+	c.sel.AddClient(mac, s)
+	return &clientCtl{
 		mac:       mac,
 		ip:        ip,
 		lastHeard: make([]sim.Time, len(c.aps)),
@@ -435,9 +445,6 @@ func (c *Controller) RegisterClient(mac packet.MACAddr, ip packet.IPv4Addr, serv
 		// dedupCapacity): a downlink-only client never touches it.
 		dedup: make(map[packet.DedupKey]struct{}),
 	}
-	c.sel.AddClient(mac, s)
-	c.clients[mac] = cl
-	c.clientOrder = append(c.clientOrder, mac)
 }
 
 // slot returns the position in c.aps of the AP with network-wide id, or
@@ -669,10 +676,10 @@ func (c *Controller) handleSwitchAck(m *packet.SwitchAck) {
 		Attempts: op.attempts,
 		Forced:   op.forced,
 	}
-	c.met.spans.End(op.id, int64(now))
+	c.met.spans.End(op.id, int64(now), false)
 	if op.recoveryID != 0 {
 		// First rescued client's ack closes the incident's recovery span.
-		c.met.recoverySpans.End(op.recoveryID, int64(now))
+		c.met.recoverySpans.End(op.recoveryID, int64(now), false)
 	}
 	if op.done != nil {
 		// A pulled client is already booked on its target AP and its dwell

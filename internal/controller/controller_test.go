@@ -539,16 +539,16 @@ func TestDeadAPExcludedFromFanoutAndReadmitted(t *testing.T) {
 	}
 }
 
-func TestControllerFailRecover(t *testing.T) {
+func TestControllerCrashRestart(t *testing.T) {
 	cfg := DefaultConfig().WithHealth()
 	h := newCtlHarness(t, 2, cfg)
 	client := packet.ClientMAC(1)
 	h.ctl.RegisterClient(client, packet.ClientIP(1), 0)
 	h.runFeeding(client, 25, map[int]float64{0: 20, 1: 12})
 
-	h.ctl.Fail()
+	h.ctl.Crash()
 	if !h.ctl.Down() {
-		t.Fatal("controller not down after Fail")
+		t.Fatal("controller not down after Crash")
 	}
 	if err := h.ctl.SendDownlink(&packet.Packet{ClientMAC: client, Bytes: 1500}); err != nil {
 		t.Fatal(err)
@@ -564,9 +564,9 @@ func TestControllerFailRecover(t *testing.T) {
 		t.Fatalf("controller declared %d AP deaths while itself down", h.ctl.Stats.APsMarkedDead-dead)
 	}
 
-	h.ctl.Recover()
+	h.ctl.Restart()
 	if h.ctl.Down() {
-		t.Fatal("controller still down after Recover")
+		t.Fatal("controller still down after Restart")
 	}
 	if !h.ctl.apAlive(0) || !h.ctl.apAlive(1) {
 		t.Fatal("recovery grace did not re-admit the APs")
@@ -585,6 +585,52 @@ func TestControllerFailRecover(t *testing.T) {
 	}
 	if h.ctl.Stats.APsMarkedDead != dead {
 		t.Fatalf("recovery grace failed: %d deaths declared right after restart", h.ctl.Stats.APsMarkedDead-dead)
+	}
+}
+
+// A crash mid-switch drops the handshake: its span is cut short at the
+// crash rather than left open, an ack for it after the restart completes
+// nothing, and the restarted controller's next switch completes normally.
+func TestCrashCutsInFlightSwitch(t *testing.T) {
+	h := newCtlHarness(t, 2, DefaultConfig().WithHealth())
+	reg := metrics.NewRegistry()
+	h.ctl.UseMetrics(reg)
+	client := packet.ClientMAC(1)
+	h.ctl.RegisterClient(client, packet.ClientIP(1), 0)
+	h.aps[0].ackStop = false // the stop goes unanswered
+	for i := 0; i < 50 && !h.ctl.InFlightSwitch(client); i++ {
+		h.runFeeding(client, 1, map[int]float64{0: 12, 1: 20})
+	}
+	if !h.ctl.InFlightSwitch(client) || len(h.aps[0].stops) == 0 {
+		t.Fatal("setup: no switch in flight")
+	}
+	stale := h.aps[0].stops[0].SwitchID
+
+	crashAt := h.eng.Now()
+	h.ctl.Crash()
+	h.ctl.Restart()
+	_ = h.bh.Send(packet.APIP(1), packet.ControllerIP,
+		&packet.SwitchAck{Client: client, AP: packet.APIP(1), SwitchID: stale})
+	h.eng.RunUntil(h.eng.Now() + sim.Millisecond)
+	if h.ctl.InFlightSwitch(client) || len(h.ctl.History) != 0 || h.ctl.ServingAP(client) != 0 {
+		t.Fatalf("the pre-crash switch outlived the restart: in flight %v, history %+v, serving %d",
+			h.ctl.InFlightSwitch(client), h.ctl.History, h.ctl.ServingAP(client))
+	}
+
+	h.aps[0].ackStop = true
+	h.runFeeding(client, 50, map[int]float64{0: 12, 1: 20})
+	if len(h.ctl.History) != 1 || h.ctl.ServingAP(client) != 1 {
+		t.Fatalf("after the restart: history %+v, serving %d, want one switch to AP 1", h.ctl.History, h.ctl.ServingAP(client))
+	}
+
+	snap := reg.Snapshot()
+	for _, sp := range snap.Spans {
+		if sp.ID == stale && (!sp.CutShort || sp.Completed || sp.EndNS != int64(crashAt)) {
+			t.Errorf("dropped switch's span = %+v, want cut short at %d", sp, crashAt)
+		}
+	}
+	if sum := snap.SwitchSummary(); sum.Total != 2 || sum.Completed != 1 || sum.CutShort != 1 {
+		t.Errorf("span summary %+v, want 2 begun, 1 completed, 1 cut short", sum)
 	}
 }
 

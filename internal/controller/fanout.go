@@ -27,8 +27,8 @@ import (
 //     per emission, exactly as the old scan consulted apAlive, so a dead
 //     AP's recency evidence survives its outage (matching heardEver's).
 //   - heardCount counts true heardEver entries; zero selects the bootstrap
-//     broadcast. Only Recover resets it (heardEver is never unset
-//     elsewhere).
+//     broadcast. heardEver is never unset: a Restart rebuilds the client
+//     with both empty.
 //
 // Emission order is ascending AP position with the serving AP merged at
 // its sorted position — the same order the old c.aps scan produced —
@@ -54,16 +54,6 @@ func (cl *clientCtl) fanHeard(s int, now sim.Time) {
 		i--
 	}
 	cl.fanSet[i] = id
-}
-
-// fanReset clears the relevance set (controller restart: all recency
-// evidence is gone).
-func (cl *clientCtl) fanReset() {
-	cl.fanSet = cl.fanSet[:0]
-	for i := range cl.inFan {
-		cl.inFan[i] = false
-	}
-	cl.heardCount = 0
 }
 
 // fanTargets computes the downlink fan-out targets for cl at now into the
@@ -119,7 +109,7 @@ func (c *Controller) fanTargets(cl *clientCtl, now sim.Time) []packet.IPv4Addr {
 func (c *Controller) SendDownlink(p *packet.Packet) error {
 	if c.down {
 		// A crashed controller forwards nothing; the wired side's packets
-		// are simply lost until Recover (DESIGN.md §11).
+		// are simply lost until Restart (DESIGN.md §11).
 		c.Stats.CtlDownlinkDropped++
 		return nil
 	}

@@ -90,8 +90,9 @@ func TestFanoutEquivalenceRandomized(t *testing.T) {
 			case op < 97: // federation hands evidence in (adoption seeding)
 				h.ctl.SeedESNR(client, rnd.IntN(nAPs), 12)
 			default: // controller crash + restart: all soft state cold
-				h.ctl.Fail()
-				h.ctl.Recover()
+				h.ctl.Crash()
+				h.ctl.Restart()
+				cl = h.ctl.clients[client]
 			}
 			check(step)
 		}
@@ -192,21 +193,21 @@ func TestAdoptionCarriesFanoutSet(t *testing.T) {
 	}
 }
 
-// Recover drops the relevance set with the rest of the soft state: the
+// Restart drops the relevance set with the rest of the soft state: the
 // restarted controller fans out broadly until CSI re-populates it.
-func TestRecoverResetsFanout(t *testing.T) {
+func TestRestartResetsFanout(t *testing.T) {
 	h := newCtlHarness(t, 4, DefaultConfig())
 	client := packet.ClientMAC(1)
 	h.ctl.RegisterClient(client, packet.ClientIP(1), 0)
+	h.ctl.clients[client].fanHeard(2, h.eng.Now())
+	h.ctl.Crash()
+	h.ctl.Restart()
 	cl := h.ctl.clients[client]
-	cl.fanHeard(2, h.eng.Now())
-	h.ctl.Fail()
-	h.ctl.Recover()
 	if cl.heardCount != 0 || len(cl.fanSet) != 0 {
-		t.Fatalf("fan state survived Recover: heardCount=%d fanSet=%v", cl.heardCount, cl.fanSet)
+		t.Fatalf("fan state survived Restart: heardCount=%d fanSet=%v", cl.heardCount, cl.fanSet)
 	}
 	want := []packet.IPv4Addr{packet.APIP(0), packet.APIP(1), packet.APIP(2), packet.APIP(3)}
 	if got := h.ctl.fanTargets(cl, h.eng.Now()); !sameTargets(got, want) {
-		t.Fatalf("post-recover bootstrap targets = %v, want %v", got, want)
+		t.Fatalf("post-restart bootstrap targets = %v, want %v", got, want)
 	}
 }

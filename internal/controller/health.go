@@ -205,50 +205,51 @@ func (c *Controller) forceSwitch(cl *clientCtl, recoveryID uint32) {
 	c.transmit(cl, op)
 }
 
-// Fail models a controller crash (chaos injection): the controller stops
+// Crash models a controller crash (chaos injection): the controller stops
 // hearing the backhaul and forwarding downlink, and its soft state — the
-// in-flight switch handshakes — dies with it. Client registrations are
-// durable (§4.3 replicates association state to every AP, the store a
-// restarted controller re-reads), so Recover keeps them.
-func (c *Controller) Fail() {
+// in-flight switch handshakes — dies with it: each one's switch span, and
+// the recovery span of an AP failure it was rescuing, is cut short. Client
+// registrations are durable (§4.3 replicates association state to every
+// AP, the store a restarted controller re-reads), so Restart keeps them.
+func (c *Controller) Crash() {
 	if c.down {
 		return
 	}
 	c.down = true
+	now := int64(c.eng.Now())
 	for _, mac := range c.clientOrder {
 		cl := c.clients[mac]
 		if cl.op != nil {
 			cl.op.timer.Stop()
+			c.met.spans.End(cl.op.id, now, true)
+			c.met.recoverySpans.End(cl.op.recoveryID, now, true)
 			cl.op = nil
 		}
 	}
 }
 
-// Recover restarts the controller with cold soft state: fresh ESNR
-// windows, fanout knowledge, dedup sets, and index counters. Every AP's
-// silence clock restarts at the recovery instant so the monitor does not
-// mass-declare deaths for the outage the controller itself caused.
-func (c *Controller) Recover() {
+// Restart brings the controller back cold: each registered client's state
+// is rebuilt by newClient, the constructor RegisterClient uses, carrying
+// over only what outlives a crash — MAC, IP and serving AP, which §4.3
+// replicates to every AP, and the per-client uplink counters the
+// evaluation reads. Everything else (ESNR windows, fan-out evidence, dedup
+// set, dwell clock, the 12-bit index, which restarts at 0) starts empty. Every AP's silence clock restarts at
+// the restart instant so the monitor does not mass-declare deaths for the
+// outage the controller itself caused.
+func (c *Controller) Restart() {
 	if !c.down {
 		return
 	}
 	c.down = false
-	now := c.eng.Now()
 	for _, mac := range c.clientOrder {
-		cl := c.clients[mac]
-		c.sel.ResetClient(mac)
-		for i := range cl.lastHeard {
-			cl.lastHeard[i] = 0
-			cl.heardEver[i] = false
-		}
-		cl.fanReset()
-		c.dedupEntries -= len(cl.dedup)
-		cl.dedup = make(map[packet.DedupKey]struct{})
-		cl.dedupFIFO = nil
-		cl.lastSwitch = 0
-		cl.nextIndex = 0
+		old := c.clients[mac]
+		cl := c.newClient(mac, old.ip, old.serving)
+		cl.UplinkUnique, cl.UplinkDuplicate = old.UplinkUnique, old.UplinkDuplicate
+		c.clients[mac] = cl
 	}
-	c.met.dedupSize.Set(float64(c.dedupEntries))
+	c.dedupEntries = 0
+	c.met.dedupSize.Set(0)
+	now := c.eng.Now()
 	for i := range c.health {
 		c.health[i].alive = true
 		c.health[i].lastHeard = now

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"wgtt/internal/chaos"
@@ -95,7 +96,7 @@ func apCrashOutageBounded(t *testing.T, domains int) {
 
 	s := base
 	// Script-only: the one crash, never restarted.
-	ccfg := chaos.Config{Script: []chaos.Event{{At: crashAt, Kind: chaos.APCrash, AP: victim}}}
+	ccfg := chaos.Config{Script: []chaos.Event{{At: crashAt, Kind: chaos.APCrash, Target: victim}}}
 	s.Chaos = &ccfg
 	n, err := Build(s)
 	if err != nil {
@@ -210,4 +211,118 @@ func TestChaosRunDeterministicPerSeed(t *testing.T) {
 		t.Error("compressed-MTBF chaos run applied no AP crashes; the test exercised nothing")
 	}
 	t.Logf("chaos stats: %+v", cs1)
+}
+
+// restartResumeBound bounds the downlink gap from a controller restart to
+// the next delivery to a client of the restarted domain (DESIGN.md §11):
+// one §3.1.1 window to re-learn the ESNR evidence, one stop→start→ack
+// (Table 1: ~17–23 ms) plus one 30 ms retransmission of slack, and the
+// first A-MPDU out of an AP ring that resynchronised to index 0.
+const restartResumeBound = 100 * sim.Millisecond
+
+// The sim-chaos-controller case of `make cli-smoke` (wgttsim -chaos -domains
+// 2 -speed 25 -seed 33 -metrics -): the default chaos mix crashes domain 0
+// while it owns the client and restarts it 2 s later. The run must end
+// with the client owned by exactly one live domain, the restarted domain
+// must resume delivery within restartResumeBound, at index 0, and complete
+// no switch begun before the crash (each such switch's span is cut short at
+// the crash), and the run must repeat byte for byte.
+func TestChaosControllerRestartResumesDelivery(t *testing.T) {
+	type result struct {
+		snap                  []byte
+		outcomes              []Outcome
+		crashed               int
+		ownedAtCrash          bool
+		crashAt, restartAt    sim.Time
+		resumeAt              sim.Time
+		resumeIndex           uint16
+		staleDone, owners     int
+		cutShort              int
+		controllerCrashesRows uint64
+	}
+	run := func() result {
+		s := DriveScenario(ModeWGTT, 25, 33)
+		s.Domains = 2
+		cfg := chaos.DefaultConfig()
+		s.Chaos = &cfg
+		n, err := Build(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := n.EnableMetrics()
+		d := n.Attach(Loads(1, Load{RateMbps: 50}))
+		mac := packet.ClientMAC(1)
+		r := result{crashed: -1, restartAt: -1, resumeAt: -1}
+		n.Chaos.OnFault = func(ev chaos.Event) {
+			switch {
+			case ev.Kind == chaos.ControllerCrash && r.crashed < 0:
+				r.crashed, r.crashAt, r.ownedAtCrash = ev.Target, ev.At, n.Fed.Domains[ev.Target].Owns(mac)
+			case ev.Kind == chaos.ControllerRestart && ev.Target == r.crashed && r.restartAt < 0:
+				r.restartAt = ev.At
+			}
+		}
+		n.OnClientDownlink(0, func(p *packet.Packet, at sim.Time) {
+			if r.restartAt >= 0 && r.resumeAt < 0 {
+				r.resumeAt, r.resumeIndex = at, p.Index
+			}
+		})
+		n.Run()
+		for _, dom := range n.Fed.Domains {
+			if dom.Owns(mac) && !dom.Down() {
+				r.owners++
+			}
+		}
+		if r.crashed >= 0 {
+			for _, rec := range n.Fed.Domains[r.crashed].Controller().History {
+				if rec.At > r.crashAt && rec.At-rec.Duration < r.crashAt {
+					r.staleDone++
+				}
+			}
+		}
+		snap := reg.Snapshot()
+		for _, sp := range snap.Spans {
+			if sp.CutShort && sp.EndNS == int64(r.crashAt) && !sp.Completed {
+				r.cutShort++
+			}
+		}
+		for _, c := range snap.Counters {
+			if c.Component == "chaos" && c.Name == "controller_crashes" {
+				r.controllerCrashesRows = c.Value
+			}
+		}
+		if r.snap, err = json.Marshal(snap); err != nil {
+			t.Fatal(err)
+		}
+		r.outcomes = d.Outcomes()
+		return r
+	}
+	r := run()
+	if r.crashed < 0 || !r.ownedAtCrash || r.restartAt < 0 {
+		t.Fatalf("setup: crashed domain %d, owned the client %v, restarted at %v: want a crash of the owner, restarted in the run",
+			r.crashed, r.ownedAtCrash, r.restartAt)
+	}
+	if r.controllerCrashesRows < 1 {
+		t.Errorf("chaos/controller_crashes = %d, want ≥ 1", r.controllerCrashesRows)
+	}
+	if r.owners != 1 {
+		t.Errorf("the run ends with the client owned by %d live domains, want 1", r.owners)
+	}
+	if r.staleDone != 0 {
+		t.Errorf("the restarted controller completed %d switches begun before its crash", r.staleDone)
+	}
+	gap := r.resumeAt - r.restartAt
+	t.Logf("domain %d crashed at %v (%d spans cut short), restarted at %v, delivery resumed %v later (bound %v)",
+		r.crashed, r.crashAt, r.cutShort, r.restartAt, gap, restartResumeBound)
+	if r.resumeAt < 0 || gap > restartResumeBound {
+		t.Errorf("delivery resumed %v after the restart, want within %v", gap, restartResumeBound)
+	}
+	if r.resumeIndex != 0 {
+		// The restarted controller numbers from 0 again; the AP ring must
+		// have resynchronised to that, not skipped ahead.
+		t.Errorf("first delivery after the restart carries index %d, want 0", r.resumeIndex)
+	}
+	again := run()
+	if !bytes.Equal(r.snap, again.snap) || !reflect.DeepEqual(r.outcomes, again.outcomes) || r.resumeAt != again.resumeAt {
+		t.Error("a repeated run differs")
+	}
 }

@@ -349,15 +349,18 @@ func Build(s Scenario) (*Network, error) {
 	}
 
 	// Fault injection (DESIGN.md §11): derive the plan from the scenario
-	// seed and arm it against the APs and domain 0 (chaos implies WGTT). A
-	// controller crash hits one controller instance at a time; the other
-	// domains ride out their peer's outage.
+	// seed and arm it against every AP and every controller domain (chaos
+	// implies WGTT).
 	if s.Chaos != nil {
-		targets := make([]chaos.APTarget, len(n.APs))
+		aps := make([]chaos.Target, len(n.APs))
 		for i, a := range n.APs {
-			targets[i] = a
+			aps[i] = a
 		}
-		n.Chaos = chaos.NewInjector(*s.Chaos, eng, rng, targets, n.Fed.Domains[0], s.Duration)
+		ctls := make([]chaos.Target, len(n.Fed.Domains))
+		for i, d := range n.Fed.Domains {
+			ctls[i] = d
+		}
+		n.Chaos = chaos.NewInjector(*s.Chaos, eng, rng, aps, ctls, s.Duration)
 		n.Chaos.Arm(bh)
 	}
 

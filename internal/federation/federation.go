@@ -75,7 +75,7 @@ const (
 	// and the client stays with its owner.
 	offerTimeout = 30 * sim.Millisecond
 	// commitTimeout paces commit retransmission, which only the adopter's
-	// ownership announcement echoing back (or Fail) ends.
+	// ownership announcement echoing back (or Crash) ends.
 	commitTimeout = 30 * sim.Millisecond
 	// acceptHold is how long an accepted offer stays pre-staged waiting for
 	// its commit; if none ever lands (the offerer died), it is dropped.

@@ -188,7 +188,7 @@ func (d *Domain) handleAccept(m *packet.DomainHandoffAccept) {
 	_ = d.bh.Send(d.addr, d.addrOf(out.peer), commit)
 	d.owner[m.Client] = out.peer
 	d.Stats.Commits++
-	d.met.handoffSpans.End(out.id, int64(now))
+	d.met.handoffSpans.End(out.id, int64(now), false)
 	d.Offered = append(d.Offered, now-out.offeredAt)
 	rel := &release{id: out.id, mac: m.Client, peer: out.peer, commit: commit}
 	d.released[rel.id] = rel
@@ -203,7 +203,7 @@ func (d *Domain) handleAccept(m *packet.DomainHandoffAccept) {
 // its own reliability loop (the offer may die silently; a commit may not),
 // and the loop has no budget: giving up would leave the client owned by
 // nobody, each domain's directory naming the other. Adoption is idempotent
-// by handoff id, and only the adopter's echo or Fail ends it.
+// by handoff id, and only the adopter's echo or Crash ends it.
 func (d *Domain) retryCommit(rel *release) {
 	if d.ctl.Down() || d.released[rel.id] != rel {
 		return
@@ -343,16 +343,16 @@ func (d *Domain) announce(m *packet.DomainHandoffCommit) {
 	}
 }
 
-// Fail implements chaos.ControllerTarget: the inner controller crashes and
-// every federation state machine dies with it. In-flight outgoing offers
+// Crash implements chaos.Target: the inner controller crashes and every
+// federation state machine dies with it. In-flight outgoing offers
 // and pre-staged adoptions abort; commit retransmission stops (the adopter
 // almost certainly has the client — its announcements go unheard until
 // recovery); a pull in flight dies with the inner controller's other ops.
-func (d *Domain) Fail() {
+func (d *Domain) Crash() {
 	if d.ctl.Down() {
 		return
 	}
-	d.ctl.Fail()
+	d.ctl.Crash()
 	for _, fc := range d.owned {
 		if fc.out != nil {
 			fc.out.timer.Stop()
@@ -373,8 +373,9 @@ func (d *Domain) Fail() {
 	clear(d.pendingDown)
 }
 
-// Recover implements chaos.ControllerTarget.
-func (d *Domain) Recover() { d.ctl.Recover() }
+// Restart implements chaos.Target: the inner controller comes back cold
+// (controller.Restart); the handoff state Crash cleared starts empty.
+func (d *Domain) Restart() { d.ctl.Restart() }
 
-// Down implements chaos.ControllerTarget.
+// Down implements chaos.Target.
 func (d *Domain) Down() bool { return d.ctl.Down() }

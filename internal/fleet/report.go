@@ -170,9 +170,13 @@ func (r *Result) Render() string {
 	// reports stay byte-identical to their pre-chaos form.
 	if r.Cfg.Chaos != nil {
 		var crashes, burstDrops, blackoutDrops, dead, readmitted, forced uint64
+		var ctlCrashes, ctlRestarts, ctlSkipped uint64
 		for i := range r.Cells {
 			c := &r.Cells[i]
 			crashes += c.Chaos.APCrashes
+			ctlCrashes += c.Chaos.CtlCrashes
+			ctlRestarts += c.Chaos.CtlRestarts
+			ctlSkipped += c.Chaos.CtlSkipped
 			burstDrops += c.Chaos.BurstDrops
 			blackoutDrops += c.Chaos.BlackoutDrops
 			dead += c.Ctl.APsMarkedDead
@@ -182,6 +186,10 @@ func (r *Result) Render() string {
 		b.WriteString("\nResilience (fault injection, DESIGN.md §11)\n")
 		fmt.Fprintf(&b, "ap crashes %d  marked dead %d  readmitted %d  forced switches %d\n",
 			crashes, dead, readmitted, forced)
+		if r.Cfg.federatedDomains() > 1 {
+			// A one-domain plan draws no controller crash (chaos.BuildPlan).
+			fmt.Fprintf(&b, "controller crashes %d  restarts %d  skipped %d\n", ctlCrashes, ctlRestarts, ctlSkipped)
+		}
 		fmt.Fprintf(&b, "backhaul burst drops %d  csi blackout drops %d\n", burstDrops, blackoutDrops)
 		rt := &stats.Table{Header: []string{
 			"cell", "crashes", "dead", "readmit", "forced", "burst-drop", "csi-drop"}}

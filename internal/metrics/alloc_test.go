@@ -28,7 +28,7 @@ func TestRecordingZeroAlloc(t *testing.T) {
 		nilT.MarkStartHandled(1, 0)
 		nilT.AddRetransmit(1)
 		nilT.ObserveDrain(1, 0, 0)
-		nilT.End(1, 0)
+		nilT.End(1, 0, false)
 	})
 
 	r := NewRegistry()

@@ -98,7 +98,7 @@ func TestNilRegistryAndHandlesAreInert(t *testing.T) {
 	sp.MarkStartHandled(1, 2)
 	sp.AddRetransmit(1)
 	sp.ObserveDrain(1, 3, 4)
-	sp.End(1, 5)
+	sp.End(1, 5, false)
 	r.EndRun(100)
 	if s := r.Snapshot(); len(s.Counters)+len(s.Gauges)+len(s.Histograms)+len(s.Spans) != 0 {
 		t.Fatalf("nil registry snapshot not empty: %+v", s)
@@ -118,7 +118,7 @@ func TestSwitchSpanLifecycle(t *testing.T) {
 	tr.MarkStopHandled(7, 8500) // retransmitted stop: first mark wins
 	tr.AddRetransmit(7)
 	tr.MarkStartHandled(7, 17000)
-	tr.End(7, 17400)
+	tr.End(7, 17400, false)
 	tr.ObserveDrain(7, 12, 6000) // drain outlives the ack
 	tr.MarkStopHandled(99, 1)    // unknown id: dropped
 
@@ -195,7 +195,7 @@ func TestMerge(t *testing.T) {
 		r.Histogram("ap1", "queue_depth", []float64{1, 2}).Observe(float64(n))
 		tr := r.SwitchSpans()
 		tr.Begin(spanID, 0, "c", 0, 1, "median-argmax", 0, 0)
-		tr.End(spanID, 17e6)
+		tr.End(spanID, 17e6, false)
 		r.EndRun(1e9)
 		return r.Snapshot()
 	}
@@ -237,7 +237,7 @@ func TestFprint(t *testing.T) {
 	tr.Begin(1, 0, "c", 0, 1, "median-argmax", 10, 13)
 	tr.MarkStopHandled(1, 7e6)
 	tr.MarkStartHandled(1, 16e6)
-	tr.End(1, 17e6)
+	tr.End(1, 17e6, false)
 	r.EndRun(10e9)
 
 	var buf bytes.Buffer

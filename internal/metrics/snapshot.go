@@ -257,8 +257,9 @@ func sameBounds(a, b []float64) bool {
 
 // SwitchSummary aggregates the switch spans of a snapshot.
 type SwitchSummary struct {
-	// Total spans begun; Completed of them saw their ack.
-	Total, Completed int
+	// Total spans begun; Completed of them saw their ack, CutShort were
+	// dropped by a controller crash.
+	Total, Completed, CutShort int
 	// Quantiles of completed-span execution time (stop sent → ack), ns.
 	MedianNS, P95NS int64
 	// Retransmits across all spans.
@@ -289,6 +290,9 @@ func (s *Snapshot) SwitchSummary() SwitchSummary {
 		if sp.DrainMPDUs > 0 {
 			sum.Drained++
 			drains = append(drains, sp.DrainNS)
+		}
+		if sp.CutShort {
+			sum.CutShort++
 		}
 		if !sp.Completed {
 			continue
@@ -394,8 +398,12 @@ func Fprint(w io.Writer, s Snapshot) {
 		sum := s.SwitchSummary()
 		if sum.Total > 0 {
 			fmt.Fprintf(w, "\nswitch spans (stop → start → ack, §3.1.2)\n")
-			fmt.Fprintf(w, "  %d begun, %d completed, %d stop retransmits\n",
-				sum.Total, sum.Completed, sum.Retransmits)
+			cut := ""
+			if sum.CutShort > 0 {
+				cut = fmt.Sprintf(", %d cut short by a controller crash", sum.CutShort)
+			}
+			fmt.Fprintf(w, "  %d begun, %d completed%s, %d stop retransmits\n",
+				sum.Total, sum.Completed, cut, sum.Retransmits)
 			fmt.Fprintf(w, "  execution time: median %.1f ms, p95 %.1f ms\n",
 				ms(sum.MedianNS), ms(sum.P95NS))
 			fmt.Fprintf(w, "  segment medians: stop %.1f ms, start %.1f ms, ack %.1f ms\n",

@@ -78,6 +78,9 @@ type SwitchSpan struct {
 
 	// Completed reports whether the ack arrived before the run ended.
 	Completed bool `json:"completed"`
+	// CutShort marks a switch its controller dropped unfinished because it
+	// crashed (DESIGN.md §11); EndNS is then the crash.
+	CutShort bool `json:"cut_short,omitempty"`
 
 	// Tracker names the SpanTracker this span came from when it is not the
 	// canonical switch tracker (e.g. "recovery" for DESIGN.md §11 AP-failure
@@ -185,14 +188,16 @@ func (t *SpanTracker) ObserveDrain(id uint32, mpdus int, durNS int64) {
 	}
 }
 
-// End completes the span at the ack's arrival.
-func (t *SpanTracker) End(id uint32, atNS int64) {
+// End closes an open span at atNS: completed at the ack's arrival, or cut
+// short (cut) when its controller crashed mid-switch, after which no ack
+// can complete it.
+func (t *SpanTracker) End(id uint32, atNS int64, cut bool) {
 	if t == nil {
 		return
 	}
-	if sp := t.byID[id]; sp != nil && !sp.Completed {
+	if sp := t.byID[id]; sp != nil && !sp.Completed && !sp.CutShort {
 		sp.EndNS = atNS
-		sp.Completed = true
+		sp.Completed, sp.CutShort = !cut, cut
 	}
 }
 

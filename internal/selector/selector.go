@@ -183,7 +183,8 @@ func New(cfg Config, p Params, numAPs int) *Selector {
 	}
 }
 
-// AddClient installs per-client state with its initial serving AP.
+// AddClient installs per-client state with its initial serving AP, or
+// replaces a client's with empty evidence (a controller restart).
 func (s *Selector) AddClient(mac packet.MACAddr, serving int) {
 	cl := &clientState{windows: s.newWindows(s.p.Window), serving: serving, lastBest: -1, assigned: -1}
 	if s.policy == PredictivePolicy {
@@ -224,21 +225,6 @@ func (s *Selector) SetServing(mac packet.MACAddr, ap int) {
 	if cl := s.clients[mac]; cl != nil {
 		cl.serving = ap
 	}
-}
-
-// ResetClient clears a client's ESNR evidence in place (controller
-// restart: the windows are soft state).
-func (s *Selector) ResetClient(mac packet.MACAddr) {
-	cl := s.clients[mac]
-	if cl == nil {
-		return
-	}
-	cl.windows = s.newWindows(s.p.Window)
-	if cl.hist != nil {
-		cl.hist = s.newWindows(predictHistSpan)
-	}
-	cl.lastBest = -1
-	cl.assigned = -1
 }
 
 // Observe ingests one ESNR reading and returns the (client, AP) window

@@ -168,7 +168,7 @@ func TestWindowedMedianMatchesInlineReference(t *testing.T) {
 					sel.SetServing(mac, serving)
 				}
 			default: // controller restart: evidence resets
-				sel.ResetClient(mac)
+				sel.AddClient(mac, serving)
 				for i := range ref.windows {
 					ref.windows[i] = &refWindow{span: p.Window}
 				}
