@@ -226,14 +226,17 @@ loc:
 # -metro-tiles spec may panic the tiling parser or overflow its tile count;
 # no reordering or duplication of handoff messages may leave a client with
 # two owners, or with none once the backhaul is clean; no argument list may
-# panic the shared CLI flags or make them resolve to contradictory configs.
+# panic the shared CLI flags or make them resolve to contradictory configs;
+# no sequence of enqueues, stops, starts, crashes, restarts and aligns may
+# let an AP's ring or MPDU counters stop adding up.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/packet
 	$(GO) test -run '^$$' -fuzz '^FuzzDatagram$$' -fuzztime 10s ./internal/backhaul/udp
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTiling$$' -fuzztime 10s ./internal/urban
 	$(GO) test -run '^$$' -fuzz '^FuzzHandoffReorder$$' -fuzztime 10s ./internal/federation
 	$(GO) test -run '^$$' -fuzz '^FuzzCLIFlags$$' -fuzztime 10s ./cmd/internal/cliflags
-	@echo fuzz-smoke: decoder, datagram parser, tiling parser, handoff machine and CLI flags survived coverage-guided input
+	$(GO) test -run '^$$' -fuzz '^FuzzRingConservation$$' -fuzztime 10s ./internal/ap
+	@echo fuzz-smoke: decoder, datagram parser, tiling parser, handoff machine, CLI flags and AP ring counters survived coverage-guided input
 
 # The performance record (minutes, opt-in): both passes of the repository's
 # benchmark (bench/README.md) on every BENCHMARK.json workload, each pass's

@@ -91,6 +91,10 @@ func main() {
 		}
 	}
 	n.Run()
+	if err := d.Conserved(); err != nil {
+		fmt.Fprintln(os.Stderr, err) // a run whose counters do not add up prints no result
+		os.Exit(1)
+	}
 	if events, err := d.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, err) // the recorder prefixes its errors "trace:"
 		os.Exit(1)
@@ -124,7 +128,7 @@ func main() {
 		if len(n.Fed.Domains) > 1 {
 			fs := n.FedStats()
 			fmt.Printf("federation: %d domains, %d handoffs (%d offers, %d aborts), %d cross-domain switches\n",
-				s.Domains, fs.Adoptions, fs.OffersSent, fs.Aborts, fs.CrossSwitches)
+				s.Domains, fs.Adoptions, fs.OffersSent, fs.Aborts, n.Fed.CrossSwitches())
 		}
 	} else {
 		fmt.Printf("baseline: %d handovers\n", len(n.Base.Handovers))

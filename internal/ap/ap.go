@@ -14,6 +14,7 @@
 package ap
 
 import (
+	"errors"
 	"math/rand/v2"
 
 	"wgtt/internal/backhaul"
@@ -54,22 +55,41 @@ func DefaultConfig(id int, bssid packet.MACAddr) Config {
 // index, the paper's 4096-entry design point (§3.1.3).
 const cyclicQueueSlots = 1 << packet.IndexBits
 
-// Stats counts AP-side events for the evaluation harness.
+// Stats counts AP-side events for the evaluation harness. A downlink packet
+// obeys two conservation laws, which Conserved checks:
+//
+//	ring:  DownEnqueued + RewindDepth = DownSent + DownOverwritten + DownTrimmed
+//	       + DownSkipped + DownWiped + the entries still queued
+//	MPDUs: DownSent = MPDUsDelivered + MPDUsDropped + MPDUsFlushed
+//	       + MPDUsDiscarded + the MPDUs in retry or drain queues or on the air
+//
+// A queued entry is a stored packet the cursor will still send: one between
+// nextSend and the write head. Every exit from the ring and from the MPDU
+// queues is one counter below.
 type Stats struct {
-	DownEnqueued    uint64 // packets accepted into cyclic queues
+	DownEnqueued uint64 // packets accepted into cyclic queues
+	// RewindDepth counts entries a cursor move put back in the queue: a
+	// start behind nextSend (the re-send), or a write head jumping over a
+	// previous lap's entries.
+	RewindDepth     uint64
+	DownSent        uint64 // entries handed to the NIC queue as fresh MPDUs
 	DownOverwritten uint64 // unsent packets the serving AP lost to overload, once each
 	DownTrimmed     uint64 // unsent packets a non-serving AP trimmed off its backlog
-	MPDUsDelivered  uint64 // MPDUs acknowledged by the client
-	MPDUsDropped    uint64 // MPDUs dropped at the retry limit
-	MPDUsFlushed    uint64 // retry MPDUs flushed by a stop
+	// DownSkipped counts unsent entries a cursor jumped past: a start ahead
+	// of nextSend (the old AP sent them), a stale-ring resync, AlignQueue.
+	DownSkipped    uint64
+	DownWiped      uint64 // unsent entries a Restart discarded
+	MPDUsDelivered uint64 // MPDUs acknowledged by the client
+	MPDUsDropped   uint64 // MPDUs dropped at the retry limit
+	MPDUsFlushed   uint64 // MPDUs back unacknowledged after a stop
+	// MPDUsDiscarded counts retry and drain MPDUs AlignQueue or Restart
+	// discarded, and the MPDUs on the air when the AP crashed.
+	MPDUsDiscarded  uint64
 	StopsHandled    uint64
 	StartsHandled   uint64
-	StartRewinds    uint64 // starts that moved nextSend backward
-	RewindDepth     uint64 // cumulative backward distance
 	BAForwarded     uint64 // Block ACKs forwarded to peers
 	BAMerged        uint64 // forwarded Block ACKs merged into retry state
 	BADuplicates    uint64 // forwarded Block ACKs discarded as already seen
-	UplinkForwarded uint64 // uplink packets tunneled to the controller
 	KeepalivesHeard uint64 // null-data CSI keepalives heard (§3.1.1)
 	CSIReports      uint64
 	ProbesAnswered  uint64 // controller health probes acknowledged
@@ -118,6 +138,10 @@ type clientState struct {
 // cursors are considered stale and resynchronized on the next enqueue.
 const staleRingAfter = sim.Second
 
+// maxBacklog bounds a client's unsent backlog to within half the index
+// space, so forward-distance arithmetic stays unambiguous.
+const maxBacklog = uint16(cyclicQueueSlots/2 - 64)
+
 // AP is one WGTT access point. Like the controller it schedules on one
 // sim.Engine, virtual or wall-paced, and is transport-agnostic (DESIGN.md
 // §12); st is nil in live mode, where no simulated radio exists and CSI
@@ -138,6 +162,9 @@ type AP struct {
 	// down is true while a chaos-injected crash holds the AP off the air
 	// and off the backhaul (DESIGN.md §11).
 	down bool
+	// airborne counts the MPDUs of the frame BuildFrame handed the
+	// station, until OnTxDone reports it.
+	airborne int
 
 	// out holds the messages the MAC side sends per frame heard. A Fabric
 	// never retains a message, so one of each serves every send.
@@ -250,15 +277,22 @@ func (a *AP) QueueDepth(client packet.MACAddr) int {
 func (a *AP) client(m packet.MACAddr) *clientState {
 	cs, ok := a.clients[m]
 	if !ok {
-		cs = &clientState{
-			mac:    m,
-			ring:   make([]*packet.Packet, cyclicQueueSlots),
-			seenBA: make(map[uint64]bool),
-		}
+		cs = newClientState(m, packet.IPv4Addr{})
 		a.clients[m] = cs
 		a.rr = append(a.rr, m)
 	}
 	return cs
+}
+
+// newClientState is a client's state with nothing queued — the one
+// constructor, so a field added to clientState is cold after a Restart.
+func newClientState(m packet.MACAddr, ip packet.IPv4Addr) *clientState {
+	return &clientState{
+		mac:    m,
+		ip:     ip,
+		ring:   make([]*packet.Packet, cyclicQueueSlots),
+		seenBA: make(map[uint64]bool),
+	}
 }
 
 // Associate installs (or updates) client association state — the §4.3
@@ -278,6 +312,8 @@ func (a *AP) Associate(client packet.MACAddr, ip packet.IPv4Addr, serving bool) 
 // received — past the client's TTL-bounded duplicate window.
 func (a *AP) AlignQueue(client packet.MACAddr, k uint16) {
 	cs := a.client(client)
+	a.Stats.DownSkipped += cs.queued()
+	a.Stats.MPDUsDiscarded += uint64(len(cs.retryQ) + len(cs.drainQ))
 	cs.nextSend = k
 	cs.head = k
 	cs.haveAny = true
@@ -307,26 +343,21 @@ func (a *AP) Crash() {
 	}
 }
 
-// Restart brings a crashed AP back with cold queues: every client's ring,
-// cursors, retry/drain queues, and Block ACK scoreboard reset, and the AP
-// serving nobody until a start(c, k) re-appoints it. Association identity
-// survives — §4.3 replicates it to every AP, so a rebooted AP re-learns
-// (client MAC, IP) from the shared store rather than from scratch.
+// Restart brings a crashed AP back with cold queues: every client's state
+// is rebuilt by newClientState, the constructor a first association uses,
+// serving nobody until a start(c, k) re-appoints it. Association identity —
+// MAC, IP and the round-robin order — survives: §4.3 replicates it to every
+// AP, so a rebooted AP re-learns it from the shared store rather than from
+// scratch.
 func (a *AP) Restart() {
 	if !a.down {
 		return
 	}
 	a.down = false
-	for _, cs := range a.clients {
-		cs.ring = make([]*packet.Packet, cyclicQueueSlots)
-		cs.nextSend, cs.head = 0, 0
-		cs.haveAny = false
-		cs.serving = false
-		cs.retryQ = nil
-		cs.drainQ = nil
-		cs.seenBA = make(map[uint64]bool)
-		cs.lastEnqueue = 0
-		cs.drainPending = false
+	for m, cs := range a.clients {
+		a.Stats.DownWiped += cs.queued()
+		a.Stats.MPDUsDiscarded += uint64(len(cs.retryQ) + len(cs.drainQ))
+		a.clients[m] = newClientState(m, cs.ip)
 	}
 }
 
@@ -373,49 +404,26 @@ func (a *AP) HandleBackhaul(from packet.IPv4Addr, msg packet.Message) {
 // enqueueDownlink stores a tunneled packet in the client's cyclic queue.
 func (a *AP) enqueueDownlink(p *packet.Packet) {
 	cs := a.client(p.ClientMAC)
-	slot := int(p.Index) % cyclicQueueSlots
-	// Only an arrival behind the write head can land on a slot the backlog
-	// still holds; an in-order one reuses a slot already sent or trimmed.
-	if old := cs.ring[slot]; p.Index != cs.head && old != nil && old != p && cs.pending(old.Index) {
-		a.dropUnsent(cs, 1)
-	}
-	cs.ring[slot] = p
 	now := a.eng.Now()
-	if !cs.haveAny {
-		cs.haveAny = true
-		cs.nextSend = p.Index
-		cs.head = p.Index
-	} else if now-cs.lastEnqueue > staleRingAfter {
-		// The ring has been idle so long that its cursors describe a
-		// bygone flow (and, after enough index wraps, possibly a bogus
-		// half-space). Resynchronize to the resumed stream.
-		cs.nextSend = p.Index
-		cs.head = p.Index
+	// The common arrival — the next index of a live ring within its bound —
+	// stores the packet, advances the write head and trims at most one
+	// entry, each counted where it happens.
+	if d := packet.IndexDist(cs.nextSend, cs.head); p.Index == cs.head && cs.haveAny &&
+		now-cs.lastEnqueue <= staleRingAfter && d <= maxBacklog {
+		cs.ring[int(p.Index)%cyclicQueueSlots] = p
+		cs.head = packet.NextIndex(p.Index)
+		if d == maxBacklog {
+			// Cyclic overwrite: the writer laps the reader, and the oldest
+			// unsent packet is gone — what a ring buffer does under overload.
+			if cs.ring[int(cs.nextSend)%cyclicQueueSlots] != nil {
+				a.dropUnsent(cs, 1)
+			}
+			cs.nextSend = packet.NextIndex(cs.nextSend)
+		}
+	} else {
+		a.enqueueOther(cs, p, now)
 	}
 	cs.lastEnqueue = now
-	// Advance the write head for in-order (or re-entrant after a fanout
-	// gap) arrivals; stale re-deliveries behind the head are just stored.
-	if packet.IndexDist(cs.head, p.Index) < uint16(cyclicQueueSlots/2) || cs.head == p.Index {
-		cs.head = packet.NextIndex(p.Index)
-	}
-	// Cyclic overwrite: when the writer laps the reader, the oldest unsent
-	// packets are gone — exactly what a ring buffer does under overload.
-	// Keep the backlog within half the index space so forward-distance
-	// arithmetic stays unambiguous.
-	maxBacklog := uint16(cyclicQueueSlots/2 - 64)
-	if cs.backlog() {
-		if d := packet.IndexDist(cs.nextSend, cs.head); d > maxBacklog {
-			dropped := d - maxBacklog
-			cs.nextSend = (cs.nextSend + dropped) & packet.IndexMask
-			a.dropUnsent(cs, uint64(dropped))
-		}
-	} else if cs.haveAny && cs.nextSend != cs.head &&
-		packet.IndexDist(cs.nextSend, cs.head) > uint16(cyclicQueueSlots/2) {
-		// The reader fell more than half the space behind (or a stale
-		// start pointed far ahead): resynchronize to a bounded backlog.
-		cs.nextSend = (cs.head - maxBacklog) & packet.IndexMask
-		a.dropUnsent(cs, 1)
-	}
 	a.Stats.DownEnqueued++
 	if a.met.queueDepth != nil {
 		depth := 0
@@ -429,6 +437,59 @@ func (a *AP) enqueueDownlink(p *packet.Packet) {
 	}
 }
 
+// enqueueOther stores every other arrival: the first, one after the ring sat
+// idle, one behind the write head or past a fan-out gap, or one into a
+// backlog a start left over its bound. An arrival behind the write head
+// moves no cursor and is counted where it lands; any other may move a cursor
+// over many entries, and a recount of the queue books what the counted exits
+// do not explain.
+func (a *AP) enqueueOther(cs *clientState, p *packet.Packet, now sim.Time) {
+	stale := now-cs.lastEnqueue > staleRingAfter
+	behind := p.Index != cs.head && packet.IndexDist(cs.head, p.Index) >= cyclicQueueSlots/2
+	recount := !cs.haveAny || stale || packet.IndexDist(cs.nextSend, cs.head) > maxBacklog || !behind
+	var before, lost uint64
+	if recount {
+		before, lost = cs.queued(), a.Stats.DownOverwritten+a.Stats.DownTrimmed
+	}
+	slot := int(p.Index) % cyclicQueueSlots
+	// Only an arrival behind the write head can land on a slot the backlog
+	// still holds; an in-order one reuses a slot already sent or trimmed.
+	old, pending := cs.ring[slot], cs.pending(p.Index)
+	if p.Index != cs.head && old != nil && old != p && pending {
+		a.dropUnsent(cs, 1)
+	} else if behind && !recount && (!pending || old == p) {
+		a.Stats.DownSkipped++ // behind the cursor, or already queued: never sent
+	}
+	cs.ring[slot] = p
+	if !cs.haveAny || stale {
+		// A first arrival; or the ring has been idle so long that its cursors
+		// describe a bygone flow (and, after enough index wraps, possibly a
+		// bogus half-space). Resynchronize to the resumed stream.
+		cs.haveAny = true
+		cs.nextSend = p.Index
+		cs.head = p.Index
+	}
+	// Advance the write head for in-order (or re-entrant after a fanout
+	// gap) arrivals; stale re-deliveries behind the head are just stored.
+	if packet.IndexDist(cs.head, p.Index) < uint16(cyclicQueueSlots/2) || cs.head == p.Index {
+		cs.head = packet.NextIndex(p.Index)
+	}
+	if cs.backlog() {
+		if d := packet.IndexDist(cs.nextSend, cs.head); d > maxBacklog {
+			from := cs.nextSend
+			cs.nextSend = (cs.nextSend + d - maxBacklog) & packet.IndexMask
+			a.dropUnsent(cs, cs.stored(from, cs.nextSend))
+		}
+	} else if cs.nextSend != cs.head && packet.IndexDist(cs.nextSend, cs.head) > uint16(cyclicQueueSlots/2) {
+		// The reader fell more than half the space behind (or a stale
+		// start pointed far ahead): resynchronize to a bounded backlog.
+		cs.nextSend = (cs.head - maxBacklog) & packet.IndexMask
+	}
+	if recount {
+		a.rebook(before, cs.queued(), 1, a.Stats.DownOverwritten+a.Stats.DownTrimmed-lost)
+	}
+}
+
 // dropUnsent counts n unsent packets leaving cs's ring unsent: a loss at the
 // serving AP, a routine trim at any other (it would send them only if a
 // start pointed into them).
@@ -438,6 +499,57 @@ func (a *AP) dropUnsent(cs *clientState, n uint64) {
 	} else {
 		a.Stats.DownTrimmed += n
 	}
+}
+
+// rebook closes the ring law over a recount: the client's queue went from
+// before to after entries while in entered it and out left through counted
+// exits, and a cursor move did the rest — put entries back (RewindDepth) or
+// passed them over unsent (DownSkipped).
+func (a *AP) rebook(before, after, in, out uint64) {
+	if d := int64(after+out) - int64(before+in); d > 0 {
+		a.Stats.RewindDepth += uint64(d)
+	} else {
+		a.Stats.DownSkipped += uint64(-d)
+	}
+}
+
+// queued is the number of entries the cursor will still send: the stored
+// packets between nextSend and the write head.
+func (cs *clientState) queued() uint64 {
+	if !cs.backlog() {
+		return 0
+	}
+	return cs.stored(cs.nextSend, cs.head)
+}
+
+// stored counts the ring's packets at indices from up to (not including) to.
+func (cs *clientState) stored(from, to uint16) uint64 {
+	n := uint64(0)
+	for i := from; i != to; i = packet.NextIndex(i) {
+		if cs.ring[int(i)%cyclicQueueSlots] != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// Conserved checks the ring and MPDU laws of Stats against the queues as
+// they stand.
+func (a *AP) Conserved() error {
+	var queued, mpdus uint64
+	for _, cs := range a.clients {
+		queued += cs.queued()
+		mpdus += uint64(len(cs.retryQ) + len(cs.drainQ))
+	}
+	st := &a.Stats
+	return errors.Join(
+		metrics.Conserved(a.cfg.Name,
+			"ring: enqueued + requeued = sent + overwritten + trimmed + skipped + wiped + queued",
+			st.DownEnqueued+st.RewindDepth,
+			st.DownSent+st.DownOverwritten+st.DownTrimmed+st.DownSkipped+st.DownWiped+queued),
+		metrics.Conserved(a.cfg.Name,
+			"MPDUs: sent = delivered + dropped + flushed + discarded + queued or on the air",
+			st.DownSent, st.MPDUsDelivered+st.MPDUsDropped+st.MPDUsFlushed+st.MPDUsDiscarded+mpdus+uint64(a.airborne)))
 }
 
 // pending reports whether index idx lies in the backlog, between nextSend
@@ -515,21 +627,19 @@ func (a *AP) handleStart(m *packet.Start) {
 	a.Stats.StartsHandled++
 	a.met.spans.MarkStartHandled(m.SwitchID, int64(a.eng.Now()))
 	cs := a.client(m.Client)
+	before := cs.queued()
 	if !cs.haveAny {
 		// Taking over with an empty ring (this AP joined the fan-out set
 		// late): align the write head with the resume point, or the head
 		// logic would treat every subsequent enqueue as a stale redelivery.
 		cs.head = m.Index
 	}
-	if cs.haveAny {
-		if back := packet.IndexDist(m.Index, cs.nextSend); back != 0 && back < 2048 {
-			a.Stats.StartRewinds++
-			a.Stats.RewindDepth += uint64(back)
-		}
-	}
 	cs.nextSend = m.Index
 	cs.haveAny = true
 	cs.serving = true
+	// A start behind the cursor re-sends what lies between; one ahead hands
+	// the packets it passes to the old AP.
+	a.rebook(before, cs.queued(), 0, 0)
 	ack := &packet.SwitchAck{Client: m.Client, AP: a.cfg.IP, SwitchID: m.SwitchID}
 	_ = a.bh.Send(a.cfg.IP, a.controller, ack)
 	a.kick()

@@ -113,6 +113,14 @@ func newAPHarness(t *testing.T, n int, clientX float64) *apHarness {
 		Endpoint: cep,
 	})
 	h.client.SetSink(h.csink)
+	// Whatever a test does to the APs, their counters must still add up.
+	t.Cleanup(func() {
+		for _, a := range h.aps {
+			if err := a.Conserved(); err != nil {
+				t.Error(err)
+			}
+		}
+	})
 	return h
 }
 
@@ -314,6 +322,8 @@ func TestForwardedBADedupAndMerge(t *testing.T) {
 	cs := h.aps[0].client(client)
 	mp := &mac.MPDU{Seq: 100, Pkt: &packet.Packet{ClientMAC: client, Bytes: 100, Index: 5}, Bytes: 100}
 	cs.retryQ = append(cs.retryQ, mp)
+	h.aps[0].Stats.DownEnqueued++ // booked as if tunneled and sent
+	h.aps[0].Stats.DownSent++
 
 	fwd := &packet.BlockAckFwd{Client: client, FromAP: h.aps[1].Config().IP, SSN: 100, Bitmap: 1}
 	h.aps[0].HandleBackhaul(h.aps[1].Config().IP, fwd)
@@ -414,6 +424,8 @@ func TestStopDrainsRetriesOnce(t *testing.T) {
 			Seq: 100 + i, Bytes: 1000,
 			Pkt: &packet.Packet{ClientMAC: client, Bytes: 1000, Index: i},
 		})
+		h.aps[0].Stats.DownEnqueued++ // booked as if tunneled and sent
+		h.aps[0].Stats.DownSent++
 	}
 	stop := &packet.Stop{Client: client, NextAP: h.aps[1].Config().IP, SwitchID: 3}
 	_ = h.bh.Send(packet.ControllerIP, h.aps[0].Config().IP, stop)

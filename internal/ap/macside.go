@@ -50,6 +50,7 @@ func (a *AP) BuildFrame() *mac.Frame {
 				cs.drainPending = false
 			}
 		}
+		a.airborne += n
 		return &mac.Frame{Kind: mac.KindData, From: a.cfg.BSSID, To: cs.mac, MCS: mcs, MPDUs: mpdus}
 	}
 
@@ -78,10 +79,12 @@ func (a *AP) BuildFrame() *mac.Frame {
 		})
 		bytes += p.Bytes
 		cs.nextSend = packet.NextIndex(cs.nextSend)
+		a.Stats.DownSent++
 	}
 	if len(mpdus) == 0 {
 		return nil
 	}
+	a.airborne += len(mpdus)
 	return &mac.Frame{
 		Kind:  mac.KindData,
 		From:  a.cfg.BSSID, // thin-AP: every AP presents the shared BSSID
@@ -137,9 +140,15 @@ func (a *AP) hasWork() bool {
 // OnTxDone implements mac.Source: score the aggregate against the Block ACK
 // (if any), requeue or drop the rest, feed rate control.
 func (a *AP) OnTxDone(res *mac.TxResult) {
+	if res != nil && res.Frame != nil {
+		a.airborne -= len(res.Frame.MPDUs)
+	}
 	if a.down {
 		// A frame completed as the crash hit: whatever retry state this
 		// would produce dies with the AP (Restart wipes it anyway).
+		if res != nil && res.Frame != nil {
+			a.Stats.MPDUsDiscarded += uint64(len(res.Frame.MPDUs))
+		}
 		return
 	}
 	if res == nil || res.Frame == nil {
@@ -220,7 +229,6 @@ func (a *AP) OnFrame(ev *mac.RxEvent) {
 			a.Stats.KeepalivesHeard++
 			continue
 		}
-		a.Stats.UplinkForwarded++
 		up := &a.envelopes().up
 		up.APSrc, up.Pkt = a.cfg.IP, mp.Pkt
 		_ = a.bh.Send(a.cfg.IP, a.controller, up)

@@ -93,9 +93,10 @@ type Switch struct {
 	// nothing.
 	Delay func(to packet.IPv4Addr, msg packet.Message) sim.Time
 
-	sent    uint64
-	dropped uint64
-	bytes   uint64
+	sent     uint64
+	dropped  uint64
+	bytes    uint64
+	unrouted uint64
 
 	// encScratch is the reusable encode buffer and unicast the reusable
 	// one-target list of a Send; the switch runs on the single simulation
@@ -221,6 +222,7 @@ func (s *Switch) send(from packet.IPv4Addr, tos []packet.IPv4Addr, msg packet.Me
 		}
 		node, ok := s.nodes[to]
 		if !ok {
+			s.unrouted++
 			continue
 		}
 		if d == nil {
@@ -323,6 +325,11 @@ func (s *Switch) Receive(from, to packet.IPv4Addr, raw []byte) (unroutable bool,
 // Stats reports the number of delivered or written and of dropped copies,
 // and the total encoded bytes of everything sent.
 func (s *Switch) Stats() (sent, dropped, bytes uint64) { return s.sent, s.dropped, s.bytes }
+
+// Unrouted reports the number of copies SendMany skipped because neither the
+// switch nor its remote port reaches the target — none in a simulated
+// network, where every node is attached.
+func (s *Switch) Unrouted() uint64 { return s.unrouted }
 
 // DropTypes returns a Drop hook that discards messages of the listed types
 // with probability p — e.g. only Stop and SwitchAck, to exercise the

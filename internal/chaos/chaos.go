@@ -21,6 +21,7 @@
 package chaos
 
 import (
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"sort"
@@ -243,9 +244,11 @@ func expDraw(rnd *rand.Rand, mean sim.Time) sim.Time {
 
 // Stats counts what the injector actually did (the plan is intent; crashes
 // can be skipped by the guard). Every crash event is applied or skipped, so
-// a plan's crash events number APCrashes + CrashesSkipped + CtlCrashes +
-// CtlSkipped; a restart applies only to a target its crash took down, so
-// APRestarts ≤ APCrashes and CtlRestarts ≤ CtlCrashes.
+// the plan's AP crash events due so far number APCrashes + CrashesSkipped,
+// its controller crash events CtlCrashes + CtlSkipped; every message the
+// armed switch drops is one of BurstDrops, BlackoutDrops and ControlDrops
+// (Conserved checks all three). A restart applies only to a target its
+// crash took down, so APRestarts ≤ APCrashes and CtlRestarts ≤ CtlCrashes.
 type Stats struct {
 	APCrashes      uint64
 	APRestarts     uint64
@@ -255,9 +258,38 @@ type Stats struct {
 	Spikes         uint64
 	Blackouts      uint64
 	BlackoutDrops  uint64
+	ControlDrops   uint64 // stops, starts and acks lost to ControlLoss
 	CtlCrashes     uint64
 	CtlRestarts    uint64
 	CtlSkipped     uint64 // controller crashes suppressed by the guard
+}
+
+// Conserved checks that every crash event of each kind due by now was
+// applied or skipped by the guard, and that the armed switch dropped exactly
+// the messages the drop classes count (dropped, its count). A nil injector
+// drops nothing.
+func (in *Injector) Conserved(dropped uint64) error {
+	if in == nil {
+		return metrics.Conserved("backhaul", "drops = none without chaos", dropped, 0)
+	}
+	var apDue, ctlDue uint64
+	for _, ev := range in.plan.Events {
+		if ev.At > in.eng.Now() {
+			continue
+		}
+		switch ev.Kind {
+		case APCrash:
+			apDue++
+		case ControllerCrash:
+			ctlDue++
+		}
+	}
+	st := &in.Stats
+	return errors.Join(
+		metrics.Conserved("chaos", "AP crashes: due = applied + skipped", apDue, st.APCrashes+st.CrashesSkipped),
+		metrics.Conserved("chaos", "controller crashes: due = applied + skipped", ctlDue, st.CtlCrashes+st.CtlSkipped),
+		metrics.Conserved("chaos", "drops: switch = burst + blackout + control loss",
+			dropped, st.BurstDrops+st.BlackoutDrops+st.ControlDrops))
 }
 
 // Injector replays a Plan against a live network. Build it with NewInjector
@@ -336,6 +368,7 @@ func (in *Injector) UseMetrics(r *metrics.Registry) {
 // that order, so a burst draws only for what control loss let through.
 func (in *Injector) drop(to packet.IPv4Addr, msg packet.Message) bool {
 	if in.ctlLoss != nil && in.ctlLoss(to, msg) {
+		in.Stats.ControlDrops++
 		return true
 	}
 	now := in.eng.Now()

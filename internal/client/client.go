@@ -43,13 +43,17 @@ func DefaultConfig(id int, dest packet.MACAddr) Config {
 // indices warm.
 const dedupTTL = 200 * sim.Millisecond
 
-// Stats counts client-side events.
+// Stats counts client-side events. The uplink obeys one conservation law,
+// which Conserved checks:
+//
+//	UplinkQueued + KeepalivesSent = UplinkDelivered + UplinkDropped
+//	                                + the packets queued, awaiting retry or on the air
 type Stats struct {
 	DownlinkMPDUs   uint64 // unique downlink packets delivered up the stack
 	DownlinkDupes   uint64 // duplicates suppressed (index already seen)
-	UplinkQueued    uint64
+	UplinkQueued    uint64 // packets SendUplink queued
 	UplinkDropped   uint64 // retry budget exhausted
-	UplinkDelivered uint64
+	UplinkDelivered uint64 // MPDUs acknowledged, keepalives included
 	Beacons         uint64
 	KeepalivesSent  uint64 // null-data CSI probes queued while idle (§3.1.1)
 }
@@ -64,6 +68,9 @@ type Client struct {
 
 	uplinkQ []*packet.Packet
 	retryQ  []*mac.MPDU
+	// airborne counts the MPDUs of the frame BuildFrame handed the station,
+	// until OnTxDone reports it.
+	airborne int
 
 	seen      map[uint16]sim.Time
 	seenSweep sim.Time
@@ -182,6 +189,7 @@ func (c *Client) BuildFrame() *mac.Frame {
 	if len(mpdus) == 0 {
 		return nil
 	}
+	c.airborne += len(mpdus)
 	return &mac.Frame{
 		Kind:  mac.KindData,
 		From:  c.cfg.MAC,
@@ -199,6 +207,7 @@ func (c *Client) OnTxDone(res *mac.TxResult) {
 		}
 		return
 	}
+	c.airborne -= len(res.Frame.MPDUs)
 	acked := 0
 	for _, mp := range res.Frame.MPDUs {
 		if res.BAReceived && mac.BitmapAcks(res.SSN, res.Bitmap, mp.Seq) {
@@ -217,6 +226,18 @@ func (c *Client) OnTxDone(res *mac.TxResult) {
 	if c.hasWork() {
 		c.st.Kick()
 	}
+}
+
+// Conserved checks the uplink law of Stats against the queues as they stand.
+func (c *Client) Conserved() error {
+	st := &c.Stats
+	in := st.UplinkQueued + st.KeepalivesSent
+	out := st.UplinkDelivered + st.UplinkDropped + uint64(len(c.uplinkQ)+len(c.retryQ)+c.airborne)
+	if in == out {
+		return nil // the name is formatted only for a violation
+	}
+	return metrics.Conserved(packet.ClientName(c.cfg.ID),
+		"uplink: queued + keepalives = delivered + dropped + waiting", in, out)
 }
 
 func (c *Client) hasWork() bool { return len(c.uplinkQ) > 0 || len(c.retryQ) > 0 }

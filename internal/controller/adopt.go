@@ -56,8 +56,7 @@ func (c *Controller) ReleaseClient(mac packet.MACAddr, maxDedup int) (nextIndex 
 		return 0, nil, false
 	}
 	if cl.op != nil {
-		cl.op.timer.Stop()
-		cl.op = nil
+		c.cut(cl)
 	}
 	c.dedupEntries -= len(cl.dedup)
 	c.met.dedupSize.Set(float64(c.dedupEntries))

@@ -11,6 +11,8 @@
 package controller
 
 import (
+	"errors"
+
 	"wgtt/internal/backhaul"
 	"wgtt/internal/csi"
 	"wgtt/internal/metrics"
@@ -130,10 +132,16 @@ type SwitchRecord struct {
 	Forced bool
 }
 
-// Stats aggregates controller counters.
+// Stats aggregates controller counters. These conservation laws hold at
+// every instant, and Conserved checks them:
+//
+//	switches: SwitchesStarted = SwitchesDone + SwitchesCut + own ops in flight
+//	          PullsStarted = pulls completed (the puller's ledger) + PullsCut + pulls in flight
+//	uplink:   UplinkCopies = UplinkUnique + UplinkDuplicate + CtlUplinkDropped (§3.2.2)
+//	CSI:      CSICopies = CSIReports + CSIIgnored + CtlCSIDropped
 type Stats struct {
-	CSIReports      uint64
-	SwitchesStarted uint64
+	CSIReports      uint64 // CSI reports booked into the selector
+	SwitchesStarted uint64 // switches started on this controller's ledger
 	SwitchesDone    uint64
 	StopRetransmits uint64
 	UplinkUnique    uint64
@@ -145,6 +153,24 @@ type Stats struct {
 	// UplinkUnique also counts packets from senders the controller does not
 	// know, which bypass the hashset.
 	DedupMisses uint64
+
+	// SwitchesCut counts switches that ended without an ack: dropped by a
+	// Crash, ReleaseClient or a failover that found no live AP, or
+	// abandoned for a fresh failover op. PullsStarted and PullsCut count
+	// the same for pulls (PullFrom), whose completions land on the
+	// puller's ledger instead of SwitchesDone.
+	SwitchesCut  uint64
+	PullsStarted uint64
+	PullsCut     uint64
+	// UplinkCopies counts every tunneled uplink copy that reached the
+	// controller, CSICopies every CSI report; CSIIgnored the reports of a
+	// client or AP it does not know. CtlUplinkDropped and CtlCSIDropped
+	// count what a crashed controller lost of each.
+	UplinkCopies     uint64
+	CSICopies        uint64
+	CSIIgnored       uint64
+	CtlUplinkDropped uint64
+	CtlCSIDropped    uint64
 
 	// Selection-policy counters (DESIGN.md §15). SelectionDecisions
 	// counts policy evaluations that reached the selector (past the
@@ -182,6 +208,14 @@ func (s *Stats) Add(o Stats) {
 	s.UplinkUnique += o.UplinkUnique
 	s.UplinkDuplicate += o.UplinkDuplicate
 	s.DedupMisses += o.DedupMisses
+	s.SwitchesCut += o.SwitchesCut
+	s.PullsStarted += o.PullsStarted
+	s.PullsCut += o.PullsCut
+	s.UplinkCopies += o.UplinkCopies
+	s.CSICopies += o.CSICopies
+	s.CSIIgnored += o.CSIIgnored
+	s.CtlUplinkDropped += o.CtlUplinkDropped
+	s.CtlCSIDropped += o.CtlCSIDropped
 	s.DownlinkSent += o.DownlinkSent
 	s.DownlinkCopies += o.DownlinkCopies
 	s.SelectionDecisions += o.SelectionDecisions
@@ -491,7 +525,17 @@ func (c *Controller) BestMedianESNR(mac packet.MACAddr) (float64, bool) {
 // HandleBackhaul implements backhaul.Node.
 func (c *Controller) HandleBackhaul(from packet.IPv4Addr, msg packet.Message) {
 	if c.down {
-		return // a crashed controller hears nothing (DESIGN.md §11)
+		// A crashed controller hears nothing (DESIGN.md §11); it counts the
+		// reports it lost.
+		switch msg.(type) {
+		case *packet.CSIReport:
+			c.Stats.CSICopies++
+			c.Stats.CtlCSIDropped++
+		case *packet.UpData:
+			c.Stats.UplinkCopies++
+			c.Stats.CtlUplinkDropped++
+		}
+		return
 	}
 	// Any backhaul traffic from an AP proves it alive — CSI, uplink, acks;
 	// explicit probe acks only matter for APs with nothing else to say.
@@ -511,14 +555,14 @@ func (c *Controller) HandleBackhaul(from packet.IPv4Addr, msg packet.Message) {
 // handleCSI folds a report into the client's per-AP window and re-evaluates
 // AP selection.
 func (c *Controller) handleCSI(m *packet.CSIReport) {
+	c.Stats.CSICopies++
 	cl := c.clients[m.Client]
-	if cl == nil {
-		return
-	}
 	apID, known := c.ipToAP[m.AP]
-	if !known {
-		// A foreign or mistyped AP address (the UDP fabric can deliver
-		// one): dropped, not booked as evidence for some AP of ours.
+	if cl == nil || !known {
+		// An unknown client, or a foreign or mistyped AP address (the UDP
+		// fabric can deliver one): dropped, not booked as evidence for
+		// some AP of ours.
+		c.Stats.CSIIgnored++
 		return
 	}
 	c.Stats.CSIReports++
@@ -614,6 +658,7 @@ func (c *Controller) PullFrom(mac packet.MACAddr, oldAP APInfo, id uint32, done 
 		return
 	}
 	cl.op = &switchOp{id: id, old: oldAP, to: cl.serving, sentAt: c.eng.Now(), done: done}
+	c.Stats.PullsStarted++
 	c.transmit(cl, cl.op)
 }
 
@@ -697,6 +742,7 @@ func (c *Controller) handleSwitchAck(m *packet.SwitchAck) {
 
 // handleUplink de-duplicates and forwards one tunneled uplink packet.
 func (c *Controller) handleUplink(m *packet.UpData) {
+	c.Stats.UplinkCopies++
 	p := m.Pkt
 	cl := c.clients[p.ClientMAC]
 	key := packet.KeyOf(p)
@@ -723,6 +769,41 @@ func (c *Controller) handleUplink(m *packet.UpData) {
 	if c.DeliverUplink != nil {
 		c.DeliverUplink(p, c.eng.Now())
 	}
+}
+
+// cut ends cl's in-flight op without an ack, on the ledger it started on.
+func (c *Controller) cut(cl *clientCtl) {
+	op := cl.op
+	op.timer.Stop()
+	cl.op = nil
+	if op.done != nil {
+		c.Stats.PullsCut++
+	} else {
+		c.Stats.SwitchesCut++
+	}
+}
+
+// Conserved checks the laws of Stats against the ops in flight; pullsDone
+// is the number of pulls the puller's ledger recorded (0 without one).
+func (c *Controller) Conserved(pullsDone uint64) error {
+	var own, pulls uint64
+	for _, cl := range c.clients {
+		if op := cl.op; op != nil && op.done != nil {
+			pulls++
+		} else if op != nil {
+			own++
+		}
+	}
+	st := &c.Stats
+	return errors.Join(
+		metrics.Conserved("controller", "switches: started = done + cut + in flight",
+			st.SwitchesStarted, st.SwitchesDone+st.SwitchesCut+own),
+		metrics.Conserved("controller", "pulls: started = done + cut + in flight",
+			st.PullsStarted, pullsDone+st.PullsCut+pulls),
+		metrics.Conserved("controller", "uplink: copies = unique + duplicate + dropped while down",
+			st.UplinkCopies, st.UplinkUnique+st.UplinkDuplicate+st.CtlUplinkDropped),
+		metrics.Conserved("controller", "CSI: copies = booked + ignored + dropped while down",
+			st.CSICopies, st.CSIReports+st.CSIIgnored+st.CtlCSIDropped))
 }
 
 // ClientUplinkCounts returns (unique, duplicate) uplink packet counts for a

@@ -52,6 +52,17 @@ type ctlHarness struct {
 	ctl  *Controller
 	aps  []*fakeAP
 	macs packet.MACAddr
+	// pulled is the ledger of completed pulls (ledger).
+	pulled []SwitchRecord
+}
+
+// ledger is a PullFrom completion that books the pull on the harness's
+// ledger, as a federation domain's Adopted, and appends it to *recs.
+func (h *ctlHarness) ledger(recs *[]SwitchRecord) func(SwitchRecord) {
+	return func(r SwitchRecord) {
+		h.pulled = append(h.pulled, r)
+		*recs = append(*recs, r)
+	}
 }
 
 func newCtlHarness(t *testing.T, nAPs int, cfg Config) *ctlHarness {
@@ -65,8 +76,14 @@ func newCtlHarness(t *testing.T, nAPs int, cfg Config) *ctlHarness {
 		aps[i] = &fakeAP{id: i, eng: eng, bh: bh, ip: packet.APIP(i), ackStop: true}
 		bh.Attach(packet.APIP(i), aps[i])
 	}
-	ctl := New(cfg, eng, bh, infos)
-	return &ctlHarness{eng: eng, bh: bh, ctl: ctl, aps: aps}
+	h := &ctlHarness{eng: eng, bh: bh, ctl: New(cfg, eng, bh, infos), aps: aps}
+	// Whatever a test does, the controller's counters must still add up.
+	t.Cleanup(func() {
+		if err := h.ctl.Conserved(uint64(len(h.pulled))); err != nil {
+			t.Error(err)
+		}
+	})
+	return h
 }
 
 func csiReport(client packet.MACAddr, ap int, at sim.Time, esnrDB float64) *packet.CSIReport {
@@ -658,7 +675,7 @@ func TestPullEscalatesAfterStopBudget(t *testing.T) {
 	adoptedAt := h.eng.Now()
 	const id = 0x800001
 	var recs []SwitchRecord
-	h.ctl.PullFrom(client, APInfo{ID: 9, IP: foreign.ip}, id, func(r SwitchRecord) { recs = append(recs, r) })
+	h.ctl.PullFrom(client, APInfo{ID: 9, IP: foreign.ip}, id, h.ledger(&recs))
 
 	_ = h.bh.Send(packet.APIP(0), packet.ControllerIP, &packet.SwitchAck{Client: client, AP: packet.APIP(0), SwitchID: id})
 	h.eng.RunUntil(adoptedAt + pullStopBudget*switchTimeout - sim.Millisecond)
@@ -703,7 +720,7 @@ func TestPullEscalatesAfterStopBudget(t *testing.T) {
 func TestPullWithoutOldAPStartsDirectly(t *testing.T) {
 	h, client, foreign := pullHarness(t, DefaultConfig())
 	var recs []SwitchRecord
-	h.ctl.PullFrom(client, APInfo{ID: -1}, 0x800001, func(r SwitchRecord) { recs = append(recs, r) })
+	h.ctl.PullFrom(client, APInfo{ID: -1}, 0x800001, h.ledger(&recs))
 	h.eng.RunUntil(h.eng.Now() + sim.Millisecond)
 	if len(foreign.stops)+len(h.aps[0].stops)+len(h.aps[1].stops) != 0 {
 		t.Error("a stop was sent with no old AP to stop")
@@ -719,7 +736,7 @@ func TestPullSurvivesTargetDeath(t *testing.T) {
 	h, client, foreign := pullHarness(t, DefaultConfig().WithHealth())
 	h.aps[1].dead = true
 	var recs []SwitchRecord
-	h.ctl.PullFrom(client, APInfo{ID: 9, IP: foreign.ip}, 0x800001, func(r SwitchRecord) { recs = append(recs, r) })
+	h.ctl.PullFrom(client, APInfo{ID: 9, IP: foreign.ip}, 0x800001, h.ledger(&recs))
 	h.eng.RunUntil(h.eng.Now() + 200*sim.Millisecond)
 	if h.ctl.Stats.APsMarkedDead != 1 || h.ctl.Stats.ForcedSwitches != 1 {
 		t.Fatalf("setup: stats = %+v, want AP 1 marked dead and one failover", h.ctl.Stats)

@@ -155,8 +155,7 @@ func (c *Controller) forceSwitch(cl *clientCtl, recoveryID uint32) {
 		// Every AP is dead. Drop any op aimed at a dead target; the next
 		// health tick (or a re-admission) retries while the outage lasts.
 		if cl.op != nil && !c.apAlive(cl.op.to) {
-			cl.op.timer.Stop()
-			cl.op = nil
+			c.cut(cl)
 		}
 		return
 	}
@@ -180,11 +179,13 @@ func (c *Controller) forceSwitch(cl *clientCtl, recoveryID uint32) {
 		// The in-flight op's target is unusable (it died): abandon it and
 		// open a fresh forced op toward the new pick, which completes a
 		// pull in the abandoned one's place — from the peer's AP the
-		// client never left.
+		// client never left — or starts a switch of our own.
 		op.timer.Stop()
 		cl.op = nil
 		if done = op.done; done != nil {
 			old = op.old
+		} else {
+			c.Stats.SwitchesCut++
 		}
 	}
 	c.switchSeq++
@@ -194,7 +195,9 @@ func (c *Controller) forceSwitch(cl *clientCtl, recoveryID uint32) {
 		sentAt: now, forced: true, recoveryID: recoveryID, done: done,
 	}
 	cl.op = op
-	c.Stats.SwitchesStarted++
+	if done == nil {
+		c.Stats.SwitchesStarted++
+	}
 	c.Stats.ForcedSwitches++
 	if c.met.spans != nil {
 		toMed, _ := c.sel.Median(cl.mac, to, now)
@@ -220,10 +223,9 @@ func (c *Controller) Crash() {
 	for _, mac := range c.clientOrder {
 		cl := c.clients[mac]
 		if cl.op != nil {
-			cl.op.timer.Stop()
 			c.met.spans.End(cl.op.id, now, true)
 			c.met.recoverySpans.End(cl.op.recoveryID, now, true)
-			cl.op = nil
+			c.cut(cl)
 		}
 	}
 }

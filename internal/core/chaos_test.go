@@ -110,6 +110,7 @@ func apCrashOutageBounded(t *testing.T, domains int) {
 		deliveries = append(deliveries, at)
 	})
 	n.Run()
+	holds(t, n)
 
 	if n.Chaos.Stats.APCrashes != 1 {
 		t.Fatalf("APCrashes = %d, want 1", n.Chaos.Stats.APCrashes)
@@ -187,6 +188,7 @@ func TestChaosRunDeterministicPerSeed(t *testing.T) {
 		flow := n.AddDownlinkUDP(0, 20, 1400)
 		flow.Sender.Start()
 		n.Run()
+		holds(t, n)
 		js, err := json.Marshal(reg.Snapshot())
 		if err != nil {
 			t.Fatal(err)
@@ -267,6 +269,7 @@ func TestChaosControllerRestartResumesDelivery(t *testing.T) {
 			}
 		})
 		n.Run()
+		holds(t, n)
 		for _, dom := range n.Fed.Domains {
 			if dom.Owns(mac) && !dom.Down() {
 				r.owners++

@@ -85,6 +85,7 @@ func TestWGTTBeatsBaselineUDP(t *testing.T) {
 		flow := n.AddDownlinkUDP(0, 50, 1400)
 		flow.Sender.Start()
 		n.Run()
+		holds(t, n)
 		mbps = float64(flow.Receiver.Bytes) * 8 / 1e6 / s.Duration.Seconds()
 		if mode == ModeWGTT {
 			switches = len(n.Ctl.History)
@@ -122,6 +123,7 @@ func TestWGTTTCPDrive(t *testing.T) {
 	flow := n.AddDownlinkTCP(0, 0, nil)
 	flow.Sender.Start()
 	n.Run()
+	holds(t, n)
 	mbps := float64(flow.Receiver.DeliveredBytes) * 8 / 1e6 / s.Duration.Seconds()
 	t.Logf("TCP 15mph wgtt: %.2f Mb/s, %d rtx, %d timeouts",
 		mbps, flow.Sender.Retransmits, flow.Sender.Timeouts)
@@ -145,6 +147,7 @@ func TestUplinkFlowAndDedup(t *testing.T) {
 	flow := n.AddUplinkUDP(0, 5, 1000)
 	flow.Sender.Start()
 	n.Run()
+	holds(t, n)
 	loss := flow.Receiver.LossRate()
 	t.Logf("uplink UDP: sent %d received %d loss %.4f", flow.Sender.Sent, flow.Receiver.Received, loss)
 	if flow.Receiver.Received == 0 {
@@ -194,6 +197,7 @@ func TestEverySampler(t *testing.T) {
 	var ticks []sim.Time
 	n.Every(100*sim.Millisecond, func(at sim.Time) { ticks = append(ticks, at) })
 	n.Run()
+	holds(t, n)
 	if len(ticks) < 18 || len(ticks) > 21 {
 		t.Errorf("sampler fired %d times in 2 s at 100 ms", len(ticks))
 	}
@@ -211,6 +215,7 @@ func TestDeterminism(t *testing.T) {
 		flow := n.AddDownlinkTCP(0, 0, nil)
 		flow.Sender.Start()
 		n.Run()
+		holds(t, n)
 		return flow.Receiver.DeliveredBytes, len(n.Ctl.History), n.Eng.Fired()
 	}
 	b1, s1, e1 := run()
@@ -233,6 +238,7 @@ func TestSeedsDiffer(t *testing.T) {
 		flow := n.AddDownlinkUDP(0, 20, 1400)
 		flow.Sender.Start()
 		n.Run()
+		holds(t, n)
 		return flow.Receiver.Bytes
 	}
 	if run(1) == run(2) {
@@ -276,6 +282,7 @@ func TestControlLossDrive(t *testing.T) {
 	flow := n.AddDownlinkUDP(0, 20, 1400)
 	flow.Sender.Start()
 	n.Run()
+	holds(t, n)
 	if n.Ctl.Stats.StopRetransmits == 0 {
 		t.Error("control loss never triggered the 30 ms retransmission")
 	}
@@ -301,6 +308,7 @@ func TestAttachRecorder(t *testing.T) {
 	n.AttachRecorder(rec)
 	flow.Sender.Start()
 	n.Run()
+	holds(t, n)
 	if err := rec.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -312,5 +320,14 @@ func TestAttachRecorder(t *testing.T) {
 	}
 	if rec.N < 100 {
 		t.Errorf("only %d events traced", rec.N)
+	}
+}
+
+// holds fails t unless every conservation law of the network holds
+// (Network.Conserved) — called at the end of each drive.
+func holds(t *testing.T, n *Network) {
+	t.Helper()
+	if err := n.Conserved(); err != nil {
+		t.Error(err)
 	}
 }

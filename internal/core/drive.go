@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"os"
 
+	"wgtt/internal/metrics"
 	"wgtt/internal/sim"
 	"wgtt/internal/trace"
 	"wgtt/internal/transport"
@@ -38,9 +40,12 @@ type Outcome struct {
 	// scenario horizon.
 	Mbps float64
 	// Sent, Received and Loss are the UDP flow's datagram counts and loss
-	// fraction (zero for TCP).
-	Sent, Received uint64
-	Loss           float64
+	// fraction (zero for TCP). Received counts Duplicates too; Lost and
+	// Unresolved split what never arrived (transport.UDPReceiver.Tally), so
+	// Sent + Duplicates = Received + Lost + Unresolved.
+	Sent, Received               uint64
+	Duplicates, Lost, Unresolved uint64
+	Loss                         float64
 	// Arrivals is the UDP flow's delivery timeline; nil unless Load.Record.
 	Arrivals []transport.Arrival
 }
@@ -178,13 +183,49 @@ func (d *Drive) Outcome(i int) Outcome {
 		o.Bytes = f.Receiver.Bytes
 		o.Sent = f.Sender.Sent
 		o.Received = f.Receiver.Received
+		o.Duplicates = f.Receiver.Duplicates
 		o.Loss = f.Receiver.LossRate()
+		next, _ := f.Sender.Cursor()
+		o.Lost, o.Unresolved = f.Receiver.Tally(next)
 		o.Arrivals = f.Receiver.Arrivals
 	} else {
 		o.Bytes = d.TCP[i].Receiver.DeliveredBytes
 	}
 	o.Mbps = Mbps(o.Bytes, d.Net.Scenario.Duration-d.loads[i].Start)
 	return o
+}
+
+// Conserved checks the conservation laws of a finished drive (DESIGN.md
+// §10): the network's, and each UDP flow's (transport.UDPReceiver.Conserved).
+// It reports every law that fails, each naming its component, the law and
+// both sides.
+func (d *Drive) Conserved() error {
+	errs := []error{d.Net.Conserved()}
+	for _, f := range d.UDP {
+		if f != nil {
+			errs = append(errs, f.Receiver.Conserved(f.Sender))
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// Conserved checks every component's conservation law on the network as it
+// stands: each AP's ring and MPDU laws, each client's uplink, each domain's
+// switches, pulls, uplink, CSI, handoffs and held downlink, and the chaos
+// injector's crashes and drops — the switch's drops, none without chaos.
+func (n *Network) Conserved() error {
+	_, dropped, _ := n.Bh.Stats()
+	errs := []error{n.Chaos.Conserved(dropped), metrics.Conserved("backhaul", "unrouted copies = none", n.Bh.Unrouted(), 0)}
+	for _, a := range n.APs {
+		errs = append(errs, a.Conserved())
+	}
+	for _, cl := range n.Clients {
+		errs = append(errs, cl.Conserved())
+	}
+	for i := 0; n.Fed != nil && i < len(n.Fed.Domains); i++ {
+		errs = append(errs, n.Fed.Domains[i].Conserved())
+	}
+	return errors.Join(errs...)
 }
 
 // Outcomes reads every client's flow, in client order.

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"wgtt/internal/mobility"
@@ -40,6 +41,9 @@ func TestDriveReportsWhatThePrimitivesHold(t *testing.T) {
 	n := shortDrive(t, false)
 	d := n.Attach([]Load{{TCP: true}, {RateMbps: 10, Start: udpStart}})
 	n.Run()
+	if err := d.Conserved(); err != nil {
+		t.Error(err)
+	}
 
 	got := d.Outcomes()
 	if !got[0].TCP || got[0].Bytes == 0 || got[0].Bytes != tcp.Receiver.DeliveredBytes {
@@ -72,6 +76,7 @@ func TestDriveRecordsOnRequest(t *testing.T) {
 	n := shortDrive(t, false)
 	d := n.Attach([]Load{{TCP: true, Record: true}, {RateMbps: 10, Record: true}})
 	n.Run()
+	holds(t, n)
 	if o := d.Outcome(1); uint64(len(o.Arrivals)) != o.Received || o.Received == 0 {
 		t.Errorf("%d arrivals recorded for %d datagrams received", len(o.Arrivals), o.Received)
 	}
@@ -94,6 +99,7 @@ func TestDriveDeferredLoad(t *testing.T) {
 	}
 	d.Resume(1, 700, 700)
 	n.Run()
+	holds(t, n)
 	o := d.Outcome(1)
 	if o.Sent == 0 {
 		t.Fatal("deferred flow did not send after Resume")
@@ -130,6 +136,7 @@ func TestDriveOracleMatchesIndependentSampler(t *testing.T) {
 		}
 	})
 	n.Run()
+	holds(t, n)
 	if total == 0 || ticks < total {
 		t.Fatalf("oracle saw %d ticks, independent sampler %d in-range samples", ticks, total)
 	}
@@ -154,6 +161,7 @@ func TestDriveTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.Run()
+	holds(t, n)
 	events, err := d.Close()
 	if err != nil || events == 0 {
 		t.Fatalf("Close = (%d, %v)", events, err)
@@ -243,6 +251,7 @@ func TestAirPathSamplingBudget(t *testing.T) {
 			}
 			delivered := tc.flows(n)
 			n.Run()
+			holds(t, n)
 			if delivered() == 0 {
 				t.Fatal("nothing delivered")
 			}
@@ -258,5 +267,30 @@ func TestAirPathSamplingBudget(t *testing.T) {
 			}
 			t.Logf("%d path-gain evaluations, %d fading samples", evals, n.Channel.Samples)
 		})
+	}
+}
+
+// TestConservedCatchesADoubleCount re-plants the ring double count PR 41
+// removed — one lapped enqueue booked both as an overwrite and as a trim —
+// on a finished drive whose laws hold, and wants the check to fail on it,
+// naming the AP and its ring law; then a flow datagram counted twice.
+func TestConservedCatchesADoubleCount(t *testing.T) {
+	n := shortDrive(t, false)
+	d := n.Attach(Loads(2, Load{RateMbps: 30}))
+	n.Run()
+	if err := d.Conserved(); err != nil {
+		t.Fatal(err)
+	}
+	a := n.APs[2]
+	a.Stats.DownOverwritten++
+	err := d.Conserved()
+	if err == nil || !strings.Contains(err.Error(), "ap3: ring: ") {
+		t.Fatalf("the planted double count went unnoticed: %v", err)
+	}
+	t.Log(err)
+	a.Stats.DownOverwritten--
+	d.UDP[1].Receiver.Received++
+	if err := d.Conserved(); err == nil || !strings.Contains(err.Error(), "flow 2: ") {
+		t.Fatalf("a datagram counted twice went unnoticed: %v", err)
 	}
 }

@@ -25,6 +25,7 @@ func TestFanoutCopiesPinned(t *testing.T) {
 		flow := n.AddDownlinkUDP(0, 6, 1200)
 		flow.Sender.Start()
 		n.Run()
+		holds(t, n)
 		st := n.CtlStats()
 		if st.DownlinkSent != tc.sent || st.DownlinkCopies != tc.copies ||
 			flow.Receiver.Received != tc.received {

@@ -44,19 +44,21 @@ func TestFederatedDriveHandsOff(t *testing.T) {
 	flow := n.AddDownlinkUDP(0, 20, 1400)
 	flow.Sender.Start()
 	n.Run()
+	holds(t, n)
 	oneNamespace(t, n, federation.City(len(n.APs), s.Domains), reg.Snapshot())
 
 	fs := n.FedStats()
 	cs := n.CtlStats()
+	cross := n.Fed.CrossSwitches()
 	mbps := float64(flow.Receiver.Bytes) * 8 / 1e6 / s.Duration.Seconds()
 	t.Logf("federated 15mph: %.2f Mb/s, %d intra switches, %d cross switches, %d offers, %d aborts",
-		mbps, cs.SwitchesDone, fs.CrossSwitches, fs.OffersSent, fs.Aborts)
+		mbps, cs.SwitchesDone, cross, fs.OffersSent, fs.Aborts)
 
-	if fs.CrossSwitches < 1 {
+	if cross < 1 {
 		t.Fatalf("no cross-domain switch completed (offers=%d aborts=%d)", fs.OffersSent, fs.Aborts)
 	}
-	if fs.Adoptions != fs.CrossSwitches {
-		t.Errorf("adoptions (%d) != cross switches (%d)", fs.Adoptions, fs.CrossSwitches)
+	if fs.Adoptions != cross {
+		t.Errorf("adoptions (%d) != cross switches (%d)", fs.Adoptions, cross)
 	}
 	mac := n.Clients[0].Config().MAC
 	if !n.Fed.Domains[s.Domains-1].Owns(mac) {
@@ -121,7 +123,8 @@ func TestFederatedDeterminism(t *testing.T) {
 		flow := n.AddDownlinkUDP(0, 20, 1400)
 		flow.Sender.Start()
 		n.Run()
-		return flow.Receiver.Bytes, n.FedStats().CrossSwitches, n.Eng.Fired()
+		holds(t, n)
+		return flow.Receiver.Bytes, n.Fed.CrossSwitches(), n.Eng.Fired()
 	}
 	b1, c1, e1 := run()
 	b2, c2, e2 := run()
@@ -197,6 +200,7 @@ func TestSingleDomainHasNoFederationMetrics(t *testing.T) {
 		}
 		r := n.EnableMetrics()
 		n.Run()
+		holds(t, n)
 		fed := 0
 		for _, c := range r.Snapshot().Counters {
 			if c.Component == "federation" {

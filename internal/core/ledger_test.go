@@ -67,6 +67,7 @@ func runDrive(t *testing.T, mode Mode, domains int) *Network {
 		t.Fatal(err)
 	}
 	n.Run()
+	holds(t, n)
 	return n
 }
 

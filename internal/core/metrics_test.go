@@ -24,6 +24,7 @@ func TestSwitchSpanMedianMatchesTable1(t *testing.T) {
 	flow := n.AddDownlinkUDP(0, 20, 1400)
 	flow.Sender.Start()
 	n.Run()
+	holds(t, n)
 
 	snap := r.Snapshot()
 	sum := snap.SwitchSummary()
@@ -85,6 +86,7 @@ func TestSharedRegistryKeepsEverySpan(t *testing.T) {
 		flow := n.AddDownlinkUDP(0, 20, 1400)
 		flow.Sender.Start()
 		n.Run()
+		holds(t, n)
 		started += n.Ctl.Stats.SwitchesStarted
 		done += n.Ctl.Stats.SwitchesDone
 	}
@@ -108,6 +110,7 @@ func TestMetricsOffIsInert(t *testing.T) {
 	flow := n.AddDownlinkUDP(0, 20, 1400)
 	flow.Sender.Start()
 	n.Run()
+	holds(t, n)
 	if n.Metrics != nil {
 		t.Fatal("network without EnableMetrics has a registry")
 	}
@@ -133,6 +136,7 @@ func TestMetricsRunsAreDeterministic(t *testing.T) {
 		flow := n.AddDownlinkUDP(0, 20, 1400)
 		flow.Sender.Start()
 		n.Run()
+		holds(t, n)
 		if enable {
 			snap := n.Metrics.Snapshot()
 			var b strings.Builder

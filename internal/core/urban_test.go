@@ -68,6 +68,7 @@ func TestUrbanScenarioRuns(t *testing.T) {
 	flow := n.AddDownlinkUDP(0, 1.0, 200)
 	flow.Sender.Start()
 	n.Run()
+	holds(t, n)
 	if flow.Receiver.Received == 0 {
 		t.Fatal("no downlink delivered to the bus across the whole run")
 	}

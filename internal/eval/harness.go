@@ -60,8 +60,10 @@ func (opt Options) build(s core.Scenario) (*core.Network, error) {
 }
 
 // drive is the paper's measurement in one call: build the scenario, put
-// loads[i] on client i (core.Drive), run to the horizon. Experiments that
-// hook the network between build and run call build and Attach themselves.
+// loads[i] on client i (core.Drive), run to the horizon, and hold the
+// drive's counters to their conservation laws — a run whose counters do not
+// add up fails instead of printing. Experiments that hook the network
+// between build and run call build and Attach themselves.
 func (opt Options) drive(s core.Scenario, loads ...core.Load) (*core.Drive, error) {
 	n, err := opt.build(s)
 	if err != nil {
@@ -69,6 +71,9 @@ func (opt Options) drive(s core.Scenario, loads ...core.Load) (*core.Drive, erro
 	}
 	d := n.Attach(loads)
 	n.Run()
+	if err := d.Conserved(); err != nil {
+		return nil, fmt.Errorf("eval: %w", err)
+	}
 	return d, nil
 }
 

@@ -26,6 +26,7 @@
 package federation
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -104,19 +105,39 @@ func City(aps, domains int) []APAssignment {
 	return city
 }
 
-// Stats counts one domain's federation activity.
+// Stats counts one domain's federation activity. Two conservation laws
+// hold at every instant, which Conserved checks (with the inner
+// controller's, whose pulls complete on Adopted):
+//
+//	handoffs: OffersSent + OffersRecv = Commits + Aborts + OffersRejected
+//	          + OffersReaccepted + (Adoptions − UnsolicitedAdoptions)
+//	          + offers outstanding + accepts staged
+//	buffer:   DownBuffered = DownDrained + DownDiscarded + packets held
+//
+// An offer this domain sent ends committed or aborted; one it received is
+// rejected, re-accepted (a duplicate of a staged one), or staged, and a
+// staged accept ends adopted or aborted. Commits also equals len(Offered),
+// and the cross-domain switches are the Adopted ledger itself.
 type Stats struct {
-	OffersSent        uint64 // handoffs this domain offered away
-	OffersRecv        uint64 // offers received from peers
-	OffersRejected    uint64 // received offers this domain declined
-	Commits           uint64 // commits sent (ownership released)
-	Adoptions         uint64 // commits applied (ownership assumed)
-	Aborts            uint64 // handoffs abandoned (timeout, rejection, crash)
-	CrossSwitches     uint64 // completed cross-domain stop→start→acks
-	ForcedStarts      uint64 // cross-domain switches escalated to direct start
-	CommitRetransmits uint64
-	CSIRelays         uint64 // foreign-owned CSI reports relayed to their owner
-	UplinkRelays      uint64 // foreign-owned uplink relayed to their owner
+	OffersSent       uint64 // handoffs this domain offered away
+	OffersRecv       uint64 // offers received from peers
+	OffersRejected   uint64 // received offers this domain declined
+	OffersReaccepted uint64 // duplicates of a staged offer, accepted again
+	Commits          uint64 // commits sent (ownership released)
+	Adoptions        uint64 // commits applied (ownership assumed)
+	// UnsolicitedAdoptions counts commits applied with no accept staged
+	// for them (timed out, lost to a crash, or never exchanged).
+	UnsolicitedAdoptions uint64
+	Aborts               uint64 // handoffs abandoned (timeout, rejection, crash)
+	CommitRetransmits    uint64
+	CSIRelays            uint64 // foreign-owned CSI reports relayed to their owner
+	UplinkRelays         uint64 // foreign-owned uplink relayed to their owner
+	// DownBuffered counts downlink held for a client whose commit is in
+	// flight; each is drained to the controller at adoption, or discarded
+	// when the accept times out or the domain crashes.
+	DownBuffered  uint64
+	DownDrained   uint64
+	DownDiscarded uint64
 }
 
 // Add accumulates o into s, field by field — how a tier sums its domains.
@@ -125,14 +146,46 @@ func (s *Stats) Add(o Stats) {
 	s.OffersSent += o.OffersSent
 	s.OffersRecv += o.OffersRecv
 	s.OffersRejected += o.OffersRejected
+	s.OffersReaccepted += o.OffersReaccepted
 	s.Commits += o.Commits
 	s.Adoptions += o.Adoptions
+	s.UnsolicitedAdoptions += o.UnsolicitedAdoptions
 	s.Aborts += o.Aborts
-	s.CrossSwitches += o.CrossSwitches
-	s.ForcedStarts += o.ForcedStarts
 	s.CommitRetransmits += o.CommitRetransmits
 	s.CSIRelays += o.CSIRelays
 	s.UplinkRelays += o.UplinkRelays
+	s.DownBuffered += o.DownBuffered
+	s.DownDrained += o.DownDrained
+	s.DownDiscarded += o.DownDiscarded
+}
+
+// Conserved checks the laws of Stats, and the inner controller's, against
+// the state machines as they stand.
+func (d *Domain) Conserved() error {
+	var offered, held uint64
+	for _, fc := range d.owned {
+		if fc.out != nil {
+			offered++
+		}
+	}
+	for _, q := range d.pendingDown {
+		held += uint64(len(q))
+	}
+	st := &d.Stats
+	err := errors.Join(
+		d.ctl.Conserved(uint64(len(d.Adopted))),
+		metrics.Conserved("federation",
+			"handoffs: offers sent + received = commits + aborts + rejected + re-accepted + adopted as staged + offered + staged",
+			st.OffersSent+st.OffersRecv,
+			st.Commits+st.Aborts+st.OffersRejected+st.OffersReaccepted+
+				st.Adoptions-st.UnsolicitedAdoptions+offered+uint64(len(d.byClient))),
+		metrics.Conserved("federation", "commits: Commits = len(Offered)", st.Commits, uint64(len(d.Offered))),
+		metrics.Conserved("federation", "buffer: buffered = drained + discarded + held",
+			st.DownBuffered, st.DownDrained+st.DownDiscarded+held))
+	if err != nil {
+		return fmt.Errorf("domain %d: %w", d.id, err)
+	}
+	return nil
 }
 
 // fedMetrics holds the domain's span trackers (all nil-safe).
@@ -393,6 +446,7 @@ func (d *Domain) SendDownlink(p *packet.Packet) error {
 	if own == d.id || d.byClient[p.ClientMAC] != nil {
 		// Ours-to-be: a commit naming us is in flight. Hold the packet.
 		d.pendingDown[p.ClientMAC] = append(d.pendingDown[p.ClientMAC], p)
+		d.Stats.DownBuffered++
 		return nil
 	}
 	return d.bh.Send(d.addr, d.addrOf(own), &packet.DownData{APDst: d.addrOf(own), Pkt: p})
@@ -402,7 +456,10 @@ func (d *Domain) SendDownlink(p *packet.Packet) error {
 // here, everything else forwards to the inner controller.
 func (d *Domain) HandleBackhaul(from packet.IPv4Addr, msg packet.Message) {
 	if d.ctl.Down() {
-		return // a crashed controller hears nothing, its federation half included
+		// A crashed controller hears nothing, its federation half included;
+		// the inner controller counts the reports it lost.
+		d.ctl.HandleBackhaul(from, msg)
+		return
 	}
 	switch m := msg.(type) {
 	case *packet.CSIReport:

@@ -129,6 +129,9 @@ func (d *Domain) handleOffer(from packet.IPv4Addr, m *packet.DomainHandoffOffer)
 	if prev := d.byClient[m.Client]; prev != nil {
 		// Duplicate of the adoption already staged → re-accept idempotently;
 		// a competing handoff for the same client → decline.
+		if prev.id == m.HandoffID {
+			d.Stats.OffersReaccepted++
+		}
 		reply(prev.id == m.HandoffID)
 		return
 	}
@@ -144,6 +147,7 @@ func (d *Domain) acceptTimeout(ad *adoption) {
 		return
 	}
 	delete(d.byClient, ad.client)
+	d.Stats.DownDiscarded += uint64(len(d.pendingDown[ad.client]))
 	delete(d.pendingDown, ad.client)
 	d.Stats.Aborts++
 }
@@ -258,11 +262,14 @@ func (d *Domain) adopt(m *packet.DomainHandoffCommit) {
 	if ad := d.byClient[mac]; ad != nil && ad.id == m.HandoffID {
 		ad.timer.Stop()
 		delete(d.byClient, mac)
+	} else {
+		d.Stats.UnsolicitedAdoptions++
 	}
 	d.adoptedIDs[m.HandoffID] = true
 	d.Stats.Adoptions++
 	if q := d.pendingDown[mac]; len(q) > 0 {
 		delete(d.pendingDown, mac)
+		d.Stats.DownDrained += uint64(len(q))
 		for _, p := range q {
 			_ = d.ctl.SendDownlink(p)
 		}
@@ -283,10 +290,6 @@ func (d *Domain) adopt(m *packet.DomainHandoffCommit) {
 	// The cross-domain switch stays off the controller's ledger and lands on
 	// ours.
 	d.ctl.PullFrom(mac, old, m.HandoffID, func(sw controller.SwitchRecord) {
-		d.Stats.CrossSwitches++
-		if sw.Forced {
-			d.Stats.ForcedStarts++
-		}
 		d.Adopted = append(d.Adopted, sw)
 		d.switched(sw)
 	})
@@ -370,6 +373,9 @@ func (d *Domain) Crash() {
 		d.Stats.Aborts++
 	}
 	clear(d.byClient)
+	for _, q := range d.pendingDown {
+		d.Stats.DownDiscarded += uint64(len(q))
+	}
 	clear(d.pendingDown)
 }
 

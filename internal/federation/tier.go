@@ -107,6 +107,16 @@ func (t *Tier) ServingAP(mac packet.MACAddr) int {
 	return -1
 }
 
+// CrossSwitches counts the cross-domain switches every domain's Adopted
+// ledger holds.
+func (t *Tier) CrossSwitches() uint64 {
+	var n uint64
+	for _, d := range t.Domains {
+		n += uint64(len(d.Adopted))
+	}
+	return n
+}
+
 // TierStats aggregates the whole tier.
 type TierStats struct {
 	Fed Stats

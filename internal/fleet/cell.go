@@ -46,6 +46,9 @@ type CellResult struct {
 	Fed   federation.Stats
 	Chaos chaos.Stats
 	Urban urban.Stats
+	// CrossSwitches counts the cross-domain switches on the domains'
+	// Adopted ledgers (zero in a one-domain cell).
+	CrossSwitches uint64
 
 	// TraceFile and TraceEvents are set when per-cell tracing is enabled.
 	TraceFile   string
@@ -93,9 +96,13 @@ func attachCell(cfg Config, id int, n *core.Network, loads []core.Load) (*cell, 
 	return c, nil
 }
 
-// harvest reads the finished cell's outcome and completes its trace.
+// harvest holds the finished cell's counters to their conservation laws,
+// reads its outcome and completes its trace.
 func (c *cell) harvest() (CellResult, error) {
 	n, res := c.drive.Net, &c.res
+	if err := c.drive.Conserved(); err != nil {
+		return CellResult{}, fmt.Errorf("fleet: cell %d: %w", res.Cell, err)
+	}
 	res.Flows = c.drive.Outcomes()
 	for _, f := range res.Flows {
 		res.Bytes += f.Bytes
@@ -105,6 +112,7 @@ func (c *cell) harvest() (CellResult, error) {
 	res.AirtimePct = 100 * n.Medium.Utilization()
 	res.Ctl = n.CtlStats()
 	res.Fed = n.FedStats()
+	res.CrossSwitches = n.Fed.CrossSwitches()
 	if n.Chaos != nil {
 		res.Chaos = n.Chaos.Stats
 	}

@@ -227,7 +227,7 @@ func TestFleetFederationDeterministicAcrossWorkers(t *testing.T) {
 	var offers, cross uint64
 	for _, c := range base.Cells {
 		offers += c.Fed.OffersSent
-		cross += c.Fed.CrossSwitches
+		cross += c.CrossSwitches
 	}
 	if offers == 0 {
 		t.Error("no inter-controller handoff offers anywhere in the federated fleet")

@@ -150,7 +150,7 @@ func (r *Result) Render() string {
 			offers += c.Fed.OffersSent
 			handoffs += c.Fed.Adoptions
 			aborts += c.Fed.Aborts
-			cross += c.Fed.CrossSwitches
+			cross += c.CrossSwitches
 		}
 		fmt.Fprintf(&b, "\nFederation (%d domains per cell, DESIGN.md §13)\n", nDom)
 		fmt.Fprintf(&b, "handoff offers %d  adoptions %d  aborts %d  cross-domain switches %d\n",
@@ -161,7 +161,7 @@ func (r *Result) Render() string {
 			c := &r.Cells[i]
 			ft.AddRow(fmt.Sprintf("%d", c.Cell), fmt.Sprintf("%d", c.Fed.OffersSent),
 				fmt.Sprintf("%d", c.Fed.Adoptions), fmt.Sprintf("%d", c.Fed.Aborts),
-				fmt.Sprintf("%d", c.Fed.CrossSwitches))
+				fmt.Sprintf("%d", c.CrossSwitches))
 		}
 		b.WriteString(ft.String())
 	}

@@ -7,6 +7,11 @@
 package transport
 
 import (
+	"fmt"
+	"math/bits"
+	"slices"
+
+	"wgtt/internal/metrics"
 	"wgtt/internal/packet"
 	"wgtt/internal/sim"
 )
@@ -124,6 +129,12 @@ type UDPReceiver struct {
 	maxSeq   uint32
 	sawAny   bool
 	Reorders uint64
+	// Duplicates counts arrivals of a sequence already received — a
+	// re-sent packet past the client's index de-duplication window. Received
+	// counts them too.
+	Duplicates uint64
+	// got has bit s set once sequence s has arrived.
+	got []uint64
 
 	// skipped counts sequence numbers below maxSeq that the sender never
 	// sent here; pending and pendingTo hold a jump no arrival has passed yet.
@@ -143,6 +154,14 @@ func (r *UDPReceiver) OnPacket(p *packet.Packet, at sim.Time) {
 		return
 	}
 	r.Received++
+	if w := int(p.Seq / 64); w >= len(r.got) {
+		r.got = slices.Grow(r.got, w+1-len(r.got))[:w+1]
+	}
+	if bit := uint64(1) << (p.Seq % 64); r.got[p.Seq/64]&bit != 0 {
+		r.Duplicates++
+	} else {
+		r.got[p.Seq/64] |= bit
+	}
 	r.Bytes += uint64(p.Bytes)
 	if r.Record {
 		r.Arrivals = append(r.Arrivals, Arrival{At: at, Seq: p.Seq})
@@ -168,6 +187,36 @@ func (r *UDPReceiver) Skip(from, to uint32) {
 		r.pending += uint64(to - from)
 		r.pendingTo = to
 	}
+}
+
+// Tally splits what this receiver's sender sent, up to its cursor next
+// (UDPSender.Cursor), and never arrived into what was lost — at or below the
+// highest sequence received — and what is unresolved — above it: in flight
+// when the run ended, or stranded in this network when the flow stopped at a
+// metro seam. The ranges Skip was told about are another network's. Lost
+// counts the arrival record, not Received, so Sent + Duplicates = Received +
+// lost + unresolved holds only if every datagram is counted once on both
+// ends.
+func (r *UDPReceiver) Tally(next uint32) (lost, unresolved uint64) {
+	var upTo, arrived uint64 // sequences at or below the highest received, net of skips
+	if r.sawAny {
+		upTo = uint64(r.maxSeq) + 1 - r.skipped
+	}
+	for _, w := range r.got {
+		arrived += uint64(bits.OnesCount64(w))
+	}
+	return upTo - arrived, uint64(next) - r.skipped - r.pending - upTo
+}
+
+// Conserved checks the flow's law against its sender s: Sent + Duplicates =
+// Received + lost + unresolved (Tally).
+func (r *UDPReceiver) Conserved(s *UDPSender) error {
+	lost, unresolved := r.Tally(s.seq)
+	if in, out := s.Sent+r.Duplicates, r.Received+lost+unresolved; in != out {
+		return metrics.Conserved(fmt.Sprintf("flow %d", r.FlowID),
+			"sent + duplicates = received + lost + unresolved", in, out)
+	}
+	return nil
 }
 
 // LossRate estimates the flow loss fraction from the highest sequence seen,
