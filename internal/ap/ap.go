@@ -65,18 +65,20 @@ const cyclicQueueSlots = 1 << packet.IndexBits
 //
 // A queued entry is a stored packet the cursor will still send: one between
 // nextSend and the write head. Every exit from the ring and from the MPDU
-// queues is one counter below.
+// queues is one counter below, and a cursor move is counted over the indices
+// it crosses.
 type Stats struct {
 	DownEnqueued uint64 // packets accepted into cyclic queues
 	// RewindDepth counts entries a cursor move put back in the queue: a
-	// start behind nextSend (the re-send), or a write head jumping over a
-	// previous lap's entries.
+	// start behind nextSend (the re-send), a write head jumping over a
+	// previous lap's entries, or a reader resynchronized behind the head.
 	RewindDepth     uint64
 	DownSent        uint64 // entries handed to the NIC queue as fresh MPDUs
 	DownOverwritten uint64 // unsent packets the serving AP lost to overload, once each
 	DownTrimmed     uint64 // unsent packets a non-serving AP trimmed off its backlog
-	// DownSkipped counts unsent entries a cursor jumped past: a start ahead
-	// of nextSend (the old AP sent them), a stale-ring resync, AlignQueue.
+	// DownSkipped counts unsent entries a cursor jumped past — a start ahead
+	// of nextSend (the old AP sent them), a stale-ring resync, AlignQueue —
+	// and arrivals stored where the cursor will not send them.
 	DownSkipped    uint64
 	DownWiped      uint64 // unsent entries a Restart discarded
 	MPDUsDelivered uint64 // MPDUs acknowledged by the client
@@ -100,6 +102,11 @@ type clientState struct {
 	mac  packet.MACAddr
 	ip   packet.IPv4Addr
 	ring []*packet.Packet // cyclic queue, slot = index % slots
+	// filled counts the ring's slots that hold a packet. A slot is never
+	// emptied, only overwritten, so once every slot has been written each
+	// index holds a packet and nothing need load a slot to count it — not
+	// the slot an overloaded ring's every enqueue laps (backhaul-fanout).
+	filled int
 	// nextSend is the index of the first unsent packet — the k that a
 	// stop(c) queries and a start(c, k) installs.
 	nextSend uint16
@@ -410,12 +417,12 @@ func (a *AP) enqueueDownlink(p *packet.Packet) {
 	// entry, each counted where it happens.
 	if d := packet.IndexDist(cs.nextSend, cs.head); p.Index == cs.head && cs.haveAny &&
 		now-cs.lastEnqueue <= staleRingAfter && d <= maxBacklog {
-		cs.ring[int(p.Index)%cyclicQueueSlots] = p
+		cs.put(p)
 		cs.head = packet.NextIndex(p.Index)
 		if d == maxBacklog {
 			// Cyclic overwrite: the writer laps the reader, and the oldest
 			// unsent packet is gone — what a ring buffer does under overload.
-			if cs.ring[int(cs.nextSend)%cyclicQueueSlots] != nil {
+			if cs.has(cs.nextSend) {
 				a.dropUnsent(cs, 1)
 			}
 			cs.nextSend = packet.NextIndex(cs.nextSend)
@@ -439,54 +446,83 @@ func (a *AP) enqueueDownlink(p *packet.Packet) {
 
 // enqueueOther stores every other arrival: the first, one after the ring sat
 // idle, one behind the write head or past a fan-out gap, or one into a
-// backlog a start left over its bound. An arrival behind the write head
-// moves no cursor and is counted where it lands; any other may move a cursor
-// over many entries, and a recount of the queue books what the counted exits
-// do not explain.
+// backlog a start left over its bound. Each cursor move is counted over the
+// range of indices it crosses: entries it takes into the queue are put back
+// (RewindDepth), entries it passes over unsent are skipped or dropped.
 func (a *AP) enqueueOther(cs *clientState, p *packet.Packet, now sim.Time) {
-	stale := now-cs.lastEnqueue > staleRingAfter
-	behind := p.Index != cs.head && packet.IndexDist(cs.head, p.Index) >= cyclicQueueSlots/2
-	recount := !cs.haveAny || stale || packet.IndexDist(cs.nextSend, cs.head) > maxBacklog || !behind
-	var before, lost uint64
-	if recount {
-		before, lost = cs.queued(), a.Stats.DownOverwritten+a.Stats.DownTrimmed
-	}
+	const half = uint16(cyclicQueueSlots / 2)
 	slot := int(p.Index) % cyclicQueueSlots
-	// Only an arrival behind the write head can land on a slot the backlog
-	// still holds; an in-order one reuses a slot already sent or trimmed.
 	old, pending := cs.ring[slot], cs.pending(p.Index)
-	if p.Index != cs.head && old != nil && old != p && pending {
+	if pending && old == p {
+		a.Stats.DownSkipped++ // already queued: this copy is never sent
+	} else if pending && old != nil {
+		// Only an arrival behind the write head can land on a slot the
+		// backlog still holds; the unsent packet there is gone.
 		a.dropUnsent(cs, 1)
-	} else if behind && !recount && (!pending || old == p) {
-		a.Stats.DownSkipped++ // behind the cursor, or already queued: never sent
 	}
-	cs.ring[slot] = p
-	if !cs.haveAny || stale {
+	if !cs.haveAny || now-cs.lastEnqueue > staleRingAfter {
 		// A first arrival; or the ring has been idle so long that its cursors
 		// describe a bygone flow (and, after enough index wraps, possibly a
-		// bogus half-space). Resynchronize to the resumed stream.
-		cs.haveAny = true
-		cs.nextSend = p.Index
-		cs.head = p.Index
-	}
-	// Advance the write head for in-order (or re-entrant after a fanout
-	// gap) arrivals; stale re-deliveries behind the head are just stored.
-	if packet.IndexDist(cs.head, p.Index) < uint16(cyclicQueueSlots/2) || cs.head == p.Index {
-		cs.head = packet.NextIndex(p.Index)
-	}
-	if cs.backlog() {
-		if d := packet.IndexDist(cs.nextSend, cs.head); d > maxBacklog {
-			from := cs.nextSend
-			cs.nextSend = (cs.nextSend + d - maxBacklog) & packet.IndexMask
-			a.dropUnsent(cs, cs.stored(from, cs.nextSend))
+		// bogus half-space). Resynchronize to the resumed stream, passing the
+		// old backlog over; p alone is queued.
+		q := cs.queued()
+		if pending && old != nil {
+			q-- // counted above
 		}
-	} else if cs.nextSend != cs.head && packet.IndexDist(cs.nextSend, cs.head) > uint16(cyclicQueueSlots/2) {
-		// The reader fell more than half the space behind (or a stale
-		// start pointed far ahead): resynchronize to a bounded backlog.
-		cs.nextSend = (cs.head - maxBacklog) & packet.IndexMask
+		a.Stats.DownSkipped += q
+		cs.put(p)
+		cs.haveAny = true
+		cs.nextSend, cs.head = p.Index, packet.NextIndex(p.Index)
+		return
 	}
-	if recount {
-		a.rebook(before, cs.queued(), 1, a.Stats.DownOverwritten+a.Stats.DownTrimmed-lost)
+	cs.put(p)
+	n, h := cs.nextSend, cs.head
+	// valid: the counted queue is the stored entries of [nextSend, head).
+	// It is not while a start has left nextSend ahead of the head.
+	valid := packet.IndexDist(n, h) <= half
+	if p.Index != h && packet.IndexDist(h, p.Index) >= half {
+		// Behind the write head: no cursor moves.
+		if !pending {
+			a.Stats.DownSkipped++ // behind the read cursor: never sent
+		}
+	} else {
+		// In order, or past a fan-out gap: the write head jumps over the
+		// slots between, and whatever a previous lap left in them is queued
+		// again with p.
+		cs.head = packet.NextIndex(p.Index)
+		switch gap, ahead := packet.IndexDist(h, cs.head), packet.IndexDist(h, n); {
+		case valid && int(packet.IndexDist(n, h))+int(gap) < cyclicQueueSlots:
+			a.Stats.RewindDepth += cs.stored(h, p.Index)
+		case !valid && ahead < gap: // the head passed a reader a start put ahead of it
+			a.Stats.RewindDepth += cs.stored(n, p.Index)
+			valid = true
+		case !valid && ahead > gap:
+			a.Stats.DownSkipped++ // p lands short of the reader: never sent
+		case valid: // a full half-space jump lands on the reader: nothing stays queued
+			a.Stats.DownSkipped += cs.stored(n, h) + 1
+		default: // the head lands on the reader: p is behind it
+			a.Stats.DownSkipped++
+			valid = true
+		}
+	}
+	switch d := packet.IndexDist(cs.nextSend, cs.head); {
+	case !valid:
+		// A start pointed far ahead and the head has not caught up:
+		// resynchronize to a bounded backlog, queueing what the ring holds.
+		cs.nextSend = (cs.head - maxBacklog) & packet.IndexMask
+		a.Stats.RewindDepth += cs.stored(cs.nextSend, cs.head)
+	case d > maxBacklog:
+		// Over the bound (a start left it there, or the head jumped a gap):
+		// the reader moves up to it. Within half the space the passed
+		// packets are trimmed or overwritten; beyond it the reader fell
+		// behind the head's jump and is resynchronized past them.
+		from := cs.nextSend
+		cs.nextSend = (cs.head - maxBacklog) & packet.IndexMask
+		if passed := cs.stored(from, cs.nextSend); d <= half {
+			a.dropUnsent(cs, passed)
+		} else {
+			a.Stats.DownSkipped += passed
+		}
 	}
 }
 
@@ -501,18 +537,6 @@ func (a *AP) dropUnsent(cs *clientState, n uint64) {
 	}
 }
 
-// rebook closes the ring law over a recount: the client's queue went from
-// before to after entries while in entered it and out left through counted
-// exits, and a cursor move did the rest — put entries back (RewindDepth) or
-// passed them over unsent (DownSkipped).
-func (a *AP) rebook(before, after, in, out uint64) {
-	if d := int64(after+out) - int64(before+in); d > 0 {
-		a.Stats.RewindDepth += uint64(d)
-	} else {
-		a.Stats.DownSkipped += uint64(-d)
-	}
-}
-
 // queued is the number of entries the cursor will still send: the stored
 // packets between nextSend and the write head.
 func (cs *clientState) queued() uint64 {
@@ -524,6 +548,9 @@ func (cs *clientState) queued() uint64 {
 
 // stored counts the ring's packets at indices from up to (not including) to.
 func (cs *clientState) stored(from, to uint16) uint64 {
+	if cs.filled == cyclicQueueSlots {
+		return uint64(packet.IndexDist(from, to))
+	}
 	n := uint64(0)
 	for i := from; i != to; i = packet.NextIndex(i) {
 		if cs.ring[int(i)%cyclicQueueSlots] != nil {
@@ -531,6 +558,20 @@ func (cs *clientState) stored(from, to uint16) uint64 {
 		}
 	}
 	return n
+}
+
+// has reports whether index i's slot holds a packet.
+func (cs *clientState) has(i uint16) bool {
+	return cs.filled == cyclicQueueSlots || cs.ring[int(i)%cyclicQueueSlots] != nil
+}
+
+// put stores p in its index's slot.
+func (cs *clientState) put(p *packet.Packet) {
+	slot := int(p.Index) % cyclicQueueSlots
+	if cs.ring[slot] == nil {
+		cs.filled++
+	}
+	cs.ring[slot] = p
 }
 
 // Conserved checks the ring and MPDU laws of Stats against the queues as
@@ -627,22 +668,42 @@ func (a *AP) handleStart(m *packet.Start) {
 	a.Stats.StartsHandled++
 	a.met.spans.MarkStartHandled(m.SwitchID, int64(a.eng.Now()))
 	cs := a.client(m.Client)
-	before := cs.queued()
 	if !cs.haveAny {
 		// Taking over with an empty ring (this AP joined the fan-out set
 		// late): align the write head with the resume point, or the head
 		// logic would treat every subsequent enqueue as a stale redelivery.
 		cs.head = m.Index
 	}
-	cs.nextSend = m.Index
+	a.moveReader(cs, m.Index)
 	cs.haveAny = true
 	cs.serving = true
-	// A start behind the cursor re-sends what lies between; one ahead hands
-	// the packets it passes to the old AP.
-	a.rebook(before, cs.queued(), 0, 0)
 	ack := &packet.SwitchAck{Client: m.Client, AP: a.cfg.IP, SwitchID: m.SwitchID}
 	_ = a.bh.Send(a.cfg.IP, a.controller, ack)
 	a.kick()
+}
+
+// moveReader moves cs's read cursor to k, counting the entries between the
+// two positions: a start behind the cursor puts them back for re-sending, one
+// ahead of it hands them to the old AP. A position more than half the space
+// from the write head queues nothing (backlog), so a move across that bound
+// puts back or passes over the whole backlog on its side.
+func (a *AP) moveReader(cs *clientState, k uint16) {
+	const half = uint16(cyclicQueueSlots / 2)
+	n, h := cs.nextSend, cs.head
+	cs.nextSend = k
+	if !cs.haveAny {
+		return
+	}
+	switch was, is := packet.IndexDist(n, h), packet.IndexDist(k, h); {
+	case was <= half && is <= half && is > was:
+		a.Stats.RewindDepth += cs.stored(k, n)
+	case was <= half && is <= half:
+		a.Stats.DownSkipped += cs.stored(n, k)
+	case was <= half:
+		a.Stats.DownSkipped += cs.stored(n, h)
+	case is <= half:
+		a.Stats.RewindDepth += cs.stored(k, h)
+	}
 }
 
 // handleForwardedBA merges a Block ACK forwarded by a neighbour into this

@@ -1,11 +1,22 @@
 package ap
 
 import (
+	"math/rand/v2"
 	"testing"
 
+	"wgtt/internal/backhaul"
 	"wgtt/internal/packet"
 	"wgtt/internal/sim"
 )
+
+// ringOps encodes FuzzRingConservation steps, each {op, AP, k}.
+func ringOps(steps ...[3]uint16) []byte {
+	var b []byte
+	for _, s := range steps {
+		b = append(b, byte(s[0]<<1|s[1]), byte(s[2]>>4), byte(s[2]&0xf))
+	}
+	return b
+}
 
 // FuzzRingConservation drives two APs through random sequences of
 // enqueues (in order, and at any index), stops, starts at any k, crashes,
@@ -17,6 +28,26 @@ func FuzzRingConservation(f *testing.F) {
 	f.Add([]byte{1, 0x80, 0x10, 0, 0, 0, 7, 200, 0, 0, 3, 0x40})
 	f.Add([]byte{0, 0, 4, 0, 0, 5, 6, 7, 0, 1, 0xff, 0x0f, 8, 0, 0})
 	f.Add([]byte{0, 0, 0, 2, 0, 0, 7, 255, 7, 255, 7, 255, 7, 255, 0, 0, 1, 3, 9})
+	// On the non-serving AP, after three packets of the stream: a fan-out
+	// gap jump over the backlog bound (the oldest are trimmed), one past
+	// half the space (the reader is resynchronized past them), and a start
+	// that puts the reader far ahead of the head, which later arrivals fall
+	// short of and then pass. Then a gap jump to one short of the bound and
+	// in-order arrivals, the second of which laps the reader (the overflow
+	// drop); a stale-ring resync past the backlog; a start behind the
+	// serving AP's reader (the re-send) and one ahead of the other AP's
+	// (handing it what it passes); and a gap jump over an entry an
+	// AlignQueue left behind the head (a previous lap's, queued again).
+	// Booking any of these moves twice breaks the ring law.
+	in := [][3]uint16{{0, 0, 0}, {0, 0, 0}, {0, 0, 0}}
+	f.Add(ringOps(append(in, [3]uint16{1, 1, 2000})...))
+	f.Add(ringOps(append(in, [3]uint16{1, 1, 2049})...))
+	f.Add(ringOps(append(in, [3]uint16{3, 1, 1000}, [3]uint16{7, 1, 20}, [3]uint16{1, 1, 500}, [3]uint16{1, 1, 1500})...))
+	f.Add(ringOps(append(in, [3]uint16{1, 1, 1982}, [3]uint16{1, 1, 1983}, [3]uint16{1, 1, 1984})...))
+	f.Add(ringOps(append(in, [3]uint16{7, 0, 2000}, [3]uint16{0, 0, 0})...))
+	f.Add(ringOps(append(in, [3]uint16{7, 0, 20}, [3]uint16{3, 0, 0}, [3]uint16{7, 0, 20})...))
+	f.Add(ringOps(append(in, [3]uint16{3, 1, 2}, [3]uint16{7, 1, 20})...))
+	f.Add(ringOps(append(in, [3]uint16{1, 1, 10}, [3]uint16{6, 1, 5}, [3]uint16{1, 1, 20})...))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		h := newAPHarness(t, 2, 20)
 		client := packet.ClientMAC(1)
@@ -95,5 +126,95 @@ func TestRestartRebuildsClientState(t *testing.T) {
 			cs.drainCount != 0 || cs.haveAny || cs.serving || a.QueueDepth(cs.mac) != 0 {
 			t.Errorf("client %d not rebuilt cold: %+v", id, *cs)
 		}
+	}
+}
+
+// Each cursor move is counted over the indices it crosses, so the ring law
+// moves in step on every path — an exit booked twice, or not at all, breaks
+// it — and each move books the term that names it. The client is not
+// served, so a passed-over packet is trimmed rather than overwritten.
+func TestRingCountsEachCursorMove(t *testing.T) {
+	span := func(from, to uint16) []uint16 {
+		var s []uint16
+		for i := from; i != to; i = packet.NextIndex(i) {
+			s = append(s, i)
+		}
+		return s
+	}
+	// full has every slot written, so the ring counts without loading one.
+	full := append(span(0, cyclicQueueSlots-1), cyclicQueueSlots-1)
+	// rewritten writes 1,000 slots 4,095 times: with the arrival, one write
+	// per slot of the ring, which is still not full.
+	var rewritten []uint16
+	for len(rewritten) < cyclicQueueSlots {
+		rewritten = append(rewritten, span(0, 1000)...)
+	}
+	rewritten = rewritten[:cyclicQueueSlots-1]
+	const dup, start = -1, -2 // arrival: a duplicate of slot 150's packet; a start(c, k)
+	for _, tc := range []struct {
+		name                      string
+		next, head                uint16
+		stored                    []uint16
+		stale                     bool
+		arrive                    int // index of the arrival, dup or start
+		k                         uint16
+		rewound, skipped, trimmed uint64
+		queued                    uint64
+	}{
+		{"in order at the bound trims the oldest", 0, 1984, span(0, 1984), false, 1984, 0, 0, 0, 1, 1984},
+		{"a fan-out gap re-queues a previous lap", 0, 10, append(span(0, 10), 20), false, 30, 0, 1, 0, 0, 12},
+		{"a gap jump over the bound trims the oldest", 0, 1000, span(0, 1000), false, 2000, 0, 0, 0, 17, 984},
+		{"a gap jump past half the space resyncs the reader", 0, 1000, span(0, 1000), false, 2500, 0, 0, 517, 0, 484},
+		{"a full half-space jump lands on the reader", 0, 2048, span(0, 10), false, 4095, 0, 0, 11, 0, 0},
+		{"the head passes a reader a start put ahead", 3000, 2000, span(2990, 3010), false, 3500, 0, 10, 0, 0, 11},
+		{"the head lands on a reader a start put ahead", 3000, 2000, span(2990, 3010), false, 2999, 0, 0, 1, 0, 0},
+		{"the head falls short of a reader a start put ahead", 3000, 2000, span(1000, 1010), false, 2500, 0, 11, 1, 0, 11},
+		{"an arrival behind the reader is never sent", 100, 200, span(100, 200), false, 50, 0, 0, 1, 0, 100},
+		{"an arrival behind the head replaces an unsent packet", 100, 200, span(100, 200), false, 150, 0, 0, 0, 1, 100},
+		{"a duplicate of a queued packet is never sent", 100, 200, span(100, 200), false, dup, 0, 0, 1, 0, 100},
+		{"an idle ring resyncs past its backlog", 0, 10, span(0, 10), true, 500, 0, 0, 10, 0, 1},
+		{"an idle ring's arrival into its backlog", 0, 10, span(0, 10), true, 5, 0, 0, 9, 1, 1},
+		{"a start behind the reader re-sends", 100, 200, span(0, 200), false, start, 40, 60, 0, 0, 160},
+		{"a start ahead of the reader hands the rest to the old AP", 100, 200, span(0, 200), false, start, 150, 0, 50, 0, 50},
+		{"a start past the write head passes the backlog over", 100, 200, span(0, 200), false, start, 300, 0, 100, 0, 0},
+		{"a start back from far ahead queues again", 300, 200, span(0, 200), false, start, 100, 100, 0, 0, 100},
+		{"in order at the bound on a full ring", 0, 1984, full, false, 1984, 0, 0, 0, 1, 1984},
+		{"a gap jump over the bound on a full ring", 0, 1000, full, false, 2000, 0, 1000, 0, 17, 1984},
+		{"a start behind the reader on a full ring", 100, 200, full, false, start, 40, 60, 0, 0, 160},
+		{"a gap jump over the bound on a rewritten ring", 0, 1000, rewritten, false, 2000, 0, 0, 0, 17, 984},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			a := New(DefaultConfig(0, testBSSID), eng, backhaul.NewSwitch(eng, 0), nil, packet.ControllerIP, rand.New(rand.NewPCG(1, 2)))
+			m := packet.ClientMAC(1)
+			cs := a.client(m)
+			cs.haveAny, cs.nextSend, cs.head = true, tc.next, tc.head
+			for _, i := range tc.stored {
+				cs.put(&packet.Packet{ClientMAC: m, Index: i})
+			}
+			eng.RunUntil(2 * sim.Second)
+			if !tc.stale {
+				cs.lastEnqueue = eng.Now()
+			}
+			before, queued := a.Stats, cs.queued()
+			switch tc.arrive {
+			case start:
+				a.moveReader(cs, tc.k)
+			case dup:
+				a.enqueueDownlink(cs.ring[150])
+			default:
+				a.enqueueDownlink(&packet.Packet{ClientMAC: m, Index: uint16(tc.arrive)})
+			}
+			st := a.Stats
+			in := st.DownEnqueued - before.DownEnqueued + st.RewindDepth - before.RewindDepth
+			out := st.DownSkipped - before.DownSkipped + st.DownTrimmed - before.DownTrimmed + cs.queued()
+			if in+queued != out {
+				t.Errorf("ring law: %d queued + %d in, but %d out or queued", queued, in, out)
+			}
+			if got := [4]uint64{st.RewindDepth - before.RewindDepth, st.DownSkipped - before.DownSkipped,
+				st.DownTrimmed - before.DownTrimmed, cs.queued()}; got != [4]uint64{tc.rewound, tc.skipped, tc.trimmed, tc.queued} {
+				t.Errorf("rewound, skipped, trimmed, queued = %v, want %v", got, [4]uint64{tc.rewound, tc.skipped, tc.trimmed, tc.queued})
+			}
+		})
 	}
 }
