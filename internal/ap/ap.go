@@ -26,7 +26,6 @@ import (
 
 // Config parameterizes one AP.
 type Config struct {
-	ID    int
 	Name  string // radio endpoint name ("ap1"…)
 	IP    packet.IPv4Addr
 	MAC   packet.MACAddr
@@ -42,7 +41,6 @@ type Config struct {
 // DefaultConfig returns the testbed AP configuration.
 func DefaultConfig(id int, bssid packet.MACAddr) Config {
 	return Config{
-		ID:           id,
 		Name:         packet.APName(id),
 		IP:           packet.APIP(id),
 		MAC:          packet.APMAC(id),
@@ -91,10 +89,8 @@ type Stats struct {
 	StartsHandled   uint64
 	BAForwarded     uint64 // Block ACKs forwarded to peers
 	BAMerged        uint64 // forwarded Block ACKs merged into retry state
-	BADuplicates    uint64 // forwarded Block ACKs discarded as already seen
 	KeepalivesHeard uint64 // null-data CSI keepalives heard (§3.1.1)
 	CSIReports      uint64
-	ProbesAnswered  uint64 // controller health probes acknowledged
 }
 
 // clientState is everything this AP tracks for one mobile client.
@@ -403,7 +399,6 @@ func (a *AP) HandleBackhaul(from packet.IPv4Addr, msg packet.Message) {
 		// Answered from the fast path, not the user-space control queue:
 		// liveness detection must not inherit the stop/start processing
 		// delay (DESIGN.md §11).
-		a.Stats.ProbesAnswered++
 		_ = a.bh.Send(a.cfg.IP, a.controller, &packet.HealthAck{AP: a.cfg.IP, Seq: m.Seq, At: m.At})
 	}
 }
@@ -715,7 +710,6 @@ func (a *AP) handleForwardedBA(m *packet.BlockAckFwd) {
 	}
 	key := uint64(m.SSN)<<48 ^ m.Bitmap
 	if cs.seenBA[key] {
-		a.Stats.BADuplicates++
 		return
 	}
 	a.rememberBA(cs, key)

@@ -22,9 +22,10 @@ func (c *clientSink) OnFrame(ev *mac.RxEvent)       { c.got = append(c.got, ev.D
 func (c *clientSink) Overhears(packet.MACAddr) bool { return true }
 
 type ctlRecorder struct {
-	ups  []*packet.UpData
-	csis []*packet.CSIReport
-	acks []*packet.SwitchAck
+	ups        []*packet.UpData
+	csis       []*packet.CSIReport
+	acks       []*packet.SwitchAck
+	healthAcks []*packet.HealthAck
 }
 
 func (c *ctlRecorder) HandleBackhaul(_ packet.IPv4Addr, msg packet.Message) {
@@ -36,6 +37,8 @@ func (c *ctlRecorder) HandleBackhaul(_ packet.IPv4Addr, msg packet.Message) {
 		c.csis = append(c.csis, &cp)
 	case *packet.SwitchAck:
 		c.acks = append(c.acks, m)
+	case *packet.HealthAck:
+		c.healthAcks = append(c.healthAcks, m)
 	}
 }
 
@@ -139,6 +142,27 @@ func (h *apHarness) pushDownlink(n int, startIdx uint16) {
 		for _, a := range h.aps {
 			_ = h.bh.Send(packet.ControllerIP, a.Config().IP, &packet.DownData{APDst: a.Config().IP, Pkt: p})
 		}
+	}
+}
+
+// A start whose index lies past the 12-bit space is no message of the
+// protocol: the switch's codec refuses it, so the AP never handles it (a
+// cursor walk toward such an index would never end).
+func TestOutOfRangeStartRefused(t *testing.T) {
+	h := newAPHarness(t, 2, 20)
+	client := packet.ClientMAC(1)
+	for _, a := range h.aps {
+		a.Associate(client, packet.ClientIP(1), false)
+	}
+	h.pushDownlink(8, 0)
+	h.eng.RunUntil(10 * sim.Millisecond)
+	start := &packet.Start{Client: client, Index: 4101, SwitchID: 1}
+	if err := h.bh.Send(h.aps[1].Config().IP, h.aps[0].Config().IP, start); err == nil {
+		t.Error("the switch carried a start with index 4101")
+	}
+	h.eng.RunUntil(sim.Second)
+	if n := h.aps[0].Stats.StartsHandled; n != 0 {
+		t.Errorf("StartsHandled = %d, want 0", n)
 	}
 }
 
@@ -333,10 +357,14 @@ func TestForwardedBADedupAndMerge(t *testing.T) {
 	if len(cs.retryQ) != 0 {
 		t.Fatal("acked MPDU still in retry queue")
 	}
-	// Same scoreboard again: dropped as duplicate (§3.2.1 check).
+	// Same scoreboard again: dropped as duplicate (§3.2.1 check), so it
+	// acknowledges nothing, not even an MPDU it covers.
+	cs.retryQ = append(cs.retryQ, &mac.MPDU{Seq: 100, Pkt: mp.Pkt, Bytes: 100})
+	h.aps[0].Stats.DownEnqueued++
+	h.aps[0].Stats.DownSent++
 	h.aps[0].HandleBackhaul(h.aps[1].Config().IP, fwd)
-	if h.aps[0].Stats.BADuplicates != 1 {
-		t.Errorf("BADuplicates = %d", h.aps[0].Stats.BADuplicates)
+	if h.aps[0].Stats.BAMerged != 1 || len(cs.retryQ) != 1 {
+		t.Errorf("duplicate BA merged: BAMerged = %d, %d MPDUs left", h.aps[0].Stats.BAMerged, len(cs.retryQ))
 	}
 }
 
@@ -346,7 +374,7 @@ func TestForwardedBAIgnoredWhenNotServing(t *testing.T) {
 	h.aps[0].Associate(client, packet.ClientIP(1), false)
 	fwd := &packet.BlockAckFwd{Client: client, SSN: 0, Bitmap: 1}
 	h.aps[0].HandleBackhaul(h.aps[1].Config().IP, fwd)
-	if h.aps[0].Stats.BAMerged != 0 || h.aps[0].Stats.BADuplicates != 0 {
+	if h.aps[0].Stats.BAMerged != 0 {
 		t.Error("non-serving AP processed a forwarded BA")
 	}
 }
@@ -482,7 +510,7 @@ func TestCrashSilencesAPAndRestartColdStarts(t *testing.T) {
 	if h.aps[0].Stats.StopsHandled != 0 {
 		t.Error("crashed AP processed a stop")
 	}
-	if h.aps[0].Stats.ProbesAnswered != 0 {
+	if len(h.ctl.healthAcks) != 0 {
 		t.Error("crashed AP answered a health probe")
 	}
 
@@ -505,7 +533,7 @@ func TestCrashSilencesAPAndRestartColdStarts(t *testing.T) {
 	// The restarted AP answers probes again.
 	_ = h.bh.Send(packet.ControllerIP, h.aps[0].Config().IP, &packet.HealthProbe{Seq: 2, At: 5})
 	h.eng.RunUntil(3 * sim.Second)
-	if h.aps[0].Stats.ProbesAnswered != 1 {
+	if len(h.ctl.healthAcks) != 1 {
 		t.Error("restarted AP did not answer the probe")
 	}
 }

@@ -67,7 +67,7 @@ func (a *AP) BuildFrame() *mac.Frame {
 	for len(mpdus) < mac.MaxAggregate && bytes < budget && cs.backlog() {
 		slot := int(cs.nextSend) % cyclicQueueSlots
 		p := cs.ring[slot]
-		if p == nil || p.Index != cs.nextSend {
+		if p == nil {
 			// Fanout gap: this AP never got the packet; skip the slot.
 			cs.nextSend = packet.NextIndex(cs.nextSend)
 			continue
@@ -104,17 +104,7 @@ func (a *AP) pickClient() *clientState {
 		m := a.rr[0]
 		copy(a.rr, a.rr[1:])
 		a.rr[len(a.rr)-1] = m
-		cs := a.clients[m]
-		if cs == nil {
-			continue
-		}
-		if len(cs.drainQ) > 0 {
-			return cs
-		}
-		if !cs.serving {
-			continue
-		}
-		if len(cs.retryQ) > 0 || cs.backlog() {
+		if cs := a.clients[m]; cs != nil && cs.hasWork() {
 			return cs
 		}
 	}
@@ -124,17 +114,18 @@ func (a *AP) pickClient() *clientState {
 // hasWork reports whether any client has something to send.
 func (a *AP) hasWork() bool {
 	for _, cs := range a.clients {
-		if len(cs.drainQ) > 0 {
-			return true
-		}
-		if !cs.serving {
-			continue
-		}
-		if len(cs.retryQ) > 0 || cs.backlog() {
+		if cs.hasWork() {
 			return true
 		}
 	}
 	return false
+}
+
+// hasWork reports whether the AP has something to send the client: a
+// post-stop hardware-queue drain, or — while serving — retries or fresh
+// packets.
+func (cs *clientState) hasWork() bool {
+	return len(cs.drainQ) > 0 || cs.serving && (len(cs.retryQ) > 0 || cs.backlog())
 }
 
 // OnTxDone implements mac.Source: score the aggregate against the Block ACK

@@ -228,7 +228,8 @@ func (s *Switch) send(from packet.IPv4Addr, tos []packet.IPv4Addr, msg packet.Me
 		if d == nil {
 			var err error
 			if d, err = s.getDelivery(from, s.encScratch); err != nil {
-				// The codec tests make this unreachable for every real message type.
+				// Only a message the codec refuses to carry gets here, as a
+				// 12-bit field past packet.IndexMask.
 				d.recycle()
 				return fmt.Errorf("backhaul: wire round-trip of %v failed: %w", msg.Type(), err)
 			}

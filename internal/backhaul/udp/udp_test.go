@@ -230,6 +230,10 @@ func TestDecodeErrorAccountingPerClass(t *testing.T) {
 		{"length field lies", []byte{byte(packet.MsgStop), 0xff, 0xff, 1, 2, 3}},
 		{"unknown type", []byte{0xee, 0x00, 0x02, 7, 7}},
 		{"trailing garbage", append(append([]byte{}, valid...), 0xab)},
+		{"packet index past 12 bits", packet.Encode(&packet.DownData{APDst: to, Pkt: &packet.Packet{Index: 4096}})},
+		{"start index past 12 bits", packet.Encode(&packet.Start{Client: packet.ClientMAC(1), Index: 4101})},
+		{"commit next index past 12 bits", packet.Encode(&packet.DomainHandoffCommit{NextIndex: 0xffff})},
+		{"Block ACK SSN past 12 bits", packet.Encode(&packet.BlockAckFwd{Client: packet.ClientMAC(1), SSN: 4096})},
 	}
 	for i, tc := range cases {
 		p.receive(datagram(packet.ControllerIP, to, tc.raw))

@@ -79,10 +79,15 @@ func (h *harness) push(n int) {
 
 func TestBeaconsReachClient(t *testing.T) {
 	h := newHarness(t, mobility.Stationary{At: mobility.Point{X: 20}}, 0)
+	beacons, roam := 0, h.cl.OnBeacon
+	h.cl.OnBeacon = func(from packet.MACAddr, rssiDBm float64, at sim.Time) {
+		beacons++
+		roam(from, rssiDBm, at)
+	}
 	h.eng.RunUntil(sim.Second)
 	// Two APs at 100 ms each ⇒ ~20 beacons/second.
-	if h.cl.Stats.Beacons < 15 {
-		t.Errorf("client heard %d beacons in 1 s", h.cl.Stats.Beacons)
+	if beacons < 15 {
+		t.Errorf("client heard %d beacons in 1 s", beacons)
 	}
 }
 
@@ -172,7 +177,7 @@ func TestClientAssociatedIdempotent(t *testing.T) {
 		h.idx = packet.NextIndex(h.idx)
 		_ = h.bh.Send(packet.ControllerIP, packet.APIP(apID), &packet.DownData{Pkt: p})
 	}
-	sentBy := func(apID int) uint64 { return h.aps[apID].Station().FramesSent }
+	sentBy := func(apID int) uint64 { return h.aps[apID].Stats.DownSent }
 	feed(0)
 	h.eng.RunUntil(h.eng.Now() + 50*sim.Millisecond)
 	if sentBy(0) == 0 {

@@ -253,10 +253,7 @@ type Stats struct {
 	APCrashes      uint64
 	APRestarts     uint64
 	CrashesSkipped uint64 // AP crashes suppressed by the guard (Injector.crash)
-	Bursts         uint64
 	BurstDrops     uint64
-	Spikes         uint64
-	Blackouts      uint64
 	BlackoutDrops  uint64
 	ControlDrops   uint64 // stops, starts and acks lost to ControlLoss
 	CtlCrashes     uint64
@@ -406,13 +403,10 @@ func (in *Injector) apply(ev Event) {
 	case ControllerRestart:
 		applied = restart(in.ctls, ev.Target, &in.Stats.CtlRestarts)
 	case BackhaulBurst:
-		in.Stats.Bursts++
 		in.extend(&in.burstUntil, ev.Dur)
 	case LatencySpike:
-		in.Stats.Spikes++
 		in.extend(&in.spikeUntil, ev.Dur)
 	case CSIBlackout:
-		in.Stats.Blackouts++
 		in.extend(&in.blackoutUntil, ev.Dur)
 	}
 	if applied && in.OnFault != nil {

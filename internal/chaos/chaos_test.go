@@ -165,6 +165,7 @@ func TestInjectorBurstDropsAndBlackout(t *testing.T) {
 		},
 	}
 	inj := NewInjector(cfg, eng, sim.NewRNG(3), nil, nil, 5*sim.Second)
+	windows := countFaults(inj)
 	inj.Arm(bh)
 
 	send := func(at sim.Time, msg packet.Message) {
@@ -190,9 +191,16 @@ func TestInjectorBurstDropsAndBlackout(t *testing.T) {
 	if inj.Stats.BlackoutDrops != 1 {
 		t.Fatalf("Stats = %+v, want 1 blackout drop", inj.Stats)
 	}
-	if inj.Stats.Bursts != 1 || inj.Stats.Blackouts != 1 {
-		t.Fatalf("Stats = %+v, want 1 burst and 1 blackout window", inj.Stats)
+	if windows[BackhaulBurst] != 1 || windows[CSIBlackout] != 1 {
+		t.Fatalf("windows = %v, want 1 burst and 1 blackout window", windows)
 	}
+}
+
+// countFaults counts the injector's applied events by kind, through OnFault.
+func countFaults(inj *Injector) map[EventKind]int {
+	n := map[EventKind]int{}
+	inj.OnFault = func(ev Event) { n[ev.Kind]++ }
+	return n
 }
 
 func TestInjectorLatencySpikeDelays(t *testing.T) {
@@ -202,6 +210,7 @@ func TestInjectorLatencySpikeDelays(t *testing.T) {
 	bh.Attach(packet.ControllerIP, rx)
 	cfg := Config{Script: []Event{{At: sim.Second, Kind: LatencySpike, Dur: 100 * sim.Millisecond}}}
 	inj := NewInjector(cfg, eng, sim.NewRNG(3), nil, nil, 5*sim.Second)
+	windows := countFaults(inj)
 	inj.Arm(bh)
 
 	eng.At(1*sim.Second+sim.Millisecond, func() {
@@ -221,8 +230,8 @@ func TestInjectorLatencySpikeDelays(t *testing.T) {
 	if got, want := rx.at[1], 3*sim.Second+200*sim.Microsecond; got != want {
 		t.Errorf("normal delivery at %v, want %v", got, want)
 	}
-	if inj.Stats.Spikes != 1 {
-		t.Errorf("Spikes = %d, want 1", inj.Stats.Spikes)
+	if windows[LatencySpike] != 1 {
+		t.Errorf("spikes = %d, want 1", windows[LatencySpike])
 	}
 }
 
@@ -409,6 +418,7 @@ func TestControlLossDecidesBeforeBurst(t *testing.T) {
 		Script:      []Event{{At: sim.Second, Kind: BackhaulBurst, Dur: 100 * sim.Millisecond}},
 	}
 	inj := NewInjector(cfg, eng, sim.NewRNG(3), nil, nil, 5*sim.Second)
+	windows := countFaults(inj)
 	inj.Arm(bh)
 	for i := 1; i <= 40; i++ {
 		eng.At(sim.Second+sim.Time(i)*sim.Millisecond, func() {
@@ -419,7 +429,7 @@ func TestControlLossDecidesBeforeBurst(t *testing.T) {
 	if _, dropped, _ := bh.Stats(); dropped != 40 {
 		t.Fatalf("dropped %d of 40 stops at ControlLoss 1", dropped)
 	}
-	if inj.Stats.Bursts != 1 || inj.Stats.BurstDrops != 0 {
-		t.Fatalf("Stats = %+v, want 1 burst window and no burst drop", inj.Stats)
+	if windows[BackhaulBurst] != 1 || inj.Stats.BurstDrops != 0 {
+		t.Fatalf("windows = %v, Stats = %+v, want 1 burst window and no burst drop", windows, inj.Stats)
 	}
 }

@@ -54,7 +54,6 @@ type Stats struct {
 	UplinkQueued    uint64 // packets SendUplink queued
 	UplinkDropped   uint64 // retry budget exhausted
 	UplinkDelivered uint64 // MPDUs acknowledged, keepalives included
-	Beacons         uint64
 	KeepalivesSent  uint64 // null-data CSI probes queued while idle (§3.1.1)
 }
 
@@ -247,7 +246,6 @@ func (c *Client) hasWork() bool { return len(c.uplinkQ) > 0 || len(c.retryQ) > 0
 func (c *Client) OnFrame(ev *mac.RxEvent) {
 	switch ev.Kind {
 	case mac.KindBeacon:
-		c.Stats.Beacons++
 		if c.OnBeacon != nil {
 			c.OnBeacon(ev.From, ev.RSSIdBm, ev.At)
 		}

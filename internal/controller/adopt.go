@@ -32,7 +32,7 @@ func (c *Controller) AdoptClient(mac packet.MACAddr, ip packet.IPv4Addr, serving
 	if cl == nil {
 		return
 	}
-	cl.nextIndex = nextIndex & packet.IndexMask
+	cl.nextIndex = nextIndex
 	for _, k := range dedup {
 		if _, dup := cl.dedup[k]; dup {
 			continue

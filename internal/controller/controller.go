@@ -195,7 +195,6 @@ type Stats struct {
 	APsReadmitted          uint64 // dead APs heard again
 	ForcedSwitches         uint64 // failover switches (direct start)
 	ForcedStartRetransmits uint64 // direct starts re-sent on timeout
-	CtlDownlinkDropped     uint64 // downlink lost while the controller was down
 }
 
 // Add accumulates o into s, field by field — how a federated tier sums its
@@ -229,7 +228,6 @@ func (s *Stats) Add(o Stats) {
 	s.APsReadmitted += o.APsReadmitted
 	s.ForcedSwitches += o.ForcedSwitches
 	s.ForcedStartRetransmits += o.ForcedStartRetransmits
-	s.CtlDownlinkDropped += o.CtlDownlinkDropped
 }
 
 // ctlMetrics holds the controller's live instruments (DESIGN.md §10) —

@@ -110,7 +110,6 @@ func (c *Controller) SendDownlink(p *packet.Packet) error {
 	if c.down {
 		// A crashed controller forwards nothing; the wired side's packets
 		// are simply lost until Restart (DESIGN.md §11).
-		c.Stats.CtlDownlinkDropped++
 		return nil
 	}
 	cl := c.clients[p.ClientMAC]

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"wgtt/internal/chaos"
 	"wgtt/internal/metrics"
 	"wgtt/internal/sim"
 )
@@ -159,5 +161,54 @@ func TestMetricsRunsAreDeterministic(t *testing.T) {
 	}
 	if snap1 != snap2 {
 		t.Error("identical runs produced different metric snapshots")
+	}
+}
+
+// TestEveryCounterIsSeen holds DESIGN.md §10's rule that every counter has a
+// reader. Part-way through a two-domain chaos drive with metrics on, each
+// uint64 field of the AP, client, controller, federation and chaos Stats,
+// bumped by one, must move a -metrics counter or break a conservation law.
+// Only readElsewhere is exempt, each entry naming the reader that reads the
+// field by name; an exempt field the rule would see is a stale entry.
+func TestEveryCounterIsSeen(t *testing.T) {
+	readElsewhere := map[string]string{
+		"client.Stats.DownlinkMPDUs": "bench/workloads.go's delivered-MPDU digest",
+		"chaos.Stats.CtlRestarts":    "wgttsim's chaos: line and the fleet resilience section",
+	}
+	s := DriveScenario(ModeWGTT, 25, 33)
+	s.Domains = 2
+	cfg := chaos.DefaultConfig()
+	s.Chaos = &cfg
+	n, err := Build(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := n.EnableMetrics()
+	n.Attach(Loads(1, Load{RateMbps: 50}))
+	n.RunUntil(3 * sim.Second)
+	if err := n.conserved(); err != nil {
+		t.Fatal(err)
+	}
+	base := reg.Snapshot().Counters
+	dom := n.Fed.Domains[0]
+	for _, st := range []any{&n.APs[0].Stats, &n.Clients[0].Stats, &dom.Controller().Stats, &dom.Stats, &n.Chaos.Stats} {
+		v := reflect.ValueOf(st).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Field(i)
+			if f.Kind() != reflect.Uint64 {
+				continue
+			}
+			name := v.Type().String() + "." + v.Type().Field(i).Name
+			f.SetUint(f.Uint() + 1)
+			seen := !reflect.DeepEqual(reg.Snapshot().Counters, base) || n.conserved() != nil
+			f.SetUint(f.Uint() - 1)
+			reader, exempt := readElsewhere[name]
+			switch {
+			case !seen && !exempt:
+				t.Errorf("%s: no -metrics counter and no conservation law reads it", name)
+			case seen && exempt:
+				t.Errorf("%s: exempt for %s, but a counter or a law reads it", name, reader)
+			}
+		}
 	}
 }

@@ -29,7 +29,6 @@ type Network struct {
 	Scenario Scenario
 
 	Eng     *sim.Engine
-	RNG     *sim.RNG
 	Channel *radio.Channel
 	// Medium is the primary wireless channel; in multi-channel scenarios
 	// (Scenario.Channels > 1) Media holds all of them and Medium aliases
@@ -136,7 +135,6 @@ func Build(s Scenario) (*Network, error) {
 	n := &Network{
 		Scenario:    s,
 		Eng:         eng,
-		RNG:         rng,
 		Channel:     ch,
 		Medium:      medium,
 		Media:       media,

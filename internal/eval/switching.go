@@ -16,9 +16,7 @@ import (
 // Fig02Result is the millisecond-scale ESNR view of Fig. 2: per-AP ESNR
 // traces during a 25 mph drive-by and the induced best-AP flip rate.
 type Fig02Result struct {
-	// SampleEveryMS is the trace resolution.
-	SampleEveryMS float64
-	// ESNR[ap][i] is the i-th sample of that AP's uplink ESNR (dB).
+	// ESNR[ap][i] is the i-th millisecond sample of that AP's uplink ESNR (dB).
 	ESNR [][]float64
 	// BestAP[i] is the optimal AP at each sample.
 	BestAP []int
@@ -42,7 +40,7 @@ func Fig02BestAPChurn(opt Options) (*Fig02Result, error) {
 	if opt.Quick {
 		dur = sim.Second
 	}
-	res := &Fig02Result{SampleEveryMS: step.Milliseconds(), ESNR: make([][]float64, len(aps))}
+	res := &Fig02Result{ESNR: make([][]float64, len(aps))}
 	prev := -1
 	flips := 0
 	for t := sim.Time(0); t < dur; t += step {

@@ -12,8 +12,7 @@ import (
 
 // Fig18Result holds per-client uplink loss timelines for both systems.
 type Fig18Result struct {
-	BinSeconds float64
-	// Loss[system][client][bin] is the per-bin uplink loss fraction.
+	// Loss[system][client][s] is the uplink loss fraction of second s.
 	LossWGTT [][]float64
 	LossBase [][]float64
 	// MeanWGTT/MeanBase are whole-run loss rates per client.
@@ -27,7 +26,7 @@ type Fig18Result struct {
 func Fig18UplinkLoss(opt Options) (*Fig18Result, error) {
 	const nClients = 3
 	const rate = 4.0 // Mb/s per client
-	res := &Fig18Result{BinSeconds: 1}
+	res := &Fig18Result{}
 	for _, mode := range []core.Mode{core.ModeWGTT, core.ModeBaseline} {
 		s := core.MultiClientScenario(mode, mobility.Following, nClients, 15, opt.Seed)
 		n, err := opt.build(s)

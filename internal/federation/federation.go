@@ -129,7 +129,6 @@ type Stats struct {
 	// for them (timed out, lost to a crash, or never exchanged).
 	UnsolicitedAdoptions uint64
 	Aborts               uint64 // handoffs abandoned (timeout, rejection, crash)
-	CommitRetransmits    uint64
 	CSIRelays            uint64 // foreign-owned CSI reports relayed to their owner
 	UplinkRelays         uint64 // foreign-owned uplink relayed to their owner
 	// DownBuffered counts downlink held for a client whose commit is in
@@ -151,7 +150,6 @@ func (s *Stats) Add(o Stats) {
 	s.Adoptions += o.Adoptions
 	s.UnsolicitedAdoptions += o.UnsolicitedAdoptions
 	s.Aborts += o.Aborts
-	s.CommitRetransmits += o.CommitRetransmits
 	s.CSIRelays += o.CSIRelays
 	s.UplinkRelays += o.UplinkRelays
 	s.DownBuffered += o.DownBuffered
@@ -240,7 +238,6 @@ type outHandoff struct {
 // release is a committed transfer awaiting the adopter's announcement echo.
 type release struct {
 	id     uint32
-	mac    packet.MACAddr
 	peer   int
 	commit *packet.DomainHandoffCommit
 	timer  sim.Timer

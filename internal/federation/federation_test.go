@@ -436,11 +436,14 @@ func TestCommitRetransmitOnLoss(t *testing.T) {
 	h := newFedHarness(t, 2, 2, quickConfig())
 	client := packet.ClientMAC(1)
 	h.admit(client)
-	dropped := 0
+	dropped, sent := 0, 0
 	h.bh.Drop = func(to packet.IPv4Addr, msg packet.Message) bool {
-		if c, ok := msg.(*packet.DomainHandoffCommit); ok && len(c.DedupKeys)+len(c.Evidence) > 0 && dropped == 0 {
-			dropped++ // lose only the first full commit, not the slim echoes
-			return true
+		if c, ok := msg.(*packet.DomainHandoffCommit); ok && len(c.DedupKeys)+len(c.Evidence) > 0 {
+			sent++
+			if dropped == 0 {
+				dropped++ // lose only the first full commit, not the slim echoes
+				return true
+			}
 		}
 		return false
 	}
@@ -458,8 +461,8 @@ func TestCommitRetransmitOnLoss(t *testing.T) {
 	if dropped != 1 {
 		t.Fatalf("setup: commit was never dropped")
 	}
-	if h.doms[0].Stats.CommitRetransmits == 0 {
-		t.Error("lost commit was never retransmitted")
+	if sent < 2 {
+		t.Errorf("lost commit was never retransmitted: %d full commits on the wire", sent)
 	}
 	if h.doms[1].Stats.Adoptions != 1 || len(h.doms[1].Adopted) != 1 {
 		t.Fatalf("handoff never completed after commit loss: %+v", h.doms[1].Stats)

@@ -194,7 +194,7 @@ func (d *Domain) handleAccept(m *packet.DomainHandoffAccept) {
 	d.Stats.Commits++
 	d.met.handoffSpans.End(out.id, int64(now), false)
 	d.Offered = append(d.Offered, now-out.offeredAt)
-	rel := &release{id: out.id, mac: m.Client, peer: out.peer, commit: commit}
+	rel := &release{id: out.id, peer: out.peer, commit: commit}
 	d.released[rel.id] = rel
 	rel.timer = d.eng.After(commitTimeout, func() { d.retryCommit(rel) })
 	if d.OnRelease != nil {
@@ -212,7 +212,6 @@ func (d *Domain) retryCommit(rel *release) {
 	if d.ctl.Down() || d.released[rel.id] != rel {
 		return
 	}
-	d.Stats.CommitRetransmits++
 	_ = d.bh.Send(d.addr, d.addrOf(rel.peer), rel.commit)
 	rel.timer = d.eng.After(commitTimeout, func() { d.retryCommit(rel) })
 }

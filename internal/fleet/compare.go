@@ -24,9 +24,6 @@ type PolicyOutcome struct {
 	// the policy is for the same mobility).
 	Switches    uint64
 	FlipsPerMin float64
-	// Result is the full per-policy fleet result, for callers that need
-	// more than the axis row.
-	Result *Result
 }
 
 // PolicyComparison is a per-policy comparison over one fleet config: the
@@ -61,7 +58,7 @@ func ComparePolicies(cfg Config, policies []selector.Policy) (*PolicyComparison,
 
 // summarizePolicy reduces one fleet result to its comparison-axis row.
 func summarizePolicy(pol selector.Policy, res *Result) PolicyOutcome {
-	out := PolicyOutcome{Policy: pol, Result: res}
+	out := PolicyOutcome{Policy: pol}
 	perVehicle := &stats.CDF{}
 	acc := &stats.CDF{}
 	var horizonS float64

@@ -176,7 +176,6 @@ type Vehicle struct {
 // function of (fleet seed, cell index) — the heart of the determinism
 // contract.
 type CellPlan struct {
-	Cell     int
 	Seed     uint64 // scenario seed for core.Build
 	Vehicles []Vehicle
 	// Duration is the cell horizon: the last vehicle's exit plus a tail.
@@ -188,10 +187,7 @@ type CellPlan struct {
 // scheduling nor other cells' draws can perturb it.
 func PlanCell(cfg Config, cell int) CellPlan {
 	frng := sim.NewRNG(cfg.Seed)
-	plan := CellPlan{
-		Cell: cell,
-		Seed: frng.Stream(fmt.Sprintf("fleet/cell/%d/seed", cell)).Uint64(),
-	}
+	plan := CellPlan{Seed: frng.Stream(fmt.Sprintf("fleet/cell/%d/seed", cell)).Uint64()}
 	if cfg.Urban != nil {
 		// Urban cells draw their traffic from the city planner under the
 		// cell seed; the corridor arrival process does not apply.

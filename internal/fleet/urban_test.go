@@ -111,8 +111,19 @@ func TestComparePolicies(t *testing.T) {
 		if o.FleetMbps <= 0 {
 			t.Fatalf("policy %s delivered nothing", o.Policy)
 		}
-		if o.Result == nil || len(o.Result.Cells) != 1 {
-			t.Fatalf("policy %s lost its full result", o.Policy)
+		// The row is the policy's own fleet run, reduced.
+		run := cfg
+		run.Policy = o.Policy
+		res, err := Run(run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Cells) != 1 {
+			t.Fatalf("policy %s: a direct run has %d cells, want 1", o.Policy, len(res.Cells))
+		}
+		if c := res.Cells[0]; o.FleetMbps != c.AggMbps || o.Switches != c.Ctl.SwitchesDone {
+			t.Fatalf("policy %s: row %.3f Mb/s, %d switches; a direct run %.3f Mb/s, %d switches",
+				o.Policy, o.FleetMbps, o.Switches, c.AggMbps, c.Ctl.SwitchesDone)
 		}
 	}
 	out := pc.Render()

@@ -95,9 +95,6 @@ type TxResult struct {
 	// SSN and Bitmap are the response scoreboard when BAReceived.
 	SSN    uint16
 	Bitmap uint64
-	// RespCollision is true when responses from multiple stations collided
-	// at the sender (uplink multi-AP ACK case, Table 3).
-	RespCollision bool
 }
 
 // basicRateMCS is the HT-equivalent robustness of the 24 Mb/s legacy rate
@@ -542,7 +539,6 @@ func (m *Medium) deliverResponses(responses []respPlan, respMid, respEnd sim.Tim
 			for _, rp := range responses {
 				if rp.toward == rx {
 					m.RespCollisions++
-					rx.markRespCollision()
 				}
 			}
 			continue

@@ -13,7 +13,6 @@ import (
 // probing other rates so it can climb back up after fades.
 type minstrel struct {
 	prob    [phy.NumMCS]float64 // EWMA delivery probability
-	tried   [phy.NumMCS]bool
 	counter int
 }
 
@@ -82,7 +81,6 @@ func (m *minstrel) update(mcs phy.MCS, attempted, acked int) {
 	obs := float64(acked) / float64(attempted)
 	i := int(mcs)
 	m.prob[i] = ewmaWeight*m.prob[i] + (1-ewmaWeight)*obs
-	m.tried[i] = true
 	// Monotonicity hints: success at rate r implies rates below r work at
 	// least as well; failure at r implies rates above r work no better.
 	if obs > 0.9 {

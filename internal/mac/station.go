@@ -80,11 +80,7 @@ type Station struct {
 	seq map[packet.MACAddr]uint16
 	rc  map[packet.MACAddr]*minstrel
 
-	// Stats.
-	FramesSent   uint64
-	MPDUsSent    uint64
-	BAMissed     uint64
-	RespCollided uint64
+	MPDUsSent uint64
 }
 
 type oneshot struct {
@@ -176,7 +172,6 @@ func (s *Station) Kick() {
 		build: func() *Frame {
 			fr := s.src.BuildFrame()
 			if fr != nil {
-				s.FramesSent++
 				s.MPDUsSent += uint64(len(fr.MPDUs))
 			}
 			return fr
@@ -245,11 +240,7 @@ func (s *Station) finishResult(res *TxResult) {
 	if res.BAReceived {
 		s.cw = phy.CWMin
 	} else {
-		s.BAMissed++
 		s.cw = min(2*s.cw+1, phy.CWMax)
-	}
-	if res.RespCollision {
-		s.RespCollided++
 	}
 }
 
@@ -275,13 +266,6 @@ func (s *Station) deliverBA(ev *BAEvent) {
 	}
 	if s.baSink != nil {
 		s.baSink.OnBlockAck(ev)
-	}
-}
-
-// markRespCollision records an ACK collision against the in-flight result.
-func (s *Station) markRespCollision() {
-	if s.awaiting != nil {
-		s.awaiting.RespCollision = true
 	}
 }
 

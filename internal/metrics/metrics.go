@@ -23,15 +23,13 @@ import "sort"
 // Gauge is a last-value instrument (queue sizes, hashset occupancy). A nil
 // *Gauge is a valid no-op.
 type Gauge struct {
-	v   float64
-	set bool
+	v float64
 }
 
 // Set records the current value.
 func (g *Gauge) Set(v float64) {
 	if g != nil {
 		g.v = v
-		g.set = true
 	}
 }
 
@@ -161,7 +159,7 @@ func (r *Registry) Spans(name string) *SpanTracker {
 	}
 	t, ok := r.spans[name]
 	if !ok {
-		t = newSpanTracker(name)
+		t = &SpanTracker{byID: make(map[uint32]*SwitchSpan)}
 		r.spans[name] = t
 	}
 	return t

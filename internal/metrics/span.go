@@ -111,16 +111,11 @@ func (s *SwitchSpan) DurationNS() int64 {
 // paths, so span creation may allocate; the id-keyed marks on existing
 // spans do not.
 type SpanTracker struct {
-	name string
 	// order holds every span begun, in Begin order; byID indexes the same
 	// spans for marks (spans stay indexed after End: the hardware-queue
 	// drain at the old AP routinely outlives the ack at the controller).
 	order []*SwitchSpan
 	byID  map[uint32]*SwitchSpan
-}
-
-func newSpanTracker(name string) *SpanTracker {
-	return &SpanTracker{name: name, byID: make(map[uint32]*SwitchSpan)}
 }
 
 // Begin opens the span for one switch attempt. Duplicate ids are ignored

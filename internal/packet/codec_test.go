@@ -199,6 +199,44 @@ func TestDecodeRejectsSlack(t *testing.T) {
 	}
 }
 
+// indexFields are the protocol's 12-bit fields, each set on its type's
+// exemplar by set.
+var indexFields = []struct {
+	name string
+	typ  MsgType
+	set  func(m Message, v uint16)
+}{
+	{"DownData packet index", MsgDownData, func(m Message, v uint16) { m.(*DownData).Pkt.Index = v }},
+	{"UpData packet index", MsgUpData, func(m Message, v uint16) { m.(*UpData).Pkt.Index = v }},
+	{"Start.Index", MsgStart, func(m Message, v uint16) { m.(*Start).Index = v }},
+	{"DomainHandoffCommit.NextIndex", MsgDomainHandoffCommit, func(m Message, v uint16) { m.(*DomainHandoffCommit).NextIndex = v }},
+	{"BlockAckFwd.SSN", MsgBAFwd, func(m Message, v uint16) { m.(*BlockAckFwd).SSN = v }},
+}
+
+// withIndex is the exemplar of field's type with field set to v.
+func withIndex(field int, v uint16) Message {
+	f := indexFields[field]
+	m := exemplars()[f.typ]
+	f.set(m, v)
+	return m
+}
+
+// Every 12-bit field is a decode error past IndexMask — a ring walk toward
+// such an index never ends — and round-trips at IndexMask.
+func TestDecodeRejectsOutOfRangeIndex(t *testing.T) {
+	for i, f := range indexFields {
+		for _, v := range []uint16{IndexMask + 1, 0xffff} {
+			if _, err := Decode(Encode(withIndex(i, v))); err == nil {
+				t.Errorf("%s %d accepted", f.name, v)
+			}
+		}
+		m := withIndex(i, IndexMask)
+		if got, err := Decode(Encode(m)); err != nil || !reflect.DeepEqual(got, m) {
+			t.Errorf("%s %d: decoded %+v, %v; want the message back", f.name, IndexMask, got, err)
+		}
+	}
+}
+
 // FuzzDecode throws arbitrary bytes at the decoder: it must return a value
 // or an error, never panic, and anything it accepts must re-encode to
 // exactly the input bytes — and decode to the same value again through a
@@ -221,6 +259,9 @@ func FuzzDecode(f *testing.F) {
 	f.Add(retiredAssocFrame)
 	f.Add(grown(Encode(ex[MsgStop]), 0))
 	f.Add(grown(Encode(ex[MsgDomainHandoffCommit]), 0))
+	for i := range indexFields {
+		f.Add(Encode(withIndex(i, IndexMask+1)))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(data)
 		if err != nil {

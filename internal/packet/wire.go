@@ -202,9 +202,24 @@ func marshalPkt(dst []byte, p *Packet) []byte {
 	return dst
 }
 
-func unmarshalPkt(src []byte) *Packet {
+// index12 reads a 2-byte index field, refusing a value past IndexMask: no
+// such index exists in the protocol, and a ring walk toward one would never
+// end.
+func index12(src []byte, field string) (uint16, error) {
+	v := binary.BigEndian.Uint16(src)
+	if v > IndexMask {
+		return 0, fmt.Errorf("%s %d exceeds the 12-bit index space", field, v)
+	}
+	return v, nil
+}
+
+func unmarshalPkt(src []byte) (*Packet, error) {
 	src = src[:pktHeaderSize] // bounds-check hint
-	p := &Packet{}
+	idx, err := index12(src[26:28], "packet index")
+	if err != nil {
+		return nil, err
+	}
+	p := &Packet{Index: idx}
 	p.FlowID = binary.BigEndian.Uint32(src[0:4])
 	p.Seq = binary.BigEndian.Uint32(src[4:8])
 	p.IPID = binary.BigEndian.Uint16(src[8:10])
@@ -212,12 +227,11 @@ func unmarshalPkt(src []byte) *Packet {
 	copy(p.DstIP[:], src[14:18])
 	copy(p.ClientMAC[:], src[18:24])
 	p.Bytes = int(binary.BigEndian.Uint16(src[24:26]))
-	p.Index = binary.BigEndian.Uint16(src[26:28])
 	flags := src[28]
 	p.Uplink = flags&1 != 0
 	p.Kind = Kind(flags >> 1)
 	p.Created = sim.Time(binary.BigEndian.Uint64(src[29:37]))
-	return p
+	return p, nil
 }
 
 // DownData tunnels a downlink packet from the controller to one AP: the
@@ -242,8 +256,9 @@ func (d *DownData) marshal(dst []byte) []byte {
 
 func (d *DownData) unmarshal(src []byte) error {
 	copy(d.APDst[:], src[0:4])
-	d.Pkt = unmarshalPkt(src[4:])
-	return nil
+	var err error
+	d.Pkt, err = unmarshalPkt(src[4:])
+	return err
 }
 
 // UpData tunnels an overheard uplink packet from an AP to the controller,
@@ -267,8 +282,9 @@ func (u *UpData) marshal(dst []byte) []byte {
 
 func (u *UpData) unmarshal(src []byte) error {
 	copy(u.APSrc[:], src[0:4])
-	u.Pkt = unmarshalPkt(src[4:])
-	return nil
+	var err error
+	u.Pkt, err = unmarshalPkt(src[4:])
+	return err
 }
 
 // Stop is step (1) of the switching protocol: the controller tells the
@@ -324,9 +340,10 @@ func (s *Start) marshal(dst []byte) []byte {
 func (s *Start) unmarshal(src []byte) error {
 	src = src[:s.WireSize()] // bounds-check hint
 	copy(s.Client[:], src[0:6])
-	s.Index = binary.BigEndian.Uint16(src[6:8])
 	s.SwitchID = binary.BigEndian.Uint32(src[8:12])
-	return nil
+	var err error
+	s.Index, err = index12(src[6:8], "start index")
+	return err
 }
 
 // SwitchAck is step (3): the new AP confirms the switch to the controller.
@@ -460,9 +477,10 @@ func (b *BlockAckFwd) unmarshal(src []byte) error {
 	src = src[:b.WireSize()] // bounds-check hint
 	copy(b.Client[:], src[0:6])
 	copy(b.FromAP[:], src[6:10])
-	b.SSN = binary.BigEndian.Uint16(src[10:12])
 	b.Bitmap = binary.BigEndian.Uint64(src[12:20])
-	return nil
+	var err error
+	b.SSN, err = index12(src[10:12], "Block ACK SSN")
+	return err
 }
 
 // HealthProbe asks one AP to prove it is alive. The controller normally
@@ -667,7 +685,10 @@ func (c *DomainHandoffCommit) unmarshal(src []byte) error {
 	copy(c.ClientIP[:], src[10:14])
 	copy(c.ServingAP[:], src[14:18])
 	copy(c.TargetAP[:], src[18:22])
-	c.NextIndex = binary.BigEndian.Uint16(src[22:24])
+	var err error
+	if c.NextIndex, err = index12(src[22:24], "next index"); err != nil {
+		return err
+	}
 	nk := int(binary.BigEndian.Uint16(src[24:26]))
 	if nk > MaxHandoffDedupKeys {
 		return fmt.Errorf("dedup window too large: %d keys", nk)

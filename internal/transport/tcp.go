@@ -51,7 +51,6 @@ type TCPSender struct {
 	haveRTT      bool
 	rto          sim.Time
 	rtoTimer     sim.Timer
-	backoff      int
 
 	sentAt   map[uint32]sim.Time // send time per segment (cleared on rtx)
 	ipid     uint16
@@ -64,16 +63,6 @@ type TCPSender struct {
 	Sent        uint64
 	Retransmits uint64
 	Timeouts    uint64
-	AckedSegs   uint32
-	// CwndTrace records (time, cwnd) when enabled.
-	TraceCwnd bool
-	CwndTrace []CwndSample
-}
-
-// CwndSample is one recorded congestion-window value.
-type CwndSample struct {
-	At   sim.Time
-	Cwnd float64
 }
 
 // NewTCPSender creates a sender; Start launches the flow.
@@ -158,9 +147,7 @@ func (s *TCPSender) onRTO() {
 	s.cwnd = 1
 	s.dupAcks = 0
 	s.inFR = false
-	s.backoff++
 	s.rto = minT(s.rto*2, MaxRTO)
-	s.traceCwnd()
 	s.emit(s.sndUna, true)
 	// Go-back-N: everything past sndUna is treated as lost and will be
 	// resent by pump as the window reopens (receiver-side reassembly
@@ -186,9 +173,7 @@ func (s *TCPSender) OnAck(ackSeq uint32, at sim.Time) {
 		}
 		newly := ackSeq - s.sndUna
 		s.sndUna = ackSeq
-		s.AckedSegs = ackSeq
 		s.dupAcks = 0
-		s.backoff = 0
 		if s.inFR {
 			if ackSeq < s.recover {
 				// NewReno partial ack: the next hole is lost too —
@@ -205,7 +190,6 @@ func (s *TCPSender) OnAck(ackSeq uint32, at sim.Time) {
 		} else {
 			s.cwnd += float64(newly) / s.cwnd // congestion avoidance
 		}
-		s.traceCwnd()
 		if s.cfg.TotalSegments > 0 && s.sndUna >= s.cfg.TotalSegments {
 			s.complete = true
 			s.rtoTimer.Stop()
@@ -223,7 +207,6 @@ func (s *TCPSender) OnAck(ackSeq uint32, at sim.Time) {
 			s.cwnd = s.ssthresh
 			s.inFR = true
 			s.recover = s.sndNxt
-			s.traceCwnd()
 			s.emit(s.sndUna, true)
 			s.armRTO()
 		}
@@ -249,12 +232,6 @@ func (s *TCPSender) sampleRTT(rtt sim.Time) {
 	s.rto = s.srtt + 4*s.rttvar
 	if s.rto < MinRTO {
 		s.rto = MinRTO
-	}
-}
-
-func (s *TCPSender) traceCwnd() {
-	if s.TraceCwnd {
-		s.CwndTrace = append(s.CwndTrace, CwndSample{At: s.eng.Now(), Cwnd: s.cwnd})
 	}
 }
 

@@ -105,7 +105,6 @@ func TestTCPTimeoutOnBlackout(t *testing.T) {
 	tx, _, pp := tcpPair(eng, 0, 5*sim.Millisecond) // bulk flow
 	blackout := false
 	pp.dropFwd = func(uint32) bool { return blackout }
-	tx.TraceCwnd = true
 	tx.Start()
 	eng.RunUntil(sim.Second)
 	ackedBefore := tx.sndUna
@@ -223,9 +222,6 @@ func TestUDPReceiverLoss(t *testing.T) {
 	// Highest seq 9 ⇒ 10 expected, 6 seen ⇒ 40% loss.
 	if lr := r.LossRate(); lr < 0.39 || lr > 0.41 {
 		t.Errorf("loss rate = %v", lr)
-	}
-	if r.Reorders != 1 {
-		t.Errorf("reorders = %d", r.Reorders)
 	}
 	if len(r.Arrivals) != 6 {
 		t.Error("arrivals not recorded")

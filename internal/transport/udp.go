@@ -126,9 +126,8 @@ type UDPReceiver struct {
 	Arrivals []Arrival
 	Record   bool
 
-	maxSeq   uint32
-	sawAny   bool
-	Reorders uint64
+	maxSeq uint32
+	sawAny bool
 	// Duplicates counts arrivals of a sequence already received — a
 	// re-sent packet past the client's index de-duplication window. Received
 	// counts them too.
@@ -165,9 +164,6 @@ func (r *UDPReceiver) OnPacket(p *packet.Packet, at sim.Time) {
 	r.Bytes += uint64(p.Bytes)
 	if r.Record {
 		r.Arrivals = append(r.Arrivals, Arrival{At: at, Seq: p.Seq})
-	}
-	if r.sawAny && p.Seq < r.maxSeq {
-		r.Reorders++
 	}
 	if p.Seq > r.maxSeq || !r.sawAny {
 		r.maxSeq = p.Seq
