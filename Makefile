@@ -14,7 +14,7 @@ RACE_PKGS = ./internal/fleet ./internal/eval ./internal/trace ./internal/stats \
 	./internal/backhaul ./internal/packet ./internal/selector ./internal/metrics \
 	./internal/mac ./internal/client ./internal/chaos
 
-.PHONY: check vet lint build test golden-quick golden race cli-smoke live-smoke fuzz-smoke docs-check metro-scale unreached loc bench bench-pair
+.PHONY: check vet lint build test golden-quick golden race cli-smoke live-smoke fuzz-smoke docs-check metro-scale unreached loc bench bench-pair bench-gate
 
 check: vet lint build test golden-quick race cli-smoke live-smoke fuzz-smoke docs-check
 
@@ -276,3 +276,51 @@ bench-pair:
 		done; \
 	done; done; \
 	rm -rf $$d
+
+# Regression gate (minutes, opt-in): `make bench-gate [W="<workload> ..."]`
+# runs BENCHMARK.json's command, `bench/run.sh`, once per workload (all four
+# by default) and trace mode at `make bench`'s seed and length, and holds
+# each pass against the last BENCH_results.json line of that workload and
+# mode, with the bounds and directions BENCHMARK.json declares read as data.
+# It fails if goodput_mbps or delivered_frac differs at all (they are
+# simulated), or if a counted metric — allocs_per_unit, alloc_kb_per_unit,
+# and each traced *_per_unit count, which takes allocs_per_unit's bound
+# unless it declares its own — is worse than recorded by more than its
+# bound. A host-time metric (units_per_ref_s, setup_s) worse past its bound
+# fails nothing: one pass against a record from another moment of the
+# machine is no verdict, so the gate prints the `make bench-pair` that would
+# give one. Records nothing; the directory stays behind if a pass fails.
+GATE_SAME = goodput_mbps delivered_frac
+GATE_HOST = units_per_ref_s setup_s
+metrics-of = grep -o '"[a-z0-9_.]*":{"value":[^,}]*' | sed 's/"\(.*\)":{"value":/\1 /'
+bench-gate:
+	@set -e; d=$$(mktemp -d); fail=0; \
+	awk -F'"' '/"name"/ { n = $$4 } /"better"/ { print n, "better", $$4 } /"bound"/ { split($$0, b, ":"); print n, "bound", b[2] + 0 }' BENCHMARK.json > $$d/rules; \
+	for w in $(or $(W),$(BENCH_WORKLOADS)); do for t in 0 1; do \
+		last=$$(grep "\"workload\":\"$$w\",\"trace\":$$t," BENCH_results.json | tail -n 1); \
+		test -n "$$last" || { echo "bench-gate: BENCH_results.json records no $$w --trace $$t; run make bench" >&2; exit 2; }; \
+		json=$$(bash bench/run.sh --workload $$w --seed 2017 --seconds 24 --trace $$t | tail -n 1); \
+		case "$$json" in '{"correct":true,'*) ;; *) echo "bench-gate: $$w --trace $$t failed: $$json" >&2; exit 1;; esac; \
+		echo "$$last" | $(metrics-of) > $$d/last; \
+		echo "$$json" | $(metrics-of) > $$d/json; \
+		awk -v pass="$$w --trace $$t" -v ref=$$(echo "$$last" | cut -d'"' -f4) -v w=$$w \
+			-v same=" $(GATE_SAME) " -v host=" $(GATE_HOST) " ' \
+			FNR == 1 { f++ } \
+			f == 1 { if ($$2 == "better") better[$$1] = $$3; else bound[$$1] = $$3; next } \
+			f == 2 { rec[$$1] = $$2; next } \
+			!($$1 in rec) { next } \
+			index(same, " " $$1 " ") { \
+				if ($$2 != rec[$$1]) { printf "bench-gate: %s %s = %s, %s recorded %s: the simulation changed\n", pass, $$1, $$2, ref, rec[$$1]; bad = 1 } \
+				next } \
+			{ counted = $$1 ~ /_per_unit$$/; timed = index(host, " " $$1 " ") } \
+			!counted && !timed { next } \
+			{ b = ($$1 in bound) ? bound[$$1] : bound["allocs_per_unit"]; \
+			  worse = better[$$1] == "higher" ? $$2 < rec[$$1] * (1 - b) : $$2 > rec[$$1] * (1 + b) } \
+			worse && counted { printf "bench-gate: %s %s = %s, %s recorded %s: worse by more than %g\n", pass, $$1, $$2, ref, rec[$$1], b; bad = 1 } \
+			worse && timed { printf "bench-gate: %s %s = %s, %s recorded %s; for a verdict: make bench-pair REF=%s W=%s\n", pass, $$1, $$2, ref, rec[$$1], ref, w } \
+			END { exit bad }' $$d/rules $$d/last $$d/json || fail=1; \
+		echo "bench-gate: checked $$w --trace $$t"; \
+	done; done; \
+	rm -rf $$d; \
+	if [ $$fail -ne 0 ]; then exit 1; fi
+	@echo "bench-gate: every counted metric within its bound, goodput and delivery unchanged"

@@ -160,7 +160,12 @@ type AP struct {
 	peers      []packet.IPv4Addr // other APs (for start + BA forwarding)
 
 	clients map[packet.MACAddr]*clientState
-	rr      []packet.MACAddr // round-robin order over serving clients
+	rr      []*clientState // round-robin order over clients
+	// last memoizes lookup: the state it found last. A fan-out tunnels one
+	// client's packets back to back, so a copy finds its ring without
+	// hashing the MAC. A state is never replaced (Restart resets each in
+	// place), so the memo never goes stale.
+	last *clientState
 
 	// down is true while a chaos-injected crash holds the AP off the air
 	// and off the backhaul (DESIGN.md §11).
@@ -266,7 +271,7 @@ func (a *AP) SetPeers(peers []packet.IPv4Addr) { a.peers = peers }
 // (cyclic queue occupancy from nextSend to the write head) plus pending
 // retries — the backlog a switch must deal with.
 func (a *AP) QueueDepth(client packet.MACAddr) int {
-	cs := a.clients[client]
+	cs := a.lookup(client)
 	if cs == nil {
 		return 0
 	}
@@ -277,12 +282,26 @@ func (a *AP) QueueDepth(client packet.MACAddr) int {
 	return n
 }
 
+// lookup returns m's state, nil if the AP has none.
+func (a *AP) lookup(m packet.MACAddr) *clientState {
+	if cs := a.last; cs != nil && cs.mac == m {
+		return cs
+	}
+	cs := a.clients[m]
+	if cs != nil {
+		a.last = cs
+	}
+	return cs
+}
+
+// client returns m's state, made on first use.
 func (a *AP) client(m packet.MACAddr) *clientState {
-	cs, ok := a.clients[m]
-	if !ok {
+	cs := a.lookup(m)
+	if cs == nil {
 		cs = newClientState(m, packet.IPv4Addr{})
 		a.clients[m] = cs
-		a.rr = append(a.rr, m)
+		a.rr = append(a.rr, cs)
+		a.last = cs
 	}
 	return cs
 }
@@ -347,20 +366,20 @@ func (a *AP) Crash() {
 }
 
 // Restart brings a crashed AP back with cold queues: every client's state
-// is rebuilt by newClientState, the constructor a first association uses,
-// serving nobody until a start(c, k) re-appoints it. Association identity —
-// MAC, IP and the round-robin order — survives: §4.3 replicates it to every
-// AP, so a rebooted AP re-learns it from the shared store rather than from
-// scratch.
+// is rebuilt in place by newClientState, the constructor a first
+// association uses, serving nobody until a start(c, k) re-appoints it.
+// Association identity — MAC, IP and the round-robin order — survives: §4.3
+// replicates it to every AP, so a rebooted AP re-learns it from the shared
+// store rather than from scratch.
 func (a *AP) Restart() {
 	if !a.down {
 		return
 	}
 	a.down = false
-	for m, cs := range a.clients {
+	for _, cs := range a.rr {
 		a.Stats.DownWiped += cs.queued()
 		a.Stats.MPDUsDiscarded += uint64(len(cs.retryQ) + len(cs.drainQ))
-		a.clients[m] = newClientState(m, cs.ip)
+		*cs = *newClientState(cs.mac, cs.ip)
 	}
 }
 
@@ -704,8 +723,8 @@ func (a *AP) moveReader(cs *clientState, k uint16) {
 // handleForwardedBA merges a Block ACK forwarded by a neighbour into this
 // AP's retry state — the ath_tx_complete_aggr() injection of §3.2.1.
 func (a *AP) handleForwardedBA(m *packet.BlockAckFwd) {
-	cs, ok := a.clients[m.Client]
-	if !ok || !cs.serving {
+	cs := a.lookup(m.Client)
+	if cs == nil || !cs.serving {
 		return
 	}
 	key := uint64(m.SSN)<<48 ^ m.Bitmap

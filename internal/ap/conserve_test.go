@@ -2,9 +2,11 @@ package ap
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"wgtt/internal/backhaul"
+	"wgtt/internal/mac"
 	"wgtt/internal/packet"
 	"wgtt/internal/sim"
 )
@@ -99,9 +101,9 @@ func FuzzRingConservation(f *testing.F) {
 	})
 }
 
-// A restart rebuilds every client through the constructor a first
-// association uses: nothing queued, no drain pending, MAC, IP and the
-// round-robin order kept.
+// A restart rebuilds every client in place through the constructor a first
+// association uses: nothing queued, no drain pending, MAC, IP, the state's
+// address and the round-robin order kept.
 func TestRestartRebuildsClientState(t *testing.T) {
 	h := newAPHarness(t, 1, 20)
 	a := h.aps[0]
@@ -111,12 +113,12 @@ func TestRestartRebuildsClientState(t *testing.T) {
 	h.pushDownlink(40, 0)
 	cs := a.client(packet.ClientMAC(1))
 	cs.drainPending, cs.drainSwitchID, cs.drainCount = true, 7, 3
-	rr := append([]packet.MACAddr(nil), a.rr...)
+	rr := slices.Clone(a.rr)
 	a.Crash()
 	a.Restart()
-	for i, m := range a.rr {
-		if m != rr[i] {
-			t.Fatalf("round-robin order %v, want %v", a.rr, rr)
+	for i, cs := range a.rr {
+		if cs != rr[i] || a.clients[cs.mac] != cs {
+			t.Fatalf("client %d rebuilt at %p, was %p", i, cs, rr[i])
 		}
 	}
 	for id := 1; id <= 3; id++ {
@@ -126,6 +128,70 @@ func TestRestartRebuildsClientState(t *testing.T) {
 			cs.drainCount != 0 || cs.haveAny || cs.serving || a.QueueDepth(cs.mac) != 0 {
 			t.Errorf("client %d not rebuilt cold: %+v", id, *cs)
 		}
+	}
+}
+
+// A client's state keeps its address across a Restart, so whichever client
+// the AP looked up last, a packet enqueued after one lands in the rebuilt
+// ring and frames are built from it: two clients interleaved, packet by
+// packet, and a restart while each is the one looked up last, followed by
+// that client's enqueue.
+func TestRestartKeepsClientLookup(t *testing.T) {
+	h := newAPHarness(t, 1, 20)
+	a := h.aps[0]
+	clients := []packet.MACAddr{packet.ClientMAC(1), packet.ClientMAC(2)}
+	queued := map[packet.MACAddr][]*packet.Packet{} // enqueued since the last restart, not yet framed
+	next := uint16(0)
+	for round := 0; round < 60; round++ {
+		if round == 20 || round == 41 { // client 1's round, then client 2's
+			a.QueueDepth(clients[round%2]) // the last lookup
+			a.Crash()
+			a.Restart()
+			clear(queued)
+		}
+		for i := range clients {
+			c := clients[(round+i)%2]
+			p := &packet.Packet{ClientMAC: c, Bytes: 1400, Index: next}
+			a.HandleBackhaul(packet.ControllerIP, &packet.DownData{Pkt: p})
+			if cs := a.clients[c]; cs.ring[next] != p || a.lookup(c) != cs {
+				t.Fatalf("round %d: %v's packet %d missed the ring of record", round, c, next)
+			}
+			queued[c] = append(queued[c], p)
+		}
+		for i, c := range clients {
+			a.Associate(c, packet.ClientIP(i+1), true)
+		}
+		next++
+		for range round % 3 { // none, one or two frames a round
+			fr := a.BuildFrame()
+			if fr == nil {
+				break
+			}
+			for _, mp := range fr.MPDUs {
+				if q := queued[fr.To]; len(q) == 0 || mp.Pkt != q[0] {
+					t.Fatalf("round %d: frame to %v carries %v, want the head of %v", round, fr.To, mp.Pkt, q)
+				}
+				queued[fr.To] = queued[fr.To][1:]
+			}
+			a.OnTxDone(&mac.TxResult{Frame: fr, BAReceived: true, SSN: fr.MPDUs[0].Seq, Bitmap: ^uint64(0)})
+		}
+		if err := a.Conserved(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+	}
+	for fr := a.BuildFrame(); fr != nil; fr = a.BuildFrame() {
+		for range fr.MPDUs {
+			queued[fr.To] = queued[fr.To][1:]
+		}
+		a.OnTxDone(&mac.TxResult{Frame: fr, BAReceived: true, SSN: fr.MPDUs[0].Seq, Bitmap: ^uint64(0)})
+	}
+	for _, c := range clients {
+		if len(queued[c]) != 0 {
+			t.Errorf("%v: %d packets never framed", c, len(queued[c]))
+		}
+	}
+	if a.Stats.DownWiped == 0 || a.Stats.MPDUsDelivered == 0 {
+		t.Errorf("nothing wiped or nothing delivered: %+v", a.Stats)
 	}
 }
 

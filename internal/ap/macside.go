@@ -101,10 +101,10 @@ func (a *AP) pickClient() *clientState {
 	for i := 0; i < len(a.rr); i++ {
 		// Rotated in place: re-slicing and appending would walk the backing
 		// array forward and reallocate it every len(a.rr) picks.
-		m := a.rr[0]
+		cs := a.rr[0]
 		copy(a.rr, a.rr[1:])
-		a.rr[len(a.rr)-1] = m
-		if cs := a.clients[m]; cs != nil && cs.hasWork() {
+		a.rr[len(a.rr)-1] = cs
+		if cs.hasWork() {
 			return cs
 		}
 	}
@@ -113,7 +113,7 @@ func (a *AP) pickClient() *clientState {
 
 // hasWork reports whether any client has something to send.
 func (a *AP) hasWork() bool {
-	for _, cs := range a.clients {
+	for _, cs := range a.rr {
 		if cs.hasWork() {
 			return true
 		}
@@ -149,7 +149,7 @@ func (a *AP) OnTxDone(res *mac.TxResult) {
 		return
 	}
 	fr := res.Frame
-	cs := a.clients[fr.To]
+	cs := a.lookup(fr.To)
 	if cs == nil {
 		return
 	}
@@ -206,7 +206,7 @@ func (a *AP) OnFrame(ev *mac.RxEvent) {
 		return
 	}
 	if a.cfg.ForwardOnlyWhenServing {
-		if cs := a.clients[ev.From]; cs == nil || !cs.serving {
+		if cs := a.lookup(ev.From); cs == nil || !cs.serving {
 			return
 		}
 	}
@@ -241,8 +241,8 @@ func (a *AP) OnBlockAck(ev *mac.BAEvent) {
 	if !ev.Overheard || !a.cfg.BAForwarding {
 		return
 	}
-	cs, known := a.clients[ev.Responder]
-	if !known || cs.serving {
+	cs := a.lookup(ev.Responder)
+	if cs == nil || cs.serving {
 		// Serving AP gets the BA through its own TXOP result; only
 		// monitor-mode neighbours forward.
 		return

@@ -98,11 +98,17 @@ type Switch struct {
 	bytes    uint64
 	unrouted uint64
 
-	// encScratch is the reusable encode buffer and unicast the reusable
-	// one-target list of a Send; the switch runs on the single simulation
-	// goroutine, so one of each serves every send.
-	encScratch []byte
-	unicast    [1]packet.IPv4Addr
+	// encScratch is the reusable encode buffer and unicast/unicastNode the
+	// reusable one-target list of a Send and its node; the switch runs on
+	// the single simulation goroutine, so one of each serves every send.
+	encScratch  []byte
+	unicast     [1]packet.IPv4Addr
+	unicastNode [1]Node
+	// lastTos and lastNodes memoize resolve: the last SendMany target list
+	// and the node attached at each of its addresses. Attach, the only
+	// writer of nodes, clears them.
+	lastTos   []packet.IPv4Addr
+	lastNodes []Node
 	// dfree pools delivery events so a steady-state send schedules its
 	// delivery without allocating.
 	dfree []*delivery
@@ -124,26 +130,41 @@ func (s *Switch) Attach(addr packet.IPv4Addr, n Node) {
 		panic("backhaul: nil node")
 	}
 	s.nodes[addr] = n
+	s.lastTos, s.lastNodes = s.lastTos[:0], s.lastNodes[:0]
 }
 
 // Send delivers msg to the node at to after the switch latency, or writes
 // it to the remote port. Sending to an address neither knows returns an
 // error — it is always an assembly bug — and so does a failed write.
 func (s *Switch) Send(from, to packet.IPv4Addr, msg packet.Message) error {
-	if !s.routes(to) {
-		if _, ok := s.nodes[to]; !ok {
-			return fmt.Errorf("backhaul: no node at %v", to)
-		}
+	node := s.nodes[to]
+	if node == nil && !s.routes(to) {
+		return fmt.Errorf("backhaul: no node at %v", to)
 	}
-	s.unicast[0] = to
-	return s.send(from, s.unicast[:], msg)
+	s.unicast[0], s.unicastNode[0] = to, node
+	return s.send(from, s.unicast[:], s.unicastNode[:], msg)
 }
 
 // SendMany implements Fabric: Send to every known target, in slice order,
 // off one encoding of msg. A message the codec rejects reaches
 // nobody, as the Send loop whose errors a fan-out ignores would have it.
 func (s *Switch) SendMany(from packet.IPv4Addr, tos []packet.IPv4Addr, msg packet.Message) {
-	_ = s.send(from, tos, msg)
+	_ = s.send(from, tos, s.resolve(tos), msg)
+}
+
+// resolve returns the node attached at each address of tos, nil where none
+// is. A fan-out repeats its target list packet after packet, so the nodes
+// are looked up once per list, not once per copy: while tos equals the last
+// list resolved, its nodes are returned as they were.
+func (s *Switch) resolve(tos []packet.IPv4Addr) []Node {
+	if !slices.Equal(tos, s.lastTos) {
+		s.lastTos = append(s.lastTos[:0], tos...)
+		s.lastNodes = s.lastNodes[:0]
+		for _, to := range tos {
+			s.lastNodes = append(s.lastNodes, s.nodes[to])
+		}
+	}
+	return s.lastNodes
 }
 
 // delivery is one pooled delivery event: the decoded copy of a message and
@@ -196,7 +217,8 @@ func (s *Switch) getDelivery(from packet.IPv4Addr, raw []byte) (*delivery, error
 
 // send is the one delivery path: encode msg once into the scratch buffer
 // and hand a copy to every known target — which is what lets callers reuse
-// msg immediately (the non-retention contract). Attached targets share one
+// msg immediately (the non-retention contract); nodes[i] is the node
+// attached at tos[i], nil if none. Attached targets share one
 // decoded copy, delivered through one pooled event; each target the remote
 // port routes gets the bytes, one Write where the loop reaches it; other
 // targets are skipped, and a send with no attached target decodes nothing.
@@ -204,13 +226,13 @@ func (s *Switch) getDelivery(from packet.IPv4Addr, raw []byte) (*delivery, error
 // hooks are consulted once per (target, message) in target order, local or
 // remote, so a fault-injected run's RNG draw sequence does not depend on
 // how the caller grouped its sends.
-func (s *Switch) send(from packet.IPv4Addr, tos []packet.IPv4Addr, msg packet.Message) error {
+func (s *Switch) send(from packet.IPv4Addr, tos []packet.IPv4Addr, nodes []Node, msg packet.Message) error {
 	s.encScratch = packet.EncodeInto(s.encScratch[:0], msg)
 	size := uint64(len(s.encScratch))
 	hooked := s.Drop != nil || s.Delay != nil
 	var d *delivery
 	var werr error
-	for _, to := range tos {
+	for i, to := range tos {
 		if s.routes(to) {
 			if hooked && s.faultedRemote(from, to, msg) {
 				continue
@@ -220,8 +242,8 @@ func (s *Switch) send(from packet.IPv4Addr, tos []packet.IPv4Addr, msg packet.Me
 			}
 			continue
 		}
-		node, ok := s.nodes[to]
-		if !ok {
+		node := nodes[i]
+		if node == nil {
 			s.unrouted++
 			continue
 		}

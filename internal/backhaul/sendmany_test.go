@@ -355,3 +355,102 @@ func TestSendManyConsultsLocalAndRemoteOnce(t *testing.T) {
 		t.Fatalf("remote-only Send allocates %.1f/op, want 0", allocs)
 	}
 }
+
+// SendMany resolves a target list once and reuses its nodes while the next
+// list is equal; Attach clears that. Over random Attaches of new and live
+// addresses, target lists that repeat, change or are rewritten in place
+// by the caller, unicast Sends between them and Drop/Delay hooks armed and
+// disarmed, a switch must deliver, count and consult its hooks exactly as a
+// reference that looks up every copy's node in nodes at the send.
+func TestSendManyMemoMatchesPerCopyLookup(t *testing.T) {
+	type event struct {
+		at    sim.Time
+		what  string
+		to    packet.IPv4Addr
+		node  int // the delivering node's Attach, counted from 1
+		index uint16
+	}
+	run := func(seed uint64, perCopy bool) (log []event, stats [4]uint64) {
+		eng := sim.NewEngine()
+		sw := NewSwitch(eng, 200*sim.Microsecond)
+		ops := rand.New(rand.NewPCG(seed, 7))  // the operation sequence, the same on both sides
+		hook := rand.New(rand.NewPCG(seed, 8)) // the hooks' draws
+		pool := make([]packet.IPv4Addr, 10)    // addresses 8 and 9 are never attached
+		for i := range pool {
+			pool[i] = packet.APIP(i)
+		}
+		attaches := 0
+		attach := func(addr packet.IPv4Addr) {
+			attaches++
+			node := attaches
+			sw.Attach(addr, NodeFunc(func(_ packet.IPv4Addr, m packet.Message) {
+				log = append(log, event{eng.Now(), "deliver", addr, node, m.(*packet.DownData).Pkt.Index})
+			}))
+		}
+		var tos []packet.IPv4Addr
+		for step := 0; step < 3000; step++ {
+			switch op := ops.IntN(100); {
+			case op < 5: // attach, or replace the node of a live address
+				attach(pool[ops.IntN(8)])
+			case op < 15: // a new list, of any length, repeats and unattached addresses allowed
+				tos = tos[:0]
+				for n := ops.IntN(7); n > 0; n-- {
+					tos = append(tos, pool[ops.IntN(len(pool))])
+				}
+			case op < 20: // the caller rewrites its list in place
+				if len(tos) > 0 {
+					tos[ops.IntN(len(tos))] = pool[ops.IntN(len(pool))]
+				}
+			case op < 25: // a unicast Send between the fan-outs
+				_ = sw.Send(packet.ControllerIP, pool[ops.IntN(len(pool))], downMsg(uint16(step)))
+			case op < 30: // arm or disarm the hooks
+				if sw.Drop != nil {
+					sw.Drop, sw.Delay = nil, nil
+					break
+				}
+				sw.Drop = func(to packet.IPv4Addr, _ packet.Message) bool {
+					log = append(log, event{eng.Now(), "drop", to, 0, 0})
+					return hook.Float64() < 0.2
+				}
+				sw.Delay = func(to packet.IPv4Addr, _ packet.Message) sim.Time {
+					log = append(log, event{eng.Now(), "delay", to, 0, 0})
+					return sim.Time(hook.IntN(3)) * 100 * sim.Microsecond
+				}
+			case op < 40:
+				eng.RunUntil(eng.Now() + sim.Time(ops.IntN(400))*sim.Microsecond)
+			default: // a fan-out of the current list
+				msg := downMsg(uint16(step))
+				if !perCopy {
+					sw.SendMany(packet.ControllerIP, tos, msg)
+					break
+				}
+				nodes := make([]Node, len(tos))
+				for i, to := range tos {
+					nodes[i] = sw.nodes[to]
+				}
+				_ = sw.send(packet.ControllerIP, tos, nodes, msg)
+			}
+		}
+		eng.Run()
+		sent, dropped, bytes := sw.Stats()
+		return log, [4]uint64{sent, dropped, bytes, sw.Unrouted()}
+	}
+	for seed := uint64(1); seed <= 5; seed++ {
+		refLog, refStats := run(seed, true)
+		log, stats := run(seed, false)
+		if stats != refStats {
+			t.Errorf("seed %d: sent, dropped, bytes, unrouted = %v, per-copy lookup %v", seed, stats, refStats)
+		}
+		if len(log) != len(refLog) {
+			t.Errorf("seed %d: %d hook calls and deliveries, per-copy lookup %d", seed, len(log), len(refLog))
+		}
+		for i := range min(len(log), len(refLog)) {
+			if log[i] != refLog[i] {
+				t.Fatalf("seed %d: event %d is %+v, per-copy lookup %+v", seed, i, log[i], refLog[i])
+			}
+		}
+		if refStats[1] == 0 || refStats[3] == 0 {
+			t.Errorf("seed %d: nothing dropped or nothing unrouted: %v", seed, refStats)
+		}
+	}
+}

@@ -246,9 +246,11 @@ func expDraw(rnd *rand.Rand, mean sim.Time) sim.Time {
 // can be skipped by the guard). Every crash event is applied or skipped, so
 // the plan's AP crash events due so far number APCrashes + CrashesSkipped,
 // its controller crash events CtlCrashes + CtlSkipped; every message the
-// armed switch drops is one of BurstDrops, BlackoutDrops and ControlDrops
-// (Conserved checks all three). A restart applies only to a target its
-// crash took down, so APRestarts ≤ APCrashes and CtlRestarts ≤ CtlCrashes.
+// armed switch drops is one of BurstDrops, BlackoutDrops and ControlDrops.
+// A restart applies only to a target its crash took down, and nothing else
+// crashes or restarts one, so APCrashes = APRestarts + the APs down now and
+// CtlCrashes = CtlRestarts + the controllers down now (Conserved checks all
+// five).
 type Stats struct {
 	APCrashes      uint64
 	APRestarts     uint64
@@ -262,9 +264,9 @@ type Stats struct {
 }
 
 // Conserved checks that every crash event of each kind due by now was
-// applied or skipped by the guard, and that the armed switch dropped exactly
-// the messages the drop classes count (dropped, its count). A nil injector
-// drops nothing.
+// applied or skipped by the guard, that every applied crash was restarted or
+// is still down, and that the armed switch dropped exactly the messages the
+// drop classes count (dropped, its count). A nil injector drops nothing.
 func (in *Injector) Conserved(dropped uint64) error {
 	if in == nil {
 		return metrics.Conserved("backhaul", "drops = none without chaos", dropped, 0)
@@ -285,6 +287,8 @@ func (in *Injector) Conserved(dropped uint64) error {
 	return errors.Join(
 		metrics.Conserved("chaos", "AP crashes: due = applied + skipped", apDue, st.APCrashes+st.CrashesSkipped),
 		metrics.Conserved("chaos", "controller crashes: due = applied + skipped", ctlDue, st.CtlCrashes+st.CtlSkipped),
+		metrics.Conserved("chaos", "AP crashes: applied = restarted + down", st.APCrashes, st.APRestarts+downs(in.aps)),
+		metrics.Conserved("chaos", "controller crashes: applied = restarted + down", st.CtlCrashes, st.CtlRestarts+downs(in.ctls)),
 		metrics.Conserved("chaos", "drops: switch = burst + blackout + control loss",
 			dropped, st.BurstDrops+st.BlackoutDrops+st.ControlDrops))
 }
@@ -440,6 +444,17 @@ func restart(ts []Target, id int, n *uint64) bool {
 	ts[id].Restart()
 	*n++
 	return true
+}
+
+// downs counts the targets of ts that are down.
+func downs(ts []Target) uint64 {
+	n := uint64(0)
+	for _, t := range ts {
+		if t.Down() {
+			n++
+		}
+	}
+	return n
 }
 
 // extend opens or lengthens a fault window ending at now+d.

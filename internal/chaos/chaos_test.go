@@ -302,9 +302,10 @@ func TestControllerClassKeepsOtherStreams(t *testing.T) {
 	}
 }
 
-// Every crash event of a plan is applied or skipped, and a restart follows
-// only an applied crash (the identities Stats documents), for AP and
-// controller targets alike.
+// Every crash event of a plan is applied or skipped, and every applied crash
+// is restarted or still down (the identities Stats documents), for AP and
+// controller targets alike — checked after every event, so also while a
+// target is down.
 func TestInjectorConservesCrashEvents(t *testing.T) {
 	const aps = 6
 	horizon := 600 * sim.Second
@@ -320,11 +321,16 @@ func TestInjectorConservesCrashEvents(t *testing.T) {
 		inj := NewInjector(DefaultConfig(), eng, sim.NewRNG(23), targets(aps), targets(domains), horizon)
 		sw := backhaul.NewSwitch(eng, 200*sim.Microsecond)
 		inj.Arm(sw)
-		eng.RunUntil(horizon + controllerDowntime)
-
-		_, dropped, _ := sw.Stats()
-		if err := inj.Conserved(dropped); err != nil {
-			t.Errorf("%d domains: %v", domains, err)
+		sawDown := false
+		for eng.Step() {
+			_, dropped, _ := sw.Stats()
+			if err := inj.Conserved(dropped); err != nil {
+				t.Fatalf("%d domains at %v: %v", domains, eng.Now(), err)
+			}
+			sawDown = sawDown || downs(inj.aps)+downs(inj.ctls) > 0
+		}
+		if !sawDown {
+			t.Errorf("%d domains: no target was ever down", domains)
 		}
 		var ctlPlanned uint64
 		for _, ev := range inj.plan.Events {
@@ -333,9 +339,6 @@ func TestInjectorConservesCrashEvents(t *testing.T) {
 			}
 		}
 		st := inj.Stats
-		if st.APRestarts > st.APCrashes || st.CtlRestarts > st.CtlCrashes {
-			t.Errorf("%d domains: more restarts than crashes: %+v", domains, st)
-		}
 		if (ctlPlanned > 0) != (domains > 1) || (st.CtlCrashes > 0) != (domains > 1) {
 			t.Errorf("%d domains: %d controller crash events, %d applied", domains, ctlPlanned, st.CtlCrashes)
 		}

@@ -173,7 +173,6 @@ func TestMetricsRunsAreDeterministic(t *testing.T) {
 func TestEveryCounterIsSeen(t *testing.T) {
 	readElsewhere := map[string]string{
 		"client.Stats.DownlinkMPDUs": "bench/workloads.go's delivered-MPDU digest",
-		"chaos.Stats.CtlRestarts":    "wgttsim's chaos: line and the fleet resilience section",
 	}
 	s := DriveScenario(ModeWGTT, 25, 33)
 	s.Domains = 2
