@@ -308,11 +308,14 @@ func (a *AP) client(m packet.MACAddr) *clientState {
 
 // newClientState is a client's state with nothing queued — the one
 // constructor, so a field added to clientState is cold after a Restart.
+// The ring is allocated as an array, not by make: the garbage collector
+// walks a make'd slice one element's pointer bitmap at a time, and an
+// array's 64 slots per bitmap word, and every collection scans every ring.
 func newClientState(m packet.MACAddr, ip packet.IPv4Addr) *clientState {
 	return &clientState{
 		mac:    m,
 		ip:     ip,
-		ring:   make([]*packet.Packet, cyclicQueueSlots),
+		ring:   new([cyclicQueueSlots]*packet.Packet)[:],
 		seenBA: make(map[uint64]bool),
 	}
 }

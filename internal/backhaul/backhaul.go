@@ -159,7 +159,7 @@ func (s *Switch) SendMany(from packet.IPv4Addr, tos []packet.IPv4Addr, msg packe
 func (s *Switch) resolve(tos []packet.IPv4Addr) []Node {
 	if !slices.Equal(tos, s.lastTos) {
 		s.lastTos = append(s.lastTos[:0], tos...)
-		s.lastNodes = s.lastNodes[:0]
+		s.lastNodes = slices.Grow(s.lastNodes[:0], len(tos))
 		for _, to := range tos {
 			s.lastNodes = append(s.lastNodes, s.nodes[to])
 		}
