@@ -286,7 +286,11 @@ bench-pair:
 # simulated), or if a counted metric — allocs_per_unit, alloc_kb_per_unit,
 # and each traced *_per_unit count, which takes allocs_per_unit's bound
 # unless it declares its own — is worse than recorded by more than its
-# bound. A host-time metric (units_per_ref_s, setup_s) worse past its bound
+# bound. A traced <layer>.allocs_per_unit is held to that bound as a share
+# of all the layers' recorded allocations, not of its own: the traced
+# allocations come from one profiled rep, where an allocation or two moves
+# a small layer's count past the bound (metro's controller read 1.933 and
+# then 1.956 at the same commit). A host-time metric (units_per_ref_s, setup_s) worse past its bound
 # fails nothing: one pass against a record from another moment of the
 # machine is no verdict, so the gate prints the `make bench-pair` that would
 # give one. Records nothing; the directory stays behind if a pass fails.
@@ -307,7 +311,7 @@ bench-gate:
 			-v same=" $(GATE_SAME) " -v host=" $(GATE_HOST) " ' \
 			FNR == 1 { f++ } \
 			f == 1 { if ($$2 == "better") better[$$1] = $$3; else bound[$$1] = $$3; next } \
-			f == 2 { rec[$$1] = $$2; next } \
+			f == 2 { rec[$$1] = $$2; if ($$1 ~ /\.allocs_per_unit$$/) layers += $$2; next } \
 			!($$1 in rec) { next } \
 			index(same, " " $$1 " ") { \
 				if ($$2 != rec[$$1]) { printf "bench-gate: %s %s = %s, %s recorded %s: the simulation changed\n", pass, $$1, $$2, ref, rec[$$1]; bad = 1 } \
@@ -315,8 +319,9 @@ bench-gate:
 			{ counted = $$1 ~ /_per_unit$$/; timed = index(host, " " $$1 " ") } \
 			!counted && !timed { next } \
 			{ b = ($$1 in bound) ? bound[$$1] : bound["allocs_per_unit"]; \
-			  worse = better[$$1] == "higher" ? $$2 < rec[$$1] * (1 - b) : $$2 > rec[$$1] * (1 + b) } \
-			worse && counted { printf "bench-gate: %s %s = %s, %s recorded %s: worse by more than %g\n", pass, $$1, $$2, ref, rec[$$1], b; bad = 1 } \
+			  slack = b * ($$1 ~ /\.allocs_per_unit$$/ ? layers : rec[$$1]); \
+			  worse = better[$$1] == "higher" ? $$2 < rec[$$1] - slack : $$2 > rec[$$1] + slack } \
+			worse && counted { printf "bench-gate: %s %s = %s, %s recorded %s: worse by more than %g\n", pass, $$1, $$2, ref, rec[$$1], slack; bad = 1 } \
 			worse && timed { printf "bench-gate: %s %s = %s, %s recorded %s; for a verdict: make bench-pair REF=%s W=%s\n", pass, $$1, $$2, ref, rec[$$1], ref, w } \
 			END { exit bad }' $$d/rules $$d/last $$d/json || fail=1; \
 		echo "bench-gate: checked $$w --trace $$t"; \

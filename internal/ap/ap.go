@@ -308,9 +308,9 @@ func (a *AP) client(m packet.MACAddr) *clientState {
 
 // newClientState is a client's state with nothing queued — the one
 // constructor, so a field added to clientState is cold after a Restart.
-// The ring is allocated as an array, not by make: the garbage collector
-// walks a make'd slice one element's pointer bitmap at a time, and an
-// array's 64 slots per bitmap word, and every collection scans every ring.
+// The ring is allocated as an array rather than by make: the garbage
+// collector reads a make'd slice's pointer bitmap one element at a time but
+// an array's 64 slots per word, and every collection scans every ring.
 func newClientState(m packet.MACAddr, ip packet.IPv4Addr) *clientState {
 	return &clientState{
 		mac:    m,
