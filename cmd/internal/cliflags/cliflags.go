@@ -17,6 +17,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strconv"
+	"strings"
 
 	"wgtt/internal/chaos"
 	"wgtt/internal/metrics"
@@ -105,10 +106,14 @@ func (b *bounded[T]) override(field *T) {
 // SelectorFlag is the -selector value.
 type SelectorFlag struct{ name *string }
 
-// Selector registers -selector.
+// Selector registers -selector; its help lists selector.Policies().
 func Selector() SelectorFlag {
+	var names []string
+	for _, p := range selector.Policies() {
+		names = append(names, string(p))
+	}
 	return SelectorFlag{flag.String("selector", "",
-		"AP-selection policy (DESIGN.md §15): windowed-median | predictive | global-assign")}
+		"AP-selection policy (DESIGN.md §15): "+strings.Join(names, " | "))}
 }
 
 // Policy is the named policy; unset resolves to the default one.

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"wgtt/internal/metrics"
+	"wgtt/internal/selector"
 	"wgtt/internal/urban"
 )
 
@@ -89,6 +90,30 @@ func TestOutOfRangeNumbersFailTheParse(t *testing.T) {
 		}
 	}
 	parse(t, register, "-chaos-ap-mtbf", "0.5", "-urban-rows", "0", "-urban-riders", "-1", "-urban-duration", "0", "-domains", "0")
+}
+
+// TestSelectorNamesEveryPolicy: -selector accepts each selector.Policies()
+// entry and nothing else — a deleted policy's name is refused with an error
+// that names the policies left — and its help lists them all.
+func TestSelectorNamesEveryPolicy(t *testing.T) {
+	for _, p := range selector.Policies() {
+		if got, err := parse(t, Selector, "-selector", string(p)).Policy(); err != nil || got != p {
+			t.Errorf("-selector %s: policy %q, err %v", p, got, err)
+		}
+	}
+	_, err := parse(t, Selector, "-selector", "predictive").Policy()
+	if err == nil {
+		t.Fatal("-selector predictive was accepted")
+	}
+	usage := flag.CommandLine.Lookup("selector").Usage
+	for _, p := range selector.Policies() {
+		if !strings.Contains(err.Error(), string(p)) {
+			t.Errorf("-selector predictive: error %q does not name %s", err, p)
+		}
+		if !strings.Contains(usage, string(p)) {
+			t.Errorf("-selector help %q does not name %s", usage, p)
+		}
+	}
 }
 
 // TestMetricsWriteNeedsFlagAndSnapshot: Write touches nothing when -metrics

@@ -152,7 +152,7 @@ func main() {
 		return
 	}
 	if *comparePol {
-		pc, err := fleet.ComparePolicies(cfg, nil)
+		pc, err := fleet.ComparePolicies(cfg)
 		if err != nil {
 			fatal(err)
 		}

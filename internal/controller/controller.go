@@ -174,12 +174,10 @@ type Stats struct {
 
 	// Selection-policy counters (DESIGN.md §15). SelectionDecisions
 	// counts policy evaluations that reached the selector (past the
-	// op/frozen/hysteresis gates); PredictiveEarlySwitches counts
-	// switches the predictive policy fired ahead of the median rule;
-	// AssignmentRounds counts GlobalAssignPolicy's fleet-wide recomputations.
-	SelectionDecisions      uint64
-	PredictiveEarlySwitches uint64
-	AssignmentRounds        uint64
+	// op/frozen/hysteresis gates); AssignmentRounds counts
+	// GlobalAssignPolicy's fleet-wide recomputations.
+	SelectionDecisions uint64
+	AssignmentRounds   uint64
 	// SelectionFlips counts evaluations whose argmax AP differed from the
 	// previous evaluation's — raw selection churn, before hysteresis;
 	// HysteresisSuppressions counts re-evaluations skipped inside the dwell.
@@ -218,7 +216,6 @@ func (s *Stats) Add(o Stats) {
 	s.DownlinkSent += o.DownlinkSent
 	s.DownlinkCopies += o.DownlinkCopies
 	s.SelectionDecisions += o.SelectionDecisions
-	s.PredictiveEarlySwitches += o.PredictiveEarlySwitches
 	s.AssignmentRounds += o.AssignmentRounds
 	s.SelectionFlips += o.SelectionFlips
 	s.HysteresisSuppressions += o.HysteresisSuppressions
@@ -263,7 +260,6 @@ func (c *Controller) UseMetrics(r *metrics.Registry) {
 	r.CounterAt("controller", "hysteresis_suppressions", &st.HysteresisSuppressions)
 	r.CounterAt("controller", "collapse_switches", &st.CollapseSwitches)
 	r.CounterAt("controller", "selection_decisions", &st.SelectionDecisions)
-	r.CounterAt("controller", "predictive_early_switches", &st.PredictiveEarlySwitches)
 	r.CounterAt("controller", "assignment_rounds", &st.AssignmentRounds)
 	r.CounterAt("controller", "switches_started", &st.SwitchesStarted)
 	r.CounterAt("controller", "switches_done", &st.SwitchesDone)
@@ -615,15 +611,11 @@ func (c *Controller) evaluate(cl *clientCtl) {
 		}
 		c.Stats.CollapseSwitches++
 	}
-	if d.Early {
-		c.Stats.PredictiveEarlySwitches++
-	}
 	c.initiateSwitch(cl, d)
 }
 
 // initiateSwitch sends stop(c) to the serving AP and arms the timeout.
-// The decision's cause and from/to figures (medians, or predicted ESNRs
-// for an early switch) are recorded on the span.
+// The decision's cause and from/to medians are recorded on the span.
 func (c *Controller) initiateSwitch(cl *clientCtl, d selector.Decision) {
 	if !c.apAlive(cl.serving) {
 		// A stop to a dead AP would only feed the retransmission loop;

@@ -17,7 +17,6 @@ type ExtSelectorResult struct {
 	PerClientMbps []float64 // mean downlink UDP goodput per client
 	Accuracy      []float64 // fraction of samples serving the oracle-best AP
 	SwitchesPerS  []float64
-	EarlySwitches []uint64  // predictive early (pre-collapse) switches
 	AssignRounds  []uint64  // fleet-wide reassignment rounds
 	StarvedPct    []float64 // samples riding a collapsed serving link (< 8 dB)
 	CollapseLagMS []float64 // mean time to leave a collapsed serving link
@@ -25,12 +24,13 @@ type ExtSelectorResult struct {
 }
 
 // ExtSelector runs the AP-selection policy ablation: three following
-// clients at 25 mph under each policy, same seed, same workload. The
-// interesting deltas are the ones each extension buys — Predictive cuts
-// the lag between the ground-truth best AP changing and the client
-// actually switching (it moves before the ESNR collapse instead of after),
-// and GlobalAssign caps how many co-located clients pile onto one picocell
-// (peak AP load bounded by its per-AP budget) at equal-or-better goodput.
+// clients at 25 mph under each policy, same seed, same workload. The delta
+// GlobalAssign is kept for is a lower mean peak AP load — fewer co-located
+// clients piled onto one picocell — at equal-or-better goodput; its
+// budget caps each assignment round, not the load an AP serves, so the
+// peak stays above the budget. TestSelectorClaims holds that claim over
+// twelve seeds (DESIGN.md §15); accuracy, starvation and collapse lag are
+// what it costs.
 func ExtSelector(opt Options) (*ExtSelectorResult, error) {
 	const nClients = 3
 	res := &ExtSelectorResult{}
@@ -44,9 +44,8 @@ func ExtSelector(opt Options) (*ExtSelectorResult, error) {
 		d := n.Attach(core.Loads(nClients, core.Load{RateMbps: 20}))
 
 		// Oracle sampling: accuracy, starvation on a collapsed serving
-		// link (a better AP existed but the client had not moved yet —
-		// exactly the window Predictive pre-empts), and concurrent AP load
-		// (the pile-up GlobalAssign's budget caps).
+		// link (a better AP existed but the client had not moved yet),
+		// and concurrent AP load (the pile-up GlobalAssign spreads).
 		const starveDB = 8.0
 		var (
 			samples, hits, starved int
@@ -114,7 +113,6 @@ func ExtSelector(opt Options) (*ExtSelectorResult, error) {
 		res.Accuracy = append(res.Accuracy, float64(hits)/float64(samples))
 		res.SwitchesPerS = append(res.SwitchesPerS,
 			float64(cs.SwitchesDone)/s.Duration.Seconds())
-		res.EarlySwitches = append(res.EarlySwitches, cs.PredictiveEarlySwitches)
 		res.AssignRounds = append(res.AssignRounds, cs.AssignmentRounds)
 		res.StarvedPct = append(res.StarvedPct, 100*float64(starved)/float64(samples))
 		lag := 0.0
@@ -130,11 +128,11 @@ func ExtSelector(opt Options) (*ExtSelectorResult, error) {
 // Render implements Result.
 func (r *ExtSelectorResult) Render() string {
 	t := &stats.Table{Header: []string{"policy", "per-client (Mb/s)", "accuracy",
-		"switches/s", "early", "rounds", "starved %", "collapse lag (ms)", "mean AP load"}}
+		"switches/s", "rounds", "starved %", "collapse lag (ms)", "mean AP load"}}
 	for i := range r.Policies {
 		t.AddRow(string(r.Policies[i]), stats.F(r.PerClientMbps[i]),
 			fmt.Sprintf("%.3f", r.Accuracy[i]), stats.F(r.SwitchesPerS[i]),
-			fmt.Sprintf("%d", r.EarlySwitches[i]), fmt.Sprintf("%d", r.AssignRounds[i]),
+			fmt.Sprintf("%d", r.AssignRounds[i]),
 			fmt.Sprintf("%.2f", r.StarvedPct[i]), stats.F(r.CollapseLagMS[i]),
 			fmt.Sprintf("%.2f", r.MeanAPLoad[i]))
 	}

@@ -6,7 +6,6 @@ import (
 
 	"wgtt/internal/core"
 	"wgtt/internal/fleet"
-	"wgtt/internal/selector"
 	"wgtt/internal/sim"
 	"wgtt/internal/stats"
 	"wgtt/internal/transport"
@@ -40,8 +39,8 @@ type ExtUrbanResult struct {
 	Handoffs   []uint64  // inter-controller adoptions (WGTT only)
 
 	// PolicyTable is the per-policy comparison axis on the same city
-	// (fleet.ComparePolicies): windowed-median vs predictive vs
-	// global-assign, side by side.
+	// (fleet.ComparePolicies): every selector.Policies() entry, side by
+	// side.
 	PolicyTable string
 }
 
@@ -124,18 +123,14 @@ func ExtUrban(opt Options) (*ExtUrbanResult, error) {
 		}
 	}
 
-	// Per-policy comparison axis (the PR-8 leftover): the same city once
-	// per selection policy, goodput/accuracy/flip-rate side by side.
-	policies := selector.Policies()
-	if opt.Quick {
-		policies = []selector.Policy{selector.WindowedMedianPolicy, selector.PredictivePolicy}
-	}
+	// Per-policy comparison axis: the same city once per selection
+	// policy, goodput/accuracy/flip-rate side by side.
 	fcfg := fleet.DefaultConfig()
 	fcfg.Seed = opt.Seed
 	fcfg.Workers = 1
 	fcfg.UDPRateMbps = rate
 	fcfg.Urban = &city
-	pc, err := fleet.ComparePolicies(fcfg, policies)
+	pc, err := fleet.ComparePolicies(fcfg)
 	if err != nil {
 		return nil, err
 	}

@@ -34,17 +34,14 @@ type PolicyComparison struct {
 	Outcomes []PolicyOutcome
 }
 
-// ComparePolicies runs the fleet once per policy — identical (seed, cell)
-// derivations each time — and collects the comparison axis. Policies run
-// sequentially in the given order (each run parallelizes internally across
-// cfg.Workers), so the comparison inherits the byte-identical determinism
-// contract.
-func ComparePolicies(cfg Config, policies []selector.Policy) (*PolicyComparison, error) {
-	if len(policies) == 0 {
-		policies = selector.Policies()
-	}
+// ComparePolicies runs the fleet once per selector.Policies() entry —
+// identical (seed, cell) derivations each time — and collects the
+// comparison axis. Policies run sequentially in that order (each run
+// parallelizes internally across cfg.Workers), so the comparison inherits
+// the byte-identical determinism contract.
+func ComparePolicies(cfg Config) (*PolicyComparison, error) {
 	pc := &PolicyComparison{Cfg: cfg}
-	for _, pol := range policies {
+	for _, pol := range selector.Policies() {
 		run := cfg
 		run.Policy = pol
 		res, err := Run(run)

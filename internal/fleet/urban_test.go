@@ -96,13 +96,13 @@ func TestCorridorReportHasNoUrbanSection(t *testing.T) {
 func TestComparePolicies(t *testing.T) {
 	cfg := urbanTestConfig(2)
 	cfg.Cells = 1
-	policies := []selector.Policy{selector.WindowedMedianPolicy, selector.PredictivePolicy}
-	pc, err := ComparePolicies(cfg, policies)
+	policies := selector.Policies()
+	pc, err := ComparePolicies(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pc.Outcomes) != 2 {
-		t.Fatalf("outcomes = %d, want 2", len(pc.Outcomes))
+	if len(pc.Outcomes) != len(policies) {
+		t.Fatalf("outcomes = %d, want %d", len(pc.Outcomes), len(policies))
 	}
 	for i, o := range pc.Outcomes {
 		if o.Policy != policies[i] {

@@ -1,9 +1,9 @@
 // Package selector holds the controller's AP-selection policies: the
-// paper's windowed-median maximal rule (§3.1.1) plus two extensions —
-// predictive handover, which fits per-AP ESNR trajectories and fires the
-// §3.1.2 stop→start→ack switch ahead of signal collapse, and global
+// paper's windowed-median maximal rule (§3.1.1) plus one extension, global
 // assignment, which replaces greedy per-client argmax with a periodic
-// fleet-wide AP↔client assignment under per-AP budgets.
+// fleet-wide AP↔client assignment under a per-AP budget. Each extension
+// keeps its place by the claim eval.TestSelectorClaims checks (DESIGN.md
+// §15).
 //
 // The controller owns *when* a client is evaluated — the one-outstanding-
 // switch, frozen-during-handoff, and hysteresis gates all stay in
@@ -33,18 +33,14 @@ import (
 // Policy names an AP-selection policy.
 type Policy string
 
-// The three policies (DESIGN.md §15).
+// The two policies (DESIGN.md §15).
 const (
 	// WindowedMedianPolicy is the paper's §3.1.1 rule: argmax over
 	// per-AP windowed median ESNR, with margin and sample-count gates.
 	WindowedMedianPolicy Policy = "windowed-median"
-	// PredictivePolicy extends the median rule with a linear trajectory
-	// fit per AP; it switches early when the serving AP's ESNR is
-	// falling and a challenger is predicted to be better at the horizon.
-	PredictivePolicy Policy = "predictive"
 	// GlobalAssignPolicy recomputes a fleet-wide AP↔client assignment
-	// every assignPeriod under a per-AP client budget, trading a little
-	// per-client ESNR for bounded per-AP load.
+	// every assignPeriod under a per-AP client budget, trading per-client
+	// ESNR for a lower peak AP load.
 	GlobalAssignPolicy Policy = "global-assign"
 )
 
@@ -68,7 +64,7 @@ func ParsePolicy(s string) (Policy, error) {
 
 // Policies lists every selectable policy in documentation order.
 func Policies() []Policy {
-	return []Policy{WindowedMedianPolicy, PredictivePolicy, GlobalAssignPolicy}
+	return []Policy{WindowedMedianPolicy, GlobalAssignPolicy}
 }
 
 // Params carries the base §3.1.1 windowed-median parameters. controller.Config
@@ -95,7 +91,7 @@ type Params struct {
 
 // Config selects a policy. The zero value is the windowed-median rule —
 // the configuration every pre-existing scenario implicitly ran. Each
-// policy runs one fixed operating point (predictive.go, assign.go).
+// policy runs one fixed operating point (assign.go).
 type Config struct {
 	// Policy picks Decide's rule; "" means WindowedMedianPolicy.
 	Policy Policy
@@ -105,19 +101,15 @@ type Config struct {
 type Decision struct {
 	// Target is the AP to switch to, or -1 to stay on the serving AP.
 	Target int
-	// Cause labels the switch span (metrics.CauseMedianArgmax,
-	// CausePredictedCollapse, or CauseGlobalAssign).
+	// Cause labels the switch span (metrics.CauseMedianArgmax or
+	// CauseGlobalAssign).
 	Cause string
-	// FromMetric/ToMetric are the incumbent and target figures the
-	// decision compared (medians, or predicted ESNRs for an early
-	// switch), recorded on the span.
+	// FromMetric/ToMetric are the incumbent and target medians the
+	// decision compared, recorded on the span.
 	FromMetric, ToMetric float64
 	// Flip reports that the policy's preferred AP changed since the
 	// previous decision for this client (the selection_flips metric).
 	Flip bool
-	// Early marks a predictive switch fired before the median rule would
-	// have moved (the predictive_early_switches metric).
-	Early bool
 	// NewRound marks the decision that triggered a fleet-wide
 	// reassignment (the assignment_rounds metric).
 	NewRound bool
@@ -154,7 +146,6 @@ type Selector struct {
 // clientState is one client's selection evidence.
 type clientState struct {
 	windows []*Window // indexed by AP id
-	hist    []*Window // trajectory-fit windows (PredictivePolicy only)
 	serving int
 	// lastBest is the previous decision's preferred AP (-1 before any),
 	// the reference point for Decision.Flip.
@@ -186,23 +177,14 @@ func New(cfg Config, p Params, numAPs int) *Selector {
 // AddClient installs per-client state with its initial serving AP, or
 // replaces a client's with empty evidence (a controller restart).
 func (s *Selector) AddClient(mac packet.MACAddr, serving int) {
-	cl := &clientState{windows: s.newWindows(s.p.Window), serving: serving, lastBest: -1, assigned: -1}
-	if s.policy == PredictivePolicy {
-		cl.hist = s.newWindows(predictHistSpan)
+	cl := &clientState{windows: make([]*Window, s.numAPs), serving: serving, lastBest: -1, assigned: -1}
+	for i := range cl.windows {
+		cl.windows[i] = NewWindow(s.p.Window)
 	}
 	if _, ok := s.clients[mac]; !ok {
 		s.order = append(s.order, mac)
 	}
 	s.clients[mac] = cl
-}
-
-// newWindows returns one empty window of the given span per AP.
-func (s *Selector) newWindows(span sim.Time) []*Window {
-	ws := make([]*Window, s.numAPs)
-	for i := range ws {
-		ws[i] = NewWindow(span)
-	}
-	return ws
 }
 
 // RemoveClient drops a client (federation release).
@@ -235,9 +217,6 @@ func (s *Selector) Observe(mac packet.MACAddr, ap int, esnrDB float64, at sim.Ti
 		return 0
 	}
 	cl.windows[ap].Push(at, esnrDB)
-	if cl.hist != nil {
-		cl.hist[ap].Push(at, esnrDB)
-	}
 	return cl.windows[ap].Size()
 }
 
@@ -283,20 +262,16 @@ func (s *Selector) Decide(mac packet.MACAddr, serving int, now sim.Time, alive f
 	if cl == nil {
 		return stay()
 	}
-	switch s.policy {
-	case PredictivePolicy:
-		return s.predict(cl, serving, now, alive)
-	case GlobalAssignPolicy:
+	if s.policy == GlobalAssignPolicy {
 		return s.assign(cl, serving, now, alive)
 	}
 	return s.decideMedian(cl, serving, now, alive)
 }
 
 // decideMedian is the paper's §3.1.1 rule — the windowed-median policy's
-// whole decision and the predictive policy's base case: maximal windowed
-// median over alive APs, with the MinSamples gate exempting the serving
-// AP, the MinSwitchESNRdB usability floor, and the incumbent-defense
-// margin. A dead incumbent defends nothing, however fresh its window looks.
+// whole decision: maximal windowed median over alive APs, with the
+// MinSamples gate exempting the serving AP, the MinSwitchESNRdB usability
+// floor, and the incumbent-defense margin. A dead incumbent defends nothing, however fresh its window looks.
 func (s *Selector) decideMedian(cl *clientState, serving int, now sim.Time, alive func(int) bool) Decision {
 	d := stay()
 	best, bestMed := -1, 0.0

@@ -28,7 +28,7 @@ func TestParsePolicy(t *testing.T) {
 	}{
 		{"", WindowedMedianPolicy, false},
 		{"windowed-median", WindowedMedianPolicy, false},
-		{"predictive", PredictivePolicy, false},
+		{"predictive", "", true},
 		{"global-assign", GlobalAssignPolicy, false},
 		{"oracle", "", true},
 		{"Windowed-Median", "", true},
@@ -39,8 +39,8 @@ func TestParsePolicy(t *testing.T) {
 			t.Errorf("ParsePolicy(%q) = %q, %v; want %q, err=%v", c.in, got, err, c.want, c.err)
 		}
 	}
-	if got := Policies(); len(got) != 3 {
-		t.Fatalf("Policies() = %v, want 3 entries", got)
+	if got := Policies(); len(got) != 2 {
+		t.Fatalf("Policies() = %v, want 2 entries", got)
 	}
 	for _, pol := range Policies() {
 		got, err := ParsePolicy(string(pol))
@@ -179,79 +179,6 @@ func TestWindowedMedianMatchesInlineReference(t *testing.T) {
 	}
 }
 
-// Predictive must fire the switch while the serving AP's median still wins
-// — strictly before the §3.1.1 rule would move — when the serving link is
-// collapsing and the challenger is rising.
-func TestPredictiveSwitchesBeforeMedianCrossover(t *testing.T) {
-	p := testParams()
-	mac := packet.ClientMAC(1)
-	med := New(Config{}, p, 2)
-	pred := New(Config{Policy: PredictivePolicy}, p, 2)
-	for _, s := range []*Selector{med, pred} {
-		s.AddClient(mac, 0)
-	}
-
-	// Serving AP 0 falls 200 dB/s from 20 dB; challenger AP 1 rises
-	// 200 dB/s from 10 dB. Medians cross at ~25 ms; the predictor should
-	// move as soon as the extrapolated gap exceeds its margin.
-	var medAt, predAt sim.Time = -1, -1
-	for at := sim.Time(0); at <= 60*sim.Millisecond; at += sim.Millisecond {
-		for _, s := range []*Selector{med, pred} {
-			s.Observe(mac, 0, 20-200*at.Seconds(), at)
-			s.Observe(mac, 1, 10+200*at.Seconds(), at)
-		}
-		if medAt < 0 {
-			if d := med.Decide(mac, 0, at, allAlive); d.Target == 1 {
-				medAt = at
-			}
-		}
-		if predAt < 0 {
-			d := pred.Decide(mac, 0, at, allAlive)
-			if d.Target == 1 {
-				predAt = at
-				if !d.Early || d.Cause != metrics.CausePredictedCollapse {
-					t.Fatalf("predictive switch not marked early: %+v", d)
-				}
-				if d.ToMetric < d.FromMetric+1.0 {
-					t.Fatalf("predicted gap below margin: %+v", d)
-				}
-			}
-		}
-	}
-	if medAt < 0 || predAt < 0 {
-		t.Fatalf("no switch: median at %v, predictive at %v", medAt, predAt)
-	}
-	if predAt >= medAt {
-		t.Fatalf("predictive switched at %v, not before the median rule's %v", predAt, medAt)
-	}
-}
-
-// When the §3.1.1 rule itself fires, Predictive must return exactly its
-// verdict — the forecast only adds switches, never changes one.
-func TestPredictiveDefersToMedianRule(t *testing.T) {
-	p := testParams()
-	mac := packet.ClientMAC(1)
-	med := New(Config{}, p, 3)
-	pred := New(Config{Policy: PredictivePolicy}, p, 3)
-	rnd := rand.New(rand.NewPCG(7, 9))
-	for _, s := range []*Selector{med, pred} {
-		s.AddClient(mac, 0)
-	}
-	now := sim.Time(0)
-	for step := 0; step < 3000; step++ {
-		ap := rnd.IntN(3)
-		esnr := -10 + 40*rnd.Float64()
-		med.Observe(mac, ap, esnr, now)
-		pred.Observe(mac, ap, esnr, now)
-		dm := med.Decide(mac, 0, now, allAlive)
-		dp := pred.Decide(mac, 0, now, allAlive)
-		if dm.Target != -1 && dp != dm {
-			t.Fatalf("step %d: median rule fired %+v but predictive returned %+v", step, dm, dp)
-		}
-		now += 200 * sim.Microsecond
-	}
-}
-
 // GlobalAssign must spread clients across APs under the per-AP budget even
 // when one AP is everyone's argmax, and it must leave a client on its
 // serving AP when the budget squeezes it out entirely.
@@ -266,8 +193,7 @@ func TestGlobalAssignRespectsBudget(t *testing.T) {
 	for _, m := range macs {
 		sel.AddClient(m, 0)
 	}
-	// AP 0 is best for everyone; APs 1 and 2 are usable but worse by more
-	// than the stickiness bonus.
+	// AP 0 is best for everyone; APs 1 and 2 are usable but worse.
 	now := sim.Time(0)
 	for i := 0; i < 20; i++ {
 		for _, m := range macs {

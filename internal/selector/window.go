@@ -88,34 +88,3 @@ func (w *Window) Median(now sim.Time) (float64, bool) {
 
 // Size returns the number of buffered readings.
 func (w *Window) Size() int { return len(w.at) - w.head }
-
-// fit computes the least-squares line through the in-window readings
-// (the predictive policy's trajectory model): slope in dB/s and the predicted ESNR at
-// the reference time ref. ok is false with fewer than two samples or a
-// degenerate time spread. Evicts first, like median.
-func (w *Window) fit(now sim.Time, ref sim.Time) (slope, predicted float64, ok bool) {
-	w.evict(now)
-	n := w.Size()
-	if n < 2 {
-		return 0, 0, false
-	}
-	t0 := w.at[w.head]
-	var sx, sy float64
-	for i := w.head; i < len(w.at); i++ {
-		sx += (w.at[i] - t0).Seconds()
-		sy += w.val[i]
-	}
-	mx, my := sx/float64(n), sy/float64(n)
-	var sxx, sxy float64
-	for i := w.head; i < len(w.at); i++ {
-		dx := (w.at[i] - t0).Seconds() - mx
-		sxx += dx * dx
-		sxy += dx * (w.val[i] - my)
-	}
-	if sxx == 0 {
-		return 0, 0, false
-	}
-	slope = sxy / sxx
-	predicted = my + slope*((ref-t0).Seconds()-mx)
-	return slope, predicted, true
-}

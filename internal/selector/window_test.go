@@ -159,37 +159,3 @@ func TestWindowMedianMatchesReference(t *testing.T) {
 		}
 	}
 }
-
-// The least-squares fit must recover an exact linear ramp's slope and
-// extrapolate it to the horizon.
-func TestWindowFitLinearRamp(t *testing.T) {
-	w := NewWindow(100 * sim.Millisecond)
-	// ESNR falling 20 dB/s: y = 30 - 20 t.
-	for i := 0; i <= 10; i++ {
-		at := sim.Time(i) * 5 * sim.Millisecond
-		w.Push(at, 30-20*at.Seconds())
-	}
-	now := 50 * sim.Millisecond
-	ref := now + 50*sim.Millisecond
-	slope, pred, ok := w.fit(now, ref)
-	if !ok {
-		t.Fatal("fit failed on 11 samples")
-	}
-	if slope < -20.01 || slope > -19.99 {
-		t.Errorf("slope = %v dB/s, want -20", slope)
-	}
-	want := 30 - 20*ref.Seconds()
-	if pred < want-0.01 || pred > want+0.01 {
-		t.Errorf("predicted = %v at %v, want %v", pred, ref, want)
-	}
-	// Degenerate cases: one sample, and all samples at one instant.
-	w2 := NewWindow(100 * sim.Millisecond)
-	w2.Push(sim.Millisecond, 5)
-	if _, _, ok := w2.fit(sim.Millisecond, 2*sim.Millisecond); ok {
-		t.Error("fit succeeded with one sample")
-	}
-	w2.Push(sim.Millisecond, 7)
-	if _, _, ok := w2.fit(sim.Millisecond, 2*sim.Millisecond); ok {
-		t.Error("fit succeeded with zero time spread")
-	}
-}
