@@ -1,10 +1,13 @@
 package eval
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"wgtt/internal/core"
+	"wgtt/internal/metrics"
 )
 
 // The eval tests exercise each experiment in Quick mode and sanity-check
@@ -413,5 +416,28 @@ func TestExtMetroConnectedRecovers(t *testing.T) {
 	out := r.Render()
 	if !strings.Contains(out, "metro fleet") || !strings.Contains(out, "isolated") {
 		t.Errorf("render malformed:\n%s", out)
+	}
+}
+
+// TestRunAllMetricsRepeat holds DESIGN.md §10's promise of an identical
+// snapshot across runs: fig23 builds its networks in a fixed order, so its
+// switch spans are listed in the same order every time. A build order drawn
+// from a two-entry map differed on about one run in eight, hence the 16 runs.
+func TestRunAllMetricsRepeat(t *testing.T) {
+	run := func(t *testing.T) *metrics.Snapshot {
+		outs, err := RunAll(Options{Quick: true, CollectMetrics: true}, 2, []string{"fig23"})
+		if err != nil || outs[0].Err != nil {
+			t.Fatal(err, outs[0].Err)
+		}
+		return outs[0].Metrics
+	}
+	first := run(t)
+	for i := 1; i < 16; i++ {
+		t.Run(fmt.Sprint(i), func(t *testing.T) {
+			t.Parallel()
+			if !reflect.DeepEqual(run(t), first) {
+				t.Error("the metrics snapshot differs from the first run's")
+			}
+		})
 	}
 }

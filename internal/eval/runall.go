@@ -43,8 +43,10 @@ func RunAll(opt Options, workers int, ids []string) ([]RunOutput, error) {
 				delete(want, e.ID)
 			}
 		}
-		for id := range want {
-			return nil, fmt.Errorf("eval: unknown experiment %q", id)
+		for _, id := range ids {
+			if want[id] {
+				return nil, fmt.Errorf("eval: unknown experiment %q", id)
+			}
 		}
 	}
 	outs := make([]RunOutput, len(selected))

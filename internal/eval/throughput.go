@@ -365,18 +365,23 @@ func Fig23APDensity(opt Options) (*Fig23Result, error) {
 	if opt.Quick {
 		speeds = []float64{4, 8}
 	}
-	segments := map[string][]int{
-		"dense":  {1, 2, 3}, // paper's AP2–AP4
-		"sparse": {4, 5, 6}, // paper's AP5–AP7
+	// A slice, not a map: the networks are built in this order, and the
+	// -metrics snapshot lists their switch spans in build order.
+	segments := []struct {
+		name string
+		aps  []int
+	}{
+		{"dense", []int{1, 2, 3}},  // paper's AP2–AP4
+		{"sparse", []int{4, 5, 6}}, // paper's AP5–AP7
 	}
 	res := &Fig23Result{SpeedsMPH: speeds, Rows: map[string][]float64{}}
 	for _, v := range speeds {
-		for seg, subset := range segments {
+		for _, seg := range segments {
 			for _, mode := range []core.Mode{core.ModeWGTT, core.ModeBaseline} {
 				// Only this segment's APs, and the drive spans just them.
 				all := mobility.DefaultAPPositions()
 				var pos []mobility.Point
-				for _, i := range subset {
+				for _, i := range seg.aps {
 					pos = append(pos, all[i])
 				}
 				s := core.DriveScenario(mode, v, opt.Seed)
@@ -387,7 +392,7 @@ func Fig23APDensity(opt Options) (*Fig23Result, error) {
 				if err != nil {
 					return nil, err
 				}
-				key := seg + "-" + fmtMode(mode)
+				key := seg.name + "-" + fmtMode(mode)
 				res.Rows[key] = append(res.Rows[key], d.Outcome(0).Mbps)
 			}
 		}
