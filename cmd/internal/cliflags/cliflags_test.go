@@ -5,6 +5,7 @@ import (
 	"flag"
 	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -93,19 +94,24 @@ func TestOutOfRangeNumbersFailTheParse(t *testing.T) {
 }
 
 // TestSelectorNamesEveryPolicy: -selector accepts each selector.Policies()
-// entry and nothing else — a deleted policy's name is refused with an error
-// that names the policies left — and its help lists them all.
+// entry and nothing else — a deleted policy's name fails the parse with an
+// error that names the policies left — and its help lists them all.
 func TestSelectorNamesEveryPolicy(t *testing.T) {
 	for _, p := range selector.Policies() {
-		if got, err := parse(t, Selector, "-selector", string(p)).Policy(); err != nil || got != p {
-			t.Errorf("-selector %s: policy %q, err %v", p, got, err)
+		if got := parse(t, Selector, "-selector", string(p)).Policy(); got != p {
+			t.Errorf("-selector %s: policy %q", p, got)
 		}
 	}
-	_, err := parse(t, Selector, "-selector", "predictive").Policy()
+	if got := parse(t, Selector).Policy(); got != selector.WindowedMedianPolicy {
+		t.Errorf("no -selector: policy %q, want %q", got, selector.WindowedMedianPolicy)
+	}
+	fs := freshCommandLine(t)
+	Selector()
+	err := fs.Parse([]string{"-selector", "predictive"})
 	if err == nil {
 		t.Fatal("-selector predictive was accepted")
 	}
-	usage := flag.CommandLine.Lookup("selector").Usage
+	usage := fs.Lookup("selector").Usage
 	for _, p := range selector.Policies() {
 		if !strings.Contains(err.Error(), string(p)) {
 			t.Errorf("-selector predictive: error %q does not name %s", err, p)
@@ -137,11 +143,11 @@ func TestMetricsWriteNeedsFlagAndSnapshot(t *testing.T) {
 }
 
 // FuzzCLIFlags parses an arbitrary argument list (NUL-separated) against
-// every shared flag, registered as a CLI registers them: nothing panics, an
-// accepted -selector resolves to a policy or to an error but never both, the
-// chaos config exists exactly when -chaos is on, a snapshot is asked for
-// exactly when -metrics names a destination, and no accepted number leaves
-// the city or the domain count out of range.
+// every shared flag, registered as a CLI registers them: nothing panics, a
+// bad -selector fails the parse (an accepted one names a policy of
+// selector.Policies()), the chaos config exists exactly when -chaos is on, a
+// snapshot is asked for exactly when -metrics names a destination, and no
+// accepted number leaves the city or the domain count out of range.
 func FuzzCLIFlags(f *testing.F) {
 	for _, args := range [][]string{
 		{},
@@ -179,8 +185,8 @@ func FuzzCLIFlags(f *testing.F) {
 			c.Buses < 0 || c.RidersPerBus < 0 || c.Cars < 0 || c.Pedestrians < 0 || *dom < 0 {
 			t.Fatalf("accepted flags gave city %+v, -domains %d", c, *dom)
 		}
-		if pol, err := sel.Policy(); (pol == "") == (err == nil) {
-			t.Fatalf("-selector %q: policy %q and error %v", *sel.name, pol, err)
+		if pol := sel.Policy(); !slices.Contains(selector.Policies(), pol) {
+			t.Fatalf("accepted flags gave -selector %q", pol)
 		}
 		on := fs.Lookup("chaos").Value.String() == "true"
 		if cfg := chaosCfg(); (cfg != nil) != on {

@@ -50,12 +50,7 @@ func main() {
 		os.Exit(1)
 	}
 	defer stopProf()
-	opt := eval.Options{Seed: *seed, Quick: *quick, CollectMetrics: metricsOut.On()}
-	if opt.Policy, err = selectorFlag.Policy(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		stopProf()
-		os.Exit(1)
-	}
+	opt := eval.Options{Seed: *seed, Quick: *quick, CollectMetrics: metricsOut.On(), Policy: selectorFlag.Policy()}
 	outs, err := eval.RunAll(opt, *workers, flag.Args())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

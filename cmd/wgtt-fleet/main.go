@@ -101,9 +101,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "progress: %d/%d\n", done, total)
 		}
 	}
-	if cfg.Policy, err = selectorFlag.Policy(); err != nil {
-		fatal(err)
-	}
+	cfg.Policy = selectorFlag.Policy()
 	if *urbanOn {
 		ucfg := urban.DefaultConfig()
 		applyCityFlags(&ucfg)

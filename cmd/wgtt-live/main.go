@@ -54,17 +54,14 @@ func main() {
 	)
 	flag.Parse()
 
-	pol, err := selectorF.Policy()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "wgtt-live:", err)
-		os.Exit(1)
-	}
+	pol := selectorF.Policy()
 	// -federation is the topology (federation.City): two single-AP domains,
 	// one controller process each, instead of one controller over every AP.
 	controllers, cityAPs := 1, *aps
 	if *federation {
 		controllers, cityAPs = 2, 2
 	}
+	var err error
 	switch *role {
 	case "run":
 		err = packet.CheckAddressPlan(*aps, 1)

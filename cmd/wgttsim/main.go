@@ -65,10 +65,7 @@ func main() {
 		s.Domains = *domains
 	}
 	s.Chaos = chaosFlags()
-	if s.Policy, err = selectorFlag.Policy(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	s.Policy = selectorFlag.Policy()
 	n, err := core.Build(s)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "build:", err)

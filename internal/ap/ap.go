@@ -66,14 +66,14 @@ const cyclicQueueSlots = 1 << packet.IndexBits
 // queues is one counter below, and a cursor move is counted over the indices
 // it crosses.
 type Stats struct {
-	DownEnqueued uint64 // packets accepted into cyclic queues
+	DownEnqueued uint64 `metric:"down_enqueued"` // packets accepted into cyclic queues
 	// RewindDepth counts entries a cursor move put back in the queue: a
 	// start behind nextSend (the re-send), a write head jumping over a
 	// previous lap's entries, or a reader resynchronized behind the head.
 	RewindDepth     uint64
 	DownSent        uint64 // entries handed to the NIC queue as fresh MPDUs
-	DownOverwritten uint64 // unsent packets the serving AP lost to overload, once each
-	DownTrimmed     uint64 // unsent packets a non-serving AP trimmed off its backlog
+	DownOverwritten uint64 `metric:"ring_overwrites"` // unsent packets the serving AP lost to overload, once each
+	DownTrimmed     uint64 `metric:"ring_trimmed"`    // unsent packets a non-serving AP trimmed off its backlog
 	// DownSkipped counts unsent entries a cursor jumped past — a start ahead
 	// of nextSend (the old AP sent them), a stale-ring resync, AlignQueue —
 	// and arrivals stored where the cursor will not send them.
@@ -85,12 +85,12 @@ type Stats struct {
 	// MPDUsDiscarded counts retry and drain MPDUs AlignQueue or Restart
 	// discarded, and the MPDUs on the air when the AP crashed.
 	MPDUsDiscarded  uint64
-	StopsHandled    uint64
-	StartsHandled   uint64
-	BAForwarded     uint64 // Block ACKs forwarded to peers
-	BAMerged        uint64 // forwarded Block ACKs merged into retry state
-	KeepalivesHeard uint64 // null-data CSI keepalives heard (§3.1.1)
-	CSIReports      uint64
+	StopsHandled    uint64 `metric:"stops_handled"`
+	StartsHandled   uint64 `metric:"starts_handled"`
+	BAForwarded     uint64 `metric:"ba_forwarded"`     // Block ACKs forwarded to peers
+	BAMerged        uint64 `metric:"ba_merged"`        // forwarded Block ACKs merged into retry state
+	KeepalivesHeard uint64 `metric:"keepalives_heard"` // null-data CSI keepalives heard (§3.1.1)
+	CSIReports      uint64 `metric:"csi_reports"`
 }
 
 // clientState is everything this AP tracks for one mobile client.
@@ -208,20 +208,12 @@ type apMetrics struct {
 	spans      *metrics.SpanTracker
 }
 
-// UseMetrics names the AP's counters — the Stats fields — in r under the
+// UseMetrics names the AP's counters — the tagged Stats fields — in r under the
 // AP's name and wires its live instruments (call before the run starts). A
 // nil registry leaves recording disabled.
 func (a *AP) UseMetrics(r *metrics.Registry) {
-	comp, st := a.cfg.Name, &a.Stats
-	r.CounterAt(comp, "down_enqueued", &st.DownEnqueued)
-	r.CounterAt(comp, "ring_overwrites", &st.DownOverwritten)
-	r.CounterAt(comp, "ring_trimmed", &st.DownTrimmed)
-	r.CounterAt(comp, "ba_forwarded", &st.BAForwarded)
-	r.CounterAt(comp, "ba_merged", &st.BAMerged)
-	r.CounterAt(comp, "keepalives_heard", &st.KeepalivesHeard)
-	r.CounterAt(comp, "csi_reports", &st.CSIReports)
-	r.CounterAt(comp, "stops_handled", &st.StopsHandled)
-	r.CounterAt(comp, "starts_handled", &st.StartsHandled)
+	comp := a.cfg.Name
+	r.Counters(comp, &a.Stats)
 	a.met = apMetrics{
 		queueDepth: r.Histogram(comp, "queue_depth", []float64{0, 4, 16, 64, 256, 1024, 4096}),
 		spans:      r.SwitchSpans(),

@@ -252,13 +252,13 @@ func expDraw(rnd *rand.Rand, mean sim.Time) sim.Time {
 // CtlCrashes = CtlRestarts + the controllers down now (Conserved checks all
 // five).
 type Stats struct {
-	APCrashes      uint64
-	APRestarts     uint64
+	APCrashes      uint64 `metric:"ap_crashes"`
+	APRestarts     uint64 `metric:"ap_restarts"`
 	CrashesSkipped uint64 // AP crashes suppressed by the guard (Injector.crash)
-	BurstDrops     uint64
-	BlackoutDrops  uint64
+	BurstDrops     uint64 `metric:"burst_drops"`
+	BlackoutDrops  uint64 `metric:"blackout_drops"`
 	ControlDrops   uint64 // stops, starts and acks lost to ControlLoss
-	CtlCrashes     uint64
+	CtlCrashes     uint64 `metric:"controller_crashes"`
 	CtlRestarts    uint64
 	CtlSkipped     uint64 // controller crashes suppressed by the guard
 }
@@ -354,14 +354,10 @@ func (in *Injector) Arm(bh *backhaul.Switch) {
 	}
 }
 
-// UseMetrics names the injector's counters — Stats fields — in r
+// UseMetrics names the injector's counters — tagged Stats fields — in r
 // (DESIGN.md §10). A nil registry is a no-op.
 func (in *Injector) UseMetrics(r *metrics.Registry) {
-	r.CounterAt("chaos", "ap_crashes", &in.Stats.APCrashes)
-	r.CounterAt("chaos", "ap_restarts", &in.Stats.APRestarts)
-	r.CounterAt("chaos", "burst_drops", &in.Stats.BurstDrops)
-	r.CounterAt("chaos", "blackout_drops", &in.Stats.BlackoutDrops)
-	r.CounterAt("chaos", "controller_crashes", &in.Stats.CtlCrashes)
+	r.Counters("chaos", &in.Stats)
 }
 
 // drop is the backhaul loss hook: control loss drops stop/start/ack, burst

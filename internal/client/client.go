@@ -50,11 +50,11 @@ const dedupTTL = 200 * sim.Millisecond
 //	                                + the packets queued, awaiting retry or on the air
 type Stats struct {
 	DownlinkMPDUs   uint64 // unique downlink packets delivered up the stack
-	DownlinkDupes   uint64 // duplicates suppressed (index already seen)
+	DownlinkDupes   uint64 `metric:"downlink_dupes"` // duplicates suppressed (index already seen)
 	UplinkQueued    uint64 // packets SendUplink queued
 	UplinkDropped   uint64 // retry budget exhausted
 	UplinkDelivered uint64 // MPDUs acknowledged, keepalives included
-	KeepalivesSent  uint64 // null-data CSI probes queued while idle (§3.1.1)
+	KeepalivesSent  uint64 `metric:"keepalives_sent"` // null-data CSI probes queued while idle (§3.1.1)
 }
 
 // Client is one mobile station.
@@ -90,11 +90,10 @@ type Client struct {
 	Stats Stats
 }
 
-// UseMetrics names the client's counters — Stats fields — in r under the
+// UseMetrics names the client's counters — tagged Stats fields — in r under the
 // given component name (DESIGN.md §10). A nil registry is a no-op.
 func (c *Client) UseMetrics(r *metrics.Registry, component string) {
-	r.CounterAt(component, "keepalives_sent", &c.Stats.KeepalivesSent)
-	r.CounterAt(component, "downlink_dupes", &c.Stats.DownlinkDupes)
+	r.Counters(component, &c.Stats)
 }
 
 // New creates a client bound to an existing MAC station; the client

@@ -140,19 +140,21 @@ type SwitchRecord struct {
 //	uplink:   UplinkCopies = UplinkUnique + UplinkDuplicate + CtlUplinkDropped (§3.2.2)
 //	CSI:      CSICopies = CSIReports + CSIIgnored + CtlCSIDropped
 type Stats struct {
-	CSIReports      uint64 // CSI reports booked into the selector
-	SwitchesStarted uint64 // switches started on this controller's ledger
-	SwitchesDone    uint64
-	StopRetransmits uint64
+	CSIReports      uint64 `metric:"csi_reports"`      // CSI reports booked into the selector
+	SwitchesStarted uint64 `metric:"switches_started"` // switches started on this controller's ledger
+	SwitchesDone    uint64 `metric:"switches_done"`
+	StopRetransmits uint64 `metric:"stop_retransmits"`
 	UplinkUnique    uint64
-	UplinkDuplicate uint64
-	DownlinkSent    uint64
-	DownlinkCopies  uint64
+	UplinkDuplicate uint64 `metric:"dedup/hits"`
+	// One encode per packet entering the fan-out, one copy per AP replica:
+	// their ratio is the replication factor the encode-once path amortizes.
+	DownlinkSent   uint64 `metric:"fanout/downlink_encodes"`
+	DownlinkCopies uint64 `metric:"fanout/downlink_copies"`
 	// DedupMisses counts first-seen uplink packets of registered clients —
 	// the §3.2.2 hashset's misses (its hits are UplinkDuplicate).
 	// UplinkUnique also counts packets from senders the controller does not
 	// know, which bypass the hashset.
-	DedupMisses uint64
+	DedupMisses uint64 `metric:"dedup/misses"`
 
 	// SwitchesCut counts switches that ended without an ack: dropped by a
 	// Crash, ReleaseClient or a failover that found no live AP, or
@@ -176,55 +178,23 @@ type Stats struct {
 	// counts policy evaluations that reached the selector (past the
 	// op/frozen/hysteresis gates); AssignmentRounds counts
 	// GlobalAssignPolicy's fleet-wide recomputations.
-	SelectionDecisions uint64
-	AssignmentRounds   uint64
+	SelectionDecisions uint64 `metric:"selection_decisions"`
+	AssignmentRounds   uint64 `metric:"assignment_rounds"`
 	// SelectionFlips counts evaluations whose argmax AP differed from the
 	// previous evaluation's — raw selection churn, before hysteresis;
 	// HysteresisSuppressions counts re-evaluations skipped inside the dwell.
-	SelectionFlips         uint64
-	HysteresisSuppressions uint64
+	SelectionFlips         uint64 `metric:"selection_flips"`
+	HysteresisSuppressions uint64 `metric:"hysteresis_suppressions"`
 	// CollapseSwitches counts switches that bypassed the hysteresis dwell
 	// through the CollapseDB escape (serving link collapsed mid-dwell).
-	CollapseSwitches uint64
+	CollapseSwitches uint64 `metric:"collapse_switches"`
 
 	// AP health monitor & failure recovery (DESIGN.md §11).
-	HealthProbes           uint64 // probes sent to quiet APs
-	APsMarkedDead          uint64 // detection events
-	APsReadmitted          uint64 // dead APs heard again
-	ForcedSwitches         uint64 // failover switches (direct start)
-	ForcedStartRetransmits uint64 // direct starts re-sent on timeout
-}
-
-// Add accumulates o into s, field by field — how a federated tier sums its
-// domains' controllers. A new counter is added here, beside its field.
-func (s *Stats) Add(o Stats) {
-	s.CSIReports += o.CSIReports
-	s.SwitchesStarted += o.SwitchesStarted
-	s.SwitchesDone += o.SwitchesDone
-	s.StopRetransmits += o.StopRetransmits
-	s.UplinkUnique += o.UplinkUnique
-	s.UplinkDuplicate += o.UplinkDuplicate
-	s.DedupMisses += o.DedupMisses
-	s.SwitchesCut += o.SwitchesCut
-	s.PullsStarted += o.PullsStarted
-	s.PullsCut += o.PullsCut
-	s.UplinkCopies += o.UplinkCopies
-	s.CSICopies += o.CSICopies
-	s.CSIIgnored += o.CSIIgnored
-	s.CtlUplinkDropped += o.CtlUplinkDropped
-	s.CtlCSIDropped += o.CtlCSIDropped
-	s.DownlinkSent += o.DownlinkSent
-	s.DownlinkCopies += o.DownlinkCopies
-	s.SelectionDecisions += o.SelectionDecisions
-	s.AssignmentRounds += o.AssignmentRounds
-	s.SelectionFlips += o.SelectionFlips
-	s.HysteresisSuppressions += o.HysteresisSuppressions
-	s.CollapseSwitches += o.CollapseSwitches
-	s.HealthProbes += o.HealthProbes
-	s.APsMarkedDead += o.APsMarkedDead
-	s.APsReadmitted += o.APsReadmitted
-	s.ForcedSwitches += o.ForcedSwitches
-	s.ForcedStartRetransmits += o.ForcedStartRetransmits
+	HealthProbes           uint64 `metric:"health_probes"`            // probes sent to quiet APs
+	APsMarkedDead          uint64 `metric:"aps_marked_dead"`          // detection events
+	APsReadmitted          uint64 `metric:"aps_readmitted"`           // dead APs heard again
+	ForcedSwitches         uint64 `metric:"forced_switches"`          // failover switches (direct start)
+	ForcedStartRetransmits uint64 `metric:"forced_start_retransmits"` // direct starts re-sent on timeout
 }
 
 // ctlMetrics holds the controller's live instruments (DESIGN.md §10) —
@@ -250,33 +220,11 @@ type ctlMetrics struct {
 	recoverySpans *metrics.SpanTracker
 }
 
-// UseMetrics names the controller's counters — the Stats fields — in r and
+// UseMetrics names the controller's counters — the tagged Stats fields — in r and
 // wires its live instruments (call before the run starts). A nil registry
 // leaves recording disabled.
 func (c *Controller) UseMetrics(r *metrics.Registry) {
-	st := &c.Stats
-	r.CounterAt("controller", "csi_reports", &st.CSIReports)
-	r.CounterAt("controller", "selection_flips", &st.SelectionFlips)
-	r.CounterAt("controller", "hysteresis_suppressions", &st.HysteresisSuppressions)
-	r.CounterAt("controller", "collapse_switches", &st.CollapseSwitches)
-	r.CounterAt("controller", "selection_decisions", &st.SelectionDecisions)
-	r.CounterAt("controller", "assignment_rounds", &st.AssignmentRounds)
-	r.CounterAt("controller", "switches_started", &st.SwitchesStarted)
-	r.CounterAt("controller", "switches_done", &st.SwitchesDone)
-	r.CounterAt("controller", "stop_retransmits", &st.StopRetransmits)
-	r.CounterAt("controller", "health_probes", &st.HealthProbes)
-	r.CounterAt("controller", "aps_marked_dead", &st.APsMarkedDead)
-	r.CounterAt("controller", "aps_readmitted", &st.APsReadmitted)
-	r.CounterAt("controller", "forced_switches", &st.ForcedSwitches)
-	r.CounterAt("controller", "forced_start_retransmits", &st.ForcedStartRetransmits)
-	// The §3.2.2 hashset: a hit is a suppressed duplicate, a miss a
-	// first-seen packet.
-	r.CounterAt("dedup", "hits", &st.UplinkDuplicate)
-	r.CounterAt("dedup", "misses", &st.DedupMisses)
-	// One encode per packet entering the fan-out, one copy per AP replica:
-	// their ratio is the replication factor the encode-once path amortizes.
-	r.CounterAt("fanout", "downlink_encodes", &st.DownlinkSent)
-	r.CounterAt("fanout", "downlink_copies", &st.DownlinkCopies)
+	r.Counters("controller", &c.Stats)
 	c.met = ctlMetrics{
 		windowOcc:     r.Histogram("controller", "window_occupancy", []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}),
 		dedupSize:     r.Gauge("dedup", "size"),

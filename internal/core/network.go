@@ -403,16 +403,9 @@ func (n *Network) EnableMetricsInto(r *metrics.Registry) *metrics.Registry {
 	if plan := n.Scenario.City; plan != nil {
 		// Urban workload shape (DESIGN.md §16): planned quantities, recorded
 		// once so fleet/eval merges report the generated city truthfully.
-		st := &plan.Stats
-		r.CounterAt("urban", "turns", &st.Turns)
-		r.CounterAt("urban", "light_stops", &st.LightStops)
-		r.CounterAt("urban", "route_crossings", &st.RouteCrossings)
-		r.CounterAt("urban", "buses", &st.Buses)
-		r.CounterAt("urban", "riders", &st.Riders)
-		r.CounterAt("urban", "cars", &st.Cars)
-		r.CounterAt("urban", "pedestrians", &st.Pedestrians)
+		r.Counters("urban", &plan.Stats)
 		h := r.Histogram("urban", "riders_per_bus", []float64{0, 5, 10, 20, 40, 80})
-		for _, k := range st.RidersPerBus {
+		for _, k := range plan.Stats.RidersPerBus {
 			h.Observe(float64(k))
 		}
 	}

@@ -119,42 +119,24 @@ func City(aps, domains int) []APAssignment {
 // staged accept ends adopted or aborted. Commits also equals len(Offered),
 // and the cross-domain switches are the Adopted ledger itself.
 type Stats struct {
-	OffersSent       uint64 // handoffs this domain offered away
+	OffersSent       uint64 `metric:"handoff_offers"` // handoffs this domain offered away
 	OffersRecv       uint64 // offers received from peers
 	OffersRejected   uint64 // received offers this domain declined
 	OffersReaccepted uint64 // duplicates of a staged offer, accepted again
-	Commits          uint64 // commits sent (ownership released)
+	Commits          uint64 `metric:"handoff_commits"` // commits sent (ownership released)
 	Adoptions        uint64 // commits applied (ownership assumed)
 	// UnsolicitedAdoptions counts commits applied with no accept staged
 	// for them (timed out, lost to a crash, or never exchanged).
 	UnsolicitedAdoptions uint64
-	Aborts               uint64 // handoffs abandoned (timeout, rejection, crash)
-	CSIRelays            uint64 // foreign-owned CSI reports relayed to their owner
-	UplinkRelays         uint64 // foreign-owned uplink relayed to their owner
+	Aborts               uint64 `metric:"handoff_aborts"` // handoffs abandoned (timeout, rejection, crash)
+	CSIRelays            uint64 `metric:"csi_relays"`     // foreign-owned CSI reports relayed to their owner
+	UplinkRelays         uint64 `metric:"uplink_relays"`  // foreign-owned uplink relayed to their owner
 	// DownBuffered counts downlink held for a client whose commit is in
 	// flight; each is drained to the controller at adoption, or discarded
 	// when the accept times out or the domain crashes.
 	DownBuffered  uint64
 	DownDrained   uint64
 	DownDiscarded uint64
-}
-
-// Add accumulates o into s, field by field — how a tier sums its domains.
-// A new counter is added here, beside its field.
-func (s *Stats) Add(o Stats) {
-	s.OffersSent += o.OffersSent
-	s.OffersRecv += o.OffersRecv
-	s.OffersRejected += o.OffersRejected
-	s.OffersReaccepted += o.OffersReaccepted
-	s.Commits += o.Commits
-	s.Adoptions += o.Adoptions
-	s.UnsolicitedAdoptions += o.UnsolicitedAdoptions
-	s.Aborts += o.Aborts
-	s.CSIRelays += o.CSIRelays
-	s.UplinkRelays += o.UplinkRelays
-	s.DownBuffered += o.DownBuffered
-	s.DownDrained += o.DownDrained
-	s.DownDiscarded += o.DownDiscarded
 }
 
 // Conserved checks the laws of Stats, and the inner controller's, against
@@ -200,11 +182,7 @@ func (d *Domain) UseMetrics(r *metrics.Registry) {
 	if len(d.domains) < 2 {
 		return
 	}
-	r.CounterAt("federation", "handoff_offers", &d.Stats.OffersSent)
-	r.CounterAt("federation", "handoff_commits", &d.Stats.Commits)
-	r.CounterAt("federation", "handoff_aborts", &d.Stats.Aborts)
-	r.CounterAt("federation", "csi_relays", &d.Stats.CSIRelays)
-	r.CounterAt("federation", "uplink_relays", &d.Stats.UplinkRelays)
+	r.Counters("federation", &d.Stats)
 	d.met = fedMetrics{
 		handoffSpans: r.HandoffSpans(),
 		switchSpans:  r.SwitchSpans(),

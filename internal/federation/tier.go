@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"wgtt/internal/controller"
+	"wgtt/internal/metrics"
 	"wgtt/internal/packet"
 )
 
@@ -127,8 +128,8 @@ type TierStats struct {
 func (t *Tier) Stats() TierStats {
 	var ts TierStats
 	for _, d := range t.Domains {
-		ts.Fed.Add(d.Stats)
-		ts.Ctl.Add(d.Controller().Stats)
+		metrics.Sum(&ts.Fed, d.Stats)
+		metrics.Sum(&ts.Ctl, d.Controller().Stats)
 	}
 	return ts
 }

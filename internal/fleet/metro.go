@@ -75,22 +75,23 @@ type metroRun struct {
 	nextHandoffID uint32
 	stats         MetroStats
 	reg           *metrics.Registry
-	// seamOutageMS is the seam_outage_ms counter. Its twin,
-	// stats.SeamOutage, is a sim.Time; the counter truncates each
-	// migration's wait to whole milliseconds before summing.
-	seamOutageMS uint64
 }
 
-// MetroStats aggregates the metro-wide outcomes of a run.
+// MetroStats aggregates the metro-wide outcomes of a run. The tagged fields
+// are the metro component's -metrics counters; the rest are totalled over
+// the tiles after the run.
 type MetroStats struct {
 	// Migrations is the number of cross-cell client migrations performed.
-	Migrations uint64
+	Migrations uint64 `metric:"migrations"`
 	// SeamOutage is the total client-time lost to barrier quantization:
 	// the sum over migrations of (admission barrier − crossing time).
-	SeamOutage sim.Time
+	// SeamOutageMS is its counter, each migration's wait truncated to
+	// whole milliseconds before summing.
+	SeamOutage   sim.Time
+	SeamOutageMS uint64 `metric:"seam_outage_ms"`
 	// HandoffWireBytes is the encoded size of every §13 commit carried
 	// across a seam — the metro's inter-cell control-plane volume.
-	HandoffWireBytes uint64
+	HandoffWireBytes uint64 `metric:"handoff_wire_bytes"`
 	// Sent and Received are the metro-wide downlink datagram totals; loss
 	// is their gap (sequence cursors continue across migrations, so the
 	// totals span cells).
@@ -178,9 +179,7 @@ func newMetroRun(cfg Config) (*metroRun, error) {
 	}
 	if cfg.Metrics {
 		m.reg = metrics.NewRegistry()
-		m.reg.CounterAt("metro", "migrations", &m.stats.Migrations)
-		m.reg.CounterAt("metro", "handoff_wire_bytes", &m.stats.HandoffWireBytes)
-		m.reg.CounterAt("metro", "seam_outage_ms", &m.seamOutageMS)
+		m.reg.Counters("metro", &m.stats)
 	}
 
 	// Bind each client to the tiles its route visits. Isolated mode pins
@@ -385,7 +384,7 @@ func (m *metroRun) migrate(mig migration, barrier sim.Time) {
 	m.stats.Migrations++
 	m.stats.SeamOutage += barrier - mig.At
 	m.stats.HandoffWireBytes += uint64(len(wire))
-	m.seamOutageMS += uint64((barrier - mig.At) / sim.Millisecond)
+	m.stats.SeamOutageMS += uint64((barrier - mig.At) / sim.Millisecond)
 }
 
 // finish harvests every tile and sums the tiles' cell results into the

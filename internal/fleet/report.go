@@ -4,8 +4,12 @@ import (
 	"fmt"
 	"strings"
 
+	"wgtt/internal/chaos"
+	"wgtt/internal/controller"
+	"wgtt/internal/federation"
 	"wgtt/internal/metrics"
 	"wgtt/internal/stats"
+	"wgtt/internal/urban"
 )
 
 // Result is a completed fleet deployment.
@@ -79,7 +83,11 @@ func (r *Result) Render() string {
 	udpLoss := &stats.CDF{}
 	var vehicles, tcp, udp int
 	var capacity float64
-	var switches, stopRtx, upUnique, upDup uint64
+	var ctl controller.Stats
+	var fed federation.Stats
+	var cha chaos.Stats
+	var urb urban.Stats
+	var cross uint64
 	for i := range r.Cells {
 		c := &r.Cells[i]
 		for _, f := range c.Flows {
@@ -95,10 +103,11 @@ func (r *Result) Render() string {
 		accuracy.Add(c.AccuracyPct)
 		vehicles += c.Vehicles
 		capacity += c.AggMbps
-		switches += c.Ctl.SwitchesDone
-		stopRtx += c.Ctl.StopRetransmits
-		upUnique += c.Ctl.UplinkUnique
-		upDup += c.Ctl.UplinkDuplicate
+		metrics.Sum(&ctl, c.Ctl)
+		metrics.Sum(&fed, c.Fed)
+		metrics.Sum(&cha, c.Chaos)
+		metrics.Sum(&urb, c.Urban)
+		cross += c.CrossSwitches
 	}
 
 	fmt.Fprintf(&b, "WGTT fleet deployment report\n")
@@ -116,8 +125,8 @@ func (r *Result) Render() string {
 	fmt.Fprintf(&b, "fleet capacity %.2f Mb/s delivered (mean %.2f Mb/s per cell)\n",
 		capacity, capacity/float64(len(r.Cells)))
 	fmt.Fprintf(&b, "switching %d completed (%d stop retransmissions), accuracy mean %.1f%%\n",
-		switches, stopRtx, accuracy.Mean())
-	fmt.Fprintf(&b, "uplink %d unique / %d duplicate packets\n\n", upUnique, upDup)
+		ctl.SwitchesDone, ctl.StopRetransmits, accuracy.Mean())
+	fmt.Fprintf(&b, "uplink %d unique / %d duplicate packets\n\n", ctl.UplinkUnique, ctl.UplinkDuplicate)
 
 	b.WriteString("Per-cell capacity\n")
 	t := &stats.Table{Header: []string{
@@ -144,17 +153,9 @@ func (r *Result) Render() string {
 	// single-controller reports stay byte-identical to their pre-federation
 	// form.
 	if nDom := r.Cfg.federatedDomains(); nDom > 1 {
-		var offers, handoffs, aborts, cross uint64
-		for i := range r.Cells {
-			c := &r.Cells[i]
-			offers += c.Fed.OffersSent
-			handoffs += c.Fed.Adoptions
-			aborts += c.Fed.Aborts
-			cross += c.CrossSwitches
-		}
 		fmt.Fprintf(&b, "\nFederation (%d domains per cell, DESIGN.md §13)\n", nDom)
 		fmt.Fprintf(&b, "handoff offers %d  adoptions %d  aborts %d  cross-domain switches %d\n",
-			offers, handoffs, aborts, cross)
+			fed.OffersSent, fed.Adoptions, fed.Aborts, cross)
 		ft := &stats.Table{Header: []string{
 			"cell", "offers", "adoptions", "aborts", "cross-switch"}}
 		for i := range r.Cells {
@@ -169,28 +170,14 @@ func (r *Result) Render() string {
 	// Resilience section, present only under fault injection so chaos-free
 	// reports stay byte-identical to their pre-chaos form.
 	if r.Cfg.Chaos != nil {
-		var crashes, burstDrops, blackoutDrops, dead, readmitted, forced uint64
-		var ctlCrashes, ctlRestarts, ctlSkipped uint64
-		for i := range r.Cells {
-			c := &r.Cells[i]
-			crashes += c.Chaos.APCrashes
-			ctlCrashes += c.Chaos.CtlCrashes
-			ctlRestarts += c.Chaos.CtlRestarts
-			ctlSkipped += c.Chaos.CtlSkipped
-			burstDrops += c.Chaos.BurstDrops
-			blackoutDrops += c.Chaos.BlackoutDrops
-			dead += c.Ctl.APsMarkedDead
-			readmitted += c.Ctl.APsReadmitted
-			forced += c.Ctl.ForcedSwitches
-		}
 		b.WriteString("\nResilience (fault injection, DESIGN.md §11)\n")
 		fmt.Fprintf(&b, "ap crashes %d  marked dead %d  readmitted %d  forced switches %d\n",
-			crashes, dead, readmitted, forced)
+			cha.APCrashes, ctl.APsMarkedDead, ctl.APsReadmitted, ctl.ForcedSwitches)
 		if r.Cfg.federatedDomains() > 1 {
 			// A one-domain plan draws no controller crash (chaos.BuildPlan).
-			fmt.Fprintf(&b, "controller crashes %d  restarts %d  skipped %d\n", ctlCrashes, ctlRestarts, ctlSkipped)
+			fmt.Fprintf(&b, "controller crashes %d  restarts %d  skipped %d\n", cha.CtlCrashes, cha.CtlRestarts, cha.CtlSkipped)
 		}
-		fmt.Fprintf(&b, "backhaul burst drops %d  csi blackout drops %d\n", burstDrops, blackoutDrops)
+		fmt.Fprintf(&b, "backhaul burst drops %d  csi blackout drops %d\n", cha.BurstDrops, cha.BlackoutDrops)
 		rt := &stats.Table{Header: []string{
 			"cell", "crashes", "dead", "readmit", "forced", "burst-drop", "csi-drop"}}
 		for i := range r.Cells {
@@ -206,23 +193,12 @@ func (r *Result) Render() string {
 	// Urban section, present only for street-grid city cells so corridor
 	// reports stay byte-identical to their pre-urban form.
 	if r.Cfg.Urban != nil {
-		var turns, lights, crossings, buses, riders, cars, peds uint64
-		for i := range r.Cells {
-			c := &r.Cells[i]
-			turns += c.Urban.Turns
-			lights += c.Urban.LightStops
-			crossings += c.Urban.RouteCrossings
-			buses += c.Urban.Buses
-			riders += c.Urban.Riders
-			cars += c.Urban.Cars
-			peds += c.Urban.Pedestrians
-		}
 		fmt.Fprintf(&b, "\nUrban workload (%dx%d grid per cell, DESIGN.md §16)\n",
 			r.Cfg.Urban.Rows, r.Cfg.Urban.Cols)
 		fmt.Fprintf(&b, "buses %d (riders %d)  cars %d  pedestrians %d\n",
-			buses, riders, cars, peds)
+			urb.Buses, urb.Riders, urb.Cars, urb.Pedestrians)
 		fmt.Fprintf(&b, "turns %d  light stops %d  inter-cell route crossings %d\n",
-			turns, lights, crossings)
+			urb.Turns, urb.LightStops, urb.RouteCrossings)
 		ut := &stats.Table{Header: []string{
 			"cell", "buses", "riders", "cars", "peds", "turns", "lights", "crossings"}}
 		for i := range r.Cells {

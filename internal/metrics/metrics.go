@@ -5,8 +5,9 @@
 // proposition is timing — millisecond AP selection over a 10 ms median
 // window (§3.1.1) and a switch that completes in ~17 ms (§3.1, Table 1) —
 // so the instruments are built to observe those paths without perturbing
-// them. A counter is a field of its component's Stats struct, counted there
-// once; the registry only names it (CounterAt) and reads it at Snapshot.
+// them. A counter is a uint64 field of its component's Stats struct, counted
+// there once and named by its `metric` tag; the registry reads the tags
+// (Counters) and the field at Snapshot, and Sum totals such structs.
 // Gauges, histograms and span trackers are the live instruments: disabled
 // by default, nil-safe (a nil handle is an inert no-op), and allocation-free
 // at steady state when enabled, so the PR 2 zero-alloc invariants of
@@ -18,7 +19,11 @@
 // immutable Snapshots afterwards with Merge. See DESIGN.md §10.
 package metrics
 
-import "sort"
+import (
+	"reflect"
+	"sort"
+	"strings"
+)
 
 // Gauge is a last-value instrument (queue sizes, hashset occupancy). A nil
 // *Gauge is a valid no-op.
@@ -113,6 +118,40 @@ func (r *Registry) CounterAt(component, name string, v *uint64) {
 	if r != nil {
 		k := key{component, name}
 		r.views[k] = append(r.views[k], v)
+	}
+}
+
+// Counters names the counters of stats, a pointer to a Stats struct: a
+// uint64 field tagged `metric:"name"` is the counter (component, name), one
+// tagged `metric:"other/name"` the counter (other, name), each through
+// CounterAt. An untagged field is no counter. No-op on a nil registry.
+func (r *Registry) Counters(component string, stats any) {
+	if r == nil {
+		return
+	}
+	v := reflect.ValueOf(stats).Elem()
+	for i := range v.NumField() {
+		name, ok := v.Type().Field(i).Tag.Lookup("metric")
+		if !ok {
+			continue
+		}
+		comp := component
+		if c, n, ok := strings.Cut(name, "/"); ok {
+			comp, name = c, n
+		}
+		r.CounterAt(comp, name, v.Field(i).Addr().Interface().(*uint64))
+	}
+}
+
+// Sum adds every uint64 field of src into dst — how a federation totals its
+// domains and a fleet report its cells. Fields of other kinds are left
+// as they are.
+func Sum[T any](dst *T, src T) {
+	d, s := reflect.ValueOf(dst).Elem(), reflect.ValueOf(src)
+	for i := range d.NumField() {
+		if f := d.Field(i); f.Kind() == reflect.Uint64 {
+			f.SetUint(f.Uint() + s.Field(i).Uint())
+		}
 	}
 }
 

@@ -81,6 +81,40 @@ func TestCounterAtReadsTheOwnersField(t *testing.T) {
 	(*Registry)(nil).CounterAt("controller", "switches_done", &a.Switches)
 }
 
+// tagged is a Stats struct as the components declare one.
+type tagged struct {
+	Switches uint64 `metric:"switches_done"`
+	Hits     uint64 `metric:"dedup/hits"`
+	Unique   uint64 // a law term, no counter
+	DwellS   float64
+	Riders   []int
+}
+
+// TestCountersReadTheTags: Counters names exactly the tagged fields, under
+// the given component or the one a tag names; a nil registry ignores it,
+// and two structs under one name sum. Sum adds every uint64 field, tagged
+// or not, and leaves the others alone.
+func TestCountersReadTheTags(t *testing.T) {
+	var a, b tagged
+	r := NewRegistry()
+	r.Counters("controller", &a)
+	r.Counters("controller", &b)
+	(*Registry)(nil).Counters("controller", &a)
+	a.Switches, a.Hits, a.Unique = 3, 5, 100
+	b.Switches, b.Hits = 4, 6
+	want := []CounterSnap{{"controller", "switches_done", 7}, {"dedup", "hits", 11}}
+	if got := r.Snapshot().Counters; !reflect.DeepEqual(got, want) {
+		t.Fatalf("counters = %+v, want %+v", got, want)
+	}
+
+	a.DwellS, a.Riders = 1.5, []int{1}
+	b.DwellS, b.Riders, b.Unique = 2.5, []int{2, 3}, 1
+	Sum(&a, b)
+	if want := (tagged{7, 11, 101, 1.5, []int{1}}); !reflect.DeepEqual(a, want) {
+		t.Fatalf("Sum = %+v, want %+v", a, want)
+	}
+}
+
 // Disabled metrics are a nil registry: every handle is nil and every
 // operation a no-op — this is the contract instrumented components rely on.
 func TestNilRegistryAndHandlesAreInert(t *testing.T) {

@@ -50,17 +50,17 @@ type ClientPlan struct {
 	Route []int
 }
 
-// Stats tallies what the planner generated; the counts are the urban
-// component's metrics counters (core names them with CounterAt).
+// Stats tallies what the planner generated; the tagged counts are the urban
+// component's metrics counters.
 type Stats struct {
-	Turns          uint64 // sharp corners driven across all vehicles
-	LightStops     uint64 // red-light dwells inserted
+	Turns          uint64 `metric:"turns"`       // sharp corners driven across all vehicles
+	LightStops     uint64 `metric:"light_stops"` // red-light dwells inserted
 	DwellS         float64
-	RouteCrossings uint64 // inter-domain boundary crossings along routes
-	Buses          uint64
-	Riders         uint64
-	Cars           uint64
-	Pedestrians    uint64
+	RouteCrossings uint64 `metric:"route_crossings"` // inter-domain boundary crossings along routes
+	Buses          uint64 `metric:"buses"`
+	Riders         uint64 `metric:"riders"`
+	Cars           uint64 `metric:"cars"`
+	Pedestrians    uint64 `metric:"pedestrians"`
 	RidersPerBus   []int
 }
 
