@@ -421,13 +421,16 @@ func TestExtMetroConnectedRecovers(t *testing.T) {
 
 // TestRunAllMetricsRepeat holds DESIGN.md §10's promise of an identical
 // snapshot across runs: fig23 builds its networks in a fixed order, so its
-// switch spans are listed in the same order every time. A build order drawn
-// from a two-entry map differed on about one run in eight, hence the 16 runs.
+// switch spans are listed in the same order every time. An order left to a
+// two-entry map changes on about one run in eight, hence 16 runs.
 func TestRunAllMetricsRepeat(t *testing.T) {
 	run := func(t *testing.T) *metrics.Snapshot {
 		outs, err := RunAll(Options{Quick: true, CollectMetrics: true}, 2, []string{"fig23"})
-		if err != nil || outs[0].Err != nil {
-			t.Fatal(err, outs[0].Err)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if outs[0].Err != nil {
+			t.Fatal(outs[0].Err)
 		}
 		return outs[0].Metrics
 	}
