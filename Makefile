@@ -281,7 +281,10 @@ bench-pair:
 # runs BENCHMARK.json's command, `bench/run.sh`, once per workload (all four
 # by default) and trace mode at `make bench`'s seed and length, and holds
 # each pass against the last BENCH_results.json line of that workload and
-# mode, with the bounds and directions BENCHMARK.json declares read as data.
+# mode not recorded at HEAD itself (commit `git describe --always`, with or
+# without -dirty: after `make bench`, HEAD's own line would hold it against
+# itself), with the bounds and directions BENCHMARK.json declares read as
+# data.
 # It fails if goodput_mbps or delivered_frac differs at all (they are
 # simulated), or if a counted metric — allocs_per_unit, alloc_kb_per_unit,
 # and each traced *_per_unit count, which takes allocs_per_unit's bound
@@ -301,8 +304,9 @@ bench-gate:
 	@set -e; d=$$(mktemp -d); fail=0; \
 	awk -F'"' '/"name"/ { n = $$4 } /"better"/ { print n, "better", $$4 } /"bound"/ { split($$0, b, ":"); print n, "bound", b[2] + 0 }' BENCHMARK.json > $$d/rules; \
 	for w in $(or $(W),$(BENCH_WORKLOADS)); do for t in 0 1; do \
-		last=$$(grep "\"workload\":\"$$w\",\"trace\":$$t," BENCH_results.json | tail -n 1); \
-		test -n "$$last" || { echo "bench-gate: BENCH_results.json records no $$w --trace $$t; run make bench" >&2; exit 2; }; \
+		last=$$(grep "\"workload\":\"$$w\",\"trace\":$$t," BENCH_results.json | \
+			grep -v "^{\"commit\":\"$$(git describe --always)\(-dirty\)\?\"," | tail -n 1); \
+		test -n "$$last" || { echo "bench-gate: BENCH_results.json records no $$w --trace $$t but HEAD's own; run make bench at an earlier commit" >&2; exit 2; }; \
 		json=$$(bash bench/run.sh --workload $$w --seed 2017 --seconds 24 --trace $$t | tail -n 1); \
 		case "$$json" in '{"correct":true,'*) ;; *) echo "bench-gate: $$w --trace $$t failed: $$json" >&2; exit 1;; esac; \
 		echo "$$last" | $(metrics-of) > $$d/last; \

@@ -1,10 +1,9 @@
 // Package cliflags is the one definition of the flags the CLIs share — the
 // -urban-* city shape, -domains and -chaos* (wgttsim, wgtt-fleet), -metrics
-// (those and wgtt-experiments), -selector (those and wgtt-live) and
-// -cpuprofile/-memprofile (wgtt-fleet, wgtt-experiments) — so a flag has the
-// same name, meaning and default on every CLI that takes it; a number out
-// of a flag's range, or a -selector naming no policy, fails the parse rather
-// than falling back to the default.
+// (those and wgtt-experiments) and -cpuprofile/-memprofile (wgtt-fleet,
+// wgtt-experiments) — so a flag has the same name, meaning and default on
+// every CLI that takes it; a number out of a flag's range fails the parse
+// rather than falling back to the default.
 // Each function registers its flags on the default flag set (call before
 // flag.Parse) and returns the accessor to use after parsing.
 package cliflags
@@ -18,11 +17,9 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strconv"
-	"strings"
 
 	"wgtt/internal/chaos"
 	"wgtt/internal/metrics"
-	"wgtt/internal/selector"
 	"wgtt/internal/sim"
 	"wgtt/internal/urban"
 )
@@ -103,34 +100,6 @@ func (b *bounded[T]) override(field *T) {
 		*field = b.v
 	}
 }
-
-// SelectorFlag is the -selector value: a name selector.ParsePolicy accepts,
-// so any other fails the parse.
-type SelectorFlag struct{ pol selector.Policy }
-
-// Selector registers -selector; its help lists selector.Policies().
-func Selector() *SelectorFlag {
-	var names []string
-	for _, p := range selector.Policies() {
-		names = append(names, string(p))
-	}
-	f := &SelectorFlag{}
-	_ = f.Set("") // "" always parses, to the default policy
-	flag.Var(f, "selector", "AP-selection `policy` (DESIGN.md §15): "+strings.Join(names, " | "))
-	return f
-}
-
-// String implements flag.Value.
-func (f *SelectorFlag) String() string { return string(f.pol) }
-
-// Set implements flag.Value.
-func (f *SelectorFlag) Set(s string) (err error) {
-	f.pol, err = selector.ParsePolicy(s)
-	return err
-}
-
-// Policy is the named policy, the default one if -selector was not given.
-func (f *SelectorFlag) Policy() selector.Policy { return f.pol }
 
 // Chaos registers -chaos and its tuning flags. The returned function gives
 // the fault-injection config, nil unless -chaos was set.

@@ -5,12 +5,10 @@ import (
 	"flag"
 	"io"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 
 	"wgtt/internal/metrics"
-	"wgtt/internal/selector"
 	"wgtt/internal/urban"
 )
 
@@ -93,35 +91,6 @@ func TestOutOfRangeNumbersFailTheParse(t *testing.T) {
 	parse(t, register, "-chaos-ap-mtbf", "0.5", "-urban-rows", "0", "-urban-riders", "-1", "-urban-duration", "0", "-domains", "0")
 }
 
-// TestSelectorNamesEveryPolicy: -selector accepts each selector.Policies()
-// entry and nothing else — a deleted policy's name fails the parse with an
-// error that names the policies left — and its help lists them all.
-func TestSelectorNamesEveryPolicy(t *testing.T) {
-	for _, p := range selector.Policies() {
-		if got := parse(t, Selector, "-selector", string(p)).Policy(); got != p {
-			t.Errorf("-selector %s: policy %q", p, got)
-		}
-	}
-	if got := parse(t, Selector).Policy(); got != selector.WindowedMedianPolicy {
-		t.Errorf("no -selector: policy %q, want %q", got, selector.WindowedMedianPolicy)
-	}
-	fs := freshCommandLine(t)
-	Selector()
-	err := fs.Parse([]string{"-selector", "predictive"})
-	if err == nil {
-		t.Fatal("-selector predictive was accepted")
-	}
-	usage := fs.Lookup("selector").Usage
-	for _, p := range selector.Policies() {
-		if !strings.Contains(err.Error(), string(p)) {
-			t.Errorf("-selector predictive: error %q does not name %s", err, p)
-		}
-		if !strings.Contains(usage, string(p)) {
-			t.Errorf("-selector help %q does not name %s", usage, p)
-		}
-	}
-}
-
 // TestMetricsWriteNeedsFlagAndSnapshot: Write touches nothing when -metrics
 // is unset or the run produced no snapshot.
 func TestMetricsWriteNeedsFlagAndSnapshot(t *testing.T) {
@@ -143,11 +112,11 @@ func TestMetricsWriteNeedsFlagAndSnapshot(t *testing.T) {
 }
 
 // FuzzCLIFlags parses an arbitrary argument list (NUL-separated) against
-// every shared flag, registered as a CLI registers them: nothing panics, a
-// bad -selector fails the parse (an accepted one names a policy of
-// selector.Policies()), the chaos config exists exactly when -chaos is on, a
-// snapshot is asked for exactly when -metrics names a destination, and no
-// accepted number leaves the city or the domain count out of range.
+// every shared flag, registered as a CLI registers them: nothing panics, an
+// undefined flag (a removed one among the seeds) fails the parse, the chaos
+// config exists exactly when -chaos is on, a snapshot is asked for exactly
+// when -metrics names a destination, and no accepted number leaves the city
+// or the domain count out of range.
 func FuzzCLIFlags(f *testing.F) {
 	for _, args := range [][]string{
 		{},
@@ -171,7 +140,7 @@ func FuzzCLIFlags(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, joined string) {
 		fs := freshCommandLine(t)
-		city, dom, sel, chaosCfg, met := City(), Domains(), Selector(), Chaos(), Metrics()
+		city, dom, chaosCfg, met := City(), Domains(), Chaos(), Metrics()
 		var args []string
 		if joined != "" {
 			args = strings.Split(joined, "\x00")
@@ -184,9 +153,6 @@ func FuzzCLIFlags(f *testing.F) {
 		if c.Rows < 1 || c.Cols < 1 || !(c.BlockM > 0 && c.APSpacingM > 0 && c.MaxDurationS > 0) ||
 			c.Buses < 0 || c.RidersPerBus < 0 || c.Cars < 0 || c.Pedestrians < 0 || *dom < 0 {
 			t.Fatalf("accepted flags gave city %+v, -domains %d", c, *dom)
-		}
-		if pol := sel.Policy(); !slices.Contains(selector.Policies(), pol) {
-			t.Fatalf("accepted flags gave -selector %q", pol)
 		}
 		on := fs.Lookup("chaos").Value.String() == "true"
 		if cfg := chaosCfg(); (cfg != nil) != on {

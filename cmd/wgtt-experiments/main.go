@@ -28,13 +28,12 @@ import (
 
 func main() {
 	var (
-		quick        = flag.Bool("quick", false, "trimmed sweeps")
-		list         = flag.Bool("list", false, "list experiment IDs")
-		seed         = flag.Uint64("seed", 2017, "base seed")
-		workers      = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent experiments")
-		metricsOut   = cliflags.Metrics()
-		selectorFlag = cliflags.Selector() // overrides the policy of every experiment
-		startProf    = cliflags.Profile()
+		quick      = flag.Bool("quick", false, "trimmed sweeps")
+		list       = flag.Bool("list", false, "list experiment IDs")
+		seed       = flag.Uint64("seed", 2017, "base seed")
+		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent experiments")
+		metricsOut = cliflags.Metrics()
+		startProf  = cliflags.Profile()
 	)
 	flag.Parse()
 
@@ -50,7 +49,7 @@ func main() {
 		os.Exit(1)
 	}
 	defer stopProf()
-	opt := eval.Options{Seed: *seed, Quick: *quick, CollectMetrics: metricsOut.On(), Policy: selectorFlag.Policy()}
+	opt := eval.Options{Seed: *seed, Quick: *quick, CollectMetrics: metricsOut.On()}
 	outs, err := eval.RunAll(opt, *workers, flag.Args())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

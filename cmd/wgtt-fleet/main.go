@@ -14,7 +14,6 @@
 //	wgtt-fleet -cells 4 -aps 16 -arrivals 12 -trace-dir /tmp/fleet
 //	wgtt-fleet -cells 8 -domains 2        # sharded controller tier per cell (DESIGN.md §13)
 //	wgtt-fleet -cells 4 -urban -rate 0.5  # street-grid city cells (DESIGN.md §16)
-//	wgtt-fleet -cells 2 -urban -rate 0.5 -compare-selectors
 //	wgtt-fleet -metro -rate 1             # one connected city, 2x2 metro cells (DESIGN.md §17)
 //	wgtt-fleet -metro -metro-tiles 32x32 -urban-rows 33 -urban-cols 33 \
 //	    -urban-spacing 60 -urban-duration 30 -progress   # 1,024-tile metro
@@ -48,7 +47,6 @@ func main() {
 			"make every cell a street-grid city (DESIGN.md §16) instead of a corridor; "+
 				"-aps/-spacing/-arrivals/-max-vehicles/-tcp-frac are ignored and -rate is per client (try 0.5)")
 		applyCityFlags = cliflags.City()
-		selectorFlag   = cliflags.Selector()
 		chaosFlags     = cliflags.Chaos()
 		metricsOut     = cliflags.Metrics()
 		metroOn        = flag.Bool("metro", false,
@@ -60,14 +58,12 @@ func main() {
 			"cut the tile seams: clients stay in their birth tile for the whole run (the ext-metro ablation)")
 		progressOn = flag.Bool("progress", false,
 			"report completion progress (cells done, or metro epochs done) on stderr")
-		comparePol = flag.Bool("compare-selectors", false,
-			"run the whole fleet once per AP-selection policy and print the comparison table")
 		startProf = cliflags.Profile()
 	)
 	flag.Parse()
 	cfg := fleetCfg()
 
-	if err := checkRun(*cells, *workers, cfg.UDPRateMbps, *metroOn, *comparePol); err != nil {
+	if err := checkRun(*cells, *workers, cfg.UDPRateMbps); err != nil {
 		fmt.Fprintln(os.Stderr, "wgtt-fleet:", err)
 		os.Exit(2)
 	}
@@ -101,7 +97,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "progress: %d/%d\n", done, total)
 		}
 	}
-	cfg.Policy = selectorFlag.Policy()
 	if *urbanOn {
 		ucfg := urban.DefaultConfig()
 		applyCityFlags(&ucfg)
@@ -149,16 +144,6 @@ func main() {
 			res.Tiling, res.Tiling.N(), res.BuiltTiles, time.Since(start).Seconds(), *workers)
 		return
 	}
-	if *comparePol {
-		pc, err := fleet.ComparePolicies(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(pc.Render())
-		fmt.Fprintf(os.Stderr, "%d cells x %d policies in %.1fs with %d workers\n",
-			*cells, len(pc.Outcomes), time.Since(start).Seconds(), *workers)
-		return
-	}
 	res, err := fleet.Run(cfg)
 	if err != nil {
 		fatal(err)
@@ -175,7 +160,7 @@ func main() {
 
 // checkRun rejects the flag values and combinations that used to run
 // something other than what was asked for, or to print a nonsense tally.
-func checkRun(cells, workers int, rate float64, metro, compare bool) error {
+func checkRun(cells, workers int, rate float64) error {
 	switch {
 	case cells < 1:
 		return fmt.Errorf("-cells %d: a fleet needs at least one cell", cells)
@@ -183,8 +168,6 @@ func checkRun(cells, workers int, rate float64, metro, compare bool) error {
 		return fmt.Errorf("-workers %d: the worker count cannot be negative", workers)
 	case !(rate > 0):
 		return fmt.Errorf("-rate %v: the UDP load needs a positive rate", rate)
-	case metro && compare:
-		return fmt.Errorf("-compare-selectors compares independent cells; it cannot be combined with -metro")
 	}
 	return nil
 }

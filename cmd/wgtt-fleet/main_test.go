@@ -15,20 +15,17 @@ func TestCheckRun(t *testing.T) {
 	for _, tc := range []struct {
 		cells, workers int
 		rate           float64
-		metro, compare bool
 		wantErr        string // substring; "" = accepted
 	}{
-		{8, 2, 20, false, false, ""},
-		{1, 0, 0.5, false, true, ""}, // 0 workers runs sequentially
-		{8, 2, 1, true, false, ""},   // a metro ignores -cells
-		{0, 2, 20, false, false, "-cells"},
-		{-3, 2, 20, false, false, "-cells"},
-		{8, -3, 20, false, false, "-workers"},
-		{8, 2, 0, false, false, "-rate"},
-		{8, 2, -1, true, false, "-rate"},
-		{8, 2, 1, true, true, "-compare-selectors"},
+		{8, 2, 20, ""},
+		{1, 0, 0.5, ""}, // 0 workers runs sequentially
+		{0, 2, 20, "-cells"},
+		{-3, 2, 20, "-cells"},
+		{8, -3, 20, "-workers"},
+		{8, 2, 0, "-rate"},
+		{8, 2, -1, "-rate"},
 	} {
-		err := checkRun(tc.cells, tc.workers, tc.rate, tc.metro, tc.compare)
+		err := checkRun(tc.cells, tc.workers, tc.rate)
 		if tc.wantErr == "" {
 			if err != nil {
 				t.Errorf("%+v: rejected: %v", tc, err)

@@ -30,11 +30,9 @@ import (
 	"strings"
 	"time"
 
-	"wgtt/cmd/internal/cliflags"
 	"wgtt/internal/federation"
 	"wgtt/internal/live"
 	"wgtt/internal/packet"
-	"wgtt/internal/selector"
 	"wgtt/internal/sim"
 )
 
@@ -50,11 +48,9 @@ func main() {
 		fanout     = flag.Bool("fanout", false, "measure downlink fan-out pkts/s over loopback instead of orchestrating")
 		packets    = flag.Int("packets", 50000, "downlink messages to push per fan-out measurement (-fanout)")
 		timeout    = flag.Duration("timeout", 10*time.Second, "give up if no switch completes in this long")
-		selectorF  = cliflags.Selector() // the controller process's policy
 	)
 	flag.Parse()
 
-	pol := selectorF.Policy()
 	// -federation is the topology (federation.City): two single-AP domains,
 	// one controller process each, instead of one controller over every AP.
 	controllers, cityAPs := 1, *aps
@@ -68,10 +64,10 @@ func main() {
 		if err == nil && *fanout {
 			err = measureFanout(*aps, *packets)
 		} else if err == nil {
-			err = orchestrate(controllers, cityAPs, *timeout, pol)
+			err = orchestrate(controllers, cityAPs, *timeout)
 		}
 	case "controller":
-		err = runController(*domain, *listen, strings.Split(*table, ","), controllers, *timeout, pol)
+		err = runController(*domain, *listen, strings.Split(*table, ","), controllers, *timeout)
 	case "ap":
 		err = runAP(*apID, *listen, strings.Split(*table, ","), controllers, *timeout)
 	default:
@@ -109,7 +105,7 @@ func freeAddrs(n int) ([]string, error) {
 // client in an inter-controller handoff. Every other process is killed once
 // it has. Only stable facts reach stdout, so back-to-back federation runs
 // are byte-identical (the smoke check compares them).
-func orchestrate(controllers, aps int, timeout time.Duration, pol selector.Policy) error {
+func orchestrate(controllers, aps int, timeout time.Duration) error {
 	if aps < 2 {
 		return fmt.Errorf("need at least 2 APs for a switch, got %d", aps)
 	}
@@ -152,7 +148,7 @@ func orchestrate(controllers, aps int, timeout time.Duration, pol selector.Polic
 		}
 	}
 	for d := 0; d < controllers; d++ {
-		if err := spawn(addrs[d], "-role", "controller", "-domain", fmt.Sprint(d), "-selector", string(pol)); err != nil {
+		if err := spawn(addrs[d], "-role", "controller", "-domain", fmt.Sprint(d)); err != nil {
 			return err
 		}
 	}
@@ -197,13 +193,13 @@ func bindAndTable(listen string, endpoints []string, controllers int, self packe
 // runController is domain's controller process over the city the endpoint
 // table describes, and prints the first switch on its ledger: a cross-domain
 // switch as the federation handoff, any other as the switch.
-func runController(domain int, listen string, endpoints []string, controllers int, timeout time.Duration, pol selector.Policy) error {
+func runController(domain int, listen string, endpoints []string, controllers int, timeout time.Duration) error {
 	conn, table, err := bindAndTable(listen, endpoints, controllers, packet.DomainControllerIP(domain))
 	if err != nil {
 		return err
 	}
 	city := federation.City(len(endpoints)-controllers, controllers)
-	rec, err := live.RunController(domain, conn, table, city, sim.Time(timeout), pol)
+	rec, err := live.RunController(domain, conn, table, city, sim.Time(timeout))
 	if err != nil {
 		return err
 	}

@@ -34,7 +34,6 @@ func main() {
 			"run the street-grid city workload (DESIGN.md §16) instead of the corridor; "+
 				"-speed/-clients/-pattern are ignored, and -rate is per client (try 0.5)")
 		applyCityFlags = cliflags.City()
-		selectorFlag   = cliflags.Selector()
 		chaosFlags     = cliflags.Chaos()
 		metricsOut     = cliflags.Metrics()
 	)
@@ -65,7 +64,6 @@ func main() {
 		s.Domains = *domains
 	}
 	s.Chaos = chaosFlags()
-	s.Policy = selectorFlag.Policy()
 	n, err := core.Build(s)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "build:", err)

@@ -95,13 +95,12 @@ func (c *Controller) InFlightSwitch(mac packet.MACAddr) bool {
 
 // SeedESNR pushes one synthetic reading into the selector's (client, AP)
 // window — how an adopter installs the old owner's ESNR evidence so
-// selection does not start blind. Every policy shares the median-window
-// evidence store, so seeding warms whichever policy the adopting domain
-// runs (DESIGN.md §15). Seeding also enters the AP into the client's
-// downlink fan-out relevance set (fanout.go): the carried evidence is
-// exactly the recency knowledge the old owner's fan-out ran on, so the
-// adopted client's downlink replicates to the same APs without waiting
-// for fresh CSI. An AP this controller does not command is ignored.
+// selection does not start blind (DESIGN.md §15). Seeding also stamps the
+// AP as having heard the client, so it joins the downlink fan-out
+// (fanout.go): the carried evidence is exactly the recency knowledge the
+// old owner's fan-out ran on, so the adopted client's downlink replicates
+// to the same APs without waiting for fresh CSI. An AP this controller
+// does not command is ignored.
 func (c *Controller) SeedESNR(mac packet.MACAddr, apID int, esnrDB float64) {
 	cl, s := c.clients[mac], c.slot(apID)
 	if cl == nil || s < 0 {

@@ -1,8 +1,8 @@
 // Package controller implements the WGTT controller (§3): CSI ingest into
-// the pluggable AP-selection policy (internal/selector, which owns the
-// per-(client, AP) ESNR windows and the §3.1.1 decision rule), the
-// stop/start/ack switching state machine with its 30 ms retransmission
-// timeout and single-outstanding-switch constraint, downlink fan-out into
+// the AP selector (internal/selector, which owns the per-(client, AP) ESNR
+// windows and the §3.1.1 decision rule), the stop/start/ack switching
+// state machine with its 30 ms retransmission timeout and
+// single-outstanding-switch constraint, downlink fan-out into
 // every nearby AP's cyclic queue, and uplink de-duplication keyed by
 // (source IP, IP ID). The controller keeps the scheduling gates — one
 // switch in flight per client, frozen while offered to a peer domain, the
@@ -24,8 +24,7 @@ import (
 // Config parameterizes the controller.
 type Config struct {
 	// Params is the §3.1.1 rule's Window, MedianMarginDB, MinSamples and
-	// MinSwitchESNRdB, handed to the selector unchanged: they parameterize
-	// every policy.
+	// MinSwitchESNRdB, handed to the selector unchanged.
 	selector.Params
 	// Hysteresis is the minimum dwell time between switches of one client
 	// (Fig. 22 sweeps 40–120 ms).
@@ -42,9 +41,6 @@ type Config struct {
 	// and holding the dwell there is pure outage. 0 — the default — keeps
 	// the dwell absolute, byte-identical to the pre-§16 controller.
 	CollapseDB float64
-	// Policy picks the AP-selection policy (DESIGN.md §15); "" is the
-	// paper's windowed-median rule.
-	Policy selector.Policy
 
 	// health switches on the AP health monitor (WithHealth): every
 	// HealthInterval the controller scans for APs it has not heard from (no
@@ -174,12 +170,10 @@ type Stats struct {
 	CtlUplinkDropped uint64
 	CtlCSIDropped    uint64
 
-	// Selection-policy counters (DESIGN.md §15). SelectionDecisions
-	// counts policy evaluations that reached the selector (past the
-	// op/frozen/hysteresis gates); AssignmentRounds counts
-	// GlobalAssignPolicy's fleet-wide recomputations.
+	// Selection counters (DESIGN.md §15). SelectionDecisions counts
+	// evaluations that reached the selector (past the op/frozen/hysteresis
+	// gates).
 	SelectionDecisions uint64 `metric:"selection_decisions"`
-	AssignmentRounds   uint64 `metric:"assignment_rounds"`
 	// SelectionFlips counts evaluations whose argmax AP differed from the
 	// previous evaluation's — raw selection churn, before hysteresis;
 	// HysteresisSuppressions counts re-evaluations skipped inside the dwell.
@@ -210,8 +204,9 @@ type ctlMetrics struct {
 	spans     *metrics.SpanTracker
 
 	// Downlink fan-out data plane (DESIGN.md §14). fanoutSetSize samples
-	// the relevance-set occupancy after each emission, fanoutDepth the
-	// targets handed to the fabric's SendMany per packet.
+	// the count of APs that heard the client within FanoutWindow at each
+	// emission, fanoutDepth the targets handed to the fabric's SendMany per
+	// packet.
 	fanoutSetSize *metrics.Gauge
 	fanoutDepth   *metrics.Histogram
 
@@ -265,19 +260,10 @@ type clientCtl struct {
 
 	// lastHeard/heardEver are the fan-out recency evidence (fanout.go)
 	// and the failover fallback tiers (health.go); the selection-grade
-	// ESNR windows live in the selector.
+	// ESNR windows live in the selector. They, serving and the selector's
+	// windows are indexed by position in c.aps.
 	lastHeard []sim.Time
 	heardEver []bool
-
-	// The AP state below, serving and the selector's windows are indexed
-	// by position in c.aps.
-	//
-	// Downlink fan-out relevance set (fanout.go): fanSet lists member AP
-	// positions ascending, inFan mirrors membership, heardCount counts true
-	// heardEver entries (0 selects the bootstrap broadcast).
-	fanSet     []int32
-	inFan      []bool
-	heardCount int
 
 	serving    int
 	lastSwitch sim.Time
@@ -307,7 +293,7 @@ type Controller struct {
 	aps  []APInfo
 	addr packet.IPv4Addr
 
-	// sel is the AP-selection policy (DESIGN.md §15); aliveFn is the
+	// sel is the §3.1.1 AP selector (DESIGN.md §15); aliveFn is the
 	// health monitor's verdict bound once at construction so the per-CSI
 	// Decide call stays allocation-free.
 	sel     *selector.Selector
@@ -379,7 +365,7 @@ func New(cfg Config, eng *sim.Engine, bh backhaul.Fabric, aps []APInfo) *Control
 	for i, a := range aps {
 		c.ipToAP[a.IP] = i
 	}
-	c.sel = selector.New(selector.Config{Policy: cfg.Policy}, cfg.Params, len(aps))
+	c.sel = selector.New(selector.Config{}, cfg.Params, len(aps))
 	c.aliveFn = c.apAlive
 	if cfg.health {
 		c.health = make([]apHealth, len(aps))
@@ -416,7 +402,6 @@ func (c *Controller) newClient(mac packet.MACAddr, ip packet.IPv4Addr, s int) *c
 		lastHeard: make([]sim.Time, len(c.aps)),
 		heardEver: make([]bool, len(c.aps)),
 		serving:   s,
-		inFan:     make([]bool, len(c.aps)),
 		// Grown by the uplink that arrives (handleUplink's FIFO holds it to
 		// dedupCapacity): a downlink-only client never touches it.
 		dedup: make(map[packet.DedupKey]struct{}),
@@ -445,7 +430,7 @@ func (c *Controller) ServingAP(mac packet.MACAddr) int {
 
 // MedianESNR exposes the current windowed median for (client, AP) — the
 // quantity the selection rule compares (evaluation hook, and the
-// federation tier's evidence export; every policy maintains it).
+// federation tier's evidence export).
 func (c *Controller) MedianESNR(mac packet.MACAddr, apID int) (float64, bool) {
 	return c.sel.Median(mac, c.slot(apID), c.eng.Now())
 }
@@ -520,7 +505,7 @@ func (c *Controller) handleCSI(m *packet.CSIReport) {
 	c.evaluate(cl)
 }
 
-// evaluate runs the selection policy and §3.1.2 switching protocol. The
+// evaluate runs the §3.1.1 selection rule and §3.1.2 switching protocol. The
 // scheduling gates — one outstanding switch, frozen while offered to a peer
 // domain, the Fig. 22 hysteresis dwell — stay here; what the ESNR
 // evidence says is the selector's question (DESIGN.md §15).
@@ -544,9 +529,6 @@ func (c *Controller) evaluate(cl *clientCtl) {
 	if d.Flip {
 		c.Stats.SelectionFlips++
 	}
-	if d.NewRound {
-		c.Stats.AssignmentRounds++
-	}
 	if d.Target < 0 || d.Target == cl.serving {
 		return
 	}
@@ -563,7 +545,7 @@ func (c *Controller) evaluate(cl *clientCtl) {
 }
 
 // initiateSwitch sends stop(c) to the serving AP and arms the timeout.
-// The decision's cause and from/to medians are recorded on the span.
+// The decision's from/to medians are recorded on the span.
 func (c *Controller) initiateSwitch(cl *clientCtl, d selector.Decision) {
 	if !c.apAlive(cl.serving) {
 		// A stop to a dead AP would only feed the retransmission loop;
@@ -577,7 +559,7 @@ func (c *Controller) initiateSwitch(cl *clientCtl, d selector.Decision) {
 	c.Stats.SwitchesStarted++
 	if c.met.spans != nil {
 		c.met.spans.Begin(op.id, int64(op.sentAt), cl.mac.String(),
-			op.old.ID, c.aps[op.to].ID, d.Cause, d.FromMetric, d.ToMetric)
+			op.old.ID, c.aps[op.to].ID, metrics.CauseMedianArgmax, d.FromMetric, d.ToMetric)
 	}
 	c.transmit(cl, op)
 }
@@ -648,7 +630,6 @@ func (c *Controller) handleSwitchAck(m *packet.SwitchAck) {
 	op.timer.Stop()
 	cl.op = nil
 	cl.serving = op.to
-	c.sel.SetServing(cl.mac, op.to)
 	now := c.eng.Now()
 	rec := SwitchRecord{
 		At:       now,

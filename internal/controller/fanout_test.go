@@ -9,36 +9,6 @@ import (
 	"wgtt/internal/sim"
 )
 
-// refFanTargets is the fan-out rule SendDownlink computed before the
-// incremental relevance set existed: a full scan of heardEver/lastHeard/
-// apAlive per packet. The randomized test below holds the incremental set
-// to this reference.
-func refFanTargets(c *Controller, cl *clientCtl, now sim.Time) []packet.IPv4Addr {
-	anyHeard := false
-	for _, h := range cl.heardEver {
-		if h {
-			anyHeard = true
-			break
-		}
-	}
-	var out []packet.IPv4Addr
-	for _, a := range c.aps {
-		include := a.ID == cl.serving ||
-			(cl.heardEver[a.ID] && now-cl.lastHeard[a.ID] <= c.cfg.FanoutWindow)
-		if !anyHeard {
-			include = true
-		}
-		if !c.apAlive(a.ID) {
-			include = false
-		}
-		if !include {
-			continue
-		}
-		out = append(out, a.IP)
-	}
-	return out
-}
-
 func sameTargets(a, b []packet.IPv4Addr) bool {
 	if len(a) != len(b) {
 		return false
@@ -52,25 +22,59 @@ func sameTargets(a, b []packet.IPv4Addr) bool {
 }
 
 // Randomized CSI / death / recovery / handoff sequences: after every
-// operation the incrementally maintained relevance set must emit exactly
-// the targets (same members, same order) the old per-packet scan would
-// have.
+// operation the targets must hold the fan-out rule's properties — the
+// serving AP is a target exactly when it is alive, every other target is
+// alive and heard within FanoutWindow, targets ascend by AP position, and
+// before any AP has heard the client every alive AP is a target.
 func TestFanoutEquivalenceRandomized(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3, 4, 5} {
 		rnd := rand.New(rand.NewPCG(seed, 99))
 		const nAPs = 9
 		h := newCtlHarness(t, nAPs, DefaultConfig().WithHealth())
+		c := h.ctl
 		client := packet.ClientMAC(1)
-		h.ctl.RegisterClient(client, packet.ClientIP(1), 0)
-		cl := h.ctl.clients[client]
+		c.RegisterClient(client, packet.ClientIP(1), 0)
+		cl := c.clients[client]
 
 		check := func(step int) {
 			now := h.eng.Now()
-			want := refFanTargets(h.ctl, cl, now)
-			got := h.ctl.fanTargets(cl, now)
-			if !sameTargets(got, want) {
-				t.Fatalf("seed %d step %d: fanTargets = %v, reference scan = %v",
-					seed, step, got, want)
+			got, _ := c.fanTargets(cl, now)
+			heard, servingIn := false, false
+			for _, e := range cl.heardEver {
+				heard = heard || e
+			}
+			prev := -1
+			for _, ip := range got {
+				s := c.ipToAP[ip]
+				if s <= prev {
+					t.Fatalf("seed %d step %d: targets %v not ascending", seed, step, got)
+				}
+				prev = s
+				if !c.apAlive(s) {
+					t.Fatalf("seed %d step %d: dead AP %d in targets %v", seed, step, s, got)
+				}
+				if s == cl.serving {
+					servingIn = true
+				} else if heard && (!cl.heardEver[s] || now-cl.lastHeard[s] > c.cfg.FanoutWindow) {
+					t.Fatalf("seed %d step %d: AP %d not heard within FanoutWindow, in targets %v",
+						seed, step, s, got)
+				}
+			}
+			if servingIn != c.apAlive(cl.serving) {
+				t.Fatalf("seed %d step %d: serving AP %d alive=%v, in targets=%v",
+					seed, step, cl.serving, c.apAlive(cl.serving), servingIn)
+			}
+			if !heard {
+				alive := 0
+				for s := range c.aps {
+					if c.apAlive(s) {
+						alive++
+					}
+				}
+				if len(got) != alive {
+					t.Fatalf("seed %d step %d: bootstrap targets %v, want all %d alive APs",
+						seed, step, got, alive)
+				}
 			}
 		}
 
@@ -78,29 +82,29 @@ func TestFanoutEquivalenceRandomized(t *testing.T) {
 			switch op := rnd.IntN(100); {
 			case op < 55: // CSI heard from a random AP
 				ap := rnd.IntN(nAPs)
-				h.ctl.sel.Observe(client, ap, 10, h.eng.Now())
+				c.sel.Observe(client, ap, 10, h.eng.Now())
 				cl.fanHeard(ap, h.eng.Now())
 			case op < 75: // time passes (can expire fan-out members)
 				h.eng.RunUntil(h.eng.Now() + sim.Time(rnd.IntN(60))*sim.Millisecond)
 			case op < 85: // AP dies or is re-admitted
 				ap := rnd.IntN(nAPs)
-				h.ctl.health[ap].alive = rnd.IntN(2) == 0
+				c.health[ap].alive = rnd.IntN(2) == 0
 			case op < 93: // the serving AP moves (switch / forced failover)
 				cl.serving = rnd.IntN(nAPs)
 			case op < 97: // federation hands evidence in (adoption seeding)
-				h.ctl.SeedESNR(client, rnd.IntN(nAPs), 12)
+				c.SeedESNR(client, rnd.IntN(nAPs), 12)
 			default: // controller crash + restart: all soft state cold
-				h.ctl.Crash()
-				h.ctl.Restart()
-				cl = h.ctl.clients[client]
+				c.Crash()
+				c.Restart()
+				cl = c.clients[client]
 			}
 			check(step)
 		}
 	}
 }
 
-// The steady-state fan-out path — relevance set sweep, target emission,
-// and the fabric hand-off — must not allocate.
+// The steady-state fan-out path — the recency scan, target emission, and
+// the fabric hand-off — must not allocate.
 func TestFanoutZeroAlloc(t *testing.T) {
 	eng := sim.NewEngine()
 	fab := &countingFanFabric{}
@@ -149,9 +153,8 @@ func (f *countingFanFabric) SendMany(_ packet.IPv4Addr, tos []packet.IPv4Addr, _
 	f.copies += len(tos)
 }
 
-// Targets come out in ascending AP order with the serving AP merged at its
-// sorted position, exactly where the old c.aps scan emitted it — delivery
-// order is part of the determinism contract.
+// Targets come out in ascending AP order with the serving AP at its sorted
+// position — delivery order is part of the determinism contract.
 func TestFanoutServingMergedInOrder(t *testing.T) {
 	h := newCtlHarness(t, 6, DefaultConfig())
 	client := packet.ClientMAC(1)
@@ -161,24 +164,21 @@ func TestFanoutServingMergedInOrder(t *testing.T) {
 		cl.fanHeard(ap, h.eng.Now())
 	}
 	want := []packet.IPv4Addr{packet.APIP(1), packet.APIP(3), packet.APIP(4), packet.APIP(5)}
-	if got := h.ctl.fanTargets(cl, h.eng.Now()); !sameTargets(got, want) {
+	if got, _ := h.ctl.fanTargets(cl, h.eng.Now()); !sameTargets(got, want) {
 		t.Fatalf("targets = %v, want %v", got, want)
 	}
 
-	// The serving AP stays a target after its recency expires…
+	// The serving AP stays a target after its recency expires, and only
+	// the one AP heard since counts as heard within FanoutWindow.
 	h.eng.RunUntil(h.eng.Now() + h.ctl.cfg.FanoutWindow + sim.Millisecond)
 	cl.fanHeard(1, h.eng.Now())
 	want = []packet.IPv4Addr{packet.APIP(1), packet.APIP(3)}
-	if got := h.ctl.fanTargets(cl, h.eng.Now()); !sameTargets(got, want) {
-		t.Fatalf("after expiry: targets = %v, want %v", got, want)
-	}
-	// …and the expired members were compacted out of the set.
-	if len(cl.fanSet) != 1 || cl.fanSet[0] != 1 {
-		t.Fatalf("fanSet after expiry = %v, want [1]", cl.fanSet)
+	if got, fresh := h.ctl.fanTargets(cl, h.eng.Now()); !sameTargets(got, want) || fresh != 1 {
+		t.Fatalf("after expiry: targets = %v, %d heard; want %v, 1", got, fresh, want)
 	}
 }
 
-// An adopted client's relevance set is rebuilt from the handoff evidence:
+// An adopted client's fan-out is rebuilt from the handoff evidence:
 // every seeded AP fans out immediately, without waiting for fresh CSI.
 func TestAdoptionCarriesFanoutSet(t *testing.T) {
 	h := newCtlHarness(t, 5, DefaultConfig())
@@ -188,12 +188,12 @@ func TestAdoptionCarriesFanoutSet(t *testing.T) {
 	h.ctl.SeedESNR(client, 4, 12)
 	cl := h.ctl.clients[client]
 	want := []packet.IPv4Addr{packet.APIP(0), packet.APIP(2), packet.APIP(4)}
-	if got := h.ctl.fanTargets(cl, h.eng.Now()); !sameTargets(got, want) {
+	if got, _ := h.ctl.fanTargets(cl, h.eng.Now()); !sameTargets(got, want) {
 		t.Fatalf("adopted targets = %v, want %v", got, want)
 	}
 }
 
-// Restart drops the relevance set with the rest of the soft state: the
+// Restart drops the recency evidence with the rest of the soft state: the
 // restarted controller fans out broadly until CSI re-populates it.
 func TestRestartResetsFanout(t *testing.T) {
 	h := newCtlHarness(t, 4, DefaultConfig())
@@ -203,11 +203,11 @@ func TestRestartResetsFanout(t *testing.T) {
 	h.ctl.Crash()
 	h.ctl.Restart()
 	cl := h.ctl.clients[client]
-	if cl.heardCount != 0 || len(cl.fanSet) != 0 {
-		t.Fatalf("fan state survived Restart: heardCount=%d fanSet=%v", cl.heardCount, cl.fanSet)
+	if cl.heardEver[2] {
+		t.Fatal("fan-out evidence survived Restart")
 	}
 	want := []packet.IPv4Addr{packet.APIP(0), packet.APIP(1), packet.APIP(2), packet.APIP(3)}
-	if got := h.ctl.fanTargets(cl, h.eng.Now()); !sameTargets(got, want) {
+	if got, _ := h.ctl.fanTargets(cl, h.eng.Now()); !sameTargets(got, want) {
 		t.Fatalf("post-restart bootstrap targets = %v, want %v", got, want)
 	}
 }

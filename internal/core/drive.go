@@ -48,13 +48,6 @@ type Outcome struct {
 	Arrivals []transport.Arrival
 }
 
-// OracleSample is one client's ground truth at one oracle tick: the AP
-// serving it, and the AP with the highest instantaneous ESNR.
-type OracleSample struct {
-	Serving, Best int
-	BestESNR      float64
-}
-
 // Drive is the paper's measurement method (§5) as one harness: per-client
 // downlink iperf-style flows attached to a built network, and the outcome
 // read off afterwards. Attach wires the flows; Network.Run finishes the run
@@ -115,27 +108,19 @@ func (d *Drive) Resume(i int, seq uint32, ipid uint16) {
 }
 
 // SampleOracle samples every client against the ground-truth best-ESNR AP
-// each period (Table 2's methodology) and feeds Accuracy. each, when
-// non-nil, also sees every tick's samples, indexed by client; the slice is
-// reused between ticks.
-func (d *Drive) SampleOracle(period sim.Time, each func(at sim.Time, tick []OracleSample)) {
+// each period (Table 2's methodology) and feeds Accuracy.
+func (d *Drive) SampleOracle(period sim.Time) {
 	n := d.Net
-	tick := make([]OracleSample, len(n.Clients))
 	n.Every(period, func(at sim.Time) {
-		for ci := range tick {
-			o := &tick[ci]
-			o.Best, o.BestESNR = n.BestESNRAP(ci, at)
-			o.Serving = n.ServingAP(ci)
-			if o.BestESNR < 0 {
+		for ci := range n.Clients {
+			best, esnr := n.BestESNRAP(ci, at)
+			if esnr < 0 {
 				continue // out of everyone's range: no meaningful optimum
 			}
 			d.total++
-			if o.Serving == o.Best {
+			if n.ServingAP(ci) == best {
 				d.match++
 			}
-		}
-		if each != nil {
-			each(at, tick)
 		}
 	})
 }

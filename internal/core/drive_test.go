@@ -121,13 +121,7 @@ func TestDriveOracleMatchesIndependentSampler(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := n.Attach([]Load{{RateMbps: 50}})
-	ticks := 0
-	d.SampleOracle(10*sim.Millisecond, func(at sim.Time, tick []OracleSample) {
-		if len(tick) != 1 {
-			t.Fatalf("tick has %d samples for 1 client", len(tick))
-		}
-		ticks++
-	})
+	d.SampleOracle(10 * sim.Millisecond)
 	match, total := 0, 0
 	n.Every(10*sim.Millisecond, func(at sim.Time) {
 		best, esnr := n.BestESNRAP(0, at)
@@ -142,8 +136,8 @@ func TestDriveOracleMatchesIndependentSampler(t *testing.T) {
 	if err := n.Run(); err != nil {
 		t.Error(err)
 	}
-	if total == 0 || ticks < total {
-		t.Fatalf("oracle saw %d ticks, independent sampler %d in-range samples", ticks, total)
+	if total == 0 {
+		t.Fatal("the independent sampler saw no in-range sample")
 	}
 	if want := 100 * float64(match) / float64(total); d.Accuracy() != want {
 		t.Errorf("harness accuracy %v, independent sampler %v", d.Accuracy(), want)

@@ -246,9 +246,6 @@ func Build(s Scenario) (*Network, error) {
 			// chaos engine implies the §11 health monitor.
 			ctlCfg = ctlCfg.WithHealth()
 		}
-		if s.Policy != "" {
-			ctlCfg.Policy = s.Policy
-		}
 		// The controller tier (DESIGN.md §13): one Domain per AP block over a
 		// shared city table, and a Tier routing wired-side traffic to each
 		// client's owner. Every completed switch — inner, or a cross-domain

@@ -10,7 +10,6 @@ import (
 	"wgtt/internal/chaos"
 	"wgtt/internal/controller"
 	"wgtt/internal/mobility"
-	"wgtt/internal/selector"
 	"wgtt/internal/sim"
 	"wgtt/internal/urban"
 )
@@ -62,10 +61,6 @@ type Scenario struct {
 
 	// Controller overrides the WGTT controller config when non-nil.
 	Controller *controller.Config
-	// Policy overrides the AP-selection policy (DESIGN.md §15); "" keeps
-	// the controller config's, by default §3.1.1 windowed-median. Setting
-	// this on top of Controller replaces only its Policy.
-	Policy selector.Policy
 
 	// NoBAForwarding turns §3.2.1 Block ACK forwarding off (ablation).
 	NoBAForwarding bool

@@ -55,7 +55,6 @@ func extMetroConfig(opt Options, quick bool) fleet.Config {
 		Workers:     4,
 		UDPRateMbps: 1,
 		Metro:       &metro,
-		Policy:      opt.Policy,
 	}
 }
 

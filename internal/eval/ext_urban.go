@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"wgtt/internal/core"
-	"wgtt/internal/fleet"
 	"wgtt/internal/sim"
 	"wgtt/internal/stats"
 	"wgtt/internal/transport"
@@ -37,11 +36,6 @@ type ExtUrbanResult struct {
 	OutagePct  []float64 // mean % of 250 ms bins with zero deliveries
 	Switches   []uint64  // WGTT switches / baseline roams
 	Handoffs   []uint64  // inter-controller adoptions (WGTT only)
-
-	// PolicyTable is the per-policy comparison axis on the same city
-	// (fleet.ComparePolicies): every selector.Policies() entry, side by
-	// side.
-	PolicyTable string
 }
 
 // extUrbanCity is the evaluation city: the default two-avenue grid, one
@@ -65,9 +59,8 @@ func extUrbanCity(quick bool) urban.Config {
 }
 
 // ExtUrban runs the city under both systems — identical graph, AP sites,
-// and traces — and reports goodput, loss, outage, and switching activity,
-// plus the per-policy selector comparison on the WGTT side. The urban
-// workload is where the baseline's scan-and-reassociate roams hurt most:
+// and traces — and reports goodput, loss, outage, and switching activity.
+// The urban workload is where the baseline's scan-and-reassociate roams hurt most:
 // every turn and light changes the best AP faster than a scan converges.
 func ExtUrban(opt Options) (*ExtUrbanResult, error) {
 	city := extUrbanCity(opt.Quick)
@@ -122,19 +115,6 @@ func ExtUrban(opt Options) (*ExtUrbanResult, error) {
 			res.Handoffs = append(res.Handoffs, 0)
 		}
 	}
-
-	// Per-policy comparison axis: the same city once per selection
-	// policy, goodput/accuracy/flip-rate side by side.
-	fcfg := fleet.DefaultConfig()
-	fcfg.Seed = opt.Seed
-	fcfg.Workers = 1
-	fcfg.UDPRateMbps = rate
-	fcfg.Urban = &city
-	pc, err := fleet.ComparePolicies(fcfg)
-	if err != nil {
-		return nil, err
-	}
-	res.PolicyTable = pc.Render()
 	return res, nil
 }
 
@@ -177,7 +157,5 @@ func (r *ExtUrbanResult) Render() string {
 			fmt.Sprintf("%d", r.Switches[i]), fmt.Sprintf("%d", r.Handoffs[i]))
 	}
 	b.WriteString(t.String())
-	b.WriteString("\n")
-	b.WriteString(r.PolicyTable)
 	return b.String()
 }

@@ -10,7 +10,6 @@ import (
 
 	"wgtt/internal/core"
 	"wgtt/internal/metrics"
-	"wgtt/internal/selector"
 )
 
 // Options tunes experiment cost.
@@ -24,12 +23,6 @@ type Options struct {
 	// experiment (registries are not safe to share across workers) and
 	// return the per-experiment snapshots on RunOutput.Metrics.
 	CollectMetrics bool
-	// Policy, when set, is the AP-selection policy (DESIGN.md §15) of every
-	// scenario an experiment builds that does not name its own. "" keeps
-	// the §3.1.1 windowed-median default, preserving the byte-identical
-	// reference output.
-	Policy selector.Policy
-
 	// registry, set by RunAll under CollectMetrics, receives every built
 	// network's instrument recordings (DESIGN.md §10). Experiments run
 	// single-goroutine, so one registry per experiment; an experiment that
@@ -46,9 +39,6 @@ type Result interface {
 // build constructs the scenario's network, wiring it into the experiment's
 // registry when metrics collection is enabled.
 func (opt Options) build(s core.Scenario) (*core.Network, error) {
-	if s.Policy == "" {
-		s.Policy = opt.Policy
-	}
 	n, err := core.Build(s)
 	if err != nil {
 		return nil, err

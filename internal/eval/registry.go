@@ -74,8 +74,6 @@ func Experiments() []Experiment {
 			func(o Options) (Result, error) { return ExtResilience(o) }},
 		{"ext-federation", "Extension (§13): sharded controller tier and inter-controller handoff",
 			func(o Options) (Result, error) { return ExtFederation(o) }},
-		{"ext-selector", "Extension (§15): AP-selection policy ablation",
-			func(o Options) (Result, error) { return ExtSelector(o) }},
 		{"ext-urban", "Extension (§16): urban street-grid city with bus riders",
 			func(o Options) (Result, error) { return ExtUrban(o) }},
 		{"ext-metro", "Extension (§17): connected metro vs isolated tiles",

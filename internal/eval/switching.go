@@ -200,7 +200,7 @@ func Table2SwitchingAccuracy(opt Options) (*Table2Result, error) {
 				return nil, err
 			}
 			d := n.Attach([]core.Load{{TCP: tcp, RateMbps: offeredUDPMbps}})
-			d.SampleOracle(10*sim.Millisecond, nil)
+			d.SampleOracle(10 * sim.Millisecond)
 			if err := n.Run(); err != nil {
 				return nil, err
 			}

@@ -10,7 +10,6 @@ import (
 	"wgtt/internal/federation"
 	"wgtt/internal/metrics"
 	"wgtt/internal/packet"
-	"wgtt/internal/selector"
 	"wgtt/internal/sim"
 )
 
@@ -423,7 +422,7 @@ func TestTierStatsCarriesEveryCounter(t *testing.T) {
 		v := reflect.ValueOf(sum)
 		for i := 0; i < v.NumField(); i++ {
 			if want := 3 * uint64(i+1); v.Field(i).Kind() == reflect.Uint64 && v.Field(i).Uint() != want {
-				t.Errorf("%s.%s = %d, want %d: Stats.Add does not carry it",
+				t.Errorf("%s.%s = %d, want %d: Tier.Stats (metrics.Sum) does not carry it",
 					v.Type(), v.Type().Field(i).Name, v.Field(i).Uint(), want)
 			}
 		}
@@ -545,55 +544,43 @@ func TestFederationMetrics(t *testing.T) {
 	}
 }
 
-// A handoff must carry the client's selection evidence whichever policy
-// the domains run (DESIGN.md §15): all policies share the median-window
-// evidence store, so the commit's quantized medians seed the adopter's
-// selector and the handoff completes identically under each. Asserts, per
-// policy: the adoption happens and the adopter's selector holds warm
-// evidence for the target AP immediately after the cross-domain switch.
-func TestHandoffCarriesSelectorStateAllPolicies(t *testing.T) {
-	for _, pol := range selector.Policies() {
-		t.Run(string(pol), func(t *testing.T) {
-			cfg := quickConfig()
-			cfg.Controller.Policy = pol
-			h := newFedHarness(t, 2, 2, cfg)
-			client := packet.ClientMAC(1)
-			h.admit(client)
-			for i := 0; i < 80 && len(h.doms[1].Adopted) == 0; i++ {
-				h.feedCSI(client, 0, 6)
-				h.feedCSI(client, 2, 22)
-				h.run(2 * sim.Millisecond)
-			}
-			if !h.doms[1].Owns(client) {
-				t.Fatalf("domain 1 never adopted the client (policy %s)", pol)
-			}
-			adopter := h.doms[1].Controller()
-			// AP 2, domain 1's first, is the handoff target. The adopter's
-			// selector must already hold usable evidence for it (commit
-			// seeding plus relayed reports), not start blind.
-			med, ok := adopter.MedianESNR(client, 2)
-			if !ok || med < 15 {
-				t.Fatalf("adopter median for target AP = %.1f, ok=%v — selector state did not survive the handoff", med, ok)
-			}
-			if got := h.tier.ServingAP(client); got != 2 {
-				t.Fatalf("serving AP = %d, want 2", got)
-			}
-			// Keep traffic flowing past the post-adoption hysteresis dwell:
-			// the adopter's policy must evaluate the client (not just hold
-			// it), and the tier-wide stats must sum the policy counters
-			// from both domains' controllers.
-			for i := 0; i < 20; i++ {
-				h.feedCSI(client, 2, 22)
-				h.run(3 * sim.Millisecond)
-			}
-			ts := h.tier.Stats()
-			if ts.Ctl.SelectionDecisions == 0 {
-				t.Fatalf("tier stats: selection decisions = 0, want > 0")
-			}
-			if pol == selector.GlobalAssignPolicy && ts.Ctl.AssignmentRounds == 0 {
-				t.Fatalf("tier stats: assignment rounds = 0 under global-assign, want > 0")
-			}
-		})
+// A handoff must carry the client's selection evidence (DESIGN.md §15):
+// the commit's quantized medians seed the adopter's selector. Asserts the
+// adoption happens and the adopter's selector holds warm evidence for the
+// target AP immediately after the cross-domain switch.
+func TestHandoffCarriesSelectorState(t *testing.T) {
+	h := newFedHarness(t, 2, 2, quickConfig())
+	client := packet.ClientMAC(1)
+	h.admit(client)
+	for i := 0; i < 80 && len(h.doms[1].Adopted) == 0; i++ {
+		h.feedCSI(client, 0, 6)
+		h.feedCSI(client, 2, 22)
+		h.run(2 * sim.Millisecond)
+	}
+	if !h.doms[1].Owns(client) {
+		t.Fatal("domain 1 never adopted the client")
+	}
+	adopter := h.doms[1].Controller()
+	// AP 2, domain 1's first, is the handoff target. The adopter's
+	// selector must already hold usable evidence for it (commit seeding
+	// plus relayed reports), not start blind.
+	med, ok := adopter.MedianESNR(client, 2)
+	if !ok || med < 15 {
+		t.Fatalf("adopter median for target AP = %.1f, ok=%v — selector state did not survive the handoff", med, ok)
+	}
+	if got := h.tier.ServingAP(client); got != 2 {
+		t.Fatalf("serving AP = %d, want 2", got)
+	}
+	// Keep traffic flowing past the post-adoption hysteresis dwell: the
+	// adopter must evaluate the client (not just hold it), and the
+	// tier-wide stats must sum the selection counters from both domains'
+	// controllers.
+	for i := 0; i < 20; i++ {
+		h.feedCSI(client, 2, 22)
+		h.run(3 * sim.Millisecond)
+	}
+	if ts := h.tier.Stats(); ts.Ctl.SelectionDecisions == 0 {
+		t.Fatalf("tier stats: selection decisions = 0, want > 0")
 	}
 }
 

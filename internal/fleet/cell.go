@@ -157,7 +157,6 @@ func RunCell(cfg Config, cell int) (CellResult, error) {
 		s, loads = corridorScenario(cfg, plan)
 	}
 	s.Chaos = cfg.Chaos
-	s.Policy = cfg.Policy
 	n, err := core.Build(s)
 	if err != nil {
 		return CellResult{}, fmt.Errorf("fleet: cell %d: %w", cell, err)
@@ -167,7 +166,7 @@ func RunCell(cfg Config, cell int) (CellResult, error) {
 		return CellResult{}, err
 	}
 	// Switching accuracy against the ESNR oracle, Table 2's metric per cell.
-	c.drive.SampleOracle(samplePeriod, nil)
+	c.drive.SampleOracle(samplePeriod)
 	return c.harvest()
 }
 

@@ -20,13 +20,12 @@ import (
 
 	"wgtt/internal/chaos"
 	"wgtt/internal/mobility"
-	"wgtt/internal/selector"
 	"wgtt/internal/sim"
 	"wgtt/internal/urban"
 )
 
 // Config describes a fleet deployment. DefaultConfig states its defaults
-// once; Run, RunCell, PlanCell, ComparePolicies and RunMetro fill in none.
+// once; Run, RunCell, PlanCell and RunMetro fill in none.
 type Config struct {
 	// Cells is the number of corridor cells to deploy.
 	Cells int
@@ -83,12 +82,6 @@ type Config struct {
 	// contract: reports are byte-identical for any worker count. nil
 	// disables injection and leaves the report format untouched.
 	Chaos *chaos.Config
-
-	// Policy picks the AP-selection policy every cell's controller runs
-	// (DESIGN.md §15). "" keeps the §3.1.1 windowed-median default; the
-	// policy is pure and deterministic, so any choice preserves the
-	// byte-identical determinism contract.
-	Policy selector.Policy
 
 	// Urban switches every cell from a straight corridor to a street-grid
 	// city (DESIGN.md §16): the cell's APs line its streets, and its

@@ -296,7 +296,6 @@ func (m *metroRun) buildTile(t int, visitors []presence, frng *sim.RNG) (*metroT
 	s := core.CityCellScenario(core.ModeWGTT, plan.City.Graph,
 		frng.Stream(fmt.Sprintf("fleet/metro/tile/%d/seed", t)).Uint64(),
 		plan.Duration(), aps, clients)
-	s.Policy = m.Cfg.Policy
 	n, err := core.Build(s)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: metro tile %d: %w", t, err)

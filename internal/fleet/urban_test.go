@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"wgtt/internal/selector"
 	"wgtt/internal/urban"
 )
 
@@ -90,51 +89,5 @@ func TestCorridorReportHasNoUrbanSection(t *testing.T) {
 	}
 	if strings.Contains(res.Render(), "Urban workload") {
 		t.Fatal("corridor report grew an urban section")
-	}
-}
-
-func TestComparePolicies(t *testing.T) {
-	cfg := urbanTestConfig(2)
-	cfg.Cells = 1
-	policies := selector.Policies()
-	pc, err := ComparePolicies(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pc.Outcomes) != len(policies) {
-		t.Fatalf("outcomes = %d, want %d", len(pc.Outcomes), len(policies))
-	}
-	for i, o := range pc.Outcomes {
-		if o.Policy != policies[i] {
-			t.Fatalf("outcome %d policy = %s, want %s", i, o.Policy, policies[i])
-		}
-		if o.FleetMbps <= 0 {
-			t.Fatalf("policy %s delivered nothing", o.Policy)
-		}
-		// The row is the policy's own fleet run, reduced.
-		run := cfg
-		run.Policy = o.Policy
-		res, err := Run(run)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Cells) != 1 {
-			t.Fatalf("policy %s: a direct run has %d cells, want 1", o.Policy, len(res.Cells))
-		}
-		if c := res.Cells[0]; o.FleetMbps != c.AggMbps || o.Switches != c.Ctl.SwitchesDone {
-			t.Fatalf("policy %s: row %.3f Mb/s, %d switches; a direct run %.3f Mb/s, %d switches",
-				o.Policy, o.FleetMbps, o.Switches, c.AggMbps, c.Ctl.SwitchesDone)
-		}
-	}
-	out := pc.Render()
-	checkGolden(t, "compare-policies", out)
-	for _, p := range policies {
-		if !strings.Contains(out, string(p)) {
-			t.Fatalf("comparison table missing %s:\n%s", p, out)
-		}
-	}
-	// Rendering is pure: same outcomes, same bytes.
-	if out != pc.Render() {
-		t.Fatal("comparison render not pure")
 	}
 }

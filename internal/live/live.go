@@ -26,7 +26,6 @@ import (
 	"wgtt/internal/federation"
 	"wgtt/internal/packet"
 	"wgtt/internal/runtime"
-	"wgtt/internal/selector"
 	"wgtt/internal/sim"
 )
 
@@ -109,18 +108,14 @@ func runNode(conn *net.UDPConn, table map[packet.IPv4Addr]string, timeout sim.Ti
 // with AP 1 in another domain it is that domain's cross-domain pull, once
 // the ramps push AP 1 past the offer margin and AP 0's domain has exported
 // the client's state bundle over the wire (the exporting domain runs to
-// timeout — the orchestrator kills it once the adopter reports). pol
-// selects the AP-selection policy (DESIGN.md §15); "" runs the default
-// §3.1.1 windowed-median rule.
-func RunController(domain int, conn *net.UDPConn, table map[packet.IPv4Addr]string, city []federation.APAssignment, timeout sim.Time, pol selector.Policy) (controller.SwitchRecord, error) {
+// timeout — the orchestrator kills it once the adopter reports).
+func RunController(domain int, conn *net.UDPConn, table map[packet.IPv4Addr]string, city []federation.APAssignment, timeout sim.Time) (controller.SwitchRecord, error) {
 	var (
 		rec controller.SwitchRecord
 		got bool
 	)
 	err := runNode(conn, table, timeout, func(w *runtime.Wall, sw *backhaul.Switch) error {
-		cfg := federation.DefaultConfig()
-		cfg.Controller.Policy = pol
-		dom := federation.NewDomain(cfg, w.Eng, sw, domain, city)
+		dom := federation.NewDomain(federation.DefaultConfig(), w.Eng, sw, domain, city)
 		dom.OnSwitch = func(r controller.SwitchRecord) {
 			if !got {
 				rec, got = r, true

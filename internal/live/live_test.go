@@ -93,7 +93,7 @@ func TestThreeNodeSwitchOverLoopback(t *testing.T) {
 	conns, tableFor := loopback(t, 3, 1)
 	apDone := runAPs(conns, tableFor, federation.City(2, 1), 2*sim.Second)
 
-	rec, err := RunController(0, conns[0], tableFor(packet.ControllerIP), federation.City(2, 1), 2*sim.Second, "")
+	rec, err := RunController(0, conns[0], tableFor(packet.ControllerIP), federation.City(2, 1), 2*sim.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,11 +190,11 @@ func TestFourNodeFederatedHandoffOverLoopback(t *testing.T) {
 	}
 	dom0Done := make(chan ctlResult, 1)
 	go func() {
-		rec, err := RunController(0, conns[0], tableFor(packet.DomainControllerIP(0)), city, timeout, "")
+		rec, err := RunController(0, conns[0], tableFor(packet.DomainControllerIP(0)), city, timeout)
 		dom0Done <- ctlResult{rec, err}
 	}()
 
-	rec, err := RunController(1, conns[1], tableFor(packet.DomainControllerIP(1)), city, timeout, "")
+	rec, err := RunController(1, conns[1], tableFor(packet.DomainControllerIP(1)), city, timeout)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,7 @@ package metrics
 
 // CauseMedianArgmax is the initiation cause of a §3.1.1 selection switch:
 // the challenger AP's windowed median ESNR beat the incumbent's by at
-// least the configured margin. The field exists so extensions can be told
-// apart in one span stream; CauseFailover and CauseAPFailure are the
+// least the configured margin. CauseFailover and CauseAPFailure are the
 // failure-recovery causes (DESIGN.md §11).
 const CauseMedianArgmax = "median-argmax"
 
@@ -22,11 +21,6 @@ const CauseAPFailure = "ap-failure"
 // switch tracker, the stop→start→ack the adopting controller drives to pull
 // the client onto its own domain's AP.
 const CauseDomainHandoff = "domain-handoff"
-
-// CauseGlobalAssign marks a switch commanded by the global-assign selection
-// policy's fleet-wide assignment round (DESIGN.md §15): the client moves to
-// the AP the budgeted assignment gave it, not to its own greedy argmax.
-const CauseGlobalAssign = "global-assign"
 
 // SwitchSpan traces one execution of the §3.1.2 switching protocol, from
 // the controller's first stop(c) transmission to the ack that completes

@@ -1,76 +1,26 @@
-// Package selector holds the controller's AP-selection policies: the
-// paper's windowed-median maximal rule (§3.1.1) plus one extension, global
-// assignment, which replaces greedy per-client argmax with a periodic
-// fleet-wide AP↔client assignment under a per-AP budget. Each extension
-// keeps its place by the claim eval.TestSelectorClaims checks (DESIGN.md
-// §15).
+// Package selector holds the controller's AP-selection rule, the paper's
+// windowed-median argmax (§3.1.1): the AP whose median ESNR over the last
+// Window is highest, gated by a sample count, a usability floor and an
+// incumbent-defense margin (DESIGN.md §15).
 //
 // The controller owns *when* a client is evaluated — the one-outstanding-
 // switch, frozen-during-handoff, and hysteresis gates all stay in
 // internal/controller — and the Selector owns *what the evidence says*: it
 // ingests every ESNR observation via Observe and answers Decide with a
-// target AP and the cause to record on the switch span. All policies keep
-// the same per-(client, AP) median windows, so the federation layer's
-// evidence export (MedianESNR) and import (SeedESNR → Observe) work
-// identically whichever policy a domain runs (DESIGN.md §15).
+// target AP. The per-(client, AP) median windows are also the federation
+// layer's evidence export (Median) and import (SeedESNR → Observe).
 //
-// Determinism contract: selectors are called from the single
-// controller goroutine, never read wall-clock time or randomness, and
-// iterate clients in registration order — the fleet's byte-identical-
-// reports-for-any-worker-count property does not depend on the policy
-// chosen.
+// Determinism contract: a Selector is called from the single controller
+// goroutine and never reads wall-clock time or randomness.
 package selector
 
 import (
-	"fmt"
-	"strings"
-
-	"wgtt/internal/metrics"
 	"wgtt/internal/packet"
 	"wgtt/internal/sim"
 )
 
-// Policy names an AP-selection policy.
-type Policy string
-
-// The two policies (DESIGN.md §15).
-const (
-	// WindowedMedianPolicy is the paper's §3.1.1 rule: argmax over
-	// per-AP windowed median ESNR, with margin and sample-count gates.
-	WindowedMedianPolicy Policy = "windowed-median"
-	// GlobalAssignPolicy recomputes a fleet-wide AP↔client assignment
-	// every assignPeriod under a per-AP client budget, trading per-client
-	// ESNR for a lower peak AP load.
-	GlobalAssignPolicy Policy = "global-assign"
-)
-
-// ParsePolicy maps a CLI flag value to a Policy; "" selects the default
-// windowed-median rule.
-func ParsePolicy(s string) (Policy, error) {
-	if s == "" {
-		return WindowedMedianPolicy, nil
-	}
-	var names []string
-	for _, p := range Policies() {
-		if Policy(s) == p {
-			return p, nil
-		}
-		names = append(names, string(p))
-	}
-	last := len(names) - 1
-	return "", fmt.Errorf("unknown selection policy %q (want %s or %s)",
-		s, strings.Join(names[:last], ", "), names[last])
-}
-
-// Policies lists every selectable policy in documentation order.
-func Policies() []Policy {
-	return []Policy{WindowedMedianPolicy, GlobalAssignPolicy}
-}
-
-// Params carries the base §3.1.1 windowed-median parameters. controller.Config
-// embeds them (the Fig. 21/22 experiments sweep Window and the gates) and
-// they reach every policy: the extensions refine the median rule rather
-// than replace its gates.
+// Params carries the §3.1.1 windowed-median parameters. controller.Config
+// embeds them (the Fig. 21/22 experiments sweep Window and the gates).
 type Params struct {
 	// Window is the ESNR comparison window W of §3.1.1; the paper's
 	// microbenchmark (Fig. 21) selects 10 ms.
@@ -89,124 +39,67 @@ type Params struct {
 	MinSwitchESNRdB float64
 }
 
-// Config selects a policy. The zero value is the windowed-median rule —
-// the configuration every pre-existing scenario implicitly ran. Each
-// policy runs one fixed operating point (assign.go).
-type Config struct {
-	// Policy picks Decide's rule; "" means WindowedMedianPolicy.
-	Policy Policy
-}
+// Config is empty. It remains only because the benchmark program passes
+// it to New; the next benchmark change drops that argument and deletes it.
+type Config struct{}
 
-// Decision is one policy verdict for one client.
+// Decision is one selection verdict for one client.
 type Decision struct {
 	// Target is the AP to switch to, or -1 to stay on the serving AP.
 	Target int
-	// Cause labels the switch span (metrics.CauseMedianArgmax or
-	// CauseGlobalAssign).
-	Cause string
 	// FromMetric/ToMetric are the incumbent and target medians the
 	// decision compared, recorded on the span.
 	FromMetric, ToMetric float64
-	// Flip reports that the policy's preferred AP changed since the
-	// previous decision for this client (the selection_flips metric).
+	// Flip reports that the preferred AP changed since the previous
+	// decision for this client (the selection_flips metric).
 	Flip bool
-	// NewRound marks the decision that triggered a fleet-wide
-	// reassignment (the assignment_rounds metric).
-	NewRound bool
 }
 
-// stay is the no-switch decision.
-func stay() Decision { return Decision{Target: -1} }
-
-// Selector is the controller's AP-selection policy. Every policy keeps the
-// same evidence — one §3.1.1 median window per (client, AP) link, the
-// client registration order (whole-fleet sweeps iterate the slice, never
-// the map — map order would break run-to-run determinism), and the
-// per-client argmax memory behind the selection-flips metric — so the
-// federation layer's Median export and SeedESNR→Observe import behave
-// identically under every policy; only Decide's verdict differs. A
-// Selector is single-goroutine (the controller's), deterministic, and
-// allocation-free on the Observe/Decide hot path once steady state is
-// reached.
+// Selector is the controller's AP-selection rule. It keeps one §3.1.1
+// median window per (client, AP) link and the per-client argmax memory
+// behind the selection-flips metric. A Selector is single-goroutine (the
+// controller's), deterministic, and allocation-free on the Observe/Decide
+// hot path once steady state is reached.
 type Selector struct {
 	p       Params
-	policy  Policy
 	numAPs  int
 	clients map[packet.MACAddr]*clientState
-	order   []packet.MACAddr
-
-	// GlobalAssignPolicy's round clock and recomputation scratch (reused
-	// across rounds; the Observe/Decide hot path between rounds is
-	// allocation-free).
-	nextAt sim.Time
-	pairs  []assignPair
-	load   []int
 }
 
 // clientState is one client's selection evidence.
 type clientState struct {
 	windows []*Window // indexed by AP id
-	serving int
 	// lastBest is the previous decision's preferred AP (-1 before any),
 	// the reference point for Decision.Flip.
 	lastBest int
-	// assigned is GlobalAssignPolicy's current target for this client
-	// (-1 before the first round).
-	assigned int
 }
 
-// New builds the configured policy for a deployment of numAPs APs.
-// Unknown policy names are a programming error (ParsePolicy validates
-// user input), so New panics rather than guessing.
-func New(cfg Config, p Params, numAPs int) *Selector {
-	pol, err := ParsePolicy(string(cfg.Policy))
-	if err != nil {
-		panic("selector: " + err.Error())
-	}
+// New builds the selection rule for a deployment of numAPs APs.
+func New(_ Config, p Params, numAPs int) *Selector {
 	if p.MinSamples < 1 {
 		p.MinSamples = 1
 	}
 	return &Selector{
 		p:       p,
-		policy:  pol,
 		numAPs:  numAPs,
 		clients: make(map[packet.MACAddr]*clientState),
 	}
 }
 
-// AddClient installs per-client state with its initial serving AP, or
-// replaces a client's with empty evidence (a controller restart).
-func (s *Selector) AddClient(mac packet.MACAddr, serving int) {
-	cl := &clientState{windows: make([]*Window, s.numAPs), serving: serving, lastBest: -1, assigned: -1}
+// AddClient installs per-client state with empty evidence, or replaces a
+// client's (a controller restart). The serving AP is read by nothing; the
+// argument remains only because the benchmark program passes it.
+func (s *Selector) AddClient(mac packet.MACAddr, _ int) {
+	cl := &clientState{windows: make([]*Window, s.numAPs), lastBest: -1}
 	for i := range cl.windows {
 		cl.windows[i] = NewWindow(s.p.Window)
-	}
-	if _, ok := s.clients[mac]; !ok {
-		s.order = append(s.order, mac)
 	}
 	s.clients[mac] = cl
 }
 
 // RemoveClient drops a client (federation release).
 func (s *Selector) RemoveClient(mac packet.MACAddr) {
-	if _, ok := s.clients[mac]; !ok {
-		return
-	}
 	delete(s.clients, mac)
-	for i, m := range s.order {
-		if m == mac {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
-}
-
-// SetServing records a completed switch, keeping the policy's view of the
-// association current (GlobalAssignPolicy scores incumbents with it).
-func (s *Selector) SetServing(mac packet.MACAddr, ap int) {
-	if cl := s.clients[mac]; cl != nil {
-		cl.serving = ap
-	}
 }
 
 // Observe ingests one ESNR reading and returns the (client, AP) window
@@ -254,26 +147,18 @@ func (s *Selector) BestAlive(mac packet.MACAddr, now sim.Time, alive func(int) b
 	return best
 }
 
-// Decide evaluates the policy for one client. alive filters APs the
-// health monitor has excluded; the controller's own gates (in-flight op,
-// frozen, hysteresis) have already passed when Decide runs.
+// Decide evaluates the §3.1.1 rule for one client: maximal windowed median
+// over alive APs, with the MinSamples gate exempting the serving AP, the
+// MinSwitchESNRdB usability floor, and the incumbent-defense margin. A dead
+// incumbent defends nothing, however fresh its window looks. alive filters
+// APs the health monitor has excluded; the controller's own gates (in-flight
+// op, frozen, hysteresis) have already passed when Decide runs.
 func (s *Selector) Decide(mac packet.MACAddr, serving int, now sim.Time, alive func(int) bool) Decision {
+	d := Decision{Target: -1}
 	cl := s.clients[mac]
 	if cl == nil {
-		return stay()
+		return d
 	}
-	if s.policy == GlobalAssignPolicy {
-		return s.assign(cl, serving, now, alive)
-	}
-	return s.decideMedian(cl, serving, now, alive)
-}
-
-// decideMedian is the paper's §3.1.1 rule — the windowed-median policy's
-// whole decision: maximal windowed median over alive APs, with the
-// MinSamples gate exempting the serving AP, the MinSwitchESNRdB usability
-// floor, and the incumbent-defense margin. A dead incumbent defends nothing, however fresh its window looks.
-func (s *Selector) decideMedian(cl *clientState, serving int, now sim.Time, alive func(int) bool) Decision {
-	d := stay()
 	best, bestMed := -1, 0.0
 	for id, w := range cl.windows {
 		if !alive(id) {
@@ -310,7 +195,6 @@ func (s *Selector) decideMedian(cl *clientState, serving int, now sim.Time, aliv
 		servMed = 0
 	}
 	d.Target = best
-	d.Cause = metrics.CauseMedianArgmax
 	d.FromMetric = servMed
 	d.ToMetric = bestMed
 	return d

@@ -8,8 +8,8 @@ import (
 
 // Window is a time-bounded deque of ESNR readings for one client-AP
 // link: the short-term history E(a) of §3.1.1. It lives here, with the
-// selection policies, because the window *is* the evidence every policy
-// decides on — the controller only routes CSI into it (selector.go), and
+// selection rule, because the window *is* the evidence the rule decides
+// on — the controller only routes CSI into it (selector.go), and
 // the federation layer keeps the same window for foreign-AP evidence.
 //
 // Every CSI report triggers a median query (the selection rule re-evaluates
