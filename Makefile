@@ -282,9 +282,9 @@ bench-pair:
 # by default) and trace mode at `make bench`'s seed and length, and holds
 # each pass against the last BENCH_results.json line of that workload and
 # mode not recorded at HEAD itself (commit `git describe --always`, with or
-# without -dirty: after `make bench`, HEAD's own line would hold it against
-# itself), with the bounds and directions BENCHMARK.json declares read as
-# data.
+# without -dirty: right after `make bench`, before its lines are committed,
+# HEAD's own line would hold it against itself), with the bounds and
+# directions BENCHMARK.json declares read as data.
 # It fails if goodput_mbps or delivered_frac differs at all (they are
 # simulated), or if a counted metric — allocs_per_unit, alloc_kb_per_unit,
 # and each traced *_per_unit count, which takes allocs_per_unit's bound

@@ -3,11 +3,10 @@ package core
 import "testing"
 
 // TestFanoutCopiesPinned is the end-to-end fan-out accounting pin: the
-// incremental relevance set (internal/controller/fanout.go) must reproduce
-// the retired per-packet O(#APs) scan's fan-out decisions exactly. These
-// constants were captured by running the identical scenarios on the scan
-// implementation; any drift in DownlinkCopies or delivered datagrams means
-// the fast path changed which APs replicate a client's downlink.
+// per-packet target scan (internal/controller/fanout.go) must reproduce
+// these fan-out decisions exactly. The constants were captured on the same
+// scenarios; any drift in DownlinkCopies or delivered datagrams means a
+// change altered which APs replicate a client's downlink.
 func TestFanoutCopiesPinned(t *testing.T) {
 	cases := []struct {
 		seed         uint64
@@ -30,7 +29,7 @@ func TestFanoutCopiesPinned(t *testing.T) {
 		st := n.CtlStats()
 		if st.DownlinkSent != tc.sent || st.DownlinkCopies != tc.copies ||
 			flow.Receiver.Received != tc.received {
-			t.Errorf("seed %d: sent/copies/received = %d/%d/%d, want %d/%d/%d (pre-relevance-set baseline)",
+			t.Errorf("seed %d: sent/copies/received = %d/%d/%d, want %d/%d/%d (pinned baseline)",
 				tc.seed, st.DownlinkSent, st.DownlinkCopies, flow.Receiver.Received,
 				tc.sent, tc.copies, tc.received)
 		}

@@ -23,6 +23,7 @@ type Options struct {
 	// experiment (registries are not safe to share across workers) and
 	// return the per-experiment snapshots on RunOutput.Metrics.
 	CollectMetrics bool
+
 	// registry, set by RunAll under CollectMetrics, receives every built
 	// network's instrument recordings (DESIGN.md §10). Experiments run
 	// single-goroutine, so one registry per experiment; an experiment that
