@@ -547,41 +547,44 @@ func TestFederationMetrics(t *testing.T) {
 // A handoff must carry the client's selection evidence (DESIGN.md §15):
 // the commit's quantized medians seed the adopter's selector. Asserts the
 // adoption happens and the adopter's selector holds warm evidence for the
-// target AP immediately after the cross-domain switch.
-func TestHandoffCarriesSelectorState(t *testing.T) {
-	h := newFedHarness(t, 2, 2, quickConfig())
-	client := packet.ClientMAC(1)
-	h.admit(client)
-	for i := 0; i < 80 && len(h.doms[1].Adopted) == 0; i++ {
-		h.feedCSI(client, 0, 6)
-		h.feedCSI(client, 2, 22)
-		h.run(2 * sim.Millisecond)
-	}
-	if !h.doms[1].Owns(client) {
-		t.Fatal("domain 1 never adopted the client")
-	}
-	adopter := h.doms[1].Controller()
-	// AP 2, domain 1's first, is the handoff target. The adopter's
-	// selector must already hold usable evidence for it (commit seeding
-	// plus relayed reports), not start blind.
-	med, ok := adopter.MedianESNR(client, 2)
-	if !ok || med < 15 {
-		t.Fatalf("adopter median for target AP = %.1f, ok=%v — selector state did not survive the handoff", med, ok)
-	}
-	if got := h.tier.ServingAP(client); got != 2 {
-		t.Fatalf("serving AP = %d, want 2", got)
-	}
-	// Keep traffic flowing past the post-adoption hysteresis dwell: the
-	// adopter must evaluate the client (not just hold it), and the
-	// tier-wide stats must sum the selection counters from both domains'
-	// controllers.
-	for i := 0; i < 20; i++ {
-		h.feedCSI(client, 2, 22)
-		h.run(3 * sim.Millisecond)
-	}
-	if ts := h.tier.Stats(); ts.Ctl.SelectionDecisions == 0 {
-		t.Fatalf("tier stats: selection decisions = 0, want > 0")
-	}
+// target AP immediately after the cross-domain switch. The subtest names
+// the selection rule the domains run, the windowed median.
+func TestHandoffCarriesSelectorStateAllPolicies(t *testing.T) {
+	t.Run("windowed-median", func(t *testing.T) {
+		h := newFedHarness(t, 2, 2, quickConfig())
+		client := packet.ClientMAC(1)
+		h.admit(client)
+		for i := 0; i < 80 && len(h.doms[1].Adopted) == 0; i++ {
+			h.feedCSI(client, 0, 6)
+			h.feedCSI(client, 2, 22)
+			h.run(2 * sim.Millisecond)
+		}
+		if !h.doms[1].Owns(client) {
+			t.Fatal("domain 1 never adopted the client")
+		}
+		adopter := h.doms[1].Controller()
+		// AP 2, domain 1's first, is the handoff target. The adopter's
+		// selector must already hold usable evidence for it (commit
+		// seeding plus relayed reports), not start blind.
+		med, ok := adopter.MedianESNR(client, 2)
+		if !ok || med < 15 {
+			t.Fatalf("adopter median for target AP = %.1f, ok=%v — selector state did not survive the handoff", med, ok)
+		}
+		if got := h.tier.ServingAP(client); got != 2 {
+			t.Fatalf("serving AP = %d, want 2", got)
+		}
+		// Keep traffic flowing past the post-adoption hysteresis dwell:
+		// the adopter must evaluate the client (not just hold it), and the
+		// tier-wide stats must sum the selection counters from both
+		// domains' controllers.
+		for i := 0; i < 20; i++ {
+			h.feedCSI(client, 2, 22)
+			h.run(3 * sim.Millisecond)
+		}
+		if ts := h.tier.Stats(); ts.Ctl.SelectionDecisions == 0 {
+			t.Fatalf("tier stats: selection decisions = 0, want > 0")
+		}
+	})
 }
 
 // The handoff machine under dropped messages (ROADMAP 3(b)): per seed, 60%

@@ -132,23 +132,26 @@ func TestWindowedMedianMatchesInlineReference(t *testing.T) {
 }
 
 // The Observe+Decide hot path must be allocation-free at steady state —
-// the controller calls it per CSI report.
+// the controller calls it per CSI report. The subtest names the selection
+// rule it runs, the windowed median.
 func TestSelectorZeroAllocSteadyState(t *testing.T) {
-	sel := New(Config{}, testParams(), 8)
-	mac := packet.ClientMAC(1)
-	sel.AddClient(mac, 0)
-	now := sim.Time(0)
-	vals := [4]float64{21, 18, 24, 19}
-	warm := func(n int) {
-		for i := 0; i < n; i++ {
-			now += 100 * sim.Microsecond
-			sel.Observe(mac, i%8, vals[i&3], now)
-			_ = sel.Decide(mac, 0, now, allAlive)
+	t.Run("windowed-median", func(t *testing.T) {
+		sel := New(Config{}, testParams(), 8)
+		mac := packet.ClientMAC(1)
+		sel.AddClient(mac, 0)
+		now := sim.Time(0)
+		vals := [4]float64{21, 18, 24, 19}
+		warm := func(n int) {
+			for i := 0; i < n; i++ {
+				now += 100 * sim.Microsecond
+				sel.Observe(mac, i%8, vals[i&3], now)
+				_ = sel.Decide(mac, 0, now, allAlive)
+			}
 		}
-	}
-	warm(512) // fill the windows
-	allocs := testing.AllocsPerRun(200, func() { warm(1) })
-	if allocs != 0 {
-		t.Fatalf("Observe+Decide allocates %.1f/op at steady state, want 0", allocs)
-	}
+		warm(512) // fill the windows
+		allocs := testing.AllocsPerRun(200, func() { warm(1) })
+		if allocs != 0 {
+			t.Fatalf("Observe+Decide allocates %.1f/op at steady state, want 0", allocs)
+		}
+	})
 }
