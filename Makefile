@@ -55,8 +55,13 @@ race:
 # a target this Makefile defines. A `file.go:N` must be within that file's
 # line count, and every -flag after a DOC_CLIS name (up to a backtick, `#`
 # or `|`) must be one that CLI's -h lists.
+# The design record's two contracts: every `DESIGN.md §N` a Go file or
+# DESIGN_CITERS cites names a `## N.` heading of DESIGN.md (CHANGES.md is
+# history and may cite sections since renumbered), and DESIGN.md keeps to
+# 1,000 lines.
 DOC_FILES = DESIGN.md README.md
 DOC_CLIS = wgttsim wgtt-fleet wgtt-experiments wgtt-live
+DESIGN_CITERS = README.md DESIGN.md EXPERIMENTS.md
 docs-check:
 	@fail=0; d=$$(mktemp -d); for c in $(DOC_CLIS); do \
 		$(GO) build -o $$d/$$c ./cmd/$$c && $$d/$$c -h 2>&1 | grep -o '^  -[a-z0-9-]*' | cut -c3- > $$d/$$c.flags; \
@@ -102,8 +107,14 @@ docs-check:
 	for t in $$(grep -oh '`make [A-Za-z0-9_-]*' $(DOC_FILES) | cut -c7- | sort -u); do \
 		grep -q "^$$t:" Makefile || { echo "docs-check: \`make $$t\` names no target"; fail=1; }; \
 	done; \
+	for n in $$({ grep -rhoE --include='*.go' 'DESIGN\.md §[0-9]+' internal cmd examples bench; \
+		grep -hoE 'DESIGN\.md §[0-9]+' $(DESIGN_CITERS); } | grep -oE '[0-9]+$$' | sort -un); do \
+		grep -q "^## $$n\. " DESIGN.md || { echo "docs-check: DESIGN.md §$$n is cited, but DESIGN.md has no \"## $$n.\" heading"; fail=1; }; \
+	done; \
+	lines=$$(wc -l < DESIGN.md); \
+	[ $$lines -le 1000 ] || { echo "docs-check: DESIGN.md has $$lines lines, more than 1,000"; fail=1; }; \
 	if [ $$fail -ne 0 ]; then exit 1; fi
-	@echo docs-check: all internal packages carry a paper-section mapping, and every Go name, file, line, CLI flag and make target the docs cite resolves
+	@echo docs-check: all internal packages carry a paper-section mapping, every Go name, file, line, CLI flag, make target and DESIGN.md section the docs cite resolves, and DESIGN.md keeps to 1,000 lines
 
 # The targets that run a CLI share one shape:
 # $(call in-scratch,<cmds>,<script>[,<build flags>]) builds each cmd/<cmd>
@@ -281,10 +292,11 @@ bench-pair:
 # runs BENCHMARK.json's command, `bench/run.sh`, once per workload (all four
 # by default) and trace mode at `make bench`'s seed and length, and holds
 # each pass against the last BENCH_results.json line of that workload and
-# mode not recorded at HEAD itself (commit `git describe --always`, with or
-# without -dirty: right after `make bench`, before its lines are committed,
-# HEAD's own line would hold it against itself), with the bounds and
-# directions BENCHMARK.json declares read as data.
+# mode recorded at different code: a line is skipped when its commit and
+# the working tree differ in no BENCH_CODE file but for whitespace, so a
+# record of this very program (a commit that only touched docs or tests,
+# or the lines `make bench` just appended) is never its own reference. The
+# bounds and directions BENCHMARK.json declares are read as data.
 # It fails if goodput_mbps or delivered_frac differs at all (they are
 # simulated), or if a counted metric — allocs_per_unit, alloc_kb_per_unit,
 # and each traced *_per_unit count, which takes allocs_per_unit's bound
@@ -297,21 +309,25 @@ bench-pair:
 # fails nothing: one pass against a record from another moment of the
 # machine is no verdict, so the gate prints the `make bench-pair` that would
 # give one. Records nothing; the directory stays behind if a pass fails.
+BENCH_CODE = ':(glob)**/*.go' ':(exclude,glob)**/*_test.go' go.mod bench BENCHMARK.json
 GATE_SAME = goodput_mbps delivered_frac
 GATE_HOST = units_per_ref_s setup_s
 metrics-of = grep -o '"[a-z0-9_.]*":{"value":[^,}]*' | sed 's/"\(.*\)":{"value":/\1 /'
 bench-gate:
 	@set -e; d=$$(mktemp -d); fail=0; \
 	awk -F'"' '/"name"/ { n = $$4 } /"better"/ { print n, "better", $$4 } /"bound"/ { split($$0, b, ":"); print n, "bound", b[2] + 0 }' BENCHMARK.json > $$d/rules; \
+	for c in $$(cut -d'"' -f4 BENCH_results.json | sort -u); do \
+		if git diff --quiet -w --ignore-blank-lines $$c -- $(BENCH_CODE) 2>/dev/null; then echo "{\"commit\":\"$$c\","; fi; \
+	done > $$d/same; \
 	for w in $(or $(W),$(BENCH_WORKLOADS)); do for t in 0 1; do \
-		last=$$(grep "\"workload\":\"$$w\",\"trace\":$$t," BENCH_results.json | \
-			grep -v "^{\"commit\":\"$$(git describe --always)\(-dirty\)\?\"," | tail -n 1); \
-		test -n "$$last" || { echo "bench-gate: BENCH_results.json records no $$w --trace $$t but HEAD's own; run make bench at an earlier commit" >&2; exit 2; }; \
+		last=$$(grep "\"workload\":\"$$w\",\"trace\":$$t," BENCH_results.json | grep -vFf $$d/same | tail -n 1); \
+		test -n "$$last" || { echo "bench-gate: BENCH_results.json records no $$w --trace $$t of code other than this; run make bench at an earlier commit" >&2; exit 2; }; \
+		ref=$$(echo "$$last" | cut -d'"' -f4); \
 		json=$$(bash bench/run.sh --workload $$w --seed 2017 --seconds 24 --trace $$t | tail -n 1); \
 		case "$$json" in '{"correct":true,'*) ;; *) echo "bench-gate: $$w --trace $$t failed: $$json" >&2; exit 1;; esac; \
 		echo "$$last" | $(metrics-of) > $$d/last; \
 		echo "$$json" | $(metrics-of) > $$d/json; \
-		awk -v pass="$$w --trace $$t" -v ref=$$(echo "$$last" | cut -d'"' -f4) -v w=$$w \
+		awk -v pass="$$w --trace $$t" -v ref=$$ref -v w=$$w \
 			-v same=" $(GATE_SAME) " -v host=" $(GATE_HOST) " ' \
 			FNR == 1 { f++ } \
 			f == 1 { if ($$2 == "better") better[$$1] = $$3; else bound[$$1] = $$3; next } \
@@ -328,7 +344,7 @@ bench-gate:
 			worse && counted { printf "bench-gate: %s %s = %s, %s recorded %s: worse by more than %g\n", pass, $$1, $$2, ref, rec[$$1], slack; bad = 1 } \
 			worse && timed { printf "bench-gate: %s %s = %s, %s recorded %s; for a verdict: make bench-pair REF=%s W=%s\n", pass, $$1, $$2, ref, rec[$$1], ref, w } \
 			END { exit bad }' $$d/rules $$d/last $$d/json || fail=1; \
-		echo "bench-gate: checked $$w --trace $$t"; \
+		echo "bench-gate: checked $$w --trace $$t against $$ref"; \
 	done; done; \
 	rm -rf $$d; \
 	if [ $$fail -ne 0 ]; then exit 1; fi

@@ -33,7 +33,6 @@ func main() {
 		seed       = flag.Uint64("seed", 2017, "base seed")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent experiments")
 		metricsOut = cliflags.Metrics()
-		startProf  = cliflags.Profile()
 	)
 	flag.Parse()
 
@@ -43,17 +42,10 @@ func main() {
 		}
 		return
 	}
-	stopProf, err := startProf()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer stopProf()
 	opt := eval.Options{Seed: *seed, Quick: *quick, CollectMetrics: metricsOut.On()}
 	outs, err := eval.RunAll(opt, *workers, flag.Args())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		stopProf()
 		os.Exit(1)
 	}
 
@@ -69,7 +61,6 @@ func main() {
 		fmt.Printf("(%.1fs)\n\n", o.Elapsed.Seconds())
 	}
 	if failed > 0 {
-		stopProf()
 		os.Exit(1)
 	}
 	// Merge per-experiment snapshots in registry order so the combined
@@ -84,7 +75,6 @@ func main() {
 	what := fmt.Sprintf("merged snapshot of %d experiments", len(snaps))
 	if err := metricsOut.Write(os.Stdout, &merged, what); err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		stopProf()
 		os.Exit(1)
 	}
 }

@@ -58,7 +58,6 @@ func main() {
 			"cut the tile seams: clients stay in their birth tile for the whole run (the ext-metro ablation)")
 		progressOn = flag.Bool("progress", false,
 			"report completion progress (cells done, or metro epochs done) on stderr")
-		startProf = cliflags.Profile()
 	)
 	flag.Parse()
 	cfg := fleetCfg()
@@ -67,16 +66,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "wgtt-fleet:", err)
 		os.Exit(2)
 	}
-	stopProf, err := startProf()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer stopProf()
-	// fatal is the error exit: os.Exit skips the deferred stopProf.
 	fatal := func(msg ...any) {
 		fmt.Fprintln(os.Stderr, msg...)
-		stopProf()
 		os.Exit(1)
 	}
 

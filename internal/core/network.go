@@ -401,10 +401,6 @@ func (n *Network) EnableMetricsInto(r *metrics.Registry) *metrics.Registry {
 		// Urban workload shape (DESIGN.md §16): planned quantities, recorded
 		// once so fleet/eval merges report the generated city truthfully.
 		r.Counters("urban", &plan.Stats)
-		h := r.Histogram("urban", "riders_per_bus", []float64{0, 5, 10, 20, 40, 80})
-		for _, k := range plan.Stats.RidersPerBus {
-			h.Observe(float64(k))
-		}
 	}
 	return r
 }

@@ -13,7 +13,7 @@ type Experiment struct {
 }
 
 // Experiments returns every regenerable artifact, in paper order, followed
-// by the ablations from DESIGN.md §4.
+// by the ablations of DESIGN.md §4 and the extensions of DESIGN.md §7.
 func Experiments() []Experiment {
 	return []Experiment{
 		{"fig2", "Best-AP churn at millisecond timescales (25 mph)",

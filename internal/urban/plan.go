@@ -61,7 +61,6 @@ type Stats struct {
 	Riders         uint64 `metric:"riders"`
 	Cars           uint64 `metric:"cars"`
 	Pedestrians    uint64 `metric:"pedestrians"`
-	RidersPerBus   []int
 }
 
 // Plan is a fully expanded urban scenario: the city, the AP deployment
@@ -176,7 +175,6 @@ func BuildPlan(cfg Config, seed uint64) (*Plan, error) {
 			return nil, err
 		}
 		p.Stats.Buses++
-		p.Stats.RidersPerBus = append(p.Stats.RidersPerBus, cfg.RidersPerBus)
 		// Riders: fixed seats behind the same lead trace — correlated
 		// group mobility, many clients per vehicle.
 		seats := rng.Stream(fmt.Sprintf("urban/bus/%d/riders", b))
